@@ -143,8 +143,7 @@ func main() {
 		ran++
 	}
 	if run("plan") {
-		t1, t2 := planExperiment(o)
-		emit(t1, t2)
+		emit(planExperiment(o))
 		ran++
 	}
 	if run("cascade") {
@@ -455,27 +454,14 @@ func shardExperiment(o bench.Options) bench.Table {
 	return t
 }
 
-// planExperiment measures the two halves of the adaptive engine.
-//
-// Table 1 — adaptive placement vs fixed hash: a skewed-hotspot mixed
-// read/write workload (all writes concentrated on nodes that hash into
-// one shard) driven against the same 8-shard corpus with and without
-// rebalancer ticks. Under fixed hash placement every hot write pays a
-// copy-on-write epoch clone of the whole hot shard; the rebalancer
-// splits the hot shard until each write clones a fraction of it, so
-// mixed throughput rises with zero answer drift.
-//
-// Table 2 — cost-based planner vs hand-picked shard counts: the
-// single-goroutine mirror of BenchmarkCorpusParallelChurn (every 8th
-// operation churns a node, the rest are KNN queries) across explicit
-// WithShards settings with the planner disabled, against the planner-on
-// default configuration. The planner must land within a few percent of
-// the best hand-picked setting without being told the core count.
-func planExperiment(o bench.Options) (bench.Table, bench.Table) {
-	return planAdaptiveTable(o), planPlannerTable(o)
-}
-
-func planAdaptiveTable(o bench.Options) bench.Table {
+// planExperiment measures adaptive placement against the fixed hash: a
+// skewed-hotspot mixed read/write workload (all writes concentrated on
+// nodes that hash into one shard) driven against the same 8-shard
+// corpus with and without rebalancer ticks. Under fixed hash placement
+// every hot write pays a copy-on-write epoch clone of the whole hot
+// shard; the rebalancer splits the hot shard until each write clones a
+// fraction of it, so mixed throughput rises with zero answer drift.
+func planExperiment(o bench.Options) bench.Table {
 	o.Normalize()
 	const kDepth = 2
 	const base = 8        // seed shard count under test
@@ -584,107 +570,6 @@ func planAdaptiveTable(o bench.Options) bench.Table {
 				ratio,
 				fmt.Sprint(mismatches))
 		}
-	}
-	return t
-}
-
-func planPlannerTable(o bench.Options) bench.Table {
-	// Mirrors BenchmarkCorpusParallelChurn's workload constants so the
-	// table reads against BENCH_PARALLEL_CHURN.json directly.
-	const kDepth, nQueries, nCands, l = 3, 16, 300, 5
-	const scale = 0.1
-	const nOps = 600
-	const trials = 3
-
-	g1 := ned.MustGenerateDataset(ned.DatasetPGP, ned.DatasetOptions{Scale: scale, Seed: 7})
-	g2 := ned.MustGenerateDataset(ned.DatasetPGP, ned.DatasetOptions{Scale: scale, Seed: 8})
-	rng := rand.New(rand.NewSource(9))
-	die := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nedbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
-	queries := make([]ned.Signature, 0, nQueries)
-	for _, v := range rng.Perm(g1.NumNodes())[:nQueries] {
-		queries = append(queries, ned.NewSignature(g1, ned.NodeID(v), kDepth))
-	}
-	cands := make([]ned.NodeID, 0, nCands)
-	for _, v := range rng.Perm(g2.NumNodes())[:min(nCands, g2.NumNodes())] {
-		cands = append(cands, ned.NodeID(v))
-	}
-
-	ctx := context.Background()
-	fresh, err := ned.NewCorpus(g2, kDepth, ned.WithBackend(ned.BackendLinear), ned.WithNodes(cands))
-	die(err)
-	want, err := fresh.BatchKNN(ctx, queries, 1)
-	die(err)
-
-	// measure runs the churn loop trials times and keeps the median.
-	measure := func(corpus *ned.Corpus) (nsPerOp float64, mismatches int) {
-		_, err := corpus.KNNSignature(ctx, queries[0], 1) // materialize
-		die(err)
-		var times []float64
-		for trial := 0; trial < trials; trial++ {
-			start := time.Now()
-			for i := 1; i <= nOps; i++ {
-				if i%8 == 0 {
-					v := cands[(i/8)%len(cands)]
-					die(corpus.Remove(v))
-					die(corpus.Insert(v))
-				} else {
-					_, err := corpus.KNNSignature(ctx, queries[i%len(queries)], l)
-					die(err)
-				}
-			}
-			times = append(times, float64(time.Since(start).Nanoseconds())/nOps)
-		}
-		sort.Float64s(times)
-		res, err := corpus.BatchKNN(ctx, queries, 1)
-		die(err)
-		for i := range res {
-			if len(res[i]) == 0 || len(want[i]) == 0 ||
-				res[i][0].Dist != want[i][0].Dist {
-				mismatches++
-			}
-		}
-		return times[trials/2], mismatches
-	}
-
-	type row struct {
-		config     string
-		nsPerOp    float64
-		mismatches int
-	}
-	var rows []row
-	best := 0.0
-	for _, shards := range []int{1, 2, 4, 8} {
-		corpus, err := ned.NewCorpus(g2, kDepth, ned.WithBackend(ned.BackendVP),
-			ned.WithNodes(cands), ned.WithShards(shards), ned.WithPlanner(false))
-		die(err)
-		ns, mm := measure(corpus)
-		rows = append(rows, row{fmt.Sprintf("planner off, WithShards(%d)", shards), ns, mm})
-		if best == 0 || ns < best {
-			best = ns
-		}
-	}
-	corpus, err := ned.NewCorpus(g2, kDepth, ned.WithBackend(ned.BackendVP), ned.WithNodes(cands))
-	die(err)
-	ns, mm := measure(corpus)
-	rows = append(rows, row{"planner on, default shards", ns, mm})
-
-	t := bench.Table{
-		Title: "Cost-based planner: churn ns/op vs hand-picked shard counts",
-		Note: fmt.Sprintf("single-goroutine mirror of BenchmarkCorpusParallelChurn (%d candidates, every 8th op Remove+Insert, rest KNN(%d), PGP analog scale %.1f, k=%d, backend=vp), %d ops x %d trials (median), GOMAXPROCS=%d",
-			len(cands), l, scale, kDepth, nOps, trials, runtime.GOMAXPROCS(0)),
-		Header: []string{"config", "ns/op", "vs best hand-picked", "mismatches"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.config,
-			fmt.Sprintf("%.0f", r.nsPerOp),
-			fmt.Sprintf("%.2fx", r.nsPerOp/best),
-			fmt.Sprint(r.mismatches))
 	}
 	return t
 }

@@ -161,7 +161,6 @@ type corpusConfig struct {
 	nodes     []NodeID
 	nodesSet  bool
 	rebuildAt float64
-	planner   bool
 	graph     *Graph // LoadCorpus only; see WithGraph
 }
 
@@ -246,18 +245,6 @@ func WithRebuildThreshold(r float64) CorpusOption {
 	return func(c *corpusConfig) { c.rebuildAt = r }
 }
 
-// WithPlanner enables or disables the cost-based query planner
-// (default on). With the planner on, each query builds an explicit
-// plan from live statistics — shard sizes, index staleness, observed
-// cascade prune rates — choosing the fan-out mode (all shards in
-// parallel, sequential largest-first with range narrowing, or a single
-// shard) and, for the tree backends, scan-vs-tree per shard.
-// WithPlanner(false) restores the unconditional all-shards fan-out;
-// answers are node-identical either way.
-func WithPlanner(on bool) CorpusOption {
-	return func(c *corpusConfig) { c.planner = on }
-}
-
 // WithGraph attaches the backing graph to a corpus restored by
 // LoadCorpus, re-enabling the graph-requiring operations: Insert,
 // UpdateGraph, Signature, and queries for nodes outside the index. The
@@ -279,19 +266,20 @@ func WithGraph(g *Graph) CorpusOption {
 // shards in parallel, merging with the canonical (distance, node)
 // order so answers are node-identical for every shard count.
 //
-// Reads are lock-free: each shard publishes an immutable epoch — its
-// index structure plus item table — through an atomic pointer, and a
-// query simply loads the current epochs. Mutations (Insert, Remove,
-// UpdateGraph, amortized rebuilds) prepare a private successor under
-// the target shard's write lock and publish it on commit, so once the
-// lazy build has run, a mutation never blocks queries — not even on
-// its own shard, where in-flight readers keep serving from the epoch
-// they loaded — and mutations on different shards run concurrently
-// (the one exception is the first query itself, whose lazy build
-// waits for mutations already in flight). A mutation batch
-// spanning shards commits shard by shard: queries racing the batch may
-// observe it partially applied, but every answer is consistent with
-// some interleaving of whole per-shard commits.
+// Read consistency: every query observes exactly one committed prefix
+// of mutation calls; publish order = WAL order. The whole corpus — the
+// backing graph, the shard slots, the placement, and every shard's
+// items and index — is published as one immutable view through a single
+// atomic pointer. A query loads that pointer once and answers from what
+// it loaded. Every mutation call (Insert, Remove, UpdateGraph, Rebuild,
+// a rebalance split or merge) prepares private successor epochs for the
+// shards it touches and publishes them with one pointer store, so a
+// call spanning shards is visible whole or not at all, to queries and
+// to Stats alike. Once the lazy build has run, a mutation never blocks
+// queries — in-flight readers keep the view they loaded — and Insert
+// and Remove calls on disjoint shards prepare concurrently (the one
+// exception is the first query itself, whose lazy build waits for
+// mutations already in flight).
 //
 // Signatures and the backend indexes are materialized lazily, in
 // parallel, on the first query, so constructing a Corpus is cheap and
@@ -311,25 +299,20 @@ type Corpus struct {
 	cfg corpusConfig
 
 	// gmu orders whole-engine transitions against one another:
-	// materialization and index builds, UpdateGraph, explicit Rebuild,
-	// rebalance ticks, and Snapshot cuts take the write side. Insert
-	// holds the read side for its whole span so the graph version
-	// cannot move underneath its out-of-lock signature extraction;
-	// Remove holds it so the placement cannot be rebalanced under its
-	// shard routing. Queries never touch gmu; Stats and ResetStats are
-	// entirely atomic.
+	// materialization and index builds, UpdateGraph, explicit Rebuild, and
+	// rebalance ticks take the write side, which excludes every mutator —
+	// they prepare their successor view without shard locks. Insert and
+	// Remove hold the read side for their whole span, so the graph
+	// version, the shard slots, and the placement cannot move underneath
+	// them. Queries never touch gmu; Stats and ResetStats are entirely
+	// atomic.
 	gmu sync.RWMutex
 
-	g atomic.Pointer[Graph] // nil for snapshot-loaded corpora without WithGraph
-
-	// tab is the atomically published shard table: the shard slots plus
-	// the placement directory routing nodes to them. Queries load it
-	// once and validate it unchanged after loading the epochs (see
-	// acquire); the rebalancer publishes successors under gmu. The
-	// slots slice only ever grows — placement indices stay stable, and
-	// a slot merged away stays behind as an empty husk until a split
-	// reuses it.
-	tab atomic.Pointer[shardTable]
+	// view is the published corpus. publish is its only writer; pubMu
+	// serializes the read-copy-store of Insert and Remove calls preparing
+	// concurrently on disjoint shards.
+	view  atomic.Pointer[corpusView]
+	pubMu sync.Mutex
 
 	exec *ned.Executor // pooled workers for shard fan-out and BatchKNN
 
@@ -351,7 +334,7 @@ type Corpus struct {
 
 	// Durable state, attached by MakeDurable/OpenDurable (see
 	// durable.go); nil/zero on purely in-memory corpora. wal is the
-	// active mutation log — commitShard routes every epoch publish
+	// active mutation log — commit routes every Insert and Remove
 	// through it so the append lands before the mutation becomes
 	// visible. durMu orders checkpoints, closes, and the attach itself
 	// against one another; walSeq (guarded by durMu) is the generation
@@ -395,20 +378,42 @@ type Corpus struct {
 	balPrev     map[*corpusShard]balanceSnap
 }
 
-// shardTable pairs the shard slots with the placement directory that
-// routes nodes to them. Published atomically as one value so a reader
-// never sees a placement referring to slots it did not load.
-type shardTable struct {
-	shards []*corpusShard
-	place  *ned.Placement
+// corpusView is one published version of the whole corpus. Immutable
+// once published: a successor shares every epoch its mutation did not
+// touch, so a view costs a handful of pointers. The slots slice only
+// ever grows — placement indices stay stable, and a slot merged away
+// stays behind as an empty husk until a split reuses it.
+type corpusView struct {
+	g      *Graph         // nil for snapshot-loaded corpora without WithGraph
+	shards []*corpusShard // slot i's mutation lock and contention telemetry
+	eps    []*shardEpoch  // slot i's items and index in this version
+	place  *ned.Placement // routes nodes to slots
 }
 
-// corpusShard is one partition of the corpus: a mutation lock, the
-// atomically published current epoch, and the contention telemetry the
-// rebalancer feeds on.
+// epochOf returns the epoch of the shard owning node n.
+func (v *corpusView) epochOf(n NodeID) *shardEpoch { return v.eps[v.place.Of(n)] }
+
+// publish is the only writer of c.view: it copies the current view
+// (none before the first publish), lets edit replace what the caller
+// prepared, and stores the result. A caller may edit only what its
+// locks own — the epochs of shards whose mu it holds under gmu's read
+// side, anything under gmu's write side.
+func (c *Corpus) publish(edit func(nv *corpusView)) {
+	c.pubMu.Lock()
+	defer c.pubMu.Unlock()
+	nv := &corpusView{}
+	if cur := c.view.Load(); cur != nil {
+		*nv = *cur
+		nv.eps = append([]*shardEpoch(nil), cur.eps...)
+	}
+	edit(nv)
+	c.view.Store(nv)
+}
+
+// corpusShard is one partition's identity across views: its mutation
+// lock and the contention telemetry the rebalancer feeds on.
 type corpusShard struct {
-	mu    sync.Mutex // serializes mutations to this shard only
-	epoch atomic.Pointer[shardEpoch]
+	mu sync.Mutex // serializes Insert and Remove calls touching this shard
 
 	// Contention counters, monotone for the corpus lifetime (never
 	// reset — the rebalancer diffs successive readings, and ResetStats
@@ -420,8 +425,9 @@ type corpusShard struct {
 	cloneBytes atomic.Int64
 
 	// hotRing remembers the most recently mutated nodes. Written under
-	// mu; the rebalancer reads it under gmu's write side, which excludes
-	// every mutator, so no extra synchronization is needed.
+	// mu or gmu's write side; the rebalancer reads it under gmu's write
+	// side, which excludes every mutator, so no extra synchronization is
+	// needed.
 	hotRing [64]NodeID
 	hotLen  int
 	hotPos  int
@@ -441,7 +447,8 @@ func (sh *corpusShard) lockTimed() {
 // noteMutation records a committed mutation touching the given nodes:
 // epochSize and ixLen size the clone the commit paid (the per-mutation
 // cost the rebalancer exists to shrink — a map clone plus an index
-// clone or recompile, both linear in shard size). Callers hold sh.mu.
+// clone or recompile, both linear in shard size). Callers hold sh.mu
+// or gmu's write side.
 func (sh *corpusShard) noteMutation(nodes []NodeID, epochSize, ixLen int) {
 	sh.mutations.Add(int64(len(nodes)))
 	sh.cloneBytes.Add(int64(epochSize)*48 + int64(ixLen)*16)
@@ -464,10 +471,10 @@ func (sh *corpusShard) hotSet() map[NodeID]bool {
 	return hot
 }
 
-// shardEpoch is one published, immutable generation of one shard.
-// Readers load it without locking and use it for their whole query;
-// mutations never edit a published epoch — they clone, splice, and
-// publish a successor. Serving counters inside ix are atomic and shared
+// shardEpoch is one immutable generation of one shard, published as
+// part of a corpusView. Readers use the one their view holds for their
+// whole query; mutations never edit a published epoch — they clone,
+// splice, and publish a successor. Serving counters inside ix are atomic and shared
 // across the shard's epochs, so Stats stay continuous through
 // publication.
 //
@@ -537,35 +544,18 @@ func resolveShards(n int) int {
 	return n
 }
 
-// newShardedCorpus allocates the shard skeleton with empty published
-// epochs; the caller populates membership (and items, for LoadCorpus)
-// before the corpus is shared.
+// newShardedCorpus allocates the shard skeleton and publishes its first
+// view, every epoch empty; the caller populates membership (and items,
+// for LoadCorpus) in place before the corpus is shared.
 func newShardedCorpus(k int, cfg corpusConfig, g *Graph) *Corpus {
 	c := &Corpus{k: k, cfg: cfg, exec: ned.NewExecutor(cfg.workers), dict: tree.NewInterner()}
-	if g != nil {
-		c.g.Store(g)
+	v := corpusView{g: g, place: ned.NewHashPlacement(cfg.shards)}
+	for i := 0; i < cfg.shards; i++ {
+		v.shards = append(v.shards, &corpusShard{})
+		v.eps = append(v.eps, &shardEpoch{members: make(map[NodeID]bool)})
 	}
-	shards := make([]*corpusShard, cfg.shards)
-	for i := range shards {
-		shards[i] = &corpusShard{}
-		shards[i].epoch.Store(&shardEpoch{members: make(map[NodeID]bool)})
-	}
-	c.tab.Store(&shardTable{shards: shards, place: ned.NewHashPlacement(cfg.shards)})
+	c.publish(func(nv *corpusView) { *nv = v })
 	return c
-}
-
-// shardFor returns the shard owning node v per the current table.
-// Mutators call it under gmu (read side suffices), which excludes
-// rebalances, so the routing cannot move between the lookup and the
-// shard lock.
-func (c *Corpus) shardFor(v NodeID) *corpusShard {
-	t := c.tab.Load()
-	return t.shards[t.place.Of(v)]
-}
-
-// shardSlots returns the current table's shard slot vector.
-func (c *Corpus) shardSlots() []*corpusShard {
-	return c.tab.Load().shards
 }
 
 // HashShard is the deterministic seed placement: the shard slot node v
@@ -585,7 +575,7 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadK, k)
 	}
-	cfg := corpusConfig{backend: BackendVP, rebuildAt: defaultRebuildThreshold, planner: true}
+	cfg := corpusConfig{backend: BackendVP, rebuildAt: defaultRebuildThreshold}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -612,8 +602,9 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	}
 	cfg.nodes = nil
 	c := newShardedCorpus(k, cfg, g)
+	view := c.view.Load()
 	for v := range members {
-		c.shardFor(v).epoch.Load().members[v] = true
+		view.epochOf(v).members[v] = true
 	}
 	return c, nil
 }
@@ -693,43 +684,25 @@ func (c *Corpus) materializeAllLocked() {
 	if c.materialized.Load() {
 		return
 	}
-	g := c.g.Load()
-	tab := c.tab.Load()
+	v := c.view.Load()
 	var nodes []NodeID
-	for _, sh := range tab.shards {
-		for v := range sh.epoch.Load().members {
-			nodes = append(nodes, v)
+	for _, ep := range v.eps {
+		for n := range ep.members {
+			nodes = append(nodes, n)
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	items := ned.BuildItems(g, nodes, c.k, c.cfg.directed, c.cfg.workers)
+	sortNodeIDs(nodes)
+	items := ned.BuildItems(v.g, nodes, c.k, c.cfg.directed, c.cfg.workers)
 	ned.ProfileItems(items, c.dict, c.cfg.workers)
 	c.noteAvgSig(items)
-	itemOf := make(map[NodeID]ned.Item, len(items))
+	eps := make([]*shardEpoch, len(v.eps))
+	for i, ep := range v.eps {
+		eps[i] = &shardEpoch{byNode: make(map[NodeID]ned.Item, len(ep.members))}
+	}
 	for _, it := range items {
-		itemOf[it.Node] = it
+		eps[v.place.Of(it.Node)].byNode[it.Node] = it
 	}
-	for _, sh := range tab.shards {
-		sh.mu.Lock()
-		// Re-read under the shard lock: a concurrent Remove may have
-		// shrunk the membership since the extraction snapshot (Insert is
-		// excluded by gmu), so filter rather than trust the snapshot.
-		ep := sh.epoch.Load()
-		ne := &shardEpoch{byNode: make(map[NodeID]ned.Item, len(ep.members)), ix: ep.ix}
-		for v := range ep.members {
-			if it, ok := itemOf[v]; ok {
-				ne.byNode[v] = it
-			} else {
-				// Indexed item: intern (ProfileItem) — a read-only profile
-				// must never enter an index.
-				it := ned.NewItem(g, v, c.k, c.cfg.directed)
-				ned.ProfileItem(&it, c.dict)
-				ne.byNode[v] = it
-			}
-		}
-		sh.epoch.Store(ne)
-		sh.mu.Unlock()
-	}
+	c.publish(func(nv *corpusView) { nv.eps = eps })
 	c.materialized.Store(true)
 }
 
@@ -740,14 +713,13 @@ func (c *Corpus) buildAllLocked() {
 		return
 	}
 	c.materializeAllLocked()
-	for _, sh := range c.tab.Load().shards {
-		sh.mu.Lock()
-		ep := sh.epoch.Load()
+	eps := append([]*shardEpoch(nil), c.view.Load().eps...)
+	for i, ep := range eps {
 		if ep.ix == nil {
-			sh.epoch.Store(&shardEpoch{byNode: ep.byNode, ix: c.newShardIndex(ep.byNode)})
+			eps[i] = &shardEpoch{byNode: ep.byNode, ix: c.newShardIndex(ep.byNode)}
 		}
-		sh.mu.Unlock()
 	}
+	c.publish(func(nv *corpusView) { nv.eps = eps })
 	c.built.Store(true)
 }
 
@@ -767,49 +739,23 @@ func (c *Corpus) noteAvgSig(items []ned.Item) {
 	c.avgSig.Store(int64(tot / len(items)))
 }
 
-// acquire returns the current shard table and the current epoch of
-// every slot in it, building lazily on first use. The hot path is one
-// atomic load per shard plus a table re-validation — no locks. The
-// validation closes the rebalance race: a split or merge publishes the
-// moved nodes' destination epoch BEFORE the new table and shrinks the
-// source only AFTER it, so as long as the table did not change while
-// the epochs were loaded, every live node is present in the epoch its
-// table routes it to (a node may transiently appear in two epochs —
-// the merge layer dedups). If the table moved, reload; rebalances are
-// rare and serialized, so the loop settles immediately.
-func (c *Corpus) acquire() (*shardTable, []*shardEpoch) {
+// acquire returns the published view, building lazily on first use.
+// The hot path is one atomic load — no locks.
+func (c *Corpus) acquire() *corpusView {
 	if !c.built.Load() {
 		c.gmu.Lock()
 		c.buildAllLocked()
 		c.gmu.Unlock()
 	}
-	for {
-		tab := c.tab.Load()
-		eps := make([]*shardEpoch, len(tab.shards))
-		for i, sh := range tab.shards {
-			eps[i] = sh.epoch.Load()
-		}
-		if c.tab.Load() == tab {
-			return tab, eps
-		}
-	}
-}
-
-// indexes projects the epochs' index vector for the shard router.
-func indexes(eps []*shardEpoch) []ned.Index {
-	ixs := make([]ned.Index, len(eps))
-	for i, ep := range eps {
-		ixs[i] = ep.ix
-	}
-	return ixs
+	return c.view.Load()
 }
 
 // queryItem validates and converts an external signature query. The
 // cascade profile is deliberately NOT compiled here: callers profile
-// the item with profileQuery AFTER acquiring the epochs, because a
+// the item with profileQuery AFTER acquiring the view, because a
 // read-only query profile is only valid against items whose shapes
 // were interned before it was compiled — which acquire guarantees for
-// every item visible in the epochs it returns (items intern before
+// every item visible in the view it returns (items intern before
 // their epoch publishes, and the lazy first build interns the whole
 // corpus before this query proceeds).
 func (c *Corpus) queryItem(sig Signature) (ned.Item, error) {
@@ -835,60 +781,42 @@ func (c *Corpus) profileQuery(q *ned.Item) {
 
 // checkUnindexedNode is the one validity gate for node queries that
 // miss the index: they need a graph to extract from and an in-range ID.
-func (c *Corpus) checkUnindexedNode(v NodeID) (*Graph, error) {
-	g := c.g.Load()
+func checkUnindexedNode(g *Graph, v NodeID) error {
 	if g == nil {
-		return nil, fmt.Errorf("%w: node %d is not indexed (restore with WithGraph to query arbitrary nodes)", ErrNoGraph, v)
+		return fmt.Errorf("%w: node %d is not indexed (restore with WithGraph to query arbitrary nodes)", ErrNoGraph, v)
 	}
 	if int(v) < 0 || int(v) >= g.NumNodes() {
-		return nil, fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
+		return fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
 	}
-	return g, nil
+	return nil
 }
 
 // checkNode validates a node query target without forcing the lazy
 // build, so an out-of-range node on a never-queried corpus errors
 // immediately instead of paying the full materialization first: indexed
 // nodes are always valid; anything else passes checkUnindexedNode.
-// Lock-free — it reads the owning shard's published epoch, re-resolving
-// if a rebalance republished the table mid-read (an unvalidated lookup
-// could catch a node between its old and new shard and misreport a
-// live node as unindexed — fatal on graphless corpora).
 func (c *Corpus) checkNode(v NodeID) error {
-	if int(v) >= 0 {
-		for {
-			t := c.tab.Load()
-			ep := t.shards[t.place.Of(v)].epoch.Load()
-			if c.tab.Load() != t {
-				continue
-			}
-			if ep.has(v) {
-				return nil
-			}
-			break
-		}
+	view := c.view.Load()
+	if int(v) >= 0 && view.epochOf(v).has(v) {
+		return nil
 	}
-	_, err := c.checkUnindexedNode(v)
-	return err
+	return checkUnindexedNode(view.g, v)
 }
 
 // nodeItem resolves the query item for a node against an acquired
-// table + epoch vector: the cached index item when the node is indexed,
-// a fresh extraction from the graph otherwise. Snapshot-loaded corpora
-// without WithGraph can only query indexed nodes. The acquire
-// validation guarantees a live node is present in the epoch its table
-// routes it to, so a miss here really is an unindexed node.
-func (c *Corpus) nodeItem(tab *shardTable, eps []*shardEpoch, v NodeID) (ned.Item, error) {
+// view: the cached index item when the node is indexed, a fresh
+// extraction from the view's graph otherwise. Snapshot-loaded corpora
+// without WithGraph can only query indexed nodes.
+func (c *Corpus) nodeItem(view *corpusView, v NodeID) (ned.Item, error) {
 	if int(v) >= 0 {
-		if it, ok := eps[tab.place.Of(v)].byNode[v]; ok {
+		if it, ok := view.epochOf(v).byNode[v]; ok {
 			return it, nil
 		}
 	}
-	g, err := c.checkUnindexedNode(v)
-	if err != nil {
+	if err := checkUnindexedNode(view.g, v); err != nil {
 		return ned.Item{}, err
 	}
-	it := ned.NewItem(g, v, c.k, c.cfg.directed)
+	it := ned.NewItem(view.g, v, c.k, c.cfg.directed)
 	ned.ProfileQueryItem(&it, c.dict)
 	return it, nil
 }
@@ -964,24 +892,6 @@ func (c *Corpus) seqMax() int {
 	return n
 }
 
-// runKNN answers an already-validated, already-profiled KNN query over
-// acquired epochs: through a cost-based plan by default, through the
-// unconditional all-shards fan-out under WithPlanner(false).
-func (c *Corpus) runKNN(ctx context.Context, eps []*shardEpoch, q ned.Item, l int) ([]Neighbor, error) {
-	if !c.cfg.planner {
-		return ned.FanKNN(ctx, c.exec, indexes(eps), q, l)
-	}
-	return c.buildPlan(eps, l).KNN(ctx, c.exec, q, l)
-}
-
-// runRange is runKNN for range queries.
-func (c *Corpus) runRange(ctx context.Context, eps []*shardEpoch, q ned.Item, r int) ([]Neighbor, error) {
-	if !c.cfg.planner {
-		return ned.FanRange(ctx, c.exec, indexes(eps), q, r)
-	}
-	return c.buildPlan(eps, 0).Range(ctx, c.exec, q, r)
-}
-
 // KNN returns the l indexed nodes most NED-similar to node v of the
 // corpus graph, in ascending (distance, node) order. The query node
 // itself ranks first at distance 0 when it is part of the corpus.
@@ -997,13 +907,13 @@ func (c *Corpus) KNN(ctx context.Context, v NodeID, l int) ([]Neighbor, error) {
 	if err := c.checkNode(v); err != nil {
 		return nil, err
 	}
-	tab, eps := c.acquire()
-	q, err := c.nodeItem(tab, eps, v)
+	view := c.acquire()
+	q, err := c.nodeItem(view, v)
 	if err != nil {
 		return nil, err
 	}
 	c.queries.Add(1)
-	return c.runKNN(ctx, eps, q, l)
+	return c.buildPlan(view.eps, l).KNN(ctx, c.exec, q, l)
 }
 
 // KNNSignature is KNN for an external query signature — typically a
@@ -1020,10 +930,10 @@ func (c *Corpus) KNNSignature(ctx context.Context, sig Signature, l int) ([]Neig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, eps := c.acquire()
+	eps := c.acquire().eps
 	c.profileQuery(&q)
 	c.queries.Add(1)
-	return c.runKNN(ctx, eps, q, l)
+	return c.buildPlan(eps, l).KNN(ctx, c.exec, q, l)
 }
 
 // Range returns every indexed node within NED distance r of the query
@@ -1039,10 +949,10 @@ func (c *Corpus) Range(ctx context.Context, sig Signature, r int) ([]Neighbor, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, eps := c.acquire()
+	eps := c.acquire().eps
 	c.profileQuery(&q)
 	c.queries.Add(1)
-	return c.runRange(ctx, eps, q, r)
+	return c.buildPlan(eps, 0).Range(ctx, c.exec, q, r)
 }
 
 // NearestSet returns every indexed node at the minimum NED distance
@@ -1057,7 +967,7 @@ func (c *Corpus) NearestSet(ctx context.Context, sig Signature) ([]Neighbor, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, eps := c.acquire()
+	eps := c.acquire().eps
 	c.profileQuery(&q)
 	n := 0
 	for _, ep := range eps {
@@ -1067,11 +977,11 @@ func (c *Corpus) NearestSet(ctx context.Context, sig Signature) ([]Neighbor, err
 		return nil, ctx.Err()
 	}
 	c.queries.Add(1)
-	best, err := c.runKNN(ctx, eps, q, 1)
+	best, err := c.buildPlan(eps, 1).KNN(ctx, c.exec, q, 1)
 	if err != nil {
 		return nil, err
 	}
-	all, err := c.runRange(ctx, eps, q, best[0].Dist)
+	all, err := c.buildPlan(eps, 0).Range(ctx, c.exec, q, best[0].Dist)
 	if err != nil {
 		return nil, err
 	}
@@ -1114,7 +1024,7 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	_, eps := c.acquire()
+	eps := c.acquire().eps
 	for i := range qs {
 		c.profileQuery(&qs[i])
 	}
@@ -1122,13 +1032,7 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	// One plan serves the whole batch: the statistics that shape it do
 	// not move meaningfully within one call, and per-query planning
 	// would pay the live-shard walk len(sigs) times.
-	var plan *ned.Plan
-	var ixs []ned.Index
-	if c.cfg.planner {
-		plan = c.buildPlan(eps, l)
-	} else {
-		ixs = indexes(eps)
-	}
+	plan := c.buildPlan(eps, l)
 	// The linear backend already spreads each scan across the worker
 	// pool (and the shard fan-out multiplies that); batching on top
 	// would oversubscribe, so batch sequentially there and let each
@@ -1140,11 +1044,7 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	results := make([][]Neighbor, len(sigs))
 	errs := make([]error, len(sigs))
 	if err := c.exec.Do(ctx, len(sigs), batchWorkers, func(i int) {
-		if plan != nil {
-			results[i], errs[i] = plan.KNN(ctx, c.exec, qs[i], l)
-		} else {
-			results[i], errs[i] = ned.FanKNN(ctx, c.exec, ixs, qs[i], l)
-		}
+		results[i], errs[i] = plan.KNN(ctx, c.exec, qs[i], l)
 	}); err != nil {
 		return nil, err
 	}
@@ -1209,11 +1109,9 @@ type CorpusStats struct {
 	ShardSplits int64 `json:"shard_splits"`
 	ShardMerges int64 `json:"shard_merges"`
 
-	// Planner reports whether the cost-based query planner is on; the
-	// Plan* counters count plans built per fan-out mode (a BatchKNN
-	// plans once per batch) and shards answered by direct scan instead
-	// of their tree index.
-	Planner        bool  `json:"planner"`
+	// The Plan* counters count query plans built per fan-out mode (a
+	// BatchKNN plans once per batch) and shards answered by direct scan
+	// instead of their tree index.
 	PlanParallel   int64 `json:"plan_parallel"`
 	PlanSequential int64 `json:"plan_sequential"`
 	PlanSingle     int64 `json:"plan_single"`
@@ -1282,26 +1180,27 @@ type CorpusStats struct {
 }
 
 // Stats reports the corpus configuration and serving counters. Safe to
-// call concurrently with queries and mutations — it reads each shard's
-// published epoch and atomic counters without locking.
+// call concurrently with queries and mutations — it reads one published
+// view (so Nodes and ShardNodes count one committed state) and atomic
+// counters without locking.
 func (c *Corpus) Stats() CorpusStats {
-	tab := c.tab.Load()
+	view := c.view.Load()
+	nShards := len(view.shards)
 	s := CorpusStats{
 		Backend:            c.cfg.backend,
 		K:                  c.k,
 		Directed:           c.cfg.directed,
 		Workers:            c.cfg.workers,
-		Shards:             len(tab.shards),
-		ShardNodes:         make([]int, len(tab.shards)),
-		ShardLockWaitNS:    make([]int64, len(tab.shards)),
-		ShardMutations:     make([]int64, len(tab.shards)),
-		ShardCloneBytes:    make([]int64, len(tab.shards)),
-		PlacementBase:      tab.place.Base,
-		PlacementOverrides: len(tab.place.Moves),
+		Shards:             nShards,
+		ShardNodes:         make([]int, nShards),
+		ShardLockWaitNS:    make([]int64, nShards),
+		ShardMutations:     make([]int64, nShards),
+		ShardCloneBytes:    make([]int64, nShards),
+		PlacementBase:      view.place.Base,
+		PlacementOverrides: len(view.place.Moves),
 		Rebalances:         c.rebalances.Load(),
 		ShardSplits:        c.shardSplits.Load(),
 		ShardMerges:        c.shardMerges.Load(),
-		Planner:            c.cfg.planner,
 		PlanParallel:       c.planPar.Load(),
 		PlanSequential:     c.planSeq.Load(),
 		PlanSingle:         c.planSingle.Load(),
@@ -1312,8 +1211,8 @@ func (c *Corpus) Stats() CorpusStats {
 	}
 	var counters ned.Counters
 	var stale, total int
-	for i, sh := range tab.shards {
-		ep := sh.epoch.Load()
+	for i, sh := range view.shards {
+		ep := view.eps[i]
 		s.ShardNodes[i] = ep.size()
 		s.Nodes += ep.size()
 		s.ShardLockWaitNS[i] = sh.lockWaitNS.Load()
@@ -1373,8 +1272,8 @@ func (c *Corpus) ResetStats() {
 	c.planSeq.Store(0)
 	c.planSingle.Store(0)
 	c.planScans.Store(0)
-	for _, sh := range c.tab.Load().shards {
-		if ep := sh.epoch.Load(); ep.ix != nil {
+	for _, ep := range c.view.Load().eps {
+		if ep.ix != nil {
 			ep.ix.ResetStats()
 		}
 	}
@@ -1384,13 +1283,13 @@ func (c *Corpus) ResetStats() {
 // Insert, UpdateGraph, Signature, and node-based queries. Corpora
 // loaded from binary segments carry their graph; text-snapshot corpora
 // need WithGraph to re-attach one.
-func (c *Corpus) HasGraph() bool { return c.g.Load() != nil }
+func (c *Corpus) HasGraph() bool { return c.view.Load().g != nil }
 
 // Signature of node v of the corpus graph at the corpus's k — a
 // convenience for cross-corpus queries: sig from corpus A's graph, then
 // b.KNNSignature(ctx, sig, l).
 func (c *Corpus) Signature(v NodeID) (Signature, error) {
-	g := c.g.Load()
+	g := c.view.Load().g
 	if g == nil {
 		return Signature{}, fmt.Errorf("%w: Signature needs the corpus graph", ErrNoGraph)
 	}

@@ -16,17 +16,10 @@ import (
 // (lock-wait time, mutation counts, clone bytes) and edits the
 // placement directory MRV-style: split the shard carrying most of the
 // write load, fold quiet dwarf shards back together. Each edit is the
-// standard epoch discipline writ large — clone the affected shards'
-// state into successor epochs, publish the new table between them —
-// so readers never block and answers stay node-identical mid-move
-// (see acquire's validation order).
-//
-// Ordering contract with acquire (the whole crash-free correctness
-// argument): a rebalance publishes the epoch that GAINS nodes first,
-// then the new table, then the epoch that loses them. A reader whose
-// table stayed constant across its epoch loads therefore always finds
-// every live node in the shard its table routes it to; transient
-// double-sightings are deduplicated by the merge layer.
+// standard mutation protocol: prepare both shards' successor epochs and
+// the new placement, publish them in one view — a reader sees the
+// layout before the move or after it, so readers never block and
+// answers stay node-identical.
 //
 // Placement edits are deliberately not WAL-logged: they change where
 // nodes live, never which nodes live, so a crash before the next
@@ -91,9 +84,7 @@ type balanceSnap struct {
 // verdict, and apply at most one split and one merge. A no-op (and no
 // error) on corpora whose indexes have not been built yet — there is
 // no load to observe. Ticks serialize with mutations and each other
-// under the engine write gate, and with checkpoints under the durable
-// gate (a checkpoint's epoch snapshot runs outside gmu and must not
-// see a half-published move); queries keep serving throughout.
+// under the engine write gate; queries keep serving throughout.
 func (c *Corpus) RebalanceTick(pol RebalancePolicy) RebalanceResult {
 	res := RebalanceResult{Split: -1, NewShard: -1, MergedSrc: -1, MergedDst: -1}
 	if !c.built.Load() {
@@ -101,17 +92,15 @@ func (c *Corpus) RebalanceTick(pol RebalancePolicy) RebalanceResult {
 	}
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
-	c.durMu.Lock()
-	defer c.durMu.Unlock()
 
-	tab := c.tab.Load()
+	view := c.view.Load()
 	if c.balPrev == nil {
 		c.balPrev = make(map[*corpusShard]balanceSnap)
 	}
-	ref := tab.place.Referenced()
-	loads := make([]ned.ShardLoad, len(tab.shards))
-	for i, sh := range tab.shards {
-		ep := sh.epoch.Load()
+	ref := view.place.Referenced()
+	loads := make([]ned.ShardLoad, len(view.shards))
+	for i, sh := range view.shards {
+		ep := view.eps[i]
 		prev := c.balPrev[sh]
 		cur := balanceSnap{
 			lockWaitNS: sh.lockWaitNS.Load(),
@@ -162,52 +151,32 @@ func clampDelta(d int64) int64 {
 	return d
 }
 
-// splitTarget picks the slot the split's moved nodes go to: a retired
-// husk (placement-unreferenced, empty) is reused so the slots slice —
-// and with it every epoch vector — stays as short as the live layout
-// needs; otherwise a fresh slot is appended. Returns the slot index
-// and the grown (or same) slots slice.
-func splitTarget(tab *shardTable) (int, []*corpusShard) {
-	ref := tab.place.Referenced()
-	for i, sh := range tab.shards {
-		if !ref[i] && sh.epoch.Load().size() == 0 {
-			return i, tab.shards
-		}
-	}
-	sh := &corpusShard{}
-	sh.epoch.Store(&shardEpoch{byNode: map[NodeID]ned.Item{}})
-	return len(tab.shards), append(append([]*corpusShard(nil), tab.shards...), sh)
-}
-
 // applySplit moves roughly half of shard si's nodes — alternating
 // through its recently-hot set so the write pressure itself is what
-// halves — to a new or reused slot. Publication order (the acquire
-// contract): destination epoch, then table, then shrunken source.
-// Callers hold gmu for writing, which excludes every mutator, so the
-// source epoch cannot move under the partition.
+// halves — to a retired husk (placement-unreferenced, empty: reused so
+// the slots slice stays as short as the live layout needs) or else a
+// fresh slot. Callers hold gmu for writing.
 func (c *Corpus) applySplit(si int) (moved int, dst int) {
-	tab := c.tab.Load()
-	src := tab.shards[si]
-	ep := src.epoch.Load()
+	view := c.view.Load()
+	ep := view.eps[si]
 	nodes := make([]NodeID, 0, len(ep.byNode))
 	for v := range ep.byNode {
 		nodes = append(nodes, v)
 	}
 	sortNodeIDs(nodes)
-	stay, move := ned.SplitPartition(nodes, src.hotSet(), uint64(c.rebalances.Load())+0x9e37)
+	stay, move := ned.SplitPartition(nodes, view.shards[si].hotSet(), uint64(c.rebalances.Load())+0x9e37)
 	if len(move) == 0 || len(stay) == 0 {
 		return 0, -1
 	}
 
-	dst, shards := splitTarget(tab)
-	var dstSh *corpusShard
-	if dst < len(tab.shards) {
-		dstSh = tab.shards[dst]
-	} else {
-		dstSh = shards[dst]
+	dst = len(view.shards)
+	for i, ok := range view.place.Referenced() {
+		if !ok && view.eps[i].size() == 0 {
+			dst = i
+			break
+		}
 	}
-
-	place := tab.place.Clone()
+	place := view.place.Clone()
 	if dst >= place.Shards {
 		place.Shards = dst + 1
 	}
@@ -227,27 +196,28 @@ func (c *Corpus) applySplit(si int) (moved int, dst int) {
 	srcEp.ix = c.newShardIndex(srcEp.byNode)
 	ned.ShareCounters(srcEp.ix, ep.ix)
 	dstEp.ix = c.newShardIndex(dstEp.byNode)
-	if old := dstSh.epoch.Load(); old != nil && old.ix != nil {
-		ned.ShareCounters(dstEp.ix, old.ix)
+	if dst < len(view.eps) {
+		ned.ShareCounters(dstEp.ix, view.eps[dst].ix)
 	}
-
-	dstSh.epoch.Store(dstEp)
-	c.tab.Store(&shardTable{shards: shards, place: place})
-	src.epoch.Store(srcEp)
+	c.publish(func(nv *corpusView) {
+		if dst == len(nv.shards) {
+			nv.shards = append(append([]*corpusShard(nil), nv.shards...), &corpusShard{})
+			nv.eps = append(nv.eps, nil)
+		}
+		nv.eps[si], nv.eps[dst], nv.place = srcEp, dstEp, place
+	})
 	return len(move), dst
 }
 
 // applyMerge folds shard src's nodes into dst, leaving src behind as
 // an empty husk the next split can reuse. Placement rewrite: every
 // redirect bucket and move that routed to src now routes to dst.
-// Publication order mirrors the split: combined destination epoch,
-// then table, then the husk. Callers hold gmu for writing.
+// Callers hold gmu for writing.
 func (c *Corpus) applyMerge(src, dst int) {
-	tab := c.tab.Load()
-	srcSh, dstSh := tab.shards[src], tab.shards[dst]
-	srcEp, dstEp := srcSh.epoch.Load(), dstSh.epoch.Load()
+	view := c.view.Load()
+	srcEp := view.eps[src]
 
-	place := tab.place.Clone()
+	place := view.place.Clone()
 	for b, s := range place.Redirect {
 		if int(s) == src {
 			place.Redirect[b] = int32(dst)
@@ -264,24 +234,12 @@ func (c *Corpus) applyMerge(src, dst int) {
 		place.SetMove(v, dst)
 	}
 
-	ne := dstEp.clone()
-	var items []ned.Item
-	for v, it := range srcEp.byNode {
-		ne.byNode[v] = it
-		items = append(items, it)
-	}
-	if len(items) > 0 {
-		ix := ne.ix.Clone()
-		ix.Insert(items...)
-		ne.ix = ix
-		c.maybeRebuildShard(ne)
-	}
+	merged := c.splice(view.eps[dst], sortedShardItems(srcEp.byNode), nil)
 	husk := &shardEpoch{byNode: map[NodeID]ned.Item{}, ix: c.newShardIndex(nil)}
 	ned.ShareCounters(husk.ix, srcEp.ix)
-
-	dstSh.epoch.Store(ne)
-	c.tab.Store(&shardTable{shards: tab.shards, place: place})
-	srcSh.epoch.Store(husk)
+	c.publish(func(nv *corpusView) {
+		nv.eps[src], nv.eps[dst], nv.place = husk, merged, place
+	})
 }
 
 // sortNodeIDs sorts ascending — the deterministic partition order.

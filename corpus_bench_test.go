@@ -106,12 +106,14 @@ func BenchmarkCorpusCascade(b *testing.B) {
 // BenchmarkCorpusParallelChurn measures the mixed read/write serving
 // path: many goroutines issue KNN queries while every 8th operation
 // churns a node (Remove + Insert, with its signature re-extraction).
-// Under the epoch-published sharded engine readers never block on
+// Under the view-published sharded engine readers never block on
 // writers; the shards=1 vs shards=N spread shows what per-shard
 // mutation buys — smaller copy-on-write clones and mutation batches
-// that only serialize against their own shard.
+// that only serialize against their own shard. shards=0 is the engine's
+// own GOMAXPROCS-derived default, which the planner must keep within
+// 10% of the best hand-picked setting.
 func BenchmarkCorpusParallelChurn(b *testing.B) {
-	for _, shards := range []int{1, 4} {
+	for _, shards := range []int{1, 4, 0} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			g1 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 7})
 			g2 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 8})
@@ -127,65 +129,6 @@ func BenchmarkCorpusParallelChurn(b *testing.B) {
 				cands = append(cands, NodeID(v))
 			}
 			corpus, err := NewCorpus(g2, k, WithBackend(BackendVP), WithNodes(cands), WithShards(shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
-				b.Fatal(err)
-			}
-			var ops atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := ops.Add(1)
-					if i%8 == 0 {
-						v := cands[int(i/8)%len(cands)]
-						if err := corpus.Remove(v); err != nil {
-							b.Error(err)
-							return
-						}
-						if err := corpus.Insert(v); err != nil {
-							b.Error(err)
-							return
-						}
-					} else if _, err := corpus.KNNSignature(ctx, queries[int(i)%len(queries)], l); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkCorpusPlannerChurn runs the same mixed read/write workload
-// as BenchmarkCorpusParallelChurn but lets the engine pick its own
-// shard count, with the cost-based planner on (the default) and off.
-// The planner-on number is the one the acceptance gate tracks: it must
-// stay within 10% of the best hand-picked WithShards setting
-// (BENCH_PLAN.json sweeps those; on a single core that best setting is
-// one shard, and the planner's sequential carry-threshold fan-out is
-// how the default multi-shard layout matches it).
-func BenchmarkCorpusPlannerChurn(b *testing.B) {
-	for _, planner := range []bool{true, false} {
-		b.Run(fmt.Sprintf("planner=%v", planner), func(b *testing.B) {
-			g1 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 7})
-			g2 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 8})
-			rng := rand.New(rand.NewSource(9))
-
-			const k, nQueries, nCands, l = 3, 16, 300, 5
-			queries := make([]Signature, 0, nQueries)
-			for _, v := range rng.Perm(g1.NumNodes())[:nQueries] {
-				queries = append(queries, NewSignature(g1, NodeID(v), k))
-			}
-			cands := make([]NodeID, 0, nCands)
-			for _, v := range rng.Perm(g2.NumNodes())[:min(nCands, g2.NumNodes())] {
-				cands = append(cands, NodeID(v))
-			}
-			corpus, err := NewCorpus(g2, k, WithBackend(BackendVP),
-				WithNodes(cands), WithPlanner(planner))
 			if err != nil {
 				b.Fatal(err)
 			}

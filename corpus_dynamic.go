@@ -2,9 +2,11 @@ package ned
 
 import (
 	"fmt"
+	"sort"
 
 	"ned/internal/graph"
 	"ned/internal/ned"
+	"ned/internal/segment"
 )
 
 // This file is the mutation surface of the sharded Corpus: incremental
@@ -15,13 +17,14 @@ import (
 // graphs that change over time); without this layer any churn forced a
 // full re-index.
 //
-// Every mutation follows the epoch protocol: route the batch to the
-// shards that own the touched nodes, and per shard — under that shard's
-// lock only — clone the published epoch, clone its index, splice the
-// change into the private copies, and publish the successor with one
-// atomic store. Queries never wait: in-flight readers keep the epoch
-// they loaded, new readers pick up the published one, and shards not
-// named by the batch are never locked at all.
+// Every mutation call follows one protocol: route the batch to the
+// shards that own the touched nodes, prepare a private successor epoch
+// for each (clone the item table, clone the index, splice the change
+// in), append one WAL record for the whole call on a durable corpus,
+// and publish every successor with one store of the corpus view. The
+// call is visible whole or not at all; queries never wait: in-flight
+// readers keep the view they loaded, and shards not named by the batch
+// are never locked at all.
 //
 // Invariant, enforced by the churn- and sharded-equivalence suites:
 // after any interleaving of mutations, every query answers exactly as a
@@ -37,17 +40,18 @@ import (
 // grows the node sets and the lazy build pays once. Afterward the new
 // signatures are extracted in parallel — outside every shard lock, so
 // queries and mutations of other shards proceed during the BFS work —
-// and spliced into each owning shard as a new epoch. Insert holds the
-// engine's read gate for its span, so it excludes UpdateGraph (the
-// graph version cannot move under the extraction) but runs concurrently
-// with queries, Removes, and other Inserts.
+// and spliced into the owning shards. Insert holds the engine's read
+// gate for its span, so it excludes UpdateGraph (the graph version
+// cannot move under the extraction) but runs concurrently with queries,
+// Removes, and other Inserts.
 func (c *Corpus) Insert(nodes ...NodeID) error {
 	if err := c.degradedErr(); err != nil {
 		return err
 	}
 	c.gmu.RLock()
 	defer c.gmu.RUnlock()
-	g := c.g.Load()
+	view := c.view.Load()
+	g := view.g
 	if g == nil {
 		return fmt.Errorf("%w: Insert needs the corpus graph (restore with WithGraph)", ErrNoGraph)
 	}
@@ -59,7 +63,7 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 		if int(v) < 0 || int(v) >= g.NumNodes() {
 			return fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
 		}
-		if batch[v] || c.shardFor(v).epoch.Load().has(v) {
+		if batch[v] || view.epochOf(v).has(v) {
 			continue
 		}
 		batch[v] = true
@@ -80,88 +84,47 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 			itemOf[it.Node] = it
 		}
 	}
-	tab := c.tab.Load() // stable under gmu: rebalances hold the write side
-	for si, vs := range groupByShard(fresh, tab.place) {
-		sh := tab.shards[si]
-		sh.lockTimed()
-		ep := sh.epoch.Load()
-		ne := ep.clone()
-		var added []ned.Item
-		var addedNodes []NodeID
+	return c.commitBatch("insert", fresh, func(ep *shardEpoch, vs []NodeID) (*shardEpoch, []ned.Item, []NodeID) {
+		var added []NodeID
 		for _, v := range vs {
-			if ne.has(v) { // another Insert won the race for this node
-				continue
+			if !ep.has(v) { // else another Insert won the race for this node
+				added = append(added, v)
 			}
-			if ne.byNode != nil {
-				it, ok := itemOf[v]
-				if !ok {
-					it = ned.NewItem(g, v, c.k, c.cfg.directed)
-					ned.ProfileItem(&it, c.dict)
-				}
-				ne.byNode[v] = it
-				added = append(added, it)
-				addedNodes = append(addedNodes, v)
-			} else {
+		}
+		if len(added) == 0 {
+			return nil, nil, nil
+		}
+		if ep.byNode == nil {
+			ne := ep.clone()
+			for _, v := range added {
 				ne.members[v] = true
 			}
+			return ne, nil, nil
 		}
-		if ne.ix != nil && len(added) > 0 {
-			ix := ne.ix.Clone()
-			ix.Insert(added...)
-			ne.ix = ix
-			c.maybeRebuildShard(ne)
+		ups := make([]ned.Item, len(added))
+		for i, v := range added {
+			ups[i] = itemOf[v]
 		}
-		err := c.commitShard(sh, ne, added, nil)
-		if err == nil && len(addedNodes) > 0 {
-			sh.noteMutation(addedNodes, ne.size(), ixLen(ne.ix))
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("ned: insert: %w", err)
-		}
-	}
-	return nil
-}
-
-// groupByShard buckets a node batch by owning shard slot under the
-// given placement.
-func groupByShard(nodes []NodeID, place *ned.Placement) map[int][]NodeID {
-	out := make(map[int][]NodeID)
-	for _, v := range nodes {
-		si := place.Of(v)
-		out[si] = append(out[si], v)
-	}
-	return out
-}
-
-// ixLen is ix.Len() tolerating the pre-build nil index.
-func ixLen(ix ned.DynamicIndex) int {
-	if ix == nil {
-		return 0
-	}
-	return ix.Len()
+		return c.splice(ep, ups, nil), ups, nil
+	})
 }
 
 // Remove deletes nodes from the indexed set. Nodes that are not
-// indexed are ignored, so Remove is idempotent and never errors — a
-// churn workload can replay removals without bookkeeping. Each owning
-// shard publishes a tombstoned (metric trees) or compacted (scan
-// backends) successor epoch; queries never wait, and shards the batch
-// does not touch are never locked. A batch spanning shards commits
-// shard by shard. Remove holds the engine's read gate so the placement
-// cannot be rebalanced out from under its shard routing; it still runs
-// concurrently with queries, Inserts, and other Removes.
+// indexed are ignored, so Remove is idempotent and never errors on a
+// healthy corpus — a churn workload can replay removals without
+// bookkeeping. Each owning shard gets a tombstoned (metric trees) or
+// compacted (scan backends) successor epoch; queries never wait, and
+// shards the batch does not touch are never locked. Remove holds the
+// engine's read gate so the placement cannot be rebalanced out from
+// under its shard routing; it still runs concurrently with queries,
+// Inserts, and other Removes.
 func (c *Corpus) Remove(nodes ...NodeID) error {
 	if err := c.degradedErr(); err != nil {
 		return err
 	}
 	c.gmu.RLock()
 	defer c.gmu.RUnlock()
-	tab := c.tab.Load()
-	for si, vs := range groupByShard(nodes, tab.place) {
-		sh := tab.shards[si]
-		sh.lockTimed()
-		ep := sh.epoch.Load()
+	return c.commitBatch("remove", nodes, func(ep *shardEpoch, vs []NodeID) (*shardEpoch, []ned.Item, []NodeID) {
 		var gone []NodeID
 		for _, v := range vs {
 			if ep.has(v) {
@@ -169,38 +132,123 @@ func (c *Corpus) Remove(nodes ...NodeID) error {
 			}
 		}
 		if len(gone) == 0 {
-			sh.mu.Unlock()
+			return nil, nil, nil
+		}
+		if ep.byNode == nil {
+			ne := ep.clone()
+			for _, v := range gone {
+				delete(ne.members, v)
+			}
+			return ne, nil, gone
+		}
+		return c.splice(ep, nil, gone), nil, gone
+	})
+}
+
+// commitBatch is the Insert/Remove commit: lock the shards owning nodes
+// in ascending slot order (so concurrent batches cannot deadlock, and
+// batches on disjoint shards prepare concurrently), let prepare build
+// each locked shard's successor (nil for no change) and name the items
+// it upserted and the nodes it deleted, then commit the whole call —
+// one WAL record, one view store. A failed commit publishes nothing.
+// Callers hold gmu's read side, which keeps the slots and the placement
+// still.
+func (c *Corpus) commitBatch(op string, nodes []NodeID,
+	prepare func(ep *shardEpoch, vs []NodeID) (ne *shardEpoch, ups []ned.Item, dels []NodeID)) error {
+	view := c.view.Load()
+	groups := make(map[int][]NodeID)
+	for _, v := range nodes {
+		si := view.place.Of(v)
+		groups[si] = append(groups[si], v)
+	}
+	slots := make([]int, 0, len(groups))
+	for si := range groups {
+		slots = append(slots, si)
+	}
+	sort.Ints(slots)
+	for _, si := range slots {
+		sh := view.shards[si]
+		sh.lockTimed()
+		defer sh.mu.Unlock()
+	}
+	view = c.view.Load() // the locked shards' epochs cannot move now
+	next := make(map[int]*shardEpoch, len(slots))
+	touched := make(map[int][]NodeID, len(slots))
+	var rec segment.Record
+	for _, si := range slots {
+		ne, ups, dels := prepare(view.eps[si], groups[si])
+		if ne == nil {
 			continue
 		}
-		ne := ep.clone()
-		for _, v := range gone {
-			delete(ne.members, v)
-			delete(ne.byNode, v)
+		next[si] = ne
+		rec.Upserts = append(rec.Upserts, ups...)
+		rec.Deletes = append(rec.Deletes, dels...)
+		if ne.byNode != nil {
+			touched[si] = append(itemNodes(ups), dels...)
 		}
-		if ne.ix != nil {
-			ix := ne.ix.Clone()
-			ix.Remove(gone...)
-			ne.ix = ix
-			c.maybeRebuildShard(ne)
+	}
+	if len(next) == 0 {
+		return nil
+	}
+	if err := c.commit(rec, func(nv *corpusView) {
+		for si, ne := range next {
+			nv.eps[si] = ne
 		}
-		err := c.commitShard(sh, ne, nil, gone)
-		if err == nil && ne.byNode != nil {
-			sh.noteMutation(gone, ne.size(), ixLen(ne.ix))
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("ned: remove: %w", err)
-		}
+	}); err != nil {
+		return fmt.Errorf("ned: %s: %w", op, err)
+	}
+	for si, vs := range touched {
+		view.shards[si].noteMutation(vs, next[si].size(), ixLen(next[si].ix))
 	}
 	return nil
 }
 
+// itemNodes projects the node IDs of an item batch.
+func itemNodes(items []ned.Item) []NodeID {
+	nodes := make([]NodeID, len(items))
+	for i := range items {
+		nodes[i] = items[i].Node
+	}
+	return nodes
+}
+
+// splice returns the successor of a materialized epoch with dels
+// removed and ups upserted (an upsert of an indexed node replaces its
+// item), the index maintained alongside when one is built.
+func (c *Corpus) splice(ep *shardEpoch, ups []ned.Item, dels []NodeID) *shardEpoch {
+	ne := ep.clone()
+	drop := append([]NodeID(nil), dels...)
+	for _, v := range dels {
+		delete(ne.byNode, v)
+	}
+	for _, it := range ups {
+		if _, ok := ne.byNode[it.Node]; ok {
+			drop = append(drop, it.Node)
+		}
+		ne.byNode[it.Node] = it
+	}
+	if ne.ix != nil {
+		// One batched Remove — the metric trees pay a full walk per
+		// Remove call — then insert the new and refreshed items.
+		ix := ne.ix.Clone()
+		if len(drop) > 0 {
+			ix.Remove(drop...)
+		}
+		if len(ups) > 0 {
+			ix.Insert(ups...)
+		}
+		ne.ix = ix
+		c.maybeRebuildShard(ne)
+	}
+	return ne
+}
+
 // Rebuild discards every shard's index structure and rebuilds it from
 // the live items, folding tombstones and append tails back into tree
-// structure. Queries keep serving from the outgoing epochs for the
-// whole build. Serving counters are carried over, so Stats stays
-// monotone across rebuilds. On a corpus that has never been queried,
-// Rebuild forces the materialization a first query would have paid for.
+// structure. Queries keep serving from the outgoing view for the whole
+// build. Serving counters are carried over, so Stats stays monotone
+// across rebuilds. On a corpus that has never been queried, Rebuild
+// forces the materialization a first query would have paid for.
 func (c *Corpus) Rebuild() {
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
@@ -208,12 +256,11 @@ func (c *Corpus) Rebuild() {
 		c.buildAllLocked()
 		return
 	}
-	for _, sh := range c.tab.Load().shards {
-		sh.mu.Lock()
-		ep := sh.epoch.Load()
-		sh.epoch.Store(&shardEpoch{byNode: ep.byNode, ix: c.rebuiltShardIndex(ep)})
-		sh.mu.Unlock()
+	eps := append([]*shardEpoch(nil), c.view.Load().eps...)
+	for i, ep := range eps {
+		eps[i] = &shardEpoch{byNode: ep.byNode, ix: c.rebuiltShardIndex(ep)}
 	}
+	c.publish(func(nv *corpusView) { nv.eps = eps })
 	c.rebuilds.Add(1)
 }
 
@@ -233,13 +280,13 @@ func (c *Corpus) Rebuild() {
 // ErrNoGraph.
 //
 // The expensive work — the edge diff, the reachability sweeps, the
-// parallel re-extraction — runs outside every shard lock, so queries
-// keep serving through it; each shard then publishes its refreshed
-// epoch in turn. Queries racing the update may observe some shards on
-// the new version and some on the old for the splice's duration.
-// UpdateGraph holds the engine's write gate, serializing against other
-// UpdateGraphs, Inserts, Rebuilds, and Snapshot cuts (never against
-// queries).
+// parallel re-extraction — happens on private successor epochs, so
+// queries keep serving the old version through it; the new graph and
+// every refreshed shard then become visible together, in one store
+// (after one WAL record on a durable corpus: a failed append leaves the
+// corpus on the old version). UpdateGraph holds the engine's write gate, serializing against other
+// UpdateGraphs, Inserts, Removes, Rebuilds, and rebalance ticks (never
+// against queries).
 func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if g == nil {
 		return 0, ErrNilGraph
@@ -249,113 +296,92 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	}
 	c.gmu.Lock()
 	defer c.gmu.Unlock()
-	old := c.g.Load()
+	view := c.view.Load()
+	old := view.g
 	if old == nil {
 		return 0, fmt.Errorf("%w: UpdateGraph needs the previous graph version (restore with WithGraph)", ErrNoGraph)
 	}
 	if g.Directed() != old.Directed() {
 		return 0, fmt.Errorf("ned: graph update changes directedness (corpus graph directed=%v)", old.Directed())
 	}
+	next := make(map[int]*shardEpoch)
+	edit := func(nv *corpusView) {
+		nv.g = g
+		for si, ne := range next {
+			nv.eps[si] = ne
+		}
+	}
 	if !c.materialized.Load() {
 		// Nothing extracted yet: the lazy build reads whatever graph is
 		// current, so the update is just a swap plus a membership shrink.
-		c.g.Store(g)
-		for _, sh := range c.tab.Load().shards {
-			sh.mu.Lock()
-			ep := sh.epoch.Load()
-			ne := ep.clone()
-			changed := false
-			for v := range ne.members {
+		for si, ep := range view.eps {
+			for v := range ep.members {
 				if int(v) >= g.NumNodes() {
-					delete(ne.members, v)
-					changed = true
+					if next[si] == nil {
+						next[si] = ep.clone()
+					}
+					delete(next[si].members, v)
 				}
 			}
-			if changed {
-				sh.epoch.Store(ne)
-			}
-			sh.mu.Unlock()
 		}
+		c.publish(edit)
 		return 0, nil
 	}
 
-	affected := affectedByUpdate(old, g, c.k, c.cfg.directed)
-	// Membership is stable here modulo Removes (Insert is excluded by
-	// gmu); nodes removed between this snapshot and the per-shard splice
-	// are re-filtered under the shard lock below.
 	var refresh []NodeID
-	for v := range affected {
-		if int(v) >= 0 && int(v) < g.NumNodes() && c.shardFor(v).epoch.Load().has(v) {
+	for v := range affectedByUpdate(old, g, c.k, c.cfg.directed) {
+		if int(v) >= 0 && int(v) < g.NumNodes() && view.epochOf(v).has(v) {
 			refresh = append(refresh, v)
 		}
 	}
 	items := ned.BuildItems(g, refresh, c.k, c.cfg.directed, c.cfg.workers)
 	ned.ProfileItems(items, c.dict, c.cfg.workers)
-	tab := c.tab.Load()
-	refreshByShard := make(map[int][]ned.Item)
+	upsByShard := make(map[int][]ned.Item)
 	for _, it := range items {
-		si := tab.place.Of(it.Node)
-		refreshByShard[si] = append(refreshByShard[si], it)
+		si := view.place.Of(it.Node)
+		upsByShard[si] = append(upsByShard[si], it)
 	}
-
-	for si, sh := range tab.shards {
-		sh.mu.Lock()
-		ep := sh.epoch.Load()
-		ne := ep.clone()
+	touched := make(map[int][]NodeID)
+	var rec segment.Record
+	for si, ep := range view.eps {
 		var gone []NodeID
-		for v := range ne.byNode {
+		for v := range ep.byNode {
 			if int(v) >= g.NumNodes() {
-				delete(ne.byNode, v)
 				gone = append(gone, v)
 			}
 		}
-		var keptNodes []NodeID
-		var kept []ned.Item
-		for _, it := range refreshByShard[si] {
-			if ne.has(it.Node) { // skip entries whose membership vanished meanwhile
-				ne.byNode[it.Node] = it
-				keptNodes = append(keptNodes, it.Node)
-				kept = append(kept, it)
-			}
-		}
-		if len(gone)+len(keptNodes) == 0 {
-			sh.mu.Unlock()
+		ups := upsByShard[si]
+		if len(gone)+len(ups) == 0 {
 			continue
 		}
-		if ne.ix != nil {
-			// One batched Remove — the metric trees pay a full walk per
-			// Remove call — then re-insert the refreshed items.
-			ix := ne.ix.Clone()
-			ix.Remove(append(append([]graph.NodeID(nil), gone...), keptNodes...)...)
-			if len(kept) > 0 {
-				ix.Insert(kept...)
-			}
-			ne.ix = ix
-			c.maybeRebuildShard(ne)
-		}
-		err := c.commitShard(sh, ne, kept, gone)
-		if err == nil {
-			sh.noteMutation(append(append([]NodeID(nil), gone...), keptNodes...), ne.size(), ixLen(ne.ix))
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			return refreshed, fmt.Errorf("ned: graph update: %w", err)
-		}
-		refreshed += len(keptNodes)
+		next[si] = c.splice(ep, ups, gone)
+		touched[si] = append(itemNodes(ups), gone...)
+		rec.Upserts = append(rec.Upserts, ups...)
+		rec.Deletes = append(rec.Deletes, gone...)
 	}
-	c.g.Store(g)
+	if err := c.commit(rec, edit); err != nil {
+		return 0, fmt.Errorf("ned: graph update: %w", err)
+	}
+	for si, vs := range touched {
+		view.shards[si].noteMutation(vs, next[si].size(), ixLen(next[si].ix))
+	}
 	if c.wal.Load() != nil {
 		// The WAL records item churn, not graph swaps; only a checkpoint
 		// segment embeds the graph. Cut one now so a crash after this
 		// update recovers onto the new graph version, not the old one.
-		c.durMu.Lock()
-		err := c.checkpointLocked()
-		c.durMu.Unlock()
-		if err != nil {
-			return refreshed, fmt.Errorf("ned: graph update checkpoint: %w", err)
+		if err := c.Checkpoint(); err != nil {
+			return len(items), fmt.Errorf("ned: graph update checkpoint: %w", err)
 		}
 	}
-	return refreshed, nil
+	return len(items), nil
+}
+
+// ixLen is ix.Len() tolerating the pre-build nil index.
+func ixLen(ix ned.DynamicIndex) int {
+	if ix == nil {
+		return 0
+	}
+	return ix.Len()
 }
 
 // affectedByUpdate returns the nodes whose k-adjacent trees can differ

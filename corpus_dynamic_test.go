@@ -17,8 +17,8 @@ import (
 // for white-box assertions on signature reuse across graph updates.
 func liveItems(c *Corpus) map[NodeID]ned.Item {
 	out := make(map[NodeID]ned.Item)
-	for _, sh := range c.shardSlots() {
-		for v, it := range sh.epoch.Load().byNode {
+	for _, ep := range c.view.Load().eps {
+		for v, it := range ep.byNode {
 			out[v] = it
 		}
 	}

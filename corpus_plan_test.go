@@ -1,132 +1,34 @@
 package ned
 
-import (
-	"bytes"
-	"fmt"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-// This file pins the cost-based planner's only acceptable behavior:
-// pure strategy, zero answer drift. Whatever fan-out mode or per-shard
-// scan-vs-tree choice the planner makes, answers must be node-identical
-// to the WithPlanner(false) engine — statically, under churn, and
-// across snapshot round-trips — on every backend and shard count.
+// Plan.KNN / Plan.Range being node-identical to the reference fan-out
+// in every mode is pinned by TestPlannerEquivalence in internal/ned;
+// the backend, shard-count, churn, and snapshot equivalence suites here
+// all answer through plans.
 
-// plannerChurn applies the same seeded Remove/Insert churn to every
-// corpus, leaving all of them with an identical (shrunken) membership.
-func plannerChurn(t *testing.T, g *Graph, seed int64, corpora ...*Corpus) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	victims := make([]NodeID, 0, 12)
-	for len(victims) < 12 {
-		victims = append(victims, NodeID(rng.Intn(g.NumNodes())))
-	}
-	back := victims[:len(victims)/2] // re-inserted; the rest stay gone
-	for _, c := range corpora {
-		if err := c.Remove(victims...); err != nil {
-			t.Fatalf("Remove: %v", err)
-		}
-		if err := c.Insert(back...); err != nil {
-			t.Fatalf("Insert: %v", err)
-		}
-	}
-}
-
-// TestPlannerEquivalence: planner on (the default) versus
-// WithPlanner(false) must answer node-identically for every backend,
-// single- and multi-shard, before and after churn, and the equivalence
-// must survive a snapshot round-trip loaded under either setting.
-func TestPlannerEquivalence(t *testing.T) {
-	g := randomGraph(240, 720, 11)
-	const k = 2
-	for _, b := range allBackends {
-		for _, shards := range []int{1, 4} {
-			label := fmt.Sprintf("%v/shards=%d", b, shards)
-			on, err := NewCorpus(g, k, WithBackend(b), WithShards(shards))
-			if err != nil {
-				t.Fatalf("%s: NewCorpus: %v", label, err)
-			}
-			off, err := NewCorpus(g, k, WithBackend(b), WithShards(shards), WithPlanner(false))
-			if err != nil {
-				t.Fatalf("%s: NewCorpus(planner off): %v", label, err)
-			}
-			want := queryFingerprint(t, on, g, k)
-			if got := queryFingerprint(t, off, g, k); got != want {
-				t.Errorf("%s: planner-off answers diverge from planner-on:\n got %s\nwant %s", label, got, want)
-			}
-
-			plannerChurn(t, g, int64(b)*100+int64(shards), on, off)
-			want = queryFingerprint(t, on, g, k)
-			if got := queryFingerprint(t, off, g, k); got != want {
-				t.Errorf("%s: post-churn planner-off answers diverge:\n got %s\nwant %s", label, got, want)
-			}
-
-			var buf bytes.Buffer
-			if err := on.Snapshot(&buf); err != nil {
-				t.Fatalf("%s: Snapshot: %v", label, err)
-			}
-			for _, load := range []struct {
-				name string
-				opts []CorpusOption
-			}{
-				{"planner on", nil},
-				{"planner off", []CorpusOption{WithPlanner(false)}},
-			} {
-				c2, err := LoadCorpus(bytes.NewReader(buf.Bytes()), load.opts...)
-				if err != nil {
-					t.Fatalf("%s: LoadCorpus (%s): %v", label, load.name, err)
-				}
-				if got := queryFingerprint(t, c2, g, k); got != want {
-					t.Errorf("%s: snapshot round-trip (%s) diverges:\n got %s\nwant %s", label, load.name, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestPlannerStatsCounters: a planner-on corpus must report itself and
-// account every query to exactly one plan mode; WithPlanner(false)
-// must leave the plan counters untouched.
+// TestPlannerStatsCounters: every query is accounted to exactly one
+// plan mode, and ResetStats zeroes the plan counters.
 func TestPlannerStatsCounters(t *testing.T) {
 	g := randomGraph(120, 360, 7)
-	on, err := NewCorpus(g, 2, WithShards(4))
+	c, err := NewCorpus(g, 2, WithShards(4))
 	if err != nil {
 		t.Fatalf("NewCorpus: %v", err)
 	}
-	off, err := NewCorpus(g, 2, WithShards(4), WithPlanner(false))
-	if err != nil {
-		t.Fatalf("NewCorpus(planner off): %v", err)
-	}
-	queryFingerprint(t, on, g, 2)
-	queryFingerprint(t, off, g, 2)
+	queryFingerprint(t, c, g, 2)
 
-	s := on.Stats()
-	if !s.Planner {
-		t.Error("planner-on corpus reports Planner=false")
-	}
+	s := c.Stats()
 	planned := s.PlanParallel + s.PlanSequential + s.PlanSingle
 	if planned == 0 {
-		t.Error("planner-on corpus served queries but recorded no plan modes")
+		t.Error("corpus served queries but recorded no plan modes")
 	}
 	if planned != s.Queries {
 		t.Errorf("plan modes (%d) do not account for every query (%d)", planned, s.Queries)
 	}
 
-	so := off.Stats()
-	if so.Planner {
-		t.Error("WithPlanner(false) corpus reports Planner=true")
-	}
-	if n := so.PlanParallel + so.PlanSequential + so.PlanSingle + so.PlanScans; n != 0 {
-		t.Errorf("planner-off corpus recorded %d plan counter bumps", n)
-	}
-
-	on.ResetStats()
-	s = on.Stats()
+	c.ResetStats()
+	s = c.Stats()
 	if n := s.PlanParallel + s.PlanSequential + s.PlanSingle + s.PlanScans; n != 0 {
 		t.Errorf("ResetStats left plan counters at %d", n)
-	}
-	if !s.Planner {
-		t.Error("ResetStats cleared the Planner flag")
 	}
 }

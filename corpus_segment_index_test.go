@@ -17,8 +17,8 @@ import (
 // any query triggers a lazy build.
 func restoredShards(c *Corpus) int {
 	n := 0
-	for _, sh := range c.shardSlots() {
-		if sh.epoch.Load().ix != nil {
+	for _, ep := range c.view.Load().eps {
+		if ep.ix != nil {
 			n++
 		}
 	}
@@ -65,18 +65,18 @@ func TestSegmentSnapshotRestoresVPIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := restoredShards(loaded); n != len(loaded.shardSlots()) {
-		t.Fatalf("warm segment restored %d of %d shard indexes", n, len(loaded.shardSlots()))
+	if n := restoredShards(loaded); n != len(loaded.view.Load().eps) {
+		t.Fatalf("warm segment restored %d of %d shard indexes", n, len(loaded.view.Load().eps))
 	}
 
 	// The restored trees are the originals, structurally: same preorder
 	// dump, node for node, radius for radius.
-	for si, sh := range c.shardSlots() {
-		wantNodes, wantTail, ok := ned.ExportVPBackend(sh.epoch.Load().ix)
+	for si, ep := range c.view.Load().eps {
+		wantNodes, wantTail, ok := ned.ExportVPBackend(ep.ix)
 		if !ok {
 			t.Fatalf("shard %d: original backend not exportable", si)
 		}
-		gotNodes, gotTail, ok := ned.ExportVPBackend(loaded.shardSlots()[si].epoch.Load().ix)
+		gotNodes, gotTail, ok := ned.ExportVPBackend(loaded.view.Load().eps[si].ix)
 		if !ok {
 			t.Fatalf("shard %d: restored backend not exportable", si)
 		}
@@ -171,10 +171,10 @@ func TestSegmentIndexSkipsTombstonedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := restoredShards(loaded); n == 0 || n == len(loaded.shardSlots()) {
+	if n := restoredShards(loaded); n == 0 || n == len(loaded.view.Load().eps) {
 		// At least one shard is tombstone-free (restored) and at least
 		// one is tombstoned (withheld) with this node set.
-		t.Fatalf("restored %d of %d shard indexes, want a strict subset", n, len(loaded.shardSlots()))
+		t.Fatalf("restored %d of %d shard indexes, want a strict subset", n, len(loaded.view.Load().eps))
 	}
 
 	gq := randomGraph(50, 100, 941)
@@ -213,11 +213,8 @@ func TestSegmentIndexInconsistentDumpRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, eps := c.snapshotEpochs()
-	shardItems := make([][]ned.Item, len(eps))
-	for i, ep := range eps {
-		shardItems[i] = sortedShardItems(ep.byNode)
-	}
+	view := c.materializedView()
+	eps, shardItems := view.eps, view.shardItems()
 	meta := segment.Meta{Backend: "vp", K: k, Directed: false}
 
 	write := func(mutate func(dumps []segment.VPIndex)) error {
@@ -227,7 +224,7 @@ func TestSegmentIndexInconsistentDumpRejected(t *testing.T) {
 		}
 		mutate(dumps)
 		var buf bytes.Buffer
-		if err := segment.Write(&buf, meta, c.dict, c.g.Load(), shardItems, dumps); err != nil {
+		if err := segment.Write(&buf, meta, c.dict, view.g, shardItems, dumps); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 		_, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
@@ -283,8 +280,8 @@ func TestDurableCheckpointCarriesVPIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := restoredShards(re); n != len(re.shardSlots()) {
-		t.Fatalf("checkpoint restored %d of %d shard indexes", n, len(re.shardSlots()))
+	if n := restoredShards(re); n != len(re.view.Load().eps) {
+		t.Fatalf("checkpoint restored %d of %d shard indexes", n, len(re.view.Load().eps))
 	}
 
 	gq := randomGraph(50, 100, 961)

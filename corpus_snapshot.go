@@ -22,27 +22,23 @@ import (
 // materializes its signatures first (but not the index structures,
 // which LoadCorpus rebuilds lazily anyway).
 //
-// The cut is consistent per shard: the epochs of all shards are read
-// in one pass under the engine's write gate, then serialized outside
-// any lock — w may be a slow disk or network writer, and queries keep
-// serving for the whole transfer. Undirected snapshots double as plain
-// signature files: ReadSignatures parses them (section markers are
-// comments), and LoadCorpus parses legacy signature files in turn.
+// The cut is one published view — the same single snapshot a query
+// reads — serialized outside any lock: w may be a slow disk or network
+// writer, and queries and mutations keep running for the whole
+// transfer. Undirected snapshots double as plain signature files:
+// ReadSignatures parses them (section markers are comments), and
+// LoadCorpus parses legacy signature files in turn.
 func (c *Corpus) Snapshot(w io.Writer) error {
-	tab, eps := c.snapshotEpochs()
+	v := c.materializedView()
 	meta := ned.CorpusMeta{
 		Version:  2,
 		Backend:  c.cfg.backend.String(),
 		K:        c.k,
 		Directed: c.cfg.directed,
-		Shards:   len(tab.shards),
-		Place:    tab.place,
+		Shards:   len(v.shards),
+		Place:    v.place,
 	}
-	shardItems := make([][]ned.Item, len(eps))
-	for i, ep := range eps {
-		shardItems[i] = sortedShardItems(ep.byNode)
-	}
-	return ned.WriteShardedCorpusItems(w, meta, shardItems)
+	return ned.WriteShardedCorpusItems(w, meta, v.shardItems())
 }
 
 // SnapshotSegment writes the corpus to w as a binary segment
@@ -59,14 +55,35 @@ func (c *Corpus) Snapshot(w io.Writer) error {
 // differ on disk, because the dictionary records shapes in interning
 // order and parallel profiling interns in scheduling order.
 func (c *Corpus) SnapshotSegment(w io.Writer) error {
-	tab, eps := c.snapshotEpochs()
-	g := c.g.Load()
-	shardItems := make([][]ned.Item, len(eps))
-	for i, ep := range eps {
-		shardItems[i] = sortedShardItems(ep.byNode)
+	return c.writeSegment(w, c.materializedView())
+}
+
+// writeSegment serializes one (materialized) view as a binary segment —
+// the body of SnapshotSegment and of every checkpoint.
+func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
+	meta := segment.Meta{Backend: c.cfg.backend.String(), K: c.k, Directed: c.cfg.directed, Place: v.place}
+	return segment.Write(w, meta, c.dict, v.g, v.shardItems(), shardIndexDumps(v.eps))
+}
+
+// shardItems is every shard's live items in ascending node order — the
+// deterministic persistence order.
+func (v *corpusView) shardItems() [][]ned.Item {
+	items := make([][]ned.Item, len(v.eps))
+	for i, ep := range v.eps {
+		items[i] = sortedShardItems(ep.byNode)
 	}
-	meta := segment.Meta{Backend: c.cfg.backend.String(), K: c.k, Directed: c.cfg.directed, Place: tab.place}
-	return segment.Write(w, meta, c.dict, g, shardItems, shardIndexDumps(eps))
+	return items
+}
+
+// materializedView returns the published view, materializing the
+// signatures first on a corpus that has never been queried.
+func (c *Corpus) materializedView() *corpusView {
+	if !c.materialized.Load() {
+		c.gmu.Lock()
+		c.materializeAllLocked()
+		c.gmu.Unlock()
+	}
+	return c.view.Load()
 }
 
 // shardIndexDumps exports every shard's built VP-tree index for
@@ -110,31 +127,19 @@ func shardIndexDumps(eps []*shardEpoch) []segment.VPIndex {
 	return dumps
 }
 
-// snapshotEpochs materializes (if needed) and cuts a consistent
-// table + epoch vector under the engine's write gate (which also
-// excludes rebalances, so the table and epochs agree).
-func (c *Corpus) snapshotEpochs() (*shardTable, []*shardEpoch) {
-	c.gmu.Lock()
-	defer c.gmu.Unlock()
-	c.materializeAllLocked()
-	tab := c.tab.Load()
-	eps := make([]*shardEpoch, len(tab.shards))
-	for i, sh := range tab.shards {
-		eps[i] = sh.epoch.Load()
-	}
-	return tab, eps
-}
-
 // LoadCorpus restores a corpus from a Snapshot or SnapshotSegment
 // stream — the binary segment format (recognized by its magic bytes),
 // a v2 sharded manifest, a v1 single-index snapshot, or a legacy
 // WriteSignatures file (which predates snapshot metadata and loads
 // with the default backend, undirected, k taken from its signatures).
-// Parse failures wrap ErrBadSnapshot. Shard placement is always
-// re-derived by hashing the restored node IDs, so any snapshot loads
-// into any shard count: WithShards overrides, the recorded count is
-// the default, and v1/legacy files spread across the standard
-// GOMAXPROCS-derived default.
+// Parse failures wrap ErrBadSnapshot. The recorded shard count is the
+// default, and a rebalanced corpus's recorded placement directory is
+// restored with it, so the corpus comes back in the layout it was
+// saved in. WithShards overrides both: under a different count the
+// recorded placement is dropped and the items re-hash into the seed
+// layout, so any snapshot loads into any shard count. v1/legacy files
+// record neither and spread across the standard GOMAXPROCS-derived
+// default.
 //
 // The restored corpus answers signature queries — and node queries for
 // indexed nodes — identically to the corpus that was snapshotted.
@@ -165,7 +170,7 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	cfg := corpusConfig{rebuildAt: defaultRebuildThreshold, directed: meta.Directed, planner: true}
+	cfg := corpusConfig{rebuildAt: defaultRebuildThreshold, directed: meta.Directed}
 	if cfg.backend, err = ParseBackend(meta.Backend); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
@@ -211,12 +216,13 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 // which is corruption and fails loudly. Runs during load, before the
 // corpus is shared, so storing into the live epochs is safe.
 func restoreShardIndexes(c *Corpus, indexes []segment.VPIndex) error {
+	eps := c.view.Load().eps
 	for si := range indexes {
 		ix := &indexes[si]
 		if len(ix.Nodes) == 0 && len(ix.Tail) == 0 {
 			continue
 		}
-		ep := c.tab.Load().shards[si].epoch.Load()
+		ep := eps[si]
 		if got := len(ix.Nodes) + len(ix.Tail); got != len(ep.byNode) {
 			return fmt.Errorf("segment: shard %d index references %d items, shard holds %d", si, got, len(ep.byNode))
 		}
@@ -264,7 +270,7 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	cfg := corpusConfig{backend: BackendVP, rebuildAt: defaultRebuildThreshold, planner: true}
+	cfg := corpusConfig{backend: BackendVP, rebuildAt: defaultRebuildThreshold}
 	k := meta.K
 	if meta.Version >= 1 {
 		if cfg.backend, err = ParseBackend(meta.Backend); err != nil {
@@ -313,23 +319,21 @@ func installPlacement(c *Corpus, place *ned.Placement) {
 	if place == nil || place.Trivial() {
 		return
 	}
-	tab := c.tab.Load()
-	if place.Shards != len(tab.shards) {
+	if place.Shards != len(c.view.Load().shards) {
 		return
 	}
-	c.tab.Store(&shardTable{shards: tab.shards, place: place})
+	c.publish(func(nv *corpusView) { nv.place = place })
 }
 
 // applyLoadOptions overlays user options onto the snapshot-recorded
 // configuration, returning the WithGraph graph (nil if none).
 func applyLoadOptions(cfg *corpusConfig, metaShards int, opts []CorpusOption) *Graph {
-	userCfg := corpusConfig{backend: cfg.backend, rebuildAt: cfg.rebuildAt, planner: true}
+	userCfg := corpusConfig{backend: cfg.backend, rebuildAt: cfg.rebuildAt}
 	for _, opt := range opts {
 		opt(&userCfg)
 	}
 	cfg.backend = userCfg.backend
 	cfg.workers = userCfg.workers
-	cfg.planner = userCfg.planner
 	cfg.rebuildAt = userCfg.rebuildAt
 	if cfg.rebuildAt <= 0 {
 		cfg.rebuildAt = defaultRebuildThreshold
@@ -372,13 +376,13 @@ func validateLoadedGraph(cfg corpusConfig, g *Graph, items []ned.Item) error {
 func installLoadedItems(c *Corpus, items []ned.Item) {
 	// The snapshot's items arrive pre-materialized: give every shard a
 	// non-nil item table (its keys are the membership) up front.
-	for _, sh := range c.tab.Load().shards {
-		ep := sh.epoch.Load()
+	v := c.view.Load()
+	for _, ep := range v.eps {
 		ep.members = nil
 		ep.byNode = make(map[NodeID]ned.Item)
 	}
 	for _, it := range items {
-		c.shardFor(it.Node).epoch.Load().byNode[it.Node] = it
+		v.epochOf(it.Node).byNode[it.Node] = it
 	}
 	c.noteAvgSig(items)
 	c.materialized.Store(true)

@@ -17,14 +17,14 @@ import (
 // two files: a binary segment checkpoint (the full corpus — items,
 // compiled profiles, shape dictionary, backing graph — loadable
 // without re-extraction or re-profiling) and a mutation write-ahead
-// log. Every Insert, Remove, and UpdateGraph appends a checksummed
-// record to the active log BEFORE its epoch publishes, so an
-// acknowledged mutation survives a crash (under FsyncAlways) and an
-// unacknowledged one never half-applies: recovery loads the latest
-// checkpoint and replays the log tail, dropping only a torn final
-// frame. Checkpoint rotates the log and supersedes it with a fresh
-// segment, truncating recovery time and reclaiming the old
-// generations.
+// log. Every Insert, Remove, and UpdateGraph call appends one
+// checksummed record — however many shards it spans — to the active log
+// BEFORE its view publishes, so an acknowledged mutation survives a
+// crash (under FsyncAlways) and an unacknowledged one never
+// half-applies: recovery loads the latest checkpoint and replays the
+// log tail, dropping only a torn final frame. Checkpoint rotates the
+// log and supersedes it with a fresh segment, truncating recovery time
+// and reclaiming the old generations.
 //
 // Failure model. Storage failure is a state, not a surprise: when a
 // WAL commit or a checkpoint write fails (EIO, ENOSPC, a failed
@@ -91,8 +91,8 @@ func (c *Corpus) degrade(reason string, cause error) {
 
 // degradedErr returns the typed refusal for a degraded corpus, nil
 // while healthy. Mutation paths call it at entry for a fast fail;
-// commitShard still catches the race where degradation lands after
-// the check.
+// commit still catches the race where degradation lands after the
+// check.
 func (c *Corpus) degradedErr() error {
 	info := c.degraded.Load()
 	if info == nil {
@@ -131,7 +131,7 @@ func (c *Corpus) MakeDurable(dir string, policy FsyncPolicy) error {
 	// temporary and renaming it; orphans are garbage, not state.
 	fsx.SweepTemps(dir)
 	c.durableDir = dir
-	if err := c.writeCheckpointFile(0); err != nil {
+	if err := c.writeCheckpointFile(0, c.view.Load()); err != nil {
 		// The atomic write may have renamed the segment into place
 		// before a later step (directory sync, verify readback) failed.
 		// A failed attach made no durable promise, so it must not leave
@@ -282,6 +282,7 @@ func loadCheckpoint(path string, opts ...CorpusOption) (*Corpus, error) {
 // time, and an index answering for since-removed nodes is exactly the
 // corruption replay exists to prevent; the shard re-indexes lazily.
 func (c *Corpus) applyRecovered(rec segment.Record) error {
+	view := c.view.Load()
 	for i := range rec.Upserts {
 		it := rec.Upserts[i]
 		if it.K != c.k {
@@ -291,37 +292,36 @@ func (c *Corpus) applyRecovered(rec segment.Record) error {
 			return fmt.Errorf("wal upsert of node %d disagrees with corpus directedness", it.Node)
 		}
 		ned.ProfileItem(&it, c.dict)
-		ep := c.shardFor(it.Node).epoch.Load()
+		ep := view.epochOf(it.Node)
 		ep.byNode[it.Node] = it
 		ep.ix = nil
 	}
 	for _, v := range rec.Deletes {
-		ep := c.shardFor(v).epoch.Load()
+		ep := view.epochOf(v)
 		delete(ep.byNode, v)
 		ep.ix = nil
 	}
 	return nil
 }
 
-// commitShard publishes ne as sh's current epoch. On a durable corpus
-// the mutation (upserts = the full post-mutation items, deletes = the
-// nodes removed) first appends to the WAL, and the publish runs under
-// the log's commit mutex — the ordering Checkpoint relies on to cut a
-// log generation consistent with the published epochs. An append
-// failure leaves the epoch unpublished — the mutation never happened,
-// for queries and recovery alike — and degrades the corpus: the WAL is
-// wedged, so no later mutation could be made durable either, and
-// acknowledging it would be a lie. Callers hold sh.mu.
-func (c *Corpus) commitShard(sh *corpusShard, ne *shardEpoch, upserts []ned.Item, deletes []NodeID) error {
+// commit makes one mutation call visible: publish(edit), and on a
+// durable corpus the call's record (upserts = the full post-mutation
+// items, deletes = the nodes removed) first appends to the WAL, the
+// publish running under the log's commit mutex — so publish order is
+// WAL order, and Checkpoint can cut a log generation that matches a
+// published view exactly. An append failure publishes nothing — the
+// call never happened, for queries and recovery alike — and degrades
+// the corpus: the WAL is wedged, so no later mutation could be made
+// durable either, and acknowledging it would be a lie. A call that
+// changed no item (an UpdateGraph whose edits reach no indexed node)
+// has nothing to log.
+func (c *Corpus) commit(rec segment.Record, edit func(nv *corpusView)) error {
 	w := c.wal.Load()
-	if w == nil || (len(upserts) == 0 && len(deletes) == 0) {
-		sh.epoch.Store(ne)
+	if w == nil || len(rec.Upserts)+len(rec.Deletes) == 0 {
+		c.publish(edit)
 		return nil
 	}
-	err := w.Commit(segment.Record{Upserts: upserts, Deletes: deletes}, func() {
-		sh.epoch.Store(ne)
-	})
-	if err != nil {
+	if err := w.Commit(rec, func() { c.publish(edit) }); err != nil {
 		c.degrade("wal commit", err)
 		return fmt.Errorf("%w: %w", ErrDegraded, err)
 	}
@@ -329,14 +329,15 @@ func (c *Corpus) commitShard(sh *corpusShard, ne *shardEpoch, upserts []ned.Item
 }
 
 // Checkpoint writes the current corpus as a fresh checkpoint segment
-// and rotates the mutation log: the log is cut atomically with an
-// epoch snapshot, the segment is written outside all locks (queries
-// and mutations keep running), the written file is re-read and
-// structurally verified, and only then are the superseded generations
-// deleted — a torn or bit-flipped checkpoint must never destroy the
-// generations that could recover it. If any step fails the corpus
-// degrades but stays consistent on disk: the surviving generations
-// recover every committed mutation.
+// and rotates the mutation log: the view is captured under the log's
+// commit mutex at the cut — it holds exactly the mutations the retired
+// generations do, none of the new one's — the segment is written
+// outside all locks (queries and mutations keep running), the written
+// file is re-read and structurally verified, and only then are the
+// superseded generations deleted — a torn or bit-flipped checkpoint
+// must never destroy the generations that could recover it. If any
+// step fails the corpus degrades but stays consistent on disk: the
+// surviving generations recover every committed mutation.
 //
 // On a degraded corpus, Checkpoint is the recovery path: it attempts
 // the verified full-segment rewrite that is the only way back to
@@ -344,13 +345,6 @@ func (c *Corpus) commitShard(sh *corpusShard, ne *shardEpoch, upserts []ned.Item
 func (c *Corpus) Checkpoint() error {
 	c.durMu.Lock()
 	defer c.durMu.Unlock()
-	return c.checkpointLocked()
-}
-
-// checkpointLocked is Checkpoint under an already-held durMu; it never
-// touches gmu (durable corpora are permanently materialized), so
-// UpdateGraph can checkpoint while holding the engine write gate.
-func (c *Corpus) checkpointLocked() error {
 	w := c.wal.Load()
 	if w == nil {
 		return ErrNotDurable
@@ -359,7 +353,8 @@ func (c *Corpus) checkpointLocked() error {
 		return c.recoverLocked()
 	}
 	next := c.walSeq + 1
-	if err := w.Rotate(segment.WALPath(c.durableDir, next), nil); err != nil {
+	var cut *corpusView
+	if err := w.Rotate(segment.WALPath(c.durableDir, next), func() { cut = c.view.Load() }); err != nil {
 		// The rotate either failed to create the new generation (old log
 		// intact) or wedged syncing the old one; both mean durable
 		// storage is misbehaving under us.
@@ -371,7 +366,7 @@ func (c *Corpus) checkpointLocked() error {
 	// latest checkpoint, so advancing unconditionally keeps the naming
 	// truthful.
 	c.walSeq = next
-	if err := c.writeCheckpointFile(next); err != nil {
+	if err := c.writeCheckpointFile(next, cut); err != nil {
 		c.degrade("checkpoint write", err)
 		return fmt.Errorf("%w: %w", ErrDegraded, err)
 	}
@@ -399,7 +394,7 @@ func (c *Corpus) checkpointLocked() error {
 func (c *Corpus) recoverLocked() error {
 	c.recoveryAttempts.Add(1)
 	next := c.walSeq + 1
-	if err := c.writeCheckpointFile(next); err != nil {
+	if err := c.writeCheckpointFile(next, c.view.Load()); err != nil {
 		return fmt.Errorf("%w: recovery checkpoint: %w", ErrDegraded, err)
 	}
 	if err := c.verifyCheckpointFile(next); err != nil {
@@ -441,29 +436,11 @@ func (c *Corpus) walPolicy() FsyncPolicy {
 	return FsyncAlways
 }
 
-// writeCheckpointFile snapshots the epochs and atomically writes
-// checkpoint generation seq. The epoch snapshot needs no lock beyond
-// the implied ordering: epochs are immutable once published, and on
-// the Checkpoint path the preceding Rotate already cut the log — any
-// mutation committed after the cut lands in the new generation and
-// merely also appears in the checkpoint, which replay tolerates
-// (records are absolute and idempotent).
-func (c *Corpus) writeCheckpointFile(seq int64) error {
-	tab := c.tab.Load()
-	eps := make([]*shardEpoch, len(tab.shards))
-	for i, sh := range tab.shards {
-		eps[i] = sh.epoch.Load()
-	}
-	g := c.g.Load()
-	shardItems := make([][]ned.Item, len(eps))
-	for i, ep := range eps {
-		shardItems[i] = sortedShardItems(ep.byNode)
-	}
-	meta := segment.Meta{Backend: c.cfg.backend.String(), K: c.k, Directed: c.cfg.directed, Place: tab.place}
+// writeCheckpointFile atomically writes view v as checkpoint generation
+// seq.
+func (c *Corpus) writeCheckpointFile(seq int64, v *corpusView) error {
 	path := segment.CheckpointPath(c.durableDir, seq)
-	if err := fsx.WriteFileAtomic(path, func(w io.Writer) error {
-		return segment.Write(w, meta, c.dict, g, shardItems, shardIndexDumps(eps))
-	}); err != nil {
+	if err := fsx.WriteFileAtomic(path, func(w io.Writer) error { return c.writeSegment(w, v) }); err != nil {
 		return fmt.Errorf("ned: checkpoint %d: %w", seq, err)
 	}
 	return nil

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -153,6 +155,197 @@ func TestFaultSweepShortWrites(t *testing.T) {
 		}
 		checkFaultRecovery(t, dir, g, acked)
 		restore()
+	}
+}
+
+// corpusState renders everything a reader of c can observe — the graph
+// version, the live set, every live node's signature — for exact
+// comparison against modelState.
+func corpusState(c *Corpus) string {
+	view := c.view.Load()
+	var sb strings.Builder
+	fmt.Fprintln(&sb, view.g.Edges())
+	for v := 0; v < view.g.NumNodes(); v++ {
+		if it, ok := view.epochOf(NodeID(v)).byNode[NodeID(v)]; ok {
+			fmt.Fprintln(&sb, v, it.Out.ParentVector())
+		}
+	}
+	return sb.String()
+}
+
+// modelState is corpusState of a corpus whose graph is g and which
+// indexes exactly live with signatures extracted from gSigs (g itself,
+// except in the one mixture recovery can produce — see
+// multiShardScenario).
+func modelState(g, gSigs *Graph, live map[NodeID]bool, k int) string {
+	var sb strings.Builder
+	fmt.Fprintln(&sb, g.Edges())
+	for v := 0; v < g.NumNodes(); v++ {
+		if live[NodeID(v)] {
+			fmt.Fprintln(&sb, v, NewSignature(gSigs, NodeID(v), k).Tree.ParentVector())
+		}
+	}
+	return sb.String()
+}
+
+// nodeRange is the node IDs [lo, hi).
+func nodeRange(lo, hi int) []NodeID {
+	var out []NodeID
+	for v := lo; v < hi; v++ {
+		out = append(out, NodeID(v))
+	}
+	return out
+}
+
+// multiShardScenario runs a durable lifecycle of mutation calls that
+// each span several of the corpus's four shards — a Remove batch, an
+// Insert batch, an UpdateGraph, and a Remove batch logged after the
+// update's checkpoint — with the injector installed. After every call
+// the corpus must be, as a whole, in the pre-call state or the
+// post-call state, never between: post when the call was acknowledged
+// (an Insert or Remove having appended exactly one WAL record), pre
+// when it failed (with ErrDegraded). The one failed call that may leave
+// the post state is an UpdateGraph whose WAL record committed and whose
+// follow-up checkpoint then failed; a failed WAL append or fsync always
+// leaves the old graph and every old signature.
+//
+// It returns the states recovery may land on: the last committed one,
+// and the post-state of a call that failed (an unacknowledged call may
+// survive a crash whole). After an UpdateGraph whose checkpoint failed
+// the log holds the new signatures but no segment holds the new graph
+// yet, so recovery may also produce that mixture until a checkpoint
+// succeeds.
+func multiShardScenario(t *testing.T, dir string, g1, g2 *Graph) (recoverable []string, attached bool) {
+	t.Helper()
+	const k = 2
+	c, err := NewCorpus(g1, k, WithBackend(BackendLinear), WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MakeDurable(dir, FsyncAlways); err != nil {
+		return nil, false
+	}
+	g, live := g1, map[NodeID]bool{}
+	for v := 0; v < g1.NumNodes(); v++ {
+		live[NodeID(v)] = true
+	}
+	recoverable = []string{modelState(g, g, live, k)}
+	setLive := func(nodes []NodeID, on bool) func() {
+		return func() {
+			for _, v := range nodes {
+				live[v] = on
+			}
+		}
+	}
+	failed := false
+	for _, call := range []struct {
+		name   string
+		do     func() error
+		model  func()
+		logged bool // must append exactly one WAL record
+	}{
+		{"Remove", func() error { return c.Remove(nodeRange(0, 12)...) }, setLive(nodeRange(0, 12), false), true},
+		{"Insert", func() error { return c.Insert(nodeRange(0, 7)...) }, setLive(nodeRange(0, 7), true), true},
+		{"UpdateGraph", func() error { _, err := c.UpdateGraph(g2); return err }, func() { g = g2 }, false},
+		{"Remove", func() error { return c.Remove(nodeRange(20, 32)...) }, setLive(nodeRange(20, 32), false), true},
+	} {
+		pre := modelState(g, g, live, k)
+		gPre, livePre := g, maps.Clone(live)
+		recsBefore, _, _ := c.DurableStats()
+		err := call.do()
+		call.model()
+		post := modelState(g, g, live, k)
+		got := corpusState(c)
+		// An UpdateGraph that fails healthy committed and checkpointed;
+		// only the cleanup of the superseded generations failed.
+		if err == nil || (call.name == "UpdateGraph" && c.Degraded() == nil) {
+			if got != post {
+				t.Fatalf("committed %s (err=%v) left the corpus off its post-call state:\n got %s\nwant %s", call.name, err, got, post)
+			}
+			if recs, _, _ := c.DurableStats(); call.logged && recs != recsBefore+1 {
+				t.Fatalf("%s appended %d WAL records, want 1", call.name, recs-recsBefore)
+			}
+			recoverable = []string{post}
+			continue
+		}
+		if !errors.Is(err, ErrDegraded) {
+			t.Fatalf("%s failed outside the degraded contract: %v", call.name, err)
+		}
+		switch {
+		case got == pre:
+			if !failed { // whatever reached the disk reached it whole
+				recoverable = append(recoverable, post)
+			}
+			g, live = gPre, livePre
+		case got == post && call.name == "UpdateGraph" && c.Degraded().Reason != "wal commit":
+			recoverable = []string{post, modelState(gPre, g, live, k)}
+		default:
+			t.Fatalf("failed %s (%v) left the corpus between its pre- and post-call states:\n got %s", call.name, c.Degraded().Reason, got)
+		}
+		failed = true
+	}
+	return recoverable, true
+}
+
+// TestFaultSweepMultiShardCalls sweeps every filesystem operation of
+// multiShardScenario with a clean EIO and with an ENOSPC short write:
+// under each fault every call lands whole or not at all, in memory
+// (asserted inside the scenario) and after OpenDurable.
+func TestFaultSweepMultiShardCalls(t *testing.T) {
+	const k = 2
+	g1 := randomGraph(50, 110, 570)
+	g2 := withExtraEdges(g1, 571, 4)
+	spans := func(nodes []NodeID) int {
+		shards := map[int]bool{}
+		for _, v := range nodes {
+			shards[HashShard(v, 4)] = true
+		}
+		return len(shards)
+	}
+	var refreshed []NodeID
+	for v := 0; v < g1.NumNodes(); v++ {
+		if fmt.Sprint(NewSignature(g1, NodeID(v), k).Tree.ParentVector()) != fmt.Sprint(NewSignature(g2, NodeID(v), k).Tree.ParentVector()) {
+			refreshed = append(refreshed, NodeID(v))
+		}
+	}
+	if spans(nodeRange(0, 12)) < 3 || spans(nodeRange(0, 7)) < 3 || spans(nodeRange(20, 32)) < 3 || spans(refreshed) < 2 {
+		t.Fatal("scenario batches do not span enough shards; the sweep would be vacuous")
+	}
+
+	dry := t.TempDir()
+	inj := faultfs.NewInjector(dry)
+	restore := inj.Install()
+	recoverable, attached := multiShardScenario(t, dry, g1, g2)
+	total := inj.Ops()
+	restore()
+	if !attached || len(recoverable) != 1 {
+		t.Fatalf("fault-free run: attached=%v, %d recoverable states", attached, len(recoverable))
+	}
+
+	for _, fault := range []faultfs.Rule{
+		{Fault: faultfs.FaultErr},
+		{Fault: faultfs.FaultShortWrite, Err: syscall.ENOSPC},
+	} {
+		for at := int64(1); at <= total; at++ {
+			dir := t.TempDir()
+			fault.At = at
+			rule := fault
+			inj := faultfs.NewInjector(dir).AddRule(rule)
+			restore := inj.Install()
+			recoverable, attached := multiShardScenario(t, dir, g1, g2)
+			inj.Reset() // recovery below must run clean
+			if attached {
+				c, err := OpenDurable(dir, FsyncAlways)
+				if err != nil {
+					t.Fatalf("fault %d at=%d: OpenDurable: %v", fault.Fault, at, err)
+				}
+				if got := corpusState(c); !slices.Contains(recoverable, got) {
+					t.Fatalf("fault %d at=%d: recovered a state no call sequence produces:\n got %s\nwant one of %q", fault.Fault, at, got, recoverable)
+				}
+				c.CloseDurable()
+			}
+			restore()
+		}
 	}
 }
 

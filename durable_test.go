@@ -131,8 +131,8 @@ func TestSegmentLoadOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.cfg.backend != BackendBK || len(c2.shardSlots()) != 3 {
-		t.Fatalf("options ignored: backend %v, %d shards", c2.cfg.backend, len(c2.shardSlots()))
+	if c2.cfg.backend != BackendBK || len(c2.view.Load().shards) != 3 {
+		t.Fatalf("options ignored: backend %v, %d shards", c2.cfg.backend, len(c2.view.Load().shards))
 	}
 	gQuery := randomGraph(40, 80, 311)
 	if got, want := queryFingerprint(t, c2, gQuery, 2), queryFingerprint(t, c, gQuery, 2); got != want {
@@ -474,7 +474,7 @@ func TestUpdateGraphCheckpointsNewGraph(t *testing.T) {
 	}
 	defer c2.CloseDurable()
 	// The recovered corpus runs on the updated graph: same edge set.
-	rg := c2.g.Load()
+	rg := c2.view.Load().g
 	if rg == nil || fmt.Sprint(rg.Edges()) != fmt.Sprint(g2.Edges()) {
 		t.Fatal("recovered corpus did not keep the updated graph")
 	}

@@ -238,16 +238,14 @@ func (p *Plan) Range(ctx context.Context, exec *Executor, query Item, r int) ([]
 		}
 		return p.Shards[0].rng(ctx, query, r)
 	case PlanSequential:
-		var out []Neighbor
+		per := make([][]Neighbor, len(p.Shards))
 		for i := range p.Shards {
-			res, err := p.Shards[i].rng(ctx, query, r)
-			if err != nil {
+			var err error
+			if per[i], err = p.Shards[i].rng(ctx, query, r); err != nil {
 				return nil, err
 			}
-			out = append(out, res...)
 		}
-		sortNeighborsCanonical(out)
-		return dedupNeighbors(out), nil
+		return mergeSorted(per), nil
 	default:
 		per := make([][]Neighbor, len(p.Shards))
 		errs := make([]error, len(p.Shards))
@@ -261,11 +259,6 @@ func (p *Plan) Range(ctx context.Context, exec *Executor, query Item, r int) ([]
 				return nil, err
 			}
 		}
-		var out []Neighbor
-		for _, ns := range per {
-			out = append(out, ns...)
-		}
-		sortNeighborsCanonical(out)
-		return dedupNeighbors(out), nil
+		return mergeSorted(per), nil
 	}
 }

@@ -19,11 +19,9 @@ import (
 //     (any global winner beats at least the l-th best of its own shard),
 //   - a range result is exactly the union of per-shard range results,
 // and re-sorting the union canonically and trimming reproduces the
-// unsharded answer bit for bit. A reader racing a rebalance may briefly
-// observe a node in two shards at once (the move publishes the
-// destination epoch before shrinking the source); the merge dedups
-// identical (distance, node) entries, so even that window answers
-// exactly — a no-op for the steady disjoint state.
+// unsharded answer bit for bit. Disjointness is the caller's contract:
+// the Corpus hands every query the shards of one published view, in
+// which each node lives in exactly one shard.
 
 // ShardOf deterministically maps a node to one of n shards. The
 // splitmix64 finalizer scrambles the (typically dense, clustered) node
@@ -177,31 +175,21 @@ func (p *Placement) Validate() error {
 	return nil
 }
 
-// dedupNeighbors drops adjacent duplicates from a canonically sorted
-// result — the same (distance, node) entry reported by two shards, which
-// only happens in the brief window where a rebalance has published a
-// node's destination epoch but not yet shrunk its source.
-func dedupNeighbors(ns []Neighbor) []Neighbor {
-	w := 0
-	for i, n := range ns {
-		if i > 0 && n == ns[w-1] {
-			continue
-		}
-		ns[w] = n
-		w++
-	}
-	return ns[:w]
-}
-
-// MergeTopL merges per-shard KNN answers (each canonically sorted) into
-// the global canonical top-l.
-func MergeTopL(per [][]Neighbor, l int) []Neighbor {
+// mergeSorted concatenates per-shard answers and sorts the union
+// canonically — a range query's whole merge.
+func mergeSorted(per [][]Neighbor) []Neighbor {
 	var out []Neighbor
 	for _, ns := range per {
 		out = append(out, ns...)
 	}
 	sortNeighborsCanonical(out)
-	out = dedupNeighbors(out)
+	return out
+}
+
+// MergeTopL merges per-shard KNN answers (each canonically sorted) into
+// the global canonical top-l.
+func MergeTopL(per [][]Neighbor, l int) []Neighbor {
+	out := mergeSorted(per)
 	if len(out) > l {
 		out = out[:l]
 	}
@@ -236,12 +224,7 @@ func FanRange(ctx context.Context, exec *Executor, shards []Index, query Item, r
 	if err != nil {
 		return nil, err
 	}
-	var out []Neighbor
-	for _, ns := range per {
-		out = append(out, ns...)
-	}
-	sortNeighborsCanonical(out)
-	return dedupNeighbors(out), nil
+	return mergeSorted(per), nil
 }
 
 // fanOut runs one query per non-empty shard across the executor and

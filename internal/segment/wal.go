@@ -14,9 +14,9 @@ import (
 	"ned/internal/tree"
 )
 
-// The mutation write-ahead log. Every committed mutation batch —
-// Insert, Remove, or an UpdateGraph's refresh — appends one
-// checksummed frame BEFORE the corresponding epoch pointers publish,
+// The mutation write-ahead log. Every committed mutation call — an
+// Insert, a Remove, or an UpdateGraph's refresh, however many shards it
+// spans — appends one checksummed frame BEFORE the corpus view publishes,
 // so a crash after the append replays the mutation and a crash before
 // it never exposed the mutation to a query. Frames record absolute
 // state (the full post-mutation items for upserts, node IDs for
@@ -183,8 +183,8 @@ func (w *WAL) Wedged() error {
 }
 
 // Commit appends rec as one frame, forces it to disk per the fsync
-// policy, and only then runs publish (the epoch-pointer stores that
-// make the mutation visible). The append and the publish happen under
+// policy, and only then runs publish (the view store that makes the
+// mutation visible). The append and the publish happen under
 // one mutex so Rotate can cut the log at a point consistent with the
 // published state.
 //
@@ -224,8 +224,8 @@ func (w *WAL) Commit(rec Record, publish func()) error {
 }
 
 // Rotate atomically cuts the log: capture runs under the commit mutex
-// (snapshot the epoch pointers there — every mutation committed to the
-// old file is visible to it, and none from the new file are), the old
+// (load the corpus view there — every mutation committed to the old
+// file is visible to it, and none from the new file are), the old
 // file is synced and closed, and appends continue in a fresh log at
 // path. On error the WAL keeps its current file and capture must be
 // discarded. A wedged WAL refuses to rotate: its tail is suspect, and
