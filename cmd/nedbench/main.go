@@ -657,9 +657,10 @@ func cascadeExperiment(o bench.Options) bench.Table {
 // in-process server over a PGP-analog corpus, swept across client
 // concurrency levels. Each level fires its queries from that many
 // concurrent HTTP clients and reports throughput, p50/p99 request
-// latency, and what fraction of the KNN requests the server coalesced
-// into shared BatchKNN passes — the number that should climb with
-// concurrency while the tail stays flat.
+// latency, what fraction of the KNN requests the server coalesced into
+// shared BatchKNN passes, and how long those requests sat queued for
+// their pass — the first should climb with concurrency from zero at one
+// client, the second is what batching costs the requests it batches.
 func serveExperiment(o bench.Options) bench.Table {
 	o.Normalize()
 	const kDepth = 3
@@ -700,9 +701,10 @@ func serveExperiment(o bench.Options) bench.Table {
 
 	t := bench.Table{
 		Title: "nedserve: HTTP KNN latency vs client concurrency",
-		Note: fmt.Sprintf("PGP analog (%d nodes, k=%d), KNN(5) over HTTP, in-process server, coalescing window %s",
-			nodes, kDepth, 2*time.Millisecond),
-		Header: []string{"concurrency", "queries", "qps", "p50 ms", "p99 ms", "coalesced %", "errors"},
+		Note: fmt.Sprintf("PGP analog (%d nodes, k=%d), KNN(5) over HTTP, in-process server, load-adaptive coalescing: "+
+			"%d pass slots (the executor width), a request queues only while all are busy; queue wait ms is the mean over the requests that queued",
+			nodes, kDepth, runtime.GOMAXPROCS(0)),
+		Header: []string{"concurrency", "queries", "qps", "p50 ms", "p99 ms", "coalesced %", "queue wait ms", "errors"},
 	}
 
 	for _, conc := range []int{1, 4, 16, 64} {
@@ -742,12 +744,17 @@ func serveExperiment(o bench.Options) bench.Table {
 			return float64(durations[i].Nanoseconds()) / 1e6
 		}
 		coalesced := after.CoalescedRequests - before.CoalescedRequests
+		queueWait := 0.0 // mean over the requests that queued; none did if the count stood still
+		if waits := after.CoalesceQueueWaits - before.CoalesceQueueWaits; waits > 0 {
+			queueWait = float64(after.CoalesceQueueWaitNS-before.CoalesceQueueWaitNS) / 1e6 / float64(waits)
+		}
 		t.AddRow(fmt.Sprint(conc),
 			fmt.Sprint(total),
 			fmt.Sprintf("%.1f", float64(total)/wall.Seconds()),
 			fmt.Sprintf("%.3f", pct(0.50)),
 			fmt.Sprintf("%.3f", pct(0.99)),
 			fmt.Sprintf("%.1f", 100*float64(coalesced)/float64(total)),
+			fmt.Sprintf("%.3f", queueWait),
 			fmt.Sprint(errCount))
 	}
 	return t

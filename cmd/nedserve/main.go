@@ -53,8 +53,8 @@ func main() {
 		prebuild = flag.Bool("prebuild", true, "build the boot corpus's index before accepting traffic")
 
 		maxInflight = flag.Int("max-inflight", 256, "admitted query concurrency; beyond it requests get 429")
-		coalesceWin = flag.Duration("coalesce-window", 2*time.Millisecond, "KNN coalescing window (negative disables)")
-		coalesceMax = flag.Int("coalesce-max", 64, "flush a coalesced batch early at this many requests")
+		coalesce    = flag.Bool("coalesce", true, "batch KNN requests that arrive while every pass slot of their corpus is busy (a request that finds a slot free always runs at once)")
+		coalesceMax = flag.Int("coalesce-max", 64, "most queued requests one coalesced batch pass takes")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown: how long to wait for in-flight queries")
 
 		dataDir   = flag.String("data", "", "durable data directory: tenants persist in per-name subdirectories and recover on boot")
@@ -67,14 +67,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := serve.New(serve.Options{
+	opts := serve.Options{
 		MaxInflight:      *maxInflight,
-		CoalesceWindow:   *coalesceWin,
 		CoalesceMaxBatch: *coalesceMax,
 		DataDir:          *dataDir,
 		Fsync:            fsync,
 		CheckpointEvery:  *ckptEvery,
-	})
+	}
+	if !*coalesce {
+		opts.CoalesceWindow = -1 // the field's sign is the on/off switch
+	}
+	srv := serve.New(opts)
 
 	if *dataDir != "" {
 		start := time.Now()

@@ -43,122 +43,142 @@ func (a *admission) inflight() int { return len(a.slots) }
 // limit is the admission capacity.
 func (a *admission) limit() int { return cap(a.slots) }
 
-// coalKey groups coalescable requests: same corpus (by engine pointer,
-// so a dropped-and-recreated name never mixes corpora) and same l.
-type coalKey struct {
-	c *ned.Corpus
-	l int
-}
-
-// coalResult is one member's share of a flushed batch.
+// coalResult is one member's share of a batch pass.
 type coalResult struct {
 	nbs []ned.Neighbor
 	err error
 }
 
-// coalReq is one waiting KNN request.
+// coalReq is one KNN request queued behind the passes in flight.
 type coalReq struct {
-	ctx  context.Context
-	sig  ned.Signature
-	done chan coalResult // buffered: the flusher never blocks on a member that left
+	ctx    context.Context
+	sig    ned.Signature
+	l      int
+	queued time.Time
+	done   chan coalResult // buffered: a pass never blocks on a member that left
 }
 
-// coalBatch accumulates requests for one key until the window elapses
-// or the batch fills.
-type coalBatch struct {
-	timer *time.Timer
-	reqs  []*coalReq
-	once  sync.Once
+// lane is one tenant's pass accounting; the zero value is an idle lane.
+type lane struct {
+	mu    sync.Mutex
+	busy  int        // passes in flight, at most the tenant's passSlots
+	queue []*coalReq // requests that found every slot busy, oldest first
 }
 
-// coalescer batches concurrent single-node KNN requests against the
-// same corpus into one BatchKNN executor pass. The first request for a
-// (corpus, l) pair opens a small window; requests arriving inside it
-// join the batch, and the flush fans results back out. Under burst
-// load this converts n independent shard fan-outs into one executor
-// pass over n queries — the engine's own batching path — at the cost
-// of at most one window of added latency, and only when a burst
-// actually materializes (a lone request flushes as itself, uncounted).
+// coalescer batches single-node KNN requests by load, not by clock. A
+// request that finds one of its tenant's pass slots free runs at once, on
+// its handler's goroutine, as a plain Corpus.KNN; one that finds them all
+// busy queues, and whichever pass finishes next hands its slot to the
+// queued requests of one l as a single BatchKNN executor pass. Batch size
+// follows load by itself — a lone client never waits, a burst shares
+// passes — and nothing waits while a slot is idle. Queued requests keep
+// their admission slots, so MaxInflight bounds the queue.
 //
-// Answers are node-identical to direct KNN calls: a batch member's
-// query signature is extracted from the same graph node the direct
-// path would use, and BatchKNN runs the same cascade + canonical
-// (distance, node) merge per query. The equivalence suite pins this.
+// Answers are node-identical either way: a queued member's signature
+// comes from the graph node the direct path resolves, and BatchKNN runs
+// the same cascade + canonical merge per query (the equivalence suite).
 type coalescer struct {
-	window   time.Duration
 	maxBatch int
 
-	// onPanic, when set, observes a recovered panic from a flush
-	// goroutine (counted and logged by the server). Flushes run outside
-	// any HTTP handler, so without recovery here a panicking engine
-	// call would kill the whole daemon, not one connection.
+	// onPanic, when set, observes a panic recovered from a batch pass, which
+	// runs outside any HTTP handler and would otherwise kill the daemon.
 	onPanic func(p any)
 
-	mu      sync.Mutex
-	pending map[coalKey]*coalBatch
+	// onPass, when set, runs at the start of every pass, slot held, with
+	// the context the pass executes under and its queued member count (0
+	// for a direct pass) — a test seam for saturating the slots.
+	onPass func(ctx context.Context, members int)
 
-	batches   atomic.Int64 // multi-request executor passes flushed
+	batches   atomic.Int64 // multi-request executor passes run
 	coalesced atomic.Int64 // requests served by those passes
+	waits     atomic.Int64 // requests taken off the queue by a pass
+	waitNS    atomic.Int64 // total time those spent queued
 }
 
-func newCoalescer(window time.Duration, maxBatch int) *coalescer {
-	return &coalescer{
-		window:   window,
-		maxBatch: maxBatch,
-		pending:  make(map[coalKey]*coalBatch),
+// knn answers one request: directly when a slot is free, otherwise from
+// the batch pass that takes it off the queue. A queued member whose
+// context dies stops waiting; its pass keeps running for the others.
+func (co *coalescer) knn(ctx context.Context, t *Tenant, v ned.NodeID, l int) ([]ned.Neighbor, error) {
+	if !t.lane.enter(t.passSlots(), nil) {
+		sig, err := t.Corpus.Signature(v)
+		if err != nil {
+			// Out-of-range node: the engine's own check types the error.
+			return t.Corpus.KNN(ctx, v, l)
+		}
+		req := &coalReq{ctx: ctx, sig: sig, l: l, queued: time.Now(), done: make(chan coalResult, 1)}
+		if !t.lane.enter(t.passSlots(), req) {
+			select {
+			case res := <-req.done:
+				return res.nbs, res.err
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		// A slot came free during the extraction: run direct after all.
+	}
+	defer co.release(t)
+	if co.onPass != nil {
+		co.onPass(ctx, 0)
+	}
+	return t.Corpus.KNN(ctx, v, l)
+}
+
+// enter claims a pass slot and reports true, or — every slot busy —
+// appends req (when given) to the queue and reports false.
+func (ln *lane) enter(slots int, req *coalReq) bool {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	if ln.busy < slots {
+		ln.busy++
+		return true
+	}
+	if req != nil {
+		ln.queue = append(ln.queue, req)
+	}
+	return false
+}
+
+// release ends a pass; every pass defers it, so one that fails, panics
+// or is abandoned strands no one. The slot goes to the next queued batch
+// if there is one — on its own goroutine, so a handler done with its
+// direct pass answers its client first — and otherwise back to the lane.
+func (co *coalescer) release(t *Tenant) {
+	t.lane.mu.Lock()
+	defer t.lane.mu.Unlock()
+	if batch := co.take(&t.lane); batch != nil {
+		go co.runBatch(t, batch)
+	} else {
+		t.lane.busy--
 	}
 }
 
-// knn enqueues one single-node KNN request and waits for its result or
-// the request's own context. A member whose context dies stops waiting
-// immediately; the batch it joined keeps running for the others.
-func (co *coalescer) knn(ctx context.Context, c *ned.Corpus, sig ned.Signature, l int) ([]ned.Neighbor, error) {
-	key := coalKey{c, l}
-	req := &coalReq{ctx: ctx, sig: sig, done: make(chan coalResult, 1)}
-
-	co.mu.Lock()
-	b := co.pending[key]
-	if b == nil {
-		b = &coalBatch{}
-		co.pending[key] = b
-		b.timer = time.AfterFunc(co.window, func() { co.flush(key, b) })
+// take removes the next batch from the queue (ln.mu held): the oldest
+// live request picks the l and every queued request of that l joins, up
+// to maxBatch. Members whose context died are dropped — their handlers
+// have stopped waiting. nil when nothing live is queued.
+func (co *coalescer) take(ln *lane) []*coalReq {
+	var batch []*coalReq
+	rest := ln.queue[:0]
+	for _, r := range ln.queue {
+		switch {
+		case r.ctx.Err() != nil:
+		case len(batch) < co.maxBatch && (batch == nil || r.l == batch[0].l):
+			batch = append(batch, r)
+			co.waits.Add(1)
+			co.waitNS.Add(time.Since(r.queued).Nanoseconds())
+		default:
+			rest = append(rest, r)
+		}
 	}
-	b.reqs = append(b.reqs, req)
-	full := len(b.reqs) >= co.maxBatch
-	if full {
-		delete(co.pending, key)
-		b.timer.Stop()
-	}
-	co.mu.Unlock()
-	if full {
-		go co.flush(key, b)
-	}
-
-	select {
-	case res := <-req.done:
-		return res.nbs, res.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	clear(ln.queue[len(rest):])
+	ln.queue = rest
+	return batch
 }
 
-// flush detaches the batch from the pending table (if the timer beat
-// the full-batch path to it) and runs it exactly once.
-func (co *coalescer) flush(key coalKey, b *coalBatch) {
-	co.mu.Lock()
-	if co.pending[key] == b {
-		delete(co.pending, key)
-	}
-	co.mu.Unlock()
-	b.once.Do(func() { co.run(key, b.reqs) })
-}
-
-// run executes a detached batch. Requests are only appended while a
-// batch sits in the pending table, so reqs is immutable here. A panic
-// out of the engine is recovered: every member that has not received a
-// result yet gets a typed error instead of hanging until its context
-// dies, and the daemon survives.
-func (co *coalescer) run(key coalKey, reqs []*coalReq) {
+// runBatch is one batch pass, holding the slot it was handed. An engine
+// panic is recovered: members not yet answered get a typed error.
+func (co *coalescer) runBatch(t *Tenant, reqs []*coalReq) {
+	defer co.release(t)
 	defer func() {
 		if p := recover(); p != nil {
 			if co.onPanic != nil {
@@ -173,57 +193,36 @@ func (co *coalescer) run(key coalKey, reqs []*coalReq) {
 			}
 		}
 	}()
-	co.runBatch(key, reqs)
-}
-
-func (co *coalescer) runBatch(key coalKey, reqs []*coalReq) {
-	if len(reqs) == 1 {
-		// No burst materialized: serve directly under the request's own
-		// context, and don't count it as coalesced.
-		r := reqs[0]
-		nbs, err := key.c.KNNSignature(r.ctx, r.sig, key.l)
-		r.done <- coalResult{nbs, err}
-		return
+	if len(reqs) > 1 {
+		co.batches.Add(1)
+		co.coalesced.Add(int64(len(reqs)))
 	}
-	co.batches.Add(1)
-	co.coalesced.Add(int64(len(reqs)))
 
-	// The batch context cancels only when every member has given up:
-	// one impatient client must not abort a pass others still want,
-	// while a wholly abandoned pass should stop burning executor time.
+	// The pass context cancels only when every member has given up: one
+	// impatient client must not abort a pass others still want, while a
+	// wholly abandoned pass should stop burning executor time.
 	execCtx, cancel := context.WithCancel(context.Background())
-	execDone := make(chan struct{})
+	defer cancel()
 	var live atomic.Int32
 	live.Store(int32(len(reqs)))
-	for _, r := range reqs {
-		go func(rc context.Context) {
-			select {
-			case <-rc.Done():
-				if live.Add(-1) == 0 {
-					cancel()
-				}
-			case <-execDone:
-			}
-		}(r.ctx)
-	}
-
 	sigs := make([]ned.Signature, len(reqs))
 	for i, r := range reqs {
 		sigs[i] = r.sig
+		stop := context.AfterFunc(r.ctx, func() {
+			if live.Add(-1) == 0 {
+				cancel()
+			}
+		})
+		defer stop()
 	}
-	results, err := key.c.BatchKNN(execCtx, sigs, key.l)
-	close(execDone)
-	cancel()
+	if co.onPass != nil {
+		co.onPass(execCtx, len(reqs))
+	}
+	results, err := t.Corpus.BatchKNN(execCtx, sigs, reqs[0].l)
+	if err != nil {
+		results = make([][]ned.Neighbor, len(reqs)) // every member gets err alone
+	}
 	for i, r := range reqs {
-		if err != nil {
-			r.done <- coalResult{err: err}
-		} else {
-			r.done <- coalResult{nbs: results[i]}
-		}
+		r.done <- coalResult{results[i], err}
 	}
-}
-
-// stats reports the coalescer's lifetime counters.
-func (co *coalescer) stats() (batches, coalesced int64) {
-	return co.batches.Load(), co.coalesced.Load()
 }

@@ -158,20 +158,47 @@ func newUnstartedServer(t *testing.T, s *Server) string {
 	return ts.URL
 }
 
+// settledGoroutines lets lazily-started long-lived goroutines (http
+// transport idle pools, executor workers idling down after ~100ms)
+// settle, then reports the goroutine count to use as a leak baseline.
+func settledGoroutines() int {
+	time.Sleep(250 * time.Millisecond)
+	return runtime.NumGoroutine()
+}
+
+// requireNoLeakedGoroutines polls until the process settles back to its
+// baseline goroutine count, failing with a full stack dump otherwise.
+func requireNoLeakedGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		// Allow a little slack over baseline: the net/http server keeps a
+		// few transient accept/idle goroutines alive.
+		if n <= baseline+5 {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines = %d, baseline %d; leaked workers?\n%s",
+				n, baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
 // TestNoLeakedWorkers runs normal, expired, and abandoned queries, then
 // checks the process settles back to its baseline goroutine count — no
-// executor workers, coalescer watchers, or handler goroutines left
-// behind. The engine's executor idles down after ~100ms, so the check
-// polls.
+// executor workers, coalescer passes, or handler goroutines left behind.
 func TestNoLeakedWorkers(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, CreateRequest{Name: "d", K: 3, Graph: ringSpec(100)})
 
-	// Warm up so lazily-started long-lived goroutines (http transport
-	// idle pools, etc.) exist before the baseline is taken.
+	// Warm up so lazily-started long-lived goroutines exist before the
+	// baseline is taken.
 	postJSON(t, ts.URL+"/v1/corpora/d/knn", KNNRequest{Node: 0, L: 3}, nil)
-	time.Sleep(250 * time.Millisecond)
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 
 	var wg sync.WaitGroup
 	for i := 0; i < 24; i++ {
@@ -197,21 +224,5 @@ func TestNoLeakedWorkers(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		// Allow a little slack over baseline: the net/http server keeps a
-		// few transient accept/idle goroutines alive.
-		if n <= baseline+5 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines = %d, baseline %d; leaked workers?\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	requireNoLeakedGoroutines(t, baseline)
 }

@@ -35,7 +35,7 @@ func (s *Server) tenantDir(name string) string {
 // tenantOf wraps a recovered corpus in its serving metadata.
 func tenantOf(name string, c *ned.Corpus) *Tenant {
 	cs := c.Stats()
-	return &Tenant{Name: name, Corpus: c, K: cs.K, Directed: cs.Directed, HasGraph: c.HasGraph()}
+	return &Tenant{Name: name, Corpus: c, K: cs.K, Directed: cs.Directed, HasGraph: c.HasGraph(), Workers: cs.Workers}
 }
 
 // AddTenant registers a tenant, attaching a durable directory first

@@ -148,12 +148,16 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP nedserve_overloads_total Queries refused with 429 by admission control.\n")
 	fmt.Fprintf(w, "# TYPE nedserve_overloads_total counter\n")
 	fmt.Fprintf(w, "nedserve_overloads_total %d\n", ss.Overloads)
-	fmt.Fprintf(w, "# HELP nedserve_coalesce_batches_total Multi-request BatchKNN passes flushed by the coalescer.\n")
+	fmt.Fprintf(w, "# HELP nedserve_coalesce_batches_total Multi-request BatchKNN passes run by the coalescer.\n")
 	fmt.Fprintf(w, "# TYPE nedserve_coalesce_batches_total counter\n")
 	fmt.Fprintf(w, "nedserve_coalesce_batches_total %d\n", ss.CoalesceBatches)
 	fmt.Fprintf(w, "# HELP nedserve_coalesced_requests_total KNN requests served by a shared coalesced pass.\n")
 	fmt.Fprintf(w, "# TYPE nedserve_coalesced_requests_total counter\n")
 	fmt.Fprintf(w, "nedserve_coalesced_requests_total %d\n", ss.CoalescedRequests)
+	fmt.Fprintf(w, "# HELP nedserve_coalesce_queue_wait_seconds Time KNN requests spent queued before their batch pass started; requests that ran at once are not observed.\n")
+	fmt.Fprintf(w, "# TYPE nedserve_coalesce_queue_wait_seconds summary\n")
+	fmt.Fprintf(w, "nedserve_coalesce_queue_wait_seconds_sum %g\n", float64(ss.CoalesceQueueWaitNS)/1e9)
+	fmt.Fprintf(w, "nedserve_coalesce_queue_wait_seconds_count %d\n", ss.CoalesceQueueWaits)
 	fmt.Fprintf(w, "# HELP nedserve_corpora Registered corpora.\n")
 	fmt.Fprintf(w, "# TYPE nedserve_corpora gauge\n")
 	fmt.Fprintf(w, "nedserve_corpora %d\n", s.reg.Len())

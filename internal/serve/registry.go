@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -24,6 +25,22 @@ type Tenant struct {
 	// gates Insert/UpdateGraph and the coalescer's node->signature
 	// resolution.
 	HasGraph bool
+	// Workers is the corpus's configured worker count — its executor's
+	// width; 0 means GOMAXPROCS, as in the engine.
+	Workers int
+
+	lane lane // the coalescer's pass slots and queue for this corpus
+}
+
+// passSlots is how many KNN passes the coalescer runs side by side on
+// this tenant before it starts queuing: the corpus executor's width.
+// Past it another concurrent pass only splits the same workers, while a
+// batch pass shares one plan and one executor fan-out.
+func (t *Tenant) passSlots() int {
+	if t.Workers > 0 {
+		return t.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // Registry is the multi-tenant corpus table: create/load/drop by name,
@@ -257,7 +274,7 @@ func CreateTenant(cr *CreateRequest) (*Tenant, error) {
 			return nil, err
 		}
 		s := c.Stats()
-		return &Tenant{Name: cr.Name, Corpus: c, K: s.K, Directed: s.Directed, HasGraph: g != nil}, nil
+		return &Tenant{Name: cr.Name, Corpus: c, K: s.K, Directed: s.Directed, HasGraph: g != nil, Workers: s.Workers}, nil
 	}
 
 	var g *ned.Graph
@@ -276,5 +293,5 @@ func CreateTenant(cr *CreateRequest) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tenant{Name: cr.Name, Corpus: c, K: cr.K, Directed: cr.Directed, HasGraph: true}, nil
+	return &Tenant{Name: cr.Name, Corpus: c, K: cr.K, Directed: cr.Directed, HasGraph: true, Workers: cr.Workers}, nil
 }

@@ -22,12 +22,16 @@ type Options struct {
 	// NearestSet, BatchKNN) executing concurrently; requests beyond it
 	// fail fast with 429. <= 0 means 256.
 	MaxInflight int
-	// CoalesceWindow is how long the first single-node KNN request of a
-	// burst waits for companions before its batch flushes. 0 means 2ms;
-	// negative disables coalescing entirely.
+	// CoalesceWindow is read for its sign only: negative turns KNN
+	// coalescing off, zero or positive leaves it on. The coalescer batches
+	// by load — a request queues only while every pass slot of its corpus
+	// is busy — so there is no duration to tune. The field keeps its name
+	// and type because callers outside this module's reach (the
+	// benchmark's traced replay among them) select on and off by setting
+	// it to 0 and -1.
 	CoalesceWindow time.Duration
-	// CoalesceMaxBatch flushes a batch early once it holds this many
-	// requests. <= 0 means 64.
+	// CoalesceMaxBatch caps how many queued requests one batch pass takes.
+	// <= 0 means 64.
 	CoalesceMaxBatch int
 	// MaxRequestBytes bounds a request body. <= 0 means 8 MiB.
 	MaxRequestBytes int64
@@ -51,9 +55,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
-	}
-	if o.CoalesceWindow == 0 {
-		o.CoalesceWindow = 2 * time.Millisecond
 	}
 	if o.CoalesceMaxBatch <= 0 {
 		o.CoalesceMaxBatch = 64
@@ -102,12 +103,11 @@ func New(opts Options) *Server {
 		mux:        http.NewServeMux(),
 		recovering: make(map[string]*recoverState),
 	}
-	if opts.CoalesceWindow > 0 {
-		s.coal = newCoalescer(opts.CoalesceWindow, opts.CoalesceMaxBatch)
-		s.coal.onPanic = func(p any) {
+	if opts.CoalesceWindow >= 0 {
+		s.coal = &coalescer{maxBatch: opts.CoalesceMaxBatch, onPanic: func(p any) {
 			s.met.panics.Add(1)
 			log.Printf("serve: panic in coalesced batch: %v\n%s", p, debug.Stack())
-		}
+		}}
 	}
 	s.routes()
 	return s
@@ -144,8 +144,13 @@ type ServerStats struct {
 	Overloads         int64 `json:"overloads"`
 	CoalesceBatches   int64 `json:"coalesce_batches"`
 	CoalescedRequests int64 `json:"coalesced_requests"`
-	Panics            int64 `json:"panics"`
-	DegradedCorpora   int   `json:"degraded_corpora"`
+	// CoalesceQueueWaits counts the KNN requests that queued for a batch
+	// pass (requests that ran at once are not observed) and
+	// CoalesceQueueWaitNS totals the time they spent queued.
+	CoalesceQueueWaits  int64 `json:"coalesce_queue_waits"`
+	CoalesceQueueWaitNS int64 `json:"coalesce_queue_wait_ns"`
+	Panics              int64 `json:"panics"`
+	DegradedCorpora     int   `json:"degraded_corpora"`
 }
 
 // Stats reports the server-side counters (the engine counters live on
@@ -160,7 +165,8 @@ func (s *Server) Stats() ServerStats {
 		DegradedCorpora: len(s.degradedTenants()),
 	}
 	if s.coal != nil {
-		ss.CoalesceBatches, ss.CoalescedRequests = s.coal.stats()
+		ss.CoalesceBatches, ss.CoalescedRequests = s.coal.batches.Load(), s.coal.coalesced.Load()
+		ss.CoalesceQueueWaits, ss.CoalesceQueueWaitNS = s.coal.waits.Load(), s.coal.waitNS.Load()
 	}
 	return ss
 }
@@ -543,20 +549,14 @@ func (s *Server) handleKNN(ctx context.Context, r *http.Request) (int, any, erro
 	return http.StatusOK, QueryResponse{Corpus: t.Name, Neighbors: neighborsJSON(nbs)}, nil
 }
 
-// corpusKNN routes a single-node KNN through the coalescer when it can
-// prove equivalence — undirected corpus, graph attached, in-range node
-// — and falls back to a direct engine call otherwise.
+// corpusKNN routes a single-node KNN through the coalescer when a
+// queued request could join a BatchKNN pass — undirected corpus, graph
+// attached, valid l — and calls the engine directly otherwise.
 func (s *Server) corpusKNN(ctx context.Context, t *Tenant, v ned.NodeID, l int) ([]ned.Neighbor, error) {
 	if s.coal == nil || t.Directed || !t.HasGraph || l < 1 {
 		return t.Corpus.KNN(ctx, v, l)
 	}
-	sig, err := t.Corpus.Signature(v)
-	if err != nil {
-		// Out-of-range (or graphless) nodes take the direct path so the
-		// engine's own validation produces the typed error.
-		return t.Corpus.KNN(ctx, v, l)
-	}
-	return s.coal.knn(ctx, t.Corpus, sig, l)
+	return s.coal.knn(ctx, t, v, l)
 }
 
 func (s *Server) handleKNNSig(ctx context.Context, r *http.Request) (int, any, error) {

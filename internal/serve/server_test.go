@@ -366,6 +366,9 @@ func TestMetricsExport(t *testing.T) {
 		`nedserve_request_duration_seconds_count{endpoint="knn"}`,
 		"nedserve_inflight_limit 256",
 		"nedserve_overloads_total 0",
+		// Sequential requests always find a pass slot free: none queued.
+		"nedserve_coalesce_queue_wait_seconds_sum 0",
+		"nedserve_coalesce_queue_wait_seconds_count 0",
 		"nedserve_corpora 2",
 		`ned_corpus_nodes{corpus="m1"} 30`,
 		`ned_corpus_nodes{corpus="m2"} 40`,
