@@ -42,7 +42,7 @@ func main() {
 		node     = flag.Int("node", 0, "query node ID (dense ID in the -from graph)")
 		k        = flag.Int("k", 3, "neighborhood depth (k-adjacent tree levels)")
 		l        = flag.Int("l", 10, "number of neighbors to report")
-		backend  = flag.String("backend", "vp", "index backend: vp, bk, linear, or pruned")
+		backend  = flag.String("backend", "pruned", "index backend: vp, bk, linear, or pruned")
 		timeout  = flag.Duration("timeout", 0, "abort each query after this long (0 = no limit)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs)")
 		shards   = flag.Int("shards", 0, "index shard count (0 = derived from GOMAXPROCS)")

@@ -45,7 +45,7 @@ func main() {
 		dataset  = flag.String("dataset", "", "boot corpus: built-in dataset analog (CAR, PAR, AMZN, DBLP, GNU, PGP)")
 		snapshot = flag.String("snapshot", "", "boot corpus: ned corpus snapshot file")
 		k        = flag.Int("k", 3, "boot corpus neighborhood depth (dataset only; snapshots record their own)")
-		backend  = flag.String("backend", "", "boot corpus index backend (vp, bk, linear, pruned; empty = engine default)")
+		backend  = flag.String("backend", "", "boot corpus index backend (vp, bk, linear, pruned; empty = engine default, pruned)")
 		shards   = flag.Int("shards", 0, "boot corpus shard count (0 = engine default)")
 		workers  = flag.Int("workers", 0, "boot corpus worker count (0 = GOMAXPROCS)")
 		scale    = flag.Float64("scale", 1.0, "boot dataset scale factor")

@@ -60,7 +60,7 @@ type Backend int
 
 const (
 	// BackendVP is the paper's VP-tree metric index (§13.4): sub-linear
-	// queries via triangle-inequality pruning. The default.
+	// queries via triangle-inequality pruning.
 	BackendVP Backend = iota
 	// BackendBK is a Burkhard–Keller tree specialized to NED's small
 	// integer distances.
@@ -70,7 +70,9 @@ const (
 	// for small corpora.
 	BackendLinear
 	// BackendPrunedLinear scans sequentially, skipping candidates the
-	// padding lower bound proves out of range (§10).
+	// padding lower bound proves out of range (§10). The default: with
+	// the filter cascade in front it does fewer TED* evaluations than
+	// the trees and costs nothing to build.
 	BackendPrunedLinear
 
 	numBackends = iota
@@ -164,7 +166,7 @@ type corpusConfig struct {
 	graph     *Graph // LoadCorpus only; see WithGraph
 }
 
-// WithBackend selects the index backend (default BackendVP).
+// WithBackend selects the index backend (default BackendPrunedLinear).
 func WithBackend(b Backend) CorpusOption {
 	return func(c *corpusConfig) { c.backend = b }
 }
@@ -575,7 +577,7 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadK, k)
 	}
-	cfg := corpusConfig{backend: BackendVP, rebuildAt: defaultRebuildThreshold}
+	cfg := corpusConfig{backend: BackendPrunedLinear, rebuildAt: defaultRebuildThreshold}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -1060,11 +1062,11 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 // and serving counters.
 //
 // The JSON field names are a stable, versioned schema: the nedserve
-// stats endpoint, nedstats -json, and nedbench artifacts all serialize
-// this struct, and TestCorpusStatsJSONSchema locks the names, so
-// renaming a Go field cannot silently break a dashboard scraping the
-// server. Backend round-trips as its flag name ("vp", "bk", "linear",
-// "pruned") via MarshalText.
+// stats endpoint and nedstats -json both serialize this struct, and
+// TestCorpusStatsJSONSchema locks the names, so renaming a Go field
+// cannot silently break a dashboard scraping the server. Backend
+// round-trips as its flag name ("vp", "bk", "linear", "pruned") via
+// MarshalText.
 type CorpusStats struct {
 	// Backend is the index structure serving this corpus's queries.
 	Backend Backend `json:"backend"`

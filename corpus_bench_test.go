@@ -13,12 +13,13 @@ import (
 	"testing"
 )
 
-func benchmarkCorpus(b *testing.B, backend Backend) {
-	g1 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 7})
-	g2 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 8})
+// benchWorkload draws the inter-graph workload the corpus benchmarks
+// share: nQueries query signatures from one PGP analog and nCands
+// candidate nodes of a second one, which is returned to index.
+func benchWorkload(scale float64, k, nQueries, nCands int) (*Graph, []Signature, []NodeID) {
+	g1 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: scale, Seed: 7})
+	g2 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: scale, Seed: 8})
 	rng := rand.New(rand.NewSource(9))
-
-	const k, nQueries, nCands, l = 3, 16, 300, 5
 	queries := make([]Signature, 0, nQueries)
 	for _, v := range rng.Perm(g1.NumNodes())[:nQueries] {
 		queries = append(queries, NewSignature(g1, NodeID(v), k))
@@ -27,6 +28,12 @@ func benchmarkCorpus(b *testing.B, backend Backend) {
 	for _, v := range rng.Perm(g2.NumNodes())[:min(nCands, g2.NumNodes())] {
 		cands = append(cands, NodeID(v))
 	}
+	return g2, queries, cands
+}
+
+func benchmarkCorpus(b *testing.B, backend Backend) {
+	const k, nQueries, nCands, l = 3, 16, 300, 5
+	g2, queries, cands := benchWorkload(0.1, k, nQueries, nCands)
 	corpus, err := NewCorpus(g2, k, WithBackend(backend), WithNodes(cands))
 	if err != nil {
 		b.Fatal(err)
@@ -57,23 +64,13 @@ func BenchmarkCorpusKNN(b *testing.B) {
 // work profile surfaced as custom metrics: per-query TED* evaluations
 // and per-tier prunes (size / padding / label-multiset). CI runs it at
 // -benchtime=1x so every push compiles the cascade and counts its
-// tiers; BENCH_CASCADE.json records the full before/after numbers.
+// tiers. The harness reads the same tiers at serving size as
+// ned.{size,padding,label}_survivor_ratio (benchmark/README.md).
 func BenchmarkCorpusCascade(b *testing.B) {
 	for _, backend := range []Backend{BackendVP, BackendBK, BackendLinear, BackendPrunedLinear} {
 		b.Run(fmt.Sprint(backend), func(b *testing.B) {
-			g1 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 7})
-			g2 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 8})
-			rng := rand.New(rand.NewSource(9))
-
 			const k, nQueries, nCands, l = 3, 16, 300, 5
-			queries := make([]Signature, 0, nQueries)
-			for _, v := range rng.Perm(g1.NumNodes())[:nQueries] {
-				queries = append(queries, NewSignature(g1, NodeID(v), k))
-			}
-			cands := make([]NodeID, 0, nCands)
-			for _, v := range rng.Perm(g2.NumNodes())[:min(nCands, g2.NumNodes())] {
-				cands = append(cands, NodeID(v))
-			}
+			g2, queries, cands := benchWorkload(0.1, k, nQueries, nCands)
 			corpus, err := NewCorpus(g2, k, WithBackend(backend), WithNodes(cands))
 			if err != nil {
 				b.Fatal(err)
@@ -115,19 +112,8 @@ func BenchmarkCorpusCascade(b *testing.B) {
 func BenchmarkCorpusParallelChurn(b *testing.B) {
 	for _, shards := range []int{1, 4, 0} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			g1 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 7})
-			g2 := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.1, Seed: 8})
-			rng := rand.New(rand.NewSource(9))
-
 			const k, nQueries, nCands, l = 3, 16, 300, 5
-			queries := make([]Signature, 0, nQueries)
-			for _, v := range rng.Perm(g1.NumNodes())[:nQueries] {
-				queries = append(queries, NewSignature(g1, NodeID(v), k))
-			}
-			cands := make([]NodeID, 0, nCands)
-			for _, v := range rng.Perm(g2.NumNodes())[:min(nCands, g2.NumNodes())] {
-				cands = append(cands, NodeID(v))
-			}
+			g2, queries, cands := benchWorkload(0.1, k, nQueries, nCands)
 			corpus, err := NewCorpus(g2, k, WithBackend(BackendVP), WithNodes(cands), WithShards(shards))
 			if err != nil {
 				b.Fatal(err)
@@ -158,6 +144,58 @@ func BenchmarkCorpusParallelChurn(b *testing.B) {
 					}
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkCorpusSkewedHotspot measures what the rebalancer buys when
+// writes are skewed: every write lands on 32 nodes that hash into shard
+// 0 of 8, and one op is a cycle of 16 Remove+Insert pairs and one
+// KNN(5) query. Under "fixed" hash placement every hot write clones the
+// whole hot shard; "adaptive" runs RebalanceTick every 8 cycles, which
+// splits the hot shard until a write clones a fraction of it. No
+// harness workload skews its writes or starts a rebalancer, so this is
+// the only measurement of that trade; run it with -benchtime 2000x.
+func BenchmarkCorpusSkewedHotspot(b *testing.B) {
+	const k, nQueries, nCands, l = 2, 20, 800, 5
+	const base, hotSize, writesPerQuery, tickEvery = 8, 32, 16, 8
+	g2, queries, cands := benchWorkload(0.3, k, nQueries, nCands)
+	var hot []NodeID
+	for _, v := range cands {
+		if HashShard(v, base) == 0 && len(hot) < hotSize {
+			hot = append(hot, v)
+		}
+	}
+	pol := RebalancePolicy{MinShardNodes: 8, SplitMinMutations: 4, SplitFraction: 0.25}
+	ctx := context.Background()
+	for _, placement := range []string{"fixed", "adaptive"} {
+		b.Run(placement, func(b *testing.B) {
+			corpus, err := NewCorpus(g2, k, WithNodes(cands), WithShards(base))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < writesPerQuery; j++ {
+					v := hot[(i*writesPerQuery+j)%len(hot)]
+					if err := corpus.Remove(v); err != nil {
+						b.Fatal(err)
+					}
+					if err := corpus.Insert(v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := corpus.KNNSignature(ctx, queries[i%len(queries)], l); err != nil {
+					b.Fatal(err)
+				}
+				if placement == "adaptive" && (i+1)%tickEvery == 0 {
+					corpus.RebalanceTick(pol)
+				}
+			}
+			b.ReportMetric(float64(b.N*(2*writesPerQuery+1))/b.Elapsed().Seconds(), "ops/s")
 		})
 	}
 }

@@ -352,11 +352,19 @@ func TestCorpusShardedNodeQueries(t *testing.T) {
 	}
 }
 
-// TestCorpusShardStats pins the shard-visible statistics: the per-shard
-// node counts must partition the corpus, and the configured shard count
-// must be reported.
+// TestCorpusShardStats pins the configuration Stats reports: the
+// per-shard node counts must partition the corpus, the configured shard
+// count must be reported, and a corpus built with no options reports
+// the default backend, the pruned scan.
 func TestCorpusShardStats(t *testing.T) {
 	g := randomGraph(60, 120, 941)
+	def, err := NewCorpus(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := def.Stats().Backend.String(); got != "pruned" {
+		t.Errorf("NewCorpus with no options: Stats().Backend = %q, want \"pruned\"", got)
+	}
 	c, err := NewCorpus(g, 2, WithShards(5), WithBackend(BackendLinear))
 	if err != nil {
 		t.Fatal(err)

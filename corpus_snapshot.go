@@ -270,7 +270,7 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	cfg := corpusConfig{backend: BackendVP, rebuildAt: defaultRebuildThreshold}
+	cfg := corpusConfig{backend: BackendPrunedLinear, rebuildAt: defaultRebuildThreshold}
 	k := meta.K
 	if meta.Version >= 1 {
 		if cfg.backend, err = ParseBackend(meta.Backend); err != nil {

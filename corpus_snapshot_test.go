@@ -242,7 +242,7 @@ func TestCorpusSnapshotDeterministic(t *testing.T) {
 }
 
 // TestLoadCorpusLegacySignatureFile: a plain WriteSignatures file (the
-// pre-snapshot format) loads as a corpus.
+// pre-snapshot format) loads as a corpus on the default backend.
 func TestLoadCorpusLegacySignatureFile(t *testing.T) {
 	ctx := context.Background()
 	g := randomGraph(30, 60, 917)
@@ -264,7 +264,7 @@ func TestLoadCorpusLegacySignatureFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCorpus(legacy signatures): %v", err)
 	}
-	if s := loaded.Stats(); s.K != 2 || s.Nodes != 30 || s.Backend != BackendVP {
+	if s := loaded.Stats(); s.K != 2 || s.Nodes != 30 || s.Backend != BackendPrunedLinear {
 		t.Fatalf("legacy load stats: %+v", s)
 	}
 	fresh, err := NewCorpus(g, 2, WithBackend(BackendVP))

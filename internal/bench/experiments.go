@@ -41,11 +41,6 @@ func Full() Options {
 	return Options{Scale: 1, Pairs: 400, Queries: 100, Candidates: 1000, Seed: 1}
 }
 
-// Normalize fills zero or negative fields with the Full() defaults, as
-// every experiment entry point does internally; exported for external
-// drivers like cmd/nedbench's corpus experiment.
-func (o *Options) Normalize() { o.defaults() }
-
 func (o *Options) defaults() {
 	if o.Scale <= 0 {
 		o.Scale = 1

@@ -13,8 +13,8 @@ import (
 // through the columnar block kernels versus the scalar per-candidate
 // cascade. The scans' wall-clock win (BenchmarkCorpusKNN) mixes filter
 // and verify work; this is the filter side alone, in ns per candidate.
-// CI runs it at -benchtime=1x as a compile-and-smoke gate;
-// BENCH_CASCADE.json records the measured before/after.
+// CI runs it at -benchtime=1x as a compile-and-smoke gate; the harness
+// reads the block sweep at serving size as ned.sweep_ns_per_candidate.
 func BenchmarkCascadeKernels(b *testing.B) {
 	const nItems, k = 400, 2
 	g := randomTestGraph(nItems, 2*nItems+nItems/2, 77)

@@ -13,8 +13,9 @@ import (
 // staleness, observed cascade prune rates) per query or per batch; the
 // planner exists because the fixed all-shards fan-out that is optimal
 // for large balanced corpora costs small or skewed ones real latency
-// (BENCH_PARALLEL_CHURN showed up to +66% on the reader side), and the
-// statistics to do better are already being collected.
+// (BenchmarkCorpusParallelChurn read +66% per op at shards=4 against
+// shards=1 on one core), and the statistics to do better are already
+// being collected.
 //
 // Every mode answers node-identically to the naive all-shards fan-out:
 //   - PlanParallel IS that fan-out;
