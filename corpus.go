@@ -65,12 +65,14 @@ const (
 	// BackendBK is a Burkhard–Keller tree specialized to NED's small
 	// integer distances.
 	BackendBK
-	// BackendLinear evaluates every candidate per query across the
-	// corpus worker pool — the exact baseline, and the fastest choice
-	// for small corpora.
+	// BackendLinear is the same cascade scan as BackendPrunedLinear with
+	// each query's candidates shared among ⌈workers / shards⌉ sweepers
+	// per shard: the same pruning decisions and the same answers,
+	// spread over more cores for a lone query.
 	BackendLinear
-	// BackendPrunedLinear scans sequentially, skipping candidates the
-	// padding lower bound proves out of range (§10). The default: with
+	// BackendPrunedLinear is the cascade scan (§10) at width 1: each
+	// shard scans on one goroutine, best-first by lower bound, skipping
+	// the candidates the bounds prove out of range. The default: with
 	// the filter cascade in front it does fewer TED* evaluations than
 	// the trees and costs nothing to build.
 	BackendPrunedLinear
@@ -172,7 +174,7 @@ func WithBackend(b Backend) CorpusOption {
 }
 
 // WithWorkers sets the worker pool size used for parallel signature
-// materialization, linear-backend scans, shard fan-out, and BatchKNN.
+// materialization, BackendLinear's scan width, shard fan-out, and BatchKNN.
 // Values <= 0 (the default) mean GOMAXPROCS.
 func WithWorkers(n int) CorpusOption {
 	return func(c *corpusConfig) { c.workers = n }
@@ -622,10 +624,9 @@ func sortedShardItems(byNode map[NodeID]ned.Item) []ned.Item {
 	return items
 }
 
-// shardWorkers is the per-shard worker budget for the linear backend's
-// scans: the corpus worker count split across shards, so one query's
-// full fan-out saturates the configured width instead of multiplying
-// it.
+// shardWorkers is the per-shard scan width of BackendLinear: the corpus
+// worker count split across shards, so one query's full fan-out
+// saturates the configured width instead of multiplying it.
 func (c *Corpus) shardWorkers() int {
 	w := c.cfg.workers
 	if w <= 0 {
@@ -649,10 +650,11 @@ func (c *Corpus) newShardIndex(byNode map[NodeID]ned.Item) ned.DynamicIndex {
 		return ned.NewVPBackend(items)
 	case BackendBK:
 		return ned.NewBKBackend(items)
+	// The two scan names are one cascade scan; they differ in width.
 	case BackendLinear:
 		return ned.NewLinearBackend(items, c.shardWorkers())
 	case BackendPrunedLinear:
-		return ned.NewPrunedLinearBackend(items)
+		return ned.NewLinearBackend(items, 1)
 	}
 	// Unreachable: NewCorpus and LoadCorpus validate the backend.
 	panic(fmt.Sprintf("ned: invalid backend %d past construction", int(c.cfg.backend)))
@@ -1035,10 +1037,11 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	// not move meaningfully within one call, and per-query planning
 	// would pay the live-shard walk len(sigs) times.
 	plan := c.buildPlan(eps, l)
-	// The linear backend already spreads each scan across the worker
-	// pool (and the shard fan-out multiplies that); batching on top
-	// would oversubscribe, so batch sequentially there and let each
-	// query parallelize instead.
+	// A scan wider than one sweeper already spreads each query across
+	// the worker pool (shardWorkers sweepers per shard, times the shard
+	// fan-out); batching on top would oversubscribe, so batch
+	// sequentially there and let each query parallelize instead. Only
+	// BackendLinear builds its scans at that width.
 	batchWorkers := 0 // executor width
 	if c.cfg.backend == BackendLinear {
 		batchWorkers = 1

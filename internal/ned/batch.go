@@ -53,14 +53,11 @@ func DistanceMatrix(as, bs []Signature, opts BatchOptions) [][]int {
 	return m
 }
 
-// TopLParallel is TopL with the candidate distances evaluated across
-// workers. Results are identical to TopL. It is the low-level form of
-// the parallel linear index backend (NewLinearBackend).
+// TopLParallel is TopL answered by the cascade scan with opts.Workers
+// sweepers sharing the query's candidates: PrunedTopL at a wider
+// width. Results are identical to TopL.
 func TopLParallel(query Signature, candidates []Signature, l int, opts BatchOptions) []Neighbor {
-	if l <= 0 || len(candidates) == 0 {
-		return nil
-	}
-	res, _ := NewLinearBackend(ItemsOf(candidates), opts.Workers).KNN(context.Background(), query.Item(), l)
+	res, _, _ := scanKNN(context.Background(), query.Item(), ItemsOf(candidates), nil, l, opts.workers(), nil)
 	return res
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // This file wraps the columnar profile arenas (internal/tree) into the
-// candidate block the linear and pruned scans sweep: one arena for the
+// candidate block the cascade scan sweeps at any width: one arena for the
 // out-trees, one for the in-trees when the corpus is directed, plus the
 // slot permutation sorted by node that makes counting sort reproduce
 // cascadeOrder's canonical (padding bound, node) order. The block is

@@ -37,8 +37,8 @@ import (
 // The block kernels (kernels.go) evaluate the same tiers over a whole
 // candidate block laid out as a struct-of-arrays profile arena
 // (block.go): contiguous int32 sweeps emitting per-slot bound values
-// and survivor bitmaps, no per-candidate pointer chasing. The linear
-// and pruned scans consume blocks. For any (query, candidate,
+// and survivor bitmaps, no per-candidate pointer chasing. The cascade
+// scan (scanKNN / scanRange) consumes blocks. For any (query, candidate,
 // threshold), block and scalar kernels admit and dismiss identically
 // and produce equal bound values — kernels_test.go pins this
 // bit-for-bit over fuzz-seeded corpora — so all four backends stay

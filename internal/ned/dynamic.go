@@ -2,7 +2,6 @@ package ned
 
 import (
 	"context"
-	"sort"
 
 	"ned/internal/graph"
 	"ned/internal/ted"
@@ -13,8 +12,9 @@ import (
 // networks that change over time), so the index layer supports node
 // churn without a full re-index:
 //
-//   - the linear and pruned scans update their item slices in place —
-//     mutation is as cheap as the slice ops and queries never degrade;
+//   - the cascade scan (both of its names, "linear" and "pruned") edits
+//     its item slice in place — mutation is as cheap as the slice ops
+//     and queries never degrade;
 //   - the VP-tree takes a tombstone + append path: removals mark tree
 //     nodes dead (they keep routing, never rank), insertions land in a
 //     linearly-scanned tail merged into every query;
@@ -93,19 +93,19 @@ func removeItems(items []Item, gone map[graph.NodeID]bool) ([]Item, int) {
 	return items[:w], dropped
 }
 
-// --- linear backend ---
+// --- cascade scan backend ---
 
 // Scan mutations recompile the profile block: the columnar arenas are
 // index-aligned with the item slice and immutable (shared by epoch
 // clones), so any slice edit needs a fresh block. Linear in the item
 // count, the same order as the slice edit itself plus profile copying.
 
-func (b *linearBackend) Insert(items ...Item) {
+func (b *scanBackend) Insert(items ...Item) {
 	b.items = append(b.items, items...)
 	b.block = compileBlock(b.items)
 }
 
-func (b *linearBackend) Remove(nodes ...graph.NodeID) int {
+func (b *scanBackend) Remove(nodes ...graph.NodeID) int {
 	var n int
 	b.items, n = removeItems(b.items, nodeSet(nodes))
 	if n > 0 {
@@ -114,25 +114,7 @@ func (b *linearBackend) Remove(nodes ...graph.NodeID) int {
 	return n
 }
 
-func (b *linearBackend) Stale() (int, int) { return 0, len(b.items) }
-
-// --- pruned linear backend ---
-
-func (b *prunedBackend) Insert(items ...Item) {
-	b.items = append(b.items, items...)
-	b.block = compileBlock(b.items)
-}
-
-func (b *prunedBackend) Remove(nodes ...graph.NodeID) int {
-	var n int
-	b.items, n = removeItems(b.items, nodeSet(nodes))
-	if n > 0 {
-		b.block = compileBlock(b.items)
-	}
-	return n
-}
-
-func (b *prunedBackend) Stale() (int, int) { return 0, len(b.items) }
+func (b *scanBackend) Stale() (int, int) { return 0, len(b.items) }
 
 // --- VP-tree backend ---
 
@@ -176,26 +158,6 @@ func (b *vpBackend) mergeTailKNN(ctx context.Context, query Item, l int, out []N
 		out = insertNeighborCanonical(out, Neighbor{Node: it.Node, Dist: d}, l)
 	}
 	return out, nil
-}
-
-// insertNeighborCanonical inserts n into a canonically-sorted slice at
-// its (distance, node) position, trimming to at most l entries —
-// O(log l) search plus one shift, versus a full re-sort per accepted
-// tail item.
-func insertNeighborCanonical(out []Neighbor, n Neighbor, l int) []Neighbor {
-	i := sort.Search(len(out), func(i int) bool {
-		if out[i].Dist != n.Dist {
-			return out[i].Dist > n.Dist
-		}
-		return out[i].Node > n.Node
-	})
-	out = append(out, Neighbor{})
-	copy(out[i+1:], out[i:])
-	out[i] = n
-	if len(out) > l {
-		out = out[:l]
-	}
-	return out
 }
 
 // rangeTail appends tail items within distance r of the query.

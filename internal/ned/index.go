@@ -14,13 +14,14 @@ import (
 )
 
 // This file defines the unified index layer behind the public Corpus
-// query engine: one Index interface that the VP-tree, BK-tree, parallel
-// linear scan, and pruned linear scan all implement, so query-serving
-// code is written once against the interface and backends stay
-// interchangeable.
+// query engine: one Index interface that the VP-tree, the BK-tree and
+// the cascade scan implement, so query-serving code is written once
+// against the interface and backends stay interchangeable. The scan has
+// two names, "pruned" and "linear"; they are one implementation
+// (scanBackend) at width 1 and at a caller-chosen width.
 //
 // Every backend threads a distance budget into the TED* computation —
-// the current kth-best for the scans, tau for the VP-tree, the ring
+// the current l-th best for the scan, tau for the VP-tree, the ring
 // radius for the BK-tree — so hopeless candidates are abandoned
 // mid-computation (see ted.Computer.DistanceAtMost). Budgets never
 // change results: an evaluation only aborts when the exact distance
@@ -165,13 +166,12 @@ type Counters struct {
 	LabelPrunes   int64
 
 	// BlockCandidates counts candidate slots swept by the block kernels
-	// (the columnar fast path of the linear and pruned scans); the
-	// survivor counters below break down how many of them passed each
-	// successive tier during their scan — BlockLabelSurvivors is how
-	// many reached the verify stage through the block path. Candidates
-	// evaluated before a scan has a pruning threshold pass trivially.
-	// Zero on the tree backends and on scans that fell back to the
-	// scalar cascade.
+	// (the columnar fast path of the cascade scan); the survivor
+	// counters below break down how many of them passed each successive
+	// tier during their scan — BlockLabelSurvivors is how many reached
+	// the verify stage through the block path. Candidates evaluated
+	// before a scan has a pruning threshold pass trivially. Zero on the
+	// tree backends and on scans that fell back to the scalar cascade.
 	BlockCandidates       int64
 	BlockSizeSurvivors    int64
 	BlockPaddingSurvivors int64
@@ -376,6 +376,27 @@ func sortNeighborsCanonical(ns []Neighbor) {
 		}
 		return ns[i].Node < ns[j].Node
 	})
+}
+
+// insertNeighborCanonical inserts n into a canonically-sorted slice at
+// its (distance, node) position, trimming to at most l entries —
+// O(log l) search plus one shift, versus a full re-sort per accepted
+// candidate. It is the one sorted insert: the scan's collector and the
+// VP backend's tail merge both go through it.
+func insertNeighborCanonical(out []Neighbor, n Neighbor, l int) []Neighbor {
+	i := sort.Search(len(out), func(i int) bool {
+		if out[i].Dist != n.Dist {
+			return out[i].Dist > n.Dist
+		}
+		return out[i].Node > n.Node
+	})
+	out = append(out, Neighbor{})
+	copy(out[i+1:], out[i:])
+	out[i] = n
+	if len(out) > l {
+		out = out[:l]
+	}
+	return out
 }
 
 // itemLess is the canonical tie-break every backend shares: equal
@@ -630,42 +651,75 @@ func (b *bkBackend) Clone() DynamicIndex {
 	return nb
 }
 
-// --- parallel linear-scan backend ---
+// --- cascade scan backend ---
 
-type linearBackend struct {
-	items    []Item
-	workers  int
-	counters *counterSet
-
+// scanBackend is the cascade scan (§10) over a flat item slice: both
+// scan names construct it, "pruned" at width 1 and "linear" at the
+// width the caller asks for. The width is how many sweepers share one
+// query's candidates; it moves wall time, never decisions.
+type scanBackend struct {
+	items []Item
 	// block is the columnar form of the item profiles (slot i describes
 	// items[i]); nil when any item is unprofiled, in which case every
 	// query takes the scalar per-candidate cascade. Recompiled on
 	// mutation, shared by clones.
-	block *profileBlock
+	block    *profileBlock
+	workers  int
+	counters *counterSet
 }
 
-// NewLinearBackend evaluates every indexed item per query across the
-// given worker count (<= 0 means GOMAXPROCS). The exact baseline every
-// metric index is measured against; still the fastest option for small
-// corpora where tree traversal overhead dominates. KNN precompiles the
-// cascade bound of every candidate — one block-kernel sweep over the
-// columnar profile arenas when all items are profiled — evaluates
-// best-first by it, and shares the running kth-best distance across
-// workers, so late candidates are dismissed tier by tier or abandoned
-// mid-TED* once they provably cannot rank. Mutations edit the item
-// slice in place (see dynamic.go).
+// NewLinearBackend is the cascade scan at the given width (<= 0 means
+// GOMAXPROCS): that many sweepers claim one query's candidates
+// best-first and share its running l-th distance. KNN precompiles the
+// size and padding bounds of every candidate — one block-kernel sweep
+// over the columnar profile arenas when all items are profiled —
+// verifies in ascending bound order under the current l-th distance as
+// TED* budget, and stops at the first candidate whose bound exceeds it.
+// Mutations edit the item slice in place (see dynamic.go).
 func NewLinearBackend(items []Item, workers int) DynamicIndex {
-	return &linearBackend{
+	return &scanBackend{
 		items:    items,
+		block:    compileBlock(items),
 		workers:  BatchOptions{Workers: workers}.workers(),
 		counters: &counterSet{},
-		block:    compileBlock(items),
 	}
 }
 
-// topLCollector accumulates the l canonically-smallest neighbors across
-// concurrent workers and publishes the current kth-best distance as a
-// lock-free threshold for budgeting.
+// NewPrunedLinearBackend is the cascade scan at width 1: the whole
+// query runs on the caller's goroutine, the §10 lower-bound-pruned scan
+// PrunedTopL pioneered.
+func NewPrunedLinearBackend(items []Item) DynamicIndex { return NewLinearBackend(items, 1) }
+
+func (b *scanBackend) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
+	res, _, err := scanKNN(ctx, query, b.items, b.block, l, b.workers, b.counters)
+	return res, err
+}
+
+func (b *scanBackend) Range(ctx context.Context, query Item, r int) ([]Neighbor, error) {
+	return scanRange(ctx, query, b.items, b.block, r, b.workers, b.counters)
+}
+
+func (b *scanBackend) Len() int             { return len(b.items) }
+func (b *scanBackend) DistanceCalls() int64 { return b.counters.distCalls.Load() }
+func (b *scanBackend) Counters() Counters   { return b.counters.snapshot() }
+func (b *scanBackend) ResetStats()          { b.counters.reset() }
+
+func (b *scanBackend) counterSink() *counterSet     { return b.counters }
+func (b *scanBackend) setCounterSink(c *counterSet) { b.counters = c }
+
+// Clone returns a structurally private copy: the item slice is
+// duplicated (in-place mutation on the clone cannot alias the
+// original's backing array), the counter accumulator and the immutable
+// profile block shared (a mutation on the clone recompiles its own).
+func (b *scanBackend) Clone() DynamicIndex {
+	c := *b
+	c.items = append([]Item(nil), b.items...)
+	return &c
+}
+
+// topLCollector accumulates the l canonically-smallest neighbors of one
+// query across its sweepers and publishes the current l-th distance as
+// a lock-free threshold for budgeting.
 type topLCollector struct {
 	mu      sync.Mutex
 	l       int
@@ -679,128 +733,179 @@ func newTopLCollector(l int) *topLCollector {
 	return c
 }
 
-// threshold returns the current kth-best distance, or ted.Unbounded
-// until l results exist. Any candidate with distance strictly above it
-// cannot enter the final result.
+// threshold returns the current l-th distance, or ted.Unbounded until l
+// results exist. Any candidate with distance strictly above it cannot
+// enter the final result, and it only ever tightens.
 func (c *topLCollector) threshold() int { return int(c.thr.Load()) }
 
 func (c *topLCollector) offer(n Neighbor) {
 	c.mu.Lock()
-	i := len(c.results)
-	c.results = append(c.results, n)
-	for ; i > 0; i-- {
-		p := c.results[i-1]
-		if p.Dist < n.Dist || (p.Dist == n.Dist && p.Node < n.Node) {
-			break
-		}
-		c.results[i] = p
-	}
-	c.results[i] = n
-	if len(c.results) > c.l {
-		c.results = c.results[:c.l]
-	}
+	c.results = insertNeighborCanonical(c.results, n, c.l)
 	if len(c.results) == c.l {
 		c.thr.Store(int64(c.results[c.l-1].Dist))
 	}
 	c.mu.Unlock()
 }
 
-func (b *linearBackend) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
-	if l <= 0 || len(b.items) == 0 {
-		return nil, ctx.Err()
+// cancelCheckStride is how many candidates a sweeper processes between
+// context checks.
+const cancelCheckStride = 16
+
+// runSweepers runs sweep(w) once per sweeper w in [0, workers) and
+// returns when all have finished: on the caller's own goroutine at
+// width 1, on workers goroutines otherwise.
+func runSweepers(workers int, sweep func(w int)) {
+	if workers <= 1 {
+		sweep(0)
+		return
 	}
-	// Precompile every candidate's cheap cascade bounds — one block-
-	// kernel sweep over the columnar arenas when the backend has a
-	// block, the scalar per-item path otherwise — and evaluate
-	// best-first: workers pull candidates in ascending-bound order, so
-	// the shared kth-best threshold tightens as early as possible and
-	// the precompiled tiers dismiss most of the tail — the label tier
-	// runs lazily, only for candidates size and padding admit.
-	order, sizeB, padB, blocked, err := cascadeOrder(ctx, query, b.items, b.block, b.workers, b.counters)
-	if err != nil {
-		return nil, err
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			sweep(w)
+		}()
 	}
-	col := newTopLCollector(l)
-	comps := acquireComputers(b.workers)
-	defer releaseComputers(comps)
-	err = ParallelForCtxWorkers(ctx, len(b.items), b.workers, func(w, i int) {
-		j := order[i]
-		it := b.items[j]
-		t := col.threshold()
-		if t != ted.Unbounded {
-			if int(sizeB[j]) > t {
-				b.counters.cascadePrune(tierSize)
-				return
-			}
-			if int(padB[j]) > t {
-				if blocked {
-					b.counters.blockSurvive(tierSize)
-				}
-				b.counters.cascadePrune(tierPadding)
-				return
-			}
-			var pruned bool
-			if blocked {
-				pruned = b.block.labelTier(query, int(j), t)
-			} else {
-				_, pruned = labelTierPrunes(query, it, t)
-			}
-			if pruned {
-				if blocked {
-					b.counters.blockSurvive(tierPadding)
-				}
-				b.counters.cascadePrune(tierLabel)
-				return
-			}
-		}
-		if blocked {
-			b.counters.blockSurvive(tierLabel)
-		}
-		d, out := verifyDistanceAtMost(comps[w], query, it, t, b.counters)
-		if out != ted.OutcomeExact {
-			return
-		}
-		if d <= col.threshold() {
-			col.offer(Neighbor{Node: it.Node, Dist: d})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return col.results, nil
+	wg.Wait()
 }
 
-func (b *linearBackend) Range(ctx context.Context, query Item, r int) ([]Neighbor, error) {
-	if survivors, ok := rangeBlockSurvivors(query, b.items, b.block, r, b.counters); ok {
-		// The block kernels already ran every filter tier at threshold r;
-		// only the survivors need the verify stage.
-		var mu sync.Mutex
-		var out []Neighbor
-		comps := acquireComputers(b.workers)
-		defer releaseComputers(comps)
-		err := ParallelForCtxWorkers(ctx, len(survivors), b.workers, func(w, i int) {
-			it := b.items[survivors[i]]
-			d, o := verifyDistanceAtMost(comps[w], query, it, r, b.counters)
-			if o == ted.OutcomeExact && d <= r {
-				mu.Lock()
-				out = append(out, Neighbor{Node: it.Node, Dist: d})
-				mu.Unlock()
+// scanKNN is the cascade top-l scan behind both scan backends, the
+// planner's scan-over-epoch-items path and the PrunedTopL / TopLParallel
+// free functions (which pass a nil block and take the scalar bounds).
+// The ranking is exact with respect to the full TED* distance: every
+// reported neighbor carries its true distance and the set is the
+// canonical (distance, node) top-l, identical to a full scan's, at any
+// width.
+func scanKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l, workers int, counters *counterSet) ([]Neighbor, PruneStats, error) {
+	if err := ctx.Err(); err != nil || l <= 0 || len(items) == 0 {
+		return nil, PruneStats{}, err
+	}
+	// Precompile every candidate's cheap cascade bounds — the block
+	// kernels when blk covers the items — and claim best-first:
+	// likely-close candidates are verified first, which tightens the
+	// shared threshold early, and the precompiled tiers then dismiss the
+	// tail without touching the trees — the label tier runs lazily, only
+	// for candidates size and padding admit.
+	order, sizeB, padB, blocked, err := cascadeOrder(ctx, query, items, blk, workers, counters)
+	if err != nil {
+		return nil, PruneStats{}, err
+	}
+	col := newTopLCollector(l)
+	// What the sweepers share besides the collector: the cursor into order
+	// (each position has exactly one claimant) and the query's stats.
+	var scan struct {
+		next  atomic.Int64
+		mu    sync.Mutex
+		stats PruneStats
+	}
+	runSweepers(min(workers, len(order)), func(int) {
+		comp := tedComputers.Get().(*ted.Computer)
+		defer tedComputers.Put(comp)
+		var st PruneStats
+		for k := 0; ; k++ {
+			if k%cancelCheckStride == 0 && ctx.Err() != nil {
+				break
 			}
-		})
-		if err != nil {
-			return nil, err
+			i := int(scan.next.Add(1)) - 1
+			if i >= len(order) {
+				break
+			}
+			j := order[i]
+			it := items[j]
+			t := col.threshold()
+			if t != ted.Unbounded {
+				if int(padB[j]) > t {
+					// The order is ascending by padding bound and the threshold
+					// only tightens, so every candidate not yet claimed is
+					// dismissed by the same tiers right now — take the whole
+					// unclaimed tail off the cursor and cut it with this one in
+					// a single pass, attributing each slot to size or padding
+					// via its bounds. Positions other sweepers hold are theirs
+					// to count.
+					from := min(int(scan.next.Swap(int64(len(order)))), len(order))
+					rest, bySize := int64(1+len(order)-from), int64(0)
+					if int(sizeB[j]) > t {
+						bySize++
+					}
+					for _, jj := range order[from:] {
+						if int(sizeB[jj]) > t {
+							bySize++
+						}
+					}
+					counters.cascadePruneBulk(bySize, rest-bySize)
+					if blocked {
+						counters.blockSurviveBulk(rest-bySize, 0, 0)
+					}
+					st.PrunedByBound += int(rest)
+					break
+				}
+				var pruned bool
+				if blocked {
+					pruned = blk.labelTier(query, int(j), t)
+				} else {
+					_, pruned = labelTierPrunes(query, it, t)
+				}
+				if pruned {
+					if blocked {
+						counters.blockSurvive(tierPadding)
+					}
+					st.PrunedByBound++
+					counters.cascadePrune(tierLabel)
+					continue
+				}
+			}
+			if blocked {
+				counters.blockSurvive(tierLabel)
+			}
+			d, out := verifyDistanceAtMost(comp, query, it, t, counters)
+			switch out {
+			case ted.OutcomeExact:
+				st.FullEvaluations++
+				if d <= col.threshold() {
+					col.offer(Neighbor{Node: it.Node, Dist: d})
+				}
+			case ted.OutcomeAborted:
+				st.EarlyExits++
+			default:
+				st.PrunedByBound++
+			}
 		}
-		sortNeighborsCanonical(out)
-		return out, nil
+		scan.mu.Lock()
+		scan.stats.add(st)
+		scan.mu.Unlock()
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, scan.stats, err
+	}
+	return col.results, scan.stats, nil
+}
+
+// scanRange is the cascade range scan behind both scan backends and the
+// planner's scan-over-epoch-items path (which passes a nil block and
+// takes the scalar cascade). Results are exact and canonically sorted.
+func scanRange(ctx context.Context, query Item, items []Item, blk *profileBlock, r, workers int, counters *counterSet) ([]Neighbor, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// With a block the kernels have already run every filter tier at
+	// threshold r and only the survivors need the verify stage; without
+	// one every item goes through the scalar cascade.
+	n, dist := len(items), cascadeDistanceAtMost
+	survivors, blocked := rangeBlockSurvivors(query, items, blk, r, counters)
+	if blocked {
+		n, dist = len(survivors), verifyDistanceAtMost
 	}
 	var mu sync.Mutex
 	var out []Neighbor
-	comps := acquireComputers(b.workers)
+	comps := acquireComputers(workers)
 	defer releaseComputers(comps)
-	err := ParallelForCtxWorkers(ctx, len(b.items), b.workers, func(w, i int) {
-		it := b.items[i]
-		d, o := cascadeDistanceAtMost(comps[w], query, it, r, b.counters)
-		if o == ted.OutcomeExact && d <= r {
+	err := ParallelForCtxWorkers(ctx, n, workers, func(w, i int) {
+		if blocked {
+			i = int(survivors[i])
+		}
+		it := items[i]
+		if d, o := dist(comps[w], query, it, r, counters); o == ted.OutcomeExact && d <= r {
 			mu.Lock()
 			out = append(out, Neighbor{Node: it.Node, Dist: d})
 			mu.Unlock()
@@ -813,220 +918,6 @@ func (b *linearBackend) Range(ctx context.Context, query Item, r int) ([]Neighbo
 	return out, nil
 }
 
-func (b *linearBackend) Len() int             { return len(b.items) }
-func (b *linearBackend) DistanceCalls() int64 { return b.counters.distCalls.Load() }
-func (b *linearBackend) Counters() Counters   { return b.counters.snapshot() }
-func (b *linearBackend) ResetStats()          { b.counters.reset() }
-
-func (b *linearBackend) counterSink() *counterSet     { return b.counters }
-func (b *linearBackend) setCounterSink(c *counterSet) { b.counters = c }
-
-// Clone returns a structurally private copy: the item slice is
-// duplicated (in-place mutation on the clone cannot alias the
-// original's backing array), the counter accumulator and the immutable
-// profile block shared (a mutation on the clone recompiles its own).
-func (b *linearBackend) Clone() DynamicIndex {
-	return &linearBackend{items: append([]Item(nil), b.items...), workers: b.workers, counters: b.counters, block: b.block}
-}
-
-// --- pruned linear-scan backend ---
-
-type prunedBackend struct {
-	items    []Item
-	counters *counterSet
-
-	// block is the columnar form of the item profiles; nil means the
-	// scalar cascade (see linearBackend.block).
-	block *profileBlock
-}
-
-// NewPrunedLinearBackend scans sequentially but skips full TED*
-// evaluations for items the filter cascade proves out of range (the
-// §10 pruning strategy PrunedTopL pioneered, now over precompiled
-// size / padding / label-multiset bounds evaluated best-first through
-// the block kernels when all items are profiled), and abandons the
-// survivors mid-computation once their running cost crosses the
-// threshold. Mutations edit the item slice in place (see dynamic.go).
-func NewPrunedLinearBackend(items []Item) DynamicIndex {
-	return &prunedBackend{items: items, counters: &counterSet{}, block: compileBlock(items)}
-}
-
-func (b *prunedBackend) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
-	res, _, err := prunedKNN(ctx, query, b.items, b.block, l, b.counters)
-	return res, err
-}
-
-func (b *prunedBackend) Range(ctx context.Context, query Item, r int) ([]Neighbor, error) {
-	return scanRange(ctx, query, b.items, b.block, r, b.counters)
-}
-
-// scanRange is the cascade-pruned range scan shared by the pruned
-// backend and the planner's scan-over-epoch-items path (which passes a
-// nil block and takes the scalar cascade). Results are exact and
-// canonically sorted.
-func scanRange(ctx context.Context, query Item, items []Item, blk *profileBlock, r int, counters *counterSet) ([]Neighbor, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	comp := tedComputers.Get().(*ted.Computer)
-	defer tedComputers.Put(comp)
-	var out []Neighbor
-	if survivors, ok := rangeBlockSurvivors(query, items, blk, r, counters); ok {
-		for i, j := range survivors {
-			if i%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			it := items[j]
-			d, o := verifyDistanceAtMost(comp, query, it, r, counters)
-			if o == ted.OutcomeExact && d <= r {
-				out = append(out, Neighbor{Node: it.Node, Dist: d})
-			}
-		}
-		sortNeighborsCanonical(out)
-		return out, nil
-	}
-	for i, it := range items {
-		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		d, o := cascadeDistanceAtMost(comp, query, it, r, counters)
-		if o == ted.OutcomeExact && d <= r {
-			out = append(out, Neighbor{Node: it.Node, Dist: d})
-		}
-	}
-	sortNeighborsCanonical(out)
-	return out, nil
-}
-
-func (b *prunedBackend) Len() int             { return len(b.items) }
-func (b *prunedBackend) DistanceCalls() int64 { return b.counters.distCalls.Load() }
-func (b *prunedBackend) Counters() Counters   { return b.counters.snapshot() }
-func (b *prunedBackend) ResetStats()          { b.counters.reset() }
-
-func (b *prunedBackend) counterSink() *counterSet     { return b.counters }
-func (b *prunedBackend) setCounterSink(c *counterSet) { b.counters = c }
-
-// Clone returns a structurally private copy: duplicated item slice,
-// shared counter accumulator and (immutable) profile block.
-func (b *prunedBackend) Clone() DynamicIndex {
-	return &prunedBackend{items: append([]Item(nil), b.items...), counters: b.counters, block: b.block}
-}
-
-// cancelCheckStride is how many candidates a sequential scan processes
-// between context checks.
-const cancelCheckStride = 16
-
-// prunedKNN is the lower-bound-pruned top-l scan shared by the pruned
-// backend and the legacy PrunedTopL free function. The returned ranking
-// is exact with respect to the full TED* distance: every reported
-// neighbor carries its true distance and the set is the canonical
-// (distance, node) top-l, identical to a full scan's.
-func prunedKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l int, counters *counterSet) ([]Neighbor, PruneStats, error) {
-	var stats PruneStats
-	if l <= 0 || len(items) == 0 {
-		return nil, stats, ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, err
-	}
-	// Precompile every candidate's cheap cascade bounds — the block
-	// kernels when blk covers the items — and scan best-first:
-	// likely-close candidates are verified first, which tightens the
-	// pruning threshold early, and the precompiled tiers then dismiss
-	// the tail without touching the trees — the label tier runs lazily,
-	// only for candidates size and padding admit.
-	order, sizeB, padB, blocked, err := cascadeOrder(ctx, query, items, blk, 1, counters)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	comp := tedComputers.Get().(*ted.Computer)
-	defer tedComputers.Put(comp)
-
-	var results []Neighbor
-	kth := func() int {
-		if len(results) < l {
-			return -1 // no threshold yet
-		}
-		return results[len(results)-1].Dist
-	}
-	insert := func(n Neighbor) {
-		results = append(results, n)
-		sortNeighborsCanonical(results)
-		if len(results) > l {
-			results = results[:l]
-		}
-	}
-	for i, j := range order {
-		if i%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, stats, err
-			}
-		}
-		it := items[j]
-		t := kth()
-		if t >= 0 {
-			if int(padB[j]) > t {
-				// The order is ascending by padding bound and the threshold
-				// only tightens, so every remaining candidate is dismissed by
-				// the same tiers right now — cut the whole tail in one pass,
-				// attributing each slot to size or padding via its bounds.
-				var bySize int64
-				for _, jj := range order[i:] {
-					if int(sizeB[jj]) > t {
-						bySize++
-					}
-				}
-				rest := int64(len(order) - i)
-				counters.cascadePruneBulk(bySize, rest-bySize)
-				if blocked {
-					counters.blockSurviveBulk(rest-bySize, 0, 0)
-				}
-				stats.PrunedByBound += int(rest)
-				break
-			}
-			var pruned bool
-			if blocked {
-				pruned = blk.labelTier(query, int(j), t)
-			} else {
-				_, pruned = labelTierPrunes(query, it, t)
-			}
-			if pruned {
-				if blocked {
-					counters.blockSurvive(tierPadding)
-				}
-				stats.PrunedByBound++
-				counters.cascadePrune(tierLabel)
-				continue
-			}
-		}
-		if blocked {
-			counters.blockSurvive(tierLabel)
-		}
-		budget := ted.Unbounded
-		if t >= 0 {
-			budget = t
-		}
-		d, out := verifyDistanceAtMost(comp, query, it, budget, counters)
-		switch out {
-		case ted.OutcomeExact:
-			stats.FullEvaluations++
-			if t < 0 || d <= t {
-				insert(Neighbor{Node: it.Node, Dist: d})
-			}
-		case ted.OutcomeAborted:
-			stats.EarlyExits++
-		default:
-			stats.PrunedByBound++
-		}
-	}
-	return results, stats, nil
-}
-
 // ParallelForCtx runs fn(i) for i in [0, n) across workers (<= 0 means
 // GOMAXPROCS), stopping early when ctx is canceled; it returns
 // ctx.Err() in that case. Slots already handed to workers still
@@ -1037,47 +928,24 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 
 // ParallelForCtxWorkers is ParallelForCtx with the worker index exposed,
 // so callers can give each goroutine its own scratch state (for example
-// a pooled ted.Computer). Worker indexes are dense in [0, workers).
+// a pooled ted.Computer). Worker indexes are dense in [0, workers). At
+// one worker the loop runs on the caller's goroutine.
 func ParallelForCtxWorkers(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers = BatchOptions{Workers: workers}.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if i%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+	var next atomic.Int64
+	runSweepers(min(BatchOptions{Workers: workers}.workers(), n), func(w int) {
+		for k := 0; ; k++ {
+			if k%cancelCheckStride == 0 && ctx.Err() != nil {
+				return
 			}
-			fn(0, i)
-		}
-		return ctx.Err()
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				fn(w, i)
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}(w)
-	}
-	done := ctx.Done()
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case next <- i:
-		case <-done:
-			break feed
+			fn(w, i)
 		}
-	}
-	close(next)
-	wg.Wait()
+	})
 	return ctx.Err()
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"ned/internal/graph"
+	"ned/internal/tree"
 )
 
 func randomTestGraph(n, m int, seed int64) *graph.Graph {
@@ -193,5 +195,128 @@ func TestPrunedBackendMatchesPrunedTopL(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("pruned backend %v != PrunedTopL %v", got, want)
+	}
+}
+
+// tripCtx reports context.Canceled once ix has started `after` TED*
+// evaluations: a cancellation that lands mid-scan by construction, with
+// no timing involved.
+type tripCtx struct {
+	context.Context
+	ix    Index
+	after int64
+}
+
+func (c tripCtx) Err() error {
+	if c.ix.DistanceCalls() >= c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestScanWidths pins that the cascade scan's width moves wall time and
+// nothing else. At width 1, 2 and 4, over profiled items (block
+// kernels) and unprofiled ones (scalar bounds), directed and
+// undirected: KNN and Range are node-identical to the exhaustive
+// oracle; every candidate of every query lands in exactly one counter
+// bucket — evaluated, or dismissed by exactly one tier — also when the
+// bound-sorted tail is cut while other sweepers still hold candidates;
+// at width 1 the counters are a function of the query stream; and a
+// context cancelled mid-scan yields context.Canceled and no partial
+// answer.
+func TestScanWidths(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := randomDirTestGraph(150, 340, 21, directed)
+		var nodes []graph.NodeID
+		for v := 0; v < g.NumNodes(); v++ {
+			nodes = append(nodes, graph.NodeID(v))
+		}
+		items := BuildItems(g, nodes, 2, directed, 2)
+		n := len(items)
+		// One corpus member (its twin sits at distance 0, so r = 0 has an
+		// answer) and two nodes of another graph.
+		other := randomDirTestGraph(60, 130, 77, directed)
+		queries := []Item{items[17], NewItem(other, 0, 2, directed), NewItem(other, 5, 2, directed)}
+		dict := tree.NewInterner()
+		profItems, profQueries := profiledCopy(items, dict), profiledCopy(queries, dict)
+
+		for _, profiled := range []bool{false, true} {
+			cands, qs, blockSwept := items, queries, int64(0)
+			if profiled {
+				cands, qs, blockSwept = profItems, profQueries, int64(n)
+			}
+			for _, width := range []int{1, 2, 4} {
+				name := fmt.Sprintf("directed=%v profiled=%v width=%d", directed, profiled, width)
+				// stream runs the whole query stream on a fresh scan and
+				// returns the counters it leaves behind.
+				stream := func() Counters {
+					ix := NewLinearBackend(cands, width)
+					var total Counters
+					check := func(what string, got, want []Neighbor, err error) {
+						t.Helper()
+						if err != nil {
+							t.Fatalf("%s %s: %v", name, what, err)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Errorf("%s %s: got %v, exhaustive %v", name, what, got, want)
+						}
+						c := ix.Counters()
+						if c.DistanceCalls+c.LowerBoundPrunes != int64(n) {
+							t.Errorf("%s %s: %d evaluated + %d pruned != %d candidates",
+								name, what, c.DistanceCalls, c.LowerBoundPrunes, n)
+						}
+						if c.LowerBoundPrunes != c.SizePrunes+c.PaddingPrunes+c.LabelPrunes {
+							t.Errorf("%s %s: LowerBoundPrunes %d != size %d + padding %d + label %d",
+								name, what, c.LowerBoundPrunes, c.SizePrunes, c.PaddingPrunes, c.LabelPrunes)
+						}
+						if c.BlockCandidates != blockSwept {
+							t.Errorf("%s %s: %d candidates took the block path, want %d", name, what, c.BlockCandidates, blockSwept)
+						}
+						total = total.Add(c)
+						ix.ResetStats()
+					}
+					for qi, q := range qs {
+						all := exhaustiveKNN(queries[qi], items, n)
+						for _, l := range []int{1, 9, n + 1} {
+							got, err := ix.KNN(context.Background(), q, l)
+							check(fmt.Sprintf("query %d KNN l=%d", qi, l), got, all[:min(l, n)], err)
+						}
+						for _, r := range []int{0, 3} {
+							within := sort.Search(n, func(i int) bool { return all[i].Dist > r })
+							got, err := ix.Range(context.Background(), q, r)
+							check(fmt.Sprintf("query %d Range r=%d", qi, r), got, all[:within], err)
+						}
+					}
+					return total
+				}
+				first := stream()
+				if first.LowerBoundPrunes == 0 {
+					t.Errorf("%s: the stream never pruned, so no tail cut was exercised", name)
+				}
+				if width == 1 {
+					if second := stream(); second != first {
+						t.Errorf("%s: counters differ between two runs of one stream:\n%+v\n%+v", name, first, second)
+					}
+				}
+
+				// l = n+1 and r = 1000 leave nothing to prune, so a complete
+				// scan would evaluate all n candidates.
+				ix := NewLinearBackend(cands, width)
+				ctx := tripCtx{Context: context.Background(), ix: ix, after: 5}
+				if got, err := ix.KNN(ctx, qs[1], n+1); !errors.Is(err, context.Canceled) || got != nil {
+					t.Errorf("%s: cancelled KNN returned %d results, err %v", name, len(got), err)
+				}
+				if calls := ix.DistanceCalls(); calls < 5 || calls >= int64(n) {
+					t.Errorf("%s: cancelled KNN made %d of %d evaluations, want a scan cut short", name, calls, n)
+				}
+				ix.ResetStats()
+				if got, err := ix.Range(ctx, qs[1], 1000); !errors.Is(err, context.Canceled) || got != nil {
+					t.Errorf("%s: cancelled Range returned %d results, err %v", name, len(got), err)
+				}
+				if calls := ix.DistanceCalls(); calls < 5 || calls >= int64(n) {
+					t.Errorf("%s: cancelled Range made %d of %d evaluations, want a scan cut short", name, calls, n)
+				}
+			}
+		}
 	}
 }

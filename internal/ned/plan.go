@@ -26,8 +26,9 @@ import (
 //     == t, so no winner is missed and the canonical merge reproduces
 //     the parallel answer exactly;
 //   - PlanSingle is the one-live-shard (or empty) degenerate case;
-//   - a Scan shard answers through the same prunedKNN / scanRange
-//     kernels the pruned backend runs, which are exact.
+//   - a Scan shard answers through the same scanKNN / scanRange the
+//     scan backends run, at width 1 and without a block; they are exact
+//     at any width.
 
 // PlanMode is the fan-out strategy a plan executes.
 type PlanMode int
@@ -70,7 +71,7 @@ type PlanShard struct {
 
 func (ps *PlanShard) knn(ctx context.Context, query Item, l int) ([]Neighbor, error) {
 	if ps.Scan != nil {
-		res, _, err := prunedKNN(ctx, query, ps.Scan, nil, l, counterSinkOf(ps.Ix))
+		res, _, err := scanKNN(ctx, query, ps.Scan, nil, l, 1, counterSinkOf(ps.Ix))
 		return res, err
 	}
 	return ps.Ix.KNN(ctx, query, l)
@@ -78,7 +79,7 @@ func (ps *PlanShard) knn(ctx context.Context, query Item, l int) ([]Neighbor, er
 
 func (ps *PlanShard) rng(ctx context.Context, query Item, r int) ([]Neighbor, error) {
 	if ps.Scan != nil {
-		return scanRange(ctx, query, ps.Scan, nil, r, counterSinkOf(ps.Ix))
+		return scanRange(ctx, query, ps.Scan, nil, r, 1, counterSinkOf(ps.Ix))
 	}
 	return ps.Ix.Range(ctx, query, r)
 }

@@ -11,15 +11,16 @@ import (
 // evaluations for candidates that provably cannot enter the result: the
 // O(height) padding lower bound of ted.LowerBound prunes any candidate
 // whose bound already exceeds the current l-th distance. It is the
-// low-level form of the pruned-linear index backend (NewPrunedLinearBackend);
-// both share one implementation.
+// cascade scan (scanKNN) at width 1 over unprofiled items — the same
+// code NewPrunedLinearBackend and NewLinearBackend serve from, and
+// TopLParallel runs at a wider width.
 //
 // The returned ranking is exact with respect to the full TED* distance:
 // every reported neighbor carries its true distance, and the set equals
 // TopL's up to equal-distance ties. Stats reports how much work was
 // saved.
 func PrunedTopL(query Signature, candidates []Signature, l int) ([]Neighbor, PruneStats) {
-	res, stats, _ := prunedKNN(context.Background(), query.Item(), ItemsOf(candidates), nil, l, nil)
+	res, stats, _ := scanKNN(context.Background(), query.Item(), ItemsOf(candidates), nil, l, 1, nil)
 	return res, stats
 }
 
@@ -28,6 +29,13 @@ type PruneStats struct {
 	FullEvaluations int // candidates whose TED* computation ran to completion
 	PrunedByBound   int // candidates skipped via the padding lower bound
 	EarlyExits      int // candidates abandoned mid-TED* once the budget was crossed
+}
+
+// add folds one sweeper's share of a query into the query's stats.
+func (s *PruneStats) add(o PruneStats) {
+	s.FullEvaluations += o.FullEvaluations
+	s.PrunedByBound += o.PrunedByBound
+	s.EarlyExits += o.EarlyExits
 }
 
 // ItemsOf converts precomputed signatures into index items.

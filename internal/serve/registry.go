@@ -262,9 +262,9 @@ func CreateTenant(cr *CreateRequest) (*Tenant, error) {
 			return nil, fmt.Errorf("%w: opening snapshot: %v", ErrBadRequest, err)
 		}
 		defer f.Close()
-		var g *ned.Graph
 		if cr.Graph != nil {
-			if g, err = cr.Graph.Build(); err != nil {
+			g, err := cr.Graph.Build()
+			if err != nil {
 				return nil, err
 			}
 			opts = append(opts, ned.WithGraph(g))
@@ -273,8 +273,9 @@ func CreateTenant(cr *CreateRequest) (*Tenant, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := c.Stats()
-		return &Tenant{Name: cr.Name, Corpus: c, K: s.K, Directed: s.Directed, HasGraph: g != nil, Workers: s.Workers}, nil
+		// A binary segment embeds its graph, so whether the tenant has one
+		// is the corpus's to say, not the request's.
+		return tenantOf(cr.Name, c), nil
 	}
 
 	var g *ned.Graph

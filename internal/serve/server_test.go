@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -261,6 +263,53 @@ func TestServeEndToEnd(t *testing.T) {
 	dresp.Body.Close()
 	if s.Registry().Len() != 1 {
 		t.Fatalf("registry after drop: %d tenants", s.Registry().Len())
+	}
+}
+
+// TestCreateFromSnapshotPath pins that a tenant created from a
+// server-side snapshot has a graph exactly when its corpus does: a
+// binary segment embeds one, so the tenant inserts (and coalesces)
+// like one built from a graph; a text snapshot carries none, so insert
+// is refused as no_graph.
+func TestCreateFromSnapshotPath(t *testing.T) {
+	g, err := ringSpec(40).Build()
+	if err != nil {
+		t.Fatalf("build graph: %v", err)
+	}
+	c, err := ned.NewCorpus(g, 2)
+	if err != nil {
+		t.Fatalf("build corpus: %v", err)
+	}
+	s, ts := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		name     string
+		write    func(io.Writer) error
+		hasGraph bool
+		status   int
+	}{
+		{"segment", c.SnapshotSegment, true, http.StatusOK},
+		{"text", c.Snapshot, false, http.StatusConflict},
+	} {
+		var buf bytes.Buffer
+		if err := tc.write(&buf); err != nil {
+			t.Fatalf("%s snapshot: %v", tc.name, err)
+		}
+		path := filepath.Join(t.TempDir(), tc.name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		mustCreate(t, ts.URL, CreateRequest{Name: tc.name, SnapshotPath: path})
+		tenant, err := s.Registry().Get(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tenant.HasGraph != tc.hasGraph {
+			t.Errorf("%s: Tenant.HasGraph = %v, want %v", tc.name, tenant.HasGraph, tc.hasGraph)
+		}
+		status, raw := postJSON(t, ts.URL+"/v1/corpora/"+tc.name+"/insert", NodesRequest{Nodes: []int{3}}, nil)
+		if status != tc.status || (status != http.StatusOK && !strings.Contains(string(raw), "no_graph")) {
+			t.Errorf("%s: insert answered %d %s, want %d", tc.name, status, raw, tc.status)
+		}
 	}
 }
 
