@@ -101,7 +101,7 @@ func main() {
 		for rank, r := range results {
 			fmt.Printf("  %2d. node %-8d distance %d\n", rank+1, r.Node, r.Dist)
 		}
-		fmt.Printf("(%d TED* evaluations; %d early exits, %d cascade prunes: %d size + %d padding + %d label)\n",
+		fmt.Printf("(%d TED* evaluations; %d early exits, %d cascade prunes: %d size + %d padding + %d tier 2 (degree sequence))\n",
 			stats.DistanceCalls-prev.DistanceCalls,
 			stats.EarlyExits-prev.EarlyExits,
 			stats.LowerBoundPrunes-prev.LowerBoundPrunes,
@@ -172,7 +172,7 @@ func watchLoop(corpus *ned.Corpus, runQuery func() error) {
 			requery()
 		case "stats":
 			s := corpus.Stats()
-			fmt.Printf("nodes %d across %d shards %v, queries %d, TED* evals %d (early exits %d, cascade prunes %d = %d size + %d padding + %d label), rebuilds %d, stale %.2f\n",
+			fmt.Printf("nodes %d across %d shards %v, queries %d, TED* evals %d (early exits %d, cascade prunes %d = %d size + %d padding + %d tier 2 (degree sequence)), rebuilds %d, stale %.2f\n",
 				s.Nodes, s.Shards, s.ShardNodes, s.Queries, s.DistanceCalls, s.EarlyExits,
 				s.LowerBoundPrunes, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes, s.Rebuilds, s.StaleRatio)
 		case "query":

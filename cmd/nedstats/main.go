@@ -18,7 +18,7 @@
 // With -probe N, nedstats builds a corpus over the graph, runs N
 // self-KNN queries through it, and reports the serving work profile —
 // TED* evaluations, budget early exits, and the per-tier cascade prune
-// counters (size / padding / label-multiset) — so the filter cascade's
+// counters (size / padding / tier 2 (degree sequence)) — so the filter cascade's
 // effectiveness on a dataset can be checked before serving it.
 //
 // With -json, nedstats builds a corpus (honoring -k, -shards, and
@@ -174,8 +174,8 @@ func runProbes(corpus *ned.Corpus, g *graph.Graph, n int) {
 
 // probeCascade serves n self-KNN queries (node 0, step spread across
 // the graph) from a corpus over g and prints the cascade work profile:
-// how many candidate evaluations the precompiled size / padding /
-// label-multiset tiers dismissed before any TED* matching work, versus
+// how many candidate evaluations the size / padding / tier 2 (degree
+// sequence) bounds dismissed before any TED* matching work, versus
 // full evaluations and mid-TED* early exits.
 func probeCascade(g *graph.Graph, k, n int) {
 	corpus, err := ned.NewCorpus(g, k)
@@ -204,12 +204,12 @@ func probeCascade(g *graph.Graph, k, n int) {
 	s := corpus.Stats()
 	per := func(v int64) string { return fmt.Sprintf("%d (%.1f/query)", v, float64(v)/float64(n)) }
 	fmt.Printf("filter cascade (k=%d, backend=%s, %d KNN(5) probes):\n", s.K, s.Backend, n)
-	fmt.Printf("  TED* evaluations      %s\n", per(s.DistanceCalls))
-	fmt.Printf("  early exits           %s\n", per(s.EarlyExits))
-	fmt.Printf("  cascade prunes        %s\n", per(s.LowerBoundPrunes))
-	fmt.Printf("    size tier           %s\n", per(s.SizePrunes))
-	fmt.Printf("    padding tier        %s\n", per(s.PaddingPrunes))
-	fmt.Printf("    label tier          %s\n", per(s.LabelPrunes))
+	fmt.Printf("  TED* evaluations           %s\n", per(s.DistanceCalls))
+	fmt.Printf("  early exits                %s\n", per(s.EarlyExits))
+	fmt.Printf("  cascade prunes             %s\n", per(s.LowerBoundPrunes))
+	fmt.Printf("    size tier                %s\n", per(s.SizePrunes))
+	fmt.Printf("    padding tier             %s\n", per(s.PaddingPrunes))
+	fmt.Printf("    tier 2 (degree sequence) %s\n", per(s.LabelPrunes))
 }
 
 func fatal(err error) {

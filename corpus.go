@@ -323,8 +323,9 @@ type Corpus struct {
 	// dict is the corpus-wide subtree-shape dictionary behind the
 	// filter–verify cascade: every signature is compiled against it —
 	// at extraction, Insert, UpdateGraph, and snapshot load — into a
-	// flat Profile (level sizes, per-level interned label multisets,
-	// the AHU encoding as an interned 64-bit key), and every query
+	// flat Profile (level sizes, per-level degree sequences and interned
+	// label multisets, the AHU encoding as an interned 64-bit key), and
+	// every query
 	// signature is compiled read-only against the same dictionary on
 	// arrival (shapes the corpus never indexed get profile-local
 	// labels), so candidate evaluation compares precomputed int32 runs
@@ -1142,9 +1143,10 @@ type CorpusStats struct {
 	// down by filter-cascade tier, aggregated atomically across shards:
 	// the O(1) node-count gap, the per-level padding bound read off two
 	// precompiled level-size vectors (including the budgeted TED*'s own
-	// padding seed check), and the per-level label-multiset bound over
-	// corpus-interned subtree labels. See the README's "Filter cascade"
-	// section.
+	// padding seed check), and tier 2 (degree sequence): the sorted
+	// child counts of every level bound its matching cost. LabelPrunes
+	// and label_prunes keep the name of the label-multiset tier that
+	// bound replaced. See the README's "Filter cascade" section.
 	SizePrunes    int64 `json:"size_prunes"`
 	PaddingPrunes int64 `json:"padding_prunes"`
 	LabelPrunes   int64 `json:"label_prunes"`
@@ -1153,7 +1155,8 @@ type CorpusStats struct {
 	// swept through the columnar block kernels (struct-of-arrays profile
 	// arenas) instead of the scalar per-candidate cascade; the survivor
 	// counters below report how many of those passed each successive
-	// tier — BlockLabelSurvivors reached the verify stage. All zero on
+	// tier — BlockLabelSurvivors passed tier 2 (degree sequence; the
+	// name predates it) and reached the verify stage. All zero on
 	// the tree backends, whose traversal is inherently per-candidate.
 	BlockCandidates       int64 `json:"block_candidates"`
 	BlockSizeSurvivors    int64 `json:"block_size_survivors"`

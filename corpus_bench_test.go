@@ -9,8 +9,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // benchWorkload draws the inter-graph workload the corpus benchmarks
@@ -62,7 +64,8 @@ func BenchmarkCorpusKNN(b *testing.B) {
 
 // BenchmarkCorpusCascade is BenchmarkCorpusKNN with the filter-cascade
 // work profile surfaced as custom metrics: per-query TED* evaluations
-// and per-tier prunes (size / padding / label-multiset). CI runs it at
+// and per-tier prunes (size / padding / tier 2, the degree-sequence
+// bound). CI runs it at
 // -benchtime=1x so every push compiles the cascade and counts its
 // tiers. The harness reads the same tiers at serving size as
 // ned.{size,padding,label}_survivor_ratio (benchmark/README.md).
@@ -95,9 +98,62 @@ func BenchmarkCorpusCascade(b *testing.B) {
 			b.ReportMetric(float64(s.DistanceCalls)/perQuery, "evals/query")
 			b.ReportMetric(float64(s.SizePrunes)/perQuery, "sizeprunes/query")
 			b.ReportMetric(float64(s.PaddingPrunes)/perQuery, "padprunes/query")
-			b.ReportMetric(float64(s.LabelPrunes)/perQuery, "labelprunes/query")
+			b.ReportMetric(float64(s.LabelPrunes)/perQuery, "tier2prunes/query")
 		})
 	}
+}
+
+// BenchmarkCorpusInterGraphKNN is an in-process replica of the harness's
+// serve-read query mix, for profiling the engine without the daemon
+// (-cpuprofile; EXPERIMENTS.md "Filter cascade" carries the pprof -top):
+// the large PGP analog at the harness's fixed graph seed, two shards at
+// width 2 on the pruned scan, and KNNSignature(…, 5) with signatures of
+// a 5 %-perturbed second graph, drawn one per size stratum from all but
+// the largest 2 %. One iteration is one query, so -benchtime 1600x is
+// one pass over the mix.
+func BenchmarkCorpusInterGraphKNN(b *testing.B) {
+	const k, l, nQueries = 3, 5, 1600
+	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
+	corpus, err := NewCorpus(g, k, WithBackend(BackendPrunedLinear), WithShards(2), WithWorkers(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g2 := AnonymizePerturb(g, 0.05, 1).Graph
+	nodes := make([]NodeID, g2.NumNodes())
+	for i := range nodes {
+		nodes[i] = NodeID(i)
+	}
+	sigs := SignaturesParallel(g2, nodes, k, BatchOptions{Workers: 2})
+	sort.SliceStable(sigs, func(i, j int) bool { return sigs[i].Tree.Size() < sigs[j].Tree.Size() })
+	pool := sigs[:len(sigs)*98/100]
+	rng := rand.New(rand.NewSource(1))
+	queries := make([]Signature, nQueries)
+	for i := range queries {
+		lo, hi := i*len(pool)/nQueries, (i+1)*len(pool)/nQueries
+		queries[i] = pool[lo+rng.Intn(hi-lo)]
+	}
+	rng.Shuffle(nQueries, func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	ctx := context.Background()
+	if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
+		b.Fatal(err)
+	}
+	corpus.ResetStats()
+	lat := make([]float64, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		t0 := time.Now()
+		if _, err := corpus.KNNSignature(ctx, queries[i%nQueries], l); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = float64(time.Since(t0).Microseconds())
+	}
+	b.StopTimer()
+	s := corpus.Stats()
+	sort.Float64s(lat)
+	b.ReportMetric(float64(s.DistanceCalls)/float64(b.N), "evals/query")
+	b.ReportMetric(float64(s.LabelPrunes)/float64(b.N), "tier2prunes/query")
+	b.ReportMetric(lat[len(lat)/2], "p50_us")
+	b.ReportMetric(lat[len(lat)*95/100], "p95_us")
 }
 
 // BenchmarkCorpusParallelChurn measures the mixed read/write serving

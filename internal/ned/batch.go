@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"ned/internal/graph"
+	"ned/internal/ted"
 )
 
 // BatchOptions controls parallel batch computations. The zero value uses
@@ -35,18 +36,17 @@ func SignaturesParallel(g *graph.Graph, nodes []graph.NodeID, k int, opts BatchO
 // DistanceMatrix computes the full NED matrix between two signature
 // sets in parallel: m[i][j] = NED(as[i], bs[j]). Row-major [len(as)][len(bs)].
 // Useful for the Hausdorff distance, clustering, and assignment-based
-// graph matching on top of NED. Each worker goroutine owns one pooled
+// graph matching on top of NED. Each row borrows one pooled
 // ted.Computer, so the whole matrix reuses a fixed set of TED* scratch
 // buffers.
 func DistanceMatrix(as, bs []Signature, opts BatchOptions) [][]int {
 	m := make([][]int, len(as))
-	workers := opts.workers()
-	comps := acquireComputers(workers)
-	defer releaseComputers(comps)
-	parallelForWorkers(len(as), workers, func(w, i int) {
+	parallelFor(len(as), opts.workers(), func(i int) {
+		comp := tedComputers.Get().(*ted.Computer)
+		defer tedComputers.Put(comp)
 		row := make([]int, len(bs))
 		for j, b := range bs {
-			row[j] = comps[w].Distance(as[i].Tree, b.Tree)
+			row[j] = comp.Distance(as[i].Tree, b.Tree)
 		}
 		m[i] = row
 	})
@@ -61,15 +61,9 @@ func TopLParallel(query Signature, candidates []Signature, l int, opts BatchOpti
 	return res
 }
 
-// parallelFor runs fn(i) for i in [0, n) across the given worker count.
+// parallelFor runs fn(i) for i in [0, n) across the given worker count:
+// the uncancellable form of ParallelForCtx (index.go), which owns the
+// loop implementation.
 func parallelFor(n, workers int, fn func(i int)) {
-	parallelForWorkers(n, workers, func(_, i int) { fn(i) })
-}
-
-// parallelForWorkers is parallelFor with the worker index exposed, so
-// callers can hand each goroutine its own scratch state. Worker indexes
-// are dense in [0, workers). It is the uncancellable form of
-// ParallelForCtxWorkers (index.go), which owns the loop implementation.
-func parallelForWorkers(n, workers int, fn func(worker, i int)) {
-	_ = ParallelForCtxWorkers(context.Background(), n, workers, fn)
+	_ = ParallelForCtx(context.Background(), n, workers, fn)
 }

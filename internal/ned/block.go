@@ -108,26 +108,6 @@ func (b *profileBlock) bounds(q Item, sizeB, padB []int32) bool {
 	return true
 }
 
-// labelTier runs the lazy label tier for one slot at threshold t:
-// the O(1) combined-width gate first, the per-level merges only when
-// the gate says the tier could fire — decision-identical to
-// labelTierPrunes, reading the candidate side off the arenas.
-func (b *profileBlock) labelTier(q Item, slot, t int) bool {
-	directed := b.in != nil && q.In != nil
-	cap := (int(q.OutP.MaxLevel) + int(b.out.MaxW[slot]) + 3) / 4
-	if directed {
-		cap += (int(q.InP.MaxLevel) + int(b.in.MaxW[slot]) + 3) / 4
-	}
-	if cap <= t {
-		return false
-	}
-	term := labelTermArena(q.OutP.Levels, q.OutP.Labels, b.out.SlotLevels(slot), b.out.SlotLabels(slot))
-	if directed {
-		term += labelTermArena(q.InP.Levels, q.InP.Labels, b.in.SlotLevels(slot), b.in.SlotLabels(slot))
-	}
-	return term > t
-}
-
 // blockThresholdCap bounds the radii the block Range path serves:
 // beyond it the int32 tier arithmetic could not represent the
 // threshold, and a radius that large prunes nothing anyway, so those
@@ -137,7 +117,7 @@ const blockThresholdCap = 1 << 30
 // rangeBlockSurvivors runs the whole filter cascade over the block at
 // the static threshold r and returns the slots that reach the verify
 // stage, in slot order: the size and padding tiers fold into a
-// survivor bitmap in one kernel sweep, then the lazy label tier walks
+// survivor bitmap in one kernel sweep, then the lazy degree tier walks
 // only the set bits. ok is false when the scan must take the scalar
 // path instead — no block, a block misaligned with the item slice, an
 // unprofiled query, or a radius beyond the int32 tier arithmetic. All
@@ -162,8 +142,8 @@ func rangeBlockSurvivors(q Item, items []Item, blk *profileBlock, r int, cs *cou
 		for word != 0 {
 			j := base + int32(bits.TrailingZeros64(word))
 			word &= word - 1
-			if blk.labelTier(q, int(j), r) {
-				cs.cascadePrune(tierLabel)
+			if _, pruned := degreeTierPrunes(q, items[j], r); pruned {
+				cs.cascadePrune(tierDegree)
 				continue
 			}
 			survivors = append(survivors, j)

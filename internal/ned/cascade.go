@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the filter–verify cascade every index backend evaluates
-// candidates through: a monotone chain of precompiled lower bounds —
+// candidates through: a monotone chain of lower bounds —
 //
-//	size |n1−n2|  <=  padding Σ|L_d gaps|  <=  label-multiset  <=  TED*
+//	size |n1−n2|  <=  padding Σ|L_d gaps|  <=  degree sequence  <=  TED*
 //
 // — each tier read off flat per-item Profiles (internal/tree) compiled
 // once at extraction, insert, or snapshot-load time, so the per-
@@ -28,9 +28,9 @@ import (
 // fall back to the PR-2 behavior: tree-walk bounds and string-compare
 // orientation. Answers are identical either way; only the work differs.
 //
-// Block-vs-scalar kernel contract: the tiers exist in two forms that
-// MUST stay decision-identical. The scalar kernels in this file
-// (sizeBoundProfiled, padBoundProfiled, labelTierPrunes) evaluate one
+// Block-vs-scalar kernel contract: the two precompiled tiers exist in
+// two forms that MUST stay decision-identical. The scalar kernels in
+// this file (sizeBoundProfiled, padBoundProfiled) evaluate one
 // candidate at a time through its *tree.Profile pointers — the BK and
 // VP backends, whose traversal order is dictated by tree geometry, run
 // every budgeted evaluation through them via cascadeDistanceAtMost.
@@ -42,8 +42,9 @@ import (
 // threshold), block and scalar kernels admit and dismiss identically
 // and produce equal bound values — kernels_test.go pins this
 // bit-for-bit over fuzz-seeded corpora — so all four backends stay
-// node-identical. Whatever the filter path, survivors reach one shared
-// verify stage (verifyDistanceAtMost).
+// node-identical. Tier 2 has one form only (degreeTierPrunes, reading
+// the candidate's profile through its item), and whatever the filter
+// path, survivors reach one shared verify stage (verifyDistanceAtMost).
 
 // cascadeTier names the filter tier that dismissed a candidate; the
 // counters report the per-tier breakdown.
@@ -52,7 +53,7 @@ type cascadeTier uint8
 const (
 	tierSize cascadeTier = iota
 	tierPadding
-	tierLabel
+	tierDegree
 )
 
 // ProfileItem compiles its signature trees into Profiles against the
@@ -102,9 +103,10 @@ func pairProfiled(q, it Item) bool {
 
 // candBound is the precompiled cheap half of one candidate's cascade:
 // the size and padding tiers (size <= pad), a handful of int32 loads
-// per candidate. The label tier is deliberately NOT precompiled — it
-// costs a linear merge per candidate, so the scans evaluate it lazily,
-// only for candidates the cheap tiers admit (see labelTermOver).
+// per candidate. The degree tier is deliberately NOT precompiled — it
+// costs a walk over both profiles per candidate, so the scans evaluate
+// it lazily, only for candidates the cheap tiers admit (see
+// degreeTierPrunes).
 type candBound struct {
 	size, pad int32
 }
@@ -137,37 +139,20 @@ func itemCascadeBounds(q, it Item) candBound {
 	return cb
 }
 
-// labelTierPrunes runs the label-multiset tier at threshold t: the
-// term (summed over tree pairs) is a valid lower bound on the distance
-// in its own right, checked only after the padding tier passed — the
-// full tier-2 value is max(padding, term) per pair, so when padding
-// <= t only the term can still prune. The O(n) level merges run only
-// when the O(1) width cap says the tier could possibly fire: a level's
-// multiset difference never exceeds the two levels' combined width, so
-// term <= ceil((MaxLevel_a + MaxLevel_b) / 4) per pair. Never prunes
-// unprofiled pairs, whose label tier degenerates to the padding bound.
-func labelTierPrunes(q, it Item, t int) (term int, pruned bool) {
+// degreeTierPrunes runs tier 2, the degree-sequence bound, at threshold
+// t: ted.DegreeBound summed over the out/in tree pairs, the in-pair
+// under whatever the out-pair left of t. It is the tier's only form —
+// every scan and the tree backends' gate call it with the candidate's
+// profiles read through its item. Never prunes unprofiled pairs.
+func degreeTierPrunes(q, it Item, t int) (bound int, pruned bool) {
 	if !pairProfiled(q, it) {
 		return 0, false
 	}
-	directed := q.In != nil && it.In != nil
-	cap := labelTermCap(q.OutP, it.OutP)
-	if directed {
-		cap += labelTermCap(q.InP, it.InP)
+	bound = ted.DegreeBound(q.OutP, it.OutP, t)
+	if bound <= t && q.In != nil && it.In != nil {
+		bound += ted.DegreeBound(q.InP, it.InP, t-bound)
 	}
-	if cap <= t {
-		return 0, false
-	}
-	term = ted.LevelLabelTerm(q.OutP, it.OutP)
-	if directed {
-		term += ted.LevelLabelTerm(q.InP, it.InP)
-	}
-	return term, term > t
-}
-
-// labelTermCap is the largest value one pair's label term can reach.
-func labelTermCap(a, b *tree.Profile) int {
-	return (int(a.MaxLevel) + int(b.MaxLevel) + 3) / 4
+	return bound, bound > t
 }
 
 // itemSizeBound is tier 0 without profiles: node-count gaps.
@@ -196,9 +181,9 @@ func cascadeDistanceAtMost(c *ted.Computer, q, it Item, budget int, cs *counterS
 			cs.cascadePrune(tierPadding)
 			return p, ted.OutcomePruned
 		}
-		if lt, pruned := labelTierPrunes(q, it, budget); pruned {
-			cs.cascadePrune(tierLabel)
-			return lt, ted.OutcomePruned
+		if dg, pruned := degreeTierPrunes(q, it, budget); pruned {
+			cs.cascadePrune(tierDegree)
+			return dg, ted.OutcomePruned
 		}
 	}
 	return verifyDistanceAtMost(c, q, it, budget, cs)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ned/internal/graph"
+	"ned/internal/ted"
 	"ned/internal/tree"
 )
 
@@ -69,7 +70,7 @@ func TestCascadeProfiledBackendsAgree(t *testing.T) {
 				}
 				c := ix.Counters()
 				if c.LowerBoundPrunes != c.SizePrunes+c.PaddingPrunes+c.LabelPrunes {
-					t.Errorf("%s: LowerBoundPrunes=%d != size %d + padding %d + label %d",
+					t.Errorf("%s: LowerBoundPrunes=%d != size %d + padding %d + tier-2 %d",
 						name, c.LowerBoundPrunes, c.SizePrunes, c.PaddingPrunes, c.LabelPrunes)
 				}
 			}
@@ -129,16 +130,18 @@ func TestCascadeTiersFire(t *testing.T) {
 	}
 }
 
-// TestCascadeLabelTierFires pins the tier the cheaper bounds cannot
+// TestCascadeDegreeTierFires pins the tier the cheaper bounds cannot
 // express: candidates with the exact level-size profile of the query
 // but different wiring have size and padding bounds of 0, so only the
-// label-multiset tier can dismiss them without TED* work. A self-query
+// degree-sequence tier can dismiss them without TED* work. A self-query
 // with l=1 drives the threshold to 0 after the first hit; the twin
-// with identical levels must then be label-pruned, not evaluated.
-func TestCascadeLabelTierFires(t *testing.T) {
+// with identical levels must then be pruned by tier 2, not evaluated.
+func TestCascadeDegreeTierFires(t *testing.T) {
 	ctx := context.Background()
 	// Same level sizes (1,2,2), different wiring: in a both depth-1
-	// nodes have one child; in b one has two and one has none.
+	// nodes have one child; in b one has two and one has none. Child
+	// counts (1,1) vs (0,2) give Δ_1 = 2 against P_2 = 0: one move, which
+	// is the whole distance.
 	a := tree.MustNew([]int32{-1, 0, 0, 1, 2})
 	bTree := tree.MustNew([]int32{-1, 0, 0, 1, 1})
 	dict := tree.NewInterner()
@@ -148,8 +151,9 @@ func TestCascadeLabelTierFires(t *testing.T) {
 	}
 	ProfileItems(items, dict, 1)
 	q := items[0]
-	if d := ItemDistance(q, items[1]); d == 0 {
-		t.Fatal("test trees are isomorphic; pick different wiring")
+	if bound, pruned := degreeTierPrunes(q, items[1], 0); bound != 1 || !pruned || ItemDistance(q, items[1]) != 1 {
+		t.Fatalf("degree bound %d (pruned at 0: %v), distance %d; want 1, true, 1",
+			bound, pruned, ItemDistance(q, items[1]))
 	}
 	ix := NewPrunedLinearBackend(items)
 	got, err := ix.KNN(ctx, q, 1)
@@ -159,16 +163,17 @@ func TestCascadeLabelTierFires(t *testing.T) {
 	if len(got) != 1 || got[0].Node != 1 || got[0].Dist != 0 {
 		t.Fatalf("self-query returned %v, want node 1 at 0", got)
 	}
+	// The self hit is the one evaluation; the twin never starts a TED*.
 	c := ix.Counters()
-	if c.LabelPrunes != 1 {
-		t.Errorf("LabelPrunes = %d, want 1 (twin has equal levels, different wiring); counters %+v",
-			c.LabelPrunes, c)
+	if c.LabelPrunes != 1 || c.DistanceCalls != 1 {
+		t.Errorf("tier-2 prunes = %d, TED* calls = %d, want 1 and 1 (twin has equal levels, different wiring); counters %+v",
+			c.LabelPrunes, c.DistanceCalls, c)
 	}
 }
 
 // TestCascadeBoundsDominance spot-checks the item-level bound chain the
 // best-first orders sort by, including directed summing: size <= pad <=
-// bound <= exact distance.
+// degree <= exact distance.
 func TestCascadeBoundsDominance(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := randomDirTestGraph(60, 130, 3, directed)
@@ -182,11 +187,11 @@ func TestCascadeBoundsDominance(t *testing.T) {
 		q := profiled[0]
 		for _, it := range profiled {
 			cb := itemCascadeBounds(q, it)
-			lt, _ := labelTierPrunes(q, it, -1) // t=-1 forces the merge
+			deg, _ := degreeTierPrunes(q, it, ted.Unbounded)
 			d := ItemDistance(q, it)
-			if int(cb.size) > int(cb.pad) || int(cb.pad) > d || lt > d {
-				t.Fatalf("directed=%v node %d: chain size=%d pad=%d labelterm=%d exact=%d",
-					directed, it.Node, cb.size, cb.pad, lt, d)
+			if int(cb.size) > int(cb.pad) || int(cb.pad) > deg || deg > d {
+				t.Fatalf("directed=%v node %d: chain size=%d pad=%d degree=%d exact=%d",
+					directed, it.Node, cb.size, cb.pad, deg, d)
 			}
 			if int(cb.pad) != ItemLowerBound(q, it) {
 				t.Fatalf("directed=%v node %d: profile padding %d != tree-walk %d",

@@ -54,25 +54,6 @@ func (s Signature) Item() Item { return Item{Node: s.Node, K: s.K, Out: s.Tree} 
 // reuses one set of scratch buffers across candidates.
 var tedComputers = sync.Pool{New: func() any { return ted.NewComputer() }}
 
-// acquireComputers checks out one Computer per worker; the caller must
-// releaseComputers them when the parallel loop finishes.
-func acquireComputers(n int) []*ted.Computer {
-	if n < 1 {
-		n = 1
-	}
-	cs := make([]*ted.Computer, n)
-	for i := range cs {
-		cs[i] = tedComputers.Get().(*ted.Computer)
-	}
-	return cs
-}
-
-func releaseComputers(cs []*ted.Computer) {
-	for _, c := range cs {
-		tedComputers.Put(c)
-	}
-}
-
 // ItemDistance is the NED distance between two items: TED* over the
 // out-trees, plus TED* over the in-trees when both items carry one.
 func ItemDistance(a, b Item) int {
@@ -159,8 +140,9 @@ type Counters struct {
 	// SizePrunes / PaddingPrunes / LabelPrunes break LowerBoundPrunes
 	// down by the filter tier that dismissed the candidate: the O(1)
 	// size gap, the per-level padding bound (including the budgeted
-	// computation's own padding seed check), or the per-level
-	// label-multiset bound.
+	// computation's own padding seed check), or tier 2 (degree
+	// sequence) — LabelPrunes keeps the name of the label-multiset tier
+	// the degree-sequence bound replaced.
 	SizePrunes    int64
 	PaddingPrunes int64
 	LabelPrunes   int64
@@ -168,8 +150,9 @@ type Counters struct {
 	// BlockCandidates counts candidate slots swept by the block kernels
 	// (the columnar fast path of the cascade scan); the survivor
 	// counters below break down how many of them passed each successive
-	// tier during their scan — BlockLabelSurvivors is how many reached
-	// the verify stage through the block path. Candidates evaluated
+	// tier during their scan — BlockLabelSurvivors is how many passed
+	// tier 2 (degree sequence; the name predates it) and so reached the
+	// verify stage through the block path. Candidates evaluated
 	// before a scan has a pruning threshold pass trivially. Zero on the
 	// tree backends and on scans that fell back to the scalar cascade.
 	BlockCandidates       int64
@@ -204,11 +187,11 @@ func (c Counters) Add(o Counters) Counters {
 // owner's Stats stay continuous across epoch publication (see Clone and
 // ShareCounters).
 type counterSet struct {
-	distCalls, earlyExits, lbPrunes    atomic.Int64
-	sizePrunes, padPrunes, labelPrunes atomic.Int64
+	distCalls, earlyExits, lbPrunes  atomic.Int64
+	sizePrunes, padPrunes, degPrunes atomic.Int64
 
-	blockCands                                  atomic.Int64
-	blockSizeSurv, blockPadSurv, blockLabelSurv atomic.Int64
+	blockCands                                atomic.Int64
+	blockSizeSurv, blockPadSurv, blockDegSurv atomic.Int64
 }
 
 // counterHost is implemented by every backend so ShareCounters can
@@ -266,7 +249,7 @@ func (c *counterSet) cascadePrune(t cascadeTier) {
 	case tierPadding:
 		c.padPrunes.Add(1)
 	default:
-		c.labelPrunes.Add(1)
+		c.degPrunes.Add(1)
 	}
 }
 
@@ -280,7 +263,7 @@ func (c *counterSet) blockSweep(n int) {
 
 // blockSurvive records one block-path candidate passing every tier up
 // to and including through (a candidate verified with no threshold yet
-// passes all three trivially — callers pass tierLabel).
+// passes all three trivially — callers pass tierDegree).
 func (c *counterSet) blockSurvive(through cascadeTier) {
 	if c == nil {
 		return
@@ -289,20 +272,20 @@ func (c *counterSet) blockSurvive(through cascadeTier) {
 	if through >= tierPadding {
 		c.blockPadSurv.Add(1)
 	}
-	if through >= tierLabel {
-		c.blockLabelSurv.Add(1)
+	if through >= tierDegree {
+		c.blockDegSurv.Add(1)
 	}
 }
 
 // blockSurviveBulk records per-tier survivor counts for a whole block
 // filtered at a static threshold (the Range path).
-func (c *counterSet) blockSurviveBulk(size, pad, label int64) {
+func (c *counterSet) blockSurviveBulk(size, pad, deg int64) {
 	if c == nil {
 		return
 	}
 	c.blockSizeSurv.Add(size)
 	c.blockPadSurv.Add(pad)
-	c.blockLabelSurv.Add(label)
+	c.blockDegSurv.Add(deg)
 }
 
 // cascadePruneBulk records size and padding tier prunes in bulk — the
@@ -323,11 +306,11 @@ func (c *counterSet) snapshot() Counters {
 		LowerBoundPrunes:      c.lbPrunes.Load(),
 		SizePrunes:            c.sizePrunes.Load(),
 		PaddingPrunes:         c.padPrunes.Load(),
-		LabelPrunes:           c.labelPrunes.Load(),
+		LabelPrunes:           c.degPrunes.Load(),
 		BlockCandidates:       c.blockCands.Load(),
 		BlockSizeSurvivors:    c.blockSizeSurv.Load(),
 		BlockPaddingSurvivors: c.blockPadSurv.Load(),
-		BlockLabelSurvivors:   c.blockLabelSurv.Load(),
+		BlockLabelSurvivors:   c.blockDegSurv.Load(),
 	}
 }
 
@@ -337,11 +320,11 @@ func (c *counterSet) reset() {
 	c.lbPrunes.Store(0)
 	c.sizePrunes.Store(0)
 	c.padPrunes.Store(0)
-	c.labelPrunes.Store(0)
+	c.degPrunes.Store(0)
 	c.blockCands.Store(0)
 	c.blockSizeSurv.Store(0)
 	c.blockPadSurv.Store(0)
-	c.blockLabelSurv.Store(0)
+	c.blockDegSurv.Store(0)
 }
 
 // Index is the unified query surface of every NED index backend. All
@@ -751,12 +734,12 @@ func (c *topLCollector) offer(n Neighbor) {
 // context checks.
 const cancelCheckStride = 16
 
-// runSweepers runs sweep(w) once per sweeper w in [0, workers) and
-// returns when all have finished: on the caller's own goroutine at
-// width 1, on workers goroutines otherwise.
-func runSweepers(workers int, sweep func(w int)) {
+// runSweepers runs sweep once per sweeper and returns when all have
+// finished: on the caller's own goroutine at width <= 1, on workers
+// goroutines otherwise.
+func runSweepers(workers int, sweep func()) {
 	if workers <= 1 {
-		sweep(0)
+		sweep()
 		return
 	}
 	var wg sync.WaitGroup
@@ -764,7 +747,7 @@ func runSweepers(workers int, sweep func(w int)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			sweep(w)
+			sweep()
 		}()
 	}
 	wg.Wait()
@@ -785,7 +768,7 @@ func scanKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l
 	// kernels when blk covers the items — and claim best-first:
 	// likely-close candidates are verified first, which tightens the
 	// shared threshold early, and the precompiled tiers then dismiss the
-	// tail without touching the trees — the label tier runs lazily, only
+	// tail without touching the trees — the degree tier runs lazily, only
 	// for candidates size and padding admit.
 	order, sizeB, padB, blocked, err := cascadeOrder(ctx, query, items, blk, workers, counters)
 	if err != nil {
@@ -799,7 +782,7 @@ func scanKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l
 		mu    sync.Mutex
 		stats PruneStats
 	}
-	runSweepers(min(workers, len(order)), func(int) {
+	runSweepers(min(workers, len(order)), func() {
 		comp := tedComputers.Get().(*ted.Computer)
 		defer tedComputers.Put(comp)
 		var st PruneStats
@@ -840,23 +823,17 @@ func scanKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l
 					st.PrunedByBound += int(rest)
 					break
 				}
-				var pruned bool
-				if blocked {
-					pruned = blk.labelTier(query, int(j), t)
-				} else {
-					_, pruned = labelTierPrunes(query, it, t)
-				}
-				if pruned {
+				if _, pruned := degreeTierPrunes(query, it, t); pruned {
 					if blocked {
 						counters.blockSurvive(tierPadding)
 					}
 					st.PrunedByBound++
-					counters.cascadePrune(tierLabel)
+					counters.cascadePrune(tierDegree)
 					continue
 				}
 			}
 			if blocked {
-				counters.blockSurvive(tierLabel)
+				counters.blockSurvive(tierDegree)
 			}
 			d, out := verifyDistanceAtMost(comp, query, it, t, counters)
 			switch out {
@@ -898,14 +875,15 @@ func scanRange(ctx context.Context, query Item, items []Item, blk *profileBlock,
 	}
 	var mu sync.Mutex
 	var out []Neighbor
-	comps := acquireComputers(workers)
-	defer releaseComputers(comps)
-	err := ParallelForCtxWorkers(ctx, n, workers, func(w, i int) {
+	err := ParallelForCtx(ctx, n, workers, func(i int) {
 		if blocked {
 			i = int(survivors[i])
 		}
 		it := items[i]
-		if d, o := dist(comps[w], query, it, r, counters); o == ted.OutcomeExact && d <= r {
+		comp := tedComputers.Get().(*ted.Computer)
+		d, o := dist(comp, query, it, r, counters)
+		tedComputers.Put(comp)
+		if o == ted.OutcomeExact && d <= r {
 			mu.Lock()
 			out = append(out, Neighbor{Node: it.Node, Dist: d})
 			mu.Unlock()
@@ -921,21 +899,14 @@ func scanRange(ctx context.Context, query Item, items []Item, blk *profileBlock,
 // ParallelForCtx runs fn(i) for i in [0, n) across workers (<= 0 means
 // GOMAXPROCS), stopping early when ctx is canceled; it returns
 // ctx.Err() in that case. Slots already handed to workers still
-// complete, so fn must stay safe to run after cancellation.
+// complete, so fn must stay safe to run after cancellation. At one
+// worker the loop runs on the caller's goroutine.
 func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	return ParallelForCtxWorkers(ctx, n, workers, func(_, i int) { fn(i) })
-}
-
-// ParallelForCtxWorkers is ParallelForCtx with the worker index exposed,
-// so callers can give each goroutine its own scratch state (for example
-// a pooled ted.Computer). Worker indexes are dense in [0, workers). At
-// one worker the loop runs on the caller's goroutine.
-func ParallelForCtxWorkers(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	var next atomic.Int64
-	runSweepers(min(BatchOptions{Workers: workers}.workers(), n), func(w int) {
+	runSweepers(min(BatchOptions{Workers: workers}.workers(), n), func() {
 		for k := 0; ; k++ {
 			if k%cancelCheckStride == 0 && ctx.Err() != nil {
 				return
@@ -944,7 +915,7 @@ func ParallelForCtxWorkers(ctx context.Context, n, workers int, fn func(worker, 
 			if i >= n {
 				return
 			}
-			fn(w, i)
+			fn(i)
 		}
 	})
 	return ctx.Err()

@@ -219,11 +219,13 @@ func (c tripCtx) Err() error {
 // kernels) and unprofiled ones (scalar bounds), directed and
 // undirected: KNN and Range are node-identical to the exhaustive
 // oracle; every candidate of every query lands in exactly one counter
-// bucket — evaluated, or dismissed by exactly one tier — also when the
-// bound-sorted tail is cut while other sweepers still hold candidates;
-// at width 1 the counters are a function of the query stream; and a
-// context cancelled mid-scan yields context.Canceled and no partial
-// answer.
+// bucket — evaluated, or dismissed by exactly one tier, tier 2 among
+// them on profiled items — also when the bound-sorted tail is cut while
+// other sweepers still hold candidates; at width 1 the counters are a
+// function of the query stream; and a context cancelled mid-scan yields
+// context.Canceled and no partial answer. Width 0, which no backend
+// passes (they normalise it) but the scan functions accept, answers the
+// same: KNN on the caller, Range on GOMAXPROCS sweepers.
 func TestScanWidths(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := randomDirTestGraph(150, 340, 21, directed)
@@ -244,6 +246,17 @@ func TestScanWidths(t *testing.T) {
 			cands, qs, blockSwept := items, queries, int64(0)
 			if profiled {
 				cands, qs, blockSwept = profItems, profQueries, int64(n)
+			}
+			all := exhaustiveKNN(queries[1], items, n)
+			within := sort.Search(n, func(i int) bool { return all[i].Dist > 3 })
+			blk := compileBlock(cands) // nil for the unprofiled items
+			knn0, _, err := scanKNN(context.Background(), qs[1], cands, blk, 9, 0, nil)
+			if err != nil || fmt.Sprint(knn0) != fmt.Sprint(all[:9]) {
+				t.Errorf("directed=%v profiled=%v width=0 KNN: got %v (err %v), exhaustive %v", directed, profiled, knn0, err, all[:9])
+			}
+			rng0, err := scanRange(context.Background(), qs[1], cands, blk, 3, 0, nil)
+			if err != nil || fmt.Sprint(rng0) != fmt.Sprint(all[:within]) {
+				t.Errorf("directed=%v profiled=%v width=0 Range: got %v (err %v), exhaustive %v", directed, profiled, rng0, err, all[:within])
 			}
 			for _, width := range []int{1, 2, 4} {
 				name := fmt.Sprintf("directed=%v profiled=%v width=%d", directed, profiled, width)
@@ -266,7 +279,7 @@ func TestScanWidths(t *testing.T) {
 								name, what, c.DistanceCalls, c.LowerBoundPrunes, n)
 						}
 						if c.LowerBoundPrunes != c.SizePrunes+c.PaddingPrunes+c.LabelPrunes {
-							t.Errorf("%s %s: LowerBoundPrunes %d != size %d + padding %d + label %d",
+							t.Errorf("%s %s: LowerBoundPrunes %d != size %d + padding %d + tier-2 %d",
 								name, what, c.LowerBoundPrunes, c.SizePrunes, c.PaddingPrunes, c.LabelPrunes)
 						}
 						if c.BlockCandidates != blockSwept {
@@ -292,6 +305,9 @@ func TestScanWidths(t *testing.T) {
 				first := stream()
 				if first.LowerBoundPrunes == 0 {
 					t.Errorf("%s: the stream never pruned, so no tail cut was exercised", name)
+				}
+				if profiled && first.LabelPrunes == 0 {
+					t.Errorf("%s: tier 2 never pruned, so the bucket invariant did not cover it", name)
 				}
 				if width == 1 {
 					if second := stream(); second != first {

@@ -5,7 +5,7 @@ package ned
 // struct-of-arrays profile arena (block.go), writing per-slot bound
 // values or a survivor bitmap. Each kernel reads only contiguous int32
 // arrays — no *Item or *Profile is dereferenced — so the hot loops stay
-// branch-light and bounds-check-hoisted. Every kernel is
+// branch-light and bounds-check-hoisted. Every tier kernel is
 // decision-identical to its scalar counterpart in cascade.go
 // (kernels_test.go pins the equivalence bit for bit); see the
 // block-vs-scalar contract in cascade.go.
@@ -83,51 +83,6 @@ func tierFilterBlock(sizeB, padB []int32, t int32, bits []uint64) (szPruned, pad
 		}
 	}
 	return szPruned, padPruned
-}
-
-// labelTermArena is ted.LevelLabelTerm over arena storage: max over
-// depths of ceil(D_d/4), D_d the symmetric difference of level d's
-// sorted label runs — the query side read from its Profile, the
-// candidate side from one arena slot's CSR runs.
-func labelTermArena(qLevels, qLabels, cLevels, cLabels []int32) int {
-	maxDiff := int64(0)
-	var offQ, offC int32
-	for d := 0; d < len(qLevels) || d < len(cLevels); d++ {
-		var runQ, runC []int32
-		if d < len(qLevels) {
-			runQ = qLabels[offQ : offQ+qLevels[d]]
-			offQ += qLevels[d]
-		}
-		if d < len(cLevels) {
-			runC = cLabels[offC : offC+cLevels[d]]
-			offC += cLevels[d]
-		}
-		if diff := symDiffSorted(runQ, runC); diff > maxDiff {
-			maxDiff = diff
-		}
-	}
-	return int((maxDiff + 3) / 4)
-}
-
-// symDiffSorted is the multiset symmetric difference of two ascending
-// runs via linear merge (the arena copy of ted's symmetricDifference).
-func symDiffSorted(a, b []int32) int64 {
-	var d int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-			d++
-		default:
-			j++
-			d++
-		}
-	}
-	return d + int64(len(a)-i) + int64(len(b)-j)
 }
 
 // blockOrder returns the slots in ascending (padding bound, node)

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"ned/internal/graph"
+	"ned/internal/ted"
 	"ned/internal/tree"
 )
 
 // BenchmarkCascadeKernels isolates the filter-tier cost per candidate:
-// the same bounds, evaluation order, and label-tier decisions computed
-// through the columnar block kernels versus the scalar per-candidate
-// cascade. The scans' wall-clock win (BenchmarkCorpusKNN) mixes filter
+// the same bounds and evaluation order computed through the columnar
+// block kernels versus the scalar per-candidate cascade, plus the
+// per-candidate degree tier. The scans' wall-clock win (BenchmarkCorpusKNN) mixes filter
 // and verify work; this is the filter side alone, in ns per candidate.
 // CI runs it at -benchtime=1x as a compile-and-smoke gate; the harness
 // reads the block sweep at serving size as ned.sweep_ns_per_candidate.
@@ -87,20 +88,12 @@ func BenchmarkCascadeKernels(b *testing.B) {
 		perCand(b)
 	})
 
-	// Label tier at threshold 0: the tightest threshold a self-match
-	// query produces, where the width gate admits the most merges.
-	b.Run("labeltier/arena", func(b *testing.B) {
+	// Tier 2 has one form; unbounded, it walks every level of both
+	// profiles — the most one candidate can cost it.
+	b.Run("degreetier", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
-				blk.labelTier(q, j, 0)
-			}
-		}
-		perCand(b)
-	})
-	b.Run("labeltier/scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				labelTierPrunes(q, items[j], 0)
+				degreeTierPrunes(q, items[j], ted.Unbounded)
 			}
 		}
 		perCand(b)

@@ -101,8 +101,8 @@ func sameProfile(a, b *tree.Profile) bool {
 		return true
 	}
 	return eq(a.Labels, b.Labels) && eq(a.Perm, b.Perm) && eq(a.Kids, b.Kids) &&
-		eq(a.Levels, b.Levels) && a.Canon == b.Canon &&
-		a.LeafLabel == b.LeafLabel && a.Size == b.Size && a.MaxLevel == b.MaxLevel
+		eq(a.Levels, b.Levels) && eq(a.Degs, b.Degs) && a.Canon == b.Canon &&
+		a.LeafLabel == b.LeafLabel && a.Size == b.Size
 }
 
 func checkRoundTrip(t *testing.T, directed bool) {

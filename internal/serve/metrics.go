@@ -238,7 +238,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	emit("ned_corpus_lower_bound_prunes_total", "counter", "Candidates dismissed by a precompiled lower bound (sum of the cascade tiers).", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_lower_bound_prunes_total{corpus=%q} %d\n", tenants[i].Name, stats[i].LowerBoundPrunes)
 	})
-	emit("ned_corpus_cascade_prunes_total", "counter", "Candidates dismissed per filter-cascade tier (size, padding, label).", func(i int) {
+	emit("ned_corpus_cascade_prunes_total", "counter", "Candidates dismissed per filter-cascade tier (size, padding, label = tier 2 (degree sequence)).", func(i int) {
 		n := tenants[i].Name
 		fmt.Fprintf(w, "ned_corpus_cascade_prunes_total{corpus=%q,tier=\"size\"} %d\n", n, stats[i].SizePrunes)
 		fmt.Fprintf(w, "ned_corpus_cascade_prunes_total{corpus=%q,tier=\"padding\"} %d\n", n, stats[i].PaddingPrunes)
@@ -247,7 +247,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	emit("ned_corpus_block_candidates_total", "counter", "Candidate slots swept by the columnar block kernels of the linear and pruned scans.", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_block_candidates_total{corpus=%q} %d\n", tenants[i].Name, stats[i].BlockCandidates)
 	})
-	emit("ned_corpus_block_survivors_total", "counter", "Block-kernel candidates that passed each cascade tier (label survivors reached verify).", func(i int) {
+	emit("ned_corpus_block_survivors_total", "counter", "Block-kernel candidates that passed each cascade tier (label = tier 2 (degree sequence); its survivors reached verify).", func(i int) {
 		n := tenants[i].Name
 		fmt.Fprintf(w, "ned_corpus_block_survivors_total{corpus=%q,tier=\"size\"} %d\n", n, stats[i].BlockSizeSurvivors)
 		fmt.Fprintf(w, "ned_corpus_block_survivors_total{corpus=%q,tier=\"padding\"} %d\n", n, stats[i].BlockPaddingSurvivors)

@@ -123,3 +123,32 @@ func FuzzDistanceAtMost(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDegreeBound fuzzes tier 2 of the filter cascade on tree pairs:
+// everything checkDominance pins (the chain up to the exact distance,
+// symmetry, the threshold contract below the distance, label-freedom)
+// plus the threshold contract at an arbitrary fuzzed threshold — a
+// bound that overshot the distance, or an early return that disagreed
+// with the full sum, would silently drop true neighbors from every
+// index backend.
+func FuzzDegreeBound(f *testing.F) {
+	f.Add("", "", 0)
+	f.Add("0,0,1,2", "0,0,1,1", 0)
+	f.Add("0,0,0,1,1", "0,1,2", 2)
+	f.Add("0,0,1,1,2,2,3", "0,0,0,0,1,1,1", -3)
+	f.Add("0,1,2,3,4,5", "0,0,0,0,0,0", 1000)
+	f.Fuzz(func(t *testing.T, e1, e2 string, thr int) {
+		t1, ok1 := decodeFuzzTree(e1)
+		t2, ok2 := decodeFuzzTree(e2)
+		if !ok1 || !ok2 {
+			return
+		}
+		in := tree.NewInterner()
+		p1, p2 := in.Profile(t1), in.Profile(t2)
+		checkDominance(t, t1, t2, p1, p2, tree.NewInterner().ProfileQuery(t1))
+		full := DegreeBound(p1, p2, Unbounded)
+		if got := DegreeBound(p1, p2, thr); (got > thr) != (full > thr) || got > full {
+			t.Fatalf("DegreeBound at threshold %d = %d, full bound %d (%q vs %q)", thr, got, full, e1, e2)
+		}
+	})
+}

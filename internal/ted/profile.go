@@ -7,41 +7,56 @@ import "ned/internal/tree"
 // tree traversal, no canonization, no matching. The three tiers form a
 // provable dominance chain
 //
-//	SizeBound <= PaddingBound <= LabelBound <= TED*
+//	SizeBound <= PaddingBound <= DegreeBound <= TED*
 //
 // so an index can evaluate them cheapest-first and stop at the first
 // tier that exceeds its search threshold, while pruning stays exact:
-// every tier lower-bounds the Definition-3 optimum, which Algorithm 1's
-// value (the distance the indexes serve) never undershoots.
+// every tier lower-bounds the value Algorithm 1 computes (the distance
+// the indexes serve).
 //
-// Soundness arguments, per tier, against any edit script turning T1
-// into T2 (insert leaf / delete leaf / move a node within its level):
+// Soundness arguments, per tier:
 //
 //   - Size: each insert or delete changes the node count by exactly 1
 //     and moves change nothing, so |n1-n2| ops are unavoidable.
 //   - Padding: each insert or delete changes exactly one level's size
 //     by 1 (no operation changes two levels' sizes at once), so the
-//     per-level size gaps must be paid separately: Σ_d | |L_d(T1)| −
-//     |L_d(T2)| | ops at least. Summing the per-level gaps dominates
+//     per-level size gaps must be paid separately: Σ_d P_d with P_d =
+//     | |L_d(T1)| − |L_d(T2)| |. Summing the per-level gaps dominates
 //     the single global gap, hence Size <= Padding.
-//   - Label multisets: give every node its subtree shape as a label
-//     (interned corpus-wide, so equal labels <=> isomorphic subtrees)
-//     and compare, per level, the two label multisets. One operation
-//     perturbs each level's multiset by at most 4 elements: an insert
-//     or delete adds/removes one leaf label at its own level (1) and
-//     relabels the one ancestor sitting at each shallower level (2 per
-//     level); a move relabels at most two nodes per shallower level —
-//     the old and new parent chains (4 per level) — and nothing at or
-//     below its own level, since the moved subtree is carried intact.
-//     The symmetric difference D_d of level d's multisets is a metric,
-//     so a script of m operations can bridge at most 4m of it:
-//     m >= max_d ceil(D_d / 4). The tier takes the max with the padding
-//     bound, which both guarantees the dominance chain and keeps the
-//     tier useful when level sizes match but wiring differs (there
-//     D_d > 0 while the padding bound is 0).
+//   - Degree sequences: Algorithm 1 charges level d the padding P_d
+//     plus a move cost M_d = (m(G²_d) − P_{d+1}) / 2, where m(G²_d) is
+//     the weight of a perfect matching between the two (padded) levels
+//     under the weights |S(x) △ S(y)| over children-label multisets.
+//     A symmetric difference is never smaller than the difference of
+//     the two sizes, |S(x)| is x's child count (a padded node's is 0),
+//     and the cheapest perfect matching under |a − b| costs pairs the
+//     two sequences in sorted order, so with a_(i), b_(i) the two
+//     levels' ascending child counts, zero-padded to equal width,
+//
+//	m(G²_d) >= Δ_d = Σ_i |a_(i) − b_(i)| >= |Σ_i a_(i) − Σ_i b_(i)| = P_{d+1}
+//
+//     and Δ_d ≡ P_{d+1} (mod 2). Each level therefore costs at least
+//     P_d + (Δ_d − P_{d+1}) / 2, a non-negative integer that adds to
+//     the padding bound term by term, hence Padding <= Degree. The
+//     argument uses no property of the matching Algorithm 1 picks
+//     beyond its being a perfect matching, and child counts do not
+//     change when a level's nodes adopt their partners' labels, so the
+//     bound holds for Algorithm 1's value under ANY matching choice
+//     and any re-canonization — the tie artifacts of the faithfulness
+//     note (tedstar.go) cannot push the served distance below it.
+//
+// LabelBound (the per-level label-multiset bound, max_d ceil(D_d / 4)
+// against the padding bound) stays as a library function but is no
+// longer a cascade tier: it is argued against the Definition-3 optimum
+// (one edit operation perturbs a level's subtree-shape multiset by at
+// most 4 elements: an insert or delete adds or removes one leaf label
+// and relabels one ancestor per shallower level, a move relabels the
+// old and new parent chains), which Algorithm 1's value never
+// undershoots, and it dismissed nothing the padding tier admitted on
+// any measured workload.
 //
 // PaddingBound is bit-identical to the tree-walking LowerBound on the
-// profiled trees (property-tested in cascade_test.go); profiles simply
+// profiled trees (property-tested in profile_test.go); profiles simply
 // make it two flat []int32 scans.
 
 // SizeBound is tier 0 of the cascade: |size(T1) − size(T2)| from the
@@ -77,7 +92,60 @@ func PaddingBound(a, b *tree.Profile) int {
 	return bound
 }
 
-// LevelLabelTerm is the label-multiset half of tier 2: max over depths
+// DegreeBound is tier 2 of the cascade: Σ_d P_d + Σ_d (Δ_d − P_{d+1})/2,
+// the padding bound plus what each level's sorted child-count sequences
+// (tree.Profile.Degs) prove its matching must cost in moves. Every term
+// is non-negative, so the running total is itself a lower bound: the
+// sum stops at the first level that carries it past t and returns the
+// partial value (> t); at t = Unbounded the full bound comes back.
+// Label-free: profiles of different Interners, or with unresolved query
+// labels, compare fine.
+func DegreeBound(a, b *tree.Profile, t int) int {
+	bound := PaddingBound(a, b)
+	if bound > t {
+		return bound
+	}
+	// Only levels with children on both sides can add to the padding
+	// bound. Level 0 is two roots, whose child-count gap IS P_1; from
+	// the shallower tree's deepest level down, one side is all leaves
+	// or padding, so Δ_d is the other side's child total, which IS
+	// P_{d+1}.
+	offA, offB := int32(1), int32(1)
+	for d := 1; d+1 < min(len(a.Levels), len(b.Levels)); d++ {
+		ra := a.Degs[offA : offA+a.Levels[d]]
+		rb := b.Degs[offB : offB+b.Levels[d]]
+		offA += a.Levels[d]
+		offB += b.Levels[d]
+		if len(ra) < len(rb) {
+			ra, rb = rb, ra
+		}
+		// Zeros pad the narrower run at its low end: the wider run's
+		// surplus smallest counts pair with them.
+		k := len(ra) - len(rb)
+		var delta int32
+		for _, x := range ra[:k] {
+			delta += x
+		}
+		net := delta // Σ ra − Σ rb, whose magnitude is P_{d+1}
+		for i, x := range ra[k:] {
+			diff := x - rb[i]
+			net += diff
+			if diff < 0 {
+				diff = -diff
+			}
+			delta += diff
+		}
+		if net < 0 {
+			net = -net
+		}
+		if bound += int(delta-net) / 2; bound > t {
+			return bound
+		}
+	}
+	return bound
+}
+
+// LevelLabelTerm is the label-multiset half of LabelBound: max over depths
 // of ceil(D_d / 4), with D_d the symmetric difference between the two
 // levels' interned subtree-label multisets (a linear merge of two
 // sorted int32 runs per level). On its own it neither dominates nor is
@@ -103,8 +171,9 @@ func LevelLabelTerm(a, b *tree.Profile) int {
 	return int((maxDiff + 3) / 4)
 }
 
-// LabelBound is tier 2 of the cascade: max(PaddingBound, LevelLabelTerm),
-// a valid TED* lower bound that dominates the padding bound.
+// LabelBound is max(PaddingBound, LevelLabelTerm): a lower bound on the
+// Definition-3 optimum that dominates the padding bound. Not a cascade
+// tier (see the file comment); kept for callers that want it.
 func LabelBound(a, b *tree.Profile) int {
 	p := PaddingBound(a, b)
 	if t := LevelLabelTerm(a, b); t > p {

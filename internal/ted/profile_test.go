@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"ned/internal/datasets"
+	"ned/internal/graph"
 	"ned/internal/tree"
 )
 
@@ -68,45 +70,87 @@ func randomTrees(n int) []*tree.Tree {
 	return out
 }
 
-// TestCascadeDominance pins the monotone chain the filter–verify
-// cascade relies on, over the checked-in fuzz seeds and random
-// generated pairs:
+// checkDominance pins, for one tree pair, everything the cascade relies
+// on from its bounds: the monotone chain
 //
-//	SizeBound <= PaddingBound <= LabelBound <= exact TED*
+//	SizeBound <= PaddingBound <= DegreeBound <= exact TED*
 //
-// (tier 0 is the exported SizeLowerBound wired into the cascade; its
-// profile form must agree with it). A violation anywhere would make a
-// tier prune a candidate that belongs in the answer.
+// (tier 0 must agree with the exported SizeLowerBound), symmetry of the
+// degree bound, its threshold contract — it reports "> t" at threshold
+// t exactly when the full bound exceeds t — and label-freedom: q1, a
+// read-only profile of t1 against a dictionary that knows none of its
+// shapes, yields the same value as the interned p1. A violation
+// anywhere would make a tier prune a candidate that belongs in the
+// answer.
+func checkDominance(t *testing.T, t1, t2 *tree.Tree, p1, p2, q1 *tree.Profile) {
+	t.Helper()
+	size := SizeBound(p1, p2)
+	pad := PaddingBound(p1, p2)
+	deg := DegreeBound(p1, p2, Unbounded)
+	exact := Distance(t1, t2)
+	if size != SizeLowerBound(t1, t2) {
+		t.Fatalf("SizeBound=%d disagrees with SizeLowerBound=%d for %q vs %q",
+			size, SizeLowerBound(t1, t2), tree.Encode(t1), tree.Encode(t2))
+	}
+	if size > pad || pad > deg || deg > exact {
+		t.Fatalf("dominance chain broken: size=%d pad=%d degree=%d exact=%d for %q vs %q",
+			size, pad, deg, exact, tree.Encode(t1), tree.Encode(t2))
+	}
+	if rev := DegreeBound(p2, p1, Unbounded); rev != deg {
+		t.Fatalf("DegreeBound asymmetric: %d vs %d for %q vs %q", deg, rev, tree.Encode(t1), tree.Encode(t2))
+	}
+	for thr := 0; thr < exact; thr++ {
+		if got := DegreeBound(p1, p2, thr); (got > thr) != (deg > thr) || got > deg {
+			t.Fatalf("DegreeBound at threshold %d = %d, full bound %d for %q vs %q",
+				thr, got, deg, tree.Encode(t1), tree.Encode(t2))
+		}
+	}
+	if q1.Resolved() {
+		t.Fatalf("query profile of %q resolved against an empty dictionary", tree.Encode(t1))
+	}
+	if got := DegreeBound(q1, p2, Unbounded); got != deg {
+		t.Fatalf("DegreeBound through an unresolved query profile = %d, interned %d for %q vs %q",
+			got, deg, tree.Encode(t1), tree.Encode(t2))
+	}
+}
+
+// TestCascadeDominance runs checkDominance over the checked-in fuzz
+// seeds, random generated pairs, and k-adjacent trees of the PGP / CAR /
+// DBLP / GNU dataset analogs — the shapes the engine actually serves.
 func TestCascadeDominance(t *testing.T) {
 	trees := append(fuzzSeedTrees(t), randomTrees(120)...)
-	in := tree.NewInterner()
+	in, empty := tree.NewInterner(), tree.NewInterner()
 	profiles := make([]*tree.Profile, len(trees))
 	for i, tr := range trees {
 		profiles[i] = in.Profile(tr)
 	}
 	pairs := 0
 	for i, t1 := range trees {
+		q1 := empty.ProfileQuery(t1)
 		for j, t2 := range trees {
 			if j > i+40 { // cap the quadratic sweep; pairs stay diverse
 				break
 			}
-			p1, p2 := profiles[i], profiles[j]
-			size := SizeBound(p1, p2)
-			pad := PaddingBound(p1, p2)
-			label := LabelBound(p1, p2)
-			exact := Distance(t1, t2)
-			if size != SizeLowerBound(t1, t2) {
-				t.Fatalf("SizeBound=%d disagrees with SizeLowerBound=%d for %q vs %q",
-					size, SizeLowerBound(t1, t2), tree.Encode(t1), tree.Encode(t2))
-			}
-			if size > pad || pad > label || label > exact {
-				t.Fatalf("dominance chain broken: size=%d pad=%d label=%d exact=%d for %q vs %q",
-					size, pad, label, exact, tree.Encode(t1), tree.Encode(t2))
-			}
+			checkDominance(t, t1, t2, profiles[i], profiles[j], q1)
 			pairs++
 		}
 	}
 	t.Logf("checked %d pairs over %d trees (%d interned shapes)", pairs, len(trees), in.Len())
+
+	for _, name := range []datasets.Name{datasets.PGP, datasets.CAR, datasets.DBLP, datasets.GNU} {
+		g := datasets.MustGenerate(name, datasets.Options{Scale: 0.3})
+		rng := rand.New(rand.NewSource(7))
+		var gap, closed float64
+		for n := 0; n < 120; n++ {
+			t1, _ := tree.KAdjacent(g, graph.NodeID(rng.Intn(g.NumNodes())), 3)
+			t2, _ := tree.KAdjacent(g, graph.NodeID(rng.Intn(g.NumNodes())), 3)
+			p1, p2 := in.Profile(t1), in.Profile(t2)
+			checkDominance(t, t1, t2, p1, p2, empty.ProfileQuery(t1))
+			gap += float64(Distance(t1, t2) - PaddingBound(p1, p2))
+			closed += float64(DegreeBound(p1, p2, Unbounded) - PaddingBound(p1, p2))
+		}
+		t.Logf("%s: degree bound closes %.0f of the %.0f padding-to-TED* gap over 120 pairs", name, closed, gap)
+	}
 }
 
 // TestProfilePaddingBitIdentical pins the profile-based padding bound

@@ -1,19 +1,20 @@
 package tree
 
 // This file compiles a batch of Profiles into a ProfileArena: one
-// struct-of-arrays block holding every profile's cascade-relevant data
-// in contiguous int32 (and uint64) arrays, indexed by slot. The filter
-// tiers of the internal/ned cascade sweep these arrays in tight
-// bounds-check-hoisted loops over whole candidate blocks — no *Item or
-// *Profile is dereferenced until a candidate survives every tier and
-// reaches the verify stage. The arena is immutable after compilation
-// and safe to share across epoch clones (the owner recompiles it when
-// the underlying item set changes).
+// struct-of-arrays block holding what the precompiled cascade tiers
+// read — sizes and level-size vectors — in contiguous int32 arrays,
+// indexed by slot. The size and padding tiers of the internal/ned
+// cascade sweep these arrays in tight bounds-check-hoisted loops over
+// whole candidate blocks — no *Item or *Profile is dereferenced until a
+// candidate survives the precompiled tiers; tier 2 (the degree-sequence
+// bound) and the verify stage then read the survivor's own Profile. The
+// arena is immutable after compilation and safe to share across epoch
+// clones (the owner recompiles it when the underlying item set changes).
 
 // ProfileArena is the columnar layout of a slice of Profiles. All
 // per-slot arrays are indexed by the position the profile held in the
-// compiling slice; the variable-length level and label data are
-// concatenated with per-slot offset arrays (CSR layout).
+// compiling slice; the variable-length level data is concatenated with
+// a per-slot offset array (CSR layout).
 type ProfileArena struct {
 	// N is the slot count.
 	N int
@@ -21,25 +22,10 @@ type ProfileArena struct {
 	// Sizes[i] is profile i's node count (Profile.Size).
 	Sizes []int32
 
-	// MaxW[i] is profile i's widest level (Profile.MaxLevel), the O(1)
-	// gate of the label tier.
-	MaxW []int32
-
-	// Canon[i] is profile i's interned 64-bit AHU key: equal keys (from
-	// one Interner) mean isomorphic trees, distance 0.
-	Canon []uint64
-
 	// Levels holds every profile's level-size vector, concatenated;
 	// slot i owns Levels[LevOff[i]:LevOff[i+1]]. len(LevOff) == N+1.
 	LevOff []int32
 	Levels []int32
-
-	// Labels holds every profile's per-level sorted label runs,
-	// concatenated in slot order; slot i owns
-	// Labels[LabOff[i]:LabOff[i+1]], with level d's run located by the
-	// prefix sums of the slot's level sizes. len(LabOff) == N+1.
-	LabOff []int32
-	Labels []int32
 }
 
 // CompileArena builds the columnar arena over ps. Every profile must be
@@ -48,42 +34,23 @@ type ProfileArena struct {
 // scalar per-candidate path).
 func CompileArena(ps []*Profile) *ProfileArena {
 	n := len(ps)
-	levTotal, labTotal := 0, 0
+	levTotal := 0
 	for _, p := range ps {
 		if p == nil {
 			return nil
 		}
 		levTotal += len(p.Levels)
-		labTotal += len(p.Labels)
 	}
 	a := &ProfileArena{
 		N:      n,
 		Sizes:  make([]int32, n),
-		MaxW:   make([]int32, n),
-		Canon:  make([]uint64, n),
 		LevOff: make([]int32, n+1),
 		Levels: make([]int32, 0, levTotal),
-		LabOff: make([]int32, n+1),
-		Labels: make([]int32, 0, labTotal),
 	}
 	for i, p := range ps {
 		a.Sizes[i] = p.Size
-		a.MaxW[i] = p.MaxLevel
-		a.Canon[i] = p.Canon
 		a.Levels = append(a.Levels, p.Levels...)
 		a.LevOff[i+1] = int32(len(a.Levels))
-		a.Labels = append(a.Labels, p.Labels...)
-		a.LabOff[i+1] = int32(len(a.Labels))
 	}
 	return a
-}
-
-// SlotLevels returns slot i's level-size vector.
-func (a *ProfileArena) SlotLevels(i int) []int32 {
-	return a.Levels[a.LevOff[i]:a.LevOff[i+1]]
-}
-
-// SlotLabels returns slot i's concatenated per-level sorted label runs.
-func (a *ProfileArena) SlotLabels(i int) []int32 {
-	return a.Labels[a.LabOff[i]:a.LabOff[i+1]]
 }

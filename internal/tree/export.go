@@ -91,8 +91,8 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 // columns — the level-sorted labels, the level-local permutation, and
 // the CSR child-label runs aligned with t's own child storage — all
 // expressed against this dictionary. The derived fields (level sizes,
-// size, max level, leaf and root labels, the interned encoding) are
-// recomputed from the tree and dictionary rather than trusted, and the
+// size, degree sequences, leaf and root labels, the interned encoding)
+// are recomputed from the tree and dictionary rather than trusted, and the
 // stored columns are validated structurally: every label a dictionary
 // ID, labels sorted within each level, Perm a plausible level-local
 // index. The reconstructed profile enters t's profile cache, exactly
@@ -119,15 +119,7 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32) (*Prof
 			prev = l
 		}
 	}
-	h := t.Height()
-	levels := make([]int32, h+1)
-	maxLevel := int32(0)
-	for d := 0; d <= h; d++ {
-		levels[d] = int32(t.LevelSize(d))
-		if levels[d] > maxLevel {
-			maxLevel = levels[d]
-		}
-	}
+	levels := levelSizes(t)
 	// Labels must be sorted within each level AND every one a dictionary
 	// ID; sortedness makes the range check per level O(1) (first and
 	// last element), leaving one comparison per label.
@@ -150,12 +142,12 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32) (*Prof
 	p := &Profile{
 		Levels:    levels,
 		Labels:    labels,
+		Degs:      levelDegrees(levels, t.childOff),
 		Perm:      perm,
 		Kids:      kids,
 		KidOff:    t.childOff, // aligned by construction; both sides immutable
 		LeafLabel: labels[n-1],
 		Size:      int32(n),
-		MaxLevel:  maxLevel,
 		Canon:     uint64(labels[0]), // level 0 is the root alone
 	}
 	t.profCache.Store(&cachedProfile{dict: in.id, dictLen: in.Len(), p: p})

@@ -101,7 +101,8 @@ func TestProfileFromPartsRoundTrip(t *testing.T) {
 			!slices.Equal(got.Perm, want.Perm) ||
 			!slices.Equal(got.Kids, want.Kids) ||
 			!slices.Equal(got.KidOff, want.KidOff) ||
-			got.Size != want.Size || got.MaxLevel != want.MaxLevel ||
+			!slices.Equal(got.Degs, want.Degs) ||
+			got.Size != want.Size ||
 			got.LeafLabel != want.LeafLabel || got.Canon != want.Canon {
 			t.Fatalf("tree %d: reconstructed profile differs:\n got %+v\nwant %+v", i, got, want)
 		}

@@ -15,9 +15,12 @@ import (
 //
 //   - the level-size vector (the padding lower bound becomes a single
 //     loop over two []int32),
+//   - every level's child counts, sorted ascending (the degree-sequence
+//     lower bound becomes a walk over two sorted int32 runs per level),
 //   - every node's subtree shape as a corpus-interned label ID, grouped
-//     by depth and sorted within each level (the per-level label-multiset
-//     lower bound becomes a linear merge of two sorted int32 runs),
+//     by depth and sorted within each level (the verify stage's
+//     equal-label pre-match becomes a linear merge of two sorted int32
+//     runs),
 //   - the AHU canonical encoding of the whole tree as an interned 64-bit
 //     key (isomorphism testing becomes one integer compare). The
 //     encoding STRING is not part of the profile: the rare size-and-
@@ -45,14 +48,15 @@ type Profile struct {
 	// Labels[off : off+Levels[d]] with off the prefix sum of Levels[:d].
 	Labels []int32
 
+	// Degs holds every node's child count, grouped by depth on the same
+	// offsets as Labels and sorted ascending within each level: the
+	// degree sequences ted.DegreeBound compares. Derived from KidOff by
+	// both profile constructors, never persisted, and label-free — a
+	// read-only query profile carries the same Degs as an interned one.
+	Degs []int32
+
 	// Size is the node count (the sum of Levels).
 	Size int32
-
-	// MaxLevel is the widest level's size (max of Levels). The label-
-	// multiset bound can reach a value v only if some level's combined
-	// width across the pair exceeds 4v, so comparing the two MaxLevels
-	// against the search threshold gates the O(n) label merge in O(1).
-	MaxLevel int32
 
 	// Perm maps each level-sorted position back to its node: aligned
 	// with Labels, Perm[off+i] is the level-local index (node ID minus
@@ -257,24 +261,16 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 		labels[v] = id
 	}
 
-	h := t.Height()
-	levels := make([]int32, h+1)
-	maxLevel := int32(0)
-	for d := 0; d <= h; d++ {
-		levels[d] = int32(t.LevelSize(d))
-		if levels[d] > maxLevel {
-			maxLevel = levels[d]
-		}
-	}
+	levels := levelSizes(t)
 	p := &Profile{
 		Levels:    levels,
 		Labels:    labels,
+		Degs:      levelDegrees(levels, kidOff),
 		Perm:      make([]int32, n),
 		Kids:      kidsArr,
 		KidOff:    kidOff,
 		LeafLabel: labels[n-1], // last node in level order: deepest, a leaf
 		Size:      int32(n),
-		MaxLevel:  maxLevel,
 	}
 	if root := labels[0]; root >= 0 {
 		p.Canon = uint64(root)
@@ -290,7 +286,7 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 	// (label, index) keys: labels ascending (the XOR flips the sign bit
 	// so negative query-local labels order before dictionary IDs), equal
 	// labels by ascending node index.
-	packed := make([]uint64, maxLevel)
+	packed := make([]uint64, slices.Max(levels))
 	off := int32(0)
 	for _, w := range levels {
 		run := labels[off : off+w]
@@ -307,4 +303,29 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 		off += w
 	}
 	return p
+}
+
+// levelSizes returns t's level-size vector (Profile.Levels).
+func levelSizes(t *Tree) []int32 {
+	levels := make([]int32, t.Height()+1)
+	for d := range levels {
+		levels[d] = int32(t.LevelSize(d))
+	}
+	return levels
+}
+
+// levelDegrees fills Profile.Degs: node v's child count is
+// kidOff[v+1]-kidOff[v], nodes are numbered in level order, and each
+// level's run is sorted ascending.
+func levelDegrees(levels, kidOff []int32) []int32 {
+	degs := make([]int32, len(kidOff)-1)
+	for v := range degs {
+		degs[v] = kidOff[v+1] - kidOff[v]
+	}
+	off := int32(0)
+	for _, w := range levels {
+		slices.Sort(degs[off : off+w])
+		off += w
+	}
+	return degs
 }

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -18,8 +19,9 @@ func profileTestTrees(n int) []*Tree {
 }
 
 // TestProfileShape pins the Profile invariants everything downstream
-// reads blind: Levels mirrors LevelSize, Labels is level-grouped and
-// sorted within each level, and Size is the node count.
+// reads blind: Levels mirrors LevelSize, Labels and Degs are
+// level-grouped and sorted within each level, Degs holds the level's
+// actual child counts, and Size is the node count.
 func TestProfileShape(t *testing.T) {
 	in := NewInterner()
 	for _, tr := range profileTestTrees(60) {
@@ -43,6 +45,15 @@ func TestProfileShape(t *testing.T) {
 				if run[i-1] > run[i] {
 					t.Fatalf("level %d labels not sorted: %v", d, run)
 				}
+			}
+			want := make([]int32, 0, w)
+			lo, hi := tr.LevelRange(d)
+			for v := lo; v < hi; v++ {
+				want = append(want, int32(tr.NumChildren(v)))
+			}
+			slices.Sort(want)
+			if got := p.Degs[off : off+w]; !slices.Equal(got, want) {
+				t.Fatalf("level %d Degs=%v, want sorted child counts %v", d, got, want)
 			}
 			off += w
 		}
