@@ -42,7 +42,7 @@ func main() {
 		node     = flag.Int("node", 0, "query node ID (dense ID in the -from graph)")
 		k        = flag.Int("k", 3, "neighborhood depth (k-adjacent tree levels)")
 		l        = flag.Int("l", 10, "number of neighbors to report")
-		backend  = flag.String("backend", "pruned", "index backend: vp, bk, linear, or pruned")
+		backend  = flag.String("backend", "pruned", "accepted and ignored (vp, bk, linear, or pruned): the corpus serves from the cascade scan")
 		timeout  = flag.Duration("timeout", 0, "abort each query after this long (0 = no limit)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs)")
 		shards   = flag.Int("shards", 0, "index shard count (0 = derived from GOMAXPROCS)")
@@ -55,8 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	be, err := ned.ParseBackend(*backend)
-	if err != nil {
+	if _, err := ned.ParseBackend(*backend); err != nil {
 		fatal(err)
 	}
 
@@ -74,7 +73,7 @@ func main() {
 	}
 
 	corpus, err := ned.NewCorpus(gTo, *k,
-		ned.WithBackend(be), ned.WithWorkers(*workers), ned.WithShards(ned.ShardsFlag(*shards)))
+		ned.WithWorkers(*workers), ned.WithShards(ned.ShardsFlag(*shards)))
 	if err != nil {
 		fatal(err)
 	}
@@ -96,8 +95,8 @@ func main() {
 			return err
 		}
 		stats := corpus.Stats()
-		fmt.Printf("top-%d NED neighbors of %s:%d in %s (k=%d, backend=%s, %d indexed):\n",
-			*l, *fromPath, *node, *toPath, *k, be, stats.Nodes)
+		fmt.Printf("top-%d NED neighbors of %s:%d in %s (k=%d, %d indexed):\n",
+			*l, *fromPath, *node, *toPath, *k, stats.Nodes)
 		for rank, r := range results {
 			fmt.Printf("  %2d. node %-8d distance %d\n", rank+1, r.Node, r.Dist)
 		}
@@ -117,7 +116,7 @@ func main() {
 		}
 		// In watch mode a failed initial query (say, -timeout expiring
 		// during the cold index build) still drops into the REPL, where
-		// the user can rebuild, mutate, or just retry.
+		// the user can mutate or just retry.
 		fmt.Fprintf(os.Stderr, "nedquery: %v\n", err)
 	}
 
@@ -131,7 +130,7 @@ func main() {
 // bad input, mutation failures, query timeouts — are printed and the
 // session keeps its mutated corpus state.
 func watchLoop(corpus *ned.Corpus, runQuery func() error) {
-	fmt.Println("watch mode: add <id...> | rm <id...> | rebuild | stats | query | quit")
+	fmt.Println("watch mode: add <id...> | rm <id...> | stats | query | quit")
 	requery := func() {
 		if err := runQuery(); err != nil {
 			fmt.Fprintf(os.Stderr, "nedquery: %v\n", err)
@@ -166,21 +165,17 @@ func watchLoop(corpus *ned.Corpus, runQuery func() error) {
 				continue
 			}
 			requery()
-		case "rebuild":
-			corpus.Rebuild()
-			fmt.Println("rebuilt")
-			requery()
 		case "stats":
 			s := corpus.Stats()
-			fmt.Printf("nodes %d across %d shards %v, queries %d, TED* evals %d (early exits %d, cascade prunes %d = %d size + %d padding + %d tier 2 (degree sequence)), rebuilds %d, stale %.2f\n",
+			fmt.Printf("nodes %d across %d shards %v, queries %d, TED* evals %d (early exits %d, cascade prunes %d = %d size + %d padding + %d tier 2 (degree sequence))\n",
 				s.Nodes, s.Shards, s.ShardNodes, s.Queries, s.DistanceCalls, s.EarlyExits,
-				s.LowerBoundPrunes, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes, s.Rebuilds, s.StaleRatio)
+				s.LowerBoundPrunes, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
 		case "query":
 			requery()
 		case "quit", "exit", "q":
 			return
 		default:
-			fmt.Fprintf(os.Stderr, "nedquery: unknown command %q (add, rm, rebuild, stats, query, quit)\n", cmd)
+			fmt.Fprintf(os.Stderr, "nedquery: unknown command %q (add, rm, stats, query, quit)\n", cmd)
 		}
 	}
 }

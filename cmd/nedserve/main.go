@@ -45,7 +45,7 @@ func main() {
 		dataset  = flag.String("dataset", "", "boot corpus: built-in dataset analog (CAR, PAR, AMZN, DBLP, GNU, PGP)")
 		snapshot = flag.String("snapshot", "", "boot corpus: ned corpus snapshot file")
 		k        = flag.Int("k", 3, "boot corpus neighborhood depth (dataset only; snapshots record their own)")
-		backend  = flag.String("backend", "", "boot corpus index backend (vp, bk, linear, pruned; empty = engine default, pruned)")
+		backend  = flag.String("backend", "", "accepted and ignored (vp, bk, linear, pruned or empty): every corpus serves from the cascade scan")
 		shards   = flag.Int("shards", 0, "boot corpus shard count (0 = engine default)")
 		workers  = flag.Int("workers", 0, "boot corpus worker count (0 = GOMAXPROCS)")
 		scale    = flag.Float64("scale", 1.0, "boot dataset scale factor")
@@ -124,8 +124,8 @@ func main() {
 			start := time.Now()
 			t.Corpus.Rebuild()
 			cs := t.Corpus.Stats()
-			fmt.Printf("nedserve: corpus %q ready: %d nodes, k=%d, backend=%s, %d shards (built in %s)\n",
-				t.Name, cs.Nodes, cs.K, cs.Backend, cs.Shards, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("nedserve: corpus %q ready: %d nodes, k=%d, %d shards (built in %s)\n",
+				t.Name, cs.Nodes, cs.K, cs.Shards, time.Since(start).Round(time.Millisecond))
 		} else {
 			fmt.Printf("nedserve: corpus %q registered (lazy build on first query)\n", t.Name)
 		}

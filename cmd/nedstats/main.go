@@ -203,7 +203,7 @@ func probeCascade(g *graph.Graph, k, n int) {
 	}
 	s := corpus.Stats()
 	per := func(v int64) string { return fmt.Sprintf("%d (%.1f/query)", v, float64(v)/float64(n)) }
-	fmt.Printf("filter cascade (k=%d, backend=%s, %d KNN(5) probes):\n", s.K, s.Backend, n)
+	fmt.Printf("filter cascade (k=%d, %d KNN(5) probes):\n", s.K, n)
 	fmt.Printf("  TED* evaluations           %s\n", per(s.DistanceCalls))
 	fmt.Printf("  early exits                %s\n", per(s.EarlyExits))
 	fmt.Printf("  cascade prunes             %s\n", per(s.LowerBoundPrunes))

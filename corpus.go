@@ -53,28 +53,36 @@ var (
 	ErrBadSnapshot = errors.New("ned: bad corpus snapshot")
 )
 
-// Backend selects the index structure a Corpus serves queries from. All
-// backends answer the same queries with the same distances; they differ
-// in build cost, per-query work, and parallelism.
+// Backend names an index structure. A Corpus serves from the cascade
+// scan whatever Backend it is given (see WithBackend); the type remains
+// for one release so existing callers, flags, create requests, and
+// snapshot headers keep parsing. The metric trees the other names stood
+// for are the low-level VPIndex and BKIndex, and the paper's NN-query
+// experiment in `nedbench -exp fig9|ablation`.
 type Backend int
 
 const (
-	// BackendVP is the paper's VP-tree metric index (§13.4): sub-linear
-	// queries via triangle-inequality pruning.
+	// BackendVP named the paper's VP-tree metric index (§13.4).
+	//
+	// Deprecated: accepted and ignored; the Corpus serves from the
+	// cascade scan. Use VPIndex for the tree itself.
 	BackendVP Backend = iota
-	// BackendBK is a Burkhard–Keller tree specialized to NED's small
-	// integer distances.
+	// BackendBK named the Burkhard–Keller tree.
+	//
+	// Deprecated: accepted and ignored; the Corpus serves from the
+	// cascade scan. Use BKIndex for the tree itself.
 	BackendBK
-	// BackendLinear is the same cascade scan as BackendPrunedLinear with
-	// each query's candidates shared among ⌈workers / shards⌉ sweepers
-	// per shard: the same pruning decisions and the same answers,
-	// spread over more cores for a lone query.
+	// BackendLinear named the cascade scan spread over several sweepers
+	// per shard.
+	//
+	// Deprecated: accepted and ignored; the Corpus serves from the
+	// cascade scan at width 1 per shard.
 	BackendLinear
-	// BackendPrunedLinear is the cascade scan (§10) at width 1: each
-	// shard scans on one goroutine, best-first by lower bound, skipping
-	// the candidates the bounds prove out of range. The default: with
-	// the filter cascade in front it does fewer TED* evaluations than
-	// the trees and costs nothing to build.
+	// BackendPrunedLinear names the cascade scan (§10) every Corpus
+	// serves from: each shard scans on one goroutine, best-first by lower
+	// bound, skipping the candidates the bounds prove out of range.
+	//
+	// Deprecated: there is nothing left to select.
 	BackendPrunedLinear
 
 	numBackends = iota
@@ -99,10 +107,18 @@ func (b Backend) String() string {
 // stats documents carry "vp" rather than a bare enum ordinal that would
 // silently renumber if backends were ever reordered.
 func (b Backend) MarshalText() ([]byte, error) {
-	if b < 0 || b >= numBackends {
-		return nil, fmt.Errorf("%w: %d", ErrBadBackend, int(b))
+	if err := b.check(); err != nil {
+		return nil, err
 	}
 	return []byte(b.String()), nil
+}
+
+// check rejects a value outside the four named constants.
+func (b Backend) check() error {
+	if b < 0 || b >= numBackends {
+		return fmt.Errorf("%w: %d", ErrBadBackend, int(b))
+	}
+	return nil
 }
 
 // UnmarshalText parses a backend name, accepting everything
@@ -118,6 +134,9 @@ func (b *Backend) UnmarshalText(text []byte) error {
 
 // ParseBackend maps a name ("vp", "bk", "linear", "pruned") to its
 // Backend, for command-line flags.
+//
+// Deprecated: every name means the cascade scan (see WithBackend); only
+// the ErrBadBackend for an unknown name still matters.
 func ParseBackend(s string) (Backend, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "vp", "vptree", "vp-tree":
@@ -131,10 +150,6 @@ func ParseBackend(s string) (Backend, error) {
 	}
 	return 0, fmt.Errorf("%w: %q (want vp, bk, linear, or pruned)", ErrBadBackend, s)
 }
-
-// defaultRebuildThreshold is the staleness ratio above which a mutation
-// triggers an amortized full rebuild of tombstone-accumulating backends.
-const defaultRebuildThreshold = 0.25
 
 // maxDefaultShards caps the GOMAXPROCS-derived shard default: beyond a
 // point extra shards stop buying mutation isolation and only add
@@ -158,42 +173,47 @@ func defaultShards() int {
 type CorpusOption func(*corpusConfig)
 
 type corpusConfig struct {
-	backend   Backend
-	workers   int
-	shards    int
-	directed  bool
-	nodes     []NodeID
-	nodesSet  bool
-	rebuildAt float64
-	graph     *Graph // LoadCorpus only; see WithGraph
+	backend  Backend // validated at construction, never read after; see WithBackend
+	workers  int
+	shards   int
+	directed bool
+	nodes    []NodeID
+	nodesSet bool
+	graph    *Graph // LoadCorpus only; see WithGraph
 }
 
-// WithBackend selects the index backend (default BackendPrunedLinear).
+// WithBackend used to select the index structure behind the Corpus.
+//
+// Deprecated: accepted and ignored. Every Corpus serves from the cascade
+// scan — behind the filter cascade it does fewer TED* evaluations than
+// either metric tree and costs nothing to build (EXPERIMENTS.md,
+// "Bake-off verdict") — and Stats().Backend reports "pruned" whatever
+// was asked for. A value outside the four named constants still fails
+// construction with ErrBadBackend.
 func WithBackend(b Backend) CorpusOption {
 	return func(c *corpusConfig) { c.backend = b }
 }
 
 // WithWorkers sets the worker pool size used for parallel signature
-// materialization, BackendLinear's scan width, shard fan-out, and BatchKNN.
+// materialization, shard fan-out, and BatchKNN.
 // Values <= 0 (the default) mean GOMAXPROCS.
 func WithWorkers(n int) CorpusOption {
 	return func(c *corpusConfig) { c.workers = n }
 }
 
 // WithShards sets how many shards the corpus partitions its nodes
-// across. Each shard owns its own index, staleness accounting, and
-// rebuild policy, publishes immutable epochs that queries read without
-// locking, and serializes its own mutations — so a mutation or rebuild
-// on one shard never blocks queries, and never blocks mutations on
-// other shards. Queries fan out across the shards in parallel and merge
+// across. Each shard owns its own index, publishes immutable epochs that
+// queries read without locking, and serializes its own mutations — so a
+// mutation on one shard never blocks queries, and never blocks mutations
+// on other shards. Queries fan out across the shards in parallel and merge
 // with the canonical (distance, node) order, so answers are
 // node-identical for every shard count, including 1.
 //
 // Values <= 0 (the default) derive the count from GOMAXPROCS (capped at
 // 16). More shards buy mutation isolation and fan-out parallelism at
-// the price of per-query merge overhead and, for the metric trees,
-// slightly less pruning leverage per tree; WithShards(1) restores one
-// monolithic index.
+// the price of per-query merge overhead and a pruning threshold each
+// shard has to find for itself; WithShards(1) restores one monolithic
+// index.
 func WithShards(n int) CorpusOption {
 	return func(c *corpusConfig) { c.shards = n }
 }
@@ -230,25 +250,6 @@ func WithNodes(nodes []NodeID) CorpusOption {
 	}
 }
 
-// WithRebuildThreshold sets the per-shard staleness ratio above which a
-// mutation triggers an amortized rebuild of that shard's index (default
-// 0.25). The VP-tree and BK-tree serve removals via tombstones and (VP)
-// insertions via a linearly-scanned append tail; both cost every query
-// a little until a rebuild folds them back into tree structure. The
-// ratio is stale slots over total structure, so r = 0.25 rebuilds a
-// shard once a quarter of its index is dead weight. r >= 1 disables
-// amortized rebuilds (call Rebuild yourself); r <= 0 restores the
-// default. The in-place scan backends never go stale and ignore the
-// threshold.
-//
-// A rebuild reconstructs one shard's metric tree and publishes it as a
-// new epoch: queries keep serving from the previous epoch for the whole
-// build and never wait, but the mutation that crossed the threshold
-// does, as do other mutations targeting the same shard.
-func WithRebuildThreshold(r float64) CorpusOption {
-	return func(c *corpusConfig) { c.rebuildAt = r }
-}
-
 // WithGraph attaches the backing graph to a corpus restored by
 // LoadCorpus, re-enabling the graph-requiring operations: Insert,
 // UpdateGraph, Signature, and queries for nodes outside the index. The
@@ -261,8 +262,8 @@ func WithGraph(g *Graph) CorpusOption {
 
 // Corpus is a thread-safe, context-aware NED query engine over the
 // nodes of one graph: the top-l / nearest-set similarity workloads of
-// §13.3–13.4 behind a single API, served from an interchangeable index
-// backend. Build one with NewCorpus (or restore one with LoadCorpus);
+// §13.3–13.4 behind a single API, served from one cascade scan per
+// shard. Build one with NewCorpus (or restore one with LoadCorpus);
 // all methods may be called concurrently.
 //
 // The engine is sharded (WithShards): nodes are hash-partitioned across
@@ -275,8 +276,8 @@ func WithGraph(g *Graph) CorpusOption {
 // backing graph, the shard slots, the placement, and every shard's
 // items and index — is published as one immutable view through a single
 // atomic pointer. A query loads that pointer once and answers from what
-// it loaded. Every mutation call (Insert, Remove, UpdateGraph, Rebuild,
-// a rebalance split or merge) prepares private successor epochs for the
+// it loaded. Every mutation call (Insert, Remove, UpdateGraph, a
+// rebalance split or merge) prepares private successor epochs for the
 // shards it touches and publishes them with one pointer store, so a
 // call spanning shards is visible whole or not at all, to queries and
 // to Stats alike. Once the lazy build has run, a mutation never blocks
@@ -285,15 +286,14 @@ func WithGraph(g *Graph) CorpusOption {
 // exception is the first query itself, whose lazy build waits for
 // mutations already in flight).
 //
-// Signatures and the backend indexes are materialized lazily, in
+// Signatures and the shard indexes are materialized lazily, in
 // parallel, on the first query, so constructing a Corpus is cheap and
 // programs that only query a few of several corpora never pay for the
 // rest.
 //
 // A Corpus is dynamic: Insert and Remove churn the indexed node set
-// with live index maintenance (in-place for the scan backends,
-// tombstone + append with amortized per-shard rebuilds for the metric
-// trees — see WithRebuildThreshold), UpdateGraph follows the graph
+// with live index maintenance (each touched shard recompiles its profile
+// block), UpdateGraph follows the graph
 // through version changes re-extracting only the signatures an edit
 // actually affected, and Snapshot/LoadCorpus persist the built index
 // across processes. Results after any mutation sequence are identical
@@ -303,8 +303,8 @@ type Corpus struct {
 	cfg corpusConfig
 
 	// gmu orders whole-engine transitions against one another:
-	// materialization and index builds, UpdateGraph, explicit Rebuild, and
-	// rebalance ticks take the write side, which excludes every mutator —
+	// materialization and index builds, UpdateGraph, and rebalance ticks
+	// take the write side, which excludes every mutator —
 	// they prepare their successor view without shard locks. Insert and
 	// Remove hold the read side for their whole span, so the graph
 	// version, the shard slots, and the placement cannot move underneath
@@ -360,20 +360,17 @@ type Corpus struct {
 	recoveryAttempts atomic.Int64
 	quarantined      atomic.Int64
 
-	queries  atomic.Int64
-	rebuilds atomic.Int64
+	queries atomic.Int64
 
 	// avgSig is the mean signature size (tree nodes per item), set at
 	// materialization — the planner's unit cost for sizing the
 	// sequential-vs-parallel threshold.
 	avgSig atomic.Int64
 
-	// Planner counters: plans built per fan-out mode, and shards
-	// answered by direct scan instead of their tree index.
+	// Planner counters: plans built per fan-out mode.
 	planPar    atomic.Int64
 	planSeq    atomic.Int64
 	planSingle atomic.Int64
-	planScans  atomic.Int64
 
 	// Rebalancer counters and tick state (balPrev is guarded by gmu,
 	// which every RebalanceTick holds for writing).
@@ -490,20 +487,6 @@ type shardEpoch struct {
 	members map[NodeID]bool     // pre-materialization node set; nil once byNode exists
 	byNode  map[NodeID]ned.Item // live items; nil until materialized
 	ix      ned.DynamicIndex    // nil until the index is built
-
-	// scanItems caches the node-ascending item view the planner's
-	// scan-over-items path reads, built lazily once per epoch (readers
-	// race on scanOnce; byNode is immutable by then). A clone starts
-	// with a fresh cache.
-	scanOnce  sync.Once
-	scanItems []ned.Item
-}
-
-// planScanItems is the epoch's live items in ascending node order, for
-// the planner's direct-scan path.
-func (e *shardEpoch) planScanItems() []ned.Item {
-	e.scanOnce.Do(func() { e.scanItems = sortedShardItems(e.byNode) })
-	return e.scanItems
 }
 
 // has reports whether v is indexed in this epoch.
@@ -580,17 +563,14 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadK, k)
 	}
-	cfg := corpusConfig{backend: BackendPrunedLinear, rebuildAt: defaultRebuildThreshold}
+	cfg := corpusConfig{backend: BackendPrunedLinear}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	cfg.graph = nil // LoadCorpus only
-	if cfg.rebuildAt <= 0 {
-		cfg.rebuildAt = defaultRebuildThreshold
-	}
 	cfg.shards = resolveShards(cfg.shards)
-	if cfg.backend < 0 || cfg.backend >= numBackends {
-		return nil, fmt.Errorf("%w: %d", ErrBadBackend, int(cfg.backend))
+	if err := cfg.backend.check(); err != nil {
+		return nil, err
 	}
 	members := make(map[NodeID]bool)
 	if !cfg.nodesSet {
@@ -625,60 +605,10 @@ func sortedShardItems(byNode map[NodeID]ned.Item) []ned.Item {
 	return items
 }
 
-// shardWorkers is the per-shard scan width of BackendLinear: the corpus
-// worker count split across shards, so one query's full fan-out
-// saturates the configured width instead of multiplying it.
-func (c *Corpus) shardWorkers() int {
-	w := c.cfg.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	// Split across the configured seed shard count (stable), not the
-	// live slot count a rebalance may have grown.
-	n := (w + c.cfg.shards - 1) / c.cfg.shards
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// newShardIndex builds the configured backend over one shard's live
-// items.
-func (c *Corpus) newShardIndex(byNode map[NodeID]ned.Item) ned.DynamicIndex {
-	items := sortedShardItems(byNode)
-	switch c.cfg.backend {
-	case BackendVP:
-		return ned.NewVPBackend(items)
-	case BackendBK:
-		return ned.NewBKBackend(items)
-	// The two scan names are one cascade scan; they differ in width.
-	case BackendLinear:
-		return ned.NewLinearBackend(items, c.shardWorkers())
-	case BackendPrunedLinear:
-		return ned.NewLinearBackend(items, 1)
-	}
-	// Unreachable: NewCorpus and LoadCorpus validate the backend.
-	panic(fmt.Sprintf("ned: invalid backend %d past construction", int(c.cfg.backend)))
-}
-
-// rebuiltShardIndex builds a fresh index over an epoch's live items and
-// redirects its serving counters into the retiring generation's
-// accumulator, keeping Stats monotone across rebuilds even with queries
-// still in flight on the old epoch.
-func (c *Corpus) rebuiltShardIndex(e *shardEpoch) ned.DynamicIndex {
-	ix := c.newShardIndex(e.byNode)
-	ned.ShareCounters(ix, e.ix)
-	return ix
-}
-
-// maybeRebuildShard applies the amortized-rebuild policy to an epoch
-// being prepared for publication. Callers hold the shard lock and e.ix
-// is a private (cloned or fresh) index.
-func (c *Corpus) maybeRebuildShard(e *shardEpoch) {
-	if ned.StaleRatio(e.ix) > c.cfg.rebuildAt {
-		e.ix = c.rebuiltShardIndex(e)
-		c.rebuilds.Add(1)
-	}
+// newShardIndex compiles one shard's index, the cascade scan at width 1
+// over its live items.
+func newShardIndex(byNode map[NodeID]ned.Item) ned.DynamicIndex {
+	return ned.NewPrunedLinearBackend(sortedShardItems(byNode))
 }
 
 // materializeAllLocked extracts the signatures of every member in
@@ -721,7 +651,7 @@ func (c *Corpus) buildAllLocked() {
 	eps := append([]*shardEpoch(nil), c.view.Load().eps...)
 	for i, ep := range eps {
 		if ep.ix == nil {
-			eps[i] = &shardEpoch{byNode: ep.byNode, ix: c.newShardIndex(ep.byNode)}
+			eps[i] = &shardEpoch{byNode: ep.byNode, ix: newShardIndex(ep.byNode)}
 		}
 	}
 	c.publish(func(nv *corpusView) { nv.eps = eps })
@@ -827,44 +757,15 @@ func (c *Corpus) nodeItem(view *corpusView, v NodeID) (ned.Item, error) {
 }
 
 // buildPlan assembles the cost-based query plan for one query (or one
-// batch) over an acquired epoch vector: live shards only, with the
-// per-shard scan-vs-tree decision for the tree backends (the scan
-// backends already are scans) and the fan-out mode chosen from total
-// size and executor width. l is the result count, 0 for range queries.
+// batch) over an acquired epoch vector: live shards only, the fan-out
+// mode chosen from total size and executor width. l is the result
+// count, 0 for range queries.
 func (c *Corpus) buildPlan(eps []*shardEpoch, l int) *ned.Plan {
-	treeBacked := c.cfg.backend == BackendVP || c.cfg.backend == BackendBK
-	var pruneRate float64
-	if treeBacked {
-		var dc, lb int64
-		for _, ep := range eps {
-			if ep.ix != nil {
-				cs := ep.ix.Counters()
-				dc += cs.DistanceCalls
-				lb += cs.LowerBoundPrunes
-			}
-		}
-		if dc+lb > 0 {
-			pruneRate = float64(lb) / float64(dc+lb)
-		}
-	}
 	live := make([]ned.PlanShard, 0, len(eps))
 	for _, ep := range eps {
-		n := ep.size()
-		if n == 0 {
-			continue
+		if n := ep.size(); n > 0 {
+			live = append(live, ned.PlanShard{Ix: ep.ix, N: n})
 		}
-		ps := ned.PlanShard{Ix: ep.ix, N: n}
-		if treeBacked {
-			st, tt := ep.ix.Stale()
-			var stale float64
-			if tt > 0 {
-				stale = float64(st) / float64(tt)
-			}
-			if ned.UseScanOverTree(n, l, stale, pruneRate) {
-				ps.Scan = ep.planScanItems()
-			}
-		}
-		live = append(live, ps)
 	}
 	p := ned.BuildPlan(ned.PlanInput{Shards: live, Workers: c.exec.Workers(), L: l, SeqMax: c.seqMax()})
 	switch p.Mode {
@@ -874,9 +775,6 @@ func (c *Corpus) buildPlan(eps []*shardEpoch, l int) *ned.Plan {
 		c.planSeq.Add(1)
 	default:
 		c.planSingle.Add(1)
-	}
-	if s := p.Scans(); s > 0 {
-		c.planScans.Add(int64(s))
 	}
 	return p
 }
@@ -986,26 +884,9 @@ func (c *Corpus) NearestSet(ctx context.Context, sig Signature) ([]Neighbor, err
 	if err != nil {
 		return nil, err
 	}
-	all, err := c.buildPlan(eps, 0).Range(ctx, c.exec, q, best[0].Dist)
-	if err != nil {
-		return nil, err
-	}
-	// The metric-tree backends can deviate from each other around the
-	// KNN(1) distance by a triangle-tie artifact (see the ted package
-	// faithfulness note): Range may surface a smaller stratum than
-	// KNN(1) found, or miss the minimum stratum entirely. Keep only the
-	// smallest stratum seen, falling back to the KNN(1) hit itself.
-	if len(all) == 0 {
-		return best, nil
-	}
-	minDist := all[0].Dist
-	out := all[:0]
-	for _, nb := range all {
-		if nb.Dist == minDist {
-			out = append(out, nb)
-		}
-	}
-	return out, nil
+	// The scan is exact, so the range at the minimum distance is the
+	// minimum stratum: nothing sits below it and every tie is inside it.
+	return c.buildPlan(eps, 0).Range(ctx, c.exec, q, best[0].Dist)
 }
 
 // BatchKNN answers one KNN query per signature, fanning the queries out
@@ -1038,18 +919,9 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	// not move meaningfully within one call, and per-query planning
 	// would pay the live-shard walk len(sigs) times.
 	plan := c.buildPlan(eps, l)
-	// A scan wider than one sweeper already spreads each query across
-	// the worker pool (shardWorkers sweepers per shard, times the shard
-	// fan-out); batching on top would oversubscribe, so batch
-	// sequentially there and let each query parallelize instead. Only
-	// BackendLinear builds its scans at that width.
-	batchWorkers := 0 // executor width
-	if c.cfg.backend == BackendLinear {
-		batchWorkers = 1
-	}
 	results := make([][]Neighbor, len(sigs))
 	errs := make([]error, len(sigs))
-	if err := c.exec.Do(ctx, len(sigs), batchWorkers, func(i int) {
+	if err := c.exec.Do(ctx, len(sigs), 0, func(i int) {
 		results[i], errs[i] = plan.KNN(ctx, c.exec, qs[i], l)
 	}); err != nil {
 		return nil, err
@@ -1068,11 +940,14 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 // The JSON field names are a stable, versioned schema: the nedserve
 // stats endpoint and nedstats -json both serialize this struct, and
 // TestCorpusStatsJSONSchema locks the names, so renaming a Go field
-// cannot silently break a dashboard scraping the server. Backend
-// round-trips as its flag name ("vp", "bk", "linear", "pruned") via
-// MarshalText.
+// cannot silently break a dashboard scraping the server. Two keys left
+// the schema with the metric trees, "rebuilds" and "stale_ratio" (a scan
+// is never stale and never rebuilt); "backend" is the constant "pruned"
+// and "plan_scans" the constant 0 until the benchmark harness stops
+// reading them.
 type CorpusStats struct {
-	// Backend is the index structure serving this corpus's queries.
+	// Backend is always BackendPrunedLinear ("pruned"), whatever
+	// WithBackend or a snapshot header asked for.
 	Backend Backend `json:"backend"`
 	// K is the neighborhood depth of every signature in the corpus.
 	K int `json:"k"`
@@ -1116,8 +991,8 @@ type CorpusStats struct {
 	ShardMerges int64 `json:"shard_merges"`
 
 	// The Plan* counters count query plans built per fan-out mode (a
-	// BatchKNN plans once per batch) and shards answered by direct scan
-	// instead of their tree index.
+	// BatchKNN plans once per batch). PlanScans counted shards a plan
+	// answered by direct scan instead of their tree index; always 0.
 	PlanParallel   int64 `json:"plan_parallel"`
 	PlanSequential int64 `json:"plan_sequential"`
 	PlanSingle     int64 `json:"plan_single"`
@@ -1151,30 +1026,16 @@ type CorpusStats struct {
 	PaddingPrunes int64 `json:"padding_prunes"`
 	LabelPrunes   int64 `json:"label_prunes"`
 
-	// BlockCandidates counts candidate slots the linear and pruned scans
-	// swept through the columnar block kernels (struct-of-arrays profile
-	// arenas) instead of the scalar per-candidate cascade; the survivor
+	// BlockCandidates counts candidate slots the scans swept through the
+	// columnar block kernels (struct-of-arrays profile arenas) instead
+	// of the scalar per-candidate cascade; the survivor
 	// counters below report how many of those passed each successive
 	// tier — BlockLabelSurvivors passed tier 2 (degree sequence; the
-	// name predates it) and reached the verify stage. All zero on
-	// the tree backends, whose traversal is inherently per-candidate.
+	// name predates it) and reached the verify stage.
 	BlockCandidates       int64 `json:"block_candidates"`
 	BlockSizeSurvivors    int64 `json:"block_size_survivors"`
 	BlockPaddingSurvivors int64 `json:"block_padding_survivors"`
 	BlockLabelSurvivors   int64 `json:"block_label_survivors"`
-
-	// Rebuilds counts index rebuilds since construction: amortized
-	// per-shard rebuilds triggered by the staleness threshold, plus
-	// explicit Rebuild calls (each counted once, however many shards it
-	// refreshes; a Rebuild on a never-built corpus performs the first
-	// build and is not counted). Serving counters accumulate across
-	// rebuilds (they never reset except through ResetStats).
-	Rebuilds int64 `json:"rebuilds"`
-	// StaleRatio is the current fraction of the index structure —
-	// aggregated across shards — occupied by tombstones or unindexed
-	// appends (0 for in-place backends and freshly built indexes). See
-	// WithRebuildThreshold.
-	StaleRatio float64 `json:"stale_ratio"`
 
 	// SizeHist and DepthHist profile the indexed signatures, computed
 	// on demand from the live items (null until materialized):
@@ -1195,7 +1056,7 @@ func (c *Corpus) Stats() CorpusStats {
 	view := c.view.Load()
 	nShards := len(view.shards)
 	s := CorpusStats{
-		Backend:            c.cfg.backend,
+		Backend:            BackendPrunedLinear,
 		K:                  c.k,
 		Directed:           c.cfg.directed,
 		Workers:            c.cfg.workers,
@@ -1212,13 +1073,10 @@ func (c *Corpus) Stats() CorpusStats {
 		PlanParallel:       c.planPar.Load(),
 		PlanSequential:     c.planSeq.Load(),
 		PlanSingle:         c.planSingle.Load(),
-		PlanScans:          c.planScans.Load(),
 		Built:              c.built.Load(),
 		Queries:            c.queries.Load(),
-		Rebuilds:           c.rebuilds.Load(),
 	}
 	var counters ned.Counters
-	var stale, total int
 	for i, sh := range view.shards {
 		ep := view.eps[i]
 		s.ShardNodes[i] = ep.size()
@@ -1228,9 +1086,6 @@ func (c *Corpus) Stats() CorpusStats {
 		s.ShardCloneBytes[i] = sh.cloneBytes.Load()
 		if ep.ix != nil {
 			counters = counters.Add(ep.ix.Counters())
-			st, tt := ep.ix.Stale()
-			stale += st
-			total += tt
 		}
 		for _, it := range ep.byNode {
 			size := it.Out.Size()
@@ -1251,9 +1106,6 @@ func (c *Corpus) Stats() CorpusStats {
 	s.BlockSizeSurvivors = counters.BlockSizeSurvivors
 	s.BlockPaddingSurvivors = counters.BlockPaddingSurvivors
 	s.BlockLabelSurvivors = counters.BlockLabelSurvivors
-	if total > 0 {
-		s.StaleRatio = float64(stale) / float64(total)
-	}
 	return s
 }
 
@@ -1279,7 +1131,6 @@ func (c *Corpus) ResetStats() {
 	c.planPar.Store(0)
 	c.planSeq.Store(0)
 	c.planSingle.Store(0)
-	c.planScans.Store(0)
 	for _, ep := range c.view.Load().eps {
 		if ep.ix != nil {
 			ep.ix.ResetStats()

@@ -100,7 +100,6 @@ func (c *Corpus) RebalanceTick(pol RebalancePolicy) RebalanceResult {
 	ref := view.place.Referenced()
 	loads := make([]ned.ShardLoad, len(view.shards))
 	for i, sh := range view.shards {
-		ep := view.eps[i]
 		prev := c.balPrev[sh]
 		cur := balanceSnap{
 			lockWaitNS: sh.lockWaitNS.Load(),
@@ -111,15 +110,10 @@ func (c *Corpus) RebalanceTick(pol RebalancePolicy) RebalanceResult {
 		loads[i] = ned.ShardLoad{
 			Shard:      i,
 			Live:       ref[i],
-			Nodes:      ep.size(),
+			Nodes:      view.eps[i].size(),
 			LockWaitNS: clampDelta(cur.lockWaitNS - prev.lockWaitNS),
 			Mutations:  clampDelta(cur.mutations - prev.mutations),
 			CloneBytes: clampDelta(cur.cloneBytes - prev.cloneBytes),
-		}
-		if ep.ix != nil {
-			if st, tt := ep.ix.Stale(); tt > 0 {
-				loads[i].StaleRatio = float64(st) / float64(tt)
-			}
 		}
 	}
 
@@ -193,9 +187,9 @@ func (c *Corpus) applySplit(si int) (moved int, dst int) {
 	// the source's totals stay with its slot, the destination extends
 	// whatever the reused husk accumulated before retirement (or starts
 	// fresh on a new slot), keeping Stats monotone per slot.
-	srcEp.ix = c.newShardIndex(srcEp.byNode)
+	srcEp.ix = newShardIndex(srcEp.byNode)
 	ned.ShareCounters(srcEp.ix, ep.ix)
-	dstEp.ix = c.newShardIndex(dstEp.byNode)
+	dstEp.ix = newShardIndex(dstEp.byNode)
 	if dst < len(view.eps) {
 		ned.ShareCounters(dstEp.ix, view.eps[dst].ix)
 	}
@@ -235,7 +229,7 @@ func (c *Corpus) applyMerge(src, dst int) {
 	}
 
 	merged := c.splice(view.eps[dst], sortedShardItems(srcEp.byNode), nil)
-	husk := &shardEpoch{byNode: map[NodeID]ned.Item{}, ix: c.newShardIndex(nil)}
+	husk := &shardEpoch{byNode: map[NodeID]ned.Item{}, ix: newShardIndex(nil)}
 	ned.ShareCounters(husk.ix, srcEp.ix)
 	c.publish(func(nv *corpusView) {
 		nv.eps[src], nv.eps[dst], nv.place = husk, merged, place

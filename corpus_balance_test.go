@@ -14,7 +14,7 @@ import (
 // This file is the adaptive-sharding equivalence suite: whatever the
 // rebalancer does to the placement table — split a hot shard, fold
 // quiet ones, any interleaving with churn — answers must stay
-// node-identical to an untouched single-shard corpus, and the
+// node-identical to the exhaustive scan over the live nodes, and the
 // placement must survive every persistence path (text snapshot, binary
 // segment, durable checkpoint). The race variant is the CI -race
 // target for rebalance-under-churn.
@@ -55,21 +55,17 @@ func aggressivePolicy() RebalancePolicy {
 
 // TestRebalanceSplitsHotShard: concentrated churn on one shard must
 // make RebalanceTick split exactly that shard, record the moves in the
-// placement table, and leave answers node-identical to a fresh
-// single-shard corpus. A quiet follow-up tick must then fold the two
+// placement table, and leave answers node-identical to the exhaustive
+// scan. A quiet follow-up tick must then fold the two
 // smallest shards back together, again without answer drift.
 func TestRebalanceSplitsHotShard(t *testing.T) {
 	g := randomGraph(400, 1200, 3)
 	const k, base = 2, 4
-	c, err := NewCorpus(g, k, WithBackend(BackendPrunedLinear), WithShards(base))
+	c, err := NewCorpus(g, k, WithShards(base))
 	if err != nil {
 		t.Fatalf("NewCorpus: %v", err)
 	}
-	ref, err := NewCorpus(g, k, WithBackend(BackendPrunedLinear), WithShards(1))
-	if err != nil {
-		t.Fatalf("NewCorpus(ref): %v", err)
-	}
-	want := queryFingerprint(t, ref, g, k)
+	want := oracleFingerprint(oracleOver(g, k, allNodes(g)), g, k)
 	if got := queryFingerprint(t, c, g, k); got != want {
 		t.Fatalf("pre-rebalance answers already diverge:\n got %s\nwant %s", got, want)
 	}
@@ -123,46 +119,45 @@ func TestRebalanceSplitsHotShard(t *testing.T) {
 	}
 }
 
-// TestRebalanceEquivalenceAllBackends interleaves churn and rebalance
-// ticks on every backend and requires node-identical answers to an
-// identically-churned single-shard reference after every round.
-func TestRebalanceEquivalenceAllBackends(t *testing.T) {
+// TestRebalanceEquivalence interleaves churn and rebalance ticks and
+// requires every query path to answer exactly as the exhaustive scan
+// over the live nodes does after every round.
+func TestRebalanceEquivalence(t *testing.T) {
 	g := randomGraph(300, 900, 9)
 	const k = 2
-	for _, b := range allBackends {
-		label := fmt.Sprintf("%v", b)
-		c, err := NewCorpus(g, k, WithBackend(b), WithShards(4))
-		if err != nil {
-			t.Fatalf("%s: NewCorpus: %v", label, err)
+	c, err := NewCorpus(g, k, WithShards(4))
+	if err != nil {
+		t.Fatalf("NewCorpus: %v", err)
+	}
+	c.Rebuild() // the rebalancer only ticks on a built corpus
+	live := map[NodeID]bool{}
+	for _, v := range allNodes(g) {
+		live[v] = true
+	}
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 3; round++ {
+		victims := make([]NodeID, 0, 16)
+		for len(victims) < 16 {
+			victims = append(victims, NodeID(rng.Intn(g.NumNodes())))
 		}
-		ref, err := NewCorpus(g, k, WithBackend(b), WithShards(1))
-		if err != nil {
-			t.Fatalf("%s: NewCorpus(ref): %v", label, err)
+		back := victims[:len(victims)/2]
+		if err := c.Remove(victims...); err != nil {
+			t.Fatalf("Remove: %v", err)
 		}
-		queryFingerprint(t, c, g, k) // materialize both engines
-		queryFingerprint(t, ref, g, k)
-
-		rng := rand.New(rand.NewSource(int64(b) + 1))
-		for round := 0; round < 3; round++ {
-			victims := make([]NodeID, 0, 16)
-			for len(victims) < 16 {
-				victims = append(victims, NodeID(rng.Intn(g.NumNodes())))
-			}
-			back := victims[:len(victims)/2]
-			for _, cc := range []*Corpus{c, ref} {
-				if err := cc.Remove(victims...); err != nil {
-					t.Fatalf("%s: Remove: %v", label, err)
-				}
-				if err := cc.Insert(back...); err != nil {
-					t.Fatalf("%s: Insert: %v", label, err)
-				}
-			}
-			c.RebalanceTick(aggressivePolicy())
-			want := queryFingerprint(t, ref, g, k)
-			if got := queryFingerprint(t, c, g, k); got != want {
-				t.Errorf("%s: round %d answers diverge:\n got %s\nwant %s", label, round, got, want)
-			}
+		if err := c.Insert(back...); err != nil {
+			t.Fatalf("Insert: %v", err)
 		}
+		for _, v := range victims {
+			delete(live, v)
+		}
+		for _, v := range back {
+			live[v] = true
+		}
+		c.RebalanceTick(aggressivePolicy())
+		assertMatchesOracle(t, fmt.Sprintf("round %d", round), c, oracleOver(g, k, sortedNodes(live)), g, k, 4, 90+int64(round))
+	}
+	if s := c.Stats(); s.Rebalances == 0 {
+		t.Errorf("no tick changed the layout: %+v", s)
 	}
 }
 
@@ -174,11 +169,12 @@ func TestRebalanceEquivalenceAllBackends(t *testing.T) {
 func TestPlacementSnapshotRoundTrips(t *testing.T) {
 	g := randomGraph(400, 1200, 5)
 	const k, base = 2, 4
-	c, err := NewCorpus(g, k, WithBackend(BackendPrunedLinear), WithShards(base))
+	c, err := NewCorpus(g, k, WithShards(base))
 	if err != nil {
 		t.Fatalf("NewCorpus: %v", err)
 	}
-	want := queryFingerprint(t, c, g, k)
+	want := oracleFingerprint(oracleOver(g, k, allNodes(g)), g, k)
+	c.Rebuild()
 	churnHot(t, c, hotNodes(g, base, 32), 4)
 	if res := c.RebalanceTick(aggressivePolicy()); res.Split != 0 {
 		t.Fatalf("setup split did not happen: %+v", res)
@@ -259,7 +255,7 @@ func TestPlacementSnapshotRoundTrips(t *testing.T) {
 func TestPlacementDurableRoundTrip(t *testing.T) {
 	g := randomGraph(400, 1200, 13)
 	const k, base = 2, 4
-	c, err := NewCorpus(g, k, WithBackend(BackendPrunedLinear), WithShards(base))
+	c, err := NewCorpus(g, k, WithShards(base))
 	if err != nil {
 		t.Fatalf("NewCorpus: %v", err)
 	}
@@ -267,7 +263,8 @@ func TestPlacementDurableRoundTrip(t *testing.T) {
 	if err := c.MakeDurable(dir, FsyncAlways); err != nil {
 		t.Fatalf("MakeDurable: %v", err)
 	}
-	want := queryFingerprint(t, c, g, k)
+	want := oracleFingerprint(oracleOver(g, k, allNodes(g)), g, k)
+	c.Rebuild()
 	churnHot(t, c, hotNodes(g, base, 32), 4)
 	if res := c.RebalanceTick(aggressivePolicy()); res.Split != 0 {
 		t.Fatalf("setup split did not happen: %+v", res)
@@ -300,11 +297,11 @@ func TestPlacementDurableRoundTrip(t *testing.T) {
 // TestRebalanceUnderChurnRace runs queries, mutations, synchronous
 // ticks, and the background rebalancer all at once — the CI -race
 // target — then requires the settled corpus to answer node-identically
-// to a fresh single-shard corpus over the same membership.
+// to the exhaustive scan over the same membership.
 func TestRebalanceUnderChurnRace(t *testing.T) {
 	g := randomGraph(200, 600, 17)
 	const k = 2
-	c, err := NewCorpus(g, k, WithBackend(BackendPrunedLinear), WithShards(4))
+	c, err := NewCorpus(g, k, WithShards(4))
 	if err != nil {
 		t.Fatalf("NewCorpus: %v", err)
 	}
@@ -364,13 +361,9 @@ func TestRebalanceUnderChurnRace(t *testing.T) {
 	stop()
 	stop() // idempotent
 
-	ref, err := NewCorpus(g, k, WithBackend(BackendPrunedLinear), WithShards(1))
-	if err != nil {
-		t.Fatalf("NewCorpus(ref): %v", err)
-	}
-	want := queryFingerprint(t, ref, g, k)
+	want := oracleFingerprint(oracleOver(g, k, allNodes(g)), g, k)
 	if got := queryFingerprint(t, c, g, k); got != want {
-		t.Errorf("settled answers diverge from fresh single-shard corpus:\n got %s\nwant %s", got, want)
+		t.Errorf("settled answers diverge from the exhaustive scan:\n got %s\nwant %s", got, want)
 	}
 	if s := c.Stats(); s.Rebalances == 0 {
 		t.Error("no rebalance ticks were recorded during the storm")

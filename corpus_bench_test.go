@@ -1,8 +1,8 @@
 package ned
 
 // BenchmarkCorpusKNN measures the serving hot path of the Corpus query
-// engine: one batch of inter-graph KNN queries against a prebuilt index,
-// per backend. Run with -benchmem; the allocs/op trajectory across PRs
+// engine: one batch of inter-graph KNN queries against a prebuilt index.
+// Run with -benchmem; the allocs/op trajectory across PRs
 // tracks how close the TED* pipeline is to allocation-free.
 
 import (
@@ -33,10 +33,13 @@ func benchWorkload(scale float64, k, nQueries, nCands int) (*Graph, []Signature,
 	return g2, queries, cands
 }
 
-func benchmarkCorpus(b *testing.B, backend Backend) {
+// benchmarkCorpusKNN times b.N batches of inter-graph KNN queries and
+// returns the corpus (stats reset before the timed window) with the
+// number of queries it served.
+func benchmarkCorpusKNN(b *testing.B) (*Corpus, int) {
 	const k, nQueries, nCands, l = 3, 16, 300, 5
 	g2, queries, cands := benchWorkload(0.1, k, nQueries, nCands)
-	corpus, err := NewCorpus(g2, k, WithBackend(backend), WithNodes(cands))
+	corpus, err := NewCorpus(g2, k, WithNodes(cands))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,6 +48,7 @@ func benchmarkCorpus(b *testing.B, backend Backend) {
 	if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil {
 		b.Fatal(err)
 	}
+	corpus.ResetStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,13 +58,11 @@ func benchmarkCorpus(b *testing.B, backend Backend) {
 			}
 		}
 	}
+	b.StopTimer()
+	return corpus, b.N * nQueries
 }
 
-func BenchmarkCorpusKNN(b *testing.B) {
-	for _, backend := range []Backend{BackendVP, BackendBK, BackendLinear, BackendPrunedLinear} {
-		b.Run(fmt.Sprint(backend), func(b *testing.B) { benchmarkCorpus(b, backend) })
-	}
-}
+func BenchmarkCorpusKNN(b *testing.B) { benchmarkCorpusKNN(b) }
 
 // BenchmarkCorpusCascade is BenchmarkCorpusKNN with the filter-cascade
 // work profile surfaced as custom metrics: per-query TED* evaluations
@@ -70,37 +72,12 @@ func BenchmarkCorpusKNN(b *testing.B) {
 // tiers. The harness reads the same tiers at serving size as
 // ned.{size,padding,label}_survivor_ratio (benchmark/README.md).
 func BenchmarkCorpusCascade(b *testing.B) {
-	for _, backend := range []Backend{BackendVP, BackendBK, BackendLinear, BackendPrunedLinear} {
-		b.Run(fmt.Sprint(backend), func(b *testing.B) {
-			const k, nQueries, nCands, l = 3, 16, 300, 5
-			g2, queries, cands := benchWorkload(0.1, k, nQueries, nCands)
-			corpus, err := NewCorpus(g2, k, WithBackend(backend), WithNodes(cands))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
-				b.Fatal(err)
-			}
-			corpus.ResetStats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range queries {
-					if _, err := corpus.KNNSignature(ctx, q, l); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			s := corpus.Stats()
-			perQuery := float64(b.N * nQueries)
-			b.ReportMetric(float64(s.DistanceCalls)/perQuery, "evals/query")
-			b.ReportMetric(float64(s.SizePrunes)/perQuery, "sizeprunes/query")
-			b.ReportMetric(float64(s.PaddingPrunes)/perQuery, "padprunes/query")
-			b.ReportMetric(float64(s.LabelPrunes)/perQuery, "tier2prunes/query")
-		})
-	}
+	corpus, n := benchmarkCorpusKNN(b)
+	s, perQuery := corpus.Stats(), float64(n)
+	b.ReportMetric(float64(s.DistanceCalls)/perQuery, "evals/query")
+	b.ReportMetric(float64(s.SizePrunes)/perQuery, "sizeprunes/query")
+	b.ReportMetric(float64(s.PaddingPrunes)/perQuery, "padprunes/query")
+	b.ReportMetric(float64(s.LabelPrunes)/perQuery, "tier2prunes/query")
 }
 
 // BenchmarkCorpusInterGraphKNN is an in-process replica of the harness's
@@ -114,7 +91,7 @@ func BenchmarkCorpusCascade(b *testing.B) {
 func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 	const k, l, nQueries = 3, 5, 1600
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
-	corpus, err := NewCorpus(g, k, WithBackend(BackendPrunedLinear), WithShards(2), WithWorkers(2))
+	corpus, err := NewCorpus(g, k, WithShards(2), WithWorkers(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +147,7 @@ func BenchmarkCorpusParallelChurn(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			const k, nQueries, nCands, l = 3, 16, 300, 5
 			g2, queries, cands := benchWorkload(0.1, k, nQueries, nCands)
-			corpus, err := NewCorpus(g2, k, WithBackend(BackendVP), WithNodes(cands), WithShards(shards))
+			corpus, err := NewCorpus(g2, k, WithNodes(cands), WithShards(shards))
 			if err != nil {
 				b.Fatal(err)
 			}

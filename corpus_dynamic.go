@@ -10,8 +10,7 @@ import (
 )
 
 // This file is the mutation surface of the sharded Corpus: incremental
-// node churn (Insert/Remove), explicit and amortized per-shard index
-// rebuilds, and graph-version updates that re-extract only the
+// node churn (Insert/Remove) and graph-version updates that re-extract only the
 // signatures an edit actually affected. The paper pitches NED for
 // evolving networks (de-anonymization and similarity search against
 // graphs that change over time); without this layer any churn forced a
@@ -112,8 +111,8 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 // Remove deletes nodes from the indexed set. Nodes that are not
 // indexed are ignored, so Remove is idempotent and never errors on a
 // healthy corpus — a churn workload can replay removals without
-// bookkeeping. Each owning shard gets a tombstoned (metric trees) or
-// compacted (scan backends) successor epoch; queries never wait, and
+// bookkeeping. Each owning shard gets a compacted successor epoch;
+// queries never wait, and
 // shards the batch does not touch are never locked. Remove holds the
 // engine's read gate so the placement cannot be rebalanced out from
 // under its shard routing; it still runs concurrently with queries,
@@ -228,8 +227,6 @@ func (c *Corpus) splice(ep *shardEpoch, ups []ned.Item, dels []NodeID) *shardEpo
 		ne.byNode[it.Node] = it
 	}
 	if ne.ix != nil {
-		// One batched Remove — the metric trees pay a full walk per
-		// Remove call — then insert the new and refreshed items.
 		ix := ne.ix.Clone()
 		if len(drop) > 0 {
 			ix.Remove(drop...)
@@ -238,31 +235,14 @@ func (c *Corpus) splice(ep *shardEpoch, ups []ned.Item, dels []NodeID) *shardEpo
 			ix.Insert(ups...)
 		}
 		ne.ix = ix
-		c.maybeRebuildShard(ne)
 	}
 	return ne
 }
 
-// Rebuild discards every shard's index structure and rebuilds it from
-// the live items, folding tombstones and append tails back into tree
-// structure. Queries keep serving from the outgoing view for the whole
-// build. Serving counters are carried over, so Stats stays monotone
-// across rebuilds. On a corpus that has never been queried, Rebuild
-// forces the materialization a first query would have paid for.
-func (c *Corpus) Rebuild() {
-	c.gmu.Lock()
-	defer c.gmu.Unlock()
-	if !c.built.Load() {
-		c.buildAllLocked()
-		return
-	}
-	eps := append([]*shardEpoch(nil), c.view.Load().eps...)
-	for i, ep := range eps {
-		eps[i] = &shardEpoch{byNode: ep.byNode, ix: c.rebuiltShardIndex(ep)}
-	}
-	c.publish(func(nv *corpusView) { nv.eps = eps })
-	c.rebuilds.Add(1)
-}
+// Rebuild forces the materialization and index build a first query
+// would have paid for. On a built corpus it does nothing: a scan has no
+// tombstones or append tails to fold back in.
+func (c *Corpus) Rebuild() { c.acquire() }
 
 // UpdateGraph moves the corpus to a new version of its graph (graphs
 // are immutable, so an evolving network is a sequence of builds). It
@@ -285,8 +265,8 @@ func (c *Corpus) Rebuild() {
 // every refreshed shard then become visible together, in one store
 // (after one WAL record on a durable corpus: a failed append leaves the
 // corpus on the old version). UpdateGraph holds the engine's write gate, serializing against other
-// UpdateGraphs, Inserts, Removes, Rebuilds, and rebalance ticks (never
-// against queries).
+// UpdateGraphs, Inserts, Removes, the lazy build, and rebalance ticks
+// (never against queries).
 func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if g == nil {
 		return 0, ErrNilGraph

@@ -61,20 +61,11 @@ type isoObs struct {
 }
 
 func TestCorpusSnapshotIsolation(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		backend Backend
-		durable bool
-	}{
-		{"pruned", BackendPrunedLinear, false},
-		{"vp", BackendVP, false},
-		{"pruned-durable", BackendPrunedLinear, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) { snapshotIsolation(t, tc.backend, tc.durable) })
-	}
+	t.Run("pruned", func(t *testing.T) { snapshotIsolation(t, false) })
+	t.Run("pruned-durable", func(t *testing.T) { snapshotIsolation(t, true) })
 }
 
-func snapshotIsolation(t *testing.T, backend Backend, durable bool) {
+func snapshotIsolation(t *testing.T, durable bool) {
 	const (
 		k, l, r = 2, 5, 3
 		n       = 160
@@ -113,7 +104,7 @@ func snapshotIsolation(t *testing.T, backend Backend, durable bool) {
 		}
 	}
 
-	c, err := NewCorpus(base, k, WithBackend(backend), WithShards(4), WithRebuildThreshold(0.3))
+	c, err := NewCorpus(base, k, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@ import "testing"
 
 // Plan.KNN / Plan.Range being node-identical to the reference fan-out
 // in every mode is pinned by TestPlannerEquivalence in internal/ned;
-// the backend, shard-count, churn, and snapshot equivalence suites here
-// all answer through plans.
+// the shard-count, churn, and snapshot equivalence suites here all
+// answer through plans.
 
 // TestPlannerStatsCounters: every query is accounted to exactly one
 // plan mode, and ResetStats zeroes the plan counters.

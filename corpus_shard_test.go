@@ -10,95 +10,53 @@ import (
 )
 
 // This file is the sharded-equivalence suite: whatever the shard count,
-// the engine must answer node-identically to the single-index engine —
-// statically, under churn, and across snapshot round-trips — on every
-// backend. It also pins the concurrency contracts the sharding exists
-// for: Stats/ResetStats racing mutations, and queries proceeding while
-// other shards rebuild.
+// the engine must answer exactly as the exhaustive scan over the live
+// nodes does — statically, under churn, and across snapshot round-trips.
+// It also pins the concurrency contracts the sharding exists for:
+// Stats/ResetStats racing mutations, and queries proceeding while other
+// shards mutate.
+
+// shardCounts is every partition the suite runs: one shard (PlanSingle),
+// two, and four (sequential or parallel fan-out).
+var shardCounts = []int{1, 2, 4}
 
 // shardCorpora builds one corpus per shard count over the same nodes.
-func shardCorpora(t *testing.T, g *Graph, k int, b Backend, shardCounts []int, extra ...CorpusOption) map[int]*Corpus {
+func shardCorpora(t *testing.T, g *Graph, k int, extra ...CorpusOption) map[int]*Corpus {
 	t.Helper()
 	out := make(map[int]*Corpus, len(shardCounts))
 	for _, n := range shardCounts {
-		opts := append([]CorpusOption{WithBackend(b), WithShards(n)}, extra...)
-		c, err := NewCorpus(g, k, opts...)
+		c, err := NewCorpus(g, k, append([]CorpusOption{WithShards(n)}, extra...)...)
 		if err != nil {
-			t.Fatalf("NewCorpus(%v, shards=%d): %v", b, n, err)
+			t.Fatalf("NewCorpus(shards=%d): %v", n, err)
 		}
 		out[n] = c
 	}
 	return out
 }
 
-// assertShardEquivalence runs a query battery against every corpus and
-// requires node-identical answers to the shards=1 reference.
-func assertShardEquivalence(t *testing.T, label string, corpora map[int]*Corpus, gq *Graph, k, rounds int, seed int64) {
+// assertShardsMatchOracle runs the same query battery against every
+// corpus: each must equal the oracle, so they equal each other.
+func assertShardsMatchOracle(t *testing.T, label string, corpora map[int]*Corpus, o corpusOracle, gq *Graph, k, rounds int, seed int64) {
 	t.Helper()
-	ctx := context.Background()
-	ref := corpora[1]
-	rng := rand.New(rand.NewSource(seed))
-	for q := 0; q < rounds; q++ {
-		sig := NewSignature(gq, NodeID(rng.Intn(gq.NumNodes())), k)
-		l := 1 + rng.Intn(10)
-		r := rng.Intn(5)
-		wantKNN, err := ref.KNNSignature(ctx, sig, l)
-		if err != nil {
-			t.Fatalf("%s: reference KNN: %v", label, err)
-		}
-		wantRange, err := ref.Range(ctx, sig, r)
-		if err != nil {
-			t.Fatalf("%s: reference Range: %v", label, err)
-		}
-		wantNearest, err := ref.NearestSet(ctx, sig)
-		if err != nil {
-			t.Fatalf("%s: reference NearestSet: %v", label, err)
-		}
-		for n, c := range corpora {
-			if n == 1 {
-				continue
-			}
-			got, err := c.KNNSignature(ctx, sig, l)
-			if err != nil {
-				t.Fatalf("%s shards=%d: KNN: %v", label, n, err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(wantKNN) {
-				t.Errorf("%s query %d shards=%d: KNN %v, shards=1 %v", label, q, n, got, wantKNN)
-			}
-			gotRange, err := c.Range(ctx, sig, r)
-			if err != nil {
-				t.Fatalf("%s shards=%d: Range: %v", label, n, err)
-			}
-			if fmt.Sprint(gotRange) != fmt.Sprint(wantRange) {
-				t.Errorf("%s query %d shards=%d: Range %v, shards=1 %v", label, q, n, gotRange, wantRange)
-			}
-			gotNearest, err := c.NearestSet(ctx, sig)
-			if err != nil {
-				t.Fatalf("%s shards=%d: NearestSet: %v", label, n, err)
-			}
-			if fmt.Sprint(gotNearest) != fmt.Sprint(wantNearest) {
-				t.Errorf("%s query %d shards=%d: NearestSet %v, shards=1 %v", label, q, n, gotNearest, wantNearest)
-			}
-		}
+	for n, c := range corpora {
+		assertMatchesOracle(t, fmt.Sprintf("%s shards=%d", label, n), c, o, gq, k, rounds, seed)
 	}
 }
 
-// TestCorpusShardedEquivalence: KNN/Range/NearestSet answers are
-// node-identical between WithShards(1) and WithShards(4) across all
-// four backends — statically, after churn batches (where the amortized
-// per-shard rebuild path fires), and after snapshot round-trips into
-// different shard counts.
+// TestCorpusShardedEquivalence: every query path answers exactly as the
+// exhaustive scan does at 1, 2 and 4 shards — statically, after churn
+// batches, and after snapshot round-trips into different shard counts.
+// The subtests are the four names WithBackend accepts for one more
+// release; each one runs the same scan.
 func TestCorpusShardedEquivalence(t *testing.T) {
 	const k = 2
-	shardCounts := []int{1, 4}
 	gCorpus := randomGraph(80, 170, 930)
 	gQuery := randomGraph(50, 100, 931)
 
 	for _, b := range allBackends {
-		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			corpora := shardCorpora(t, gCorpus, k, b, shardCounts, WithRebuildThreshold(0.3))
-			assertShardEquivalence(t, "static", corpora, gQuery, k, 6, 932)
+			corpora := shardCorpora(t, gCorpus, k, WithBackend(b))
+			assertShardsMatchOracle(t, "static", corpora, oracleOver(gCorpus, k, allNodes(gCorpus)), gQuery, k, 6, 932)
 
 			// Churn: identical mutation batches on every corpus, queried
 			// after each round.
@@ -130,7 +88,8 @@ func TestCorpusShardedEquivalence(t *testing.T) {
 						t.Fatalf("round %d: Insert: %v", round, err)
 					}
 				}
-				assertShardEquivalence(t, fmt.Sprintf("churn round %d", round), corpora, gQuery, k, 3, 934+int64(round))
+				assertShardsMatchOracle(t, fmt.Sprintf("churn round %d", round), corpora,
+					oracleOver(gCorpus, k, sortedNodes(live)), gQuery, k, 3, 934+int64(round))
 			}
 
 			// Snapshot round-trip: the churned sharded corpus reloaded into
@@ -150,7 +109,7 @@ func TestCorpusShardedEquivalence(t *testing.T) {
 				}
 				reloaded[n] = c
 			}
-			assertShardEquivalence(t, "reloaded", reloaded, gQuery, k, 4, 939)
+			assertShardsMatchOracle(t, "reloaded", reloaded, oracleOver(gCorpus, k, sortedNodes(live)), gQuery, k, 4, 939)
 		})
 	}
 }
@@ -159,48 +118,35 @@ func TestCorpusShardedEquivalence(t *testing.T) {
 // end to end: the corpus path (profiled items, precompiled query
 // profiles, best-first evaluation, tier pruning) must answer
 // node-identically to the cascade-free ground truth — an exhaustive
-// unbudgeted TopL over raw signatures — on every backend, at shard
-// counts 1 and 4, and the per-tier prune counters must aggregate
-// consistently across the shards.
+// unbudgeted TopL over raw signatures — at every shard count, and the
+// per-tier prune counters must aggregate consistently across the shards.
 func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const k = 2
 	gCorpus := randomGraph(90, 200, 950)
 	gQuery := randomGraph(40, 90, 951)
-	var nodes []NodeID
-	for v := 0; v < gCorpus.NumNodes(); v++ {
-		nodes = append(nodes, NodeID(v))
-	}
-	cands := Signatures(gCorpus, nodes, k)
+	o := oracleOver(gCorpus, k, allNodes(gCorpus))
 
-	for _, b := range allBackends {
-		for _, shards := range []int{1, 4} {
-			c, err := NewCorpus(gCorpus, k, WithBackend(b), WithShards(shards))
+	for shards, c := range shardCorpora(t, gCorpus, k) {
+		for q := 0; q < 6; q++ {
+			sig := NewSignature(gQuery, NodeID(q*5), k)
+			got, err := c.KNNSignature(ctx, sig, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for q := 0; q < 6; q++ {
-				sig := NewSignature(gQuery, NodeID(q*5), k)
-				want := TopL(sig, cands, 7)
-				got, err := c.KNNSignature(ctx, sig, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%v shards=%d query %d: cascade KNN %v, exhaustive TopL %v",
-						b, shards, q, got, want)
-				}
+			if want := o.knn(sig, 7); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("shards=%d query %d: cascade KNN %v, exhaustive TopL %v", shards, q, got, want)
 			}
-			s := c.Stats()
-			if s.LowerBoundPrunes != s.SizePrunes+s.PaddingPrunes+s.LabelPrunes {
-				t.Errorf("%v shards=%d: LowerBoundPrunes %d != size %d + padding %d + label %d",
-					b, shards, s.LowerBoundPrunes, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
-			}
-			c.ResetStats()
-			if s := c.Stats(); s.SizePrunes != 0 || s.PaddingPrunes != 0 || s.LabelPrunes != 0 {
-				t.Errorf("%v shards=%d: ResetStats left tier counters %d/%d/%d",
-					b, shards, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
-			}
+		}
+		s := c.Stats()
+		if s.LowerBoundPrunes != s.SizePrunes+s.PaddingPrunes+s.LabelPrunes {
+			t.Errorf("shards=%d: LowerBoundPrunes %d != size %d + padding %d + label %d",
+				shards, s.LowerBoundPrunes, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
+		}
+		c.ResetStats()
+		if s := c.Stats(); s.SizePrunes != 0 || s.PaddingPrunes != 0 || s.LabelPrunes != 0 {
+			t.Errorf("shards=%d: ResetStats left tier counters %d/%d/%d",
+				shards, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
 		}
 	}
 
@@ -212,26 +158,22 @@ func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 	// tight enough to expose any invalid bound.
 	for q := 0; q < 4; q++ {
 		sig := NewSignature(gQuery, NodeID(q*7), k)
-		want := TopL(sig, cands, 1)
-		for _, b := range allBackends {
-			first, err := NewCorpus(gCorpus, k, WithBackend(b))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := first.KNNSignature(ctx, sig, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%v first-ever query %d: %v, exhaustive %v", b, q, got, want)
-			}
+		first, err := NewCorpus(gCorpus, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := first.KNNSignature(ctx, sig, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := o.knn(sig, 1); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("first-ever query %d: %v, exhaustive %v", q, got, want)
 		}
 	}
 
-	// The scan backends precompile every candidate's bounds, so a
-	// small-l query over a 90-node corpus must show tier pruning at work
-	// (the metric trees may legitimately prune structurally instead).
-	c, err := NewCorpus(gCorpus, k, WithBackend(BackendPrunedLinear), WithShards(4))
+	// The scan precompiles every candidate's bounds, so a small-l query
+	// over a 90-node corpus must show tier pruning at work.
+	c, err := NewCorpus(gCorpus, k, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,81 +183,68 @@ func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 		}
 	}
 	if s := c.Stats(); s.LowerBoundPrunes == 0 {
-		t.Errorf("pruned backend: no cascade prunes across %d queries (stats %+v)", 6, s)
+		t.Errorf("no cascade prunes across %d queries (stats %+v)", 6, s)
 	}
 }
 
 // TestCorpusShardedBlockKernels extends the sharded-equivalence suite
-// to the columnar block path: on every backend at shards 1 and 4, KNN
-// and Range answers must agree node-identically across shard counts —
-// and the BlockCandidates counter must prove the scan backends actually
-// swept their candidates through the block kernels per shard (the tree
-// backends, whose traversal is per-candidate, must report zero). The
-// survivor counters must respect the tier chain.
+// to the columnar block path: at every shard count KNN and Range
+// answers must equal the oracle's, the BlockCandidates counter must
+// prove every shard swept its candidates through the block kernels, and
+// the survivor counters must respect the tier chain — before and after
+// churn recompiles the blocks.
 func TestCorpusShardedBlockKernels(t *testing.T) {
-	ctx := context.Background()
 	const k = 2
 	gCorpus := randomGraph(85, 190, 960)
 	gQuery := randomGraph(45, 95, 961)
 
-	for _, b := range allBackends {
-		scan := b == BackendLinear || b == BackendPrunedLinear
-		corpora := shardCorpora(t, gCorpus, k, b, []int{1, 4})
-		assertShardEquivalence(t, fmt.Sprintf("%v block", b), corpora, gQuery, k, 5, 962)
-		for shards, c := range corpora {
-			s := c.Stats()
-			if scan && s.BlockCandidates == 0 {
-				t.Errorf("%v shards=%d: scan backend served queries without the block kernels (stats %+v)",
-					b, shards, s)
-			}
-			if !scan && s.BlockCandidates != 0 {
-				t.Errorf("%v shards=%d: tree backend reported %d block candidates",
-					b, shards, s.BlockCandidates)
-			}
-			if s.BlockSizeSurvivors < s.BlockPaddingSurvivors || s.BlockPaddingSurvivors < s.BlockLabelSurvivors ||
-				s.BlockCandidates < s.BlockSizeSurvivors {
-				t.Errorf("%v shards=%d: survivor chain broken: candidates %d >= size %d >= padding %d >= label %d",
-					b, shards, s.BlockCandidates, s.BlockSizeSurvivors, s.BlockPaddingSurvivors, s.BlockLabelSurvivors)
-			}
-			c.ResetStats()
-			if s := c.Stats(); s.BlockCandidates != 0 || s.BlockLabelSurvivors != 0 {
-				t.Errorf("%v shards=%d: ResetStats left block counters %+v", b, shards, s)
-			}
+	corpora := shardCorpora(t, gCorpus, k)
+	assertShardsMatchOracle(t, "block", corpora, oracleOver(gCorpus, k, allNodes(gCorpus)), gQuery, k, 5, 962)
+	for shards, c := range corpora {
+		s := c.Stats()
+		if s.BlockCandidates == 0 {
+			t.Errorf("shards=%d: queries served without the block kernels (stats %+v)", shards, s)
+		}
+		if s.BlockSizeSurvivors < s.BlockPaddingSurvivors || s.BlockPaddingSurvivors < s.BlockLabelSurvivors ||
+			s.BlockCandidates < s.BlockSizeSurvivors {
+			t.Errorf("shards=%d: survivor chain broken: candidates %d >= size %d >= padding %d >= label %d",
+				shards, s.BlockCandidates, s.BlockSizeSurvivors, s.BlockPaddingSurvivors, s.BlockLabelSurvivors)
+		}
+		c.ResetStats()
+		if s := c.Stats(); s.BlockCandidates != 0 || s.BlockLabelSurvivors != 0 {
+			t.Errorf("shards=%d: ResetStats left block counters %+v", shards, s)
 		}
 	}
 
-	// Churn keeps the block path live: the scan backends recompile their
-	// block on every mutation, so answers and counters must hold after
-	// removals and re-inserts at both shard counts.
-	for _, b := range []Backend{BackendLinear, BackendPrunedLinear} {
-		corpora := shardCorpora(t, gCorpus, k, b, []int{1, 4})
-		for _, c := range corpora {
-			if err := c.Remove(NodeID(3), NodeID(11), NodeID(40)); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Insert(NodeID(11)); err != nil {
-				t.Fatal(err)
-			}
+	// Churn keeps the block path live: every mutation recompiles the
+	// touched shard's block, so answers and counters must hold after
+	// removals and re-inserts.
+	for _, c := range corpora {
+		if err := c.Remove(NodeID(3), NodeID(11), NodeID(40)); err != nil {
+			t.Fatal(err)
 		}
-		assertShardEquivalence(t, fmt.Sprintf("%v block churn", b), corpora, gQuery, k, 4, 963)
-		for shards, c := range corpora {
-			if s := c.Stats(); s.BlockCandidates == 0 {
-				t.Errorf("%v shards=%d: block kernels went dark after churn (stats %+v)", b, shards, s)
-			}
+		if err := c.Insert(NodeID(11)); err != nil {
+			t.Fatal(err)
 		}
-		// A Range through the corpus surface drives the bitmap kernel path.
-		sig := NewSignature(gQuery, NodeID(7), k)
-		for shards, c := range corpora {
-			if _, err := c.Range(ctx, sig, 3); err != nil {
-				t.Fatalf("%v shards=%d Range: %v", b, shards, err)
-			}
+	}
+	live := map[NodeID]bool{}
+	for _, v := range allNodes(gCorpus) {
+		if v != 3 && v != 40 {
+			live[v] = true
+		}
+	}
+	assertShardsMatchOracle(t, "block churn", corpora, oracleOver(gCorpus, k, sortedNodes(live)), gQuery, k, 4, 963)
+	for shards, c := range corpora {
+		if s := c.Stats(); s.BlockCandidates == 0 {
+			t.Errorf("shards=%d: block kernels went dark after churn (stats %+v)", shards, s)
 		}
 	}
 }
 
 // TestCorpusShardedNodeQueries: node-ID KNN (the path that resolves the
-// query item out of the owning shard's table) agrees across shard
-// counts, directed corpora included.
+// query item out of the owning shard's table) on a directed corpus
+// equals the exhaustive ranking by the low-level directed NED at every
+// shard count.
 func TestCorpusShardedNodeQueries(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(940))
@@ -327,26 +256,16 @@ func TestCorpusShardedNodeQueries(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	for _, backend := range allBackends {
-		c1, err := NewCorpus(g, 2, WithBackend(backend), WithDirected(), WithShards(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c4, err := NewCorpus(g, 2, WithBackend(backend), WithDirected(), WithShards(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g.NumNodes(); v += 7 {
-			want, err := c1.KNN(ctx, NodeID(v), 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := c4.KNN(ctx, NodeID(v), 6)
+	corpora := shardCorpora(t, g, 2, WithDirected())
+	for v := 0; v < g.NumNodes(); v += 7 {
+		want := directedRanking(g, NodeID(v), 2)[:6]
+		for shards, c := range corpora {
+			got, err := c.KNN(ctx, NodeID(v), 6)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%v directed node %d: shards=4 KNN %v, shards=1 %v", backend, v, got, want)
+				t.Errorf("directed node %d shards=%d: KNN %v, exhaustive %v", v, shards, got, want)
 			}
 		}
 	}
@@ -354,8 +273,7 @@ func TestCorpusShardedNodeQueries(t *testing.T) {
 
 // TestCorpusShardStats pins the configuration Stats reports: the
 // per-shard node counts must partition the corpus, the configured shard
-// count must be reported, and a corpus built with no options reports
-// the default backend, the pruned scan.
+// count must be reported, and the backend reported is the pruned scan.
 func TestCorpusShardStats(t *testing.T) {
 	g := randomGraph(60, 120, 941)
 	def, err := NewCorpus(g, 2)
@@ -365,7 +283,7 @@ func TestCorpusShardStats(t *testing.T) {
 	if got := def.Stats().Backend.String(); got != "pruned" {
 		t.Errorf("NewCorpus with no options: Stats().Backend = %q, want \"pruned\"", got)
 	}
-	c, err := NewCorpus(g, 2, WithShards(5), WithBackend(BackendLinear))
+	c, err := NewCorpus(g, 2, WithShards(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +306,7 @@ func TestCorpusShardStats(t *testing.T) {
 // and reset atomically, never under a mutation's lock.
 func TestCorpusStatsRaceWithMutation(t *testing.T) {
 	g := randomGraph(60, 120, 942)
-	c, err := NewCorpus(g, 2, WithBackend(BackendVP), WithShards(4), WithRebuildThreshold(0.2))
+	c, err := NewCorpus(g, 2, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,12 +361,12 @@ func TestCorpusStatsRaceWithMutation(t *testing.T) {
 }
 
 // TestCorpusShardedUpdateGraph drives UpdateGraph on a sharded corpus
-// and checks the result against a fresh build on the new version.
+// and checks the result against the exhaustive scan of the new version.
 func TestCorpusShardedUpdateGraph(t *testing.T) {
 	ctx := context.Background()
 	const k = 2
 	g1 := randomGraph(50, 100, 943)
-	c, err := NewCorpus(g1, k, WithBackend(BackendBK), WithShards(4))
+	c, err := NewCorpus(g1, k, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,75 +385,54 @@ func TestCorpusShardedUpdateGraph(t *testing.T) {
 	if _, err := c.UpdateGraph(g2); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewCorpus(g2, k, WithBackend(BackendLinear), WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gq := randomGraph(30, 60, 944)
-	for q := 0; q < 5; q++ {
-		sig := NewSignature(gq, NodeID(q), k)
-		got, err := c.KNNSignature(ctx, sig, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.KNNSignature(ctx, sig, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("query %d after sharded UpdateGraph: got %v, want %v", q, got, want)
-		}
-	}
+	assertMatchesOracle(t, "after sharded UpdateGraph", c, oracleOver(g2, k, allNodes(g2)), randomGraph(30, 60, 944), k, 5, 946)
 }
 
 // TestCorpusShardedConcurrentChurn hammers a sharded corpus with
 // queries and mutations concurrently under -race: the epoch protocol
-// must keep every interleaving consistent, including amortized rebuilds
-// firing mid-traffic.
+// must keep every interleaving consistent.
 func TestCorpusShardedConcurrentChurn(t *testing.T) {
 	g := randomGraph(60, 120, 945)
-	for _, b := range allBackends {
-		c, err := NewCorpus(g, 2, WithBackend(b), WithShards(4), WithRebuildThreshold(0.15))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < 15; i++ {
-					if _, err := c.KNN(ctx, NodeID(rng.Intn(30)), 4); err != nil {
-						t.Errorf("%v concurrent KNN: %v", b, err)
-						return
-					}
-					c.Stats()
+	c, err := NewCorpus(g, 2, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 15; i++ {
+				if _, err := c.KNN(ctx, NodeID(rng.Intn(30)), 4); err != nil {
+					t.Errorf("concurrent KNN: %v", err)
+					return
 				}
-			}(int64(w))
-		}
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(200 + seed))
-				for i := 0; i < 10; i++ {
-					v := NodeID(30 + rng.Intn(30))
-					if err := c.Remove(v); err != nil {
-						t.Errorf("%v concurrent Remove: %v", b, err)
-						return
-					}
-					if err := c.Insert(v); err != nil {
-						t.Errorf("%v concurrent Insert: %v", b, err)
-						return
-					}
+				c.Stats()
+			}
+		}(int64(w))
+	}
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(200 + seed))
+			for i := 0; i < 10; i++ {
+				v := NodeID(30 + rng.Intn(30))
+				if err := c.Remove(v); err != nil {
+					t.Errorf("concurrent Remove: %v", err)
+					return
 				}
-			}(int64(w))
-		}
-		wg.Wait()
-		if s := c.Stats(); s.Nodes != g.NumNodes() {
-			t.Errorf("%v: Nodes = %d after balanced churn, want %d", b, s.Nodes, g.NumNodes())
-		}
+				if err := c.Insert(v); err != nil {
+					t.Errorf("concurrent Insert: %v", err)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	if s := c.Stats(); s.Nodes != g.NumNodes() {
+		t.Errorf("Nodes = %d after balanced churn, want %d", s.Nodes, g.NumNodes())
 	}
 }

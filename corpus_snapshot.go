@@ -7,7 +7,6 @@ import (
 
 	"ned/internal/ned"
 	"ned/internal/segment"
-	"ned/internal/vptree"
 )
 
 // Snapshot writes the corpus — its configuration and every live
@@ -32,7 +31,7 @@ func (c *Corpus) Snapshot(w io.Writer) error {
 	v := c.materializedView()
 	meta := ned.CorpusMeta{
 		Version:  2,
-		Backend:  c.cfg.backend.String(),
+		Backend:  BackendPrunedLinear.String(),
 		K:        c.k,
 		Directed: c.cfg.directed,
 		Shards:   len(v.shards),
@@ -43,13 +42,11 @@ func (c *Corpus) Snapshot(w io.Writer) error {
 
 // SnapshotSegment writes the corpus to w as a binary segment
 // (internal/segment): the same consistent cut as Snapshot, but carrying
-// the compiled cascade profiles, the subtree-shape dictionary, the
-// backing graph (when attached), and — on a VP-backed corpus whose
-// indexes have been built — each shard's vantage-point tree structure,
-// length- and checksum-framed. LoadCorpus restores it — the format is
-// sniffed from the first bytes — without re-extracting, re-profiling,
-// or (when the index dumps are present) re-indexing anything, which is
-// what makes binary restarts fast; the price is a format that is
+// the compiled cascade profiles, the subtree-shape dictionary, and the
+// backing graph (when attached), length- and checksum-framed.
+// LoadCorpus restores it — the format is sniffed from the first bytes —
+// without re-extracting or re-profiling anything, which is what makes
+// binary restarts fast; the price is a format that is
 // neither human-readable nor diff-friendly. Snapshotting one corpus
 // twice is byte-identical; unlike Snapshot, two equal corpora may
 // differ on disk, because the dictionary records shapes in interning
@@ -61,8 +58,8 @@ func (c *Corpus) SnapshotSegment(w io.Writer) error {
 // writeSegment serializes one (materialized) view as a binary segment —
 // the body of SnapshotSegment and of every checkpoint.
 func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
-	meta := segment.Meta{Backend: c.cfg.backend.String(), K: c.k, Directed: c.cfg.directed, Place: v.place}
-	return segment.Write(w, meta, c.dict, v.g, v.shardItems(), shardIndexDumps(v.eps))
+	meta := segment.Meta{Backend: BackendPrunedLinear.String(), K: c.k, Directed: c.cfg.directed, Place: v.place}
+	return segment.Write(w, meta, c.dict, v.g, v.shardItems(), nil)
 }
 
 // shardItems is every shard's live items in ascending node order — the
@@ -86,52 +83,14 @@ func (c *Corpus) materializedView() *corpusView {
 	return c.view.Load()
 }
 
-// shardIndexDumps exports every shard's built VP-tree index for
-// persistence. It returns nil — no index sections at all — unless at
-// least one shard has a dump worth carrying: a built, tombstone-free
-// VP backend (scan backends rebuild for free, and a tombstoned tree
-// references items the snapshot no longer holds; either way those
-// shards rebuild lazily on first query, exactly as they would have
-// without index sections).
-func shardIndexDumps(eps []*shardEpoch) []segment.VPIndex {
-	dumps := make([]segment.VPIndex, len(eps))
-	any := false
-	for i, ep := range eps {
-		if ep.ix == nil {
-			continue
-		}
-		nodes, tail, ok := ned.ExportVPBackend(ep.ix)
-		if !ok {
-			continue
-		}
-		vix := &dumps[i]
-		vix.Nodes = make([]segment.VPNode, len(nodes))
-		for j := range nodes {
-			e := &nodes[j]
-			vix.Nodes[j] = segment.VPNode{
-				Node:   e.Item.Node,
-				Radius: e.Radius,
-				Inside: e.Inside,
-				Beyond: e.Beyond,
-			}
-		}
-		vix.Tail = make([]NodeID, len(tail))
-		for j := range tail {
-			vix.Tail[j] = tail[j].Node
-		}
-		any = any || len(vix.Nodes)+len(vix.Tail) > 0
-	}
-	if !any {
-		return nil
-	}
-	return dumps
-}
-
 // LoadCorpus restores a corpus from a Snapshot or SnapshotSegment
 // stream — the binary segment format (recognized by its magic bytes),
 // a v2 sharded manifest, a v1 single-index snapshot, or a legacy
 // WriteSignatures file (which predates snapshot metadata and loads
-// with the default backend, undirected, k taken from its signatures).
+// undirected, k taken from its signatures). Whatever backend a header
+// names — and whatever VP-tree dumps an older segment carries — the
+// restored corpus serves from the cascade scan; an unknown backend name
+// is still a parse failure.
 // Parse failures wrap ErrBadSnapshot. The recorded shard count is the
 // default, and a rebalanced corpus's recorded placement directory is
 // restored with it, so the corpus comes back in the layout it was
@@ -143,9 +102,8 @@ func shardIndexDumps(eps []*shardEpoch) []segment.VPIndex {
 //
 // The restored corpus answers signature queries — and node queries for
 // indexed nodes — identically to the corpus that was snapshotted.
-// Options apply on top of the recorded metadata: WithBackend overrides
-// the recorded backend, WithWorkers, WithShards, and
-// WithRebuildThreshold tune the restored engine, and WithGraph
+// Options apply on top of the recorded metadata: WithWorkers and
+// WithShards tune the restored engine, and WithGraph
 // re-attaches the backing graph (overriding a segment's embedded one),
 // re-enabling Insert, UpdateGraph, Signature, and queries for
 // unindexed nodes. WithNodes and WithDirected are ignored: the
@@ -166,20 +124,23 @@ func LoadCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 // loadSegmentCorpus restores a binary segment stream: the dictionary
 // and compiled profiles are adopted as-is.
 func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
-	meta, items, dict, g, indexes, err := segment.Read(r)
+	// Index dumps an older segment carries are framed and checksummed by
+	// Read like every section, then dropped: the scan has nothing to
+	// restore.
+	meta, items, dict, g, _, err := segment.Read(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	cfg := corpusConfig{rebuildAt: defaultRebuildThreshold, directed: meta.Directed}
-	if cfg.backend, err = ParseBackend(meta.Backend); err != nil {
+	cfg := corpusConfig{directed: meta.Directed}
+	if _, err = ParseBackend(meta.Backend); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
 	if meta.K < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadSnapshot, meta.K)
 	}
-	userGraph := applyLoadOptions(&cfg, meta.Shards, opts)
-	if cfg.backend < 0 || cfg.backend >= numBackends {
-		return nil, fmt.Errorf("%w: %d", ErrBadBackend, int(cfg.backend))
+	userGraph, err := applyLoadOptions(&cfg, meta.Shards, opts)
+	if err != nil {
+		return nil, err
 	}
 	if userGraph != nil {
 		g = userGraph
@@ -194,74 +155,7 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	c.dict = dict
 	installPlacement(c, meta.Place)
 	installLoadedItems(c, items)
-	// Restore persisted VP indexes — but only when they still describe
-	// this corpus: the engine must run the VP backend (WithBackend may
-	// have overridden it) with the snapshot's own shard count (index
-	// dumps are per-shard; a different count re-partitions the items).
-	// Otherwise the dumps are silently dropped and shards build lazily,
-	// exactly as a dump-free segment would.
-	if indexes != nil && cfg.backend == BackendVP && cfg.shards == meta.Shards {
-		if err := restoreShardIndexes(c, indexes); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-		}
-	}
 	return c, nil
-}
-
-// restoreShardIndexes rebuilds each shard's VP backend from its
-// persisted structure dump — no metric evaluations, just resolving
-// node references against the freshly installed item tables. A dump
-// must cover its shard's items exactly (every node referenced once);
-// anything else means the segment's sections disagree with each other,
-// which is corruption and fails loudly. Runs during load, before the
-// corpus is shared, so storing into the live epochs is safe.
-func restoreShardIndexes(c *Corpus, indexes []segment.VPIndex) error {
-	eps := c.view.Load().eps
-	for si := range indexes {
-		ix := &indexes[si]
-		if len(ix.Nodes) == 0 && len(ix.Tail) == 0 {
-			continue
-		}
-		ep := eps[si]
-		if got := len(ix.Nodes) + len(ix.Tail); got != len(ep.byNode) {
-			return fmt.Errorf("segment: shard %d index references %d items, shard holds %d", si, got, len(ep.byNode))
-		}
-		seen := make(map[NodeID]bool, len(ep.byNode))
-		resolve := func(v NodeID) (ned.Item, error) {
-			it, ok := ep.byNode[v]
-			if !ok {
-				return ned.Item{}, fmt.Errorf("segment: shard %d index references node %d, which the shard does not hold", si, v)
-			}
-			if seen[v] {
-				return ned.Item{}, fmt.Errorf("segment: shard %d index references node %d twice", si, v)
-			}
-			seen[v] = true
-			return it, nil
-		}
-		nodes := make([]vptree.ExportNode[ned.Item], len(ix.Nodes))
-		for i := range ix.Nodes {
-			n := &ix.Nodes[i]
-			it, err := resolve(n.Node)
-			if err != nil {
-				return err
-			}
-			nodes[i] = vptree.ExportNode[ned.Item]{Item: it, Radius: n.Radius, Inside: n.Inside, Beyond: n.Beyond}
-		}
-		tail := make([]ned.Item, len(ix.Tail))
-		for i, v := range ix.Tail {
-			it, err := resolve(v)
-			if err != nil {
-				return err
-			}
-			tail[i] = it
-		}
-		backend, err := ned.NewVPBackendFromExport(nodes, tail)
-		if err != nil {
-			return fmt.Errorf("segment: shard %d index: %w", si, err)
-		}
-		ep.ix = backend
-	}
-	return nil
 }
 
 // loadTextCorpus restores the text formats (v2/v1/legacy signatures).
@@ -270,10 +164,10 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	cfg := corpusConfig{backend: BackendPrunedLinear, rebuildAt: defaultRebuildThreshold}
+	var cfg corpusConfig
 	k := meta.K
 	if meta.Version >= 1 {
-		if cfg.backend, err = ParseBackend(meta.Backend); err != nil {
+		if _, err = ParseBackend(meta.Backend); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 		}
 		cfg.directed = meta.Directed
@@ -292,9 +186,9 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadSnapshot, k)
 	}
-	g := applyLoadOptions(&cfg, meta.Shards, opts)
-	if cfg.backend < 0 || cfg.backend >= numBackends {
-		return nil, fmt.Errorf("%w: %d", ErrBadBackend, int(cfg.backend))
+	g, err := applyLoadOptions(&cfg, meta.Shards, opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := validateLoadedGraph(cfg, g, items); err != nil {
 		return nil, err
@@ -327,23 +221,21 @@ func installPlacement(c *Corpus, place *ned.Placement) {
 
 // applyLoadOptions overlays user options onto the snapshot-recorded
 // configuration, returning the WithGraph graph (nil if none).
-func applyLoadOptions(cfg *corpusConfig, metaShards int, opts []CorpusOption) *Graph {
-	userCfg := corpusConfig{backend: cfg.backend, rebuildAt: cfg.rebuildAt}
+func applyLoadOptions(cfg *corpusConfig, metaShards int, opts []CorpusOption) (*Graph, error) {
+	userCfg := corpusConfig{backend: BackendPrunedLinear}
 	for _, opt := range opts {
 		opt(&userCfg)
 	}
-	cfg.backend = userCfg.backend
-	cfg.workers = userCfg.workers
-	cfg.rebuildAt = userCfg.rebuildAt
-	if cfg.rebuildAt <= 0 {
-		cfg.rebuildAt = defaultRebuildThreshold
+	if err := userCfg.backend.check(); err != nil {
+		return nil, err
 	}
+	cfg.workers = userCfg.workers
 	cfg.shards = userCfg.shards
 	if cfg.shards <= 0 {
 		cfg.shards = metaShards // 0 for v0/v1: fall through to the default
 	}
 	cfg.shards = resolveShards(cfg.shards)
-	return userCfg.graph
+	return userCfg.graph, nil
 }
 
 // validateLoadedGraph checks a restored item set against the graph the

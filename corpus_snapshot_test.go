@@ -13,99 +13,60 @@ import (
 
 // TestCorpusSnapshotRoundTrip is the persistence contract: a built,
 // mutated corpus round-trips through Snapshot/LoadCorpus and the
-// restored engine answers queries identically to the in-memory one —
-// on every backend, including a backend override at load time.
+// restored engine answers exactly as the exhaustive scan over the live
+// nodes does.
 func TestCorpusSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const k = 2
 	g := randomGraph(60, 130, 910)
 	gq := randomGraph(40, 80, 911)
 
-	for _, b := range allBackends {
-		c, err := NewCorpus(g, k, WithBackend(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.KNN(ctx, 0, 3); err != nil { // materialize
-			t.Fatal(err)
-		}
-		// Mutate so the snapshot captures a churned index, not the
-		// construction-time node set.
-		if err := c.Remove(1, 3, 5, 7); err != nil {
-			t.Fatal(err)
-		}
+	c, err := NewCorpus(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.KNN(ctx, 0, 3); err != nil { // materialize
+		t.Fatal(err)
+	}
+	// Mutate so the snapshot captures a churned index, not the
+	// construction-time node set.
+	if err := c.Remove(1, 3, 5, 7); err != nil {
+		t.Fatal(err)
+	}
+	live := map[NodeID]bool{}
+	for _, v := range allNodes(g) {
+		live[v] = true
+	}
+	for _, v := range []NodeID{1, 3, 5, 7} {
+		delete(live, v)
+	}
 
-		var buf bytes.Buffer
-		if err := c.Snapshot(&buf); err != nil {
-			t.Fatalf("%v: Snapshot: %v", b, err)
-		}
-		loaded, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%v: LoadCorpus: %v", b, err)
-		}
-		if s := loaded.Stats(); s.Backend != b || s.K != k || s.Nodes != 56 {
-			t.Fatalf("%v: restored stats %+v", b, s)
-		}
+	var buf bytes.Buffer
+	if err := c.Snapshot(&buf); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	loaded, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("LoadCorpus: %v", err)
+	}
+	if s := loaded.Stats(); s.Backend != BackendPrunedLinear || s.K != k || s.Nodes != 56 {
+		t.Fatalf("restored stats %+v", s)
+	}
+	assertMatchesOracle(t, "restored", loaded, oracleOver(g, k, sortedNodes(live)), gq, k, 6, 912)
 
-		rng := rand.New(rand.NewSource(912))
-		for q := 0; q < 6; q++ {
-			sig := NewSignature(gq, NodeID(rng.Intn(gq.NumNodes())), k)
-			want, err := c.KNNSignature(ctx, sig, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := loaded.KNNSignature(ctx, sig, 9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%v: restored KNN %v, in-memory %v", b, got, want)
-			}
-			wantR, err := c.Range(ctx, sig, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotR, err := loaded.Range(ctx, sig, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(gotR) != fmt.Sprint(wantR) {
-				t.Errorf("%v: restored Range %v, in-memory %v", b, gotR, wantR)
-			}
-		}
-
-		// Node queries for indexed nodes work without a graph; unindexed
-		// nodes need WithGraph.
-		if _, err := loaded.KNN(ctx, 0, 3); err != nil {
-			t.Errorf("%v: restored KNN of indexed node: %v", b, err)
-		}
-		if _, err := loaded.KNN(ctx, 1, 3); !errors.Is(err, ErrNoGraph) {
-			t.Errorf("%v: restored KNN of removed node: got %v, want ErrNoGraph", b, err)
-		}
-		if err := loaded.Insert(1); !errors.Is(err, ErrNoGraph) {
-			t.Errorf("%v: graphless Insert: got %v, want ErrNoGraph", b, err)
-		}
-		if _, err := loaded.UpdateGraph(g); !errors.Is(err, ErrNoGraph) {
-			t.Errorf("%v: graphless UpdateGraph: got %v, want ErrNoGraph", b, err)
-		}
-
-		// A backend override at load serves the same answers.
-		overridden, err := LoadCorpus(bytes.NewReader(buf.Bytes()), WithBackend(BackendLinear))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sig := NewSignature(gq, 0, k)
-		want, err := c.KNNSignature(ctx, sig, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := overridden.KNNSignature(ctx, sig, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%v: override-to-linear KNN %v, want %v", b, got, want)
-		}
+	// Node queries for indexed nodes work without a graph; unindexed
+	// nodes need WithGraph.
+	if _, err := loaded.KNN(ctx, 0, 3); err != nil {
+		t.Errorf("restored KNN of indexed node: %v", err)
+	}
+	if _, err := loaded.KNN(ctx, 1, 3); !errors.Is(err, ErrNoGraph) {
+		t.Errorf("restored KNN of removed node: got %v, want ErrNoGraph", err)
+	}
+	if err := loaded.Insert(1); !errors.Is(err, ErrNoGraph) {
+		t.Errorf("graphless Insert: got %v, want ErrNoGraph", err)
+	}
+	if _, err := loaded.UpdateGraph(g); !errors.Is(err, ErrNoGraph) {
+		t.Errorf("graphless UpdateGraph: got %v, want ErrNoGraph", err)
 	}
 }
 
@@ -115,7 +76,7 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 func TestCorpusSnapshotWithGraphResumesMutation(t *testing.T) {
 	ctx := context.Background()
 	g := randomGraph(50, 100, 913)
-	c, err := NewCorpus(g, 2, WithBackend(BackendVP))
+	c, err := NewCorpus(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,31 +97,13 @@ func TestCorpusSnapshotWithGraphResumesMutation(t *testing.T) {
 	if err := loaded.Remove(0); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewCorpus(g, 2, WithBackend(BackendLinear), WithNodes(func() []NodeID {
-		var ns []NodeID
-		for v := 0; v < g.NumNodes(); v++ {
-			if v != 0 && v != 8 {
-				ns = append(ns, NodeID(v))
-			}
+	var live []NodeID
+	for _, v := range allNodes(g) {
+		if v != 0 && v != 8 {
+			live = append(live, v)
 		}
-		return ns
-	}()))
-	if err != nil {
-		t.Fatal(err)
 	}
-	gq := randomGraph(30, 60, 914)
-	sig := NewSignature(gq, 5, 2)
-	got, err := loaded.KNNSignature(ctx, sig, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.KNNSignature(ctx, sig, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("restored+mutated KNN %v, fresh %v", got, want)
-	}
+	assertMatchesOracle(t, "restored+mutated", loaded, oracleOver(g, 2, live), randomGraph(30, 60, 914), 2, 4, 915)
 	// Signature and arbitrary-node queries work again with the graph.
 	if _, err := loaded.Signature(8); err != nil {
 		t.Errorf("Signature on restored corpus with graph: %v", err)
@@ -183,11 +126,7 @@ func TestCorpusSnapshotDirected(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	c, err := NewCorpus(g, 2, WithDirected(), WithBackend(BackendBK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.KNN(ctx, 3, 7)
+	c, err := NewCorpus(g, 2, WithDirected())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +145,8 @@ func TestCorpusSnapshotDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("restored directed KNN %v, want %v", got, want)
+	if want := directedRanking(g, 3, 2)[:7]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("restored directed KNN %v, exhaustive directed NED %v", got, want)
 	}
 }
 
@@ -242,15 +181,10 @@ func TestCorpusSnapshotDeterministic(t *testing.T) {
 }
 
 // TestLoadCorpusLegacySignatureFile: a plain WriteSignatures file (the
-// pre-snapshot format) loads as a corpus on the default backend.
+// pre-snapshot format) loads as a corpus.
 func TestLoadCorpusLegacySignatureFile(t *testing.T) {
-	ctx := context.Background()
 	g := randomGraph(30, 60, 917)
-	var nodes []NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		nodes = append(nodes, NodeID(v))
-	}
-	sigs := Signatures(g, nodes, 2)
+	sigs := Signatures(g, allNodes(g), 2)
 	path := t.TempDir() + "/sigs.txt"
 	if err := SaveSignatures(path, sigs); err != nil {
 		t.Fatal(err)
@@ -267,23 +201,7 @@ func TestLoadCorpusLegacySignatureFile(t *testing.T) {
 	if s := loaded.Stats(); s.K != 2 || s.Nodes != 30 || s.Backend != BackendPrunedLinear {
 		t.Fatalf("legacy load stats: %+v", s)
 	}
-	fresh, err := NewCorpus(g, 2, WithBackend(BackendVP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gq := randomGraph(20, 40, 918)
-	sig := NewSignature(gq, 0, 2)
-	got, err := loaded.KNNSignature(ctx, sig, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.KNNSignature(ctx, sig, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("legacy-loaded KNN %v, want %v", got, want)
-	}
+	assertMatchesOracle(t, "legacy-loaded", loaded, corpusOracle(sigs), randomGraph(20, 40, 918), 2, 4, 919)
 }
 
 // TestLoadCorpusErrors pins the typed error contract of LoadCorpus.

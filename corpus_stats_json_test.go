@@ -48,10 +48,8 @@ func TestCorpusStatsJSONSchema(t *testing.T) {
 		BlockPaddingSurvivors: 60,
 		BlockLabelSurvivors:   40,
 
-		Rebuilds:   2,
-		StaleRatio: 0.125,
-		SizeHist:   []int64{0, 4, 96},
-		DepthHist:  []int64{1, 99},
+		SizeHist:  []int64{0, 4, 96},
+		DepthHist: []int64{1, 99},
 	}
 	buf, err := json.Marshal(in)
 	if err != nil {
@@ -68,8 +66,7 @@ func TestCorpusStatsJSONSchema(t *testing.T) {
 		`"size_prunes":10,"padding_prunes":15,"label_prunes":5,` +
 		`"block_candidates":500,"block_size_survivors":80,` +
 		`"block_padding_survivors":60,"block_label_survivors":40,` +
-		`"rebuilds":2,"stale_ratio":0.125,"size_hist":[0,4,96],` +
-		`"depth_hist":[1,99]}`
+		`"size_hist":[0,4,96],"depth_hist":[1,99]}`
 	if string(buf) != want {
 		t.Errorf("CorpusStats JSON schema changed:\n got %s\nwant %s", buf, want)
 	}

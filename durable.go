@@ -277,10 +277,7 @@ func loadCheckpoint(path string, opts ...CorpusOption) (*Corpus, error) {
 // shared) corpus: upserts re-profile their trees against the corpus
 // dictionary and land in their shard's item table, deletes drop
 // theirs. Records are absolute, so re-applying a suffix is idempotent.
-// A shard the replay touches drops any index that arrived prebuilt
-// with the checkpoint — the dump describes the item set at checkpoint
-// time, and an index answering for since-removed nodes is exactly the
-// corruption replay exists to prevent; the shard re-indexes lazily.
+// No shard has an index yet: they compile lazily over what replay left.
 func (c *Corpus) applyRecovered(rec segment.Record) error {
 	view := c.view.Load()
 	for i := range rec.Upserts {
@@ -292,14 +289,10 @@ func (c *Corpus) applyRecovered(rec segment.Record) error {
 			return fmt.Errorf("wal upsert of node %d disagrees with corpus directedness", it.Node)
 		}
 		ned.ProfileItem(&it, c.dict)
-		ep := view.epochOf(it.Node)
-		ep.byNode[it.Node] = it
-		ep.ix = nil
+		view.epochOf(it.Node).byNode[it.Node] = it
 	}
 	for _, v := range rec.Deletes {
-		ep := view.epochOf(v)
-		delete(ep.byNode, v)
-		ep.ix = nil
+		delete(view.epochOf(v).byNode, v)
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ import (
 // without a clean close, exactly as a dying process leaves it.
 func faultScenario(t *testing.T, dir string, g *Graph) (acked map[NodeID]bool, attached bool) {
 	t.Helper()
-	c, err := NewCorpus(g, 2, WithBackend(BackendLinear))
+	c, err := NewCorpus(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func nodeRange(lo, hi int) []NodeID {
 func multiShardScenario(t *testing.T, dir string, g1, g2 *Graph) (recoverable []string, attached bool) {
 	t.Helper()
 	const k = 2
-	c, err := NewCorpus(g1, k, WithBackend(BackendLinear), WithShards(4))
+	c, err := NewCorpus(g1, k, WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -793,7 +793,7 @@ func TestDurableCrashHelper(t *testing.T) {
 	defer inj.Install()()
 
 	g := randomGraph(n, 2*n, 560)
-	c, err := NewCorpus(g, 2, WithBackend(BackendLinear))
+	c, err := NewCorpus(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

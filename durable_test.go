@@ -39,6 +39,18 @@ func queryFingerprint(t *testing.T, c *Corpus, gQuery *Graph, k int) string {
 	return sb.String()
 }
 
+// oracleFingerprint is queryFingerprint answered by the oracle: what
+// every corpus over the oracle's candidates must render.
+func oracleFingerprint(o corpusOracle, gQuery *Graph, k int) string {
+	var sb strings.Builder
+	for q := 0; q < 6; q++ {
+		sig := NewSignature(gQuery, NodeID(q*7%gQuery.NumNodes()), k)
+		fmt.Fprintln(&sb, o.knn(sig, 5))
+		fmt.Fprintln(&sb, o.within(sig, 3))
+	}
+	return sb.String()
+}
+
 // nodeFingerprint renders KNN answers for a fixed set of indexed
 // nodes — the query form that works for directed and undirected
 // corpora alike.
@@ -69,9 +81,26 @@ func randomDirectedGraph(n, m int, seed int64) *Graph {
 	return b.Build()
 }
 
-// SnapshotSegment → LoadCorpus must reproduce a query-identical corpus
-// for every backend, both directednesses, without recompiling profiles
-// (the dictionary arrives with the segment).
+// nodeOracleFingerprint is nodeFingerprint answered exhaustively over
+// every node of g: by the low-level directed NED, or by the oracle.
+func nodeOracleFingerprint(g *Graph, nodes []NodeID, k int, directed bool) string {
+	var sb strings.Builder
+	if directed {
+		for _, v := range nodes {
+			fmt.Fprintln(&sb, directedRanking(g, v, k)[:5])
+		}
+		return sb.String()
+	}
+	o := oracleOver(g, k, allNodes(g))
+	for _, v := range nodes {
+		fmt.Fprintln(&sb, o.knn(NewSignature(g, v, k), 5))
+	}
+	return sb.String()
+}
+
+// SnapshotSegment → LoadCorpus must reproduce a corpus that answers as
+// the exhaustive scan does, for both directednesses, without
+// recompiling profiles (the dictionary arrives with the segment).
 func TestSnapshotSegmentRoundTrip(t *testing.T) {
 	queryNodes := []NodeID{0, 7, 13, 21, 40, 66}
 	for _, directed := range []bool{false, true} {
@@ -83,34 +112,31 @@ func TestSnapshotSegmentRoundTrip(t *testing.T) {
 		} else {
 			g = randomGraph(80, 170, 300)
 		}
-		for _, b := range allBackends {
-			c, err := NewCorpus(g, 2, append(opts, WithBackend(b))...)
-			if err != nil {
-				t.Fatalf("NewCorpus(%v): %v", b, err)
-			}
-			want := nodeFingerprint(t, c, queryNodes)
-
-			var buf bytes.Buffer
-			if err := c.SnapshotSegment(&buf); err != nil {
-				t.Fatalf("SnapshotSegment(%v): %v", b, err)
-			}
-			c2, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("LoadCorpus(%v segment): %v", b, err)
-			}
-			if got := nodeFingerprint(t, c2, queryNodes); got != want {
-				t.Fatalf("backend %v directed=%v: segment round-trip changed answers:\n got %s\nwant %s",
-					b, directed, got, want)
-			}
-			// The dictionary traveled with the segment: same shape count,
-			// and the loaded profiles resolve against it.
-			if c2.dict.Len() != c.dict.Len() {
-				t.Fatalf("dictionary did not travel: %d shapes, want %d", c2.dict.Len(), c.dict.Len())
-			}
-			// The embedded graph re-enables mutation without WithGraph.
-			if err := c2.Insert(0); err != nil {
-				t.Fatalf("Insert on segment-loaded corpus: %v", err)
-			}
+		c, err := NewCorpus(g, 2, opts...)
+		if err != nil {
+			t.Fatalf("NewCorpus: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := c.SnapshotSegment(&buf); err != nil {
+			t.Fatalf("SnapshotSegment: %v", err)
+		}
+		c2, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("LoadCorpus(segment): %v", err)
+		}
+		want := nodeOracleFingerprint(g, queryNodes, 2, directed)
+		if got := nodeFingerprint(t, c2, queryNodes); got != want {
+			t.Fatalf("directed=%v: segment round-trip diverges from the exhaustive scan:\n got %s\nwant %s",
+				directed, got, want)
+		}
+		// The dictionary traveled with the segment: same shape count,
+		// and the loaded profiles resolve against it.
+		if c2.dict.Len() != c.dict.Len() {
+			t.Fatalf("dictionary did not travel: %d shapes, want %d", c2.dict.Len(), c.dict.Len())
+		}
+		// The embedded graph re-enables mutation without WithGraph.
+		if err := c2.Insert(0); err != nil {
+			t.Fatalf("Insert on segment-loaded corpus: %v", err)
 		}
 	}
 }
@@ -118,7 +144,7 @@ func TestSnapshotSegmentRoundTrip(t *testing.T) {
 // A segment load must honor the same option overlay as text loads.
 func TestSegmentLoadOptions(t *testing.T) {
 	g := randomGraph(60, 130, 310)
-	c, err := NewCorpus(g, 2, WithBackend(BackendVP))
+	c, err := NewCorpus(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,17 +152,19 @@ func TestSegmentLoadOptions(t *testing.T) {
 	if err := c.SnapshotSegment(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := LoadCorpus(bytes.NewReader(buf.Bytes()),
-		WithBackend(BackendBK), WithShards(3), WithGraph(g))
+	c2, err := LoadCorpus(bytes.NewReader(buf.Bytes()), WithShards(3), WithWorkers(2), WithGraph(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.cfg.backend != BackendBK || len(c2.view.Load().shards) != 3 {
-		t.Fatalf("options ignored: backend %v, %d shards", c2.cfg.backend, len(c2.view.Load().shards))
+	if s := c2.Stats(); s.Shards != 3 || s.Workers != 2 {
+		t.Fatalf("options ignored: %d shards, %d workers", s.Shards, s.Workers)
+	}
+	if _, err := LoadCorpus(bytes.NewReader(buf.Bytes()), WithBackend(Backend(99))); !errors.Is(err, ErrBadBackend) {
+		t.Errorf("WithBackend(99) at load: got %v, want ErrBadBackend", err)
 	}
 	gQuery := randomGraph(40, 80, 311)
-	if got, want := queryFingerprint(t, c2, gQuery, 2), queryFingerprint(t, c, gQuery, 2); got != want {
-		t.Fatalf("re-backed segment load changed answers")
+	if got, want := queryFingerprint(t, c2, gQuery, 2), oracleFingerprint(oracleOver(g, 2, allNodes(g)), gQuery, 2); got != want {
+		t.Fatalf("re-sharded segment load diverges from the exhaustive scan")
 	}
 }
 
@@ -159,14 +187,14 @@ func TestLoadCorpusSniffsFormat(t *testing.T) {
 		t.Fatal("format sniffing misclassifies snapshots")
 	}
 	gQuery := randomGraph(30, 60, 321)
-	want := queryFingerprint(t, c, gQuery, 2)
+	want := oracleFingerprint(oracleOver(g, 2, allNodes(g)), gQuery, 2)
 	for name, blob := range map[string][]byte{"text": text.Bytes(), "binary": bin.Bytes()} {
 		c2, err := LoadCorpus(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatalf("LoadCorpus(%s): %v", name, err)
 		}
 		if got := queryFingerprint(t, c2, gQuery, 2); got != want {
-			t.Fatalf("%s load changed answers", name)
+			t.Fatalf("%s load diverges from the exhaustive scan", name)
 		}
 	}
 }
@@ -221,17 +249,11 @@ func mutateBurst(t *testing.T, c *Corpus, g *Graph) map[NodeID]bool {
 	return live
 }
 
-// checkEquivalent asserts c answers exactly as a fresh corpus over live.
+// checkEquivalent asserts every query path of c answers exactly as the
+// exhaustive scan over live does.
 func checkEquivalent(t *testing.T, c *Corpus, g *Graph, live map[NodeID]bool, k int) {
 	t.Helper()
-	fresh, err := NewCorpus(g, k, WithBackend(BackendLinear), WithNodes(sortedNodes(live)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gQuery := randomGraph(40, 80, 999)
-	if got, want := queryFingerprint(t, c, gQuery, k), queryFingerprint(t, fresh, gQuery, k); got != want {
-		t.Fatalf("recovered corpus diverges from never-crashed corpus:\n got %s\nwant %s", got, want)
-	}
+	assertMatchesOracle(t, "recovered", c, oracleOver(g, k, sortedNodes(live)), randomGraph(40, 80, 999), k, 6, 997)
 	if n := c.Stats().Nodes; n != len(live) {
 		t.Fatalf("recovered corpus has %d nodes, want %d", n, len(live))
 	}
@@ -482,14 +504,7 @@ func TestUpdateGraphCheckpointsNewGraph(t *testing.T) {
 	for v := range liveItems(c2) {
 		live[v] = true
 	}
-	fresh, err := NewCorpus(g2, 2, WithBackend(BackendLinear), WithNodes(sortedNodes(live)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gQuery := randomGraph(40, 80, 998)
-	if got, want := queryFingerprint(t, c2, gQuery, 2), queryFingerprint(t, fresh, gQuery, 2); got != want {
-		t.Fatal("recovered post-update corpus diverges from fresh build over the new graph")
-	}
+	assertMatchesOracle(t, "recovered post-update", c2, oracleOver(g2, 2, sortedNodes(live)), randomGraph(40, 80, 998), 2, 6, 996)
 }
 
 func TestDurableAPIErrors(t *testing.T) {
@@ -613,7 +628,7 @@ func TestDurableKillHelper(t *testing.T) {
 	}
 	const n, k = 300, 2
 	g := randomGraph(n, 2*n, 470)
-	c, err := NewCorpus(g, k, WithBackend(BackendLinear))
+	c, err := NewCorpus(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func ExampleNewCorpus() {
 	path, star := fixtures()
 	// A Corpus serves similarity queries over one graph's nodes; the
 	// query arrives as a signature from any graph.
-	corpus, err := ned.NewCorpus(star, 1, ned.WithBackend(ned.BackendLinear))
+	corpus, err := ned.NewCorpus(star, 1)
 	if err != nil {
 		panic(err)
 	}

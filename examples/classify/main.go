@@ -44,11 +44,10 @@ func main() {
 		trainNodes = append(trainNodes, ned.NodeID(v))
 	}
 
-	// Index the training nodes in a Corpus backed by a VP-tree: NED is a
-	// metric, so the index returns exactly the nearest neighbor. BatchKNN
-	// classifies every test node in one parallel, cancelable call.
-	corpus, err := ned.NewCorpus(source, k,
-		ned.WithBackend(ned.BackendVP), ned.WithNodes(trainNodes))
+	// Index the training nodes in a Corpus: the cascade scan is exact, so
+	// it returns exactly the nearest neighbor. BatchKNN classifies every
+	// test node in one parallel, cancelable call.
+	corpus, err := ned.NewCorpus(source, k, ned.WithNodes(trainNodes))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,6 +87,6 @@ func main() {
 		fmt.Printf("  %-10s %v\n", actual, confusion[actual])
 	}
 	stats := corpus.Stats()
-	fmt.Printf("VP-tree distance calls: %d (vs %d for full scan)\n",
+	fmt.Printf("TED* evaluations: %d (vs %d for a full scan)\n",
 		stats.DistanceCalls, total*len(trainNodes))
 }

@@ -50,8 +50,7 @@ func main() {
 
 	// The NED attack queries a Corpus over the training graph restricted
 	// to the candidate pool; the whole attack is one parallel BatchKNN.
-	corpus, err := ned.NewCorpus(train, k,
-		ned.WithBackend(ned.BackendPrunedLinear), ned.WithNodes(cands))
+	corpus, err := ned.NewCorpus(train, k, ned.WithNodes(cands))
 	if err != nil {
 		log.Fatal(err)
 	}

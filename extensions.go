@@ -43,9 +43,8 @@ func PrunedTopL(query Signature, candidates []Signature, l int) ([]Neighbor, Pru
 
 // BKIndex is the low-level Burkhard–Keller tree index over node
 // signatures: an alternative metric index specialized to the integer
-// distances NED produces. It is a thin wrapper over the same backend
-// Corpus serves from with BackendBK; prefer NewCorpus for serving
-// workloads.
+// distances NED produces. The Corpus does not serve from it; prefer
+// NewCorpus for serving workloads.
 type BKIndex struct {
 	ix ned.Index
 }

@@ -28,7 +28,6 @@ type ShardLoad struct {
 	LockWaitNS int64
 	Mutations  int64
 	CloneBytes int64
-	StaleRatio float64
 }
 
 // score collapses a shard's contention signals into one comparable

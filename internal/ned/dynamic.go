@@ -21,10 +21,9 @@ import (
 //   - the BK-tree inserts natively (its structure grows by design) and
 //     removes via tombstones.
 //
-// Tombstones and tails are staleness: they cost routing and scan work
-// on every query while serving nothing. StaleRatio exposes that
-// fraction so the owner (ned.Corpus) can amortize a full rebuild once a
-// configurable threshold is crossed.
+// The Corpus engine only ever builds the scan; the tree halves serve the
+// low-level VPIndex / BKIndex and the benchmark harness until it stops
+// constructing them.
 //
 // Mutations are NOT safe concurrently with queries or each other. The
 // sharded Corpus engine never mutates a published index at all: it
@@ -43,13 +42,6 @@ type DynamicIndex interface {
 	// Remove deletes the items with the given node IDs, reporting how
 	// many were present. Unknown nodes are ignored.
 	Remove(nodes ...graph.NodeID) int
-	// Stale reports how much of the index structure is occupied by
-	// tombstones or unindexed appends (stale) out of the whole structure
-	// queries pay to traverse (total) — 0/live for backends that mutate
-	// in place. Above the owner's threshold ratio, a rebuild pays for
-	// itself; the owner sums the pairs across shards for an aggregate
-	// ratio.
-	Stale() (stale, total int)
 	// Clone returns a structurally private copy of the index: mutations
 	// on the clone never touch the original's structure, so a published
 	// epoch stays immutable for lock-free readers while its successor is
@@ -57,16 +49,6 @@ type DynamicIndex interface {
 	// shared (counters stay continuous across epochs). O(n) copying, no
 	// metric evaluations.
 	Clone() DynamicIndex
-}
-
-// StaleRatio is the rebuild-policy form of Stale: the stale fraction of
-// ix's structure, 0 for an empty index.
-func StaleRatio(ix DynamicIndex) float64 {
-	stale, total := ix.Stale()
-	if total == 0 {
-		return 0
-	}
-	return float64(stale) / float64(total)
 }
 
 // nodeSet builds a membership set for a removal batch.
@@ -114,8 +96,6 @@ func (b *scanBackend) Remove(nodes ...graph.NodeID) int {
 	return n
 }
 
-func (b *scanBackend) Stale() (int, int) { return 0, len(b.items) }
-
 // --- VP-tree backend ---
 
 func (b *vpBackend) Insert(items ...Item) { b.tail = append(b.tail, items...) }
@@ -126,12 +106,6 @@ func (b *vpBackend) Remove(nodes ...graph.NodeID) int {
 	b.tail, n = removeItems(b.tail, gone)
 	n += b.t.Delete(func(it Item) bool { return gone[it.Node] })
 	return n
-}
-
-func (b *vpBackend) Stale() (int, int) {
-	stale := b.t.Deleted() + len(b.tail)
-	total := b.t.Len() + b.t.Deleted() + len(b.tail)
-	return stale, total
 }
 
 // mergeTailKNN folds the appended tail into a KNN result from the tree:
@@ -196,8 +170,4 @@ func (b *bkBackend) Insert(items ...Item) {
 func (b *bkBackend) Remove(nodes ...graph.NodeID) int {
 	gone := nodeSet(nodes)
 	return b.t.Delete(func(it Item) bool { return gone[it.Node] })
-}
-
-func (b *bkBackend) Stale() (int, int) {
-	return b.t.Deleted(), b.t.Len() + b.t.Deleted()
 }

@@ -161,10 +161,8 @@ type Counters struct {
 	BlockLabelSurvivors   int64
 }
 
-// Add returns the element-wise sum of two counter snapshots. The Corpus
-// uses it to carry serving counters across index rebuilds, so counters
-// are monotone under mutation instead of resetting with each backend
-// generation.
+// Add returns the element-wise sum of two counter snapshots; the Corpus
+// sums its shards' counters with it.
 func (c Counters) Add(o Counters) Counters {
 	return Counters{
 		DistanceCalls:         c.DistanceCalls + o.DistanceCalls,
@@ -181,8 +179,8 @@ func (c Counters) Add(o Counters) Counters {
 }
 
 // counterSet is the atomic accumulator behind Counters. Backends hold
-// it by pointer so an index generation and every epoch cloned or
-// rebuilt from it share one accumulator: queries still in flight on a
+// it by pointer so an index generation and every epoch cloned from it
+// share one accumulator: queries still in flight on a
 // retired epoch keep landing their counts in the same place, and the
 // owner's Stats stay continuous across epoch publication (see Clone and
 // ShareCounters).
@@ -202,8 +200,8 @@ type counterHost interface {
 }
 
 // ShareCounters makes dst accumulate its serving counters into src's
-// counter set, so an index rebuilt to replace src extends the same
-// running totals instead of restarting from zero (with queries possibly
+// counter set, so an index built to replace src (a rebalance split or
+// merge) extends the same running totals instead of restarting from zero (with queries possibly
 // still in flight on src). Call before dst is published to readers; it
 // is not safe once dst serves queries.
 func ShareCounters(dst, src Index) {
@@ -413,27 +411,12 @@ type vpBackend struct {
 // it. Mutations take tombstone + append paths (see dynamic.go).
 func NewVPBackend(items []Item) DynamicIndex {
 	b := &vpBackend{counters: &counterSet{}}
-	b.t = vptree.New(items, b.exactMetric())
-	b.installSearchHooks()
-	b.counters.reset() // the build's evaluations are not serving work
-	return b
-}
-
-// exactMetric is the unbudgeted NED metric the VP-tree builds with.
-func (b *vpBackend) exactMetric() vptree.Metric[Item] {
-	return func(x, y Item) float64 {
+	b.t = vptree.New(items, func(x, y Item) float64 {
 		c := tedComputers.Get().(*ted.Computer)
 		d, _ := verifyDistanceAtMost(c, x, y, ted.Unbounded, b.counters)
 		tedComputers.Put(c)
 		return float64(d)
-	}
-}
-
-// installSearchHooks arms the serving-side hooks every VP backend
-// carries regardless of how its tree came to be (fresh build or
-// restored dump): the budgeted cascade metric and the canonical
-// tie-break.
-func (b *vpBackend) installSearchHooks() {
+	})
 	b.t.SetBudgetedMetric(func(x, y Item, budget float64) (float64, bool) {
 		c := tedComputers.Get().(*ted.Computer)
 		d, out := cascadeDistanceAtMost(c, x, y, floatBudget(budget), b.counters)
@@ -441,35 +424,8 @@ func (b *vpBackend) installSearchHooks() {
 		return float64(d), out == ted.OutcomeExact
 	})
 	b.t.SetTieBreak(itemLess)
-}
-
-// ExportVPBackend dumps a VP backend's built index structure: the
-// preorder tree dump plus the post-build append tail. It returns
-// ok == false when ix is not a VP backend or when the tree carries
-// tombstones — a tombstoned vantage point's item is no longer part of
-// the corpus, so a persisted dump would dangle; such shards simply
-// rebuild on first query instead.
-func ExportVPBackend(ix Index) (nodes []vptree.ExportNode[Item], tail []Item, ok bool) {
-	b, isVP := ix.(*vpBackend)
-	if !isVP || b.t.Deleted() > 0 {
-		return nil, nil, false
-	}
-	return b.t.Export(), b.tail, true
-}
-
-// NewVPBackendFromExport restores a VP backend from an ExportVPBackend
-// dump without a single metric evaluation — the dump's radii and
-// topology were computed by the original O(n log n) build and are
-// adopted as-is. The restored backend serves, mutates, and counts
-// exactly like the original.
-func NewVPBackendFromExport(nodes []vptree.ExportNode[Item], tail []Item) (DynamicIndex, error) {
-	b := &vpBackend{counters: &counterSet{}, tail: tail}
-	var err error
-	if b.t, err = vptree.NewFromExport(nodes, b.exactMetric()); err != nil {
-		return nil, err
-	}
-	b.installSearchHooks()
-	return b, nil
+	b.counters.reset() // the build's evaluations are not serving work
+	return b
 }
 
 func (b *vpBackend) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
@@ -753,9 +709,9 @@ func runSweepers(workers int, sweep func()) {
 	wg.Wait()
 }
 
-// scanKNN is the cascade top-l scan behind both scan backends, the
-// planner's scan-over-epoch-items path and the PrunedTopL / TopLParallel
-// free functions (which pass a nil block and take the scalar bounds).
+// scanKNN is the cascade top-l scan behind both scan backends and the
+// PrunedTopL / TopLParallel free functions (which pass a nil block and
+// take the scalar bounds).
 // The ranking is exact with respect to the full TED* distance: every
 // reported neighbor carries its true distance and the set is the
 // canonical (distance, node) top-l, identical to a full scan's, at any
@@ -858,9 +814,8 @@ func scanKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l
 	return col.results, scan.stats, nil
 }
 
-// scanRange is the cascade range scan behind both scan backends and the
-// planner's scan-over-epoch-items path (which passes a nil block and
-// takes the scalar cascade). Results are exact and canonically sorted.
+// scanRange is the cascade range scan behind both scan backends. Results
+// are exact and canonically sorted.
 func scanRange(ctx context.Context, query Item, items []Item, blk *profileBlock, r, workers int, counters *counterSet) ([]Neighbor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

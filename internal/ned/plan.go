@@ -7,11 +7,8 @@ import (
 
 // Query planning. A Plan is the explicit, inspectable form of "how this
 // query will execute over the shards": which shards participate, in
-// what mode the fan-out runs, and — per shard — whether the query goes
-// through the shard's index or through a direct cascade-pruned scan of
-// its items. The Corpus builds one from live statistics (shard sizes,
-// staleness, observed cascade prune rates) per query or per batch; the
-// planner exists because the fixed all-shards fan-out that is optimal
+// what mode the fan-out runs. The Corpus builds one from live shard
+// sizes per query or per batch; the planner exists because the fixed all-shards fan-out that is optimal
 // for large balanced corpora costs small or skewed ones real latency
 // (BenchmarkCorpusParallelChurn read +66% per op at shards=4 against
 // shards=1 on one core), and the statistics to do better are already
@@ -25,10 +22,7 @@ import (
 //     the global top-l has distance <= t, and Range includes distance
 //     == t, so no winner is missed and the canonical merge reproduces
 //     the parallel answer exactly;
-//   - PlanSingle is the one-live-shard (or empty) degenerate case;
-//   - a Scan shard answers through the same scanKNN / scanRange the
-//     scan backends run, at width 1 and without a block; they are exact
-//     at any width.
+//   - PlanSingle is the one-live-shard (or empty) degenerate case.
 
 // PlanMode is the fan-out strategy a plan executes.
 type PlanMode int
@@ -58,41 +52,11 @@ func (m PlanMode) String() string {
 	}
 }
 
-// PlanShard is one shard's slice of a plan. When Scan is non-nil the
-// shard answers by a direct cascade-pruned scan of those items (sorted
-// node-ascending) instead of through Ix — the planner's scan-vs-tree
-// call for tree backends whose index is tiny, stale, or outclassed by
-// the cascade; counters still land in the shard's accumulator.
+// PlanShard is one shard's slice of a plan: its index and live item
+// count.
 type PlanShard struct {
-	Ix   Index
-	Scan []Item
-	N    int // live item count (len(Scan) when scanning)
-}
-
-func (ps *PlanShard) knn(ctx context.Context, query Item, l int) ([]Neighbor, error) {
-	if ps.Scan != nil {
-		res, _, err := scanKNN(ctx, query, ps.Scan, nil, l, 1, counterSinkOf(ps.Ix))
-		return res, err
-	}
-	return ps.Ix.KNN(ctx, query, l)
-}
-
-func (ps *PlanShard) rng(ctx context.Context, query Item, r int) ([]Neighbor, error) {
-	if ps.Scan != nil {
-		return scanRange(ctx, query, ps.Scan, nil, r, 1, counterSinkOf(ps.Ix))
-	}
-	return ps.Ix.Range(ctx, query, r)
-}
-
-// counterSinkOf exposes an index's counter accumulator to the planner's
-// scan path, so scans attribute their work to the same per-shard totals
-// tree queries do. Nil for counter-less Index implementations; the
-// kernels tolerate a nil set.
-func counterSinkOf(ix Index) *counterSet {
-	if h, ok := ix.(counterHost); ok {
-		return h.counterSink()
-	}
-	return nil
+	Ix Index
+	N  int
 }
 
 // Plan is an executable query plan over a fixed set of live shards.
@@ -100,17 +64,6 @@ func counterSinkOf(ix Index) *counterSet {
 type Plan struct {
 	Mode   PlanMode
 	Shards []PlanShard
-}
-
-// Scans reports how many shards the plan answers by direct scan.
-func (p *Plan) Scans() int {
-	n := 0
-	for i := range p.Shards {
-		if p.Shards[i].Scan != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // PlanInput is what BuildPlan decides from: the live shards (N > 0
@@ -157,33 +110,6 @@ func BuildPlan(in PlanInput) *Plan {
 	return p
 }
 
-// Scan-vs-tree thresholds. A shard scans when its index cannot pay for
-// itself: the epoch is tiny, the query wants most of it anyway, or the
-// index has accumulated enough tombstone/tail debt that its traversal
-// overhead exceeds the flat cascade. A hot cascade (observed prune rate
-// above scanHotPruneRate — the filter tiers dismissing three quarters
-// of candidates before any tree work) raises the size cutoff: scanning
-// is cheaper than the naive n·TED bound suggests.
-const (
-	scanCutoff       = 32
-	scanCutoffHot    = 128
-	scanHotPruneRate = 0.75
-	scanStaleRatio   = 0.4
-)
-
-// UseScanOverTree is the planner's per-shard scan-vs-tree decision for
-// tree backends. n is the shard's live size, l the requested result
-// count (0 for range queries), stale the shard index's StaleRatio, and
-// pruneRate the corpus's observed cascade prune rate
-// (LowerBoundPrunes / (LowerBoundPrunes + DistanceCalls)).
-func UseScanOverTree(n, l int, stale, pruneRate float64) bool {
-	cutoff := float64(scanCutoff)
-	if pruneRate > scanHotPruneRate {
-		cutoff = scanCutoffHot
-	}
-	return n <= int(cutoff) || (l > 0 && l >= n) || stale >= scanStaleRatio
-}
-
 // KNN executes the plan for a top-l query. Answers are node-identical
 // to FanKNN over the same shards (see the file comment for why).
 func (p *Plan) KNN(ctx context.Context, exec *Executor, query Item, l int) ([]Neighbor, error) {
@@ -192,20 +118,20 @@ func (p *Plan) KNN(ctx context.Context, exec *Executor, query Item, l int) ([]Ne
 		if len(p.Shards) == 0 {
 			return nil, ctx.Err()
 		}
-		return p.Shards[0].knn(ctx, query, l)
+		return p.Shards[0].Ix.KNN(ctx, query, l)
 	case PlanSequential:
 		var acc []Neighbor
 		for i := range p.Shards {
-			ps := &p.Shards[i]
+			ix := p.Shards[i].Ix
 			var res []Neighbor
 			var err error
 			if len(acc) < l {
-				res, err = ps.knn(ctx, query, l)
+				res, err = ix.KNN(ctx, query, l)
 			} else {
 				// acc already holds l results; anything that still enters
 				// the top-l is within the current l-th distance, and Range
 				// is inclusive, so ties survive for the canonical merge.
-				res, err = ps.rng(ctx, query, acc[len(acc)-1].Dist)
+				res, err = ix.Range(ctx, query, acc[len(acc)-1].Dist)
 			}
 			if err != nil {
 				return nil, err
@@ -217,7 +143,7 @@ func (p *Plan) KNN(ctx context.Context, exec *Executor, query Item, l int) ([]Ne
 		per := make([][]Neighbor, len(p.Shards))
 		errs := make([]error, len(p.Shards))
 		if err := exec.Do(ctx, len(p.Shards), 0, func(i int) {
-			per[i], errs[i] = p.Shards[i].knn(ctx, query, l)
+			per[i], errs[i] = p.Shards[i].Ix.KNN(ctx, query, l)
 		}); err != nil {
 			return nil, err
 		}
@@ -238,12 +164,12 @@ func (p *Plan) Range(ctx context.Context, exec *Executor, query Item, r int) ([]
 		if len(p.Shards) == 0 {
 			return nil, ctx.Err()
 		}
-		return p.Shards[0].rng(ctx, query, r)
+		return p.Shards[0].Ix.Range(ctx, query, r)
 	case PlanSequential:
 		per := make([][]Neighbor, len(p.Shards))
 		for i := range p.Shards {
 			var err error
-			if per[i], err = p.Shards[i].rng(ctx, query, r); err != nil {
+			if per[i], err = p.Shards[i].Ix.Range(ctx, query, r); err != nil {
 				return nil, err
 			}
 		}
@@ -252,7 +178,7 @@ func (p *Plan) Range(ctx context.Context, exec *Executor, query Item, r int) ([]
 		per := make([][]Neighbor, len(p.Shards))
 		errs := make([]error, len(p.Shards))
 		if err := exec.Do(ctx, len(p.Shards), 0, func(i int) {
-			per[i], errs[i] = p.Shards[i].rng(ctx, query, r)
+			per[i], errs[i] = p.Shards[i].Ix.Range(ctx, query, r)
 		}); err != nil {
 			return nil, err
 		}

@@ -10,8 +10,7 @@ import (
 
 // TestPlannerEquivalence pins the planner's only acceptable behavior:
 // pure strategy, zero answer drift. Whatever fan-out mode a plan runs
-// in, and whichever shards it answers by direct scan instead of through
-// their index, Plan.KNN and Plan.Range must be node-identical to the
+// in, Plan.KNN and Plan.Range must be node-identical to the
 // reference all-shards fan-out (FanKNN / FanRange) over the same shard
 // indexes — on every backend, before and after churn leaves the tree
 // backends with tombstones and append tails.
@@ -34,8 +33,7 @@ func TestPlannerEquivalence(t *testing.T) {
 	}
 	for name, mk := range backends {
 		for _, n := range []int{1, 4} {
-			// per[si] is shard si's live items, node-ascending — what a
-			// Scan shard reads.
+			// per[si] is shard si's live items, node-ascending.
 			per := make([][]Item, n)
 			for _, it := range items {
 				si := ShardOf(it.Node, n)
@@ -51,47 +49,41 @@ func TestPlannerEquivalence(t *testing.T) {
 				for i := range shards {
 					ixs[i] = shards[i]
 				}
-				for _, scan := range []bool{false, true} {
-					for _, mode := range []PlanMode{PlanParallel, PlanSequential, PlanSingle} {
-						if mode == PlanSingle && n > 1 {
-							continue // single is the one-live-shard plan
-						}
-						p := &Plan{Mode: mode}
-						for i := range shards {
-							ps := PlanShard{Ix: shards[i], N: len(per[i])}
-							if scan && i%2 == 0 {
-								ps.Scan = per[i]
+				for _, mode := range []PlanMode{PlanParallel, PlanSequential, PlanSingle} {
+					if mode == PlanSingle && n > 1 {
+						continue // single is the one-live-shard plan
+					}
+					p := &Plan{Mode: mode}
+					for i := range shards {
+						p.Shards = append(p.Shards, PlanShard{Ix: shards[i], N: len(per[i])})
+					}
+					label := fmt.Sprintf("%s/shards=%d/%s/%v", name, n, stage, mode)
+					for q := 0; q < 8; q++ {
+						query := NewItem(gq, graph.NodeID(q*7), 2, false)
+						for _, l := range []int{1, 5, 300} {
+							want, err := FanKNN(ctx, exec, ixs, query, l)
+							if err != nil {
+								t.Fatal(err)
 							}
-							p.Shards = append(p.Shards, ps)
-						}
-						label := fmt.Sprintf("%s/shards=%d/%s/%v/scan=%v", name, n, stage, mode, scan)
-						for q := 0; q < 8; q++ {
-							query := NewItem(gq, graph.NodeID(q*7), 2, false)
-							for _, l := range []int{1, 5, 300} {
-								want, err := FanKNN(ctx, exec, ixs, query, l)
-								if err != nil {
-									t.Fatal(err)
-								}
-								got, err := p.KNN(ctx, exec, query, l)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if fmt.Sprint(got) != fmt.Sprint(want) {
-									t.Errorf("%s l=%d: Plan.KNN %v, FanKNN %v", label, l, got, want)
-								}
+							got, err := p.KNN(ctx, exec, query, l)
+							if err != nil {
+								t.Fatal(err)
 							}
-							for _, r := range []int{0, 3, 6} {
-								want, err := FanRange(ctx, exec, ixs, query, r)
-								if err != nil {
-									t.Fatal(err)
-								}
-								got, err := p.Range(ctx, exec, query, r)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if fmt.Sprint(got) != fmt.Sprint(want) {
-									t.Errorf("%s r=%d: Plan.Range %v, FanRange %v", label, r, got, want)
-								}
+							if fmt.Sprint(got) != fmt.Sprint(want) {
+								t.Errorf("%s l=%d: Plan.KNN %v, FanKNN %v", label, l, got, want)
+							}
+						}
+						for _, r := range []int{0, 3, 6} {
+							want, err := FanRange(ctx, exec, ixs, query, r)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, err := p.Range(ctx, exec, query, r)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if fmt.Sprint(got) != fmt.Sprint(want) {
+								t.Errorf("%s r=%d: Plan.Range %v, FanRange %v", label, r, got, want)
 							}
 						}
 					}

@@ -6,8 +6,8 @@
 // (a single-node KNN request runs at once while its corpus has a pass
 // slot free, and requests that find every slot busy are batched into
 // one BatchKNN executor pass behind the passes in flight), and a
-// Prometheus /metrics endpoint exporting the engine's cascade,
-// shard, and rebuild counters next to the server's own request,
+// Prometheus /metrics endpoint exporting the engine's cascade and
+// shard counters next to the server's own request,
 // latency, in-flight, and coalescing counters.
 //
 // The engine's epoch-published shard design is what makes a thin

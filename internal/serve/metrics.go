@@ -95,7 +95,8 @@ func (m *metrics) requestTotals() (endpoints []string, rows map[string]map[int]i
 // WriteMetrics renders the full exposition in Prometheus text format:
 // the server's request/latency/in-flight/overload/coalescing counters,
 // then every registered corpus's engine counters — the filter-cascade
-// tier prunes, shard sizes, epoch/rebuild stats — labeled by corpus.
+// tier prunes, shard sizes, contention and planner counters — labeled
+// by corpus.
 func (s *Server) WriteMetrics(w io.Writer) {
 	// --- server counters ---
 	fmt.Fprintf(w, "# HELP nedserve_requests_total Requests served, by endpoint and HTTP status.\n")
@@ -244,7 +245,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "ned_corpus_cascade_prunes_total{corpus=%q,tier=\"padding\"} %d\n", n, stats[i].PaddingPrunes)
 		fmt.Fprintf(w, "ned_corpus_cascade_prunes_total{corpus=%q,tier=\"label\"} %d\n", n, stats[i].LabelPrunes)
 	})
-	emit("ned_corpus_block_candidates_total", "counter", "Candidate slots swept by the columnar block kernels of the linear and pruned scans.", func(i int) {
+	emit("ned_corpus_block_candidates_total", "counter", "Candidate slots swept by the columnar block kernels of the cascade scan.", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_block_candidates_total{corpus=%q} %d\n", tenants[i].Name, stats[i].BlockCandidates)
 	})
 	emit("ned_corpus_block_survivors_total", "counter", "Block-kernel candidates that passed each cascade tier (label = tier 2 (degree sequence); its survivors reached verify).", func(i int) {
@@ -252,12 +253,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "ned_corpus_block_survivors_total{corpus=%q,tier=\"size\"} %d\n", n, stats[i].BlockSizeSurvivors)
 		fmt.Fprintf(w, "ned_corpus_block_survivors_total{corpus=%q,tier=\"padding\"} %d\n", n, stats[i].BlockPaddingSurvivors)
 		fmt.Fprintf(w, "ned_corpus_block_survivors_total{corpus=%q,tier=\"label\"} %d\n", n, stats[i].BlockLabelSurvivors)
-	})
-	emit("ned_corpus_rebuilds_total", "counter", "Index rebuilds (amortized per-shard plus explicit).", func(i int) {
-		fmt.Fprintf(w, "ned_corpus_rebuilds_total{corpus=%q} %d\n", tenants[i].Name, stats[i].Rebuilds)
-	})
-	emit("ned_corpus_stale_ratio", "gauge", "Fraction of index structure occupied by tombstones or unindexed appends.", func(i int) {
-		fmt.Fprintf(w, "ned_corpus_stale_ratio{corpus=%q} %g\n", tenants[i].Name, stats[i].StaleRatio)
 	})
 
 	// --- per-corpus durability health ---

@@ -175,15 +175,15 @@ type CreateRequest struct {
 	// K is the neighborhood depth (required with Graph or Dataset;
 	// snapshots record their own and ignore it).
 	K int `json:"k,omitempty"`
-	// Backend is the index backend name ("vp", "bk", "linear",
-	// "pruned"); empty means the engine default (snapshots: the
-	// recorded backend).
+	// Backend is accepted and ignored: "vp", "bk", "linear", "pruned"
+	// or empty all mean the cascade scan; any other name is a 400. (A
+	// "rebuild_threshold" key from older clients is dropped with every
+	// other unknown key.)
 	Backend string `json:"backend,omitempty"`
-	// Shards, Workers, and RebuildThreshold tune the engine; zero
-	// values mean the engine defaults.
-	Shards           int     `json:"shards,omitempty"`
-	Workers          int     `json:"workers,omitempty"`
-	RebuildThreshold float64 `json:"rebuild_threshold,omitempty"`
+	// Shards and Workers tune the engine; zero values mean the engine
+	// defaults.
+	Shards  int `json:"shards,omitempty"`
+	Workers int `json:"workers,omitempty"`
 	// Directed selects the directed NED of Eq. 2 (Graph/Dataset only;
 	// a snapshot records its own directedness).
 	Directed bool `json:"directed,omitempty"`
@@ -206,20 +206,15 @@ type CreateRequest struct {
 func (cr *CreateRequest) options() ([]ned.CorpusOption, error) {
 	var opts []ned.CorpusOption
 	if cr.Backend != "" {
-		b, err := ned.ParseBackend(cr.Backend)
-		if err != nil {
+		if _, err := ned.ParseBackend(cr.Backend); err != nil {
 			return nil, err
 		}
-		opts = append(opts, ned.WithBackend(b))
 	}
 	if cr.Shards > 0 {
 		opts = append(opts, ned.WithShards(cr.Shards))
 	}
 	if cr.Workers > 0 {
 		opts = append(opts, ned.WithWorkers(cr.Workers))
-	}
-	if cr.RebuildThreshold > 0 {
-		opts = append(opts, ned.WithRebuildThreshold(cr.RebuildThreshold))
 	}
 	if cr.Directed {
 		opts = append(opts, ned.WithDirected())

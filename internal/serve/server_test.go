@@ -136,7 +136,8 @@ func TestServeEndToEnd(t *testing.T) {
 	if list.Corpora[0].Name != "g1" || list.Corpora[1].Name != "g2" {
 		t.Fatalf("list order: %+v", list.Corpora)
 	}
-	if list.Corpora[1].Backend != "bk" || list.Corpora[1].Shards != 2 {
+	// "bk" is accepted and ignored: every corpus reports the scan.
+	if list.Corpora[1].Backend != "pruned" || list.Corpora[1].Shards != 2 {
 		t.Fatalf("g2 options not honored: %+v", list.Corpora[1])
 	}
 
@@ -425,10 +426,15 @@ func TestMetricsExport(t *testing.T) {
 		`ned_corpus_cascade_prunes_total{corpus="m1",tier="size"}`,
 		`ned_corpus_cascade_prunes_total{corpus="m2",tier="label"}`,
 		`ned_corpus_shard_nodes{corpus="m1",shard="0"}`,
-		`ned_corpus_stale_ratio{corpus="m1"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	// The two series that described a tree index went with the trees.
+	for _, gone := range []string{"ned_corpus_rebuilds_total", "ned_corpus_stale_ratio"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("metrics still export %q", gone)
 		}
 	}
 	// Engine query counters must reflect the traffic that just ran.
@@ -436,6 +442,32 @@ func TestMetricsExport(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/corpora/m1/stats", &doc)
 	if doc.Stats.Queries < 3 {
 		t.Fatalf("m1 engine queries = %d, want >= 3", doc.Stats.Queries)
+	}
+}
+
+// TestCreateAcceptsRetiredTuningKeys: a create request written for the
+// four-backend engine — a tree backend, a rebuild threshold — still
+// creates a corpus. The backend name is parsed and ignored, and the
+// decoder drops keys it does not know (no DisallowUnknownFields).
+func TestCreateAcceptsRetiredTuningKeys(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body, err := json.Marshal(map[string]any{
+		"name": "old", "k": 2, "backend": "vp", "rebuild_threshold": 0.1, "graph": ringSpec(12),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, raw := postJSON(t, ts.URL+"/v1/corpora", json.RawMessage(body), nil); status != http.StatusCreated {
+		t.Fatalf("create with backend=vp and rebuild_threshold: %d %s", status, raw)
+	}
+	var qr QueryResponse
+	if status, raw := postJSON(t, ts.URL+"/v1/corpora/old/knn", KNNRequest{Node: 0, L: 3}, &qr); status != 200 || len(qr.Neighbors) != 3 {
+		t.Fatalf("knn on the created corpus: %d %s", status, raw)
+	}
+	var doc StatsDoc
+	getJSON(t, ts.URL+"/v1/corpora/old/stats", &doc)
+	if got := doc.Stats.Backend.String(); got != "pruned" {
+		t.Errorf("stats backend = %q, want \"pruned\"", got)
 	}
 }
 

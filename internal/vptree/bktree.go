@@ -119,9 +119,6 @@ func (t *BKTree[T]) Insert(item T) {
 // Len returns the number of live (non-tombstoned) indexed items.
 func (t *BKTree[T]) Len() int { return t.count - t.dead }
 
-// Deleted returns how many indexed items are tombstones.
-func (t *BKTree[T]) Deleted() int { return t.dead }
-
 // Delete tombstones every live indexed item for which match returns
 // true and reports how many it marked. Tombstoned nodes keep routing
 // searches through their children but never rank as hits. Delete walks

@@ -14,7 +14,6 @@ package vptree
 import (
 	"container/heap"
 	"context"
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -151,11 +150,6 @@ func (t *Tree[T]) build(pts []T, rng *rand.Rand) *node[T] {
 // Len returns the number of live (non-tombstoned) indexed items.
 func (t *Tree[T]) Len() int { return t.count - t.dead }
 
-// Deleted returns how many indexed items are tombstones — structure the
-// tree still pays to route through. The caller's rebuild policy watches
-// this staleness.
-func (t *Tree[T]) Deleted() int { return t.dead }
-
 // Delete tombstones every live indexed item for which match returns
 // true and reports how many it marked. The tree keeps its shape: dead
 // nodes still route searches (their vantage distances remain valid) but
@@ -210,104 +204,6 @@ func (t *Tree[T]) Clone() *Tree[T] {
 	}
 	c.root = copyNode(t.root)
 	return c
-}
-
-// ExportNode is one node of a preorder structure dump: the indexed
-// item, its vantage radius, its tombstone flag, and which children it
-// has. The sequence of ExportNodes produced by Export fully determines
-// the tree — radii and split topology included — so a persisted dump
-// restores with NewFromExport without a single metric evaluation,
-// which is what makes checkpointed VP indexes worth carrying: New
-// costs O(n log n) distance computations, restore costs none.
-type ExportNode[T any] struct {
-	Item   T
-	Radius float64
-	Dead   bool // tombstoned: routes searches, never a hit
-	Inside bool // has an inside child
-	Beyond bool // has a beyond child
-}
-
-// Export dumps the tree structure in preorder (node, inside subtree,
-// beyond subtree). The result is deterministic for a given tree and
-// round-trips through NewFromExport to a search-identical index.
-func (t *Tree[T]) Export() []ExportNode[T] {
-	out := make([]ExportNode[T], 0, t.count)
-	var walk func(n *node[T])
-	walk = func(n *node[T]) {
-		if n == nil {
-			return
-		}
-		out = append(out, ExportNode[T]{
-			Item:   n.point,
-			Radius: n.radius,
-			Dead:   n.dead,
-			Inside: n.inside != nil,
-			Beyond: n.beyond != nil,
-		})
-		walk(n.inside)
-		walk(n.beyond)
-	}
-	walk(t.root)
-	return out
-}
-
-// NewFromExport rebuilds a tree from an Export dump, performing no
-// metric evaluations: the dump's radii and topology are adopted as-is
-// (they were computed by the original build), and dist is kept only
-// for serving later queries. The dump is validated structurally — the
-// preorder walk must consume exactly the given nodes and every radius
-// must be finite and non-negative — but radii are otherwise trusted:
-// a dump whose radii do not match its metric yields a tree whose
-// searches are silently wrong, so callers must pair dumps with the
-// same metric that built them.
-func NewFromExport[T any](nodes []ExportNode[T], dist Metric[T]) (*Tree[T], error) {
-	t := &Tree[T]{dist: dist, count: len(nodes)}
-	if len(nodes) == 0 {
-		return t, nil
-	}
-	const maxFinite = 1e307 // below inf(); anything larger cannot be a real radius
-	slab := make([]node[T], len(nodes))
-	next := 0
-	var build func() (*node[T], error)
-	build = func() (*node[T], error) {
-		e := &nodes[next]
-		if !(e.Radius >= 0) || e.Radius > maxFinite {
-			return nil, fmt.Errorf("vptree: node %d has invalid radius %v", next, e.Radius)
-		}
-		n := &slab[next]
-		next++
-		n.point, n.radius, n.dead = e.Item, e.Radius, e.Dead
-		if e.Dead {
-			t.dead++
-		}
-		var err error
-		if e.Inside {
-			if next >= len(nodes) {
-				return nil, fmt.Errorf("vptree: dump truncated inside node %d's subtree", next-1)
-			}
-			if n.inside, err = build(); err != nil {
-				return nil, err
-			}
-		}
-		if e.Beyond {
-			if next >= len(nodes) {
-				return nil, fmt.Errorf("vptree: dump truncated inside node %d's subtree", next-1)
-			}
-			if n.beyond, err = build(); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
-	}
-	root, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if next != len(nodes) {
-		return nil, fmt.Errorf("vptree: dump has %d trailing nodes outside the root's subtree", len(nodes)-next)
-	}
-	t.root = root
-	return t, nil
 }
 
 // DistanceCalls returns the number of metric evaluations since the last

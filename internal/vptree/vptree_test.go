@@ -185,95 +185,3 @@ func TestIntegerMetric(t *testing.T) {
 		t.Errorf("next nearest distances = %v, %v", res[1].Dist, res[2].Dist)
 	}
 }
-
-func TestExportRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		pts := randomPoints(rng, rng.Intn(400))
-		tr := New(pts, l1)
-		if trial%3 == 1 && len(pts) > 10 {
-			// Tombstones must survive the round-trip: dead nodes keep
-			// routing searches without ever appearing as hits.
-			doomed := pts[rng.Intn(len(pts))]
-			tr.Delete(func(p point) bool { return p == doomed })
-		}
-		dump := tr.Export()
-		if len(dump) != len(pts) {
-			t.Fatalf("trial %d: export has %d nodes, tree has %d", trial, len(dump), len(pts))
-		}
-		tr2, err := NewFromExport(dump, l1)
-		if err != nil {
-			t.Fatalf("trial %d: NewFromExport: %v", trial, err)
-		}
-		if tr2.Len() != tr.Len() || tr2.Deleted() != tr.Deleted() {
-			t.Fatalf("trial %d: restored Len=%d Deleted=%d, want %d/%d",
-				trial, tr2.Len(), tr2.Deleted(), tr.Len(), tr.Deleted())
-		}
-		for q := 0; q < 10; q++ {
-			query := point{rng.Float64() * 100, rng.Float64() * 100}
-			k := 1 + rng.Intn(8)
-			got, want := tr2.KNN(query, k), tr.KNN(query, k)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: restored KNN returned %d results, want %d", trial, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Item != want[i].Item || got[i].Dist != want[i].Dist {
-					t.Fatalf("trial %d: restored KNN[%d] = %+v, want %+v", trial, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestExportDeterministic(t *testing.T) {
-	pts := randomPoints(rand.New(rand.NewSource(3)), 200)
-	tr := New(pts, l1)
-	a, b := tr.Export(), tr.Export()
-	if len(a) != len(b) {
-		t.Fatal("exports differ in length")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("export node %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// Export → restore → export must be a fixed point.
-	tr2, err := NewFromExport(a, l1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := tr2.Export()
-	for i := range a {
-		if a[i] != c[i] {
-			t.Fatalf("re-export node %d differs: %+v vs %+v", i, a[i], c[i])
-		}
-	}
-}
-
-func TestNewFromExportRejectsBadDumps(t *testing.T) {
-	pts := randomPoints(rand.New(rand.NewSource(9)), 50)
-	dump := New(pts, l1).Export()
-
-	truncated := dump[:len(dump)-1]
-	if _, err := NewFromExport(truncated, l1); err == nil {
-		t.Error("truncated dump accepted")
-	}
-
-	trailing := append(append([]ExportNode[point]{}, dump...), ExportNode[point]{})
-	if _, err := NewFromExport(trailing, l1); err == nil {
-		t.Error("dump with trailing node accepted")
-	}
-
-	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
-		mut := append([]ExportNode[point]{}, dump...)
-		mut[3].Radius = bad
-		if _, err := NewFromExport(mut, l1); err == nil {
-			t.Errorf("dump with radius %v accepted", bad)
-		}
-	}
-
-	empty, err := NewFromExport(nil, l1)
-	if err != nil || empty.Len() != 0 {
-		t.Errorf("empty dump: tree len %d, err %v", empty.Len(), err)
-	}
-}

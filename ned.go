@@ -13,7 +13,7 @@
 // This package is the public facade over the implementation packages:
 //
 //   - the Corpus query engine: one thread-safe, context-aware API over
-//     interchangeable NED index backends (§13.3–13.4 workloads), with
+//     a cascade scan per shard (§13.3–13.4 workloads), with
 //     incremental Insert/Remove under live index maintenance, graph
 //     version updates (UpdateGraph), and snapshot persistence
 //     (Snapshot/LoadCorpus)
@@ -35,7 +35,7 @@
 //	g2 := ned.MustGenerateDataset(ned.DatasetGNU, ned.DatasetOptions{})
 //
 //	// Index g2's nodes once (lazily, in parallel, on first query).
-//	corpus, err := ned.NewCorpus(g2, 3, ned.WithBackend(ned.BackendVP))
+//	corpus, err := ned.NewCorpus(g2, 3)
 //	if err != nil { ... }
 //
 //	// Which nodes of g2 are most similar to node 7 of g1?
@@ -204,9 +204,10 @@ func ExactGED(g1, g2 *Graph) (d int, ok bool) { return exact.GED(g1, g2) }
 func ExactTEDStar(t1, t2 *Tree) (d int, ok bool) { return exact.TEDStar(t1, t2) }
 
 // VPIndex is the low-level VP-tree metric index over node signatures
-// (§13.4): synchronous queries, no cancellation. It is a thin wrapper
-// over the same backend Corpus serves from with BackendVP; prefer
-// NewCorpus for serving workloads.
+// (§13.4): synchronous queries, no cancellation. It is the paper's
+// index, kept as a library structure and for `nedbench -exp fig9`; the
+// Corpus does not serve from it — prefer NewCorpus for serving
+// workloads.
 type VPIndex struct {
 	ix ned.Index
 }

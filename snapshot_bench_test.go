@@ -10,7 +10,7 @@ import (
 func benchSnapshots(b *testing.B) (text, seg []byte) {
 	b.Helper()
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 1.0, Seed: 1})
-	c, err := NewCorpus(g, 3, WithBackend(BackendLinear))
+	c, err := NewCorpus(g, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
