@@ -273,12 +273,11 @@ func WithGraph(g *Graph) CorpusOption {
 //
 // Read consistency: every query observes exactly one committed prefix
 // of mutation calls; publish order = WAL order. The whole corpus — the
-// backing graph, the shard slots, the placement, and every shard's
-// items and index — is published as one immutable view through a single
-// atomic pointer. A query loads that pointer once and answers from what
-// it loaded. Every mutation call (Insert, Remove, UpdateGraph, a
-// rebalance split or merge) prepares private successor epochs for the
-// shards it touches and publishes them with one pointer store, so a
+// backing graph and every shard's items and index — is published as one
+// immutable view through a single atomic pointer. A query loads that
+// pointer once and answers from what it loaded. Every mutation call
+// (Insert, Remove, UpdateGraph) prepares private successor epochs for
+// the shards it touches and publishes them with one pointer store, so a
 // call spanning shards is visible whole or not at all, to queries and
 // to Stats alike. Once the lazy build has run, a mutation never blocks
 // queries — in-flight readers keep the view they loaded — and Insert
@@ -303,11 +302,10 @@ type Corpus struct {
 	cfg corpusConfig
 
 	// gmu orders whole-engine transitions against one another:
-	// materialization and index builds, UpdateGraph, and rebalance ticks
-	// take the write side, which excludes every mutator —
-	// they prepare their successor view without shard locks. Insert and
-	// Remove hold the read side for their whole span, so the graph
-	// version, the shard slots, and the placement cannot move underneath
+	// materialization and index builds and UpdateGraph take the write
+	// side, which excludes every mutator — they prepare their successor
+	// view without shard locks. Insert and Remove hold the read side for
+	// their whole span, so the graph version cannot move underneath
 	// them. Queries never touch gmu; Stats and ResetStats are entirely
 	// atomic.
 	gmu sync.RWMutex
@@ -371,29 +369,24 @@ type Corpus struct {
 	planPar    atomic.Int64
 	planSeq    atomic.Int64
 	planSingle atomic.Int64
-
-	// Rebalancer counters and tick state (balPrev is guarded by gmu,
-	// which every RebalanceTick holds for writing).
-	rebalances  atomic.Int64
-	shardSplits atomic.Int64
-	shardMerges atomic.Int64
-	balPrev     map[*corpusShard]balanceSnap
 }
 
 // corpusView is one published version of the whole corpus. Immutable
 // once published: a successor shares every epoch its mutation did not
-// touch, so a view costs a handful of pointers. The slots slice only
-// ever grows — placement indices stay stable, and a slot merged away
-// stays behind as an empty husk until a split reuses it.
+// touch, so a view costs a handful of pointers. The slot count is fixed
+// for the life of the Corpus, and node n lives in slot
+// ned.ShardOf(n, len(shards)).
 type corpusView struct {
 	g      *Graph         // nil for snapshot-loaded corpora without WithGraph
 	shards []*corpusShard // slot i's mutation lock and contention telemetry
 	eps    []*shardEpoch  // slot i's items and index in this version
-	place  *ned.Placement // routes nodes to slots
 }
 
+// shardOf is the slot owning node n.
+func (v *corpusView) shardOf(n NodeID) int { return ned.ShardOf(n, len(v.shards)) }
+
 // epochOf returns the epoch of the shard owning node n.
-func (v *corpusView) epochOf(n NodeID) *shardEpoch { return v.eps[v.place.Of(n)] }
+func (v *corpusView) epochOf(n NodeID) *shardEpoch { return v.eps[v.shardOf(n)] }
 
 // publish is the only writer of c.view: it copies the current view
 // (none before the first publish), lets edit replace what the caller
@@ -413,26 +406,17 @@ func (c *Corpus) publish(edit func(nv *corpusView)) {
 }
 
 // corpusShard is one partition's identity across views: its mutation
-// lock and the contention telemetry the rebalancer feeds on.
+// lock and its write-contention telemetry.
 type corpusShard struct {
 	mu sync.Mutex // serializes Insert and Remove calls touching this shard
 
-	// Contention counters, monotone for the corpus lifetime (never
-	// reset — the rebalancer diffs successive readings, and ResetStats
-	// must not corrupt its deltas): nanoseconds mutators spent waiting
-	// for mu, mutated-node count, and bytes of epoch state cloned to
-	// publish successors.
+	// Contention counters, monotone for the corpus lifetime (ResetStats
+	// leaves them alone, so a scraper can difference successive
+	// readings): nanoseconds mutators spent waiting for mu, mutated-node
+	// count, and bytes of epoch state cloned to publish successors.
 	lockWaitNS atomic.Int64
 	mutations  atomic.Int64
 	cloneBytes atomic.Int64
-
-	// hotRing remembers the most recently mutated nodes. Written under
-	// mu or gmu's write side; the rebalancer reads it under gmu's write
-	// side, which excludes every mutator, so no extra synchronization is
-	// needed.
-	hotRing [64]NodeID
-	hotLen  int
-	hotPos  int
 }
 
 // lockTimed is sh.mu.Lock with the wait time accounted to the shard's
@@ -446,31 +430,12 @@ func (sh *corpusShard) lockTimed() {
 	sh.lockWaitNS.Add(time.Since(t0).Nanoseconds())
 }
 
-// noteMutation records a committed mutation touching the given nodes:
-// epochSize and ixLen size the clone the commit paid (the per-mutation
-// cost the rebalancer exists to shrink — a map clone plus an index
-// clone or recompile, both linear in shard size). Callers hold sh.mu
-// or gmu's write side.
-func (sh *corpusShard) noteMutation(nodes []NodeID, epochSize, ixLen int) {
-	sh.mutations.Add(int64(len(nodes)))
+// noteMutation records a committed mutation of n nodes: epochSize and
+// ixLen size the clone the commit paid (a map clone plus an index clone
+// or recompile, both linear in shard size).
+func (sh *corpusShard) noteMutation(n, epochSize, ixLen int) {
+	sh.mutations.Add(int64(n))
 	sh.cloneBytes.Add(int64(epochSize)*48 + int64(ixLen)*16)
-	for _, v := range nodes {
-		sh.hotRing[sh.hotPos] = v
-		sh.hotPos = (sh.hotPos + 1) % len(sh.hotRing)
-		if sh.hotLen < len(sh.hotRing) {
-			sh.hotLen++
-		}
-	}
-}
-
-// hotSet is the distinct recently mutated nodes. Callers hold gmu for
-// writing (see hotRing).
-func (sh *corpusShard) hotSet() map[NodeID]bool {
-	hot := make(map[NodeID]bool, sh.hotLen)
-	for i := 0; i < sh.hotLen; i++ {
-		hot[sh.hotRing[i]] = true
-	}
-	return hot
 }
 
 // shardEpoch is one immutable generation of one shard, published as
@@ -537,7 +502,7 @@ func resolveShards(n int) int {
 // for LoadCorpus) in place before the corpus is shared.
 func newShardedCorpus(k int, cfg corpusConfig, g *Graph) *Corpus {
 	c := &Corpus{k: k, cfg: cfg, exec: ned.NewExecutor(cfg.workers), dict: tree.NewInterner()}
-	v := corpusView{g: g, place: ned.NewHashPlacement(cfg.shards)}
+	v := corpusView{g: g}
 	for i := 0; i < cfg.shards; i++ {
 		v.shards = append(v.shards, &corpusShard{})
 		v.eps = append(v.eps, &shardEpoch{members: make(map[NodeID]bool)})
@@ -546,10 +511,9 @@ func newShardedCorpus(k int, cfg corpusConfig, g *Graph) *Corpus {
 	return c
 }
 
-// HashShard is the deterministic seed placement: the shard slot node v
-// hashes to among n. It is the layout every corpus starts from (and
-// keeps, absent a rebalance); tools use it to reason about or construct
-// node colocation.
+// HashShard is the placement: the shard slot node v hashes to among n.
+// A corpus of n shards files every node there for its whole life; tools
+// use it to reason about or construct node colocation.
 func HashShard(v NodeID, n int) int { return ned.ShardOf(v, n) }
 
 // NewCorpus validates the configuration and returns a query engine over
@@ -626,7 +590,7 @@ func (c *Corpus) materializeAllLocked() {
 			nodes = append(nodes, n)
 		}
 	}
-	sortNodeIDs(nodes)
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	items := ned.BuildItems(v.g, nodes, c.k, c.cfg.directed, c.cfg.workers)
 	ned.ProfileItems(items, c.dict, c.cfg.workers)
 	c.noteAvgSig(items)
@@ -635,7 +599,7 @@ func (c *Corpus) materializeAllLocked() {
 		eps[i] = &shardEpoch{byNode: make(map[NodeID]ned.Item, len(ep.members))}
 	}
 	for _, it := range items {
-		eps[v.place.Of(it.Node)].byNode[it.Node] = it
+		eps[v.shardOf(it.Node)].byNode[it.Node] = it
 	}
 	c.publish(func(nv *corpusView) { nv.eps = eps })
 	c.materialized.Store(true)
@@ -940,9 +904,11 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 // The JSON field names are a stable, versioned schema: the nedserve
 // stats endpoint and nedstats -json both serialize this struct, and
 // TestCorpusStatsJSONSchema locks the names, so renaming a Go field
-// cannot silently break a dashboard scraping the server. Two keys left
-// the schema with the metric trees, "rebuilds" and "stale_ratio" (a scan
-// is never stale and never rebuilt); "backend" is the constant "pruned"
+// cannot silently break a dashboard scraping the server. Keys leave the
+// schema with the code they reported: "rebuilds" and "stale_ratio" with
+// the metric trees, "placement_base", "placement_overrides",
+// "rebalances", "shard_splits" and "shard_merges" with the placement
+// directory; "backend" is the constant "pruned"
 // and "plan_scans" the constant 0 until the benchmark harness stops
 // reading them.
 type CorpusStats struct {
@@ -963,32 +929,18 @@ type CorpusStats struct {
 	Built bool `json:"built"`
 
 	// ShardNodes is the indexed node count per shard slot — the
-	// partition balance of the current placement (the splitmix hash,
-	// until a rebalance edits it).
+	// partition balance of the splitmix hash.
 	ShardNodes []int `json:"shard_nodes"`
 
 	// ShardLockWaitNS, ShardMutations, and ShardCloneBytes are the
-	// per-shard-slot contention telemetry the rebalancer feeds on:
-	// nanoseconds mutators spent waiting on the shard write lock, nodes
-	// mutated, and bytes of epoch state cloned publishing successors.
-	// Monotone for the corpus lifetime — ResetStats leaves them alone
-	// so the rebalancer's deltas stay truthful.
+	// per-shard-slot write-contention telemetry: nanoseconds mutators
+	// spent waiting on the shard write lock, nodes mutated, and bytes of
+	// epoch state cloned publishing successors. Monotone for the corpus
+	// lifetime — ResetStats leaves them alone so differences of
+	// successive readings stay truthful.
 	ShardLockWaitNS []int64 `json:"shard_lock_wait_ns"`
 	ShardMutations  []int64 `json:"shard_mutations"`
 	ShardCloneBytes []int64 `json:"shard_clone_bytes"`
-
-	// PlacementBase is the hash domain of the placement directory (the
-	// seed shard count); PlacementOverrides counts node-level moves the
-	// rebalancer has layered on top of the hash. 0 overrides with base
-	// == shards means the layout is still the blind hash.
-	PlacementBase      int `json:"placement_base"`
-	PlacementOverrides int `json:"placement_overrides"`
-
-	// Rebalances counts completed rebalancer ticks that changed the
-	// layout; ShardSplits and ShardMerges break them down.
-	Rebalances  int64 `json:"rebalances"`
-	ShardSplits int64 `json:"shard_splits"`
-	ShardMerges int64 `json:"shard_merges"`
 
 	// The Plan* counters count query plans built per fan-out mode (a
 	// BatchKNN plans once per batch). PlanScans counted shards a plan
@@ -1056,25 +1008,20 @@ func (c *Corpus) Stats() CorpusStats {
 	view := c.view.Load()
 	nShards := len(view.shards)
 	s := CorpusStats{
-		Backend:            BackendPrunedLinear,
-		K:                  c.k,
-		Directed:           c.cfg.directed,
-		Workers:            c.cfg.workers,
-		Shards:             nShards,
-		ShardNodes:         make([]int, nShards),
-		ShardLockWaitNS:    make([]int64, nShards),
-		ShardMutations:     make([]int64, nShards),
-		ShardCloneBytes:    make([]int64, nShards),
-		PlacementBase:      view.place.Base,
-		PlacementOverrides: len(view.place.Moves),
-		Rebalances:         c.rebalances.Load(),
-		ShardSplits:        c.shardSplits.Load(),
-		ShardMerges:        c.shardMerges.Load(),
-		PlanParallel:       c.planPar.Load(),
-		PlanSequential:     c.planSeq.Load(),
-		PlanSingle:         c.planSingle.Load(),
-		Built:              c.built.Load(),
-		Queries:            c.queries.Load(),
+		Backend:         BackendPrunedLinear,
+		K:               c.k,
+		Directed:        c.cfg.directed,
+		Workers:         c.cfg.workers,
+		Shards:          nShards,
+		ShardNodes:      make([]int, nShards),
+		ShardLockWaitNS: make([]int64, nShards),
+		ShardMutations:  make([]int64, nShards),
+		ShardCloneBytes: make([]int64, nShards),
+		PlanParallel:    c.planPar.Load(),
+		PlanSequential:  c.planSeq.Load(),
+		PlanSingle:      c.planSingle.Load(),
+		Built:           c.built.Load(),
+		Queries:         c.queries.Load(),
 	}
 	var counters ned.Counters
 	for i, sh := range view.shards {
@@ -1124,8 +1071,7 @@ func bumpHist(h []int64, i int) []int64 {
 // reset covers retired generations and epochs still serving in-flight
 // queries; like Stats, it takes no locks. The per-shard contention
 // counters (lock wait, mutations, clone bytes) are deliberately NOT
-// reset: the rebalancer differences successive readings, and a reset
-// would fabricate negative load.
+// reset: they are monotone totals a scraper differences.
 func (c *Corpus) ResetStats() {
 	c.queries.Store(0)
 	c.planPar.Store(0)
@@ -1140,8 +1086,8 @@ func (c *Corpus) ResetStats() {
 
 // HasGraph reports whether a backing graph is attached — the gate for
 // Insert, UpdateGraph, Signature, and node-based queries. Corpora
-// loaded from binary segments carry their graph; text-snapshot corpora
-// need WithGraph to re-attach one.
+// loaded from a snapshot carry their graph; corpora imported from the
+// legacy text formats need WithGraph to re-attach one.
 func (c *Corpus) HasGraph() bool { return c.view.Load().g != nil }
 
 // Signature of node v of the corpus graph at the corpus's k — a

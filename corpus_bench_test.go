@@ -180,55 +180,3 @@ func BenchmarkCorpusParallelChurn(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkCorpusSkewedHotspot measures what the rebalancer buys when
-// writes are skewed: every write lands on 32 nodes that hash into shard
-// 0 of 8, and one op is a cycle of 16 Remove+Insert pairs and one
-// KNN(5) query. Under "fixed" hash placement every hot write clones the
-// whole hot shard; "adaptive" runs RebalanceTick every 8 cycles, which
-// splits the hot shard until a write clones a fraction of it. No
-// harness workload skews its writes or starts a rebalancer, so this is
-// the only measurement of that trade; run it with -benchtime 2000x.
-func BenchmarkCorpusSkewedHotspot(b *testing.B) {
-	const k, nQueries, nCands, l = 2, 20, 800, 5
-	const base, hotSize, writesPerQuery, tickEvery = 8, 32, 16, 8
-	g2, queries, cands := benchWorkload(0.3, k, nQueries, nCands)
-	var hot []NodeID
-	for _, v := range cands {
-		if HashShard(v, base) == 0 && len(hot) < hotSize {
-			hot = append(hot, v)
-		}
-	}
-	pol := RebalancePolicy{MinShardNodes: 8, SplitMinMutations: 4, SplitFraction: 0.25}
-	ctx := context.Background()
-	for _, placement := range []string{"fixed", "adaptive"} {
-		b.Run(placement, func(b *testing.B) {
-			corpus, err := NewCorpus(g2, k, WithNodes(cands), WithShards(base))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < writesPerQuery; j++ {
-					v := hot[(i*writesPerQuery+j)%len(hot)]
-					if err := corpus.Remove(v); err != nil {
-						b.Fatal(err)
-					}
-					if err := corpus.Insert(v); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := corpus.KNNSignature(ctx, queries[i%len(queries)], l); err != nil {
-					b.Fatal(err)
-				}
-				if placement == "adaptive" && (i+1)%tickEvery == 0 {
-					corpus.RebalanceTick(pol)
-				}
-			}
-			b.ReportMetric(float64(b.N*(2*writesPerQuery+1))/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}

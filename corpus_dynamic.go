@@ -113,10 +113,8 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 // healthy corpus — a churn workload can replay removals without
 // bookkeeping. Each owning shard gets a compacted successor epoch;
 // queries never wait, and
-// shards the batch does not touch are never locked. Remove holds the
-// engine's read gate so the placement cannot be rebalanced out from
-// under its shard routing; it still runs concurrently with queries,
-// Inserts, and other Removes.
+// shards the batch does not touch are never locked. Remove runs
+// concurrently with queries, Inserts, and other Removes.
 func (c *Corpus) Remove(nodes ...NodeID) error {
 	if err := c.degradedErr(); err != nil {
 		return err
@@ -150,14 +148,13 @@ func (c *Corpus) Remove(nodes ...NodeID) error {
 // each locked shard's successor (nil for no change) and name the items
 // it upserted and the nodes it deleted, then commit the whole call —
 // one WAL record, one view store. A failed commit publishes nothing.
-// Callers hold gmu's read side, which keeps the slots and the placement
-// still.
+// Callers hold gmu's read side.
 func (c *Corpus) commitBatch(op string, nodes []NodeID,
 	prepare func(ep *shardEpoch, vs []NodeID) (ne *shardEpoch, ups []ned.Item, dels []NodeID)) error {
 	view := c.view.Load()
 	groups := make(map[int][]NodeID)
 	for _, v := range nodes {
-		si := view.place.Of(v)
+		si := view.shardOf(v)
 		groups[si] = append(groups[si], v)
 	}
 	slots := make([]int, 0, len(groups))
@@ -172,7 +169,7 @@ func (c *Corpus) commitBatch(op string, nodes []NodeID,
 	}
 	view = c.view.Load() // the locked shards' epochs cannot move now
 	next := make(map[int]*shardEpoch, len(slots))
-	touched := make(map[int][]NodeID, len(slots))
+	touched := make(map[int]int, len(slots))
 	var rec segment.Record
 	for _, si := range slots {
 		ne, ups, dels := prepare(view.eps[si], groups[si])
@@ -183,7 +180,7 @@ func (c *Corpus) commitBatch(op string, nodes []NodeID,
 		rec.Upserts = append(rec.Upserts, ups...)
 		rec.Deletes = append(rec.Deletes, dels...)
 		if ne.byNode != nil {
-			touched[si] = append(itemNodes(ups), dels...)
+			touched[si] = len(ups) + len(dels)
 		}
 	}
 	if len(next) == 0 {
@@ -196,19 +193,10 @@ func (c *Corpus) commitBatch(op string, nodes []NodeID,
 	}); err != nil {
 		return fmt.Errorf("ned: %s: %w", op, err)
 	}
-	for si, vs := range touched {
-		view.shards[si].noteMutation(vs, next[si].size(), ixLen(next[si].ix))
+	for si, n := range touched {
+		view.shards[si].noteMutation(n, next[si].size(), ixLen(next[si].ix))
 	}
 	return nil
-}
-
-// itemNodes projects the node IDs of an item batch.
-func itemNodes(items []ned.Item) []NodeID {
-	nodes := make([]NodeID, len(items))
-	for i := range items {
-		nodes[i] = items[i].Node
-	}
-	return nodes
 }
 
 // splice returns the successor of a materialized epoch with dels
@@ -265,8 +253,8 @@ func (c *Corpus) Rebuild() { c.acquire() }
 // every refreshed shard then become visible together, in one store
 // (after one WAL record on a durable corpus: a failed append leaves the
 // corpus on the old version). UpdateGraph holds the engine's write gate, serializing against other
-// UpdateGraphs, Inserts, Removes, the lazy build, and rebalance ticks
-// (never against queries).
+// UpdateGraphs, Inserts, Removes, and the lazy build (never against
+// queries).
 func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if g == nil {
 		return 0, ErrNilGraph
@@ -318,10 +306,10 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	ned.ProfileItems(items, c.dict, c.cfg.workers)
 	upsByShard := make(map[int][]ned.Item)
 	for _, it := range items {
-		si := view.place.Of(it.Node)
+		si := view.shardOf(it.Node)
 		upsByShard[si] = append(upsByShard[si], it)
 	}
-	touched := make(map[int][]NodeID)
+	touched := make(map[int]int)
 	var rec segment.Record
 	for si, ep := range view.eps {
 		var gone []NodeID
@@ -335,15 +323,15 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 			continue
 		}
 		next[si] = c.splice(ep, ups, gone)
-		touched[si] = append(itemNodes(ups), gone...)
+		touched[si] = len(ups) + len(gone)
 		rec.Upserts = append(rec.Upserts, ups...)
 		rec.Deletes = append(rec.Deletes, gone...)
 	}
 	if err := c.commit(rec, edit); err != nil {
 		return 0, fmt.Errorf("ned: graph update: %w", err)
 	}
-	for si, vs := range touched {
-		view.shards[si].noteMutation(vs, next[si].size(), ixLen(next[si].ix))
+	for si, n := range touched {
+		view.shards[si].noteMutation(n, next[si].size(), ixLen(next[si].ix))
 	}
 	if c.wal.Load() != nil {
 		// The WAL records item churn, not graph swaps; only a checkpoint

@@ -13,7 +13,7 @@ import (
 // The read-consistency contract, model-checked: every query observes
 // exactly one committed prefix of mutation calls. One writer drives a
 // seeded random history of multi-shard Inserts and Removes, graph
-// updates, rebuilds, rebalance ticks and checkpoints against a
+// updates, rebuilds and checkpoints against a
 // sequential model (graph version + live set), while concurrent readers
 // record what they saw together with the window of calls that could
 // have been visible. Afterwards every answer must equal the exhaustive
@@ -169,7 +169,6 @@ func snapshotIsolation(t *testing.T, durable bool) {
 	// The writer. pick draws a multi-shard batch of nodes whose live
 	// flag is want.
 	rng := rand.New(rand.NewSource(901))
-	pol := RebalancePolicy{MinShardNodes: 4, SplitMinMutations: 1, SplitFraction: 0.1, MaxShards: 8}
 	cur := isoState{live: append([]bool(nil), states[0].live...)}
 	pick := func(want bool) []NodeID {
 		var pool []NodeID
@@ -200,10 +199,8 @@ func snapshotIsolation(t *testing.T, durable bool) {
 		case p < 80:
 			cur.gv = (cur.gv + 1) % len(graphs)
 			_, err = c.UpdateGraph(graphs[cur.gv])
-		case p < 87:
-			c.Rebuild()
 		case p < 95 || !durable:
-			c.RebalanceTick(pol)
+			c.Rebuild()
 		default:
 			err = c.Checkpoint()
 		}
@@ -214,9 +211,6 @@ func snapshotIsolation(t *testing.T, durable bool) {
 		committed.Store(int64(i))
 	}
 	stop()
-	if s := c.Stats(); s.ShardSplits == 0 {
-		t.Errorf("history never split a shard: %+v", s)
-	}
 
 	// oracle answers query q of the given kind over state j by sorting
 	// the exhaustive distance table, memoized per (state, kind, query).

@@ -2,8 +2,10 @@ package ned
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
@@ -18,6 +20,230 @@ import (
 // checkpoint. The engine writes neither any more ("pruned", no dumps)
 // and reads both: names parse and are ignored, dump sections are framed
 // and checksummed like any section and then dropped.
+//
+// Builds before hash-only placement could also move nodes off their hash
+// shard and recorded where in a v3 text manifest (base= and a redirect
+// line) or a placement section of a segment. Nothing writes either any
+// more. Both are validated on load and dropped, and the items re-file by
+// hash. testdata holds three files such a build wrote (commit ae70028:
+// `Snapshot`, `SnapshotSegment`, `MakeDurable`+`Checkpoint`): a 4-shard
+// corpus over rebalancedGraph at k = 2, shard 0 split into a fifth slot,
+// shard 1 folded into it and left an empty husk — redirect 0,4,2,3 and
+// nodes 9, 20, 28, 33 moved to slot 4.
+
+const rebalancedK = 2
+
+func rebalancedGraph() *Graph { return randomGraph(40, 80, 2801) }
+
+// sectionsOf walks a NEDSEG01 stream's framing ([type u8][len u64]
+// [payload][crc u32] after the 8-byte magic) and returns each section's
+// type and the offset of its payload.
+func sectionsOf(t *testing.T, blob []byte) (types []byte, payloadAt []int) {
+	t.Helper()
+	for pos := len(segment.Magic); pos < len(blob); {
+		n := int(binary.LittleEndian.Uint64(blob[pos+1:]))
+		types, payloadAt = append(types, blob[pos]), append(payloadAt, pos+9)
+		pos += 9 + n + 4
+	}
+	return types, payloadAt
+}
+
+// secPlace is the section type of a placement directory.
+const secPlace = 7
+
+// assertHashLayout requires c to hold the oracle's nodes over shards
+// slots, each in the slot HashShard names, and to answer as the oracle.
+func assertHashLayout(t *testing.T, label string, c *Corpus, shards int, o corpusOracle, seed int64) {
+	t.Helper()
+	perShard := make([]int, shards)
+	for _, sig := range o {
+		perShard[HashShard(sig.Node, shards)]++
+	}
+	if s := c.Stats(); s.Shards != shards || fmt.Sprint(s.ShardNodes) != fmt.Sprint(perShard) {
+		t.Errorf("%s: %d shards holding %v, want %d holding %v (the hash layout)", label, s.Shards, s.ShardNodes, shards, perShard)
+	}
+	assertMatchesOracle(t, label, c, o, randomGraph(30, 60, seed), rebalancedK, 5, seed+1)
+}
+
+// assertSnapshotsWithoutPlacement requires what c writes back to carry
+// no placement section.
+func assertSnapshotsWithoutPlacement(t *testing.T, label string, c *Corpus) {
+	t.Helper()
+	var again bytes.Buffer
+	if err := c.Snapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if types, _ := sectionsOf(t, again.Bytes()); bytes.IndexByte(types, secPlace) >= 0 {
+		t.Errorf("%s: re-snapshot carries a placement section (sections %v)", label, types)
+	}
+}
+
+// rebalancedLoads are the ways every placement fixture is loaded: at
+// its recorded slot count (5), and overridden to 1, 2 and 4 shards.
+var rebalancedLoads = []struct {
+	opts   []CorpusOption
+	shards int
+}{
+	{nil, 5},
+	{[]CorpusOption{WithShards(1)}, 1},
+	{[]CorpusOption{WithShards(2)}, 2},
+	{[]CorpusOption{WithShards(4)}, 4},
+}
+
+// TestTextV3ManifestStillLoads: a v3 manifest with a non-identity
+// redirect and moved nodes imports into any shard count, every node in
+// its hash shard; a redirect line that disagrees with the header is
+// still a bad snapshot.
+func TestTextV3ManifestStillLoads(t *testing.T) {
+	raw, err := os.ReadFile("testdata/corpus_v3_rebalanced.nedcorpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	const header, redirect = "# ned corpus v3 backend=pruned k=2 directed=0 shards=5 base=4 nodes=40\n", "# redirect 0,4,2,3\n"
+	if !strings.HasPrefix(text, header+redirect) {
+		t.Fatalf("fixture starts %q", text[:len(header)+len(redirect)])
+	}
+	g := rebalancedGraph()
+	o := oracleOver(g, rebalancedK, allNodes(g))
+	for _, ld := range rebalancedLoads {
+		c, err := LoadCorpus(strings.NewReader(text), ld.opts...)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", ld.shards, err)
+		}
+		label := fmt.Sprintf("v3 text, shards=%d", ld.shards)
+		assertHashLayout(t, label, c, ld.shards, o, 2810)
+		assertSnapshotsWithoutPlacement(t, label, c)
+	}
+	for _, bad := range []string{"# redirect 0,4,2\n", "# redirect 0,4,2,3,1\n", "# redirect 0,5,2,3\n", ""} {
+		in := strings.Replace(text, redirect, bad, 1)
+		if _, err := LoadCorpus(strings.NewReader(in)); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("redirect line %q under base=4 shards=5: got %v, want ErrBadSnapshot", bad, err)
+		}
+	}
+}
+
+// TestSegmentWithPlacementStillLoads: a segment carrying a placement
+// section loads into any shard count with every node in its hash shard
+// and re-snapshots without the section; the section is still framed,
+// checksummed, validated and used for the filing check.
+func TestSegmentWithPlacementStillLoads(t *testing.T) {
+	old, err := os.ReadFile("testdata/rebalanced.nedseg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	types, payloadAt := sectionsOf(t, old)
+	pi := bytes.IndexByte(types, secPlace)
+	if pi < 0 {
+		t.Fatalf("fixture carries no placement section (sections %v)", types)
+	}
+	g := rebalancedGraph()
+	o := oracleOver(g, rebalancedK, allNodes(g))
+	for _, ld := range rebalancedLoads {
+		c, err := LoadCorpus(bytes.NewReader(old), ld.opts...)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", ld.shards, err)
+		}
+		label := fmt.Sprintf("segment with placement, shards=%d", ld.shards)
+		assertHashLayout(t, label, c, ld.shards, o, 2820)
+		assertSnapshotsWithoutPlacement(t, label, c)
+		if !c.HasGraph() {
+			t.Errorf("%s: embedded graph lost", label)
+		}
+	}
+
+	// Payload: base u32, shards u32, redirect 4×u32, moves u64, then
+	// (node, shard) pairs. A flipped bit anywhere fails the checksum.
+	bad := append([]byte(nil), old...)
+	bad[payloadAt[pi]+8] ^= 0x01
+	if err := segment.Verify(bytes.NewReader(bad)); err == nil {
+		t.Error("Verify accepted a corrupted placement section")
+	}
+	if _, err := LoadCorpus(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("LoadCorpus of a corrupted placement section: got %v, want ErrBadSnapshot", err)
+	}
+
+	// The same edits re-checksummed are faithful bytes of an inconsistent
+	// file: a bucket routed out of range, and node 9's move sent to shard
+	// 2 while its item still sits in shard 4's table.
+	reframed := func(at int, v uint32) []byte {
+		out := append([]byte(nil), old...)
+		binary.LittleEndian.PutUint32(out[payloadAt[pi]+at:], v)
+		end := payloadAt[pi+1] - 9 - 4
+		sum := crc32.Checksum(out[payloadAt[pi]:end], crc32.MakeTable(crc32.Castagnoli))
+		binary.LittleEndian.PutUint32(out[end:], sum)
+		return out
+	}
+	if first := binary.LittleEndian.Uint32(old[payloadAt[pi]+32:]); first != 9 {
+		t.Fatalf("fixture's first move is node %d, want 9", first)
+	}
+	for what, in := range map[string][]byte{
+		"routes to shard":    reframed(8, 5),
+		"filed under shard":  reframed(36, 2),
+		"moves node 9 to sh": reframed(36, 5),
+	} {
+		if err := segment.Verify(bytes.NewReader(in)); err != nil {
+			t.Fatalf("%s: re-checksummed edit no longer verifies: %v", what, err)
+		}
+		if _, err := LoadCorpus(bytes.NewReader(in)); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), what) {
+			t.Errorf("LoadCorpus: got %v, want ErrBadSnapshot mentioning %q", err, what)
+		}
+	}
+}
+
+// TestDurableOpensCheckpointWithPlacement: a durable directory whose
+// checkpoint carries a placement section opens into any shard count,
+// replays its WAL tail (Remove 2, 9, 4; Insert 4 — node 9 one of the
+// moved) by hash, and cuts its next checkpoint without the section.
+func TestDurableOpensCheckpointWithPlacement(t *testing.T) {
+	const src = "testdata/rebalanced_durable"
+	g := rebalancedGraph()
+	var live []NodeID
+	for _, v := range allNodes(g) {
+		if v != 2 && v != 9 {
+			live = append(live, v)
+		}
+	}
+	o := oracleOver(g, rebalancedK, live)
+	_, path, ok, err := segment.LatestCheckpoint(src)
+	if err != nil || !ok {
+		t.Fatalf("fixture has no checkpoint: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if types, _ := sectionsOf(t, raw); bytes.IndexByte(types, secPlace) < 0 {
+		t.Fatalf("fixture checkpoint carries no placement section (sections %v)", types)
+	}
+	for _, ld := range rebalancedLoads {
+		// OpenDurable appends to the log and retires generations: work on a copy.
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenDurable(dir, FsyncNone, ld.opts...)
+		if err != nil {
+			t.Fatalf("shards=%d: OpenDurable: %v", ld.shards, err)
+		}
+		label := fmt.Sprintf("durable with placement, shards=%d", ld.shards)
+		assertHashLayout(t, label, re, ld.shards, o, 2830)
+		if err := re.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		_, path, _, _ := segment.LatestCheckpoint(dir)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if types, _ := sectionsOf(t, raw); bytes.IndexByte(types, secPlace) >= 0 {
+			t.Errorf("%s: new checkpoint carries a placement section (sections %v)", label, types)
+		}
+		if err := re.CloseDurable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 // legacyVPDumps fabricates the per-shard index sections an older build
 // wrote: one preorder chain over each shard's items. The codec checks
@@ -38,7 +264,7 @@ func legacyVPDumps(shardItems [][]ned.Item) []segment.VPIndex {
 // an older build did: Meta.Backend "vp" and a dump per shard.
 func legacySegment(t *testing.T, c *Corpus, v *corpusView) []byte {
 	t.Helper()
-	meta := segment.Meta{Backend: "vp", K: c.k, Directed: c.cfg.directed, Place: v.place}
+	meta := segment.Meta{Backend: "vp", K: c.k, Directed: c.cfg.directed}
 	items := v.shardItems()
 	var buf bytes.Buffer
 	if err := segment.Write(&buf, meta, c.dict, v.g, items, legacyVPDumps(items)); err != nil {
@@ -75,7 +301,7 @@ func TestSegmentWithVPDumpsStillLoads(t *testing.T) {
 
 	// What the engine writes back carries no index sections.
 	var again bytes.Buffer
-	if err := loaded.SnapshotSegment(&again); err != nil {
+	if err := loaded.Snapshot(&again); err != nil {
 		t.Fatal(err)
 	}
 	meta, _, _, _, dumps, err := segment.Read(bytes.NewReader(again.Bytes()))
@@ -161,30 +387,25 @@ func TestDurableOpensCheckpointWithVPDumps(t *testing.T) {
 // whose header names a tree or the wide scan load and serve from the
 // scan; an unknown name is still a bad snapshot.
 func TestTextHeadersNamingRetiredBackendsLoad(t *testing.T) {
-	const k = 2
-	g := randomGraph(40, 80, 970)
-	gq := randomGraph(30, 60, 971)
-	c, err := NewCorpus(g, k, WithShards(2))
+	raw, err := os.ReadFile("testdata/corpus_v3_rebalanced.nedcorpus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := c.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v2 := buf.String()
-	if !strings.HasPrefix(v2, "# ned corpus v2 backend=pruned ") {
-		t.Fatalf("v2 header = %q", v2[:strings.IndexByte(v2, '\n')])
-	}
-	// The v1 dialect: one header, no shard sections.
+	// The v2 dialect is the v3 fixture without base= and the redirect
+	// line; the v1 dialect is one header and no shard sections.
+	lines := strings.Split(string(raw), "\n")
+	v2 := strings.Replace(lines[0], "v3", "v2", 1)
+	v2 = strings.Replace(v2, " base=4", "", 1) + "\n" + strings.Join(lines[2:], "\n")
 	var v1 strings.Builder
-	fmt.Fprintf(&v1, "# ned corpus v1 backend=pruned k=%d directed=0 nodes=%d\n", k, g.NumNodes())
-	for _, line := range strings.Split(v2, "\n")[1:] {
+	fmt.Fprintf(&v1, "# ned corpus v1 backend=pruned k=%d directed=0 nodes=40\n", rebalancedK)
+	for _, line := range lines[2:] {
 		if line != "" && !strings.HasPrefix(line, "#") {
 			v1.WriteString(line + "\n")
 		}
 	}
-	o := oracleOver(g, k, allNodes(g))
+	g := rebalancedGraph()
+	gq := randomGraph(30, 60, 971)
+	o := oracleOver(g, rebalancedK, allNodes(g))
 	for _, text := range []string{v2, v1.String()} {
 		for _, name := range []string{"vp", "bk", "linear"} {
 			in := strings.Replace(text, "backend=pruned", "backend="+name, 1)
@@ -195,7 +416,7 @@ func TestTextHeadersNamingRetiredBackendsLoad(t *testing.T) {
 			if got := loaded.Stats().Backend.String(); got != "pruned" {
 				t.Errorf("backend=%s header: Stats().Backend = %q, want \"pruned\"", name, got)
 			}
-			assertMatchesOracle(t, "backend="+name, loaded, o, gq, k, 3, 972)
+			assertMatchesOracle(t, "backend="+name, loaded, o, gq, rebalancedK, 3, 972)
 		}
 		in := strings.Replace(text, "backend=pruned", "backend=zorp", 1)
 		if _, err := LoadCorpus(strings.NewReader(in)); !errors.Is(err, ErrBadSnapshot) {

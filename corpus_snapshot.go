@@ -9,56 +9,31 @@ import (
 	"ned/internal/segment"
 )
 
-// Snapshot writes the corpus — its configuration and every live
-// signature, mutations included — to w as a versioned "# ned corpus v2"
-// sharded manifest (internal/ned/persist): one section per shard,
-// node-ascending within each, so LoadCorpus can restore it without
-// re-extracting a single BFS tree. While the placement is still the
-// hash seed layout the header stays "v2" and equal corpora with equal
-// shard counts are byte-identical on disk; a rebalanced corpus writes
-// a "v3" header carrying its placement directory so it restores into
-// the same layout. Snapshotting a corpus that has never been queried
+// Snapshot writes the corpus — its configuration, every live signature
+// (mutations included) with its compiled cascade profile, the
+// subtree-shape dictionary, and the backing graph when one is attached —
+// to w as a NEDSEG01 binary segment (internal/segment), length- and
+// checksum-framed, the one corpus format this build writes. LoadCorpus
+// restores it without re-extracting or re-profiling anything, and with
+// the graph, so the restored corpus can Insert and UpdateGraph exactly
+// when this one can. Snapshotting a corpus that has never been queried
 // materializes its signatures first (but not the index structures,
 // which LoadCorpus rebuilds lazily anyway).
 //
 // The cut is one published view — the same single snapshot a query
 // reads — serialized outside any lock: w may be a slow disk or network
 // writer, and queries and mutations keep running for the whole
-// transfer. Undirected snapshots double as plain signature files:
-// ReadSignatures parses them (section markers are comments), and
-// LoadCorpus parses legacy signature files in turn.
+// transfer. Snapshotting one corpus twice is byte-identical; two equal
+// corpora may differ on disk, because the dictionary records shapes in
+// interning order and parallel profiling interns in scheduling order.
 func (c *Corpus) Snapshot(w io.Writer) error {
-	v := c.materializedView()
-	meta := ned.CorpusMeta{
-		Version:  2,
-		Backend:  BackendPrunedLinear.String(),
-		K:        c.k,
-		Directed: c.cfg.directed,
-		Shards:   len(v.shards),
-		Place:    v.place,
-	}
-	return ned.WriteShardedCorpusItems(w, meta, v.shardItems())
-}
-
-// SnapshotSegment writes the corpus to w as a binary segment
-// (internal/segment): the same consistent cut as Snapshot, but carrying
-// the compiled cascade profiles, the subtree-shape dictionary, and the
-// backing graph (when attached), length- and checksum-framed.
-// LoadCorpus restores it — the format is sniffed from the first bytes —
-// without re-extracting or re-profiling anything, which is what makes
-// binary restarts fast; the price is a format that is
-// neither human-readable nor diff-friendly. Snapshotting one corpus
-// twice is byte-identical; unlike Snapshot, two equal corpora may
-// differ on disk, because the dictionary records shapes in interning
-// order and parallel profiling interns in scheduling order.
-func (c *Corpus) SnapshotSegment(w io.Writer) error {
 	return c.writeSegment(w, c.materializedView())
 }
 
 // writeSegment serializes one (materialized) view as a binary segment —
-// the body of SnapshotSegment and of every checkpoint.
+// the body of Snapshot and of every checkpoint.
 func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
-	meta := segment.Meta{Backend: BackendPrunedLinear.String(), K: c.k, Directed: c.cfg.directed, Place: v.place}
+	meta := segment.Meta{Backend: BackendPrunedLinear.String(), K: c.k, Directed: c.cfg.directed}
 	return segment.Write(w, meta, c.dict, v.g, v.shardItems(), nil)
 }
 
@@ -83,22 +58,19 @@ func (c *Corpus) materializedView() *corpusView {
 	return c.view.Load()
 }
 
-// LoadCorpus restores a corpus from a Snapshot or SnapshotSegment
-// stream — the binary segment format (recognized by its magic bytes),
-// a v2 sharded manifest, a v1 single-index snapshot, or a legacy
-// WriteSignatures file (which predates snapshot metadata and loads
-// undirected, k taken from its signatures). Whatever backend a header
-// names — and whatever VP-tree dumps an older segment carries — the
-// restored corpus serves from the cascade scan; an unknown backend name
-// is still a parse failure.
+// LoadCorpus restores a corpus from a Snapshot stream — the binary
+// segment format, recognized by its magic bytes — or imports one of the
+// text formats earlier builds wrote: a v2/v3 sharded manifest, a v1
+// single-index snapshot, or a legacy WriteSignatures file (which
+// predates snapshot metadata and loads undirected, k taken from its
+// signatures). Whatever backend a header names — and whatever VP-tree
+// dumps or placement directory an older segment or v3 manifest carries
+// — the restored corpus serves from the cascade scan with every node in
+// its hash shard; an unknown backend name is still a parse failure.
 // Parse failures wrap ErrBadSnapshot. The recorded shard count is the
-// default, and a rebalanced corpus's recorded placement directory is
-// restored with it, so the corpus comes back in the layout it was
-// saved in. WithShards overrides both: under a different count the
-// recorded placement is dropped and the items re-hash into the seed
-// layout, so any snapshot loads into any shard count. v1/legacy files
-// record neither and spread across the standard GOMAXPROCS-derived
-// default.
+// default and WithShards overrides it: items re-hash, so any snapshot
+// loads into any shard count. v1/legacy files record none and spread
+// across the standard GOMAXPROCS-derived default.
 //
 // The restored corpus answers signature queries — and node queries for
 // indexed nodes — identically to the corpus that was snapshotted.
@@ -109,9 +81,9 @@ func (c *Corpus) materializedView() *corpusView {
 // unindexed nodes. WithNodes and WithDirected are ignored: the
 // snapshot's items define the node set and directedness.
 //
-// Text snapshots carry no profiles, so loading one recompiles the
-// filter cascade against a fresh dictionary; binary segments carry
-// profiles and dictionary both, and skip that work entirely.
+// The text formats carry neither profiles nor graph, so importing one
+// recompiles the filter cascade against a fresh dictionary and needs
+// WithGraph before it can mutate; segments carry all three.
 func LoadCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	prefix, _ := br.Peek(len(segment.Magic))
@@ -153,12 +125,11 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	// against its label IDs. The fresh interner newShardedCorpus made
 	// has seen nothing and is safely replaced.
 	c.dict = dict
-	installPlacement(c, meta.Place)
 	installLoadedItems(c, items)
 	return c, nil
 }
 
-// loadTextCorpus restores the text formats (v2/v1/legacy signatures).
+// loadTextCorpus imports the text formats (v3/v2/v1/legacy signatures).
 func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	meta, items, err := ned.ReadCorpusItems(r)
 	if err != nil {
@@ -194,29 +165,12 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 		return nil, err
 	}
 	c := newShardedCorpus(k, cfg, g)
-	// The text formats carry no profiles (they predate them and stay
-	// diff-friendly); recompile them against the fresh corpus
-	// dictionary so restored corpora serve the same filter cascade as
-	// freshly built ones.
+	// The text formats carry no profiles; compile them against the fresh
+	// corpus dictionary so imported corpora serve the same filter cascade
+	// as freshly built ones.
 	ned.ProfileItems(items, c.dict, cfg.workers)
-	installPlacement(c, meta.Place)
 	installLoadedItems(c, items)
 	return c, nil
-}
-
-// installPlacement adopts a snapshot-recorded placement directory into
-// the (not yet shared) corpus. Dropped silently when the restored
-// engine's shard count differs from the recorded layout's — WithShards
-// overrides the placement just as it always overrode the recorded
-// count, and the items rehash into the seed layout instead.
-func installPlacement(c *Corpus, place *ned.Placement) {
-	if place == nil || place.Trivial() {
-		return
-	}
-	if place.Shards != len(c.view.Load().shards) {
-		return
-	}
-	c.publish(func(nv *corpusView) { nv.place = place })
 }
 
 // applyLoadOptions overlays user options onto the snapshot-recorded
@@ -263,8 +217,7 @@ func validateLoadedGraph(cfg corpusConfig, g *Graph, items []ned.Item) error {
 }
 
 // installLoadedItems seeds every shard with a materialized item table
-// and files the restored items through the placement table (the hash
-// seed layout unless installPlacement adopted a recorded directory).
+// and files the restored items by hash.
 func installLoadedItems(c *Corpus, items []ned.Item) {
 	// The snapshot's items arrive pre-materialized: give every shard a
 	// non-nil item table (its keys are the membership) up front.

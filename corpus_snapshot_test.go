@@ -12,9 +12,10 @@ import (
 )
 
 // TestCorpusSnapshotRoundTrip is the persistence contract: a built,
-// mutated corpus round-trips through Snapshot/LoadCorpus and the
-// restored engine answers exactly as the exhaustive scan over the live
-// nodes does.
+// mutated corpus round-trips through Snapshot/LoadCorpus, the restored
+// engine answers exactly as the exhaustive scan over the live nodes
+// does, and it can mutate exactly when its source could — the snapshot
+// carries the graph if the source had one.
 func TestCorpusSnapshotRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const k = 2
@@ -54,25 +55,58 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 	}
 	assertMatchesOracle(t, "restored", loaded, oracleOver(g, k, sortedNodes(live)), gq, k, 6, 912)
 
-	// Node queries for indexed nodes work without a graph; unindexed
-	// nodes need WithGraph.
-	if _, err := loaded.KNN(ctx, 0, 3); err != nil {
-		t.Errorf("restored KNN of indexed node: %v", err)
+	// The source had its graph, so the restored corpus has it too.
+	if _, err := loaded.KNN(ctx, 1, 3); err != nil {
+		t.Errorf("restored KNN of a removed node: %v", err)
 	}
-	if _, err := loaded.KNN(ctx, 1, 3); !errors.Is(err, ErrNoGraph) {
-		t.Errorf("restored KNN of removed node: got %v, want ErrNoGraph", err)
+	if err := loaded.Insert(1); err != nil {
+		t.Errorf("restored Insert: %v", err)
 	}
-	if err := loaded.Insert(1); !errors.Is(err, ErrNoGraph) {
+	if _, err := loaded.UpdateGraph(g); err != nil {
+		t.Errorf("restored UpdateGraph: %v", err)
+	}
+	live[1] = true
+	assertMatchesOracle(t, "restored+insert", loaded, oracleOver(g, k, sortedNodes(live)), gq, k, 3, 913)
+
+	// A source without a graph — here an imported text manifest — writes
+	// a snapshot without one: indexed nodes answer, nothing else does.
+	text, err := os.Open("testdata/corpus_v3_rebalanced.nedcorpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer text.Close()
+	imported, err := LoadCorpus(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := imported.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	graphless, err := LoadCorpus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graphless.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := graphless.KNN(ctx, 0, 3); err != nil {
+		t.Errorf("graphless KNN of indexed node: %v", err)
+	}
+	if _, err := graphless.KNN(ctx, 1, 3); !errors.Is(err, ErrNoGraph) {
+		t.Errorf("graphless KNN of removed node: got %v, want ErrNoGraph", err)
+	}
+	if err := graphless.Insert(1); !errors.Is(err, ErrNoGraph) {
 		t.Errorf("graphless Insert: got %v, want ErrNoGraph", err)
 	}
-	if _, err := loaded.UpdateGraph(g); !errors.Is(err, ErrNoGraph) {
+	if _, err := graphless.UpdateGraph(g); !errors.Is(err, ErrNoGraph) {
 		t.Errorf("graphless UpdateGraph: got %v, want ErrNoGraph", err)
 	}
 }
 
 // TestCorpusSnapshotWithGraphResumesMutation restores a snapshot with
-// its graph attached and drives the full mutable lifecycle on the
-// restored corpus.
+// WithGraph overriding the embedded graph and drives the full mutable
+// lifecycle on the restored corpus.
 func TestCorpusSnapshotWithGraphResumesMutation(t *testing.T) {
 	ctx := context.Background()
 	g := randomGraph(50, 100, 913)
@@ -114,7 +148,7 @@ func TestCorpusSnapshotWithGraphResumesMutation(t *testing.T) {
 }
 
 // TestCorpusSnapshotDirected round-trips a directed corpus (two trees
-// per line) and queries it by node ID on the restored engine.
+// per item) and queries it by node ID on the restored engine.
 func TestCorpusSnapshotDirected(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(915))
@@ -150,33 +184,35 @@ func TestCorpusSnapshotDirected(t *testing.T) {
 	}
 }
 
-// TestCorpusSnapshotDeterministic: two snapshots of equal corpora are
-// byte-identical, and snapshotting is mutation-order independent.
+// TestCorpusSnapshotDeterministic: what NEDSEG01 promises — the same
+// corpus snapshotted twice is byte-identical, here after mutations and
+// again after a round trip.
 func TestCorpusSnapshotDeterministic(t *testing.T) {
 	g := randomGraph(40, 80, 916)
-	c1, err := NewCorpus(g, 2, WithNodes([]NodeID{5, 1, 9, 3}))
+	c, err := NewCorpus(g, 2, WithNodes([]NodeID{9, 3, 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewCorpus(g, 2, WithNodes([]NodeID{9, 3, 7}))
-	if err != nil {
+	if err := c.Remove(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Remove(7); err != nil {
+	if err := c.Insert(1, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Insert(1, 5); err != nil {
-		t.Fatal(err)
-	}
-	var b1, b2 bytes.Buffer
-	if err := c1.Snapshot(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Snapshot(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if b1.String() != b2.String() {
-		t.Errorf("equal corpora produced different snapshots:\n%q\n%q", b1.String(), b2.String())
+	for _, label := range []string{"mutated", "restored"} {
+		var b1, b2 bytes.Buffer
+		if err := c.Snapshot(&b1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Snapshot(&b2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Errorf("%s corpus: two snapshots differ (%d and %d bytes)", label, b1.Len(), b2.Len())
+		}
+		if c, err = LoadCorpus(&b1); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func nodeOracleFingerprint(g *Graph, nodes []NodeID, k int, directed bool) strin
 	return sb.String()
 }
 
-// SnapshotSegment → LoadCorpus must reproduce a corpus that answers as
+// Snapshot → LoadCorpus must reproduce a corpus that answers as
 // the exhaustive scan does, for both directednesses, without
 // recompiling profiles (the dictionary arrives with the segment).
 func TestSnapshotSegmentRoundTrip(t *testing.T) {
@@ -117,8 +117,8 @@ func TestSnapshotSegmentRoundTrip(t *testing.T) {
 			t.Fatalf("NewCorpus: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := c.SnapshotSegment(&buf); err != nil {
-			t.Fatalf("SnapshotSegment: %v", err)
+		if err := c.Snapshot(&buf); err != nil {
+			t.Fatalf("Snapshot: %v", err)
 		}
 		c2, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
 		if err != nil {
@@ -141,7 +141,7 @@ func TestSnapshotSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// A segment load must honor the same option overlay as text loads.
+// A segment load must honor the same option overlay as text imports.
 func TestSegmentLoadOptions(t *testing.T) {
 	g := randomGraph(60, 130, 310)
 	c, err := NewCorpus(g, 2)
@@ -149,7 +149,7 @@ func TestSegmentLoadOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := c.SnapshotSegment(&buf); err != nil {
+	if err := c.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := LoadCorpus(bytes.NewReader(buf.Bytes()), WithShards(3), WithWorkers(2), WithGraph(g))
@@ -168,32 +168,33 @@ func TestSegmentLoadOptions(t *testing.T) {
 	}
 }
 
-// Both snapshot families load through the one LoadCorpus entry point,
-// sniffed by leading bytes.
+// The written format and the imported text formats load through the one
+// LoadCorpus entry point, sniffed by leading bytes.
 func TestLoadCorpusSniffsFormat(t *testing.T) {
-	g := randomGraph(40, 90, 320)
-	c, err := NewCorpus(g, 2)
+	g := rebalancedGraph() // the graph the checked-in v3 manifest was taken from
+	text, err := os.ReadFile("testdata/corpus_v3_rebalanced.nedcorpus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var text, bin bytes.Buffer
-	if err := c.Snapshot(&text); err != nil {
+	c, err := NewCorpus(g, rebalancedK)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SnapshotSegment(&bin); err != nil {
+	var bin bytes.Buffer
+	if err := c.Snapshot(&bin); err != nil {
 		t.Fatal(err)
 	}
-	if !segment.IsSegment(bin.Bytes()) || segment.IsSegment(text.Bytes()) {
+	if !segment.IsSegment(bin.Bytes()) || segment.IsSegment(text) {
 		t.Fatal("format sniffing misclassifies snapshots")
 	}
 	gQuery := randomGraph(30, 60, 321)
-	want := oracleFingerprint(oracleOver(g, 2, allNodes(g)), gQuery, 2)
-	for name, blob := range map[string][]byte{"text": text.Bytes(), "binary": bin.Bytes()} {
+	want := oracleFingerprint(oracleOver(g, rebalancedK, allNodes(g)), gQuery, rebalancedK)
+	for name, blob := range map[string][]byte{"text": text, "binary": bin.Bytes()} {
 		c2, err := LoadCorpus(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatalf("LoadCorpus(%s): %v", name, err)
 		}
-		if got := queryFingerprint(t, c2, gQuery, 2); got != want {
+		if got := queryFingerprint(t, c2, gQuery, rebalancedK); got != want {
 			t.Fatalf("%s load diverges from the exhaustive scan", name)
 		}
 	}
@@ -209,7 +210,7 @@ func TestLoadCorpusSegmentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := c.SnapshotSegment(&buf); err != nil {
+	if err := c.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	blob := buf.Bytes()

@@ -182,34 +182,13 @@ func (c Counters) Add(o Counters) Counters {
 // it by pointer so an index generation and every epoch cloned from it
 // share one accumulator: queries still in flight on a
 // retired epoch keep landing their counts in the same place, and the
-// owner's Stats stay continuous across epoch publication (see Clone and
-// ShareCounters).
+// owner's Stats stay continuous across epoch publication (see Clone).
 type counterSet struct {
 	distCalls, earlyExits, lbPrunes  atomic.Int64
 	sizePrunes, padPrunes, degPrunes atomic.Int64
 
 	blockCands                                atomic.Int64
 	blockSizeSurv, blockPadSurv, blockDegSurv atomic.Int64
-}
-
-// counterHost is implemented by every backend so ShareCounters can
-// redirect a fresh generation's accumulation into its predecessor's set.
-type counterHost interface {
-	counterSink() *counterSet
-	setCounterSink(*counterSet)
-}
-
-// ShareCounters makes dst accumulate its serving counters into src's
-// counter set, so an index built to replace src (a rebalance split or
-// merge) extends the same running totals instead of restarting from zero (with queries possibly
-// still in flight on src). Call before dst is published to readers; it
-// is not safe once dst serves queries.
-func ShareCounters(dst, src Index) {
-	d, ok1 := dst.(counterHost)
-	s, ok2 := src.(counterHost)
-	if ok1 && ok2 {
-		d.setCounterSink(s.counterSink())
-	}
 }
 
 // observe records a completed candidate evaluation. Nil-safe so
@@ -472,9 +451,6 @@ func (b *vpBackend) ResetStats() {
 	b.t.ResetStats()
 }
 
-func (b *vpBackend) counterSink() *counterSet     { return b.counters }
-func (b *vpBackend) setCounterSink(c *counterSet) { b.counters = c }
-
 // Clone returns a structurally private copy: the tree nodes (tombstone
 // flags included) and the append tail are duplicated, the item payloads
 // and the counter accumulator are shared. The tree keeps the original's
@@ -576,9 +552,6 @@ func (b *bkBackend) ResetStats() {
 	b.t.ResetStats()
 }
 
-func (b *bkBackend) counterSink() *counterSet     { return b.counters }
-func (b *bkBackend) setCounterSink(c *counterSet) { b.counters = c }
-
 // Clone returns a structurally private copy sharing item payloads and
 // the counter accumulator. BK insertion evaluates the metric during its
 // descent, and the hooks reference the owning wrapper (for the
@@ -642,9 +615,6 @@ func (b *scanBackend) Len() int             { return len(b.items) }
 func (b *scanBackend) DistanceCalls() int64 { return b.counters.distCalls.Load() }
 func (b *scanBackend) Counters() Counters   { return b.counters.snapshot() }
 func (b *scanBackend) ResetStats()          { b.counters.reset() }
-
-func (b *scanBackend) counterSink() *counterSet     { return b.counters }
-func (b *scanBackend) setCounterSink(c *counterSet) { b.counters = c }
 
 // Clone returns a structurally private copy: the item slice is
 // duplicated (in-place mutation on the clone cannot alias the

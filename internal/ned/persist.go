@@ -78,11 +78,12 @@ func ReadSignatures(r io.Reader) ([]Signature, error) {
 	return out, nil
 }
 
-// --- corpus snapshots ---
+// --- text corpus snapshots (import only) ---
 //
-// A corpus snapshot extends the signature format with one header line of
-// corpus metadata, so a built (possibly mutated) index round-trips
-// through Corpus.Snapshot / LoadCorpus without re-extracting BFS trees:
+// Builds before NEDSEG01 became the only written corpus format wrote a
+// corpus as text: the signature format plus one header line of corpus
+// metadata. This build writes none of it and reads all of it, so old
+// files keep loading through ned.LoadCorpus:
 //
 //	# ned corpus v1 backend=vp k=3 directed=0 nodes=2
 //	0 3 0,0,1
@@ -99,43 +100,33 @@ func ReadSignatures(r io.Reader) ([]Signature, error) {
 //	# shard 1 nodes=1
 //	7 3 0,1,1
 //
-// Shard placement is derived (ShardOf), never trusted: a reader
-// re-partitions the items by hash for whatever shard count it is
-// configured with, so v1 files load into a sharded engine and v2 files
-// load into any shard count, including one. The section counts exist so
-// truncated sections fail loudly.
-//
-// Version 3 is the rebalanced manifest, written only when the corpus
-// carries a non-trivial placement directory (a corpus still on its
-// blind-hash seed layout writes v2, byte for byte). The header gains
-// the redirect bucket count and a comment line records the bucket ->
-// shard redirect table:
+// Version 3 is a v2 manifest written by a build that could move nodes
+// off their hash shard: the header gains the redirect bucket count and a
+// comment line records the bucket -> shard redirect table:
 //
 //	# ned corpus v3 backend=vp k=3 directed=0 shards=3 base=2 nodes=3
 //	# redirect 0,2
 //	# shard 0 nodes=1
 //	...
 //
-// Node-level moves are not listed: each item line already sits in its
-// owning shard's section, so the reader re-derives the Moves overrides
-// by comparing an item's section against where the redirect table would
-// have routed it. Section markers and the redirect line stay
-// comment-shaped, preserving the signature-file compatibility below.
+// Shard placement is derived (ShardOf), never trusted: a reader
+// re-partitions the items by hash for whatever shard count it is
+// configured with, so every version loads into any shard count,
+// including one. The section counts exist so truncated sections fail
+// loudly; a v3 file's base= and redirect line are checked for shape
+// (one bucket per base, every bucket a declared shard) and then dropped.
 //
 // Directed corpora carry two encodings per line (outgoing then incoming
 // tree); a single-node tree encodes as "-" so the field count stays
-// fixed. The format is versioned: ReadCorpusItems rejects versions it
-// does not know, and — because headers and section markers are comments
-// and item lines are valid signature lines — undirected snapshots still
-// parse as plain signature files, while legacy signature files (no
-// header) load as version-0 snapshots.
+// fixed. ReadCorpusItems rejects versions it does not know, and —
+// because headers and section markers are comments and item lines are
+// valid signature lines — undirected snapshots still parse as plain
+// signature files, while legacy signature files (no header) load as
+// version-0 snapshots.
 //
-// Cascade profiles (Item.OutP/InP) are deliberately NOT serialized:
-// label IDs are dense handles into one corpus's in-memory shape
-// dictionary and mean nothing in another process. The format is
-// unchanged by their introduction; loaders recompile profiles against
-// a fresh dictionary (ProfileItems) after parsing, as ned.LoadCorpus
-// does.
+// Cascade profiles (Item.OutP/InP) were never part of the text formats:
+// loaders compile them against a fresh dictionary (ProfileItems) after
+// parsing, as ned.LoadCorpus does.
 
 // snapshotPrefix starts the header line of every corpus snapshot.
 const snapshotPrefix = "# ned corpus v"
@@ -146,10 +137,7 @@ const shardSectionPrefix = "# shard "
 // redirectPrefix starts the redirect-table line of a v3 snapshot.
 const redirectPrefix = "# redirect "
 
-// snapshotVersion is the newest snapshot format version this build
-// reads and writes. Version 1 (unsharded, no section markers) is still
-// written when a CorpusMeta says so, version 2 whenever the placement
-// is trivial, and both are always read.
+// snapshotVersion is the newest text snapshot version this build reads.
 const snapshotVersion = 3
 
 // CorpusMeta is the header metadata of a corpus snapshot.
@@ -160,26 +148,12 @@ type CorpusMeta struct {
 	Directed bool   // whether items carry incoming trees too
 	Shards   int    // shard count recorded by a v2 manifest; 0 before v2
 
-	// Place is the placement directory of a v3 manifest (reconstructed
-	// from the redirect line and the items' section membership), nil for
-	// earlier versions and for writers on the trivial seed layout.
-	Place *Placement
-
 	// nodes is the declared item count, checked against the parsed items
 	// so truncated snapshots fail loudly.
 	nodes int
 
 	// base is the declared redirect bucket count of a v3 header.
 	base int
-}
-
-// encOrDash substitutes the "-" placeholder for the empty encoding of a
-// single-node tree, keeping snapshot field counts fixed.
-func encOrDash(enc string) string {
-	if enc == "" {
-		return "-"
-	}
-	return enc
 }
 
 // decodeTreeField decodes one serialized tree, mapping the "-"
@@ -211,109 +185,6 @@ func parseItemLine(lineNo int, nodeStr, kStr, enc string) (graph.NodeID, int, *t
 	return graph.NodeID(node), k, t, nil
 }
 
-// writeItemLine serializes one snapshot item line, shared by the v1 and
-// v2 writers.
-func writeItemLine(bw *bufio.Writer, it Item, directed bool) error {
-	if it.Out == nil || (directed && it.In == nil) {
-		return fmt.Errorf("ned: snapshot item for node %d has no tree", it.Node)
-	}
-	var err error
-	if directed {
-		_, err = fmt.Fprintf(bw, "%d %d %s %s\n", it.Node, it.K,
-			encOrDash(tree.Encode(it.Out)), encOrDash(tree.Encode(it.In)))
-	} else {
-		_, err = fmt.Fprintf(bw, "%d %d %s\n", it.Node, it.K, encOrDash(tree.Encode(it.Out)))
-	}
-	if err != nil {
-		return fmt.Errorf("ned: writing snapshot item for node %d: %w", it.Node, err)
-	}
-	return nil
-}
-
-// WriteCorpusItems serializes a version-1 (unsharded) corpus snapshot:
-// the metadata header followed by one line per indexed item. Items
-// should be in a deterministic order (the Corpus writes them
-// node-ascending) so equal corpora produce byte-identical snapshots.
-func WriteCorpusItems(w io.Writer, meta CorpusMeta, items []Item) error {
-	bw := bufio.NewWriter(w)
-	directed := 0
-	if meta.Directed {
-		directed = 1
-	}
-	if _, err := fmt.Fprintf(bw, "%s%d backend=%s k=%d directed=%d nodes=%d\n",
-		snapshotPrefix, 1, meta.Backend, meta.K, directed, len(items)); err != nil {
-		return fmt.Errorf("ned: writing snapshot header: %w", err)
-	}
-	for _, it := range items {
-		if err := writeItemLine(bw, it, meta.Directed); err != nil {
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("ned: flushing snapshot: %w", err)
-	}
-	return nil
-}
-
-// WriteShardedCorpusItems serializes a sharded corpus manifest: the
-// header records the shard count, and each shard's items follow a
-// "# shard i nodes=m" section marker, node-ascending within the shard.
-// shardItems[i] is shard i's items; meta.Shards is ignored in favor of
-// len(shardItems). A trivial (or absent) meta.Place writes version 2 —
-// placement is a pure hash, so equal corpora with equal shard counts
-// produce byte-identical manifests; a rebalanced placement writes
-// version 3 with the redirect table on a comment line (moves are
-// implied by which section each item sits in).
-func WriteShardedCorpusItems(w io.Writer, meta CorpusMeta, shardItems [][]Item) error {
-	bw := bufio.NewWriter(w)
-	directed, total := 0, 0
-	if meta.Directed {
-		directed = 1
-	}
-	for _, items := range shardItems {
-		total += len(items)
-	}
-	if meta.Place.Trivial() {
-		if _, err := fmt.Fprintf(bw, "%s%d backend=%s k=%d directed=%d shards=%d nodes=%d\n",
-			snapshotPrefix, 2, meta.Backend, meta.K, directed, len(shardItems), total); err != nil {
-			return fmt.Errorf("ned: writing snapshot header: %w", err)
-		}
-	} else {
-		place := meta.Place
-		if err := place.Validate(); err != nil {
-			return fmt.Errorf("ned: snapshot placement: %w", err)
-		}
-		if place.Shards != len(shardItems) {
-			return fmt.Errorf("ned: snapshot placement routes into %d shards, manifest has %d", place.Shards, len(shardItems))
-		}
-		if _, err := fmt.Fprintf(bw, "%s%d backend=%s k=%d directed=%d shards=%d base=%d nodes=%d\n",
-			snapshotPrefix, 3, meta.Backend, meta.K, directed, len(shardItems), place.Base, total); err != nil {
-			return fmt.Errorf("ned: writing snapshot header: %w", err)
-		}
-		buckets := make([]string, len(place.Redirect))
-		for i, s := range place.Redirect {
-			buckets[i] = strconv.Itoa(int(s))
-		}
-		if _, err := fmt.Fprintf(bw, "%s%s\n", redirectPrefix, strings.Join(buckets, ",")); err != nil {
-			return fmt.Errorf("ned: writing redirect table: %w", err)
-		}
-	}
-	for si, items := range shardItems {
-		if _, err := fmt.Fprintf(bw, "%s%d nodes=%d\n", shardSectionPrefix, si, len(items)); err != nil {
-			return fmt.Errorf("ned: writing shard %d section: %w", si, err)
-		}
-		for _, it := range items {
-			if err := writeItemLine(bw, it, meta.Directed); err != nil {
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("ned: flushing snapshot: %w", err)
-	}
-	return nil
-}
-
 // ReadCorpusItems parses a corpus snapshot, or — when the input has no
 // snapshot header — a legacy plain signature file, reported as Version
 // 0 with Backend/K/Directed left for the caller to derive. Duplicate
@@ -330,10 +201,8 @@ func ReadCorpusItems(r io.Reader) (CorpusMeta, []Item, error) {
 	// v2 shard-section bookkeeping: the open section's index, its
 	// declared item count, and how many items it has produced so far.
 	curShard, declared, sectionItems := -1, 0, 0
-	// v3 placement bookkeeping: the parsed redirect table and the moves
-	// derived from items sitting outside their redirect-routed shard.
-	var redirect []int32
-	var moves map[graph.NodeID]int32
+	// v3: whether the redirect line has been seen.
+	haveRedirect := false
 	closeSection := func() error {
 		if curShard >= 0 && sectionItems != declared {
 			return fmt.Errorf("ned: shard %d section declares %d nodes, found %d", curShard, declared, sectionItems)
@@ -363,16 +232,16 @@ func ReadCorpusItems(r io.Reader) (CorpusMeta, []Item, error) {
 				meta = m
 			}
 			if meta.Version >= 3 && strings.HasPrefix(line, redirectPrefix) {
-				if redirect != nil {
+				if haveRedirect {
 					return meta, nil, fmt.Errorf("ned: line %d: duplicate redirect table", lineNo)
 				}
 				if curShard >= 0 {
 					return meta, nil, fmt.Errorf("ned: line %d: redirect table after shard sections", lineNo)
 				}
-				var err error
-				if redirect, err = parseRedirectLine(line, meta.base, meta.Shards); err != nil {
+				if err := checkRedirectLine(line, meta.base, meta.Shards); err != nil {
 					return meta, nil, fmt.Errorf("ned: line %d: %w", lineNo, err)
 				}
+				haveRedirect = true
 			}
 			if meta.Version >= 2 && strings.HasPrefix(line, shardSectionPrefix) {
 				si, n, err := parseShardSection(line)
@@ -422,16 +291,8 @@ func ReadCorpusItems(r io.Reader) (CorpusMeta, []Item, error) {
 			return meta, nil, fmt.Errorf("ned: line %d: node %d already appeared on line %d", lineNo, node, prev)
 		}
 		seen[node] = lineNo
-		if meta.Version >= 3 {
-			if redirect == nil {
-				return meta, nil, fmt.Errorf("ned: line %d: item before redirect table", lineNo)
-			}
-			if int(redirect[ShardOf(node, meta.base)]) != curShard {
-				if moves == nil {
-					moves = make(map[graph.NodeID]int32)
-				}
-				moves[node] = int32(curShard)
-			}
+		if meta.Version >= 3 && !haveRedirect {
+			return meta, nil, fmt.Errorf("ned: line %d: item before redirect table", lineNo)
 		}
 		it := Item{Node: node, K: k, Out: out}
 		if meta.Directed {
@@ -458,34 +319,26 @@ func ReadCorpusItems(r io.Reader) (CorpusMeta, []Item, error) {
 			return meta, nil, fmt.Errorf("ned: snapshot declares %d shards, found %d sections", meta.Shards, curShard+1)
 		}
 	}
-	if meta.Version >= 3 {
-		if redirect == nil {
-			return meta, nil, fmt.Errorf("ned: v%d snapshot has no redirect table", meta.Version)
-		}
-		meta.Place = &Placement{Base: meta.base, Shards: meta.Shards, Redirect: redirect, Moves: moves}
-		if err := meta.Place.Validate(); err != nil {
-			return meta, nil, fmt.Errorf("ned: snapshot placement: %w", err)
-		}
+	if meta.Version >= 3 && !haveRedirect {
+		return meta, nil, fmt.Errorf("ned: v%d snapshot has no redirect table", meta.Version)
 	}
 	return meta, items, nil
 }
 
-// parseRedirectLine parses "# redirect 0,2,1" into the redirect table,
-// checking the declared bucket count and the shard range.
-func parseRedirectLine(line string, base, shards int) ([]int32, error) {
+// checkRedirectLine checks the shape of a v3 "# redirect 0,2,1" line:
+// one bucket per declared base, each naming a declared shard.
+func checkRedirectLine(line string, base, shards int) error {
 	fields := strings.Split(strings.TrimPrefix(line, redirectPrefix), ",")
 	if len(fields) != base {
-		return nil, fmt.Errorf("redirect table has %d buckets, header declares base=%d", len(fields), base)
+		return fmt.Errorf("redirect table has %d buckets, header declares base=%d", len(fields), base)
 	}
-	redirect := make([]int32, len(fields))
-	for i, f := range fields {
+	for _, f := range fields {
 		s, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || s < 0 || s >= shards {
-			return nil, fmt.Errorf("bad redirect bucket %q", f)
+			return fmt.Errorf("bad redirect bucket %q", f)
 		}
-		redirect[i] = int32(s)
 	}
-	return redirect, nil
+	return nil
 }
 
 // parseShardSection parses "# shard 3 nodes=17" into (3, 17).

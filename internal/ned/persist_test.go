@@ -77,75 +77,19 @@ func TestReadSignaturesMalformedNamesLine(t *testing.T) {
 	}
 }
 
-// TestCorpusSnapshotGolden locks the v1 snapshot format against the
-// checked-in golden files: if either direction of the codec drifts,
-// snapshots written by earlier builds stop loading, which is exactly
-// what the format version exists to prevent. Evolve the format by
-// bumping the version and adding a new golden, never by editing these.
-func TestCorpusSnapshotGolden(t *testing.T) {
-	cases := []struct {
-		path     string
-		meta     CorpusMeta
-		nodes    []graph.NodeID
-		outSizes []int
-	}{
-		{
-			path:     "testdata/corpus_v1.golden",
-			meta:     CorpusMeta{Version: 1, Backend: "bk", K: 2, Directed: false},
-			nodes:    []graph.NodeID{0, 3, 7},
-			outSizes: []int{4, 1, 4},
-		},
-		{
-			path:     "testdata/corpus_v1_directed.golden",
-			meta:     CorpusMeta{Version: 1, Backend: "vp", K: 2, Directed: true},
-			nodes:    []graph.NodeID{1, 4},
-			outSizes: []int{2, 1},
-		},
-	}
-	for _, tc := range cases {
-		raw, err := os.ReadFile(tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta, items, err := ReadCorpusItems(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.path, err)
-		}
-		if meta.Version != tc.meta.Version || meta.Backend != tc.meta.Backend ||
-			meta.K != tc.meta.K || meta.Directed != tc.meta.Directed {
-			t.Fatalf("%s: meta %+v, want %+v", tc.path, meta, tc.meta)
-		}
-		if len(items) != len(tc.nodes) {
-			t.Fatalf("%s: %d items, want %d", tc.path, len(items), len(tc.nodes))
-		}
-		for i, it := range items {
-			if it.Node != tc.nodes[i] || it.Out.Size() != tc.outSizes[i] {
-				t.Errorf("%s item %d: node %d size %d, want node %d size %d",
-					tc.path, i, it.Node, it.Out.Size(), tc.nodes[i], tc.outSizes[i])
-			}
-			if tc.meta.Directed && it.In == nil {
-				t.Errorf("%s item %d: missing incoming tree", tc.path, i)
-			}
-		}
-		// Re-encoding reproduces the golden bytes exactly.
-		var buf bytes.Buffer
-		if err := WriteCorpusItems(&buf, meta, items); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != string(raw) {
-			t.Errorf("%s: WriteCorpusItems drifted from the golden format:\ngot:  %q\nwant: %q",
-				tc.path, buf.String(), string(raw))
-		}
-	}
+// goldenItem is one item line of a checked-in text snapshot: its node
+// and its trees in the parent-vector encoding ("" is the single node).
+type goldenItem struct {
+	node    graph.NodeID
+	out, in string
 }
 
-// TestCorpusSnapshotGoldenV2 locks the v2 sharded manifest format
-// against its checked-in golden (empty shard section included):
-// re-partitioning the parsed items by ShardOf and re-encoding must
-// reproduce the golden bytes, so shard placement stays a pure function
-// of (node, shards) and the on-disk format cannot drift.
-func TestCorpusSnapshotGoldenV2(t *testing.T) {
-	const path = "testdata/corpus_v2.golden"
+// checkGolden parses one checked-in text snapshot and compares header
+// and items. This build writes no text format: these files, byte for
+// byte what earlier builds wrote, are how the ones already on disk keep
+// loading. Never edit them.
+func checkGolden(t *testing.T, path string, want CorpusMeta, wantItems []goldenItem) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -154,103 +98,80 @@ func TestCorpusSnapshotGoldenV2(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	if meta.Version != 2 || meta.Backend != "bk" || meta.K != 2 || meta.Directed || meta.Shards != 2 {
-		t.Fatalf("%s: meta %+v", path, meta)
+	if meta.Version != want.Version || meta.Backend != want.Backend || meta.K != want.K ||
+		meta.Directed != want.Directed || meta.Shards != want.Shards {
+		t.Fatalf("%s: meta %+v, want %+v", path, meta, want)
 	}
-	wantNodes := []graph.NodeID{0, 3, 7}
-	if len(items) != len(wantNodes) {
-		t.Fatalf("%s: %d items, want %d", path, len(items), len(wantNodes))
+	if len(items) != len(wantItems) {
+		t.Fatalf("%s: %d items, want %d", path, len(items), len(wantItems))
 	}
 	for i, it := range items {
-		if it.Node != wantNodes[i] {
-			t.Errorf("%s item %d: node %d, want %d", path, i, it.Node, wantNodes[i])
+		w := wantItems[i]
+		if it.Node != w.node || it.K != want.K || tree.Encode(it.Out) != w.out {
+			t.Errorf("%s item %d: node %d k %d out %q, want node %d k %d out %q",
+				path, i, it.Node, it.K, tree.Encode(it.Out), w.node, want.K, w.out)
 		}
-	}
-	shardItems := make([][]Item, meta.Shards)
-	for _, it := range items {
-		si := ShardOf(it.Node, meta.Shards)
-		shardItems[si] = append(shardItems[si], it)
-	}
-	var buf bytes.Buffer
-	if err := WriteShardedCorpusItems(&buf, meta, shardItems); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != string(raw) {
-		t.Errorf("%s: WriteShardedCorpusItems drifted from the golden format:\ngot:  %q\nwant: %q",
-			path, buf.String(), string(raw))
-	}
-}
-
-// TestShardedCorpusItemsRoundTripRandom round-trips a hash-partitioned
-// v2 manifest of both directednesses through the codec.
-func TestShardedCorpusItemsRoundTripRandom(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		g := randomTestGraph(40, 90, 23)
-		var nodes []graph.NodeID
-		for v := 0; v < g.NumNodes(); v += 3 {
-			nodes = append(nodes, graph.NodeID(v))
-		}
-		items := BuildItems(g, nodes, 2, directed, 0)
-		const shards = 4
-		per := make([][]Item, shards)
-		for _, it := range items {
-			per[ShardOf(it.Node, shards)] = append(per[ShardOf(it.Node, shards)], it)
-		}
-		meta := CorpusMeta{Version: 2, Backend: "vp", K: 2, Directed: directed, Shards: shards}
-		var buf bytes.Buffer
-		if err := WriteShardedCorpusItems(&buf, meta, per); err != nil {
-			t.Fatal(err)
-		}
-		gotMeta, got, err := ReadCorpusItems(&buf)
-		if err != nil {
-			t.Fatalf("directed=%v: %v", directed, err)
-		}
-		if gotMeta.Version != 2 || gotMeta.Shards != shards || gotMeta.Directed != directed || len(got) != len(items) {
-			t.Fatalf("directed=%v: meta %+v with %d items", directed, gotMeta, len(got))
-		}
-		gotSet := make(map[graph.NodeID]string, len(got))
-		for _, it := range got {
-			gotSet[it.Node] = tree.Encode(it.Out)
-		}
-		for _, it := range items {
-			if gotSet[it.Node] != tree.Encode(it.Out) {
-				t.Errorf("directed=%v: node %d did not round-trip", directed, it.Node)
-			}
+		if want.Directed != (it.In != nil) {
+			t.Errorf("%s item %d: incoming tree present = %v", path, i, it.In != nil)
+		} else if it.In != nil && tree.Encode(it.In) != w.in {
+			t.Errorf("%s item %d: in %q, want %q", path, i, tree.Encode(it.In), w.in)
 		}
 	}
 }
 
-// TestCorpusSnapshotRoundTripRandom round-trips generated corpora of
-// both directednesses through the codec.
-func TestCorpusSnapshotRoundTripRandom(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		g := randomTestGraph(30, 70, 22)
-		var nodes []graph.NodeID
-		for v := 0; v < g.NumNodes(); v += 2 {
-			nodes = append(nodes, graph.NodeID(v))
-		}
-		items := BuildItems(g, nodes, 3, directed, 0)
-		meta := CorpusMeta{Version: 1, Backend: "vp", K: 3, Directed: directed}
-		var buf bytes.Buffer
-		if err := WriteCorpusItems(&buf, meta, items); err != nil {
-			t.Fatal(err)
-		}
-		gotMeta, got, err := ReadCorpusItems(&buf)
+// goldenFlat is the item set of the undirected goldens.
+var goldenFlat = []goldenItem{{node: 0, out: "0,0,1"}, {node: 3}, {node: 7, out: "0,1,1"}}
+
+// TestCorpusSnapshotGolden pins the reader on the v1 snapshots.
+func TestCorpusSnapshotGolden(t *testing.T) {
+	checkGolden(t, "testdata/corpus_v1.golden", CorpusMeta{Version: 1, Backend: "bk", K: 2}, goldenFlat)
+	checkGolden(t, "testdata/corpus_v1_directed.golden", CorpusMeta{Version: 1, Backend: "vp", K: 2, Directed: true},
+		[]goldenItem{{node: 1, out: "0", in: "0,0"}, {node: 4, in: "0"}})
+}
+
+// TestCorpusSnapshotGoldenV2 pins the reader on the v2 sharded manifest
+// (empty shard section included); items come back in file order.
+func TestCorpusSnapshotGoldenV2(t *testing.T) {
+	checkGolden(t, "testdata/corpus_v2.golden", CorpusMeta{Version: 2, Backend: "bk", K: 2, Shards: 2}, goldenFlat)
+}
+
+// FuzzReadCorpusItems: the text reader is the import path for files this
+// build can no longer produce, so arbitrary bytes must come back as an
+// error or as a consistent item list, never a panic. Seeds: every
+// checked-in text snapshot, v3 included.
+func FuzzReadCorpusItems(f *testing.F) {
+	for _, path := range []string{
+		"testdata/corpus_v1.golden", "testdata/corpus_v1_directed.golden", "testdata/corpus_v2.golden",
+		"../../testdata/corpus_v3_rebalanced.nedcorpus",
+	} {
+		raw, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("directed=%v: %v", directed, err)
+			f.Fatal(err)
 		}
-		if gotMeta.Directed != directed || gotMeta.K != 3 || len(got) != len(items) {
-			t.Fatalf("directed=%v: meta %+v with %d items", directed, gotMeta, len(got))
-		}
-		for i := range got {
-			if got[i].Node != items[i].Node || tree.Encode(got[i].Out) != tree.Encode(items[i].Out) {
-				t.Errorf("directed=%v item %d did not round-trip", directed, i)
-			}
-			if directed && tree.Encode(got[i].In) != tree.Encode(items[i].In) {
-				t.Errorf("directed=%v item %d incoming tree did not round-trip", directed, i)
-			}
-		}
+		f.Add(raw)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, items, err := ReadCorpusItems(bytes.NewReader(data))
+		if err != nil {
+			if items != nil {
+				t.Fatalf("error %v came with %d items", err, len(items))
+			}
+			return
+		}
+		seen := make(map[graph.NodeID]bool, len(items))
+		for _, it := range items {
+			if seen[it.Node] {
+				t.Fatalf("accepted input yields node %d twice", it.Node)
+			}
+			seen[it.Node] = true
+			if it.Out == nil || meta.Directed != (it.In != nil) {
+				t.Fatalf("node %d: out=%v in=%v on a directed=%v snapshot", it.Node, it.Out != nil, it.In != nil, meta.Directed)
+			}
+			if meta.Version >= 1 && it.K != meta.K {
+				t.Fatalf("node %d: k=%d under header k=%d", it.Node, it.K, meta.K)
+			}
+		}
+	})
 }
 
 // TestSnapshotParsesAsSignatureFile: undirected corpus snapshots are
@@ -305,6 +226,12 @@ func TestReadCorpusItemsErrors(t *testing.T) {
 		{"v2 short section", "# ned corpus v2 backend=vp k=2 directed=0 shards=2 nodes=2\n# shard 0 nodes=2\n0 2 0\n# shard 1 nodes=1\n1 2 0\n", "declares 2 nodes, found 1"},
 		{"v2 missing section", "# ned corpus v2 backend=vp k=2 directed=0 shards=2 nodes=1\n# shard 0 nodes=1\n0 2 0\n", "declares 2 shards, found 1 sections"},
 		{"v2 malformed section", "# ned corpus v2 backend=vp k=2 directed=0 shards=1 nodes=1\n# shard zero nodes=1\n0 2 0\n", "bad shard index"},
+		{"v3 missing base", "# ned corpus v3 backend=vp k=2 directed=0 shards=1 nodes=0\n", "missing base="},
+		{"v3 redirect disagrees with base", "# ned corpus v3 backend=vp k=2 directed=0 shards=2 base=2 nodes=0\n# redirect 0,1,1\n# shard 0 nodes=0\n# shard 1 nodes=0\n", "3 buckets, header declares base=2"},
+		{"v3 redirect out of range", "# ned corpus v3 backend=vp k=2 directed=0 shards=2 base=2 nodes=0\n# redirect 0,2\n# shard 0 nodes=0\n# shard 1 nodes=0\n", "bad redirect bucket"},
+		{"v3 no redirect", "# ned corpus v3 backend=vp k=2 directed=0 shards=1 base=1 nodes=0\n# shard 0 nodes=0\n", "no redirect table"},
+		{"v3 duplicate redirect", "# ned corpus v3 backend=vp k=2 directed=0 shards=1 base=1 nodes=0\n# redirect 0\n# redirect 0\n# shard 0 nodes=0\n", "duplicate redirect table"},
+		{"v3 redirect after sections", "# ned corpus v3 backend=vp k=2 directed=0 shards=1 base=1 nodes=0\n# shard 0 nodes=0\n# redirect 0\n", "redirect table after shard sections"},
 		{"bad version", "# ned corpus vx backend=vp k=2 directed=0 nodes=0\n", "malformed snapshot version"},
 		{"missing field", "# ned corpus v1 backend=vp k=2 directed=0\n", "missing nodes="},
 		{"bad k", "# ned corpus v1 backend=vp k=zero directed=0 nodes=0\n", "bad snapshot k"},
@@ -333,21 +260,6 @@ func TestReadCorpusItemsErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-// TestWriteCorpusItemsRejectsBadItems: writing refuses items that could
-// not round-trip.
-func TestWriteCorpusItemsRejectsBadItems(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteCorpusItems(&buf, CorpusMeta{Version: 1, Backend: "vp", K: 2}, []Item{{Node: 3, K: 2}})
-	if err == nil || !strings.Contains(err.Error(), "no tree") {
-		t.Errorf("nil out tree: %v", err)
-	}
-	err = WriteCorpusItems(&buf, CorpusMeta{Version: 1, Backend: "vp", K: 2, Directed: true},
-		[]Item{{Node: 3, K: 2, Out: tree.Path(2)}})
-	if err == nil || !strings.Contains(err.Error(), "no tree") {
-		t.Errorf("nil in tree on directed snapshot: %v", err)
 	}
 }
 

@@ -2,16 +2,14 @@ package ned
 
 import (
 	"context"
-	"fmt"
 
 	"ned/internal/graph"
 )
 
-// This file is the shard router behind the sharded Corpus engine: a
-// deterministic node -> shard hash, the directory-based placement table
-// the rebalancer edits on top of it, and query fan-out/merge that keeps
-// sharded answers node-identical to a single index over the union of
-// the shards' items.
+// This file is the shard router behind the sharded Corpus engine: the
+// deterministic node -> shard hash that is the whole placement, and
+// query fan-out/merge that keeps sharded answers node-identical to a
+// single index over the union of the shards' items.
 //
 // Exactness of the merge: each shard answers over a disjoint item
 // subset with the shared canonical (distance, node) order, so
@@ -27,9 +25,8 @@ import (
 // splitmix64 finalizer scrambles the (typically dense, clustered) node
 // IDs so shards stay balanced regardless of how a graph numbers its
 // nodes; the assignment depends only on (node, n), so equal corpora
-// seed identical layouts across processes — a snapshot with no recorded
-// placement (or loaded under a shard-count override) reshards by
-// re-hashing.
+// have identical layouts across processes, and a snapshot loads into any
+// shard count by re-hashing.
 func ShardOf(v graph.NodeID, n int) int {
 	if n <= 1 {
 		return 0
@@ -41,138 +38,6 @@ func ShardOf(v graph.NodeID, n int) int {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return int(x % uint64(n))
-}
-
-// Placement is the directory-based node -> shard map. The seed layout
-// is pure hash: Base redirect buckets (one per seed shard), bucket b
-// routing to shard Redirect[b], plus node-level Moves overrides. A
-// fresh corpus starts with the identity redirect and no moves —
-// byte-for-byte the old blind-hash behavior — and the rebalancer edits
-// only the table: splitting a hot shard adds Moves entries for the
-// nodes it relocates, merging a cold shard repoints its redirect
-// buckets and rewrites its moves. Lookup cost is one map probe (skipped
-// entirely while Moves is nil) plus one hash.
-//
-// A Placement is immutable once published (the Corpus shares it through
-// the same atomic-epoch discipline as shard indexes); mutators Clone
-// first. Snapshots and segments record non-trivial placements so a
-// rebalanced corpus restores into the same layout.
-type Placement struct {
-	Base     int                    // redirect bucket count (the hash domain)
-	Shards   int                    // shard slots the table routes into
-	Redirect []int32                // len Base: bucket -> shard slot
-	Moves    map[graph.NodeID]int32 // node-level overrides; nil when none
-}
-
-// NewHashPlacement returns the identity placement over n shards — the
-// blind-hash seed layout.
-func NewHashPlacement(n int) *Placement {
-	if n < 1 {
-		n = 1
-	}
-	p := &Placement{Base: n, Shards: n, Redirect: make([]int32, n)}
-	for i := range p.Redirect {
-		p.Redirect[i] = int32(i)
-	}
-	return p
-}
-
-// Of returns the shard slot owning node v.
-func (p *Placement) Of(v graph.NodeID) int {
-	if p.Moves != nil {
-		if s, ok := p.Moves[v]; ok {
-			return int(s)
-		}
-	}
-	return int(p.Redirect[ShardOf(v, p.Base)])
-}
-
-// Trivial reports whether the placement is exactly the blind-hash seed
-// layout, in which case persistence layers omit it and readers re-derive
-// placement by hashing — the pre-directory format, byte for byte.
-func (p *Placement) Trivial() bool {
-	if p == nil {
-		return true
-	}
-	if p.Shards != p.Base || len(p.Moves) != 0 {
-		return false
-	}
-	for i, s := range p.Redirect {
-		if int(s) != i {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns a deep, independently mutable copy.
-func (p *Placement) Clone() *Placement {
-	np := &Placement{Base: p.Base, Shards: p.Shards, Redirect: append([]int32(nil), p.Redirect...)}
-	if len(p.Moves) > 0 {
-		np.Moves = make(map[graph.NodeID]int32, len(p.Moves))
-		for v, s := range p.Moves {
-			np.Moves[v] = s
-		}
-	}
-	return np
-}
-
-// SetMove routes node v to shard s, dropping the override when the
-// redirect table already routes it there (so Moves stays minimal and a
-// placement whose every move is undone compacts back to trivial).
-func (p *Placement) SetMove(v graph.NodeID, s int) {
-	if int(p.Redirect[ShardOf(v, p.Base)]) == s {
-		delete(p.Moves, v)
-		return
-	}
-	if p.Moves == nil {
-		p.Moves = make(map[graph.NodeID]int32)
-	}
-	p.Moves[v] = int32(s)
-}
-
-// Referenced reports which shard slots the table can route a node to.
-// Unreferenced slots are retired (their items were merged away); the
-// rebalancer reuses them for splits.
-func (p *Placement) Referenced() []bool {
-	ref := make([]bool, p.Shards)
-	for _, s := range p.Redirect {
-		if int(s) >= 0 && int(s) < p.Shards {
-			ref[s] = true
-		}
-	}
-	for _, s := range p.Moves {
-		if int(s) >= 0 && int(s) < p.Shards {
-			ref[s] = true
-		}
-	}
-	return ref
-}
-
-// Validate checks internal consistency — persistence layers call it on
-// loaded placements so corrupt tables fail loudly instead of routing
-// nodes out of range.
-func (p *Placement) Validate() error {
-	if p.Base < 1 || p.Shards < 1 {
-		return fmt.Errorf("placement: base=%d shards=%d", p.Base, p.Shards)
-	}
-	if len(p.Redirect) != p.Base {
-		return fmt.Errorf("placement: %d redirect buckets for base %d", len(p.Redirect), p.Base)
-	}
-	for b, s := range p.Redirect {
-		if int(s) < 0 || int(s) >= p.Shards {
-			return fmt.Errorf("placement: bucket %d routes to shard %d of %d", b, s, p.Shards)
-		}
-	}
-	for v, s := range p.Moves {
-		if v < 0 {
-			return fmt.Errorf("placement: move for negative node %d", v)
-		}
-		if int(s) < 0 || int(s) >= p.Shards {
-			return fmt.Errorf("placement: node %d moved to shard %d of %d", v, s, p.Shards)
-		}
-	}
-	return nil
 }
 
 // mergeSorted concatenates per-shard answers and sorts the union

@@ -14,9 +14,10 @@
 //	magic   "NEDSEG01" (8 bytes)
 //	section [type u8][payloadLen u64][payload][crc32c(payload) u32]
 //
-// in fixed order: meta (1), dict (2), an optional graph (3), an
-// optional placement directory (7), one shard item table (4) per
-// shard, optionally one VP-index dump (6) per shard, and end (5). All
+// in fixed order: meta (1), dict (2), an optional graph (3), one shard
+// item table (4) per shard, optionally one VP-index dump (6) per shard,
+// and end (5); a segment of an earlier build may also carry a placement
+// directory (7) between the graph and the first shard table. All
 // integers are little-endian. Every section is
 // independently length-framed and checksummed, and the end section
 // repeats the total item count, so a torn tail — truncation anywhere,
@@ -37,10 +38,10 @@
 //	       UpdateGraph without a sidecar file.
 //	place: base u32, shards u32 (must equal meta's), redirect base×u32
 //	       (each < shards), moves u64, then (node u32, shard u32) pairs
-//	       node-ascending — the rebalancer's placement directory.
-//	       Written only when the placement is non-trivial; its absence
-//	       means the blind-hash seed layout, which keeps segments of
-//	       never-rebalanced corpora byte-identical to earlier builds.
+//	       node-ascending — the placement directory of a build that
+//	       could move nodes off their hash shard. Never written; read
+//	       only to check that the segment's items are filed where its
+//	       own layout says, after which callers re-file by hash.
 //	shard: a pure u32 word stream (the payload length must be a
 //	       multiple of 4): shardIndex, itemCount, then per item
 //	       (strictly node-ascending — readers reject out-of-order or
@@ -82,7 +83,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -132,18 +132,13 @@ const maxSectionLen = 1 << 32
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Meta is the corpus-level metadata a segment records. Place travels
-// in its own optional section (never the meta blob, whose layout is
-// frozen): nil or trivial on write means no section; on read it is the
-// decoded directory, nil for the hash seed layout.
+// Meta is the corpus-level metadata a segment records.
 type Meta struct {
 	Backend  string // flag-style backend name recorded at snapshot time
 	K        int    // neighborhood depth shared by every item
 	Directed bool   // whether items carry incoming trees too
 	Shards   int    // shard count the writer partitioned by
 	Items    int    // total item count across shards
-
-	Place *ned.Placement // non-trivial placement directory, nil if hash
 }
 
 // VPNode is one persisted vantage-point-tree node, in preorder. The
@@ -518,36 +513,6 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 		}
 	}
 
-	// Placement directory — only a rebalanced layout writes one.
-	if !meta.Place.Trivial() {
-		place := meta.Place
-		if err := place.Validate(); err != nil {
-			return fmt.Errorf("segment: placement: %w", err)
-		}
-		if place.Shards != len(shardItems) {
-			return fmt.Errorf("segment: placement routes into %d shards, segment has %d", place.Shards, len(shardItems))
-		}
-		pb := make([]byte, 0, 16+4*len(place.Redirect)+8*len(place.Moves))
-		pb = appendU32(pb, uint32(place.Base))
-		pb = appendU32(pb, uint32(place.Shards))
-		for _, s := range place.Redirect {
-			pb = appendU32(pb, uint32(s))
-		}
-		pb = appendU64(pb, uint64(len(place.Moves)))
-		moved := make([]graph.NodeID, 0, len(place.Moves))
-		for v := range place.Moves {
-			moved = append(moved, v)
-		}
-		sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
-		for _, v := range moved {
-			pb = appendU32(pb, uint32(v))
-			pb = appendU32(pb, uint32(place.Moves[v]))
-		}
-		if err := writeSection(bw, secPlace, pb); err != nil {
-			return err
-		}
-	}
-
 	// Shard item tables.
 	var sb []byte
 	for si, items := range shardItems {
@@ -679,7 +644,7 @@ func decodeTree(words []int32, pos int, in *tree.Interner, s *tree.Slab) (*tree.
 }
 
 // decodeShard decodes one shard item table payload.
-func decodeShard(payload []byte, si int, meta Meta, in *tree.Interner) ([]ned.Item, error) {
+func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner) ([]ned.Item, error) {
 	words, err := shardWords(payload)
 	if err != nil {
 		return nil, err
@@ -711,7 +676,7 @@ func decodeShard(payload []byte, si int, meta Meta, in *tree.Interner) ([]ned.It
 			return nil, fmt.Errorf("segment: shard %d item %d has negative node id", si, i)
 		}
 		// Writers emit items strictly node-ascending per shard; since the
-		// placement maps a node to exactly one shard, this single ordered
+		// layout maps a node to exactly one shard, this single ordered
 		// pass doubles as the whole-segment duplicate check.
 		if node <= last {
 			return nil, fmt.Errorf("segment: shard %d items not node-ascending (%d after %d)", si, node, last)
@@ -724,7 +689,7 @@ func decodeShard(payload []byte, si int, meta Meta, in *tree.Interner) ([]ned.It
 		if hasIn != meta.Directed {
 			return nil, fmt.Errorf("segment: node %d directedness disagrees with segment meta", node)
 		}
-		if want := metaShardOf(meta, graph.NodeID(node)); want != si {
+		if want := place.shardOf(graph.NodeID(node), meta.Shards); want != si {
 			return nil, fmt.Errorf("segment: node %d filed under shard %d, placement routes it to %d",
 				node, si, want)
 		}
@@ -746,18 +711,32 @@ func decodeShard(payload []byte, si int, meta Meta, in *tree.Interner) ([]ned.It
 	return items, nil
 }
 
-// metaShardOf is the shard a segment's layout files node v under: the
-// recorded placement directory when the segment carries one, the blind
-// hash otherwise.
-func metaShardOf(meta Meta, v graph.NodeID) int {
-	if meta.Place != nil {
-		return meta.Place.Of(v)
-	}
-	return ned.ShardOf(v, meta.Shards)
+// legacyPlacement is the placement directory a segment of an earlier
+// build may carry: base redirect buckets (bucket b of the hash routes to
+// shard redirect[b]) plus node-level overrides. Read needs it for one
+// thing, checking that every item is filed under the shard the
+// segment's own layout routes it to, and does not return it.
+type legacyPlacement struct {
+	redirect []int32
+	moves    map[graph.NodeID]int32
 }
 
-// decodePlacement decodes the placement directory section.
-func decodePlacement(payload []byte, shards int) (*ned.Placement, error) {
+// shardOf is the shard a segment's layout files node v under: through
+// the recorded directory when the segment carries one (p non-nil), the
+// hash over its shard count otherwise.
+func (p *legacyPlacement) shardOf(v graph.NodeID, shards int) int {
+	if p == nil {
+		return ned.ShardOf(v, shards)
+	}
+	if s, ok := p.moves[v]; ok {
+		return int(s)
+	}
+	return int(p.redirect[ned.ShardOf(v, len(p.redirect))])
+}
+
+// decodePlacement decodes and validates a placement directory section:
+// every bucket and every move must route into [0, shards).
+func decodePlacement(payload []byte, shards int) (*legacyPlacement, error) {
 	d := &dec{b: payload}
 	base := int(d.u32())
 	ps := int(d.u32())
@@ -767,7 +746,7 @@ func decodePlacement(payload []byte, shards int) (*ned.Placement, error) {
 	if d.err == nil && (base < 1 || base > 1<<20) {
 		d.fail("segment: implausible placement base %d", base)
 	}
-	redirect := d.i32s(base)
+	place := &legacyPlacement{redirect: d.i32s(base)}
 	nMoves := int(d.u64())
 	if d.err == nil && (nMoves < 0 || len(d.b) != 8*nMoves) {
 		d.fail("segment: placement declares %d moves with %d bytes left", nMoves, len(d.b))
@@ -775,25 +754,27 @@ func decodePlacement(payload []byte, shards int) (*ned.Placement, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	place := &ned.Placement{Base: base, Shards: shards, Redirect: redirect}
-	if nMoves > 0 {
-		place.Moves = make(map[graph.NodeID]int32, nMoves)
-		last := int32(-1)
-		for i := 0; i < nMoves; i++ {
-			node := int32(d.u32())
-			s := int32(d.u32())
-			if node <= last {
-				return nil, fmt.Errorf("segment: placement moves not node-ascending (%d after %d)", node, last)
-			}
-			last = node
-			place.Moves[graph.NodeID(node)] = s
+	for b, s := range place.redirect {
+		if s < 0 || int(s) >= shards {
+			return nil, fmt.Errorf("segment: placement bucket %d routes to shard %d of %d", b, s, shards)
 		}
+	}
+	place.moves = make(map[graph.NodeID]int32, nMoves)
+	last := int32(-1)
+	for i := 0; i < nMoves; i++ {
+		node := int32(d.u32())
+		s := int32(d.u32())
+		if node <= last {
+			return nil, fmt.Errorf("segment: placement moves not node-ascending (%d after %d)", node, last)
+		}
+		last = node
+		if s < 0 || int(s) >= shards {
+			return nil, fmt.Errorf("segment: placement moves node %d to shard %d of %d", node, s, shards)
+		}
+		place.moves[graph.NodeID(node)] = s
 	}
 	if err := d.done(); err != nil {
 		return nil, err
-	}
-	if err := place.Validate(); err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
 	}
 	return place, nil
 }
@@ -854,12 +835,10 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 // dumps (nil when the segment carries none — indexes[si] may also be
 // empty for individual shards, which then rebuild lazily). Items are
 // returned flattened in shard order (node-ascending within each
-// shard, as written); callers re-file them through meta.Place when the
-// segment carries a placement directory (re-hashing for whatever shard
-// count they run with otherwise) — and must discard the index dumps
-// and placement if that count differs from meta.Shards. Any
-// truncation, checksum mismatch, or internal inconsistency is a loud
-// error.
+// shard, as written); callers re-file them by hash for whatever shard
+// count they run with, and must discard the index dumps if that count
+// differs from meta.Shards. Any truncation, checksum mismatch, or
+// internal inconsistency is a loud error.
 func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
 	var meta Meta
 	fail := func(err error) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
@@ -969,15 +948,16 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 		g = b.Build()
 	}
 
-	// Optional placement directory: the section after the graph is
-	// either the placement (rebalanced layouts) or the first shard
-	// table (seed layouts) — one section of lookahead decides.
+	// The section after the graph is either an earlier build's placement
+	// directory or the first shard table — one section of lookahead
+	// decides.
 	typ, payload, err := readSection(r)
 	if err != nil {
 		return fail(err)
 	}
+	var place *legacyPlacement
 	if typ == secPlace {
-		if meta.Place, err = decodePlacement(payload, meta.Shards); err != nil {
+		if place, err = decodePlacement(payload, meta.Shards); err != nil {
 			return fail(err)
 		}
 		typ, payload, err = readSection(r)
@@ -1020,7 +1000,7 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 		go func() {
 			defer wg.Done()
 			for si := range next {
-				shardItems[si], errs[si] = decodeShard(payloads[si], si, meta, in)
+				shardItems[si], errs[si] = decodeShard(payloads[si], si, meta, place, in)
 			}
 		}()
 	}
@@ -1058,7 +1038,7 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 	}
 	// No cross-shard duplicate scan needed: decodeShard enforced strict
 	// node-ascending order within each shard, and a duplicate node would
-	// hash to the same shard.
+	// route to the same shard.
 	items := make([]ned.Item, 0, meta.Items)
 	for _, sh := range shardItems {
 		items = append(items, sh...)

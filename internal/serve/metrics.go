@@ -206,18 +206,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 			fmt.Fprintf(w, "ned_shard_clone_bytes_total{corpus=%q,shard=\"%d\"} %d\n", tenants[i].Name, si, v)
 		}
 	})
-	emit("ned_corpus_placement_overrides", "gauge", "Node-level placement moves the rebalancer has in effect.", func(i int) {
-		fmt.Fprintf(w, "ned_corpus_placement_overrides{corpus=%q} %d\n", tenants[i].Name, stats[i].PlacementOverrides)
-	})
-	emit("ned_corpus_rebalances_total", "counter", "Rebalancer ticks that changed the placement (splits plus merges).", func(i int) {
-		fmt.Fprintf(w, "ned_corpus_rebalances_total{corpus=%q} %d\n", tenants[i].Name, stats[i].Rebalances)
-	})
-	emit("ned_corpus_shard_splits_total", "counter", "Hot-shard splits applied by the rebalancer.", func(i int) {
-		fmt.Fprintf(w, "ned_corpus_shard_splits_total{corpus=%q} %d\n", tenants[i].Name, stats[i].ShardSplits)
-	})
-	emit("ned_corpus_shard_merges_total", "counter", "Cold-shard merges applied by the rebalancer.", func(i int) {
-		fmt.Fprintf(w, "ned_corpus_shard_merges_total{corpus=%q} %d\n", tenants[i].Name, stats[i].ShardMerges)
-	})
 	emit("ned_corpus_plan_modes_total", "counter", "Query plans executed, by fan-out mode chosen by the planner.", func(i int) {
 		n := tenants[i].Name
 		fmt.Fprintf(w, "ned_corpus_plan_modes_total{corpus=%q,mode=\"parallel\"} %d\n", n, stats[i].PlanParallel)

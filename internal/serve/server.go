@@ -513,8 +513,9 @@ func (s *Server) handleStats(ctx context.Context, r *http.Request) (int, any, er
 	return http.StatusOK, StatsDoc{Corpus: t.Name, Stats: t.Corpus.Stats()}, nil
 }
 
-// handleSnapshotHTTP streams the corpus snapshot as the text format
-// Snapshot/LoadCorpus speak, outside the JSON envelope.
+// handleSnapshotHTTP streams the corpus snapshot — the NEDSEG01 binary
+// segment Snapshot/LoadCorpus speak, backing graph included — outside
+// the JSON envelope.
 func (s *Server) handleSnapshotHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status := func() int {
@@ -522,8 +523,8 @@ func (s *Server) handleSnapshotHTTP(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return writeError(w, err)
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.nedcorpus", t.Name))
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.nedseg", t.Name))
 		if err := t.Corpus.Snapshot(w); err != nil {
 			// Headers are gone; the truncated body is the best signal left.
 			return http.StatusInternalServerError

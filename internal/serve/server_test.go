@@ -268,38 +268,39 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 // TestCreateFromSnapshotPath pins that a tenant created from a
-// server-side snapshot has a graph exactly when its corpus does: a
-// binary segment embeds one, so the tenant inserts (and coalesces)
-// like one built from a graph; a text snapshot carries none, so insert
-// is refused as no_graph.
+// server-side snapshot has a graph exactly when its corpus does. What
+// the snapshot endpoint serves is a NEDSEG01 segment with the graph in
+// it, so a tenant restored from a download inserts (and coalesces) like
+// its source; a legacy text snapshot carries none, so insert is refused
+// as no_graph.
 func TestCreateFromSnapshotPath(t *testing.T) {
-	g, err := ringSpec(40).Build()
-	if err != nil {
-		t.Fatalf("build graph: %v", err)
-	}
-	c, err := ned.NewCorpus(g, 2)
-	if err != nil {
-		t.Fatalf("build corpus: %v", err)
-	}
 	s, ts := newTestServer(t, Options{})
+	mustCreate(t, ts.URL, CreateRequest{Name: "src", K: 2, Graph: ringSpec(40)})
+	resp, err := http.Get(ts.URL + "/v1/corpora/src/snapshot")
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	snap, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: %d, %v", resp.StatusCode, err)
+	}
+	if ct, cd := resp.Header.Get("Content-Type"), resp.Header.Get("Content-Disposition"); ct != "application/octet-stream" || !strings.HasSuffix(cd, "filename=src.nedseg") {
+		t.Errorf("snapshot headers: Content-Type %q, Content-Disposition %q", ct, cd)
+	}
+	downloaded := filepath.Join(t.TempDir(), "src.nedseg")
+	if err := os.WriteFile(downloaded, snap, 0o600); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name     string
-		write    func(io.Writer) error
-		hasGraph bool
-		status   int
+		name, path string
+		hasGraph   bool
+		status     int
 	}{
-		{"segment", c.SnapshotSegment, true, http.StatusOK},
-		{"text", c.Snapshot, false, http.StatusConflict},
+		{"downloaded", downloaded, true, http.StatusOK},
+		{"text", "../ned/testdata/corpus_v2.golden", false, http.StatusConflict},
 	} {
-		var buf bytes.Buffer
-		if err := tc.write(&buf); err != nil {
-			t.Fatalf("%s snapshot: %v", tc.name, err)
-		}
-		path := filepath.Join(t.TempDir(), tc.name)
-		if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
-			t.Fatal(err)
-		}
-		mustCreate(t, ts.URL, CreateRequest{Name: tc.name, SnapshotPath: path})
+		mustCreate(t, ts.URL, CreateRequest{Name: tc.name, SnapshotPath: tc.path})
 		tenant, err := s.Registry().Get(tc.name)
 		if err != nil {
 			t.Fatal(err)
@@ -310,6 +311,10 @@ func TestCreateFromSnapshotPath(t *testing.T) {
 		status, raw := postJSON(t, ts.URL+"/v1/corpora/"+tc.name+"/insert", NodesRequest{Nodes: []int{3}}, nil)
 		if status != tc.status || (status != http.StatusOK && !strings.Contains(string(raw), "no_graph")) {
 			t.Errorf("%s: insert answered %d %s, want %d", tc.name, status, raw, tc.status)
+		}
+		status, raw = postJSON(t, ts.URL+"/v1/corpora/"+tc.name+"/updategraph", ringSpec(40), nil)
+		if status != tc.status || (status != http.StatusOK && !strings.Contains(string(raw), "no_graph")) {
+			t.Errorf("%s: updategraph answered %d %s, want %d", tc.name, status, raw, tc.status)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ted
 import (
 	"testing"
 
+	"ned/internal/exact"
 	"ned/internal/tree"
 )
 
@@ -24,18 +25,51 @@ func decodeFuzzTree(enc string) (*tree.Tree, bool) {
 	return t, true
 }
 
+// triangleTriple is the smallest triple found (4, 5 and 10 nodes) on
+// which Algorithm 1 breaks the triangle inequality: the Hungarian solve
+// picks among equal-weight matchings, and on (a, c) the one it returns
+// costs one more move than the Definition-3 optimum.
+var triangleTriple = [3]string{"0,1,1", "0,1,1,2", "0,0,0,1,2,2,4,5,7"}
+
+// TestTriangleTripleAlgorithm1VsDefinition3 pins both facts about
+// triangleTriple: Distance gives d(a,b), d(b,c), d(a,c) = 1, 5, 7, which
+// violates the triangle; exact.TEDStar gives 1, 5, 6, which does not.
+func TestTriangleTripleAlgorithm1VsDefinition3(t *testing.T) {
+	var tr [3]*tree.Tree
+	for i, enc := range triangleTriple {
+		var err error
+		if tr[i], err = tree.Decode(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pair := range []struct{ i, j, algorithm1, definition3 int }{{0, 1, 1, 1}, {1, 2, 5, 5}, {0, 2, 7, 6}} {
+		if got := Distance(tr[pair.i], tr[pair.j]); got != pair.algorithm1 {
+			t.Errorf("Distance(%q, %q) = %d, want %d", triangleTriple[pair.i], triangleTriple[pair.j], got, pair.algorithm1)
+		}
+		if got, ok := exact.TEDStar(tr[pair.i], tr[pair.j]); !ok || got != pair.definition3 {
+			t.Errorf("exact.TEDStar(%q, %q) = %d, %v, want %d", triangleTriple[pair.i], triangleTriple[pair.j], got, ok, pair.definition3)
+		}
+	}
+}
+
 // FuzzTEDStarAxioms fuzzes the metric axioms of §7 on random tree
-// triples: non-negativity, identity of indiscernibles against the AHU
-// isomorphism oracle (δ = 0 iff isomorphic, Theorem §7.1), symmetry,
-// and the triangle inequality. These are exactly the properties every
-// metric index backend relies on for exact pruning, so a counterexample
-// here means silently wrong query results everywhere.
+// triples. On Distance (Algorithm 1): non-negativity, identity of
+// indiscernibles against the AHU isomorphism oracle (δ = 0 iff
+// isomorphic, Theorem §7.1) and symmetry. The triangle inequality is
+// asserted on exact.TEDStar, the Definition-3 optimum the §7.2 proof is
+// about, whenever all three trees are within its width cap: Distance
+// itself breaks it on a documented sub-percent of triples (the package
+// faithfulness note; triangleTriple is one, and a seed here). The
+// Corpus scan does not need the triangle — it is exact against the
+// exhaustive sweep of Distance by construction; the metric trees
+// (VPIndex, BKIndex) prune by it and are exact only as far as it holds.
 func FuzzTEDStarAxioms(f *testing.F) {
 	f.Add("", "", "")
 	f.Add("0", "0,0", "0,1")
 	f.Add("0,0,1,1,2", "0,0,0,1", "0,1,2,3")
 	f.Add("0,0,1,1,2,2,3", "0,0,1,2,2", "0")
 	f.Add("0,1,2,3,4,5", "0,0,0,0,0,0", "0,0,1,1")
+	f.Add(triangleTriple[0], triangleTriple[1], triangleTriple[2])
 	f.Fuzz(func(t *testing.T, e1, e2, e3 string) {
 		t1, ok1 := decodeFuzzTree(e1)
 		t2, ok2 := decodeFuzzTree(e2)
@@ -64,9 +98,12 @@ func FuzzTEDStarAxioms(f *testing.F) {
 			t.Fatalf("symmetry violated: d(t1,t2)=%d, d(t2,t1)=%d for %q vs %q",
 				d12, d21, e1, e2)
 		}
-		if d13 > d12+d23 {
-			t.Fatalf("triangle inequality violated: d(t1,t3)=%d > d(t1,t2)+d(t2,t3)=%d+%d for %q, %q, %q",
-				d13, d12, d23, e1, e2, e3)
+		x12, ok12 := exact.TEDStar(t1, t2)
+		x23, ok23 := exact.TEDStar(t2, t3)
+		x13, ok13 := exact.TEDStar(t1, t3)
+		if ok12 && ok23 && ok13 && x13 > x12+x23 {
+			t.Fatalf("triangle inequality violated by the Definition-3 optimum: d(t1,t3)=%d > d(t1,t2)+d(t2,t3)=%d+%d for %q, %q, %q",
+				x13, x12, x23, e1, e2, e3)
 		}
 	})
 }

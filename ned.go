@@ -48,7 +48,8 @@
 //	// Corpora are mutable and persistent:
 //	_ = corpus.Insert(17, 42)   // churn the indexed node set in place
 //	_ = corpus.Remove(3)
-//	_ = corpus.Snapshot(w)      // ned.LoadCorpus(r) restores it later
+//	_ = corpus.Snapshot(w)      // one binary format, graph included;
+//	                            // ned.LoadCorpus(r) restores it, still mutable
 //
 // Everything below Corpus — Distance, Signatures, TopL, NearestSet,
 // VPIndex, and friends — is the low-level layer: synchronous,
