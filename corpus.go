@@ -152,8 +152,9 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // maxDefaultShards caps the GOMAXPROCS-derived shard default: beyond a
-// point extra shards stop buying mutation isolation and only add
-// fan-out/merge overhead per query. WithShards overrides the cap.
+// point extra shards stop buying mutation isolation and only add a
+// block, a lock and a counter set to keep per shard. WithShards
+// overrides the cap.
 const maxDefaultShards = 16
 
 // defaultShards is the shard count when WithShards is not given:
@@ -195,7 +196,7 @@ func WithBackend(b Backend) CorpusOption {
 }
 
 // WithWorkers sets the worker pool size used for parallel signature
-// materialization, shard fan-out, and BatchKNN.
+// materialization, a query's sweepers, and BatchKNN.
 // Values <= 0 (the default) mean GOMAXPROCS.
 func WithWorkers(n int) CorpusOption {
 	return func(c *corpusConfig) { c.workers = n }
@@ -205,15 +206,15 @@ func WithWorkers(n int) CorpusOption {
 // across. Each shard owns its own index, publishes immutable epochs that
 // queries read without locking, and serializes its own mutations — so a
 // mutation on one shard never blocks queries, and never blocks mutations
-// on other shards. Queries fan out across the shards in parallel and merge
-// with the canonical (distance, node) order, so answers are
-// node-identical for every shard count, including 1.
+// on other shards. Shards are write-side only: a KNN query sweeps every
+// shard's block in one best-first pass under one top-l collector, so
+// answers are node-identical and the TED* work is the same (within tie
+// order) for every shard count, including 1.
 //
 // Values <= 0 (the default) derive the count from GOMAXPROCS (capped at
-// 16). More shards buy mutation isolation and fan-out parallelism at
-// the price of per-query merge overhead and a pruning threshold each
-// shard has to find for itself; WithShards(1) restores one monolithic
-// index.
+// 16). More shards buy mutation isolation — smaller clones, disjoint
+// locks — at the price of one more block per query sweep;
+// WithShards(1) restores one monolithic index.
 func WithShards(n int) CorpusOption {
 	return func(c *corpusConfig) { c.shards = n }
 }
@@ -267,9 +268,9 @@ func WithGraph(g *Graph) CorpusOption {
 // all methods may be called concurrently.
 //
 // The engine is sharded (WithShards): nodes are hash-partitioned across
-// shards, each owning its own index, and queries fan out across the
-// shards in parallel, merging with the canonical (distance, node)
-// order so answers are node-identical for every shard count.
+// shards, each owning its own index, and a query sweeps all of the
+// shards' blocks in one pass under one top-l collector, so answers are
+// node-identical for every shard count.
 //
 // Read consistency: every query observes exactly one committed prefix
 // of mutation calls; publish order = WAL order. The whole corpus — the
@@ -316,7 +317,7 @@ type Corpus struct {
 	view  atomic.Pointer[corpusView]
 	pubMu sync.Mutex
 
-	exec *ned.Executor // pooled workers for shard fan-out and BatchKNN
+	exec *ned.Executor // pooled workers for query sweepers and BatchKNN
 
 	// dict is the corpus-wide subtree-shape dictionary behind the
 	// filter–verify cascade: every signature is compiled against it —
@@ -359,16 +360,6 @@ type Corpus struct {
 	quarantined      atomic.Int64
 
 	queries atomic.Int64
-
-	// avgSig is the mean signature size (tree nodes per item), set at
-	// materialization — the planner's unit cost for sizing the
-	// sequential-vs-parallel threshold.
-	avgSig atomic.Int64
-
-	// Planner counters: plans built per fan-out mode.
-	planPar    atomic.Int64
-	planSeq    atomic.Int64
-	planSingle atomic.Int64
 }
 
 // corpusView is one published version of the whole corpus. Immutable
@@ -387,6 +378,16 @@ func (v *corpusView) shardOf(n NodeID) int { return ned.ShardOf(n, len(v.shards)
 
 // epochOf returns the epoch of the shard owning node n.
 func (v *corpusView) epochOf(n NodeID) *shardEpoch { return v.eps[v.shardOf(n)] }
+
+// indexes lists the view's shard indexes in slot order: what one query
+// sweeps.
+func (v *corpusView) indexes() []ned.Index {
+	ixs := make([]ned.Index, len(v.eps))
+	for i, ep := range v.eps {
+		ixs[i] = ep.ix
+	}
+	return ixs
+}
 
 // publish is the only writer of c.view: it copies the current view
 // (none before the first publish), lets edit replace what the caller
@@ -593,7 +594,6 @@ func (c *Corpus) materializeAllLocked() {
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
 	items := ned.BuildItems(v.g, nodes, c.k, c.cfg.directed, c.cfg.workers)
 	ned.ProfileItems(items, c.dict, c.cfg.workers)
-	c.noteAvgSig(items)
 	eps := make([]*shardEpoch, len(v.eps))
 	for i, ep := range v.eps {
 		eps[i] = &shardEpoch{byNode: make(map[NodeID]ned.Item, len(ep.members))}
@@ -620,22 +620,6 @@ func (c *Corpus) buildAllLocked() {
 	}
 	c.publish(func(nv *corpusView) { nv.eps = eps })
 	c.built.Store(true)
-}
-
-// noteAvgSig records the mean signature size of the given items — the
-// planner's unit cost per candidate. Cheap: Size is O(1).
-func (c *Corpus) noteAvgSig(items []ned.Item) {
-	if len(items) == 0 {
-		return
-	}
-	var tot int
-	for i := range items {
-		tot += items[i].Out.Size()
-		if items[i].In != nil {
-			tot += items[i].In.Size()
-		}
-	}
-	c.avgSig.Store(int64(tot / len(items)))
 }
 
 // acquire returns the published view, building lazily on first use.
@@ -672,7 +656,7 @@ func (c *Corpus) queryItem(sig Signature) (ned.Item, error) {
 
 // profileQuery compiles a validated query item's cascade profile
 // against the corpus dictionary — once per query, after acquire,
-// before any shard fan-out, so every shard's candidate filter reads
+// before the sweep, so every shard's candidate filter reads
 // the same precompiled bounds.
 func (c *Corpus) profileQuery(q *ned.Item) {
 	ned.ProfileQueryItem(q, c.dict)
@@ -720,45 +704,6 @@ func (c *Corpus) nodeItem(view *corpusView, v NodeID) (ned.Item, error) {
 	return it, nil
 }
 
-// buildPlan assembles the cost-based query plan for one query (or one
-// batch) over an acquired epoch vector: live shards only, the fan-out
-// mode chosen from total size and executor width. l is the result
-// count, 0 for range queries.
-func (c *Corpus) buildPlan(eps []*shardEpoch, l int) *ned.Plan {
-	live := make([]ned.PlanShard, 0, len(eps))
-	for _, ep := range eps {
-		if n := ep.size(); n > 0 {
-			live = append(live, ned.PlanShard{Ix: ep.ix, N: n})
-		}
-	}
-	p := ned.BuildPlan(ned.PlanInput{Shards: live, Workers: c.exec.Workers(), L: l, SeqMax: c.seqMax()})
-	switch p.Mode {
-	case ned.PlanParallel:
-		c.planPar.Add(1)
-	case ned.PlanSequential:
-		c.planSeq.Add(1)
-	default:
-		c.planSingle.Add(1)
-	}
-	return p
-}
-
-// seqMax is the total-corpus-size threshold below which the planner
-// prefers a sequential shard visit over the parallel fan-out, scaled
-// by the mean signature size: the bigger each candidate comparison,
-// the sooner parallelism pays for its dispatch overhead.
-func (c *Corpus) seqMax() int {
-	avg := c.avgSig.Load()
-	if avg < 16 {
-		avg = 16
-	}
-	n := int(1024 * 64 / avg)
-	if n < 128 {
-		n = 128
-	}
-	return n
-}
-
 // KNN returns the l indexed nodes most NED-similar to node v of the
 // corpus graph, in ascending (distance, node) order. The query node
 // itself ranks first at distance 0 when it is part of the corpus.
@@ -780,7 +725,7 @@ func (c *Corpus) KNN(ctx context.Context, v NodeID, l int) ([]Neighbor, error) {
 		return nil, err
 	}
 	c.queries.Add(1)
-	return c.buildPlan(view.eps, l).KNN(ctx, c.exec, q, l)
+	return ned.FanKNN(ctx, c.exec, view.indexes(), q, l)
 }
 
 // KNNSignature is KNN for an external query signature — typically a
@@ -797,10 +742,10 @@ func (c *Corpus) KNNSignature(ctx context.Context, sig Signature, l int) ([]Neig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eps := c.acquire().eps
+	ixs := c.acquire().indexes()
 	c.profileQuery(&q)
 	c.queries.Add(1)
-	return c.buildPlan(eps, l).KNN(ctx, c.exec, q, l)
+	return ned.FanKNN(ctx, c.exec, ixs, q, l)
 }
 
 // Range returns every indexed node within NED distance r of the query
@@ -816,10 +761,10 @@ func (c *Corpus) Range(ctx context.Context, sig Signature, r int) ([]Neighbor, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eps := c.acquire().eps
+	ixs := c.acquire().indexes()
 	c.profileQuery(&q)
 	c.queries.Add(1)
-	return c.buildPlan(eps, 0).Range(ctx, c.exec, q, r)
+	return ned.FanRange(ctx, c.exec, ixs, q, r)
 }
 
 // NearestSet returns every indexed node at the minimum NED distance
@@ -834,23 +779,16 @@ func (c *Corpus) NearestSet(ctx context.Context, sig Signature) ([]Neighbor, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eps := c.acquire().eps
+	ixs := c.acquire().indexes()
 	c.profileQuery(&q)
-	n := 0
-	for _, ep := range eps {
-		n += ep.size()
-	}
-	if n == 0 {
-		return nil, ctx.Err()
-	}
 	c.queries.Add(1)
-	best, err := c.buildPlan(eps, 1).KNN(ctx, c.exec, q, 1)
-	if err != nil {
+	best, err := ned.FanKNN(ctx, c.exec, ixs, q, 1)
+	if err != nil || len(best) == 0 {
 		return nil, err
 	}
 	// The scan is exact, so the range at the minimum distance is the
 	// minimum stratum: nothing sits below it and every tie is inside it.
-	return c.buildPlan(eps, 0).Range(ctx, c.exec, q, best[0].Dist)
+	return ned.FanRange(ctx, c.exec, ixs, q, best[0].Dist)
 }
 
 // BatchKNN answers one KNN query per signature, fanning the queries out
@@ -874,19 +812,15 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eps := c.acquire().eps
+	ixs := c.acquire().indexes()
 	for i := range qs {
 		c.profileQuery(&qs[i])
 	}
 	c.queries.Add(int64(len(sigs)))
-	// One plan serves the whole batch: the statistics that shape it do
-	// not move meaningfully within one call, and per-query planning
-	// would pay the live-shard walk len(sigs) times.
-	plan := c.buildPlan(eps, l)
 	results := make([][]Neighbor, len(sigs))
 	errs := make([]error, len(sigs))
 	if err := c.exec.Do(ctx, len(sigs), 0, func(i int) {
-		results[i], errs[i] = plan.KNN(ctx, c.exec, qs[i], l)
+		results[i], errs[i] = ned.FanKNN(ctx, c.exec, ixs, qs[i], l)
 	}); err != nil {
 		return nil, err
 	}
@@ -908,7 +842,8 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 // schema with the code they reported: "rebuilds" and "stale_ratio" with
 // the metric trees, "placement_base", "placement_overrides",
 // "rebalances", "shard_splits" and "shard_merges" with the placement
-// directory; "backend" is the constant "pruned"
+// directory, "plan_parallel", "plan_sequential" and "plan_single" with
+// the query planner; "backend" is the constant "pruned"
 // and "plan_scans" the constant 0 until the benchmark harness stops
 // reading them.
 type CorpusStats struct {
@@ -942,13 +877,9 @@ type CorpusStats struct {
 	ShardMutations  []int64 `json:"shard_mutations"`
 	ShardCloneBytes []int64 `json:"shard_clone_bytes"`
 
-	// The Plan* counters count query plans built per fan-out mode (a
-	// BatchKNN plans once per batch). PlanScans counted shards a plan
-	// answered by direct scan instead of their tree index; always 0.
-	PlanParallel   int64 `json:"plan_parallel"`
-	PlanSequential int64 `json:"plan_sequential"`
-	PlanSingle     int64 `json:"plan_single"`
-	PlanScans      int64 `json:"plan_scans"`
+	// PlanScans counted shards a query plan answered by direct scan
+	// instead of their tree index; always 0.
+	PlanScans int64 `json:"plan_scans"`
 
 	// Queries counts queries served (BatchKNN counts each signature).
 	Queries int64 `json:"queries"`
@@ -994,8 +925,7 @@ type CorpusStats struct {
 	// SizeHist[i] counts items whose total signature size (tree nodes,
 	// both trees when directed) has bit length i — i.e. lands in
 	// [2^(i-1), 2^i) — and DepthHist[d] counts items whose out-tree
-	// height is d (bounded by k). The planner's cost inputs, exported
-	// for inspection.
+	// height is d (bounded by k). Exported for inspection.
 	SizeHist  []int64 `json:"size_hist"`
 	DepthHist []int64 `json:"depth_hist"`
 }
@@ -1017,9 +947,6 @@ func (c *Corpus) Stats() CorpusStats {
 		ShardLockWaitNS: make([]int64, nShards),
 		ShardMutations:  make([]int64, nShards),
 		ShardCloneBytes: make([]int64, nShards),
-		PlanParallel:    c.planPar.Load(),
-		PlanSequential:  c.planSeq.Load(),
-		PlanSingle:      c.planSingle.Load(),
 		Built:           c.built.Load(),
 		Queries:         c.queries.Load(),
 	}
@@ -1066,7 +993,7 @@ func bumpHist(h []int64, i int) []int64 {
 	return h
 }
 
-// ResetStats zeroes the query, plan, and distance counters. Each
+// ResetStats zeroes the query and distance counters. Each
 // shard's accumulator is shared by every epoch of that shard, so the
 // reset covers retired generations and epochs still serving in-flight
 // queries; like Stats, it takes no locks. The per-shard contention
@@ -1074,9 +1001,6 @@ func bumpHist(h []int64, i int) []int64 {
 // reset: they are monotone totals a scraper differences.
 func (c *Corpus) ResetStats() {
 	c.queries.Store(0)
-	c.planPar.Store(0)
-	c.planSeq.Store(0)
-	c.planSingle.Store(0)
 	for _, ep := range c.view.Load().eps {
 		if ep.ix != nil {
 			ep.ix.ResetStats()

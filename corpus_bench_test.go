@@ -82,19 +82,18 @@ func BenchmarkCorpusCascade(b *testing.B) {
 
 // BenchmarkCorpusInterGraphKNN is an in-process replica of the harness's
 // serve-read query mix, for profiling the engine without the daemon
-// (-cpuprofile; EXPERIMENTS.md "Filter cascade" carries the pprof -top):
-// the large PGP analog at the harness's fixed graph seed, two shards at
-// width 2 on the pruned scan, and KNNSignature(…, 5) with signatures of
-// a 5 %-perturbed second graph, drawn one per size stratum from all but
-// the largest 2 %. One iteration is one query, so -benchtime 1600x is
-// one pass over the mix.
+// (-cpuprofile; EXPERIMENTS.md "One sweep" carries the pprof -top): the
+// large PGP analog at the harness's fixed graph seed, the pruned scan at
+// executor width 2, and KNNSignature(…, 5) with signatures of a
+// 5 %-perturbed second graph, drawn one per size stratum from all but
+// the largest 2 %. The sub-benchmarks split the same corpus into 1, 2
+// and 4 shards; shards=2 is the harness's tenant. One iteration is one
+// query, so -benchtime 1600x is one pass over the mix. One sweep under
+// one collector makes evals/query independent of the split (within tie
+// order, well under 1 %).
 func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 	const k, l, nQueries = 3, 5, 1600
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
-	corpus, err := NewCorpus(g, k, WithShards(2), WithWorkers(2))
-	if err != nil {
-		b.Fatal(err)
-	}
 	g2 := AnonymizePerturb(g, 0.05, 1).Graph
 	nodes := make([]NodeID, g2.NumNodes())
 	for i := range nodes {
@@ -111,26 +110,34 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 	}
 	rng.Shuffle(nQueries, func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
 	ctx := context.Background()
-	if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
-		b.Fatal(err)
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			corpus, err := NewCorpus(g, k, WithShards(shards), WithWorkers(2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
+				b.Fatal(err)
+			}
+			corpus.ResetStats()
+			lat := make([]float64, b.N)
+			b.ResetTimer()
+			for i := range lat {
+				t0 := time.Now()
+				if _, err := corpus.KNNSignature(ctx, queries[i%nQueries], l); err != nil {
+					b.Fatal(err)
+				}
+				lat[i] = float64(time.Since(t0).Microseconds())
+			}
+			b.StopTimer()
+			s := corpus.Stats()
+			sort.Float64s(lat)
+			b.ReportMetric(float64(s.DistanceCalls)/float64(b.N), "evals/query")
+			b.ReportMetric(float64(s.LabelPrunes)/float64(b.N), "tier2prunes/query")
+			b.ReportMetric(lat[len(lat)/2], "p50_us")
+			b.ReportMetric(lat[len(lat)*95/100], "p95_us")
+		})
 	}
-	corpus.ResetStats()
-	lat := make([]float64, b.N)
-	b.ResetTimer()
-	for i := range lat {
-		t0 := time.Now()
-		if _, err := corpus.KNNSignature(ctx, queries[i%nQueries], l); err != nil {
-			b.Fatal(err)
-		}
-		lat[i] = float64(time.Since(t0).Microseconds())
-	}
-	b.StopTimer()
-	s := corpus.Stats()
-	sort.Float64s(lat)
-	b.ReportMetric(float64(s.DistanceCalls)/float64(b.N), "evals/query")
-	b.ReportMetric(float64(s.LabelPrunes)/float64(b.N), "tier2prunes/query")
-	b.ReportMetric(lat[len(lat)/2], "p50_us")
-	b.ReportMetric(lat[len(lat)*95/100], "p95_us")
 }
 
 // BenchmarkCorpusParallelChurn measures the mixed read/write serving
@@ -140,8 +147,8 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 // writers; the shards=1 vs shards=N spread shows what per-shard
 // mutation buys — smaller copy-on-write clones and mutation batches
 // that only serialize against their own shard. shards=0 is the engine's
-// own GOMAXPROCS-derived default, which the planner must keep within
-// 10% of the best hand-picked setting.
+// own GOMAXPROCS-derived default. Reads sweep every shard's block under
+// one collector, so their TED* work does not depend on the shard count.
 func BenchmarkCorpusParallelChurn(b *testing.B) {
 	for _, shards := range []int{1, 4, 0} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -16,8 +16,8 @@ import (
 // Stats/ResetStats racing mutations, and queries proceeding while other
 // shards mutate.
 
-// shardCounts is every partition the suite runs: one shard (PlanSingle),
-// two, and four (sequential or parallel fan-out).
+// shardCounts is every partition the suite runs: one shard, two, and
+// four blocks under one sweep.
 var shardCounts = []int{1, 2, 4}
 
 // shardCorpora builds one corpus per shard count over the same nodes.

@@ -229,6 +229,5 @@ func installLoadedItems(c *Corpus, items []ned.Item) {
 	for _, it := range items {
 		v.epochOf(it.Node).byNode[it.Node] = it
 	}
-	c.noteAvgSig(items)
 	c.materialized.Store(true)
 }

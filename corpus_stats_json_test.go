@@ -32,10 +32,7 @@ func TestCorpusStatsJSONSchema(t *testing.T) {
 		PaddingPrunes:    15,
 		LabelPrunes:      5,
 
-		PlanParallel:   4,
-		PlanSequential: 2,
-		PlanSingle:     1,
-		PlanScans:      3,
+		PlanScans: 3,
 
 		BlockCandidates:       500,
 		BlockSizeSurvivors:    80,
@@ -52,8 +49,7 @@ func TestCorpusStatsJSONSchema(t *testing.T) {
 	const want = `{"backend":"bk","k":3,"directed":true,"workers":4,"nodes":100,` +
 		`"shards":2,"built":true,"shard_nodes":[60,40],` +
 		`"shard_lock_wait_ns":[150,25],"shard_mutations":[9,1],` +
-		`"shard_clone_bytes":[4096,512],"plan_parallel":4,` +
-		`"plan_sequential":2,"plan_single":1,"plan_scans":3,"queries":7,` +
+		`"shard_clone_bytes":[4096,512],"plan_scans":3,"queries":7,` +
 		`"distance_calls":1234,"early_exits":55,"lower_bound_prunes":30,` +
 		`"size_prunes":10,"padding_prunes":15,"label_prunes":5,` +
 		`"block_candidates":500,"block_size_survivors":80,` +

@@ -1,6 +1,7 @@
 package ned
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -8,13 +9,13 @@ import (
 )
 
 // This file wraps the columnar profile arenas (internal/tree) into the
-// candidate block the cascade scan sweeps at any width: one arena for the
+// candidate block the cascade sweep reads at any width: one arena for the
 // out-trees, one for the in-trees when the corpus is directed, plus the
-// slot permutation sorted by node that makes counting sort reproduce
-// cascadeOrder's canonical (padding bound, node) order. The block is
-// compiled when a scan backend is built or mutated and is immutable
-// afterwards, so epoch clones share it; the item slice and the block
-// are index-aligned (slot i describes items[i]).
+// slot permutation sorted by node that makes the sweep's counting sort
+// break padding ties by node. The block is compiled when a scan backend
+// is built or mutated and is immutable afterwards, so epoch clones share
+// it; the item slice and the block are index-aligned (slot i describes
+// items[i]). A sharded query sweeps one block per shard.
 
 // profileBlock is the struct-of-arrays form of a scan backend's item
 // profiles. nil (or a failed compile) means the backend runs the
@@ -26,7 +27,7 @@ type profileBlock struct {
 
 	// byNode holds the slots sorted ascending by node ID — the stable
 	// iteration order that lets blockOrder's counting sort break padding
-	// ties by node, matching the comparison sort bit for bit.
+	// ties by node.
 	byNode []int32
 }
 
@@ -66,20 +67,18 @@ func compileBlock(items []Item) *profileBlock {
 			return nil
 		}
 	}
-	blk.byNode = make([]int32, len(items))
-	for i := range blk.byNode {
-		blk.byNode[i] = int32(i)
-	}
-	slices.SortFunc(blk.byNode, func(a, b int32) int {
-		if items[a].Node < items[b].Node {
-			return -1
-		}
-		if items[a].Node > items[b].Node {
-			return 1
-		}
-		return 0
-	})
+	blk.byNode = nodeOrder(items)
 	return blk
+}
+
+// nodeOrder returns the slots of items sorted ascending by node.
+func nodeOrder(items []Item) []int32 {
+	order := make([]int32, len(items))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(items[a].Node, items[b].Node) })
+	return order
 }
 
 // bounds sweeps the size and padding tiers over the whole block,
@@ -96,14 +95,13 @@ func (b *profileBlock) bounds(q Item, sizeB, padB []int32) bool {
 		return false
 	}
 	sizeB, padB = sizeB[:b.n], padB[:b.n]
-	for i := range sizeB {
-		sizeB[i], padB[i] = 0, 0
-	}
+	clear(sizeB)
+	clear(padB)
 	sizeTierBlock(q.OutP.Size, b.out.Sizes, sizeB)
-	paddingTierBlock(q.OutP.Levels, b.out.LevOff, b.out.Levels, padB)
+	paddingTierBlock(q.OutP.Levels, b.out.Width, b.out.Levels, padB)
 	if directed {
 		sizeTierBlock(q.InP.Size, b.in.Sizes, sizeB)
-		paddingTierBlock(q.InP.Levels, b.in.LevOff, b.in.Levels, padB)
+		paddingTierBlock(q.InP.Levels, b.in.Width, b.in.Levels, padB)
 	}
 	return true
 }
@@ -122,21 +120,23 @@ const blockThresholdCap = 1 << 30
 // path instead — no block, a block misaligned with the item slice, an
 // unprofiled query, or a radius beyond the int32 tier arithmetic. All
 // counter accounting for the filtered slots happens here; the caller
-// verifies the survivors (which records the verify outcomes).
-func rangeBlockSurvivors(q Item, items []Item, blk *profileBlock, r int, cs *counterSet) ([]int32, bool) {
+// verifies the survivors (which records the verify outcomes). The
+// returned slice is the scratch's own.
+func (sc *sweepScratch) rangeBlockSurvivors(q Item, items []Item, blk *profileBlock, r int, cs *counterSet) ([]int32, bool) {
 	if blk == nil || blk.n != len(items) || r < 0 || r >= blockThresholdCap {
 		return nil, false
 	}
-	sizeB := make([]int32, blk.n)
-	padB := make([]int32, blk.n)
+	sc.sizeB, sc.padB = grow(sc.sizeB, blk.n), grow(sc.padB, blk.n)
+	sizeB, padB := sc.sizeB, sc.padB
 	if !blk.bounds(q, sizeB, padB) {
 		return nil, false
 	}
 	cs.blockSweep(blk.n)
-	words := make([]uint64, (blk.n+63)/64)
+	sc.words = grow(sc.words, (blk.n+63)/64)
+	words := sc.words
 	szPruned, padPruned := tierFilterBlock(sizeB, padB, int32(r), words)
 	cs.cascadePruneBulk(int64(szPruned), int64(padPruned))
-	survivors := make([]int32, 0, blk.n-szPruned-padPruned)
+	survivors := sc.survivors[:0]
 	for w, word := range words {
 		base := int32(w) << 6
 		for word != 0 {
@@ -150,5 +150,6 @@ func rangeBlockSurvivors(q Item, items []Item, blk *profileBlock, r int, cs *cou
 		}
 	}
 	cs.blockSurviveBulk(int64(blk.n-szPruned), int64(blk.n-szPruned-padPruned), int64(len(survivors)))
+	sc.survivors = survivors
 	return survivors, true
 }

@@ -2,7 +2,6 @@ package ned
 
 import (
 	"context"
-	"slices"
 
 	"ned/internal/ted"
 	"ned/internal/tree"
@@ -38,7 +37,8 @@ import (
 // candidate block laid out as a struct-of-arrays profile arena
 // (block.go): contiguous int32 sweeps emitting per-slot bound values
 // and survivor bitmaps, no per-candidate pointer chasing. The cascade
-// scan (scanKNN / scanRange) consumes blocks. For any (query, candidate,
+// sweep (scanKNN, over one block per shard, and scanRange) consumes
+// blocks. For any (query, candidate,
 // threshold), block and scalar kernels admit and dismiss identically
 // and produce equal bound values — kernels_test.go pins this
 // bit-for-bit over fuzz-seeded corpora — so all four backends stay
@@ -274,39 +274,42 @@ func profileSwap(t1, t2 *tree.Tree, p1, p2 *tree.Profile) bool {
 	}
 }
 
-// cascadeOrder precompiles every candidate's cheap cascade bounds and
-// returns the best-first evaluation order: ascending (padding bound,
-// node), so the candidates most likely to rank are evaluated first and
-// the shared kth-best threshold tightens as early as possible. When blk
-// covers the item slice and the query is profiled, the bounds come from
-// one block-kernel sweep over the columnar arenas and the order from a
-// counting sort — no per-candidate pointer chasing; otherwise the
-// scalar per-item bounds run in parallel and a comparison sort orders
-// them. Both paths produce bit-identical bound arrays and the same
-// order. sizeB/padB are indexed by the original item position; the
-// order holds indices, so nothing item-sized is copied or re-sorted.
-func cascadeOrder(ctx context.Context, query Item, items []Item, blk *profileBlock, workers int, cs *counterSet) (order, sizeB, padB []int32, blocked bool, err error) {
-	n := len(items)
-	sizeB, padB = make([]int32, n), make([]int32, n)
-	if blk != nil && blk.n == n && blk.bounds(query, sizeB, padB) {
-		cs.blockSweep(n)
-		return blockOrder(padB, blk.byNode), sizeB, padB, true, nil
+// prepare precompiles every candidate's cheap cascade bounds across the
+// sweep's parts and fills the best-first evaluation order: ascending
+// padding bound, ties part after part and by node within a part (see
+// blockOrder), so the candidates most likely to rank are evaluated first
+// and the shared l-th best threshold tightens as early as possible. A
+// part whose block covers its items takes its bounds from one block-
+// kernel sweep over the columnar arenas when the query is profiled; any
+// other part computes the scalar per-item bounds in parallel at the
+// given width and sorts its slots by node. Both give bit-identical
+// bounds, indexed by global slot, so nothing item-sized is copied or
+// re-sorted.
+func (sc *sweepScratch) prepare(ctx context.Context, query Item, parts []sweepPart, width int) error {
+	sc.ends, sc.byNode, sc.blocked = sc.ends[:0], sc.byNode[:0], sc.blocked[:0]
+	total := int32(0)
+	for _, pt := range parts {
+		total += int32(len(pt.items))
+		sc.ends = append(sc.ends, total)
 	}
-	if err := ParallelForCtx(ctx, n, workers, func(i int) {
-		cb := itemCascadeBounds(query, items[i])
-		sizeB[i], padB[i] = cb.size, cb.pad
-	}); err != nil {
-		return nil, nil, nil, false, err
-	}
-	order = make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if padB[a] != padB[b] {
-			return int(padB[a] - padB[b])
+	sc.sizeB, sc.padB = grow(sc.sizeB, int(total)), grow(sc.padB, int(total))
+	for p, pt := range parts {
+		lo, hi := partBase(sc.ends, p), sc.ends[p]
+		sizeB, padB := sc.sizeB[lo:hi], sc.padB[lo:hi]
+		if blk := pt.blk; blk != nil && blk.n == len(pt.items) && blk.bounds(query, sizeB, padB) {
+			pt.cs.blockSweep(blk.n)
+			sc.byNode, sc.blocked = append(sc.byNode, blk.byNode), append(sc.blocked, true)
+			continue
 		}
-		return int(items[a].Node - items[b].Node)
-	})
-	return order, sizeB, padB, false, nil
+		items := pt.items
+		if err := ParallelForCtx(ctx, len(items), width, func(i int) {
+			cb := itemCascadeBounds(query, items[i])
+			sizeB[i], padB[i] = cb.size, cb.pad
+		}); err != nil {
+			return err
+		}
+		sc.byNode, sc.blocked = append(sc.byNode, nodeOrder(items)), append(sc.blocked, false)
+	}
+	sc.order, sc.counts = blockOrder(sc.padB, sc.byNode, sc.ends, sc.order, sc.counts)
+	return nil
 }

@@ -9,19 +9,18 @@ import (
 )
 
 // Executor is a bounded pool of reusable worker goroutines shared by
-// everything a Corpus fans out: per-shard query routing (shard.go) and
-// BatchKNN's per-signature fan-out. Before it existed every BatchKNN
-// call spun up (and tore down) a private goroutine pool; the executor
-// keeps workers warm across calls and bounds total concurrency at one
-// configured width no matter how many fan-outs overlap.
+// everything a Corpus runs in parallel: a query's sweepers (FanKNN),
+// per-shard range queries (FanRange) and BatchKNN's per-signature
+// fan-out. It keeps workers warm across calls and bounds total
+// concurrency at one configured width no matter how many calls overlap.
 //
 // Scheduling never blocks and never deadlocks on nested use: a task is
 // handed to an idle pooled worker if one is waiting, run on a freshly
 // spawned worker if the pool is below capacity, and otherwise executed
 // inline by the submitter — which is exactly the backpressure a
-// saturated pool wants, and makes fan-outs issued from inside a worker
-// (BatchKNN queries fanning out across shards) degrade to sequential
-// execution instead of deadlocking.
+// saturated pool wants, and makes work issued from inside a worker
+// (a BatchKNN query's sweepers) degrade to sequential execution instead
+// of deadlocking.
 type Executor struct {
 	max   int
 	work  chan func()   // unbuffered: handoff to a worker mid-wait
@@ -139,4 +138,14 @@ func (e *Executor) Do(ctx context.Context, n, workers int, fn func(i int)) error
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// sweepers is the sweep runner over the pool: up to n participants,
+// each running sweep once, and a return once all have finished. A
+// participant the saturated pool cannot take runs inline on the caller,
+// so a query issued from a busy pool sweeps without oversubscribing it.
+func (e *Executor) sweepers(ctx context.Context) func(n int, sweep func()) {
+	return func(n int, sweep func()) {
+		_ = e.Do(ctx, n, n, func(int) { sweep() })
+	}
 }

@@ -603,7 +603,7 @@ func NewLinearBackend(items []Item, workers int) DynamicIndex {
 func NewPrunedLinearBackend(items []Item) DynamicIndex { return NewLinearBackend(items, 1) }
 
 func (b *scanBackend) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
-	res, _, err := scanKNN(ctx, query, b.items, b.block, l, b.workers, b.counters)
+	res, _, err := scanKNN(ctx, query, []sweepPart{b.part()}, l, b.workers, runSweepers)
 	return res, err
 }
 
@@ -615,6 +615,11 @@ func (b *scanBackend) Len() int             { return len(b.items) }
 func (b *scanBackend) DistanceCalls() int64 { return b.counters.distCalls.Load() }
 func (b *scanBackend) Counters() Counters   { return b.counters.snapshot() }
 func (b *scanBackend) ResetStats()          { b.counters.reset() }
+
+// part is the backend as one part of a sweep.
+func (b *scanBackend) part() sweepPart {
+	return sweepPart{items: b.items, blk: b.block, cs: b.counters}
+}
 
 // Clone returns a structurally private copy: the item slice is
 // duplicated (in-place mutation on the clone cannot alias the
@@ -679,26 +684,123 @@ func runSweepers(workers int, sweep func()) {
 	wg.Wait()
 }
 
-// scanKNN is the cascade top-l scan behind both scan backends and the
-// PrunedTopL / TopLParallel free functions (which pass a nil block and
-// take the scalar bounds).
+// sweepPart is one block of a sweep: a shard's items, the profile block
+// compiled over them (nil, or one not covering the items, takes the
+// scalar bounds), and the counter set the shard's work lands in.
+type sweepPart struct {
+	items []Item
+	blk   *profileBlock
+	cs    *counterSet
+}
+
+// sweepScratch is one query's working memory, pooled across queries
+// because zeroing and collecting it per query cost more than the sweep
+// over the bounds: the bound arrays over every part's slots (global
+// slot g of part p is partBase(ends, p) + its local slot), the
+// evaluation order and its counting sort's histogram, each part's
+// node-ordered slots and whether it took the block kernels, and Range's
+// survivor bitmap and list. Nothing in it outlives the query.
+type sweepScratch struct {
+	sizeB, padB, order, counts []int32
+	ends                       []int32
+	byNode                     [][]int32
+	blocked                    []bool
+	words                      []uint64
+	survivors                  []int32
+}
+
+var sweepScratches = sync.Pool{New: func() any { return new(sweepScratch) }}
+
+// release drops the scratch's references into the query's blocks and
+// returns it to the pool.
+func (sc *sweepScratch) release() {
+	clear(sc.byNode)
+	sweepScratches.Put(sc)
+}
+
+// partOf is the part holding global slot g: the first whose end
+// exceeds it.
+func (sc *sweepScratch) partOf(g int32) int {
+	lo, hi := 0, len(sc.ends)-1
+	for lo < hi {
+		m := (lo + hi) / 2
+		if sc.ends[m] > g {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// cutTail dismisses slot g and the unclaimed tail at threshold t. The
+// order ascends by padding bound and the threshold only tightens, so
+// every one of them is dismissed by the same tiers right now. Each slot
+// is attributed to size or padding via its bounds and tallied for its
+// part, and each part's tally lands in its counter set as one bulk add.
+// Returns how many slots were dismissed.
+func (sc *sweepScratch) cutTail(parts []sweepPart, g int32, tail []int32, t int) int {
+	var buf [16]int64
+	tally := buf[:] // [2p]: slots of part p dismissed; [2p+1]: of them by size
+	if 2*len(parts) > len(buf) {
+		tally = make([]int64, 2*len(parts))
+	}
+	note := func(g int32) {
+		p := sc.partOf(g)
+		tally[2*p]++
+		if int(sc.sizeB[g]) > t {
+			tally[2*p+1]++
+		}
+	}
+	note(g)
+	for _, g := range tail {
+		note(g)
+	}
+	for p := range parts {
+		cut, bySize := tally[2*p], tally[2*p+1]
+		if cut == 0 {
+			continue
+		}
+		parts[p].cs.cascadePruneBulk(bySize, cut-bySize)
+		if sc.blocked[p] {
+			parts[p].cs.blockSurviveBulk(cut-bySize, 0, 0)
+		}
+	}
+	return 1 + len(tail)
+}
+
+// scanKNN is the cascade top-l sweep: one best-first pass over every
+// part's candidates under one top-l collector and one tail cut, behind
+// both scan backends (one part), FanKNN and the Corpus (one part per
+// shard), and the PrunedTopL / TopLParallel free functions (one part of
+// unprofiled items, so the scalar bounds). run chooses who sweeps: it
+// runs the sweep on up to the given number of sweepers — runSweepers'
+// own goroutines, or an Executor's pool — and returns once all have
+// finished. width also sets the parallelism of scalar bound
+// computation.
 // The ranking is exact with respect to the full TED* distance: every
 // reported neighbor carries its true distance and the set is the
 // canonical (distance, node) top-l, identical to a full scan's, at any
-// width.
-func scanKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l, workers int, counters *counterSet) ([]Neighbor, PruneStats, error) {
-	if err := ctx.Err(); err != nil || l <= 0 || len(items) == 0 {
+// width and however the candidates are split into parts. Each
+// candidate's work is counted in its own part's counter set.
+func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, run func(workers int, sweep func())) ([]Neighbor, PruneStats, error) {
+	if err := ctx.Err(); err != nil || l <= 0 {
 		return nil, PruneStats{}, err
 	}
+	sc := sweepScratches.Get().(*sweepScratch)
+	defer sc.release()
 	// Precompile every candidate's cheap cascade bounds — the block
-	// kernels when blk covers the items — and claim best-first:
+	// kernels where a block covers its part — and claim best-first:
 	// likely-close candidates are verified first, which tightens the
 	// shared threshold early, and the precompiled tiers then dismiss the
 	// tail without touching the trees — the degree tier runs lazily, only
 	// for candidates size and padding admit.
-	order, sizeB, padB, blocked, err := cascadeOrder(ctx, query, items, blk, workers, counters)
-	if err != nil {
+	if err := sc.prepare(ctx, query, parts, width); err != nil {
 		return nil, PruneStats{}, err
+	}
+	order, padB := sc.order, sc.padB
+	if len(order) == 0 {
+		return nil, PruneStats{}, nil
 	}
 	col := newTopLCollector(l)
 	// What the sweepers share besides the collector: the cursor into order
@@ -708,7 +810,7 @@ func scanKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l
 		mu    sync.Mutex
 		stats PruneStats
 	}
-	runSweepers(min(workers, len(order)), func() {
+	run(min(width, len(order)), func() {
 		comp := tedComputers.Get().(*ted.Computer)
 		defer tedComputers.Put(comp)
 		var st PruneStats
@@ -720,48 +822,33 @@ func scanKNN(ctx context.Context, query Item, items []Item, blk *profileBlock, l
 			if i >= len(order) {
 				break
 			}
-			j := order[i]
-			it := items[j]
+			g := order[i]
+			p := sc.partOf(g)
+			pt := &parts[p]
+			it := pt.items[g-partBase(sc.ends, p)]
 			t := col.threshold()
 			if t != ted.Unbounded {
-				if int(padB[j]) > t {
-					// The order is ascending by padding bound and the threshold
-					// only tightens, so every candidate not yet claimed is
-					// dismissed by the same tiers right now — take the whole
-					// unclaimed tail off the cursor and cut it with this one in
-					// a single pass, attributing each slot to size or padding
-					// via its bounds. Positions other sweepers hold are theirs
+				if int(padB[g]) > t {
+					// Take the whole unclaimed tail off the cursor and cut it
+					// with this one; positions other sweepers hold are theirs
 					// to count.
 					from := min(int(scan.next.Swap(int64(len(order)))), len(order))
-					rest, bySize := int64(1+len(order)-from), int64(0)
-					if int(sizeB[j]) > t {
-						bySize++
-					}
-					for _, jj := range order[from:] {
-						if int(sizeB[jj]) > t {
-							bySize++
-						}
-					}
-					counters.cascadePruneBulk(bySize, rest-bySize)
-					if blocked {
-						counters.blockSurviveBulk(rest-bySize, 0, 0)
-					}
-					st.PrunedByBound += int(rest)
+					st.PrunedByBound += sc.cutTail(parts, g, order[from:], t)
 					break
 				}
 				if _, pruned := degreeTierPrunes(query, it, t); pruned {
-					if blocked {
-						counters.blockSurvive(tierPadding)
+					if sc.blocked[p] {
+						pt.cs.blockSurvive(tierPadding)
 					}
 					st.PrunedByBound++
-					counters.cascadePrune(tierDegree)
+					pt.cs.cascadePrune(tierDegree)
 					continue
 				}
 			}
-			if blocked {
-				counters.blockSurvive(tierDegree)
+			if sc.blocked[p] {
+				pt.cs.blockSurvive(tierDegree)
 			}
-			d, out := verifyDistanceAtMost(comp, query, it, t, counters)
+			d, out := verifyDistanceAtMost(comp, query, it, t, pt.cs)
 			switch out {
 			case ted.OutcomeExact:
 				st.FullEvaluations++
@@ -793,8 +880,10 @@ func scanRange(ctx context.Context, query Item, items []Item, blk *profileBlock,
 	// With a block the kernels have already run every filter tier at
 	// threshold r and only the survivors need the verify stage; without
 	// one every item goes through the scalar cascade.
+	sc := sweepScratches.Get().(*sweepScratch)
+	defer sc.release()
 	n, dist := len(items), cascadeDistanceAtMost
-	survivors, blocked := rangeBlockSurvivors(query, items, blk, r, counters)
+	survivors, blocked := sc.rangeBlockSurvivors(query, items, blk, r, counters)
 	if blocked {
 		n, dist = len(survivors), verifyDistanceAtMost
 	}

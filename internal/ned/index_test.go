@@ -198,17 +198,17 @@ func TestPrunedBackendMatchesPrunedTopL(t *testing.T) {
 	}
 }
 
-// tripCtx reports context.Canceled once ix has started `after` TED*
-// evaluations: a cancellation that lands mid-scan by construction, with
-// no timing involved.
+// tripCtx reports context.Canceled once calls reports `after` TED*
+// evaluations started: a cancellation that lands mid-scan by
+// construction, with no timing involved.
 type tripCtx struct {
 	context.Context
-	ix    Index
+	calls func() int64
 	after int64
 }
 
 func (c tripCtx) Err() error {
-	if c.ix.DistanceCalls() >= c.after {
+	if c.calls() >= c.after {
 		return context.Canceled
 	}
 	return nil
@@ -250,7 +250,7 @@ func TestScanWidths(t *testing.T) {
 			all := exhaustiveKNN(queries[1], items, n)
 			within := sort.Search(n, func(i int) bool { return all[i].Dist > 3 })
 			blk := compileBlock(cands) // nil for the unprofiled items
-			knn0, _, err := scanKNN(context.Background(), qs[1], cands, blk, 9, 0, nil)
+			knn0, _, err := scanKNN(context.Background(), qs[1], []sweepPart{{items: cands, blk: blk}}, 9, 0, runSweepers)
 			if err != nil || fmt.Sprint(knn0) != fmt.Sprint(all[:9]) {
 				t.Errorf("directed=%v profiled=%v width=0 KNN: got %v (err %v), exhaustive %v", directed, profiled, knn0, err, all[:9])
 			}
@@ -318,7 +318,7 @@ func TestScanWidths(t *testing.T) {
 				// l = n+1 and r = 1000 leave nothing to prune, so a complete
 				// scan would evaluate all n candidates.
 				ix := NewLinearBackend(cands, width)
-				ctx := tripCtx{Context: context.Background(), ix: ix, after: 5}
+				ctx := tripCtx{Context: context.Background(), calls: ix.DistanceCalls, after: 5}
 				if got, err := ix.KNN(ctx, qs[1], n+1); !errors.Is(err, context.Canceled) || got != nil {
 					t.Errorf("%s: cancelled KNN returned %d results, err %v", name, len(got), err)
 				}

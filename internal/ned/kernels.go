@@ -1,5 +1,10 @@
 package ned
 
+import (
+	"cmp"
+	"slices"
+)
+
 // This file holds the block kernels of the filter cascade: tight loops
 // that sweep one tier across a whole candidate block laid out as a
 // struct-of-arrays profile arena (block.go), writing per-slot bound
@@ -28,34 +33,38 @@ func sizeTierBlock(qSize int32, sizes, dst []int32) {
 }
 
 // paddingTierBlock accumulates the padding tier into dst: for each slot
-// i with level-size run levels[levOff[i]:levOff[i+1]], dst[i] +=
-// Σ_d | qLevels[d] − run[d] | with missing depths counting as empty —
-// exactly ted.PaddingBound read off the arena's CSR level storage.
-func paddingTierBlock(qLevels, levOff, levels, dst []int32) {
+// i with level row levels[i*width : (i+1)*width] of the arena's dense,
+// zero-padded matrix, dst[i] += Σ_d | qLevels[d] − row[d] | — exactly
+// ted.PaddingBound, because a level one side lacks reads as zero on
+// that side. The query is padded or cut to the width once; its levels
+// past the width meet only zeros, so they add one per-query constant.
+// The per-slot loop has a fixed trip count and no branches.
+func paddingTierBlock(qLevels []int32, width int, levels, dst []int32) {
+	var buf [8]int32
+	q := buf[:0]
+	if width > len(buf) {
+		q = make([]int32, 0, width)
+	}
+	n := min(width, len(qLevels))
+	q = append(q, qLevels[:n]...)[:width]
+	var past int32
+	for _, m := range qLevels[n:] {
+		past += m
+	}
 	for i := range dst {
-		run := levels[levOff[i]:levOff[i+1]]
-		n := len(run)
-		if len(qLevels) < n {
-			n = len(qLevels)
-		}
-		q := qLevels[:n]
-		var sum int32
-		for d, m := range run[:n] {
-			diff := q[d] - m
-			if diff < 0 {
-				diff = -diff
-			}
-			sum += diff
-		}
-		// Whichever side is deeper pays its unmatched levels whole.
-		for _, m := range run[n:] {
-			sum += m
-		}
-		for _, m := range qLevels[n:] {
-			sum += m
+		row := levels[i*width:][:len(q)]
+		sum := past
+		for d, m := range row {
+			sum += abs32(q[d] - m)
 		}
 		dst[i] += sum
 	}
+}
+
+// abs32 is |x|, branch-free.
+func abs32(x int32) int32 {
+	mask := x >> 31
+	return (x ^ mask) - mask
 }
 
 // tierFilterBlock folds the size and padding tiers at threshold t into
@@ -85,52 +94,68 @@ func tierFilterBlock(sizeB, padB []int32, t int32, bits []uint64) (szPruned, pad
 	return szPruned, padPruned
 }
 
-// blockOrder returns the slots in ascending (padding bound, node)
-// order — identical to cascadeOrder's comparison sort — via a counting
-// sort over the bound values: one pass to histogram, one stable pass
-// in byNode order to place. NED bounds are small integers, so the
-// count array is tiny; a degenerate corpus whose bound range dwarfs
-// the slot count falls back to the comparison sort.
-func blockOrder(padB []int32, byNode []int32) []int32 {
+// blockOrder returns every slot of a sweep in ascending padding bound
+// via a counting sort over the bound values: one pass to histogram, one
+// stable pass to place. padB is indexed by global slot — part p's slots
+// are ends[p-1] (0 for the first part) up to ends[p] — and byNode[p]
+// lists part p's local slots in ascending node order, so ties go part
+// after part and by node within a part: for one part, exactly the
+// canonical (padding bound, node) order. NED bounds are small integers,
+// so the count array is tiny; a degenerate corpus whose bound range
+// dwarfs the slot count takes a stable comparison sort of the same
+// sequence instead. order and counts are reused when large enough; both
+// are returned, possibly regrown.
+func blockOrder(padB []int32, byNode [][]int32, ends []int32, order, counts []int32) ([]int32, []int32) {
 	n := len(padB)
-	order := make([]int32, n)
+	order = grow(order, n)
 	var maxPad int32
 	for _, p := range padB {
-		if p > maxPad {
-			maxPad = p
-		}
+		maxPad = max(maxPad, p)
 	}
 	if int(maxPad) > 4*n+4096 {
-		copy(order, byNode)
-		insertionSortByPad(order, padB)
-		return order
+		order = order[:0]
+		for p, run := range byNode {
+			base := partBase(ends, p)
+			for _, j := range run {
+				order = append(order, base+j)
+			}
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(padB[a], padB[b]) })
+		return order, counts
 	}
-	counts := make([]int32, int(maxPad)+2)
+	counts = grow(counts, int(maxPad)+2)
+	clear(counts)
 	for _, p := range padB {
 		counts[p+1]++
 	}
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
 	}
-	for _, j := range byNode {
-		p := padB[j]
-		order[counts[p]] = j
-		counts[p]++
+	for p, run := range byNode {
+		base := partBase(ends, p)
+		for _, j := range run {
+			g := base + j
+			pb := padB[g]
+			order[counts[pb]] = g
+			counts[pb]++
+		}
 	}
-	return order
+	return order, counts
 }
 
-// insertionSortByPad stably sorts order (pre-sorted by node) by padding
-// bound — the rare fallback for degenerate bound ranges. Stability
-// preserves the node tie-break.
-func insertionSortByPad(order []int32, padB []int32) {
-	for i := 1; i < len(order); i++ {
-		j, p := order[i], padB[order[i]]
-		k := i - 1
-		for k >= 0 && padB[order[k]] > p {
-			order[k+1] = order[k]
-			k--
-		}
-		order[k+1] = j
+// partBase is the first global slot of part p.
+func partBase(ends []int32, p int) int32 {
+	if p == 0 {
+		return 0
 	}
+	return ends[p-1]
+}
+
+// grow returns s resliced to n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -1,8 +1,11 @@
 package ned
 
 import (
+	"cmp"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,68 +73,110 @@ func fuzzSeededItems(t *testing.T, trees []*tree.Tree, dict *tree.Interner, dire
 
 // TestBlockKernelsMatchScalarCascade is the block-vs-scalar contract of
 // cascade.go pinned bit for bit over the fuzz corpus: for every query
-// and candidate block, the block kernels' per-slot bound values, the
-// counting-sorted evaluation order and the size+padding survivor bitmap
-// at every threshold must all equal what the scalar per-candidate
-// cascade computes (tier 2 has no block form to compare). Undirected
-// and directed (summed out/in) corpora are both covered.
+// and candidate block, the block kernels' per-slot bound values and the
+// size+padding survivor bitmap at every threshold must all equal what
+// the scalar per-candidate cascade computes (tier 2 has no block form
+// to compare). Rows: undirected and directed (summed out/in) corpora; a
+// query deeper than every candidate, so the dense padding kernel's
+// per-query constant carries the query's extra levels; and a block
+// recompiled after removals shrank its level matrix's width.
 func TestBlockKernelsMatchScalarCascade(t *testing.T) {
 	trees := fuzzCorpusTrees(t)
+	height := func(it Item) int { return it.OutP.Height() }
 	for _, directed := range []bool{false, true} {
-		dict := tree.NewInterner()
-		items := fuzzSeededItems(t, trees, dict, directed)
-		blk := compileBlock(items)
-		if blk == nil {
-			t.Fatalf("directed=%v: fully profiled corpus failed to compile a block", directed)
-		}
-		sizeB := make([]int32, blk.n)
-		padB := make([]int32, blk.n)
-		words := make([]uint64, (blk.n+63)/64)
+		items := fuzzSeededItems(t, trees, tree.NewInterner(), directed)
+		var queries []Item
 		for qi := 0; qi < len(items); qi += 7 {
-			q := items[qi]
-			if !blk.bounds(q, sizeB, padB) {
-				t.Fatalf("directed=%v query %d: block bounds refused a profiled query", directed, qi)
+			queries = append(queries, items[qi])
+		}
+		checkBlockKernels(t, fmt.Sprintf("directed=%v", directed), items, compileBlock(items), queries)
+	}
+
+	items := fuzzSeededItems(t, trees, tree.NewInterner(), false)
+	deepest := items[0]
+	for _, it := range items {
+		if height(it) > height(deepest) {
+			deepest = it
+		}
+	}
+	var shallow []Item
+	for _, it := range items {
+		if height(it) < height(deepest) {
+			shallow = append(shallow, it)
+		}
+	}
+	blk := compileBlock(shallow)
+	if blk == nil || blk.out.Width >= len(deepest.OutP.Levels) {
+		t.Fatalf("shallow block %v does not sit under a %d-level query", blk, len(deepest.OutP.Levels))
+	}
+	checkBlockKernels(t, "query deeper than the block", shallow, blk, []Item{deepest})
+
+	ix := NewPrunedLinearBackend(append([]Item(nil), items...)).(*scanBackend)
+	wide := ix.block.out.Width
+	var tall []graph.NodeID
+	for _, it := range items {
+		if height(it) >= height(deepest)-1 {
+			tall = append(tall, it.Node)
+		}
+	}
+	if ix.Remove(tall...) == 0 || ix.block.out.Width >= wide {
+		t.Fatalf("removing the %d tallest items left the width at %d (was %d)", len(tall), ix.block.out.Width, wide)
+	}
+	checkBlockKernels(t, "recompiled after removals", ix.items, ix.block, []Item{deepest, ix.items[0], ix.items[len(ix.items)/2]})
+}
+
+// checkBlockKernels compares blk's bounds and survivor bitmaps for each
+// query against itemCascadeBounds over items.
+func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBlock, queries []Item) {
+	t.Helper()
+	if blk == nil {
+		t.Fatalf("%s: fully profiled corpus failed to compile a block", name)
+	}
+	sizeB := make([]int32, blk.n)
+	padB := make([]int32, blk.n)
+	words := make([]uint64, (blk.n+63)/64)
+	for qi, q := range queries {
+		if !blk.bounds(q, sizeB, padB) {
+			t.Fatalf("%s query %d: block bounds refused a profiled query", name, qi)
+		}
+		for j, it := range items {
+			want := itemCascadeBounds(q, it)
+			if sizeB[j] != want.size || padB[j] != want.pad {
+				t.Fatalf("%s query %d slot %d: block bounds (%d,%d), scalar (%d,%d)",
+					name, qi, j, sizeB[j], padB[j], want.size, want.pad)
 			}
-			for j, it := range items {
-				want := itemCascadeBounds(q, it)
-				if sizeB[j] != want.size || padB[j] != want.pad {
-					t.Fatalf("directed=%v query %d slot %d: block bounds (%d,%d), scalar (%d,%d)",
-						directed, qi, j, sizeB[j], padB[j], want.size, want.pad)
+		}
+		for _, thr := range []int{0, 1, 2, 3, 5, 9, 40} {
+			szPruned, padPruned := tierFilterBlock(sizeB, padB, int32(thr), words)
+			wantSz, wantPad := 0, 0
+			for j := range items {
+				bit := words[j>>6]>>(uint(j)&63)&1 == 1
+				pass := int(padB[j]) <= thr
+				if bit != pass {
+					t.Fatalf("%s query %d slot %d t=%d: bitmap %v, scalar admit %v", name, qi, j, thr, bit, pass)
+				}
+				if !pass {
+					if int(sizeB[j]) > thr {
+						wantSz++
+					} else {
+						wantPad++
+					}
 				}
 			}
-			for _, thr := range []int{0, 1, 2, 3, 5, 9, 40} {
-				szPruned, padPruned := tierFilterBlock(sizeB, padB, int32(thr), words)
-				wantSz, wantPad := 0, 0
-				for j := range items {
-					bit := words[j>>6]>>(uint(j)&63)&1 == 1
-					pass := int(padB[j]) <= thr
-					if bit != pass {
-						t.Fatalf("directed=%v query %d slot %d t=%d: bitmap %v, scalar admit %v",
-							directed, qi, j, thr, bit, pass)
-					}
-					if !pass {
-						if int(sizeB[j]) > thr {
-							wantSz++
-						} else {
-							wantPad++
-						}
-					}
-				}
-				if szPruned != wantSz || padPruned != wantPad {
-					t.Fatalf("directed=%v query %d t=%d: tier attribution (%d,%d), scalar (%d,%d)",
-						directed, qi, thr, szPruned, padPruned, wantSz, wantPad)
-				}
+			if szPruned != wantSz || padPruned != wantPad {
+				t.Fatalf("%s query %d t=%d: tier attribution (%d,%d), scalar (%d,%d)",
+					name, qi, thr, szPruned, padPruned, wantSz, wantPad)
 			}
 		}
 	}
 }
 
 // TestBlockOrderMatchesComparisonSort pins the counting-sorted
-// evaluation order to cascadeOrder's comparison sort: identical slot
-// sequences, so block and scalar scans evaluate candidates in the same
-// canonical (padding bound, node) order and the threshold evolves
-// identically. The insertion-sort fallback for degenerate bound ranges
-// is covered by a synthetic wide-bound block.
+// evaluation order to a comparison sort by (padding bound, part, node)
+// over one block and over three blocks of the same items: ties go part
+// after part and by node within a part, so one block's order is the
+// canonical (padding bound, node) one. The comparison-sort fallback for
+// degenerate bound ranges is covered by a synthetic wide bound.
 func TestBlockOrderMatchesComparisonSort(t *testing.T) {
 	trees := fuzzCorpusTrees(t)
 	dict := tree.NewInterner()
@@ -141,59 +186,46 @@ func TestBlockOrderMatchesComparisonSort(t *testing.T) {
 	for i := range items {
 		items[i].Node = graph.NodeID((i*2654435761 + 17) % (4 * len(items)))
 	}
-	blk := compileBlock(items)
-	if blk == nil {
-		t.Fatal("profiled corpus failed to compile a block")
-	}
 	q := items[3]
-	sizeB := make([]int32, blk.n)
-	padB := make([]int32, blk.n)
-	if !blk.bounds(q, sizeB, padB) {
-		t.Fatal("block bounds refused a profiled query")
-	}
-	got := blockOrder(padB, blk.byNode)
-	want := make([]int32, len(items))
-	for i := range want {
-		want[i] = int32(i)
-	}
-	// The reference order, straight from cascadeOrder's comparator.
-	for i := 1; i < len(want); i++ {
-		for k := i; k > 0; k-- {
-			a, b := want[k-1], want[k]
-			if padB[a] < padB[b] || (padB[a] == padB[b] && items[a].Node < items[b].Node) {
-				break
+	n := len(items)
+	for _, cuts := range [][]int{{n}, {n / 3, n / 2, n}} {
+		// Part p is items[cuts[p-1]:cuts[p]]; global slot g is its index in items.
+		var byNode [][]int32
+		ends := make([]int32, len(cuts))
+		part := make([]int, n)
+		padB := make([]int32, n)
+		for p, hi := range cuts {
+			lo := int(partBase(ends, p))
+			ends[p] = int32(hi)
+			blk := compileBlock(items[lo:hi])
+			if blk == nil || !blk.bounds(q, make([]int32, blk.n), padB[lo:hi]) {
+				t.Fatalf("parts %v: part %d did not compile or bound", cuts, p)
 			}
-			want[k-1], want[k] = b, a
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order diverges at %d: counting sort %v, comparison %v", i, got[:i+1], want[:i+1])
-		}
-	}
-
-	// Degenerate bound range: force the insertion-sort fallback and pin
-	// it to the same reference.
-	widePad := make([]int32, len(padB))
-	copy(widePad, padB)
-	widePad[0] = int32(4*len(padB) + 100000)
-	gotWide := blockOrder(widePad, blk.byNode)
-	wantWide := make([]int32, len(items))
-	for i := range wantWide {
-		wantWide[i] = int32(i)
-	}
-	for i := 1; i < len(wantWide); i++ {
-		for k := i; k > 0; k-- {
-			a, b := wantWide[k-1], wantWide[k]
-			if widePad[a] < widePad[b] || (widePad[a] == widePad[b] && items[a].Node < items[b].Node) {
-				break
+			byNode = append(byNode, blk.byNode)
+			for g := lo; g < hi; g++ {
+				part[g] = p
 			}
-			wantWide[k-1], wantWide[k] = b, a
 		}
-	}
-	for i := range wantWide {
-		if gotWide[i] != wantWide[i] {
-			t.Fatalf("fallback order diverges at %d", i)
+		reference := func(pad []int32) []int32 {
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortFunc(want, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(pad[a], pad[b]), cmp.Compare(part[a], part[b]), cmp.Compare(items[a].Node, items[b].Node))
+			})
+			return want
+		}
+		got, _ := blockOrder(padB, byNode, ends, nil, nil)
+		if want := reference(padB); !slices.Equal(got, want) {
+			t.Fatalf("parts %v: counting sort %v, comparison %v", cuts, got, want)
+		}
+		// Degenerate bound range: force the fallback and pin it to the
+		// same reference.
+		padB[0] = int32(4*n + 100000)
+		got, _ = blockOrder(padB, byNode, ends, nil, nil)
+		if want := reference(padB); !slices.Equal(got, want) {
+			t.Fatalf("parts %v: fallback order %v, comparison %v", cuts, got, want)
 		}
 	}
 }

@@ -7,19 +7,19 @@ import (
 )
 
 // This file is the shard router behind the sharded Corpus engine: the
-// deterministic node -> shard hash that is the whole placement, and
-// query fan-out/merge that keeps sharded answers node-identical to a
-// single index over the union of the shards' items.
+// deterministic node -> shard hash that is the whole placement, and the
+// read side over a list of shards. Shards partition the write side —
+// each has its own lock, clone and block — but a KNN query does not see
+// them: FanKNN sweeps every shard's block in one best-first pass under
+// one top-l collector (scanKNN), so its threshold tightens once for the
+// whole corpus. A range query has a fixed threshold and no collector, so
+// FanRange still answers shard by shard and sorts the union.
 //
-// Exactness of the merge: each shard answers over a disjoint item
-// subset with the shared canonical (distance, node) order, so
-//   - the global top-l is contained in the union of per-shard top-l's
-//     (any global winner beats at least the l-th best of its own shard),
-//   - a range result is exactly the union of per-shard range results,
-// and re-sorting the union canonically and trimming reproduces the
-// unsharded answer bit for bit. Disjointness is the caller's contract:
-// the Corpus hands every query the shards of one published view, in
-// which each node lives in exactly one shard.
+// Exactness: each shard holds a disjoint item subset, so one collector
+// over their union answers what one index over all items would, and a
+// range result is exactly the union of per-shard range results. Disjointness
+// is the caller's contract: the Corpus hands every query the shards of
+// one published view, in which each node lives in exactly one shard.
 
 // ShardOf deterministically maps a node to one of n shards. The
 // splitmix64 finalizer scrambles the (typically dense, clustered) node
@@ -52,7 +52,8 @@ func mergeSorted(per [][]Neighbor) []Neighbor {
 }
 
 // MergeTopL merges per-shard KNN answers (each canonically sorted) into
-// the global canonical top-l.
+// the global canonical top-l: fanKNNMerge's merge, and a name the
+// benchmark harness times as ned.mergetopl_ns.
 func MergeTopL(per [][]Neighbor, l int) []Neighbor {
 	out := mergeSorted(per)
 	if len(out) > l {
@@ -61,13 +62,29 @@ func MergeTopL(per [][]Neighbor, l int) []Neighbor {
 	return out
 }
 
-// FanKNN answers a KNN query over a sharded index: one KNN(l) per
-// non-empty shard, in parallel on the executor, merged canonically. A
-// single shard short-circuits to a direct call.
+// FanKNN answers a KNN query over a sharded index: one sweep over every
+// shard's candidates under one top-l collector (scanKNN), on up to the
+// executor's width of sweepers drawn from its pool — a pool other
+// queries already fill runs the sweep on the caller. Each shard's
+// counters receive its own candidates' work. Shards that are not the
+// cascade scan (the low-level VP and BK indexes, which no Corpus builds)
+// keep the per-shard KNN and canonical merge.
 func FanKNN(ctx context.Context, exec *Executor, shards []Index, query Item, l int) ([]Neighbor, error) {
-	if len(shards) == 1 {
-		return shards[0].KNN(ctx, query, l)
+	parts := make([]sweepPart, len(shards))
+	for i, ix := range shards {
+		sb, ok := ix.(*scanBackend)
+		if !ok {
+			return fanKNNMerge(ctx, exec, shards, query, l)
+		}
+		parts[i] = sb.part()
 	}
+	res, _, err := scanKNN(ctx, query, parts, l, exec.Workers(), exec.sweepers(ctx))
+	return res, err
+}
+
+// fanKNNMerge is FanKNN over shards that are not all scans: one KNN(l)
+// per non-empty shard, in parallel on the executor, merged canonically.
+func fanKNNMerge(ctx context.Context, exec *Executor, shards []Index, query Item, l int) ([]Neighbor, error) {
 	per, err := fanOut(ctx, exec, shards, func(ctx context.Context, ix Index) ([]Neighbor, error) {
 		return ix.KNN(ctx, query, l)
 	})
@@ -80,9 +97,6 @@ func FanKNN(ctx context.Context, exec *Executor, shards []Index, query Item, l i
 // FanRange answers a range query over a sharded index: per-shard ranges
 // in parallel, union re-sorted canonically.
 func FanRange(ctx context.Context, exec *Executor, shards []Index, query Item, r int) ([]Neighbor, error) {
-	if len(shards) == 1 {
-		return shards[0].Range(ctx, query, r)
-	}
 	per, err := fanOut(ctx, exec, shards, func(ctx context.Context, ix Index) ([]Neighbor, error) {
 		return ix.Range(ctx, query, r)
 	})

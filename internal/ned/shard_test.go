@@ -38,9 +38,10 @@ func TestShardOf(t *testing.T) {
 }
 
 // TestFanOutMatchesSingleIndex: partitioning items across shards and
-// querying through the fan-out/merge router must answer exactly like
-// one index over all items — KNN and Range, odd shard counts and empty
-// shards included.
+// querying through the shard router (one sweep for KNN, the per-shard
+// union for Range) must answer exactly like one index over all
+// unprofiled items — KNN and Range, odd shard counts and empty shards
+// included.
 func TestFanOutMatchesSingleIndex(t *testing.T) {
 	ctx := context.Background()
 	g := randomTestGraph(70, 150, 24)
@@ -53,7 +54,11 @@ func TestFanOutMatchesSingleIndex(t *testing.T) {
 	whole := NewPrunedLinearBackend(items)
 	exec := NewExecutor(4)
 
-	for _, n := range []int{2, 3, 7, 40} {
+	for _, tc := range []struct {
+		n  int
+		vp bool // shard 0 is a VP index: FanKNN's per-shard merge arm
+	}{{2, false}, {3, false}, {7, false}, {40, false}, {3, true}} {
+		n := tc.n
 		per := make([][]Item, n)
 		for _, it := range items {
 			si := ShardOf(it.Node, n)
@@ -62,6 +67,9 @@ func TestFanOutMatchesSingleIndex(t *testing.T) {
 		shards := make([]Index, n)
 		for i := range per {
 			shards[i] = NewPrunedLinearBackend(per[i])
+		}
+		if tc.vp {
+			shards[0] = NewVPBackend(per[0])
 		}
 		for q := 0; q < 6; q++ {
 			query := NewItem(gq, graph.NodeID(q*5), 2, false)
@@ -75,7 +83,7 @@ func TestFanOutMatchesSingleIndex(t *testing.T) {
 					t.Fatal(err)
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("shards=%d l=%d: FanKNN %v, single %v", n, l, got, want)
+					t.Errorf("shards=%d vp=%v l=%d: FanKNN %v, single %v", n, tc.vp, l, got, want)
 				}
 			}
 			for _, r := range []int{0, 2, 5} {
@@ -88,7 +96,7 @@ func TestFanOutMatchesSingleIndex(t *testing.T) {
 					t.Fatal(err)
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("shards=%d r=%d: FanRange %v, single %v", n, r, got, want)
+					t.Errorf("shards=%d vp=%v r=%d: FanRange %v, single %v", n, tc.vp, r, got, want)
 				}
 			}
 		}

@@ -95,7 +95,7 @@ func (m *metrics) requestTotals() (endpoints []string, rows map[string]map[int]i
 // WriteMetrics renders the full exposition in Prometheus text format:
 // the server's request/latency/in-flight/overload/coalescing counters,
 // then every registered corpus's engine counters — the filter-cascade
-// tier prunes, shard sizes, contention and planner counters — labeled
+// tier prunes, shard sizes and contention counters — labeled
 // by corpus.
 func (s *Server) WriteMetrics(w io.Writer) {
 	// --- server counters ---
@@ -206,13 +206,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 			fmt.Fprintf(w, "ned_shard_clone_bytes_total{corpus=%q,shard=\"%d\"} %d\n", tenants[i].Name, si, v)
 		}
 	})
-	emit("ned_corpus_plan_modes_total", "counter", "Query plans executed, by fan-out mode chosen by the planner.", func(i int) {
-		n := tenants[i].Name
-		fmt.Fprintf(w, "ned_corpus_plan_modes_total{corpus=%q,mode=\"parallel\"} %d\n", n, stats[i].PlanParallel)
-		fmt.Fprintf(w, "ned_corpus_plan_modes_total{corpus=%q,mode=\"sequential\"} %d\n", n, stats[i].PlanSequential)
-		fmt.Fprintf(w, "ned_corpus_plan_modes_total{corpus=%q,mode=\"single\"} %d\n", n, stats[i].PlanSingle)
-	})
-	emit("ned_corpus_plan_scans_total", "counter", "Per-shard scan-over-tree decisions taken by the planner.", func(i int) {
+	emit("ned_corpus_plan_scans_total", "counter", "Per-shard scan-over-tree decisions of the retired planner; always 0.", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_plan_scans_total{corpus=%q} %d\n", tenants[i].Name, stats[i].PlanScans)
 	})
 	emit("ned_corpus_queries_total", "counter", "Queries served by the engine.", func(i int) {

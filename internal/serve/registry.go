@@ -35,7 +35,8 @@ type Tenant struct {
 // passSlots is how many KNN passes the coalescer runs side by side on
 // this tenant before it starts queuing: the corpus executor's width.
 // Past it another concurrent pass only splits the same workers, while a
-// batch pass shares one plan and one executor fan-out.
+// batch pass fills the executor once and each of its queries sweeps on
+// the worker that took it.
 func (t *Tenant) passSlots() int {
 	if t.Workers > 0 {
 		return t.Workers

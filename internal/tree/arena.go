@@ -13,8 +13,9 @@ package tree
 
 // ProfileArena is the columnar layout of a slice of Profiles. All
 // per-slot arrays are indexed by the position the profile held in the
-// compiling slice; the variable-length level data is concatenated with
-// a per-slot offset array (CSR layout).
+// compiling slice; the level-size vectors form a dense, zero-padded
+// [slot][Width] matrix, so every slot's row has the same length and the
+// padding kernel runs one fixed-width loop per slot.
 type ProfileArena struct {
 	// N is the slot count.
 	N int
@@ -22,9 +23,11 @@ type ProfileArena struct {
 	// Sizes[i] is profile i's node count (Profile.Size).
 	Sizes []int32
 
-	// Levels holds every profile's level-size vector, concatenated;
-	// slot i owns Levels[LevOff[i]:LevOff[i+1]]. len(LevOff) == N+1.
-	LevOff []int32
+	// Width is the deepest level count in the batch (height+1 of the
+	// tallest tree; at most k+1 for k-adjacent trees). Levels holds slot
+	// i's level-size vector in Levels[i*Width : (i+1)*Width], zero past
+	// its own height — an absent level is an empty one.
+	Width  int
 	Levels []int32
 }
 
@@ -33,24 +36,22 @@ type ProfileArena struct {
 // the batch uncompilable and returns nil (callers fall back to the
 // scalar per-candidate path).
 func CompileArena(ps []*Profile) *ProfileArena {
-	n := len(ps)
-	levTotal := 0
+	n, width := len(ps), 0
 	for _, p := range ps {
 		if p == nil {
 			return nil
 		}
-		levTotal += len(p.Levels)
+		width = max(width, len(p.Levels))
 	}
 	a := &ProfileArena{
 		N:      n,
 		Sizes:  make([]int32, n),
-		LevOff: make([]int32, n+1),
-		Levels: make([]int32, 0, levTotal),
+		Width:  width,
+		Levels: make([]int32, n*width),
 	}
 	for i, p := range ps {
 		a.Sizes[i] = p.Size
-		a.Levels = append(a.Levels, p.Levels...)
-		a.LevOff[i+1] = int32(len(a.Levels))
+		copy(a.Levels[i*width:], p.Levels)
 	}
 	return a
 }
