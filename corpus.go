@@ -592,8 +592,7 @@ func (c *Corpus) materializeAllLocked() {
 		}
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	items := ned.BuildItems(v.g, nodes, c.k, c.cfg.directed, c.cfg.workers)
-	ned.ProfileItems(items, c.dict, c.cfg.workers)
+	items := ned.BuildProfiledItems(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	eps := make([]*shardEpoch, len(v.eps))
 	for i, ep := range v.eps {
 		eps[i] = &shardEpoch{byNode: make(map[NodeID]ned.Item, len(ep.members))}

@@ -140,6 +140,32 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 	}
 }
 
+// BenchmarkCorpusBuild measures what learning a new graph costs before
+// its first answer: NewCorpus over the harness's PGP analog (scale 4,
+// seed 42, k=3, two shards) plus the first KNN, which pays the lazy
+// build — one k-adjacent extraction and one profile compile per node,
+// then one block per shard. workers=1 against workers=2 shows whether
+// extraction and profile compilation scale across the workers.
+func BenchmarkCorpusBuild(b *testing.B) {
+	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := NewCorpus(g, 3, WithShards(2), WithWorkers(workers))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := c.KNN(ctx, 0, 5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
+		})
+	}
+}
+
 // BenchmarkCorpusParallelChurn measures the mixed read/write serving
 // path: many goroutines issue KNN queries while every 8th operation
 // churns a node (Remove + Insert, with its signature re-extraction).

@@ -76,8 +76,7 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 	// gmu's write side.
 	var itemOf map[NodeID]ned.Item
 	if c.materialized.Load() {
-		items := ned.BuildItems(g, fresh, c.k, c.cfg.directed, c.cfg.workers)
-		ned.ProfileItems(items, c.dict, c.cfg.workers)
+		items := ned.BuildProfiledItems(g, fresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 		itemOf = make(map[NodeID]ned.Item, len(items))
 		for _, it := range items {
 			itemOf[it.Node] = it
@@ -302,8 +301,7 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 			refresh = append(refresh, v)
 		}
 	}
-	items := ned.BuildItems(g, refresh, c.k, c.cfg.directed, c.cfg.workers)
-	ned.ProfileItems(items, c.dict, c.cfg.workers)
+	items := ned.BuildProfiledItems(g, refresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	upsByShard := make(map[int][]ned.Item)
 	for _, it := range items {
 		si := view.shardOf(it.Node)

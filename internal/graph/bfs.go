@@ -24,6 +24,11 @@ type BFSResult struct {
 // BFS runs breadth-first search from root up to maxDepth levels below the
 // root (maxDepth < 0 means unbounded). The neighbor ordering of the
 // underlying graph makes the traversal deterministic.
+//
+// BFS is the dense form: it allocates and fills two |V|-sized arrays per
+// call, which suits whole-graph statistics and KHopSubgraph. Signature
+// extraction does not use it; it runs BFSWorkspace.Tree, which visits
+// the same nodes in the same order at O(tree) cost.
 func BFS(g *Graph, root NodeID, maxDepth int, dir EdgeDirection) *BFSResult {
 	n := g.NumNodes()
 	res := &BFSResult{
@@ -57,6 +62,65 @@ func BFS(g *Graph, root NodeID, maxDepth int, dir EdgeDirection) *BFSResult {
 		}
 	}
 	return res
+}
+
+// BFSWorkspace is the reusable scratch of a bounded breadth-first
+// traversal: a generation-stamped visited array (one word per graph
+// node, cleared only when the generation counter wraps) plus the queue
+// and parent buffers. A traversal touches only the nodes it visits, so
+// one costs O(nodes visited + their adjacency), not O(|V|). The zero
+// value is ready, and one workspace serves graphs of any size, growing
+// to the largest it has seen. Not safe for concurrent use; pool them.
+type BFSWorkspace struct {
+	seen   []uint32 // seen[v] == gen iff v was visited by the current traversal
+	gen    uint32
+	queue  []NodeID
+	parent []int32
+}
+
+// Tree runs the traversal of BFS(g, root, maxDepth, dir) and returns its
+// tree over visitation positions: order[i] is the i-th node visited
+// (order[0] == root), parent[0] == -1, and parent[i] is the position of
+// order[i]'s BFS parent, so parent is non-decreasing and already in
+// level order. height is the depth of the last node visited. Both slices
+// alias the workspace and stay valid until its next use.
+func (w *BFSWorkspace) Tree(g *Graph, root NodeID, maxDepth int, dir EdgeDirection) (parent []int32, order []NodeID, height int) {
+	if n := g.NumNodes(); len(w.seen) < n {
+		w.seen, w.gen = make([]uint32, n), 0
+	}
+	if w.gen++; w.gen == 0 {
+		clear(w.seen)
+		w.gen = 1
+	}
+	gen, seen := w.gen, w.seen
+	seen[root] = gen
+	queue := append(w.queue[:0], root)
+	parent = append(w.parent[:0], -1)
+	depth, levelEnd := 0, 1
+	for head := 0; head < len(queue); head++ {
+		if head == levelEnd {
+			depth++
+			levelEnd = len(queue)
+		}
+		if maxDepth >= 0 && depth >= maxDepth {
+			break // every node still queued sits at maxDepth
+		}
+		var ns []NodeID
+		if dir == Incoming {
+			ns = g.InNeighbors(queue[head])
+		} else {
+			ns = g.OutNeighbors(queue[head])
+		}
+		for _, v := range ns {
+			if seen[v] != gen {
+				seen[v] = gen
+				queue = append(queue, v)
+				parent = append(parent, int32(head))
+			}
+		}
+	}
+	w.queue, w.parent = queue, parent
+	return parent, queue, depth
 }
 
 // NodesWithin returns every node within k hops of any source, in

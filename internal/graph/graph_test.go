@@ -183,6 +183,37 @@ func TestBFSDirectedDirections(t *testing.T) {
 	}
 }
 
+// TestBFSWorkspaceMatchesBFS pins the sparse traversal to the dense one
+// — same visitation order, parents at the right positions, unbounded and
+// bounded — including across a wrap of the generation counter, where
+// every stale stamp must be cleared rather than read as visited.
+func TestBFSWorkspaceMatchesBFS(t *testing.T) {
+	g := pathGraph(9)
+	var w BFSWorkspace
+	for _, wrap := range []bool{false, true} {
+		for _, maxDepth := range []int{-1, 0, 2, 20} {
+			for root := NodeID(0); root < 9; root++ {
+				if wrap {
+					// Stamps left by generation 1, the counter about to wrap
+					// back to it.
+					w.seen = []uint32{1, 1, 1, 1, 1, 1, 1, 1, 1}
+					w.gen = ^uint32(0)
+				}
+				want := BFS(g, root, maxDepth, Outgoing)
+				parent, order, height := w.Tree(g, root, maxDepth, Outgoing)
+				if len(order) != len(want.Order) || int32(height) != want.Depth[order[len(order)-1]] {
+					t.Fatalf("wrap %v root %d maxDepth %d: %d nodes to height %d, want %v", wrap, root, maxDepth, len(order), height, want.Order)
+				}
+				for i, v := range order {
+					if v != want.Order[i] || (i > 0 && order[parent[i]] != want.Parent[v]) {
+						t.Fatalf("wrap %v root %d maxDepth %d: order %v parent %v, want %v", wrap, root, maxDepth, order, parent, want.Order)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestConnectedComponents(t *testing.T) {
 	b := NewBuilder(7, false)
 	b.AddEdge(0, 1)

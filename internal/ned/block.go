@@ -71,13 +71,18 @@ func compileBlock(items []Item) *profileBlock {
 	return blk
 }
 
-// nodeOrder returns the slots of items sorted ascending by node.
+// nodeOrder returns the slots of items sorted ascending by node. A
+// scan's items are kept node-sorted (its Insert merges, its Remove is
+// stable, the Corpus builds from sorted items), so this is normally the
+// identity, returned after one O(n) check.
 func nodeOrder(items []Item) []int32 {
 	order := make([]int32, len(items))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(items[a].Node, items[b].Node) })
+	if !slices.IsSortedFunc(items, func(a, b Item) int { return cmp.Compare(a.Node, b.Node) }) {
+		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(items[a].Node, items[b].Node) })
+	}
 	return order
 }
 

@@ -1,7 +1,9 @@
 package ned
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"ned/internal/graph"
 	"ned/internal/ted"
@@ -77,13 +79,31 @@ func removeItems(items []Item, gone map[graph.NodeID]bool) ([]Item, int) {
 
 // --- cascade scan backend ---
 
-// Scan mutations recompile the profile block: the columnar arenas are
-// index-aligned with the item slice and immutable (shared by epoch
-// clones), so any slice edit needs a fresh block. Linear in the item
-// count, the same order as the slice edit itself plus profile copying.
+// Scan mutations keep the item slice node-sorted — Insert merges the
+// new items in at their node positions, Remove compacts stably — so the
+// block's node order (byNode) stays the identity and a recompile never
+// re-sorts the slots. Every mutation recompiles the profile block: the
+// columnar arenas are index-aligned with the item slice and immutable
+// (shared by epoch clones), so any slice edit needs a fresh block.
+// Linear in the item count, the same order as the slice edit itself
+// plus profile copying.
 
 func (b *scanBackend) Insert(items ...Item) {
-	b.items = append(b.items, items...)
+	add := slices.SortedFunc(slices.Values(items), func(x, y Item) int { return cmp.Compare(x.Node, y.Node) })
+	// Merge from the back: the slice grows by len(add) and each existing
+	// item moves at most once.
+	n := len(b.items)
+	b.items = slices.Grow(b.items, len(add))[:n+len(add)]
+	i, j := n-1, len(add)-1
+	for w := len(b.items) - 1; j >= 0; w-- {
+		if i >= 0 && b.items[i].Node > add[j].Node {
+			b.items[w] = b.items[i]
+			i--
+		} else {
+			b.items[w] = add[j]
+			j--
+		}
+	}
 	b.block = compileBlock(b.items)
 }
 

@@ -111,16 +111,28 @@ func BuildItems(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, work
 	return out
 }
 
+// BuildProfiledItems is BuildItems followed by ProfileItems in one
+// parallel pass: each worker extracts a node's trees and compiles their
+// profiles against dict while the trees are still in its cache, so a
+// build walks the items once and the profile phase scales with the
+// workers as the extraction does. Output order matches the input order.
+func BuildProfiledItems(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) []Item {
+	out := make([]Item, len(nodes))
+	parallelFor(len(nodes), BatchOptions{Workers: workers}.workers(), func(i int) {
+		out[i] = NewItem(g, nodes[i], k, directed)
+		ProfileItem(&out[i], dict)
+	})
+	return out
+}
+
 // NewItem extracts the index item of one node: its k-adjacent tree, or
 // the outgoing and incoming trees when directed.
 func NewItem(g *graph.Graph, v graph.NodeID, k int, directed bool) Item {
-	if !directed {
-		t, _ := tree.KAdjacent(g, v, k)
-		return Item{Node: v, K: k, Out: t}
+	it := Item{Node: v, K: k, Out: tree.Extract(g, v, k, graph.Outgoing)}
+	if directed {
+		it.In = tree.Extract(g, v, k, graph.Incoming)
 	}
-	to, _ := tree.KAdjacentOutgoing(g, v, k)
-	ti, _ := tree.KAdjacentIncoming(g, v, k)
-	return Item{Node: v, K: k, Out: to, In: ti}
+	return it
 }
 
 // Counters is a snapshot of an index's work profile since the last

@@ -15,8 +15,8 @@ import (
 // NED distance between node u of graph gu and node v of graph gv for
 // neighborhood depth k. gu and gv may be the same graph.
 func Distance(gu *graph.Graph, u graph.NodeID, gv *graph.Graph, v graph.NodeID, k int) int {
-	tu, _ := tree.KAdjacent(gu, u, k)
-	tv, _ := tree.KAdjacent(gv, v, k)
+	tu := tree.Extract(gu, u, k, graph.Outgoing)
+	tv := tree.Extract(gv, v, k, graph.Outgoing)
 	return ted.Distance(tu, tv)
 }
 
@@ -25,18 +25,18 @@ func Distance(gu *graph.Graph, u graph.NodeID, gv *graph.Graph, v graph.NodeID, 
 // k-adjacent tree pairs. Both graphs should be directed; for undirected
 // graphs the result is simply 2·Distance.
 func DistanceDirected(gu *graph.Graph, u graph.NodeID, gv *graph.Graph, v graph.NodeID, k int) int {
-	tiu, _ := tree.KAdjacentIncoming(gu, u, k)
-	tiv, _ := tree.KAdjacentIncoming(gv, v, k)
-	tou, _ := tree.KAdjacentOutgoing(gu, u, k)
-	tov, _ := tree.KAdjacentOutgoing(gv, v, k)
+	tiu := tree.Extract(gu, u, k, graph.Incoming)
+	tiv := tree.Extract(gv, v, k, graph.Incoming)
+	tou := tree.Extract(gu, u, k, graph.Outgoing)
+	tov := tree.Extract(gv, v, k, graph.Outgoing)
 	return ted.Distance(tiu, tiv) + ted.Distance(tou, tov)
 }
 
 // WeightedDistance returns the weighted NED of §12 using the supplied
 // TED* weights (nil means unit weights).
 func WeightedDistance(gu *graph.Graph, u graph.NodeID, gv *graph.Graph, v graph.NodeID, k int, w ted.Weights) float64 {
-	tu, _ := tree.KAdjacent(gu, u, k)
-	tv, _ := tree.KAdjacent(gv, v, k)
+	tu := tree.Extract(gu, u, k, graph.Outgoing)
+	tv := tree.Extract(gv, v, k, graph.Outgoing)
 	return ted.WeightedDistance(tu, tv, w)
 }
 
@@ -51,7 +51,7 @@ type Signature struct {
 
 // NewSignature extracts the k-adjacent tree signature of node v.
 func NewSignature(g *graph.Graph, v graph.NodeID, k int) Signature {
-	t, _ := tree.KAdjacent(g, v, k)
+	t := tree.Extract(g, v, k, graph.Outgoing)
 	return Signature{Node: v, K: k, Tree: t}
 }
 

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -23,22 +24,31 @@ import (
 // lets NewInternerFromShapes rebuild the encodings in one forward
 // pass. The result is deterministic for a given dictionary state.
 func (in *Interner) ExportShapes() (kidOff, kids []int32) {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	n := int(in.n)
+	// Holding every stripe's read lock stops all interning, and an ID is
+	// taken and stored under one stripe's write lock, so the counter and
+	// the maps agree while we read them.
+	for i := range in.stripes {
+		in.stripes[i].mu.RLock()
+		defer in.stripes[i].mu.RUnlock()
+	}
+	n := in.Len()
 	kidOff = make([]int32, n+1)
-	for key, id := range in.byKey {
-		kidOff[id+1] = int32(len(key) / 4)
+	for i := range in.stripes {
+		for key, id := range in.stripes[i].m {
+			kidOff[id+1] = int32(len(key) / 4)
+		}
 	}
 	for i := 1; i <= n; i++ {
 		kidOff[i] += kidOff[i-1]
 	}
 	kids = make([]int32, kidOff[n])
-	for key, id := range in.byKey {
-		run := kids[kidOff[id]:kidOff[id+1]]
-		for i := range run {
-			k := key[4*i:]
-			run[i] = int32(uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24)
+	for i := range in.stripes {
+		for key, id := range in.stripes[i].m {
+			run := kids[kidOff[id]:kidOff[id+1]]
+			for j := range run {
+				k := key[4*j:]
+				run[j] = int32(uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24)
+			}
 		}
 	}
 	return kidOff, kids
@@ -76,14 +86,15 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 				return nil, fmt.Errorf("tree: shape %d child labels not sorted", id)
 			}
 			prev = kid
-			key = append(key, byte(kid), byte(kid>>8), byte(kid>>16), byte(kid>>24))
+			key = binary.LittleEndian.AppendUint32(key, uint32(kid))
 		}
-		if _, dup := in.byKey[string(key)]; dup {
+		s := in.stripe(shapeHash(key))
+		if _, dup := s.m[string(key)]; dup {
 			return nil, fmt.Errorf("tree: shape %d duplicates an earlier shape", id)
 		}
-		in.byKey[string(key)] = int32(id)
+		s.m[string(key)] = int32(id)
 	}
-	in.n = int32(n)
+	in.next.Store(int32(n))
 	return in, nil
 }
 
@@ -119,7 +130,7 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32) (*Prof
 			prev = l
 		}
 	}
-	levels := levelSizes(t)
+	levels := levelSizes(t, make([]int32, t.Height()+1))
 	// Labels must be sorted within each level AND every one a dictionary
 	// ID; sortedness makes the range check per level O(1) (first and
 	// last element), leaving one comparison per label.
@@ -142,7 +153,7 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32) (*Prof
 	p := &Profile{
 		Levels:    levels,
 		Labels:    labels,
-		Degs:      levelDegrees(levels, t.childOff),
+		Degs:      levelDegrees(levels, t.childOff, make([]int32, n)),
 		Perm:      perm,
 		Kids:      kids,
 		KidOff:    t.childOff, // aligned by construction; both sides immutable

@@ -1,6 +1,11 @@
 package tree
 
-import "ned/internal/graph"
+import (
+	"slices"
+	"sync"
+
+	"ned/internal/graph"
+)
 
 // KAdjacent extracts the unordered k-adjacent tree T(v, k) of Definition 1:
 // the breadth-first search tree rooted at v, truncated to the root plus k
@@ -10,33 +15,56 @@ import "ned/internal/graph"
 // The returned tree's node 0 corresponds to v; the mapping from tree node
 // IDs back to graph node IDs is also returned.
 func KAdjacent(g *graph.Graph, v graph.NodeID, k int) (*Tree, []graph.NodeID) {
-	return kAdjacent(g, v, k, graph.Outgoing)
+	return kAdjacent(g, v, k, graph.Outgoing, true)
 }
 
 // KAdjacentIncoming extracts the incoming k-adjacent tree TI(v, k) of
 // Definition 2: the BFS tree of v following incoming edges only.
 // For undirected graphs it equals KAdjacent.
 func KAdjacentIncoming(g *graph.Graph, v graph.NodeID, k int) (*Tree, []graph.NodeID) {
-	return kAdjacent(g, v, k, graph.Incoming)
+	return kAdjacent(g, v, k, graph.Incoming, true)
 }
 
 // KAdjacentOutgoing extracts the outgoing k-adjacent tree TO(v, k):
 // the BFS tree of v following outgoing edges only.
 func KAdjacentOutgoing(g *graph.Graph, v graph.NodeID, k int) (*Tree, []graph.NodeID) {
-	return kAdjacent(g, v, k, graph.Outgoing)
+	return kAdjacent(g, v, k, graph.Outgoing, true)
 }
 
-func kAdjacent(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection) (*Tree, []graph.NodeID) {
-	res := graph.BFS(g, v, k, dir)
-	// BFS order is level order, so tree node i = res.Order[i].
-	newID := make(map[graph.NodeID]int32, len(res.Order))
-	for i, u := range res.Order {
-		newID[u] = int32(i)
+// Extract is KAdjacentOutgoing or KAdjacentIncoming (by dir) for callers
+// that never read the tree-to-graph node mapping, which it does not
+// allocate. Signature extraction uses it.
+func Extract(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection) *Tree {
+	t, _ := kAdjacent(g, v, k, dir, false)
+	return t
+}
+
+// bfsWorkspaces pools the traversal scratch of kAdjacent: each holds a
+// visited array as large as the largest graph it has walked, reused
+// across extractions instead of allocated per tree.
+var bfsWorkspaces = sync.Pool{New: func() any { return new(graph.BFSWorkspace) }}
+
+// kAdjacent is the one extraction path. The pooled workspace's bounded
+// BFS touches only the nodes within k hops and yields the tree's parent
+// vector directly in visitation (level) order, so the only allocations
+// are the returned tree — its parent vector and derived arrays in one
+// block — and, when withOrder, the node mapping.
+func kAdjacent(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection, withOrder bool) (*Tree, []graph.NodeID) {
+	w := bfsWorkspaces.Get().(*graph.BFSWorkspace)
+	defer bfsWorkspaces.Put(w)
+	parent, order, height := w.Tree(g, v, k, dir)
+	n := len(parent)
+	// One block for the parent vector and everything NewOwned derives
+	// from it: depth, childOff and childIDs (3n), levelOff (height+2).
+	s := &Slab{free: make([]int32, 4*n+height+2)}
+	own := s.Alloc(n)
+	copy(own, parent)
+	t, err := NewOwned(own, s)
+	if err != nil {
+		panic(err) // a BFS parent vector is level-ordered by construction
 	}
-	parent := make([]int32, len(res.Order))
-	parent[0] = -1
-	for i := 1; i < len(res.Order); i++ {
-		parent[i] = newID[res.Parent[res.Order[i]]]
+	if !withOrder {
+		return t, nil
 	}
-	return MustNew(parent), res.Order
+	return t, slices.Clone(order)
 }

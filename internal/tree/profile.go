@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -108,6 +110,15 @@ func (p *Profile) Resolved() bool { return p.Canon>>32 == 0 }
 // concurrent use; profile builds from parallel extraction workers and
 // from queries share one Interner.
 //
+// The dictionary is striped by key hash — internStripes maps, each
+// behind its own lock — and takes IDs from one atomic counter, so
+// workers profiling different trees rarely meet on a lock. Which shape
+// gets which ID therefore depends on how the workers interleave (one
+// goroutine always assigns them in first-seen order); what every order
+// guarantees is that IDs are dense and that a shape's children carry
+// smaller IDs than the shape itself, because a child's ID is taken
+// before its parent's key can even be formed.
+//
 // The dictionary only grows — shapes are never evicted, so label IDs
 // stay stable for the life of the corpus (epoch clones and rebuilt
 // indexes keep their profiles valid). Only indexed items intern
@@ -115,47 +126,72 @@ func (p *Profile) Resolved() bool { return p.Canon>>32 == 0 }
 // dictionary's size is bounded by the distinct shapes of the corpus's
 // own signatures, never by what is queried against it.
 type Interner struct {
-	id    uint64 // process-unique; profile caches key on it (no pointer pinning)
-	mu    sync.RWMutex
-	byKey map[string]int32 // packed sorted child-label IDs -> label ID
-	n     int32            // next label ID == number of interned shapes
+	id      uint64       // process-unique; profile caches key on it (no pointer pinning)
+	next    atomic.Int32 // next label ID == number of interned shapes
+	stripes [internStripes]internStripe
 }
+
+// internStripes is the Interner's fixed stripe count (a power of two).
+const internStripes = 32
+
+// internStripe is one lock-guarded shard of the dictionary, padded to
+// its own cache line so workers on neighbouring stripes do not contend.
+type internStripe struct {
+	mu sync.RWMutex
+	m  map[string]int32 // packed sorted child-label IDs -> label ID
+	_  [64 - 32]byte
+}
+
+// internSeed picks the stripe of a key; stripes never affect IDs.
+var internSeed = maphash.MakeSeed()
 
 // internerIDs hands every dictionary a process-unique identity.
 var internerIDs atomic.Uint64
 
 // NewInterner returns an empty shape dictionary.
 func NewInterner() *Interner {
-	return &Interner{id: internerIDs.Add(1), byKey: make(map[string]int32)}
+	in := &Interner{id: internerIDs.Add(1)}
+	for i := range in.stripes {
+		in.stripes[i].m = make(map[string]int32)
+	}
+	return in
 }
 
 // Len reports how many distinct subtree shapes have been interned.
-func (in *Interner) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return int(in.n)
+func (in *Interner) Len() int { return int(in.next.Load()) }
+
+// shapeHash hashes a shape key: it picks the key's stripe and keys the
+// memos of profile's scratch.
+func shapeHash(key []byte) uint64 { return maphash.Bytes(internSeed, key) }
+
+// stripe returns the stripe that owns the key hashing to h.
+func (in *Interner) stripe(h uint64) *internStripe {
+	return &in.stripes[h&(internStripes-1)]
 }
 
-// lookup resolves a shape key without mutating the dictionary.
-func (in *Interner) lookup(key []byte) (int32, bool) {
-	in.mu.RLock()
-	id, ok := in.byKey[string(key)]
-	in.mu.RUnlock()
-	return id, ok
-}
-
-// intern resolves one shape — identified by the packed, ascending child
-// label IDs in key — to its label, registering it on first sight.
-func (in *Interner) intern(key []byte) int32 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if id, ok := in.byKey[string(key)]; ok {
-		return id
+// resolve returns the label of one shape — identified by the packed,
+// ascending child label IDs in key, hashing to h. A shape the
+// dictionary has not seen is registered under the next ID, unless
+// readOnly, in which case ok is false and nothing changes. The ID is
+// taken under the stripe's write lock, so a reader that sees the
+// counter move and then looks the key up finds it: Len is an exact
+// change detector for ProfileQueryCached.
+func (in *Interner) resolve(key []byte, h uint64, readOnly bool) (id int32, ok bool) {
+	s := in.stripe(h)
+	s.mu.RLock()
+	id, ok = s.m[string(key)]
+	s.mu.RUnlock()
+	if ok || readOnly {
+		return id, ok
 	}
-	id := in.n
-	in.n++
-	in.byKey[string(key)] = id
-	return id
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id, ok = s.m[string(key)]; ok {
+		return id, true
+	}
+	id = in.next.Add(1) - 1
+	s.m[string(key)] = id
+	return id, true
 }
 
 // ProfileCached is Profile behind t's single-slot cache: the compiled
@@ -216,60 +252,142 @@ func (in *Interner) Profile(t *Tree) *Profile { return in.profile(t, false) }
 // touch its write lock.
 func (in *Interner) ProfileQuery(t *Tree) *Profile { return in.profile(t, true) }
 
+// profileScratch is profile's working memory, pooled (so, in effect,
+// one per worker) and reused across trees: the shape key being packed,
+// the per-level sort keys, and two memos. memo remembers dictionary
+// labels this scratch has resolved for the Interner dict — valid for as
+// long as that dictionary lives, since it never evicts — so the shapes
+// every tree repeats (a node with one leaf child, with two, ...) are
+// answered without touching a stripe lock. It is keyed by shape hash
+// and keeps the keys in one byte arena, so remembering a shape
+// allocates nothing; a hash collision is caught by comparing the bytes
+// and falls through to the dictionary. locals holds the current tree's
+// query-local labels, keyed exactly: a local label has no dictionary
+// to fall back on.
+type profileScratch struct {
+	key       []byte
+	packed    []uint64
+	dict      uint64
+	memo      map[uint64]memoShape
+	keys      []byte
+	locals    map[string]int32
+	nextLocal int32
+}
+
+// memoShape is one memoized shape: its key is keys[off:end].
+type memoShape struct {
+	off, end int
+	id       int32
+}
+
+// profileMemoKeep and profileKeysKeep bound what a pooled scratch
+// carries from one tree to the next; past them it starts afresh.
+const (
+	profileMemoKeep = 1 << 13
+	profileKeysKeep = 1 << 20
+)
+
+var profileScratches = sync.Pool{New: func() any {
+	return &profileScratch{memo: make(map[uint64]memoShape), locals: make(map[string]int32)}
+}}
+
+// profileScratchFor takes a scratch from the pool, primed for in.
+func profileScratchFor(in *Interner) *profileScratch {
+	sc := profileScratches.Get().(*profileScratch)
+	if sc.dict != in.id || len(sc.memo) > profileMemoKeep || len(sc.keys) > profileKeysKeep {
+		sc.dict, sc.memo, sc.keys = in.id, make(map[uint64]memoShape), nil
+	}
+	sc.nextLocal = -1
+	return sc
+}
+
+// release drops the tree's local labels and returns sc to the pool.
+func (sc *profileScratch) release() {
+	if len(sc.locals) > profileMemoKeep {
+		sc.locals = make(map[string]int32)
+	} else {
+		clear(sc.locals)
+	}
+	profileScratches.Put(sc)
+}
+
+// label resolves one shape key: from the memos, else from the
+// dictionary, else (read-only) as the tree's next local label. A key
+// containing a local (negative) child label can never be in the
+// dictionary; the lookup just misses. Negative int32s pack to byte
+// patterns no non-negative ID produces, so local keys cannot collide
+// with dictionary keys either.
+func (sc *profileScratch) label(in *Interner, key []byte, readOnly bool) int32 {
+	h := shapeHash(key)
+	m, seen := sc.memo[h]
+	if seen && string(sc.keys[m.off:m.end]) == string(key) {
+		return m.id
+	}
+	if id, ok := sc.locals[string(key)]; ok {
+		return id
+	}
+	id, ok := in.resolve(key, h, readOnly)
+	switch {
+	case !ok:
+		id, sc.nextLocal = sc.nextLocal, sc.nextLocal-1
+		sc.locals[string(key)] = id
+	case !seen: // on a hash collision the shape already memoized keeps the slot
+		sc.memo[h] = memoShape{off: len(sc.keys), end: len(sc.keys) + len(key), id: id}
+		sc.keys = append(sc.keys, key...)
+	}
+	return id
+}
+
 func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
-	n := t.Size()
-	labels := make([]int32, n)
-	// Per-node sorted children-label runs, CSR-aligned with the tree's
-	// own child storage (same counts, same offsets).
-	kidOff := make([]int32, n+1)
-	copy(kidOff, t.childOff)
-	kidsArr := make([]int32, len(t.childIDs))
-	var key []byte
-	// Shapes repeat heavily within one tree (every leaf, for a start):
-	// a tree-local memo keeps repeated shapes off the shared lock.
-	local := make(map[string]int32, 16)
-	nextLocal := int32(-1)
+	sc := profileScratchFor(in)
+	defer sc.release()
+
+	n, h := t.Size(), t.Height()
+	// One block for the columns the profile owns: labels (n), the
+	// children-label runs (n-1, CSR-aligned with the tree's own child
+	// storage, whose offsets the profile shares), Perm (n), Degs (n) and
+	// the level sizes (h+1).
+	buf := make([]int32, 4*n+h)
+	labels := buf[:n:n]
+	kidsArr := buf[n : 2*n-1 : 2*n-1]
+	perm := buf[2*n-1 : 3*n-1 : 3*n-1]
+	degs := buf[3*n-1 : 4*n-1 : 4*n-1]
+	levels := levelSizes(t, buf[4*n-1:])
+	kidOff := t.childOff
+
+	// Every childless node has the leaf shape (the empty key): resolve it
+	// once. The last node in level order is a leaf, so this is also the
+	// first shape the bottom-up pass below would have met. That pass
+	// visits every child before its parent (level order gives children
+	// larger IDs).
+	leaf := sc.label(in, nil, readOnly)
 	for v := n - 1; v >= 0; v-- {
-		kids := t.Children(int32(v))
-		kidLabels := kidsArr[kidOff[v]:kidOff[v+1]]
-		for i, c := range kids {
+		lo, hi := kidOff[v], kidOff[v+1]
+		if lo == hi {
+			labels[v] = leaf
+			continue
+		}
+		kidLabels := kidsArr[lo:hi]
+		for i, c := range t.childIDs[lo:hi] {
 			kidLabels[i] = labels[c]
 		}
 		slices.Sort(kidLabels)
-		key = key[:0]
+		key := sc.key[:0]
 		for _, id := range kidLabels {
-			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
 		}
-		if id, ok := local[string(key)]; ok {
-			labels[v] = id
-			continue
-		}
-		// A key containing a local (negative) child label can never be
-		// in the dictionary; the lookup just misses. Negative int32s
-		// pack to byte patterns no non-negative ID produces, so local
-		// keys cannot collide with dictionary keys either.
-		id, ok := in.lookup(key)
-		if !ok {
-			if readOnly {
-				id = nextLocal
-				nextLocal--
-			} else {
-				id = in.intern(key)
-			}
-		}
-		local[string(key)] = id
-		labels[v] = id
+		sc.key = key
+		labels[v] = sc.label(in, key, readOnly)
 	}
 
-	levels := levelSizes(t)
 	p := &Profile{
 		Levels:    levels,
 		Labels:    labels,
-		Degs:      levelDegrees(levels, kidOff),
-		Perm:      make([]int32, n),
+		Degs:      levelDegrees(levels, kidOff, degs),
+		Perm:      perm,
 		Kids:      kidsArr,
-		KidOff:    kidOff,
-		LeafLabel: labels[n-1], // last node in level order: deepest, a leaf
+		KidOff:    kidOff, // aligned by construction; both sides immutable
+		LeafLabel: leaf,
 		Size:      int32(n),
 	}
 	if root := labels[0]; root >= 0 {
@@ -286,46 +404,56 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 	// (label, index) keys: labels ascending (the XOR flips the sign bit
 	// so negative query-local labels order before dictionary IDs), equal
 	// labels by ascending node index.
-	packed := make([]uint64, slices.Max(levels))
+	sc.packed = slices.Grow(sc.packed[:0], int(slices.Max(levels)))
 	off := int32(0)
 	for _, w := range levels {
 		run := labels[off : off+w]
-		perm := p.Perm[off : off+w]
-		keys := packed[:w]
+		lperm := perm[off : off+w]
+		if slices.IsSorted(run) {
+			// Already in order (every all-leaf level is): the sort below
+			// would be the identity.
+			for i := range lperm {
+				lperm[i] = int32(i)
+			}
+			off += w
+			continue
+		}
+		keys := sc.packed[:w]
 		for i, l := range run {
 			keys[i] = uint64(uint32(l)^(1<<31))<<32 | uint64(uint32(i))
 		}
 		slices.Sort(keys)
 		for i, k := range keys {
 			run[i] = int32(uint32(k>>32) ^ (1 << 31))
-			perm[i] = int32(uint32(k))
+			lperm[i] = int32(uint32(k))
 		}
 		off += w
 	}
 	return p
 }
 
-// levelSizes returns t's level-size vector (Profile.Levels).
-func levelSizes(t *Tree) []int32 {
-	levels := make([]int32, t.Height()+1)
-	for d := range levels {
-		levels[d] = int32(t.LevelSize(d))
+// levelSizes fills dst (len height+1) with t's level-size vector
+// (Profile.Levels) and returns it.
+func levelSizes(t *Tree, dst []int32) []int32 {
+	for d := range dst {
+		dst[d] = int32(t.LevelSize(d))
 	}
-	return levels
+	return dst
 }
 
-// levelDegrees fills Profile.Degs: node v's child count is
-// kidOff[v+1]-kidOff[v], nodes are numbered in level order, and each
-// level's run is sorted ascending.
-func levelDegrees(levels, kidOff []int32) []int32 {
-	degs := make([]int32, len(kidOff)-1)
-	for v := range degs {
-		degs[v] = kidOff[v+1] - kidOff[v]
+// levelDegrees fills dst (Profile.Degs, one entry per node) and returns
+// it: node v's child count is kidOff[v+1]-kidOff[v], nodes are numbered
+// in level order, and each level's run is sorted ascending.
+func levelDegrees(levels, kidOff, dst []int32) []int32 {
+	for v := range dst {
+		dst[v] = kidOff[v+1] - kidOff[v]
 	}
 	off := int32(0)
 	for _, w := range levels {
-		slices.Sort(degs[off : off+w])
+		if run := dst[off : off+w]; !slices.IsSorted(run) {
+			slices.Sort(run)
+		}
 		off += w
 	}
-	return degs
+	return dst
 }

@@ -89,10 +89,13 @@ const slabChunk = 64 << 10
 // receiver degrades to plain make, so callers thread an optional slab
 // without branching.
 func (s *Slab) Alloc(n int) []int32 {
-	if s == nil || n >= slabChunk {
+	if s == nil {
 		return make([]int32, n)
 	}
 	if n > len(s.free) {
+		if n >= slabChunk {
+			return make([]int32, n)
+		}
 		s.free = make([]int32, slabChunk)
 	}
 	out := s.free[:n:n]

@@ -124,8 +124,7 @@ func SaveEdgeList(path string, g *Graph) error { return graph.SaveEdgeListFile(p
 // KAdjacentTree extracts the unordered k-adjacent tree T(v, k): the BFS
 // tree of v truncated to k levels of neighbors (Definition 1).
 func KAdjacentTree(g *Graph, v NodeID, k int) *Tree {
-	t, _ := tree.KAdjacent(g, v, k)
-	return t
+	return tree.Extract(g, v, k, graph.Outgoing)
 }
 
 // TEDStar returns the TED* distance between two unordered trees
