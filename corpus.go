@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -212,9 +215,12 @@ func WithWorkers(n int) CorpusOption {
 // order) for every shard count, including 1.
 //
 // Values <= 0 (the default) derive the count from GOMAXPROCS (capped at
-// 16). More shards buy mutation isolation — smaller clones, disjoint
-// locks — at the price of one more block per query sweep;
-// WithShards(1) restores one monolithic index.
+// 16). More shards buy writers that do not share a lock — and smaller
+// folds, since a shard's scan folds its delta into a new base once the
+// delta passes a fixed fraction of the shard — at the price of two more
+// blocks (base and delta) per query sweep; a write itself copies only
+// its shard's delta whatever the count. WithShards(1) restores one
+// monolithic index.
 func WithShards(n int) CorpusOption {
 	return func(c *corpusConfig) { c.shards = n }
 }
@@ -292,8 +298,8 @@ func WithGraph(g *Graph) CorpusOption {
 // rest.
 //
 // A Corpus is dynamic: Insert and Remove churn the indexed node set
-// with live index maintenance (each touched shard recompiles its profile
-// block), UpdateGraph follows the graph
+// with live index maintenance (each touched shard's scan takes a new
+// delta, folded into its base once it grows), UpdateGraph follows the graph
 // through version changes re-extracting only the signatures an edit
 // actually affected, and Snapshot/LoadCorpus persist the built index
 // across processes. Results after any mutation sequence are identical
@@ -414,7 +420,7 @@ type corpusShard struct {
 	// Contention counters, monotone for the corpus lifetime (ResetStats
 	// leaves them alone, so a scraper can difference successive
 	// readings): nanoseconds mutators spent waiting for mu, mutated-node
-	// count, and bytes of epoch state cloned to publish successors.
+	// count, and bytes copied preparing successor epochs (see splice).
 	lockWaitNS atomic.Int64
 	mutations  atomic.Int64
 	cloneBytes atomic.Int64
@@ -431,63 +437,79 @@ func (sh *corpusShard) lockTimed() {
 	sh.lockWaitNS.Add(time.Since(t0).Nanoseconds())
 }
 
-// noteMutation records a committed mutation of n nodes: epochSize and
-// ixLen size the clone the commit paid (a map clone plus an index clone
-// or recompile, both linear in shard size).
-func (sh *corpusShard) noteMutation(n, epochSize, ixLen int) {
+// noteMutation records a committed mutation of n nodes whose successor
+// epoch cost copied bytes to prepare.
+func (sh *corpusShard) noteMutation(n int, copied int64) {
 	sh.mutations.Add(int64(n))
-	sh.cloneBytes.Add(int64(epochSize)*48 + int64(ixLen)*16)
+	sh.cloneBytes.Add(copied)
 }
 
 // shardEpoch is one immutable generation of one shard, published as
 // part of a corpusView. Readers use the one their view holds for their
-// whole query; mutations never edit a published epoch — they clone,
-// splice, and publish a successor. Serving counters inside ix are atomic and shared
-// across the shard's epochs, so Stats stay continuous through
+// whole query; mutations never edit a published epoch — they splice a
+// successor and publish it. Serving counters inside ix are atomic and
+// shared across the shard's epochs, so Stats stay continuous through
 // publication.
 //
-// Membership lives in exactly one map per life stage: members before
-// the signatures materialize, byNode (whose keys are the membership)
-// afterward — so a mutation's epoch clone copies one map, not two.
+// Membership lives in exactly one place per life stage: members before
+// the signatures materialize; staged (whose keys are the membership)
+// from materialization to the index build — a loaded snapshot, WAL
+// replay, or a corpus never queried; from the build on the scan itself,
+// the only copy of the shard's items, which shares all but its delta
+// with its predecessor's.
 type shardEpoch struct {
-	members map[NodeID]bool     // pre-materialization node set; nil once byNode exists
-	byNode  map[NodeID]ned.Item // live items; nil until materialized
-	ix      ned.DynamicIndex    // nil until the index is built
+	members map[NodeID]bool     // pre-materialization node set
+	staged  map[NodeID]ned.Item // materialized items awaiting the build
+	ix      ned.ItemIndex       // the shard's scan; nil until built
+}
+
+// item returns node v's indexed item in this epoch (none before
+// materialization).
+func (e *shardEpoch) item(v NodeID) (ned.Item, bool) {
+	if e.ix != nil {
+		return e.ix.Item(v)
+	}
+	it, ok := e.staged[v]
+	return it, ok
 }
 
 // has reports whether v is indexed in this epoch.
 func (e *shardEpoch) has(v NodeID) bool {
-	if e.byNode != nil {
-		_, ok := e.byNode[v]
-		return ok
+	if e.members != nil {
+		return e.members[v]
 	}
-	return e.members[v]
+	_, ok := e.item(v)
+	return ok
 }
 
 // size is the epoch's indexed node count.
 func (e *shardEpoch) size() int {
-	if e.byNode != nil {
-		return len(e.byNode)
+	switch {
+	case e.ix != nil:
+		return e.ix.Len()
+	case e.staged != nil:
+		return len(e.staged)
 	}
 	return len(e.members)
 }
 
-// clone returns a mutable successor of e: a fresh membership map, the
-// same index (the mutation decides whether to Clone the index too).
-func (e *shardEpoch) clone() *shardEpoch {
-	ne := &shardEpoch{ix: e.ix}
-	if e.byNode != nil {
-		ne.byNode = make(map[NodeID]ned.Item, len(e.byNode)+1)
-		for v, it := range e.byNode {
-			ne.byNode[v] = it
-		}
-	} else {
-		ne.members = make(map[NodeID]bool, len(e.members)+1)
-		for v := range e.members {
-			ne.members[v] = true
-		}
+// items iterates the epoch's items in ascending node order (none before
+// materialization).
+func (e *shardEpoch) items() iter.Seq[ned.Item] {
+	if e.ix != nil {
+		return e.ix.Items()
 	}
-	return ne
+	return slices.Values(sortedShardItems(e.staged))
+}
+
+// clone returns a mutable copy of an unbuilt epoch: its membership or
+// staged items in a fresh map. A built epoch's successor comes from
+// splice instead.
+func (e *shardEpoch) clone() *shardEpoch {
+	if e.members != nil {
+		return &shardEpoch{members: maps.Clone(e.members)}
+	}
+	return &shardEpoch{staged: maps.Clone(e.staged)}
 }
 
 // resolveShards normalizes a WithShards value.
@@ -571,9 +593,9 @@ func sortedShardItems(byNode map[NodeID]ned.Item) []ned.Item {
 }
 
 // newShardIndex compiles one shard's index, the cascade scan at width 1
-// over its live items.
-func newShardIndex(byNode map[NodeID]ned.Item) ned.DynamicIndex {
-	return ned.NewPrunedLinearBackend(sortedShardItems(byNode))
+// over its staged items.
+func newShardIndex(staged map[NodeID]ned.Item) ned.ItemIndex {
+	return ned.NewPrunedLinearBackend(sortedShardItems(staged)).(ned.ItemIndex)
 }
 
 // materializeAllLocked extracts the signatures of every member in
@@ -595,10 +617,10 @@ func (c *Corpus) materializeAllLocked() {
 	items := ned.BuildProfiledItems(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	eps := make([]*shardEpoch, len(v.eps))
 	for i, ep := range v.eps {
-		eps[i] = &shardEpoch{byNode: make(map[NodeID]ned.Item, len(ep.members))}
+		eps[i] = &shardEpoch{staged: make(map[NodeID]ned.Item, len(ep.members))}
 	}
 	for _, it := range items {
-		eps[v.shardOf(it.Node)].byNode[it.Node] = it
+		eps[v.shardOf(it.Node)].staged[it.Node] = it
 	}
 	c.publish(func(nv *corpusView) { nv.eps = eps })
 	c.materialized.Store(true)
@@ -614,7 +636,7 @@ func (c *Corpus) buildAllLocked() {
 	eps := append([]*shardEpoch(nil), c.view.Load().eps...)
 	for i, ep := range eps {
 		if ep.ix == nil {
-			eps[i] = &shardEpoch{byNode: ep.byNode, ix: newShardIndex(ep.byNode)}
+			eps[i] = &shardEpoch{ix: newShardIndex(ep.staged)}
 		}
 	}
 	c.publish(func(nv *corpusView) { nv.eps = eps })
@@ -691,7 +713,7 @@ func (c *Corpus) checkNode(v NodeID) error {
 // without WithGraph can only query indexed nodes.
 func (c *Corpus) nodeItem(view *corpusView, v NodeID) (ned.Item, error) {
 	if int(v) >= 0 {
-		if it, ok := view.epochOf(v).byNode[v]; ok {
+		if it, ok := view.epochOf(v).item(v); ok {
 			return it, nil
 		}
 	}
@@ -869,7 +891,9 @@ type CorpusStats struct {
 	// ShardLockWaitNS, ShardMutations, and ShardCloneBytes are the
 	// per-shard-slot write-contention telemetry: nanoseconds mutators
 	// spent waiting on the shard write lock, nodes mutated, and bytes of
-	// epoch state cloned publishing successors. Monotone for the corpus
+	// index state copied preparing successors — on a built corpus the
+	// scan's new delta, its tombstones and the delta's block, plus the
+	// whole rebuilt base when a mutation folds. Monotone for the corpus
 	// lifetime — ResetStats leaves them alone so differences of
 	// successive readings stay truthful.
 	ShardLockWaitNS []int64 `json:"shard_lock_wait_ns"`
@@ -960,7 +984,7 @@ func (c *Corpus) Stats() CorpusStats {
 		if ep.ix != nil {
 			counters = counters.Add(ep.ix.Counters())
 		}
-		for _, it := range ep.byNode {
+		for it := range ep.items() {
 			size := it.Out.Size()
 			if it.In != nil {
 				size += it.In.Size()

@@ -166,6 +166,53 @@ func BenchmarkCorpusBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkCorpusMutation measures what one write to a built corpus
+// costs: the serve-mixed writer's alternating Remove and Insert of a
+// node (each one mutation, its re-extraction included) over the PGP
+// analog (scale 4, seed 42, k=3, two shards), in memory and durable with
+// FsyncAlways. clone-B/mut is Stats().ShardCloneBytes per mutation: what
+// preparing the successor epochs copied, folds included.
+func BenchmarkCorpusMutation(b *testing.B) {
+	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
+	for _, durable := range []bool{false, true} {
+		b.Run(fmt.Sprintf("durable=%v", durable), func(b *testing.B) {
+			c, err := NewCorpus(g, 3, WithShards(2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Rebuild()
+			if durable {
+				if err := c.MakeDurable(b.TempDir(), FsyncAlways); err != nil {
+					b.Fatal(err)
+				}
+				defer c.CloseDurable()
+			}
+			sum := func(xs []int64) (s int64) {
+				for _, x := range xs {
+					s += x
+				}
+				return s
+			}
+			before := sum(c.Stats().ShardCloneBytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := NodeID(i / 2 * 7919 % g.NumNodes())
+				if i%2 == 0 {
+					err = c.Remove(v)
+				} else {
+					err = c.Insert(v)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/mut")
+			b.ReportMetric(float64(sum(c.Stats().ShardCloneBytes)-before)/float64(b.N), "clone-B/mut")
+		})
+	}
+}
+
 // BenchmarkCorpusParallelChurn measures the mixed read/write serving
 // path: many goroutines issue KNN queries while every 8th operation
 // churns a node (Remove + Insert, with its signature re-extraction).

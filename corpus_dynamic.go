@@ -3,6 +3,7 @@ package ned
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"ned/internal/graph"
 	"ned/internal/ned"
@@ -18,12 +19,13 @@ import (
 //
 // Every mutation call follows one protocol: route the batch to the
 // shards that own the touched nodes, prepare a private successor epoch
-// for each (clone the item table, clone the index, splice the change
-// in), append one WAL record for the whole call on a durable corpus,
-// and publish every successor with one store of the corpus view. The
-// call is visible whole or not at all; queries never wait: in-flight
-// readers keep the view they loaded, and shards not named by the batch
-// are never locked at all.
+// for each (on a built shard, a scan that shares its predecessor's base
+// and carries a new delta — O(change) copied, plus an inline fold once
+// the delta passes a fixed fraction of the shard), append one WAL record
+// for the whole call on a durable corpus, and publish every successor
+// with one store of the corpus view. The call is visible whole or not at
+// all; queries never wait: in-flight readers keep the view they loaded,
+// and shards not named by the batch are never locked at all.
 //
 // Invariant, enforced by the churn- and sharded-equivalence suites:
 // after any interleaving of mutations, every query answers exactly as a
@@ -82,7 +84,7 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 			itemOf[it.Node] = it
 		}
 	}
-	return c.commitBatch("insert", fresh, func(ep *shardEpoch, vs []NodeID) (*shardEpoch, []ned.Item, []NodeID) {
+	return c.commitBatch("insert", fresh, func(ep *shardEpoch, vs []NodeID) shardEdit {
 		var added []NodeID
 		for _, v := range vs {
 			if !ep.has(v) { // else another Insert won the race for this node
@@ -90,20 +92,20 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 			}
 		}
 		if len(added) == 0 {
-			return nil, nil, nil
+			return shardEdit{}
 		}
-		if ep.byNode == nil {
+		if ep.members != nil {
 			ne := ep.clone()
 			for _, v := range added {
 				ne.members[v] = true
 			}
-			return ne, nil, nil
+			return shardEdit{next: ne}
 		}
 		ups := make([]ned.Item, len(added))
 		for i, v := range added {
 			ups[i] = itemOf[v]
 		}
-		return c.splice(ep, ups, nil), ups, nil
+		return splice(ep, ups, nil)
 	})
 }
 
@@ -120,7 +122,7 @@ func (c *Corpus) Remove(nodes ...NodeID) error {
 	}
 	c.gmu.RLock()
 	defer c.gmu.RUnlock()
-	return c.commitBatch("remove", nodes, func(ep *shardEpoch, vs []NodeID) (*shardEpoch, []ned.Item, []NodeID) {
+	return c.commitBatch("remove", nodes, func(ep *shardEpoch, vs []NodeID) shardEdit {
 		var gone []NodeID
 		for _, v := range vs {
 			if ep.has(v) {
@@ -128,28 +130,36 @@ func (c *Corpus) Remove(nodes ...NodeID) error {
 			}
 		}
 		if len(gone) == 0 {
-			return nil, nil, nil
+			return shardEdit{}
 		}
-		if ep.byNode == nil {
+		if ep.members != nil {
 			ne := ep.clone()
 			for _, v := range gone {
 				delete(ne.members, v)
 			}
-			return ne, nil, gone
+			return shardEdit{next: ne, dels: gone}
 		}
-		return c.splice(ep, nil, gone), nil, gone
+		return splice(ep, nil, gone)
 	})
+}
+
+// shardEdit is one shard's prepared change: its successor epoch (nil for
+// no change), the items it upserted and the nodes it deleted — the
+// shard's share of the WAL record — and the bytes preparing it copied.
+type shardEdit struct {
+	next   *shardEpoch
+	ups    []ned.Item
+	dels   []NodeID
+	copied int64
 }
 
 // commitBatch is the Insert/Remove commit: lock the shards owning nodes
 // in ascending slot order (so concurrent batches cannot deadlock, and
 // batches on disjoint shards prepare concurrently), let prepare build
-// each locked shard's successor (nil for no change) and name the items
-// it upserted and the nodes it deleted, then commit the whole call —
-// one WAL record, one view store. A failed commit publishes nothing.
-// Callers hold gmu's read side.
-func (c *Corpus) commitBatch(op string, nodes []NodeID,
-	prepare func(ep *shardEpoch, vs []NodeID) (ne *shardEpoch, ups []ned.Item, dels []NodeID)) error {
+// each locked shard's edit, then commit the whole call — one WAL record,
+// one view store. A failed commit publishes nothing. Callers hold gmu's
+// read side.
+func (c *Corpus) commitBatch(op string, nodes []NodeID, prepare func(ep *shardEpoch, vs []NodeID) shardEdit) error {
 	view := c.view.Load()
 	groups := make(map[int][]NodeID)
 	for _, v := range nodes {
@@ -167,68 +177,74 @@ func (c *Corpus) commitBatch(op string, nodes []NodeID,
 		defer sh.mu.Unlock()
 	}
 	view = c.view.Load() // the locked shards' epochs cannot move now
-	next := make(map[int]*shardEpoch, len(slots))
-	touched := make(map[int]int, len(slots))
+	edits := make(map[int]shardEdit, len(slots))
 	var rec segment.Record
 	for _, si := range slots {
-		ne, ups, dels := prepare(view.eps[si], groups[si])
-		if ne == nil {
+		e := prepare(view.eps[si], groups[si])
+		if e.next == nil {
 			continue
 		}
-		next[si] = ne
-		rec.Upserts = append(rec.Upserts, ups...)
-		rec.Deletes = append(rec.Deletes, dels...)
-		if ne.byNode != nil {
-			touched[si] = len(ups) + len(dels)
-		}
+		edits[si] = e
+		rec.Upserts = append(rec.Upserts, e.ups...)
+		rec.Deletes = append(rec.Deletes, e.dels...)
 	}
-	if len(next) == 0 {
+	return c.commitEdits(op, view, rec, edits, nil)
+}
+
+// commitEdits commits one mutation call's shard edits — one WAL record,
+// one view store that also applies extra when non-nil — and records
+// the mutations of materialized shards in their contention counters.
+func (c *Corpus) commitEdits(op string, view *corpusView, rec segment.Record, edits map[int]shardEdit, extra func(nv *corpusView)) error {
+	if len(edits) == 0 && extra == nil {
 		return nil
 	}
 	if err := c.commit(rec, func(nv *corpusView) {
-		for si, ne := range next {
-			nv.eps[si] = ne
+		if extra != nil {
+			extra(nv)
+		}
+		for si, e := range edits {
+			nv.eps[si] = e.next
 		}
 	}); err != nil {
 		return fmt.Errorf("ned: %s: %w", op, err)
 	}
-	for si, n := range touched {
-		view.shards[si].noteMutation(n, next[si].size(), ixLen(next[si].ix))
+	for si, e := range edits {
+		if e.next.members == nil {
+			view.shards[si].noteMutation(len(e.ups)+len(e.dels), e.copied)
+		}
 	}
 	return nil
 }
 
-// splice returns the successor of a materialized epoch with dels
+// splice prepares the successor of a materialized epoch with dels
 // removed and ups upserted (an upsert of an indexed node replaces its
-// item), the index maintained alongside when one is built.
-func (c *Corpus) splice(ep *shardEpoch, ups []ned.Item, dels []NodeID) *shardEpoch {
-	ne := ep.clone()
-	drop := append([]NodeID(nil), dels...)
+// item). A built shard's scan splices itself, sharing its base; a
+// staged shard copies its map.
+func splice(ep *shardEpoch, ups []ned.Item, dels []NodeID) shardEdit {
+	e := shardEdit{ups: ups, dels: dels}
+	if ep.ix != nil {
+		var ix ned.ItemIndex
+		ix, e.copied = ep.ix.Splice(ups, dels)
+		e.next = &shardEpoch{ix: ix}
+		return e
+	}
+	e.next = ep.clone()
 	for _, v := range dels {
-		delete(ne.byNode, v)
+		delete(e.next.staged, v)
 	}
 	for _, it := range ups {
-		if _, ok := ne.byNode[it.Node]; ok {
-			drop = append(drop, it.Node)
-		}
-		ne.byNode[it.Node] = it
+		e.next.staged[it.Node] = it
 	}
-	if ne.ix != nil {
-		ix := ne.ix.Clone()
-		if len(drop) > 0 {
-			ix.Remove(drop...)
-		}
-		if len(ups) > 0 {
-			ix.Insert(ups...)
-		}
-		ne.ix = ix
-	}
-	return ne
+	e.copied = int64(len(e.next.staged)) * stagedEntryBytes
+	return e
 }
 
+// stagedEntryBytes is what copying one staged map entry costs.
+const stagedEntryBytes = int64(unsafe.Sizeof(NodeID(0)) + unsafe.Sizeof(ned.Item{}))
+
 // Rebuild forces the materialization and index build a first query
-// would have paid for. On a built corpus it does nothing: a scan has no
-// tombstones or append tails to fold back in.
+// would have paid for. On a built corpus it does nothing: a scan folds
+// its delta inline, so nothing is left to rebuild.
 func (c *Corpus) Rebuild() { c.acquire() }
 
 // UpdateGraph moves the corpus to a new version of its graph (graphs
@@ -271,28 +287,22 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if g.Directed() != old.Directed() {
 		return 0, fmt.Errorf("ned: graph update changes directedness (corpus graph directed=%v)", old.Directed())
 	}
-	next := make(map[int]*shardEpoch)
-	edit := func(nv *corpusView) {
-		nv.g = g
-		for si, ne := range next {
-			nv.eps[si] = ne
-		}
-	}
+	swap := func(nv *corpusView) { nv.g = g }
+	edits := make(map[int]shardEdit)
 	if !c.materialized.Load() {
 		// Nothing extracted yet: the lazy build reads whatever graph is
 		// current, so the update is just a swap plus a membership shrink.
 		for si, ep := range view.eps {
 			for v := range ep.members {
 				if int(v) >= g.NumNodes() {
-					if next[si] == nil {
-						next[si] = ep.clone()
+					if edits[si].next == nil {
+						edits[si] = shardEdit{next: ep.clone()}
 					}
-					delete(next[si].members, v)
+					delete(edits[si].next.members, v)
 				}
 			}
 		}
-		c.publish(edit)
-		return 0, nil
+		return 0, c.commitEdits("graph update", view, segment.Record{}, edits, swap)
 	}
 
 	var refresh []NodeID
@@ -307,29 +317,24 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 		si := view.shardOf(it.Node)
 		upsByShard[si] = append(upsByShard[si], it)
 	}
-	touched := make(map[int]int)
 	var rec segment.Record
 	for si, ep := range view.eps {
 		var gone []NodeID
-		for v := range ep.byNode {
-			if int(v) >= g.NumNodes() {
-				gone = append(gone, v)
+		for it := range ep.items() {
+			if int(it.Node) >= g.NumNodes() {
+				gone = append(gone, it.Node)
 			}
 		}
 		ups := upsByShard[si]
 		if len(gone)+len(ups) == 0 {
 			continue
 		}
-		next[si] = c.splice(ep, ups, gone)
-		touched[si] = len(ups) + len(gone)
+		edits[si] = splice(ep, ups, gone)
 		rec.Upserts = append(rec.Upserts, ups...)
 		rec.Deletes = append(rec.Deletes, gone...)
 	}
-	if err := c.commit(rec, edit); err != nil {
-		return 0, fmt.Errorf("ned: graph update: %w", err)
-	}
-	for si, n := range touched {
-		view.shards[si].noteMutation(n, next[si].size(), ixLen(next[si].ix))
+	if err := c.commitEdits("graph update", view, rec, edits, swap); err != nil {
+		return 0, err
 	}
 	if c.wal.Load() != nil {
 		// The WAL records item churn, not graph swaps; only a checkpoint
@@ -340,14 +345,6 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 		}
 	}
 	return len(items), nil
-}
-
-// ixLen is ix.Len() tolerating the pre-build nil index.
-func ixLen(ix ned.DynamicIndex) int {
-	if ix == nil {
-		return 0
-	}
-	return ix.Len()
 }
 
 // affectedByUpdate returns the nodes whose k-adjacent trees can differ

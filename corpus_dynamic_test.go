@@ -13,13 +13,13 @@ import (
 	"ned/internal/tree"
 )
 
-// liveItems collects every shard's published item table into one map,
-// for white-box assertions on signature reuse across graph updates.
+// liveItems collects every shard's published items into one map, for
+// white-box assertions on signature reuse across graph updates.
 func liveItems(c *Corpus) map[NodeID]ned.Item {
 	out := make(map[NodeID]ned.Item)
 	for _, ep := range c.view.Load().eps {
-		for v, it := range ep.byNode {
-			out[v] = it
+		for it := range ep.items() {
+			out[it.Node] = it
 		}
 	}
 	return out
@@ -199,8 +199,8 @@ func TestCorpusStatsAcrossRebuild(t *testing.T) {
 }
 
 // TestCorpusStatsAcrossMutationRebuild: every mutation publishes a
-// cloned shard index with a recompiled profile block; the serving
-// counters must carry across each of them and never move backward.
+// successor shard scan with a new delta; the serving counters must
+// carry across each of them and never move backward.
 func TestCorpusStatsAcrossMutationRebuild(t *testing.T) {
 	ctx := context.Background()
 	g := randomGraph(60, 120, 906)

@@ -192,7 +192,7 @@ func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 // answers must equal the oracle's, the BlockCandidates counter must
 // prove every shard swept its candidates through the block kernels, and
 // the survivor counters must respect the tier chain — before and after
-// churn recompiles the blocks.
+// churn adds delta blocks.
 func TestCorpusShardedBlockKernels(t *testing.T) {
 	const k = 2
 	gCorpus := randomGraph(85, 190, 960)
@@ -216,8 +216,8 @@ func TestCorpusShardedBlockKernels(t *testing.T) {
 		}
 	}
 
-	// Churn keeps the block path live: every mutation recompiles the
-	// touched shard's block, so answers and counters must hold after
+	// Churn keeps the block path live: a mutation tombstones base slots
+	// and compiles a delta block, so answers and counters must hold after
 	// removals and re-inserts.
 	for _, c := range corpora {
 		if err := c.Remove(NodeID(3), NodeID(11), NodeID(40)); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 
 	"ned/internal/ned"
 	"ned/internal/segment"
@@ -42,7 +43,7 @@ func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
 func (v *corpusView) shardItems() [][]ned.Item {
 	items := make([][]ned.Item, len(v.eps))
 	for i, ep := range v.eps {
-		items[i] = sortedShardItems(ep.byNode)
+		items[i] = slices.Collect(ep.items())
 	}
 	return items
 }
@@ -216,18 +217,18 @@ func validateLoadedGraph(cfg corpusConfig, g *Graph, items []ned.Item) error {
 	return nil
 }
 
-// installLoadedItems seeds every shard with a materialized item table
-// and files the restored items by hash.
+// installLoadedItems stages the restored items in every shard, filed by
+// hash; the scans compile lazily over them.
 func installLoadedItems(c *Corpus, items []ned.Item) {
 	// The snapshot's items arrive pre-materialized: give every shard a
-	// non-nil item table (its keys are the membership) up front.
+	// non-nil staging table (its keys are the membership) up front.
 	v := c.view.Load()
 	for _, ep := range v.eps {
 		ep.members = nil
-		ep.byNode = make(map[NodeID]ned.Item)
+		ep.staged = make(map[NodeID]ned.Item)
 	}
 	for _, it := range items {
-		v.epochOf(it.Node).byNode[it.Node] = it
+		v.epochOf(it.Node).staged[it.Node] = it
 	}
 	c.materialized.Store(true)
 }

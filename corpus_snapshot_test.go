@@ -216,6 +216,51 @@ func TestCorpusSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// TestSnapshotBytesIgnoreDelta: how a shard's scan splits its items
+// between base and delta never reaches the disk. A built corpus churned
+// by a remove/insert storm — well over a fold's worth of mutations per
+// shard, ending mid-delta on the live set it started from — snapshots
+// byte-identical to its snapshot before the storm: the re-extracted
+// signatures intern against the same dictionary, so nothing differs.
+func TestSnapshotBytesIgnoreDelta(t *testing.T) {
+	g := randomGraph(240, 520, 931)
+	c, err := NewCorpus(g, 2, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Rebuild()
+	var before bytes.Buffer
+	if err := c.Snapshot(&before); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(932))
+	for round := 0; round < 6; round++ {
+		storm := rng.Perm(g.NumNodes())[:30+rng.Intn(30)]
+		nodes := make([]NodeID, len(storm))
+		for i, v := range storm {
+			nodes[i] = NodeID(v)
+		}
+		for _, v := range nodes {
+			if err := c.Remove(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Insert(nodes...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := c.Stats(); s.Nodes != g.NumNodes() {
+		t.Fatalf("storm ended on %d nodes, started on %d", s.Nodes, g.NumNodes())
+	}
+	var after bytes.Buffer
+	if err := c.Snapshot(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Errorf("snapshot after the storm differs: %d bytes, %d before", after.Len(), before.Len())
+	}
+}
+
 // TestLoadCorpusLegacySignatureFile: a plain WriteSignatures file (the
 // pre-snapshot format) loads as a corpus.
 func TestLoadCorpusLegacySignatureFile(t *testing.T) {

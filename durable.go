@@ -289,10 +289,10 @@ func (c *Corpus) applyRecovered(rec segment.Record) error {
 			return fmt.Errorf("wal upsert of node %d disagrees with corpus directedness", it.Node)
 		}
 		ned.ProfileItem(&it, c.dict)
-		view.epochOf(it.Node).byNode[it.Node] = it
+		view.epochOf(it.Node).staged[it.Node] = it
 	}
 	for _, v := range rec.Deletes {
-		delete(view.epochOf(v).byNode, v)
+		delete(view.epochOf(v).staged, v)
 	}
 	return nil
 }

@@ -166,7 +166,7 @@ func corpusState(c *Corpus) string {
 	var sb strings.Builder
 	fmt.Fprintln(&sb, view.g.Edges())
 	for v := 0; v < view.g.NumNodes(); v++ {
-		if it, ok := view.epochOf(NodeID(v)).byNode[NodeID(v)]; ok {
+		if it, ok := view.epochOf(NodeID(v)).item(NodeID(v)); ok {
 			fmt.Fprintln(&sb, v, it.Out.ParentVector())
 		}
 	}

@@ -1,21 +1,19 @@
 package ned
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 
 	"ned/internal/tree"
 )
 
 // This file wraps the columnar profile arenas (internal/tree) into the
 // candidate block the cascade sweep reads at any width: one arena for the
-// out-trees, one for the in-trees when the corpus is directed, plus the
-// slot permutation sorted by node that makes the sweep's counting sort
-// break padding ties by node. The block is compiled when a scan backend
-// is built or mutated and is immutable afterwards, so epoch clones share
-// it; the item slice and the block are index-aligned (slot i describes
-// items[i]). A sharded query sweeps one block per shard.
+// out-trees, one for the in-trees when the corpus is directed. A block is
+// compiled over node-sorted items — a scan's base when it is built or
+// folded, its delta when a mutation replaces the delta — and is immutable
+// afterwards, so epoch clones share it; the item slice and the block are
+// index-aligned (slot i describes items[i]), so slot order is node order.
+// A sharded query sweeps a base block and a delta block per shard.
 
 // profileBlock is the struct-of-arrays form of a scan backend's item
 // profiles. nil (or a failed compile) means the backend runs the
@@ -24,11 +22,6 @@ type profileBlock struct {
 	out *tree.ProfileArena
 	in  *tree.ProfileArena // nil for undirected corpora
 	n   int
-
-	// byNode holds the slots sorted ascending by node ID — the stable
-	// iteration order that lets blockOrder's counting sort break padding
-	// ties by node.
-	byNode []int32
 }
 
 // compileBlock builds the block over items, or returns nil when the
@@ -67,23 +60,20 @@ func compileBlock(items []Item) *profileBlock {
 			return nil
 		}
 	}
-	blk.byNode = nodeOrder(items)
 	return blk
 }
 
-// nodeOrder returns the slots of items sorted ascending by node. A
-// scan's items are kept node-sorted (its Insert merges, its Remove is
-// stable, the Corpus builds from sorted items), so this is normally the
-// identity, returned after one O(n) check.
-func nodeOrder(items []Item) []int32 {
-	order := make([]int32, len(items))
-	for i := range order {
-		order[i] = int32(i)
+// bytes is the size of the block's columns, 0 for a nil block: what
+// compiling it copied.
+func (b *profileBlock) bytes() int64 {
+	if b == nil {
+		return 0
 	}
-	if !slices.IsSortedFunc(items, func(a, b Item) int { return cmp.Compare(a.Node, b.Node) }) {
-		slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(items[a].Node, items[b].Node) })
+	n := len(b.out.Sizes) + len(b.out.Levels)
+	if b.in != nil {
+		n += len(b.in.Sizes) + len(b.in.Levels)
 	}
-	return order
+	return 4 * int64(n)
 }
 
 // bounds sweeps the size and padding tiers over the whole block,
@@ -117,17 +107,19 @@ func (b *profileBlock) bounds(q Item, sizeB, padB []int32) bool {
 // queries take the scalar path.
 const blockThresholdCap = 1 << 30
 
-// rangeBlockSurvivors runs the whole filter cascade over the block at
-// the static threshold r and returns the slots that reach the verify
-// stage, in slot order: the size and padding tiers fold into a
-// survivor bitmap in one kernel sweep, then the lazy degree tier walks
-// only the set bits. ok is false when the scan must take the scalar
-// path instead — no block, a block misaligned with the item slice, an
-// unprofiled query, or a radius beyond the int32 tier arithmetic. All
-// counter accounting for the filtered slots happens here; the caller
+// rangeBlockSurvivors runs the whole filter cascade over the part's
+// block at the static threshold r and returns the slots that reach the
+// verify stage, in slot order: the size and padding tiers fold into a
+// survivor bitmap in one kernel sweep, the part's dead slots are masked
+// out of it, then the lazy degree tier walks only the set bits. ok is
+// false when the scan must take the scalar path instead — no block, a
+// block misaligned with the item slice, an unprofiled query, or a radius
+// beyond the int32 tier arithmetic. All counter accounting for the
+// filtered live slots happens here, and none for dead ones; the caller
 // verifies the survivors (which records the verify outcomes). The
 // returned slice is the scratch's own.
-func (sc *sweepScratch) rangeBlockSurvivors(q Item, items []Item, blk *profileBlock, r int, cs *counterSet) ([]int32, bool) {
+func (sc *sweepScratch) rangeBlockSurvivors(q Item, pt sweepPart, r int) ([]int32, bool) {
+	blk, items, cs := pt.blk, pt.items, pt.cs
 	if blk == nil || blk.n != len(items) || r < 0 || r >= blockThresholdCap {
 		return nil, false
 	}
@@ -136,10 +128,24 @@ func (sc *sweepScratch) rangeBlockSurvivors(q Item, items []Item, blk *profileBl
 	if !blk.bounds(q, sizeB, padB) {
 		return nil, false
 	}
-	cs.blockSweep(blk.n)
+	live := blk.n - len(pt.dead)
+	cs.blockSweep(live)
 	sc.words = grow(sc.words, (blk.n+63)/64)
 	words := sc.words
 	szPruned, padPruned := tierFilterBlock(sizeB, padB, int32(r), words)
+	// A dead slot is not a candidate: clear its survivor bit, or take back
+	// the tier the bitmap pass charged it to.
+	for _, s := range pt.dead {
+		bit := uint64(1) << (uint(s) & 63)
+		switch {
+		case words[s>>6]&bit != 0:
+			words[s>>6] &^= bit
+		case sizeB[s] > int32(r):
+			szPruned--
+		default:
+			padPruned--
+		}
+	}
 	cs.cascadePruneBulk(int64(szPruned), int64(padPruned))
 	survivors := sc.survivors[:0]
 	for w, word := range words {
@@ -154,7 +160,7 @@ func (sc *sweepScratch) rangeBlockSurvivors(q Item, items []Item, blk *profileBl
 			survivors = append(survivors, j)
 		}
 	}
-	cs.blockSurviveBulk(int64(blk.n-szPruned), int64(blk.n-szPruned-padPruned), int64(len(survivors)))
+	cs.blockSurviveBulk(int64(live-szPruned), int64(live-szPruned-padPruned), int64(len(survivors)))
 	sc.survivors = survivors
 	return survivors, true
 }

@@ -282,23 +282,24 @@ func profileSwap(t1, t2 *tree.Tree, p1, p2 *tree.Profile) bool {
 // part whose block covers its items takes its bounds from one block-
 // kernel sweep over the columnar arenas when the query is profiled; any
 // other part computes the scalar per-item bounds in parallel at the
-// given width and sorts its slots by node. Both give bit-identical
-// bounds, indexed by global slot, so nothing item-sized is copied or
-// re-sorted.
+// given width. Both give bit-identical bounds, indexed by global slot,
+// so nothing item-sized is copied or re-sorted. A part's dead slots get
+// bounds too — the block kernels sweep whole arrays — but never enter
+// the order, so they are never claimed, verified or counted.
 func (sc *sweepScratch) prepare(ctx context.Context, query Item, parts []sweepPart, width int) error {
-	sc.ends, sc.byNode, sc.blocked = sc.ends[:0], sc.byNode[:0], sc.blocked[:0]
+	sc.ends, sc.dead, sc.blocked = sc.ends[:0], sc.dead[:0], sc.blocked[:0]
 	total := int32(0)
 	for _, pt := range parts {
 		total += int32(len(pt.items))
-		sc.ends = append(sc.ends, total)
+		sc.ends, sc.dead = append(sc.ends, total), append(sc.dead, pt.dead)
 	}
 	sc.sizeB, sc.padB = grow(sc.sizeB, int(total)), grow(sc.padB, int(total))
 	for p, pt := range parts {
 		lo, hi := partBase(sc.ends, p), sc.ends[p]
 		sizeB, padB := sc.sizeB[lo:hi], sc.padB[lo:hi]
 		if blk := pt.blk; blk != nil && blk.n == len(pt.items) && blk.bounds(query, sizeB, padB) {
-			pt.cs.blockSweep(blk.n)
-			sc.byNode, sc.blocked = append(sc.byNode, blk.byNode), append(sc.blocked, true)
+			pt.cs.blockSweep(blk.n - len(pt.dead))
+			sc.blocked = append(sc.blocked, true)
 			continue
 		}
 		items := pt.items
@@ -308,8 +309,8 @@ func (sc *sweepScratch) prepare(ctx context.Context, query Item, parts []sweepPa
 		}); err != nil {
 			return err
 		}
-		sc.byNode, sc.blocked = append(sc.byNode, nodeOrder(items)), append(sc.blocked, false)
+		sc.blocked = append(sc.blocked, false)
 	}
-	sc.order, sc.counts = blockOrder(sc.padB, sc.byNode, sc.ends, sc.order, sc.counts)
+	sc.order, sc.counts = blockOrder(sc.padB, sc.dead, sc.ends, sc.order, sc.counts)
 	return nil
 }

@@ -3,7 +3,9 @@ package ned
 import (
 	"cmp"
 	"context"
+	"iter"
 	"slices"
+	"unsafe"
 
 	"ned/internal/graph"
 	"ned/internal/ted"
@@ -14,9 +16,10 @@ import (
 // networks that change over time), so the index layer supports node
 // churn without a full re-index:
 //
-//   - the cascade scan (both of its names, "linear" and "pruned") edits
-//     its item slice in place — mutation is as cheap as the slice ops
-//     and queries never degrade;
+//   - the cascade scan (both of its names, "linear" and "pruned") is an
+//     immutable base plus a copy-on-write delta and tombstones, folded
+//     inline once they pass a fixed fraction of the base — a mutation
+//     copies O(delta), and every query sweeps base and delta exactly;
 //   - the VP-tree takes a tombstone + append path: removals mark tree
 //     nodes dead (they keep routing, never rank), insertions land in a
 //     linearly-scanned tail merged into every query;
@@ -48,9 +51,26 @@ type DynamicIndex interface {
 	// on the clone never touch the original's structure, so a published
 	// epoch stays immutable for lock-free readers while its successor is
 	// prepared. Item payloads and the serving-counter accumulator are
-	// shared (counters stay continuous across epochs). O(n) copying, no
-	// metric evaluations.
+	// shared (counters stay continuous across epochs). No metric
+	// evaluations; the trees copy their nodes, the scan copies nothing
+	// item-sized.
 	Clone() DynamicIndex
+}
+
+// ItemIndex is a DynamicIndex that is also the store of its items: the
+// cascade scan, which a built Corpus shard keeps as the only copy of its
+// items. Both scan constructors return one.
+type ItemIndex interface {
+	DynamicIndex
+	// Item returns node v's indexed item.
+	Item(v graph.NodeID) (Item, bool)
+	// Items iterates the indexed items in ascending node order.
+	Items() iter.Seq[Item]
+	// Splice returns a successor with dels removed and ups upserted (an
+	// up of an indexed node replaces its item), leaving the receiver
+	// untouched, and the bytes of index state the successor copied:
+	// O(change), plus the rebuild when the change folds the delta.
+	Splice(ups []Item, dels []graph.NodeID) (ItemIndex, int64)
 }
 
 // nodeSet builds a membership set for a removal batch.
@@ -79,41 +99,145 @@ func removeItems(items []Item, gone map[graph.NodeID]bool) ([]Item, int) {
 
 // --- cascade scan backend ---
 
-// Scan mutations keep the item slice node-sorted — Insert merges the
-// new items in at their node positions, Remove compacts stably — so the
-// block's node order (byNode) stays the identity and a recompile never
-// re-sorts the slots. Every mutation recompiles the profile block: the
-// columnar arenas are index-aligned with the item slice and immutable
-// (shared by epoch clones), so any slice edit needs a fresh block.
-// Linear in the item count, the same order as the slice edit itself
-// plus profile copying.
+// A scan's items are an immutable base plus a copy-on-write delta, the
+// MV-PBT layout (PAPERS.md). The base holds node-sorted items and their
+// profile block; delta holds, node-sorted, what was inserted since the
+// last fold, with a block of its own; dead lists, ascending, the base
+// slots removed since then — the base's live run is the spans between
+// them. A mutation never writes any of these: it allocates a new delta
+// and dead list and compiles the new delta's block, so clones share
+// everything and a write copies O(delta). Once the delta and the dead
+// slots together pass max(foldMin, len(base)>>foldShift), the mutation
+// folds them inline into a new base — one merge and one block compile,
+// amortized over the mutations since the last fold.
 
-func (b *scanBackend) Insert(items ...Item) {
-	add := slices.SortedFunc(slices.Values(items), func(x, y Item) int { return cmp.Compare(x.Node, y.Node) })
-	// Merge from the back: the slice grows by len(add) and each existing
-	// item moves at most once.
-	n := len(b.items)
-	b.items = slices.Grow(b.items, len(add))[:n+len(add)]
-	i, j := n-1, len(add)-1
-	for w := len(b.items) - 1; j >= 0; w-- {
-		if i >= 0 && b.items[i].Node > add[j].Node {
-			b.items[w] = b.items[i]
-			i--
-		} else {
-			b.items[w] = add[j]
-			j--
-		}
-	}
-	b.block = compileBlock(b.items)
-}
+// foldMin and foldShift fix when a scan folds (see above).
+const (
+	foldMin   = 64
+	foldShift = 5
+)
+
+// itemBytes is what copying one Item costs.
+const itemBytes = int64(unsafe.Sizeof(Item{}))
+
+func (b *scanBackend) Insert(items ...Item) { b.apply(items, nil) }
 
 func (b *scanBackend) Remove(nodes ...graph.NodeID) int {
-	var n int
-	b.items, n = removeItems(b.items, nodeSet(nodes))
-	if n > 0 {
-		b.block = compileBlock(b.items)
-	}
+	n, _ := b.apply(nil, nodes)
 	return n
+}
+
+func (b *scanBackend) Splice(ups []Item, dels []graph.NodeID) (ItemIndex, int64) {
+	c := *b
+	_, copied := c.apply(ups, dels)
+	return &c, copied
+}
+
+// apply removes dels and the nodes of ups, then inserts ups. It replaces
+// b's dead list, delta and delta block with fresh ones (a fold replaces
+// the base too) and writes nothing b shares with its clones. It returns
+// how many indexed items it removed and how many bytes it copied.
+func (b *scanBackend) apply(ups []Item, dels []graph.NodeID) (removed int, copied int64) {
+	gone := nodeSet(dels)
+	for _, it := range ups {
+		gone[it.Node] = true
+	}
+	var slots []int32
+	for v := range gone {
+		for s := b.baseSlot(v); s < len(b.base) && b.base[s].Node == v; s++ {
+			if !b.isDead(int32(s)) {
+				slots = append(slots, int32(s))
+			}
+		}
+	}
+	if len(slots) > 0 {
+		b.dead = slices.Concat(b.dead, slots)
+		slices.Sort(b.dead)
+		copied += 4 * int64(len(b.dead))
+	}
+	delta := make([]Item, 0, len(b.delta)+len(ups))
+	for _, it := range b.delta {
+		if !gone[it.Node] {
+			delta = append(delta, it)
+		}
+	}
+	dropped := len(b.delta) - len(delta)
+	removed = len(slots) + dropped
+	if dropped+len(ups) > 0 {
+		b.delta = append(delta, ups...)
+		slices.SortFunc(b.delta, compareNodes)
+		b.dblk = nil
+		copied += itemBytes * int64(len(b.delta))
+	}
+	if len(b.dead)+len(b.delta) > max(foldMin, len(b.base)>>foldShift) {
+		return removed, copied + b.fold()
+	}
+	if dropped+len(ups) > 0 {
+		b.dblk = compileBlock(b.delta)
+		copied += b.dblk.bytes()
+	}
+	return removed, copied
+}
+
+// fold merges the live base and the delta into a new base and returns
+// the bytes the rebuild copied.
+func (b *scanBackend) fold() int64 {
+	items := slices.AppendSeq(make([]Item, 0, b.Len()), b.Items())
+	b.base, b.bblk = items, compileBlock(items)
+	b.dead, b.delta, b.dblk = nil, nil, nil
+	return itemBytes*int64(len(items)) + b.bblk.bytes()
+}
+
+// nodeVs compares an item's node with v, for binary searches.
+func nodeVs(it Item, v graph.NodeID) int { return cmp.Compare(it.Node, v) }
+
+// baseSlot is the first base slot whose node is not below v.
+func (b *scanBackend) baseSlot(v graph.NodeID) int {
+	s, _ := slices.BinarySearchFunc(b.base, v, nodeVs)
+	return s
+}
+
+// isDead reports whether base slot s was removed since the last fold.
+func (b *scanBackend) isDead(s int32) bool {
+	_, found := slices.BinarySearch(b.dead, s)
+	return found
+}
+
+func (b *scanBackend) Item(v graph.NodeID) (Item, bool) {
+	if i, ok := slices.BinarySearchFunc(b.delta, v, nodeVs); ok {
+		return b.delta[i], true
+	}
+	for s := b.baseSlot(v); s < len(b.base) && b.base[s].Node == v; s++ {
+		if !b.isDead(int32(s)) {
+			return b.base[s], true
+		}
+	}
+	return Item{}, false
+}
+
+// Items merges the live base with the delta, both node-sorted.
+func (b *scanBackend) Items() iter.Seq[Item] {
+	return func(yield func(Item) bool) {
+		delta := b.delta
+		for lo, hi := range liveSpans(int32(len(b.base)), b.dead) {
+			for _, it := range b.base[lo:hi] {
+				for len(delta) > 0 && delta[0].Node < it.Node {
+					if !yield(delta[0]) {
+						return
+					}
+					delta = delta[1:]
+				}
+				if !yield(it) {
+					return
+				}
+			}
+		}
+		for _, it := range delta {
+			if !yield(it) {
+				return
+			}
+		}
+	}
 }
 
 // --- VP-tree backend ---

@@ -2,6 +2,7 @@ package ned
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -11,13 +12,23 @@ import (
 	"ned/internal/tree"
 )
 
-// TestScanMutationsKeepNodeOrder pins the scan's mutation invariant:
-// after any Insert / Remove churn — batches arriving in any node order —
-// the item slice is node-sorted and the block's node order is the
-// identity, so no recompile re-sorts the slots; and every KNN still
-// equals the exhaustive TopL over the live signatures.
-func TestScanMutationsKeepNodeOrder(t *testing.T) {
-	g := randomTestGraph(120, 360, 31)
+// TestScanDeltaChurn pins the scan's base + delta layout to the
+// exhaustive oracle through a seeded Insert / Remove / Clone churn that
+// folds the delta into the base several times, with the edge cases
+// scripted in: a node removed and re-inserted in one step (its base slot
+// dead, its item in the delta), a delta-only node removed, and a removal
+// batch spanning base and delta. After every step, for every query:
+//   - KNN at widths 1 and 2 and Range at r ∈ {0, 2, 5} equal the
+//     exhaustive TopL over the live items;
+//   - each query grows BlockCandidates and DistanceCalls +
+//     LowerBoundPrunes by exactly the live count (dead slots are never
+//     swept, verified or counted), and LowerBoundPrunes stays the sum of
+//     its tiers;
+//   - a clone taken before the last ten steps still answers its own
+//     state, and Items lists the live items in node order.
+func TestScanDeltaChurn(t *testing.T) {
+	ctx := context.Background()
+	g := randomTestGraph(140, 420, 31)
 	var nodes []graph.NodeID
 	for v := 0; v < g.NumNodes(); v++ {
 		nodes = append(nodes, graph.NodeID(v))
@@ -26,66 +37,159 @@ func TestScanMutationsKeepNodeOrder(t *testing.T) {
 	sigs := Signatures(g, nodes, 2)
 	items := ItemsOf(sigs)
 	ProfileItems(items, dict, 2)
-	query := sigs[17].Item()
-	ProfileQueryItem(&query, dict)
+	other := randomTestGraph(50, 110, 32)
+	qsigs := []Signature{sigs[17], NewSignature(other, 3, 2)}
+	var queries []Item
+	for _, s := range qsigs {
+		q := s.Item()
+		ProfileQueryItem(&q, dict)
+		queries = append(queries, q)
+	}
 
 	rng := rand.New(rand.NewSource(5))
 	live := make(map[graph.NodeID]bool)
 	var start []Item
 	for _, it := range items {
-		if rng.Intn(2) == 0 {
+		if rng.Intn(4) != 0 {
 			start = append(start, it)
 			live[it.Node] = true
 		}
 	}
-	ix := NewPrunedLinearBackend(start)
-	for step := 0; step < 60; step++ {
-		ix = ix.Clone()
-		var batch []Item
-		var gone []graph.NodeID
-		for range 1 + rng.Intn(6) {
-			v := graph.NodeID(rng.Intn(len(items)))
-			switch {
-			case live[v]:
-				gone = append(gone, v)
-				delete(live, v)
-			case !slices.ContainsFunc(batch, func(it Item) bool { return it.Node == v }):
-				batch = append(batch, items[v])
+	liveSigs := func() []Signature {
+		var out []Signature
+		for _, s := range sigs {
+			if live[s.Node] {
+				out = append(out, s)
 			}
 		}
-		ix.Remove(gone...)
+		return out
+	}
+
+	check := func(name string, b *scanBackend, want []Signature) {
+		t.Helper()
+		if got := slices.Collect(b.Items()); len(got) != len(want) || b.Len() != len(want) {
+			t.Fatalf("%s: Items lists %d, Len %d, live %d", name, len(got), b.Len(), len(want))
+		} else {
+			for i, it := range got {
+				if it.Node != want[i].Node {
+					t.Fatalf("%s: Items[%d] is node %d, want %d", name, i, it.Node, want[i].Node)
+				}
+			}
+		}
+		n := int64(len(want))
+		counted := func(what string, run func()) {
+			t.Helper()
+			before := b.Counters()
+			run()
+			c := b.Counters()
+			if got := c.BlockCandidates - before.BlockCandidates; got != n {
+				t.Errorf("%s %s: BlockCandidates grew by %d, live %d", name, what, got, n)
+			}
+			if got := c.DistanceCalls + c.LowerBoundPrunes - before.DistanceCalls - before.LowerBoundPrunes; got != n {
+				t.Errorf("%s %s: %d evaluated + pruned, live %d", name, what, got, n)
+			}
+			if c.LowerBoundPrunes != c.SizePrunes+c.PaddingPrunes+c.LabelPrunes {
+				t.Errorf("%s %s: LowerBoundPrunes %d != size %d + padding %d + tier-2 %d",
+					name, what, c.LowerBoundPrunes, c.SizePrunes, c.PaddingPrunes, c.LabelPrunes)
+			}
+		}
+		for qi, q := range queries {
+			all := TopL(qsigs[qi], want, len(want))
+			for _, width := range []int{1, 2} {
+				w := *b
+				w.workers = width
+				what := fmt.Sprintf("query %d width %d KNN", qi, width)
+				counted(what, func() {
+					got, err := w.KNN(ctx, q, 5)
+					if err != nil || !reflect.DeepEqual(got, all[:min(5, len(all))]) {
+						t.Errorf("%s %s: %v (err %v), oracle %v", name, what, got, err, all[:min(5, len(all))])
+					}
+				})
+				for _, r := range []int{0, 2, 5} {
+					what := fmt.Sprintf("query %d width %d Range r=%d", qi, width, r)
+					var within []Neighbor
+					for _, nb := range all {
+						if nb.Dist <= r {
+							within = append(within, nb)
+						}
+					}
+					counted(what, func() {
+						got, err := w.Range(ctx, q, r)
+						if err != nil || fmt.Sprint(got) != fmt.Sprint(within) {
+							t.Errorf("%s %s: %v (err %v), oracle %v", name, what, got, err, within)
+						}
+					})
+				}
+			}
+		}
+	}
+
+	ix := NewPrunedLinearBackend(start).(*scanBackend)
+	frozen, frozenLive := ix.Clone().(*scanBackend), liveSigs()
+	folds, scripted := 0, 0
+	for step := 0; step < 70; step++ {
+		if step%10 == 0 {
+			frozen, frozenLive = ix.Clone().(*scanBackend), liveSigs()
+		}
+		ix = ix.Clone().(*scanBackend)
+		base := ix.bblk
+		var gone []graph.NodeID
+		var batch []Item
+		switch {
+		case step == 3:
+			// Remove and re-insert one live base node in one step.
+			s := int32(len(ix.base) / 2)
+			for ix.isDead(s) {
+				s++
+			}
+			v := ix.base[s].Node
+			if ix.Remove(v) != 1 {
+				t.Fatalf("step %d: base node %d was not removed", step, v)
+			}
+			ix.Insert(items[v])
+			scripted++
+		case step == 5 && len(ix.delta) > 0:
+			// Remove a node that lives only in the delta.
+			gone = append(gone, ix.delta[0].Node)
+			scripted++
+		case step == 7 && len(ix.delta) > 0:
+			// One removal batch across base and delta.
+			gone = append(gone, ix.delta[len(ix.delta)-1].Node)
+			for _, it := range ix.base {
+				if live[it.Node] && !slices.Contains(gone, it.Node) {
+					gone = append(gone, it.Node)
+					break
+				}
+			}
+			scripted++
+		default:
+			for range 1 + rng.Intn(8) {
+				v := graph.NodeID(rng.Intn(len(items)))
+				switch {
+				case live[v] && !slices.Contains(gone, v):
+					gone = append(gone, v)
+				case !live[v] && !slices.ContainsFunc(batch, func(it Item) bool { return it.Node == v }):
+					batch = append(batch, items[v])
+				}
+			}
+		}
+		for _, v := range gone {
+			delete(live, v)
+		}
+		if got := ix.Remove(gone...); got != len(gone) {
+			t.Fatalf("step %d: Remove of %d live nodes removed %d", step, len(gone), got)
+		}
 		ix.Insert(batch...)
 		for _, it := range batch {
 			live[it.Node] = true
 		}
-
-		b := ix.(*scanBackend)
-		if !slices.IsSortedFunc(b.items, func(x, y Item) int { return int(x.Node) - int(y.Node) }) {
-			t.Fatalf("step %d: items not node-sorted", step)
+		if ix.bblk != base {
+			folds++
 		}
-		if len(b.items) != len(live) {
-			t.Fatalf("step %d: %d items, %d live", step, len(b.items), len(live))
-		}
-		if b.block == nil {
-			t.Fatalf("step %d: profiled items compiled no block", step)
-		}
-		for i, s := range b.block.byNode {
-			if int(s) != i {
-				t.Fatalf("step %d: byNode is not the identity at slot %d (%d)", step, i, s)
-			}
-		}
-		var liveSigs []Signature
-		for _, s := range sigs {
-			if live[s.Node] {
-				liveSigs = append(liveSigs, s)
-			}
-		}
-		got, err := ix.KNN(context.Background(), query, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := TopL(sigs[17], liveSigs, 5); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: KNN %v, oracle %v", step, got, want)
-		}
+		check(fmt.Sprintf("step %d", step), ix, liveSigs())
+		check(fmt.Sprintf("step %d, clone from step %d", step, step/10*10), frozen, frozenLive)
+	}
+	if folds < 3 || scripted != 3 {
+		t.Fatalf("churn folded %d times and ran %d of 3 scripted cases; want >= 3 folds and all cases", folds, scripted)
 	}
 }

@@ -1,8 +1,10 @@
 package ned
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -577,17 +579,26 @@ func (b *bkBackend) Clone() DynamicIndex {
 
 // --- cascade scan backend ---
 
-// scanBackend is the cascade scan (§10) over a flat item slice: both
+// scanBackend is the cascade scan (§10) over node-sorted items: both
 // scan names construct it, "pruned" at width 1 and "linear" at the
 // width the caller asks for. The width is how many sweepers share one
 // query's candidates; it moves wall time, never decisions.
+//
+// The items are an immutable base plus a copy-on-write delta (see
+// dynamic.go): node n is indexed iff it is in delta, or in a base slot
+// dead does not list. A query sweeps two parts, the base without its
+// dead slots and the delta.
 type scanBackend struct {
-	items []Item
-	// block is the columnar form of the item profiles (slot i describes
-	// items[i]); nil when any item is unprofiled, in which case every
-	// query takes the scalar per-candidate cascade. Recompiled on
-	// mutation, shared by clones.
-	block    *profileBlock
+	base []Item
+	// bblk and dblk are the columnar forms of the base's and the delta's
+	// profiles (slot i describes base[i] or delta[i]); nil when any item
+	// is unprofiled, in which case that part takes the scalar
+	// per-candidate cascade. Never edited: clones share them.
+	bblk  *profileBlock
+	dead  []int32 // base slots removed since the last fold, ascending
+	delta []Item  // items inserted since the last fold, node-sorted
+	dblk  *profileBlock
+
 	workers  int
 	counters *counterSet
 }
@@ -599,14 +610,29 @@ type scanBackend struct {
 // over the columnar profile arenas when all items are profiled —
 // verifies in ascending bound order under the current l-th distance as
 // TED* budget, and stops at the first candidate whose bound exceeds it.
-// Mutations edit the item slice in place (see dynamic.go).
+// Items already in node order are adopted as the scan's base, otherwise
+// a sorted copy is; the scan never writes them. Mutations copy only a
+// small delta (see dynamic.go).
 func NewLinearBackend(items []Item, workers int) DynamicIndex {
+	items = nodeSorted(items)
 	return &scanBackend{
-		items:    items,
-		block:    compileBlock(items),
+		base:     items,
+		bblk:     compileBlock(items),
 		workers:  BatchOptions{Workers: workers}.workers(),
 		counters: &counterSet{},
 	}
+}
+
+// compareNodes orders items by node.
+func compareNodes(a, b Item) int { return cmp.Compare(a.Node, b.Node) }
+
+// nodeSorted returns items when they ascend by node, else a stably
+// sorted copy: a sweep reads each part's slot order as node order.
+func nodeSorted(items []Item) []Item {
+	if slices.IsSortedFunc(items, compareNodes) {
+		return items
+	}
+	return slices.SortedStableFunc(slices.Values(items), compareNodes)
 }
 
 // NewPrunedLinearBackend is the cascade scan at width 1: the whole
@@ -615,31 +641,35 @@ func NewLinearBackend(items []Item, workers int) DynamicIndex {
 func NewPrunedLinearBackend(items []Item) DynamicIndex { return NewLinearBackend(items, 1) }
 
 func (b *scanBackend) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
-	res, _, err := scanKNN(ctx, query, []sweepPart{b.part()}, l, b.workers, runSweepers)
+	res, _, err := scanKNN(ctx, query, b.appendParts(nil), l, b.workers, runSweepers)
 	return res, err
 }
 
 func (b *scanBackend) Range(ctx context.Context, query Item, r int) ([]Neighbor, error) {
-	return scanRange(ctx, query, b.items, b.block, r, b.workers, b.counters)
+	return scanRange(ctx, query, b.appendParts(nil), r, b.workers)
 }
 
-func (b *scanBackend) Len() int             { return len(b.items) }
+func (b *scanBackend) Len() int             { return len(b.base) - len(b.dead) + len(b.delta) }
 func (b *scanBackend) DistanceCalls() int64 { return b.counters.distCalls.Load() }
 func (b *scanBackend) Counters() Counters   { return b.counters.snapshot() }
 func (b *scanBackend) ResetStats()          { b.counters.reset() }
 
-// part is the backend as one part of a sweep.
-func (b *scanBackend) part() sweepPart {
-	return sweepPart{items: b.items, blk: b.block, cs: b.counters}
+// appendParts appends the backend's parts of a sweep: the base without
+// its dead slots, then the delta when it holds anything.
+func (b *scanBackend) appendParts(parts []sweepPart) []sweepPart {
+	parts = append(parts, sweepPart{items: b.base, blk: b.bblk, dead: b.dead, cs: b.counters})
+	if len(b.delta) > 0 {
+		parts = append(parts, sweepPart{items: b.delta, blk: b.dblk, cs: b.counters})
+	}
+	return parts
 }
 
-// Clone returns a structurally private copy: the item slice is
-// duplicated (in-place mutation on the clone cannot alias the
-// original's backing array), the counter accumulator and the immutable
-// profile block shared (a mutation on the clone recompiles its own).
+// Clone returns a structurally private copy that copies nothing
+// item-sized: base, dead list, delta and both blocks are shared, because
+// no mutation writes them — it replaces them (see dynamic.go). The
+// counter accumulator is shared too.
 func (b *scanBackend) Clone() DynamicIndex {
 	c := *b
-	c.items = append([]Item(nil), b.items...)
 	return &c
 }
 
@@ -696,12 +726,15 @@ func runSweepers(workers int, sweep func()) {
 	wg.Wait()
 }
 
-// sweepPart is one block of a sweep: a shard's items, the profile block
-// compiled over them (nil, or one not covering the items, takes the
-// scalar bounds), and the counter set the shard's work lands in.
+// sweepPart is one block of a sweep: node-sorted items (a shard's scan
+// base or delta), the profile block compiled over them (nil, or one not
+// covering the items, takes the scalar bounds), the ascending slots of
+// items that are not candidates (the base's dead slots), and the counter
+// set the shard's work lands in.
 type sweepPart struct {
 	items []Item
 	blk   *profileBlock
+	dead  []int32
 	cs    *counterSet
 }
 
@@ -709,24 +742,26 @@ type sweepPart struct {
 // because zeroing and collecting it per query cost more than the sweep
 // over the bounds: the bound arrays over every part's slots (global
 // slot g of part p is partBase(ends, p) + its local slot), the
-// evaluation order and its counting sort's histogram, each part's
-// node-ordered slots and whether it took the block kernels, and Range's
-// survivor bitmap and list. Nothing in it outlives the query.
+// evaluation order and its counting sort's histogram, each part's dead
+// slots and whether it took the block kernels, the tail cut's per-part
+// tally, and Range's survivor bitmap and list. Nothing in it outlives
+// the query.
 type sweepScratch struct {
 	sizeB, padB, order, counts []int32
 	ends                       []int32
-	byNode                     [][]int32
+	dead                       [][]int32
 	blocked                    []bool
+	tally                      []int64
 	words                      []uint64
 	survivors                  []int32
 }
 
 var sweepScratches = sync.Pool{New: func() any { return new(sweepScratch) }}
 
-// release drops the scratch's references into the query's blocks and
+// release drops the scratch's references into the query's scans and
 // returns it to the pool.
 func (sc *sweepScratch) release() {
-	clear(sc.byNode)
+	clear(sc.dead)
 	sweepScratches.Put(sc)
 }
 
@@ -752,30 +787,36 @@ func (sc *sweepScratch) partOf(g int32) int {
 // part, and each part's tally lands in its counter set as one bulk add.
 // Returns how many slots were dismissed.
 func (sc *sweepScratch) cutTail(parts []sweepPart, g int32, tail []int32, t int) int {
-	var buf [16]int64
-	tally := buf[:] // [2p]: slots of part p dismissed; [2p+1]: of them by size
-	if 2*len(parts) > len(buf) {
-		tally = make([]int64, 2*len(parts))
+	bySize := func(g int32) int64 {
+		if int(sc.sizeB[g]) > t {
+			return 1
+		}
+		return 0
 	}
-	note := func(g int32) {
+	cut := func(p int, n, bySize int64) {
+		parts[p].cs.cascadePruneBulk(bySize, n-bySize)
+		if sc.blocked[p] {
+			parts[p].cs.blockSurviveBulk(n-bySize, 0, 0)
+		}
+	}
+	cut(sc.partOf(g), 1, bySize(g))
+	if len(tail) == 0 {
+		return 1
+	}
+	// The cursor hands the unclaimed tail to exactly one sweeper, so the
+	// scratch's tally is this one's alone; other sweepers cutting at the
+	// same time hold only their own slot.
+	sc.tally = grow(sc.tally, 2*len(parts)) // [2p]: slots of part p dismissed; [2p+1]: of them by size
+	tally := sc.tally
+	clear(tally)
+	for _, g := range tail {
 		p := sc.partOf(g)
 		tally[2*p]++
-		if int(sc.sizeB[g]) > t {
-			tally[2*p+1]++
-		}
-	}
-	note(g)
-	for _, g := range tail {
-		note(g)
+		tally[2*p+1] += bySize(g)
 	}
 	for p := range parts {
-		cut, bySize := tally[2*p], tally[2*p+1]
-		if cut == 0 {
-			continue
-		}
-		parts[p].cs.cascadePruneBulk(bySize, cut-bySize)
-		if sc.blocked[p] {
-			parts[p].cs.blockSurviveBulk(cut-bySize, 0, 0)
+		if tally[2*p] > 0 {
+			cut(p, tally[2*p], tally[2*p+1])
 		}
 	}
 	return 1 + len(tail)
@@ -883,43 +924,54 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 	return col.results, scan.stats, nil
 }
 
-// scanRange is the cascade range scan behind both scan backends. Results
-// are exact and canonically sorted.
-func scanRange(ctx context.Context, query Item, items []Item, blk *profileBlock, r, workers int, counters *counterSet) ([]Neighbor, error) {
+// scanRange is the cascade range scan behind both scan backends, over
+// their parts in turn. Results are exact and canonically sorted.
+func scanRange(ctx context.Context, query Item, parts []sweepPart, r, workers int) ([]Neighbor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// With a block the kernels have already run every filter tier at
-	// threshold r and only the survivors need the verify stage; without
-	// one every item goes through the scalar cascade.
 	sc := sweepScratches.Get().(*sweepScratch)
 	defer sc.release()
-	n, dist := len(items), cascadeDistanceAtMost
-	survivors, blocked := sc.rangeBlockSurvivors(query, items, blk, r, counters)
-	if blocked {
-		n, dist = len(survivors), verifyDistanceAtMost
-	}
 	var mu sync.Mutex
 	var out []Neighbor
-	err := ParallelForCtx(ctx, n, workers, func(i int) {
-		if blocked {
-			i = int(survivors[i])
+	for _, pt := range parts {
+		// With a block the kernels have already run every filter tier at
+		// threshold r and only the survivors need the verify stage; without
+		// one every live item goes through the scalar cascade.
+		slots, blocked := sc.rangeBlockSurvivors(query, pt, r)
+		dist := verifyDistanceAtMost
+		if !blocked {
+			slots, dist = sc.liveSlots(pt), cascadeDistanceAtMost
 		}
-		it := items[i]
-		comp := tedComputers.Get().(*ted.Computer)
-		d, o := dist(comp, query, it, r, counters)
-		tedComputers.Put(comp)
-		if o == ted.OutcomeExact && d <= r {
-			mu.Lock()
-			out = append(out, Neighbor{Node: it.Node, Dist: d})
-			mu.Unlock()
+		if err := ParallelForCtx(ctx, len(slots), workers, func(i int) {
+			it := pt.items[slots[i]]
+			comp := tedComputers.Get().(*ted.Computer)
+			d, o := dist(comp, query, it, r, pt.cs)
+			tedComputers.Put(comp)
+			if o == ted.OutcomeExact && d <= r {
+				mu.Lock()
+				out = append(out, Neighbor{Node: it.Node, Dist: d})
+				mu.Unlock()
+			}
+		}); err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	sortNeighborsCanonical(out)
 	return out, nil
+}
+
+// liveSlots lists the part's candidate slots — all but its dead ones —
+// in the scratch's survivor list.
+func (sc *sweepScratch) liveSlots(pt sweepPart) []int32 {
+	slots := sc.survivors[:0]
+	for lo, hi := range liveSpans(int32(len(pt.items)), pt.dead) {
+		for j := lo; j < hi; j++ {
+			slots = append(slots, j)
+		}
+	}
+	sc.survivors = slots
+	return slots
 }
 
 // ParallelForCtx runs fn(i) for i in [0, n) across workers (<= 0 means

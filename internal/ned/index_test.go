@@ -254,7 +254,7 @@ func TestScanWidths(t *testing.T) {
 			if err != nil || fmt.Sprint(knn0) != fmt.Sprint(all[:9]) {
 				t.Errorf("directed=%v profiled=%v width=0 KNN: got %v (err %v), exhaustive %v", directed, profiled, knn0, err, all[:9])
 			}
-			rng0, err := scanRange(context.Background(), qs[1], cands, blk, 3, 0, nil)
+			rng0, err := scanRange(context.Background(), qs[1], []sweepPart{{items: cands, blk: blk}}, 3, 0)
 			if err != nil || fmt.Sprint(rng0) != fmt.Sprint(all[:within]) {
 				t.Errorf("directed=%v profiled=%v width=0 Range: got %v (err %v), exhaustive %v", directed, profiled, rng0, err, all[:within])
 			}

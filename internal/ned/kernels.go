@@ -2,6 +2,7 @@ package ned
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 )
 
@@ -94,30 +95,44 @@ func tierFilterBlock(sizeB, padB []int32, t int32, bits []uint64) (szPruned, pad
 	return szPruned, padPruned
 }
 
-// blockOrder returns every slot of a sweep in ascending padding bound
-// via a counting sort over the bound values: one pass to histogram, one
-// stable pass to place. padB is indexed by global slot — part p's slots
-// are ends[p-1] (0 for the first part) up to ends[p] — and byNode[p]
-// lists part p's local slots in ascending node order, so ties go part
-// after part and by node within a part: for one part, exactly the
-// canonical (padding bound, node) order. NED bounds are small integers,
-// so the count array is tiny; a degenerate corpus whose bound range
-// dwarfs the slot count takes a stable comparison sort of the same
-// sequence instead. order and counts are reused when large enough; both
-// are returned, possibly regrown.
-func blockOrder(padB []int32, byNode [][]int32, ends []int32, order, counts []int32) ([]int32, []int32) {
+// blockOrder returns every live slot of a sweep in ascending padding
+// bound via a counting sort over the bound values: one pass to
+// histogram, one stable pass to place. padB is indexed by global slot —
+// part p's slots are ends[p-1] (0 for the first part) up to ends[p], in
+// ascending node order — and dead[p] lists, ascending, the local slots
+// of part p that are not candidates, so ties go part after part and by
+// node within a part: for one part, exactly the canonical (padding
+// bound, node) order. Both passes walk the live spans between dead
+// slots; with nothing dead the histogram is one direct pass over padB.
+// NED bounds are small integers, so the count array is tiny; a
+// degenerate corpus whose bound range dwarfs the slot count takes a
+// stable comparison sort of the same sequence instead. order and counts
+// are reused when large enough; both are returned, possibly regrown.
+func blockOrder(padB []int32, dead [][]int32, ends []int32, order, counts []int32) ([]int32, []int32) {
 	n := len(padB)
+	for _, d := range dead {
+		n -= len(d)
+	}
 	order = grow(order, n)
 	var maxPad int32
 	for _, p := range padB {
 		maxPad = max(maxPad, p)
 	}
+	spans := func(yield func(lo, hi int32) bool) {
+		for p, d := range dead {
+			base := partBase(ends, p)
+			for lo, hi := range liveSpans(ends[p]-base, d) {
+				if !yield(base+lo, base+hi) {
+					return
+				}
+			}
+		}
+	}
 	if int(maxPad) > 4*n+4096 {
 		order = order[:0]
-		for p, run := range byNode {
-			base := partBase(ends, p)
-			for _, j := range run {
-				order = append(order, base+j)
+		for lo, hi := range spans {
+			for g := lo; g < hi; g++ {
+				order = append(order, g)
 			}
 		}
 		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(padB[a], padB[b]) })
@@ -125,22 +140,45 @@ func blockOrder(padB []int32, byNode [][]int32, ends []int32, order, counts []in
 	}
 	counts = grow(counts, int(maxPad)+2)
 	clear(counts)
-	for _, p := range padB {
-		counts[p+1]++
+	if n == len(padB) {
+		for _, p := range padB {
+			counts[p+1]++
+		}
+	} else {
+		for lo, hi := range spans {
+			for _, p := range padB[lo:hi] {
+				counts[p+1]++
+			}
+		}
 	}
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
 	}
-	for p, run := range byNode {
-		base := partBase(ends, p)
-		for _, j := range run {
-			g := base + j
+	for lo, hi := range spans {
+		for g := lo; g < hi; g++ {
 			pb := padB[g]
 			order[counts[pb]] = g
 			counts[pb]++
 		}
 	}
 	return order, counts
+}
+
+// liveSpans yields the maximal runs [lo, hi) of slots 0..n-1 that dead
+// (ascending) does not list: the live run of a part, as spans.
+func liveSpans(n int32, dead []int32) iter.Seq2[int32, int32] {
+	return func(yield func(lo, hi int32) bool) {
+		lo := int32(0)
+		for _, d := range dead {
+			if lo < d && !yield(lo, d) {
+				return
+			}
+			lo = d + 1
+		}
+		if lo < n {
+			yield(lo, n)
+		}
+	}
 }
 
 // partBase is the first global slot of part p.

@@ -58,11 +58,11 @@ func BenchmarkCascadeKernels(b *testing.B) {
 	})
 
 	blk.bounds(q, sizeB, padB)
-	byNode, ends := [][]int32{blk.byNode}, []int32{int32(n)}
+	dead, ends := [][]int32{nil}, []int32{int32(n)}
 	var order, counts []int32
 	b.Run("order/counting", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			order, counts = blockOrder(padB, byNode, ends, order, counts)
+			order, counts = blockOrder(padB, dead, ends, order, counts)
 		}
 		perCand(b)
 	})

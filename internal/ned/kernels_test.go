@@ -78,8 +78,8 @@ func fuzzSeededItems(t *testing.T, trees []*tree.Tree, dict *tree.Interner, dire
 // the scalar per-candidate cascade computes (tier 2 has no block form
 // to compare). Rows: undirected and directed (summed out/in) corpora; a
 // query deeper than every candidate, so the dense padding kernel's
-// per-query constant carries the query's extra levels; and a block
-// recompiled after removals shrank its level matrix's width.
+// per-query constant carries the query's extra levels; and a base block
+// a fold recompiled after removals, whose level matrix is narrower.
 func TestBlockKernelsMatchScalarCascade(t *testing.T) {
 	trees := fuzzCorpusTrees(t)
 	height := func(it Item) int { return it.OutP.Height() }
@@ -111,18 +111,22 @@ func TestBlockKernelsMatchScalarCascade(t *testing.T) {
 	}
 	checkBlockKernels(t, "query deeper than the block", shallow, blk, []Item{deepest})
 
-	ix := NewPrunedLinearBackend(append([]Item(nil), items...)).(*scanBackend)
-	wide := ix.block.out.Width
+	ix := NewPrunedLinearBackend(items).(*scanBackend)
+	wide := ix.bblk.out.Width
 	var tall []graph.NodeID
 	for _, it := range items {
 		if height(it) >= height(deepest)-1 {
 			tall = append(tall, it.Node)
 		}
 	}
-	if ix.Remove(tall...) == 0 || ix.block.out.Width >= wide {
-		t.Fatalf("removing the %d tallest items left the width at %d (was %d)", len(tall), ix.block.out.Width, wide)
+	if ix.Remove(tall...) == 0 {
+		t.Fatalf("removing the %d tallest items removed nothing", len(tall))
 	}
-	checkBlockKernels(t, "recompiled after removals", ix.items, ix.block, []Item{deepest, ix.items[0], ix.items[len(ix.items)/2]})
+	ix.fold()
+	if ix.bblk.out.Width >= wide {
+		t.Fatalf("folding out the %d tallest items left the width at %d (was %d)", len(tall), ix.bblk.out.Width, wide)
+	}
+	checkBlockKernels(t, "recompiled by a fold", ix.base, ix.bblk, []Item{deepest, ix.base[0], ix.base[len(ix.base)/2]})
 }
 
 // checkBlockKernels compares blk's bounds and survivor bitmaps for each
@@ -173,59 +177,71 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 
 // TestBlockOrderMatchesComparisonSort pins the counting-sorted
 // evaluation order to a comparison sort by (padding bound, part, node)
-// over one block and over three blocks of the same items: ties go part
-// after part and by node within a part, so one block's order is the
-// canonical (padding bound, node) one. The comparison-sort fallback for
-// degenerate bound ranges is covered by a synthetic wide bound.
+// of the live slots, over one block and over three blocks of the same
+// items, with nothing dead and with every fifth slot of each part dead:
+// ties go part after part and by node within a part, so one block's
+// order is the canonical (padding bound, node) one, and a dead slot
+// never appears. The comparison-sort fallback for degenerate bound
+// ranges is covered by a synthetic wide bound.
 func TestBlockOrderMatchesComparisonSort(t *testing.T) {
 	trees := fuzzCorpusTrees(t)
 	dict := tree.NewInterner()
 	items := fuzzSeededItems(t, trees, dict, false)
-	// Scramble node IDs so node order differs from slot order and the
-	// tie-break is actually exercised.
+	// Scramble node IDs and re-sort, so the tie-break by node is not the
+	// fuzz corpus's own order.
 	for i := range items {
 		items[i].Node = graph.NodeID((i*2654435761 + 17) % (4 * len(items)))
 	}
+	slices.SortStableFunc(items, compareNodes)
 	q := items[3]
 	n := len(items)
 	for _, cuts := range [][]int{{n}, {n / 3, n / 2, n}} {
-		// Part p is items[cuts[p-1]:cuts[p]]; global slot g is its index in items.
-		var byNode [][]int32
-		ends := make([]int32, len(cuts))
-		part := make([]int, n)
-		padB := make([]int32, n)
-		for p, hi := range cuts {
-			lo := int(partBase(ends, p))
-			ends[p] = int32(hi)
-			blk := compileBlock(items[lo:hi])
-			if blk == nil || !blk.bounds(q, make([]int32, blk.n), padB[lo:hi]) {
-				t.Fatalf("parts %v: part %d did not compile or bound", cuts, p)
+		for _, every := range []int{0, 5} {
+			name := fmt.Sprintf("parts %v, every %d-th slot dead", cuts, every)
+			// Part p is items[cuts[p-1]:cuts[p]]; global slot g is its index in items.
+			dead := make([][]int32, len(cuts))
+			ends := make([]int32, len(cuts))
+			part := make([]int, n)
+			isDead := make([]bool, n)
+			padB := make([]int32, n)
+			for p, hi := range cuts {
+				lo := int(partBase(ends, p))
+				ends[p] = int32(hi)
+				blk := compileBlock(items[lo:hi])
+				if blk == nil || !blk.bounds(q, make([]int32, blk.n), padB[lo:hi]) {
+					t.Fatalf("%s: part %d did not compile or bound", name, p)
+				}
+				for g := lo; g < hi; g++ {
+					part[g] = p
+					if every > 0 && (g-lo)%every == 1 {
+						dead[p] = append(dead[p], int32(g-lo))
+						isDead[g] = true
+					}
+				}
 			}
-			byNode = append(byNode, blk.byNode)
-			for g := lo; g < hi; g++ {
-				part[g] = p
+			reference := func(pad []int32) []int32 {
+				var want []int32
+				for g := range n {
+					if !isDead[g] {
+						want = append(want, int32(g))
+					}
+				}
+				slices.SortFunc(want, func(a, b int32) int {
+					return cmp.Or(cmp.Compare(pad[a], pad[b]), cmp.Compare(part[a], part[b]), cmp.Compare(items[a].Node, items[b].Node))
+				})
+				return want
 			}
-		}
-		reference := func(pad []int32) []int32 {
-			want := make([]int32, n)
-			for i := range want {
-				want[i] = int32(i)
+			got, _ := blockOrder(padB, dead, ends, nil, nil)
+			if want := reference(padB); !slices.Equal(got, want) {
+				t.Fatalf("%s: counting sort %v, comparison %v", name, got, want)
 			}
-			slices.SortFunc(want, func(a, b int32) int {
-				return cmp.Or(cmp.Compare(pad[a], pad[b]), cmp.Compare(part[a], part[b]), cmp.Compare(items[a].Node, items[b].Node))
-			})
-			return want
-		}
-		got, _ := blockOrder(padB, byNode, ends, nil, nil)
-		if want := reference(padB); !slices.Equal(got, want) {
-			t.Fatalf("parts %v: counting sort %v, comparison %v", cuts, got, want)
-		}
-		// Degenerate bound range: force the fallback and pin it to the
-		// same reference.
-		padB[0] = int32(4*n + 100000)
-		got, _ = blockOrder(padB, byNode, ends, nil, nil)
-		if want := reference(padB); !slices.Equal(got, want) {
-			t.Fatalf("parts %v: fallback order %v, comparison %v", cuts, got, want)
+			// Degenerate bound range: force the fallback and pin it to the
+			// same reference.
+			padB[0] = int32(4*n + 100000)
+			got, _ = blockOrder(padB, dead, ends, nil, nil)
+			if want := reference(padB); !slices.Equal(got, want) {
+				t.Fatalf("%s: fallback order %v, comparison %v", name, got, want)
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // TopL's up to equal-distance ties. Stats reports how much work was
 // saved.
 func PrunedTopL(query Signature, candidates []Signature, l int) ([]Neighbor, PruneStats) {
-	res, stats, _ := scanKNN(context.Background(), query.Item(), []sweepPart{{items: ItemsOf(candidates)}}, l, 1, runSweepers)
+	res, stats, _ := scanKNN(context.Background(), query.Item(), []sweepPart{{items: nodeSorted(ItemsOf(candidates))}}, l, 1, runSweepers)
 	return res, stats
 }
 

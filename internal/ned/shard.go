@@ -9,8 +9,8 @@ import (
 // This file is the shard router behind the sharded Corpus engine: the
 // deterministic node -> shard hash that is the whole placement, and the
 // read side over a list of shards. Shards partition the write side —
-// each has its own lock, clone and block — but a KNN query does not see
-// them: FanKNN sweeps every shard's block in one best-first pass under
+// each has its own lock and scan — but a KNN query does not see them:
+// FanKNN sweeps every shard's blocks in one best-first pass under
 // one top-l collector (scanKNN), so its threshold tightens once for the
 // whole corpus. A range query has a fixed threshold and no collector, so
 // FanRange still answers shard by shard and sorts the union.
@@ -63,20 +63,20 @@ func MergeTopL(per [][]Neighbor, l int) []Neighbor {
 }
 
 // FanKNN answers a KNN query over a sharded index: one sweep over every
-// shard's candidates under one top-l collector (scanKNN), on up to the
-// executor's width of sweepers drawn from its pool — a pool other
-// queries already fill runs the sweep on the caller. Each shard's
-// counters receive its own candidates' work. Shards that are not the
-// cascade scan (the low-level VP and BK indexes, which no Corpus builds)
-// keep the per-shard KNN and canonical merge.
+// shard's candidates — each scan's base and delta — under one top-l
+// collector (scanKNN), on up to the executor's width of sweepers drawn
+// from its pool — a pool other queries already fill runs the sweep on
+// the caller. Each shard's counters receive its own candidates' work.
+// Shards that are not the cascade scan (the low-level VP and BK indexes,
+// which no Corpus builds) keep the per-shard KNN and canonical merge.
 func FanKNN(ctx context.Context, exec *Executor, shards []Index, query Item, l int) ([]Neighbor, error) {
-	parts := make([]sweepPart, len(shards))
-	for i, ix := range shards {
+	parts := make([]sweepPart, 0, 2*len(shards))
+	for _, ix := range shards {
 		sb, ok := ix.(*scanBackend)
 		if !ok {
 			return fanKNNMerge(ctx, exec, shards, query, l)
 		}
-		parts[i] = sb.part()
+		parts = sb.appendParts(parts)
 	}
 	res, _, err := scanKNN(ctx, query, parts, l, exec.Workers(), exec.sweepers(ctx))
 	return res, err
