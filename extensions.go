@@ -7,6 +7,7 @@ import (
 	"ned/internal/graph"
 	"ned/internal/ned"
 	"ned/internal/ted"
+	"ned/internal/tree"
 )
 
 // This file exposes the optional extensions built on top of the paper:
@@ -34,8 +35,8 @@ func PrefixDistance(a, b Signature, kPrefix int) int {
 // PruneStats reports the work profile of a pruned query.
 type PruneStats = ned.PruneStats
 
-// PrunedTopL answers TopL while skipping candidates that the padding
-// lower bound proves cannot rank, returning the same distances as TopL
+// PrunedTopL answers TopL while skipping candidates that the cascade's
+// lower bounds prove cannot rank, returning the same answer as TopL
 // plus the pruning statistics.
 func PrunedTopL(query Signature, candidates []Signature, l int) ([]Neighbor, PruneStats) {
 	return ned.PrunedTopL(query, candidates, l)
@@ -46,23 +47,25 @@ func PrunedTopL(query Signature, candidates []Signature, l int) ([]Neighbor, Pru
 // distances NED produces. The Corpus does not serve from it; prefer
 // NewCorpus for serving workloads.
 type BKIndex struct {
-	ix ned.Index
+	ix   ned.Index
+	dict *tree.Interner // the signatures' profiles; queries read it only
 }
 
 // NewBKIndex builds a BK-tree over the signatures.
 func NewBKIndex(sigs []Signature) *BKIndex {
-	return &BKIndex{ix: ned.NewBKBackend(ned.ItemsOf(sigs))}
+	items, dict := ned.ProfileSignatures(sigs)
+	return &BKIndex{ix: ned.NewBKBackend(items), dict: dict}
 }
 
 // KNN returns the l nearest indexed signatures to the query.
 func (ix *BKIndex) KNN(query Signature, l int) []Neighbor {
-	res, _ := ix.ix.KNN(context.Background(), query.Item(), l)
+	res, _ := ix.ix.KNN(context.Background(), ned.QueryItem(query, ix.dict), l)
 	return res
 }
 
 // Range returns all indexed signatures within NED distance r.
 func (ix *BKIndex) Range(query Signature, r int) []Neighbor {
-	res, _ := ix.ix.Range(context.Background(), query.Item(), r)
+	res, _ := ix.ix.Range(context.Background(), ned.QueryItem(query, ix.dict), r)
 	return res
 }
 

@@ -41,7 +41,7 @@ func AblationIndexes(o Options) Table {
 	t.AddRow("full scan", ms(w.mean()), fmt.Sprint(len(cs)), "0")
 
 	ctx := context.Background()
-	items := ned.ItemsOf(cs)
+	items, dict := ned.ProfileSignatures(cs)
 	for _, b := range []struct {
 		name string
 		ix   ned.Index
@@ -55,7 +55,7 @@ func AblationIndexes(o Options) Table {
 		misses := 0
 		for i, q := range qs {
 			var res []ned.Neighbor
-			w.time(func() { res, _ = b.ix.KNN(ctx, q.Item(), 1) })
+			w.time(func() { res, _ = b.ix.KNN(ctx, ned.QueryItem(q, dict), 1) })
 			if res[0].Dist != scanBest[i] {
 				misses++
 			}

@@ -126,14 +126,14 @@ func Figure9b(o Options) Table {
 
 		qs := ned.Signatures(g1, queries, k)
 		cs := ned.Signatures(g2, cands, k)
-		index := ned.NewVPBackend(ned.ItemsOf(cs))
+		items, dict := ned.ProfileSignatures(cs)
+		index := ned.NewVPBackend(items)
 
 		ctx := context.Background()
 		var wVP, wScan, wFeatScan stopwatch
 		index.ResetStats()
 		for _, q := range qs {
-			qi := q.Item()
-			wVP.time(func() { index.KNN(ctx, qi, 1) })
+			wVP.time(func() { index.KNN(ctx, ned.QueryItem(q, dict), 1) })
 		}
 		calls := index.DistanceCalls() / int64(max(1, len(qs)))
 		for _, q := range qs {

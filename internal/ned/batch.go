@@ -57,7 +57,7 @@ func DistanceMatrix(as, bs []Signature, opts BatchOptions) [][]int {
 // sweepers sharing the query's candidates: PrunedTopL at a wider
 // width. Results are identical to TopL.
 func TopLParallel(query Signature, candidates []Signature, l int, opts BatchOptions) []Neighbor {
-	res, _, _ := scanKNN(context.Background(), query.Item(), []sweepPart{{items: nodeSorted(ItemsOf(candidates))}}, l, opts.workers(), runSweepers)
+	res, _ := signatureTopL(query, candidates, l, opts.workers())
 	return res
 }
 

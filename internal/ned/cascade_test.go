@@ -172,8 +172,8 @@ func TestCascadeDegreeTierFires(t *testing.T) {
 }
 
 // TestCascadeBoundsDominance spot-checks the item-level bound chain the
-// best-first orders sort by, including directed summing: size <= pad <=
-// degree <= exact distance.
+// best-first orders sort by, including directed summing: the block
+// kernels' size <= pad <= degree <= exact distance.
 func TestCascadeBoundsDominance(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := randomDirTestGraph(60, 130, 3, directed)
@@ -181,21 +181,17 @@ func TestCascadeBoundsDominance(t *testing.T) {
 		for v := 0; v < g.NumNodes(); v++ {
 			nodes = append(nodes, graph.NodeID(v))
 		}
-		items := BuildItems(g, nodes, 3, directed, 2)
-		dict := tree.NewInterner()
-		profiled := profiledCopy(items, dict)
+		profiled := BuildProfiledItems(g, nodes, 3, directed, tree.NewInterner(), 2)
+		blk := compileBlock(profiled)
+		sizeB, padB := make([]int32, blk.n), make([]int32, blk.n)
 		q := profiled[0]
-		for _, it := range profiled {
-			cb := itemCascadeBounds(q, it)
+		blk.bounds(q, sizeB, padB)
+		for j, it := range profiled {
 			deg, _ := degreeTierPrunes(q, it, ted.Unbounded)
 			d := ItemDistance(q, it)
-			if int(cb.size) > int(cb.pad) || int(cb.pad) > deg || deg > d {
+			if sizeB[j] > padB[j] || int(padB[j]) > deg || deg > d {
 				t.Fatalf("directed=%v node %d: chain size=%d pad=%d degree=%d exact=%d",
-					directed, it.Node, cb.size, cb.pad, deg, d)
-			}
-			if int(cb.pad) != ItemLowerBound(q, it) {
-				t.Fatalf("directed=%v node %d: profile padding %d != tree-walk %d",
-					directed, it.Node, cb.pad, ItemLowerBound(q, it))
+					directed, it.Node, sizeB[j], padB[j], deg, d)
 			}
 		}
 	}

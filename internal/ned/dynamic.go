@@ -269,7 +269,7 @@ func (b *vpBackend) mergeTailKNN(ctx context.Context, query Item, l int, out []N
 		if len(out) >= l {
 			budget = out[len(out)-1].Dist
 		}
-		d, o := cascadeDistanceAtMost(comp, query, it, budget, b.counters)
+		d, o := gatedDistanceAtMost(comp, query, it, budget, b.counters)
 		if o != ted.OutcomeExact || d > budget {
 			continue
 		}
@@ -288,7 +288,7 @@ func (b *vpBackend) rangeTail(ctx context.Context, query Item, r int, out []Neig
 				return nil, err
 			}
 		}
-		d, o := cascadeDistanceAtMost(comp, query, it, r, b.counters)
+		d, o := gatedDistanceAtMost(comp, query, it, r, b.counters)
 		if o == ted.OutcomeExact && d <= r {
 			out = append(out, Neighbor{Node: it.Node, Dist: d})
 		}

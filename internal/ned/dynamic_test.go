@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ned/internal/graph"
-	"ned/internal/tree"
 )
 
 // TestScanDeltaChurn pins the scan's base + delta layout to the
@@ -33,17 +32,13 @@ func TestScanDeltaChurn(t *testing.T) {
 	for v := 0; v < g.NumNodes(); v++ {
 		nodes = append(nodes, graph.NodeID(v))
 	}
-	dict := tree.NewInterner()
 	sigs := Signatures(g, nodes, 2)
-	items := ItemsOf(sigs)
-	ProfileItems(items, dict, 2)
+	items, dict := ProfileSignatures(sigs)
 	other := randomTestGraph(50, 110, 32)
 	qsigs := []Signature{sigs[17], NewSignature(other, 3, 2)}
 	var queries []Item
 	for _, s := range qsigs {
-		q := s.Item()
-		ProfileQueryItem(&q, dict)
-		queries = append(queries, q)
+		queries = append(queries, QueryItem(s, dict))
 	}
 
 	rng := rand.New(rand.NewSource(5))

@@ -1,35 +1,29 @@
 package ned
 
 import (
-	"sort"
+	"context"
+	"slices"
 
 	"ned/internal/graph"
-	"ned/internal/ted"
 )
-
-func sortSlice(ns []Neighbor, less func(a, b Neighbor) bool) {
-	sort.Slice(ns, func(i, j int) bool { return less(ns[i], ns[j]) })
-}
 
 // Hausdorff returns the Hausdorff graph-to-graph distance of Appendix A
 // (Definition 9) built on NED: H(A,B) = max(h(A,B), h(B,A)) with
 // h(A,B) = max_{a∈A} min_{b∈B} δ_T(T(a,k), T(b,k)).
 //
-// Because NED is a metric, H is a metric on graphs (up to the usual
-// identification of graphs at Hausdorff distance zero). The computation
-// is O(|A|·|B|) distance evaluations; sampling variants belong to the
-// caller.
+// The paper derives that H is a metric on graphs from NED being one.
+// The TED* computed here (Algorithm 1) can break the triangle
+// inequality, so H can too: it is symmetric and non-negative, but not
+// guaranteed to be a metric. Each directed half is one cascade sweep for
+// the nearest neighbor per node of its first set; sampling variants
+// belong to the caller. A side with no nodes adds 0.
 func Hausdorff(ga, gb *graph.Graph, k int) int {
-	sa := allSignatures(ga, k)
-	sb := allSignatures(gb, k)
-	return hausdorffSets(sa, sb)
+	return hausdorffSets(allSignatures(ga, k), allSignatures(gb, k))
 }
 
 // HausdorffSampled is Hausdorff over node subsets, for large graphs.
 func HausdorffSampled(ga *graph.Graph, nodesA []graph.NodeID, gb *graph.Graph, nodesB []graph.NodeID, k int) int {
-	sa := Signatures(ga, nodesA, k)
-	sb := Signatures(gb, nodesB, k)
-	return hausdorffSets(sa, sb)
+	return hausdorffSets(Signatures(ga, nodesA, k), Signatures(gb, nodesB, k))
 }
 
 func allSignatures(g *graph.Graph, k int) []Signature {
@@ -40,45 +34,23 @@ func allSignatures(g *graph.Graph, k int) []Signature {
 	return Signatures(g, nodes, k)
 }
 
+// hausdorffSets profiles both sets against one dictionary, so every
+// pair compares resolved labels, and takes the larger directed half.
 func hausdorffSets(sa, sb []Signature) int {
-	return maxInt(directedHausdorff(sa, sb), directedHausdorff(sb, sa))
+	items, _ := ProfileSignatures(slices.Concat(sa, sb))
+	a, b := items[:len(sa)], items[len(sa):]
+	return max(directedHausdorff(a, b), directedHausdorff(b, a))
 }
 
-func directedHausdorff(from, to []Signature) int {
-	comp := tedComputers.Get().(*ted.Computer)
-	defer tedComputers.Put(comp)
+// directedHausdorff is h(from, to): the largest nearest-neighbor
+// distance of a from item, each one a top-1 sweep over to's block.
+func directedHausdorff(from, to []Item) int {
+	part := newSweepPart(to)
 	worst := 0
 	for _, a := range from {
-		best := -1
-		for _, b := range to {
-			// Only a strict improvement on the running minimum matters,
-			// so the TED* computation may abandon any pair that provably
-			// costs best or more.
-			budget := ted.Unbounded
-			if best >= 0 {
-				budget = best - 1
-			}
-			d, out := comp.DistanceAtMost(a.Tree, b.Tree, budget)
-			if out != ted.OutcomeExact {
-				continue // d >= best: cannot improve the minimum
-			}
-			if best == -1 || d < best {
-				best = d
-			}
-			if best == 0 {
-				break
-			}
-		}
-		if best > worst {
-			worst = best
+		if nn, _, _ := scanKNN(context.Background(), a, []sweepPart{part}, 1, 1, runSweepers); len(nn) > 0 {
+			worst = max(worst, nn[0].Dist)
 		}
 	}
 	return worst
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

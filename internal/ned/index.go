@@ -32,10 +32,11 @@ import (
 // Item is what an index backend stores and queries: a node plus the
 // signature trees its distance needs — the single k-adjacent tree for
 // undirected NED (Equation 1), or the outgoing and incoming trees for
-// the directed variant (Equation 2) — and, once the owner has compiled
-// them (ProfileItem), the precomputed Profiles the filter–verify
-// cascade evaluates candidates through. Profiles are optional: items
-// without them take the tree-walking paths with identical results.
+// the directed variant (Equation 2) — and the precomputed Profiles the
+// filter–verify cascade evaluates candidates through. Profiles are
+// required, not optional: an item is indexed or swept only once its
+// owner has compiled them (ProfileItem), and a query only with its own
+// (ProfileQueryItem); an unprofiled item reaching a backend panics.
 type Item struct {
 	Node graph.NodeID
 	K    int
@@ -57,49 +58,14 @@ func (s Signature) Item() Item { return Item{Node: s.Node, K: s.K, Out: s.Tree} 
 var tedComputers = sync.Pool{New: func() any { return ted.NewComputer() }}
 
 // ItemDistance is the NED distance between two items: TED* over the
-// out-trees, plus TED* over the in-trees when both items carry one.
+// out-trees, plus TED* over the in-trees when both items carry one. It
+// needs no profiles.
 func ItemDistance(a, b Item) int {
-	c := tedComputers.Get().(*ted.Computer)
-	d, _ := itemDistanceAtMost(c, a, b, ted.Unbounded)
-	tedComputers.Put(c)
+	d := ted.Distance(a.Out, b.Out)
+	if a.In != nil && b.In != nil {
+		d += ted.Distance(a.In, b.In)
+	}
 	return d
-}
-
-// itemDistanceAtMost is the budgeted NED between two items on a caller
-// supplied Computer. The contract mirrors ted.Computer.DistanceAtMost:
-// OutcomeExact means d is the exact ItemDistance; any other outcome
-// means d > budget and the true distance exceeds the budget too. For
-// directed items the in-tree comparison runs under whatever budget the
-// out-tree comparison left over.
-func itemDistanceAtMost(c *ted.Computer, a, b Item, budget int) (int, ted.Outcome) {
-	d, out := c.DistanceAtMost(a.Out, b.Out, budget)
-	if out != ted.OutcomeExact {
-		return d, out
-	}
-	if a.In != nil && b.In != nil {
-		rem := ted.Unbounded
-		if budget != ted.Unbounded {
-			rem = budget - d
-		}
-		d2, out2 := c.DistanceAtMost(a.In, b.In, rem)
-		if out2 == ted.OutcomePruned {
-			// The out-tree comparison already did matching work, so the
-			// pair as a whole was abandoned mid-computation.
-			out2 = ted.OutcomeAborted
-		}
-		return d + d2, out2
-	}
-	return d, ted.OutcomeExact
-}
-
-// ItemLowerBound is the padding lower bound on ItemDistance — cheap and
-// never exceeding the true distance, so valid for pruning.
-func ItemLowerBound(a, b Item) int {
-	lb := ted.LowerBound(a.Out, b.Out)
-	if a.In != nil && b.In != nil {
-		lb += ted.LowerBound(a.In, b.In)
-	}
-	return lb
 }
 
 // BuildItems materializes index items for the given nodes of g in
@@ -161,14 +127,14 @@ type Counters struct {
 	PaddingPrunes int64
 	LabelPrunes   int64
 
-	// BlockCandidates counts candidate slots swept by the block kernels
-	// (the columnar fast path of the cascade scan); the survivor
-	// counters below break down how many of them passed each successive
-	// tier during their scan — BlockLabelSurvivors is how many passed
-	// tier 2 (degree sequence; the name predates it) and so reached the
-	// verify stage through the block path. Candidates evaluated
-	// before a scan has a pruning threshold pass trivially. Zero on the
-	// tree backends and on scans that fell back to the scalar cascade.
+	// BlockCandidates counts candidate slots swept by the block kernels,
+	// which is every live candidate of every cascade scan query; the
+	// survivor counters below break down how many of them passed each
+	// successive tier during their scan — BlockLabelSurvivors is how many
+	// passed tier 2 (degree sequence; the name predates it) and so
+	// reached the verify stage. Candidates evaluated before a scan has a
+	// pruning threshold pass trivially. Zero on the tree backends, which
+	// sweep no blocks.
 	BlockCandidates       int64
 	BlockSizeSurvivors    int64
 	BlockPaddingSurvivors int64
@@ -397,11 +363,11 @@ type vpBackend struct {
 
 // NewVPBackend indexes the items in a vantage-point tree (§13.4): exact
 // sub-linear queries via floating-point triangle-inequality pruning.
-// Searches hand the metric a budget of radius + tau per node; the
-// filter cascade gates every budgeted evaluation — a candidate whose
-// precompiled bounds already exceed that budget never starts a TED* —
-// and survivors are abandoned mid-TED* once their running cost crosses
-// it. Mutations take tombstone + append paths (see dynamic.go).
+// Searches hand the metric a budget of radius + tau per node; tier 2 of
+// the cascade gates every budgeted evaluation — a candidate whose
+// degree-sequence bound already exceeds that budget never starts a
+// TED* — and survivors are abandoned mid-TED* once their running cost
+// crosses it. Mutations take tombstone + append paths (see dynamic.go).
 func NewVPBackend(items []Item) DynamicIndex {
 	b := &vpBackend{counters: &counterSet{}}
 	b.t = vptree.New(items, func(x, y Item) float64 {
@@ -412,7 +378,7 @@ func NewVPBackend(items []Item) DynamicIndex {
 	})
 	b.t.SetBudgetedMetric(func(x, y Item, budget float64) (float64, bool) {
 		c := tedComputers.Get().(*ted.Computer)
-		d, out := cascadeDistanceAtMost(c, x, y, floatBudget(budget), b.counters)
+		d, out := gatedDistanceAtMost(c, x, y, floatBudget(budget), b.counters)
 		tedComputers.Put(c)
 		return float64(d), out == ted.OutcomeExact
 	})
@@ -507,11 +473,11 @@ func (b *bkBackend) metric() func(x, y Item) int {
 }
 
 // budgetedMetric returns the budget-aware metric hook for b's tree:
-// the filter cascade gates the budgeted TED* per candidate.
+// tier 2 of the cascade gates the budgeted TED* per candidate.
 func (b *bkBackend) budgetedMetric() func(x, y Item, budget int) (int, bool) {
 	return func(x, y Item, budget int) (int, bool) {
 		c := tedComputers.Get().(*ted.Computer)
-		d, out := cascadeDistanceAtMost(c, x, y, budget, b.counters)
+		d, out := gatedDistanceAtMost(c, x, y, budget, b.counters)
 		tedComputers.Put(c)
 		return d, out == ted.OutcomeExact
 	}
@@ -591,9 +557,8 @@ func (b *bkBackend) Clone() DynamicIndex {
 type scanBackend struct {
 	base []Item
 	// bblk and dblk are the columnar forms of the base's and the delta's
-	// profiles (slot i describes base[i] or delta[i]); nil when any item
-	// is unprofiled, in which case that part takes the scalar
-	// per-candidate cascade. Never edited: clones share them.
+	// profiles (slot i describes base[i] or delta[i]). Never edited:
+	// clones share them.
 	bblk  *profileBlock
 	dead  []int32 // base slots removed since the last fold, ascending
 	delta []Item  // items inserted since the last fold, node-sorted
@@ -606,10 +571,10 @@ type scanBackend struct {
 // NewLinearBackend is the cascade scan at the given width (<= 0 means
 // GOMAXPROCS): that many sweepers claim one query's candidates
 // best-first and share its running l-th distance. KNN precompiles the
-// size and padding bounds of every candidate — one block-kernel sweep
-// over the columnar profile arenas when all items are profiled —
-// verifies in ascending bound order under the current l-th distance as
-// TED* budget, and stops at the first candidate whose bound exceeds it.
+// size and padding bounds of every candidate in one block-kernel sweep
+// over the columnar profile arenas, verifies in ascending bound order
+// under the current l-th distance as TED* budget, and stops at the
+// first candidate whose bound exceeds it. The items must be profiled.
 // Items already in node order are adopted as the scan's base, otherwise
 // a sorted copy is; the scan never writes them. Mutations copy only a
 // small delta (see dynamic.go).
@@ -727,10 +692,9 @@ func runSweepers(workers int, sweep func()) {
 }
 
 // sweepPart is one block of a sweep: node-sorted items (a shard's scan
-// base or delta), the profile block compiled over them (nil, or one not
-// covering the items, takes the scalar bounds), the ascending slots of
-// items that are not candidates (the base's dead slots), and the counter
-// set the shard's work lands in.
+// base or delta), the profile block compiled over them, the ascending
+// slots of items that are not candidates (the base's dead slots), and
+// the counter set the shard's work lands in (nil counts nothing).
 type sweepPart struct {
 	items []Item
 	blk   *profileBlock
@@ -743,14 +707,12 @@ type sweepPart struct {
 // over the bounds: the bound arrays over every part's slots (global
 // slot g of part p is partBase(ends, p) + its local slot), the
 // evaluation order and its counting sort's histogram, each part's dead
-// slots and whether it took the block kernels, the tail cut's per-part
-// tally, and Range's survivor bitmap and list. Nothing in it outlives
-// the query.
+// slots, the tail cut's per-part tally, and Range's survivor bitmap and
+// list. Nothing in it outlives the query.
 type sweepScratch struct {
 	sizeB, padB, order, counts []int32
 	ends                       []int32
 	dead                       [][]int32
-	blocked                    []bool
 	tally                      []int64
 	words                      []uint64
 	survivors                  []int32
@@ -795,9 +757,7 @@ func (sc *sweepScratch) cutTail(parts []sweepPart, g int32, tail []int32, t int)
 	}
 	cut := func(p int, n, bySize int64) {
 		parts[p].cs.cascadePruneBulk(bySize, n-bySize)
-		if sc.blocked[p] {
-			parts[p].cs.blockSurviveBulk(n-bySize, 0, 0)
-		}
+		parts[p].cs.blockSurviveBulk(n-bySize, 0, 0)
 	}
 	cut(sc.partOf(g), 1, bySize(g))
 	if len(tail) == 0 {
@@ -825,12 +785,10 @@ func (sc *sweepScratch) cutTail(parts []sweepPart, g int32, tail []int32, t int)
 // scanKNN is the cascade top-l sweep: one best-first pass over every
 // part's candidates under one top-l collector and one tail cut, behind
 // both scan backends (one part), FanKNN and the Corpus (one part per
-// shard), and the PrunedTopL / TopLParallel free functions (one part of
-// unprofiled items, so the scalar bounds). run chooses who sweeps: it
-// runs the sweep on up to the given number of sweepers — runSweepers'
-// own goroutines, or an Executor's pool — and returns once all have
-// finished. width also sets the parallelism of scalar bound
-// computation.
+// shard), and the signature-level PrunedTopL / TopLParallel and
+// Hausdorff (one part). run chooses who sweeps: it runs the sweep on up
+// to the given number of sweepers — runSweepers' own goroutines, or an
+// Executor's pool — and returns once all have finished.
 // The ranking is exact with respect to the full TED* distance: every
 // reported neighbor carries its true distance and the set is the
 // canonical (distance, node) top-l, identical to a full scan's, at any
@@ -842,15 +800,13 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 	}
 	sc := sweepScratches.Get().(*sweepScratch)
 	defer sc.release()
-	// Precompile every candidate's cheap cascade bounds — the block
-	// kernels where a block covers its part — and claim best-first:
-	// likely-close candidates are verified first, which tightens the
-	// shared threshold early, and the precompiled tiers then dismiss the
-	// tail without touching the trees — the degree tier runs lazily, only
-	// for candidates size and padding admit.
-	if err := sc.prepare(ctx, query, parts, width); err != nil {
-		return nil, PruneStats{}, err
-	}
+	// Precompile every candidate's cheap cascade bounds with the block
+	// kernels and claim best-first: likely-close candidates are verified
+	// first, which tightens the shared threshold early, and the
+	// precompiled tiers then dismiss the tail without touching the trees
+	// — the degree tier runs lazily, only for candidates size and padding
+	// admit.
+	sc.prepare(query, parts)
 	order, padB := sc.order, sc.padB
 	if len(order) == 0 {
 		return nil, PruneStats{}, nil
@@ -890,17 +846,13 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 					break
 				}
 				if _, pruned := degreeTierPrunes(query, it, t); pruned {
-					if sc.blocked[p] {
-						pt.cs.blockSurvive(tierPadding)
-					}
+					pt.cs.blockSurvive(tierPadding)
 					st.PrunedByBound++
 					pt.cs.cascadePrune(tierDegree)
 					continue
 				}
 			}
-			if sc.blocked[p] {
-				pt.cs.blockSurvive(tierDegree)
-			}
+			pt.cs.blockSurvive(tierDegree)
 			d, out := verifyDistanceAtMost(comp, query, it, t, pt.cs)
 			switch out {
 			case ted.OutcomeExact:
@@ -925,9 +877,11 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 }
 
 // scanRange is the cascade range scan behind both scan backends, over
-// their parts in turn. Results are exact and canonically sorted.
+// their parts in turn: the kernels run every filter tier at threshold r
+// and only the survivors reach the verify stage. Results are exact and
+// canonically sorted; a negative radius admits nothing.
 func scanRange(ctx context.Context, query Item, parts []sweepPart, r, workers int) ([]Neighbor, error) {
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil || r < 0 {
 		return nil, err
 	}
 	sc := sweepScratches.Get().(*sweepScratch)
@@ -935,18 +889,11 @@ func scanRange(ctx context.Context, query Item, parts []sweepPart, r, workers in
 	var mu sync.Mutex
 	var out []Neighbor
 	for _, pt := range parts {
-		// With a block the kernels have already run every filter tier at
-		// threshold r and only the survivors need the verify stage; without
-		// one every live item goes through the scalar cascade.
-		slots, blocked := sc.rangeBlockSurvivors(query, pt, r)
-		dist := verifyDistanceAtMost
-		if !blocked {
-			slots, dist = sc.liveSlots(pt), cascadeDistanceAtMost
-		}
+		slots := sc.rangeBlockSurvivors(query, pt, r)
 		if err := ParallelForCtx(ctx, len(slots), workers, func(i int) {
 			it := pt.items[slots[i]]
 			comp := tedComputers.Get().(*ted.Computer)
-			d, o := dist(comp, query, it, r, pt.cs)
+			d, o := verifyDistanceAtMost(comp, query, it, r, pt.cs)
 			tedComputers.Put(comp)
 			if o == ted.OutcomeExact && d <= r {
 				mu.Lock()
@@ -959,19 +906,6 @@ func scanRange(ctx context.Context, query Item, parts []sweepPart, r, workers in
 	}
 	sortNeighborsCanonical(out)
 	return out, nil
-}
-
-// liveSlots lists the part's candidate slots — all but its dead ones —
-// in the scratch's survivor list.
-func (sc *sweepScratch) liveSlots(pt sweepPart) []int32 {
-	slots := sc.survivors[:0]
-	for lo, hi := range liveSpans(int32(len(pt.items)), pt.dead) {
-		for j := lo; j < hi; j++ {
-			slots = append(slots, j)
-		}
-	}
-	sc.survivors = slots
-	return slots
 }
 
 // ParallelForCtx runs fn(i) for i in [0, n) across workers (<= 0 means

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"ned/internal/graph"
+	"ned/internal/ted"
 	"ned/internal/tree"
 )
 
@@ -28,6 +30,24 @@ func randomTestGraph(n, m int, seed int64) *graph.Graph {
 		added++
 	}
 	return b.Build()
+}
+
+// profiledItems is every node of g as an item, profiled against a fresh
+// dictionary, which it returns for the queries.
+func profiledItems(g *graph.Graph, k int, directed bool) ([]Item, *tree.Interner) {
+	nodes := make([]graph.NodeID, g.NumNodes())
+	for v := range nodes {
+		nodes[v] = graph.NodeID(v)
+	}
+	dict := tree.NewInterner()
+	return BuildProfiledItems(g, nodes, k, directed, dict, 2), dict
+}
+
+// queryOf is node v of g as a query against dict, profiled read-only.
+func queryOf(g *graph.Graph, v graph.NodeID, k int, directed bool, dict *tree.Interner) Item {
+	q := NewItem(g, v, k, directed)
+	ProfileQueryItem(&q, dict)
+	return q
 }
 
 func allTestBackends(items []Item) map[string]Index {
@@ -61,14 +81,9 @@ func exhaustiveKNN(query Item, items []Item, l int) []Neighbor {
 func TestBackendsAgree(t *testing.T) {
 	ctx := context.Background()
 	for trial := int64(0); trial < 3; trial++ {
-		g := randomTestGraph(70, 150, 40+trial)
-		var nodes []graph.NodeID
-		for v := 0; v < g.NumNodes(); v++ {
-			nodes = append(nodes, graph.NodeID(v))
-		}
-		items := BuildItems(g, nodes, 2, false, 2)
+		items, dict := profiledItems(randomTestGraph(70, 150, 40+trial), 2, false)
 		backends := allTestBackends(items)
-		query := NewItem(randomTestGraph(50, 100, 90+trial), 0, 2, false)
+		query := queryOf(randomTestGraph(50, 100, 90+trial), 0, 2, false, dict)
 
 		ref := exhaustiveKNN(query, items, 9)
 		var refRange []Neighbor
@@ -112,12 +127,7 @@ func TestBackendsAgree(t *testing.T) {
 }
 
 func TestBackendsPreCanceled(t *testing.T) {
-	g := randomTestGraph(30, 60, 8)
-	var nodes []graph.NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		nodes = append(nodes, graph.NodeID(v))
-	}
-	items := BuildItems(g, nodes, 2, false, 0)
+	items, _ := profiledItems(randomTestGraph(30, 60, 8), 2, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	query := items[0]
@@ -174,7 +184,10 @@ func TestDirectedItemsDistance(t *testing.T) {
 	if got, want := ItemDistance(a, c), DistanceDirected(g, 1, g, 2, 2); got != want {
 		t.Errorf("directed ItemDistance = %d, want DistanceDirected = %d", got, want)
 	}
-	if lb := ItemLowerBound(a, c); lb > ItemDistance(a, c) {
+	dict := tree.NewInterner()
+	ProfileItem(&a, dict)
+	ProfileItem(&c, dict)
+	if lb, _ := degreeTierPrunes(a, c, ted.Unbounded); lb > ItemDistance(a, c) {
 		t.Errorf("lower bound %d exceeds distance %d", lb, ItemDistance(a, c))
 	}
 }
@@ -188,8 +201,9 @@ func TestPrunedBackendMatchesPrunedTopL(t *testing.T) {
 	sigs := Signatures(g, nodes, 2)
 	query := NewSignature(randomTestGraph(30, 60, 12), 0, 2)
 	want, _ := PrunedTopL(query, sigs, 5)
-	ix := NewPrunedLinearBackend(ItemsOf(sigs))
-	got, err := ix.KNN(context.Background(), query.Item(), 5)
+	items, dict := ProfileSignatures(sigs)
+	ix := NewPrunedLinearBackend(items)
+	got, err := ix.KNN(context.Background(), QueryItem(query, dict), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,122 +229,161 @@ func (c tripCtx) Err() error {
 }
 
 // TestScanWidths pins that the cascade scan's width moves wall time and
-// nothing else. At width 1, 2 and 4, over profiled items (block
-// kernels) and unprofiled ones (scalar bounds), directed and
-// undirected: KNN and Range are node-identical to the exhaustive
-// oracle; every candidate of every query lands in exactly one counter
-// bucket — evaluated, or dismissed by exactly one tier, tier 2 among
-// them on profiled items — also when the bound-sorted tail is cut while
-// other sweepers still hold candidates; at width 1 the counters are a
+// nothing else. At width 1, 2 and 4, directed and undirected: KNN and
+// Range are node-identical to the exhaustive oracle; every candidate of
+// every query is swept by the block kernels and lands in exactly one
+// counter bucket — evaluated, or dismissed by exactly one tier, tier 2
+// among them — also when the bound-sorted tail is cut while other
+// sweepers still hold candidates; at width 1 the counters are a
 // function of the query stream; and a context cancelled mid-scan yields
 // context.Canceled and no partial answer. Width 0, which no backend
 // passes (they normalise it) but the scan functions accept, answers the
 // same: KNN on the caller, Range on GOMAXPROCS sweepers.
 func TestScanWidths(t *testing.T) {
 	for _, directed := range []bool{false, true} {
-		g := randomDirTestGraph(150, 340, 21, directed)
-		var nodes []graph.NodeID
-		for v := 0; v < g.NumNodes(); v++ {
-			nodes = append(nodes, graph.NodeID(v))
-		}
-		items := BuildItems(g, nodes, 2, directed, 2)
+		items, dict := profiledItems(randomDirTestGraph(150, 340, 21, directed), 2, directed)
 		n := len(items)
 		// One corpus member (its twin sits at distance 0, so r = 0 has an
 		// answer) and two nodes of another graph.
 		other := randomDirTestGraph(60, 130, 77, directed)
-		queries := []Item{items[17], NewItem(other, 0, 2, directed), NewItem(other, 5, 2, directed)}
-		dict := tree.NewInterner()
-		profItems, profQueries := profiledCopy(items, dict), profiledCopy(queries, dict)
+		queries := []Item{items[17], queryOf(other, 0, 2, directed, dict), queryOf(other, 5, 2, directed, dict)}
 
-		for _, profiled := range []bool{false, true} {
-			cands, qs, blockSwept := items, queries, int64(0)
-			if profiled {
-				cands, qs, blockSwept = profItems, profQueries, int64(n)
-			}
-			all := exhaustiveKNN(queries[1], items, n)
-			within := sort.Search(n, func(i int) bool { return all[i].Dist > 3 })
-			blk := compileBlock(cands) // nil for the unprofiled items
-			knn0, _, err := scanKNN(context.Background(), qs[1], []sweepPart{{items: cands, blk: blk}}, 9, 0, runSweepers)
-			if err != nil || fmt.Sprint(knn0) != fmt.Sprint(all[:9]) {
-				t.Errorf("directed=%v profiled=%v width=0 KNN: got %v (err %v), exhaustive %v", directed, profiled, knn0, err, all[:9])
-			}
-			rng0, err := scanRange(context.Background(), qs[1], []sweepPart{{items: cands, blk: blk}}, 3, 0)
-			if err != nil || fmt.Sprint(rng0) != fmt.Sprint(all[:within]) {
-				t.Errorf("directed=%v profiled=%v width=0 Range: got %v (err %v), exhaustive %v", directed, profiled, rng0, err, all[:within])
-			}
-			for _, width := range []int{1, 2, 4} {
-				name := fmt.Sprintf("directed=%v profiled=%v width=%d", directed, profiled, width)
-				// stream runs the whole query stream on a fresh scan and
-				// returns the counters it leaves behind.
-				stream := func() Counters {
-					ix := NewLinearBackend(cands, width)
-					var total Counters
-					check := func(what string, got, want []Neighbor, err error) {
-						t.Helper()
-						if err != nil {
-							t.Fatalf("%s %s: %v", name, what, err)
-						}
-						if fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Errorf("%s %s: got %v, exhaustive %v", name, what, got, want)
-						}
-						c := ix.Counters()
-						if c.DistanceCalls+c.LowerBoundPrunes != int64(n) {
-							t.Errorf("%s %s: %d evaluated + %d pruned != %d candidates",
-								name, what, c.DistanceCalls, c.LowerBoundPrunes, n)
-						}
-						if c.LowerBoundPrunes != c.SizePrunes+c.PaddingPrunes+c.LabelPrunes {
-							t.Errorf("%s %s: LowerBoundPrunes %d != size %d + padding %d + tier-2 %d",
-								name, what, c.LowerBoundPrunes, c.SizePrunes, c.PaddingPrunes, c.LabelPrunes)
-						}
-						if c.BlockCandidates != blockSwept {
-							t.Errorf("%s %s: %d candidates took the block path, want %d", name, what, c.BlockCandidates, blockSwept)
-						}
-						total = total.Add(c)
-						ix.ResetStats()
+		all := exhaustiveKNN(queries[1], items, n)
+		within := sort.Search(n, func(i int) bool { return all[i].Dist > 3 })
+		part := []sweepPart{newSweepPart(items)}
+		knn0, _, err := scanKNN(context.Background(), queries[1], part, 9, 0, runSweepers)
+		if err != nil || fmt.Sprint(knn0) != fmt.Sprint(all[:9]) {
+			t.Errorf("directed=%v width=0 KNN: got %v (err %v), exhaustive %v", directed, knn0, err, all[:9])
+		}
+		rng0, err := scanRange(context.Background(), queries[1], part, 3, 0)
+		if err != nil || fmt.Sprint(rng0) != fmt.Sprint(all[:within]) {
+			t.Errorf("directed=%v width=0 Range: got %v (err %v), exhaustive %v", directed, rng0, err, all[:within])
+		}
+		for _, width := range []int{1, 2, 4} {
+			name := fmt.Sprintf("directed=%v width=%d", directed, width)
+			// stream runs the whole query stream on a fresh scan and
+			// returns the counters it leaves behind.
+			stream := func() Counters {
+				ix := NewLinearBackend(items, width)
+				var total Counters
+				check := func(what string, got, want []Neighbor, err error) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s %s: %v", name, what, err)
 					}
-					for qi, q := range qs {
-						all := exhaustiveKNN(queries[qi], items, n)
-						for _, l := range []int{1, 9, n + 1} {
-							got, err := ix.KNN(context.Background(), q, l)
-							check(fmt.Sprintf("query %d KNN l=%d", qi, l), got, all[:min(l, n)], err)
-						}
-						for _, r := range []int{0, 3} {
-							within := sort.Search(n, func(i int) bool { return all[i].Dist > r })
-							got, err := ix.Range(context.Background(), q, r)
-							check(fmt.Sprintf("query %d Range r=%d", qi, r), got, all[:within], err)
-						}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s %s: got %v, exhaustive %v", name, what, got, want)
 					}
-					return total
+					c := ix.Counters()
+					if c.DistanceCalls+c.LowerBoundPrunes != int64(n) {
+						t.Errorf("%s %s: %d evaluated + %d pruned != %d candidates",
+							name, what, c.DistanceCalls, c.LowerBoundPrunes, n)
+					}
+					if c.LowerBoundPrunes != c.SizePrunes+c.PaddingPrunes+c.LabelPrunes {
+						t.Errorf("%s %s: LowerBoundPrunes %d != size %d + padding %d + tier-2 %d",
+							name, what, c.LowerBoundPrunes, c.SizePrunes, c.PaddingPrunes, c.LabelPrunes)
+					}
+					if c.BlockCandidates != int64(n) {
+						t.Errorf("%s %s: %d candidates took the block path, want %d", name, what, c.BlockCandidates, n)
+					}
+					total = total.Add(c)
+					ix.ResetStats()
 				}
-				first := stream()
-				if first.LowerBoundPrunes == 0 {
-					t.Errorf("%s: the stream never pruned, so no tail cut was exercised", name)
-				}
-				if profiled && first.LabelPrunes == 0 {
-					t.Errorf("%s: tier 2 never pruned, so the bucket invariant did not cover it", name)
-				}
-				if width == 1 {
-					if second := stream(); second != first {
-						t.Errorf("%s: counters differ between two runs of one stream:\n%+v\n%+v", name, first, second)
+				for qi, q := range queries {
+					all := exhaustiveKNN(q, items, n)
+					for _, l := range []int{1, 9, n + 1} {
+						got, err := ix.KNN(context.Background(), q, l)
+						check(fmt.Sprintf("query %d KNN l=%d", qi, l), got, all[:min(l, n)], err)
+					}
+					for _, r := range []int{0, 3} {
+						within := sort.Search(n, func(i int) bool { return all[i].Dist > r })
+						got, err := ix.Range(context.Background(), q, r)
+						check(fmt.Sprintf("query %d Range r=%d", qi, r), got, all[:within], err)
 					}
 				}
+				return total
+			}
+			first := stream()
+			if first.LowerBoundPrunes == 0 {
+				t.Errorf("%s: the stream never pruned, so no tail cut was exercised", name)
+			}
+			if first.LabelPrunes == 0 {
+				t.Errorf("%s: tier 2 never pruned, so the bucket invariant did not cover it", name)
+			}
+			if width == 1 {
+				if second := stream(); second != first {
+					t.Errorf("%s: counters differ between two runs of one stream:\n%+v\n%+v", name, first, second)
+				}
+			}
 
-				// l = n+1 and r = 1000 leave nothing to prune, so a complete
-				// scan would evaluate all n candidates.
-				ix := NewLinearBackend(cands, width)
-				ctx := tripCtx{Context: context.Background(), calls: ix.DistanceCalls, after: 5}
-				if got, err := ix.KNN(ctx, qs[1], n+1); !errors.Is(err, context.Canceled) || got != nil {
-					t.Errorf("%s: cancelled KNN returned %d results, err %v", name, len(got), err)
+			// l = n+1 and r = 1000 leave nothing to prune, so a complete
+			// scan would evaluate all n candidates.
+			ix := NewLinearBackend(items, width)
+			ctx := tripCtx{Context: context.Background(), calls: ix.DistanceCalls, after: 5}
+			if got, err := ix.KNN(ctx, queries[1], n+1); !errors.Is(err, context.Canceled) || got != nil {
+				t.Errorf("%s: cancelled KNN returned %d results, err %v", name, len(got), err)
+			}
+			if calls := ix.DistanceCalls(); calls < 5 || calls >= int64(n) {
+				t.Errorf("%s: cancelled KNN made %d of %d evaluations, want a scan cut short", name, calls, n)
+			}
+			ix.ResetStats()
+			if got, err := ix.Range(ctx, queries[1], 1000); !errors.Is(err, context.Canceled) || got != nil {
+				t.Errorf("%s: cancelled Range returned %d results, err %v", name, len(got), err)
+			}
+			if calls := ix.DistanceCalls(); calls < 5 || calls >= int64(n) {
+				t.Errorf("%s: cancelled Range made %d of %d evaluations, want a scan cut short", name, calls, n)
+			}
+		}
+	}
+}
+
+// TestRangeRadiusExtremes pins Range at the radii the kernels' int32
+// threshold has to handle — nothing (r < 0), the corpus twin only
+// (r = 0), a typical radius, and radii at and far past the int32
+// arithmetic — to the exhaustive oracle, through every path a range
+// query can take: the scan at widths 1 and 2, the VP and BK trees, and
+// FanRange over three scan shards. Queries are a corpus member and
+// nodes of a second graph, whose shapes the dictionary has never seen
+// and so carry read-only, unresolved profiles.
+func TestRangeRadiusExtremes(t *testing.T) {
+	ctx := context.Background()
+	for _, directed := range []bool{false, true} {
+		items, dict := profiledItems(randomDirTestGraph(80, 180, 61, directed), 2, directed)
+		other := randomDirTestGraph(50, 110, 62, directed)
+		queries := []Item{items[9], queryOf(other, 0, 2, directed, dict), queryOf(other, 7, 2, directed, dict)}
+		per := make([][]Item, 3)
+		for _, it := range items {
+			si := ShardOf(it.Node, 3)
+			per[si] = append(per[si], it)
+		}
+		var shards []Index
+		for _, p := range per {
+			shards = append(shards, NewPrunedLinearBackend(p))
+		}
+		exec := NewExecutor(2)
+		paths := map[string]func(ctx context.Context, q Item, r int) ([]Neighbor, error){
+			"scan/1": NewLinearBackend(items, 1).Range,
+			"scan/2": NewLinearBackend(items, 2).Range,
+			"vp":     NewVPBackend(items).Range,
+			"bk":     NewBKBackend(items).Range,
+			"fan": func(ctx context.Context, q Item, r int) ([]Neighbor, error) {
+				return FanRange(ctx, exec, shards, q, r)
+			},
+		}
+		for qi, q := range queries {
+			all := exhaustiveKNN(q, items, len(items))
+			for _, r := range []int{-1, 0, 3, 1 << 30, math.MaxInt} {
+				var want []Neighbor
+				for _, nb := range all {
+					if nb.Dist <= r {
+						want = append(want, nb)
+					}
 				}
-				if calls := ix.DistanceCalls(); calls < 5 || calls >= int64(n) {
-					t.Errorf("%s: cancelled KNN made %d of %d evaluations, want a scan cut short", name, calls, n)
-				}
-				ix.ResetStats()
-				if got, err := ix.Range(ctx, qs[1], 1000); !errors.Is(err, context.Canceled) || got != nil {
-					t.Errorf("%s: cancelled Range returned %d results, err %v", name, len(got), err)
-				}
-				if calls := ix.DistanceCalls(); calls < 5 || calls >= int64(n) {
-					t.Errorf("%s: cancelled Range made %d of %d evaluations, want a scan cut short", name, calls, n)
+				for name, rangeOf := range paths {
+					got, err := rangeOf(ctx, q, r)
+					if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("directed=%v query %d r=%d %s: %v (err %v), oracle %v", directed, qi, r, name, got, err, want)
+					}
 				}
 			}
 		}

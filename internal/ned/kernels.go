@@ -11,10 +11,9 @@ import (
 // struct-of-arrays profile arena (block.go), writing per-slot bound
 // values or a survivor bitmap. Each kernel reads only contiguous int32
 // arrays — no *Item or *Profile is dereferenced — so the hot loops stay
-// branch-light and bounds-check-hoisted. Every tier kernel is
-// decision-identical to its scalar counterpart in cascade.go
-// (kernels_test.go pins the equivalence bit for bit); see the
-// block-vs-scalar contract in cascade.go.
+// branch-light and bounds-check-hoisted. They are the only form of tiers
+// 0 and 1; kernels_test.go pins every slot's bounds to ted.SizeBound and
+// ted.PaddingBound and below the exact distance.
 
 // sizeTierBlock accumulates the size tier into dst: dst[i] +=
 // |qSize − sizes[i]|. Accumulation (not assignment) lets directed
@@ -71,8 +70,7 @@ func abs32(x int32) int32 {
 // tierFilterBlock folds the size and padding tiers at threshold t into
 // a survivor bitmap: bit i is set iff padB[i] <= t (which subsumes
 // sizeB[i] <= t by the dominance chain). The returned counts attribute
-// every dismissed slot to the cheapest tier that already decides it,
-// mirroring candBound.tier.
+// every dismissed slot to the cheapest tier that already decides it.
 func tierFilterBlock(sizeB, padB []int32, t int32, bits []uint64) (szPruned, padPruned int) {
 	if len(bits) < (len(padB)+63)/64 {
 		panic("ned: tierFilterBlock bitmap too short")

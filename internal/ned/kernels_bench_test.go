@@ -10,9 +10,9 @@ import (
 )
 
 // BenchmarkCascadeKernels isolates the filter-tier cost per candidate:
-// the same bounds and evaluation order computed through the columnar
-// block kernels versus the scalar per-candidate cascade, plus the
-// per-candidate degree tier. The scans' wall-clock win (BenchmarkCorpusKNN) mixes filter
+// the size and padding bounds of the columnar block kernels, the
+// evaluation order by counting sort versus a comparison sort, the
+// survivor bitmap, and the per-candidate degree tier. The scans' wall-clock win (BenchmarkCorpusKNN) mixes filter
 // and verify work; this is the filter side alone, in ns per candidate.
 // CI runs it at -benchtime=1x as a compile-and-smoke gate; the harness
 // reads the block sweep at serving size as ned.sweep_ns_per_candidate.
@@ -23,13 +23,9 @@ func BenchmarkCascadeKernels(b *testing.B) {
 	for v := 0; v < g.NumNodes(); v++ {
 		nodes = append(nodes, graph.NodeID(v))
 	}
-	items := BuildItems(g, nodes, k, false, 0)
 	dict := tree.NewInterner()
-	ProfileItems(items, dict, 0)
+	items := BuildProfiledItems(g, nodes, k, false, dict, 0)
 	blk := compileBlock(items)
-	if blk == nil {
-		b.Fatal("profiled corpus failed to compile a block")
-	}
 	q := NewItem(randomTestGraph(nItems/2, nItems, 78), 0, k, false)
 	ProfileItem(&q, dict)
 
@@ -41,18 +37,7 @@ func BenchmarkCascadeKernels(b *testing.B) {
 
 	b.Run("bounds/block", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !blk.bounds(q, sizeB, padB) {
-				b.Fatal("block bounds refused the query")
-			}
-		}
-		perCand(b)
-	})
-	b.Run("bounds/scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range items {
-				cb := itemCascadeBounds(q, items[j])
-				sizeB[j], padB[j] = cb.size, cb.pad
-			}
+			blk.bounds(q, sizeB, padB)
 		}
 		perCand(b)
 	})

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ned/internal/graph"
+	"ned/internal/ted"
 	"ned/internal/tree"
 )
 
@@ -71,16 +72,18 @@ func fuzzSeededItems(t *testing.T, trees []*tree.Tree, dict *tree.Interner, dire
 	return items
 }
 
-// TestBlockKernelsMatchScalarCascade is the block-vs-scalar contract of
-// cascade.go pinned bit for bit over the fuzz corpus: for every query
-// and candidate block, the block kernels' per-slot bound values and the
-// size+padding survivor bitmap at every threshold must all equal what
-// the scalar per-candidate cascade computes (tier 2 has no block form
-// to compare). Rows: undirected and directed (summed out/in) corpora; a
-// query deeper than every candidate, so the dense padding kernel's
-// per-query constant carries the query's extra levels; and a base block
-// a fold recompiled after removals, whose level matrix is narrower.
-func TestBlockKernelsMatchScalarCascade(t *testing.T) {
+// TestBlockKernelsMatchOracle pins the block kernels, the only form of
+// tiers 0 and 1, over the fuzz corpus: for every query and candidate
+// block, each slot's size and padding bounds equal ted.SizeBound and
+// ted.PaddingBound of the pair (summed over out and in trees when
+// directed) and never exceed the exact distance, and the survivor
+// bitmap at every threshold admits exactly the slots whose padding
+// bound is within it, attributing each dismissal to the cheapest tier
+// that decides it. Rows: undirected and directed corpora; a query
+// deeper than every candidate, so the dense padding kernel's per-query
+// constant carries the query's extra levels; and a base block a fold
+// recompiled after removals, whose level matrix is narrower.
+func TestBlockKernelsMatchOracle(t *testing.T) {
 	trees := fuzzCorpusTrees(t)
 	height := func(it Item) int { return it.OutP.Height() }
 	for _, directed := range []bool{false, true} {
@@ -106,7 +109,7 @@ func TestBlockKernelsMatchScalarCascade(t *testing.T) {
 		}
 	}
 	blk := compileBlock(shallow)
-	if blk == nil || blk.out.Width >= len(deepest.OutP.Levels) {
+	if blk.out.Width >= len(deepest.OutP.Levels) {
 		t.Fatalf("shallow block %v does not sit under a %d-level query", blk, len(deepest.OutP.Levels))
 	}
 	checkBlockKernels(t, "query deeper than the block", shallow, blk, []Item{deepest})
@@ -130,24 +133,26 @@ func TestBlockKernelsMatchScalarCascade(t *testing.T) {
 }
 
 // checkBlockKernels compares blk's bounds and survivor bitmaps for each
-// query against itemCascadeBounds over items.
+// query against the scalar ted bounds and the exact distance over items.
 func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBlock, queries []Item) {
 	t.Helper()
-	if blk == nil {
-		t.Fatalf("%s: fully profiled corpus failed to compile a block", name)
-	}
 	sizeB := make([]int32, blk.n)
 	padB := make([]int32, blk.n)
 	words := make([]uint64, (blk.n+63)/64)
 	for qi, q := range queries {
-		if !blk.bounds(q, sizeB, padB) {
-			t.Fatalf("%s query %d: block bounds refused a profiled query", name, qi)
-		}
+		blk.bounds(q, sizeB, padB)
 		for j, it := range items {
-			want := itemCascadeBounds(q, it)
-			if sizeB[j] != want.size || padB[j] != want.pad {
-				t.Fatalf("%s query %d slot %d: block bounds (%d,%d), scalar (%d,%d)",
-					name, qi, j, sizeB[j], padB[j], want.size, want.pad)
+			size, pad := ted.SizeBound(q.OutP, it.OutP), ted.PaddingBound(q.OutP, it.OutP)
+			if q.In != nil && it.In != nil {
+				size += ted.SizeBound(q.InP, it.InP)
+				pad += ted.PaddingBound(q.InP, it.InP)
+			}
+			if int(sizeB[j]) != size || int(padB[j]) != pad {
+				t.Fatalf("%s query %d slot %d: block bounds (%d,%d), ted (%d,%d)",
+					name, qi, j, sizeB[j], padB[j], size, pad)
+			}
+			if d := ItemDistance(q, it); pad > d {
+				t.Fatalf("%s query %d slot %d: padding bound %d exceeds the distance %d", name, qi, j, pad, d)
 			}
 		}
 		for _, thr := range []int{0, 1, 2, 3, 5, 9, 40} {
@@ -157,7 +162,7 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 				bit := words[j>>6]>>(uint(j)&63)&1 == 1
 				pass := int(padB[j]) <= thr
 				if bit != pass {
-					t.Fatalf("%s query %d slot %d t=%d: bitmap %v, scalar admit %v", name, qi, j, thr, bit, pass)
+					t.Fatalf("%s query %d slot %d t=%d: bitmap %v, padding admits %v", name, qi, j, thr, bit, pass)
 				}
 				if !pass {
 					if int(sizeB[j]) > thr {
@@ -168,7 +173,7 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 				}
 			}
 			if szPruned != wantSz || padPruned != wantPad {
-				t.Fatalf("%s query %d t=%d: tier attribution (%d,%d), scalar (%d,%d)",
+				t.Fatalf("%s query %d t=%d: tier attribution (%d,%d), want (%d,%d)",
 					name, qi, thr, szPruned, padPruned, wantSz, wantPad)
 			}
 		}
@@ -208,9 +213,7 @@ func TestBlockOrderMatchesComparisonSort(t *testing.T) {
 				lo := int(partBase(ends, p))
 				ends[p] = int32(hi)
 				blk := compileBlock(items[lo:hi])
-				if blk == nil || !blk.bounds(q, make([]int32, blk.n), padB[lo:hi]) {
-					t.Fatalf("%s: part %d did not compile or bound", name, p)
-				}
+				blk.bounds(q, make([]int32, blk.n), padB[lo:hi])
 				for g := lo; g < hi; g++ {
 					part[g] = p
 					if every > 0 && (g-lo)%every == 1 {
@@ -246,38 +249,33 @@ func TestBlockOrderMatchesComparisonSort(t *testing.T) {
 	}
 }
 
-// TestBlockCompileFallbacks pins the refusal paths: a block never
-// compiles over unprofiled or mixed-direction items, and bounds refuses
-// an unprofiled query — each is the scans' signal to take the scalar
-// cascade instead of serving wrong (or panicking) fast-path answers.
-func TestBlockCompileFallbacks(t *testing.T) {
-	trees := fuzzCorpusTrees(t)
-	dict := tree.NewInterner()
-	items := fuzzSeededItems(t, trees, dict, false)
-
-	unprofiled := append([]Item(nil), items...)
+// TestUnprofiledItemPanics pins that profiles are a precondition, not a
+// fallback: a block refuses, loudly, an unprofiled item or a mix of
+// directed and undirected ones, and its bounds an unprofiled query. An
+// empty batch is an empty block, which bounds nothing.
+func TestUnprofiledItemPanics(t *testing.T) {
+	items := fuzzSeededItems(t, fuzzCorpusTrees(t), tree.NewInterner(), false)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	unprofiled := slices.Clone(items)
 	unprofiled[len(unprofiled)/2].OutP = nil
-	if compileBlock(unprofiled) != nil {
-		t.Error("compileBlock accepted a batch with an unprofiled item")
-	}
-
-	mixed := append([]Item(nil), items...)
-	mixed[1].In = mixed[2].Out
-	mixed[1].InP = mixed[2].OutP
-	if compileBlock(mixed) != nil {
-		t.Error("compileBlock accepted a mix of directed and undirected items")
-	}
-
-	if compileBlock(nil) != nil {
-		t.Error("compileBlock accepted an empty batch")
-	}
-
+	mustPanic("compiling an unprofiled item", func() { compileBlock(unprofiled) })
+	mixed := slices.Clone(items)
+	mixed[1].In, mixed[1].InP = mixed[2].Out, mixed[2].OutP
+	mustPanic("compiling mixed directions", func() { compileBlock(mixed) })
 	blk := compileBlock(items)
-	if blk == nil {
-		t.Fatal("profiled corpus failed to compile a block")
-	}
-	bare := Item{Node: 1, K: 2, Out: trees[0]}
-	if blk.bounds(bare, make([]int32, blk.n), make([]int32, blk.n)) {
-		t.Error("bounds accepted an unprofiled query")
+	bare := Item{Node: 1, K: 2, Out: items[0].Out}
+	mustPanic("bounding an unprofiled query", func() { blk.bounds(bare, make([]int32, blk.n), make([]int32, blk.n)) })
+	if empty := compileBlock(nil); empty.n != 0 {
+		t.Errorf("empty batch compiled a block of %d slots", empty.n)
+	} else {
+		empty.bounds(items[0], nil, nil)
 	}
 }

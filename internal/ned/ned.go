@@ -99,18 +99,16 @@ func NearestSet(query Signature, candidates []Signature) []Neighbor {
 }
 
 // TopL returns the l nearest candidates in ascending distance order,
-// breaking distance ties by node ID for determinism. If l exceeds the
-// candidate count every candidate is returned.
+// breaking distance ties by node ID for determinism. l is clamped to
+// the candidate count: l <= 0 returns nothing, and l past the count
+// returns every candidate.
 func TopL(query Signature, candidates []Signature, l int) []Neighbor {
 	all := make([]Neighbor, len(candidates))
 	for i, c := range candidates {
 		all[i] = Neighbor{c.Node, ted.Distance(query.Tree, c.Tree)}
 	}
-	sortNeighbors(all)
-	if l > len(all) {
-		l = len(all)
-	}
-	return all[:l]
+	sortNeighborsCanonical(all)
+	return all[:min(max(l, 0), len(all))]
 }
 
 // Ties counts how many nodes in the top-l ranking share a distance value
@@ -128,15 +126,4 @@ func Ties(ranked []Neighbor) int {
 		}
 	}
 	return ties
-}
-
-func sortNeighbors(ns []Neighbor) {
-	// Insertion-friendly sizes are common, but use a proper sort for
-	// large candidate sets.
-	sortSlice(ns, func(a, b Neighbor) bool {
-		if a.Dist != b.Dist {
-			return a.Dist < b.Dist
-		}
-		return a.Node < b.Node
-	})
 }

@@ -221,6 +221,57 @@ func TestHausdorffSampled(t *testing.T) {
 	}
 }
 
+// bruteHausdorff is Definition 9 read literally: the larger of the two
+// max–min TED* distances, every pair evaluated in full. An empty side
+// has no minimum and adds 0.
+func bruteHausdorff(sa, sb []Signature) int {
+	directed := func(from, to []Signature) int {
+		worst := 0
+		for _, a := range from {
+			best := -1
+			for _, b := range to {
+				if d := ted.Distance(a.Tree, b.Tree); best < 0 || d < best {
+					best = d
+				}
+			}
+			worst = max(worst, best)
+		}
+		return worst
+	}
+	return max(directed(sa, sb), directed(sb, sa))
+}
+
+// TestHausdorffMatchesDefinition pins Hausdorff and HausdorffSampled,
+// one cascade sweep per node, to the brute-force max–min of
+// ted.Distance: over seeded graph pairs, in both argument orders, on
+// sampled subsets, and with one sample empty, which gives 0.
+func TestHausdorffMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 4; trial++ {
+		ga := randomGraph(rng, 30+5*trial, 60+10*trial)
+		gb := randomGraph(rng, 25+5*trial, 70)
+		k := 2 + trial%2
+		want := bruteHausdorff(allSignatures(ga, k), allSignatures(gb, k))
+		if ab, ba := Hausdorff(ga, gb, k), Hausdorff(gb, ga, k); ab != want || ba != want {
+			t.Errorf("trial %d: Hausdorff %d / swapped %d, definition %d", trial, ab, ba, want)
+		}
+		var na, nb []graph.NodeID
+		for _, v := range rng.Perm(ga.NumNodes())[:9] {
+			na = append(na, graph.NodeID(v))
+		}
+		for _, v := range rng.Perm(gb.NumNodes())[:6] {
+			nb = append(nb, graph.NodeID(v))
+		}
+		want = bruteHausdorff(Signatures(ga, na, k), Signatures(gb, nb, k))
+		if ab, ba := HausdorffSampled(ga, na, gb, nb, k), HausdorffSampled(gb, nb, ga, na, k); ab != want || ba != want {
+			t.Errorf("trial %d: HausdorffSampled %d / swapped %d, definition %d", trial, ab, ba, want)
+		}
+		if h := HausdorffSampled(ga, nil, gb, nb, k); h != 0 || bruteHausdorff(nil, Signatures(gb, nb, k)) != 0 {
+			t.Errorf("trial %d: an empty sample gives %d, want 0", trial, h)
+		}
+	}
+}
+
 func TestSignatureTreeMatchesKAdjacent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 50, 120)

@@ -9,18 +9,24 @@ import (
 
 // PrunedTopL answers the same query as TopL but skips full TED*
 // evaluations for candidates that provably cannot enter the result: the
-// O(height) padding lower bound of ted.LowerBound prunes any candidate
-// whose bound already exceeds the current l-th distance. It is the
-// cascade scan (scanKNN) at width 1 over unprofiled items — the same
-// code NewPrunedLinearBackend and NewLinearBackend serve from, and
+// cascade's lower bounds prune any candidate whose bound already
+// exceeds the current l-th distance. It is the cascade scan (scanKNN) at
+// width 1 over the candidates profiled against a fresh dictionary
+// (ProfileSignatures) — the code every scan backend serves from, which
 // TopLParallel runs at a wider width.
 //
 // The returned ranking is exact with respect to the full TED* distance:
 // every reported neighbor carries its true distance, and the set equals
-// TopL's up to equal-distance ties. Stats reports how much work was
-// saved.
+// TopL's. Stats reports how much work was saved.
 func PrunedTopL(query Signature, candidates []Signature, l int) ([]Neighbor, PruneStats) {
-	res, stats, _ := scanKNN(context.Background(), query.Item(), []sweepPart{{items: nodeSorted(ItemsOf(candidates))}}, l, 1, runSweepers)
+	return signatureTopL(query, candidates, l, 1)
+}
+
+// signatureTopL is the top-l sweep over signatures at the given width,
+// behind PrunedTopL and TopLParallel.
+func signatureTopL(query Signature, candidates []Signature, l, width int) ([]Neighbor, PruneStats) {
+	items, dict := ProfileSignatures(candidates)
+	res, stats, _ := scanKNN(context.Background(), QueryItem(query, dict), []sweepPart{newSweepPart(items)}, l, width, runSweepers)
 	return res, stats
 }
 
@@ -38,13 +44,33 @@ func (s *PruneStats) add(o PruneStats) {
 	s.EarlyExits += o.EarlyExits
 }
 
-// ItemsOf converts precomputed signatures into index items.
-func ItemsOf(sigs []Signature) []Item {
+// ProfileSignatures is how a signature-level entry point (the VP and
+// BK indexes, PrunedTopL, TopLParallel, Hausdorff) gets items: one per
+// signature, profiled against a fresh dictionary, which it returns for
+// the queries (QueryItem).
+func ProfileSignatures(sigs []Signature) ([]Item, *tree.Interner) {
 	items := make([]Item, len(sigs))
 	for i, s := range sigs {
 		items[i] = s.Item()
 	}
-	return items
+	dict := tree.NewInterner()
+	ProfileItems(items, dict, 0)
+	return items, dict
+}
+
+// QueryItem is a query signature profiled read-only against the
+// dictionary of the items it is compared with.
+func QueryItem(s Signature, dict *tree.Interner) Item {
+	q := s.Item()
+	ProfileQueryItem(&q, dict)
+	return q
+}
+
+// newSweepPart is a one-part sweep over items: node-sorted, with their
+// block, no dead slots, and no counters.
+func newSweepPart(items []Item) sweepPart {
+	items = nodeSorted(items)
+	return sweepPart{items: items, blk: compileBlock(items)}
 }
 
 // LowerBound exposes the padding lower bound on NED between two

@@ -69,6 +69,14 @@ func TestPrunedTopLEdgeCases(t *testing.T) {
 	if res, _ := PrunedTopL(query, cands, 0); res != nil {
 		t.Error("l=0 should return nil")
 	}
+	for _, l := range []int{-1, 0} {
+		if res := TopL(query, cands, l); len(res) != 0 {
+			t.Errorf("TopL l=%d returned %d results, want none", l, len(res))
+		}
+		if res, _ := PrunedTopL(query, cands, l); len(res) != 0 {
+			t.Errorf("PrunedTopL l=%d returned %d results, want none", l, len(res))
+		}
+	}
 	if res, _ := PrunedTopL(query, nil, 5); res != nil {
 		t.Error("no candidates should return nil")
 	}

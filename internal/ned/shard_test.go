@@ -39,18 +39,12 @@ func TestShardOf(t *testing.T) {
 
 // TestFanOutMatchesSingleIndex: partitioning items across shards and
 // querying through the shard router (one sweep for KNN, the per-shard
-// union for Range) must answer exactly like one index over all
-// unprofiled items — KNN and Range, odd shard counts and empty shards
-// included.
+// union for Range) must answer exactly like one index over all items
+// — KNN and Range, odd shard counts and empty shards included.
 func TestFanOutMatchesSingleIndex(t *testing.T) {
 	ctx := context.Background()
-	g := randomTestGraph(70, 150, 24)
+	items, dict := profiledItems(randomTestGraph(70, 150, 24), 2, false)
 	gq := randomTestGraph(40, 80, 25)
-	var nodes []graph.NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		nodes = append(nodes, graph.NodeID(v))
-	}
-	items := BuildItems(g, nodes, 2, false, 0)
 	whole := NewPrunedLinearBackend(items)
 	exec := NewExecutor(4)
 
@@ -72,7 +66,7 @@ func TestFanOutMatchesSingleIndex(t *testing.T) {
 			shards[0] = NewVPBackend(per[0])
 		}
 		for q := 0; q < 6; q++ {
-			query := NewItem(gq, graph.NodeID(q*5), 2, false)
+			query := queryOf(gq, graph.NodeID(q*5), 2, false, dict)
 			for _, l := range []int{1, 4, 200} {
 				want, err := whole.KNN(ctx, query, l)
 				if err != nil {
@@ -123,13 +117,8 @@ func TestMergeTopL(t *testing.T) {
 // original's answers — the property the epoch protocol rests on.
 func TestCloneIsolation(t *testing.T) {
 	ctx := context.Background()
-	g := randomTestGraph(50, 110, 26)
-	var nodes []graph.NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		nodes = append(nodes, graph.NodeID(v))
-	}
-	items := BuildItems(g, nodes, 2, false, 0)
-	query := NewItem(randomTestGraph(30, 60, 27), 4, 2, false)
+	items, dict := profiledItems(randomTestGraph(50, 110, 26), 2, false)
+	query := queryOf(randomTestGraph(30, 60, 27), 4, 2, false, dict)
 
 	build := map[string]func() DynamicIndex{
 		"vp":     func() DynamicIndex { return NewVPBackend(items) },
@@ -146,7 +135,7 @@ func TestCloneIsolation(t *testing.T) {
 		clone := orig.Clone()
 		// Mutate the clone hard: remove half the nodes, re-insert two.
 		var rm []graph.NodeID
-		for v := 0; v < g.NumNodes(); v += 2 {
+		for v := 0; v < len(items); v += 2 {
 			rm = append(rm, graph.NodeID(v))
 		}
 		clone.Remove(rm...)

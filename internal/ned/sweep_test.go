@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"ned/internal/graph"
-	"ned/internal/tree"
 )
 
 // TestSweepPartitionInvariance pins that splitting a corpus into shards
@@ -34,17 +33,13 @@ func TestSweepPartitionInvariance(t *testing.T) {
 	for v := 0; v < g.NumNodes(); v++ {
 		nodes = append(nodes, graph.NodeID(v))
 	}
-	dict := tree.NewInterner()
 	sigs := Signatures(g, nodes, 2)
-	items := ItemsOf(sigs)
-	ProfileItems(items, dict, 2)
+	items, dict := ProfileSignatures(sigs)
 	var qsigs []Signature
 	var queries []Item
 	for v := 0; v < gq.NumNodes(); v += 6 {
 		s := NewSignature(gq, graph.NodeID(v), 2)
-		q := s.Item()
-		ProfileQueryItem(&q, dict)
-		qsigs, queries = append(qsigs, s), append(queries, q)
+		qsigs, queries = append(qsigs, s), append(queries, QueryItem(s, dict))
 	}
 	// oracle[qi] is query qi's full exhaustive ranking over live.
 	oracleOf := func(live []Signature) [][]Neighbor {

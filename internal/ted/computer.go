@@ -102,18 +102,6 @@ func (c *Computer) DistanceAtMost(t1, t2 *tree.Tree, budget int) (d int, outcome
 	return c.run(t1, t2, int64(budget), nil)
 }
 
-// DistanceAtMostOriented is DistanceAtMost for callers that have
-// already placed the pair in the canonical orientation — typically by
-// comparing precompiled profiles (size, height, interned AHU encoding;
-// see internal/ned's filter–verify cascade) so no encoding string is
-// ever derived on the hot path. lv1/lv2, when non-nil, are the pair's
-// precompiled level-size vectors (tree.Profile.Levels): the padding
-// seed then reads two flat []int32 instead of walking the trees. The
-// budget contract is exactly DistanceAtMost's.
-func (c *Computer) DistanceAtMostOriented(t1, t2 *tree.Tree, lv1, lv2 []int32, budget int) (d int, outcome Outcome) {
-	return c.runLevels(t1, t2, lv1, lv2, int64(budget), nil)
-}
-
 // run executes Algorithm 1 bottom-up under a budget, optionally
 // recording the per-level breakdown into rep.
 func (c *Computer) run(t1, t2 *tree.Tree, budget int64, rep *Report) (int, Outcome) {

@@ -27,13 +27,3 @@ func LowerBound(t1, t2 *tree.Tree) int {
 	}
 	return lb
 }
-
-// SizeLowerBound returns the even cheaper |size(T1) − size(T2)| bound,
-// which is dominated by LowerBound but needs only the node counts.
-func SizeLowerBound(t1, t2 *tree.Tree) int {
-	diff := t1.Size() - t2.Size()
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff
-}

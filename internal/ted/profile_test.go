@@ -75,7 +75,7 @@ func randomTrees(n int) []*tree.Tree {
 //
 //	SizeBound <= PaddingBound <= DegreeBound <= exact TED*
 //
-// (tier 0 must agree with the exported SizeLowerBound), symmetry of the
+// (tier 0 must equal the node-count gap), symmetry of the
 // degree bound, its threshold contract — it reports "> t" at threshold
 // t exactly when the full bound exceeds t — and label-freedom: q1, a
 // read-only profile of t1 against a dictionary that knows none of its
@@ -88,9 +88,9 @@ func checkDominance(t *testing.T, t1, t2 *tree.Tree, p1, p2, q1 *tree.Profile) {
 	pad := PaddingBound(p1, p2)
 	deg := DegreeBound(p1, p2, Unbounded)
 	exact := Distance(t1, t2)
-	if size != SizeLowerBound(t1, t2) {
-		t.Fatalf("SizeBound=%d disagrees with SizeLowerBound=%d for %q vs %q",
-			size, SizeLowerBound(t1, t2), tree.Encode(t1), tree.Encode(t2))
+	if gap := max(t1.Size()-t2.Size(), t2.Size()-t1.Size()); size != gap {
+		t.Fatalf("SizeBound=%d disagrees with the node-count gap %d for %q vs %q",
+			size, gap, tree.Encode(t1), tree.Encode(t2))
 	}
 	if size > pad || pad > deg || deg > exact {
 		t.Fatalf("dominance chain broken: size=%d pad=%d degree=%d exact=%d for %q vs %q",
@@ -175,11 +175,11 @@ func TestProfilePaddingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestProfileOrientedMatchesDistance pins the profile-oriented budgeted
-// entry to the string-oriented one: deciding the canonical orientation
-// from profiles (size, height, interned AHU encoding) and skipping
-// isomorphic pairs via the interned key must reproduce Distance exactly
-// at every budget.
+// TestProfileOrientedMatchesDistance pins the profiled budgeted entry
+// on profile-oriented pairs to Distance: deciding the canonical
+// orientation from profiles (size, height, interned AHU encoding) and
+// skipping isomorphic pairs via the interned key must reproduce
+// Distance exactly at every budget.
 func TestProfileOrientedMatchesDistance(t *testing.T) {
 	trees := randomTrees(80)
 	in := tree.NewInterner()
@@ -209,7 +209,7 @@ func TestProfileOrientedMatchesDistance(t *testing.T) {
 				a, b, pa, pb = b, a, pb, pa
 			}
 			for _, budget := range []int{Unbounded, want, want - 1, want / 2, 0} {
-				d, out := c.DistanceAtMostOriented(a, b, pa.Levels, pb.Levels, budget)
+				d, out := c.DistanceAtMostProfiled(a, b, pa, pb, budget)
 				if out == OutcomeExact {
 					if d != want {
 						t.Fatalf("oriented exact=%d, Distance=%d (budget %d)", d, want, budget)

@@ -45,7 +45,7 @@ import (
 // interned labels scattered into the canonize arrays, and hands the
 // remaining (shallower) levels to the scalar Computer.level — whose
 // results depend only on the label partition, not the label values, so
-// the total is bit-identical to DistanceAtMostOriented's: same exact
+// the total is bit-identical to DistanceAtMost's: same exact
 // distances, same outcome classes, same abort values. The equivalence
 // is property-tested over full budget sweeps in profiled_test.go.
 //
@@ -55,12 +55,12 @@ import (
 // plain oriented path via the guard below.
 
 // DistanceAtMostProfiled is DistanceAtMost for callers that have
-// already placed the pair in canonical orientation (as
-// DistanceAtMostOriented) and hold both trees' compiled profiles. It
-// returns bit-identical results to DistanceAtMostOriented — same
-// distances, outcomes, and abort values — while skipping the per-level
-// collection building, sorting, and canonization work on every level
-// whose residual matching is empty. Falls back to the plain oriented
+// already placed the pair in canonical orientation (by comparing the
+// profiles, as internal/ned's verify stage does) and hold both trees'
+// compiled profiles. It returns bit-identical results to DistanceAtMost
+// — same distances, outcomes, and abort values — while skipping the
+// per-level collection building, sorting, and canonization work on
+// every level whose residual matching is empty. Falls back to the plain oriented
 // path when the profiles are missing columnar data or are mutually
 // unresolved.
 func (c *Computer) DistanceAtMostProfiled(t1, t2 *tree.Tree, p1, p2 *tree.Profile, budget int) (int, Outcome) {

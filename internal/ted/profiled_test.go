@@ -7,7 +7,8 @@ import (
 )
 
 // TestProfiledBitIdenticalToOriented pins the profiled faithful-level
-// fast path to the plain oriented computation, bit for bit: same
+// fast path to the plain computation (DistanceAtMost, on pairs already
+// in canonical orientation), bit for bit: same
 // distance, same outcome class, and the same value even on pruned and
 // aborted evaluations, at every budget. The fast path's claim is not
 // "equivalent answers" but "the identical computation reading
@@ -36,7 +37,7 @@ func TestProfiledBitIdenticalToOriented(t *testing.T) {
 			}
 			want := cOriented.Distance(a, b)
 			for _, budget := range []int{Unbounded, want + 3, want, want - 1, want / 2, 1, 0} {
-				wd, wout := cOriented.DistanceAtMostOriented(a, b, pa.Levels, pb.Levels, budget)
+				wd, wout := cOriented.DistanceAtMost(a, b, budget)
 				gd, gout := cProfiled.DistanceAtMostProfiled(a, b, pa, pb, budget)
 				if gd != wd || gout != wout {
 					t.Fatalf("profiled (%d,%v) != oriented (%d,%v) at budget %d for %q vs %q",
@@ -82,7 +83,7 @@ func TestProfiledQueryProfiles(t *testing.T) {
 			}
 			want := cOriented.Distance(a, b)
 			for _, budget := range []int{Unbounded, want, want - 1, 0} {
-				wd, wout := cOriented.DistanceAtMostOriented(a, b, pa.Levels, pb.Levels, budget)
+				wd, wout := cOriented.DistanceAtMost(a, b, budget)
 				gd, gout := cProfiled.DistanceAtMostProfiled(a, b, pa, pb, budget)
 				if gd != wd || gout != wout {
 					t.Fatalf("query-profiled (%d,%v) != oriented (%d,%v) at budget %d for %q vs %q",

@@ -82,15 +82,6 @@ func DistanceOrdered(t1, t2 *tree.Tree) int {
 	return d
 }
 
-// DistanceAtMost is the budgeted TED* on a pooled Computer; see
-// Computer.DistanceAtMost for the contract.
-func DistanceAtMost(t1, t2 *tree.Tree, budget int) (int, Outcome) {
-	c := computerPool.Get().(*Computer)
-	d, out := c.DistanceAtMost(t1, t2, budget)
-	computerPool.Put(c)
-	return d, out
-}
-
 // DistanceReport returns the TED* distance together with the per-level
 // padding/matching breakdown, in the same canonical orientation used by
 // Distance.

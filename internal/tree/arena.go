@@ -31,16 +31,12 @@ type ProfileArena struct {
 	Levels []int32
 }
 
-// CompileArena builds the columnar arena over ps. Every profile must be
-// non-nil and compiled against one shared Interner; a nil profile makes
-// the batch uncompilable and returns nil (callers fall back to the
-// scalar per-candidate path).
+// CompileArena builds the columnar arena over ps, which must all be
+// non-nil profiles compiled against one shared Interner (the caller
+// profiles every item it indexes). An empty ps gives an empty arena.
 func CompileArena(ps []*Profile) *ProfileArena {
 	n, width := len(ps), 0
 	for _, p := range ps {
-		if p == nil {
-			return nil
-		}
 		width = max(width, len(p.Levels))
 	}
 	a := &ProfileArena{

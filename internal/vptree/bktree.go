@@ -234,7 +234,8 @@ func (t *BKTree[T]) RangeContext(ctx context.Context, query T, r int) ([]IntResu
 			out = append(out, IntResult[T]{n.point, d})
 		}
 		for cd, child := range n.children {
-			if cd >= d-r && cd <= d+r {
+			// cd-d, not d+r: a radius near MaxInt must not wrap.
+			if cd >= d-r && cd-d <= r {
 				visit(child)
 			}
 		}

@@ -209,23 +209,25 @@ func ExactTEDStar(t1, t2 *Tree) (d int, ok bool) { return exact.TEDStar(t1, t2) 
 // Corpus does not serve from it — prefer NewCorpus for serving
 // workloads.
 type VPIndex struct {
-	ix ned.Index
+	ix   ned.Index
+	dict *tree.Interner // the signatures' profiles; queries read it only
 }
 
 // NewVPIndex builds a VP-tree over the signatures.
 func NewVPIndex(sigs []Signature) *VPIndex {
-	return &VPIndex{ix: ned.NewVPBackend(ned.ItemsOf(sigs))}
+	items, dict := ned.ProfileSignatures(sigs)
+	return &VPIndex{ix: ned.NewVPBackend(items), dict: dict}
 }
 
 // KNN returns the l nearest indexed signatures to the query.
 func (ix *VPIndex) KNN(query Signature, l int) []Neighbor {
-	res, _ := ix.ix.KNN(context.Background(), query.Item(), l)
+	res, _ := ix.ix.KNN(context.Background(), ned.QueryItem(query, ix.dict), l)
 	return res
 }
 
 // Range returns all indexed signatures within NED distance r of query.
 func (ix *VPIndex) Range(query Signature, r int) []Neighbor {
-	res, _ := ix.ix.Range(context.Background(), query.Item(), r)
+	res, _ := ix.ix.Range(context.Background(), ned.QueryItem(query, ix.dict), r)
 	return res
 }
 

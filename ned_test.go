@@ -1,6 +1,8 @@
 package ned
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -127,6 +129,54 @@ func TestPublicVPIndexMatchesScan(t *testing.T) {
 		// The nearest distance must agree even if tie nodes differ.
 		if got[0].Dist != want[0].Dist {
 			t.Fatalf("query %d: VP dist %d != scan dist %d", q, got[0].Dist, want[0].Dist)
+		}
+	}
+}
+
+// TestPublicInterGraphQueries drives the signature-level entry points
+// with the paper's inter-graph query: signatures of a perturbed copy of
+// the indexed graph, whose shapes the index's dictionary has never
+// seen, so they are profiled read-only with unresolved labels. VP, BK,
+// PrunedTopL and TopLParallel must answer KNN exactly as TopL, and VP
+// and BK Range at the extreme radii exactly as the exhaustive scan.
+func TestPublicInterGraphQueries(t *testing.T) {
+	g, _ := testGraphPair(t)
+	perturbed := AnonymizePerturb(g, 0.1, 4).Graph
+	var nodes []NodeID
+	for v := 0; v < min(150, g.NumNodes()); v++ {
+		nodes = append(nodes, NodeID(v))
+	}
+	cands := Signatures(g, nodes, 2)
+	vp, bk := NewVPIndex(cands), NewBKIndex(cands)
+	for v := 0; v < 12; v++ {
+		q := NewSignature(perturbed, NodeID(v*7), 2)
+		all := TopL(q, cands, len(cands))
+		for _, l := range []int{1, 5, 20} {
+			want := fmt.Sprint(all[:l])
+			pruned, _ := PrunedTopL(q, cands, l)
+			for name, got := range map[string][]Neighbor{
+				"vp":       vp.KNN(q, l),
+				"bk":       bk.KNN(q, l),
+				"pruned":   pruned,
+				"parallel": TopLParallel(q, cands, l, BatchOptions{Workers: 2}),
+			} {
+				if fmt.Sprint(got) != want {
+					t.Errorf("query %d l=%d %s: %v, TopL %v", v, l, name, got, want)
+				}
+			}
+		}
+		for _, r := range []int{-1, 0, 3, 1 << 30, math.MaxInt} {
+			var want []Neighbor
+			for _, nb := range all {
+				if nb.Dist <= r {
+					want = append(want, nb)
+				}
+			}
+			for name, got := range map[string][]Neighbor{"vp": vp.Range(q, r), "bk": bk.Range(q, r)} {
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("query %d r=%d %s Range: %d results, oracle %d", v, r, name, len(got), len(want))
+				}
+			}
 		}
 	}
 }
