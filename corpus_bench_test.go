@@ -9,10 +9,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ned/internal/segment"
 )
 
 // benchWorkload draws the inter-graph workload the corpus benchmarks
@@ -164,6 +168,75 @@ func BenchmarkCorpusBuild(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
 		})
 	}
+}
+
+// BenchmarkCorpusResidency measures what a corpus keeps resident over
+// the harness's PGP analog (scale 4, seed 42, k=3, two shards), without
+// a daemon. built-B/node is the live heap NewCorpus + the first KNN
+// adds, per node; recovered-B/node is the live heap OpenDurable + the
+// first KNN adds in a corpus recovered from that corpus's checkpoint
+// (the embedded graph included); ckpt-alloc-B/B is what one Checkpoint
+// allocates per byte of the segment it writes.
+func BenchmarkCorpusResidency(b *testing.B) {
+	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
+	ctx := context.Background()
+	nodes := float64(g.NumNodes())
+	// liveHeap is the heap that survives a collection.
+	liveHeap := func() float64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc)
+	}
+	var built, recovered, ckpt float64
+	for i := 0; i < b.N; i++ {
+		dir := b.TempDir()
+		base := liveHeap()
+		c, err := NewCorpus(g, 3, WithShards(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.KNN(ctx, 0, 5); err != nil {
+			b.Fatal(err)
+		}
+		built += liveHeap() - base
+		if err := c.MakeDurable(dir, FsyncNone); err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := c.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		fi, err := os.Stat(segment.CheckpointPath(dir, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ckpt += float64(after.TotalAlloc-before.TotalAlloc) / float64(fi.Size())
+		if err := c.CloseDurable(); err != nil {
+			b.Fatal(err)
+		}
+		c = nil
+
+		base = liveHeap()
+		r, err := OpenDurable(dir, FsyncNone)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.KNN(ctx, 0, 5); err != nil {
+			b.Fatal(err)
+		}
+		recovered += liveHeap() - base
+		if err := r.CloseDurable(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(built/n/nodes, "built-B/node")
+	b.ReportMetric(recovered/n/nodes, "recovered-B/node")
+	b.ReportMetric(ckpt/n, "ckpt-alloc-B/B")
 }
 
 // BenchmarkCorpusMutation measures what one write to a built corpus

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -362,6 +363,38 @@ func TestCheckpointTruncatesLogAndRecovers(t *testing.T) {
 	}
 	checkEquivalent(t, c2, g, live, 2)
 	c2.CloseDurable()
+}
+
+// A checkpoint streams its segment to disk and verifies it through a
+// fixed buffer, so writing one allocates a small fraction of the
+// segment's size rather than a second in-memory copy of every shard.
+func TestCheckpointAllocatesLessThanSegment(t *testing.T) {
+	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 1, Seed: 42})
+	c, err := NewCorpus(g, 3, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := c.MakeDurable(dir, FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseDurable()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := c.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	fi, err := os.Stat(segment.CheckpointPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(fi.Size()) / 4; alloc >= limit {
+		t.Fatalf("Checkpoint allocated %d B for a %d B segment (limit %d B)", alloc, fi.Size(), limit)
+	}
+	t.Logf("Checkpoint allocated %d B for a %d B segment", alloc, fi.Size())
 }
 
 // A rotation whose checkpoint never materialized (the crash window

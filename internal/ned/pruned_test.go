@@ -109,4 +109,8 @@ func TestPrefixDistance(t *testing.T) {
 	if got := PrefixDistance(query, c, 0); got != 0 {
 		t.Errorf("depth-0 prefix = %d, want 0", got)
 	}
+	// A negative depth keeps the roots alone, as depth 0 does.
+	if got := PrefixDistance(query, c, -1); got != 0 {
+		t.Errorf("depth -1 prefix = %d, want 0", got)
+	}
 }

@@ -279,21 +279,151 @@ func (d *dec) done() error {
 
 // --- section framing ---
 
-// writeSection frames one section: type, length, payload, checksum.
-func writeSection(w io.Writer, typ byte, payload []byte) error {
-	hdr := make([]byte, 0, 9)
-	hdr = append(hdr, typ)
-	hdr = appendU64(hdr, uint64(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("segment: writing section header: %w", err)
+// sectionChunk bounds the payload bytes a section writer holds before
+// passing them on, and the buffer skipSection checks a payload through:
+// neither side ever holds a whole section.
+const sectionChunk = 64 << 10
+
+// sectionWriter streams framed sections: the header goes out first,
+// carrying the payload length the caller computed up front, then the
+// payload in appends of at most sectionChunk bytes, each folded into a
+// running CRC-32C as it leaves, then the checksum. A payload that comes
+// up short of or runs past its declared length is an error, so the
+// framing can never disagree with the bytes. Errors are sticky: after
+// the first, writes are dropped and end reports it.
+type sectionWriter struct {
+	w    io.Writer
+	buf  []byte // pending payload bytes
+	crc  uint32
+	left uint64 // payload bytes the open section still owes
+	err  error
+}
+
+func newSectionWriter(w io.Writer) *sectionWriter {
+	return &sectionWriter{w: w, buf: make([]byte, 0, sectionChunk)}
+}
+
+// begin opens a section of type typ whose payload is n bytes.
+func (s *sectionWriter) begin(typ byte, n int) {
+	if s.err != nil {
+		return
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("segment: writing section payload: %w", err)
+	hdr := appendU64(append(s.buf[:0], typ), uint64(n))
+	if _, err := s.w.Write(hdr); err != nil {
+		s.err = fmt.Errorf("segment: writing section header: %w", err)
 	}
-	var crc []byte
-	crc = appendU32(crc, crc32.Checksum(payload, castagnoli))
-	if _, err := w.Write(crc); err != nil {
-		return fmt.Errorf("segment: writing section checksum: %w", err)
+	s.buf, s.crc, s.left = s.buf[:0], 0, uint64(n)
+}
+
+// flush passes the pending payload bytes on through the checksum.
+func (s *sectionWriter) flush() {
+	if s.err != nil || len(s.buf) == 0 {
+		s.buf = s.buf[:0]
+		return
+	}
+	if uint64(len(s.buf)) > s.left {
+		s.err = fmt.Errorf("segment: section payload runs past its declared length")
+		return
+	}
+	s.crc = crc32.Update(s.crc, castagnoli, s.buf)
+	s.left -= uint64(len(s.buf))
+	if _, err := s.w.Write(s.buf); err != nil {
+		s.err = fmt.Errorf("segment: writing section payload: %w", err)
+	}
+	s.buf = s.buf[:0]
+}
+
+// room makes space for an append of up to 8 bytes.
+func (s *sectionWriter) room() {
+	if cap(s.buf)-len(s.buf) < 8 {
+		s.flush()
+	}
+}
+
+func (s *sectionWriter) u8(v byte) {
+	s.room()
+	s.buf = append(s.buf, v)
+}
+
+func (s *sectionWriter) u32(v uint32) {
+	s.room()
+	s.buf = appendU32(s.buf, v)
+}
+
+func (s *sectionWriter) u64(v uint64) {
+	s.room()
+	s.buf = appendU64(s.buf, v)
+}
+
+// i32s appends a column of int32s as u32 words.
+func (s *sectionWriter) i32s(col []int32) {
+	for len(col) > 0 {
+		s.room()
+		m := min(len(col), (cap(s.buf)-len(s.buf))/4)
+		for _, v := range col[:m] {
+			s.buf = appendU32(s.buf, uint32(v))
+		}
+		col = col[m:]
+	}
+}
+
+// raw appends payload bytes as they are.
+func (s *sectionWriter) raw(b []byte) {
+	for len(b) > 0 {
+		s.room()
+		m := min(len(b), cap(s.buf)-len(s.buf))
+		s.buf = append(s.buf, b[:m]...)
+		b = b[m:]
+	}
+}
+
+// end closes the open section with its checksum and reports the first
+// error of the section's writes.
+func (s *sectionWriter) end() error {
+	s.flush()
+	if s.err == nil && s.left != 0 {
+		s.err = fmt.Errorf("segment: section payload %d bytes short of its declared length", s.left)
+	}
+	if s.err != nil {
+		return s.err
+	}
+	if _, err := s.w.Write(appendU32(s.buf[:0], s.crc)); err != nil {
+		s.err = fmt.Errorf("segment: writing section checksum: %w", err)
+	}
+	return s.err
+}
+
+// writeSection frames one section held whole in memory: the small ones
+// (meta, index dumps, end).
+func (s *sectionWriter) writeSection(typ byte, payload []byte) error {
+	s.begin(typ, len(payload))
+	s.raw(payload)
+	return s.end()
+}
+
+// readSectionHeader reads one section header and bounds its declared
+// payload length.
+func readSectionHeader(r io.Reader) (typ byte, n uint64, err error) {
+	var hdr [9]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, fmt.Errorf("segment: truncated section header: %w", err)
+	}
+	n = binary.LittleEndian.Uint64(hdr[1:])
+	if n > maxSectionLen {
+		return 0, 0, fmt.Errorf("segment: section declares %d bytes (cap %d)", n, uint64(maxSectionLen))
+	}
+	return hdr[0], n, nil
+}
+
+// readChecksum reads a section's stored checksum and compares it with
+// the payload's.
+func readChecksum(r io.Reader, typ byte, crc uint32) error {
+	var crcb [4]byte
+	if _, err := io.ReadFull(r, crcb[:]); err != nil {
+		return fmt.Errorf("segment: truncated section checksum: %w", err)
+	}
+	if binary.LittleEndian.Uint32(crcb[:]) != crc {
+		return fmt.Errorf("segment: section type %d checksum mismatch", typ)
 	}
 	return nil
 }
@@ -302,15 +432,9 @@ func writeSection(w io.Writer, typ byte, payload []byte) error {
 // short read — a torn tail — is a loud error: segments are written
 // atomically, so an incomplete one was corrupted after the fact.
 func readSection(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("segment: truncated section header: %w", err)
-	}
-	typ = hdr[0]
-	n := uint64(hdr[1]) | uint64(hdr[2])<<8 | uint64(hdr[3])<<16 | uint64(hdr[4])<<24 |
-		uint64(hdr[5])<<32 | uint64(hdr[6])<<40 | uint64(hdr[7])<<48 | uint64(hdr[8])<<56
-	if n > maxSectionLen {
-		return 0, nil, fmt.Errorf("segment: section declares %d bytes (cap %d)", n, uint64(maxSectionLen))
+	typ, n, err := readSectionHeader(r)
+	if err != nil {
+		return 0, nil, err
 	}
 	// Exact-size read under a trust cap: ordinary sections get a single
 	// allocation and one ReadFull. Beyond the cap, collect through a
@@ -332,15 +456,30 @@ func readSection(r io.Reader) (typ byte, payload []byte, err error) {
 		}
 		payload = buf.Bytes()
 	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(r, crcb[:]); err != nil {
-		return 0, nil, fmt.Errorf("segment: truncated section checksum: %w", err)
-	}
-	want := binary.LittleEndian.Uint32(crcb[:])
-	if crc32.Checksum(payload, castagnoli) != want {
-		return 0, nil, fmt.Errorf("segment: section type %d checksum mismatch", typ)
+	if err := readChecksum(r, typ, crc32.Checksum(payload, castagnoli)); err != nil {
+		return 0, nil, err
 	}
 	return typ, payload, nil
+}
+
+// skipSection is readSection for a reader that needs only the verdict:
+// the payload passes through the checksum in buf-sized reads and is
+// not kept.
+func skipSection(r io.Reader, buf []byte) (typ byte, err error) {
+	typ, n, err := readSectionHeader(r)
+	if err != nil {
+		return 0, err
+	}
+	var crc uint32
+	for got := uint64(0); got < n; {
+		m, err := io.ReadFull(r, buf[:min(uint64(len(buf)), n-got)])
+		got += uint64(m)
+		crc = crc32.Update(crc, castagnoli, buf[:m])
+		if err != nil {
+			return 0, fmt.Errorf("segment: truncated section payload (%d of %d bytes): %w", got, n, io.ErrUnexpectedEOF)
+		}
+	}
+	return typ, readChecksum(r, typ, crc)
 }
 
 // expectSection reads one section and requires its type.
@@ -373,26 +512,18 @@ func encodedItemSize(it *ned.Item, directed bool) int {
 
 // --- writing ---
 
-// appendTree serializes one tree and its compiled profile. The full
-// parent vector is written — including the root's -1 — so a decoder
-// on a little-endian host can alias it in place as the tree's own
-// storage.
-func appendTree(b []byte, t *tree.Tree, p *tree.Profile) []byte {
-	parents := t.ParentVector()
-	b = appendU32(b, uint32(len(parents)))
-	for _, v := range parents {
-		b = appendU32(b, uint32(v))
+// writeTree streams one tree and its compiled profile. The full parent
+// vector is written — including the root's -1 — so a decoder on a
+// little-endian host can alias it in place as the tree's own storage.
+func writeTree(s *sectionWriter, t *tree.Tree, p *tree.Profile) {
+	n := t.Size()
+	s.u32(uint32(n))
+	for v := range int32(n) {
+		s.u32(uint32(t.Parent(v)))
 	}
-	for _, v := range p.Labels {
-		b = appendU32(b, uint32(v))
-	}
-	for _, v := range p.Perm {
-		b = appendU32(b, uint32(v))
-	}
-	for _, v := range p.Kids {
-		b = appendU32(b, uint32(v))
-	}
-	return b
+	s.i32s(p.Labels)
+	s.i32s(p.Perm)
+	s.i32s(p.Kids)
 }
 
 // Write serializes a materialized corpus as a binary segment: meta,
@@ -405,6 +536,12 @@ func appendTree(b []byte, t *tree.Tree, p *tree.Profile) []byte {
 // and meta.Items are derived from shardItems. indexes is nil (no
 // index sections) or one VPIndex per shard, each either empty or
 // referencing exactly that shard's items.
+//
+// Write streams: the dictionary, graph and shard sections go out in
+// appends of at most 64 KiB through a running checksum, behind headers
+// carrying lengths computed up front, so writing a segment never holds
+// a copy of the corpus — only meta and the index dumps are framed in
+// memory.
 func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardItems [][]ned.Item, indexes []VPIndex) error {
 	meta.Shards = len(shardItems)
 	meta.Items = 0
@@ -414,6 +551,7 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 	if indexes != nil && len(indexes) != len(shardItems) {
 		return fmt.Errorf("segment: %d index dumps for %d shards", len(indexes), len(shardItems))
 	}
+	shardLens := make([]int, len(shardItems))
 	for si, items := range shardItems {
 		if indexes != nil {
 			if ix := &indexes[si]; !ix.empty() && len(ix.Nodes)+len(ix.Tail) != len(items) {
@@ -421,6 +559,7 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 					si, len(ix.Nodes)+len(ix.Tail), len(items))
 			}
 		}
+		shardLens[si] = 8
 		for i := range items {
 			it := &items[i]
 			if it.Node < 0 {
@@ -432,115 +571,79 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 			if meta.Directed && (it.In == nil || it.InP == nil || !it.InP.Resolved()) {
 				return fmt.Errorf("segment: node %d has no compiled incoming profile on a directed corpus", it.Node)
 			}
+			shardLens[si] += encodedItemSize(it, meta.Directed)
 		}
 	}
+	if len(meta.Backend) > 0xFFFF {
+		return fmt.Errorf("segment: backend name too long")
+	}
 
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, sectionChunk)
 	if _, err := io.WriteString(bw, Magic); err != nil {
 		return fmt.Errorf("segment: writing magic: %w", err)
 	}
+	sw := newSectionWriter(bw)
 
 	kidOff, kids := dict.ExportShapes()
 
 	// Meta, including the shard table byte lengths (section offsets).
 	mb := make([]byte, 0, 64+8*len(shardItems))
-	if len(meta.Backend) > 0xFFFF {
-		return fmt.Errorf("segment: backend name too long")
-	}
 	mb = append(mb, byte(len(meta.Backend)), byte(len(meta.Backend)>>8))
 	mb = append(mb, meta.Backend...)
 	mb = appendU32(mb, uint32(meta.K))
-	if meta.Directed {
-		mb = append(mb, 1)
-	} else {
-		mb = append(mb, 0)
-	}
+	mb = append(mb, boolByte(meta.Directed))
 	mb = appendU32(mb, uint32(meta.Shards))
 	mb = appendU64(mb, uint64(meta.Items))
 	mb = appendU32(mb, uint32(len(kidOff)-1))
-	if g != nil {
-		mb = append(mb, 1)
-	} else {
-		mb = append(mb, 0)
-	}
-	if indexes != nil {
-		mb = append(mb, 1)
-	} else {
-		mb = append(mb, 0)
-	}
-	for si, items := range shardItems {
-		size := 8
-		for i := range items {
-			size += encodedItemSize(&items[i], meta.Directed)
-		}
-		_ = si
+	mb = append(mb, boolByte(g != nil), boolByte(indexes != nil))
+	for _, size := range shardLens {
 		mb = appendU64(mb, uint64(size))
 	}
-	if err := writeSection(bw, secMeta, mb); err != nil {
+	if err := sw.writeSection(secMeta, mb); err != nil {
 		return err
 	}
 
 	// Dictionary.
-	db := make([]byte, 0, 4+4*len(kidOff)+4*len(kids))
-	db = appendU32(db, uint32(len(kidOff)-1))
-	for _, v := range kidOff {
-		db = appendU32(db, uint32(v))
-	}
-	for _, v := range kids {
-		db = appendU32(db, uint32(v))
-	}
-	if err := writeSection(bw, secDict, db); err != nil {
+	sw.begin(secDict, 4+4*len(kidOff)+4*len(kids))
+	sw.u32(uint32(len(kidOff) - 1))
+	sw.i32s(kidOff)
+	sw.i32s(kids)
+	if err := sw.end(); err != nil {
 		return err
 	}
 
 	// Graph.
 	if g != nil {
 		edges := g.Edges()
-		gb := make([]byte, 0, 13+8*len(edges))
-		gb = appendU32(gb, uint32(g.NumNodes()))
-		if g.Directed() {
-			gb = append(gb, 1)
-		} else {
-			gb = append(gb, 0)
-		}
-		gb = appendU64(gb, uint64(len(edges)))
+		sw.begin(secGraph, 13+8*len(edges))
+		sw.u32(uint32(g.NumNodes()))
+		sw.u8(boolByte(g.Directed()))
+		sw.u64(uint64(len(edges)))
 		for _, e := range edges {
-			gb = appendU32(gb, uint32(e.U))
-			gb = appendU32(gb, uint32(e.V))
+			sw.u32(uint32(e.U))
+			sw.u32(uint32(e.V))
 		}
-		if err := writeSection(bw, secGraph, gb); err != nil {
+		if err := sw.end(); err != nil {
 			return err
 		}
 	}
 
 	// Shard item tables.
-	var sb []byte
 	for si, items := range shardItems {
-		size := 8
-		for i := range items {
-			size += encodedItemSize(&items[i], meta.Directed)
-		}
-		if cap(sb) < size {
-			sb = make([]byte, 0, size)
-		}
-		sb = sb[:0]
-		sb = appendU32(sb, uint32(si))
-		sb = appendU32(sb, uint32(len(items)))
+		sw.begin(secShard, shardLens[si])
+		sw.u32(uint32(si))
+		sw.u32(uint32(len(items)))
 		for i := range items {
 			it := &items[i]
-			sb = appendU32(sb, uint32(it.Node))
-			sb = appendU32(sb, uint32(it.K))
-			flags := uint32(0)
+			sw.u32(uint32(it.Node))
+			sw.u32(uint32(it.K))
+			sw.u32(uint32(boolByte(meta.Directed)))
+			writeTree(sw, it.Out, it.OutP)
 			if meta.Directed {
-				flags |= 1
-			}
-			sb = appendU32(sb, flags)
-			sb = appendTree(sb, it.Out, it.OutP)
-			if meta.Directed {
-				sb = appendTree(sb, it.In, it.InP)
+				writeTree(sw, it.In, it.InP)
 			}
 		}
-		if err := writeSection(bw, secShard, sb); err != nil {
+		if err := sw.end(); err != nil {
 			return err
 		}
 	}
@@ -556,31 +659,31 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 			n := &ix.Nodes[i]
 			ib = appendU32(ib, uint32(n.Node))
 			ib = appendU64(ib, math.Float64bits(n.Radius))
-			flags := byte(0)
-			if n.Inside {
-				flags |= 1
-			}
-			if n.Beyond {
-				flags |= 2
-			}
-			ib = append(ib, flags)
+			ib = append(ib, boolByte(n.Inside)|boolByte(n.Beyond)<<1)
 		}
 		for _, v := range ix.Tail {
 			ib = appendU32(ib, uint32(v))
 		}
-		if err := writeSection(bw, secIndex, ib); err != nil {
+		if err := sw.writeSection(secIndex, ib); err != nil {
 			return err
 		}
 	}
 
-	eb := appendU64(nil, uint64(meta.Items))
-	if err := writeSection(bw, secEnd, eb); err != nil {
+	if err := sw.writeSection(secEnd, appendU64(nil, uint64(meta.Items))); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("segment: flushing: %w", err)
 	}
 	return nil
+}
+
+// boolByte encodes a boolean as one byte.
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // --- reading ---
@@ -615,7 +718,9 @@ func shardWords(payload []byte) ([]int32, error) {
 // on little-endian hosts — handed to tree.NewOwned / ProfileFromParts
 // without the defensive copies the public constructors make; both
 // treat their columns as immutable, so sharing the section payload is
-// safe. Only the tree's derived indexes are allocated, carved from s.
+// safe. Only the derived columns are allocated — the tree's child and
+// level offsets, the profile's level sizes and degree runs — all carved
+// from s.
 func decodeTree(words []int32, pos int, in *tree.Interner, s *tree.Slab) (*tree.Tree, *tree.Profile, int, error) {
 	if pos >= len(words) {
 		return nil, nil, 0, fmt.Errorf("segment: truncated payload")
@@ -636,7 +741,7 @@ func decodeTree(words []int32, pos int, in *tree.Interner, s *tree.Slab) (*tree.
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("segment: %w", err)
 	}
-	p, err := in.ProfileFromParts(t, labels, perm, kids)
+	p, err := in.ProfileFromParts(t, labels, perm, kids, s)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("segment: %w", err)
 	}
@@ -1061,7 +1166,9 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 // It does not decode payloads — that is Read's job — but it proves the
 // file is structurally whole, which is what the checkpoint writer
 // needs to confirm before deleting the generations a torn or bit-
-// flipped write would otherwise have been recovered from.
+// flipped write would otherwise have been recovered from. Payloads
+// pass through the checksum in one fixed 64 KiB buffer, so verifying
+// a segment never holds a section of it.
 func Verify(r io.Reader) error {
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -1070,9 +1177,10 @@ func Verify(r io.Reader) error {
 	if string(magic[:]) != Magic {
 		return fmt.Errorf("segment: verify: bad magic %q", magic[:])
 	}
+	buf := make([]byte, sectionChunk)
 	seen := 0
 	for {
-		typ, _, err := readSection(r)
+		typ, err := skipSection(r, buf)
 		if err != nil {
 			return fmt.Errorf("segment: verify: %w", err)
 		}

@@ -2,7 +2,10 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -430,6 +433,107 @@ func TestDecodeIndexRejectsBadPayloads(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := decodeIndex(tc.payload, 0); err == nil {
 			t.Errorf("%s: decodeIndex accepted the payload", tc.name)
+		}
+	}
+}
+
+// goldenSections returns the golden segment and the byte offset of
+// every section header in it, in order.
+func goldenSections(t *testing.T) ([]byte, []int) {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden.nedseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []int
+	for off := len(Magic); off < len(blob); {
+		starts = append(starts, off)
+		n := int(binary.LittleEndian.Uint64(blob[off+1:]))
+		off += 9 + n + 4
+	}
+	if len(starts) < 5 {
+		t.Fatalf("golden segment has only %d sections", len(starts))
+	}
+	return blob, starts
+}
+
+// Verify streams each section through its checksum instead of reading
+// it whole, and must still refuse every damaged file: truncation at and
+// inside every section, one flipped payload byte per section, a
+// trailing byte, and a declared length past the cap.
+func TestVerifyFailsLoudly(t *testing.T) {
+	blob, starts := goldenSections(t)
+	if err := Verify(bytes.NewReader(blob)); err != nil {
+		t.Fatalf("Verify rejects the golden segment: %v", err)
+	}
+	expectFail := func(what string, b []byte) {
+		t.Helper()
+		if err := Verify(bytes.NewReader(b)); err == nil {
+			t.Fatalf("Verify accepted %s", what)
+		}
+	}
+	expectFail("an empty file", nil)
+	expectFail("the magic alone", blob[:len(Magic)])
+	for i, off := range starts {
+		n := int(binary.LittleEndian.Uint64(blob[off+1:]))
+		expectFail(fmt.Sprintf("a cut at section %d's start", i), blob[:off])
+		expectFail(fmt.Sprintf("a cut inside section %d's header", i), blob[:off+5])
+		expectFail(fmt.Sprintf("a cut after section %d's header", i), blob[:off+9])
+		expectFail(fmt.Sprintf("a cut mid-payload of section %d", i), blob[:off+9+n/2])
+		expectFail(fmt.Sprintf("a cut inside section %d's checksum", i), blob[:off+9+n+2])
+		mut := bytes.Clone(blob)
+		mut[off+9+n/2] ^= 0x40
+		expectFail(fmt.Sprintf("a flipped payload byte in section %d", i), mut)
+		mut = bytes.Clone(blob)
+		mut[off+9+n+1] ^= 0x01
+		expectFail(fmt.Sprintf("a flipped checksum byte in section %d", i), mut)
+	}
+	expectFail("a trailing byte", append(bytes.Clone(blob), 0))
+	mut := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(mut[starts[0]+1:], maxSectionLen+1)
+	expectFail("a declared length past maxSectionLen", mut)
+}
+
+// A section whose payload disagrees with the length its header
+// declared is a writer bug; the section writer reports it instead of
+// framing it.
+func TestSectionWriterLengthMismatch(t *testing.T) {
+	for _, c := range []struct {
+		declared int
+		payload  []byte
+	}{{4, []byte{1, 2}}, {2, []byte{1, 2, 3, 4}}, {0, []byte{1}}} {
+		sw := newSectionWriter(io.Discard)
+		sw.begin(secEnd, c.declared)
+		sw.raw(c.payload)
+		if err := sw.end(); err == nil {
+			t.Fatalf("declared %d bytes, wrote %d: no error", c.declared, len(c.payload))
+		}
+	}
+	var buf bytes.Buffer
+	sw := newSectionWriter(&buf)
+	big := make([]int32, 3*sectionChunk/4+5)
+	for i := range big {
+		big[i] = int32(i)
+	}
+	if err := sw.writeSection(secEnd, nil); err != nil {
+		t.Fatal(err)
+	}
+	sw.begin(secShard, 4*len(big))
+	sw.i32s(big)
+	if err := sw.end(); err != nil {
+		t.Fatalf("multi-chunk section: %v", err)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	if typ, payload, err := readSection(r); err != nil || typ != secEnd || len(payload) != 0 {
+		t.Fatalf("empty section read back as %d, %d bytes, %v", typ, len(payload), err)
+	}
+	typ, payload, err := readSection(r)
+	if err != nil || typ != secShard || len(payload) != 4*len(big) {
+		t.Fatalf("multi-chunk section read back as %d, %d bytes, %v", typ, len(payload), err)
+	}
+	for i := range big {
+		if got := int32(binary.LittleEndian.Uint32(payload[4*i:])); got != big[i] {
+			t.Fatalf("word %d = %d, want %d", i, got, big[i])
 		}
 	}
 }

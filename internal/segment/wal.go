@@ -358,10 +358,10 @@ func appendRecord(b []byte, rec Record) []byte {
 }
 
 func appendWALTree(b []byte, t *tree.Tree) []byte {
-	parents := t.ParentVector()
-	b = appendU32(b, uint32(len(parents)))
-	for _, v := range parents[1:] {
-		b = appendU32(b, uint32(v))
+	n := int32(t.Size())
+	b = appendU32(b, uint32(n))
+	for v := int32(1); v < n; v++ {
+		b = appendU32(b, uint32(t.Parent(v)))
 	}
 	return b
 }

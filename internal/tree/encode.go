@@ -11,15 +11,14 @@ import (
 // omitted (e.g. "0,0,1" is a root, two children, one grandchild).
 // A single-node tree encodes as "".
 func Encode(t *Tree) string {
-	pv := t.ParentVector()
-	if len(pv) == 1 {
-		return ""
+	var b []byte
+	for v := 1; v < len(t.parent); v++ {
+		if v > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(t.parent[v]), 10)
 	}
-	parts := make([]string, len(pv)-1)
-	for i, p := range pv[1:] {
-		parts[i] = strconv.Itoa(int(p))
-	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // Decode parses the Encode format back into a tree.

@@ -106,15 +106,17 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 // are recomputed from the tree and dictionary rather than trusted, and the
 // stored columns are validated structurally: every label a dictionary
 // ID, labels sorted within each level, Perm a plausible level-local
-// index. The reconstructed profile enters t's profile cache, exactly
-// as a fresh compile would.
-func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32) (*Profile, error) {
+// index. The derived columns are carved from s (plain allocations
+// when s is nil), so a segment load pays no per-tree make for them.
+// The reconstructed profile enters t's profile cache, exactly as a
+// fresh compile would.
+func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32, s *Slab) (*Profile, error) {
 	n := t.Size()
 	if len(labels) != n || len(perm) != n {
 		return nil, fmt.Errorf("tree: profile has %d labels and %d perm entries for a %d-node tree", len(labels), len(perm), n)
 	}
-	if len(kids) != len(t.childIDs) {
-		return nil, fmt.Errorf("tree: profile has %d child labels, tree has %d edges", len(kids), len(t.childIDs))
+	if len(kids) != n-1 {
+		return nil, fmt.Errorf("tree: profile has %d child labels, tree has %d edges", len(kids), n-1)
 	}
 	dictLen := int32(in.Len())
 	// One pass over kids checks range and per-node sortedness together:
@@ -130,7 +132,8 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32) (*Prof
 			prev = l
 		}
 	}
-	levels := levelSizes(t, make([]int32, t.Height()+1))
+	h := t.Height()
+	levels := levelSizes(t, s.Alloc(h+1))
 	// Labels must be sorted within each level AND every one a dictionary
 	// ID; sortedness makes the range check per level O(1) (first and
 	// last element), leaving one comparison per label.
@@ -153,7 +156,7 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32) (*Prof
 	p := &Profile{
 		Levels:    levels,
 		Labels:    labels,
-		Degs:      levelDegrees(levels, t.childOff, make([]int32, n)),
+		Degs:      levelDegrees(levels, t.childOff, s.Alloc(int(t.levelOff[h]))),
 		Perm:      perm,
 		Kids:      kids,
 		KidOff:    t.childOff, // aligned by construction; both sides immutable

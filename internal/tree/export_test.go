@@ -92,7 +92,7 @@ func TestProfileFromPartsRoundTrip(t *testing.T) {
 		got, err := in2.ProfileFromParts(clone,
 			append([]int32(nil), want.Labels...),
 			append([]int32(nil), want.Perm...),
-			append([]int32(nil), want.Kids...))
+			append([]int32(nil), want.Kids...), &Slab{})
 		if err != nil {
 			t.Fatalf("tree %d: ProfileFromParts: %v", i, err)
 		}
@@ -121,32 +121,32 @@ func TestProfileFromPartsRejectsBadColumns(t *testing.T) {
 	tr := MustNew([]int32{-1, 0, 0, 1})
 	p := in.Profile(tr)
 	dup := func(s []int32) []int32 { return append([]int32(nil), s...) }
-	if _, err := in.ProfileFromParts(tr, dup(p.Labels[:2]), dup(p.Perm), dup(p.Kids)); err == nil {
+	if _, err := in.ProfileFromParts(tr, dup(p.Labels[:2]), dup(p.Perm), dup(p.Kids), nil); err == nil {
 		t.Error("short labels accepted")
 	}
-	if _, err := in.ProfileFromParts(tr, dup(p.Labels), dup(p.Perm), dup(p.Kids[:1])); err == nil {
+	if _, err := in.ProfileFromParts(tr, dup(p.Labels), dup(p.Perm), dup(p.Kids[:1]), nil); err == nil {
 		t.Error("short kids accepted")
 	}
 	bad := dup(p.Labels)
 	bad[0] = int32(in.Len()) + 5
-	if _, err := in.ProfileFromParts(tr, bad, dup(p.Perm), dup(p.Kids)); err == nil {
+	if _, err := in.ProfileFromParts(tr, bad, dup(p.Perm), dup(p.Kids), nil); err == nil {
 		t.Error("out-of-dictionary label accepted")
 	}
 	bad = dup(p.Labels)
 	bad[0] = -1
-	if _, err := in.ProfileFromParts(tr, bad, dup(p.Perm), dup(p.Kids)); err == nil {
+	if _, err := in.ProfileFromParts(tr, bad, dup(p.Perm), dup(p.Kids), nil); err == nil {
 		t.Error("negative label accepted")
 	}
 	badPerm := dup(p.Perm)
 	badPerm[1] = 99
-	if _, err := in.ProfileFromParts(tr, dup(p.Labels), badPerm, dup(p.Kids)); err == nil {
+	if _, err := in.ProfileFromParts(tr, dup(p.Labels), badPerm, dup(p.Kids), nil); err == nil {
 		t.Error("out-of-level perm accepted")
 	}
 	// Unsorted labels within a level: nodes 1 and 2 share level 1.
 	unsorted := dup(p.Labels)
 	if unsorted[1] != unsorted[2] {
 		unsorted[1], unsorted[2] = unsorted[2], unsorted[1]
-		if _, err := in.ProfileFromParts(tr, unsorted, dup(p.Perm), dup(p.Kids)); err == nil {
+		if _, err := in.ProfileFromParts(tr, unsorted, dup(p.Perm), dup(p.Kids), nil); err == nil {
 			t.Error("unsorted level labels accepted")
 		}
 	}

@@ -47,7 +47,7 @@ var bfsWorkspaces = sync.Pool{New: func() any { return new(graph.BFSWorkspace) }
 // kAdjacent is the one extraction path. The pooled workspace's bounded
 // BFS touches only the nodes within k hops and yields the tree's parent
 // vector directly in visitation (level) order, so the only allocations
-// are the returned tree — its parent vector and derived arrays in one
+// are the returned tree — its parent vector and derived offsets in one
 // block — and, when withOrder, the node mapping.
 func kAdjacent(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection, withOrder bool) (*Tree, []graph.NodeID) {
 	w := bfsWorkspaces.Get().(*graph.BFSWorkspace)
@@ -55,8 +55,9 @@ func kAdjacent(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection, w
 	parent, order, height := w.Tree(g, v, k, dir)
 	n := len(parent)
 	// One block for the parent vector and everything NewOwned derives
-	// from it: depth, childOff and childIDs (3n), levelOff (height+2).
-	s := &Slab{free: make([]int32, 4*n+height+2)}
+	// from it: childOff (n+1) and levelOff (height+2). A BFS tree's child
+	// IDs alias the shared run, so they take no room here.
+	s := &Slab{free: make([]int32, 2*n+height+3)}
 	own := s.Alloc(n)
 	copy(own, parent)
 	t, err := NewOwned(own, s)

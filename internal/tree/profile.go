@@ -17,8 +17,9 @@ import (
 //
 //   - the level-size vector (the padding lower bound becomes a single
 //     loop over two []int32),
-//   - every level's child counts, sorted ascending (the degree-sequence
-//     lower bound becomes a walk over two sorted int32 runs per level),
+//   - the child counts of every level above the deepest, sorted
+//     ascending (the degree-sequence lower bound becomes a walk over two
+//     sorted int32 runs per level),
 //   - every node's subtree shape as a corpus-interned label ID, grouped
 //     by depth and sorted within each level (the verify stage's
 //     equal-label pre-match becomes a linear merge of two sorted int32
@@ -50,11 +51,14 @@ type Profile struct {
 	// Labels[off : off+Levels[d]] with off the prefix sum of Levels[:d].
 	Labels []int32
 
-	// Degs holds every node's child count, grouped by depth on the same
-	// offsets as Labels and sorted ascending within each level: the
-	// degree sequences ted.DegreeBound compares. Derived from KidOff by
-	// both profile constructors, never persisted, and label-free — a
-	// read-only query profile carries the same Degs as an interned one.
+	// Degs holds the child count of every node above the deepest level,
+	// grouped by depth on the same offsets as Labels and sorted ascending
+	// within each level: the degree sequences ted.DegreeBound compares.
+	// Levels 0..height-1 only — the deepest level is all leaves, and the
+	// bound never reads it — so len(Degs) is Size minus the last level's
+	// width. Derived from KidOff by both profile constructors, never
+	// persisted, and label-free — a read-only query profile carries the
+	// same Degs as an interned one.
 	Degs []int32
 
 	// Size is the node count (the sum of Levels).
@@ -343,16 +347,17 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 	defer sc.release()
 
 	n, h := t.Size(), t.Height()
+	inner := int(t.levelOff[h]) // nodes above the deepest level
 	// One block for the columns the profile owns: labels (n), the
 	// children-label runs (n-1, CSR-aligned with the tree's own child
-	// storage, whose offsets the profile shares), Perm (n), Degs (n) and
-	// the level sizes (h+1).
-	buf := make([]int32, 4*n+h)
+	// storage, whose offsets the profile shares), Perm (n), Degs (inner)
+	// and the level sizes (h+1).
+	buf := make([]int32, 3*n+inner+h)
 	labels := buf[:n:n]
 	kidsArr := buf[n : 2*n-1 : 2*n-1]
 	perm := buf[2*n-1 : 3*n-1 : 3*n-1]
-	degs := buf[3*n-1 : 4*n-1 : 4*n-1]
-	levels := levelSizes(t, buf[4*n-1:])
+	degs := buf[3*n-1 : 3*n-1+inner : 3*n-1+inner]
+	levels := levelSizes(t, buf[3*n-1+inner:])
 	kidOff := t.childOff
 
 	// Every childless node has the leaf shape (the empty key): resolve it
@@ -441,15 +446,17 @@ func levelSizes(t *Tree, dst []int32) []int32 {
 	return dst
 }
 
-// levelDegrees fills dst (Profile.Degs, one entry per node) and returns
-// it: node v's child count is kidOff[v+1]-kidOff[v], nodes are numbered
-// in level order, and each level's run is sorted ascending.
+// levelDegrees fills dst (Profile.Degs: one entry per node above the
+// deepest level, so len(dst) is the node count minus the last level's
+// width) and returns it: node v's child count is kidOff[v+1]-kidOff[v],
+// nodes are numbered in level order, and each level's run is sorted
+// ascending.
 func levelDegrees(levels, kidOff, dst []int32) []int32 {
 	for v := range dst {
 		dst[v] = kidOff[v+1] - kidOff[v]
 	}
 	off := int32(0)
-	for _, w := range levels {
+	for _, w := range levels[:len(levels)-1] {
 		if run := dst[off : off+w]; !slices.IsSorted(run) {
 			slices.Sort(run)
 		}

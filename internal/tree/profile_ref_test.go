@@ -20,7 +20,7 @@ func referenceProfile(in *Interner, t *Tree, readOnly bool) *Profile {
 	labels := make([]int32, n)
 	kidOff := make([]int32, n+1)
 	copy(kidOff, t.childOff)
-	kidsArr := make([]int32, len(t.childIDs))
+	kidsArr := make([]int32, n-1)
 	var key []byte
 	local := make(map[string]int32, 16)
 	nextLocal := int32(-1)
@@ -49,10 +49,25 @@ func referenceProfile(in *Interner, t *Tree, readOnly bool) *Profile {
 	}
 
 	levels := levelSizes(t, make([]int32, t.Height()+1))
+	// Degs from the tree's own child lists, levels 0..height-1: the
+	// deepest level is all leaves and carries no degree run.
+	var degs []int32
+	for d := 0; d < t.Height(); d++ {
+		lo, hi := t.LevelRange(d)
+		run := make([]int32, 0, hi-lo)
+		for v := lo; v < hi; v++ {
+			run = append(run, int32(len(t.Children(v))))
+		}
+		slices.Sort(run)
+		degs = append(degs, run...)
+	}
+	if degs == nil {
+		degs = []int32{}
+	}
 	p := &Profile{
 		Levels:    levels,
 		Labels:    labels,
-		Degs:      levelDegrees(levels, kidOff, make([]int32, n)),
+		Degs:      degs,
 		Perm:      make([]int32, n),
 		Kids:      kidsArr,
 		KidOff:    kidOff,

@@ -21,7 +21,8 @@ func profileTestTrees(n int) []*Tree {
 // TestProfileShape pins the Profile invariants everything downstream
 // reads blind: Levels mirrors LevelSize, Labels and Degs are
 // level-grouped and sorted within each level, Degs holds the level's
-// actual child counts, and Size is the node count.
+// actual child counts for levels 0..height-1 and nothing for the
+// deepest (all-leaf) level, and Size is the node count.
 func TestProfileShape(t *testing.T) {
 	in := NewInterner()
 	for _, tr := range profileTestTrees(60) {
@@ -52,6 +53,17 @@ func TestProfileShape(t *testing.T) {
 				want = append(want, int32(tr.NumChildren(v)))
 			}
 			slices.Sort(want)
+			if d == p.Height() {
+				for _, c := range want {
+					if c != 0 {
+						t.Fatalf("deepest level %d has a node with %d children", d, c)
+					}
+				}
+				if int(off) != len(p.Degs) {
+					t.Fatalf("len(Degs)=%d, want %d (every node above the deepest level)", len(p.Degs), off)
+				}
+				break
+			}
 			if got := p.Degs[off : off+w]; !slices.Equal(got, want) {
 				t.Fatalf("level %d Degs=%v, want sorted child counts %v", d, got, want)
 			}

@@ -18,18 +18,22 @@ import (
 )
 
 // Tree is an unordered rooted tree in level order. Node 0 is the root;
-// Parent[0] == -1. Depth[v] is the number of edges from the root, and
-// nodes are sorted by depth: Depth is non-decreasing in node ID.
+// Parent[0] == -1, and nodes are sorted by depth (the number of edges
+// from the root): each depth occupies one contiguous ID range, recorded
+// in levelOff. Depth itself is not stored; LevelRange and Height give
+// everything level-wise consumers read.
 // The zero value is not a valid tree; use New or the builders below.
 type Tree struct {
 	parent []int32
-	depth  []int32
 
 	// levelOff[d] is the index of the first node at depth d;
 	// levelOff[height+1] == len(parent).
 	levelOff []int32
 
-	// children in CSR form, derived from parent.
+	// children in CSR form, derived from parent. A BFS-order tree (parent
+	// non-decreasing, the layout of every extracted and decoded
+	// signature) has childIDs == 1..n-1, which aliases the process-wide
+	// read-only run idRun instead of being stored per tree.
 	childOff []int32
 	childIDs []int32
 
@@ -115,9 +119,11 @@ func New(parent []int32) (*Tree, error) {
 
 // NewOwned is New without the defensive copy: the tree takes ownership
 // of parent (which must not be mutated afterwards) and carves its
-// derived arrays from s when s is non-nil. This is the bulk-decode
-// path — internal/segment owns every parent vector it just decoded and
-// builds thousands of trees per load; everyone else wants New.
+// derived arrays — childOff (n+1) and levelOff (height+2), plus
+// childIDs (n-1) when the tree is not in BFS order — from s when s is
+// non-nil. This is the bulk-decode path: internal/segment owns every
+// parent vector it just decoded and builds thousands of trees per
+// load; everyone else wants New.
 func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 	if len(parent) == 0 {
 		return nil, fmt.Errorf("tree: empty parent vector")
@@ -127,57 +133,50 @@ func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 	}
 	n := len(parent)
 	t := &Tree{parent: parent}
-	// One combined zeroed allocation for depth, childOff, and childIDs
-	// (full-capacity subslices, so an append on one can never bleed into
-	// the next); levelOff is carved separately once the height is known.
-	buf := s.Alloc(n + (n + 1) + (n - 1))
-	t.depth = buf[0:n:n]
-	t.childOff = buf[n : 2*n+1 : 2*n+1]
-	t.childIDs = buf[2*n+1:]
-	depth, childOff := t.depth, t.childOff
-	// Single validation pass also counts children and detects BFS order
-	// (parent non-decreasing), the layout every extractor and the
-	// segment writer emit, which admits a cursor-free CSR fill below.
+	childOff := s.Alloc(n + 1)
+	t.childOff = childOff
+	// One validation pass counts children, detects BFS order (parent
+	// non-decreasing), and finds the level starts without a depth array:
+	// while v sits on the level starting at cur (the previous one starts
+	// at prev), its parent must lie in [prev, cur); a parent in [cur, v)
+	// opens the next level at v, and one below prev means v is shallower
+	// than v-1 — not level order.
+	var startsBuf [16]int32
+	starts := append(startsBuf[:0], 0)
+	prev, cur := int32(0), int32(0)
 	bfsOrder := true
 	for v := 1; v < n; v++ {
 		p := parent[v]
 		if p < 0 || int(p) >= v {
 			return nil, fmt.Errorf("tree: node %d has invalid parent %d (must precede it)", v, p)
 		}
-		depth[v] = depth[p] + 1
-		if depth[v] < depth[v-1] {
+		switch {
+		case p >= cur:
+			prev, cur = cur, int32(v)
+			starts = append(starts, cur)
+		case p < prev:
 			return nil, fmt.Errorf("tree: nodes not in level order at %d", v)
 		}
 		childOff[p+1]++
 		bfsOrder = bfsOrder && p >= parent[v-1]
 	}
-
-	// Level offsets from the depth boundaries: depth is non-decreasing
-	// and (validated above) steps by exactly one, so each depth d ≥ 1
-	// starts at the single index where depth first reaches d.
-	height := int(depth[n-1])
-	t.levelOff = s.Alloc(height + 2)
-	t.levelOff[height+1] = int32(n)
-	for v := 1; v < n; v++ {
-		if depth[v] != depth[v-1] {
-			t.levelOff[depth[v]] = int32(v)
-		}
-	}
+	t.levelOff = s.Alloc(len(starts) + 1)
+	copy(t.levelOff, starts)
+	t.levelOff[len(starts)] = int32(n)
 
 	for v := 1; v <= n; v++ {
 		childOff[v] += childOff[v-1]
 	}
 	if bfsOrder {
 		// Children sorted by (parent, id) are exactly 1..n-1 in order.
-		for i := range t.childIDs {
-			t.childIDs[i] = int32(i + 1)
-		}
+		t.childIDs = bfsIDs(n)
 		return t, nil
 	}
 	// General level order: fill childIDs using childOff[p] itself as the
 	// write cursor; the advancement leaves childOff[v] holding the
 	// original childOff[v+1], which one backward shift undoes — no
 	// scratch cursor array.
+	t.childIDs = s.Alloc(n - 1)
 	for v := 1; v < n; v++ {
 		p := parent[v]
 		t.childIDs[childOff[p]] = int32(v)
@@ -188,6 +187,39 @@ func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 	}
 	childOff[0] = 0
 	return t, nil
+}
+
+// idRun is the process-wide run 0, 1, 2, ... that BFS-order trees alias
+// as their child IDs. It only grows: a grown run is a fresh array
+// published atomically, so a slice handed out earlier stays valid and
+// no element is ever written after publication. Growth is serialized by
+// idRunMu.
+var (
+	idRun   atomic.Pointer[[]int32]
+	idRunMu sync.Mutex
+)
+
+// bfsIDs returns 1..n-1 as a read-only, capacity-clipped view of idRun.
+func bfsIDs(n int) []int32 {
+	if run := idRun.Load(); run != nil && len(*run) >= n {
+		return (*run)[1:n:n]
+	}
+	idRunMu.Lock()
+	defer idRunMu.Unlock()
+	run := idRun.Load()
+	if run == nil || len(*run) < n {
+		m := max(n, 1024)
+		if run != nil {
+			m = max(m, 2*len(*run))
+		}
+		ids := make([]int32, m)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		run = &ids
+		idRun.Store(run)
+	}
+	return (*run)[1:n:n]
 }
 
 // MustNew is New but panics on malformed input; for literals in tests.
@@ -203,17 +235,17 @@ func MustNew(parent []int32) *Tree {
 func (t *Tree) Size() int { return len(t.parent) }
 
 // Height returns the depth of the deepest node (a single root has height 0).
-func (t *Tree) Height() int { return int(t.depth[len(t.depth)-1]) }
+func (t *Tree) Height() int { return len(t.levelOff) - 2 }
 
 // Parent returns the parent of v, or -1 for the root.
 func (t *Tree) Parent(v int32) int32 { return t.parent[v] }
 
-// Depth returns the depth of v.
-func (t *Tree) Depth(v int32) int32 { return t.depth[v] }
-
-// Children returns the children of v. The slice aliases internal storage.
+// Children returns the children of v. The slice aliases internal
+// storage — shared by every BFS-order tree — and must not be written;
+// its capacity is clipped, so an append copies instead.
 func (t *Tree) Children(v int32) []int32 {
-	return t.childIDs[t.childOff[v]:t.childOff[v+1]]
+	lo, hi := t.childOff[v], t.childOff[v+1]
+	return t.childIDs[lo:hi:hi]
 }
 
 // NumChildren returns the number of children of v.
@@ -254,11 +286,13 @@ func (t *Tree) LevelRange(d int) (lo, hi int32) {
 // Truncate returns the subtree of nodes with depth <= maxDepth. With the
 // convention used throughout this repo, the k-adjacent tree T(v, k) is
 // the BFS tree truncated at maxDepth = k: the root plus k levels of
-// neighbors, so that k means "hops of neighbors considered" (§10).
+// neighbors, so that k means "hops of neighbors considered" (§10). A
+// negative maxDepth keeps the root alone, as maxDepth = 0 does.
 func (t *Tree) Truncate(maxDepth int) *Tree {
 	if maxDepth >= t.Height() {
 		return t
 	}
+	maxDepth = max(maxDepth, 0)
 	hi := t.levelOff[maxDepth+1]
 	return MustNew(t.parent[:hi])
 }

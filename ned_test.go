@@ -407,6 +407,9 @@ func TestPublicPrunedQueries(t *testing.T) {
 	if pd := PrefixDistance(q, cands[0], 0); pd != 0 {
 		t.Errorf("depth-0 prefix = %d", pd)
 	}
+	if pd := PrefixDistance(q, cands[0], -1); pd != 0 {
+		t.Errorf("depth -1 prefix = %d, want the depth-0 value 0", pd)
+	}
 }
 
 func TestPublicBKIndex(t *testing.T) {
