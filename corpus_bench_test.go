@@ -84,39 +84,49 @@ func BenchmarkCorpusCascade(b *testing.B) {
 	b.ReportMetric(float64(s.LabelPrunes)/perQuery, "tier2prunes/query")
 }
 
-// BenchmarkCorpusInterGraphKNN is an in-process replica of the harness's
-// serve-read query mix, for profiling the engine without the daemon
-// (-cpuprofile; EXPERIMENTS.md "One sweep" carries the pprof -top): the
-// large PGP analog at the harness's fixed graph seed, the pruned scan at
-// executor width 2, and KNNSignature(…, 5) with signatures of a
-// 5 %-perturbed second graph, drawn one per size stratum from all but
-// the largest 2 %. The sub-benchmarks split the same corpus into 1, 2
-// and 4 shards; shards=2 is the harness's tenant. One iteration is one
-// query, so -benchtime 1600x is one pass over the mix. One sweep under
-// one collector makes evals/query independent of the split (within tie
-// order, well under 1 %).
-func BenchmarkCorpusInterGraphKNN(b *testing.B) {
-	const k, l, nQueries = 3, 5, 1600
+// The serve-read query mix: k, l and the number of query signatures.
+const interGraphK, interGraphL, interGraphQueries = 3, 5, 1600
+
+// interGraphMix returns the serve-read corpus graph, the large PGP
+// analog at the harness's fixed graph seed, and its query mix:
+// signatures of a 5 %-perturbed second graph, drawn one per size
+// stratum from all but the largest 2 %, in shuffled order.
+func interGraphMix() (*Graph, []Signature) {
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
 	g2 := AnonymizePerturb(g, 0.05, 1).Graph
 	nodes := make([]NodeID, g2.NumNodes())
 	for i := range nodes {
 		nodes[i] = NodeID(i)
 	}
-	sigs := SignaturesParallel(g2, nodes, k, BatchOptions{Workers: 2})
+	sigs := SignaturesParallel(g2, nodes, interGraphK, BatchOptions{Workers: 2})
 	sort.SliceStable(sigs, func(i, j int) bool { return sigs[i].Tree.Size() < sigs[j].Tree.Size() })
 	pool := sigs[:len(sigs)*98/100]
 	rng := rand.New(rand.NewSource(1))
-	queries := make([]Signature, nQueries)
+	queries := make([]Signature, interGraphQueries)
 	for i := range queries {
-		lo, hi := i*len(pool)/nQueries, (i+1)*len(pool)/nQueries
+		lo, hi := i*len(pool)/interGraphQueries, (i+1)*len(pool)/interGraphQueries
 		queries[i] = pool[lo+rng.Intn(hi-lo)]
 	}
-	rng.Shuffle(nQueries, func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	return g, queries
+}
+
+// BenchmarkCorpusInterGraphKNN is an in-process replica of the harness's
+// serve-read query mix (interGraphMix), for profiling the engine
+// without the daemon (-cpuprofile; EXPERIMENTS.md "One sweep" carries
+// the pprof -top): the pruned scan at executor width 2 and
+// KNNSignature(…, 5) from one client. The sub-benchmarks split the same
+// corpus into 1, 2 and 4 shards; shards=2 is the harness's tenant. One
+// iteration is one query, so -benchtime 1600x is one pass over the mix.
+// One sweep over every shard makes evals/query independent of the split
+// (exactly at width 1; at width 2 within the sweepers' interleaving,
+// well under 1 %).
+func BenchmarkCorpusInterGraphKNN(b *testing.B) {
+	g, queries := interGraphMix()
 	ctx := context.Background()
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			corpus, err := NewCorpus(g, k, WithShards(shards), WithWorkers(2))
+			corpus, err := NewCorpus(g, interGraphK, WithShards(shards), WithWorkers(2))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -128,7 +138,7 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 			b.ResetTimer()
 			for i := range lat {
 				t0 := time.Now()
-				if _, err := corpus.KNNSignature(ctx, queries[i%nQueries], l); err != nil {
+				if _, err := corpus.KNNSignature(ctx, queries[i%len(queries)], interGraphL); err != nil {
 					b.Fatal(err)
 				}
 				lat[i] = float64(time.Since(t0).Microseconds())

@@ -29,8 +29,13 @@ import (
 // sweep a whole candidate block laid out as a struct-of-arrays profile
 // arena (block.go); tier 2 is degreeTierPrunes, reading the candidate's
 // profile through its item; and every survivor reaches one verify stage,
-// verifyDistanceAtMost. The cascade scan (scanKNN, scanRange) runs the
-// three in that order. The VP and BK trees visit candidates one at a
+// verifyDistanceAtMost. The range scan (scanRange) runs the three in
+// that order at its fixed radius. The KNN sweep (scanKNN) runs them as a
+// multi-step search: tiers 0–1 for every candidate up front, tier 2
+// lazily in padding order, and the verify stage in ascending order of
+// the degree bound, so with one sweeper it verifies only candidates
+// whose degree bound is at most the final l-th distance. The VP and BK
+// trees visit candidates one at a
 // time in an order their geometry dictates, so they gate each budgeted
 // evaluation with tier 2 alone (gatedDistanceAtMost): DegreeBound opens
 // with the padding bound, which dominates the size bound, so it prunes
@@ -184,10 +189,9 @@ func profileSwap(t1, t2 *tree.Tree, p1, p2 *tree.Profile) bool {
 
 // prepare sweeps the block kernels over every part of the sweep,
 // filling each candidate's size and padding bounds, indexed by global
-// slot, and the best-first evaluation order: ascending padding bound,
-// ties part after part and by node within a part (see blockOrder), so
-// the candidates most likely to rank are evaluated first and the shared
-// l-th best threshold tightens as early as possible. A part's dead slots
+// slot, and the order the KNN sweep admits candidates in: ascending
+// padding bound, ties part after part and by node within a part (see
+// blockOrder). A part's dead slots
 // get bounds too — the kernels sweep whole arrays — but never enter the
 // order, so they are never claimed, verified or counted.
 func (sc *sweepScratch) prepare(query Item, parts []sweepPart) {

@@ -569,12 +569,12 @@ type scanBackend struct {
 }
 
 // NewLinearBackend is the cascade scan at the given width (<= 0 means
-// GOMAXPROCS): that many sweepers claim one query's candidates
-// best-first and share its running l-th distance. KNN precompiles the
-// size and padding bounds of every candidate in one block-kernel sweep
-// over the columnar profile arenas, verifies in ascending bound order
-// under the current l-th distance as TED* budget, and stops at the
-// first candidate whose bound exceeds it. The items must be profiled.
+// GOMAXPROCS): that many sweepers share one query's candidates and its
+// running l-th distance. KNN precompiles the size and padding bounds of
+// every candidate in one block-kernel sweep over the columnar profile
+// arenas, verifies in ascending degree-bound order under the current
+// l-th distance as TED* budget, and stops at the first padding bound
+// that exceeds it (see scanKNN). The items must be profiled.
 // Items already in node order are adopted as the scan's base, otherwise
 // a sorted copy is; the scan never writes them. Mutations copy only a
 // small delta (see dynamic.go).
@@ -638,38 +638,9 @@ func (b *scanBackend) Clone() DynamicIndex {
 	return &c
 }
 
-// topLCollector accumulates the l canonically-smallest neighbors of one
-// query across its sweepers and publishes the current l-th distance as
-// a lock-free threshold for budgeting.
-type topLCollector struct {
-	mu      sync.Mutex
-	l       int
-	results []Neighbor
-	thr     atomic.Int64
-}
-
-func newTopLCollector(l int) *topLCollector {
-	c := &topLCollector{l: l}
-	c.thr.Store(int64(ted.Unbounded))
-	return c
-}
-
-// threshold returns the current l-th distance, or ted.Unbounded until l
-// results exist. Any candidate with distance strictly above it cannot
-// enter the final result, and it only ever tightens.
-func (c *topLCollector) threshold() int { return int(c.thr.Load()) }
-
-func (c *topLCollector) offer(n Neighbor) {
-	c.mu.Lock()
-	c.results = insertNeighborCanonical(c.results, n, c.l)
-	if len(c.results) == c.l {
-		c.thr.Store(int64(c.results[c.l-1].Dist))
-	}
-	c.mu.Unlock()
-}
-
-// cancelCheckStride is how many candidates a sweeper processes between
-// context checks.
+// cancelCheckStride is how many steps a sweeper takes between context
+// checks: candidates processed, or for the KNN sweep candidates
+// admitted, verified or dismissed.
 const cancelCheckStride = 16
 
 // runSweepers runs sweep once per sweeper and returns when all have
@@ -707,12 +678,14 @@ type sweepPart struct {
 // over the bounds: the bound arrays over every part's slots (global
 // slot g of part p is partBase(ends, p) + its local slot), the
 // evaluation order and its counting sort's histogram, each part's dead
-// slots, the tail cut's per-part tally, and Range's survivor bitmap and
-// list. Nothing in it outlives the query.
+// slots, the KNN sweep's heap of admitted candidates, the tail cut's
+// per-part tally, and Range's survivor bitmap and list. Nothing in it
+// outlives the query.
 type sweepScratch struct {
 	sizeB, padB, order, counts []int32
 	ends                       []int32
 	dead                       [][]int32
+	heap                       []admitted
 	tally                      []int64
 	words                      []uint64
 	survivors                  []int32
@@ -742,138 +715,253 @@ func (sc *sweepScratch) partOf(g int32) int {
 	return lo
 }
 
-// cutTail dismisses slot g and the unclaimed tail at threshold t. The
-// order ascends by padding bound and the threshold only tightens, so
-// every one of them is dismissed by the same tiers right now. Each slot
-// is attributed to size or padding via its bounds and tallied for its
-// part, and each part's tally lands in its counter set as one bulk add.
-// Returns how many slots were dismissed.
-func (sc *sweepScratch) cutTail(parts []sweepPart, g int32, tail []int32, t int) int {
-	bySize := func(g int32) int64 {
-		if int(sc.sizeB[g]) > t {
-			return 1
+// knnSweep is what one query's sweepers share, all under mu: the cursor
+// into the padding order (each position has exactly one claimant), the
+// canonical top-l so far and the query's stats. The heap of admitted
+// candidates lives in the query's sweepScratch, under mu as well.
+type knnSweep struct {
+	mu      sync.Mutex
+	next    int
+	l       int
+	results []Neighbor
+	stats   PruneStats
+}
+
+// threshold is the current l-th distance, or ted.Unbounded until l
+// results exist. A candidate whose distance is strictly above it cannot
+// enter the final result, and it only ever tightens.
+func (s *knnSweep) threshold() int {
+	if len(s.results) == s.l {
+		return s.results[s.l-1].Dist
+	}
+	return ted.Unbounded
+}
+
+// item is the candidate at global slot g and the part holding it.
+func (sc *sweepScratch) item(parts []sweepPart, g int32) (*sweepPart, Item) {
+	p := sc.partOf(g)
+	return &parts[p], parts[p].items[g-partBase(sc.ends, p)]
+}
+
+// admitted is a candidate the KNN sweep has run tier 2 on and kept:
+// its degree bound, which orders verification, and its position in the
+// padding order, which breaks ties.
+type admitted struct{ bound, pos int32 }
+
+func (a admitted) less(b admitted) bool {
+	return a.bound < b.bound || (a.bound == b.bound && a.pos < b.pos)
+}
+
+// push adds a to the min-heap of admitted candidates. The heap is typed
+// and lives in the scratch so that no push boxes or allocates.
+func (sc *sweepScratch) push(a admitted) {
+	h := append(sc.heap, a)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].less(h[up]) {
+			break
 		}
-		return 0
+		h[i], h[up] = h[up], h[i]
+		i = up
 	}
-	cut := func(p int, n, bySize int64) {
-		parts[p].cs.cascadePruneBulk(bySize, n-bySize)
-		parts[p].cs.blockSurviveBulk(n-bySize, 0, 0)
+	sc.heap = h
+}
+
+// pop removes and returns the admitted candidate with the least key.
+func (sc *sweepScratch) pop() admitted {
+	h := sc.heap
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	cut(sc.partOf(g), 1, bySize(g))
-	if len(tail) == 0 {
-		return 1
-	}
+	sc.heap = h
+	return top
+}
+
+// cutTail dismisses the unclaimed tail at threshold t. The order
+// ascends by padding bound, the tail's first bound exceeds t and the
+// threshold only tightens, so every one of them is dismissed by the
+// same tiers right now. Each slot is attributed to size or padding via
+// its bounds and tallied for its part, and each part's tally lands in
+// its counter set as one bulk add. Returns how many slots were
+// dismissed.
+func (sc *sweepScratch) cutTail(parts []sweepPart, tail []int32, t int) int {
 	// The cursor hands the unclaimed tail to exactly one sweeper, so the
-	// scratch's tally is this one's alone; other sweepers cutting at the
-	// same time hold only their own slot.
+	// scratch's tally is this one's alone.
 	sc.tally = grow(sc.tally, 2*len(parts)) // [2p]: slots of part p dismissed; [2p+1]: of them by size
 	tally := sc.tally
 	clear(tally)
 	for _, g := range tail {
 		p := sc.partOf(g)
 		tally[2*p]++
-		tally[2*p+1] += bySize(g)
-	}
-	for p := range parts {
-		if tally[2*p] > 0 {
-			cut(p, tally[2*p], tally[2*p+1])
+		if int(sc.sizeB[g]) > t {
+			tally[2*p+1]++
 		}
 	}
-	return 1 + len(tail)
+	for p := range parts {
+		if n, bySize := tally[2*p], tally[2*p+1]; n > 0 {
+			parts[p].cs.cascadePruneBulk(bySize, n-bySize)
+			parts[p].cs.blockSurviveBulk(n-bySize, 0, 0)
+		}
+	}
+	return len(tail)
 }
 
-// scanKNN is the cascade top-l sweep: one best-first pass over every
-// part's candidates under one top-l collector and one tail cut, behind
-// both scan backends (one part), FanKNN and the Corpus (one part per
-// shard), and the signature-level PrunedTopL / TopLParallel and
-// Hausdorff (one part). run chooses who sweeps: it runs the sweep on up
-// to the given number of sweepers — runSweepers' own goroutines, or an
-// Executor's pool — and returns once all have finished.
-// The ranking is exact with respect to the full TED* distance: every
-// reported neighbor carries its true distance and the set is the
-// canonical (distance, node) top-l, identical to a full scan's, at any
-// width and however the candidates are split into parts. Each
-// candidate's work is counted in its own part's counter set.
+// scanKNN is the cascade top-l sweep: one pass over every part's
+// candidates under one top-l result set, behind both scan backends (one
+// part), FanKNN and the Corpus (one part per shard), and the
+// signature-level PrunedTopL / TopLParallel and Hausdorff (one part).
+// run chooses who sweeps: it runs the sweep on up to the given number
+// of sweepers — runSweepers' own goroutines, or an Executor's pool —
+// and returns once all have finished.
+//
+// It is the optimal multi-step k-NN (Seidl & Kriegel, SIGMOD 1998) over
+// the cascade's bounds: candidates are verified in ascending order of
+// the tightest bound known for them. The block kernels give every
+// candidate its padding bound up front and order them by it; tier 2,
+// the degree bound, is computed lazily, in that order, and ranks the
+// candidates it admits in a min-heap. Each step of a sweeper does the
+// first of these that applies:
+//   - verify: the heap's least degree bound is at most the next
+//     unclaimed padding bound, so no candidate can have a smaller bound;
+//     pop it and verify it under the current l-th distance, or dismiss
+//     it if its bound is above that;
+//   - cut: the next padding bound is above the l-th distance, so the
+//     unclaimed tail and the whole heap are dismissed at once;
+//   - admit: claim the next candidate in padding order, run tier 2 on
+//     it at the current l-th distance and push it if it survives.
+//
+// At width 1 this verifies exactly the candidates whose degree bound is
+// at most the final l-th distance, the fewest any sweep over these
+// bounds can. The ranking is exact with respect to the full TED*
+// distance: every dismissal needs a lower bound strictly above the
+// current l-th distance, so every reported neighbor carries its true
+// distance and the set is the canonical (distance, node) top-l,
+// identical to a full scan's, at any width and however the candidates
+// are split into parts. Each candidate's work is counted in its own
+// part's counter set.
 func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, run func(workers int, sweep func())) ([]Neighbor, PruneStats, error) {
 	if err := ctx.Err(); err != nil || l <= 0 {
 		return nil, PruneStats{}, err
 	}
 	sc := sweepScratches.Get().(*sweepScratch)
 	defer sc.release()
-	// Precompile every candidate's cheap cascade bounds with the block
-	// kernels and claim best-first: likely-close candidates are verified
-	// first, which tightens the shared threshold early, and the
-	// precompiled tiers then dismiss the tail without touching the trees
-	// — the degree tier runs lazily, only for candidates size and padding
-	// admit.
 	sc.prepare(query, parts)
 	order, padB := sc.order, sc.padB
 	if len(order) == 0 {
 		return nil, PruneStats{}, nil
 	}
-	col := newTopLCollector(l)
-	// What the sweepers share besides the collector: the cursor into order
-	// (each position has exactly one claimant) and the query's stats.
-	var scan struct {
-		next  atomic.Int64
-		mu    sync.Mutex
-		stats PruneStats
-	}
+	sc.heap = sc.heap[:0]
+	sw := &knnSweep{l: l, results: make([]Neighbor, 0, min(l, len(order))+1)}
 	run(min(width, len(order)), func() {
 		comp := tedComputers.Get().(*ted.Computer)
 		defer tedComputers.Put(comp)
 		var st PruneStats
+		// tier2Prune counts a candidate whose degree bound exceeds the
+		// threshold.
+		tier2Prune := func(pt *sweepPart) {
+			pt.cs.blockSurvive(tierPadding)
+			pt.cs.cascadePrune(tierDegree)
+			st.PrunedByBound++
+		}
+		// What this sweeper's last step leaves to settle under the lock: a
+		// candidate to push, a neighbor to offer.
+		var keep, found bool
+		var adm admitted
+		var nb Neighbor
 		for k := 0; ; k++ {
-			if k%cancelCheckStride == 0 && ctx.Err() != nil {
+			stop := k%cancelCheckStride == 0 && ctx.Err() != nil
+			sw.mu.Lock()
+			if keep {
+				sc.push(adm)
+			}
+			if found && nb.Dist <= sw.threshold() {
+				sw.results = insertNeighborCanonical(sw.results, nb, sw.l)
+			}
+			keep, found = false, false
+			if stop {
+				sw.mu.Unlock()
 				break
 			}
-			i := int(scan.next.Add(1)) - 1
-			if i >= len(order) {
-				break
+			t := sw.threshold()
+			nextPad := int32(math.MaxInt32) // the next unclaimed padding bound
+			if sw.next < len(order) {
+				nextPad = padB[order[sw.next]]
 			}
-			g := order[i]
-			p := sc.partOf(g)
-			pt := &parts[p]
-			it := pt.items[g-partBase(sc.ends, p)]
-			t := col.threshold()
-			if t != ted.Unbounded {
-				if int(padB[g]) > t {
-					// Take the whole unclaimed tail off the cursor and cut it
-					// with this one; positions other sweepers hold are theirs
-					// to count.
-					from := min(int(scan.next.Swap(int64(len(order)))), len(order))
-					st.PrunedByBound += sc.cutTail(parts, g, order[from:], t)
-					break
-				}
-				if _, pruned := degreeTierPrunes(query, it, t); pruned {
-					pt.cs.blockSurvive(tierPadding)
-					st.PrunedByBound++
-					pt.cs.cascadePrune(tierDegree)
+			if len(sc.heap) > 0 && sc.heap[0].bound <= nextPad {
+				// Verify: no unverified candidate has a smaller bound.
+				a := sc.pop()
+				sw.mu.Unlock()
+				pt, it := sc.item(parts, order[a.pos])
+				if int(a.bound) > t {
+					tier2Prune(pt)
 					continue
 				}
-			}
-			pt.cs.blockSurvive(tierDegree)
-			d, out := verifyDistanceAtMost(comp, query, it, t, pt.cs)
-			switch out {
-			case ted.OutcomeExact:
-				st.FullEvaluations++
-				if d <= col.threshold() {
-					col.offer(Neighbor{Node: it.Node, Dist: d})
+				pt.cs.blockSurvive(tierDegree)
+				d, out := verifyDistanceAtMost(comp, query, it, t, pt.cs)
+				switch out {
+				case ted.OutcomeExact:
+					st.FullEvaluations++
+					found, nb = true, Neighbor{Node: it.Node, Dist: d}
+				case ted.OutcomeAborted:
+					st.EarlyExits++
+				default:
+					st.PrunedByBound++
 				}
-			case ted.OutcomeAborted:
-				st.EarlyExits++
-			default:
-				st.PrunedByBound++
+				continue
+			}
+			if sw.next == len(order) {
+				// Nothing left to claim or verify; candidates other sweepers
+				// hold are theirs to settle.
+				sw.mu.Unlock()
+				break
+			}
+			if t != ted.Unbounded && int(nextPad) > t {
+				// Cut: every heap key exceeds nextPad, so the heap goes with
+				// the tail.
+				tail := order[sw.next:]
+				sw.next = len(order)
+				for _, a := range sc.heap {
+					pt, _ := sc.item(parts, order[a.pos])
+					tier2Prune(pt)
+				}
+				sc.heap = sc.heap[:0]
+				sw.mu.Unlock()
+				st.PrunedByBound += sc.cutTail(parts, tail, t)
+				break
+			}
+			// Admit the next candidate in padding order.
+			i := sw.next
+			sw.next++
+			sw.mu.Unlock()
+			pt, it := sc.item(parts, order[i])
+			if bound, pruned := degreeTierPrunes(query, it, t); pruned {
+				tier2Prune(pt)
+			} else {
+				keep, adm = true, admitted{bound: int32(bound), pos: int32(i)}
 			}
 		}
-		scan.mu.Lock()
-		scan.stats.add(st)
-		scan.mu.Unlock()
+		sw.mu.Lock()
+		sw.stats.add(st)
+		sw.mu.Unlock()
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, scan.stats, err
+		return nil, sw.stats, err
 	}
-	return col.results, scan.stats, nil
+	return sw.results, sw.stats, nil
 }
 
 // scanRange is the cascade range scan behind both scan backends, over

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
+	"ned/internal/anonymize"
+	"ned/internal/datasets"
 	"ned/internal/graph"
+	"ned/internal/ted"
 )
 
 // TestSweepPartitionInvariance pins that splitting a corpus into shards
@@ -200,6 +204,92 @@ func TestSweepPartitionInvariance(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSweepVerifiesOnlyBelowFinalBound pins the KNN sweep's multi-step
+// order on the scan path. Over seeded random corpora, undirected and
+// directed, and over the PGP analog queried with nodes of a
+// 5 %-perturbed copy (the serve-read mix), at l ∈ {1, 5, 20}:
+//   - at every width the answer equals the exhaustive oracle;
+//   - at width 1 DistanceCalls equals the number of candidates whose
+//     degree bound is at most the final l-th distance — exactly those
+//     are verified, the fewest any sweep over these bounds can;
+//   - at widths 2 and 4 the calls are at least that many, since no
+//     candidate with a bound that low can ever be dismissed;
+//   - every candidate that passes tier 2 reaches TED*
+//     (BlockLabelSurvivors == DistanceCalls), and every dismissal has
+//     one tier (LowerBoundPrunes == size + padding + tier 2).
+func TestSweepVerifiesOnlyBelowFinalBound(t *testing.T) {
+	type corpus struct {
+		name    string
+		items   []Item
+		queries []Item
+	}
+	var corpora []corpus
+	for seed := int64(1); seed <= 3; seed++ {
+		directed := seed == 3
+		items, dict := profiledItems(randomDirTestGraph(120, 300, 30+seed, directed), 2, directed)
+		other := randomDirTestGraph(60, 140, 40+seed, directed)
+		queries := []Item{items[7]}
+		for v := 0; v < other.NumNodes(); v += 10 {
+			queries = append(queries, queryOf(other, graph.NodeID(v), 2, directed, dict))
+		}
+		corpora = append(corpora, corpus{fmt.Sprintf("random seed=%d directed=%v", seed, directed), items, queries})
+	}
+	pgp := datasets.MustGenerate(datasets.PGP, datasets.Options{Scale: 0.1, Seed: 42})
+	perturbed := anonymize.Perturb(pgp, 0.05, rand.New(rand.NewSource(1))).Graph
+	items, dict := profiledItems(pgp, 3, false)
+	var queries []Item
+	for v := 0; v < perturbed.NumNodes(); v += perturbed.NumNodes() / 8 {
+		queries = append(queries, queryOf(perturbed, graph.NodeID(v), 3, false, dict))
+	}
+	corpora = append(corpora, corpus{"PGP analog", items, queries})
+
+	ctx := context.Background()
+	for _, c := range corpora {
+		scans := map[int]DynamicIndex{}
+		for _, width := range []int{1, 2, 4} {
+			scans[width] = NewLinearBackend(c.items, width)
+		}
+		for qi, q := range c.queries {
+			all := exhaustiveKNN(q, c.items, len(c.items))
+			for _, l := range []int{1, 5, 20} {
+				want := all[:l]
+				final := want[l-1].Dist
+				below := int64(0)
+				for _, it := range c.items {
+					if bound, _ := degreeTierPrunes(q, it, ted.Unbounded); bound <= final {
+						below++
+					}
+				}
+				for _, width := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s query %d l=%d width=%d", c.name, qi, l, width)
+					ix := scans[width]
+					got, err := ix.KNN(ctx, q, l)
+					if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s: got %v (err %v), exhaustive %v", name, got, err, want)
+					}
+					cs := ix.Counters()
+					ix.ResetStats()
+					if width == 1 && cs.DistanceCalls != below {
+						t.Errorf("%s: %d TED* calls, want exactly the %d candidates with degree bound <= %d",
+							name, cs.DistanceCalls, below, final)
+					}
+					if cs.DistanceCalls < below {
+						t.Errorf("%s: %d TED* calls, fewer than the %d candidates with degree bound <= %d",
+							name, cs.DistanceCalls, below, final)
+					}
+					if cs.BlockLabelSurvivors != cs.DistanceCalls {
+						t.Errorf("%s: %d candidates passed tier 2 but %d reached TED*", name, cs.BlockLabelSurvivors, cs.DistanceCalls)
+					}
+					if cs.LowerBoundPrunes != cs.SizePrunes+cs.PaddingPrunes+cs.LabelPrunes {
+						t.Errorf("%s: LowerBoundPrunes %d != size %d + padding %d + tier-2 %d",
+							name, cs.LowerBoundPrunes, cs.SizePrunes, cs.PaddingPrunes, cs.LabelPrunes)
+					}
+				}
+			}
+		}
+	}
 }
 
 func abs(x int64) int64 {

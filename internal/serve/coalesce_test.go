@@ -341,7 +341,7 @@ func TestAdmissionControl(t *testing.T) {
 	s := New(Options{MaxInflight: limit, CoalesceWindow: -1})
 	admitted := make(chan struct{}, limit)
 	release := make(chan struct{})
-	s.afterAdmit = func() {
+	s.afterAdmit = func(*http.Request) {
 		admitted <- struct{}{}
 		<-release
 	}

@@ -106,12 +106,21 @@ func TestBadTimeoutRejected(t *testing.T) {
 func TestClientDisconnectCancels(t *testing.T) {
 	s := New(Options{})
 	admitted := make(chan struct{})
-	release := make(chan struct{})
 	var once sync.Once
-	s.afterAdmit = func() {
+	// The hook holds the admitted query until net/http has cancelled its
+	// request context, so the engine always starts on a context that is
+	// already done. net/http watches the connection for the disconnect
+	// only once the body has been read to its end, so the hook reads it
+	// and hands the handler a copy.
+	s.afterAdmit = func(r *http.Request) {
 		once.Do(func() {
+			raw, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("reading the admitted request's body: %v", err)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(raw))
 			close(admitted)
-			<-release
+			<-r.Context().Done()
 		})
 	}
 	ts := newUnstartedServer(t, s)
@@ -131,7 +140,6 @@ func TestClientDisconnectCancels(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("expected the canceled client request to error")
 	}
-	close(release)
 
 	// The handler finishes asynchronously; its outcome lands in the
 	// request counters as a 499.

@@ -173,7 +173,7 @@ func TestServePanicRecoveryHandler(t *testing.T) {
 	s, ts := newTestServer(t, Options{CoalesceWindow: -1})
 	mustCreate(t, ts.URL, CreateRequest{Name: "ring", K: 2, Graph: ringSpec(20)})
 
-	s.afterAdmit = func() { panic("injected handler panic") }
+	s.afterAdmit = func(*http.Request) { panic("injected handler panic") }
 	var er ErrorResponse
 	status, raw := postJSON(t, ts.URL+"/v1/corpora/ring/knn", KNNRequest{Node: 1, L: 3}, &er)
 	if status != http.StatusInternalServerError || er.Error.Code != "panic" {

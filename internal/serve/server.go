@@ -88,8 +88,9 @@ type Server struct {
 	recovering map[string]*recoverState
 
 	// afterAdmit, when set, runs after a query passes admission control
-	// and before it executes — a test seam for holding slots open.
-	afterAdmit func()
+	// and before it executes — a test seam for holding slots open, or
+	// holding a query until its client has gone.
+	afterAdmit func(r *http.Request)
 }
 
 // New builds a Server with an empty registry.
@@ -387,7 +388,7 @@ func (s *Server) handler(endpoint string, admit bool, fn func(ctx context.Contex
 				}
 				defer s.adm.release()
 				if s.afterAdmit != nil {
-					s.afterAdmit()
+					s.afterAdmit(r)
 				}
 			}
 			ctx, cancel, err := requestContext(r)

@@ -483,7 +483,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	admitted := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.afterAdmit = func() {
+	s.afterAdmit = func(*http.Request) {
 		once.Do(func() {
 			close(admitted)
 			<-release
