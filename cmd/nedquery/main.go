@@ -6,7 +6,7 @@
 //
 //	nedquery -from a.edges -to b.edges -node 17 [-k 3] [-l 10]
 //	         [-backend vp|bk|linear|pruned] [-timeout 30s] [-workers 0]
-//	         [-shards 0] [-watch]
+//	         [-watch]
 //
 // With -watch, nedquery keeps the corpus live after the initial answer
 // and reads mutation commands from stdin, re-running the query after
@@ -45,9 +45,11 @@ func main() {
 		backend  = flag.String("backend", "pruned", "accepted and ignored (vp, bk, linear, or pruned): the corpus serves from the cascade scan")
 		timeout  = flag.Duration("timeout", 0, "abort each query after this long (0 = no limit)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs)")
-		shards   = flag.Int("shards", 0, "index shard count (0 = derived from GOMAXPROCS)")
 		watch    = flag.Bool("watch", false, "keep the corpus live and re-query after mutation commands read from stdin")
 	)
+	// Deprecated: -shards is accepted and ignored until the benchmark
+	// harness is folded into the module (ROADMAP item 1(b)).
+	flag.Int("shards", 0, "deprecated: accepted and ignored; a corpus is one scan")
 	flag.Parse()
 	if *fromPath == "" || *toPath == "" {
 		fmt.Fprintln(os.Stderr, "nedquery: -from and -to are required")
@@ -72,8 +74,7 @@ func main() {
 			ned.ErrNodeOutOfRange, *node, gFrom.NumNodes(), *fromPath))
 	}
 
-	corpus, err := ned.NewCorpus(gTo, *k,
-		ned.WithWorkers(*workers), ned.WithShards(ned.ShardsFlag(*shards)))
+	corpus, err := ned.NewCorpus(gTo, *k, ned.WithWorkers(*workers))
 	if err != nil {
 		fatal(err)
 	}
@@ -167,8 +168,8 @@ func watchLoop(corpus *ned.Corpus, runQuery func() error) {
 			requery()
 		case "stats":
 			s := corpus.Stats()
-			fmt.Printf("nodes %d across %d shards %v, queries %d, TED* evals %d (early exits %d, cascade prunes %d = %d size + %d padding + %d tier 2 (degree sequence))\n",
-				s.Nodes, s.Shards, s.ShardNodes, s.Queries, s.DistanceCalls, s.EarlyExits,
+			fmt.Printf("nodes %d, queries %d, TED* evals %d (early exits %d, cascade prunes %d = %d size + %d padding + %d tier 2 (degree sequence))\n",
+				s.Nodes, s.Queries, s.DistanceCalls, s.EarlyExits,
 				s.LowerBoundPrunes, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
 		case "query":
 			requery()

@@ -46,7 +46,6 @@ func main() {
 		snapshot = flag.String("snapshot", "", "boot corpus: ned corpus snapshot file (a NEDSEG01 segment; legacy text snapshots are imported)")
 		k        = flag.Int("k", 3, "boot corpus neighborhood depth (dataset only; snapshots record their own)")
 		backend  = flag.String("backend", "", "accepted and ignored (vp, bk, linear, pruned or empty): every corpus serves from the cascade scan")
-		shards   = flag.Int("shards", 0, "boot corpus shard count (0 = engine default)")
 		workers  = flag.Int("workers", 0, "boot corpus worker count (0 = GOMAXPROCS)")
 		scale    = flag.Float64("scale", 1.0, "boot dataset scale factor")
 		seed     = flag.Int64("seed", 42, "boot dataset generator seed")
@@ -61,6 +60,9 @@ func main() {
 		fsyncMode = flag.String("fsync", "always", "WAL fsync policy for durable tenants (always, none)")
 		ckptEvery = flag.Int64("checkpoint-every", 1024, "checkpoint a durable tenant once its mutation log holds this many records")
 	)
+	// Deprecated: -shards is accepted and ignored until the benchmark
+	// harness is folded into the module (ROADMAP item 1(b)).
+	flag.Int("shards", 0, "deprecated: accepted and ignored; a corpus is one scan")
 	flag.Parse()
 
 	fsync, err := ned.ParseFsyncPolicy(*fsyncMode)
@@ -101,7 +103,6 @@ func main() {
 			Name:    *name,
 			K:       *k,
 			Backend: *backend,
-			Shards:  *shards,
 			Workers: *workers,
 		}
 		if *dataset != "" {
@@ -124,8 +125,8 @@ func main() {
 			start := time.Now()
 			t.Corpus.Rebuild()
 			cs := t.Corpus.Stats()
-			fmt.Printf("nedserve: corpus %q ready: %d nodes, k=%d, %d shards (built in %s)\n",
-				t.Name, cs.Nodes, cs.K, cs.Shards, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("nedserve: corpus %q ready: %d nodes, k=%d (built in %s)\n",
+				t.Name, cs.Nodes, cs.K, time.Since(start).Round(time.Millisecond))
 		} else {
 			fmt.Printf("nedserve: corpus %q registered (lazy build on first query)\n", t.Name)
 		}

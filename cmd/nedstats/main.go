@@ -7,13 +7,7 @@
 //
 //	nedstats -dataset PGP [-scale 1.0] [-seed 42]
 //	nedstats -file path/to/graph.edges
-//	nedstats -dataset PGP -shards 8 [-k 3]   # report corpus shard balance too
 //	nedstats -dataset PGP -probe 20 [-k 3]   # report filter-cascade effectiveness too
-//
-// With -shards (> 0, or -shards -1 for the GOMAXPROCS-derived default),
-// nedstats additionally partitions the graph's nodes the way a sharded
-// ned.Corpus would and reports the per-shard node counts, so the hash
-// balance can be checked for a dataset before serving it.
 //
 // With -probe N, nedstats builds a corpus over the graph, runs N
 // self-KNN queries through it, and reports the serving work profile —
@@ -21,8 +15,7 @@
 // counters (size / padding / tier 2 (degree sequence)) — so the filter cascade's
 // effectiveness on a dataset can be checked before serving it.
 //
-// With -json, nedstats builds a corpus (honoring -k, -shards, and
-// -probe) and emits the same machine-readable stats document the
+// With -json, nedstats builds a corpus (honoring -k and -probe) and emits the same machine-readable stats document the
 // nedserve stats endpoint returns, through the same encoder, so
 // offline tooling and the serving tier can never drift apart.
 package main
@@ -47,8 +40,7 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "dataset scale factor")
 		seed    = flag.Int64("seed", 42, "generator seed")
 		hist    = flag.Bool("hist", false, "print the degree histogram")
-		shards  = flag.Int("shards", 0, "report corpus shard balance for this shard count (0 = off, -1 = GOMAXPROCS-derived default)")
-		k       = flag.Int("k", 3, "neighborhood depth for the shard-balance and probe corpora")
+		k       = flag.Int("k", 3, "neighborhood depth for the probe and -json corpora")
 		probe   = flag.Int("probe", 0, "run this many self-KNN queries and report the filter-cascade work profile (0 = off)")
 		asJSON  = flag.Bool("json", false, "emit the corpus stats as the nedserve machine-readable stats document")
 	)
@@ -79,7 +71,7 @@ func main() {
 	}
 
 	if *asJSON {
-		emitJSON(g, label, *k, *shards, *probe)
+		emitJSON(g, label, *k, *probe)
 		return
 	}
 
@@ -104,28 +96,6 @@ func main() {
 		}
 	}
 
-	if *shards != 0 {
-		corpus, err := ned.NewCorpus(g, *k, ned.WithShards(ned.ShardsFlag(*shards)))
-		if err != nil {
-			fatal(err)
-		}
-		cs := corpus.Stats()
-		fmt.Printf("corpus sharding (k=%d):\n", cs.K)
-		fmt.Printf("  shards                %d\n", cs.Shards)
-		lo, hi := cs.ShardNodes[0], cs.ShardNodes[0]
-		for _, c := range cs.ShardNodes {
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
-		}
-		fmt.Printf("  nodes/shard           min %d, max %d (ideal %.1f)\n",
-			lo, hi, float64(cs.Nodes)/float64(cs.Shards))
-		fmt.Printf("  per-shard counts      %v\n", cs.ShardNodes)
-	}
-
 	if *probe > 0 {
 		probeCascade(g, *k, *probe)
 	}
@@ -135,19 +105,15 @@ func main() {
 // work counters are populated) and writes the stats document to stdout
 // via serve.EncodeStats — the exact schema and encoder the nedserve
 // stats endpoint uses.
-func emitJSON(g *graph.Graph, label string, k, shards, probe int) {
-	var opts []ned.CorpusOption
-	if shards != 0 {
-		opts = append(opts, ned.WithShards(ned.ShardsFlag(shards)))
-	}
-	corpus, err := ned.NewCorpus(g, k, opts...)
+func emitJSON(g *graph.Graph, label string, k, probe int) {
+	corpus, err := ned.NewCorpus(g, k)
 	if err != nil {
 		fatal(err)
 	}
 	if probe > 0 {
 		runProbes(corpus, g, probe)
 	} else {
-		corpus.Rebuild() // materialize so node/shard counts are real
+		corpus.Rebuild() // materialize so the node count and histograms are real
 	}
 	if err := serve.EncodeStats(os.Stdout, serve.StatsDoc{Corpus: label, Stats: corpus.Stats()}); err != nil {
 		fatal(err)

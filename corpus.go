@@ -7,7 +7,6 @@ import (
 	"iter"
 	"maps"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -75,15 +74,14 @@ const (
 	// Deprecated: accepted and ignored; the Corpus serves from the
 	// cascade scan. Use BKIndex for the tree itself.
 	BackendBK
-	// BackendLinear named the cascade scan spread over several sweepers
-	// per shard.
+	// BackendLinear named the cascade scan spread over several sweepers.
 	//
 	// Deprecated: accepted and ignored; the Corpus serves from the
-	// cascade scan at width 1 per shard.
+	// cascade scan.
 	BackendLinear
 	// BackendPrunedLinear names the cascade scan (§10) every Corpus
-	// serves from: each shard scans on one goroutine, best-first by lower
-	// bound, skipping the candidates the bounds prove out of range.
+	// serves from: one best-first sweep by lower bound, skipping the
+	// candidates the bounds prove out of range.
 	//
 	// Deprecated: there is nothing left to select.
 	BackendPrunedLinear
@@ -154,32 +152,12 @@ func ParseBackend(s string) (Backend, error) {
 	return 0, fmt.Errorf("%w: %q (want vp, bk, linear, or pruned)", ErrBadBackend, s)
 }
 
-// maxDefaultShards caps the GOMAXPROCS-derived shard default: beyond a
-// point extra shards stop buying mutation isolation and only add a
-// block, a lock and a counter set to keep per shard. WithShards
-// overrides the cap.
-const maxDefaultShards = 16
-
-// defaultShards is the shard count when WithShards is not given:
-// GOMAXPROCS, capped.
-func defaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxDefaultShards {
-		n = maxDefaultShards
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // CorpusOption configures a Corpus at construction.
 type CorpusOption func(*corpusConfig)
 
 type corpusConfig struct {
 	backend  Backend // validated at construction, never read after; see WithBackend
 	workers  int
-	shards   int
 	directed bool
 	nodes    []NodeID
 	nodesSet bool
@@ -205,36 +183,15 @@ func WithWorkers(n int) CorpusOption {
 	return func(c *corpusConfig) { c.workers = n }
 }
 
-// WithShards sets how many shards the corpus partitions its nodes
-// across. Each shard owns its own index, publishes immutable epochs that
-// queries read without locking, and serializes its own mutations — so a
-// mutation on one shard never blocks queries, and never blocks mutations
-// on other shards. Shards are write-side only: a KNN query sweeps every
-// shard's block in one best-first pass under one top-l collector, so
-// answers are node-identical and the TED* work is the same (within tie
-// order) for every shard count, including 1.
+// WithShards used to set how many hash shards the corpus partitioned
+// its nodes across.
 //
-// Values <= 0 (the default) derive the count from GOMAXPROCS (capped at
-// 16). More shards buy writers that do not share a lock — and smaller
-// folds, since a shard's scan folds its delta into a new base once the
-// delta passes a fixed fraction of the shard — at the price of two more
-// blocks (base and delta) per query sweep; a write itself copies only
-// its shard's delta whatever the count. WithShards(1) restores one
-// monolithic index.
-func WithShards(n int) CorpusOption {
-	return func(c *corpusConfig) { c.shards = n }
-}
-
-// ShardsFlag maps a CLI -shards flag value onto a WithShards argument:
-// every non-positive value (the tools document -1 and 0 as "engine
-// default") selects the GOMAXPROCS-derived default, which WithShards
-// spells as 0. The cmd/ tools share this one helper so their -shards
-// semantics cannot drift apart.
-func ShardsFlag(n int) int {
-	if n < 0 {
-		return 0
-	}
-	return n
+// Deprecated: accepted and ignored. A corpus is one scan — an immutable
+// base plus a delta and tombstone list under one write lock — and
+// Stats().Shards reports 1. The option stays until the benchmark
+// harness is folded into the module (ROADMAP item 1(b)).
+func WithShards(int) CorpusOption {
+	return func(*corpusConfig) {}
 }
 
 // WithDirected switches the corpus to the directed NED of Equation 2:
@@ -269,59 +226,64 @@ func WithGraph(g *Graph) CorpusOption {
 
 // Corpus is a thread-safe, context-aware NED query engine over the
 // nodes of one graph: the top-l / nearest-set similarity workloads of
-// §13.3–13.4 behind a single API, served from one cascade scan per
-// shard. Build one with NewCorpus (or restore one with LoadCorpus);
-// all methods may be called concurrently.
-//
-// The engine is sharded (WithShards): nodes are hash-partitioned across
-// shards, each owning its own index, and a query sweeps all of the
-// shards' blocks in one pass under one top-l collector, so answers are
-// node-identical for every shard count.
+// §13.3–13.4 behind a single API, served from one cascade scan. Build
+// one with NewCorpus (or restore one with LoadCorpus); all methods may
+// be called concurrently.
 //
 // Read consistency: every query observes exactly one committed prefix
 // of mutation calls; publish order = WAL order. The whole corpus — the
-// backing graph and every shard's items and index — is published as one
-// immutable view through a single atomic pointer. A query loads that
-// pointer once and answers from what it loaded. Every mutation call
-// (Insert, Remove, UpdateGraph) prepares private successor epochs for
-// the shards it touches and publishes them with one pointer store, so a
-// call spanning shards is visible whole or not at all, to queries and
-// to Stats alike. Once the lazy build has run, a mutation never blocks
-// queries — in-flight readers keep the view they loaded — and Insert
-// and Remove calls on disjoint shards prepare concurrently (the one
-// exception is the first query itself, whose lazy build waits for
-// mutations already in flight).
+// backing graph and the scan's items — is published as one immutable
+// view through a single atomic pointer. A query loads that pointer once
+// and answers from what it loaded. Every mutation call (Insert, Remove,
+// UpdateGraph) prepares a private successor epoch and publishes it with
+// one pointer store, so a call is visible whole or not at all, to
+// queries and to Stats alike. Once the lazy build has run, a mutation
+// never blocks queries — in-flight readers keep the view they loaded
+// (the one exception is the first query itself, whose lazy build waits
+// for mutations already in flight).
 //
-// Signatures and the shard indexes are materialized lazily, in
-// parallel, on the first query, so constructing a Corpus is cheap and
-// programs that only query a few of several corpora never pay for the
-// rest.
+// Signatures and the scan are materialized lazily, in parallel, on the
+// first query, so constructing a Corpus is cheap and programs that only
+// query a few of several corpora never pay for the rest.
 //
 // A Corpus is dynamic: Insert and Remove churn the indexed node set
-// with live index maintenance (each touched shard's scan takes a new
-// delta, folded into its base once it grows), UpdateGraph follows the graph
-// through version changes re-extracting only the signatures an edit
-// actually affected, and Snapshot/LoadCorpus persist the built index
-// across processes. Results after any mutation sequence are identical
-// to a freshly built corpus over the same live nodes.
+// with live index maintenance (the scan takes a new delta, folded into
+// its base once it grows), UpdateGraph follows the graph through
+// version changes re-extracting only the signatures an edit actually
+// affected, and Snapshot/LoadCorpus persist the built index across
+// processes. Results after any mutation sequence are identical to a
+// freshly built corpus over the same live nodes.
 type Corpus struct {
 	k   int
 	cfg corpusConfig
 
 	// gmu orders whole-engine transitions against one another:
 	// materialization and index builds and UpdateGraph take the write
-	// side, which excludes every mutator — they prepare their successor
-	// view without shard locks. Insert and Remove hold the read side for
-	// their whole span, so the graph version cannot move underneath
-	// them. Queries never touch gmu; Stats and ResetStats are entirely
-	// atomic.
+	// side, which excludes every mutator. Insert and Remove hold the read
+	// side for their whole span, so the graph version cannot move
+	// underneath them. Queries never touch gmu; Stats and ResetStats are
+	// entirely atomic.
 	gmu sync.RWMutex
 
-	// view is the published corpus. publish is its only writer; pubMu
-	// serializes the read-copy-store of Insert and Remove calls preparing
-	// concurrently on disjoint shards.
-	view  atomic.Pointer[corpusView]
-	pubMu sync.Mutex
+	// wmu is the one write lock: Insert and Remove take it, under gmu's
+	// read side, around splice, WAL append and publish. Signature
+	// extraction runs before it, so writers queue only for the splice.
+	wmu sync.Mutex
+
+	// view is the published corpus. Every store to it after the corpus
+	// is shared runs under either gmu's write side or wmu (whose holders
+	// hold gmu's read side), so no two stores race and each successor is
+	// prepared from the view it replaces.
+	view atomic.Pointer[corpusView]
+
+	// Write-contention counters, monotone for the corpus lifetime
+	// (ResetStats leaves them alone, so a scraper can difference
+	// successive readings): nanoseconds mutators spent waiting for wmu,
+	// mutated-node count, and bytes copied preparing successor epochs
+	// (see splice).
+	lockWaitNS atomic.Int64
+	mutations  atomic.Int64
+	cloneBytes atomic.Int64
 
 	exec *ned.Executor // pooled workers for query sweepers and BatchKNN
 
@@ -335,12 +297,12 @@ type Corpus struct {
 	// arrival (shapes the corpus never indexed get profile-local
 	// labels), so candidate evaluation compares precomputed int32 runs
 	// instead of walking trees. One dictionary per corpus, shared by
-	// all shards and epoch clones; it grows only with the shapes of
-	// indexed signatures, never with what is queried against it.
+	// every epoch; it grows only with the shapes of indexed signatures,
+	// never with what is queried against it.
 	dict *tree.Interner
 
-	materialized atomic.Bool // signatures extracted into the epochs
-	built        atomic.Bool // per-shard indexes constructed
+	materialized atomic.Bool // signatures extracted into the epoch
+	built        atomic.Bool // scan constructed
 
 	// Durable state, attached by MakeDurable/OpenDurable (see
 	// durable.go); nil/zero on purely in-memory corpora. wal is the
@@ -368,104 +330,46 @@ type Corpus struct {
 	queries atomic.Int64
 }
 
-// corpusView is one published version of the whole corpus. Immutable
-// once published: a successor shares every epoch its mutation did not
-// touch, so a view costs a handful of pointers. The slot count is fixed
-// for the life of the Corpus, and node n lives in slot
-// ned.ShardOf(n, len(shards)).
+// corpusView is one published version of the whole corpus: the graph
+// and the epoch of items and scan. Immutable once published.
 type corpusView struct {
-	g      *Graph         // nil for snapshot-loaded corpora without WithGraph
-	shards []*corpusShard // slot i's mutation lock and contention telemetry
-	eps    []*shardEpoch  // slot i's items and index in this version
+	g  *Graph       // nil for snapshot-loaded corpora without WithGraph
+	ep *corpusEpoch // the items and scan in this version
 }
 
-// shardOf is the slot owning node n.
-func (v *corpusView) shardOf(n NodeID) int { return ned.ShardOf(n, len(v.shards)) }
-
-// epochOf returns the epoch of the shard owning node n.
-func (v *corpusView) epochOf(n NodeID) *shardEpoch { return v.eps[v.shardOf(n)] }
-
-// indexes lists the view's shard indexes in slot order: what one query
-// sweeps.
-func (v *corpusView) indexes() []ned.Index {
-	ixs := make([]ned.Index, len(v.eps))
-	for i, ep := range v.eps {
-		ixs[i] = ep.ix
-	}
-	return ixs
-}
-
-// publish is the only writer of c.view: it copies the current view
-// (none before the first publish), lets edit replace what the caller
-// prepared, and stores the result. A caller may edit only what its
-// locks own — the epochs of shards whose mu it holds under gmu's read
-// side, anything under gmu's write side.
-func (c *Corpus) publish(edit func(nv *corpusView)) {
-	c.pubMu.Lock()
-	defer c.pubMu.Unlock()
-	nv := &corpusView{}
-	if cur := c.view.Load(); cur != nil {
-		*nv = *cur
-		nv.eps = append([]*shardEpoch(nil), cur.eps...)
-	}
-	edit(nv)
-	c.view.Store(nv)
-}
-
-// corpusShard is one partition's identity across views: its mutation
-// lock and its write-contention telemetry.
-type corpusShard struct {
-	mu sync.Mutex // serializes Insert and Remove calls touching this shard
-
-	// Contention counters, monotone for the corpus lifetime (ResetStats
-	// leaves them alone, so a scraper can difference successive
-	// readings): nanoseconds mutators spent waiting for mu, mutated-node
-	// count, and bytes copied preparing successor epochs (see splice).
-	lockWaitNS atomic.Int64
-	mutations  atomic.Int64
-	cloneBytes atomic.Int64
-}
-
-// lockTimed is sh.mu.Lock with the wait time accounted to the shard's
-// contention counters; the uncontended path costs one TryLock.
-func (sh *corpusShard) lockTimed() {
-	if sh.mu.TryLock() {
+// lockWrites is wmu.Lock with the wait time accounted to lockWaitNS;
+// the uncontended path costs one TryLock.
+func (c *Corpus) lockWrites() {
+	if c.wmu.TryLock() {
 		return
 	}
 	t0 := time.Now()
-	sh.mu.Lock()
-	sh.lockWaitNS.Add(time.Since(t0).Nanoseconds())
+	c.wmu.Lock()
+	c.lockWaitNS.Add(time.Since(t0).Nanoseconds())
 }
 
-// noteMutation records a committed mutation of n nodes whose successor
-// epoch cost copied bytes to prepare.
-func (sh *corpusShard) noteMutation(n int, copied int64) {
-	sh.mutations.Add(int64(n))
-	sh.cloneBytes.Add(copied)
-}
-
-// shardEpoch is one immutable generation of one shard, published as
-// part of a corpusView. Readers use the one their view holds for their
-// whole query; mutations never edit a published epoch — they splice a
-// successor and publish it. Serving counters inside ix are atomic and
-// shared across the shard's epochs, so Stats stay continuous through
+// corpusEpoch is one immutable generation of the corpus's items,
+// published as part of a corpusView. Readers use the one their view
+// holds for their whole query; mutations never edit a published epoch —
+// they splice a successor and publish it. Serving counters inside ix
+// are atomic and shared across epochs, so Stats stay continuous through
 // publication.
 //
 // Membership lives in exactly one place per life stage: members before
 // the signatures materialize; staged (whose keys are the membership)
 // from materialization to the index build — a loaded snapshot, WAL
 // replay, or a corpus never queried; from the build on the scan itself,
-// the only copy of the shard's items, which shares all but its delta
-// with its predecessor's.
-type shardEpoch struct {
+// the only copy of the items, which shares all but its delta with its
+// predecessor's.
+type corpusEpoch struct {
 	members map[NodeID]bool     // pre-materialization node set
 	staged  map[NodeID]ned.Item // materialized items awaiting the build
-	ix      ned.ItemIndex       // the shard's scan; nil until built
+	ix      ned.ItemIndex       // the scan; nil until built
 }
 
 // item returns node v's indexed item in this epoch (none before
 // materialization).
-func (e *shardEpoch) item(v NodeID) (ned.Item, bool) {
+func (e *corpusEpoch) item(v NodeID) (ned.Item, bool) {
 	if e.ix != nil {
 		return e.ix.Item(v)
 	}
@@ -474,7 +378,7 @@ func (e *shardEpoch) item(v NodeID) (ned.Item, bool) {
 }
 
 // has reports whether v is indexed in this epoch.
-func (e *shardEpoch) has(v NodeID) bool {
+func (e *corpusEpoch) has(v NodeID) bool {
 	if e.members != nil {
 		return e.members[v]
 	}
@@ -483,7 +387,7 @@ func (e *shardEpoch) has(v NodeID) bool {
 }
 
 // size is the epoch's indexed node count.
-func (e *shardEpoch) size() int {
+func (e *corpusEpoch) size() int {
 	switch {
 	case e.ix != nil:
 		return e.ix.Len()
@@ -495,49 +399,30 @@ func (e *shardEpoch) size() int {
 
 // items iterates the epoch's items in ascending node order (none before
 // materialization).
-func (e *shardEpoch) items() iter.Seq[ned.Item] {
+func (e *corpusEpoch) items() iter.Seq[ned.Item] {
 	if e.ix != nil {
 		return e.ix.Items()
 	}
-	return slices.Values(sortedShardItems(e.staged))
+	return slices.Values(sortedItems(e.staged))
 }
 
 // clone returns a mutable copy of an unbuilt epoch: its membership or
 // staged items in a fresh map. A built epoch's successor comes from
 // splice instead.
-func (e *shardEpoch) clone() *shardEpoch {
+func (e *corpusEpoch) clone() *corpusEpoch {
 	if e.members != nil {
-		return &shardEpoch{members: maps.Clone(e.members)}
+		return &corpusEpoch{members: maps.Clone(e.members)}
 	}
-	return &shardEpoch{staged: maps.Clone(e.staged)}
+	return &corpusEpoch{staged: maps.Clone(e.staged)}
 }
 
-// resolveShards normalizes a WithShards value.
-func resolveShards(n int) int {
-	if n <= 0 {
-		return defaultShards()
-	}
-	return n
-}
-
-// newShardedCorpus allocates the shard skeleton and publishes its first
-// view, every epoch empty; the caller populates membership (and items,
-// for LoadCorpus) in place before the corpus is shared.
-func newShardedCorpus(k int, cfg corpusConfig, g *Graph) *Corpus {
+// newCorpus allocates a corpus and publishes its first view; the caller
+// populates ep in place before the corpus is shared.
+func newCorpus(k int, cfg corpusConfig, g *Graph, ep *corpusEpoch) *Corpus {
 	c := &Corpus{k: k, cfg: cfg, exec: ned.NewExecutor(cfg.workers), dict: tree.NewInterner()}
-	v := corpusView{g: g}
-	for i := 0; i < cfg.shards; i++ {
-		v.shards = append(v.shards, &corpusShard{})
-		v.eps = append(v.eps, &shardEpoch{members: make(map[NodeID]bool)})
-	}
-	c.publish(func(nv *corpusView) { *nv = v })
+	c.view.Store(&corpusView{g: g, ep: ep})
 	return c
 }
-
-// HashShard is the placement: the shard slot node v hashes to among n.
-// A corpus of n shards files every node there for its whole life; tools
-// use it to reason about or construct node colocation.
-func HashShard(v NodeID, n int) int { return ned.ShardOf(v, n) }
 
 // NewCorpus validates the configuration and returns a query engine over
 // g's nodes with neighborhood depth k. Errors are typed: ErrNilGraph,
@@ -555,7 +440,6 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 		opt(&cfg)
 	}
 	cfg.graph = nil // LoadCorpus only
-	cfg.shards = resolveShards(cfg.shards)
 	if err := cfg.backend.check(); err != nil {
 		return nil, err
 	}
@@ -573,17 +457,12 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 		}
 	}
 	cfg.nodes = nil
-	c := newShardedCorpus(k, cfg, g)
-	view := c.view.Load()
-	for v := range members {
-		view.epochOf(v).members[v] = true
-	}
-	return c, nil
+	return newCorpus(k, cfg, g, &corpusEpoch{members: members}), nil
 }
 
-// sortedShardItems returns a shard's live items in ascending node order
-// — the deterministic build and snapshot order.
-func sortedShardItems(byNode map[NodeID]ned.Item) []ned.Item {
+// sortedItems returns staged items in ascending node order — the
+// deterministic build and snapshot order.
+func sortedItems(byNode map[NodeID]ned.Item) []ned.Item {
 	items := make([]ned.Item, 0, len(byNode))
 	for _, it := range byNode {
 		items = append(items, it)
@@ -592,14 +471,8 @@ func sortedShardItems(byNode map[NodeID]ned.Item) []ned.Item {
 	return items
 }
 
-// newShardIndex compiles one shard's index, the cascade scan at width 1
-// over its staged items.
-func newShardIndex(staged map[NodeID]ned.Item) ned.ItemIndex {
-	return ned.NewPrunedLinearBackend(sortedShardItems(staged)).(ned.ItemIndex)
-}
-
 // materializeAllLocked extracts the signatures of every member in
-// parallel and publishes item-bearing epochs (a no-op once done, and
+// parallel and publishes an item-bearing epoch (a no-op once done, and
 // for snapshot-loaded corpora, whose items arrived with the snapshot).
 // Callers hold gmu for writing.
 func (c *Corpus) materializeAllLocked() {
@@ -607,39 +480,28 @@ func (c *Corpus) materializeAllLocked() {
 		return
 	}
 	v := c.view.Load()
-	var nodes []NodeID
-	for _, ep := range v.eps {
-		for n := range ep.members {
-			nodes = append(nodes, n)
-		}
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	nodes := slices.Sorted(maps.Keys(v.ep.members))
 	items := ned.BuildProfiledItems(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
-	eps := make([]*shardEpoch, len(v.eps))
-	for i, ep := range v.eps {
-		eps[i] = &shardEpoch{staged: make(map[NodeID]ned.Item, len(ep.members))}
-	}
+	staged := make(map[NodeID]ned.Item, len(items))
 	for _, it := range items {
-		eps[v.shardOf(it.Node)].staged[it.Node] = it
+		staged[it.Node] = it
 	}
-	c.publish(func(nv *corpusView) { nv.eps = eps })
+	c.view.Store(&corpusView{g: v.g, ep: &corpusEpoch{staged: staged}})
 	c.materialized.Store(true)
 }
 
-// buildAllLocked materializes and constructs every shard's index.
-// Callers hold gmu for writing.
+// buildAllLocked materializes and compiles the scan, the cascade scan
+// at width 1 over the staged items. Callers hold gmu for writing.
 func (c *Corpus) buildAllLocked() {
 	if c.built.Load() {
 		return
 	}
 	c.materializeAllLocked()
-	eps := append([]*shardEpoch(nil), c.view.Load().eps...)
-	for i, ep := range eps {
-		if ep.ix == nil {
-			eps[i] = &shardEpoch{ix: newShardIndex(ep.staged)}
-		}
+	v := c.view.Load()
+	if v.ep.ix == nil {
+		ix := ned.NewPrunedLinearBackend(sortedItems(v.ep.staged)).(ned.ItemIndex)
+		c.view.Store(&corpusView{g: v.g, ep: &corpusEpoch{ix: ix}})
 	}
-	c.publish(func(nv *corpusView) { nv.eps = eps })
 	c.built.Store(true)
 }
 
@@ -677,8 +539,7 @@ func (c *Corpus) queryItem(sig Signature) (ned.Item, error) {
 
 // profileQuery compiles a validated query item's cascade profile
 // against the corpus dictionary — once per query, after acquire,
-// before the sweep, so every shard's candidate filter reads
-// the same precompiled bounds.
+// before the sweep.
 func (c *Corpus) profileQuery(q *ned.Item) {
 	ned.ProfileQueryItem(q, c.dict)
 }
@@ -701,7 +562,7 @@ func checkUnindexedNode(g *Graph, v NodeID) error {
 // nodes are always valid; anything else passes checkUnindexedNode.
 func (c *Corpus) checkNode(v NodeID) error {
 	view := c.view.Load()
-	if int(v) >= 0 && view.epochOf(v).has(v) {
+	if int(v) >= 0 && view.ep.has(v) {
 		return nil
 	}
 	return checkUnindexedNode(view.g, v)
@@ -713,7 +574,7 @@ func (c *Corpus) checkNode(v NodeID) error {
 // without WithGraph can only query indexed nodes.
 func (c *Corpus) nodeItem(view *corpusView, v NodeID) (ned.Item, error) {
 	if int(v) >= 0 {
-		if it, ok := view.epochOf(v).item(v); ok {
+		if it, ok := view.ep.item(v); ok {
 			return it, nil
 		}
 	}
@@ -746,7 +607,13 @@ func (c *Corpus) KNN(ctx context.Context, v NodeID, l int) ([]Neighbor, error) {
 		return nil, err
 	}
 	c.queries.Add(1)
-	return ned.FanKNN(ctx, c.exec, view.indexes(), q, l)
+	return c.knn(ctx, view, q, l)
+}
+
+// knn is one best-first sweep over the view's scan, on up to the
+// executor's width of sweepers.
+func (c *Corpus) knn(ctx context.Context, view *corpusView, q ned.Item, l int) ([]Neighbor, error) {
+	return ned.FanKNN(ctx, c.exec, []ned.Index{view.ep.ix}, q, l)
 }
 
 // KNNSignature is KNN for an external query signature — typically a
@@ -763,10 +630,10 @@ func (c *Corpus) KNNSignature(ctx context.Context, sig Signature, l int) ([]Neig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ixs := c.acquire().indexes()
+	view := c.acquire()
 	c.profileQuery(&q)
 	c.queries.Add(1)
-	return ned.FanKNN(ctx, c.exec, ixs, q, l)
+	return c.knn(ctx, view, q, l)
 }
 
 // Range returns every indexed node within NED distance r of the query
@@ -782,10 +649,10 @@ func (c *Corpus) Range(ctx context.Context, sig Signature, r int) ([]Neighbor, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ixs := c.acquire().indexes()
+	ix := c.acquire().ep.ix
 	c.profileQuery(&q)
 	c.queries.Add(1)
-	return ned.FanRange(ctx, c.exec, ixs, q, r)
+	return ix.Range(ctx, q, r)
 }
 
 // NearestSet returns every indexed node at the minimum NED distance
@@ -800,24 +667,23 @@ func (c *Corpus) NearestSet(ctx context.Context, sig Signature) ([]Neighbor, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ixs := c.acquire().indexes()
+	view := c.acquire()
 	c.profileQuery(&q)
 	c.queries.Add(1)
-	best, err := ned.FanKNN(ctx, c.exec, ixs, q, 1)
+	best, err := c.knn(ctx, view, q, 1)
 	if err != nil || len(best) == 0 {
 		return nil, err
 	}
 	// The scan is exact, so the range at the minimum distance is the
 	// minimum stratum: nothing sits below it and every tie is inside it.
-	return ned.FanRange(ctx, c.exec, ixs, q, best[0].Dist)
+	return view.ep.ix.Range(ctx, q, best[0].Dist)
 }
 
 // BatchKNN answers one KNN query per signature, fanning the queries out
-// across the corpus executor's pooled workers (each query in turn fans
-// out across the shards). results[i] corresponds to sigs[i]. Cancelling
-// ctx aborts the whole batch: queries not yet started are never issued,
-// in-flight ones abort at their next distance-loop check, and the
-// context error is returned.
+// across the corpus executor's pooled workers. results[i] corresponds to
+// sigs[i]. Cancelling ctx aborts the whole batch: queries not yet
+// started are never issued, in-flight ones abort at their next
+// distance-loop check, and the context error is returned.
 func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Neighbor, error) {
 	if l < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadL, l)
@@ -833,7 +699,7 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ixs := c.acquire().indexes()
+	view := c.acquire()
 	for i := range qs {
 		c.profileQuery(&qs[i])
 	}
@@ -841,7 +707,7 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	results := make([][]Neighbor, len(sigs))
 	errs := make([]error, len(sigs))
 	if err := c.exec.Do(ctx, len(sigs), 0, func(i int) {
-		results[i], errs[i] = ned.FanKNN(ctx, c.exec, ixs, qs[i], l)
+		results[i], errs[i] = c.knn(ctx, view, qs[i], l)
 	}); err != nil {
 		return nil, err
 	}
@@ -877,27 +743,44 @@ type CorpusStats struct {
 	Directed bool `json:"directed"`
 	// Workers is the configured worker count; 0 means GOMAXPROCS.
 	Workers int `json:"workers"`
-	// Nodes is the indexed node count, summed across shards.
+	// Nodes is the indexed node count.
 	Nodes int `json:"nodes"`
-	// Shards is the shard count the corpus partitions across.
+	// Shards is always 1.
+	//
+	// Deprecated: a corpus has no shards. The field keeps its JSON name
+	// until the benchmark harness is folded into the module (ROADMAP
+	// item 1(b)).
 	Shards int `json:"shards"`
 	// Built reports whether the indexes have been materialized yet.
 	Built bool `json:"built"`
 
-	// ShardNodes is the indexed node count per shard slot — the
-	// partition balance of the splitmix hash.
+	// ShardNodes is one element, Nodes.
+	//
+	// Deprecated: read Nodes. Kept, with its JSON name, until the
+	// benchmark harness is folded into the module (ROADMAP item 1(b)).
 	ShardNodes []int `json:"shard_nodes"`
 
 	// ShardLockWaitNS, ShardMutations, and ShardCloneBytes are the
-	// per-shard-slot write-contention telemetry: nanoseconds mutators
-	// spent waiting on the shard write lock, nodes mutated, and bytes of
+	// write-contention telemetry, one element each: nanoseconds mutators
+	// spent waiting on the corpus write lock, nodes mutated, and bytes of
 	// index state copied preparing successors — on a built corpus the
 	// scan's new delta, its tombstones and the delta's block, plus the
 	// whole rebuilt base when a mutation folds. Monotone for the corpus
 	// lifetime — ResetStats leaves them alone so differences of
 	// successive readings stay truthful.
+	//
+	// Deprecated: each keeps its one-element form and JSON name until
+	// the benchmark harness is folded into the module (ROADMAP item
+	// 1(b)).
 	ShardLockWaitNS []int64 `json:"shard_lock_wait_ns"`
-	ShardMutations  []int64 `json:"shard_mutations"`
+	// ShardMutations is nodes mutated; see ShardLockWaitNS.
+	//
+	// Deprecated: see ShardLockWaitNS.
+	ShardMutations []int64 `json:"shard_mutations"`
+	// ShardCloneBytes is bytes copied preparing successor epochs; see
+	// ShardLockWaitNS.
+	//
+	// Deprecated: see ShardLockWaitNS.
 	ShardCloneBytes []int64 `json:"shard_clone_bytes"`
 
 	// PlanScans counted shards a query plan answered by direct scan
@@ -921,7 +804,7 @@ type CorpusStats struct {
 	LowerBoundPrunes int64 `json:"lower_bound_prunes"`
 
 	// SizePrunes, PaddingPrunes, and LabelPrunes break LowerBoundPrunes
-	// down by filter-cascade tier, aggregated atomically across shards:
+	// down by filter-cascade tier:
 	// the O(1) node-count gap, the per-level padding bound read off two
 	// precompiled level-size vectors (including the budgeted TED*'s own
 	// padding seed check), and tier 2 (degree sequence): the sorted
@@ -932,7 +815,7 @@ type CorpusStats struct {
 	PaddingPrunes int64 `json:"padding_prunes"`
 	LabelPrunes   int64 `json:"label_prunes"`
 
-	// BlockCandidates counts candidate slots the scans swept through the
+	// BlockCandidates counts candidate slots the scan swept through the
 	// columnar block kernels (struct-of-arrays profile arenas) instead
 	// of the scalar per-candidate cascade; the survivor
 	// counters below report how many of those passed each successive
@@ -955,43 +838,36 @@ type CorpusStats struct {
 
 // Stats reports the corpus configuration and serving counters. Safe to
 // call concurrently with queries and mutations — it reads one published
-// view (so Nodes and ShardNodes count one committed state) and atomic
-// counters without locking.
+// view (so Nodes counts one committed state) and atomic counters without
+// locking.
 func (c *Corpus) Stats() CorpusStats {
-	view := c.view.Load()
-	nShards := len(view.shards)
+	ep := c.view.Load().ep
+	n := ep.size()
 	s := CorpusStats{
 		Backend:         BackendPrunedLinear,
 		K:               c.k,
 		Directed:        c.cfg.directed,
 		Workers:         c.cfg.workers,
-		Shards:          nShards,
-		ShardNodes:      make([]int, nShards),
-		ShardLockWaitNS: make([]int64, nShards),
-		ShardMutations:  make([]int64, nShards),
-		ShardCloneBytes: make([]int64, nShards),
+		Nodes:           n,
+		Shards:          1,
+		ShardNodes:      []int{n},
+		ShardLockWaitNS: []int64{c.lockWaitNS.Load()},
+		ShardMutations:  []int64{c.mutations.Load()},
+		ShardCloneBytes: []int64{c.cloneBytes.Load()},
 		Built:           c.built.Load(),
 		Queries:         c.queries.Load(),
 	}
 	var counters ned.Counters
-	for i, sh := range view.shards {
-		ep := view.eps[i]
-		s.ShardNodes[i] = ep.size()
-		s.Nodes += ep.size()
-		s.ShardLockWaitNS[i] = sh.lockWaitNS.Load()
-		s.ShardMutations[i] = sh.mutations.Load()
-		s.ShardCloneBytes[i] = sh.cloneBytes.Load()
-		if ep.ix != nil {
-			counters = counters.Add(ep.ix.Counters())
+	if ep.ix != nil {
+		counters = ep.ix.Counters()
+	}
+	for it := range ep.items() {
+		size := it.Out.Size()
+		if it.In != nil {
+			size += it.In.Size()
 		}
-		for it := range ep.items() {
-			size := it.Out.Size()
-			if it.In != nil {
-				size += it.In.Size()
-			}
-			s.SizeHist = bumpHist(s.SizeHist, bits.Len(uint(size)))
-			s.DepthHist = bumpHist(s.DepthHist, it.Out.Height())
-		}
+		s.SizeHist = bumpHist(s.SizeHist, bits.Len(uint(size)))
+		s.DepthHist = bumpHist(s.DepthHist, it.Out.Height())
 	}
 	s.DistanceCalls = counters.DistanceCalls
 	s.EarlyExits = counters.EarlyExits
@@ -1016,18 +892,16 @@ func bumpHist(h []int64, i int) []int64 {
 	return h
 }
 
-// ResetStats zeroes the query and distance counters. Each
-// shard's accumulator is shared by every epoch of that shard, so the
-// reset covers retired generations and epochs still serving in-flight
-// queries; like Stats, it takes no locks. The per-shard contention
-// counters (lock wait, mutations, clone bytes) are deliberately NOT
-// reset: they are monotone totals a scraper differences.
+// ResetStats zeroes the query and distance counters. The scan's
+// accumulator is shared by every epoch, so the reset covers retired
+// generations and epochs still serving in-flight queries; like Stats,
+// it takes no locks. The contention counters (lock wait, mutations,
+// clone bytes) are deliberately NOT reset: they are monotone totals a
+// scraper differences.
 func (c *Corpus) ResetStats() {
 	c.queries.Store(0)
-	for _, ep := range c.view.Load().eps {
-		if ep.ix != nil {
-			ep.ix.ResetStats()
-		}
+	if ix := c.view.Load().ep.ix; ix != nil {
+		ix.ResetStats()
 	}
 }
 

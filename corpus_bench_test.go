@@ -115,50 +115,42 @@ func interGraphMix() (*Graph, []Signature) {
 // serve-read query mix (interGraphMix), for profiling the engine
 // without the daemon (-cpuprofile; EXPERIMENTS.md "One sweep" carries
 // the pprof -top): the pruned scan at executor width 2 and
-// KNNSignature(…, 5) from one client. The sub-benchmarks split the same
-// corpus into 1, 2 and 4 shards; shards=2 is the harness's tenant. One
-// iteration is one query, so -benchtime 1600x is one pass over the mix.
-// One sweep over every shard makes evals/query independent of the split
-// (exactly at width 1; at width 2 within the sweepers' interleaving,
-// well under 1 %).
+// KNNSignature(…, 5) from one client. One iteration is one query, so
+// -benchtime 1600x is one pass over the mix.
 func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 	g, queries := interGraphMix()
 	ctx := context.Background()
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			corpus, err := NewCorpus(g, interGraphK, WithShards(shards), WithWorkers(2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
-				b.Fatal(err)
-			}
-			corpus.ResetStats()
-			lat := make([]float64, b.N)
-			b.ResetTimer()
-			for i := range lat {
-				t0 := time.Now()
-				if _, err := corpus.KNNSignature(ctx, queries[i%len(queries)], interGraphL); err != nil {
-					b.Fatal(err)
-				}
-				lat[i] = float64(time.Since(t0).Microseconds())
-			}
-			b.StopTimer()
-			s := corpus.Stats()
-			sort.Float64s(lat)
-			b.ReportMetric(float64(s.DistanceCalls)/float64(b.N), "evals/query")
-			b.ReportMetric(float64(s.LabelPrunes)/float64(b.N), "tier2prunes/query")
-			b.ReportMetric(lat[len(lat)/2], "p50_us")
-			b.ReportMetric(lat[len(lat)*95/100], "p95_us")
-		})
+	corpus, err := NewCorpus(g, interGraphK, WithWorkers(2))
+	if err != nil {
+		b.Fatal(err)
 	}
+	if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
+		b.Fatal(err)
+	}
+	corpus.ResetStats()
+	lat := make([]float64, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		t0 := time.Now()
+		if _, err := corpus.KNNSignature(ctx, queries[i%len(queries)], interGraphL); err != nil {
+			b.Fatal(err)
+		}
+		lat[i] = float64(time.Since(t0).Microseconds())
+	}
+	b.StopTimer()
+	s := corpus.Stats()
+	sort.Float64s(lat)
+	b.ReportMetric(float64(s.DistanceCalls)/float64(b.N), "evals/query")
+	b.ReportMetric(float64(s.LabelPrunes)/float64(b.N), "tier2prunes/query")
+	b.ReportMetric(lat[len(lat)/2], "p50_us")
+	b.ReportMetric(lat[len(lat)*95/100], "p95_us")
 }
 
 // BenchmarkCorpusBuild measures what learning a new graph costs before
 // its first answer: NewCorpus over the harness's PGP analog (scale 4,
-// seed 42, k=3, two shards) plus the first KNN, which pays the lazy
-// build — one k-adjacent extraction and one profile compile per node,
-// then one block per shard. workers=1 against workers=2 shows whether
+// seed 42, k=3) plus the first KNN, which pays the lazy build — one
+// k-adjacent extraction and one profile compile per node, then one
+// block. workers=1 against workers=2 shows whether
 // extraction and profile compilation scale across the workers.
 func BenchmarkCorpusBuild(b *testing.B) {
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
@@ -167,7 +159,7 @@ func BenchmarkCorpusBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, err := NewCorpus(g, 3, WithShards(2), WithWorkers(workers))
+				c, err := NewCorpus(g, 3, WithWorkers(workers))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -181,8 +173,7 @@ func BenchmarkCorpusBuild(b *testing.B) {
 }
 
 // BenchmarkCorpusResidency measures what a corpus keeps resident over
-// the harness's PGP analog (scale 4, seed 42, k=3, two shards), without
-// a daemon. built-B/node is the live heap NewCorpus + the first KNN
+// the harness's PGP analog (scale 4, seed 42, k=3), without a daemon. built-B/node is the live heap NewCorpus + the first KNN
 // adds, per node; recovered-B/node is the live heap OpenDurable + the
 // first KNN adds in a corpus recovered from that corpus's checkpoint
 // (the embedded graph included); ckpt-alloc-B/B is what one Checkpoint
@@ -202,7 +193,7 @@ func BenchmarkCorpusResidency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
 		base := liveHeap()
-		c, err := NewCorpus(g, 3, WithShards(2))
+		c, err := NewCorpus(g, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,14 +243,14 @@ func BenchmarkCorpusResidency(b *testing.B) {
 // BenchmarkCorpusMutation measures what one write to a built corpus
 // costs: the serve-mixed writer's alternating Remove and Insert of a
 // node (each one mutation, its re-extraction included) over the PGP
-// analog (scale 4, seed 42, k=3, two shards), in memory and durable with
+// analog (scale 4, seed 42, k=3), in memory and durable with
 // FsyncAlways. clone-B/mut is Stats().ShardCloneBytes per mutation: what
-// preparing the successor epochs copied, folds included.
+// preparing the successor epoch copied, folds included.
 func BenchmarkCorpusMutation(b *testing.B) {
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
 	for _, durable := range []bool{false, true} {
 		b.Run(fmt.Sprintf("durable=%v", durable), func(b *testing.B) {
-			c, err := NewCorpus(g, 3, WithShards(2))
+			c, err := NewCorpus(g, 3)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -270,13 +261,7 @@ func BenchmarkCorpusMutation(b *testing.B) {
 				}
 				defer c.CloseDurable()
 			}
-			sum := func(xs []int64) (s int64) {
-				for _, x := range xs {
-					s += x
-				}
-				return s
-			}
-			before := sum(c.Stats().ShardCloneBytes)
+			before := c.Stats().ShardCloneBytes[0]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -291,7 +276,7 @@ func BenchmarkCorpusMutation(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/mut")
-			b.ReportMetric(float64(sum(c.Stats().ShardCloneBytes)-before)/float64(b.N), "clone-B/mut")
+			b.ReportMetric(float64(c.Stats().ShardCloneBytes[0]-before)/float64(b.N), "clone-B/mut")
 		})
 	}
 }
@@ -299,18 +284,19 @@ func BenchmarkCorpusMutation(b *testing.B) {
 // BenchmarkCorpusParallelChurn measures the mixed read/write serving
 // path: many goroutines issue KNN queries while every 8th operation
 // churns a node (Remove + Insert, with its signature re-extraction).
-// Under the view-published sharded engine readers never block on
-// writers; the shards=1 vs shards=N spread shows what per-shard
-// mutation buys — smaller copy-on-write clones and mutation batches
-// that only serialize against their own shard. shards=0 is the engine's
-// own GOMAXPROCS-derived default. Reads sweep every shard's block under
-// one collector, so their TED* work does not depend on the shard count.
+// Readers never block on writers: they load the published view, while
+// writers extract outside the one write lock and queue only for the
+// splice. cands=300 is a PGP analog at scale 0.1, cands=10000 one at
+// scale 4, the harness's serving size.
 func BenchmarkCorpusParallelChurn(b *testing.B) {
-	for _, shards := range []int{1, 4, 0} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const k, nQueries, nCands, l = 3, 16, 300, 5
-			g2, queries, cands := benchWorkload(0.1, k, nQueries, nCands)
-			corpus, err := NewCorpus(g2, k, WithNodes(cands), WithShards(shards))
+	for _, size := range []struct {
+		scale float64
+		cands int
+	}{{0.1, 300}, {4, 10000}} {
+		b.Run(fmt.Sprintf("cands=%d", size.cands), func(b *testing.B) {
+			const k, nQueries, l = 3, 16, 5
+			g2, queries, cands := benchWorkload(size.scale, k, nQueries, size.cands)
+			corpus, err := NewCorpus(g2, k, WithNodes(cands))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,8 +12,8 @@ import (
 )
 
 // BenchmarkCorpusInterGraphClients is BenchmarkCorpusInterGraphKNN's
-// serve-read mix from two client goroutines against one two-shard
-// corpus at executor width 2, the engine half of the harness's
+// serve-read mix from two client goroutines against one corpus at
+// executor width 2, the engine half of the harness's
 // serve-read workload without the daemon. It reports the process CPU
 // (user + system, from getrusage) per query, which is what the harness's
 // server_cpu_ms_per_op tracks, the queries per second of wall time and
@@ -23,7 +23,7 @@ func BenchmarkCorpusInterGraphClients(b *testing.B) {
 	const clients = 2
 	g, queries := interGraphMix()
 	ctx := context.Background()
-	corpus, err := NewCorpus(g, interGraphK, WithShards(2), WithWorkers(2))
+	corpus, err := NewCorpus(g, interGraphK, WithWorkers(2))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package ned
 
 import (
 	"fmt"
-	"sort"
 	"unsafe"
 
 	"ned/internal/graph"
@@ -10,26 +9,25 @@ import (
 	"ned/internal/segment"
 )
 
-// This file is the mutation surface of the sharded Corpus: incremental
-// node churn (Insert/Remove) and graph-version updates that re-extract only the
-// signatures an edit actually affected. The paper pitches NED for
+// This file is the mutation surface of the Corpus: incremental node
+// churn (Insert/Remove) and graph-version updates that re-extract only
+// the signatures an edit actually affected. The paper pitches NED for
 // evolving networks (de-anonymization and similarity search against
 // graphs that change over time); without this layer any churn forced a
 // full re-index.
 //
-// Every mutation call follows one protocol: route the batch to the
-// shards that own the touched nodes, prepare a private successor epoch
-// for each (on a built shard, a scan that shares its predecessor's base
+// Every mutation call follows one protocol: prepare a private successor
+// epoch (on a built corpus, a scan that shares its predecessor's base
 // and carries a new delta — O(change) copied, plus an inline fold once
-// the delta passes a fixed fraction of the shard), append one WAL record
-// for the whole call on a durable corpus, and publish every successor
-// with one store of the corpus view. The call is visible whole or not at
-// all; queries never wait: in-flight readers keep the view they loaded,
-// and shards not named by the batch are never locked at all.
+// the delta passes a fixed fraction of the corpus), append one WAL
+// record for the call on a durable corpus, and publish the successor
+// with one store of the corpus view. The call is visible whole or not
+// at all; queries never wait: in-flight readers keep the view they
+// loaded.
 //
-// Invariant, enforced by the churn- and sharded-equivalence suites:
-// after any interleaving of mutations, every query answers exactly as a
-// corpus freshly built over the same live node set would.
+// Invariant, enforced by the churn- and equivalence suites: after any
+// interleaving of mutations, every query answers exactly as a corpus
+// freshly built over the same live node set would.
 
 // Insert adds nodes of the corpus graph to the indexed set. Nodes
 // already indexed are skipped, so Insert is idempotent; out-of-range
@@ -38,13 +36,13 @@ import (
 // graph to extract signatures from).
 //
 // Before the first query nothing is materialized yet, so Insert just
-// grows the node sets and the lazy build pays once. Afterward the new
-// signatures are extracted in parallel — outside every shard lock, so
-// queries and mutations of other shards proceed during the BFS work —
-// and spliced into the owning shards. Insert holds the engine's read
-// gate for its span, so it excludes UpdateGraph (the graph version
-// cannot move under the extraction) but runs concurrently with queries,
-// Removes, and other Inserts.
+// grows the node set and the lazy build pays once. Afterward the new
+// signatures are extracted in parallel — outside the write lock, so
+// queries and other mutations proceed during the BFS work — and
+// spliced into the scan. Insert holds the engine's read gate for its
+// span, so it excludes UpdateGraph (the graph version cannot move
+// under the extraction) but runs concurrently with queries, Removes,
+// and other Inserts.
 func (c *Corpus) Insert(nodes ...NodeID) error {
 	if err := c.degradedErr(); err != nil {
 		return err
@@ -64,7 +62,7 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 		if int(v) < 0 || int(v) >= g.NumNodes() {
 			return fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
 		}
-		if batch[v] || view.epochOf(v).has(v) {
+		if batch[v] || view.ep.has(v) {
 			continue
 		}
 		batch[v] = true
@@ -73,7 +71,7 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 	if len(fresh) == 0 {
 		return nil
 	}
-	// Extract signatures outside the shard locks (the expensive part).
+	// Extract signatures outside the write lock (the expensive part).
 	// materialized cannot flip mid-Insert: the transition runs under
 	// gmu's write side.
 	var itemOf map[NodeID]ned.Item
@@ -84,22 +82,22 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 			itemOf[it.Node] = it
 		}
 	}
-	return c.commitBatch("insert", fresh, func(ep *shardEpoch, vs []NodeID) shardEdit {
+	return c.commitWrite("insert", func(ep *corpusEpoch) epochEdit {
 		var added []NodeID
-		for _, v := range vs {
+		for _, v := range fresh {
 			if !ep.has(v) { // else another Insert won the race for this node
 				added = append(added, v)
 			}
 		}
 		if len(added) == 0 {
-			return shardEdit{}
+			return epochEdit{}
 		}
 		if ep.members != nil {
 			ne := ep.clone()
 			for _, v := range added {
 				ne.members[v] = true
 			}
-			return shardEdit{next: ne}
+			return epochEdit{next: ne}
 		}
 		ups := make([]ned.Item, len(added))
 		for i, v := range added {
@@ -112,120 +110,85 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 // Remove deletes nodes from the indexed set. Nodes that are not
 // indexed are ignored, so Remove is idempotent and never errors on a
 // healthy corpus — a churn workload can replay removals without
-// bookkeeping. Each owning shard gets a compacted successor epoch;
-// queries never wait, and
-// shards the batch does not touch are never locked. Remove runs
-// concurrently with queries, Inserts, and other Removes.
+// bookkeeping. The scan gets a successor epoch with the nodes
+// tombstoned; queries never wait. Remove runs concurrently with
+// queries, Inserts, and other Removes.
 func (c *Corpus) Remove(nodes ...NodeID) error {
 	if err := c.degradedErr(); err != nil {
 		return err
 	}
 	c.gmu.RLock()
 	defer c.gmu.RUnlock()
-	return c.commitBatch("remove", nodes, func(ep *shardEpoch, vs []NodeID) shardEdit {
+	return c.commitWrite("remove", func(ep *corpusEpoch) epochEdit {
 		var gone []NodeID
-		for _, v := range vs {
+		for _, v := range nodes {
 			if ep.has(v) {
 				gone = append(gone, v)
 			}
 		}
 		if len(gone) == 0 {
-			return shardEdit{}
+			return epochEdit{}
 		}
 		if ep.members != nil {
 			ne := ep.clone()
 			for _, v := range gone {
 				delete(ne.members, v)
 			}
-			return shardEdit{next: ne, dels: gone}
+			return epochEdit{next: ne, dels: gone}
 		}
 		return splice(ep, nil, gone)
 	})
 }
 
-// shardEdit is one shard's prepared change: its successor epoch (nil for
-// no change), the items it upserted and the nodes it deleted — the
-// shard's share of the WAL record — and the bytes preparing it copied.
-type shardEdit struct {
-	next   *shardEpoch
+// epochEdit is one mutation call's prepared change: the successor epoch
+// (nil for no change), the items it upserted and the nodes it deleted —
+// the call's WAL record — and the bytes preparing it copied.
+type epochEdit struct {
+	next   *corpusEpoch
 	ups    []ned.Item
 	dels   []NodeID
 	copied int64
 }
 
-// commitBatch is the Insert/Remove commit: lock the shards owning nodes
-// in ascending slot order (so concurrent batches cannot deadlock, and
-// batches on disjoint shards prepare concurrently), let prepare build
-// each locked shard's edit, then commit the whole call — one WAL record,
-// one view store. A failed commit publishes nothing. Callers hold gmu's
-// read side.
-func (c *Corpus) commitBatch(op string, nodes []NodeID, prepare func(ep *shardEpoch, vs []NodeID) shardEdit) error {
-	view := c.view.Load()
-	groups := make(map[int][]NodeID)
-	for _, v := range nodes {
-		si := view.shardOf(v)
-		groups[si] = append(groups[si], v)
-	}
-	slots := make([]int, 0, len(groups))
-	for si := range groups {
-		slots = append(slots, si)
-	}
-	sort.Ints(slots)
-	for _, si := range slots {
-		sh := view.shards[si]
-		sh.lockTimed()
-		defer sh.mu.Unlock()
-	}
-	view = c.view.Load() // the locked shards' epochs cannot move now
-	edits := make(map[int]shardEdit, len(slots))
-	var rec segment.Record
-	for _, si := range slots {
-		e := prepare(view.eps[si], groups[si])
-		if e.next == nil {
-			continue
-		}
-		edits[si] = e
-		rec.Upserts = append(rec.Upserts, e.ups...)
-		rec.Deletes = append(rec.Deletes, e.dels...)
-	}
-	return c.commitEdits(op, view, rec, edits, nil)
-}
-
-// commitEdits commits one mutation call's shard edits — one WAL record,
-// one view store that also applies extra when non-nil — and records
-// the mutations of materialized shards in their contention counters.
-func (c *Corpus) commitEdits(op string, view *corpusView, rec segment.Record, edits map[int]shardEdit, extra func(nv *corpusView)) error {
-	if len(edits) == 0 && extra == nil {
+// commitWrite is the Insert/Remove commit: under the write lock, let
+// prepare build the edit of the current epoch, then commit it. A failed
+// commit publishes nothing. Callers hold gmu's read side.
+func (c *Corpus) commitWrite(op string, prepare func(ep *corpusEpoch) epochEdit) error {
+	c.lockWrites()
+	defer c.wmu.Unlock()
+	view := c.view.Load() // cannot move while wmu is held
+	e := prepare(view.ep)
+	if e.next == nil {
 		return nil
 	}
-	if err := c.commit(rec, func(nv *corpusView) {
-		if extra != nil {
-			extra(nv)
-		}
-		for si, e := range edits {
-			nv.eps[si] = e.next
-		}
-	}); err != nil {
+	return c.commitEdit(op, view.g, e)
+}
+
+// commitEdit commits one mutation call — one WAL record, one view store
+// of e.next over graph g — and records the mutation of a materialized
+// epoch in the contention counters.
+func (c *Corpus) commitEdit(op string, g *Graph, e epochEdit) error {
+	rec := segment.Record{Upserts: e.ups, Deletes: e.dels}
+	if err := c.commit(rec, &corpusView{g: g, ep: e.next}); err != nil {
 		return fmt.Errorf("ned: %s: %w", op, err)
 	}
-	for si, e := range edits {
-		if e.next.members == nil {
-			view.shards[si].noteMutation(len(e.ups)+len(e.dels), e.copied)
-		}
+	if e.next.members == nil {
+		c.mutations.Add(int64(len(e.ups) + len(e.dels)))
+		c.cloneBytes.Add(e.copied)
 	}
 	return nil
 }
 
 // splice prepares the successor of a materialized epoch with dels
 // removed and ups upserted (an upsert of an indexed node replaces its
-// item). A built shard's scan splices itself, sharing its base; a
-// staged shard copies its map.
-func splice(ep *shardEpoch, ups []ned.Item, dels []NodeID) shardEdit {
-	e := shardEdit{ups: ups, dels: dels}
+// item). A built epoch's scan splices itself, sharing its base; a
+// staged epoch copies its map.
+func splice(ep *corpusEpoch, ups []ned.Item, dels []NodeID) epochEdit {
+	e := epochEdit{ups: ups, dels: dels}
 	if ep.ix != nil {
 		var ix ned.ItemIndex
 		ix, e.copied = ep.ix.Splice(ups, dels)
-		e.next = &shardEpoch{ix: ix}
+		e.next = &corpusEpoch{ix: ix}
 		return e
 	}
 	e.next = ep.clone()
@@ -263,9 +226,9 @@ func (c *Corpus) Rebuild() { c.acquire() }
 // ErrNoGraph.
 //
 // The expensive work — the edge diff, the reachability sweeps, the
-// parallel re-extraction — happens on private successor epochs, so
+// parallel re-extraction — happens on a private successor epoch, so
 // queries keep serving the old version through it; the new graph and
-// every refreshed shard then become visible together, in one store
+// the refreshed items then become visible together, in one store
 // (after one WAL record on a durable corpus: a failed append leaves the
 // corpus on the old version). UpdateGraph holds the engine's write gate, serializing against other
 // UpdateGraphs, Inserts, Removes, and the lazy build (never against
@@ -287,53 +250,39 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if g.Directed() != old.Directed() {
 		return 0, fmt.Errorf("ned: graph update changes directedness (corpus graph directed=%v)", old.Directed())
 	}
-	swap := func(nv *corpusView) { nv.g = g }
-	edits := make(map[int]shardEdit)
 	if !c.materialized.Load() {
 		// Nothing extracted yet: the lazy build reads whatever graph is
 		// current, so the update is just a swap plus a membership shrink.
-		for si, ep := range view.eps {
-			for v := range ep.members {
-				if int(v) >= g.NumNodes() {
-					if edits[si].next == nil {
-						edits[si] = shardEdit{next: ep.clone()}
-					}
-					delete(edits[si].next.members, v)
+		e := epochEdit{next: view.ep}
+		for v := range view.ep.members {
+			if int(v) >= g.NumNodes() {
+				if e.next == view.ep {
+					e.next = view.ep.clone()
 				}
+				delete(e.next.members, v)
 			}
 		}
-		return 0, c.commitEdits("graph update", view, segment.Record{}, edits, swap)
+		return 0, c.commitEdit("graph update", g, e)
 	}
 
 	var refresh []NodeID
 	for v := range affectedByUpdate(old, g, c.k, c.cfg.directed) {
-		if int(v) >= 0 && int(v) < g.NumNodes() && view.epochOf(v).has(v) {
+		if int(v) >= 0 && int(v) < g.NumNodes() && view.ep.has(v) {
 			refresh = append(refresh, v)
 		}
 	}
 	items := ned.BuildProfiledItems(g, refresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
-	upsByShard := make(map[int][]ned.Item)
-	for _, it := range items {
-		si := view.shardOf(it.Node)
-		upsByShard[si] = append(upsByShard[si], it)
-	}
-	var rec segment.Record
-	for si, ep := range view.eps {
-		var gone []NodeID
-		for it := range ep.items() {
-			if int(it.Node) >= g.NumNodes() {
-				gone = append(gone, it.Node)
-			}
+	var gone []NodeID
+	for it := range view.ep.items() {
+		if int(it.Node) >= g.NumNodes() {
+			gone = append(gone, it.Node)
 		}
-		ups := upsByShard[si]
-		if len(gone)+len(ups) == 0 {
-			continue
-		}
-		edits[si] = splice(ep, ups, gone)
-		rec.Upserts = append(rec.Upserts, ups...)
-		rec.Deletes = append(rec.Deletes, gone...)
 	}
-	if err := c.commitEdits("graph update", view, rec, edits, swap); err != nil {
+	e := epochEdit{next: view.ep}
+	if len(gone)+len(items) > 0 {
+		e = splice(view.ep, items, gone)
+	}
+	if err := c.commitEdit("graph update", g, e); err != nil {
 		return 0, err
 	}
 	if c.wal.Load() != nil {

@@ -13,14 +13,12 @@ import (
 	"ned/internal/tree"
 )
 
-// liveItems collects every shard's published items into one map, for
-// white-box assertions on signature reuse across graph updates.
+// liveItems collects the published items into one map, for white-box
+// assertions on signature reuse across graph updates.
 func liveItems(c *Corpus) map[NodeID]ned.Item {
 	out := make(map[NodeID]ned.Item)
-	for _, ep := range c.view.Load().eps {
-		for it := range ep.items() {
-			out[it.Node] = it
-		}
+	for it := range c.view.Load().ep.items() {
+		out[it.Node] = it
 	}
 	return out
 }
@@ -199,7 +197,7 @@ func TestCorpusStatsAcrossRebuild(t *testing.T) {
 }
 
 // TestCorpusStatsAcrossMutationRebuild: every mutation publishes a
-// successor shard scan with a new delta; the serving counters must
+// successor scan with a new delta; the serving counters must
 // carry across each of them and never move backward.
 func TestCorpusStatsAcrossMutationRebuild(t *testing.T) {
 	ctx := context.Background()

@@ -12,13 +12,13 @@ import (
 
 // The read-consistency contract, model-checked: every query observes
 // exactly one committed prefix of mutation calls. One writer drives a
-// seeded random history of multi-shard Inserts and Removes, graph
+// seeded random history of multi-node Inserts and Removes, graph
 // updates, rebuilds and checkpoints against a
 // sequential model (graph version + live set), while concurrent readers
 // record what they saw together with the window of calls that could
 // have been visible. Afterwards every answer must equal the exhaustive
 // TED* scan of ONE model state inside its window — an answer mixing
-// shards from before and after a call matches none.
+// nodes from before and after a call matches none.
 
 // withExtraEdges returns g plus count seeded random edges it lacks.
 func withExtraEdges(g *Graph, seed int64, count int) *Graph {
@@ -104,7 +104,7 @@ func snapshotIsolation(t *testing.T, durable bool) {
 		}
 	}
 
-	c, err := NewCorpus(base, k, WithShards(4))
+	c, err := NewCorpus(base, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func snapshotIsolation(t *testing.T, durable bool) {
 		}(ri)
 	}
 
-	// The writer. pick draws a multi-shard batch of nodes whose live
+	// The writer. pick draws a multi-node batch of nodes whose live
 	// flag is want.
 	rng := rand.New(rand.NewSource(901))
 	cur := isoState{live: append([]bool(nil), states[0].live...)}

@@ -24,8 +24,8 @@ import (
 // Builds before hash-only placement could also move nodes off their hash
 // shard and recorded where in a v3 text manifest (base= and a redirect
 // line) or a placement section of a segment. Nothing writes either any
-// more. Both are validated on load and dropped, and the items re-file by
-// hash. testdata holds three files such a build wrote (commit ae70028:
+// more. Both are validated on load and dropped, and the items land in
+// the one scan. testdata holds three files such a build wrote (commit ae70028:
 // `Snapshot`, `SnapshotSegment`, `MakeDurable`+`Checkpoint`): a 4-shard
 // corpus over rebalancedGraph at k = 2, shard 0 split into a fifth slot,
 // shard 1 folded into it and left an empty husk — redirect 0,4,2,3 and
@@ -51,16 +51,12 @@ func sectionsOf(t *testing.T, blob []byte) (types []byte, payloadAt []int) {
 // secPlace is the section type of a placement directory.
 const secPlace = 7
 
-// assertHashLayout requires c to hold the oracle's nodes over shards
-// slots, each in the slot HashShard names, and to answer as the oracle.
-func assertHashLayout(t *testing.T, label string, c *Corpus, shards int, o corpusOracle, seed int64) {
+// assertLoaded requires c to hold the oracle's nodes in its one scan
+// and to answer as the oracle.
+func assertLoaded(t *testing.T, label string, c *Corpus, o corpusOracle, seed int64) {
 	t.Helper()
-	perShard := make([]int, shards)
-	for _, sig := range o {
-		perShard[HashShard(sig.Node, shards)]++
-	}
-	if s := c.Stats(); s.Shards != shards || fmt.Sprint(s.ShardNodes) != fmt.Sprint(perShard) {
-		t.Errorf("%s: %d shards holding %v, want %d holding %v (the hash layout)", label, s.Shards, s.ShardNodes, shards, perShard)
+	if s := c.Stats(); s.Shards != 1 || s.Nodes != len(o) || fmt.Sprint(s.ShardNodes) != fmt.Sprint([]int{len(o)}) {
+		t.Errorf("%s: %d shards holding %v, want one holding %d", label, s.Shards, s.ShardNodes, len(o))
 	}
 	assertMatchesOracle(t, label, c, o, randomGraph(30, 60, seed), rebalancedK, 5, seed+1)
 }
@@ -78,21 +74,20 @@ func assertSnapshotsWithoutPlacement(t *testing.T, label string, c *Corpus) {
 	}
 }
 
-// rebalancedLoads are the ways every placement fixture is loaded: at
-// its recorded slot count (5), and overridden to 1, 2 and 4 shards.
+// rebalancedLoads are the ways every placement fixture is loaded: with
+// no option, and with the ignored WithShards at 1, 2 and 4.
 var rebalancedLoads = []struct {
 	opts   []CorpusOption
 	shards int
 }{
-	{nil, 5},
+	{nil, 0},
 	{[]CorpusOption{WithShards(1)}, 1},
 	{[]CorpusOption{WithShards(2)}, 2},
 	{[]CorpusOption{WithShards(4)}, 4},
 }
 
 // TestTextV3ManifestStillLoads: a v3 manifest with a non-identity
-// redirect and moved nodes imports into any shard count, every node in
-// its hash shard; a redirect line that disagrees with the header is
+// redirect and moved nodes imports into the one scan; a redirect line that disagrees with the header is
 // still a bad snapshot.
 func TestTextV3ManifestStillLoads(t *testing.T) {
 	raw, err := os.ReadFile("testdata/corpus_v3_rebalanced.nedcorpus")
@@ -112,7 +107,7 @@ func TestTextV3ManifestStillLoads(t *testing.T) {
 			t.Fatalf("shards=%d: %v", ld.shards, err)
 		}
 		label := fmt.Sprintf("v3 text, shards=%d", ld.shards)
-		assertHashLayout(t, label, c, ld.shards, o, 2810)
+		assertLoaded(t, label, c, o, 2810)
 		assertSnapshotsWithoutPlacement(t, label, c)
 	}
 	for _, bad := range []string{"# redirect 0,4,2\n", "# redirect 0,4,2,3,1\n", "# redirect 0,5,2,3\n", ""} {
@@ -124,8 +119,7 @@ func TestTextV3ManifestStillLoads(t *testing.T) {
 }
 
 // TestSegmentWithPlacementStillLoads: a segment carrying a placement
-// section loads into any shard count with every node in its hash shard
-// and re-snapshots without the section; the section is still framed,
+// section loads into the one scan and re-snapshots without the section; the section is still framed,
 // checksummed, validated and used for the filing check.
 func TestSegmentWithPlacementStillLoads(t *testing.T) {
 	old, err := os.ReadFile("testdata/rebalanced.nedseg")
@@ -145,7 +139,7 @@ func TestSegmentWithPlacementStillLoads(t *testing.T) {
 			t.Fatalf("shards=%d: %v", ld.shards, err)
 		}
 		label := fmt.Sprintf("segment with placement, shards=%d", ld.shards)
-		assertHashLayout(t, label, c, ld.shards, o, 2820)
+		assertLoaded(t, label, c, o, 2820)
 		assertSnapshotsWithoutPlacement(t, label, c)
 		if !c.HasGraph() {
 			t.Errorf("%s: embedded graph lost", label)
@@ -192,9 +186,8 @@ func TestSegmentWithPlacementStillLoads(t *testing.T) {
 }
 
 // TestDurableOpensCheckpointWithPlacement: a durable directory whose
-// checkpoint carries a placement section opens into any shard count,
-// replays its WAL tail (Remove 2, 9, 4; Insert 4 — node 9 one of the
-// moved) by hash, and cuts its next checkpoint without the section.
+// checkpoint carries a placement section opens, replays its WAL tail
+// (Remove 2, 9, 4; Insert 4 — node 9 one of the moved), and cuts its next checkpoint without the section.
 func TestDurableOpensCheckpointWithPlacement(t *testing.T) {
 	const src = "testdata/rebalanced_durable"
 	g := rebalancedGraph()
@@ -227,7 +220,7 @@ func TestDurableOpensCheckpointWithPlacement(t *testing.T) {
 			t.Fatalf("shards=%d: OpenDurable: %v", ld.shards, err)
 		}
 		label := fmt.Sprintf("durable with placement, shards=%d", ld.shards)
-		assertHashLayout(t, label, re, ld.shards, o, 2830)
+		assertLoaded(t, label, re, o, 2830)
 		if err := re.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +258,7 @@ func legacyVPDumps(shardItems [][]ned.Item) []segment.VPIndex {
 func legacySegment(t *testing.T, c *Corpus, v *corpusView) []byte {
 	t.Helper()
 	meta := segment.Meta{Backend: "vp", K: c.k, Directed: c.cfg.directed}
-	items := v.shardItems()
+	items := segment.Tables(v.ep.items())
 	var buf bytes.Buffer
 	if err := segment.Write(&buf, meta, c.dict, v.g, items, legacyVPDumps(items)); err != nil {
 		t.Fatalf("segment.Write with VP dumps: %v", err)
@@ -281,12 +274,12 @@ func TestSegmentWithVPDumpsStillLoads(t *testing.T) {
 	const k = 2
 	g := randomGraph(80, 170, 930)
 	gq := randomGraph(50, 100, 931)
-	c, err := NewCorpus(g, k, WithShards(4))
+	c, err := NewCorpus(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	old := legacySegment(t, c, c.materializedView())
-	if _, _, _, _, dumps, err := segment.Read(bytes.NewReader(old)); err != nil || len(dumps) != 4 || len(dumps[0].Nodes) == 0 {
+	if _, _, _, _, dumps, err := segment.Read(bytes.NewReader(old)); err != nil || len(dumps) == 0 || len(dumps[0].Nodes) == 0 {
 		t.Fatalf("fixture carries no dumps: %d sections, err %v", len(dumps), err)
 	}
 
@@ -294,8 +287,8 @@ func TestSegmentWithVPDumpsStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCorpus of a segment with VP dumps: %v", err)
 	}
-	if s := loaded.Stats(); s.Backend.String() != "pruned" || s.Shards != 4 || s.Nodes != g.NumNodes() || s.Built {
-		t.Fatalf("restored stats %+v, want an unbuilt 4-shard pruned corpus of %d nodes", s, g.NumNodes())
+	if s := loaded.Stats(); s.Backend.String() != "pruned" || s.Shards != 1 || s.Nodes != g.NumNodes() || s.Built {
+		t.Fatalf("restored stats %+v, want an unbuilt pruned corpus of %d nodes", s, g.NumNodes())
 	}
 	assertMatchesOracle(t, "loaded", loaded, oracleOver(g, k, allNodes(g)), gq, k, 8, 932)
 
@@ -336,7 +329,7 @@ func TestDurableOpensCheckpointWithVPDumps(t *testing.T) {
 	gq := randomGraph(50, 100, 961)
 	dir := t.TempDir()
 
-	c, err := NewCorpus(g, k, WithShards(4))
+	c, err := NewCorpus(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,45 +9,18 @@ import (
 	"testing"
 )
 
-// This file is the sharded-equivalence suite: whatever the shard count,
-// the engine must answer exactly as the exhaustive scan over the live
-// nodes does — statically, under churn, and across snapshot round-trips.
-// It also pins the concurrency contracts the sharding exists for:
-// Stats/ResetStats racing mutations, and queries proceeding while other
-// shards mutate.
-
-// shardCounts is every partition the suite runs: one shard, two, and
-// four blocks under one sweep.
-var shardCounts = []int{1, 2, 4}
-
-// shardCorpora builds one corpus per shard count over the same nodes.
-func shardCorpora(t *testing.T, g *Graph, k int, extra ...CorpusOption) map[int]*Corpus {
-	t.Helper()
-	out := make(map[int]*Corpus, len(shardCounts))
-	for _, n := range shardCounts {
-		c, err := NewCorpus(g, k, append([]CorpusOption{WithShards(n)}, extra...)...)
-		if err != nil {
-			t.Fatalf("NewCorpus(shards=%d): %v", n, err)
-		}
-		out[n] = c
-	}
-	return out
-}
-
-// assertShardsMatchOracle runs the same query battery against every
-// corpus: each must equal the oracle, so they equal each other.
-func assertShardsMatchOracle(t *testing.T, label string, corpora map[int]*Corpus, o corpusOracle, gq *Graph, k, rounds int, seed int64) {
-	t.Helper()
-	for n, c := range corpora {
-		assertMatchesOracle(t, fmt.Sprintf("%s shards=%d", label, n), c, o, gq, k, rounds, seed)
-	}
-}
+// This file is the corpus-equivalence suite: the engine must answer
+// exactly as the exhaustive scan over the live nodes does — statically,
+// under churn, and across snapshot round-trips — whatever deprecated
+// WithShards value it is given. It also pins the concurrency contracts
+// of the one write lock: Stats/ResetStats racing mutations, and queries
+// proceeding while writers mutate. The test names predate the single
+// scan and are kept so CI's -run patterns keep selecting them.
 
 // TestCorpusShardedEquivalence: every query path answers exactly as the
-// exhaustive scan does at 1, 2 and 4 shards — statically, after churn
-// batches, and after snapshot round-trips into different shard counts.
-// The subtests are the four names WithBackend accepts for one more
-// release; each one runs the same scan.
+// exhaustive scan does — statically, after churn batches, and after a
+// snapshot round-trip. The subtests are the four names WithBackend
+// accepts for one more release; each one runs the same scan.
 func TestCorpusShardedEquivalence(t *testing.T) {
 	const k = 2
 	gCorpus := randomGraph(80, 170, 930)
@@ -55,11 +28,13 @@ func TestCorpusShardedEquivalence(t *testing.T) {
 
 	for _, b := range allBackends {
 		t.Run(b.String(), func(t *testing.T) {
-			corpora := shardCorpora(t, gCorpus, k, WithBackend(b))
-			assertShardsMatchOracle(t, "static", corpora, oracleOver(gCorpus, k, allNodes(gCorpus)), gQuery, k, 6, 932)
+			c, err := NewCorpus(gCorpus, k, WithBackend(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesOracle(t, "static", c, oracleOver(gCorpus, k, allNodes(gCorpus)), gQuery, k, 6, 932)
 
-			// Churn: identical mutation batches on every corpus, queried
-			// after each round.
+			// Churn: mutation batches, queried after each round.
 			rng := rand.New(rand.NewSource(933))
 			live := map[NodeID]bool{}
 			for v := 0; v < gCorpus.NumNodes(); v++ {
@@ -80,36 +55,30 @@ func TestCorpusShardedEquivalence(t *testing.T) {
 						live[NodeID(v)] = true
 					}
 				}
-				for _, c := range corpora {
-					if err := c.Remove(rm...); err != nil {
-						t.Fatalf("round %d: Remove: %v", round, err)
-					}
-					if err := c.Insert(add...); err != nil {
-						t.Fatalf("round %d: Insert: %v", round, err)
-					}
+				if err := c.Remove(rm...); err != nil {
+					t.Fatalf("round %d: Remove: %v", round, err)
 				}
-				assertShardsMatchOracle(t, fmt.Sprintf("churn round %d", round), corpora,
+				if err := c.Insert(add...); err != nil {
+					t.Fatalf("round %d: Insert: %v", round, err)
+				}
+				assertMatchesOracle(t, fmt.Sprintf("churn round %d", round), c,
 					oracleOver(gCorpus, k, sortedNodes(live)), gQuery, k, 3, 934+int64(round))
 			}
 
-			// Snapshot round-trip: the churned sharded corpus reloaded into
-			// 1, 3, and its own shard count must keep answering identically.
+			// Snapshot round-trip: the churned corpus reloaded must keep
+			// answering identically.
 			var buf bytes.Buffer
-			if err := corpora[4].Snapshot(&buf); err != nil {
+			if err := c.Snapshot(&buf); err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
-			reloaded := map[int]*Corpus{}
-			for _, n := range []int{1, 3, 4} {
-				c, err := LoadCorpus(bytes.NewReader(buf.Bytes()), WithShards(n))
-				if err != nil {
-					t.Fatalf("LoadCorpus(shards=%d): %v", n, err)
-				}
-				if s := c.Stats(); s.Shards != n || s.Nodes != len(live) {
-					t.Fatalf("reloaded shards=%d: stats %+v, want %d nodes", n, s, len(live))
-				}
-				reloaded[n] = c
+			reloaded, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatalf("LoadCorpus: %v", err)
 			}
-			assertShardsMatchOracle(t, "reloaded", reloaded, oracleOver(gCorpus, k, sortedNodes(live)), gQuery, k, 4, 939)
+			if s := reloaded.Stats(); s.Nodes != len(live) {
+				t.Fatalf("reloaded: stats %+v, want %d nodes", s, len(live))
+			}
+			assertMatchesOracle(t, "reloaded", reloaded, oracleOver(gCorpus, k, sortedNodes(live)), gQuery, k, 4, 939)
 		})
 	}
 }
@@ -118,8 +87,8 @@ func TestCorpusShardedEquivalence(t *testing.T) {
 // end to end: the corpus path (profiled items, precompiled query
 // profiles, best-first evaluation, tier pruning) must answer
 // node-identically to the cascade-free ground truth — an exhaustive
-// unbudgeted TopL over raw signatures — at every shard count, and the
-// per-tier prune counters must aggregate consistently across the shards.
+// unbudgeted TopL over raw signatures — and the per-tier prune counters
+// must add up.
 func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const k = 2
@@ -127,27 +96,28 @@ func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 	gQuery := randomGraph(40, 90, 951)
 	o := oracleOver(gCorpus, k, allNodes(gCorpus))
 
-	for shards, c := range shardCorpora(t, gCorpus, k) {
-		for q := 0; q < 6; q++ {
-			sig := NewSignature(gQuery, NodeID(q*5), k)
-			got, err := c.KNNSignature(ctx, sig, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := o.knn(sig, 7); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("shards=%d query %d: cascade KNN %v, exhaustive TopL %v", shards, q, got, want)
-			}
+	c, err := NewCorpus(gCorpus, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 6; q++ {
+		sig := NewSignature(gQuery, NodeID(q*5), k)
+		got, err := c.KNNSignature(ctx, sig, 7)
+		if err != nil {
+			t.Fatal(err)
 		}
-		s := c.Stats()
-		if s.LowerBoundPrunes != s.SizePrunes+s.PaddingPrunes+s.LabelPrunes {
-			t.Errorf("shards=%d: LowerBoundPrunes %d != size %d + padding %d + label %d",
-				shards, s.LowerBoundPrunes, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
+		if want := o.knn(sig, 7); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("query %d: cascade KNN %v, exhaustive TopL %v", q, got, want)
 		}
-		c.ResetStats()
-		if s := c.Stats(); s.SizePrunes != 0 || s.PaddingPrunes != 0 || s.LabelPrunes != 0 {
-			t.Errorf("shards=%d: ResetStats left tier counters %d/%d/%d",
-				shards, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
-		}
+	}
+	s := c.Stats()
+	if s.LowerBoundPrunes != s.SizePrunes+s.PaddingPrunes+s.LabelPrunes {
+		t.Errorf("LowerBoundPrunes %d != size %d + padding %d + label %d",
+			s.LowerBoundPrunes, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
+	}
+	c.ResetStats()
+	if s := c.Stats(); s.SizePrunes != 0 || s.PaddingPrunes != 0 || s.LabelPrunes != 0 {
+		t.Errorf("ResetStats left tier counters %d/%d/%d", s.SizePrunes, s.PaddingPrunes, s.LabelPrunes)
 	}
 
 	// Regression (first-query profiling order): the very first query of
@@ -173,7 +143,7 @@ func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 
 	// The scan precompiles every candidate's bounds, so a small-l query
 	// over a 90-node corpus must show tier pruning at work.
-	c, err := NewCorpus(gCorpus, k, WithShards(4))
+	c, err = NewCorpus(gCorpus, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,45 +157,43 @@ func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCorpusShardedBlockKernels extends the sharded-equivalence suite
-// to the columnar block path: at every shard count KNN and Range
-// answers must equal the oracle's, the BlockCandidates counter must
-// prove every shard swept its candidates through the block kernels, and
-// the survivor counters must respect the tier chain — before and after
-// churn adds delta blocks.
+// TestCorpusShardedBlockKernels extends the equivalence suite to the
+// columnar block path: KNN and Range answers must equal the oracle's,
+// the BlockCandidates counter must prove the scan swept its candidates
+// through the block kernels, and the survivor counters must respect the
+// tier chain — before and after churn adds a delta block.
 func TestCorpusShardedBlockKernels(t *testing.T) {
 	const k = 2
 	gCorpus := randomGraph(85, 190, 960)
 	gQuery := randomGraph(45, 95, 961)
 
-	corpora := shardCorpora(t, gCorpus, k)
-	assertShardsMatchOracle(t, "block", corpora, oracleOver(gCorpus, k, allNodes(gCorpus)), gQuery, k, 5, 962)
-	for shards, c := range corpora {
-		s := c.Stats()
-		if s.BlockCandidates == 0 {
-			t.Errorf("shards=%d: queries served without the block kernels (stats %+v)", shards, s)
-		}
-		if s.BlockSizeSurvivors < s.BlockPaddingSurvivors || s.BlockPaddingSurvivors < s.BlockLabelSurvivors ||
-			s.BlockCandidates < s.BlockSizeSurvivors {
-			t.Errorf("shards=%d: survivor chain broken: candidates %d >= size %d >= padding %d >= label %d",
-				shards, s.BlockCandidates, s.BlockSizeSurvivors, s.BlockPaddingSurvivors, s.BlockLabelSurvivors)
-		}
-		c.ResetStats()
-		if s := c.Stats(); s.BlockCandidates != 0 || s.BlockLabelSurvivors != 0 {
-			t.Errorf("shards=%d: ResetStats left block counters %+v", shards, s)
-		}
+	c, err := NewCorpus(gCorpus, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesOracle(t, "block", c, oracleOver(gCorpus, k, allNodes(gCorpus)), gQuery, k, 5, 962)
+	s := c.Stats()
+	if s.BlockCandidates == 0 {
+		t.Errorf("queries served without the block kernels (stats %+v)", s)
+	}
+	if s.BlockSizeSurvivors < s.BlockPaddingSurvivors || s.BlockPaddingSurvivors < s.BlockLabelSurvivors ||
+		s.BlockCandidates < s.BlockSizeSurvivors {
+		t.Errorf("survivor chain broken: candidates %d >= size %d >= padding %d >= label %d",
+			s.BlockCandidates, s.BlockSizeSurvivors, s.BlockPaddingSurvivors, s.BlockLabelSurvivors)
+	}
+	c.ResetStats()
+	if s := c.Stats(); s.BlockCandidates != 0 || s.BlockLabelSurvivors != 0 {
+		t.Errorf("ResetStats left block counters %+v", s)
 	}
 
 	// Churn keeps the block path live: a mutation tombstones base slots
 	// and compiles a delta block, so answers and counters must hold after
 	// removals and re-inserts.
-	for _, c := range corpora {
-		if err := c.Remove(NodeID(3), NodeID(11), NodeID(40)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Insert(NodeID(11)); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.Remove(NodeID(3), NodeID(11), NodeID(40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(NodeID(11)); err != nil {
+		t.Fatal(err)
 	}
 	live := map[NodeID]bool{}
 	for _, v := range allNodes(gCorpus) {
@@ -233,18 +201,15 @@ func TestCorpusShardedBlockKernels(t *testing.T) {
 			live[v] = true
 		}
 	}
-	assertShardsMatchOracle(t, "block churn", corpora, oracleOver(gCorpus, k, sortedNodes(live)), gQuery, k, 4, 963)
-	for shards, c := range corpora {
-		if s := c.Stats(); s.BlockCandidates == 0 {
-			t.Errorf("shards=%d: block kernels went dark after churn (stats %+v)", shards, s)
-		}
+	assertMatchesOracle(t, "block churn", c, oracleOver(gCorpus, k, sortedNodes(live)), gQuery, k, 4, 963)
+	if s := c.Stats(); s.BlockCandidates == 0 {
+		t.Errorf("block kernels went dark after churn (stats %+v)", s)
 	}
 }
 
 // TestCorpusShardedNodeQueries: node-ID KNN (the path that resolves the
-// query item out of the owning shard's table) on a directed corpus
-// equals the exhaustive ranking by the low-level directed NED at every
-// shard count.
+// query item out of the scan) on a directed corpus equals the
+// exhaustive ranking by the low-level directed NED.
 func TestCorpusShardedNodeQueries(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(940))
@@ -256,57 +221,55 @@ func TestCorpusShardedNodeQueries(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	corpora := shardCorpora(t, g, 2, WithDirected())
+	c, err := NewCorpus(g, 2, WithDirected())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < g.NumNodes(); v += 7 {
 		want := directedRanking(g, NodeID(v), 2)[:6]
-		for shards, c := range corpora {
-			got, err := c.KNN(ctx, NodeID(v), 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("directed node %d shards=%d: KNN %v, exhaustive %v", v, shards, got, want)
-			}
+		got, err := c.KNN(ctx, NodeID(v), 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("directed node %d: KNN %v, exhaustive %v", v, got, want)
 		}
 	}
 }
 
-// TestCorpusShardStats pins the configuration Stats reports: the
-// per-shard node counts must partition the corpus, the configured shard
-// count must be reported, and the backend reported is the pruned scan.
+// TestCorpusShardStats pins the deprecated WithShards: whatever value
+// it is given, the corpus answers node-identically to ned.TopL, Stats
+// reports one shard holding every node, and the backend reported is the
+// pruned scan.
 func TestCorpusShardStats(t *testing.T) {
+	const k = 2
 	g := randomGraph(60, 120, 941)
-	def, err := NewCorpus(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := def.Stats().Backend.String(); got != "pruned" {
-		t.Errorf("NewCorpus with no options: Stats().Backend = %q, want \"pruned\"", got)
-	}
-	c, err := NewCorpus(g, 2, WithShards(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	if s.Shards != 5 || len(s.ShardNodes) != 5 {
-		t.Fatalf("Shards = %d with %d ShardNodes, want 5", s.Shards, len(s.ShardNodes))
-	}
-	sum := 0
-	for _, n := range s.ShardNodes {
-		sum += n
-	}
-	if sum != s.Nodes || s.Nodes != g.NumNodes() {
-		t.Errorf("ShardNodes sum %d, Nodes %d, graph %d", sum, s.Nodes, g.NumNodes())
+	gq := randomGraph(30, 60, 947)
+	o := oracleOver(g, k, allNodes(g))
+	for _, n := range []int{-1, 0, 1, 2, 7} {
+		c, err := NewCorpus(g, k, WithShards(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("WithShards(%d)", n)
+		assertMatchesOracle(t, label, c, o, gq, k, 4, 948)
+		s := c.Stats()
+		if s.Shards != 1 || fmt.Sprint(s.ShardNodes) != fmt.Sprint([]int{g.NumNodes()}) || s.Nodes != g.NumNodes() {
+			t.Errorf("%s: Shards = %d holding %v, Nodes %d; want 1 holding all %d", label, s.Shards, s.ShardNodes, s.Nodes, g.NumNodes())
+		}
+		if got := s.Backend.String(); got != "pruned" {
+			t.Errorf("%s: Stats().Backend = %q, want \"pruned\"", label, got)
+		}
 	}
 }
 
 // TestCorpusStatsRaceWithMutation is the Stats/ResetStats concurrency
 // regression test: under -race, Stats, ResetStats, queries, and
-// mutations must all interleave freely — per-shard counters are read
-// and reset atomically, never under a mutation's lock.
+// mutations must all interleave freely — counters are read and reset
+// atomically, never under the write lock.
 func TestCorpusStatsRaceWithMutation(t *testing.T) {
 	g := randomGraph(60, 120, 942)
-	c, err := NewCorpus(g, 2, WithShards(4))
+	c, err := NewCorpus(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +323,13 @@ func TestCorpusStatsRaceWithMutation(t *testing.T) {
 	}
 }
 
-// TestCorpusShardedUpdateGraph drives UpdateGraph on a sharded corpus
+// TestCorpusShardedUpdateGraph drives UpdateGraph on a built corpus
 // and checks the result against the exhaustive scan of the new version.
 func TestCorpusShardedUpdateGraph(t *testing.T) {
 	ctx := context.Background()
 	const k = 2
 	g1 := randomGraph(50, 100, 943)
-	c, err := NewCorpus(g1, k, WithShards(4))
+	c, err := NewCorpus(g1, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,15 +348,15 @@ func TestCorpusShardedUpdateGraph(t *testing.T) {
 	if _, err := c.UpdateGraph(g2); err != nil {
 		t.Fatal(err)
 	}
-	assertMatchesOracle(t, "after sharded UpdateGraph", c, oracleOver(g2, k, allNodes(g2)), randomGraph(30, 60, 944), k, 5, 946)
+	assertMatchesOracle(t, "after UpdateGraph", c, oracleOver(g2, k, allNodes(g2)), randomGraph(30, 60, 944), k, 5, 946)
 }
 
-// TestCorpusShardedConcurrentChurn hammers a sharded corpus with
-// queries and mutations concurrently under -race: the epoch protocol
+// TestCorpusShardedConcurrentChurn hammers a corpus with queries and
+// mutations concurrently under -race: the epoch protocol
 // must keep every interleaving consistent.
 func TestCorpusShardedConcurrentChurn(t *testing.T) {
 	g := randomGraph(60, 120, 945)
-	c, err := NewCorpus(g, 2, WithShards(4))
+	c, err := NewCorpus(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

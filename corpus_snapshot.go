@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
 
 	"ned/internal/ned"
 	"ned/internal/segment"
@@ -35,17 +34,7 @@ func (c *Corpus) Snapshot(w io.Writer) error {
 // the body of Snapshot and of every checkpoint.
 func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
 	meta := segment.Meta{Backend: BackendPrunedLinear.String(), K: c.k, Directed: c.cfg.directed}
-	return segment.Write(w, meta, c.dict, v.g, v.shardItems(), nil)
-}
-
-// shardItems is every shard's live items in ascending node order — the
-// deterministic persistence order.
-func (v *corpusView) shardItems() [][]ned.Item {
-	items := make([][]ned.Item, len(v.eps))
-	for i, ep := range v.eps {
-		items[i] = slices.Collect(ep.items())
-	}
-	return items
+	return segment.Write(w, meta, c.dict, v.g, segment.Tables(v.ep.items()), nil)
 }
 
 // materializedView returns the published view, materializing the
@@ -66,17 +55,14 @@ func (c *Corpus) materializedView() *corpusView {
 // predates snapshot metadata and loads undirected, k taken from its
 // signatures). Whatever backend a header names — and whatever VP-tree
 // dumps or placement directory an older segment or v3 manifest carries
-// — the restored corpus serves from the cascade scan with every node in
-// its hash shard; an unknown backend name is still a parse failure.
-// Parse failures wrap ErrBadSnapshot. The recorded shard count is the
-// default and WithShards overrides it: items re-hash, so any snapshot
-// loads into any shard count. v1/legacy files record none and spread
-// across the standard GOMAXPROCS-derived default.
+// — the restored corpus serves from the one cascade scan, whatever
+// shard count the file records; an unknown backend name is still a
+// parse failure. Parse failures wrap ErrBadSnapshot.
 //
 // The restored corpus answers signature queries — and node queries for
 // indexed nodes — identically to the corpus that was snapshotted.
-// Options apply on top of the recorded metadata: WithWorkers and
-// WithShards tune the restored engine, and WithGraph
+// Options apply on top of the recorded metadata: WithWorkers tunes the
+// restored engine, and WithGraph
 // re-attaches the backing graph (overriding a segment's embedded one),
 // re-enabling Insert, UpdateGraph, Signature, and queries for
 // unindexed nodes. WithNodes and WithDirected are ignored: the
@@ -111,7 +97,7 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if meta.K < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadSnapshot, meta.K)
 	}
-	userGraph, err := applyLoadOptions(&cfg, meta.Shards, opts)
+	userGraph, err := applyLoadOptions(&cfg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -121,10 +107,10 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err := validateLoadedGraph(cfg, g, items); err != nil {
 		return nil, err
 	}
-	c := newShardedCorpus(meta.K, cfg, g)
+	c := newCorpus(meta.K, cfg, g, &corpusEpoch{})
 	// Adopt the segment's dictionary: every loaded profile is expressed
-	// against its label IDs. The fresh interner newShardedCorpus made
-	// has seen nothing and is safely replaced.
+	// against its label IDs. The fresh interner newCorpus made has seen
+	// nothing and is safely replaced.
 	c.dict = dict
 	installLoadedItems(c, items)
 	return c, nil
@@ -158,14 +144,14 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrBadSnapshot, k)
 	}
-	g, err := applyLoadOptions(&cfg, meta.Shards, opts)
+	g, err := applyLoadOptions(&cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	if err := validateLoadedGraph(cfg, g, items); err != nil {
 		return nil, err
 	}
-	c := newShardedCorpus(k, cfg, g)
+	c := newCorpus(k, cfg, g, &corpusEpoch{})
 	// The text formats carry no profiles; compile them against the fresh
 	// corpus dictionary so imported corpora serve the same filter cascade
 	// as freshly built ones.
@@ -176,7 +162,7 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 
 // applyLoadOptions overlays user options onto the snapshot-recorded
 // configuration, returning the WithGraph graph (nil if none).
-func applyLoadOptions(cfg *corpusConfig, metaShards int, opts []CorpusOption) (*Graph, error) {
+func applyLoadOptions(cfg *corpusConfig, opts []CorpusOption) (*Graph, error) {
 	userCfg := corpusConfig{backend: BackendPrunedLinear}
 	for _, opt := range opts {
 		opt(&userCfg)
@@ -185,11 +171,6 @@ func applyLoadOptions(cfg *corpusConfig, metaShards int, opts []CorpusOption) (*
 		return nil, err
 	}
 	cfg.workers = userCfg.workers
-	cfg.shards = userCfg.shards
-	if cfg.shards <= 0 {
-		cfg.shards = metaShards // 0 for v0/v1: fall through to the default
-	}
-	cfg.shards = resolveShards(cfg.shards)
 	return userCfg.graph, nil
 }
 
@@ -217,18 +198,15 @@ func validateLoadedGraph(cfg corpusConfig, g *Graph, items []ned.Item) error {
 	return nil
 }
 
-// installLoadedItems stages the restored items in every shard, filed by
-// hash; the scans compile lazily over them.
+// installLoadedItems stages the restored items; the scan compiles
+// lazily over them.
 func installLoadedItems(c *Corpus, items []ned.Item) {
-	// The snapshot's items arrive pre-materialized: give every shard a
-	// non-nil staging table (its keys are the membership) up front.
-	v := c.view.Load()
-	for _, ep := range v.eps {
-		ep.members = nil
-		ep.staged = make(map[NodeID]ned.Item)
-	}
+	// The snapshot's items arrive pre-materialized: the staging table's
+	// keys are the membership.
+	staged := make(map[NodeID]ned.Item, len(items))
 	for _, it := range items {
-		v.epochOf(it.Node).staged[it.Node] = it
+		staged[it.Node] = it
 	}
+	c.view.Load().ep.staged = staged
 	c.materialized.Store(true)
 }

@@ -216,15 +216,15 @@ func TestCorpusSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesIgnoreDelta: how a shard's scan splits its items
-// between base and delta never reaches the disk. A built corpus churned
-// by a remove/insert storm — well over a fold's worth of mutations per
-// shard, ending mid-delta on the live set it started from — snapshots
+// TestSnapshotBytesIgnoreDelta: how the scan splits its items between
+// base and delta never reaches the disk. A built corpus churned by a
+// remove/insert storm — well over a fold's worth of mutations, ending
+// mid-delta on the live set it started from — snapshots
 // byte-identical to its snapshot before the storm: the re-extracted
 // signatures intern against the same dictionary, so nothing differs.
 func TestSnapshotBytesIgnoreDelta(t *testing.T) {
 	g := randomGraph(240, 520, 931)
-	c, err := NewCorpus(g, 2, WithShards(2))
+	c, err := NewCorpus(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,12 @@ func TestCorpusStatsJSONSchema(t *testing.T) {
 		Directed:         true,
 		Workers:          4,
 		Nodes:            100,
-		Shards:           2,
+		Shards:           1,
 		Built:            true,
-		ShardNodes:       []int{60, 40},
-		ShardLockWaitNS:  []int64{150, 25},
-		ShardMutations:   []int64{9, 1},
-		ShardCloneBytes:  []int64{4096, 512},
+		ShardNodes:       []int{100},
+		ShardLockWaitNS:  []int64{150},
+		ShardMutations:   []int64{9},
+		ShardCloneBytes:  []int64{4096},
 		Queries:          7,
 		DistanceCalls:    1234,
 		EarlyExits:       55,
@@ -47,9 +47,9 @@ func TestCorpusStatsJSONSchema(t *testing.T) {
 		t.Fatalf("marshal: %v", err)
 	}
 	const want = `{"backend":"bk","k":3,"directed":true,"workers":4,"nodes":100,` +
-		`"shards":2,"built":true,"shard_nodes":[60,40],` +
-		`"shard_lock_wait_ns":[150,25],"shard_mutations":[9,1],` +
-		`"shard_clone_bytes":[4096,512],"plan_scans":3,"queries":7,` +
+		`"shards":1,"built":true,"shard_nodes":[100],` +
+		`"shard_lock_wait_ns":[150],"shard_mutations":[9],` +
+		`"shard_clone_bytes":[4096],"plan_scans":3,"queries":7,` +
 		`"distance_calls":1234,"early_exits":55,"lower_bound_prunes":30,` +
 		`"size_prunes":10,"padding_prunes":15,"label_prunes":5,` +
 		`"block_candidates":500,"block_size_survivors":80,` +

@@ -42,7 +42,7 @@ func randomGraph(n, m int, seed int64) *Graph {
 
 // corpusOracle is the reference every Corpus suite compares against:
 // plain TED* from the query to the raw signature of every live node
-// (TopL — no profiles, no cascade, no shards, no index), in the
+// (TopL — no profiles, no cascade, no index), in the
 // canonical (distance, node) order. A scan-only engine has no second
 // backend to agree with; it has to agree with this.
 type corpusOracle []Signature
@@ -160,7 +160,7 @@ func TestCorpusBackendNamesAreTheScan(t *testing.T) {
 	o := oracleOver(gCorpus, k, allNodes(gCorpus))
 	var ref CorpusStats
 	for i, b := range allBackends {
-		c, err := NewCorpus(gCorpus, k, WithBackend(b), WithWorkers(1), WithShards(2))
+		c, err := NewCorpus(gCorpus, k, WithBackend(b), WithWorkers(1))
 		if err != nil {
 			t.Fatalf("NewCorpus(%v): %v", b, err)
 		}
@@ -216,8 +216,7 @@ func TestCorpusMatchesLowLevelTopL(t *testing.T) {
 // nothing patched up afterwards: the result is every live node at the
 // oracle's minimum distance, no more and no fewer — for foreign queries
 // and for queries that are corpus nodes (whose zero-distance stratum is
-// the node plus its isomorphic twins), at 1, 2 and 4 shards, statically
-// and after churn. A sparse graph keeps the strata wide.
+// the node plus its isomorphic twins), statically and after churn. A sparse graph keeps the strata wide.
 func TestCorpusNearestSetIsTheMinimumStratum(t *testing.T) {
 	ctx := context.Background()
 	const k = 2
@@ -231,7 +230,10 @@ func TestCorpusNearestSetIsTheMinimumStratum(t *testing.T) {
 	for _, v := range allNodes(g) {
 		live[v] = true
 	}
-	corpora := shardCorpora(t, g, k)
+	c, err := NewCorpus(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	check := func(stage string) {
 		t.Helper()
 		o := oracleOver(g, k, sortedNodes(live))
@@ -241,14 +243,12 @@ func TestCorpusNearestSetIsTheMinimumStratum(t *testing.T) {
 			if len(want) > 1 {
 				wide++
 			}
-			for shards, c := range corpora {
-				got, err := c.NearestSet(ctx, sig)
-				if err != nil {
-					t.Fatalf("%s shards=%d: NearestSet: %v", stage, shards, err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("%s shards=%d query %d: NearestSet %v, minimum stratum %v", stage, shards, qi, got, want)
-				}
+			got, err := c.NearestSet(ctx, sig)
+			if err != nil {
+				t.Fatalf("%s: NearestSet: %v", stage, err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s query %d: NearestSet %v, minimum stratum %v", stage, qi, got, want)
 			}
 		}
 		if wide < len(queries)/4 {
@@ -268,13 +268,11 @@ func TestCorpusNearestSetIsTheMinimumStratum(t *testing.T) {
 				live[NodeID(v)] = true
 			}
 		}
-		for _, c := range corpora {
-			if err := c.Remove(rm...); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Insert(add...); err != nil {
-				t.Fatal(err)
-			}
+		if err := c.Remove(rm...); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert(add...); err != nil {
+			t.Fatal(err)
 		}
 		check(fmt.Sprintf("churn round %d", round))
 	}

@@ -18,7 +18,7 @@ import (
 // compiled profiles, shape dictionary, backing graph — loadable
 // without re-extraction or re-profiling) and a mutation write-ahead
 // log. Every Insert, Remove, and UpdateGraph call appends one
-// checksummed record — however many shards it spans — to the active log
+// checksummed record to the active log
 // BEFORE its view publishes, so an acknowledged mutation survives a
 // crash (under FsyncAlways) and an unacknowledged one never
 // half-applies: recovery loads the latest checkpoint and replays the
@@ -33,7 +33,7 @@ import (
 // the fsync-and-retry lie is exactly the Postgres fsync-gate bug), so
 // the engine refuses to pretend. While degraded: mutations fail fast
 // with ErrDegraded and are never acknowledged; lock-free reads keep
-// serving the last published epochs untouched; Checkpoint is the one
+// serving the last published epoch untouched; Checkpoint is the one
 // road back, clearing the state only after a verified full-segment
 // rewrite lands a provably-whole checkpoint on disk and a fresh WAL
 // starts beside it. Recovery (OpenDurable) treats an unreadable
@@ -275,11 +275,11 @@ func loadCheckpoint(path string, opts ...CorpusOption) (*Corpus, error) {
 
 // applyRecovered applies one replayed mutation record to the (not yet
 // shared) corpus: upserts re-profile their trees against the corpus
-// dictionary and land in their shard's item table, deletes drop
-// theirs. Records are absolute, so re-applying a suffix is idempotent.
-// No shard has an index yet: they compile lazily over what replay left.
+// dictionary and land in the staged item table, deletes drop theirs.
+// Records are absolute, so re-applying a suffix is idempotent. The scan
+// is not built yet: it compiles lazily over what replay left.
 func (c *Corpus) applyRecovered(rec segment.Record) error {
-	view := c.view.Load()
+	staged := c.view.Load().ep.staged
 	for i := range rec.Upserts {
 		it := rec.Upserts[i]
 		if it.K != c.k {
@@ -289,32 +289,32 @@ func (c *Corpus) applyRecovered(rec segment.Record) error {
 			return fmt.Errorf("wal upsert of node %d disagrees with corpus directedness", it.Node)
 		}
 		ned.ProfileItem(&it, c.dict)
-		view.epochOf(it.Node).staged[it.Node] = it
+		staged[it.Node] = it
 	}
 	for _, v := range rec.Deletes {
-		delete(view.epochOf(v).staged, v)
+		delete(staged, v)
 	}
 	return nil
 }
 
-// commit makes one mutation call visible: publish(edit), and on a
-// durable corpus the call's record (upserts = the full post-mutation
-// items, deletes = the nodes removed) first appends to the WAL, the
-// publish running under the log's commit mutex — so publish order is
-// WAL order, and Checkpoint can cut a log generation that matches a
-// published view exactly. An append failure publishes nothing — the
+// commit makes one mutation call visible by storing nv as the view,
+// and on a durable corpus the call's record (upserts = the full
+// post-mutation items, deletes = the nodes removed) first appends to
+// the WAL, the store running under the log's commit mutex — so publish
+// order is WAL order, and Checkpoint can cut a log generation that
+// matches a published view exactly. An append failure publishes nothing — the
 // call never happened, for queries and recovery alike — and degrades
 // the corpus: the WAL is wedged, so no later mutation could be made
 // durable either, and acknowledging it would be a lie. A call that
 // changed no item (an UpdateGraph whose edits reach no indexed node)
 // has nothing to log.
-func (c *Corpus) commit(rec segment.Record, edit func(nv *corpusView)) error {
+func (c *Corpus) commit(rec segment.Record, nv *corpusView) error {
 	w := c.wal.Load()
 	if w == nil || len(rec.Upserts)+len(rec.Deletes) == 0 {
-		c.publish(edit)
+		c.view.Store(nv)
 		return nil
 	}
-	if err := w.Commit(rec, func() { c.publish(edit) }); err != nil {
+	if err := w.Commit(rec, func() { c.view.Store(nv) }); err != nil {
 		c.degrade("wal commit", err)
 		return fmt.Errorf("%w: %w", ErrDegraded, err)
 	}

@@ -157,15 +157,15 @@ func TestSegmentLoadOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := c2.Stats(); s.Shards != 3 || s.Workers != 2 {
-		t.Fatalf("options ignored: %d shards, %d workers", s.Shards, s.Workers)
+	if s := c2.Stats(); s.Shards != 1 || s.Workers != 2 {
+		t.Fatalf("options not applied: %d shards (WithShards is ignored), %d workers", s.Shards, s.Workers)
 	}
 	if _, err := LoadCorpus(bytes.NewReader(buf.Bytes()), WithBackend(Backend(99))); !errors.Is(err, ErrBadBackend) {
 		t.Errorf("WithBackend(99) at load: got %v, want ErrBadBackend", err)
 	}
 	gQuery := randomGraph(40, 80, 311)
 	if got, want := queryFingerprint(t, c2, gQuery, 2), oracleFingerprint(oracleOver(g, 2, allNodes(g)), gQuery, 2); got != want {
-		t.Fatalf("re-sharded segment load diverges from the exhaustive scan")
+		t.Fatalf("segment load with options diverges from the exhaustive scan")
 	}
 }
 
@@ -367,10 +367,10 @@ func TestCheckpointTruncatesLogAndRecovers(t *testing.T) {
 
 // A checkpoint streams its segment to disk and verifies it through a
 // fixed buffer, so writing one allocates a small fraction of the
-// segment's size rather than a second in-memory copy of every shard.
+// segment's size rather than a second in-memory copy of every item.
 func TestCheckpointAllocatesLessThanSegment(t *testing.T) {
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 1, Seed: 42})
-	c, err := NewCorpus(g, 3, WithShards(2))
+	c, err := NewCorpus(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,6 +395,55 @@ func TestCheckpointAllocatesLessThanSegment(t *testing.T) {
 		t.Fatalf("Checkpoint allocated %d B for a %d B segment (limit %d B)", alloc, fi.Size(), limit)
 	}
 	t.Logf("Checkpoint allocated %d B for a %d B segment", alloc, fi.Size())
+}
+
+// A checkpoint splits the corpus's one node-ascending item list into
+// min(GOMAXPROCS, 16) item tables, so a restart decodes them in
+// parallel; the split is layout only, and the reopened corpus answers
+// exactly as the one that wrote it.
+func TestCheckpointSplitsItemTables(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const k = 2
+	g := randomGraph(80, 170, 440)
+	gQuery := randomGraph(40, 80, 441)
+	c, err := NewCorpus(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := c.MakeDurable(dir, FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	live := mutateBurst(t, c, g)
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(segment.CheckpointPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, items, _, _, _, err := segment.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := min(runtime.GOMAXPROCS(0), 16); meta.Shards != want || len(items) != len(live) {
+		t.Fatalf("checkpoint holds %d items in %d tables, want %d in %d", len(items), meta.Shards, len(live), want)
+	}
+	want := queryFingerprint(t, c, gQuery, k)
+	if err := c.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDurable(dir, FsyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseDurable()
+	checkEquivalent(t, re, g, live, k)
+	if got := queryFingerprint(t, re, gQuery, k); got != want {
+		t.Fatalf("reopened corpus answers differently:\n got %s\nwant %s", got, want)
+	}
 }
 
 // A rotation whose checkpoint never materialized (the crash window

@@ -14,7 +14,7 @@ import (
 // folded, its delta when a mutation replaces the delta — and is immutable
 // afterwards, so epoch clones share it; the item slice and the block are
 // index-aligned (slot i describes items[i]), so slot order is node order.
-// A sharded query sweeps a base block and a delta block per shard.
+// A query sweeps a base block and a delta block per scan.
 
 // profileBlock is the struct-of-arrays form of a set of items' profiles:
 // every part of a sweep has one.

@@ -31,9 +31,8 @@ import (
 // constructing them.
 //
 // Mutations are NOT safe concurrently with queries or each other. The
-// sharded Corpus engine never mutates a published index at all: it
-// Clones the current epoch under the owning shard's write lock, mutates
-// the private clone, and publishes it as the next epoch, so lock-free
+// Corpus engine never mutates a published index at all: it Clones the
+// current epoch under its write lock, mutates the private clone, and publishes it as the next epoch, so lock-free
 // readers keep serving from the old structure. Results after any
 // mutation sequence are identical to a freshly built index over the
 // same live items (the churn-equivalence suite enforces this).
@@ -58,7 +57,7 @@ type DynamicIndex interface {
 }
 
 // ItemIndex is a DynamicIndex that is also the store of its items: the
-// cascade scan, which a built Corpus shard keeps as the only copy of its
+// cascade scan, which a built Corpus keeps as the only copy of its
 // items. Both scan constructors return one.
 type ItemIndex interface {
 	DynamicIndex
@@ -302,7 +301,7 @@ func (b *bkBackend) Insert(items ...Item) {
 	// The BK-tree inserts natively; its metric evaluations during the
 	// descent are maintenance, not serving work, so the counter hook is
 	// muted for the duration (Insert runs only on an unpublished clone
-	// under the owner's shard lock, so no query observes the flag
+	// under the owner's write lock, so no query observes the flag
 	// mid-flight).
 	b.building.Store(true)
 	for _, it := range items {

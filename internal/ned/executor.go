@@ -9,9 +9,8 @@ import (
 )
 
 // Executor is a bounded pool of reusable worker goroutines shared by
-// everything a Corpus runs in parallel: a query's sweepers (FanKNN),
-// per-shard range queries (FanRange) and BatchKNN's per-signature
-// fan-out. It keeps workers warm across calls and bounds total
+// everything a Corpus runs in parallel: a query's sweepers (FanKNN)
+// and BatchKNN's per-signature fan-out. It keeps workers warm across calls and bounds total
 // concurrency at one configured width no matter how many calls overlap.
 //
 // Scheduling never blocks and never deadlocks on nested use: a task is

@@ -58,7 +58,7 @@ func TestExecutorDoCancel(t *testing.T) {
 }
 
 // TestExecutorNestedDo: fan-outs issued from inside pool workers (the
-// BatchKNN -> per-shard shape) must complete without deadlock — a
+// BatchKNN -> sweepers shape) must complete without deadlock — a
 // saturated pool degrades to inline execution.
 func TestExecutorNestedDo(t *testing.T) {
 	e := NewExecutor(3)

@@ -45,7 +45,7 @@ type Item struct {
 
 	// OutP/InP are the precompiled cascade profiles of Out/In. All
 	// profiles of one index must come from one tree.Interner (the
-	// corpus dictionary, shared across shards and epoch clones).
+	// corpus dictionary, shared across epoch clones).
 	OutP *tree.Profile
 	InP  *tree.Profile
 }
@@ -141,8 +141,8 @@ type Counters struct {
 	BlockLabelSurvivors   int64
 }
 
-// Add returns the element-wise sum of two counter snapshots; the Corpus
-// sums its shards' counters with it.
+// Add returns the element-wise sum of two counter snapshots: the work
+// of several indexes one FanKNN swept.
 func (c Counters) Add(o Counters) Counters {
 	return Counters{
 		DistanceCalls:         c.DistanceCalls + o.DistanceCalls,
@@ -452,7 +452,7 @@ type bkBackend struct {
 
 	// building mutes the serving counters while Insert descends the tree
 	// (maintenance evaluations are not query work). Inserts run only on
-	// unpublished clones (under the owner's shard lock), so no query ever
+	// unpublished clones (under the owner's write lock), so no query ever
 	// observes the flag mid-flight — published epochs are immutable.
 	building atomic.Bool
 }
@@ -662,10 +662,10 @@ func runSweepers(workers int, sweep func()) {
 	wg.Wait()
 }
 
-// sweepPart is one block of a sweep: node-sorted items (a shard's scan
-// base or delta), the profile block compiled over them, the ascending
-// slots of items that are not candidates (the base's dead slots), and
-// the counter set the shard's work lands in (nil counts nothing).
+// sweepPart is one block of a sweep: node-sorted items (a scan's base
+// or delta), the profile block compiled over them, the ascending slots
+// of items that are not candidates (the base's dead slots), and the
+// counter set the scan's work lands in (nil counts nothing).
 type sweepPart struct {
 	items []Item
 	blk   *profileBlock
@@ -822,7 +822,7 @@ func (sc *sweepScratch) cutTail(parts []sweepPart, tail []int32, t int) int {
 
 // scanKNN is the cascade top-l sweep: one pass over every part's
 // candidates under one top-l result set, behind both scan backends (one
-// part), FanKNN and the Corpus (one part per shard), and the
+// part), FanKNN and the Corpus (a base and a delta part per scan), and the
 // signature-level PrunedTopL / TopLParallel and Hausdorff (one part).
 // run chooses who sweeps: it runs the sweep on up to the given number
 // of sweepers — runSweepers' own goroutines, or an Executor's pool —

@@ -341,8 +341,8 @@ func TestScanWidths(t *testing.T) {
 // threshold has to handle — nothing (r < 0), the corpus twin only
 // (r = 0), a typical radius, and radii at and far past the int32
 // arithmetic — to the exhaustive oracle, through every path a range
-// query can take: the scan at widths 1 and 2, the VP and BK trees, and
-// FanRange over three scan shards. Queries are a corpus member and
+// query can take: the scan at widths 1 and 2, and the VP and BK trees.
+// Queries are a corpus member and
 // nodes of a second graph, whose shapes the dictionary has never seen
 // and so carry read-only, unresolved profiles.
 func TestRangeRadiusExtremes(t *testing.T) {
@@ -351,24 +351,11 @@ func TestRangeRadiusExtremes(t *testing.T) {
 		items, dict := profiledItems(randomDirTestGraph(80, 180, 61, directed), 2, directed)
 		other := randomDirTestGraph(50, 110, 62, directed)
 		queries := []Item{items[9], queryOf(other, 0, 2, directed, dict), queryOf(other, 7, 2, directed, dict)}
-		per := make([][]Item, 3)
-		for _, it := range items {
-			si := ShardOf(it.Node, 3)
-			per[si] = append(per[si], it)
-		}
-		var shards []Index
-		for _, p := range per {
-			shards = append(shards, NewPrunedLinearBackend(p))
-		}
-		exec := NewExecutor(2)
 		paths := map[string]func(ctx context.Context, q Item, r int) ([]Neighbor, error){
 			"scan/1": NewLinearBackend(items, 1).Range,
 			"scan/2": NewLinearBackend(items, 2).Range,
 			"vp":     NewVPBackend(items).Range,
 			"bk":     NewBKBackend(items).Range,
-			"fan": func(ctx context.Context, q Item, r int) ([]Neighbor, error) {
-				return FanRange(ctx, exec, shards, q, r)
-			},
 		}
 		for qi, q := range queries {
 			all := exhaustiveKNN(q, items, len(items))

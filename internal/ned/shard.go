@@ -6,20 +6,16 @@ import (
 	"ned/internal/graph"
 )
 
-// This file is the shard router behind the sharded Corpus engine: the
-// deterministic node -> shard hash that is the whole placement, and the
-// read side over a list of shards. Shards partition the write side —
-// each has its own lock and scan — but a KNN query does not see them:
-// FanKNN sweeps every shard's blocks in one best-first pass under
-// one top-l collector (scanKNN), so its threshold tightens once for the
-// whole corpus. A range query has a fixed threshold and no collector, so
-// FanRange still answers shard by shard and sorts the union.
+// This file is the read side over a list of disjoint indexes: the
+// deterministic node -> shard hash that files a segment's item tables
+// (and a shard of the benchmark harness's replay), and FanKNN, which
+// sweeps every scan's blocks in one best-first pass under one top-l
+// collector (scanKNN), so its threshold tightens once for the whole
+// item set. The Corpus hands FanKNN its one scan.
 //
-// Exactness: each shard holds a disjoint item subset, so one collector
-// over their union answers what one index over all items would, and a
-// range result is exactly the union of per-shard range results. Disjointness
-// is the caller's contract: the Corpus hands every query the shards of
-// one published view, in which each node lives in exactly one shard.
+// Exactness: each index holds a disjoint item subset, so one collector
+// over their union answers what one index over all items would.
+// Disjointness is the caller's contract.
 
 // ShardOf deterministically maps a node to one of n shards. The
 // splitmix64 finalizer scrambles the (typically dense, clustered) node
@@ -40,22 +36,15 @@ func ShardOf(v graph.NodeID, n int) int {
 	return int(x % uint64(n))
 }
 
-// mergeSorted concatenates per-shard answers and sorts the union
-// canonically — a range query's whole merge.
-func mergeSorted(per [][]Neighbor) []Neighbor {
+// MergeTopL merges per-shard KNN answers (each canonically sorted) into
+// the global canonical top-l: fanKNNMerge's merge, and a name the
+// benchmark harness times as ned.mergetopl_ns.
+func MergeTopL(per [][]Neighbor, l int) []Neighbor {
 	var out []Neighbor
 	for _, ns := range per {
 		out = append(out, ns...)
 	}
 	sortNeighborsCanonical(out)
-	return out
-}
-
-// MergeTopL merges per-shard KNN answers (each canonically sorted) into
-// the global canonical top-l: fanKNNMerge's merge, and a name the
-// benchmark harness times as ned.mergetopl_ns.
-func MergeTopL(per [][]Neighbor, l int) []Neighbor {
-	out := mergeSorted(per)
 	if len(out) > l {
 		out = out[:l]
 	}
@@ -92,18 +81,6 @@ func fanKNNMerge(ctx context.Context, exec *Executor, shards []Index, query Item
 		return nil, err
 	}
 	return MergeTopL(per, l), nil
-}
-
-// FanRange answers a range query over a sharded index: per-shard ranges
-// in parallel, union re-sorted canonically.
-func FanRange(ctx context.Context, exec *Executor, shards []Index, query Item, r int) ([]Neighbor, error) {
-	per, err := fanOut(ctx, exec, shards, func(ctx context.Context, ix Index) ([]Neighbor, error) {
-		return ix.Range(ctx, query, r)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeSorted(per), nil
 }
 
 // fanOut runs one query per non-empty shard across the executor and

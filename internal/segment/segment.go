@@ -81,6 +81,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"math"
 	"runtime"
 	"sync"
@@ -524,6 +525,25 @@ func writeTree(s *sectionWriter, t *tree.Tree, p *tree.Profile) {
 	s.i32s(p.Labels)
 	s.i32s(p.Perm)
 	s.i32s(p.Kids)
+}
+
+// maxTables caps the item tables Tables splits a corpus into: past a
+// core per table, more tables only add framing.
+const maxTables = 16
+
+// Tables splits node-ascending items into the item tables Write takes:
+// table i holds, still node-ascending, the items ned.ShardOf files under
+// i of min(GOMAXPROCS, 16) tables, so Read decodes them in parallel on
+// the same cores. The count is layout, not content: Read returns the
+// same items whatever it was.
+func Tables(items iter.Seq[ned.Item]) [][]ned.Item {
+	n := min(runtime.GOMAXPROCS(0), maxTables)
+	tables := make([][]ned.Item, n)
+	for it := range items {
+		ti := ned.ShardOf(it.Node, n)
+		tables[ti] = append(tables[ti], it)
+	}
+	return tables
 }
 
 // Write serializes a materialized corpus as a binary segment: meta,

@@ -7,16 +7,14 @@
 // slot free, and requests that find every slot busy are batched into
 // one BatchKNN executor pass behind the passes in flight), and a
 // Prometheus /metrics endpoint exporting the engine's cascade and
-// shard counters next to the server's own request,
+// write-contention counters next to the server's own request,
 // latency, in-flight, and coalescing counters.
 //
-// The engine's epoch-published shard design is what makes a thin
-// serving tier sufficient: reads are lock-free snapshots and writers
-// only serialize per shard, so the server can fan arbitrary client
+// The engine's epoch-published design is what makes a thin serving
+// tier sufficient: reads are lock-free snapshots and writers serialize
+// only on the corpus write lock, so the server can fan arbitrary client
 // concurrency straight into the Corpus without its own locking — the
-// writer/reader split of Helland's "Scalable OLTP in the Cloud",
-// layered the way rUniversalDB stacks a server tier over per-shard
-// owners.
+// writer/reader split of Helland's "Scalable OLTP in the Cloud".
 package serve
 
 import (

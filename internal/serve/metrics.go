@@ -95,8 +95,8 @@ func (m *metrics) requestTotals() (endpoints []string, rows map[string]map[int]i
 // WriteMetrics renders the full exposition in Prometheus text format:
 // the server's request/latency/in-flight/overload/coalescing counters,
 // then every registered corpus's engine counters — the filter-cascade
-// tier prunes, shard sizes and contention counters — labeled
-// by corpus.
+// tier prunes, node count and write-contention counters — labeled by
+// corpus.
 func (s *Server) WriteMetrics(w io.Writer) {
 	// --- server counters ---
 	fmt.Fprintf(w, "# HELP nedserve_requests_total Requests served, by endpoint and HTTP status.\n")
@@ -183,30 +183,16 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	emit("ned_corpus_nodes", "gauge", "Indexed node count.", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_nodes{corpus=%q} %d\n", tenants[i].Name, stats[i].Nodes)
 	})
-	emit("ned_corpus_shards", "gauge", "Shard count the corpus partitions across.", func(i int) {
-		fmt.Fprintf(w, "ned_corpus_shards{corpus=%q} %d\n", tenants[i].Name, stats[i].Shards)
+	emit("ned_corpus_lock_wait_ns_total", "counter", "Nanoseconds mutators spent waiting on the corpus write lock.", func(i int) {
+		fmt.Fprintf(w, "ned_corpus_lock_wait_ns_total{corpus=%q} %d\n", tenants[i].Name, stats[i].ShardLockWaitNS[0])
 	})
-	emit("ned_corpus_shard_nodes", "gauge", "Indexed node count per shard.", func(i int) {
-		for si, sn := range stats[i].ShardNodes {
-			fmt.Fprintf(w, "ned_corpus_shard_nodes{corpus=%q,shard=\"%d\"} %d\n", tenants[i].Name, si, sn)
-		}
+	emit("ned_corpus_mutations_total", "counter", "Nodes mutated (inserted, removed, or refreshed).", func(i int) {
+		fmt.Fprintf(w, "ned_corpus_mutations_total{corpus=%q} %d\n", tenants[i].Name, stats[i].ShardMutations[0])
 	})
-	emit("ned_shard_lock_wait_ns_total", "counter", "Nanoseconds mutators spent waiting on each shard's write lock.", func(i int) {
-		for si, v := range stats[i].ShardLockWaitNS {
-			fmt.Fprintf(w, "ned_shard_lock_wait_ns_total{corpus=%q,shard=\"%d\"} %d\n", tenants[i].Name, si, v)
-		}
+	emit("ned_corpus_clone_bytes_total", "counter", "Approximate bytes of epoch state copied by mutations.", func(i int) {
+		fmt.Fprintf(w, "ned_corpus_clone_bytes_total{corpus=%q} %d\n", tenants[i].Name, stats[i].ShardCloneBytes[0])
 	})
-	emit("ned_shard_mutations_total", "counter", "Nodes mutated (inserted, removed, or refreshed) per shard.", func(i int) {
-		for si, v := range stats[i].ShardMutations {
-			fmt.Fprintf(w, "ned_shard_mutations_total{corpus=%q,shard=\"%d\"} %d\n", tenants[i].Name, si, v)
-		}
-	})
-	emit("ned_shard_clone_bytes_total", "counter", "Approximate bytes of epoch state cloned by mutations per shard.", func(i int) {
-		for si, v := range stats[i].ShardCloneBytes {
-			fmt.Fprintf(w, "ned_shard_clone_bytes_total{corpus=%q,shard=\"%d\"} %d\n", tenants[i].Name, si, v)
-		}
-	})
-	emit("ned_corpus_plan_scans_total", "counter", "Per-shard scan-over-tree decisions of the retired planner; always 0.", func(i int) {
+	emit("ned_corpus_plan_scans_total", "counter", "Scan-over-tree decisions of the retired planner; always 0.", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_plan_scans_total{corpus=%q} %d\n", tenants[i].Name, stats[i].PlanScans)
 	})
 	emit("ned_corpus_queries_total", "counter", "Queries served by the engine.", func(i int) {

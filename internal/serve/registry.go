@@ -181,9 +181,12 @@ type CreateRequest struct {
 	// "rebuild_threshold" key from older clients is dropped with every
 	// other unknown key.)
 	Backend string `json:"backend,omitempty"`
-	// Shards and Workers tune the engine; zero values mean the engine
-	// defaults.
-	Shards  int `json:"shards,omitempty"`
+	// Shards is accepted and ignored.
+	//
+	// Deprecated: a corpus is one scan. The field stays until the
+	// benchmark harness is folded into the module (ROADMAP item 1(b)).
+	Shards int `json:"shards,omitempty"`
+	// Workers tunes the engine; zero means the engine default.
 	Workers int `json:"workers,omitempty"`
 	// Directed selects the directed NED of Eq. 2 (Graph/Dataset only;
 	// a snapshot records its own directedness).
@@ -210,9 +213,6 @@ func (cr *CreateRequest) options() ([]ned.CorpusOption, error) {
 		if _, err := ned.ParseBackend(cr.Backend); err != nil {
 			return nil, err
 		}
-	}
-	if cr.Shards > 0 {
-		opts = append(opts, ned.WithShards(cr.Shards))
 	}
 	if cr.Workers > 0 {
 		opts = append(opts, ned.WithWorkers(cr.Workers))

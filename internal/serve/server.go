@@ -291,7 +291,6 @@ type CorpusInfo struct {
 	Backend  string `json:"backend"`
 	Directed bool   `json:"directed"`
 	Nodes    int    `json:"nodes"`
-	Shards   int    `json:"shards"`
 }
 
 func infoOf(t *Tenant) CorpusInfo {
@@ -302,7 +301,6 @@ func infoOf(t *Tenant) CorpusInfo {
 		Backend:  cs.Backend.String(),
 		Directed: cs.Directed,
 		Nodes:    cs.Nodes,
-		Shards:   cs.Shards,
 	}
 }
 
@@ -364,7 +362,7 @@ func writeError(w http.ResponseWriter, err error) int {
 
 // handler adapts a typed handler into an instrumented http.HandlerFunc.
 // admit selects admission control (query endpoints only: mutations are
-// serialized by the engine's own shard locks, and control-plane calls
+// serialized by the engine's own write lock, and control-plane calls
 // must stay responsive under query overload).
 func (s *Server) handler(endpoint string, admit bool, fn func(ctx context.Context, r *http.Request) (status int, body any, err error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

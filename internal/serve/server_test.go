@@ -136,9 +136,10 @@ func TestServeEndToEnd(t *testing.T) {
 	if list.Corpora[0].Name != "g1" || list.Corpora[1].Name != "g2" {
 		t.Fatalf("list order: %+v", list.Corpora)
 	}
-	// "bk" is accepted and ignored: every corpus reports the scan.
-	if list.Corpora[1].Backend != "pruned" || list.Corpora[1].Shards != 2 {
-		t.Fatalf("g2 options not honored: %+v", list.Corpora[1])
+	// "bk" and shards are accepted and ignored: every corpus reports
+	// the one scan.
+	if list.Corpora[1].Backend != "pruned" || list.Corpora[1].Nodes != 90 {
+		t.Fatalf("g2 create not honored: %+v", list.Corpora[1])
 	}
 
 	// Concurrent query traffic over both tenants, every query endpoint.
@@ -430,14 +431,17 @@ func TestMetricsExport(t *testing.T) {
 		`ned_corpus_queries_total{corpus="m1"}`,
 		`ned_corpus_cascade_prunes_total{corpus="m1",tier="size"}`,
 		`ned_corpus_cascade_prunes_total{corpus="m2",tier="label"}`,
-		`ned_corpus_shard_nodes{corpus="m1",shard="0"}`,
+		`ned_corpus_mutations_total{corpus="m1"}`,
+		`ned_corpus_lock_wait_ns_total{corpus="m2"}`,
+		`ned_corpus_clone_bytes_total{corpus="m1"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// The two series that described a tree index went with the trees.
-	for _, gone := range []string{"ned_corpus_rebuilds_total", "ned_corpus_stale_ratio"} {
+	// The two series that described a tree index went with the trees,
+	// and the per-shard series with the shard.
+	for _, gone := range []string{"ned_corpus_rebuilds_total", "ned_corpus_stale_ratio", "ned_corpus_shards", "ned_shard_"} {
 		if strings.Contains(text, gone) {
 			t.Errorf("metrics still export %q", gone)
 		}

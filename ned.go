@@ -13,7 +13,7 @@
 // This package is the public facade over the implementation packages:
 //
 //   - the Corpus query engine: one thread-safe, context-aware API over
-//     a cascade scan per shard (§13.3–13.4 workloads), with
+//     one cascade scan (§13.3–13.4 workloads), with
 //     incremental Insert/Remove under live index maintenance, graph
 //     version updates (UpdateGraph), and snapshot persistence
 //     (Snapshot/LoadCorpus)
