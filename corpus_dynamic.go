@@ -2,6 +2,7 @@ package ned
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"ned/internal/graph"
@@ -92,18 +93,23 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 		if len(added) == 0 {
 			return epochEdit{}
 		}
+		// The record names the nodes: replay re-extracts their items from
+		// the log's graph, which is this call's graph.
+		rec := segment.Record{Extract: added}
 		if ep.members != nil {
 			ne := ep.clone()
 			for _, v := range added {
 				ne.members[v] = true
 			}
-			return epochEdit{next: ne}
+			return epochEdit{next: ne, rec: rec}
 		}
 		ups := make([]ned.Item, len(added))
 		for i, v := range added {
 			ups[i] = itemOf[v]
 		}
-		return splice(ep, ups, nil)
+		e := splice(ep, ups, nil)
+		e.rec = rec
+		return e
 	})
 }
 
@@ -129,24 +135,26 @@ func (c *Corpus) Remove(nodes ...NodeID) error {
 		if len(gone) == 0 {
 			return epochEdit{}
 		}
+		rec := segment.Record{Deletes: gone}
 		if ep.members != nil {
 			ne := ep.clone()
 			for _, v := range gone {
 				delete(ne.members, v)
 			}
-			return epochEdit{next: ne, dels: gone}
+			return epochEdit{next: ne, rec: rec}
 		}
-		return splice(ep, nil, gone)
+		e := splice(ep, nil, gone)
+		e.rec = rec
+		return e
 	})
 }
 
 // epochEdit is one mutation call's prepared change: the successor epoch
-// (nil for no change), the items it upserted and the nodes it deleted —
-// the call's WAL record — and the bytes preparing it copied.
+// (nil for no change), the call's WAL record, and the bytes preparing
+// it copied.
 type epochEdit struct {
 	next   *corpusEpoch
-	ups    []ned.Item
-	dels   []NodeID
+	rec    segment.Record
 	copied int64
 }
 
@@ -168,12 +176,11 @@ func (c *Corpus) commitWrite(op string, prepare func(ep *corpusEpoch) epochEdit)
 // of e.next over graph g — and records the mutation of a materialized
 // epoch in the contention counters.
 func (c *Corpus) commitEdit(op string, g *Graph, e epochEdit) error {
-	rec := segment.Record{Upserts: e.ups, Deletes: e.dels}
-	if err := c.commit(rec, &corpusView{g: g, ep: e.next}); err != nil {
+	if err := c.commit(e.rec, &corpusView{g: g, ep: e.next}); err != nil {
 		return fmt.Errorf("ned: %s: %w", op, err)
 	}
 	if e.next.members == nil {
-		c.mutations.Add(int64(len(e.ups) + len(e.dels)))
+		c.mutations.Add(int64(len(e.rec.Extract) + len(e.rec.Deletes)))
 		c.cloneBytes.Add(e.copied)
 	}
 	return nil
@@ -182,9 +189,9 @@ func (c *Corpus) commitEdit(op string, g *Graph, e epochEdit) error {
 // splice prepares the successor of a materialized epoch with dels
 // removed and ups upserted (an upsert of an indexed node replaces its
 // item). A built epoch's scan splices itself, sharing its base; a
-// staged epoch copies its map.
+// staged epoch copies its map. The caller sets the record.
 func splice(ep *corpusEpoch, ups []ned.Item, dels []NodeID) epochEdit {
-	e := epochEdit{ups: ups, dels: dels}
+	var e epochEdit
 	if ep.ix != nil {
 		var ix ned.ItemIndex
 		ix, e.copied = ep.ix.Splice(ups, dels)
@@ -228,11 +235,14 @@ func (c *Corpus) Rebuild() { c.acquire() }
 // The expensive work — the edge diff, the reachability sweeps, the
 // parallel re-extraction — happens on a private successor epoch, so
 // queries keep serving the old version through it; the new graph and
-// the refreshed items then become visible together, in one store
-// (after one WAL record on a durable corpus: a failed append leaves the
-// corpus on the old version). UpdateGraph holds the engine's write gate, serializing against other
-// UpdateGraphs, Inserts, Removes, and the lazy build (never against
-// queries).
+// the refreshed items then become visible together, in one store. On a
+// durable corpus one WAL record precedes that store: the edge diff, the
+// new node count, and the refreshed and removed nodes — proportional to
+// the change, not the corpus — from which recovery rebuilds the graph
+// and re-extracts the refreshed signatures. A failed append leaves the
+// corpus on the old version. UpdateGraph holds the engine's write gate,
+// serializing against other UpdateGraphs, Inserts, Removes, and the
+// lazy build (never against queries).
 func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if g == nil {
 		return 0, ErrNilGraph
@@ -265,12 +275,14 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 		return 0, c.commitEdit("graph update", g, e)
 	}
 
+	removed, added := graph.EdgeDiff(old, g)
 	var refresh []NodeID
-	for v := range affectedByUpdate(old, g, c.k, c.cfg.directed) {
+	for v := range affectedByUpdate(old, g, removed, added, c.k, c.cfg.directed) {
 		if int(v) >= 0 && int(v) < g.NumNodes() && view.ep.has(v) {
 			refresh = append(refresh, v)
 		}
 	}
+	slices.Sort(refresh)
 	items := ned.BuildProfiledItems(g, refresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	var gone []NodeID
 	for it := range view.ep.items() {
@@ -282,39 +294,49 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if len(gone)+len(items) > 0 {
 		e = splice(view.ep, items, gone)
 	}
+	e.rec = segment.Record{Extract: refresh, Deletes: gone, Graph: graphEdit(old, g, removed, added)}
 	if err := c.commitEdit("graph update", g, e); err != nil {
 		return 0, err
-	}
-	if c.wal.Load() != nil {
-		// The WAL records item churn, not graph swaps; only a checkpoint
-		// segment embeds the graph. Cut one now so a crash after this
-		// update recovers onto the new graph version, not the old one.
-		if err := c.Checkpoint(); err != nil {
-			return len(items), fmt.Errorf("ned: graph update checkpoint: %w", err)
-		}
 	}
 	return len(items), nil
 }
 
-// affectedByUpdate returns the nodes whose k-adjacent trees can differ
-// between two graph versions. A signature T(v, k) contains an edge
-// (u, w) only when u or w sits within k-1 hops of v (tree edges join
-// depths d and d+1 with d <= k-1), so the affected set is everything
-// within k-1 hops of a changed edge's endpoints — in the old version
-// (removals prune subtrees that were there) or the new one (additions
-// attach subtrees that were not). For directed NED the incoming and
-// outgoing trees cover both traversal directions. The bound is exact
-// for reachability, conservative for content: a node inside it may
-// happen to keep an identical tree, and refreshing it is merely
-// harmless work.
-func affectedByUpdate(old, new *Graph, k int, directed bool) map[NodeID]bool {
-	diff := graph.EdgeDiff(old, new)
-	if len(diff) == 0 {
+// graphEdit is the logged form of the move from old to new given their
+// edge diff: nil when the versions are equal. Removed edges touching a
+// node the new version drops are implied by its node count and left
+// out.
+func graphEdit(old, new *Graph, removed, added []graph.Edge) *segment.GraphEdit {
+	n := new.NumNodes()
+	if n == old.NumNodes() && len(removed)+len(added) == 0 {
 		return nil
 	}
-	eps := make([]NodeID, 0, 2*len(diff))
-	seen := make(map[NodeID]bool, 2*len(diff))
-	for _, e := range diff {
+	kept := removed[:0:0]
+	for _, e := range removed {
+		if int(e.U) < n && int(e.V) < n {
+			kept = append(kept, e)
+		}
+	}
+	return &segment.GraphEdit{NumNodes: n, Removed: kept, Added: added}
+}
+
+// affectedByUpdate returns the nodes whose k-adjacent trees can differ
+// between two graph versions, given their edge diff. A signature T(v, k)
+// contains an edge (u, w) only when u or w sits within k-1 hops of v
+// (tree edges join depths d and d+1 with d <= k-1), so the affected set
+// is everything within k-1 hops of a changed edge's endpoints — in the
+// old version (removals prune subtrees that were there) or the new one
+// (additions attach subtrees that were not). For directed NED the
+// incoming and outgoing trees cover both traversal directions. The bound
+// is exact for reachability, conservative for content: a node inside it
+// may happen to keep an identical tree, and refreshing it is merely
+// harmless work.
+func affectedByUpdate(old, new *Graph, removed, added []graph.Edge, k int, directed bool) map[NodeID]bool {
+	if len(removed)+len(added) == 0 {
+		return nil
+	}
+	eps := make([]NodeID, 0, 2*(len(removed)+len(added)))
+	seen := make(map[NodeID]bool, cap(eps))
+	for _, e := range slices.Concat(removed, added) {
 		for _, v := range [2]NodeID{e.U, e.V} {
 			if !seen[v] {
 				seen[v] = true

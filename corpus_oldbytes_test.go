@@ -2,10 +2,12 @@ package ned
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"strings"
 	"testing"
@@ -415,5 +417,109 @@ func TestTextHeadersNamingRetiredBackendsLoad(t *testing.T) {
 		if _, err := LoadCorpus(strings.NewReader(in)); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("backend=zorp header: got %v, want ErrBadSnapshot", err)
 		}
+	}
+}
+
+// Builds before named-node records logged every Insert as a version-1
+// frame carrying the whole tree. testdata/v1wal_durable holds two
+// durable directories such a build wrote (commit 725ac61: NewCorpus over
+// the first 30 nodes at k = 2, MakeDurable, then Removes and Inserts,
+// closed without a checkpoint), one undirected over
+// randomGraph(40, 80, 3901), one directed over
+// randomDirectedGraph(40, 90, 3902). Their logs must replay — trees and
+// all — to answers node-identical to the oracle, and keep replaying once
+// this build appends version-2 frames behind them.
+func TestDurableOpensV1WALWithTrees(t *testing.T) {
+	const k = 2
+	live := map[NodeID]bool{30: true, 32: true, 35: true}
+	for v := 0; v < 30; v++ {
+		live[NodeID(v)] = true
+	}
+	for _, v := range []NodeID{3, 5, 11, 29} {
+		delete(live, v)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		opts []CorpusOption
+	}{
+		{"undirected", randomGraph(40, 80, 3901), nil},
+		{"directed", randomDirectedGraph(40, 90, 3902), []CorpusOption{WithDirected()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "testdata/v1wal_durable/" + tc.name
+			raw, err := os.ReadFile(segment.WALPath(src, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := segment.DecodeWAL(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var trees, deletes int
+			for off := 0; off < len(raw); off += 8 + int(binary.LittleEndian.Uint32(raw[off:])) {
+				if raw[off+8] != 1 {
+					t.Fatalf("fixture frame at %d is version %d, want 1", off, raw[off+8])
+				}
+			}
+			for _, rec := range recs {
+				trees += len(rec.Upserts)
+				deletes += len(rec.Deletes)
+			}
+			if trees == 0 || deletes == 0 {
+				t.Fatalf("fixture log holds %d upserted trees and %d deletes, want both", trees, deletes)
+			}
+
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+				t.Fatal(err)
+			}
+			check := func(label string, live map[NodeID]bool) {
+				t.Helper()
+				c, err := OpenDurable(dir, FsyncNone)
+				if err != nil {
+					t.Fatalf("%s: OpenDurable: %v", label, err)
+				}
+				defer c.CloseDurable()
+				if got, want := corpusState(c), freshState(t, tc.g, live, k, tc.opts...); got != want {
+					t.Fatalf("%s: recovered state differs from a fresh build:\n got %s\nwant %s", label, got, want)
+				}
+				if tc.opts == nil {
+					assertMatchesOracle(t, label, c, oracleOver(tc.g, k, sortedNodes(live)), randomGraph(30, 60, 3903), k, 6, 3904)
+					return
+				}
+				for _, v := range sortedNodes(live)[:6] {
+					got, err := c.KNN(context.Background(), v, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want []Neighbor
+					for _, nb := range directedRanking(tc.g, v, k) {
+						if live[nb.Node] && len(want) < 5 {
+							want = append(want, nb)
+						}
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: KNN(%d) %v, oracle %v", label, v, got, want)
+					}
+				}
+			}
+			check("version-1 log", live)
+
+			// A version-2 frame appended behind the version-1 tail.
+			c, err := OpenDurable(dir, FsyncNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Insert(36); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CloseDurable(); err != nil {
+				t.Fatal(err)
+			}
+			live36 := maps.Clone(live)
+			live36[36] = true
+			check("version-1 log plus a version-2 frame", live36)
+		})
 	}
 }

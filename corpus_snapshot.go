@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"iter"
+	"slices"
 
 	"ned/internal/ned"
 	"ned/internal/segment"
@@ -104,7 +106,7 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if userGraph != nil {
 		g = userGraph
 	}
-	if err := validateLoadedGraph(cfg, g, items); err != nil {
+	if err := validateLoadedGraph(cfg, g, slices.Values(items)); err != nil {
 		return nil, err
 	}
 	c := newCorpus(meta.K, cfg, g, &corpusEpoch{})
@@ -148,7 +150,7 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := validateLoadedGraph(cfg, g, items); err != nil {
+	if err := validateLoadedGraph(cfg, g, slices.Values(items)); err != nil {
 		return nil, err
 	}
 	c := newCorpus(k, cfg, g, &corpusEpoch{})
@@ -176,7 +178,7 @@ func applyLoadOptions(cfg *corpusConfig, opts []CorpusOption) (*Graph, error) {
 
 // validateLoadedGraph checks a restored item set against the graph the
 // corpus will serve with (which may be nil: signature-only corpora).
-func validateLoadedGraph(cfg corpusConfig, g *Graph, items []ned.Item) error {
+func validateLoadedGraph(cfg corpusConfig, g *Graph, items iter.Seq[ned.Item]) error {
 	if g == nil {
 		return nil
 	}
@@ -189,7 +191,7 @@ func validateLoadedGraph(cfg corpusConfig, g *Graph, items []ned.Item) error {
 	if cfg.directed && !g.Directed() {
 		return fmt.Errorf("%w: directed snapshot needs a directed graph", ErrBadSnapshot)
 	}
-	for _, it := range items {
+	for it := range items {
 		if int(it.Node) < 0 || int(it.Node) >= g.NumNodes() {
 			return fmt.Errorf("%w: snapshot node %d not in the attached graph's [0, %d)",
 				ErrNodeOutOfRange, it.Node, g.NumNodes())

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"time"
 
 	"ned/internal/faultfs"
 	"ned/internal/fsx"
+	"ned/internal/graph"
 	"ned/internal/ned"
 	"ned/internal/segment"
 )
@@ -155,7 +158,10 @@ func (c *Corpus) MakeDurable(dir string, policy FsyncPolicy) error {
 // newest loadable checkpoint segment, replays every log generation at
 // or above it in order (a torn final frame — the residue of a crash
 // mid-append — is dropped; corruption anywhere else fails loudly), and
-// resumes appending to the newest log at its validated prefix. The
+// resumes appending to the newest log at its validated prefix. Replay
+// runs against the log's own graph — the checkpoint's embedded graph
+// moved through every logged graph edit — and re-extracts the
+// signatures of the nodes the log names from the graph it ends on. The
 // result answers every query exactly as the original did after its
 // last committed mutation.
 //
@@ -167,8 +173,11 @@ func (c *Corpus) MakeDurable(dir string, policy FsyncPolicy) error {
 // checkpoint survives (checkpoint cleanup only runs after the
 // replacing generation verifies, so one always should).
 //
-// Options apply as in LoadCorpus; the checkpoint's embedded graph is
-// attached unless WithGraph overrides it.
+// Options apply as in LoadCorpus, except that a WithGraph graph is
+// attached after replay and never used for it. A WithGraph graph that
+// differs from the one replay ended on becomes the log's graph through
+// a checkpoint written before OpenDurable returns, so later records
+// replay against it.
 func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus, error) {
 	// Sweep atomic-write temporaries a dead process left behind before
 	// looking at anything else; they are never state.
@@ -180,6 +189,13 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 	if len(ckpts) == 0 {
 		return nil, fmt.Errorf("ned: %s holds no durable corpus state", dir)
 	}
+	var user corpusConfig
+	for _, opt := range opts {
+		opt(&user)
+	}
+	// Load and replay on the checkpoint's own graph: WithGraph(nil) last
+	// cancels any override.
+	loadOpts := append(slices.Clip(opts), WithGraph(nil))
 
 	var (
 		c           *Corpus
@@ -189,7 +205,7 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 	)
 	for _, s := range ckpts {
 		path := segment.CheckpointPath(dir, s)
-		loaded, lerr := loadCheckpoint(path, opts...)
+		loaded, lerr := loadCheckpoint(path, loadOpts...)
 		if lerr == nil {
 			c, seq = loaded, s
 			break
@@ -222,6 +238,7 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 	}
 	activeSeq, activeValid, activeRecs := seq, int64(0), int64(0)
 	haveActive := false
+	extract := map[NodeID]bool{}
 	for _, s := range seqs {
 		if s < seq {
 			continue
@@ -231,12 +248,21 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 			return nil, err
 		}
 		for _, rec := range recs {
-			if err := c.applyRecovered(rec); err != nil {
+			if err := c.applyRecovered(rec, extract); err != nil {
 				return nil, fmt.Errorf("ned: replaying %s: %w", segment.WALPath(dir, s), err)
 			}
 		}
 		activeSeq, activeValid, activeRecs = s, valid, int64(len(recs))
 		haveActive = true
+	}
+	c.extractRecovered(extract)
+	logGraph := c.view.Load().g
+	if user.graph != nil {
+		view := c.view.Load()
+		if err := validateLoadedGraph(c.cfg, user.graph, view.ep.items()); err != nil {
+			return nil, err
+		}
+		c.view.Store(&corpusView{g: user.graph, ep: view.ep})
 	}
 
 	var w *segment.WAL
@@ -256,6 +282,12 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 	if err := segment.RemoveObsolete(dir, seq); err != nil {
 		return nil, err
 	}
+	if user.graph != nil && !sameGraph(user.graph, logGraph) {
+		if err := c.Checkpoint(); err != nil {
+			c.CloseDurable()
+			return nil, fmt.Errorf("ned: checkpointing the attached graph: %w", err)
+		}
+	}
 	return c, nil
 }
 
@@ -274,12 +306,52 @@ func loadCheckpoint(path string, opts ...CorpusOption) (*Corpus, error) {
 }
 
 // applyRecovered applies one replayed mutation record to the (not yet
-// shared) corpus: upserts re-profile their trees against the corpus
-// dictionary and land in the staged item table, deletes drop theirs.
-// Records are absolute, so re-applying a suffix is idempotent. The scan
-// is not built yet: it compiles lazily over what replay left.
-func (c *Corpus) applyRecovered(rec segment.Record) error {
-	staged := c.view.Load().ep.staged
+// shared) corpus, whose view graph is the log's graph. A graph edit
+// moves that graph to its next version and drops the items beyond its
+// node range; named nodes join extract, the set extractRecovered
+// derives once replay ends; full-item upserts re-profile their trees
+// against the corpus dictionary and land in the staged item table;
+// deletes drop theirs. Every part is absolute, so applying a record
+// twice converges. The scan is not built yet: it compiles lazily over
+// what replay left.
+//
+// Extraction waits for the end of replay because the graph replay ends
+// on yields the same signature for every named node as the graph its
+// record was logged against: a later edit that reaches the node's
+// neighborhood names it again (UpdateGraph refreshes every indexed node
+// an edit reaches), and one that does not leaves its signature as it
+// was.
+func (c *Corpus) applyRecovered(rec segment.Record, extract map[NodeID]bool) error {
+	view := c.view.Load()
+	staged := view.ep.staged
+	if e := rec.Graph; e != nil {
+		if view.g == nil {
+			return fmt.Errorf("wal graph edit in a log whose checkpoint has no graph")
+		}
+		if e.NumNodes < view.g.NumNodes() {
+			for v := range staged {
+				if int(v) >= e.NumNodes {
+					delete(staged, v)
+				}
+			}
+			for v := range extract {
+				if int(v) >= e.NumNodes {
+					delete(extract, v)
+				}
+			}
+		}
+		view = &corpusView{g: graph.Patch(view.g, e.NumNodes, e.Removed, e.Added), ep: view.ep}
+		c.view.Store(view)
+	}
+	for _, v := range rec.Extract {
+		if view.g == nil {
+			return fmt.Errorf("wal record names node %d in a log whose checkpoint has no graph", v)
+		}
+		if int(v) >= view.g.NumNodes() {
+			return fmt.Errorf("wal record names node %d outside the log's graph [0, %d)", v, view.g.NumNodes())
+		}
+		extract[v] = true
+	}
 	for i := range rec.Upserts {
 		it := rec.Upserts[i]
 		if it.K != c.k {
@@ -290,27 +362,54 @@ func (c *Corpus) applyRecovered(rec segment.Record) error {
 		}
 		ned.ProfileItem(&it, c.dict)
 		staged[it.Node] = it
+		delete(extract, it.Node)
 	}
 	for _, v := range rec.Deletes {
 		delete(staged, v)
+		delete(extract, v)
 	}
 	return nil
 }
 
+// extractRecovered stages the items of the nodes replay named, extracted
+// in parallel from the graph replay ended on.
+func (c *Corpus) extractRecovered(extract map[NodeID]bool) {
+	if len(extract) == 0 {
+		return
+	}
+	view := c.view.Load()
+	nodes := slices.Sorted(maps.Keys(extract))
+	for _, it := range ned.BuildProfiledItems(view.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers) {
+		view.ep.staged[it.Node] = it
+	}
+}
+
+// sameGraph reports whether a and b (either may be nil) are the same
+// graph version.
+func sameGraph(a, b *Graph) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() || a.Directed() != b.Directed() {
+		return false
+	}
+	removed, added := graph.EdgeDiff(a, b)
+	return len(removed)+len(added) == 0
+}
+
 // commit makes one mutation call visible by storing nv as the view,
-// and on a durable corpus the call's record (upserts = the full
-// post-mutation items, deletes = the nodes removed) first appends to
-// the WAL, the store running under the log's commit mutex — so publish
+// and on a durable corpus the call's record (the nodes to extract, the
+// nodes removed, the graph edit) first appends to the WAL, the store running under the log's commit mutex — so publish
 // order is WAL order, and Checkpoint can cut a log generation that
 // matches a published view exactly. An append failure publishes nothing — the
 // call never happened, for queries and recovery alike — and degrades
 // the corpus: the WAL is wedged, so no later mutation could be made
 // durable either, and acknowledging it would be a lie. A call that
-// changed no item (an UpdateGraph whose edits reach no indexed node)
-// has nothing to log.
+// changed nothing (an UpdateGraph to an equal graph) has nothing to
+// log.
 func (c *Corpus) commit(rec segment.Record, nv *corpusView) error {
 	w := c.wal.Load()
-	if w == nil || len(rec.Upserts)+len(rec.Deletes) == 0 {
+	if w == nil || rec.Empty() {
 		c.view.Store(nv)
 		return nil
 	}

@@ -159,30 +159,31 @@ func TestFaultSweepShortWrites(t *testing.T) {
 }
 
 // corpusState renders everything a reader of c can observe — the graph
-// version, the live set, every live node's signature — for exact
-// comparison against modelState.
+// version, the live set, every live node's signature (both trees when
+// directed) — for exact comparison against modelState.
 func corpusState(c *Corpus) string {
 	view := c.view.Load()
 	var sb strings.Builder
-	fmt.Fprintln(&sb, view.g.Edges())
+	fmt.Fprintln(&sb, view.g.NumNodes(), view.g.Edges())
 	for v := 0; v < view.g.NumNodes(); v++ {
 		if it, ok := view.ep.item(NodeID(v)); ok {
 			fmt.Fprintln(&sb, v, it.Out.ParentVector())
+			if it.In != nil {
+				fmt.Fprintln(&sb, v, it.In.ParentVector())
+			}
 		}
 	}
 	return sb.String()
 }
 
-// modelState is corpusState of a corpus whose graph is g and which
-// indexes exactly live with signatures extracted from gSigs (g itself,
-// except in the one mixture recovery can produce — see
-// multiNodeScenario).
-func modelState(g, gSigs *Graph, live map[NodeID]bool, k int) string {
+// modelState is corpusState of an undirected-NED corpus whose graph is
+// g and which indexes exactly live, with signatures extracted from g.
+func modelState(g *Graph, live map[NodeID]bool, k int) string {
 	var sb strings.Builder
-	fmt.Fprintln(&sb, g.Edges())
+	fmt.Fprintln(&sb, g.NumNodes(), g.Edges())
 	for v := 0; v < g.NumNodes(); v++ {
 		if live[NodeID(v)] {
-			fmt.Fprintln(&sb, v, NewSignature(gSigs, NodeID(v), k).Tree.ParentVector())
+			fmt.Fprintln(&sb, v, NewSignature(g, NodeID(v), k).Tree.ParentVector())
 		}
 	}
 	return sb.String()
@@ -199,22 +200,16 @@ func nodeRange(lo, hi int) []NodeID {
 
 // multiNodeScenario runs a durable lifecycle of mutation calls that
 // each touch several nodes — a Remove batch, an Insert batch, an
-// UpdateGraph, and a Remove batch logged after the update's
-// checkpoint — with the injector installed. After every call
-// the corpus must be, as a whole, in the pre-call state or the
-// post-call state, never between: post when the call was acknowledged
-// (an Insert or Remove having appended exactly one WAL record), pre
-// when it failed (with ErrDegraded). The one failed call that may leave
-// the post state is an UpdateGraph whose WAL record committed and whose
-// follow-up checkpoint then failed; a failed WAL append or fsync always
-// leaves the old graph and every old signature.
+// UpdateGraph, a Remove batch and an Insert batch logged after the
+// update (so a named-node record replays after a graph-edit record) —
+// with the injector installed. After every call the corpus must be, as
+// a whole, in the pre-call state or the post-call state, never between:
+// post when the call was acknowledged (having appended exactly one WAL
+// record), pre when it failed (with ErrDegraded).
 //
 // It returns the states recovery may land on: the last committed one,
 // and the post-state of a call that failed (an unacknowledged call may
-// survive a crash whole). After an UpdateGraph whose checkpoint failed
-// the log holds the new signatures but no segment holds the new graph
-// yet, so recovery may also produce that mixture until a checkpoint
-// succeeds.
+// survive a crash whole).
 func multiNodeScenario(t *testing.T, dir string, g1, g2 *Graph) (recoverable []string, attached bool) {
 	t.Helper()
 	const k = 2
@@ -229,7 +224,7 @@ func multiNodeScenario(t *testing.T, dir string, g1, g2 *Graph) (recoverable []s
 	for v := 0; v < g1.NumNodes(); v++ {
 		live[NodeID(v)] = true
 	}
-	recoverable = []string{modelState(g, g, live, k)}
+	recoverable = []string{modelState(g, live, k)}
 	setLive := func(nodes []NodeID, on bool) func() {
 		return func() {
 			for _, v := range nodes {
@@ -239,30 +234,28 @@ func multiNodeScenario(t *testing.T, dir string, g1, g2 *Graph) (recoverable []s
 	}
 	failed := false
 	for _, call := range []struct {
-		name   string
-		do     func() error
-		model  func()
-		logged bool // must append exactly one WAL record
+		name  string
+		do    func() error
+		model func()
 	}{
-		{"Remove", func() error { return c.Remove(nodeRange(0, 12)...) }, setLive(nodeRange(0, 12), false), true},
-		{"Insert", func() error { return c.Insert(nodeRange(0, 7)...) }, setLive(nodeRange(0, 7), true), true},
-		{"UpdateGraph", func() error { _, err := c.UpdateGraph(g2); return err }, func() { g = g2 }, false},
-		{"Remove", func() error { return c.Remove(nodeRange(20, 32)...) }, setLive(nodeRange(20, 32), false), true},
+		{"Remove", func() error { return c.Remove(nodeRange(0, 12)...) }, setLive(nodeRange(0, 12), false)},
+		{"Insert", func() error { return c.Insert(nodeRange(0, 7)...) }, setLive(nodeRange(0, 7), true)},
+		{"UpdateGraph", func() error { _, err := c.UpdateGraph(g2); return err }, func() { g = g2 }},
+		{"Remove", func() error { return c.Remove(nodeRange(20, 32)...) }, setLive(nodeRange(20, 32), false)},
+		{"Insert", func() error { return c.Insert(nodeRange(8, 12)...) }, setLive(nodeRange(8, 12), true)},
 	} {
-		pre := modelState(g, g, live, k)
+		pre := modelState(g, live, k)
 		gPre, livePre := g, maps.Clone(live)
 		recsBefore, _, _ := c.DurableStats()
 		err := call.do()
 		call.model()
-		post := modelState(g, g, live, k)
+		post := modelState(g, live, k)
 		got := corpusState(c)
-		// An UpdateGraph that fails healthy committed and checkpointed;
-		// only the cleanup of the superseded generations failed.
-		if err == nil || (call.name == "UpdateGraph" && c.Degraded() == nil) {
+		if err == nil {
 			if got != post {
-				t.Fatalf("committed %s (err=%v) left the corpus off its post-call state:\n got %s\nwant %s", call.name, err, got, post)
+				t.Fatalf("committed %s left the corpus off its post-call state:\n got %s\nwant %s", call.name, got, post)
 			}
-			if recs, _, _ := c.DurableStats(); call.logged && recs != recsBefore+1 {
+			if recs, _, _ := c.DurableStats(); recs != recsBefore+1 {
 				t.Fatalf("%s appended %d WAL records, want 1", call.name, recs-recsBefore)
 			}
 			recoverable = []string{post}
@@ -271,17 +264,13 @@ func multiNodeScenario(t *testing.T, dir string, g1, g2 *Graph) (recoverable []s
 		if !errors.Is(err, ErrDegraded) {
 			t.Fatalf("%s failed outside the degraded contract: %v", call.name, err)
 		}
-		switch {
-		case got == pre:
-			if !failed { // whatever reached the disk reached it whole
-				recoverable = append(recoverable, post)
-			}
-			g, live = gPre, livePre
-		case got == post && call.name == "UpdateGraph" && c.Degraded().Reason != "wal commit":
-			recoverable = []string{post, modelState(gPre, g, live, k)}
-		default:
-			t.Fatalf("failed %s (%v) left the corpus between its pre- and post-call states:\n got %s", call.name, c.Degraded().Reason, got)
+		if got != pre {
+			t.Fatalf("failed %s (%v) left the corpus off its pre-call state:\n got %s", call.name, c.Degraded().Reason, got)
 		}
+		if !failed { // whatever reached the disk reached it whole
+			recoverable = append(recoverable, post)
+		}
+		g, live = gPre, livePre
 		failed = true
 	}
 	return recoverable, true
@@ -662,6 +651,81 @@ func TestDurableCrashMatrix(t *testing.T) {
 	}
 }
 
+// crashEditGraphs are the graph versions of the helper's edit
+// lifecycle: the corpus starts on the first, UpdateGraph moves it to the
+// second.
+func crashEditGraphs() (*Graph, *Graph) {
+	g1 := randomGraph(120, 240, 561)
+	return g1, editedGraph(g1, 120, 562)
+}
+
+// crashEditCalls are the helper's edit lifecycle after the attach: a
+// named-node Insert, an UpdateGraph, and an Insert logged after the
+// edit. The returned models give each call's post-state.
+func crashEditCalls(c *Corpus) (calls []func() error, posts []func(t *testing.T) string) {
+	const k = 2
+	g1, g2 := crashEditGraphs()
+	live := func(hi int) map[NodeID]bool {
+		m := map[NodeID]bool{}
+		for v := 0; v < hi; v++ {
+			m[NodeID(v)] = true
+		}
+		return m
+	}
+	calls = []func() error{
+		func() error { return c.Insert(nodeRange(60, 70)...) },
+		func() error { _, err := c.UpdateGraph(g2); return err },
+		func() error { return c.Insert(nodeRange(70, 80)...) },
+	}
+	posts = []func(t *testing.T) string{
+		func(t *testing.T) string { return freshState(t, g1, live(70), k) },
+		func(t *testing.T) string { return freshState(t, g2, live(70), k) },
+		func(t *testing.T) string { return freshState(t, g2, live(80), k) },
+	}
+	return calls, posts
+}
+
+// TestDurableCrashBeforePublish kills the helper between the WAL append
+// and the publish of each call of the edit lifecycle — at the fsync
+// that follows the frame's write — a named-node Insert, an UpdateGraph
+// and an Insert after it. The frame reached the file whole, so recovery
+// must land on the killed call's post-state, though it was never
+// acknowledged: its nodes re-extracted from the graph the log ends on.
+func TestDurableCrashBeforePublish(t *testing.T) {
+	if os.Getenv("NED_FAULT_DIR") != "" {
+		t.Skip("helper-only environment")
+	}
+	if testing.Short() {
+		t.Skip("subprocess matrix is not -short work")
+	}
+	_, posts := crashEditCalls(nil)
+	for i, post := range posts {
+		t.Run(fmt.Sprintf("call%d", i), func(t *testing.T) {
+			dir := t.TempDir()
+			cmd := exec.Command(os.Args[0], "-test.run=^TestDurableCrashHelper$", "-test.v")
+			cmd.Env = append(os.Environ(),
+				"NED_FAULT_DIR="+dir,
+				"NED_FAULT_EDIT_SYNC="+strconv.Itoa(i+1))
+			out, err := cmd.Output()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) {
+				t.Fatalf("helper survived its scripted crash: %v", err)
+			}
+			if acked := parseAcks(out); acked != i {
+				t.Fatalf("helper acknowledged %d calls before the kill in call %d", acked, i)
+			}
+			c, err := OpenDurable(dir, FsyncAlways)
+			if err != nil {
+				t.Fatalf("OpenDurable: %v", err)
+			}
+			defer c.CloseDurable()
+			if got, want := corpusState(c), post(t); got != want {
+				t.Fatalf("recovered off the killed call's post-state:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
 // TestDurableCrashTornCheckpointWrite crashes the helper mid-write of
 // a checkpoint file — half the buffer lands, then SIGKILL — and
 // asserts recovery sweeps or quarantines the residue and falls back.
@@ -759,7 +823,9 @@ func parseAcks(out []byte) int {
 // operation index, then runs the lifecycle — attach, remove node i at
 // step i with a checkpoint every 8 steps — acknowledging each commit
 // on stdout. Without a crash script it runs to completion and reports
-// its operation count.
+// its operation count. With NED_FAULT_EDIT_SYNC=j it runs the edit
+// lifecycle of crashEditCalls instead, killed at the fsync of its j-th
+// WAL commit.
 func TestDurableCrashHelper(t *testing.T) {
 	dir := os.Getenv("NED_FAULT_DIR")
 	if dir == "" {
@@ -782,6 +848,30 @@ func TestDurableCrashHelper(t *testing.T) {
 		inj.AddRule(faultfs.Rule{
 			Op: faultfs.OpWrite, Path: "checkpoint-", Nth: nth, Fault: faultfs.FaultCrashTorn,
 		})
+	}
+	if v := os.Getenv("NED_FAULT_EDIT_SYNC"); v != "" {
+		nth, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.AddRule(faultfs.Rule{Op: faultfs.OpSync, Path: "wal-", Nth: nth, Fault: faultfs.FaultCrash})
+		defer inj.Install()()
+		g1, _ := crashEditGraphs()
+		c, err := NewCorpus(g1, 2, WithNodes(nodeRange(0, 60)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.MakeDurable(dir, FsyncAlways); err != nil {
+			t.Fatal(err)
+		}
+		calls, _ := crashEditCalls(c)
+		for i, call := range calls {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Printf("STEP %d\n", i)
+		}
+		return
 	}
 	defer inj.Install()()
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -557,37 +558,274 @@ func TestRecoveryRefusesMidWALCorruption(t *testing.T) {
 	}
 }
 
-func TestUpdateGraphCheckpointsNewGraph(t *testing.T) {
+// editedGraph returns a version of g with n nodes: g's edges among the
+// surviving nodes, about one in eight of them removed, plus a few seeded
+// edges g lacks; directedness is kept.
+func editedGraph(g *Graph, n int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := NewGraphBuilder(n, g.Directed())
+	for _, e := range g.Edges() {
+		if int(e.U) < n && int(e.V) < n && rng.Intn(8) != 0 {
+			b.AddEdge(e.U, e.V)
+		}
+	}
+	for added := 0; added < 8; {
+		u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+		if u != v && (int(u) >= g.NumNodes() || int(v) >= g.NumNodes() || !g.HasEdge(u, v)) {
+			b.AddEdge(u, v)
+			added++
+		}
+	}
+	return b.Build()
+}
+
+// freshState is corpusState of a corpus freshly built over live nodes of
+// g — the state a recovered corpus must reproduce.
+func freshState(t *testing.T, g *Graph, live map[NodeID]bool, k int, opts ...CorpusOption) string {
+	t.Helper()
+	c, err := NewCorpus(g, k, append(opts, WithNodes(sortedNodes(live)))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Rebuild()
+	return corpusState(c)
+}
+
+// checkpointFiles lists dir's checkpoint generations.
+func checkpointFiles(t *testing.T, dir string) []int64 {
+	t.Helper()
+	ckpts, err := segment.Checkpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ckpts
+}
+
+// An UpdateGraph is one WAL record carrying its edge diff — no
+// checkpoint — and recovery replays it: reopening without CloseDurable
+// lands on the new graph, and an edit back to the old graph, with
+// Inserts and Removes between the edits, replays in log order. Both
+// directednesses.
+func TestRecoveryReplaysGraphEdit(t *testing.T) {
+	const k = 2
+	for _, tc := range []struct {
+		name string
+		g1   *Graph
+		opts []CorpusOption
+	}{
+		{"undirected", randomGraph(60, 130, 580), nil},
+		{"directed", randomDirectedGraph(60, 150, 581), []CorpusOption{WithDirected()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			g1 := tc.g1
+			g2 := editedGraph(g1, 64, 582) // grows by four nodes
+			live := map[NodeID]bool{}
+			for v := 0; v < 50; v++ {
+				live[NodeID(v)] = true
+			}
+			c, err := NewCorpus(g1, k, append(tc.opts, WithNodes(sortedNodes(live)))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.MakeDurable(dir, FsyncAlways); err != nil {
+				t.Fatal(err)
+			}
+			ckpts := checkpointFiles(t, dir)
+			recs, _, _ := c.DurableStats()
+			refreshed, err := c.UpdateGraph(g2)
+			if err != nil {
+				t.Fatalf("UpdateGraph: %v", err)
+			}
+			if refreshed == 0 {
+				t.Fatal("the edit refreshes no signature; the test would not cover re-extraction")
+			}
+			if got, _, _ := c.DurableStats(); got != recs+1 {
+				t.Fatalf("UpdateGraph appended %d WAL records, want 1", got-recs)
+			}
+			if got := checkpointFiles(t, dir); !slices.Equal(got, ckpts) {
+				t.Fatalf("UpdateGraph wrote checkpoints: %v, before %v", got, ckpts)
+			}
+
+			// No close: the log alone carries the new graph.
+			c2, err := OpenDurable(dir, FsyncAlways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := corpusState(c2), freshState(t, g2, live, k, tc.opts...); got != want {
+				t.Fatalf("reopened after UpdateGraph off the new graph's state:\n got %s\nwant %s", got, want)
+			}
+
+			// Inserts (one of a node only g2 has) and a Remove between two
+			// edits, then an edit back to g1 — which drops node 62 again —
+			// and an Insert after it.
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			must(c2.Insert(50, 51, 62))
+			must(c2.Remove(3, 4))
+			if _, err := c2.UpdateGraph(g1); err != nil {
+				t.Fatal(err)
+			}
+			must(c2.Insert(52))
+			for _, v := range []NodeID{50, 51, 52} {
+				live[v] = true
+			}
+			delete(live, 3)
+			delete(live, 4)
+			want := freshState(t, g1, live, k, tc.opts...)
+			if got := corpusState(c2); got != want {
+				t.Fatalf("live corpus off its model state:\n got %s\nwant %s", got, want)
+			}
+			c3, err := OpenDurable(dir, FsyncAlways)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c3.CloseDurable()
+			if got := corpusState(c3); got != want {
+				t.Fatalf("recovered off the state after the edit back:\n got %s\nwant %s", got, want)
+			}
+			if tc.opts == nil {
+				assertMatchesOracle(t, "recovered after edits", c3, oracleOver(g1, k, sortedNodes(live)), randomGraph(40, 80, 998), k, 6, 996)
+			}
+		})
+	}
+}
+
+// Replay is idempotent: every record of a log with inserts, removes and
+// graph edits applied twice in a row, and the whole log applied twice,
+// converge to the state the log's corpus published.
+func TestRecoveryRecordTwiceConverges(t *testing.T) {
+	const k = 2
 	dir := t.TempDir()
-	g1, g2 := testGraphPair(t)
-	c, err := NewCorpus(g1, 2)
+	g1 := randomGraph(60, 130, 590)
+	c, err := NewCorpus(g1, k, WithNodes(nodeRange(0, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.MakeDurable(dir, FsyncNone); err != nil {
 		t.Fatal(err)
 	}
+	g2 := editedGraph(g1, 56, 591) // shrinks by four nodes
+	for _, step := range []func() error{
+		func() error { return c.Insert(40, 41, 58) },
+		func() error { return c.Remove(2, 41) },
+		func() error { _, err := c.UpdateGraph(g2); return err },
+		func() error { return c.Insert(45, 41) },
+		func() error { _, err := c.UpdateGraph(g1); return err },
+		func() error { return c.Remove(45) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := corpusState(c)
+	if err := c.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := segment.ReplayWAL(segment.WALPath(dir, 0))
+	if err != nil || len(recs) != 6 {
+		t.Fatalf("log holds %d records (%v), want 6", len(recs), err)
+	}
+	for name, order := range map[string][]segment.Record{
+		"each record twice": slices.Concat(recs[:1], recs[:1], recs[1:2], recs[1:2], recs[2:3], recs[2:3],
+			recs[3:4], recs[3:4], recs[4:5], recs[4:5], recs[5:], recs[5:]),
+		"the log twice": slices.Concat(recs, recs),
+	} {
+		r, err := loadCheckpoint(segment.CheckpointPath(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		extract := map[NodeID]bool{}
+		for _, rec := range order {
+			if err := r.applyRecovered(rec, extract); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		r.extractRecovered(extract)
+		if got := corpusState(r); got != want {
+			t.Fatalf("%s: replay diverged:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
+
+// A WithGraph passed to OpenDurable is attached after replay, never used
+// for it: the items recovered are the ones recovery without the option
+// yields. A graph that differs from the log's becomes the log's graph
+// through a checkpoint, so a later Insert replays against it.
+func TestRecoveryAttachesWithGraphAfterReplay(t *testing.T) {
+	const k = 2
+	src := t.TempDir()
+	g1 := randomGraph(60, 130, 600)
+	g2 := editedGraph(g1, 60, 601)
+	other := editedGraph(g1, 60, 602)
+	c, err := NewCorpus(g1, k, WithNodes(nodeRange(0, 40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MakeDurable(src, FsyncNone); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.UpdateGraph(g2); err != nil {
-		t.Fatalf("UpdateGraph: %v", err)
+		t.Fatal(err)
+	}
+	if err := c.Insert(41, 42); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.CloseDurable(); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := OpenDurable(dir, FsyncNone)
+	open := func(opts ...CorpusOption) (*Corpus, string) {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenDurable(dir, FsyncNone, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, dir
+	}
+	items := func(r *Corpus) string {
+		var sb strings.Builder
+		for it := range r.view.Load().ep.items() {
+			fmt.Fprintln(&sb, it.Node, it.Out.ParentVector())
+		}
+		return sb.String()
+	}
+	plain, _ := open()
+	defer plain.CloseDurable()
+	withOther, dir := open(WithGraph(other))
+	if got, want := items(withOther), items(plain); got != want {
+		t.Fatalf("WithGraph changed the replayed items:\n got %s\nwant %s", got, want)
+	}
+	if withOther.view.Load().g != other {
+		t.Fatal("the WithGraph graph is not attached")
+	}
+	if len(checkpointFiles(t, dir)) != 1 || checkpointFiles(t, dir)[0] == 0 {
+		t.Fatalf("attaching a graph that differs from the log's left checkpoints %v", checkpointFiles(t, dir))
+	}
+	if err := withOther.Insert(43); err != nil {
+		t.Fatal(err)
+	}
+	if err := withOther.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenDurable(dir, FsyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.CloseDurable()
-	// The recovered corpus runs on the updated graph: same edge set.
-	rg := c2.view.Load().g
-	if rg == nil || fmt.Sprint(rg.Edges()) != fmt.Sprint(g2.Edges()) {
-		t.Fatal("recovered corpus did not keep the updated graph")
+	defer again.CloseDurable()
+	if got := fmt.Sprint(again.view.Load().g.Edges()); got != fmt.Sprint(other.Edges()) {
+		t.Fatal("reopened off the attached graph")
 	}
-	live := map[NodeID]bool{}
-	for v := range liveItems(c2) {
-		live[v] = true
+	it, ok := again.view.Load().ep.item(43)
+	if want := NewSignature(other, 43, k).Tree.ParentVector(); !ok || fmt.Sprint(it.Out.ParentVector()) != fmt.Sprint(want) {
+		t.Fatal("an Insert after the attach did not replay against the attached graph")
 	}
-	assertMatchesOracle(t, "recovered post-update", c2, oracleOver(g2, 2, sortedNodes(live)), randomGraph(40, 80, 998), 2, 6, 996)
 }
 
 func TestDurableAPIErrors(t *testing.T) {

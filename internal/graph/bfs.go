@@ -163,12 +163,12 @@ func NodesWithin(g *Graph, sources []NodeID, k int, dir EdgeDirection) []NodeID 
 	return order
 }
 
-// EdgeDiff returns the symmetric difference between the edge sets of two
-// graph versions: edges present in exactly one of a and b. Both Edges()
-// listings are sorted, so the diff is a linear merge. Used by the
-// dynamic corpus to find which node neighborhoods an update actually
-// changed.
-func EdgeDiff(a, b *Graph) []Edge {
+// EdgeDiff returns how the edge set changed from version a to version
+// b: the edges only a has (removed) and the edges only b has (added),
+// each in Edges() order. Both Edges() listings are sorted, so the diff
+// is a linear merge. Used by the dynamic corpus to find which node
+// neighborhoods an update actually changed, and to log the change.
+func EdgeDiff(a, b *Graph) (removed, added []Edge) {
 	ea, eb := a.Edges(), b.Edges()
 	less := func(x, y Edge) bool {
 		if x.U != y.U {
@@ -176,7 +176,6 @@ func EdgeDiff(a, b *Graph) []Edge {
 		}
 		return x.V < y.V
 	}
-	var out []Edge
 	i, j := 0, 0
 	for i < len(ea) && j < len(eb) {
 		switch {
@@ -184,16 +183,42 @@ func EdgeDiff(a, b *Graph) []Edge {
 			i++
 			j++
 		case less(ea[i], eb[j]):
-			out = append(out, ea[i])
+			removed = append(removed, ea[i])
 			i++
 		default:
-			out = append(out, eb[j])
+			added = append(added, eb[j])
 			j++
 		}
 	}
-	out = append(out, ea[i:]...)
-	out = append(out, eb[j:]...)
-	return out
+	return append(removed, ea[i:]...), append(added, eb[j:]...)
+}
+
+// Patch returns the version of g with n nodes whose edges are g's minus
+// removed plus added, keeping g's directedness. Edges of g touching a
+// node at or beyond n leave with it. Patching is idempotent: a second
+// application of the same edit to the result changes nothing. Endpoints
+// of added must lie in [0, n).
+func Patch(g *Graph, n int, removed, added []Edge) *Graph {
+	canon := func(e Edge) Edge {
+		if !g.directed && e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		return e
+	}
+	gone := make(map[Edge]bool, len(removed))
+	for _, e := range removed {
+		gone[canon(e)] = true
+	}
+	b := NewBuilder(n, g.directed)
+	for _, e := range g.Edges() {
+		if int(e.U) < n && int(e.V) < n && !gone[e] {
+			b.AddEdge(e.U, e.V)
+		}
+	}
+	for _, e := range added {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }
 
 // ConnectedComponents labels every node of an undirected graph with a

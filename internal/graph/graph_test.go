@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -316,5 +317,42 @@ func TestAvgAndMaxDegree(t *testing.T) {
 func TestStringer(t *testing.T) {
 	if s := pathGraph(3).String(); !strings.Contains(s, "3 nodes") {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// Patch applied to a version's EdgeDiff reproduces the next version,
+// whether the node count grows, shrinks or stays, for both
+// directednesses; applying the edit again changes nothing.
+func TestPatchReplaysEdgeDiff(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	random := func(n, m int, directed bool) *Graph {
+		b := NewBuilder(n, directed)
+		for i := 0; i < m; i++ {
+			b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		return b.Build()
+	}
+	same := func(a, b *Graph) bool {
+		return a.NumNodes() == b.NumNodes() && a.Directed() == b.Directed() &&
+			fmt.Sprint(a.Edges()) == fmt.Sprint(b.Edges())
+	}
+	for _, directed := range []bool{false, true} {
+		for _, n2 := range []int{30, 24, 37} {
+			a, b := random(30, 70, directed), random(n2, 70, directed)
+			removed, added := EdgeDiff(a, b)
+			var kept []Edge
+			for _, e := range removed {
+				if int(e.U) < n2 && int(e.V) < n2 {
+					kept = append(kept, e)
+				}
+			}
+			got := Patch(a, n2, kept, added)
+			if !same(got, b) {
+				t.Fatalf("directed=%v n=30→%d: patched graph differs from the target", directed, n2)
+			}
+			if again := Patch(got, n2, kept, added); !same(again, b) {
+				t.Fatalf("directed=%v n=30→%d: a second application changed the graph", directed, n2)
+			}
+		}
 	}
 }

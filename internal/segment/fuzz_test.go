@@ -7,7 +7,8 @@ import (
 	"testing"
 )
 
-// FuzzWALReplay throws arbitrary bytes at the WAL replay path: it must
+// FuzzWALReplay throws arbitrary bytes at the WAL replay path, seeded
+// with both golden logs (version-1 and version-2 frames): it must
 // never panic, a non-error replay's valid prefix must re-replay to the
 // same records (the truncate-then-resume invariant OpenWALAt relies
 // on), and valid must never exceed the input.
@@ -17,6 +18,13 @@ func FuzzWALReplay(f *testing.F) {
 		golden = b
 	}
 	f.Add(golden)
+	if v2, err := os.ReadFile(filepath.Join("testdata", "golden-wal-v2.log")); err == nil {
+		f.Add(v2)
+		f.Add(append(append([]byte(nil), golden...), v2...))
+		for _, end := range walFrameBounds(v2) {
+			f.Add(v2[:end-1]) // each version-2 frame torn by one byte
+		}
+	}
 	for _, cut := range []int{0, 1, 7, 8, 9, 20} {
 		if cut <= len(golden) {
 			f.Add(golden[:cut])

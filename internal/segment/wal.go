@@ -15,29 +15,46 @@ import (
 )
 
 // The mutation write-ahead log. Every committed mutation call — an
-// Insert, a Remove, or an UpdateGraph's refresh, however many shards it
-// spans — appends one checksummed frame BEFORE the corpus view publishes,
-// so a crash after the append replays the mutation and a crash before
-// it never exposed the mutation to a query. Frames record absolute
-// state (the full post-mutation items for upserts, node IDs for
-// deletes), which makes replay idempotent: re-applying a suffix that
-// partially survived a crash converges to the same corpus.
+// Insert, a Remove, or an UpdateGraph — appends one checksummed frame
+// BEFORE the corpus view publishes, so a crash after the append replays
+// the mutation and a crash before it never exposed the mutation to a
+// query. A frame records what the call changed, and replay derives the
+// rest: an Insert names its nodes, whose signatures T(v, k) are a pure
+// function of the graph and re-extract from the log's own graph (the
+// checkpoint's embedded graph plus every logged graph edit, in log
+// order); an UpdateGraph carries its edge diff, split into removed and
+// added edges, and the nodes it refreshed and removed; a Remove names
+// the nodes it deleted. Every part is absolute — a node set, a set
+// difference of edges — so replay is idempotent: re-applying a suffix
+// that partially survived a crash converges to the same corpus.
 //
 // Log format: a sequence of frames
 //
 //	[payloadLen u32][crc32c(payload) u32][payload]
 //
-// with payload
+// with payload version 1
 //
 //	version u8 (=1)
 //	upserts u32, then per upsert: node u32, k u32, flags u8
 //	  (bit0 = has incoming tree), then per tree n u32 + parents (n-1)×u32
 //	deletes u32, then node u32 each
 //
-// Upserts carry trees only, not profiles: replay re-profiles against
-// the recovering corpus's dictionary (growing it as needed), which
-// keeps frames small — the WAL is the per-mutation hot path; the
-// segment checkpoint is where profile bytes belong.
+// or version 2, which prefixes the version-1 body with a graph edit and
+// the nodes replay extracts:
+//
+//	version u8 (=2)
+//	flags u8 (bit0 = graph edit follows; other bits must be zero)
+//	[edit: nodes u32, removed u32 + (u u32, v u32) each,
+//	       added u32 + (u u32, v u32) each]
+//	extract u32, then node u32 each
+//	upserts and deletes as in version 1
+//
+// A record is written as version 2 only when it names nodes to extract
+// or carries a graph edit; full-item upserts and delete-only records
+// keep the version-1 bytes. Upserts carry trees only, not profiles:
+// replay re-profiles against the recovering corpus's dictionary
+// (growing it as needed) — the segment checkpoint is where profile
+// bytes belong.
 //
 // Torn-tail semantics (the crash contract): a final frame cut short —
 // header or payload extending past EOF, or a checksum mismatch on a
@@ -79,12 +96,33 @@ func (p FsyncPolicy) String() string {
 	return "none"
 }
 
-// Record is one committed mutation batch. Upserts are the full
-// post-mutation items (trees; profiles are recomputed on replay),
-// deletes the nodes the batch removed. A node never appears in both.
+// Record is one committed mutation call. Replay applies its parts in
+// field order below: Graph moves the log's graph to its next version,
+// Extract names nodes whose items replay extracts from that graph,
+// Upserts are full items (trees; profiles are recomputed on replay), and
+// Deletes are the nodes the call removed. A node appears in at most one
+// of Extract, Upserts and Deletes. The engine logs Graph, Extract and
+// Deletes; Upserts remain for logs older builds wrote and for callers
+// committing whole items.
 type Record struct {
+	Graph   *GraphEdit
+	Extract []graph.NodeID
 	Upserts []ned.Item
 	Deletes []graph.NodeID
+}
+
+// GraphEdit is one graph version change: the new node count and the
+// edge diff from the previous version. Removed lists only edges between
+// surviving nodes (edges touching a node at or beyond NumNodes leave
+// with it), so every endpoint lies in [0, NumNodes).
+type GraphEdit struct {
+	NumNodes       int
+	Removed, Added []graph.Edge
+}
+
+// Empty reports whether rec changes nothing.
+func (rec *Record) Empty() bool {
+	return len(rec.Upserts)+len(rec.Deletes)+len(rec.Extract) == 0 && rec.Graph == nil
 }
 
 // maxWALPayload bounds a frame's declared payload length; a larger
@@ -323,12 +361,27 @@ func (w *WAL) Path() string {
 	return w.path
 }
 
-// appendRecord encodes rec as one framed record appended to b.
+// appendRecord encodes rec as one framed record appended to b: version
+// 2 when it names nodes to extract or carries a graph edit, version 1
+// otherwise.
 func appendRecord(b []byte, rec Record) []byte {
 	start := len(b)
 	// Reserve the frame header; patch once the payload is known.
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-	b = append(b, 1) // payload version
+	if len(rec.Extract) == 0 && rec.Graph == nil {
+		b = append(b, 1) // payload version
+	} else {
+		b = append(b, 2)
+		if e := rec.Graph; e != nil {
+			b = append(b, 1)
+			b = appendU32(b, uint32(e.NumNodes))
+			b = appendWALEdges(b, e.Removed)
+			b = appendWALEdges(b, e.Added)
+		} else {
+			b = append(b, 0)
+		}
+		b = appendWALNodes(b, rec.Extract)
+	}
 	b = appendU32(b, uint32(len(rec.Upserts)))
 	for i := range rec.Upserts {
 		it := &rec.Upserts[i]
@@ -344,16 +397,30 @@ func appendRecord(b []byte, rec Record) []byte {
 			b = appendWALTree(b, it.In)
 		}
 	}
-	b = appendU32(b, uint32(len(rec.Deletes)))
-	for _, v := range rec.Deletes {
-		b = appendU32(b, uint32(v))
-	}
+	b = appendWALNodes(b, rec.Deletes)
 	payload := b[start+8:]
 	n := uint32(len(payload))
 	crc := crc32.Checksum(payload, castagnoli)
 	h := b[start:]
 	h[0], h[1], h[2], h[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 	h[4], h[5], h[6], h[7] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
+	return b
+}
+
+func appendWALNodes(b []byte, nodes []graph.NodeID) []byte {
+	b = appendU32(b, uint32(len(nodes)))
+	for _, v := range nodes {
+		b = appendU32(b, uint32(v))
+	}
+	return b
+}
+
+func appendWALEdges(b []byte, edges []graph.Edge) []byte {
+	b = appendU32(b, uint32(len(edges)))
+	for _, e := range edges {
+		b = appendU32(b, uint32(e.U))
+		b = appendU32(b, uint32(e.V))
+	}
 	return b
 }
 
@@ -370,7 +437,25 @@ func appendWALTree(b []byte, t *tree.Tree) []byte {
 func decodeRecord(payload []byte) (Record, error) {
 	var rec Record
 	d := &dec{b: payload}
-	if v := d.u8(); d.err == nil && v != 1 {
+	switch v := d.u8(); {
+	case d.err != nil:
+		return rec, d.err
+	case v == 2:
+		flags := d.u8()
+		if d.err == nil && flags > 1 {
+			return rec, fmt.Errorf("segment: wal record flags %#x unsupported", flags)
+		}
+		if flags&1 != 0 {
+			e := &GraphEdit{NumNodes: int(int32(d.u32()))}
+			if d.err == nil && e.NumNodes < 0 {
+				return rec, fmt.Errorf("segment: wal graph edit declares %d nodes", e.NumNodes)
+			}
+			e.Removed = decodeWALEdges(d, e.NumNodes, "removed")
+			e.Added = decodeWALEdges(d, e.NumNodes, "added")
+			rec.Graph = e
+		}
+		rec.Extract = decodeWALNodes(d, "extract")
+	case v != 1:
 		return rec, fmt.Errorf("segment: wal record version %d unsupported", v)
 	}
 	nUp := int(d.u32())
@@ -403,25 +488,55 @@ func decodeRecord(payload []byte) (Record, error) {
 		}
 		rec.Upserts = append(rec.Upserts, it)
 	}
-	nDel := int(d.u32())
-	if d.err == nil && (nDel < 0 || len(d.b) != nDel*4) {
-		d.fail("segment: wal record declares %d deletes with %d bytes", nDel, len(d.b))
-	}
-	if d.err != nil {
-		return rec, d.err
-	}
-	rec.Deletes = make([]graph.NodeID, 0, nDel)
-	for i := 0; i < nDel; i++ {
-		v := int32(d.u32())
-		if v < 0 {
-			return rec, fmt.Errorf("segment: wal delete %d has negative node id", i)
-		}
-		rec.Deletes = append(rec.Deletes, graph.NodeID(v))
-	}
+	rec.Deletes = decodeWALNodes(d, "delete")
 	if err := d.done(); err != nil {
 		return rec, err
 	}
 	return rec, nil
+}
+
+// decodeWALNodes decodes a counted node list; every ID must be
+// non-negative.
+func decodeWALNodes(d *dec, what string) []graph.NodeID {
+	n := int(d.u32())
+	if d.err == nil && (n < 0 || len(d.b) < 4*n) {
+		d.fail("segment: wal record declares %d %s nodes with %d bytes", n, what, len(d.b))
+	}
+	if d.err != nil {
+		return nil
+	}
+	nodes := make([]graph.NodeID, n)
+	for i := range nodes {
+		v := int32(d.u32())
+		if v < 0 {
+			d.fail("segment: wal %s node %d has negative id %d", what, i, v)
+			return nil
+		}
+		nodes[i] = graph.NodeID(v)
+	}
+	return nodes
+}
+
+// decodeWALEdges decodes a counted edge list of a graph edit; every
+// endpoint must lie in [0, numNodes).
+func decodeWALEdges(d *dec, numNodes int, what string) []graph.Edge {
+	n := int(d.u32())
+	if d.err == nil && (n < 0 || len(d.b) < 8*n) {
+		d.fail("segment: wal graph edit declares %d %s edges with %d bytes", n, what, len(d.b))
+	}
+	if d.err != nil {
+		return nil
+	}
+	edges := make([]graph.Edge, n)
+	for i := range edges {
+		u, v := int32(d.u32()), int32(d.u32())
+		if u < 0 || v < 0 || int(u) >= numNodes || int(v) >= numNodes {
+			d.fail("segment: wal %s edge %d (%d, %d) outside the edit's [0, %d)", what, i, u, v, numNodes)
+			return nil
+		}
+		edges[i] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v)}
+	}
+	return edges
 }
 
 func decodeWALTree(d *dec) (*tree.Tree, error) {

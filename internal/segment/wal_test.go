@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
 
@@ -37,8 +38,32 @@ func walFixtureRecords(t testing.TB) []Record {
 	}
 }
 
+// walV2FixtureRecords are records that name what changed: an Insert's
+// nodes, an UpdateGraph's edit (with and without refreshed and removed
+// nodes), and an edit that only grows the node count.
+func walV2FixtureRecords() []Record {
+	return []Record{
+		{Extract: []graph.NodeID{4, 17, 2}},
+		{Extract: []graph.NodeID{5, 6}, Deletes: []graph.NodeID{40, 41},
+			Graph: &GraphEdit{NumNodes: 40,
+				Removed: []graph.Edge{{U: 0, V: 5}, {U: 6, V: 39}},
+				Added:   []graph.Edge{{U: 1, V: 5}}}},
+		{Graph: &GraphEdit{NumNodes: 44}},
+	}
+}
+
+// walLogRecords is every fixture record, version 1 then version 2.
+func walLogRecords(t testing.TB) []Record {
+	return append(walFixtureRecords(t), walV2FixtureRecords()...)
+}
+
 func sameRecord(a, b Record) bool {
-	if len(a.Upserts) != len(b.Upserts) || len(a.Deletes) != len(b.Deletes) {
+	if len(a.Upserts) != len(b.Upserts) || len(a.Deletes) != len(b.Deletes) ||
+		!slices.Equal(a.Extract, b.Extract) || (a.Graph == nil) != (b.Graph == nil) {
+		return false
+	}
+	if a.Graph != nil && (a.Graph.NumNodes != b.Graph.NumNodes ||
+		!slices.Equal(a.Graph.Removed, b.Graph.Removed) || !slices.Equal(a.Graph.Added, b.Graph.Added)) {
 		return false
 	}
 	for i := range a.Upserts {
@@ -66,15 +91,15 @@ func writeFixtureWAL(t *testing.T, dir string, policy FsyncPolicy) (string, []in
 	}
 	var bounds []int64
 	published := 0
-	for _, rec := range walFixtureRecords(t) {
+	for _, rec := range walLogRecords(t) {
 		if err := w.Commit(rec, func() { published++ }); err != nil {
 			t.Fatal(err)
 		}
 		_, b := w.Stats()
 		bounds = append(bounds, b)
 	}
-	if published != len(walFixtureRecords(t)) {
-		t.Fatalf("published %d of %d commits", published, len(walFixtureRecords(t)))
+	if published != len(walLogRecords(t)) {
+		t.Fatalf("published %d of %d commits", published, len(walLogRecords(t)))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -88,7 +113,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReplayWAL: %v", err)
 	}
-	want := walFixtureRecords(t)
+	want := walLogRecords(t)
 	if len(recs) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(recs), len(want))
 	}
@@ -156,14 +181,33 @@ func TestWALMidFileCorruptionFailsLoudly(t *testing.T) {
 // A checksum-valid frame whose payload is malformed is faithful
 // persistence of garbage — loud, even at the tail.
 func TestWALMalformedPayloadFailsLoudly(t *testing.T) {
-	b := appendRecord(nil, Record{})
-	// Rewrite the version byte and re-checksum: framing is intact, the
-	// payload is not.
-	b[8] = 77
-	crc := crc32.Checksum(b[8:], castagnoli)
-	b[4], b[5], b[6], b[7] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
-	if _, _, err := DecodeWAL(b); err == nil {
-		t.Fatal("malformed checksummed payload replayed without error")
+	edit := func(nodes int, removed, added []graph.Edge) *GraphEdit {
+		return &GraphEdit{NumNodes: nodes, Removed: removed, Added: added}
+	}
+	for _, tc := range []struct {
+		name  string
+		rec   Record
+		patch func(payload []byte)
+	}{
+		// Rewrite the version byte: framing is intact, the payload is not.
+		{"unknown version", Record{}, func(p []byte) { p[0] = 77 }},
+		{"v2 unknown flag bits", Record{Extract: []graph.NodeID{1}}, func(p []byte) { p[1] = 0x02 }},
+		{"v2 negative extract node", Record{Extract: []graph.NodeID{-3}}, nil},
+		{"v2 negative node count", Record{Graph: edit(-1, nil, nil)}, nil},
+		{"v2 added edge endpoint at node count", Record{Graph: edit(8, nil, []graph.Edge{{U: 2, V: 8}})}, nil},
+		{"v2 removed edge endpoint beyond node count", Record{Graph: edit(8, []graph.Edge{{U: 9, V: 1}}, nil)}, nil},
+		{"v2 negative edge endpoint", Record{Graph: edit(8, nil, []graph.Edge{{U: -1, V: 1}})}, nil},
+		{"v2 negative delete", Record{Extract: []graph.NodeID{1}, Deletes: []graph.NodeID{-2}}, nil},
+	} {
+		b := appendRecord(nil, tc.rec)
+		if tc.patch != nil {
+			tc.patch(b[8:])
+			crc := crc32.Checksum(b[8:], castagnoli)
+			b[4], b[5], b[6], b[7] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
+		}
+		if _, _, err := DecodeWAL(b); err == nil {
+			t.Errorf("%s: malformed checksummed payload replayed without error", tc.name)
+		}
 	}
 }
 
@@ -303,32 +347,60 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
-// The golden log locks the WAL frame format both directions, exactly
-// like the segment golden. Regenerate with -update.
+// The golden logs lock the WAL frame format both directions, exactly
+// like the segment golden: golden-wal.log the version-1 frames (full
+// items and deletes, which this build still writes byte for byte),
+// golden-wal-v2.log the version-2 frames (named nodes and graph edits).
+// Regenerate with -update.
 func TestWALGolden(t *testing.T) {
-	var blob []byte
-	for _, rec := range walFixtureRecords(t) {
-		blob = appendRecord(blob, rec)
-	}
-	path := filepath.Join("testdata", "golden-wal.log")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		file string
+		recs []Record
+	}{
+		{"golden-wal.log", walFixtureRecords(t)},
+		{"golden-wal-v2.log", walV2FixtureRecords()},
+	} {
+		var blob []byte
+		for _, rec := range tc.recs {
+			blob = appendRecord(blob, rec)
 		}
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
+		path := filepath.Join("testdata", tc.file)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("reading golden (regenerate with -update): %v", err)
+		}
+		if !bytes.Equal(blob, want) {
+			t.Fatalf("wal encoder diverged from %s", tc.file)
+		}
+		recs, valid, err := DecodeWAL(want)
+		if err != nil || len(recs) != len(tc.recs) || valid != int64(len(want)) {
+			t.Fatalf("%s replay: %d records, %d valid, %v", tc.file, len(recs), valid, err)
+		}
+		for i := range recs {
+			if !sameRecord(recs[i], tc.recs[i]) {
+				t.Fatalf("%s record %d did not decode to its fixture", tc.file, i)
+			}
 		}
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden (regenerate with -update): %v", err)
+}
+
+// The version-2 frames are what makes a mutation cheap to log: an
+// Insert of one node is 26 bytes, a Remove stays at version 1's 21.
+func TestWALNamedNodeFrameSizes(t *testing.T) {
+	if n := len(appendRecord(nil, Record{Extract: []graph.NodeID{7}})); n != 26 {
+		t.Errorf("one-node insert frame is %d bytes, want 26", n)
 	}
-	if !bytes.Equal(blob, want) {
-		t.Fatal("wal encoder diverged from golden log")
-	}
-	recs, valid, err := DecodeWAL(want)
-	if err != nil || len(recs) != len(walFixtureRecords(t)) || valid != int64(len(want)) {
-		t.Fatalf("golden log replay: %d records, %d valid, %v", len(recs), valid, err)
+	del := appendRecord(nil, Record{Deletes: []graph.NodeID{7}})
+	if len(del) != 21 || del[8] != 1 {
+		t.Errorf("one-node remove frame is %d bytes at version %d, want 21 at 1", len(del), del[8])
 	}
 }
 

@@ -197,6 +197,55 @@ func TestServeAutoCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServeUpdateGraphDurable checks an updategraph is one logged
+// mutation like insert and remove: it counts toward CheckpointEvery, and
+// a reboot without a drain serves the graph the log ends on.
+func TestServeUpdateGraphDurable(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CheckpointEvery: 3, CoalesceWindow: -1}
+	s1, ts1 := newTestServer(t, opts)
+	mustCreate(t, ts1.URL, CreateRequest{Name: "ring", K: 2, Graph: ringSpec(30)})
+	tenant, err := s1.Registry().Get("ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withChords := func(n int, chords ...[2]int) *GraphSpec {
+		gs := ringSpec(n)
+		gs.Edges = append(gs.Edges, chords...)
+		return gs
+	}
+	var resp map[string]any
+	post := func(path string, body any, wantRecs int64) {
+		t.Helper()
+		if status, raw := postJSON(t, ts1.URL+"/v1/corpora/ring/"+path, body, &resp); status != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", path, status, raw)
+		}
+		if recs, _, _ := tenant.Corpus.DurableStats(); recs != wantRecs {
+			t.Fatalf("after %s: %d log records, want %d", path, recs, wantRecs)
+		}
+	}
+	post("updategraph", withChords(30, [2]int{2, 12}), 1)
+	post("remove", NodesRequest{Nodes: []int{4}}, 2)
+	post("updategraph", withChords(30, [2]int{2, 12}, [2]int{5, 20}), 0) // the third record cuts a checkpoint
+	post("updategraph", withChords(34, [2]int{5, 20}, [2]int{31, 8}, [2]int{32, 8}), 1)
+	post("insert", NodesRequest{Nodes: []int{32}}, 2)
+
+	probes := []int{0, 5, 8, 20, 31, 32}
+	want := knnAnswers(t, ts1.URL, "ring", probes)
+	ts1.Close() // no CloseTenants: the log tail alone carries the last edit
+
+	s2, ts2 := newTestServer(t, opts)
+	if _, err := s2.BootDurable(); err != nil {
+		t.Fatalf("BootDurable: %v", err)
+	}
+	if got := knnAnswers(t, ts2.URL, "ring", probes); got != want {
+		t.Fatalf("answers diverged across the reboot:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if err := s2.CloseTenants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServeNonDurableUnaffected checks a DataDir-less server behaves
 // as before: no state on disk, drop works, CloseTenants is a no-op.
 func TestServeNonDurableUnaffected(t *testing.T) {

@@ -736,5 +736,6 @@ func (s *Server) handleUpdateGraph(ctx context.Context, r *http.Request) (int, a
 	if err != nil {
 		return 0, nil, err
 	}
+	s.maybeCheckpoint(t)
 	return http.StatusOK, map[string]any{"refreshed": refreshed}, nil
 }
