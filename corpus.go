@@ -403,7 +403,16 @@ func (e *corpusEpoch) items() iter.Seq[ned.Item] {
 	if e.ix != nil {
 		return e.ix.Items()
 	}
-	return slices.Values(sortedItems(e.staged))
+	// Walk the staged map in node order through its sorted keys: a
+	// snapshot of an unbuilt epoch copies node IDs, not items.
+	nodes := slices.Sorted(maps.Keys(e.staged))
+	return func(yield func(ned.Item) bool) {
+		for _, v := range nodes {
+			if !yield(e.staged[v]) {
+				return
+			}
+		}
+	}
 }
 
 // clone returns a mutable copy of an unbuilt epoch: its membership or

@@ -182,13 +182,6 @@ func BenchmarkCorpusResidency(b *testing.B) {
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
 	ctx := context.Background()
 	nodes := float64(g.NumNodes())
-	// liveHeap is the heap that survives a collection.
-	liveHeap := func() float64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return float64(m.HeapAlloc)
-	}
 	var built, recovered, ckpt float64
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
@@ -238,6 +231,14 @@ func BenchmarkCorpusResidency(b *testing.B) {
 	b.ReportMetric(built/n/nodes, "built-B/node")
 	b.ReportMetric(recovered/n/nodes, "recovered-B/node")
 	b.ReportMetric(ckpt/n, "ckpt-alloc-B/B")
+}
+
+// liveHeap is the heap that survives a collection.
+func liveHeap() float64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
 }
 
 // BenchmarkCorpusMutation measures what one write to a built corpus

@@ -3,6 +3,8 @@
 package ned
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -106,4 +108,82 @@ func BenchmarkDurableLog(b *testing.B) {
 	b.ReportMetric(float64(bytes1-bytes0), "updategraph_wal_B")
 	b.ReportMetric(float64(refreshed), "refreshed")
 	r.CloseDurable()
+}
+
+// BenchmarkCorpusRestart reads what a checkpoint and the restart that
+// reads it cost on the PGP analog (seed 42, k = 3) at scale 4 (10 680
+// nodes, the harness's durable corpus) and 16 (42 720). One iteration
+// is one Checkpoint of the built corpus, then one OpenDurable of its
+// directory plus the first KNN. It reports:
+//
+//   - ckpt_B/node: the checkpoint file's bytes per corpus node;
+//   - ckpt_ms: one Checkpoint's wall time (FsyncNone);
+//   - open_cpu_ms and open_ms: OpenDurable plus the first KNN, as
+//     process CPU (user + system, from getrusage) and wall time;
+//   - recovered_B/node: the live heap the reopened corpus holds after
+//     that query, per node.
+func BenchmarkCorpusRestart(b *testing.B) {
+	ctx := context.Background()
+	for _, scale := range []float64{4, 16} {
+		b.Run(fmt.Sprintf("pgp=%g", scale), func(b *testing.B) {
+			g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: scale, Seed: 42})
+			nodes := float64(g.NumNodes())
+			c, err := NewCorpus(g, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.KNN(ctx, 0, 5); err != nil {
+				b.Fatal(err)
+			}
+			dir := b.TempDir()
+			if err := c.MakeDurable(dir, FsyncNone); err != nil {
+				b.Fatal(err)
+			}
+			var ckpt, openCPU, open time.Duration
+			var size, recovered float64
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				if err := c.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+				ckpt += time.Since(t0)
+				_, path, _, err := segment.LatestCheckpoint(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fi, err := os.Stat(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				size += float64(fi.Size())
+			}
+			if err := c.CloseDurable(); err != nil {
+				b.Fatal(err)
+			}
+			c = nil
+			for i := 0; i < b.N; i++ {
+				base := liveHeap()
+				cpu0, t0 := processCPU(b), time.Now()
+				r, err := OpenDurable(dir, FsyncNone)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := r.KNN(ctx, 0, 5); err != nil {
+					b.Fatal(err)
+				}
+				open += time.Since(t0)
+				openCPU += processCPU(b) - cpu0
+				recovered += liveHeap() - base
+				if err := r.CloseDurable(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n := float64(b.N)
+			b.ReportMetric(size/n/nodes, "ckpt_B/node")
+			b.ReportMetric(float64(ckpt.Microseconds())/1e3/n, "ckpt_ms")
+			b.ReportMetric(float64(openCPU.Microseconds())/1e3/n, "open_cpu_ms")
+			b.ReportMetric(float64(open.Microseconds())/1e3/n, "open_ms")
+			b.ReportMetric(recovered/n/nodes, "recovered_B/node")
+		})
+	}
 }

@@ -75,15 +75,16 @@
 package segment
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"iter"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -101,17 +102,26 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Magic identifies (and versions) the binary segment format; sniff a
-// stream's first len(Magic) bytes with IsSegment to route it here or
-// to the text snapshot parsers.
-const Magic = "NEDSEG01"
+// Magic identifies (and versions) the binary segment format Write
+// emits; sniff a stream's first len(Magic) bytes with IsSegment to route
+// it here or to the text snapshot parsers.
+const Magic = "NEDSEG02"
+
+// magicV1 is the magic of the first layout, whose item tables store
+// every profile column. Read and Verify still accept it; nothing writes
+// it.
+const magicV1 = "NEDSEG01"
 
 // IsSegment reports whether a stream beginning with prefix is a binary
-// segment. Text snapshots start with '#' or an item line, so the first
-// byte alone separates the families; the full magic is still verified
-// by Read.
+// segment of either layout. Text snapshots start with '#' or an item
+// line, so the first byte alone separates the families; the full magic
+// is still verified by Read.
 func IsSegment(prefix []byte) bool {
-	return len(prefix) >= len(Magic) && string(prefix[:len(Magic)]) == Magic
+	if len(prefix) < len(Magic) {
+		return false
+	}
+	m := string(prefix[:len(Magic)])
+	return m == Magic || m == magicV1
 }
 
 // Section types, in their required order (index sections, when
@@ -280,58 +290,91 @@ func (d *dec) done() error {
 
 // --- section framing ---
 
-// sectionChunk bounds the payload bytes a section writer holds before
-// passing them on, and the buffer skipSection checks a payload through:
-// neither side ever holds a whole section.
+// sectionChunk bounds the bytes a section writer holds before passing
+// them on, and the buffer skipSection checks a payload through: neither
+// side ever holds a whole section.
 const sectionChunk = 64 << 10
 
-// sectionWriter streams framed sections: the header goes out first,
-// carrying the payload length the caller computed up front, then the
-// payload in appends of at most sectionChunk bytes, each folded into a
-// running CRC-32C as it leaves, then the checksum. A payload that comes
-// up short of or runs past its declared length is an error, so the
-// framing can never disagree with the bytes. Errors are sticky: after
-// the first, writes are dropped and end reports it.
+// chunks pools the sectionChunk buffers of section writers and Verify,
+// so a checkpoint's write and its readback share one.
+var chunks = sync.Pool{New: func() any { return new([sectionChunk]byte) }}
+
+// sectionWriter streams framed sections through one sectionChunk
+// buffer: a header carrying the payload length the caller computed up
+// front, then the payload, each byte folded into a running CRC-32C
+// before it leaves, then the checksum. Framing and payload share the
+// buffer, so the underlying writer sees one call per full buffer. A
+// payload that comes up short of or runs past its declared length is an
+// error, so the framing can never disagree with the bytes. Errors are
+// sticky: after the first, writes are dropped and end and flush report
+// it.
 type sectionWriter struct {
-	w    io.Writer
-	buf  []byte // pending payload bytes
-	crc  uint32
-	left uint64 // payload bytes the open section still owes
-	err  error
+	w     io.Writer
+	chunk *[sectionChunk]byte
+	buf   []byte // pending bytes; the payload bytes from pay on are not yet checksummed
+	pay   int
+	crc   uint32
+	left  uint64 // payload bytes the open section still owes
+	err   error
 }
 
 func newSectionWriter(w io.Writer) *sectionWriter {
-	return &sectionWriter{w: w, buf: make([]byte, 0, sectionChunk)}
+	c := chunks.Get().(*[sectionChunk]byte)
+	return &sectionWriter{w: w, chunk: c, buf: c[:0]}
+}
+
+// release returns the writer's buffer to the pool; the writer is dead.
+func (s *sectionWriter) release() {
+	chunks.Put(s.chunk)
+	s.chunk, s.buf = nil, nil
+}
+
+// fold checksums the pending payload bytes against the open section's
+// declared length.
+func (s *sectionWriter) fold() {
+	p := s.buf[s.pay:]
+	if s.err != nil || len(p) == 0 {
+		return
+	}
+	if uint64(len(p)) > s.left {
+		s.err = fmt.Errorf("segment: section payload runs past its declared length")
+		return
+	}
+	s.crc = crc32.Update(s.crc, castagnoli, p)
+	s.left -= uint64(len(p))
+	s.pay = len(s.buf)
+}
+
+// flush passes every pending byte on.
+func (s *sectionWriter) flush() error {
+	s.fold()
+	if s.err == nil && len(s.buf) > 0 {
+		if _, err := s.w.Write(s.buf); err != nil {
+			s.err = fmt.Errorf("segment: writing: %w", err)
+		}
+	}
+	s.buf, s.pay = s.buf[:0], 0
+	return s.err
+}
+
+// frame appends bytes outside every payload: the magic, a section
+// header or a checksum.
+func (s *sectionWriter) frame(b []byte) {
+	s.fold()
+	if cap(s.buf)-len(s.buf) < len(b) {
+		s.flush()
+	}
+	s.buf = append(s.buf, b...)
+	s.pay = len(s.buf)
 }
 
 // begin opens a section of type typ whose payload is n bytes.
 func (s *sectionWriter) begin(typ byte, n int) {
-	if s.err != nil {
-		return
-	}
-	hdr := appendU64(append(s.buf[:0], typ), uint64(n))
-	if _, err := s.w.Write(hdr); err != nil {
-		s.err = fmt.Errorf("segment: writing section header: %w", err)
-	}
-	s.buf, s.crc, s.left = s.buf[:0], 0, uint64(n)
-}
-
-// flush passes the pending payload bytes on through the checksum.
-func (s *sectionWriter) flush() {
-	if s.err != nil || len(s.buf) == 0 {
-		s.buf = s.buf[:0]
-		return
-	}
-	if uint64(len(s.buf)) > s.left {
-		s.err = fmt.Errorf("segment: section payload runs past its declared length")
-		return
-	}
-	s.crc = crc32.Update(s.crc, castagnoli, s.buf)
-	s.left -= uint64(len(s.buf))
-	if _, err := s.w.Write(s.buf); err != nil {
-		s.err = fmt.Errorf("segment: writing section payload: %w", err)
-	}
-	s.buf = s.buf[:0]
+	var hdr [9]byte
+	hdr[0] = typ
+	binary.LittleEndian.PutUint64(hdr[1:], uint64(n))
+	s.frame(hdr[:])
+	s.crc, s.left = 0, uint64(n)
 }
 
 // room makes space for an append of up to 8 bytes.
@@ -369,7 +412,7 @@ func (s *sectionWriter) i32s(col []int32) {
 }
 
 // raw appends payload bytes as they are.
-func (s *sectionWriter) raw(b []byte) {
+func raw[B ~string | ~[]byte](s *sectionWriter, b B) {
 	for len(b) > 0 {
 		s.room()
 		m := min(len(b), cap(s.buf)-len(s.buf))
@@ -381,16 +424,14 @@ func (s *sectionWriter) raw(b []byte) {
 // end closes the open section with its checksum and reports the first
 // error of the section's writes.
 func (s *sectionWriter) end() error {
-	s.flush()
+	s.fold()
 	if s.err == nil && s.left != 0 {
 		s.err = fmt.Errorf("segment: section payload %d bytes short of its declared length", s.left)
 	}
 	if s.err != nil {
 		return s.err
 	}
-	if _, err := s.w.Write(appendU32(s.buf[:0], s.crc)); err != nil {
-		s.err = fmt.Errorf("segment: writing section checksum: %w", err)
-	}
+	s.frame(appendU32(make([]byte, 0, 4), s.crc))
 	return s.err
 }
 
@@ -398,7 +439,7 @@ func (s *sectionWriter) end() error {
 // (meta, index dumps, end).
 func (s *sectionWriter) writeSection(typ byte, payload []byte) error {
 	s.begin(typ, len(payload))
-	s.raw(payload)
+	raw(s, payload)
 	return s.end()
 }
 
@@ -497,34 +538,63 @@ func expectSection(r io.Reader, want byte) ([]byte, error) {
 
 // --- sizes ---
 
-// encodedTreeSize is the byte length of one serialized tree + profile:
-// 4n u32 words (n, parents n, labels n, perm n, kids n-1).
-func encodedTreeSize(n int) int { return 16 * n }
+// parentsFlag marks a tree header word whose tree is not in BFS order
+// and so carries its parent vector after its labels.
+const parentsFlag = 1 << 31
 
-// encodedItemSize is the byte length of one serialized item: the
-// 3-word header plus each tree.
-func encodedItemSize(it *ned.Item, directed bool) int {
-	s := 12 + encodedTreeSize(it.Out.Size())
-	if directed {
-		s += encodedTreeSize(it.In.Size())
+// bfsOrder reports whether t's parents are non-decreasing in node
+// order — true of every extracted tree, and what lets a reader derive
+// the parent vector from the shapes instead of storing it.
+func bfsOrder(t *tree.Tree) bool {
+	for v := int32(2); v < int32(t.Size()); v++ {
+		if t.Parent(v) < t.Parent(v-1) {
+			return false
+		}
+	}
+	return true
+}
+
+// encodedTreeSize is the byte length of one serialized tree: its header
+// word, one label per node above the deepest level (as many as the
+// profile has degrees), and the parent vector of a tree not in BFS
+// order.
+func encodedTreeSize(t *tree.Tree, p *tree.Profile) int {
+	s := 4 + 4*len(p.Degs)
+	if !bfsOrder(t) {
+		s += 4 * t.Size()
 	}
 	return s
 }
 
 // --- writing ---
 
-// writeTree streams one tree and its compiled profile. The full parent
-// vector is written — including the root's -1 — so a decoder on a
-// little-endian host can alias it in place as the tree's own storage.
-func writeTree(s *sectionWriter, t *tree.Tree, p *tree.Profile) {
-	n := t.Size()
-	s.u32(uint32(n))
-	for v := range int32(n) {
-		s.u32(uint32(t.Parent(v)))
+// writeTree streams one tree: the header word, the labels of its levels
+// above the deepest in node order — the profile's level-sorted Labels
+// put back through Perm, in scratch — and, for a tree not in BFS order,
+// its full parent vector, the root's -1 included.
+func writeTree(s *sectionWriter, t *tree.Tree, p *tree.Profile, scratch *[]int32) {
+	m := len(p.Degs)
+	bfs := bfsOrder(t)
+	hdr := uint32(m)
+	if !bfs {
+		hdr |= parentsFlag
 	}
-	s.i32s(p.Labels)
-	s.i32s(p.Perm)
-	s.i32s(p.Kids)
+	s.u32(hdr)
+	nodeLabels := slices.Grow((*scratch)[:0], m)[:m]
+	off := int32(0)
+	for _, w := range p.Levels[:len(p.Levels)-1] {
+		for j := off; j < off+w; j++ {
+			nodeLabels[off+p.Perm[j]] = p.Labels[j]
+		}
+		off += w
+	}
+	*scratch = nodeLabels
+	s.i32s(nodeLabels)
+	if !bfs {
+		for v := range int32(t.Size()) {
+			s.u32(uint32(t.Parent(v)))
+		}
+	}
 }
 
 // maxTables caps the item tables Tables splits a corpus into: past a
@@ -535,10 +605,21 @@ const maxTables = 16
 // table i holds, still node-ascending, the items ned.ShardOf files under
 // i of min(GOMAXPROCS, 16) tables, so Read decodes them in parallel on
 // the same cores. The count is layout, not content: Read returns the
-// same items whatever it was.
+// same items whatever it was. items is walked twice, to size the tables
+// once: they share one backing array.
 func Tables(items iter.Seq[ned.Item]) [][]ned.Item {
 	n := min(runtime.GOMAXPROCS(0), maxTables)
+	sizes := make([]int, n)
+	total := 0
+	for it := range items {
+		sizes[ned.ShardOf(it.Node, n)]++
+		total++
+	}
+	all := make([]ned.Item, total)
 	tables := make([][]ned.Item, n)
+	for ti, size := range sizes {
+		tables[ti], all = all[:0:size], all[size:]
+	}
 	for it := range items {
 		ti := ned.ShardOf(it.Node, n)
 		tables[ti] = append(tables[ti], it)
@@ -557,11 +638,11 @@ func Tables(items iter.Seq[ned.Item]) [][]ned.Item {
 // index sections) or one VPIndex per shard, each either empty or
 // referencing exactly that shard's items.
 //
-// Write streams: the dictionary, graph and shard sections go out in
-// appends of at most 64 KiB through a running checksum, behind headers
-// carrying lengths computed up front, so writing a segment never holds
-// a copy of the corpus — only meta and the index dumps are framed in
-// memory.
+// Write streams: the dictionary (straight from dict.Shapes), graph and
+// item tables go out through one pooled 64 KiB buffer and a running
+// checksum, behind headers carrying lengths computed up front, so
+// writing a segment never holds a copy of the corpus or its dictionary
+// — only meta and the index dumps are framed in memory.
 func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardItems [][]ned.Item, indexes []VPIndex) error {
 	meta.Shards = len(shardItems)
 	meta.Items = 0
@@ -591,20 +672,25 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 			if meta.Directed && (it.In == nil || it.InP == nil || !it.InP.Resolved()) {
 				return fmt.Errorf("segment: node %d has no compiled incoming profile on a directed corpus", it.Node)
 			}
-			shardLens[si] += encodedItemSize(it, meta.Directed)
+			shardLens[si] += 12 + encodedTreeSize(it.Out, it.OutP)
+			if meta.Directed {
+				shardLens[si] += encodedTreeSize(it.In, it.InP)
+			}
 		}
 	}
 	if len(meta.Backend) > 0xFFFF {
 		return fmt.Errorf("segment: backend name too long")
 	}
 
-	bw := bufio.NewWriterSize(w, sectionChunk)
-	if _, err := io.WriteString(bw, Magic); err != nil {
-		return fmt.Errorf("segment: writing magic: %w", err)
-	}
-	sw := newSectionWriter(bw)
+	sw := newSectionWriter(w)
+	defer sw.release()
+	sw.frame([]byte(Magic))
 
-	kidOff, kids := dict.ExportShapes()
+	shapes := dict.Shapes()
+	kidWords := 0
+	for _, key := range shapes {
+		kidWords += len(key) / 4
+	}
 
 	// Meta, including the shard table byte lengths (section offsets).
 	mb := make([]byte, 0, 64+8*len(shardItems))
@@ -614,7 +700,7 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 	mb = append(mb, boolByte(meta.Directed))
 	mb = appendU32(mb, uint32(meta.Shards))
 	mb = appendU64(mb, uint64(meta.Items))
-	mb = appendU32(mb, uint32(len(kidOff)-1))
+	mb = appendU32(mb, uint32(len(shapes)))
 	mb = append(mb, boolByte(g != nil), boolByte(indexes != nil))
 	for _, size := range shardLens {
 		mb = appendU64(mb, uint64(size))
@@ -623,25 +709,37 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 		return err
 	}
 
-	// Dictionary.
-	sw.begin(secDict, 4+4*len(kidOff)+4*len(kids))
-	sw.u32(uint32(len(kidOff) - 1))
-	sw.i32s(kidOff)
-	sw.i32s(kids)
+	// Dictionary: the CSR offsets, then every shape's key, which is its
+	// child labels as little-endian u32s already.
+	sw.begin(secDict, 4+4*(len(shapes)+1)+4*kidWords)
+	sw.u32(uint32(len(shapes)))
+	sw.u32(0)
+	off := uint32(0)
+	for _, key := range shapes {
+		off += uint32(len(key) / 4)
+		sw.u32(off)
+	}
+	for _, key := range shapes {
+		raw(sw, key)
+	}
 	if err := sw.end(); err != nil {
 		return err
 	}
 
-	// Graph.
+	// Graph: the edges in g.Edges order, walked off the adjacency lists
+	// rather than collected.
 	if g != nil {
-		edges := g.Edges()
-		sw.begin(secGraph, 13+8*len(edges))
+		sw.begin(secGraph, 13+8*g.NumEdges())
 		sw.u32(uint32(g.NumNodes()))
 		sw.u8(boolByte(g.Directed()))
-		sw.u64(uint64(len(edges)))
-		for _, e := range edges {
-			sw.u32(uint32(e.U))
-			sw.u32(uint32(e.V))
+		sw.u64(uint64(g.NumEdges()))
+		for u := range graph.NodeID(g.NumNodes()) {
+			for _, v := range g.Neighbors(u) {
+				if g.Directed() || u < v {
+					sw.u32(uint32(u))
+					sw.u32(uint32(v))
+				}
+			}
 		}
 		if err := sw.end(); err != nil {
 			return err
@@ -649,6 +747,7 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 	}
 
 	// Shard item tables.
+	var scratch []int32
 	for si, items := range shardItems {
 		sw.begin(secShard, shardLens[si])
 		sw.u32(uint32(si))
@@ -658,9 +757,9 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 			sw.u32(uint32(it.Node))
 			sw.u32(uint32(it.K))
 			sw.u32(uint32(boolByte(meta.Directed)))
-			writeTree(sw, it.Out, it.OutP)
+			writeTree(sw, it.Out, it.OutP, &scratch)
 			if meta.Directed {
-				writeTree(sw, it.In, it.InP)
+				writeTree(sw, it.In, it.InP, &scratch)
 			}
 		}
 		if err := sw.end(); err != nil {
@@ -692,10 +791,7 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 	if err := sw.writeSection(secEnd, appendU64(nil, uint64(meta.Items))); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("segment: flushing: %w", err)
-	}
-	return nil
+	return sw.flush()
 }
 
 // boolByte encodes a boolean as one byte.
@@ -732,7 +828,7 @@ func shardWords(payload []byte) ([]int32, error) {
 	return out, nil
 }
 
-// decodeTree decodes one serialized tree + profile from the word
+// decodeTreeV1 decodes one NEDSEG01 tree + profile from the word
 // stream at words[pos:], returning the cursor past it. The parent
 // vector and profile columns are subslices of words — aliased payload
 // on little-endian hosts — handed to tree.NewOwned / ProfileFromParts
@@ -741,7 +837,7 @@ func shardWords(payload []byte) ([]int32, error) {
 // safe. Only the derived columns are allocated — the tree's child and
 // level offsets, the profile's level sizes and degree runs — all carved
 // from s.
-func decodeTree(words []int32, pos int, in *tree.Interner, s *tree.Slab) (*tree.Tree, *tree.Profile, int, error) {
+func decodeTreeV1(words []int32, pos int, in *tree.Interner, s *tree.Slab) (*tree.Tree, *tree.Profile, int, error) {
 	if pos >= len(words) {
 		return nil, nil, 0, fmt.Errorf("segment: truncated payload")
 	}
@@ -768,8 +864,254 @@ func decodeTree(words []int32, pos int, in *tree.Interner, s *tree.Slab) (*tree.
 	return t, p, pos, nil
 }
 
-// decodeShard decodes one shard item table payload.
-func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner) ([]ned.Item, error) {
+// ErrInconsistent reports an item table whose checksum holds but whose
+// stored labels (or parent vector) disagree with the segment's own
+// shape dictionary: faithfully persisted bytes of a corpus that cannot
+// have been written.
+var ErrInconsistent = errors.New("segment: item table disagrees with its dictionary")
+
+func inconsistent(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrInconsistent, fmt.Sprintf(format, args...))
+}
+
+// leafShape is the label of the childless shape in every dictionary a
+// segment holds: NewInternerFromShapes requires each child label to be
+// smaller than its shape's own, so shape 0 can have no children, and
+// the dictionary holds one childless shape at most.
+const leafShape = 0
+
+// maxTreeNodes bounds the node count a tree may derive. Its deepest
+// level is not stored, so the payload alone does not bound it; 2^24
+// nodes is far past any k-adjacent tree TED* could compare.
+const maxTreeNodes = 1 << 24
+
+// shapeTable is a segment's dictionary section as decoded: shape id's
+// sorted child labels are kids[off[id]:off[id+1]].
+type shapeTable struct{ off, kids []int32 }
+
+func (sh *shapeTable) run(l int32) []int32 { return sh.kids[sh.off[l]:sh.off[l+1]] }
+
+// treeScratch is one decoding worker's memory, reused across trees:
+// count holds one zero per shape between trees.
+type treeScratch struct {
+	levels   []int32
+	count    []int32
+	distinct []int32
+	byDeg    []uint64
+}
+
+// decodeTree decodes one tree from the word stream at words[pos:] and
+// derives its profile from the shapes, returning the cursor past it.
+// The stored labels are those of the levels above the deepest in node
+// order; everything else follows from them:
+//   - each label's shape gives the node's child count, so level d's
+//     labels give level d+1's width, the stored labels end exactly at
+//     the end of level h-1, and level h is that many leaves;
+//   - in BFS order the child counts give the parent vector (a tree not
+//     in BFS order stores its own, which must agree with them);
+//   - each node's shape run is its sorted child labels (Kids);
+//   - one sort of packed (label, index) keys per stored level gives the
+//     level-sorted Labels and Perm, and the deepest level is all leaf
+//     labels in node order.
+//
+// Every check that a stored label agrees with the shapes around it
+// fails with ErrInconsistent. All columns are carved from s; the
+// payload is not retained.
+func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *treeScratch, s *tree.Slab) (*tree.Tree, *tree.Profile, int, error) {
+	if pos >= len(words) {
+		return nil, nil, 0, fmt.Errorf("segment: truncated payload")
+	}
+	hdr := uint32(words[pos])
+	pos++
+	m := int(hdr &^ parentsFlag)
+	if m > len(words)-pos {
+		return nil, nil, 0, fmt.Errorf("segment: tree declares %d stored labels with %d words left", m, len(words)-pos)
+	}
+	stored := words[pos : pos+m : pos+m]
+	pos += m
+	shapes := int32(len(sh.off) - 1)
+	if shapes == 0 {
+		return nil, nil, 0, inconsistent("the dictionary has no leaf shape")
+	}
+	for v, l := range stored {
+		if l < 0 || l >= shapes {
+			return nil, nil, 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
+		}
+	}
+
+	// Level widths: the root alone, then each stored level's child count.
+	levels := append(sc.levels[:0], 1)
+	n, last := 1, 0 // last: the first node of level h-1
+	for off, w := 0, 1; off < m; {
+		if off+w > m {
+			return nil, nil, 0, inconsistent("child counts of level %d overrun the %d stored labels", len(levels)-1, m)
+		}
+		c := 0
+		for _, l := range stored[off : off+w] {
+			c += int(sh.off[l+1] - sh.off[l])
+		}
+		if c == 0 {
+			return nil, nil, 0, inconsistent("stored level %d has no children", len(levels)-1)
+		}
+		if n += c; n > maxTreeNodes {
+			return nil, nil, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
+		}
+		last, off, w = off, off+w, c
+		levels = append(levels, int32(c))
+	}
+	sc.levels = levels
+	h := len(levels) - 1
+	if m > 0 {
+		for v := last; v < m; v++ {
+			if run := sh.run(stored[v]); len(run) > 0 && run[len(run)-1] != leafShape {
+				return nil, nil, 0, inconsistent("node %d on level %d has a non-leaf kid", v, h-1)
+			}
+		}
+	}
+
+	var t *tree.Tree
+	parents := s.Alloc(n)
+	if hdr&parentsFlag == 0 {
+		// In BFS order node v's children follow those of v-1, so the
+		// child counts give the parents, the child offsets and — through
+		// the level widths — the level offsets.
+		childOff, levelOff := s.Alloc(n+1), s.Alloc(h+2)
+		parents[0] = -1
+		next := int32(1)
+		for v, l := range stored {
+			c := sh.off[l+1] - sh.off[l]
+			for i := next; i < next+c; i++ {
+				parents[i] = int32(v)
+			}
+			next += c
+			childOff[v+1] = next - 1
+		}
+		for v := m + 1; v <= n; v++ {
+			childOff[v] = int32(n - 1)
+		}
+		for d, w := range levels {
+			levelOff[d+1] = levelOff[d] + w
+		}
+		t = tree.NewBFS(parents, childOff, levelOff)
+	} else {
+		if n > len(words)-pos {
+			return nil, nil, 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
+		}
+		copy(parents, words[pos:pos+n])
+		pos += n
+		var err error
+		if t, err = tree.NewOwned(parents, s); err != nil {
+			return nil, nil, 0, fmt.Errorf("segment: %w", err)
+		}
+		for v := range int32(n) {
+			want := 0
+			if int(v) < m {
+				want = len(sh.run(stored[v]))
+			}
+			if got := t.NumChildren(v); got != want {
+				return nil, nil, 0, inconsistent("parent vector gives node %d %d children, its shape %d", v, got, want)
+			}
+		}
+	}
+	// Levels 0..h-2: a node's children carry stored labels, which must be
+	// its shape's kids as a multiset — counted up and down in sc.count,
+	// which every check leaves zeroed. (Level h-1's are leaves, checked
+	// above.) Child counts already match, so equal sizes are given.
+	for v := range int32(last) {
+		kids, run := t.Children(v), sh.run(stored[v])
+		for _, c := range kids {
+			sc.count[stored[c]]++
+		}
+		for _, l := range run {
+			sc.count[l]--
+		}
+		ok := true
+		for _, c := range kids {
+			ok = ok && sc.count[stored[c]] == 0
+			sc.count[stored[c]] = 0
+		}
+		for _, l := range run {
+			sc.count[l] = 0
+		}
+		if !ok {
+			return nil, nil, 0, inconsistent("children of node %d do not carry its shape's kids", v)
+		}
+	}
+
+	// Level-sorted Labels and Perm, and the level's sorted child counts
+	// (Degs), by a counting sort over the level's distinct labels — a
+	// level repeats few shapes many times — that places equal labels in
+	// ascending node order. sc.count holds each distinct label's
+	// occurrences, then its next slot, then zero again.
+	labels, perm, degs := s.Alloc(n), s.Alloc(n), s.Alloc(m)
+	off := 0
+	for _, w32 := range levels[:h] {
+		w := int(w32)
+		run, lab, lperm, ldegs := stored[off:off+w], labels[off:off+w], perm[off:off+w], degs[off:off+w]
+		distinct := sc.distinct[:0]
+		for _, l := range run {
+			if sc.count[l] == 0 {
+				distinct = append(distinct, l)
+			}
+			sc.count[l]++
+		}
+		sc.distinct = distinct
+		if !slices.IsSorted(distinct) {
+			slices.Sort(distinct)
+		}
+		byDeg := sc.byDeg[:0]
+		for _, l := range distinct {
+			byDeg = append(byDeg, uint64(sh.off[l+1]-sh.off[l])<<32|uint64(sc.count[l]))
+		}
+		sc.byDeg = byDeg
+		if !slices.IsSorted(byDeg) {
+			slices.Sort(byDeg)
+		}
+		j := 0
+		for _, dc := range byDeg {
+			for range uint32(dc) {
+				ldegs[j] = int32(dc >> 32)
+				j++
+			}
+		}
+		slot := int32(0)
+		for _, l := range distinct {
+			slot, sc.count[l] = slot+sc.count[l], slot
+		}
+		for i, l := range run {
+			j := sc.count[l]
+			lab[j], lperm[j] = l, int32(i)
+			sc.count[l]++
+		}
+		for _, l := range distinct {
+			sc.count[l] = 0
+		}
+		off += w
+	}
+	// The deepest level: leaves (label 0, as the slab left it) in node
+	// order.
+	for i := off; i < n; i++ {
+		perm[i] = int32(i - off)
+	}
+	// Kids: each node's shape run, on the child offsets. Level h-1's runs
+	// are all leaves, which the slab's zeros already are.
+	kids := s.Alloc(n - 1)
+	next := 0
+	for _, l := range stored[:last] {
+		for _, k := range sh.run(l) {
+			kids[next] = k
+			next++
+		}
+	}
+	lv := s.Alloc(h + 1)
+	copy(lv, levels)
+	return t, in.ProfileFromDerived(t, lv, labels, perm, degs, kids), pos, nil
+}
+
+// decodeShard decodes one item table payload: NEDSEG02 trees against
+// the shapes sh in the worker's scratch sc, NEDSEG01 trees (sh nil) from
+// their stored columns.
+func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable, sc *treeScratch) ([]ned.Item, error) {
 	words, err := shardWords(payload)
 	if err != nil {
 		return nil, err
@@ -782,11 +1124,22 @@ func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *
 	}
 	count := int(uint32(words[1]))
 	pos := 2
-	// Minimum item: 3 header words + a 1-node tree's 4 words.
-	if count < 0 || count > (len(words)-pos)/7 {
+	// Minimum item: 3 header words + a 1-node tree's 1 word (4 in
+	// NEDSEG01).
+	minItem := 4
+	if sh == nil {
+		minItem = 7
+	}
+	if count < 0 || count > (len(words)-pos)/minItem {
 		return nil, fmt.Errorf("segment: shard %d declares %d items with %d words left", si, count, len(words)-pos)
 	}
 	slab := &tree.Slab{}
+	decode := func(pos int) (*tree.Tree, *tree.Profile, int, error) {
+		if sh == nil {
+			return decodeTreeV1(words, pos, in, slab)
+		}
+		return decodeTree(words, pos, sh, in, sc, slab)
+	}
 	items := make([]ned.Item, 0, count)
 	last := int32(-1)
 	for i := 0; i < count; i++ {
@@ -820,11 +1173,11 @@ func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *
 		}
 		it := ned.Item{Node: graph.NodeID(node), K: k}
 		var err error
-		if it.Out, it.OutP, pos, err = decodeTree(words, pos, in, slab); err != nil {
+		if it.Out, it.OutP, pos, err = decode(pos); err != nil {
 			return nil, fmt.Errorf("node %d: %w", node, err)
 		}
 		if hasIn {
-			if it.In, it.InP, pos, err = decodeTree(words, pos, in, slab); err != nil {
+			if it.In, it.InP, pos, err = decode(pos); err != nil {
 				return nil, fmt.Errorf("node %d incoming: %w", node, err)
 			}
 		}
@@ -976,6 +1329,7 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 	if !IsSegment(magic[:]) {
 		return fail(fmt.Errorf("segment: bad magic %q", magic[:]))
 	}
+	v1 := string(magic[:]) == magicV1
 
 	// Meta.
 	payload, err := expectSection(r, secMeta)
@@ -1040,6 +1394,10 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 	in, err := tree.NewInternerFromShapes(kidOff, kids)
 	if err != nil {
 		return fail(fmt.Errorf("segment: %w", err))
+	}
+	var sh *shapeTable
+	if !v1 {
+		sh = &shapeTable{off: kidOff, kids: kids}
 	}
 
 	// Graph.
@@ -1124,8 +1482,12 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc treeScratch
+			if sh != nil {
+				sc.count = make([]int32, len(sh.off)-1)
+			}
 			for si := range next {
-				shardItems[si], errs[si] = decodeShard(payloads[si], si, meta, place, in)
+				shardItems[si], errs[si] = decodeShard(payloads[si], si, meta, place, in, sh, &sc)
 			}
 		}()
 	}
@@ -1194,10 +1556,12 @@ func Verify(r io.Reader) error {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return fmt.Errorf("segment: verify: reading magic: %w", err)
 	}
-	if string(magic[:]) != Magic {
+	if !IsSegment(magic[:]) {
 		return fmt.Errorf("segment: verify: bad magic %q", magic[:])
 	}
-	buf := make([]byte, sectionChunk)
+	chunk := chunks.Get().(*[sectionChunk]byte)
+	defer chunks.Put(chunk)
+	buf := chunk[:]
 	seen := 0
 	for {
 		typ, err := skipSection(r, buf)

@@ -504,7 +504,7 @@ func TestSectionWriterLengthMismatch(t *testing.T) {
 	}{{4, []byte{1, 2}}, {2, []byte{1, 2, 3, 4}}, {0, []byte{1}}} {
 		sw := newSectionWriter(io.Discard)
 		sw.begin(secEnd, c.declared)
-		sw.raw(c.payload)
+		raw(sw, c.payload)
 		if err := sw.end(); err == nil {
 			t.Fatalf("declared %d bytes, wrote %d: no error", c.declared, len(c.payload))
 		}
@@ -522,6 +522,9 @@ func TestSectionWriterLengthMismatch(t *testing.T) {
 	sw.i32s(big)
 	if err := sw.end(); err != nil {
 		t.Fatalf("multi-chunk section: %v", err)
+	}
+	if err := sw.flush(); err != nil {
+		t.Fatal(err)
 	}
 	r := bytes.NewReader(buf.Bytes())
 	if typ, payload, err := readSection(r); err != nil || typ != secEnd || len(payload) != 0 {

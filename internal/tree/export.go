@@ -8,54 +8,39 @@ import (
 
 // This file is the persistence boundary of the shape dictionary and
 // the compiled profiles: binary corpus segments (internal/segment)
-// store the Interner as a CSR table of child-label runs and each
-// Profile as its flat int32 columns, so a snapshot load reconstructs
-// both WITHOUT re-walking trees, re-hashing shapes, or re-deriving a
-// single AHU string per node — the restart cost the binary format
-// exists to eliminate. Everything here validates its input: segment
-// bytes pass a checksum before they reach these constructors, but a
-// checksum only proves the file is what was written, not that what was
-// written is consistent.
+// store the Interner as a CSR table of child-label runs and each tree
+// as the node-order labels of its levels above the deepest, from which
+// a load derives every profile column against the dictionary — WITHOUT
+// re-walking graphs, re-hashing shapes, or deriving a single AHU string
+// per node. Segments of the earlier layout stored the profile columns
+// themselves and still load through ProfileFromParts, which validates
+// them: segment bytes pass a checksum before they reach these
+// constructors, but a checksum only proves the file is what was
+// written, not that what was written is consistent. ProfileFromDerived
+// validates nothing; its caller vouches for the columns.
 
-// ExportShapes returns the dictionary as a CSR table over label IDs:
-// shape id's sorted child labels occupy kids[kidOff[id]:kidOff[id+1]].
-// Labels are assigned bottom-up at intern time, so every child label
-// is strictly smaller than its shape's own id — the invariant that
-// lets NewInternerFromShapes rebuild the encodings in one forward
-// pass. The result is deterministic for a given dictionary state.
-func (in *Interner) ExportShapes() (kidOff, kids []int32) {
-	// Holding every stripe's read lock stops all interning, and an ID is
-	// taken and stored under one stripe's write lock, so the counter and
-	// the maps agree while we read them.
+// Shapes returns the dictionary in label-ID order without copying it:
+// shape id's key, Shapes()[id], is its sorted child labels packed as
+// little-endian u32s. Labels are assigned bottom-up at intern time, so
+// every child label is strictly smaller than its shape's own id — the
+// invariant that lets NewInternerFromShapes rebuild the dictionary in
+// one forward pass. The result is a capacity-clipped view of the
+// dictionary's own table and must not be written; interning goes on
+// beside it, since entries never change once they exist.
+func (in *Interner) Shapes() []string {
+	// Holding every stripe's read lock stops all interning, and an entry
+	// is written under one stripe's write lock, so the counter and the
+	// table agree while we read them.
 	for i := range in.stripes {
 		in.stripes[i].mu.RLock()
 		defer in.stripes[i].mu.RUnlock()
 	}
 	n := in.Len()
-	kidOff = make([]int32, n+1)
-	for i := range in.stripes {
-		for key, id := range in.stripes[i].m {
-			kidOff[id+1] = int32(len(key) / 4)
-		}
-	}
-	for i := 1; i <= n; i++ {
-		kidOff[i] += kidOff[i-1]
-	}
-	kids = make([]int32, kidOff[n])
-	for i := range in.stripes {
-		for key, id := range in.stripes[i].m {
-			run := kids[kidOff[id]:kidOff[id+1]]
-			for j := range run {
-				k := key[4*j:]
-				run[j] = int32(uint32(k[0]) | uint32(k[1])<<8 | uint32(k[2])<<16 | uint32(k[3])<<24)
-			}
-		}
-	}
-	return kidOff, kids
+	return in.shapes[:n:n]
 }
 
-// NewInternerFromShapes rebuilds a dictionary from an ExportShapes
-// table, reassigning the same label IDs: shape id gets the sorted
+// NewInternerFromShapes rebuilds a dictionary from a CSR shape table
+// (the layout a segment stores Shapes in), reassigning the same label IDs: shape id gets the sorted
 // child labels kids[kidOff[id]:kidOff[id+1]], each of which must be a
 // smaller id (children intern before parents). No AHU encoding strings
 // are materialized — the dictionary never stores them — so rebuilding
@@ -70,6 +55,7 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 		return nil, fmt.Errorf("tree: shape table declares %d child labels, has %d", kidOff[n], len(kids))
 	}
 	in := NewInterner()
+	in.shapes = make([]string, n)
 	var key []byte
 	for id := 0; id < n; id++ {
 		if kidOff[id] > kidOff[id+1] {
@@ -92,7 +78,9 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 		if _, dup := s.m[string(key)]; dup {
 			return nil, fmt.Errorf("tree: shape %d duplicates an earlier shape", id)
 		}
-		s.m[string(key)] = int32(id)
+		k := string(key)
+		s.m[k] = int32(id)
+		in.shapes[id] = k
 	}
 	in.next.Store(int32(n))
 	return in, nil
@@ -153,10 +141,23 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32, s *Sla
 		}
 		off += w
 	}
+	degs := levelDegrees(levels, t.childOff, s.Alloc(int(t.levelOff[h])))
+	return in.ProfileFromDerived(t, levels, labels, perm, degs, kids), nil
+}
+
+// ProfileFromDerived is ProfileFromParts for columns the caller derived
+// from this dictionary itself rather than read, so it validates nothing:
+// levels, labels, perm, degs and kids must be exactly what Profile
+// would compute for t (Levels, Labels, Perm, Degs, and Kids on t's own
+// child offsets), as a segment decoder obtains them from stored labels
+// and their shapes. The profile takes ownership of every column and
+// enters t's profile cache, exactly as a fresh compile would.
+func (in *Interner) ProfileFromDerived(t *Tree, levels, labels, perm, degs, kids []int32) *Profile {
+	n := t.Size()
 	p := &Profile{
 		Levels:    levels,
 		Labels:    labels,
-		Degs:      levelDegrees(levels, t.childOff, s.Alloc(int(t.levelOff[h]))),
+		Degs:      degs,
 		Perm:      perm,
 		Kids:      kids,
 		KidOff:    t.childOff, // aligned by construction; both sides immutable
@@ -165,5 +166,5 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32, s *Sla
 		Canon:     uint64(labels[0]), // level 0 is the root alone
 	}
 	t.profCache.Store(&cachedProfile{dict: in.id, dictLen: in.Len(), p: p})
-	return p, nil
+	return p
 }

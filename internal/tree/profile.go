@@ -133,6 +133,14 @@ type Interner struct {
 	id      uint64       // process-unique; profile caches key on it (no pointer pinning)
 	next    atomic.Int32 // next label ID == number of interned shapes
 	stripes [internStripes]internStripe
+
+	// shapes is the dictionary in ID order: shapes[id] is the key the
+	// stripes map to id, sharing its bytes. An entry is written once,
+	// under its stripe's write lock and shapesMu (which orders the writes
+	// of different stripes), and never changes, so Shapes hands out a
+	// view without copying.
+	shapesMu sync.Mutex
+	shapes   []string
 }
 
 // internStripes is the Interner's fixed stripe count (a power of two).
@@ -194,7 +202,14 @@ func (in *Interner) resolve(key []byte, h uint64, readOnly bool) (id int32, ok b
 		return id, true
 	}
 	id = in.next.Add(1) - 1
-	s.m[string(key)] = id
+	k := string(key)
+	s.m[k] = id
+	in.shapesMu.Lock()
+	for len(in.shapes) <= int(id) {
+		in.shapes = append(in.shapes, "")
+	}
+	in.shapes[id] = k
+	in.shapesMu.Unlock()
 	return id, true
 }
 

@@ -170,7 +170,7 @@ func TestProfileMatchesReference(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	kidOff, kids := in.ExportShapes()
+	kidOff, kids := exportShapes(in)
 	if len(kidOff) != in.Len()+1 {
 		t.Fatalf("shape table has %d shapes, dictionary %d", len(kidOff)-1, in.Len())
 	}

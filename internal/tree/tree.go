@@ -189,6 +189,17 @@ func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 	return t, nil
 }
 
+// NewBFS is NewOwned for a BFS-order tree whose caller derived every
+// column itself and vouches for it, so nothing is validated: parent
+// (parent[0] == -1, then non-decreasing, each entry below its node),
+// childOff (n+1 entries: the prefix sums of the child counts parent
+// implies) and levelOff (height+2 entries: each depth's first node, then
+// n). The tree takes ownership of all three. A segment decoder, which
+// builds them from stored labels and their shapes, is the caller.
+func NewBFS(parent, childOff, levelOff []int32) *Tree {
+	return &Tree{parent: parent, levelOff: levelOff, childOff: childOff, childIDs: bfsIDs(len(parent))}
+}
+
 // idRun is the process-wide run 0, 1, 2, ... that BFS-order trees alias
 // as their child IDs. It only grows: a grown run is a fresh array
 // published atomically, so a slice handed out earlier stays valid and
