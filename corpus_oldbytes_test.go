@@ -523,3 +523,132 @@ func TestDurableOpensV1WALWithTrees(t *testing.T) {
 		})
 	}
 }
+
+// reopenFromCheckpoint checkpoints c (making it durable in a fresh
+// directory first if it is not), closes it, requires the newest
+// checkpoint to be a NEDSEG02 segment, and reopens the directory.
+func reopenFromCheckpoint(t *testing.T, label string, c *Corpus, dir string) *Corpus {
+	t.Helper()
+	if _, _, durable := c.DurableStats(); durable {
+		if err := c.Checkpoint(); err != nil {
+			t.Fatalf("%s: Checkpoint: %v", label, err)
+		}
+	} else if err := c.MakeDurable(dir, FsyncNone); err != nil {
+		t.Fatalf("%s: MakeDurable: %v", label, err)
+	}
+	if err := c.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	_, path, _, err := segment.LatestCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte(segment.Magic)) || segment.Magic != "NEDSEG02" {
+		t.Fatalf("%s: checkpoint starts %q, want NEDSEG02", label, raw[:8])
+	}
+	re, err := OpenDurable(dir, FsyncNone)
+	if err != nil {
+		t.Fatalf("%s: OpenDurable from the NEDSEG02 checkpoint: %v", label, err)
+	}
+	return re
+}
+
+// TestOldBytesReopenFromNEDSEG02: every old-bytes fixture still loads,
+// and after one checkpoint — which writes NEDSEG02, each tree as its
+// labels above the deepest level — reopens from it with answers equal
+// to the oracle's.
+func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
+	g := rebalancedGraph()
+	o := oracleOver(g, rebalancedK, allNodes(g))
+	for _, path := range []string{"testdata/corpus_v3_rebalanced.nedcorpus", "testdata/rebalanced.nedseg"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := LoadCorpus(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		re := reopenFromCheckpoint(t, path, c, t.TempDir())
+		assertLoaded(t, path+" reopened", re, o, 2850)
+		re.CloseDurable()
+	}
+
+	copyDir := func(src string) string {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	open := func(dir string) *Corpus {
+		c, err := OpenDurable(dir, FsyncNone)
+		if err != nil {
+			t.Fatalf("%s: OpenDurable: %v", dir, err)
+		}
+		return c
+	}
+
+	// The durable directory with a placement section: Remove 2, 9, 4 and
+	// Insert 4 in its log.
+	live := map[NodeID]bool{}
+	for _, v := range allNodes(g) {
+		if v != 2 && v != 9 {
+			live[v] = true
+		}
+	}
+	dir := copyDir("testdata/rebalanced_durable")
+	re := reopenFromCheckpoint(t, "rebalanced_durable", open(dir), dir)
+	assertLoaded(t, "rebalanced_durable reopened", re, oracleOver(g, rebalancedK, sortedNodes(live)), 2860)
+	re.CloseDurable()
+
+	// The version-1 logs (see TestDurableOpensV1WALWithTrees).
+	const k = 2
+	live = map[NodeID]bool{30: true, 32: true, 35: true}
+	for v := NodeID(0); v < 30; v++ {
+		live[v] = true
+	}
+	for _, v := range []NodeID{3, 5, 11, 29} {
+		delete(live, v)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		opts []CorpusOption
+	}{
+		{"undirected", randomGraph(40, 80, 3901), nil},
+		{"directed", randomDirectedGraph(40, 90, 3902), []CorpusOption{WithDirected()}},
+	} {
+		dir := copyDir("testdata/v1wal_durable/" + tc.name)
+		label := "v1wal_durable/" + tc.name
+		re := reopenFromCheckpoint(t, label, open(dir), dir)
+		if got, want := corpusState(re), freshState(t, tc.g, live, k, tc.opts...); got != want {
+			t.Errorf("%s: reopened state differs from a fresh build:\n got %s\nwant %s", label, got, want)
+		}
+		if tc.opts == nil {
+			assertMatchesOracle(t, label, re, oracleOver(tc.g, k, sortedNodes(live)), randomGraph(30, 60, 3905), k, 6, 3906)
+			re.CloseDurable()
+			continue
+		}
+		for _, v := range sortedNodes(live)[:6] {
+			got, err := re.KNN(context.Background(), v, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Neighbor
+			for _, nb := range directedRanking(tc.g, v, k) {
+				if live[nb.Node] && len(want) < 5 {
+					want = append(want, nb)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: KNN(%d) %v, oracle %v", label, v, got, want)
+			}
+		}
+		re.CloseDurable()
+	}
+}

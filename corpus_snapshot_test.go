@@ -7,8 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"ned/internal/ned"
+	"ned/internal/tree"
 )
 
 // TestCorpusSnapshotRoundTrip is the persistence contract: a built,
@@ -318,4 +322,113 @@ func TestLoadCorpusErrors(t *testing.T) {
 	if _, err := LoadCorpus(strings.NewReader(dsnap), WithGraph(small)); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("directed snapshot on undirected graph: got %v, want ErrBadSnapshot", err)
 	}
+}
+
+// sameItemColumns requires two items to carry the same trees (parent
+// vectors) and the same profile columns.
+func sameItemColumns(t *testing.T, label string, got, want ned.Item) {
+	t.Helper()
+	if got.Node != want.Node || got.K != want.K {
+		t.Fatalf("%s: item (%d, k=%d), want (%d, k=%d)", label, got.Node, got.K, want.Node, want.K)
+	}
+	trees := [][2]*tree.Tree{{got.Out, want.Out}, {got.In, want.In}}
+	profiles := [][2]*tree.Profile{{got.OutP, want.OutP}, {got.InP, want.InP}}
+	for i, tr := range trees {
+		if (tr[0] == nil) != (tr[1] == nil) {
+			t.Fatalf("%s: node %d: tree %d present on one side only", label, want.Node, i)
+		}
+		if tr[0] == nil {
+			continue
+		}
+		if !slices.Equal(tr[0].ParentVector(), tr[1].ParentVector()) {
+			t.Fatalf("%s: node %d: parents %v, want %v", label, want.Node, tr[0].ParentVector(), tr[1].ParentVector())
+		}
+		g, w := profiles[i][0], profiles[i][1]
+		for _, col := range [][2][]int32{
+			{g.Levels, w.Levels}, {g.Labels, w.Labels}, {g.Perm, w.Perm},
+			{g.Kids, w.Kids}, {g.KidOff, w.KidOff}, {g.Degs, w.Degs},
+		} {
+			if !slices.Equal(col[0], col[1]) {
+				t.Fatalf("%s: node %d: profile column %v, want %v", label, want.Node, col[0], col[1])
+			}
+		}
+		if g.LeafLabel != w.LeafLabel || g.Canon != w.Canon || g.Size != w.Size {
+			t.Fatalf("%s: node %d: leaf/canon/size %d/%d/%d, want %d/%d/%d", label, want.Node,
+				g.LeafLabel, g.Canon, g.Size, w.LeafLabel, w.Canon, w.Size)
+		}
+	}
+}
+
+// sameCorpusColumns requires two corpora to hold the same items with
+// the same columns.
+func sameCorpusColumns(t *testing.T, label string, got, want *Corpus) {
+	t.Helper()
+	g := slices.Collect(got.materializedView().ep.items())
+	w := slices.Collect(want.materializedView().ep.items())
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d items, want %d", label, len(g), len(w))
+	}
+	for i := range w {
+		sameItemColumns(t, label, g[i], w[i])
+	}
+}
+
+// TestSnapshotRoundTripsColumns: what a segment stores is each tree's
+// labels above its deepest level, and what a load derives from them is
+// the corpus that was written — parents and every profile column — for
+// a text snapshot holding a tree in level order but not BFS order
+// (which the segment stores with its parent vector), and for a directed
+// corpus through a checkpoint and OpenDurable.
+func TestSnapshotRoundTripsColumns(t *testing.T) {
+	// Node 0's tree hangs node 3 under node 2 and node 4 under node 1.
+	const text = "# ned corpus v1 backend=pruned k=2 directed=0 nodes=3\n" +
+		"0 2 0,0,2,1\n" +
+		"1 2 0,0,1,1,2\n" +
+		"2 2 0,1,1\n"
+	src, err := LoadCorpus(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCorpusColumns(t, "text snapshot with a non-BFS tree", loaded, src)
+	if got := slices.Collect(loaded.materializedView().ep.items())[0].Out.ParentVector(); !slices.Equal(got, []int32{-1, 0, 0, 2, 1}) {
+		t.Fatalf("non-BFS tree reloaded as %v", got)
+	}
+	var oracle corpusOracle
+	for it := range src.materializedView().ep.items() {
+		oracle = append(oracle, Signature{Node: it.Node, K: it.K, Tree: it.Out})
+	}
+	assertMatchesOracle(t, "text snapshot with a non-BFS tree", loaded, oracle, randomGraph(20, 40, 980), 2, 3, 981)
+
+	g := randomDirectedGraph(80, 170, 982)
+	c, err := NewCorpus(g, 3, WithDirected())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := c.MakeDurable(dir, FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(4, 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDurable(dir, FsyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseDurable()
+	sameCorpusColumns(t, "directed checkpoint", re, c)
 }

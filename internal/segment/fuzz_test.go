@@ -2,6 +2,7 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -101,12 +102,34 @@ func walFrameBounds(b []byte) []int64 {
 
 // FuzzSegmentRead only asserts the reader never panics or succeeds on
 // garbage that isn't byte-identical to a real segment's semantics —
-// i.e. it must not crash; errors are expected.
+// i.e. it must not crash; errors are expected. It is seeded with both
+// goldens (NEDSEG02 and NEDSEG01), their prefixes, and the NEDSEG02
+// golden with one item-table word rewritten under a recomputed
+// checksum, so mutations start from tables that reach the label checks.
 func FuzzSegmentRead(f *testing.F) {
-	if b, err := os.ReadFile(filepath.Join("testdata", "golden.nedseg")); err == nil {
+	for _, name := range []string{"golden.nedseg", "golden-v1.nedseg"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			continue
+		}
 		f.Add(b)
 		if len(b) > 40 {
 			f.Add(b[:40])
+		}
+		if name != "golden.nedseg" {
+			continue
+		}
+		for off := len(Magic); off < len(b); {
+			n := int(binary.LittleEndian.Uint64(b[off+1:]))
+			if b[off] == secShard {
+				for _, i := range []int{2, 3, 5, 6, n/8 + 1} {
+					if i < n/4 {
+						f.Add(rewrite(b, off+9, n/4, i, 0))
+						f.Add(rewrite(b, off+9, n/4, i, 1<<31|3))
+					}
+				}
+			}
+			off += 9 + n + 4
 		}
 	}
 	f.Add([]byte(Magic))

@@ -295,9 +295,28 @@ func (d *dec) done() error {
 // side ever holds a whole section.
 const sectionChunk = 64 << 10
 
-// chunks pools the sectionChunk buffers of section writers and Verify,
-// so a checkpoint's write and its readback share one.
-var chunks = sync.Pool{New: func() any { return new([sectionChunk]byte) }}
+// spareChunk holds one sectionChunk buffer between segment writes and
+// verifies, so a checkpoint's write and its readback — and every later
+// checkpoint — share one instead of allocating their own. Unlike a
+// sync.Pool it survives garbage collections. A caller that finds it
+// taken allocates.
+var spareChunk = make(chan *[sectionChunk]byte, 1)
+
+func getChunk() *[sectionChunk]byte {
+	select {
+	case c := <-spareChunk:
+		return c
+	default:
+		return new([sectionChunk]byte)
+	}
+}
+
+func putChunk(c *[sectionChunk]byte) {
+	select {
+	case spareChunk <- c:
+	default:
+	}
+}
 
 // sectionWriter streams framed sections through one sectionChunk
 // buffer: a header carrying the payload length the caller computed up
@@ -319,13 +338,13 @@ type sectionWriter struct {
 }
 
 func newSectionWriter(w io.Writer) *sectionWriter {
-	c := chunks.Get().(*[sectionChunk]byte)
+	c := getChunk()
 	return &sectionWriter{w: w, chunk: c, buf: c[:0]}
 }
 
-// release returns the writer's buffer to the pool; the writer is dead.
+// release hands the writer's buffer on; the writer is dead.
 func (s *sectionWriter) release() {
-	chunks.Put(s.chunk)
+	putChunk(s.chunk)
 	s.chunk, s.buf = nil, nil
 }
 
@@ -1559,8 +1578,8 @@ func Verify(r io.Reader) error {
 	if !IsSegment(magic[:]) {
 		return fmt.Errorf("segment: verify: bad magic %q", magic[:])
 	}
-	chunk := chunks.Get().(*[sectionChunk]byte)
-	defer chunks.Put(chunk)
+	chunk := getChunk()
+	defer putChunk(chunk)
 	buf := chunk[:]
 	seen := 0
 	for {

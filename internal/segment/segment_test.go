@@ -3,15 +3,20 @@ package segment
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"ned/internal/datasets"
 	"ned/internal/graph"
 	"ned/internal/ned"
 	"ned/internal/tree"
@@ -103,7 +108,7 @@ func sameProfile(a, b *tree.Profile) bool {
 		}
 		return true
 	}
-	return eq(a.Labels, b.Labels) && eq(a.Perm, b.Perm) && eq(a.Kids, b.Kids) &&
+	return eq(a.Labels, b.Labels) && eq(a.Perm, b.Perm) && eq(a.Kids, b.Kids) && eq(a.KidOff, b.KidOff) &&
 		eq(a.Levels, b.Levels) && eq(a.Degs, b.Degs) && a.Canon == b.Canon &&
 		a.LeafLabel == b.LeafLabel && a.Size == b.Size
 }
@@ -538,5 +543,258 @@ func TestSectionWriterLengthMismatch(t *testing.T) {
 		if got := int32(binary.LittleEndian.Uint32(payload[4*i:])); got != big[i] {
 			t.Fatalf("word %d = %d, want %d", i, got, big[i])
 		}
+	}
+}
+
+// sameItems requires two item lists to agree node for node: trees by
+// parent vector, profiles column for column.
+func sameItems(t *testing.T, label string, got, want []ned.Item) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d items, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		w, g := &want[i], &got[i]
+		if w.Node != g.Node || w.K != g.K {
+			t.Fatalf("%s: item %d is (%d, k=%d), want (%d, k=%d)", label, i, g.Node, g.K, w.Node, w.K)
+		}
+		if !sameTree(w.Out, g.Out) || !sameTree(w.In, g.In) {
+			t.Fatalf("%s: node %d: trees differ", label, w.Node)
+		}
+		if !sameProfile(w.OutP, g.OutP) || !sameProfile(w.InP, g.InP) {
+			t.Fatalf("%s: node %d: profile columns differ", label, w.Node)
+		}
+	}
+}
+
+// flatten concatenates item tables.
+func flatten(tables [][]ned.Item) []ned.Item {
+	var all []ned.Item
+	for _, items := range tables {
+		all = append(all, items...)
+	}
+	return all
+}
+
+// The NEDSEG01 golden, which stores every profile column, stays
+// readable: it decodes to exactly the columns its NEDSEG02 re-encoding
+// derives.
+func TestSegmentV1GoldenMatchesV2(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "golden-v1.nedseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(old[:len(Magic)]) != "NEDSEG01" {
+		t.Fatalf("golden-v1.nedseg starts %q", old[:len(Magic)])
+	}
+	if err := Verify(bytes.NewReader(old)); err != nil {
+		t.Fatalf("Verify rejects the NEDSEG01 golden: %v", err)
+	}
+	meta, items, dict, g, _, err := Read(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("Read rejects the NEDSEG01 golden: %v", err)
+	}
+	tables := make([][]ned.Item, meta.Shards)
+	for _, it := range items {
+		si := ned.ShardOf(it.Node, meta.Shards)
+		tables[si] = append(tables[si], it)
+	}
+	blob := encode(t, meta, dict, g, tables)
+	if string(blob[:len(Magic)]) != Magic {
+		t.Fatalf("re-encoding starts %q, want %q", blob[:len(Magic)], Magic)
+	}
+	meta2, items2, dict2, g2, _, err := Read(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("Read of the re-encoding: %v", err)
+	}
+	if meta2 != meta || dict2.Len() != dict.Len() || g2.NumEdges() != g.NumEdges() {
+		t.Fatalf("re-encoding: meta %+v, %d shapes, %d edges; want %+v, %d, %d",
+			meta2, dict2.Len(), g2.NumEdges(), meta, dict.Len(), g.NumEdges())
+	}
+	sameItems(t, "NEDSEG01 golden vs its NEDSEG02 re-encoding", items2, items)
+	t.Logf("NEDSEG01 %d bytes, NEDSEG02 %d bytes", len(old), len(blob))
+}
+
+// What a reader derives is what the writer held: over a 500-node sample
+// of each dataset analog at k = 2 and 3, and a directed corpus, Write
+// then Read returns every tree's parents and every profile column
+// (Levels, Labels, Perm, Kids, KidOff, Degs, LeafLabel) unchanged.
+func TestSegmentDerivesWrittenColumns(t *testing.T) {
+	type corpus struct {
+		name     string
+		g        *graph.Graph
+		directed bool
+	}
+	var corpora []corpus
+	for _, name := range datasets.All {
+		corpora = append(corpora, corpus{string(name), datasets.MustGenerate(name, datasets.Options{Seed: 5}), false})
+	}
+	// A directed corpus: the GNU analog with every edge oriented at random.
+	gnu := datasets.MustGenerate(datasets.GNU, datasets.Options{Seed: 5})
+	rng := rand.New(rand.NewSource(6))
+	b := graph.NewBuilder(gnu.NumNodes(), true)
+	for _, e := range gnu.Edges() {
+		if rng.Intn(2) == 0 {
+			e.U, e.V = e.V, e.U
+		}
+		b.AddEdge(e.U, e.V)
+	}
+	corpora = append(corpora, corpus{"GNU directed", b.Build(), true})
+	for _, c := range corpora {
+		for _, k := range []int{2, 3} {
+			if c.directed && k == 2 {
+				continue
+			}
+			nodes := make([]graph.NodeID, 0, 500)
+			for _, v := range rand.New(rand.NewSource(int64(k))).Perm(c.g.NumNodes())[:500] {
+				nodes = append(nodes, graph.NodeID(v))
+			}
+			slices.Sort(nodes)
+			items := ned.BuildItems(c.g, nodes, k, c.directed, 2)
+			dict := tree.NewInterner()
+			ned.ProfileItems(items, dict, 2)
+			tables := Tables(slices.Values(items))
+			blob := encode(t, Meta{Backend: "pruned", K: k, Directed: c.directed}, dict, c.g, tables)
+			_, got, _, _, _, err := Read(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("%s k=%d: Read: %v", c.name, k, err)
+			}
+			sameItems(t, fmt.Sprintf("%s k=%d", c.name, k), got, flatten(tables))
+		}
+	}
+}
+
+// nonBFSItem is a one-node corpus item whose tree is in level order but
+// not BFS order — node 3 hangs under node 2, node 4 under node 1 — so
+// its table entry carries the parent vector.
+func nonBFSItem(dict *tree.Interner) ned.Item {
+	tr := tree.MustNew([]int32{-1, 0, 0, 2, 1})
+	return ned.Item{Node: 7, K: 2, Out: tr, OutP: dict.Profile(tr)}
+}
+
+// A tree not in BFS order round-trips with its own parent vector.
+func TestSegmentNonBFSTreeRoundTrip(t *testing.T) {
+	dict := tree.NewInterner()
+	items := []ned.Item{nonBFSItem(dict)}
+	blob := encode(t, Meta{Backend: "pruned", K: 2}, dict, nil, [][]ned.Item{items})
+	_, got, _, _, _, err := Read(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameItems(t, "non-BFS tree", got, items)
+}
+
+// itemTable locates the first item table of a segment: the offset of
+// its payload and the payload's words.
+func itemTable(t *testing.T, blob []byte) (at int, words []uint32) {
+	t.Helper()
+	for off := len(Magic); off < len(blob); {
+		n := int(binary.LittleEndian.Uint64(blob[off+1:]))
+		if blob[off] == secShard {
+			words = make([]uint32, n/4)
+			for i := range words {
+				words[i] = binary.LittleEndian.Uint32(blob[off+9+4*i:])
+			}
+			return off + 9, words
+		}
+		off += 9 + n + 4
+	}
+	t.Fatal("segment holds no item table")
+	return 0, nil
+}
+
+// rewrite returns blob with the item table's word i set to v and the
+// table's checksum recomputed: faithful bytes of an inconsistent table.
+func rewrite(blob []byte, at, nWords, i int, v uint32) []byte {
+	out := bytes.Clone(blob)
+	binary.LittleEndian.PutUint32(out[at+4*i:], v)
+	end := at + 4*nWords
+	binary.LittleEndian.PutUint32(out[end:], crc32.Checksum(out[at:end], castagnoli))
+	return out
+}
+
+// The reader checks every stored label against the shapes around it: a
+// table that checksums but disagrees with its dictionary fails with
+// ErrInconsistent, never a panic or a wrong corpus.
+func TestSegmentV2RejectsInconsistentTables(t *testing.T) {
+	meta, dict, g, _ := fixture(t, false, 1)
+	items := ned.BuildItems(g, []graph.NodeID{0, 1, 2, 3, 4, 5, 6}, 2, false, 1)
+	ned.ProfileItems(items, dict, 1)
+	items = append(items, nonBFSItem(dict))
+	blob := encode(t, meta, dict, g, [][]ned.Item{items})
+	at, words := itemTable(t, blob)
+	shapes := dict.Shapes()
+
+	// Walk the table: per item, where its tree's header word sits.
+	type treeAt struct{ hdr, m int }
+	var trees []treeAt
+	for pos, i := 2, 0; i < int(words[1]); i++ {
+		pos += 3
+		hdr := words[pos]
+		m := int(hdr &^ parentsFlag)
+		trees = append(trees, treeAt{pos, m})
+		pos += 1 + m
+		if hdr&parentsFlag != 0 {
+			pos += 5 // nonBFSItem's five parents
+		}
+	}
+	// A tree of height 2: at k = 2 one storing more than its root.
+	var tall treeAt
+	for _, tr := range trees[:len(trees)-1] {
+		if tr.m > 1 {
+			tall = tr
+			break
+		}
+	}
+	if tall.m != 1+len(shapes[words[tall.hdr+1]])/4 {
+		t.Fatalf("fixture holds no tree of height 2 (found %+v)", tall)
+	}
+	root := tall.hdr + 1
+	first1 := root + 1 // the first level-1 label
+	// Shapes to swap in: one with a non-leaf kid, and an all-leaf one
+	// (a node with leaf children only) other than first1's own.
+	nonLeaf, star := -1, -1
+	for id, key := range shapes {
+		if key == "" {
+			continue
+		}
+		if binary.LittleEndian.Uint32([]byte(key[len(key)-4:])) != 0 {
+			nonLeaf = max(nonLeaf, id)
+		} else if uint32(id) != words[first1] && star < 0 {
+			star = id
+		}
+	}
+	if nonLeaf < 0 || star < 0 {
+		t.Fatalf("dictionary lacks the shapes to swap in (non-leaf %d, star %d)", nonLeaf, star)
+	}
+	nb := trees[len(trees)-1] // the non-BFS tree: labels of nodes 0..2, then parents -1,0,0,2,1
+	parent4 := nb.hdr + 1 + nb.m + 4
+
+	cases := []struct {
+		what, want string
+		word       int
+		v          uint32
+	}{
+		{"a label outside the dictionary", "outside the dictionary", root, uint32(len(shapes))},
+		{"child counts overrunning the stored labels", "overrun", tall.hdr, uint32(tall.m - 1)},
+		{"a stored level with no children", "has no children", root, 0},
+		{"a level h-1 node with a non-leaf kid", "non-leaf kid", first1, uint32(nonLeaf)},
+		{"a parent vector disagreeing with the shapes", "parent vector", parent4, 2},
+		{"children differing from their parent's shape", "do not carry", first1, uint32(star)},
+	}
+	for _, c := range cases {
+		_, _, _, _, _, err := Read(bytes.NewReader(rewrite(blob, at, len(words), c.word, c.v)))
+		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want ErrInconsistent mentioning %q", c.what, err, c.want)
+		}
+	}
+
+	// A dictionary without the leaf shape cannot hold even a one-node
+	// tree.
+	lone := tree.MustNew([]int32{-1})
+	empty := encode(t, meta, tree.NewInterner(), nil,
+		[][]ned.Item{{{Node: 0, K: meta.K, Out: lone, OutP: dict.Profile(lone)}}})
+	if _, _, _, _, _, err := Read(bytes.NewReader(empty)); !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), "leaf shape") {
+		t.Errorf("a missing leaf shape: got %v, want ErrInconsistent mentioning %q", err, "leaf shape")
 	}
 }
