@@ -9,7 +9,7 @@
 //
 //	nedserve -addr :8080                                   # empty registry; create corpora over the API
 //	nedserve -addr :8080 -name demo -dataset PGP -k 3      # boot serving a built-in dataset analog
-//	nedserve -addr :8080 -name prod -snapshot c.nedseg     # boot from a corpus snapshot (NEDSEG01; legacy text imports too)
+//	nedserve -addr :8080 -name prod -snapshot c.nedseg     # boot from a corpus snapshot (NEDSEG02 or NEDSEG01; legacy text imports too)
 //	nedserve -addr :8080 -data /var/lib/nedserve           # durable tenants: recover on boot, WAL every mutation
 //
 // Corpora are created and dropped at runtime over the API:
@@ -43,7 +43,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		name     = flag.String("name", "default", "name of the corpus served at boot (with -dataset or -snapshot)")
 		dataset  = flag.String("dataset", "", "boot corpus: built-in dataset analog (CAR, PAR, AMZN, DBLP, GNU, PGP)")
-		snapshot = flag.String("snapshot", "", "boot corpus: ned corpus snapshot file (a NEDSEG01 segment; legacy text snapshots are imported)")
+		snapshot = flag.String("snapshot", "", "boot corpus: ned corpus snapshot file (a NEDSEG02 or NEDSEG01 segment; legacy text snapshots are imported)")
 		k        = flag.Int("k", 3, "boot corpus neighborhood depth (dataset only; snapshots record their own)")
 		backend  = flag.String("backend", "", "accepted and ignored (vp, bk, linear, pruned or empty): every corpus serves from the cascade scan")
 		workers  = flag.Int("workers", 0, "boot corpus worker count (0 = GOMAXPROCS)")

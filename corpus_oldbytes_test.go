@@ -37,7 +37,7 @@ const rebalancedK = 2
 
 func rebalancedGraph() *Graph { return randomGraph(40, 80, 2801) }
 
-// sectionsOf walks a NEDSEG01 stream's framing ([type u8][len u64]
+// sectionsOf walks a segment stream's framing ([type u8][len u64]
 // [payload][crc u32] after the 8-byte magic) and returns each section's
 // type and the offset of its payload.
 func sectionsOf(t *testing.T, blob []byte) (types []byte, payloadAt []int) {
@@ -268,7 +268,7 @@ func legacySegment(t *testing.T, c *Corpus, v *corpusView) []byte {
 	return buf.Bytes()
 }
 
-// TestSegmentWithVPDumpsStillLoads: a NEDSEG01 stream carrying
+// TestSegmentWithVPDumpsStillLoads: a segment stream carrying
 // Meta.Backend "vp" and per-shard VP dumps loads, serves from the scan
 // with answers equal to the oracle, and re-snapshots without dumps; a
 // flipped byte inside a dump section still fails Verify and LoadCorpus.

@@ -11,14 +11,16 @@ import (
 	"ned/internal/segment"
 )
 
-// Snapshot writes the corpus — its configuration, every live signature
-// (mutations included) with its compiled cascade profile, the
-// subtree-shape dictionary, and the backing graph when one is attached —
-// to w as a NEDSEG01 binary segment (internal/segment), length- and
-// checksum-framed, the one corpus format this build writes. LoadCorpus
-// restores it without re-extracting or re-profiling anything, and with
-// the graph, so the restored corpus can Insert and UpdateGraph exactly
-// when this one can. Snapshotting a corpus that has never been queried
+// Snapshot writes the corpus — its configuration, the subtree-shape
+// dictionary, every live signature (mutations included) as the interned
+// labels of its tree's levels above the deepest, and the backing graph
+// when one is attached — to w as a NEDSEG02 binary segment
+// (internal/segment), length- and checksum-framed, the one corpus
+// format this build writes. LoadCorpus derives every tree and compiled
+// cascade profile from those labels and the dictionary, without
+// re-extracting or re-interning anything, and restores the graph, so
+// the restored corpus can Insert and UpdateGraph exactly when this one
+// can. Snapshotting a corpus that has never been queried
 // materializes its signatures first (but not the index structures,
 // which LoadCorpus rebuilds lazily anyway).
 //
@@ -70,9 +72,10 @@ func (c *Corpus) materializedView() *corpusView {
 // unindexed nodes. WithNodes and WithDirected are ignored: the
 // snapshot's items define the node set and directedness.
 //
-// The text formats carry neither profiles nor graph, so importing one
-// recompiles the filter cascade against a fresh dictionary and needs
-// WithGraph before it can mutate; segments carry all three.
+// The text formats carry neither dictionary nor graph, so importing one
+// compiles the filter cascade against a fresh dictionary and needs
+// WithGraph before it can mutate; segments carry both, and derive every
+// profile from the dictionary they carry.
 func LoadCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	prefix, _ := br.Peek(len(segment.Magic))

@@ -188,7 +188,7 @@ func TestCorpusSnapshotDirected(t *testing.T) {
 	}
 }
 
-// TestCorpusSnapshotDeterministic: what NEDSEG01 promises — the same
+// TestCorpusSnapshotDeterministic: what NEDSEG02 promises — the same
 // corpus snapshotted twice is byte-identical, here after mutations and
 // again after a round trip.
 func TestCorpusSnapshotDeterministic(t *testing.T) {

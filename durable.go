@@ -17,9 +17,11 @@ import (
 )
 
 // Durable corpora. A durable directory holds numbered generations of
-// two files: a binary segment checkpoint (the full corpus — items,
-// compiled profiles, shape dictionary, backing graph — loadable
-// without re-extraction or re-profiling) and a mutation write-ahead
+// two files: a binary segment checkpoint (the full corpus as NEDSEG02:
+// the shape dictionary, the backing graph, and each signature tree as
+// the interned labels of its levels above the deepest, from which a
+// load derives every tree and compiled profile column without
+// re-extracting or re-interning anything) and a mutation write-ahead
 // log. Every Insert, Remove, and UpdateGraph call appends one
 // checksummed record to the active log
 // BEFORE its view publishes, so an acknowledged mutation survives a

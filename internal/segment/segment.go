@@ -1,8 +1,8 @@
 // Package segment is the durable persistence layer of the Corpus
 // engine: a versioned binary segment format that round-trips a
-// materialized corpus — signature trees AND their compiled cascade
-// profiles AND the shape dictionary they are expressed against —
-// without re-extracting, re-parsing, or re-profiling anything on load,
+// materialized corpus — its signature trees, the shape dictionary
+// their compiled cascade profiles are expressed against, and the
+// backing graph — without re-extracting or re-parsing anything on load,
 // plus a mutation write-ahead log (wal.go) and the checkpoint/log file
 // discipline (files.go) that together recover a crashed corpus to its
 // last committed mutation.
@@ -11,7 +11,7 @@
 //
 // A segment is a magic string followed by framed sections:
 //
-//	magic   "NEDSEG01" (8 bytes)
+//	magic   "NEDSEG02" (8 bytes; "NEDSEG01" files still load)
 //	section [type u8][payloadLen u64][payload][crc32c(payload) u32]
 //
 // in fixed order: meta (1), dict (2), an optional graph (3), one shard
@@ -32,7 +32,9 @@
 //	       table — the section offsets that let a reader slice or
 //	       skip shards.
 //	dict:  nShapes u32, kidOff (nShapes+1)×u32, kids kidOff[n]×u32 —
-//	       the interner's CSR shape table (tree.ExportShapes).
+//	       the interner's shapes (tree.Interner.Shapes) as a CSR table:
+//	       shape id's sorted child labels, each a smaller id. Shape 0
+//	       is therefore the leaf.
 //	graph: nodes u32, directed u8, edges u64, then u32 pairs — the
 //	       backing graph, so a recovered corpus keeps Insert and
 //	       UpdateGraph without a sidecar file.
@@ -46,9 +48,11 @@
 //	       multiple of 4): shardIndex, itemCount, then per item
 //	       (strictly node-ascending — readers reject out-of-order or
 //	       duplicate nodes): node, k, flags (bit0 = has incoming
-//	       tree), and per tree n, parents n×u32 (parents[0] is the
-//	       root's -1), then the compiled profile columns
-//	       labels n×u32, perm n×u32, kids (n-1)×u32.
+//	       tree), and per tree a header word m — bit 31 set when the
+//	       tree is not in BFS order — then the interned labels of its
+//	       m nodes above the deepest level (levels 0…h−1) in node
+//	       order, then, when bit 31 is set, its parent vector (n×u32,
+//	       parents[0] the root's -1).
 //	index: shardIndex u32, nNodes u32, nTail u32, then per VP-tree
 //	       node in preorder: node u32, radius f64 (IEEE-754 bits as
 //	       u64), flags u8 (bit0 = has inside child, bit1 = has beyond
@@ -57,21 +61,40 @@
 //	       rebuilds lazily.
 //	end:   items u64 (must equal meta's).
 //
+// # What a tree derives from its labels
+//
+// A label is an interned subtree shape, so it fixes its node's child
+// count and its children's labels. A tree therefore stores only what
+// the dictionary cannot derive — the labels of its inner levels, about
+// an eighth of its nodes on the PGP analog at k = 3 — and Read derives
+// the rest (decodeTree): the level widths and the deepest level (all
+// leaves, identity Perm) from the child counts, the parent vector and
+// child offsets from the same counts in BFS order (every extracted tree
+// is; only a hand-written text snapshot can hold another, which keeps
+// its parent vector), Kids as each node's shape run, the level-sorted
+// Labels, Perm and degree sequences by a counting sort per level, and
+// Levels, Size, LeafLabel and Canon from those. Every stored label is
+// checked against the shapes around it — in the dictionary, child
+// counts that end exactly on a level boundary, no stored level without
+// children, leaf kids only on level h−1, children that carry their
+// parent's shape's kids — so a table that checksums but could not have
+// been written fails with ErrInconsistent.
+//
+// NEDSEG01 item tables stored every tree whole instead: n, parents
+// n×u32, then the compiled profile columns labels n×u32, perm n×u32,
+// kids (n-1)×u32. That layout is word-only and word-aligned, so on a
+// little-endian host its decoder (decodeTreeV1) aliases parent vectors
+// and profile columns straight into the checksummed section payload
+// and validates them; only a big-endian host pays a byte-swapping pass.
+// A NEDSEG02 load retains no payload: every column is derived into
+// fresh storage.
+//
 // The index sections persist what even the item tables cannot buy
 // back: a vantage-point tree costs O(n log n) TED* evaluations to
 // build, so a segment that carries the built structure (radii and
 // split topology, restored without a single metric call) turns a
-// multi-second re-index into a sub-millisecond restore.
-//
-// The profile columns are the flat int32 vectors the filter cascade
-// reads per candidate; persisting them (against the persisted
-// dictionary) is what turns restart cost from O(corpus × reparse +
-// reprofile) into a sequential read plus validation. The shard layout
-// is deliberately word-only and word-aligned: on a little-endian host
-// the wire format IS the in-memory column layout, so the decoder
-// aliases parent vectors and profile columns straight into the
-// checksummed section payload — zero copies, zero per-column
-// allocations — and only a big-endian host pays a byte-swapping pass.
+// multi-second re-index into a sub-millisecond restore. The Corpus no
+// longer writes them; older segments that carry them still load.
 package segment
 
 import (
@@ -658,7 +681,7 @@ func Tables(items iter.Seq[ned.Item]) [][]ned.Item {
 // referencing exactly that shard's items.
 //
 // Write streams: the dictionary (straight from dict.Shapes), graph and
-// item tables go out through one pooled 64 KiB buffer and a running
+// item tables go out through one shared 64 KiB buffer and a running
 // checksum, behind headers carrying lengths computed up front, so
 // writing a segment never holds a copy of the corpus or its dictionary
 // — only meta and the index dumps are framed in memory.
@@ -913,7 +936,6 @@ func (sh *shapeTable) run(l int32) []int32 { return sh.kids[sh.off[l]:sh.off[l+1
 // treeScratch is one decoding worker's memory, reused across trees:
 // count holds one zero per shape between trees.
 type treeScratch struct {
-	levels   []int32
 	count    []int32
 	distinct []int32
 	byDeg    []uint64
@@ -929,8 +951,8 @@ type treeScratch struct {
 //   - in BFS order the child counts give the parent vector (a tree not
 //     in BFS order stores its own, which must agree with them);
 //   - each node's shape run is its sorted child labels (Kids);
-//   - one sort of packed (label, index) keys per stored level gives the
-//     level-sorted Labels and Perm, and the deepest level is all leaf
+//   - a counting sort per stored level gives the level-sorted Labels,
+//     Perm and degree run (Degs), and the deepest level is all leaf
 //     labels in node order.
 //
 // Every check that a stored label agrees with the shapes around it
@@ -959,7 +981,8 @@ func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *t
 	}
 
 	// Level widths: the root alone, then each stored level's child count.
-	levels := append(sc.levels[:0], 1)
+	var levelsBuf [16]int32
+	levels := append(levelsBuf[:0], 1)
 	n, last := 1, 0 // last: the first node of level h-1
 	for off, w := 0, 1; off < m; {
 		if off+w > m {
@@ -967,7 +990,7 @@ func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *t
 		}
 		c := 0
 		for _, l := range stored[off : off+w] {
-			c += int(sh.off[l+1] - sh.off[l])
+			c += len(sh.run(l))
 		}
 		if c == 0 {
 			return nil, nil, 0, inconsistent("stored level %d has no children", len(levels)-1)
@@ -978,13 +1001,10 @@ func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *t
 		last, off, w = off, off+w, c
 		levels = append(levels, int32(c))
 	}
-	sc.levels = levels
 	h := len(levels) - 1
-	if m > 0 {
-		for v := last; v < m; v++ {
-			if run := sh.run(stored[v]); len(run) > 0 && run[len(run)-1] != leafShape {
-				return nil, nil, 0, inconsistent("node %d on level %d has a non-leaf kid", v, h-1)
-			}
+	for v := last; v < m; v++ {
+		if run := sh.run(stored[v]); len(run) > 0 && run[len(run)-1] != leafShape {
+			return nil, nil, 0, inconsistent("node %d on level %d has a non-leaf kid", v, h-1)
 		}
 	}
 
@@ -998,7 +1018,7 @@ func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *t
 		parents[0] = -1
 		next := int32(1)
 		for v, l := range stored {
-			c := sh.off[l+1] - sh.off[l]
+			c := int32(len(sh.run(l)))
 			for i := next; i < next+c; i++ {
 				parents[i] = int32(v)
 			}
@@ -1080,7 +1100,7 @@ func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *t
 		}
 		byDeg := sc.byDeg[:0]
 		for _, l := range distinct {
-			byDeg = append(byDeg, uint64(sh.off[l+1]-sh.off[l])<<32|uint64(sc.count[l]))
+			byDeg = append(byDeg, uint64(len(sh.run(l)))<<32|uint64(sc.count[l]))
 		}
 		sc.byDeg = byDeg
 		if !slices.IsSorted(byDeg) {
@@ -1326,8 +1346,9 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 	return ix, nil
 }
 
-// Read parses a binary segment, reconstructing the shape dictionary,
-// every item with its compiled profiles, the embedded graph (nil when
+// Read parses a binary segment of either layout, reconstructing the
+// shape dictionary, every item with its trees and compiled profiles
+// (derived from the dictionary in NEDSEG02), the embedded graph (nil when
 // the segment carries none), and the persisted per-shard VP-index
 // dumps (nil when the segment carries none — indexes[si] may also be
 // empty for individual shards, which then rebuild lazily). Items are
@@ -1335,7 +1356,8 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 // shard, as written); callers re-file them by hash for whatever shard
 // count they run with, and must discard the index dumps if that count
 // differs from meta.Shards. Any truncation, checksum mismatch, or
-// internal inconsistency is a loud error.
+// internal inconsistency is a loud error; a NEDSEG02 item table that
+// disagrees with the dictionary fails with ErrInconsistent.
 func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
 	var meta Meta
 	fail := func(err error) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
@@ -1568,8 +1590,9 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 // file is structurally whole, which is what the checkpoint writer
 // needs to confirm before deleting the generations a torn or bit-
 // flipped write would otherwise have been recovered from. Payloads
-// pass through the checksum in one fixed 64 KiB buffer, so verifying
-// a segment never holds a section of it.
+// pass through the checksum in the 64 KiB buffer segment writes share,
+// so verifying a segment never holds a section of it. Both layouts
+// verify.
 func Verify(r io.Reader) error {
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {

@@ -512,7 +512,7 @@ func (s *Server) handleStats(ctx context.Context, r *http.Request) (int, any, er
 	return http.StatusOK, StatsDoc{Corpus: t.Name, Stats: t.Corpus.Stats()}, nil
 }
 
-// handleSnapshotHTTP streams the corpus snapshot — the NEDSEG01 binary
+// handleSnapshotHTTP streams the corpus snapshot — the NEDSEG02 binary
 // segment Snapshot/LoadCorpus speak, backing graph included — outside
 // the JSON envelope.
 func (s *Server) handleSnapshotHTTP(w http.ResponseWriter, r *http.Request) {

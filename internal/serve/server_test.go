@@ -270,7 +270,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 // TestCreateFromSnapshotPath pins that a tenant created from a
 // server-side snapshot has a graph exactly when its corpus does. What
-// the snapshot endpoint serves is a NEDSEG01 segment with the graph in
+// the snapshot endpoint serves is a NEDSEG02 segment with the graph in
 // it, so a tenant restored from a download inserts (and coalesces) like
 // its source; a legacy text snapshot carries none, so insert is refused
 // as no_graph.

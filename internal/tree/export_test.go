@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -163,6 +164,54 @@ func TestProfileFromPartsRejectsBadColumns(t *testing.T) {
 		unsorted[1], unsorted[2] = unsorted[2], unsorted[1]
 		if _, err := in.ProfileFromParts(tr, unsorted, dup(p.Perm), dup(p.Kids), nil); err == nil {
 			t.Error("unsorted level labels accepted")
+		}
+	}
+}
+
+// Shapes hands out views of a table that interning keeps appending to:
+// every view taken mid-interning must be a prefix of the final table,
+// each shape's children interned before it.
+func TestShapesWhileInterning(t *testing.T) {
+	trees, _ := exportTestTrees(t, 200, 13)
+	in := NewInterner()
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(trees); i += 4 {
+				in.Profile(trees[i].Clone())
+			}
+		}()
+	}
+	var views [][]string
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		views = append(views, in.Shapes())
+	}
+	final := in.Shapes()
+	if len(final) != in.Len() {
+		t.Fatalf("Shapes holds %d shapes, the dictionary %d", len(final), in.Len())
+	}
+	for _, view := range views {
+		if !slices.Equal(view, final[:len(view)]) {
+			t.Fatalf("a %d-shape view taken while interning is not a prefix of the final table", len(view))
+		}
+	}
+	for id, key := range final {
+		for j := 0; j < len(key); j += 4 {
+			if kid := binary.LittleEndian.Uint32([]byte(key[j:])); kid >= uint32(id) {
+				t.Fatalf("shape %d has child label %d: children must intern first", id, kid)
+			}
 		}
 	}
 }
