@@ -584,25 +584,13 @@ func expectSection(r io.Reader, want byte) ([]byte, error) {
 // and so carries its parent vector after its labels.
 const parentsFlag = 1 << 31
 
-// bfsOrder reports whether t's parents are non-decreasing in node
-// order — true of every extracted tree, and what lets a reader derive
-// the parent vector from the shapes instead of storing it.
-func bfsOrder(t *tree.Tree) bool {
-	for v := int32(2); v < int32(t.Size()); v++ {
-		if t.Parent(v) < t.Parent(v-1) {
-			return false
-		}
-	}
-	return true
-}
-
 // encodedTreeSize is the byte length of one serialized tree: its header
 // word, one label per node above the deepest level (as many as the
 // profile has degrees), and the parent vector of a tree not in BFS
-// order.
+// order, whose parents a reader cannot derive from the shapes.
 func encodedTreeSize(t *tree.Tree, p *tree.Profile) int {
 	s := 4 + 4*len(p.Degs)
-	if !bfsOrder(t) {
+	if !t.BFSOrder() {
 		s += 4 * t.Size()
 	}
 	return s
@@ -616,7 +604,7 @@ func encodedTreeSize(t *tree.Tree, p *tree.Profile) int {
 // its full parent vector, the root's -1 included.
 func writeTree(s *sectionWriter, t *tree.Tree, p *tree.Profile, scratch *[]int32) {
 	m := len(p.Degs)
-	bfs := bfsOrder(t)
+	bfs := t.BFSOrder()
 	hdr := uint32(m)
 	if !bfs {
 		hdr |= parentsFlag

@@ -40,12 +40,13 @@ func (in *Interner) Shapes() []string {
 }
 
 // NewInternerFromShapes rebuilds a dictionary from a CSR shape table
-// (the layout a segment stores Shapes in), reassigning the same label IDs: shape id gets the sorted
-// child labels kids[kidOff[id]:kidOff[id+1]], each of which must be a
-// smaller id (children intern before parents). No AHU encoding strings
-// are materialized — the dictionary never stores them — so rebuilding
-// costs one map insert per distinct shape and profiles reconstructed
-// against the result are indistinguishable from freshly compiled ones.
+// (the layout a segment stores Shapes in), reassigning the same label
+// IDs: shape id gets the sorted child labels kids[kidOff[id]:kidOff[id+1]],
+// each of which must be a smaller id (children intern before parents).
+// No AHU encoding strings are materialized — the dictionary never
+// stores them — so rebuilding costs one map insert per distinct shape
+// and profiles reconstructed against the result are indistinguishable
+// from freshly compiled ones.
 func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 	if len(kidOff) == 0 || kidOff[0] != 0 {
 		return nil, fmt.Errorf("tree: shape table offsets must start at 0")

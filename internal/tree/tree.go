@@ -36,6 +36,7 @@ type Tree struct {
 	// read-only run idRun instead of being stored per tree.
 	childOff []int32
 	childIDs []int32
+	bfs      bool // parent non-decreasing: childIDs is the shared run
 
 	// canon caches the AHU canonical encoding. Signatures are queried
 	// repeatedly (every canonical orientation of a TED* pair may consult
@@ -169,7 +170,7 @@ func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 	}
 	if bfsOrder {
 		// Children sorted by (parent, id) are exactly 1..n-1 in order.
-		t.childIDs = bfsIDs(n)
+		t.childIDs, t.bfs = bfsIDs(n), true
 		return t, nil
 	}
 	// General level order: fill childIDs using childOff[p] itself as the
@@ -197,7 +198,7 @@ func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 // n). The tree takes ownership of all three. A segment decoder, which
 // builds them from stored labels and their shapes, is the caller.
 func NewBFS(parent, childOff, levelOff []int32) *Tree {
-	return &Tree{parent: parent, levelOff: levelOff, childOff: childOff, childIDs: bfsIDs(len(parent))}
+	return &Tree{parent: parent, levelOff: levelOff, childOff: childOff, childIDs: bfsIDs(len(parent)), bfs: true}
 }
 
 // idRun is the process-wide run 0, 1, 2, ... that BFS-order trees alias
@@ -247,6 +248,11 @@ func (t *Tree) Size() int { return len(t.parent) }
 
 // Height returns the depth of the deepest node (a single root has height 0).
 func (t *Tree) Height() int { return len(t.levelOff) - 2 }
+
+// BFSOrder reports whether t's parents are non-decreasing in node order
+// — true of every extracted tree — so that each node's children follow
+// those of the node before it.
+func (t *Tree) BFSOrder() bool { return t.bfs }
 
 // Parent returns the parent of v, or -1 for the root.
 func (t *Tree) Parent(v int32) int32 { return t.parent[v] }
