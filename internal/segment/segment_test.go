@@ -130,21 +130,12 @@ func checkRoundTrip(t *testing.T, directed bool) {
 	for _, sh := range shardItems {
 		want = append(want, sh...)
 	}
-	if len(gotItems) != len(want) || gotMeta.Items != len(want) {
-		t.Fatalf("got %d items, want %d", len(gotItems), len(want))
+	if gotMeta.Items != len(want) {
+		t.Fatalf("meta counts %d items, want %d", gotMeta.Items, len(want))
 	}
-	for i := range want {
-		w, gItem := &want[i], &gotItems[i]
-		if w.Node != gItem.Node || w.K != gItem.K {
-			t.Fatalf("item %d identity: got (%d,%d) want (%d,%d)", i, gItem.Node, gItem.K, w.Node, w.K)
-		}
-		if !sameTree(w.Out, gItem.Out) || !sameTree(w.In, gItem.In) {
-			t.Fatalf("item %d trees differ", i)
-		}
-		if !sameProfile(w.OutP, gItem.OutP) || !sameProfile(w.InP, gItem.InP) {
-			t.Fatalf("item %d profiles differ", i)
-		}
-		if !gItem.OutP.Resolved() {
+	sameItems(t, "round trip", gotItems, want)
+	for i := range gotItems {
+		if !gotItems[i].OutP.Resolved() {
 			t.Fatalf("item %d profile unresolved after load", i)
 		}
 	}
@@ -584,7 +575,7 @@ func TestSegmentV1GoldenMatchesV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(old[:len(Magic)]) != "NEDSEG01" {
+	if string(old[:len(Magic)]) != magicV1 {
 		t.Fatalf("golden-v1.nedseg starts %q", old[:len(Magic)])
 	}
 	if err := Verify(bytes.NewReader(old)); err != nil {
