@@ -151,13 +151,16 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 // seed 42, k=3) plus the first KNN, which pays the lazy build — one
 // k-adjacent extraction and one profile compile per node, then one
 // block. workers=1 against workers=2 shows whether
-// extraction and profile compilation scale across the workers.
+// extraction and profile compilation scale across the workers; MB/op is
+// what one build allocates, in 10^6 bytes.
 func BenchmarkCorpusBuild(b *testing.B) {
 	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
 	ctx := context.Background()
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				c, err := NewCorpus(g, 3, WithWorkers(workers))
 				if err != nil {
@@ -167,19 +170,29 @@ func BenchmarkCorpusBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB/op")
 		})
 	}
 }
 
 // BenchmarkCorpusResidency measures what a corpus keeps resident over
-// the harness's PGP analog (scale 4, seed 42, k=3), without a daemon. built-B/node is the live heap NewCorpus + the first KNN
+// the harness's PGP analog (seed 42, k=3) at scales 1, 4 and 16, without
+// a daemon. built-B/node is the live heap NewCorpus + the first KNN
 // adds, per node; recovered-B/node is the live heap OpenDurable + the
 // first KNN adds in a corpus recovered from that corpus's checkpoint
 // (the embedded graph included); ckpt-alloc-B/B is what one Checkpoint
 // allocates per byte of the segment it writes.
 func BenchmarkCorpusResidency(b *testing.B) {
-	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
+	for _, scale := range []float64{1, 4, 16} {
+		b.Run(fmt.Sprintf("pgp=x%g", scale), func(b *testing.B) {
+			benchmarkCorpusResidency(b, MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: scale, Seed: 42}))
+		})
+	}
+}
+
+func benchmarkCorpusResidency(b *testing.B, g *Graph) {
 	ctx := context.Background()
 	nodes := float64(g.NumNodes())
 	var built, recovered, ckpt float64

@@ -118,7 +118,7 @@ func (sc *sweepScratch) rangeBlockSurvivors(q Item, pt sweepPart, r int) []int32
 		for word != 0 {
 			j := base + int32(bits.TrailingZeros64(word))
 			word &= word - 1
-			if _, pruned := degreeTierPrunes(q, items[j], r); pruned {
+			if _, pruned := degreeTierPrunes(q, items[j], int(padB[j]), r); pruned {
 				cs.cascadePrune(tierDegree)
 				continue
 			}

@@ -37,9 +37,10 @@ import (
 // whose degree bound is at most the final l-th distance. The VP and BK
 // trees visit candidates one at a
 // time in an order their geometry dictates, so they gate each budgeted
-// evaluation with tier 2 alone (gatedDistanceAtMost): DegreeBound opens
-// with the padding bound, which dominates the size bound, so it prunes
-// exactly the candidates the three tiers would.
+// evaluation with tier 2 alone (gatedDistanceAtMost), the one caller
+// that computes the padding bound itself: tier 2 opens with it, and it
+// dominates the size bound, so the gate prunes exactly the candidates
+// the three tiers would.
 
 // cascadeTier names the filter tier that dismissed a candidate; the
 // counters report the per-tier breakdown.
@@ -94,16 +95,31 @@ func mustProfiled(it *Item) {
 }
 
 // degreeTierPrunes runs tier 2, the degree-sequence bound, at threshold
-// t: ted.DegreeBound summed over the out/in tree pairs, the in-pair
-// under whatever the out-pair left of t. It is the tier's only form —
+// t: pad, the pair's padding bound summed over its out/in tree pairs,
+// plus ted.DegreeExcess of the out-pair and then of the in-pair, each
+// under whatever the sum so far left of t. It is the tier's only form —
 // every scan and the tree backends' gate call it with the candidate's
-// profiles read through its item.
-func degreeTierPrunes(q, it Item, t int) (bound int, pruned bool) {
-	bound = ted.DegreeBound(q.OutP, it.OutP, t)
+// profiles read through its item. The scans pass the block kernel's
+// padding bound for the candidate's slot.
+func degreeTierPrunes(q, it Item, pad, t int) (bound int, pruned bool) {
+	bound = pad
+	if bound <= t {
+		bound += ted.DegreeExcess(q.OutP, it.OutP, t-bound)
+	}
 	if bound <= t && q.In != nil && it.In != nil {
-		bound += ted.DegreeBound(q.InP, it.InP, t-bound)
+		bound += ted.DegreeExcess(q.InP, it.InP, t-bound)
 	}
 	return bound, bound > t
+}
+
+// paddingBound is the pair's padding bound summed over its out/in tree
+// pairs: what the block kernel computes for a scanned candidate.
+func paddingBound(q, it Item) int {
+	pad := ted.PaddingBound(q.OutP, it.OutP)
+	if q.In != nil && it.In != nil {
+		pad += ted.PaddingBound(q.InP, it.InP)
+	}
+	return pad
 }
 
 // gatedDistanceAtMost is the tree backends' per-candidate evaluation:
@@ -114,7 +130,7 @@ func degreeTierPrunes(q, it Item, t int) (bound int, pruned bool) {
 // never read d then).
 func gatedDistanceAtMost(c *ted.Computer, q, it Item, budget int, cs *counterSet) (int, ted.Outcome) {
 	if budget != ted.Unbounded {
-		if dg, pruned := degreeTierPrunes(q, it, budget); pruned {
+		if dg, pruned := degreeTierPrunes(q, it, paddingBound(q, it), budget); pruned {
 			cs.cascadePrune(tierDegree)
 			return dg, ted.OutcomePruned
 		}

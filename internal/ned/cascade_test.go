@@ -151,7 +151,7 @@ func TestCascadeDegreeTierFires(t *testing.T) {
 	}
 	ProfileItems(items, dict, 1)
 	q := items[0]
-	if bound, pruned := degreeTierPrunes(q, items[1], 0); bound != 1 || !pruned || ItemDistance(q, items[1]) != 1 {
+	if bound, pruned := degreeTierPrunes(q, items[1], paddingBound(q, items[1]), 0); bound != 1 || !pruned || ItemDistance(q, items[1]) != 1 {
 		t.Fatalf("degree bound %d (pruned at 0: %v), distance %d; want 1, true, 1",
 			bound, pruned, ItemDistance(q, items[1]))
 	}
@@ -187,7 +187,7 @@ func TestCascadeBoundsDominance(t *testing.T) {
 		q := profiled[0]
 		blk.bounds(q, sizeB, padB)
 		for j, it := range profiled {
-			deg, _ := degreeTierPrunes(q, it, ted.Unbounded)
+			deg, _ := degreeTierPrunes(q, it, paddingBound(q, it), ted.Unbounded)
 			d := ItemDistance(q, it)
 			if sizeB[j] > padB[j] || int(padB[j]) > deg || deg > d {
 				t.Fatalf("directed=%v node %d: chain size=%d pad=%d degree=%d exact=%d",

@@ -948,7 +948,7 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 			sw.next++
 			sw.mu.Unlock()
 			pt, it := sc.item(parts, order[i])
-			if bound, pruned := degreeTierPrunes(query, it, t); pruned {
+			if bound, pruned := degreeTierPrunes(query, it, int(padB[order[i]]), t); pruned {
 				tier2Prune(pt)
 			} else {
 				keep, adm = true, admitted{bound: int32(bound), pos: int32(i)}

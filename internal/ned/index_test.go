@@ -187,7 +187,7 @@ func TestDirectedItemsDistance(t *testing.T) {
 	dict := tree.NewInterner()
 	ProfileItem(&a, dict)
 	ProfileItem(&c, dict)
-	if lb, _ := degreeTierPrunes(a, c, ted.Unbounded); lb > ItemDistance(a, c) {
+	if lb, _ := degreeTierPrunes(a, c, paddingBound(a, c), ted.Unbounded); lb > ItemDistance(a, c) {
 		t.Errorf("lower bound %d exceeds distance %d", lb, ItemDistance(a, c))
 	}
 }

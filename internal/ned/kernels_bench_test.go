@@ -80,7 +80,7 @@ func BenchmarkCascadeKernels(b *testing.B) {
 	b.Run("degreetier", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
-				degreeTierPrunes(q, items[j], ted.Unbounded)
+				degreeTierPrunes(q, items[j], paddingBound(q, items[j]), ted.Unbounded)
 			}
 		}
 		perCand(b)

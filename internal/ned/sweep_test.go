@@ -258,7 +258,7 @@ func TestSweepVerifiesOnlyBelowFinalBound(t *testing.T) {
 				final := want[l-1].Dist
 				below := int64(0)
 				for _, it := range c.items {
-					if bound, _ := degreeTierPrunes(q, it, ted.Unbounded); bound <= final {
+					if bound, _ := degreeTierPrunes(q, it, paddingBound(q, it), ted.Unbounded); bound <= final {
 						below++
 					}
 				}

@@ -67,13 +67,14 @@
 // count and its children's labels. A tree therefore stores only what
 // the dictionary cannot derive — the labels of its inner levels, about
 // an eighth of its nodes on the PGP analog at k = 3 — and Read derives
-// the rest (decodeTree): the level widths and the deepest level (all
-// leaves, identity Perm) from the child counts, the parent vector and
-// child offsets from the same counts in BFS order (every extracted tree
-// is; only a hand-written text snapshot can hold another, which keeps
-// its parent vector), Kids as each node's shape run, the level-sorted
-// Labels, Perm and degree sequences by a counting sort per level, and
-// Levels, Size, LeafLabel and Canon from those. Every stored label is
+// what a resident row holds (decodeTree): the level widths from the
+// child counts, the child offsets from the same counts in BFS order
+// (every extracted tree is; only a hand-written text snapshot can hold
+// another, which keeps its parent vector), Kids as each node's shape
+// run above level h−1, the level-sorted Labels, Perm and degree
+// sequences by a counting sort per level, and Levels, Size, LeafLabel
+// and Canon from those. The deepest level, all leaves, is its width
+// alone in memory as on disk. Every stored label is
 // checked against the shapes around it — in the dictionary, child
 // counts that end exactly on a level boundary, no stored level without
 // children, leaf kids only on level h−1, children that carry their
@@ -85,9 +86,10 @@
 // kids (n-1)×u32. That layout is word-only and word-aligned, so on a
 // little-endian host its decoder (decodeTreeV1) aliases parent vectors
 // and profile columns straight into the checksummed section payload
-// and validates them; only a big-endian host pays a byte-swapping pass.
-// A NEDSEG02 load retains no payload: every column is derived into
-// fresh storage.
+// and validates them (a tree not in BFS order keeps its aliased parent
+// vector; the profile columns are copied); only a big-endian host pays
+// a byte-swapping pass. A NEDSEG02 load retains no payload: every
+// column is derived into fresh storage.
 //
 // The index sections persist what even the item tables cannot buy
 // back: a vantage-point tree costs O(n log n) TED* evaluations to
@@ -862,11 +864,12 @@ func shardWords(payload []byte) ([]int32, error) {
 // stream at words[pos:], returning the cursor past it. The parent
 // vector and profile columns are subslices of words — aliased payload
 // on little-endian hosts — handed to tree.NewOwned / ProfileFromParts
-// without the defensive copies the public constructors make; both
-// treat their columns as immutable, so sharing the section payload is
-// safe. Only the derived columns are allocated — the tree's child and
-// level offsets, the profile's level sizes and degree runs — all carved
-// from s.
+// without the defensive copies the public constructors make. A
+// BFS-order tree keeps none of its parent vector (one that is not keeps
+// it, aliased), and ProfileFromParts copies the columns above the
+// deepest level into s with the derived ones — the tree's child and
+// level offsets, the profile's level sizes and degree runs — so the
+// payload is not retained through them.
 func decodeTreeV1(words []int32, pos int, in *tree.Interner, s *tree.Slab) (*tree.Tree, *tree.Profile, int, error) {
 	if pos >= len(words) {
 		return nil, nil, 0, fmt.Errorf("segment: truncated payload")
@@ -932,16 +935,21 @@ type treeScratch struct {
 // decodeTree decodes one tree from the word stream at words[pos:] and
 // derives its profile from the shapes, returning the cursor past it.
 // The stored labels are those of the levels above the deepest in node
-// order; everything else follows from them:
+// order, and the resident tree and profile stop at the same level, so
+// they are all a load derives anything for:
 //   - each label's shape gives the node's child count, so level d's
 //     labels give level d+1's width, the stored labels end exactly at
 //     the end of level h-1, and level h is that many leaves;
-//   - in BFS order the child counts give the parent vector (a tree not
-//     in BFS order stores its own, which must agree with them);
-//   - each node's shape run is its sorted child labels (Kids);
+//   - in BFS order the child counts are the child offsets, which are
+//     all the tree stores (a tree not in BFS order stores its parent
+//     vector, which must agree with them);
+//   - each node's shape run above level h-1 is its sorted child labels
+//     (Kids);
 //   - a counting sort per stored level gives the level-sorted Labels,
-//     Perm and degree run (Degs), and the deepest level is all leaf
-//     labels in node order.
+//     Perm and degree run (Degs).
+//
+// Nothing is derived for the deepest level: no parents, labels or Perm,
+// and no kid runs for level h-1, which are all leaves.
 //
 // Every check that a stored label agrees with the shapes around it
 // fails with ErrInconsistent. All columns are carved from s; the
@@ -997,33 +1005,25 @@ func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *t
 	}
 
 	var t *tree.Tree
-	parents := s.Alloc(n)
 	if hdr&parentsFlag == 0 {
 		// In BFS order node v's children follow those of v-1, so the
-		// child counts give the parents, the child offsets and — through
-		// the level widths — the level offsets.
-		childOff, levelOff := s.Alloc(n+1), s.Alloc(h+2)
-		parents[0] = -1
-		next := int32(1)
+		// child counts of the stored nodes are the child offsets, and the
+		// level widths the level offsets.
+		childOff, levelOff := s.Alloc(m+1), s.Alloc(h+2)
+		next := int32(0)
 		for v, l := range stored {
-			c := int32(len(sh.run(l)))
-			for i := next; i < next+c; i++ {
-				parents[i] = int32(v)
-			}
-			next += c
-			childOff[v+1] = next - 1
-		}
-		for v := m + 1; v <= n; v++ {
-			childOff[v] = int32(n - 1)
+			next += int32(len(sh.run(l)))
+			childOff[v+1] = next
 		}
 		for d, w := range levels {
 			levelOff[d+1] = levelOff[d] + w
 		}
-		t = tree.NewBFS(parents, childOff, levelOff)
+		t = tree.NewBFS(childOff, levelOff)
 	} else {
 		if n > len(words)-pos {
 			return nil, nil, 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
 		}
+		parents := s.Alloc(n)
 		copy(parents, words[pos:pos+n])
 		pos += n
 		var err error
@@ -1070,7 +1070,7 @@ func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *t
 	// level repeats few shapes many times — that places equal labels in
 	// ascending node order. sc.count holds each distinct label's
 	// occurrences, then its next slot, then zero again.
-	labels, perm, degs := s.Alloc(n), s.Alloc(n), s.Alloc(m)
+	labels, perm, degs := s.Alloc(m), s.Alloc(m), s.Alloc(m)
 	off := 0
 	for _, w32 := range levels[:h] {
 		w := int(w32)
@@ -1115,24 +1115,17 @@ func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *t
 		}
 		off += w
 	}
-	// The deepest level: leaves (label 0, as the slab left it) in node
-	// order.
-	for i := off; i < n; i++ {
-		perm[i] = int32(i - off)
-	}
-	// Kids: each node's shape run, on the child offsets. Level h-1's runs
-	// are all leaves, which the slab's zeros already are.
-	kids := s.Alloc(n - 1)
+	// Kids: each node's shape run, on the child offsets, for levels
+	// 0..h-2. Level h-1's runs are leaves, which the profile leaves
+	// implicit.
+	kids := s.Alloc(max(m-1, 0))
 	next := 0
 	for _, l := range stored[:last] {
-		for _, k := range sh.run(l) {
-			kids[next] = k
-			next++
-		}
+		next += copy(kids[next:], sh.run(l))
 	}
 	lv := s.Alloc(h + 1)
 	copy(lv, levels)
-	return t, in.ProfileFromDerived(t, lv, labels, perm, degs, kids), pos, nil
+	return t, in.ProfileFromDerived(t, lv, labels, perm, degs, kids, leafShape), pos, nil
 }
 
 // decodeShard decodes one item table payload: NEDSEG02 trees against

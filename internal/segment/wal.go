@@ -425,10 +425,9 @@ func appendWALEdges(b []byte, edges []graph.Edge) []byte {
 }
 
 func appendWALTree(b []byte, t *tree.Tree) []byte {
-	n := int32(t.Size())
-	b = appendU32(b, uint32(n))
-	for v := int32(1); v < n; v++ {
-		b = appendU32(b, uint32(t.Parent(v)))
+	b = appendU32(b, uint32(t.Size()))
+	for _, p := range t.ParentVector()[1:] {
+		b = appendU32(b, uint32(p))
 	}
 	return b
 }

@@ -48,7 +48,9 @@ func referenceDegreeBound(t1, t2 *tree.Tree) int {
 // the trees' full per-level child counts: on random pairs of unequal
 // heights it is equal at Unbounded, and at every threshold t it reports
 // "> t" exactly when the full bound does, returning the full bound
-// whenever that is at most t.
+// whenever that is at most t. The split form the cascade runs —
+// PaddingBound, then DegreeExcess under what the padding left of t —
+// must meet the same contract.
 func TestDegreeBoundMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	in := tree.NewInterner()
@@ -65,11 +67,23 @@ func TestDegreeBoundMatchesReference(t *testing.T) {
 		if got := DegreeBound(p1, p2, Unbounded); got != want {
 			t.Fatalf("DegreeBound = %d, reference %d (%q vs %q)", got, want, tree.Encode(t1), tree.Encode(t2))
 		}
+		pad := PaddingBound(p1, p2)
+		if got := pad + DegreeExcess(p1, p2, Unbounded); got != want {
+			t.Fatalf("PaddingBound + DegreeExcess = %d, reference %d (%q vs %q)", got, want, tree.Encode(t1), tree.Encode(t2))
+		}
 		for thr := 0; thr <= want+2; thr++ {
 			got := DegreeBound(p1, p2, thr)
 			if (got > thr) != (want > thr) || got > want || (want <= thr && got != want) {
 				t.Fatalf("DegreeBound at t=%d = %d, reference %d (%q vs %q)",
 					thr, got, want, tree.Encode(t1), tree.Encode(t2))
+			}
+			split := pad
+			if pad <= thr {
+				split += DegreeExcess(p1, p2, thr-pad)
+			}
+			if (split > thr) != (want > thr) || split > want || (want <= thr && split != want) {
+				t.Fatalf("split bound at t=%d = %d, reference %d (%q vs %q)",
+					thr, split, want, tree.Encode(t1), tree.Encode(t2))
 			}
 		}
 	}

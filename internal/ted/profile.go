@@ -94,22 +94,32 @@ func PaddingBound(a, b *tree.Profile) int {
 
 // DegreeBound is tier 2 of the cascade: Σ_d P_d + Σ_d (Δ_d − P_{d+1})/2,
 // the padding bound plus what each level's sorted child-count sequences
-// (tree.Profile.Degs) prove its matching must cost in moves. Every term
-// is non-negative, so the running total is itself a lower bound: the
-// sum stops at the first level that carries it past t and returns the
-// partial value (> t); at t = Unbounded the full bound comes back.
-// Label-free: profiles of different Interners, or with unresolved query
-// labels, compare fine.
+// (tree.Profile.Degs) prove its matching must cost in moves — PaddingBound
+// plus DegreeExcess. Every term is non-negative, so the running total is
+// itself a lower bound: the sum stops at the first level that carries it
+// past t and returns the partial value (> t); at t = Unbounded the full
+// bound comes back. Label-free: profiles of different Interners, or with
+// unresolved query labels, compare fine.
 func DegreeBound(a, b *tree.Profile, t int) int {
 	bound := PaddingBound(a, b)
 	if bound > t {
 		return bound
 	}
+	return bound + DegreeExcess(a, b, t-bound)
+}
+
+// DegreeExcess is what DegreeBound adds to the padding bound,
+// Σ_d (Δ_d − P_{d+1})/2, for a caller that already holds the padding
+// bound (the cascade's block kernel computes it for every candidate).
+// It stops like DegreeBound: at the first level that carries the sum
+// past t it returns the partial value (> t).
+func DegreeExcess(a, b *tree.Profile, t int) int {
 	// Only levels with children on both sides can add to the padding
 	// bound. Level 0 is two roots, whose child-count gap IS P_1; from
 	// the shallower tree's deepest level down, one side is all leaves
 	// or padding, so Δ_d is the other side's child total, which IS
 	// P_{d+1}.
+	excess := 0
 	offA, offB := int32(1), int32(1)
 	for d := 1; d+1 < min(len(a.Levels), len(b.Levels)); d++ {
 		ra := a.Degs[offA : offA+a.Levels[d]]
@@ -138,11 +148,11 @@ func DegreeBound(a, b *tree.Profile, t int) int {
 		if net < 0 {
 			net = -net
 		}
-		if bound += int(delta-net) / 2; bound > t {
-			return bound
+		if excess += int(delta-net) / 2; excess > t {
+			return excess
 		}
 	}
-	return bound
+	return excess
 }
 
 // LevelLabelTerm is the label-multiset half of LabelBound: max over depths
@@ -155,20 +165,26 @@ func LevelLabelTerm(a, b *tree.Profile) int {
 	maxDiff := int64(0)
 	var offA, offB int32
 	for d := 0; d < len(a.Levels) || d < len(b.Levels); d++ {
-		var runA, runB []int32
-		if d < len(a.Levels) {
-			runA = a.Labels[offA : offA+a.Levels[d]]
-			offA += a.Levels[d]
-		}
-		if d < len(b.Levels) {
-			runB = b.Labels[offB : offB+b.Levels[d]]
-			offB += b.Levels[d]
-		}
-		if diff := symmetricDifference(runA, runB); diff > maxDiff {
+		ra, rb := levelRun(a, &offA, d), levelRun(b, &offB, d)
+		if diff := runDifference(ra, rb); diff > maxDiff {
 			maxDiff = diff
 		}
 	}
 	return int((maxDiff + 3) / 4)
+}
+
+// levelRun returns p's level-d labels as a run — the implicit deepest
+// level as its width in leaves — and advances *off past the level.
+func levelRun(p *tree.Profile, off *int32, d int) kidRun {
+	switch {
+	case d > p.Height():
+		return kidRun{}
+	case d == p.Height():
+		return kidRun{leaves: p.Levels[d], leaf: p.LeafLabel}
+	}
+	run := kidRun{labels: p.Labels[*off : *off+p.Levels[d]]}
+	*off += p.Levels[d]
+	return run
 }
 
 // LabelBound is max(PaddingBound, LevelLabelTerm): a lower bound on the

@@ -40,6 +40,14 @@ import (
 //     difference of two multisets is invariant under the label
 //     bijection, so every entry equals the scalar matrix's.
 //
+// A profile stores no columns for its deepest level (tree.Profile): on
+// it the fast path reads a leaf run of width Levels[h] in node order,
+// pre-matched against the other side's sorted run by a binary search
+// for that run's leaf block, and a node on level h-1 has the implicit
+// kid run of its child count in leaves, whose symmetric difference with
+// a sorted run is a count (runDifference). The values are the ones the
+// stored columns gave.
+//
 // The first level with a non-empty residue runs its matching on that
 // same (bit-identical) cost matrix, performs step-6 adoption on the
 // interned labels scattered into the canonize arrays, and hands the
@@ -177,16 +185,9 @@ func prefixOffsets(dst, levels []int32) []int32 {
 // scalar levels see exactly the label partition they would have built
 // themselves).
 func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf int32, d, prevPad int, solverBudget int64) (padding, matching int, partial int64, ok, stillFaithful bool) {
-	var la, lb, perm1, perm2 []int32
-	if d < len(p1.Levels) {
-		o, w := c.off1p[d], p1.Levels[d]
-		la, perm1 = p1.Labels[o:o+w], p1.Perm[o:o+w]
-	}
-	if d < len(p2.Levels) {
-		o, w := c.off2p[d], p2.Levels[d]
-		lb, perm2 = p2.Labels[o:o+w], p2.Perm[o:o+w]
-	}
-	n1, n2 := len(la), len(lb)
+	s1, s2 := profileLevel(p1, c.off1p, d), profileLevel(p2, c.off2p, d)
+	la, lb, perm1, perm2 := s1.labels, s2.labels, s1.perm, s2.perm
+	n1, n2 := s1.width, s2.width
 	padding = n1 - n2
 	if padding < 0 {
 		padding = -padding
@@ -199,35 +200,56 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 		return padding, 0, 0, true, true
 	}
 
-	// Equal-label pre-match as one merge of the sorted runs. Leftovers
-	// come out (label, node)-ordered; within one label that is ascending
-	// node order — the same nodes the scalar histogram stream leaves
-	// over (it matches earliest-first too).
+	// Equal-label pre-match. Leftovers come out (label, node)-ordered;
+	// within one label that is ascending node order — the same nodes the
+	// scalar histogram stream leaves over (it matches earliest-first
+	// too).
 	rows, cols := c.rows[:0], c.cols[:0]
 	rowLabs, colLabs := c.rowLabs[:0], c.colLabs[:0]
-	i, j := 0, 0
-	for i < n1 && j < n2 {
-		switch {
-		case la[i] == lb[j]:
-			i++
-			j++
-		case la[i] < lb[j]:
-			rows = append(rows, int(perm1[i]))
-			rowLabs = append(rowLabs, la[i])
-			i++
-		default:
-			cols = append(cols, int(perm2[j]))
-			colLabs = append(colLabs, lb[j])
-			j++
+	switch {
+	case !s1.implicit && !s2.implicit:
+		// One merge of the sorted runs.
+		i, j := 0, 0
+		for i < n1 && j < n2 {
+			switch {
+			case la[i] == lb[j]:
+				i++
+				j++
+			case la[i] < lb[j]:
+				rows = append(rows, int(perm1[i]))
+				rowLabs = append(rowLabs, la[i])
+				i++
+			default:
+				cols = append(cols, int(perm2[j]))
+				colLabs = append(colLabs, lb[j])
+				j++
+			}
 		}
-	}
-	for ; i < n1; i++ {
-		rows = append(rows, int(perm1[i]))
-		rowLabs = append(rowLabs, la[i])
-	}
-	for ; j < n2; j++ {
-		cols = append(cols, int(perm2[j]))
-		colLabs = append(colLabs, lb[j])
+		rows, rowLabs = appendRun(rows, rowLabs, la[i:], perm1[i:])
+		cols, colLabs = appendRun(cols, colLabs, lb[j:], perm2[j:])
+	case s1.implicit && s2.implicit:
+		// Two leaf runs in node order: the merge pairs their heads.
+		m := 0
+		if s1.leaf == s2.leaf {
+			m = min(n1, n2)
+		}
+		rows, rowLabs = appendLeafRun(rows, rowLabs, m, n1, s1.leaf)
+		cols, colLabs = appendLeafRun(cols, colLabs, m, n2, s2.leaf)
+	case s1.implicit:
+		// The merge pairs the leaf run's head with the other run's leaf
+		// block: what is left is the run's tail and the other run minus
+		// the block's head.
+		lo, hi := leafBlock(lb, s1.leaf)
+		m := min(n1, hi-lo)
+		rows, rowLabs = appendLeafRun(rows, rowLabs, m, n1, s1.leaf)
+		cols, colLabs = appendRun(cols, colLabs, lb[:lo], perm2[:lo])
+		cols, colLabs = appendRun(cols, colLabs, lb[lo+m:], perm2[lo+m:])
+	default:
+		lo, hi := leafBlock(la, s2.leaf)
+		m := min(n2, hi-lo)
+		rows, rowLabs = appendRun(rows, rowLabs, la[:lo], perm1[:lo])
+		rows, rowLabs = appendRun(rows, rowLabs, la[lo+m:], perm1[lo+m:])
+		cols, colLabs = appendLeafRun(cols, colLabs, m, n2, s2.leaf)
 	}
 
 	// Padded nodes carry the leaf label (scalar padLabel: the label of
@@ -244,20 +266,10 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 			pc = n - n2
 			oppLabs, opp = rowLabs, rows
 		}
-		lo, found := slices.BinarySearch(oppLabs, leaf)
-		hi := lo
-		for hi < len(oppLabs) && oppLabs[hi] == leaf {
-			hi++
-		}
-		take := 0
-		if found {
-			take = hi - lo
-			if take > pc {
-				take = pc
-			}
-			opp = append(opp[:lo], opp[lo+take:]...)
-			oppLabs = append(oppLabs[:lo], oppLabs[lo+take:]...)
-		}
+		lo, hi := leafBlock(oppLabs, leaf)
+		take := min(hi-lo, pc)
+		opp = append(opp[:lo], opp[lo+take:]...)
+		oppLabs = append(oppLabs[:lo], oppLabs[lo+take:]...)
 		if n1 < n2 {
 			cols, colLabs = opp, oppLabs
 			for r := n1 + take; r < n; r++ {
@@ -288,28 +300,17 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 		c.cost = make([]int64, ln*ln)
 	}
 	cost := c.cost[:ln*ln]
-	// A side shorter than depth d has no offset entry — and no real
-	// nodes here (its n is 0), so the guards below never read the base.
-	var lo1, lo2 int32
-	if d < len(c.off1p) {
-		lo1 = c.off1p[d]
-	}
-	if d < len(c.off2p) {
-		lo2 = c.off2p[d]
-	}
 	for ri, r := range rows {
-		var sr []int32
+		var kr kidRun
 		if r < n1 {
-			v := lo1 + int32(r)
-			sr = p1.Kids[p1.KidOff[v]:p1.KidOff[v+1]]
+			kr = s1.kids(r)
 		}
 		for ci, cl := range cols {
-			var sc []int32
+			var kc kidRun
 			if cl < n2 {
-				v := lo2 + int32(cl)
-				sc = p2.Kids[p2.KidOff[v]:p2.KidOff[v+1]]
+				kc = s2.kids(cl)
 			}
-			cost[ri*ln+ci] = symmetricDifference(sr, sc)
+			cost[ri*ln+ci] = runDifference(kr, kc)
 		}
 	}
 	m64, assign, complete := c.solver.SolveAtMost(cost, ln, solverBudget)
@@ -330,12 +331,9 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 	}
 	c.lab1 = c.lab1[:t1.Size()]
 	c.lab2 = c.lab2[:t2.Size()]
-	for i, l := range la {
-		c.lab1[lo1+perm1[i]] = l
-	}
-	for j, l := range lb {
-		c.lab2[lo2+perm2[j]] = l
-	}
+	s1.scatter(c.lab1)
+	s2.scatter(c.lab2)
+	lo1, lo2 := s1.lo, s2.lo
 	if n1 < n2 {
 		for ri, r := range rows {
 			if r < n1 {
@@ -354,4 +352,118 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 		diff = 0
 	}
 	return padding, diff / 2, 0, true, false
+}
+
+// levelSide is one profile's view of level d. On the profile's implicit
+// deepest level (implicit) labels and perm are nil: every node there
+// carries leaf, in node order.
+type levelSide struct {
+	p            *tree.Profile
+	labels, perm []int32
+	lo           int32 // the level's first node ID
+	width        int
+	d            int
+	implicit     bool
+	leaf         int32
+}
+
+// profileLevel returns p's level d; off holds p's level offsets. A level
+// below p's deepest is empty.
+func profileLevel(p *tree.Profile, off []int32, d int) levelSide {
+	s := levelSide{p: p, d: d, leaf: p.LeafLabel}
+	if d >= len(p.Levels) {
+		return s
+	}
+	s.lo, s.width = off[d], int(p.Levels[d])
+	if s.implicit = d == p.Height(); !s.implicit {
+		s.labels, s.perm = p.Labels[s.lo:s.lo+p.Levels[d]], p.Perm[s.lo:s.lo+p.Levels[d]]
+	}
+	return s
+}
+
+// kids returns the children-label run of the level's i-th node: stored
+// above level h-1, leaves on it, none on the deepest level.
+func (s *levelSide) kids(i int) kidRun {
+	h := s.p.Height()
+	if s.d == h {
+		return kidRun{}
+	}
+	v := s.lo + int32(i)
+	lo, hi := s.p.KidOff[v], s.p.KidOff[v+1]
+	if s.d == h-1 {
+		return kidRun{leaves: hi - lo, leaf: s.leaf}
+	}
+	return kidRun{labels: s.p.Kids[lo:hi]}
+}
+
+// scatter writes the level's labels into lab at their node IDs.
+func (s *levelSide) scatter(lab []int32) {
+	if s.implicit {
+		for i := range int32(s.width) {
+			lab[s.lo+i] = s.leaf
+		}
+		return
+	}
+	for i, l := range s.labels {
+		lab[s.lo+s.perm[i]] = l
+	}
+}
+
+// appendRun appends leftover labels to labs and their node indices,
+// perm, to idx.
+func appendRun(idx []int, labs []int32, labels, perm []int32) ([]int, []int32) {
+	for i, l := range labels {
+		idx = append(idx, int(perm[i]))
+		labs = append(labs, l)
+	}
+	return idx, labs
+}
+
+// appendLeafRun appends the node indices [from, to) of a leaf run to idx,
+// and leaf once per index to labs.
+func appendLeafRun(idx []int, labs []int32, from, to int, leaf int32) ([]int, []int32) {
+	for i := from; i < to; i++ {
+		idx = append(idx, i)
+		labs = append(labs, leaf)
+	}
+	return idx, labs
+}
+
+// leafBlock returns the half-open range of the sorted run labels that
+// holds leaf.
+func leafBlock(labels []int32, leaf int32) (lo, hi int) {
+	lo, _ = slices.BinarySearch(labels, leaf)
+	hi = lo
+	for hi < len(labels) && labels[hi] == leaf {
+		hi++
+	}
+	return lo, hi
+}
+
+// kidRun is a sorted children-label run: labels, or — for a node on a
+// profile's level h-1, whose children sit on the implicit deepest level
+// — leaves copies of leaf.
+type kidRun struct {
+	labels []int32
+	leaves int32
+	leaf   int32
+}
+
+// runDifference is symmetricDifference of the two runs, without
+// materializing a leaf run: k copies of a label against a run holding c
+// of them differ in |run| + k − 2·min(c, k) elements.
+func runDifference(a, b kidRun) int64 {
+	switch {
+	case a.leaves == 0 && b.leaves == 0:
+		return symmetricDifference(a.labels, b.labels)
+	case a.leaves > 0 && b.leaves > 0:
+		if a.leaf != b.leaf {
+			return int64(a.leaves) + int64(b.leaves)
+		}
+		return int64(max(a.leaves-b.leaves, b.leaves-a.leaves))
+	case b.leaves > 0:
+		a, b = b, a
+	}
+	lo, hi := leafBlock(b.labels, a.leaf)
+	return int64(len(b.labels)) + int64(a.leaves) - 2*int64(min(int32(hi-lo), a.leaves))
 }

@@ -12,11 +12,11 @@ import (
 // A single-node tree encodes as "".
 func Encode(t *Tree) string {
 	var b []byte
-	for v := 1; v < len(t.parent); v++ {
-		if v > 1 {
+	for i, p := range t.ParentVector()[1:] {
+		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(t.parent[v]), 10)
+		b = strconv.AppendInt(b, int64(p), 10)
 	}
 	return string(b)
 }

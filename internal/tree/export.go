@@ -87,18 +87,21 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 	return in, nil
 }
 
-// ProfileFromParts reconstructs a compiled Profile from its persisted
-// columns — the level-sorted labels, the level-local permutation, and
-// the CSR child-label runs aligned with t's own child storage — all
-// expressed against this dictionary. The derived fields (level sizes,
-// size, degree sequences, leaf and root labels, the interned encoding)
-// are recomputed from the tree and dictionary rather than trusted, and the
-// stored columns are validated structurally: every label a dictionary
-// ID, labels sorted within each level, Perm a plausible level-local
-// index. The derived columns are carved from s (plain allocations
-// when s is nil), so a segment load pays no per-tree make for them.
-// The reconstructed profile enters t's profile cache, exactly as a
-// fresh compile would.
+// ProfileFromParts reconstructs a compiled Profile from the columns an
+// earlier layout persisted — the level-sorted labels, the level-local
+// permutation, and the CSR child-label runs aligned with t's own child
+// storage, every level's included — all expressed against this
+// dictionary. The derived fields (level sizes, size, degree sequences,
+// leaf and root labels, the interned encoding) are recomputed from the
+// tree and dictionary rather than trusted, and the stored columns are
+// validated structurally: every label a dictionary ID, labels sorted
+// within each level, Perm a plausible level-local index, and the
+// deepest level what the profile leaves implicit — every label the
+// dictionary's leaf shape, Perm the identity, and the kids of level h-1
+// all leaves. Only the columns above the deepest level are kept, copied
+// into s (plain allocations when s is nil) with the derived ones, so the
+// result holds no reference to the arguments. The reconstructed profile
+// enters t's profile cache, exactly as a fresh compile would.
 func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32, s *Slab) (*Profile, error) {
 	n := t.Size()
 	if len(labels) != n || len(perm) != n {
@@ -111,9 +114,9 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32, s *Sla
 	// One pass over kids checks range and per-node sortedness together:
 	// within node v's run each label must be in [prev, dictLen), with
 	// prev resetting to 0 at every node boundary.
-	for v, i := 0, 0; v < n; v++ {
+	for v, i := int32(0), 0; int(v) < n; v++ {
 		prev := int32(0)
-		for end := int(t.childOff[v+1]); i < end; i++ {
+		for end := i + t.NumChildren(v); i < end; i++ {
 			l := kids[i]
 			if l < prev || l >= dictLen {
 				return nil, fmt.Errorf("tree: profile child labels of node %d not sorted within dictionary [0, %d)", v, dictLen)
@@ -142,30 +145,51 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32, s *Sla
 		}
 		off += w
 	}
-	degs := levelDegrees(levels, t.childOff, s.Alloc(int(t.levelOff[h])))
-	return in.ProfileFromDerived(t, levels, labels, perm, degs, kids), nil
+	inner := int(t.levelOff[h])
+	nk := max(inner-1, 0)
+	leaf, ok := in.resolve(nil, shapeHash(nil), true)
+	if !ok {
+		return nil, fmt.Errorf("tree: the dictionary has no leaf shape")
+	}
+	for i := inner; i < n; i++ {
+		if labels[i] != leaf || perm[i] != int32(i-inner) {
+			return nil, fmt.Errorf("tree: profile's deepest level is not %d leaves in node order", n-inner)
+		}
+	}
+	for _, l := range kids[nk:] {
+		if l != leaf {
+			return nil, fmt.Errorf("tree: profile gives a node on level %d a child that is not a leaf", h-1)
+		}
+	}
+	lab, prm, kds := s.Alloc(inner), s.Alloc(inner), s.Alloc(nk)
+	copy(lab, labels)
+	copy(prm, perm)
+	copy(kds, kids)
+	degs := levelDegrees(levels, t.childOff, s.Alloc(inner))
+	return in.ProfileFromDerived(t, levels, lab, prm, degs, kds, leaf), nil
 }
 
 // ProfileFromDerived is ProfileFromParts for columns the caller derived
 // from this dictionary itself rather than read, so it validates nothing:
 // levels, labels, perm, degs and kids must be exactly what Profile
-// would compute for t (Levels, Labels, Perm, Degs, and Kids on t's own
-// child offsets), as a segment decoder obtains them from stored labels
-// and their shapes. The profile takes ownership of every column and
-// enters t's profile cache, exactly as a fresh compile would.
-func (in *Interner) ProfileFromDerived(t *Tree, levels, labels, perm, degs, kids []int32) *Profile {
-	n := t.Size()
+// would compute for t (Levels, and Labels, Perm, Degs and Kids above the
+// deepest level on t's own child offsets), and leaf the dictionary's
+// leaf shape, as a segment decoder obtains them from stored labels and
+// their shapes. The profile takes ownership of every column and enters
+// t's profile cache, exactly as a fresh compile would.
+func (in *Interner) ProfileFromDerived(t *Tree, levels, labels, perm, degs, kids []int32, leaf int32) *Profile {
+	inner := len(labels)
 	p := &Profile{
 		Levels:    levels,
 		Labels:    labels,
 		Degs:      degs,
 		Perm:      perm,
 		Kids:      kids,
-		KidOff:    t.childOff, // aligned by construction; both sides immutable
-		LeafLabel: labels[n-1],
-		Size:      int32(n),
-		Canon:     uint64(labels[0]), // level 0 is the root alone
+		KidOff:    t.childOff[: inner+1 : inner+1], // aligned by construction; both sides immutable
+		LeafLabel: leaf,
+		Size:      int32(t.Size()),
 	}
+	p.Canon = uint64(p.rootLabel())
 	t.profCache.Store(&cachedProfile{dict: in.id, dictLen: in.Len(), p: p})
 	return p
 }

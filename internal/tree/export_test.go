@@ -93,6 +93,20 @@ func TestNewInternerFromShapesRejectsBadTables(t *testing.T) {
 	}
 }
 
+// fullColumns is what an earlier layout persisted for p: its columns
+// with the deepest level's leaf labels, its identity Perm and level
+// h-1's leaf kid runs appended.
+func fullColumns(p *Profile) (labels, perm, kids []int32) {
+	labels, perm, kids = slices.Clone(p.Labels), slices.Clone(p.Perm), slices.Clone(p.Kids)
+	for i := range p.Levels[p.Height()] {
+		labels, perm = append(labels, p.LeafLabel), append(perm, i)
+	}
+	for len(kids) < int(p.Size)-1 {
+		kids = append(kids, p.LeafLabel)
+	}
+	return labels, perm, kids
+}
+
 // ProfileFromParts must rebuild a profile bit-identical to a fresh
 // compile of the same tree against the same dictionary.
 func TestProfileFromPartsRoundTrip(t *testing.T) {
@@ -105,10 +119,8 @@ func TestProfileFromPartsRoundTrip(t *testing.T) {
 	for i, tr := range trees {
 		want := in.Profile(tr)
 		clone := tr.Clone()
-		got, err := in2.ProfileFromParts(clone,
-			append([]int32(nil), want.Labels...),
-			append([]int32(nil), want.Perm...),
-			append([]int32(nil), want.Kids...), &Slab{})
+		labels, perm, kids := fullColumns(want)
+		got, err := in2.ProfileFromParts(clone, labels, perm, kids, &Slab{})
 		if err != nil {
 			t.Fatalf("tree %d: ProfileFromParts: %v", i, err)
 		}
@@ -135,36 +147,48 @@ func TestProfileFromPartsRoundTrip(t *testing.T) {
 func TestProfileFromPartsRejectsBadColumns(t *testing.T) {
 	in := NewInterner()
 	tr := MustNew([]int32{-1, 0, 0, 1})
-	p := in.Profile(tr)
-	dup := func(s []int32) []int32 { return append([]int32(nil), s...) }
-	if _, err := in.ProfileFromParts(tr, dup(p.Labels[:2]), dup(p.Perm), dup(p.Kids), nil); err == nil {
+	labels, perm, kids := fullColumns(in.Profile(tr))
+	dup := slices.Clone[[]int32]
+	if _, err := in.ProfileFromParts(tr, dup(labels[:2]), dup(perm), dup(kids), nil); err == nil {
 		t.Error("short labels accepted")
 	}
-	if _, err := in.ProfileFromParts(tr, dup(p.Labels), dup(p.Perm), dup(p.Kids[:1]), nil); err == nil {
+	if _, err := in.ProfileFromParts(tr, dup(labels), dup(perm), dup(kids[:1]), nil); err == nil {
 		t.Error("short kids accepted")
 	}
-	bad := dup(p.Labels)
+	bad := dup(labels)
 	bad[0] = int32(in.Len()) + 5
-	if _, err := in.ProfileFromParts(tr, bad, dup(p.Perm), dup(p.Kids), nil); err == nil {
+	if _, err := in.ProfileFromParts(tr, bad, dup(perm), dup(kids), nil); err == nil {
 		t.Error("out-of-dictionary label accepted")
 	}
-	bad = dup(p.Labels)
+	bad = dup(labels)
 	bad[0] = -1
-	if _, err := in.ProfileFromParts(tr, bad, dup(p.Perm), dup(p.Kids), nil); err == nil {
+	if _, err := in.ProfileFromParts(tr, bad, dup(perm), dup(kids), nil); err == nil {
 		t.Error("negative label accepted")
 	}
-	badPerm := dup(p.Perm)
+	badPerm := dup(perm)
 	badPerm[1] = 99
-	if _, err := in.ProfileFromParts(tr, dup(p.Labels), badPerm, dup(p.Kids), nil); err == nil {
+	if _, err := in.ProfileFromParts(tr, dup(labels), badPerm, dup(kids), nil); err == nil {
 		t.Error("out-of-level perm accepted")
 	}
 	// Unsorted labels within a level: nodes 1 and 2 share level 1.
-	unsorted := dup(p.Labels)
+	unsorted := dup(labels)
 	if unsorted[1] != unsorted[2] {
 		unsorted[1], unsorted[2] = unsorted[2], unsorted[1]
-		if _, err := in.ProfileFromParts(tr, unsorted, dup(p.Perm), dup(p.Kids), nil); err == nil {
+		if _, err := in.ProfileFromParts(tr, unsorted, dup(perm), dup(kids), nil); err == nil {
 			t.Error("unsorted level labels accepted")
 		}
+	}
+	// The deepest level (node 3) and level 1's kids must be what the
+	// profile leaves implicit: leaves.
+	bad = dup(labels)
+	bad[3] = labels[0]
+	if _, err := in.ProfileFromParts(tr, bad, dup(perm), dup(kids), nil); err == nil {
+		t.Error("non-leaf label on the deepest level accepted")
+	}
+	badKids := dup(kids)
+	badKids[2] = labels[0]
+	if _, err := in.ProfileFromParts(tr, dup(labels), dup(perm), badKids, nil); err == nil {
+		t.Error("non-leaf kid of level h-1 accepted")
 	}
 }
 

@@ -46,21 +46,15 @@ var bfsWorkspaces = sync.Pool{New: func() any { return new(graph.BFSWorkspace) }
 
 // kAdjacent is the one extraction path. The pooled workspace's bounded
 // BFS touches only the nodes within k hops and yields the tree's parent
-// vector directly in visitation (level) order, so the only allocations
-// are the returned tree — its parent vector and derived offsets in one
-// block — and, when withOrder, the node mapping.
+// vector directly in visitation (level) order, which build reads in
+// place and drops: the only allocations are the returned tree — its
+// level and child offsets in one block — and, when withOrder, the node
+// mapping.
 func kAdjacent(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection, withOrder bool) (*Tree, []graph.NodeID) {
 	w := bfsWorkspaces.Get().(*graph.BFSWorkspace)
 	defer bfsWorkspaces.Put(w)
-	parent, order, height := w.Tree(g, v, k, dir)
-	n := len(parent)
-	// One block for the parent vector and everything NewOwned derives
-	// from it: childOff (n+1) and levelOff (height+2). A BFS tree's child
-	// IDs alias the shared run, so they take no room here.
-	s := &Slab{free: make([]int32, 2*n+height+3)}
-	own := s.Alloc(n)
-	copy(own, parent)
-	t, err := NewOwned(own, s)
+	parent, order, _ := w.Tree(g, v, k, dir)
+	t, err := build(parent, nil, false)
 	if err != nil {
 		panic(err) // a BFS parent vector is level-ordered by construction
 	}

@@ -37,6 +37,14 @@ import (
 // corpus carry equal label IDs iff their subtrees are isomorphic.
 // Profiles from different Interners are not comparable.
 
+// The columns stop at level h-1. The deepest level of every tree is
+// all leaves, so its contents follow from its width Levels[h] alone:
+// every label there is LeafLabel, its Perm is the identity and no node
+// on it has children. A node on level h-1 therefore has an implicit kid
+// run, LeafLabel repeated its child count, and Kids stores the runs of
+// levels 0..h-2 only. Consumers read the deepest level as a leaf run of
+// width Levels[h].
+
 // Profile is the precompiled summary of one signature tree. It is
 // immutable after Interner.Profile returns and safe to share across
 // goroutines and epoch clones.
@@ -45,20 +53,21 @@ type Profile struct {
 	// height+1. Identical to Tree.LevelSize, without the tree.
 	Levels []int32
 
-	// Labels holds one interned subtree-shape label per node, grouped by
-	// depth (the tree's level order) and sorted ascending within each
-	// level, so per-level multisets merge linearly. Level d occupies
-	// Labels[off : off+Levels[d]] with off the prefix sum of Levels[:d].
+	// Labels holds one interned subtree-shape label per node above the
+	// deepest level, grouped by depth (the tree's level order) and sorted
+	// ascending within each level, so per-level multisets merge linearly.
+	// Level d < height occupies Labels[off : off+Levels[d]] with off the
+	// prefix sum of Levels[:d]; the deepest level is implicit (every
+	// label LeafLabel), so len(Labels) is Size minus the last level's
+	// width.
 	Labels []int32
 
 	// Degs holds the child count of every node above the deepest level,
 	// grouped by depth on the same offsets as Labels and sorted ascending
 	// within each level: the degree sequences ted.DegreeBound compares.
-	// Levels 0..height-1 only — the deepest level is all leaves, and the
-	// bound never reads it — so len(Degs) is Size minus the last level's
-	// width. Derived from KidOff by both profile constructors, never
-	// persisted, and label-free — a read-only query profile carries the
-	// same Degs as an interned one.
+	// Derived from KidOff by both profile constructors, never persisted,
+	// and label-free — a read-only query profile carries the same Degs as
+	// an interned one.
 	Degs []int32
 
 	// Size is the node count (the sum of Levels).
@@ -69,15 +78,21 @@ type Profile struct {
 	// the level's first node ID) of the node whose label sits at
 	// Labels[off+i]. Within a level the sort is by (label, node index),
 	// so equal labels keep ascending node order — the order the
-	// equal-label pre-match in TED* consumes them in.
+	// equal-label pre-match in TED* consumes them in. The deepest
+	// level's Perm, the identity, is implicit.
 	Perm []int32
 
-	// Kids holds every node's children's labels, sorted ascending per
-	// node: node v's run is Kids[KidOff[v] : KidOff[v+1]]. This is the
-	// children collection S(v) of TED* Definition 6 under corpus-interned
-	// labels, precomputed so the verify stage's faithful-level fast path
+	// Kids holds the children's labels of every node above level h-1,
+	// sorted ascending per node: node v's run is
+	// Kids[KidOff[v] : KidOff[v+1]]. This is the children collection S(v)
+	// of TED* Definition 6 under corpus-interned labels, precomputed so
+	// the verify stage's faithful-level fast path
 	// (ted.Computer.DistanceAtMostProfiled) builds residual cost matrices
-	// without re-walking or re-sorting anything.
+	// without re-walking or re-sorting anything. A node v on level h-1
+	// has the implicit run LeafLabel × (KidOff[v+1]-KidOff[v]), past the
+	// end of Kids; the deepest level's nodes have no runs and no KidOff
+	// entries. KidOff is the tree's own child offsets, Size minus the last
+	// level's width plus one entries.
 	Kids   []int32
 	KidOff []int32
 
@@ -300,10 +315,14 @@ type memoShape struct {
 }
 
 // profileMemoKeep and profileKeysKeep bound what a pooled scratch
-// carries from one tree to the next; past them it starts afresh.
+// carries from one tree to the next; past them it starts afresh, in the
+// memory it already holds. They also bound that memory, which a pool
+// keeps live across a collection: most memoized shapes are a tree's
+// upper levels, which rarely repeat, so a small memo keeps the shapes
+// that do.
 const (
-	profileMemoKeep = 1 << 13
-	profileKeysKeep = 1 << 20
+	profileMemoKeep = 1 << 11
+	profileKeysKeep = 1 << 18
 )
 
 var profileScratches = sync.Pool{New: func() any {
@@ -314,7 +333,8 @@ var profileScratches = sync.Pool{New: func() any {
 func profileScratchFor(in *Interner) *profileScratch {
 	sc := profileScratches.Get().(*profileScratch)
 	if sc.dict != in.id || len(sc.memo) > profileMemoKeep || len(sc.keys) > profileKeysKeep {
-		sc.dict, sc.memo, sc.keys = in.id, make(map[uint64]memoShape), nil
+		sc.dict, sc.keys = in.id, sc.keys[:0]
+		clear(sc.memo)
 	}
 	sc.nextLocal = -1
 	return sc
@@ -361,27 +381,45 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 	sc := profileScratchFor(in)
 	defer sc.release()
 
-	n, h := t.Size(), t.Height()
+	h := t.Height()
 	inner := int(t.levelOff[h]) // nodes above the deepest level
-	// One block for the columns the profile owns: labels (n), the
-	// children-label runs (n-1, CSR-aligned with the tree's own child
-	// storage, whose offsets the profile shares), Perm (n), Degs (inner)
-	// and the level sizes (h+1).
-	buf := make([]int32, 3*n+inner+h)
-	labels := buf[:n:n]
-	kidsArr := buf[n : 2*n-1 : 2*n-1]
-	perm := buf[2*n-1 : 3*n-1 : 3*n-1]
-	degs := buf[3*n-1 : 3*n-1+inner : 3*n-1+inner]
-	levels := levelSizes(t, buf[3*n-1+inner:])
-	kidOff := t.childOff
+	last := 0                   // the first node of level h-1
+	if h > 0 {
+		last = int(t.levelOff[h-1])
+	}
+	nk := max(inner-1, 0) // children of levels 0..h-2: levels 1..h-1
+	// One block for the columns the profile owns: labels, Perm and Degs
+	// (inner each), the children-label runs of levels 0..h-2 (nk,
+	// CSR-aligned with the tree's own child storage, whose offsets the
+	// profile shares) and the level sizes (h+1).
+	buf := make([]int32, 3*inner+nk+h+1)
+	labels := buf[:inner:inner]
+	perm := buf[inner : 2*inner : 2*inner]
+	degs := buf[2*inner : 3*inner : 3*inner]
+	kidsArr := buf[3*inner : 3*inner+nk : 3*inner+nk]
+	levels := levelSizes(t, buf[3*inner+nk:])
+	kidOff := t.childOff[: inner+1 : inner+1]
 
 	// Every childless node has the leaf shape (the empty key): resolve it
-	// once. The last node in level order is a leaf, so this is also the
-	// first shape the bottom-up pass below would have met. That pass
-	// visits every child before its parent (level order gives children
-	// larger IDs).
+	// once. The deepest level is all leaves, so a node on level h-1 with
+	// c children has the shape "c leaves"; above that the pass visits
+	// every child before its parent (level order gives children larger
+	// IDs) and reads their labels.
 	leaf := sc.label(in, nil, readOnly)
-	for v := n - 1; v >= 0; v-- {
+	for v := inner - 1; v >= last; v-- {
+		c := kidOff[v+1] - kidOff[v]
+		if c == 0 {
+			labels[v] = leaf
+			continue
+		}
+		key := sc.key[:0]
+		for range c {
+			key = binary.LittleEndian.AppendUint32(key, uint32(leaf))
+		}
+		sc.key = key
+		labels[v] = sc.label(in, key, readOnly)
+	}
+	for v := last - 1; v >= 0; v-- {
 		lo, hi := kidOff[v], kidOff[v+1]
 		if lo == hi {
 			labels[v] = leaf
@@ -408,9 +446,9 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 		Kids:      kidsArr,
 		KidOff:    kidOff, // aligned by construction; both sides immutable
 		LeafLabel: leaf,
-		Size:      int32(n),
+		Size:      int32(t.Size()),
 	}
-	if root := labels[0]; root >= 0 {
+	if root := p.rootLabel(); root >= 0 {
 		p.Canon = uint64(root)
 	} else {
 		// Whole-tree shape unknown to the corpus: no indexed tree is
@@ -419,26 +457,24 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 		p.Canon = (1 << 32) | uint64(uint32(-root))
 	}
 	// The bottom-up pass is done with per-node association; the filter
-	// tiers want per-level sorted multisets, so sort each level's run in
-	// place — keeping the association in Perm by sorting packed
+	// tiers want per-level sorted multisets, so sort each stored level's
+	// run in place — keeping the association in Perm by sorting packed
 	// (label, index) keys: labels ascending (the XOR flips the sign bit
 	// so negative query-local labels order before dictionary IDs), equal
 	// labels by ascending node index.
-	sc.packed = slices.Grow(sc.packed[:0], int(slices.Max(levels)))
 	off := int32(0)
-	for _, w := range levels {
+	for _, w := range levels[:h] {
 		run := labels[off : off+w]
 		lperm := perm[off : off+w]
 		if slices.IsSorted(run) {
-			// Already in order (every all-leaf level is): the sort below
-			// would be the identity.
+			// Already in order: the sort below would be the identity.
 			for i := range lperm {
 				lperm[i] = int32(i)
 			}
 			off += w
 			continue
 		}
-		keys := sc.packed[:w]
+		keys := slices.Grow(sc.packed[:0], int(w))[:w]
 		for i, l := range run {
 			keys[i] = uint64(uint32(l)^(1<<31))<<32 | uint64(uint32(i))
 		}
@@ -447,9 +483,19 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 			run[i] = int32(uint32(k>>32) ^ (1 << 31))
 			lperm[i] = int32(uint32(k))
 		}
+		sc.packed = keys
 		off += w
 	}
 	return p
+}
+
+// rootLabel is the root's label: the leaf label when the root is the
+// deepest level itself (a single-node tree), else Labels[0].
+func (p *Profile) rootLabel() int32 {
+	if len(p.Labels) == 0 {
+		return p.LeafLabel
+	}
+	return p.Labels[0]
 }
 
 // levelSizes fills dst (len height+1) with t's level-size vector

@@ -12,14 +12,17 @@ import (
 // referenceProfile is the profile compiler the striped dictionary and
 // pooled scratch replaced, kept as the oracle: one local map per tree,
 // every node's key hashed (leaves included), six separate column
-// allocations. Its only change is reaching the dictionary through
-// resolve instead of the old lookup-then-intern pair, which made the
-// same two calls.
+// allocations, every level's columns built and the deepest level's
+// dropped at the end. Its other change is reaching the dictionary
+// through resolve instead of the old lookup-then-intern pair, which
+// made the same two calls.
 func referenceProfile(in *Interner, t *Tree, readOnly bool) *Profile {
 	n := t.Size()
 	labels := make([]int32, n)
 	kidOff := make([]int32, n+1)
-	copy(kidOff, t.childOff)
+	for v := range int32(n) {
+		kidOff[v+1] = kidOff[v] + int32(t.NumChildren(v))
+	}
 	kidsArr := make([]int32, n-1)
 	var key []byte
 	local := make(map[string]int32, 16)
@@ -95,6 +98,9 @@ func referenceProfile(in *Interner, t *Tree, readOnly bool) *Profile {
 		}
 		off += w
 	}
+	inner := n - int(levels[len(levels)-1])
+	p.Labels, p.Perm = p.Labels[:inner], p.Perm[:inner]
+	p.Kids, p.KidOff = p.Kids[:max(inner-1, 0)], p.KidOff[:inner+1]
 	return p
 }
 

@@ -21,8 +21,9 @@ func profileTestTrees(n int) []*Tree {
 // TestProfileShape pins the Profile invariants everything downstream
 // reads blind: Levels mirrors LevelSize, Labels and Degs are
 // level-grouped and sorted within each level, Degs holds the level's
-// actual child counts for levels 0..height-1 and nothing for the
-// deepest (all-leaf) level, and Size is the node count.
+// actual child counts for levels 0..height-1, Labels, Perm, Degs and
+// KidOff stop above the deepest (all-leaf) level, and Size is the node
+// count.
 func TestProfileShape(t *testing.T) {
 	in := NewInterner()
 	for _, tr := range profileTestTrees(60) {
@@ -33,19 +34,15 @@ func TestProfileShape(t *testing.T) {
 		if p.Height() != tr.Height() {
 			t.Fatalf("Height=%d, tree height %d", p.Height(), tr.Height())
 		}
-		if len(p.Labels) != tr.Size() {
-			t.Fatalf("len(Labels)=%d, want %d", len(p.Labels), tr.Size())
+		inner := tr.Size() - tr.LevelSize(tr.Height())
+		if len(p.Labels) != inner || len(p.Perm) != inner || len(p.KidOff) != inner+1 {
+			t.Fatalf("len(Labels), len(Perm), len(KidOff) = %d, %d, %d, want %d, %d, %d",
+				len(p.Labels), len(p.Perm), len(p.KidOff), inner, inner, inner+1)
 		}
 		off := int32(0)
 		for d, w := range p.Levels {
 			if int(w) != tr.LevelSize(d) {
 				t.Fatalf("Levels[%d]=%d, LevelSize=%d", d, w, tr.LevelSize(d))
-			}
-			run := p.Labels[off : off+w]
-			for i := 1; i < len(run); i++ {
-				if run[i-1] > run[i] {
-					t.Fatalf("level %d labels not sorted: %v", d, run)
-				}
 			}
 			want := make([]int32, 0, w)
 			lo, hi := tr.LevelRange(d)
@@ -63,6 +60,9 @@ func TestProfileShape(t *testing.T) {
 					t.Fatalf("len(Degs)=%d, want %d (every node above the deepest level)", len(p.Degs), off)
 				}
 				break
+			}
+			if run := p.Labels[off : off+w]; !slices.IsSorted(run) {
+				t.Fatalf("level %d labels not sorted: %v", d, run)
 			}
 			if got := p.Degs[off : off+w]; !slices.Equal(got, want) {
 				t.Fatalf("level %d Degs=%v, want sorted child counts %v", d, got, want)

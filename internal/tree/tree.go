@@ -17,26 +17,38 @@ import (
 	"sync/atomic"
 )
 
-// Tree is an unordered rooted tree in level order. Node 0 is the root;
-// Parent[0] == -1, and nodes are sorted by depth (the number of edges
-// from the root): each depth occupies one contiguous ID range, recorded
-// in levelOff. Depth itself is not stored; LevelRange and Height give
-// everything level-wise consumers read.
+// Tree is an unordered rooted tree in level order. Node 0 is the root,
+// and nodes are sorted by depth (the number of edges from the root):
+// each depth occupies one contiguous ID range, recorded in levelOff.
+// Depth itself is not stored; LevelRange and Height give everything
+// level-wise consumers read.
+//
+// A BFS-order tree — parents non-decreasing in node order, the layout
+// of every extracted, decoded and wire tree — stores no parent vector:
+// its children are the IDs 1..n-1 in order, so childOff alone gives
+// Parent, Children and the parent vector. Its childOff covers only the
+// nodes above the deepest level (levelOff[h]+1 entries): every node at
+// or past levelOff[h] is a leaf, and its width is all the deepest level
+// holds. A tree not in BFS order (only a hand-written text snapshot
+// holds one) keeps its parent vector and full CSR child lists.
 // The zero value is not a valid tree; use New or the builders below.
 type Tree struct {
+	// parent is the parent vector (parent[0] == -1) of a tree not in BFS
+	// order; nil for a BFS-order tree.
 	parent []int32
 
 	// levelOff[d] is the index of the first node at depth d;
-	// levelOff[height+1] == len(parent).
+	// levelOff[height+1] is the node count.
 	levelOff []int32
 
-	// children in CSR form, derived from parent. A BFS-order tree (parent
-	// non-decreasing, the layout of every extracted and decoded
-	// signature) has childIDs == 1..n-1, which aliases the process-wide
+	// children in CSR form: node v's children are
+	// childIDs[childOff[v]:childOff[v+1]] for v < len(childOff)-1, and
+	// none past that. A BFS-order tree's childOff stops at the deepest
+	// level, and its childIDs == 1..n-1 aliases the process-wide
 	// read-only run idRun instead of being stored per tree.
 	childOff []int32
 	childIDs []int32
-	bfs      bool // parent non-decreasing: childIDs is the shared run
+	bfs      bool // parent non-decreasing: no parent vector, childIDs is the shared run
 
 	// canon caches the AHU canonical encoding. Signatures are queried
 	// repeatedly (every canonical orientation of a TED* pair may consult
@@ -110,22 +122,23 @@ func (s *Slab) Alloc(n int) []int32 {
 
 // New constructs a Tree from a parent vector. parent[0] must be -1 and
 // every other entry must point to an earlier node (level order). New
-// returns an error when the vector violates those invariants.
-func New(parent []int32) (*Tree, error) {
-	if len(parent) == 0 {
-		return nil, fmt.Errorf("tree: empty parent vector")
-	}
-	return NewOwned(append([]int32(nil), parent...), nil)
-}
+// returns an error when the vector violates those invariants. The tree
+// keeps no reference to parent.
+func New(parent []int32) (*Tree, error) { return build(parent, nil, false) }
 
-// NewOwned is New without the defensive copy: the tree takes ownership
-// of parent (which must not be mutated afterwards) and carves its
-// derived arrays — childOff (n+1) and levelOff (height+2), plus
-// childIDs (n-1) when the tree is not in BFS order — from s when s is
-// non-nil. This is the bulk-decode path: internal/segment owns every
-// parent vector it just decoded and builds thousands of trees per
-// load; everyone else wants New.
-func NewOwned(parent []int32, s *Slab) (*Tree, error) {
+// NewOwned is New for a caller that hands parent over and carves the
+// derived arrays from s (plain allocations when s is nil): levelOff
+// (height+2) and childOff — levelOff[h]+1 entries for a BFS-order tree,
+// which keeps nothing else, or n+1 plus childIDs (n-1) for one that is
+// not, which keeps parent itself (so parent must not be mutated
+// afterwards). This is the bulk-decode path: internal/segment owns every
+// parent vector it just decoded and builds thousands of trees per load.
+func NewOwned(parent []int32, s *Slab) (*Tree, error) { return build(parent, s, true) }
+
+// build validates parent and derives the tree's columns from it. A
+// BFS-order tree keeps none of parent; any other keeps parent itself
+// when owned, else a copy.
+func build(parent []int32, s *Slab, owned bool) (*Tree, error) {
 	if len(parent) == 0 {
 		return nil, fmt.Errorf("tree: empty parent vector")
 	}
@@ -133,15 +146,12 @@ func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 		return nil, fmt.Errorf("tree: root parent must be -1, got %d", parent[0])
 	}
 	n := len(parent)
-	t := &Tree{parent: parent}
-	childOff := s.Alloc(n + 1)
-	t.childOff = childOff
-	// One validation pass counts children, detects BFS order (parent
-	// non-decreasing), and finds the level starts without a depth array:
-	// while v sits on the level starting at cur (the previous one starts
-	// at prev), its parent must lie in [prev, cur); a parent in [cur, v)
-	// opens the next level at v, and one below prev means v is shallower
-	// than v-1 — not level order.
+	// One validation pass detects BFS order (parent non-decreasing) and
+	// finds the level starts without a depth array: while v sits on the
+	// level starting at cur (the previous one starts at prev), its parent
+	// must lie in [prev, cur); a parent in [cur, v) opens the next level
+	// at v, and one below prev means v is shallower than v-1 — not level
+	// order.
 	var startsBuf [16]int32
 	starts := append(startsBuf[:0], 0)
 	prev, cur := int32(0), int32(0)
@@ -158,21 +168,35 @@ func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 		case p < prev:
 			return nil, fmt.Errorf("tree: nodes not in level order at %d", v)
 		}
-		childOff[p+1]++
 		bfsOrder = bfsOrder && p >= parent[v-1]
 	}
-	t.levelOff = s.Alloc(len(starts) + 1)
-	copy(t.levelOff, starts)
-	t.levelOff[len(starts)] = int32(n)
-
-	for v := 1; v <= n; v++ {
+	// Every parent lies above the deepest level, so a BFS-order tree's
+	// child counts need offsets for those nodes only.
+	offs := n
+	if bfsOrder {
+		offs = int(cur)
+	}
+	cols := s.Alloc(len(starts) + 1 + offs + 1)
+	levelOff := cols[: len(starts)+1 : len(starts)+1]
+	childOff := cols[len(starts)+1:]
+	copy(levelOff, starts)
+	levelOff[len(starts)] = int32(n)
+	for _, p := range parent[1:] {
+		childOff[p+1]++
+	}
+	for v := 1; v <= offs; v++ {
 		childOff[v] += childOff[v-1]
 	}
+	t := &Tree{levelOff: levelOff, childOff: childOff}
 	if bfsOrder {
 		// Children sorted by (parent, id) are exactly 1..n-1 in order.
 		t.childIDs, t.bfs = bfsIDs(n), true
 		return t, nil
 	}
+	if !owned {
+		parent = append([]int32(nil), parent...)
+	}
+	t.parent = parent
 	// General level order: fill childIDs using childOff[p] itself as the
 	// write cursor; the advancement leaves childOff[v] holding the
 	// original childOff[v+1], which one backward shift undoes — no
@@ -190,15 +214,14 @@ func NewOwned(parent []int32, s *Slab) (*Tree, error) {
 	return t, nil
 }
 
-// NewBFS is NewOwned for a BFS-order tree whose caller derived every
-// column itself and vouches for it, so nothing is validated: parent
-// (parent[0] == -1, then non-decreasing, each entry below its node),
-// childOff (n+1 entries: the prefix sums of the child counts parent
-// implies) and levelOff (height+2 entries: each depth's first node, then
-// n). The tree takes ownership of all three. A segment decoder, which
-// builds them from stored labels and their shapes, is the caller.
-func NewBFS(parent, childOff, levelOff []int32) *Tree {
-	return &Tree{parent: parent, levelOff: levelOff, childOff: childOff, childIDs: bfsIDs(len(parent)), bfs: true}
+// NewBFS builds a BFS-order tree from columns its caller derived and
+// vouches for, so nothing is validated: childOff (the prefix sums of the
+// child counts of the nodes above the deepest level: levelOff[h]+1
+// entries) and levelOff (height+2 entries: each depth's first node, then
+// n). The tree takes ownership of both. A segment decoder, which builds
+// them from stored labels and their shapes, is the caller.
+func NewBFS(childOff, levelOff []int32) *Tree {
+	return &Tree{levelOff: levelOff, childOff: childOff, childIDs: bfsIDs(int(levelOff[len(levelOff)-1])), bfs: true}
 }
 
 // idRun is the process-wide run 0, 1, 2, ... that BFS-order trees alias
@@ -244,7 +267,7 @@ func MustNew(parent []int32) *Tree {
 }
 
 // Size returns the number of nodes.
-func (t *Tree) Size() int { return len(t.parent) }
+func (t *Tree) Size() int { return int(t.levelOff[len(t.levelOff)-1]) }
 
 // Height returns the depth of the deepest node (a single root has height 0).
 func (t *Tree) Height() int { return len(t.levelOff) - 2 }
@@ -254,19 +277,36 @@ func (t *Tree) Height() int { return len(t.levelOff) - 2 }
 // those of the node before it.
 func (t *Tree) BFSOrder() bool { return t.bfs }
 
-// Parent returns the parent of v, or -1 for the root.
-func (t *Tree) Parent(v int32) int32 { return t.parent[v] }
+// Parent returns the parent of v, or -1 for the root. A BFS-order tree
+// finds it by binary search over its child offsets: v's parent p is the
+// node whose children span v, childOff[p] <= v-1 < childOff[p+1].
+func (t *Tree) Parent(v int32) int32 {
+	if !t.bfs {
+		return t.parent[v]
+	}
+	if v == 0 {
+		return -1
+	}
+	off := t.childOff
+	return int32(sort.Search(len(off), func(i int) bool { return off[i] > v-1 })) - 1
+}
 
 // Children returns the children of v. The slice aliases internal
 // storage — shared by every BFS-order tree — and must not be written;
 // its capacity is clipped, so an append copies instead.
 func (t *Tree) Children(v int32) []int32 {
+	if int(v) >= len(t.childOff)-1 {
+		return nil // a node of a BFS-order tree's deepest level
+	}
 	lo, hi := t.childOff[v], t.childOff[v+1]
 	return t.childIDs[lo:hi:hi]
 }
 
 // NumChildren returns the number of children of v.
 func (t *Tree) NumChildren(v int32) int {
+	if int(v) >= len(t.childOff)-1 {
+		return 0
+	}
 	return int(t.childOff[v+1] - t.childOff[v])
 }
 
@@ -310,26 +350,48 @@ func (t *Tree) Truncate(maxDepth int) *Tree {
 		return t
 	}
 	maxDepth = max(maxDepth, 0)
-	hi := t.levelOff[maxDepth+1]
-	return MustNew(t.parent[:hi])
+	if !t.bfs {
+		return MustNew(t.parent[:t.levelOff[maxDepth+1]])
+	}
+	// The kept levels' children are exactly the nodes up to the new
+	// deepest level, so both columns are prefixes.
+	levelOff := append([]int32(nil), t.levelOff[:maxDepth+2]...)
+	return NewBFS(append([]int32(nil), t.childOff[:t.levelOff[maxDepth]+1]...), levelOff)
 }
 
 // Leaves returns the number of leaf nodes.
 func (t *Tree) Leaves() int {
-	n := 0
-	for v := 0; v < t.Size(); v++ {
-		if t.NumChildren(int32(v)) == 0 {
-			n++
+	n := t.Size()
+	for v := range len(t.childOff) - 1 {
+		if t.childOff[v+1] > t.childOff[v] {
+			n--
 		}
 	}
 	return n
 }
 
 // Clone returns a deep copy.
-func (t *Tree) Clone() *Tree { return MustNew(t.parent) }
+func (t *Tree) Clone() *Tree {
+	if !t.bfs {
+		return MustNew(t.parent)
+	}
+	return NewBFS(append([]int32(nil), t.childOff...), append([]int32(nil), t.levelOff...))
+}
 
 // ParentVector returns a copy of the level-order parent vector.
-func (t *Tree) ParentVector() []int32 { return append([]int32(nil), t.parent...) }
+func (t *Tree) ParentVector() []int32 {
+	if !t.bfs {
+		return append([]int32(nil), t.parent...)
+	}
+	parent := make([]int32, 1, t.Size())
+	parent[0] = -1
+	for p := range int32(len(t.childOff) - 1) {
+		for range t.childOff[p+1] - t.childOff[p] {
+			parent = append(parent, p)
+		}
+	}
+	return parent
+}
 
 // String renders a compact single-line description.
 func (t *Tree) String() string {
