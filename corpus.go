@@ -824,16 +824,20 @@ type CorpusStats struct {
 	PaddingPrunes int64 `json:"padding_prunes"`
 	LabelPrunes   int64 `json:"label_prunes"`
 
-	// BlockCandidates counts candidate slots the scan swept through the
-	// columnar block kernels (struct-of-arrays profile arenas) instead
-	// of the scalar per-candidate cascade; the survivor
-	// counters below report how many of those passed each successive
-	// tier — BlockLabelSurvivors passed tier 2 (degree sequence; the
-	// name predates it) and reached the verify stage.
+	// BlockCandidates counts the live candidates of the scan's queries;
+	// the survivor counters below report how many of those passed each
+	// successive tier — BlockLabelSurvivors passed tier 2 (degree
+	// sequence; the name predates it) and reached the verify stage.
 	BlockCandidates       int64 `json:"block_candidates"`
 	BlockSizeSurvivors    int64 `json:"block_size_survivors"`
 	BlockPaddingSurvivors int64 `json:"block_padding_survivors"`
 	BlockLabelSurvivors   int64 `json:"block_label_survivors"`
+
+	// RowsBound counts the rows whose size and padding bounds the
+	// queries' block kernels computed: the rows of each query's size
+	// window (see the README's "Evaluation order"). The candidates
+	// outside it are dismissed by size unbounded.
+	RowsBound int64 `json:"rows_bound"`
 
 	// SizeHist and DepthHist profile the indexed signatures, computed
 	// on demand from the live items (null until materialized):
@@ -888,6 +892,7 @@ func (c *Corpus) Stats() CorpusStats {
 	s.BlockSizeSurvivors = counters.BlockSizeSurvivors
 	s.BlockPaddingSurvivors = counters.BlockPaddingSurvivors
 	s.BlockLabelSurvivors = counters.BlockLabelSurvivors
+	s.RowsBound = counters.RowsBound
 	return s
 }
 

@@ -71,7 +71,7 @@ func BenchmarkCorpusKNN(b *testing.B) { benchmarkCorpusKNN(b) }
 // BenchmarkCorpusCascade is BenchmarkCorpusKNN with the filter-cascade
 // work profile surfaced as custom metrics: per-query TED* evaluations
 // and per-tier prunes (size / padding / tier 2, the degree-sequence
-// bound). CI runs it at
+// bound), and the block rows its size windows bounded. CI runs it at
 // -benchtime=1x so every push compiles the cascade and counts its
 // tiers. The harness reads the same tiers at serving size as
 // ned.{size,padding,label}_survivor_ratio (benchmark/README.md).
@@ -82,6 +82,7 @@ func BenchmarkCorpusCascade(b *testing.B) {
 	b.ReportMetric(float64(s.SizePrunes)/perQuery, "sizeprunes/query")
 	b.ReportMetric(float64(s.PaddingPrunes)/perQuery, "padprunes/query")
 	b.ReportMetric(float64(s.LabelPrunes)/perQuery, "tier2prunes/query")
+	b.ReportMetric(float64(s.RowsBound)/perQuery, "rowsbound/query")
 }
 
 // The serve-read query mix: k, l and the number of query signatures.
@@ -92,23 +93,35 @@ const interGraphK, interGraphL, interGraphQueries = 3, 5, 1600
 // signatures of a 5 %-perturbed second graph, drawn one per size
 // stratum from all but the largest 2 %, in shuffled order.
 func interGraphMix() (*Graph, []Signature) {
-	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
-	g2 := AnonymizePerturb(g, 0.05, 1).Graph
-	nodes := make([]NodeID, g2.NumNodes())
+	return interGraphMixAt(4, interGraphQueries)
+}
+
+// interGraphMixAt is interGraphMix over the PGP analog at the given
+// scale, with n queries.
+func interGraphMixAt(scale float64, n int) (*Graph, []Signature) {
+	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: scale, Seed: 42})
+	return g, stratifiedSignatures(AnonymizePerturb(g, 0.05, 1).Graph, n)
+}
+
+// stratifiedSignatures draws n signatures of g's nodes at k =
+// interGraphK, one per size stratum from all but the largest 2 %, in
+// shuffled order.
+func stratifiedSignatures(g *Graph, n int) []Signature {
+	nodes := make([]NodeID, g.NumNodes())
 	for i := range nodes {
 		nodes[i] = NodeID(i)
 	}
-	sigs := SignaturesParallel(g2, nodes, interGraphK, BatchOptions{Workers: 2})
+	sigs := SignaturesParallel(g, nodes, interGraphK, BatchOptions{Workers: 2})
 	sort.SliceStable(sigs, func(i, j int) bool { return sigs[i].Tree.Size() < sigs[j].Tree.Size() })
 	pool := sigs[:len(sigs)*98/100]
 	rng := rand.New(rand.NewSource(1))
-	queries := make([]Signature, interGraphQueries)
+	queries := make([]Signature, n)
 	for i := range queries {
-		lo, hi := i*len(pool)/interGraphQueries, (i+1)*len(pool)/interGraphQueries
+		lo, hi := i*len(pool)/n, (i+1)*len(pool)/n
 		queries[i] = pool[lo+rng.Intn(hi-lo)]
 	}
 	rng.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
-	return g, queries
+	return queries
 }
 
 // BenchmarkCorpusInterGraphKNN is an in-process replica of the harness's
@@ -142,6 +155,7 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 	sort.Float64s(lat)
 	b.ReportMetric(float64(s.DistanceCalls)/float64(b.N), "evals/query")
 	b.ReportMetric(float64(s.LabelPrunes)/float64(b.N), "tier2prunes/query")
+	b.ReportMetric(float64(s.RowsBound)/float64(b.N), "rowsbound/query")
 	b.ReportMetric(lat[len(lat)/2], "p50_us")
 	b.ReportMetric(lat[len(lat)*95/100], "p95_us")
 }

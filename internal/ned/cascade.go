@@ -25,22 +25,35 @@ import (
 // Profiles are a precondition: every indexed or swept item carries them,
 // compiled against its index's one dictionary, and every query carries
 // them too (read-only for queries, see ProfileQueryItem). So each tier
-// has one form. Tiers 0–1 are the block kernels (kernels.go), which
-// sweep a whole candidate block laid out as a struct-of-arrays profile
-// arena (block.go); tier 2 is degreeTierPrunes, reading the candidate's
-// profile through its item; and every survivor reaches one verify stage,
-// verifyDistanceAtMost. The range scan (scanRange) runs the three in
-// that order at its fixed radius. The KNN sweep (scanKNN) runs them as a
-// multi-step search: tiers 0–1 for every candidate up front, tier 2
-// lazily in padding order, and the verify stage in ascending order of
-// the degree bound, so with one sweeper it verifies only candidates
-// whose degree bound is at most the final l-th distance. The VP and BK
-// trees visit candidates one at a
-// time in an order their geometry dictates, so they gate each budgeted
-// evaluation with tier 2 alone (gatedDistanceAtMost), the one caller
-// that computes the padding bound itself: tier 2 opens with it, and it
-// dominates the size bound, so the gate prunes exactly the candidates
-// the three tiers would.
+// has one form per layout. Tiers 0–1 are the block kernels
+// (kernels.go), which sweep a range of a candidate block's rows, laid
+// out as a struct-of-arrays profile arena in size-key order (block.go);
+// tier 2 is ted.DegreeExcessRuns on top of the padding bound, which the
+// scans read from the block's degree column (profileBlock.
+// degreeTierPrunes) and the tree backends through the candidate's item
+// (degreeTierPrunes); and every survivor reaches one verify stage,
+// verifyDistanceAtMost.
+//
+// A scan bounds only a size window of each block: the rows whose size
+// key is within w of the query's, one contiguous range, since the size
+// key lower-bounds the size tier. Every row outside it has a size bound,
+// hence every bound, above w, and is dismissed by size in bulk, never
+// bounded. The range scan (scanRange) takes w = r and runs the three
+// tiers in order over the window at its fixed radius. The KNN sweep
+// (scanKNN) runs them as a multi-step search: tiers 0–1 over the window
+// (w = 15 to start), tier 2 lazily in padding order, and the verify
+// stage in ascending order of the degree bound, with w+1 standing in for
+// every bound outside the window. When the window's order runs out
+// below the l-th distance the sweep widens it (open, widen): to the l-th
+// distance once it is finite, doubling before, bounding only the new
+// rows and merging them into the order. So with one sweeper it verifies
+// only candidates whose degree bound is at most the final l-th
+// distance, as a sweep that bounds every row does. The VP and BK trees
+// visit candidates one at a time in an order their geometry dictates,
+// so they gate each budgeted evaluation with tier 2 alone
+// (gatedDistanceAtMost), the one caller that computes the padding bound
+// itself: tier 2 opens with it, and it dominates the size bound, so the
+// gate prunes exactly the candidates the three tiers would.
 
 // cascadeTier names the filter tier that dismissed a candidate; the
 // counters report the per-tier breakdown.
@@ -97,10 +110,11 @@ func mustProfiled(it *Item) {
 // degreeTierPrunes runs tier 2, the degree-sequence bound, at threshold
 // t: pad, the pair's padding bound summed over its out/in tree pairs,
 // plus ted.DegreeExcess of the out-pair and then of the in-pair, each
-// under whatever the sum so far left of t. It is the tier's only form —
-// every scan and the tree backends' gate call it with the candidate's
-// profiles read through its item. The scans pass the block kernel's
-// padding bound for the candidate's slot.
+// under whatever the sum so far left of t. This is the item form, with
+// the candidate's profiles read through its item: the tree backends'
+// gate. The scans read the same runs from their block's degree column
+// (profileBlock.degreeTierPrunes), starting from the kernel's padding
+// bound for the candidate's row.
 func degreeTierPrunes(q, it Item, pad, t int) (bound int, pruned bool) {
 	bound = pad
 	if bound <= t {
@@ -203,25 +217,70 @@ func profileSwap(t1, t2 *tree.Tree, p1, p2 *tree.Profile) bool {
 	}
 }
 
-// prepare sweeps the block kernels over every part of the sweep,
-// filling each candidate's size and padding bounds, indexed by global
-// slot, and the order the KNN sweep admits candidates in: ascending
-// padding bound, ties part after part and by node within a part (see
-// blockOrder). A part's dead slots
-// get bounds too — the kernels sweep whole arrays — but never enter the
-// order, so they are never claimed, verified or counted.
-func (sc *sweepScratch) prepare(query Item, parts []sweepPart) {
-	sc.ends, sc.dead = sc.ends[:0], sc.dead[:0]
-	total := int32(0)
+// open starts a query's sweep over parts: every part's window is empty,
+// at the query's size key, and so is the evaluation order. Each part's
+// live candidates are counted on its counter set; their total comes
+// back.
+func (sc *sweepScratch) open(q Item, parts []sweepPart) int {
+	mustProfiled(&q)
+	sc.ends, sc.wins, sc.order = sc.ends[:0], sc.wins[:0], sc.order[:0]
+	total, live := int32(0), 0
 	for _, pt := range parts {
-		total += int32(len(pt.items))
-		sc.ends, sc.dead = append(sc.ends, total), append(sc.dead, pt.dead)
+		total += int32(pt.blk.n)
+		at, _ := pt.blk.window(q, 0)
+		sc.ends, sc.wins = append(sc.ends, total), append(sc.wins, rowSpan{at, at})
+		n := pt.blk.n - len(pt.dead)
+		pt.cs.blockSweep(n)
+		live += n
 	}
 	sc.sizeB, sc.padB = grow(sc.sizeB, int(total)), grow(sc.padB, int(total))
-	for p, pt := range parts {
-		lo, hi := partBase(sc.ends, p), sc.ends[p]
-		pt.blk.bounds(query, sc.sizeB[lo:hi], sc.padB[lo:hi])
-		pt.cs.blockSweep(pt.blk.n - len(pt.dead))
+	return live
+}
+
+// widen grows every part's window to the rows whose size key is within
+// w of the query's (profileBlock.window), bounds the rows it adds with
+// the block kernels, and merges the live ones, ordered by padding bound
+// (a counting sort), into the unclaimed evaluation order from position
+// next on; the claimed positions before next do not move. Ties keep the
+// order they had: rows already waiting first, then new rows part after
+// part, by row within a part. It reports whether every window now holds
+// its whole part.
+func (sc *sweepScratch) widen(q Item, parts []sweepPart, w, next int) (full bool) {
+	fresh := sc.fresh[:0]
+	full = true
+	for p := range parts {
+		pt, win, base := &parts[p], &sc.wins[p], partBase(sc.ends, p)
+		lo, hi := pt.blk.window(q, w)
+		for _, span := range [2]rowSpan{{lo, win.lo}, {win.hi, hi}} {
+			if span.lo >= span.hi {
+				continue
+			}
+			pt.blk.bounds(q, span.lo, span.hi, sc.sizeB[base+span.lo:], sc.padB[base+span.lo:])
+			pt.cs.rowsBound(int(span.hi - span.lo))
+			dead := deadWithin(pt.dead, span.lo, span.hi)
+			for r := span.lo; r < span.hi; r++ {
+				if len(dead) > 0 && dead[0] == r {
+					dead = dead[1:]
+					continue
+				}
+				fresh = append(fresh, base+r)
+			}
+		}
+		win.lo, win.hi = min(win.lo, lo), max(win.hi, hi)
+		full = full && win.lo == 0 && int(win.hi) == pt.blk.n
 	}
-	sc.order, sc.counts = blockOrder(sc.padB, sc.dead, sc.ends, sc.order, sc.counts)
+	sc.fresh = fresh
+	sc.sorted, sc.counts = orderBy(fresh, sc.padB, sc.sorted, sc.counts)
+	waiting, sorted, padB := sc.order[next:], sc.sorted, sc.padB
+	merged := sc.merged[:0]
+	for len(waiting) > 0 && len(sorted) > 0 {
+		if padB[sorted[0]] < padB[waiting[0]] {
+			merged, sorted = append(merged, sorted[0]), sorted[1:]
+		} else {
+			merged, waiting = append(merged, waiting[0]), waiting[1:]
+		}
+	}
+	merged = append(append(merged, waiting...), sorted...)
+	sc.order, sc.merged = append(sc.order[:next], merged...), merged
+	return full
 }

@@ -185,8 +185,9 @@ func TestCascadeBoundsDominance(t *testing.T) {
 		blk := compileBlock(profiled)
 		sizeB, padB := make([]int32, blk.n), make([]int32, blk.n)
 		q := profiled[0]
-		blk.bounds(q, sizeB, padB)
-		for j, it := range profiled {
+		blk.bounds(q, 0, int32(blk.n), sizeB, padB)
+		for j := range blk.n {
+			it := profiled[blk.item[j]]
 			deg, _ := degreeTierPrunes(q, it, paddingBound(q, it), ted.Unbounded)
 			d := ItemDistance(q, it)
 			if sizeB[j] > padB[j] || int(padB[j]) > deg || deg > d {

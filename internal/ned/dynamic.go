@@ -103,12 +103,14 @@ func removeItems(items []Item, gone map[graph.NodeID]bool) ([]Item, int) {
 // profile block; delta holds, node-sorted, what was inserted since the
 // last fold, with a block of its own; dead lists, ascending, the base
 // slots removed since then — the base's live run is the spans between
-// them. A mutation never writes any of these: it allocates a new delta
-// and dead list and compiles the new delta's block, so clones share
-// everything and a write copies O(delta). Once the delta and the dead
-// slots together pass max(foldMin, len(base)>>foldShift), the mutation
-// folds them inline into a new base — one merge and one block compile,
-// amortized over the mutations since the last fold.
+// them — and deadRows the rows of the base block that describe them, the
+// form a sweep skips them in. A mutation never writes any of these: it
+// allocates a new delta and dead lists and compiles the new delta's
+// block, so clones share everything and a write copies O(delta). Once
+// the delta and the dead slots together pass max(foldMin,
+// len(base)>>foldShift), the mutation folds them inline into a new base
+// — one merge and one block compile, amortized over the mutations since
+// the last fold.
 
 // foldMin and foldShift fix when a scan folds (see above).
 const (
@@ -150,9 +152,15 @@ func (b *scanBackend) apply(ups []Item, dels []graph.NodeID) (removed int, copie
 		}
 	}
 	if len(slots) > 0 {
+		rows := slices.Clone(b.deadRows)
+		for _, s := range slots {
+			rows = append(rows, b.bblk.rowOf(b.base, s))
+		}
+		slices.Sort(rows)
 		b.dead = slices.Concat(b.dead, slots)
 		slices.Sort(b.dead)
-		copied += 4 * int64(len(b.dead))
+		b.deadRows = rows
+		copied += 8 * int64(len(b.dead))
 	}
 	delta := make([]Item, 0, len(b.delta)+len(ups))
 	for _, it := range b.delta {
@@ -163,27 +171,25 @@ func (b *scanBackend) apply(ups []Item, dels []graph.NodeID) (removed int, copie
 	dropped := len(b.delta) - len(delta)
 	removed = len(slots) + dropped
 	if dropped+len(ups) > 0 {
+		last := sweepPart{items: b.delta, blk: b.dblk}
 		b.delta = append(delta, ups...)
 		slices.SortFunc(b.delta, compareNodes)
-		b.dblk = nil
-		copied += itemBytes * int64(len(b.delta))
+		b.dblk = compileBlock(b.delta, last)
+		copied += itemBytes*int64(len(b.delta)) + b.dblk.bytes()
 	}
 	if len(b.dead)+len(b.delta) > max(foldMin, len(b.base)>>foldShift) {
 		return removed, copied + b.fold()
 	}
-	if dropped+len(ups) > 0 {
-		b.dblk = compileBlock(b.delta)
-		copied += b.dblk.bytes()
-	}
 	return removed, copied
 }
 
-// fold merges the live base and the delta into a new base and returns
-// the bytes the rebuild copied.
+// fold merges the live base and the delta into a new base, its block
+// copied from theirs, and returns the bytes the rebuild copied.
 func (b *scanBackend) fold() int64 {
 	items := slices.AppendSeq(make([]Item, 0, b.Len()), b.Items())
-	b.base, b.bblk = items, compileBlock(items)
-	b.dead, b.delta, b.dblk = nil, nil, nil
+	b.bblk = compileBlock(items, sweepPart{items: b.base, blk: b.bblk}, sweepPart{items: b.delta, blk: b.dblk})
+	b.base = items
+	b.dead, b.deadRows, b.delta, b.dblk = nil, nil, nil, nil
 	return itemBytes*int64(len(items)) + b.bblk.bytes()
 }
 

@@ -24,7 +24,10 @@ import (
 //     swept, verified or counted), and LowerBoundPrunes stays the sum of
 //     its tiers;
 //   - a clone taken before the last ten steps still answers its own
-//     state, and Items lists the live items in node order.
+//     state, and Items lists the live items in node order;
+//   - the base and delta blocks, which writes and folds compile from
+//     the blocks before them, equal blocks compiled afresh from their
+//     items' profiles, and the dead rows are the rows of the dead slots.
 func TestScanDeltaChurn(t *testing.T) {
 	ctx := context.Background()
 	g := randomTestGraph(140, 420, 31)
@@ -70,6 +73,23 @@ func TestScanDeltaChurn(t *testing.T) {
 					t.Fatalf("%s: Items[%d] is node %d, want %d", name, i, it.Node, want[i].Node)
 				}
 			}
+		}
+		if !reflect.DeepEqual(b.bblk, compileBlock(b.base)) {
+			t.Fatalf("%s: the base block differs from one compiled afresh", name)
+		}
+		if len(b.delta) > 0 && !reflect.DeepEqual(b.dblk, compileBlock(b.delta)) {
+			t.Fatalf("%s: the delta block differs from one compiled afresh", name)
+		}
+		var rows []int32
+		for _, s := range b.dead {
+			for r, slot := range b.bblk.item {
+				if slot == s {
+					rows = append(rows, int32(r))
+				}
+			}
+		}
+		if slices.Sort(rows); !slices.Equal(rows, b.deadRows) {
+			t.Fatalf("%s: dead rows %v, the dead slots' rows %v", name, b.deadRows, rows)
 		}
 		n := int64(len(want))
 		counted := func(what string, run func()) {

@@ -127,18 +127,23 @@ type Counters struct {
 	PaddingPrunes int64
 	LabelPrunes   int64
 
-	// BlockCandidates counts candidate slots swept by the block kernels,
-	// which is every live candidate of every cascade scan query; the
-	// survivor counters below break down how many of them passed each
-	// successive tier during their scan — BlockLabelSurvivors is how many
-	// passed tier 2 (degree sequence; the name predates it) and so
-	// reached the verify stage. Candidates evaluated before a scan has a
-	// pruning threshold pass trivially. Zero on the tree backends, which
-	// sweep no blocks.
+	// BlockCandidates counts the live candidates of every cascade scan
+	// query; the survivor counters below break down how many of them
+	// passed each successive tier during their scan —
+	// BlockLabelSurvivors is how many passed tier 2 (degree sequence; the
+	// name predates it) and so reached the verify stage. Candidates
+	// evaluated before a scan has a pruning threshold pass trivially.
+	// Zero on the tree backends, which sweep no blocks.
 	BlockCandidates       int64
 	BlockSizeSurvivors    int64
 	BlockPaddingSurvivors int64
 	BlockLabelSurvivors   int64
+
+	// RowsBound counts the block rows whose size and padding bounds a
+	// scan query's kernels computed: the rows of its size window, dead
+	// ones included. The live candidates outside the window are
+	// dismissed by size without being bounded.
+	RowsBound int64
 }
 
 // Add returns the element-wise sum of two counter snapshots: the work
@@ -155,6 +160,7 @@ func (c Counters) Add(o Counters) Counters {
 		BlockSizeSurvivors:    c.BlockSizeSurvivors + o.BlockSizeSurvivors,
 		BlockPaddingSurvivors: c.BlockPaddingSurvivors + o.BlockPaddingSurvivors,
 		BlockLabelSurvivors:   c.BlockLabelSurvivors + o.BlockLabelSurvivors,
+		RowsBound:             c.RowsBound + o.RowsBound,
 	}
 }
 
@@ -169,6 +175,7 @@ type counterSet struct {
 
 	blockCands                                atomic.Int64
 	blockSizeSurv, blockPadSurv, blockDegSurv atomic.Int64
+	boundRows                                 atomic.Int64
 }
 
 // observe records a completed candidate evaluation. Nil-safe so
@@ -210,12 +217,20 @@ func (c *counterSet) cascadePrune(t cascadeTier) {
 	}
 }
 
-// blockSweep records n candidate slots swept by the block kernels.
+// blockSweep records n live candidates of a scan query.
 func (c *counterSet) blockSweep(n int) {
 	if c == nil {
 		return
 	}
 	c.blockCands.Add(int64(n))
+}
+
+// rowsBound records n block rows bounded by a query's kernels.
+func (c *counterSet) rowsBound(n int) {
+	if c == nil {
+		return
+	}
+	c.boundRows.Add(int64(n))
 }
 
 // blockSurvive records one block-path candidate passing every tier up
@@ -268,6 +283,7 @@ func (c *counterSet) snapshot() Counters {
 		BlockSizeSurvivors:    c.blockSizeSurv.Load(),
 		BlockPaddingSurvivors: c.blockPadSurv.Load(),
 		BlockLabelSurvivors:   c.blockDegSurv.Load(),
+		RowsBound:             c.boundRows.Load(),
 	}
 }
 
@@ -282,6 +298,7 @@ func (c *counterSet) reset() {
 	c.blockSizeSurv.Store(0)
 	c.blockPadSurv.Store(0)
 	c.blockDegSurv.Store(0)
+	c.boundRows.Store(0)
 }
 
 // Index is the unified query surface of every NED index backend. All
@@ -553,16 +570,17 @@ func (b *bkBackend) Clone() DynamicIndex {
 // The items are an immutable base plus a copy-on-write delta (see
 // dynamic.go): node n is indexed iff it is in delta, or in a base slot
 // dead does not list. A query sweeps two parts, the base without its
-// dead slots and the delta.
+// dead rows and the delta.
 type scanBackend struct {
 	base []Item
 	// bblk and dblk are the columnar forms of the base's and the delta's
-	// profiles (slot i describes base[i] or delta[i]). Never edited:
-	// clones share them.
-	bblk  *profileBlock
-	dead  []int32 // base slots removed since the last fold, ascending
-	delta []Item  // items inserted since the last fold, node-sorted
-	dblk  *profileBlock
+	// profiles, in size-key order (see block.go). Never edited: clones
+	// share them.
+	bblk     *profileBlock
+	dead     []int32 // base slots removed since the last fold, ascending
+	deadRows []int32 // the rows of bblk describing them, ascending
+	delta    []Item  // items inserted since the last fold, node-sorted
+	dblk     *profileBlock
 
 	workers  int
 	counters *counterSet
@@ -570,11 +588,12 @@ type scanBackend struct {
 
 // NewLinearBackend is the cascade scan at the given width (<= 0 means
 // GOMAXPROCS): that many sweepers share one query's candidates and its
-// running l-th distance. KNN precompiles the size and padding bounds of
-// every candidate in one block-kernel sweep over the columnar profile
-// arenas, verifies in ascending degree-bound order under the current
-// l-th distance as TED* budget, and stops at the first padding bound
-// that exceeds it (see scanKNN). The items must be profiled.
+// running l-th distance. KNN bounds the rows of a size window around
+// the query with the block kernels over the columnar profile arenas,
+// widening it while it runs out below the l-th distance, verifies in
+// ascending degree-bound order under the current l-th distance as TED*
+// budget, and stops at the first bound that exceeds it (see scanKNN).
+// The items must be profiled.
 // Items already in node order are adopted as the scan's base, otherwise
 // a sorted copy is; the scan never writes them. Mutations copy only a
 // small delta (see dynamic.go).
@@ -592,7 +611,8 @@ func NewLinearBackend(items []Item, workers int) DynamicIndex {
 func compareNodes(a, b Item) int { return cmp.Compare(a.Node, b.Node) }
 
 // nodeSorted returns items when they ascend by node, else a stably
-// sorted copy: a sweep reads each part's slot order as node order.
+// sorted copy: a scan finds its items by node, and a block breaks size
+// ties by item slot, which is then node order.
 func nodeSorted(items []Item) []Item {
 	if slices.IsSortedFunc(items, compareNodes) {
 		return items
@@ -622,7 +642,7 @@ func (b *scanBackend) ResetStats()          { b.counters.reset() }
 // appendParts appends the backend's parts of a sweep: the base without
 // its dead slots, then the delta when it holds anything.
 func (b *scanBackend) appendParts(parts []sweepPart) []sweepPart {
-	parts = append(parts, sweepPart{items: b.base, blk: b.bblk, dead: b.dead, cs: b.counters})
+	parts = append(parts, sweepPart{items: b.base, blk: b.bblk, dead: b.deadRows, cs: b.counters})
 	if len(b.delta) > 0 {
 		parts = append(parts, sweepPart{items: b.delta, blk: b.dblk, cs: b.counters})
 	}
@@ -663,9 +683,9 @@ func runSweepers(workers int, sweep func()) {
 }
 
 // sweepPart is one block of a sweep: node-sorted items (a scan's base
-// or delta), the profile block compiled over them, the ascending slots
-// of items that are not candidates (the base's dead slots), and the
-// counter set the scan's work lands in (nil counts nothing).
+// or delta), the profile block compiled over them, the ascending rows
+// of that block whose items are not candidates (the base's dead rows),
+// and the counter set the scan's work lands in (nil counts nothing).
 type sweepPart struct {
 	items []Item
 	blk   *profileBlock
@@ -674,33 +694,30 @@ type sweepPart struct {
 }
 
 // sweepScratch is one query's working memory, pooled across queries
-// because zeroing and collecting it per query cost more than the sweep
-// over the bounds: the bound arrays over every part's slots (global
-// slot g of part p is partBase(ends, p) + its local slot), the
-// evaluation order and its counting sort's histogram, each part's dead
-// slots, the KNN sweep's heap of admitted candidates, the tail cut's
-// per-part tally, and Range's survivor bitmap and list. Nothing in it
-// outlives the query.
+// because allocating it per query costs more than the sweep: the bound
+// arrays over every part's rows (global row g of part p is
+// partBase(ends, p) + its row; only the windows' rows are ever written),
+// each part's window, the evaluation order, the widening's new rows,
+// their order, the merge buffer and the counting sort's histogram, the
+// KNN sweep's heap of admitted candidates, the cut's per-part tally, and
+// Range's survivor bitmap and list. Nothing in it outlives the query.
 type sweepScratch struct {
-	sizeB, padB, order, counts []int32
-	ends                       []int32
-	dead                       [][]int32
-	heap                       []admitted
-	tally                      []int64
-	words                      []uint64
-	survivors                  []int32
+	sizeB, padB, order            []int32
+	fresh, sorted, merged, counts []int32
+	ends                          []int32
+	wins                          []rowSpan
+	heap                          []admitted
+	tally                         []int64
+	words                         []uint64
+	survivors                     []int32
 }
+
+// rowSpan is the rows [lo, hi) of a block: a part's window.
+type rowSpan struct{ lo, hi int32 }
 
 var sweepScratches = sync.Pool{New: func() any { return new(sweepScratch) }}
 
-// release drops the scratch's references into the query's scans and
-// returns it to the pool.
-func (sc *sweepScratch) release() {
-	clear(sc.dead)
-	sweepScratches.Put(sc)
-}
-
-// partOf is the part holding global slot g: the first whose end
+// partOf is the part holding global row g: the first whose end
 // exceeds it.
 func (sc *sweepScratch) partOf(g int32) int {
 	lo, hi := 0, len(sc.ends)-1
@@ -717,14 +734,31 @@ func (sc *sweepScratch) partOf(g int32) int {
 
 // knnSweep is what one query's sweepers share, all under mu: the cursor
 // into the padding order (each position has exactly one claimant), the
-// canonical top-l so far and the query's stats. The heap of admitted
-// candidates lives in the query's sweepScratch, under mu as well.
+// windows' size gap w, whether they hold every row, whether the sweep
+// was cut, the canonical top-l so far and the query's stats. The
+// windows, the order and the heap of admitted candidates live in the
+// query's sweepScratch, under mu as well.
 type knnSweep struct {
-	mu      sync.Mutex
-	next    int
-	l       int
-	results []Neighbor
-	stats   PruneStats
+	mu         sync.Mutex
+	next       int
+	w          int
+	full, done bool
+	l          int
+	results    []Neighbor
+	stats      PruneStats
+}
+
+// firstWindow is the size gap a KNN sweep's windows open at; until the
+// sweep has a finite l-th distance, each widening doubles it.
+const firstWindow = 15
+
+// barrier is a lower bound on the padding bound of every row outside the
+// windows: w+1, or none once the windows hold every row.
+func (s *knnSweep) barrier() int32 {
+	if s.full {
+		return math.MaxInt32
+	}
+	return int32(s.w) + 1
 }
 
 // threshold is the current l-th distance, or ted.Unbounded until l
@@ -737,10 +771,13 @@ func (s *knnSweep) threshold() int {
 	return ted.Unbounded
 }
 
-// item is the candidate at global slot g and the part holding it.
-func (sc *sweepScratch) item(parts []sweepPart, g int32) (*sweepPart, Item) {
+// item is the candidate at global row g, the part holding it and its
+// row there.
+func (sc *sweepScratch) item(parts []sweepPart, g int32) (*sweepPart, int32, Item) {
 	p := sc.partOf(g)
-	return &parts[p], parts[p].items[g-partBase(sc.ends, p)]
+	pt := &parts[p]
+	r := g - partBase(sc.ends, p)
+	return pt, r, pt.items[pt.blk.item[r]]
 }
 
 // admitted is a candidate the KNN sweep has run tier 2 on and kept:
@@ -791,17 +828,16 @@ func (sc *sweepScratch) pop() admitted {
 	return top
 }
 
-// cutTail dismisses the unclaimed tail at threshold t. The order
-// ascends by padding bound, the tail's first bound exceeds t and the
-// threshold only tightens, so every one of them is dismissed by the
-// same tiers right now. Each slot is attributed to size or padding via
-// its bounds and tallied for its part, and each part's tally lands in
-// its counter set as one bulk add. Returns how many slots were
-// dismissed.
-func (sc *sweepScratch) cutTail(parts []sweepPart, tail []int32, t int) int {
+// cut dismisses everything the sweep has not claimed at threshold t,
+// which every remaining bound exceeds: the unclaimed tail of the order,
+// each row attributed to size or padding via its bounds, and the live
+// rows outside the windows, whose size bound exceeds w >= t, as size
+// prunes without a walk. Each part's tally lands in its counter set as
+// one bulk add. Returns how many candidates were dismissed.
+func (sc *sweepScratch) cut(parts []sweepPart, tail []int32, t int) int {
 	// The cursor hands the unclaimed tail to exactly one sweeper, so the
 	// scratch's tally is this one's alone.
-	sc.tally = grow(sc.tally, 2*len(parts)) // [2p]: slots of part p dismissed; [2p+1]: of them by size
+	sc.tally = grow(sc.tally, 2*len(parts)) // [2p]: rows of part p dismissed; [2p+1]: of them by size
 	tally := sc.tally
 	clear(tally)
 	for _, g := range tail {
@@ -811,13 +847,16 @@ func (sc *sweepScratch) cutTail(parts []sweepPart, tail []int32, t int) int {
 			tally[2*p+1]++
 		}
 	}
+	dismissed := len(tail)
 	for p := range parts {
-		if n, bySize := tally[2*p], tally[2*p+1]; n > 0 {
-			parts[p].cs.cascadePruneBulk(bySize, n-bySize)
-			parts[p].cs.blockSurviveBulk(n-bySize, 0, 0)
-		}
+		pt, win := &parts[p], sc.wins[p]
+		outside := int64(pt.blk.n - int(win.hi-win.lo) - len(pt.dead) + len(deadWithin(pt.dead, win.lo, win.hi)))
+		n, bySize := tally[2*p], tally[2*p+1]
+		pt.cs.cascadePruneBulk(bySize+outside, n-bySize)
+		pt.cs.blockSurviveBulk(n-bySize, 0, 0)
+		dismissed += int(outside)
 	}
-	return len(tail)
+	return dismissed
 }
 
 // scanKNN is the cascade top-l sweep: one pass over every part's
@@ -830,19 +869,29 @@ func (sc *sweepScratch) cutTail(parts []sweepPart, tail []int32, t int) int {
 //
 // It is the optimal multi-step k-NN (Seidl & Kriegel, SIGMOD 1998) over
 // the cascade's bounds: candidates are verified in ascending order of
-// the tightest bound known for them. The block kernels give every
-// candidate its padding bound up front and order them by it; tier 2,
-// the degree bound, is computed lazily, in that order, and ranks the
-// candidates it admits in a min-heap. Each step of a sweeper does the
-// first of these that applies:
-//   - verify: the heap's least degree bound is at most the next
-//     unclaimed padding bound, so no candidate can have a smaller bound;
-//     pop it and verify it under the current l-th distance, or dismiss
-//     it if its bound is above that;
-//   - cut: the next padding bound is above the l-th distance, so the
-//     unclaimed tail and the whole heap are dismissed at once;
-//   - admit: claim the next candidate in padding order, run tier 2 on
-//     it at the current l-th distance and push it if it survives.
+// the tightest bound known for them. It bounds only a window of each
+// part: the rows whose size key is within w of the query's (block.go),
+// w = firstWindow to start. The block kernels give the window's rows
+// their padding bounds and order them by it; every row outside has a
+// size bound, hence a padding bound, of at least w+1, so the next bound
+// of the sweep is min(next unclaimed padding bound, w+1). Tier 2, the
+// degree bound, is computed lazily, in that order, from the block's
+// degree column, and ranks the candidates it admits in a min-heap. Each
+// step of a sweeper does the first of these that applies:
+//   - verify: the heap's least degree bound is at most the next bound,
+//     so no candidate can have a smaller bound; pop it and verify it
+//     under the current l-th distance, or dismiss it if its bound is
+//     above that;
+//   - cut: the next bound is above the l-th distance, so the unclaimed
+//     tail, the rows outside the windows and the whole heap are
+//     dismissed at once;
+//   - admit: the next unclaimed padding bound is at most w+1: claim that
+//     candidate, run tier 2 on it at the current l-th distance and push
+//     it if it survives;
+//   - widen: the window's order ran out below w+1 and the l-th distance:
+//     grow w to the l-th distance once it is finite, and double it
+//     before, bound the new rows and merge them, by padding bound, into
+//     the unclaimed order (sweepScratch.widen).
 //
 // At width 1 this verifies exactly the candidates whose degree bound is
 // at most the final l-th distance, the fewest any sweep over these
@@ -858,15 +907,15 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 		return nil, PruneStats{}, err
 	}
 	sc := sweepScratches.Get().(*sweepScratch)
-	defer sc.release()
-	sc.prepare(query, parts)
-	order, padB := sc.order, sc.padB
-	if len(order) == 0 {
+	defer sweepScratches.Put(sc)
+	live := sc.open(query, parts)
+	if live == 0 {
 		return nil, PruneStats{}, nil
 	}
 	sc.heap = sc.heap[:0]
-	sw := &knnSweep{l: l, results: make([]Neighbor, 0, min(l, len(order))+1)}
-	run(min(width, len(order)), func() {
+	sw := &knnSweep{l: l, w: firstWindow, results: make([]Neighbor, 0, min(l, live)+1)}
+	sw.full = sc.widen(query, parts, sw.w, 0)
+	run(min(width, live), func() {
 		comp := tedComputers.Get().(*ted.Computer)
 		defer tedComputers.Put(comp)
 		var st PruneStats
@@ -897,15 +946,21 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 				break
 			}
 			t := sw.threshold()
+			order := sc.order
 			nextPad := int32(math.MaxInt32) // the next unclaimed padding bound
 			if sw.next < len(order) {
-				nextPad = padB[order[sw.next]]
+				nextPad = sc.padB[order[sw.next]]
 			}
-			if len(sc.heap) > 0 && sc.heap[0].bound <= nextPad {
+			bound := int32(math.MaxInt32) // the least bound of any unclaimed candidate
+			if !sw.done {
+				bound = min(nextPad, sw.barrier())
+			}
+			if len(sc.heap) > 0 && sc.heap[0].bound <= bound {
 				// Verify: no unverified candidate has a smaller bound.
 				a := sc.pop()
+				g := order[a.pos]
 				sw.mu.Unlock()
-				pt, it := sc.item(parts, order[a.pos])
+				pt, _, it := sc.item(parts, g)
 				if int(a.bound) > t {
 					tier2Prune(pt)
 					continue
@@ -923,32 +978,52 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 				}
 				continue
 			}
-			if sw.next == len(order) {
-				// Nothing left to claim or verify; candidates other sweepers
-				// hold are theirs to settle.
+			if sw.done {
+				// Cut already: candidates other sweepers hold are theirs to
+				// settle.
 				sw.mu.Unlock()
 				break
 			}
-			if t != ted.Unbounded && int(nextPad) > t {
-				// Cut: every heap key exceeds nextPad, so the heap goes with
-				// the tail.
+			if t != ted.Unbounded && int(bound) > t {
+				// Cut: every heap key exceeds the next bound, so the heap goes
+				// with the tail and the rows outside the windows.
 				tail := order[sw.next:]
-				sw.next = len(order)
+				sw.next, sw.done = len(order), true
 				for _, a := range sc.heap {
-					pt, _ := sc.item(parts, order[a.pos])
+					pt, _, _ := sc.item(parts, order[a.pos])
 					tier2Prune(pt)
 				}
 				sc.heap = sc.heap[:0]
 				sw.mu.Unlock()
-				st.PrunedByBound += sc.cutTail(parts, tail, t)
+				st.PrunedByBound += sc.cut(parts, tail, t)
+				break
+			}
+			if nextPad > bound {
+				// Widen: the windows' order ran out below w+1 <= t.
+				if t != ted.Unbounded {
+					sw.w = t
+				} else {
+					sw.w = 2*sw.w + 1
+				}
+				sw.w = min(sw.w, math.MaxInt32-1)
+				sw.full = sc.widen(query, parts, sw.w, sw.next)
+				sw.mu.Unlock()
+				continue
+			}
+			if sw.next == len(order) {
+				// Every row is in the order and claimed, with fewer than l
+				// verified so far.
+				sw.mu.Unlock()
 				break
 			}
 			// Admit the next candidate in padding order.
 			i := sw.next
 			sw.next++
+			g := order[i]
+			pad := sc.padB[g]
 			sw.mu.Unlock()
-			pt, it := sc.item(parts, order[i])
-			if bound, pruned := degreeTierPrunes(query, it, int(padB[order[i]]), t); pruned {
+			pt, r, _ := sc.item(parts, g)
+			if bound, pruned := pt.blk.degreeTierPrunes(query, r, int(pad), t); pruned {
 				tier2Prune(pt)
 			} else {
 				keep, adm = true, admitted{bound: int32(bound), pos: int32(i)}
@@ -973,13 +1048,13 @@ func scanRange(ctx context.Context, query Item, parts []sweepPart, r, workers in
 		return nil, err
 	}
 	sc := sweepScratches.Get().(*sweepScratch)
-	defer sc.release()
+	defer sweepScratches.Put(sc)
 	var mu sync.Mutex
 	var out []Neighbor
 	for _, pt := range parts {
-		slots := sc.rangeBlockSurvivors(query, pt, r)
-		if err := ParallelForCtx(ctx, len(slots), workers, func(i int) {
-			it := pt.items[slots[i]]
+		rows := sc.rangeBlockSurvivors(query, pt, r)
+		if err := ParallelForCtx(ctx, len(rows), workers, func(i int) {
+			it := pt.items[pt.blk.item[rows[i]]]
 			comp := tedComputers.Get().(*ted.Computer)
 			d, o := verifyDistanceAtMost(comp, query, it, r, pt.cs)
 			tedComputers.Put(comp)

@@ -7,13 +7,13 @@ import (
 )
 
 // This file holds the block kernels of the filter cascade: tight loops
-// that sweep one tier across a whole candidate block laid out as a
-// struct-of-arrays profile arena (block.go), writing per-slot bound
-// values or a survivor bitmap. Each kernel reads only contiguous int32
-// arrays — no *Item or *Profile is dereferenced — so the hot loops stay
-// branch-light and bounds-check-hoisted. They are the only form of tiers
-// 0 and 1; kernels_test.go pins every slot's bounds to ted.SizeBound and
-// ted.PaddingBound and below the exact distance.
+// that sweep one tier across a range of a candidate block's rows, laid
+// out as a struct-of-arrays profile arena (block.go), writing per-row
+// bound values or a survivor bitmap. Each kernel reads only contiguous
+// int32 arrays — no *Item or *Profile is dereferenced — so the hot
+// loops stay branch-light and bounds-check-hoisted. They are the only
+// form of tiers 0 and 1; kernels_test.go pins every row's bounds to
+// ted.SizeBound and ted.PaddingBound and below the exact distance.
 
 // sizeTierBlock accumulates the size tier into dst: dst[i] +=
 // |qSize − sizes[i]|. Accumulation (not assignment) lets directed
@@ -32,13 +32,13 @@ func sizeTierBlock(qSize int32, sizes, dst []int32) {
 	}
 }
 
-// paddingTierBlock accumulates the padding tier into dst: for each slot
-// i with level row levels[i*width : (i+1)*width] of the arena's dense,
-// zero-padded matrix, dst[i] += Σ_d | qLevels[d] − row[d] | — exactly
-// ted.PaddingBound, because a level one side lacks reads as zero on
+// paddingTierBlock accumulates the padding tier into dst: for each row
+// i, with level vector row = levels[i*width : (i+1)*width] of the
+// arena's dense, zero-padded matrix, dst[i] += Σ_d | qLevels[d] −
+// row[d] | — exactly ted.PaddingBound, because a level one side lacks reads as zero on
 // that side. The query is padded or cut to the width once; its levels
 // past the width meet only zeros, so they add one per-query constant.
-// The per-slot loop has a fixed trip count and no branches.
+// The per-row loop has a fixed trip count and no branches.
 func paddingTierBlock(qLevels []int32, width int, levels, dst []int32) {
 	var buf [8]int32
 	q := buf[:0]
@@ -70,7 +70,7 @@ func abs32(x int32) int32 {
 // tierFilterBlock folds the size and padding tiers at threshold t into
 // a survivor bitmap: bit i is set iff padB[i] <= t (which subsumes
 // sizeB[i] <= t by the dominance chain). The returned counts attribute
-// every dismissed slot to the cheapest tier that already decides it.
+// every dismissed row to the cheapest tier that already decides it.
 func tierFilterBlock(sizeB, padB []int32, t int32, bits []uint64) (szPruned, padPruned int) {
 	if len(bits) < (len(padB)+63)/64 {
 		panic("ned: tierFilterBlock bitmap too short")
@@ -93,73 +93,41 @@ func tierFilterBlock(sizeB, padB []int32, t int32, bits []uint64) (szPruned, pad
 	return szPruned, padPruned
 }
 
-// blockOrder returns every live slot of a sweep in ascending padding
-// bound via a counting sort over the bound values: one pass to
-// histogram, one stable pass to place. padB is indexed by global slot —
-// part p's slots are ends[p-1] (0 for the first part) up to ends[p], in
-// ascending node order — and dead[p] lists, ascending, the local slots
-// of part p that are not candidates, so ties go part after part and by
-// node within a part: for one part, exactly the canonical (padding
-// bound, node) order. Both passes walk the live spans between dead
-// slots; with nothing dead the histogram is one direct pass over padB.
-// NED bounds are small integers, so the count array is tiny; a
-// degenerate corpus whose bound range dwarfs the slot count takes a
-// stable comparison sort of the same sequence instead. order and counts
-// are reused when large enough; both are returned, possibly regrown.
-func blockOrder(padB []int32, dead [][]int32, ends []int32, order, counts []int32) ([]int32, []int32) {
-	n := len(padB)
-	for _, d := range dead {
-		n -= len(d)
+// orderBy writes ids to dst stably ordered by ascending val[id]: a
+// counting sort over the values' range, since NED sizes and bounds are
+// small integers, so compiling a block's row order and ordering a
+// window's new rows by padding bound both cost O(n). A degenerate batch
+// whose value range dwarfs its length takes a stable comparison sort
+// instead. dst and counts are reused when large enough; both are
+// returned, possibly regrown.
+func orderBy(ids, val, dst, counts []int32) ([]int32, []int32) {
+	dst = grow(dst, len(ids))
+	if len(ids) == 0 {
+		return dst, counts
 	}
-	order = grow(order, n)
-	var maxPad int32
-	for _, p := range padB {
-		maxPad = max(maxPad, p)
+	lo, hi := val[ids[0]], val[ids[0]]
+	for _, id := range ids {
+		lo, hi = min(lo, val[id]), max(hi, val[id])
 	}
-	spans := func(yield func(lo, hi int32) bool) {
-		for p, d := range dead {
-			base := partBase(ends, p)
-			for lo, hi := range liveSpans(ends[p]-base, d) {
-				if !yield(base+lo, base+hi) {
-					return
-				}
-			}
-		}
+	if int64(hi)-int64(lo) > 4*int64(len(ids))+4096 {
+		copy(dst, ids)
+		slices.SortStableFunc(dst, func(a, b int32) int { return cmp.Compare(val[a], val[b]) })
+		return dst, counts
 	}
-	if int(maxPad) > 4*n+4096 {
-		order = order[:0]
-		for lo, hi := range spans {
-			for g := lo; g < hi; g++ {
-				order = append(order, g)
-			}
-		}
-		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(padB[a], padB[b]) })
-		return order, counts
-	}
-	counts = grow(counts, int(maxPad)+2)
+	counts = grow(counts, int(hi-lo)+2)
 	clear(counts)
-	if n == len(padB) {
-		for _, p := range padB {
-			counts[p+1]++
-		}
-	} else {
-		for lo, hi := range spans {
-			for _, p := range padB[lo:hi] {
-				counts[p+1]++
-			}
-		}
+	for _, id := range ids {
+		counts[val[id]-lo+1]++
 	}
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
 	}
-	for lo, hi := range spans {
-		for g := lo; g < hi; g++ {
-			pb := padB[g]
-			order[counts[pb]] = g
-			counts[pb]++
-		}
+	for _, id := range ids {
+		c := &counts[val[id]-lo]
+		dst[*c] = id
+		*c++
 	}
-	return order, counts
+	return dst, counts
 }
 
 // liveSpans yields the maximal runs [lo, hi) of slots 0..n-1 that dead
@@ -179,7 +147,7 @@ func liveSpans(n int32, dead []int32) iter.Seq2[int32, int32] {
 	}
 }
 
-// partBase is the first global slot of part p.
+// partBase is the first global row of part p.
 func partBase(ends []int32, p int) int32 {
 	if p == 0 {
 		return 0

@@ -12,7 +12,8 @@ import (
 // BenchmarkCascadeKernels isolates the filter-tier cost per candidate:
 // the size and padding bounds of the columnar block kernels, the
 // evaluation order by counting sort versus a comparison sort, the
-// survivor bitmap, and the per-candidate degree tier. The scans' wall-clock win (BenchmarkCorpusKNN) mixes filter
+// survivor bitmap, and the per-candidate degree tier through profiles
+// and from the degree column. The scans' wall-clock win (BenchmarkCorpusKNN) mixes filter
 // and verify work; this is the filter side alone, in ns per candidate.
 // CI runs it at -benchtime=1x as a compile-and-smoke gate; the harness
 // reads the block sweep at serving size as ned.sweep_ns_per_candidate.
@@ -37,31 +38,31 @@ func BenchmarkCascadeKernels(b *testing.B) {
 
 	b.Run("bounds/block", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			blk.bounds(q, sizeB, padB)
+			blk.bounds(q, 0, int32(n), sizeB, padB)
 		}
 		perCand(b)
 	})
 
-	blk.bounds(q, sizeB, padB)
-	dead, ends := [][]int32{nil}, []int32{int32(n)}
+	blk.bounds(q, 0, int32(n), sizeB, padB)
+	rows := make([]int32, n)
+	for r := range rows {
+		rows[r] = int32(r)
+	}
 	var order, counts []int32
 	b.Run("order/counting", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			order, counts = blockOrder(padB, dead, ends, order, counts)
+			order, counts = orderBy(rows, padB, order, counts)
 		}
 		perCand(b)
 	})
 	b.Run("order/comparison", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			order := make([]int32, n)
-			for j := range order {
-				order[j] = int32(j)
-			}
+			order := slices.Clone(rows)
 			slices.SortFunc(order, func(a, c int32) int {
 				if padB[a] != padB[c] {
 					return int(padB[a] - padB[c])
 				}
-				return int(items[a].Node - items[c].Node)
+				return int(a - c)
 			})
 		}
 		perCand(b)
@@ -75,12 +76,21 @@ func BenchmarkCascadeKernels(b *testing.B) {
 		perCand(b)
 	})
 
-	// Tier 2 has one form; unbounded, it walks every level of both
-	// profiles — the most one candidate can cost it.
-	b.Run("degreetier", func(b *testing.B) {
+	// Unbounded, tier 2 walks every level of both trees — the most one
+	// candidate can cost it — read through the items' profiles (the tree
+	// backends' gate) or from the block's degree column (the scans).
+	b.Run("degreetier/profiles", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
 				degreeTierPrunes(q, items[j], paddingBound(q, items[j]), ted.Unbounded)
+			}
+		}
+		perCand(b)
+	})
+	b.Run("degreetier/column", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r := int32(0); r < int32(n); r++ {
+				blk.degreeTierPrunes(q, r, int(padB[r]), ted.Unbounded)
 			}
 		}
 		perCand(b)

@@ -3,6 +3,7 @@ package ned
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"ned/internal/datasets"
 	"ned/internal/graph"
 	"ned/internal/ted"
 	"ned/internal/tree"
@@ -73,16 +75,20 @@ func fuzzSeededItems(t *testing.T, trees []*tree.Tree, dict *tree.Interner, dire
 }
 
 // TestBlockKernelsMatchOracle pins the block kernels, the only form of
-// tiers 0 and 1, over the fuzz corpus: for every query and candidate
-// block, each slot's size and padding bounds equal ted.SizeBound and
-// ted.PaddingBound of the pair (summed over out and in trees when
-// directed) and never exceed the exact distance, and the survivor
-// bitmap at every threshold admits exactly the slots whose padding
-// bound is within it, attributing each dismissal to the cheapest tier
-// that decides it. Rows: undirected and directed corpora; a query
-// deeper than every candidate, so the dense padding kernel's per-query
-// constant carries the query's extra levels; and a base block a fold
-// recompiled after removals, whose level matrix is narrower.
+// tiers 0 and 1, and the block's degree column over the fuzz corpus: for
+// every query and candidate block, each row's size and padding bounds
+// equal ted.SizeBound and ted.PaddingBound of its item's pair (summed
+// over out and in trees when directed) and never exceed the exact
+// distance, the survivor bitmap at every threshold admits exactly the
+// rows whose padding bound is within it, attributing each dismissal to
+// the cheapest tier that decides it, and the rows ascend by (size key,
+// item slot) (checkBlockKernels). Every row's degree column gives the
+// degree excess and tier 2 its item's profiles give (checkDegreeColumn).
+// Rows: undirected and directed corpora; a query deeper than every
+// candidate, so the dense padding kernel's per-query constant carries
+// the query's extra levels; a base block a fold recompiled after
+// removals, whose level matrix is narrower; and, for the degree column,
+// 500 nodes of each of the six dataset analogs at k = 2 and 3.
 func TestBlockKernelsMatchOracle(t *testing.T) {
 	trees := fuzzCorpusTrees(t)
 	height := func(it Item) int { return it.OutP.Height() }
@@ -130,29 +136,95 @@ func TestBlockKernelsMatchOracle(t *testing.T) {
 		t.Fatalf("folding out the %d tallest items left the width at %d (was %d)", len(tall), ix.bblk.out.Width, wide)
 	}
 	checkBlockKernels(t, "recompiled by a fold", ix.base, ix.bblk, []Item{deepest, ix.base[0], ix.base[len(ix.base)/2]})
+
+	for _, name := range datasets.All {
+		g := datasets.MustGenerate(name, datasets.Options{Seed: 5})
+		for _, k := range []int{2, 3} {
+			perm := rand.New(rand.NewSource(int64(k))).Perm(g.NumNodes())
+			nodes := make([]graph.NodeID, 0, 500)
+			for _, v := range perm[:min(500, len(perm))] {
+				nodes = append(nodes, graph.NodeID(v))
+			}
+			dict := tree.NewInterner()
+			items := BuildProfiledItems(g, nodes, k, false, dict, 2)
+			items = nodeSorted(items)
+			queries := []Item{items[0], queryOf(g, graph.NodeID(perm[len(perm)-1]), k, false, dict)}
+			checkDegreeColumn(t, fmt.Sprintf("%s k=%d", name, k), items, compileBlock(items), queries)
+		}
+	}
+}
+
+// checkDegreeColumn compares every row's degree column in blk with its
+// item's profiles: the row's level widths and degree runs are the
+// profile's Levels and InnerDegs, ted.DegreeExcessRuns over them equals
+// ted.DegreeExcess over the profiles for each query, and the row form
+// of tier 2 equals the item form at every threshold.
+func checkDegreeColumn(t *testing.T, name string, items []Item, blk *profileBlock, queries []Item) {
+	t.Helper()
+	for r := range blk.n {
+		it := items[blk.item[r]]
+		levels, degs := blk.out.Row(r)
+		if !slices.Equal(levels, it.OutP.Levels) || !slices.Equal(degs, it.OutP.InnerDegs()) {
+			t.Fatalf("%s row %d (node %d): column (%v, %v), profile (%v, %v)",
+				name, r, it.Node, levels, degs, it.OutP.Levels, it.OutP.InnerDegs())
+		}
+		for qi, q := range queries {
+			want := ted.DegreeExcess(q.OutP, it.OutP, ted.Unbounded)
+			if got := ted.DegreeExcessRuns(q.OutP.Levels, q.OutP.InnerDegs(), levels, degs, ted.Unbounded); got != want {
+				t.Fatalf("%s row %d query %d: column degree excess %d, profiles %d", name, r, qi, got, want)
+			}
+			pad := paddingBound(q, it)
+			for _, thr := range []int{0, pad, pad + 1, pad + 4, ted.Unbounded} {
+				gb, gp := blk.degreeTierPrunes(q, int32(r), pad, thr)
+				wb, wp := degreeTierPrunes(q, it, pad, thr)
+				if gb != wb || gp != wp {
+					t.Fatalf("%s row %d query %d t=%d: row tier 2 (%d,%v), item tier 2 (%d,%v)", name, r, qi, thr, gb, gp, wb, wp)
+				}
+			}
+		}
+	}
 }
 
 // checkBlockKernels compares blk's bounds and survivor bitmaps for each
-// query against the scalar ted bounds and the exact distance over items.
+// query against the scalar ted bounds and the exact distance over items,
+// checks its row order, and runs checkDegreeColumn.
 func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBlock, queries []Item) {
 	t.Helper()
+	key := func(it Item) int32 {
+		if it.In != nil {
+			return it.OutP.Size + it.InP.Size
+		}
+		return it.OutP.Size
+	}
+	if sorted := slices.Sorted(slices.Values(blk.item)); len(sorted) != len(items) || sorted[0] != 0 || int(sorted[len(sorted)-1]) != len(items)-1 {
+		t.Fatalf("%s: the rows' item slots are not a permutation of %d items", name, len(items))
+	}
+	for r := 1; r < blk.n; r++ {
+		a, b := items[blk.item[r-1]], items[blk.item[r]]
+		if c := cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(blk.item[r-1], blk.item[r])); c >= 0 {
+			t.Fatalf("%s: row %d (key %d, slot %d) does not follow row %d (key %d, slot %d)",
+				name, r, key(b), blk.item[r], r-1, key(a), blk.item[r-1])
+		}
+	}
+	checkDegreeColumn(t, name, items, blk, queries)
 	sizeB := make([]int32, blk.n)
 	padB := make([]int32, blk.n)
 	words := make([]uint64, (blk.n+63)/64)
 	for qi, q := range queries {
-		blk.bounds(q, sizeB, padB)
-		for j, it := range items {
+		blk.bounds(q, 0, int32(blk.n), sizeB, padB)
+		for j := range blk.n {
+			it := items[blk.item[j]]
 			size, pad := ted.SizeBound(q.OutP, it.OutP), ted.PaddingBound(q.OutP, it.OutP)
 			if q.In != nil && it.In != nil {
 				size += ted.SizeBound(q.InP, it.InP)
 				pad += ted.PaddingBound(q.InP, it.InP)
 			}
 			if int(sizeB[j]) != size || int(padB[j]) != pad {
-				t.Fatalf("%s query %d slot %d: block bounds (%d,%d), ted (%d,%d)",
+				t.Fatalf("%s query %d row %d: block bounds (%d,%d), ted (%d,%d)",
 					name, qi, j, sizeB[j], padB[j], size, pad)
 			}
 			if d := ItemDistance(q, it); pad > d {
-				t.Fatalf("%s query %d slot %d: padding bound %d exceeds the distance %d", name, qi, j, pad, d)
+				t.Fatalf("%s query %d row %d: padding bound %d exceeds the distance %d", name, qi, j, pad, d)
 			}
 		}
 		for _, thr := range []int{0, 1, 2, 3, 5, 9, 40} {
@@ -162,7 +234,7 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 				bit := words[j>>6]>>(uint(j)&63)&1 == 1
 				pass := int(padB[j]) <= thr
 				if bit != pass {
-					t.Fatalf("%s query %d slot %d t=%d: bitmap %v, padding admits %v", name, qi, j, thr, bit, pass)
+					t.Fatalf("%s query %d row %d t=%d: bitmap %v, padding admits %v", name, qi, j, thr, bit, pass)
 				}
 				if !pass {
 					if int(sizeB[j]) > thr {
@@ -180,70 +252,128 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 	}
 }
 
-// TestBlockOrderMatchesComparisonSort pins the counting-sorted
-// evaluation order to a comparison sort by (padding bound, part, node)
-// of the live slots, over one block and over three blocks of the same
-// items, with nothing dead and with every fifth slot of each part dead:
-// ties go part after part and by node within a part, so one block's
-// order is the canonical (padding bound, node) one, and a dead slot
-// never appears. The comparison-sort fallback for degenerate bound
-// ranges is covered by a synthetic wide bound.
-func TestBlockOrderMatchesComparisonSort(t *testing.T) {
-	trees := fuzzCorpusTrees(t)
-	dict := tree.NewInterner()
-	items := fuzzSeededItems(t, trees, dict, false)
-	// Scramble node IDs and re-sort, so the tie-break by node is not the
-	// fuzz corpus's own order.
-	for i := range items {
-		items[i].Node = graph.NodeID((i*2654435761 + 17) % (4 * len(items)))
+// TestWindowOrderMatchesComparisonSort pins a KNN sweep's windows and
+// evaluation order over one block and over three blocks of the same
+// items — the fuzz corpus, and a random graph's nodes at k = 2 — with
+// nothing dead and with every fifth row of each part dead.
+// From an empty window, the sweep widens to size gaps 0, 2, 15, 40 and
+// past every row, claiming a third of the unclaimed order before each
+// widening. After each one:
+//   - each part's window is exactly the rows whose size key is within
+//     the gap of the query's, and each of them carries the kernel bounds
+//     ted gives its item;
+//   - the claimed prefix has not moved;
+//   - the unclaimed order is the live window rows not claimed, each
+//     once, by ascending padding bound, with ties in the order a
+//     comparison sort by (widening that added it, part, row) gives;
+//   - widen reports full exactly when every window holds its whole
+//     part, as each does at the widest gap.
+//
+// orderBy itself is pinned to a stable comparison sort, its
+// degenerate-range fallback included.
+func TestWindowOrderMatchesComparisonSort(t *testing.T) {
+	fuzzed := fuzzSeededItems(t, fuzzCorpusTrees(t), tree.NewInterner(), false)
+	// Scramble node IDs and re-sort, so node order is not the fuzz
+	// corpus's own order.
+	for i := range fuzzed {
+		fuzzed[i].Node = graph.NodeID((i*2654435761 + 17) % (4 * len(fuzzed)))
 	}
-	slices.SortStableFunc(items, compareNodes)
-	q := items[3]
+	slices.SortStableFunc(fuzzed, compareNodes)
+	random, _ := profiledItems(randomTestGraph(200, 500, 21), 2, false)
+	for _, items := range [][]Item{fuzzed, random} {
+		checkWindowOrder(t, items, items[len(items)/2])
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	for _, spread := range []int32{10, 1 << 24} {
+		val := make([]int32, 300)
+		for i := range val {
+			val[i] = rng.Int31n(spread)
+		}
+		ids := make([]int32, 0, 200)
+		for _, id := range rng.Perm(len(val))[:200] {
+			ids = append(ids, int32(id))
+		}
+		want := slices.Clone(ids)
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(val[a], val[b]) })
+		if got, _ := orderBy(ids, val, nil, nil); !slices.Equal(got, want) {
+			t.Fatalf("spread %d: orderBy %v, comparison %v", spread, got, want)
+		}
+	}
+}
+
+// checkWindowOrder runs TestWindowOrderMatchesComparisonSort's widenings
+// of a query q over items split one and three ways.
+func checkWindowOrder(t *testing.T, items []Item, q Item) {
+	t.Helper()
 	n := len(items)
 	for _, cuts := range [][]int{{n}, {n / 3, n / 2, n}} {
 		for _, every := range []int{0, 5} {
-			name := fmt.Sprintf("parts %v, every %d-th slot dead", cuts, every)
-			// Part p is items[cuts[p-1]:cuts[p]]; global slot g is its index in items.
-			dead := make([][]int32, len(cuts))
-			ends := make([]int32, len(cuts))
-			part := make([]int, n)
-			isDead := make([]bool, n)
-			padB := make([]int32, n)
-			for p, hi := range cuts {
-				lo := int(partBase(ends, p))
-				ends[p] = int32(hi)
-				blk := compileBlock(items[lo:hi])
-				blk.bounds(q, make([]int32, blk.n), padB[lo:hi])
-				for g := lo; g < hi; g++ {
-					part[g] = p
-					if every > 0 && (g-lo)%every == 1 {
-						dead[p] = append(dead[p], int32(g-lo))
-						isDead[g] = true
-					}
+			name := fmt.Sprintf("%d items, parts %v, every %d-th row dead", n, cuts, every)
+			var parts []sweepPart
+			lo := 0
+			for _, hi := range cuts {
+				pt := sweepPart{items: items[lo:hi], blk: compileBlock(items[lo:hi])}
+				for r := 1; every > 0 && r < pt.blk.n; r += every {
+					pt.dead = append(pt.dead, int32(r))
 				}
+				parts, lo = append(parts, pt), hi
 			}
-			reference := func(pad []int32) []int32 {
+			sc := new(sweepScratch)
+			live := 0
+			for _, pt := range parts {
+				live += pt.blk.n - len(pt.dead)
+			}
+			if got := sc.open(q, parts); got != live {
+				t.Fatalf("%s: open counted %d live candidates, want %d", name, got, live)
+			}
+			added := map[int32]int{} // global row -> the widening that added it
+			next := 0
+			for step, w := range []int{0, 2, 15, 40, 1 << 20} {
+				whole := true
+				next += (len(sc.order) - next) / 3
+				claimed := slices.Clone(sc.order[:next])
+				full := sc.widen(q, parts, w, next)
+				if !slices.Equal(sc.order[:next], claimed) {
+					t.Fatalf("%s w=%d: the claimed prefix moved", name, w)
+				}
 				var want []int32
-				for g := range n {
-					if !isDead[g] {
-						want = append(want, int32(g))
+				for p, pt := range parts {
+					base := partBase(sc.ends, p)
+					win := sc.wins[p]
+					for r := range int32(pt.blk.n) {
+						it := pt.items[pt.blk.item[r]]
+						inside := abs(int64(it.OutP.Size)-int64(q.OutP.Size)) <= int64(w)
+						if inside != (win.lo <= r && r < win.hi) {
+							t.Fatalf("%s w=%d part %d row %d: size gap %d, window [%d,%d)",
+								name, w, p, r, abs(int64(it.OutP.Size)-int64(q.OutP.Size)), win.lo, win.hi)
+						}
+						if !inside {
+							whole = false
+							continue
+						}
+						g := base + r
+						if int(sc.sizeB[g]) != ted.SizeBound(q.OutP, it.OutP) || int(sc.padB[g]) != ted.PaddingBound(q.OutP, it.OutP) {
+							t.Fatalf("%s w=%d part %d row %d: bounds (%d,%d), ted (%d,%d)", name, w, p, r,
+								sc.sizeB[g], sc.padB[g], ted.SizeBound(q.OutP, it.OutP), ted.PaddingBound(q.OutP, it.OutP))
+						}
+						if _, ok := added[g]; !ok {
+							added[g] = step
+						}
+						if !slices.Contains(pt.dead, r) && !slices.Contains(claimed, g) {
+							want = append(want, g)
+						}
 					}
 				}
-				slices.SortFunc(want, func(a, b int32) int {
-					return cmp.Or(cmp.Compare(pad[a], pad[b]), cmp.Compare(part[a], part[b]), cmp.Compare(items[a].Node, items[b].Node))
+				slices.SortStableFunc(want, func(a, b int32) int {
+					return cmp.Or(cmp.Compare(sc.padB[a], sc.padB[b]), cmp.Compare(added[a], added[b]), cmp.Compare(a, b))
 				})
-				return want
-			}
-			got, _ := blockOrder(padB, dead, ends, nil, nil)
-			if want := reference(padB); !slices.Equal(got, want) {
-				t.Fatalf("%s: counting sort %v, comparison %v", name, got, want)
-			}
-			// Degenerate bound range: force the fallback and pin it to the
-			// same reference.
-			padB[0] = int32(4*n + 100000)
-			got, _ = blockOrder(padB, dead, ends, nil, nil)
-			if want := reference(padB); !slices.Equal(got, want) {
-				t.Fatalf("%s: fallback order %v, comparison %v", name, got, want)
+				if got := sc.order[next:]; !slices.Equal(got, want) {
+					t.Fatalf("%s w=%d: unclaimed order %v, comparison %v", name, w, got, want)
+				}
+				if full != whole || (w == 1<<20 && !full) {
+					t.Fatalf("%s w=%d: widen reported full=%v, every row inside: %v", name, w, full, whole)
+				}
 			}
 		}
 	}
@@ -272,10 +402,10 @@ func TestUnprofiledItemPanics(t *testing.T) {
 	mustPanic("compiling mixed directions", func() { compileBlock(mixed) })
 	blk := compileBlock(items)
 	bare := Item{Node: 1, K: 2, Out: items[0].Out}
-	mustPanic("bounding an unprofiled query", func() { blk.bounds(bare, make([]int32, blk.n), make([]int32, blk.n)) })
+	mustPanic("bounding an unprofiled query", func() { blk.bounds(bare, 0, int32(blk.n), make([]int32, blk.n), make([]int32, blk.n)) })
 	if empty := compileBlock(nil); empty.n != 0 {
-		t.Errorf("empty batch compiled a block of %d slots", empty.n)
+		t.Errorf("empty batch compiled a block of %d rows", empty.n)
 	} else {
-		empty.bounds(items[0], nil, nil)
+		empty.bounds(items[0], 0, 0, nil, nil)
 	}
 }

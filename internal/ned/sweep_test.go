@@ -1,10 +1,12 @@
 package ned
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"ned/internal/datasets"
 	"ned/internal/graph"
 	"ned/internal/ted"
+	"ned/internal/tree"
 )
 
 // TestSweepPartitionInvariance pins that splitting a corpus into shards
@@ -297,4 +300,276 @@ func abs(x int64) int64 {
 		return -x
 	}
 	return x
+}
+
+// TestSweepWindowEdges drives the KNN and range sweeps' size windows
+// (block.go) over the cases at their edges:
+//   - queries smaller and larger than every row, so the window opens at
+//     one end of the block and widens one way;
+//   - a block whose rows all have one size, queried at that size and
+//     off it;
+//   - single-row blocks: a one-item scan, and FanKNN over one-item
+//     shards;
+//   - dead rows at the first windows' edges, at the query's own size
+//     and at both ends of the block, beside a non-empty delta part;
+//   - a directed corpus, whose size key is out+in, with dead rows and a
+//     delta, queried by directed items and by an undirected one, whose
+//     size key bounds nothing there;
+//   - l at 1, 5 and past the corpus.
+//
+// At widths 1, 2 and 4 every KNN answer, and every Range answer at
+// r ∈ {0, 3, 40}, equals the exhaustive oracle over the live items; each
+// query counts every live candidate once (BlockCandidates, and
+// DistanceCalls + LowerBoundPrunes) and bounds at most every row; at
+// width 1 DistanceCalls is exactly the candidates whose degree bound is
+// at most the final l-th distance, as with a sweep that bounds every
+// row.
+func TestSweepWindowEdges(t *testing.T) {
+	ctx := context.Background()
+	type sweepCase struct {
+		name    string
+		live    []Item
+		rows    int
+		queries []Item
+		knn     func(width int, q Item, l int) ([]Neighbor, Counters)
+		rng     func(width int, q Item, r int) ([]Neighbor, Counters) // nil: no Range
+	}
+	scanCase := func(name string, b *scanBackend, queries []Item) sweepCase {
+		at := func(width int) *scanBackend {
+			w := *b
+			w.workers = width
+			w.ResetStats()
+			return &w
+		}
+		return sweepCase{
+			name: name, live: slices.Collect(b.Items()), rows: len(b.base) + len(b.delta), queries: queries,
+			knn: func(width int, q Item, l int) ([]Neighbor, Counters) {
+				w := at(width)
+				got, err := w.KNN(ctx, q, l)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return got, w.Counters()
+			},
+			rng: func(width int, q Item, r int) ([]Neighbor, Counters) {
+				w := at(width)
+				got, err := w.Range(ctx, q, r)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return got, w.Counters()
+			},
+		}
+	}
+	key := func(it Item) int32 {
+		if it.In != nil {
+			return it.OutP.Size + it.InP.Size
+		}
+		return it.OutP.Size
+	}
+	// churn removes the live items whose size key is qk + d for each d in
+	// gaps, and the smallest and largest rows, then re-inserts every third
+	// of them into the delta; the scan must not fold.
+	churn := func(name string, items []Item, qk int32, gaps []int32) *scanBackend {
+		b := NewPrunedLinearBackend(items).(*scanBackend)
+		byKey := slices.SortedFunc(slices.Values(items), func(a, b Item) int { return cmp.Compare(key(a), key(b)) })
+		var gone []graph.NodeID
+		for _, it := range items {
+			if slices.Contains(gaps, key(it)-qk) {
+				gone = append(gone, it.Node)
+			}
+		}
+		gone = append(gone, byKey[0].Node, byKey[len(byKey)-1].Node)
+		slices.Sort(gone)
+		gone = slices.Compact(gone)
+		b.Remove(gone...)
+		var back []Item
+		for i, v := range gone {
+			if i%3 == 0 {
+				back = append(back, items[slices.IndexFunc(items, func(it Item) bool { return it.Node == v })])
+			}
+		}
+		b.Insert(back...)
+		if len(b.dead) == 0 || len(b.delta) == 0 || len(b.base) != len(items) {
+			t.Fatalf("%s: churn left %d dead rows and %d delta items over a %d-item base (want both, no fold)",
+				name, len(b.dead), len(b.delta), len(b.base))
+		}
+		return b
+	}
+
+	var cases []sweepCase
+	pgp := datasets.MustGenerate(datasets.PGP, datasets.Options{Scale: 0.1, Seed: 42})
+	all, dict := profiledItems(pgp, 3, false)
+	var items []Item
+	maxSize := int32(0)
+	for _, it := range all {
+		if it.OutP.Size >= 3 {
+			items = append(items, it)
+			maxSize = max(maxSize, it.OutP.Size)
+		}
+	}
+	// A lone node is smaller than every row; the centre of a star with
+	// more leaves than the largest tree has nodes is larger.
+	star := graph.NewBuilder(int(maxSize)+51, false)
+	for v := 1; v <= int(maxSize)+50; v++ {
+		star.AddEdge(0, graph.NodeID(v))
+	}
+	tiny, huge := queryOf(graph.NewBuilder(1, false).Build(), 0, 3, false, dict), queryOf(star.Build(), 0, 3, false, dict)
+	cases = append(cases, scanCase("query outside every row's size", NewPrunedLinearBackend(items).(*scanBackend), []Item{tiny, huge, items[len(items)/2]}))
+
+	count := map[int32]int{}
+	for _, it := range items {
+		count[it.OutP.Size]++
+	}
+	modal := items[0].OutP.Size
+	for s, n := range count {
+		if n > count[modal] || (n == count[modal] && s < modal) {
+			modal = s
+		}
+	}
+	var same []Item
+	var off []Item
+	for _, it := range items {
+		switch {
+		case it.OutP.Size == modal:
+			same = append(same, it)
+		case len(off) < 2 && abs(int64(it.OutP.Size)-int64(modal)) > 20:
+			off = append(off, it)
+		}
+	}
+	if len(same) < 5 {
+		t.Fatalf("the modal size %d has only %d items", modal, len(same))
+	}
+	cases = append(cases, scanCase(fmt.Sprintf("every row of size %d", modal), NewPrunedLinearBackend(same).(*scanBackend), append([]Item{same[0]}, off...)))
+
+	cases = append(cases, scanCase("a one-row block", NewPrunedLinearBackend(items[:1]).(*scanBackend), []Item{items[0], items[1], tiny, huge}))
+	var shards []Index
+	for _, it := range items[:12] {
+		shards = append(shards, NewPrunedLinearBackend([]Item{it}))
+	}
+	cases = append(cases, sweepCase{
+		name: "FanKNN over one-row shards", live: items[:12], rows: 12, queries: []Item{items[3], items[40], tiny, huge},
+		knn: func(width int, q Item, l int) ([]Neighbor, Counters) {
+			got, err := FanKNN(ctx, NewExecutor(width), shards, q, l)
+			if err != nil {
+				t.Fatalf("FanKNN: %v", err)
+			}
+			var c Counters
+			for _, ix := range shards {
+				c = c.Add(ix.Counters())
+				ix.ResetStats()
+			}
+			return got, c
+		},
+	})
+
+	q := items[len(items)/3]
+	edges := []int32{0, -15, 15, -16, 16, -31, 31, -32, 32}
+	cases = append(cases, scanCase("dead rows at window edges beside a delta", churn("window edges", items, key(q), edges), []Item{q, tiny, huge}))
+
+	dg := randomDirTestGraph(160, 420, 61, true)
+	ditems, ddict := profiledItems(dg, 2, true)
+	other := randomDirTestGraph(60, 150, 62, true)
+	dq := queryOf(other, 4, 2, true, ddict)
+	undirected := Item{Node: 5, K: 2, Out: ditems[5].Out, OutP: ditems[5].OutP}
+	cases = append(cases, scanCase("directed, size key out+in", churn("directed", ditems, key(dq), edges),
+		[]Item{dq, queryOf(other, 9, 2, true, ddict), ditems[7], undirected}))
+
+	// A tie across the first window's edge: b has the query's size and
+	// differs by 16 leaf moves, c has 16 more leaves and a smaller node.
+	// The top-1 is c, at size gap 16, one past the first window: found
+	// only if the sweep counts the rows outside a window of gap w as
+	// bounded by w+1, no more.
+	twoLevel := graph.NewBuilder(0, false)
+	next := graph.NodeID(0)
+	broom := func(kids ...int) graph.NodeID {
+		root := next
+		next++
+		for _, k := range kids {
+			child := next
+			next++
+			twoLevel.AddEdge(root, child)
+			for range k {
+				twoLevel.AddEdge(child, next)
+				next++
+			}
+		}
+		return root
+	}
+	cv, bv, qv := broom(48, 0), broom(16, 16), broom(32, 0)
+	tg := twoLevel.Build()
+	tdict := tree.NewInterner()
+	tie := BuildProfiledItems(tg, []graph.NodeID{cv, bv}, 2, false, tdict, 1)
+	tq := queryOf(tg, qv, 2, false, tdict)
+	if d0, d1 := ItemDistance(tq, tie[0]), ItemDistance(tq, tie[1]); d0 != 16 || d1 != 16 ||
+		tie[0].OutP.Size-tq.OutP.Size != 16 || tie[1].OutP.Size != tq.OutP.Size {
+		t.Fatalf("tie corpus: distances %d, %d and sizes %d, %d against the query's %d; want 16, 16 and gaps 16, 0",
+			d0, d1, tie[0].OutP.Size, tie[1].OutP.Size, tq.OutP.Size)
+	}
+	cases = append(cases, scanCase("a tie one past the first window", NewPrunedLinearBackend(tie).(*scanBackend), []Item{tq}))
+
+	for _, c := range cases {
+		n := len(c.live)
+		for qi, q := range c.queries {
+			all := exhaustiveKNN(q, c.live, n)
+			for _, l := range []int{1, 5, n + 3} {
+				want := all[:min(l, n)]
+				final := want[len(want)-1].Dist
+				below := int64(0)
+				for _, it := range c.live {
+					if bound, _ := degreeTierPrunes(q, it, paddingBound(q, it), ted.Unbounded); bound <= final {
+						below++
+					}
+				}
+				for _, width := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s: query %d l=%d width=%d", c.name, qi, l, width)
+					got, cs := c.knn(width, q, l)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s: got %v, exhaustive %v", name, got, want)
+					}
+					checkSweepCounts(t, name, cs, n, c.rows)
+					if width == 1 && cs.DistanceCalls != below {
+						t.Errorf("%s: %d TED* calls, want exactly the %d candidates with degree bound <= %d",
+							name, cs.DistanceCalls, below, final)
+					}
+				}
+			}
+			for _, r := range []int{0, 3, 40} {
+				if c.rng == nil {
+					break
+				}
+				var want []Neighbor
+				for _, nb := range all {
+					if nb.Dist <= r {
+						want = append(want, nb)
+					}
+				}
+				for _, width := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s: query %d Range r=%d width=%d", c.name, qi, r, width)
+					got, cs := c.rng(width, q, r)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("%s: got %v, exhaustive %v", name, got, want)
+					}
+					checkSweepCounts(t, name, cs, n, c.rows)
+				}
+			}
+		}
+	}
+}
+
+// checkSweepCounts checks one query's counters against its corpus: every
+// live candidate is counted once and evaluated or pruned, the prunes
+// split into their tiers, and no more than the blocks' rows are bound.
+func checkSweepCounts(t *testing.T, name string, c Counters, live, rows int) {
+	t.Helper()
+	if c.BlockCandidates != int64(live) || c.DistanceCalls+c.LowerBoundPrunes != int64(live) {
+		t.Errorf("%s: %d candidates, %d evaluated + %d pruned; live %d", name, c.BlockCandidates, c.DistanceCalls, c.LowerBoundPrunes, live)
+	}
+	if c.LowerBoundPrunes != c.SizePrunes+c.PaddingPrunes+c.LabelPrunes {
+		t.Errorf("%s: LowerBoundPrunes %d != size %d + padding %d + tier-2 %d",
+			name, c.LowerBoundPrunes, c.SizePrunes, c.PaddingPrunes, c.LabelPrunes)
+	}
+	if c.RowsBound > int64(rows) {
+		t.Errorf("%s: %d rows bound, the blocks hold %d", name, c.RowsBound, rows)
+	}
 }

@@ -213,8 +213,11 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "ned_corpus_cascade_prunes_total{corpus=%q,tier=\"padding\"} %d\n", n, stats[i].PaddingPrunes)
 		fmt.Fprintf(w, "ned_corpus_cascade_prunes_total{corpus=%q,tier=\"label\"} %d\n", n, stats[i].LabelPrunes)
 	})
-	emit("ned_corpus_block_candidates_total", "counter", "Candidate slots swept by the columnar block kernels of the cascade scan.", func(i int) {
+	emit("ned_corpus_block_candidates_total", "counter", "Live candidates of the cascade scan's queries.", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_block_candidates_total{corpus=%q} %d\n", tenants[i].Name, stats[i].BlockCandidates)
+	})
+	emit("ned_corpus_rows_bound_total", "counter", "Block rows whose size and padding bounds the queries' kernels computed (each query's size window).", func(i int) {
+		fmt.Fprintf(w, "ned_corpus_rows_bound_total{corpus=%q} %d\n", tenants[i].Name, stats[i].RowsBound)
 	})
 	emit("ned_corpus_block_survivors_total", "counter", "Block-kernel candidates that passed each cascade tier (label = tier 2 (degree sequence); its survivors reached verify).", func(i int) {
 		n := tenants[i].Name

@@ -112,20 +112,30 @@ func DegreeBound(a, b *tree.Profile, t int) int {
 // Σ_d (Δ_d − P_{d+1})/2, for a caller that already holds the padding
 // bound (the cascade's block kernel computes it for every candidate).
 // It stops like DegreeBound: at the first level that carries the sum
-// past t it returns the partial value (> t).
+// past t it returns the partial value (> t). It is DegreeExcessRuns
+// over the two profiles' level widths and inner degree runs.
 func DegreeExcess(a, b *tree.Profile, t int) int {
+	return DegreeExcessRuns(a.Levels, a.InnerDegs(), b.Levels, b.InnerDegs(), t)
+}
+
+// DegreeExcessRuns is the one implementation of DegreeExcess, over raw
+// columns: la and lb are two trees' level widths (height+1 entries
+// each), da and db their child counts of levels 1…h−1, sorted within
+// each level and laid out level after level (tree.Profile.InnerDegs, or
+// a row of a tree.ProfileArena).
+func DegreeExcessRuns(la, da, lb, db []int32, t int) int {
 	// Only levels with children on both sides can add to the padding
 	// bound. Level 0 is two roots, whose child-count gap IS P_1; from
 	// the shallower tree's deepest level down, one side is all leaves
 	// or padding, so Δ_d is the other side's child total, which IS
 	// P_{d+1}.
 	excess := 0
-	offA, offB := int32(1), int32(1)
-	for d := 1; d+1 < min(len(a.Levels), len(b.Levels)); d++ {
-		ra := a.Degs[offA : offA+a.Levels[d]]
-		rb := b.Degs[offB : offB+b.Levels[d]]
-		offA += a.Levels[d]
-		offB += b.Levels[d]
+	var offA, offB int32
+	for d := 1; d+1 < min(len(la), len(lb)); d++ {
+		ra := da[offA : offA+la[d]]
+		rb := db[offB : offB+lb[d]]
+		offA += la[d]
+		offB += lb[d]
 		if len(ra) < len(rb) {
 			ra, rb = rb, ra
 		}

@@ -116,6 +116,16 @@ type Profile struct {
 // Height returns the profiled tree's height.
 func (p *Profile) Height() int { return len(p.Levels) - 1 }
 
+// InnerDegs is Degs without the root's entry: the sorted child counts of
+// levels 1…h−1, the runs tier 2 compares (ted.DegreeExcessRuns). Empty
+// for a tree of height 0 or 1.
+func (p *Profile) InnerDegs() []int32 {
+	if len(p.Degs) == 0 {
+		return nil
+	}
+	return p.Degs[1:]
+}
+
 // Resolved reports whether every label is a dictionary ID. False only
 // for query-mode profiles (ProfileQuery) of trees containing shapes
 // the dictionary had not interned at compile time — any such shape
