@@ -71,7 +71,7 @@ func CompileRuns(runs []ArenaRun) *ProfileArena {
 		}
 		f := run.From
 		n, total = n+run.Hi-run.Lo, total+int(f.DegOff[run.Hi]-f.DegOff[run.Lo])
-		for r := run.Lo; r < run.Hi; r++ {
+		for r := run.Lo; r < run.Hi && width < f.Width; r++ {
 			levels, _ := f.Row(r)
 			width = max(width, len(levels))
 		}
