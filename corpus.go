@@ -839,6 +839,13 @@ type CorpusStats struct {
 	// outside it are dismissed by size unbounded.
 	RowsBound int64 `json:"rows_bound"`
 
+	// HungarianCells and VerifyLevels count the verify stage's work:
+	// the cells of the cost matrices its TED* computations handed the
+	// Hungarian solver (n² for an n×n matching), and the tree levels
+	// they swept, the one an evaluation stopped at included.
+	HungarianCells int64 `json:"hungarian_cells"`
+	VerifyLevels   int64 `json:"verify_levels"`
+
 	// SizeHist and DepthHist profile the indexed signatures, computed
 	// on demand from the live items (null until materialized):
 	// SizeHist[i] counts items whose total signature size (tree nodes,
@@ -893,6 +900,8 @@ func (c *Corpus) Stats() CorpusStats {
 	s.BlockPaddingSurvivors = counters.BlockPaddingSurvivors
 	s.BlockLabelSurvivors = counters.BlockLabelSurvivors
 	s.RowsBound = counters.RowsBound
+	s.HungarianCells = counters.HungarianCells
+	s.VerifyLevels = counters.VerifyLevels
 	return s
 }
 

@@ -39,7 +39,9 @@ func TestCorpusStatsJSONSchema(t *testing.T) {
 		BlockPaddingSurvivors: 60,
 		BlockLabelSurvivors:   40,
 
-		RowsBound: 120,
+		RowsBound:      120,
+		HungarianCells: 900,
+		VerifyLevels:   70,
 
 		SizeHist:  []int64{0, 4, 96},
 		DepthHist: []int64{1, 99},
@@ -56,7 +58,7 @@ func TestCorpusStatsJSONSchema(t *testing.T) {
 		`"size_prunes":10,"padding_prunes":15,"label_prunes":5,` +
 		`"block_candidates":500,"block_size_survivors":80,` +
 		`"block_padding_survivors":60,"block_label_survivors":40,` +
-		`"rows_bound":120,` +
+		`"rows_bound":120,"hungarian_cells":900,"verify_levels":70,` +
 		`"size_hist":[0,4,96],"depth_hist":[1,99]}`
 	if string(buf) != want {
 		t.Errorf("CorpusStats JSON schema changed:\n got %s\nwant %s", buf, want)

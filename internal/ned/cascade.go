@@ -158,6 +158,8 @@ func gatedDistanceAtMost(c *ted.Computer, q, it Item, budget int, cs *counterSet
 // is ItemDistance(q, it); any other outcome means d and the true
 // distance both exceed the budget.
 func verifyDistanceAtMost(c *ted.Computer, q, it Item, budget int, cs *counterSet) (int, ted.Outcome) {
+	c.TakeWork()
+	defer func() { cs.verifyWork(c.TakeWork()) }()
 	d, out := treeDistanceAtMost(c, q.Out, it.Out, q.OutP, it.OutP, budget)
 	if out != ted.OutcomeExact {
 		cs.observe(out)

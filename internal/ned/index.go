@@ -144,6 +144,12 @@ type Counters struct {
 	// ones included. The live candidates outside the window are
 	// dismissed by size without being bounded.
 	RowsBound int64
+
+	// HungarianCells and VerifyLevels count the verify stage's work:
+	// the cells of the cost matrices its TED* computations handed the
+	// Hungarian solver, and the levels they swept (ted.Work).
+	HungarianCells int64
+	VerifyLevels   int64
 }
 
 // Add returns the element-wise sum of two counter snapshots: the work
@@ -161,6 +167,8 @@ func (c Counters) Add(o Counters) Counters {
 		BlockPaddingSurvivors: c.BlockPaddingSurvivors + o.BlockPaddingSurvivors,
 		BlockLabelSurvivors:   c.BlockLabelSurvivors + o.BlockLabelSurvivors,
 		RowsBound:             c.RowsBound + o.RowsBound,
+		HungarianCells:        c.HungarianCells + o.HungarianCells,
+		VerifyLevels:          c.VerifyLevels + o.VerifyLevels,
 	}
 }
 
@@ -176,6 +184,7 @@ type counterSet struct {
 	blockCands                                atomic.Int64
 	blockSizeSurv, blockPadSurv, blockDegSurv atomic.Int64
 	boundRows                                 atomic.Int64
+	cells, levels                             atomic.Int64
 }
 
 // observe records a completed candidate evaluation. Nil-safe so
@@ -215,6 +224,15 @@ func (c *counterSet) cascadePrune(t cascadeTier) {
 	default:
 		c.degPrunes.Add(1)
 	}
+}
+
+// verifyWork records the work of one verify stage.
+func (c *counterSet) verifyWork(w ted.Work) {
+	if c == nil {
+		return
+	}
+	c.cells.Add(w.HungarianCells)
+	c.levels.Add(w.Levels)
 }
 
 // blockSweep records n live candidates of a scan query.
@@ -284,6 +302,8 @@ func (c *counterSet) snapshot() Counters {
 		BlockPaddingSurvivors: c.blockPadSurv.Load(),
 		BlockLabelSurvivors:   c.blockDegSurv.Load(),
 		RowsBound:             c.boundRows.Load(),
+		HungarianCells:        c.cells.Load(),
+		VerifyLevels:          c.levels.Load(),
 	}
 }
 
@@ -299,6 +319,8 @@ func (c *counterSet) reset() {
 	c.blockPadSurv.Store(0)
 	c.blockDegSurv.Store(0)
 	c.boundRows.Store(0)
+	c.cells.Store(0)
+	c.levels.Store(0)
 }
 
 // Index is the unified query surface of every NED index backend. All

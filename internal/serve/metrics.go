@@ -219,6 +219,12 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	emit("ned_corpus_rows_bound_total", "counter", "Block rows whose size and padding bounds the queries' kernels computed (each query's size window).", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_rows_bound_total{corpus=%q} %d\n", tenants[i].Name, stats[i].RowsBound)
 	})
+	emit("ned_corpus_hungarian_cells_total", "counter", "Cost-matrix cells the verify stage's TED* computations handed the Hungarian solver.", func(i int) {
+		fmt.Fprintf(w, "ned_corpus_hungarian_cells_total{corpus=%q} %d\n", tenants[i].Name, stats[i].HungarianCells)
+	})
+	emit("ned_corpus_verify_levels_total", "counter", "Tree levels the verify stage's TED* computations swept.", func(i int) {
+		fmt.Fprintf(w, "ned_corpus_verify_levels_total{corpus=%q} %d\n", tenants[i].Name, stats[i].VerifyLevels)
+	})
 	emit("ned_corpus_block_survivors_total", "counter", "Block-kernel candidates that passed each cascade tier (label = tier 2 (degree sequence); its survivors reached verify).", func(i int) {
 		n := tenants[i].Name
 		fmt.Fprintf(w, "ned_corpus_block_survivors_total{corpus=%q,tier=\"size\"} %d\n", n, stats[i].BlockSizeSurvivors)

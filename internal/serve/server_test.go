@@ -435,6 +435,8 @@ func TestMetricsExport(t *testing.T) {
 		`ned_corpus_lock_wait_ns_total{corpus="m2"}`,
 		`ned_corpus_clone_bytes_total{corpus="m1"}`,
 		`ned_corpus_rows_bound_total{corpus="m2"}`,
+		`ned_corpus_hungarian_cells_total{corpus="m1"}`,
+		`ned_corpus_verify_levels_total{corpus="m2"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

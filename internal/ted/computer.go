@@ -59,6 +59,24 @@ type Computer struct {
 	// labels running parallel to rows/cols during the sorted merge.
 	off1p, off2p     []int32
 	rowLabs, colLabs []int32
+
+	// Work counts what the computations since the last TakeWork did.
+	work Work
+}
+
+// Work is what TED* computations did: the cells of the cost matrices
+// handed to the Hungarian solver (ln² per solve) and the levels swept,
+// counting the level a computation aborted at.
+type Work struct {
+	HungarianCells int64
+	Levels         int64
+}
+
+// TakeWork returns the work done since the last call and zeroes it.
+func (c *Computer) TakeWork() Work {
+	w := c.work
+	c.work = Work{}
+	return w
 }
 
 // NewComputer returns an empty Computer; buffers grow on first use.
@@ -181,6 +199,7 @@ func (c *Computer) runLevels(t1, t2 *tree.Tree, lv1, lv2 []int32, budget int64, 
 				solverBudget = sb
 			}
 		}
+		c.work.Levels++
 		p, m, partial, ok := c.level(t1, t2, d, prevPad, solverBudget)
 		if !ok {
 			mlb := (partial - int64(prevPad)) / 2
@@ -255,6 +274,7 @@ func (c *Computer) level(t1, t2 *tree.Tree, d, prevPad int, solverBudget int64) 
 			}
 		}
 		var complete bool
+		c.work.HungarianCells += int64(ln) * int64(ln)
 		m, assign, complete = c.solver.SolveAtMost(cost, ln, solverBudget)
 		if !complete {
 			return padding, 0, m, false

@@ -139,6 +139,7 @@ func (c *Computer) DistanceAtMostProfiled(t1, t2 *tree.Tree, p1, p2 *tree.Profil
 		var p, m int
 		var partial int64
 		var ok bool
+		c.work.Levels++
 		if faithful {
 			p, m, partial, ok, faithful = c.levelFaithful(t1, t2, p1, p2, leaf, d, prevPad, solverBudget)
 		} else {
@@ -313,6 +314,7 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 			cost[ri*ln+ci] = runDifference(kr, kc)
 		}
 	}
+	c.work.HungarianCells += int64(ln) * int64(ln)
 	m64, assign, complete := c.solver.SolveAtMost(cost, ln, solverBudget)
 	if !complete {
 		return padding, 0, m64, false, true

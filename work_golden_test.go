@@ -50,6 +50,8 @@ func (w *workLog) addStats(script string, s CorpusStats) {
 	w.add(script, "size_prunes", s.SizePrunes)
 	w.add(script, "padding_prunes", s.PaddingPrunes)
 	w.add(script, "tier2_prunes", s.LabelPrunes)
+	w.add(script, "hungarian_cells", s.HungarianCells)
+	w.add(script, "verify_levels", s.VerifyLevels)
 }
 
 // workQueries runs a mix against c: KNN (l = 5) of every signature in
