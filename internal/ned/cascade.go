@@ -187,9 +187,8 @@ func verifyDistanceAtMost(c *ted.Computer, q, it Item, budget int, cs *counterSe
 // every profile shortcut available: equal interned AHU keys mean the
 // trees are isomorphic — distance 0, no matching work at all — and
 // otherwise the canonical pair orientation is decided from the profiles
-// (size, height) with tree.Canonical breaking the rare full tie —
-// derived lazily, cached on each tree — bit-compatible with ted's
-// orient. The computation itself takes the profiled
+// (size, height) with the AHU encodings breaking the rare full tie,
+// bit-compatible with ted's orient. The computation itself takes the profiled
 // faithful-level fast path (ted.Computer.DistanceAtMostProfiled):
 // per-level sorted label runs and per-node sorted children collections
 // come off the profiles instead of being rebuilt and re-sorted per
@@ -205,9 +204,11 @@ func treeDistanceAtMost(c *ted.Computer, t1, t2 *tree.Tree, p1, p2 *tree.Profile
 }
 
 // profileSwap mirrors ted's canonical pair orientation — size, then
-// height, then AHU encoding — true when the pair must swap. The size
-// and height tiers come off the profiles; only a full tie consults
-// tree.Canonical, which each tree derives once and caches.
+// height, then AHU encoding — true when the pair must swap; t1 is the
+// query's tree and t2 the candidate's. The size and height tiers come
+// off the profiles; only a full tie, at most a few percent of verifies,
+// derives encodings: the query's cached on its tree, the candidate's
+// afresh, so comparing never grows a corpus row.
 func profileSwap(t1, t2 *tree.Tree, p1, p2 *tree.Profile) bool {
 	switch {
 	case p1.Size != p2.Size:
@@ -215,7 +216,7 @@ func profileSwap(t1, t2 *tree.Tree, p1, p2 *tree.Profile) bool {
 	case len(p1.Levels) != len(p2.Levels):
 		return len(p1.Levels) > len(p2.Levels)
 	default:
-		return tree.Canonical(t1) > tree.Canonical(t2)
+		return tree.Canonical(t1) > tree.CanonicalUncached(t2)
 	}
 }
 

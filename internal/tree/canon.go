@@ -22,6 +22,16 @@ func Canonical(t *Tree) string {
 	return t.canon
 }
 
+// CanonicalUncached is Canonical derived afresh and not cached on t:
+// for a tree that must not grow by being compared, such as an indexed
+// row's.
+func CanonicalUncached(t *Tree) string {
+	if t.canonSet.Load() {
+		return t.canon
+	}
+	return computeCanonical(t)
+}
+
 // computeCanonical derives the AHU encoding in O(n log n) amortized.
 func computeCanonical(t *Tree) string {
 	enc := make([]string, t.Size())
