@@ -8,7 +8,6 @@ import (
 	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -348,7 +347,7 @@ func (c *Corpus) lockWrites() {
 	c.lockWaitNS.Add(time.Since(t0).Nanoseconds())
 }
 
-// corpusEpoch is one immutable generation of the corpus's items,
+// corpusEpoch is one immutable generation of the corpus's rows,
 // published as part of a corpusView. Readers use the one their view
 // holds for their whole query; mutations never edit a published epoch —
 // they splice a successor and publish it. Serving counters inside ix
@@ -356,25 +355,21 @@ func (c *Corpus) lockWrites() {
 // publication.
 //
 // Membership lives in exactly one place per life stage: members before
-// the signatures materialize; staged (whose keys are the membership)
-// from materialization to the index build — a loaded snapshot, WAL
-// replay, or a corpus never queried; from the build on the scan itself,
-// the only copy of the items, which shares all but its delta with its
+// the signatures materialize, and from then on the scan itself, the
+// only copy of the rows, which shares all but its delta with its
 // predecessor's.
 type corpusEpoch struct {
-	members map[NodeID]bool     // pre-materialization node set
-	staged  map[NodeID]ned.Item // materialized items awaiting the build
-	ix      ned.ItemIndex       // the scan; nil until built
+	members map[NodeID]bool // pre-materialization node set
+	ix      ned.ItemIndex   // the scan; nil until materialized
 }
 
-// item returns node v's indexed item in this epoch (none before
+// item builds node v's indexed item in this epoch (none before
 // materialization).
 func (e *corpusEpoch) item(v NodeID) (ned.Item, bool) {
 	if e.ix != nil {
 		return e.ix.Item(v)
 	}
-	it, ok := e.staged[v]
-	return it, ok
+	return ned.Item{}, false
 }
 
 // has reports whether v is indexed in this epoch.
@@ -382,47 +377,37 @@ func (e *corpusEpoch) has(v NodeID) bool {
 	if e.members != nil {
 		return e.members[v]
 	}
-	_, ok := e.item(v)
-	return ok
+	return e.ix != nil && e.ix.Has(v)
 }
 
 // size is the epoch's indexed node count.
 func (e *corpusEpoch) size() int {
-	switch {
-	case e.ix != nil:
+	if e.ix != nil {
 		return e.ix.Len()
-	case e.staged != nil:
-		return len(e.staged)
 	}
 	return len(e.members)
 }
 
-// items iterates the epoch's items in ascending node order (none before
-// materialization).
-func (e *corpusEpoch) items() iter.Seq[ned.Item] {
-	if e.ix != nil {
-		return e.ix.Items()
-	}
-	// Walk the staged map in node order through its sorted keys: a
-	// snapshot of an unbuilt epoch copies node IDs, not items.
-	nodes := slices.Sorted(maps.Keys(e.staged))
-	return func(yield func(ned.Item) bool) {
-		for _, v := range nodes {
-			if !yield(e.staged[v]) {
+// nodes iterates the epoch's indexed nodes in ascending order (none
+// before materialization).
+func (e *corpusEpoch) nodes() iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		if e.ix == nil {
+			return
+		}
+		for it := range e.ix.Items() {
+			if !yield(it.Node) {
 				return
 			}
 		}
 	}
 }
 
-// clone returns a mutable copy of an unbuilt epoch: its membership or
-// staged items in a fresh map. A built epoch's successor comes from
-// splice instead.
+// clone returns a mutable copy of an unmaterialized epoch: its
+// membership in a fresh map. A materialized epoch's successor comes
+// from splice instead.
 func (e *corpusEpoch) clone() *corpusEpoch {
-	if e.members != nil {
-		return &corpusEpoch{members: maps.Clone(e.members)}
-	}
-	return &corpusEpoch{staged: maps.Clone(e.staged)}
+	return &corpusEpoch{members: maps.Clone(e.members)}
 }
 
 // newCorpus allocates a corpus and publishes its first view; the caller
@@ -469,48 +454,28 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	return newCorpus(k, cfg, g, &corpusEpoch{members: members}), nil
 }
 
-// sortedItems returns staged items in ascending node order — the
-// deterministic build and snapshot order.
-func sortedItems(byNode map[NodeID]ned.Item) []ned.Item {
-	items := make([]ned.Item, 0, len(byNode))
-	for _, it := range byNode {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].Node < items[j].Node })
-	return items
-}
-
 // materializeAllLocked extracts the signatures of every member in
-// parallel and publishes an item-bearing epoch (a no-op once done, and
-// for snapshot-loaded corpora, whose items arrived with the snapshot).
-// Callers hold gmu for writing.
+// parallel and compiles them into the scan, publishing a materialized
+// epoch (a no-op once done, and for snapshot-loaded corpora, whose rows
+// arrived with the snapshot). Callers hold gmu for writing.
 func (c *Corpus) materializeAllLocked() {
 	if c.materialized.Load() {
 		return
 	}
 	v := c.view.Load()
 	nodes := slices.Sorted(maps.Keys(v.ep.members))
-	items := ned.BuildProfiledItems(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
-	staged := make(map[NodeID]ned.Item, len(items))
-	for _, it := range items {
-		staged[it.Node] = it
-	}
-	c.view.Store(&corpusView{g: v.g, ep: &corpusEpoch{staged: staged}})
+	rows := ned.BuildRows(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
+	c.view.Store(&corpusView{g: v.g, ep: &corpusEpoch{ix: ned.NewScan(rows, 1)}})
 	c.materialized.Store(true)
 }
 
-// buildAllLocked materializes and compiles the scan, the cascade scan
-// at width 1 over the staged items. Callers hold gmu for writing.
+// buildAllLocked materializes the scan, whose first query this is.
+// Callers hold gmu for writing.
 func (c *Corpus) buildAllLocked() {
 	if c.built.Load() {
 		return
 	}
 	c.materializeAllLocked()
-	v := c.view.Load()
-	if v.ep.ix == nil {
-		ix := ned.NewPrunedLinearBackend(sortedItems(v.ep.staged)).(ned.ItemIndex)
-		c.view.Store(&corpusView{g: v.g, ep: &corpusEpoch{ix: ix}})
-	}
 	c.built.Store(true)
 }
 
@@ -881,13 +846,11 @@ func (c *Corpus) Stats() CorpusStats {
 	if ep.ix != nil {
 		counters = ep.ix.Counters()
 	}
-	for it := range ep.items() {
-		size := it.Out.Size()
-		if it.In != nil {
-			size += it.In.Size()
+	if ep.ix != nil {
+		for r := range ep.ix.Rows() {
+			s.SizeHist = bumpHist(s.SizeHist, bits.Len(uint(r.Size)))
+			s.DepthHist = bumpHist(s.DepthHist, r.Height)
 		}
-		s.SizeHist = bumpHist(s.SizeHist, bits.Len(uint(size)))
-		s.DepthHist = bumpHist(s.DepthHist, it.Out.Height())
 	}
 	s.DistanceCalls = counters.DistanceCalls
 	s.EarlyExits = counters.EarlyExits

@@ -3,7 +3,6 @@ package ned
 import (
 	"fmt"
 	"slices"
-	"unsafe"
 
 	"ned/internal/graph"
 	"ned/internal/ned"
@@ -75,13 +74,10 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 	// Extract signatures outside the write lock (the expensive part).
 	// materialized cannot flip mid-Insert: the transition runs under
 	// gmu's write side.
-	var itemOf map[NodeID]ned.Item
+	var rows *ned.Rows
 	if c.materialized.Load() {
-		items := ned.BuildProfiledItems(g, fresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
-		itemOf = make(map[NodeID]ned.Item, len(items))
-		for _, it := range items {
-			itemOf[it.Node] = it
-		}
+		slices.Sort(fresh)
+		rows = ned.BuildRows(g, fresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	}
 	return c.commitWrite("insert", func(ep *corpusEpoch) epochEdit {
 		var added []NodeID
@@ -103,11 +99,7 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 			}
 			return epochEdit{next: ne, rec: rec}
 		}
-		ups := make([]ned.Item, len(added))
-		for i, v := range added {
-			ups[i] = itemOf[v]
-		}
-		e := splice(ep, ups, nil)
+		e := splice(ep, rows.Only(added), nil)
 		e.rec = rec
 		return e
 	})
@@ -188,29 +180,15 @@ func (c *Corpus) commitEdit(op string, g *Graph, e epochEdit) error {
 
 // splice prepares the successor of a materialized epoch with dels
 // removed and ups upserted (an upsert of an indexed node replaces its
-// item). A built epoch's scan splices itself, sharing its base; a
-// staged epoch copies its map. The caller sets the record.
-func splice(ep *corpusEpoch, ups []ned.Item, dels []NodeID) epochEdit {
+// row): the scan splices itself, sharing its base. The caller sets the
+// record.
+func splice(ep *corpusEpoch, ups *ned.Rows, dels []NodeID) epochEdit {
 	var e epochEdit
-	if ep.ix != nil {
-		var ix ned.ItemIndex
-		ix, e.copied = ep.ix.Splice(ups, dels)
-		e.next = &corpusEpoch{ix: ix}
-		return e
-	}
-	e.next = ep.clone()
-	for _, v := range dels {
-		delete(e.next.staged, v)
-	}
-	for _, it := range ups {
-		e.next.staged[it.Node] = it
-	}
-	e.copied = int64(len(e.next.staged)) * stagedEntryBytes
+	var ix ned.ItemIndex
+	ix, e.copied = ep.ix.Splice(ups, dels)
+	e.next = &corpusEpoch{ix: ix}
 	return e
 }
-
-// stagedEntryBytes is what copying one staged map entry costs.
-const stagedEntryBytes = int64(unsafe.Sizeof(NodeID(0)) + unsafe.Sizeof(ned.Item{}))
 
 // Rebuild forces the materialization and index build a first query
 // would have paid for. On a built corpus it does nothing: a scan folds
@@ -283,22 +261,22 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 		}
 	}
 	slices.Sort(refresh)
-	items := ned.BuildProfiledItems(g, refresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
+	rows := ned.BuildRows(g, refresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	var gone []NodeID
-	for it := range view.ep.items() {
-		if int(it.Node) >= g.NumNodes() {
-			gone = append(gone, it.Node)
+	for v := range view.ep.nodes() {
+		if int(v) >= g.NumNodes() {
+			gone = append(gone, v)
 		}
 	}
 	e := epochEdit{next: view.ep}
-	if len(gone)+len(items) > 0 {
-		e = splice(view.ep, items, gone)
+	if len(gone)+rows.Len() > 0 {
+		e = splice(view.ep, rows, gone)
 	}
 	e.rec = segment.Record{Extract: refresh, Deletes: gone, Graph: graphEdit(old, g, removed, added)}
 	if err := c.commitEdit("graph update", g, e); err != nil {
 		return 0, err
 	}
-	return len(items), nil
+	return rows.Len(), nil
 }
 
 // graphEdit is the logged form of the move from old to new given their

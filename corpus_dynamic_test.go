@@ -306,12 +306,15 @@ func TestCorpusUpdateGraphInvalidation(t *testing.T) {
 	if _, err := c.KNN(ctx, 0, 5); err != nil { // materialize
 		t.Fatal(err)
 	}
-	// Warm every AHU cache, then remember the tree objects.
-	trees := map[NodeID]*tree.Tree{}
-	for v, it := range liveItems(c) {
-		tree.Canonical(it.Out)
-		trees[v] = it.Out
+	// Remember where each row's stored tree lives.
+	stored := func() map[NodeID]*int32 {
+		out := map[NodeID]*int32{}
+		for r := range c.view.Load().ep.ix.Rows() {
+			out[r.Node] = &r.Out[0]
+		}
+		return out
 	}
+	trees := stored()
 
 	// New version: one extra edge at the head of the path.
 	b2 := NewGraphBuilder(n, false)
@@ -330,24 +333,18 @@ func TestCorpusUpdateGraphInvalidation(t *testing.T) {
 	if refreshed != 4 {
 		t.Errorf("refreshed %d signatures, want 4", refreshed)
 	}
-	after := liveItems(c)
+	after, items := stored(), liveItems(c)
 	for v, old := range trees {
-		it := after[v]
 		affected := v <= 3
 		if affected {
-			if it.Out == old {
+			if after[v] == old {
 				t.Errorf("node %d: affected signature was not re-extracted", v)
 			}
-			if want, _ := tree.KAdjacent(g2, v, k); tree.Canonical(it.Out) != tree.Canonical(want) {
+			if want, _ := tree.KAdjacent(g2, v, k); tree.Canonical(items[v].Out) != tree.Canonical(want) {
 				t.Errorf("node %d: refreshed signature does not match the new graph", v)
 			}
-		} else {
-			if it.Out != old {
-				t.Errorf("node %d: unaffected signature was re-extracted", v)
-			}
-			if !it.Out.HasCanon() {
-				t.Errorf("node %d: unaffected signature lost its AHU cache", v)
-			}
+		} else if after[v] != old {
+			t.Errorf("node %d: unaffected signature was re-extracted", v)
 		}
 	}
 

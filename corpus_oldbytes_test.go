@@ -260,7 +260,7 @@ func legacyVPDumps(shardItems [][]ned.Item) []segment.VPIndex {
 func legacySegment(t *testing.T, c *Corpus, v *corpusView) []byte {
 	t.Helper()
 	meta := segment.Meta{Backend: "vp", K: c.k, Directed: c.cfg.directed}
-	items := segment.Tables(v.ep.items())
+	items := itemTables(v.ep.items())
 	var buf bytes.Buffer
 	if err := segment.Write(&buf, meta, c.dict, v.g, items, legacyVPDumps(items)); err != nil {
 		t.Fatalf("segment.Write with VP dumps: %v", err)

@@ -38,7 +38,7 @@ func (c *Corpus) Snapshot(w io.Writer) error {
 // the body of Snapshot and of every checkpoint.
 func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
 	meta := segment.Meta{Backend: BackendPrunedLinear.String(), K: c.k, Directed: c.cfg.directed}
-	return segment.Write(w, meta, c.dict, v.g, segment.Tables(v.ep.items()), nil)
+	return segment.WriteRows(w, meta, c.dict, v.g, segment.Tables(v.ep.ix.Rows()))
 }
 
 // materializedView returns the published view, materializing the
@@ -91,7 +91,7 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	// Index dumps an older segment carries are framed and checksummed by
 	// Read like every section, then dropped: the scan has nothing to
 	// restore.
-	meta, items, dict, g, _, err := segment.Read(r)
+	meta, rows, dict, g, err := segment.ReadRows(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
@@ -109,15 +109,15 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if userGraph != nil {
 		g = userGraph
 	}
-	if err := validateLoadedGraph(cfg, g, slices.Values(items)); err != nil {
+	if err := validateLoadedGraph(cfg, g, slices.Values(rows.Nodes)); err != nil {
 		return nil, err
 	}
 	c := newCorpus(meta.K, cfg, g, &corpusEpoch{})
-	// Adopt the segment's dictionary: every loaded profile is expressed
+	// Adopt the segment's dictionary: every loaded row is expressed
 	// against its label IDs. The fresh interner newCorpus made has seen
 	// nothing and is safely replaced.
 	c.dict = dict
-	installLoadedItems(c, items)
+	installRows(c, rows)
 	return c, nil
 }
 
@@ -153,7 +153,11 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := validateLoadedGraph(cfg, g, slices.Values(items)); err != nil {
+	nodes := make([]NodeID, len(items))
+	for i, it := range items {
+		nodes[i] = it.Node
+	}
+	if err := validateLoadedGraph(cfg, g, slices.Values(nodes)); err != nil {
 		return nil, err
 	}
 	c := newCorpus(k, cfg, g, &corpusEpoch{})
@@ -161,7 +165,7 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	// corpus dictionary so imported corpora serve the same filter cascade
 	// as freshly built ones.
 	ned.ProfileItems(items, c.dict, cfg.workers)
-	installLoadedItems(c, items)
+	installRows(c, ned.RowsOf(items))
 	return c, nil
 }
 
@@ -179,9 +183,9 @@ func applyLoadOptions(cfg *corpusConfig, opts []CorpusOption) (*Graph, error) {
 	return userCfg.graph, nil
 }
 
-// validateLoadedGraph checks a restored item set against the graph the
+// validateLoadedGraph checks a restored node set against the graph the
 // corpus will serve with (which may be nil: signature-only corpora).
-func validateLoadedGraph(cfg corpusConfig, g *Graph, items iter.Seq[ned.Item]) error {
+func validateLoadedGraph(cfg corpusConfig, g *Graph, nodes iter.Seq[NodeID]) error {
 	if g == nil {
 		return nil
 	}
@@ -194,24 +198,17 @@ func validateLoadedGraph(cfg corpusConfig, g *Graph, items iter.Seq[ned.Item]) e
 	if cfg.directed && !g.Directed() {
 		return fmt.Errorf("%w: directed snapshot needs a directed graph", ErrBadSnapshot)
 	}
-	for it := range items {
-		if int(it.Node) < 0 || int(it.Node) >= g.NumNodes() {
+	for v := range nodes {
+		if int(v) < 0 || int(v) >= g.NumNodes() {
 			return fmt.Errorf("%w: snapshot node %d not in the attached graph's [0, %d)",
-				ErrNodeOutOfRange, it.Node, g.NumNodes())
+				ErrNodeOutOfRange, v, g.NumNodes())
 		}
 	}
 	return nil
 }
 
-// installLoadedItems stages the restored items; the scan compiles
-// lazily over them.
-func installLoadedItems(c *Corpus, items []ned.Item) {
-	// The snapshot's items arrive pre-materialized: the staging table's
-	// keys are the membership.
-	staged := make(map[NodeID]ned.Item, len(items))
-	for _, it := range items {
-		staged[it.Node] = it
-	}
-	c.view.Load().ep.staged = staged
+// installRows makes the restored rows the corpus's scan.
+func installRows(c *Corpus, rows *ned.Rows) {
+	c.view.Load().ep.ix = ned.NewScan(rows, 1)
 	c.materialized.Store(true)
 }

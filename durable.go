@@ -240,7 +240,7 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 	}
 	activeSeq, activeValid, activeRecs := seq, int64(0), int64(0)
 	haveActive := false
-	extract := map[NodeID]bool{}
+	rp := newReplay()
 	for _, s := range seqs {
 		if s < seq {
 			continue
@@ -250,18 +250,18 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 			return nil, err
 		}
 		for _, rec := range recs {
-			if err := c.applyRecovered(rec, extract); err != nil {
+			if err := c.applyRecovered(rec, rp); err != nil {
 				return nil, fmt.Errorf("ned: replaying %s: %w", segment.WALPath(dir, s), err)
 			}
 		}
 		activeSeq, activeValid, activeRecs = s, valid, int64(len(recs))
 		haveActive = true
 	}
-	c.extractRecovered(extract)
+	c.finishReplay(rp)
 	logGraph := c.view.Load().g
 	if user.graph != nil {
 		view := c.view.Load()
-		if err := validateLoadedGraph(c.cfg, user.graph, view.ep.items()); err != nil {
+		if err := validateLoadedGraph(c.cfg, user.graph, view.ep.nodes()); err != nil {
 			return nil, err
 		}
 		c.view.Store(&corpusView{g: user.graph, ep: view.ep})
@@ -307,15 +307,26 @@ func loadCheckpoint(path string, opts ...CorpusOption) (*Corpus, error) {
 	return c, nil
 }
 
+// replay is what replaying the log has left to apply to the loaded
+// scan: the nodes to re-extract, the full-item upserts, and the nodes
+// removed. A node is in at most one of extract and ups.
+type replay struct {
+	extract map[NodeID]bool
+	ups     map[NodeID]ned.Item
+	gone    map[NodeID]bool
+}
+
+func newReplay() *replay {
+	return &replay{extract: map[NodeID]bool{}, ups: map[NodeID]ned.Item{}, gone: map[NodeID]bool{}}
+}
+
 // applyRecovered applies one replayed mutation record to the (not yet
 // shared) corpus, whose view graph is the log's graph. A graph edit
-// moves that graph to its next version and drops the items beyond its
-// node range; named nodes join extract, the set extractRecovered
-// derives once replay ends; full-item upserts re-profile their trees
-// against the corpus dictionary and land in the staged item table;
-// deletes drop theirs. Every part is absolute, so applying a record
-// twice converges. The scan is not built yet: it compiles lazily over
-// what replay left.
+// moves that graph to its next version and removes the nodes beyond its
+// node range; named nodes join rp.extract, which finishReplay derives
+// once replay ends; full-item upserts join rp.ups; deletes join
+// rp.gone. Every part is absolute, so applying a record twice
+// converges.
 //
 // Extraction waits for the end of replay because the graph replay ends
 // on yields the same signature for every named node as the graph its
@@ -323,22 +334,28 @@ func loadCheckpoint(path string, opts ...CorpusOption) (*Corpus, error) {
 // neighborhood names it again (UpdateGraph refreshes every indexed node
 // an edit reaches), and one that does not leaves its signature as it
 // was.
-func (c *Corpus) applyRecovered(rec segment.Record, extract map[NodeID]bool) error {
+func (c *Corpus) applyRecovered(rec segment.Record, rp *replay) error {
 	view := c.view.Load()
-	staged := view.ep.staged
 	if e := rec.Graph; e != nil {
 		if view.g == nil {
 			return fmt.Errorf("wal graph edit in a log whose checkpoint has no graph")
 		}
 		if e.NumNodes < view.g.NumNodes() {
-			for v := range staged {
+			for v := range view.ep.nodes() {
 				if int(v) >= e.NumNodes {
-					delete(staged, v)
+					rp.gone[v] = true
 				}
 			}
-			for v := range extract {
+			for v := range rp.extract {
 				if int(v) >= e.NumNodes {
-					delete(extract, v)
+					delete(rp.extract, v)
+					rp.gone[v] = true
+				}
+			}
+			for v := range rp.ups {
+				if int(v) >= e.NumNodes {
+					delete(rp.ups, v)
+					rp.gone[v] = true
 				}
 			}
 		}
@@ -352,7 +369,8 @@ func (c *Corpus) applyRecovered(rec segment.Record, extract map[NodeID]bool) err
 		if int(v) >= view.g.NumNodes() {
 			return fmt.Errorf("wal record names node %d outside the log's graph [0, %d)", v, view.g.NumNodes())
 		}
-		extract[v] = true
+		rp.extract[v] = true
+		delete(rp.ups, v)
 	}
 	for i := range rec.Upserts {
 		it := rec.Upserts[i]
@@ -363,27 +381,35 @@ func (c *Corpus) applyRecovered(rec segment.Record, extract map[NodeID]bool) err
 			return fmt.Errorf("wal upsert of node %d disagrees with corpus directedness", it.Node)
 		}
 		ned.ProfileItem(&it, c.dict)
-		staged[it.Node] = it
-		delete(extract, it.Node)
+		rp.ups[it.Node] = it
+		delete(rp.extract, it.Node)
 	}
 	for _, v := range rec.Deletes {
-		delete(staged, v)
-		delete(extract, v)
+		rp.gone[v] = true
+		delete(rp.ups, v)
+		delete(rp.extract, v)
 	}
 	return nil
 }
 
-// extractRecovered stages the items of the nodes replay named, extracted
-// in parallel from the graph replay ended on.
-func (c *Corpus) extractRecovered(extract map[NodeID]bool) {
-	if len(extract) == 0 {
-		return
-	}
+// finishReplay splices what replay left into the scan: the removals and
+// upserts, then the nodes replay named, extracted in parallel from the
+// graph replay ended on.
+func (c *Corpus) finishReplay(rp *replay) {
 	view := c.view.Load()
-	nodes := slices.Sorted(maps.Keys(extract))
-	for _, it := range ned.BuildProfiledItems(view.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers) {
-		view.ep.staged[it.Node] = it
+	ix := view.ep.ix
+	if len(rp.gone)+len(rp.ups) > 0 {
+		var ups *ned.Rows
+		if len(rp.ups) > 0 {
+			ups = ned.RowsOf(slices.Collect(maps.Values(rp.ups)))
+		}
+		ix, _ = ix.Splice(ups, slices.Collect(maps.Keys(rp.gone)))
 	}
+	if len(rp.extract) > 0 {
+		nodes := slices.Sorted(maps.Keys(rp.extract))
+		ix, _ = ix.Splice(ned.BuildRows(view.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers), nil)
+	}
+	c.view.Store(&corpusView{g: view.g, ep: &corpusEpoch{ix: ix}})
 }
 
 // sameGraph reports whether a and b (either may be nil) are the same

@@ -739,13 +739,13 @@ func TestRecoveryRecordTwiceConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		extract := map[NodeID]bool{}
+		rp := newReplay()
 		for _, rec := range order {
-			if err := r.applyRecovered(rec, extract); err != nil {
+			if err := r.applyRecovered(rec, rp); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		r.extractRecovered(extract)
+		r.finishReplay(rp)
 		if got := corpusState(r); got != want {
 			t.Fatalf("%s: replay diverged:\n got %s\nwant %s", name, got, want)
 		}

@@ -1,197 +1,196 @@
 package ned
 
 import (
+	"cmp"
+	"iter"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
+	"unsafe"
 
+	"ned/internal/graph"
 	"ned/internal/ted"
 	"ned/internal/tree"
 )
 
-// This file wraps the columnar profile arenas (internal/tree) into the
-// candidate block the cascade sweep reads at any width: one arena for the
-// out-trees, one for the in-trees when the corpus is directed. A block is
-// compiled over node-sorted items — a scan's base when it is built or
-// folded, its delta when a mutation replaces the delta — and is immutable
-// afterwards, so epoch clones share it.
-//
-// A block's rows are ordered by size key — the out-tree's node count,
-// plus the in-tree's when directed — with the item slot as tiebreak, and
-// item maps each row back to the slot of the item it describes; the
-// items themselves stay node-sorted. Since |Δout| + |Δin| ≥ |Δ(out+in)|,
-// the size key lower-bounds the size tier, so the rows whose size bound
-// can be within w of a query are one contiguous range, found by binary
-// search (window): a query bounds the rows of its window only and
-// dismisses the others, in bulk, by size. Tier 2 reads a row's level
-// widths and degree runs from the arenas too (degreeTierPrunes), so a
-// candidate's *Item is dereferenced only when it reaches the verify
-// stage.
+// nodeBytes is the size of one node ID.
+const nodeBytes = int64(unsafe.Sizeof(graph.NodeID(0)))
 
-// profileBlock is the struct-of-arrays form of a set of items' profiles:
-// every part of a sweep has one.
-type profileBlock struct {
-	out *tree.ProfileArena
-	in  *tree.ProfileArena // nil for undirected items
-	// item[r] is the slot of the item row r describes; rows ascend by
-	// (size key, item slot).
-	item []int32
-	n    int
+// This file holds the candidate block the cascade sweep reads at any
+// width: the scan's rows in columns, one arena (internal/tree) for the
+// out-trees and one for the in-trees when the corpus is directed. The
+// arenas are the only resident copy of an indexed row: its level
+// widths, degree runs and stored labels. A block is immutable once
+// published, so epoch clones share it; a write's successor delta
+// extends its predecessor's arenas in place (tree.ProfileArena.Append).
+//
+// A block's rows are physical rows of its arenas. Its ranks order the
+// live ones by size key — the out-tree's node count, plus the in-tree's
+// when directed — then by node (ord). Since |Δout| + |Δin| ≥
+// |Δ(out+in)|, the size key lower-bounds the size tier, so the ranks
+// whose size bound can be within w of a query are one contiguous range,
+// found by binary search (window): a query bounds the rows of its
+// window only and dismisses the others, in bulk, by size. Tier 2 reads
+// a row's level widths and degree runs from the arenas too
+// (degreeTierPrunes), so a candidate's tree and profile are built, from
+// its stored labels and the dictionary, only when it reaches the verify
+// stage (candidate).
+
+// Rows is a batch of indexed rows in columns, node-ascending: row i is
+// node Nodes[i], its out-tree row i of Out and, when directed, its
+// in-tree row i of In, all at depth K.
+type Rows struct {
+	K       int
+	Nodes   []graph.NodeID
+	Out, In *tree.ProfileArena
 }
 
-// compileBlock builds the block over items, which must all be profiled
-// and all directed or all undirected; anything else is a programming
-// error and panics. An empty batch gets an empty block. A row whose
-// item — same node, same profiles — a block of from already holds is
-// copied from that block's arenas, which it reads in row order: a write
-// recompiles its delta from the last one, a fold its base from the old
-// base and delta. The other rows are gathered from their items'
-// profiles and put in size-key order by a counting sort, and the runs
-// are merged, so compiling costs O(n) either way.
-func compileBlock(items []Item, from ...sweepPart) *profileBlock {
+// Len is the row count; a nil batch has none.
+func (r *Rows) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.Nodes)
+}
+
+// RowsOf compiles profiled items — all directed or all undirected;
+// anything else is a programming error and panics — into rows, in node
+// order (stably: a scan's items are distinct nodes). The rows keep no
+// reference to the items' trees or profiles.
+func RowsOf(items []Item) *Rows {
+	items = nodeSorted(items)
 	directed := len(items) > 0 && items[0].In != nil
-	keys := make([]int32, len(items))
+	rows := &Rows{Nodes: make([]graph.NodeID, len(items))}
+	out := make([]tree.ArenaRun, len(items))
+	var in []tree.ArenaRun
+	if directed {
+		in = make([]tree.ArenaRun, len(items))
+	}
 	for i := range items {
 		it := &items[i]
 		mustProfiled(it)
 		if (it.In != nil) != directed {
 			panic("ned: a profile block mixes directed and undirected items")
 		}
-		keys[i] = it.OutP.Size
+		rows.K, rows.Nodes[i] = it.K, it.Node
+		out[i] = tree.ArenaRun{P: it.OutP, T: it.Out}
 		if directed {
-			keys[i] += it.InP.Size
+			in[i] = tree.ArenaRun{P: it.InP, T: it.In}
 		}
 	}
-	held := make([]bool, len(items))
-	var rows []blockRow
-	for _, src := range from {
-		if src.blk == nil {
-			continue
-		}
-		to := matchSlots(src.items, items)
-		run := make([]blockRow, 0, src.blk.n)
-		for r := range int32(src.blk.n) {
-			if s := to[src.blk.item[r]]; s >= 0 && !held[s] {
-				held[s] = true
-				run = append(run, blockRow{key: keys[s], slot: s, blk: src.blk, r: r})
-			}
-		}
-		rows = mergeRows(rows, run)
-	}
-	var fresh []int32
-	for i, h := range held {
-		if !h {
-			fresh = append(fresh, int32(i))
-		}
-	}
-	fresh, _ = orderBy(fresh, keys, nil, nil)
-	run := make([]blockRow, len(fresh))
-	for i, s := range fresh {
-		run[i] = blockRow{key: keys[s], slot: s}
-	}
-	rows = mergeRows(rows, run)
-	blk := &profileBlock{item: make([]int32, len(rows)), n: len(rows)}
-	for i, x := range rows {
-		blk.item[i] = x.slot
-	}
-	blk.out = tree.CompileRuns(arenaRuns(rows, items, false))
+	rows.Out = tree.CompileRuns(out)
 	if directed {
-		blk.in = tree.CompileRuns(arenaRuns(rows, items, true))
+		rows.In = tree.CompileRuns(in)
 	}
-	return blk
+	return rows
 }
 
-// blockRow is one row of a block being compiled: its size key, its item
-// slot, and the block row it is copied from (blk nil: its item's
-// profiles).
-type blockRow struct {
-	key, slot int32
-	blk       *profileBlock
-	r         int32
-}
-
-// arenaRuns turns rows into the runs tree.CompileRuns copies for the
-// out-trees' arena, or the in-trees' when in is set: each stretch of
-// consecutive rows of one source block is one run.
-func arenaRuns(rows []blockRow, items []Item, in bool) []tree.ArenaRun {
-	var runs []tree.ArenaRun
-	for _, x := range rows {
-		if x.blk == nil {
-			p := items[x.slot].OutP
-			if in {
-				p = items[x.slot].InP
-			}
-			runs = append(runs, tree.ArenaRun{P: p})
-			continue
-		}
-		from := x.blk.out
-		if in {
-			from = x.blk.in
-		}
-		if k := len(runs) - 1; k >= 0 && runs[k].From == from && runs[k].Hi == int(x.r) {
-			runs[k].Hi++
-			continue
-		}
-		runs = append(runs, tree.ArenaRun{From: from, Lo: int(x.r), Hi: int(x.r) + 1})
+// Only is the batch of r's rows whose nodes are in nodes, which ascend:
+// r itself when that is all of them.
+func (r *Rows) Only(nodes []graph.NodeID) *Rows {
+	if len(nodes) == r.Len() {
+		return r
 	}
-	return runs
-}
-
-// mergeRows merges two runs of rows, each ascending by (size key, slot).
-func mergeRows(a, b []blockRow) []blockRow {
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]blockRow, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if b[0].key < a[0].key || (b[0].key == a[0].key && b[0].slot < a[0].slot) {
-			out, b = append(out, b[0]), b[1:]
-		} else {
-			out, a = append(out, a[0]), a[1:]
+	sub := &Rows{K: r.K, Nodes: nodes}
+	var out, in []tree.ArenaRun
+	i := 0
+	for _, v := range nodes {
+		for r.Nodes[i] != v {
+			i++
+		}
+		out = extendRun(out, r.Out, int32(i))
+		if r.In != nil {
+			in = extendRun(in, r.In, int32(i))
 		}
 	}
-	return append(append(out, a...), b...)
+	sub.Out = tree.CompileRuns(out)
+	if r.In != nil {
+		sub.In = tree.CompileRuns(in)
+	}
+	return sub
 }
 
-// matchSlots maps each slot of src to the slot of dst holding the same
-// item — same node, same profiles — or -1. Both are node-sorted, so the
-// map ascends wherever it is set.
-func matchSlots(src, dst []Item) []int32 {
-	to := make([]int32, len(src))
-	j := 0
-	for i, it := range src {
-		for j < len(dst) && dst[j].Node < it.Node {
-			j++
-		}
-		to[i] = -1
-		if j < len(dst) && dst[j].Node == it.Node && dst[j].OutP == it.OutP && dst[j].InP == it.InP {
-			to[i] = int32(j)
-			j++
+// Item builds row i into an item of its own: its node, trees and
+// profiles.
+func (r *Rows) Item(i int) Item {
+	it := Item{Node: r.Nodes[i], K: r.K}
+	it.Out, it.OutP = r.Out.Build(i)
+	if r.In != nil {
+		it.In, it.InP = r.In.Build(i)
+	}
+	return it
+}
+
+// Row describes row i as a scan stores it.
+func (r *Rows) Row(i int) Row {
+	levels, _ := r.Out.Row(i)
+	x := Row{Node: r.Nodes[i], Out: r.Out.Stored(i), Size: int(r.Out.Sizes[i]), Height: len(levels) - 1}
+	if r.In != nil {
+		x.In, x.Size = r.In.Stored(i), x.Size+int(r.In.Sizes[i])
+	}
+	return x
+}
+
+// profileBlock is a sweep part's rows: every part of a sweep has one.
+// Its Rows are its physical rows, in no particular order; the ranks
+// order the live ones.
+type profileBlock struct {
+	Rows
+	// ord[r] is the physical row of rank r: the live rows, ascending by
+	// (size key, node). byNode lists them by ascending node; nil when
+	// every physical row is live and they ascend by node.
+	ord, byNode []int32
+	n           int // the live rows
+}
+
+// newBlock ranks the live rows of rows, listed by node in byNode (nil:
+// every row, ascending by node), by size key.
+func newBlock(rows Rows, byNode []int32) *profileBlock {
+	b := &profileBlock{Rows: rows, byNode: byNode}
+	live := byNode
+	if live == nil {
+		live = make([]int32, rows.Out.N)
+		for p := range live {
+			live[p] = int32(p)
 		}
 	}
-	return to
+	keys := make([]int32, rows.Out.N)
+	for _, p := range live {
+		keys[p] = b.physKey(p)
+	}
+	b.ord, _ = orderBy(live, keys, nil, nil)
+	b.n = len(b.ord)
+	return b
 }
 
-// bytes is the size of the block's columns: what compiling it copied.
+// blockOf is the block over rows, every one live.
+func blockOf(rows *Rows) *profileBlock { return newBlock(*rows, nil) }
+
+// bytes is the size of the block's own columns: its arenas, nodes and
+// ranks.
 func (b *profileBlock) bytes() int64 {
-	n := b.out.Bytes() + 4*int64(len(b.item))
-	if b.in != nil {
-		n += b.in.Bytes()
+	n := b.Out.Bytes() + int64(len(b.Nodes))*nodeBytes + 4*int64(len(b.ord)+len(b.byNode))
+	if b.In != nil {
+		n += b.In.Bytes()
 	}
 	return n
 }
 
-// key is row r's size key.
-func (b *profileBlock) key(r int) int32 {
-	k := b.out.Sizes[r]
-	if b.in != nil {
-		k += b.in.Sizes[r]
+// physKey is physical row p's size key.
+func (b *profileBlock) physKey(p int32) int32 {
+	k := b.Out.Sizes[p]
+	if b.In != nil {
+		k += b.In.Sizes[p]
 	}
 	return k
 }
 
-// rowsBelow is the number of rows whose size key is below k.
+// key is rank r's size key.
+func (b *profileBlock) key(r int) int32 { return b.physKey(b.ord[r]) }
+
+// rowsBelow is the number of ranks whose size key is below k.
 func (b *profileBlock) rowsBelow(k int64) int32 {
 	lo, hi := 0, b.n
 	for lo < hi {
@@ -205,41 +204,86 @@ func (b *profileBlock) rowsBelow(k int64) int32 {
 	return int32(lo)
 }
 
-// window returns the rows [lo, hi) whose size key is within w of the
-// profiled query's: every row outside it has a size bound above w. A
+// window returns the ranks [lo, hi) whose size key is within w of the
+// profiled query's: every rank outside it has a size bound above w. A
 // query whose size key would not bound the size tier here — one without
-// an in-tree against a directed block — gets every row.
+// an in-tree against a directed block — gets every rank.
 func (b *profileBlock) window(q Item, w int) (lo, hi int32) {
-	if b.in != nil && q.In == nil {
+	if b.In != nil && q.In == nil {
 		return 0, int32(b.n)
 	}
 	qk := int64(q.OutP.Size)
-	if b.in != nil {
+	if b.In != nil {
 		qk += int64(q.InP.Size)
 	}
 	w64 := int64(min(w, math.MaxInt32))
 	return b.rowsBelow(qk - w64), b.rowsBelow(qk + w64 + 1)
 }
 
-// rowOf is the row describing slot s of items, the items the block was
-// compiled over.
-func (b *profileBlock) rowOf(items []Item, s int32) int32 {
-	k := items[s].OutP.Size
-	if b.in != nil {
-		k += items[s].InP.Size
-	}
+// rankOf is the rank of live physical row p.
+func (b *profileBlock) rankOf(p int32) int32 {
+	k, v := b.physKey(p), b.Nodes[p]
 	r := sort.Search(b.n, func(r int) bool {
 		kr := b.key(r)
-		return kr > k || (kr == k && b.item[r] >= s)
+		return kr > k || (kr == k && b.Nodes[b.ord[r]] >= v)
 	})
-	if r == b.n || b.item[r] != s {
-		panic("ned: an item slot has no row in its block")
+	if r == b.n || b.ord[r] != p {
+		panic("ned: a live row has no rank in its block")
 	}
 	return int32(r)
 }
 
-// bounds sweeps the size and padding tiers over rows [lo, hi) against
-// the profiled query, writing row lo+i's bounds to sizeB[i] and padB[i]
+// live returns the physical rows by ascending node.
+func (b *profileBlock) live() iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		if b.byNode != nil {
+			for _, p := range b.byNode {
+				if !yield(p) {
+					return
+				}
+			}
+			return
+		}
+		for p := range int32(b.n) {
+			if !yield(p) {
+				return
+			}
+		}
+	}
+}
+
+// find is the physical row of node v, if it is live.
+func (b *profileBlock) find(v graph.NodeID) (int32, bool) {
+	if b.byNode == nil {
+		p, ok := slices.BinarySearch(b.Nodes[:b.n], v)
+		return int32(p), ok
+	}
+	i, ok := slices.BinarySearchFunc(b.byNode, v, func(p int32, v graph.NodeID) int { return cmp.Compare(b.Nodes[p], v) })
+	if !ok {
+		return 0, false
+	}
+	return b.byNode[i], true
+}
+
+// rowScratch is one sweeper's memory for the candidates it verifies.
+type rowScratch struct{ out, in tree.RowScratch }
+
+var rowScratches = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// candidate builds rank r into sc: the candidate's node, trees and
+// profiles, valid until sc builds the next one.
+func (b *profileBlock) candidate(sc *rowScratch, r int32) Item {
+	p := b.ord[r]
+	it := Item{Node: b.Nodes[p], K: b.K}
+	it.Out, it.OutP = sc.out.Row(b.Out, int(p))
+	if b.In != nil {
+		it.In, it.InP = sc.in.Row(b.In, int(p))
+	}
+	return it
+}
+
+// bounds sweeps the size and padding tiers over ranks [lo, hi) against
+// the profiled query, writing rank lo+i's bounds to sizeB[i] and padB[i]
 // (len >= hi-lo each). A directed pair's bounds sum over its out- and
 // in-trees.
 func (b *profileBlock) bounds(q Item, lo, hi int32, sizeB, padB []int32) {
@@ -248,31 +292,34 @@ func (b *profileBlock) bounds(q Item, lo, hi int32, sizeB, padB []int32) {
 	sizeB, padB = sizeB[:n], padB[:n]
 	clear(sizeB)
 	clear(padB)
-	boundArena(q.OutP, b.out, lo, hi, sizeB, padB)
-	if b.in != nil && q.In != nil {
-		boundArena(q.InP, b.in, lo, hi, sizeB, padB)
+	rows := b.ord[lo:hi]
+	boundArena(q.OutP, b.Out, rows, sizeB, padB)
+	if b.In != nil && q.In != nil {
+		boundArena(q.InP, b.In, rows, sizeB, padB)
 	}
 }
 
 // boundArena accumulates one tree pair's size and padding tiers over
-// rows [lo, hi) of a.
-func boundArena(p *tree.Profile, a *tree.ProfileArena, lo, hi int32, sizeB, padB []int32) {
-	sizeTierBlock(p.Size, a.Sizes[lo:hi], sizeB)
-	paddingTierBlock(p.Levels, a.Width, a.Levels[int(lo)*a.Width:int(hi)*a.Width], padB)
+// the physical rows of a.
+func boundArena(p *tree.Profile, a *tree.ProfileArena, rows, sizeB, padB []int32) {
+	sizeTierBlock(p.Size, a.Sizes, rows, sizeB)
+	paddingTierBlock(p.Levels, a.Width, a.Levels, rows, padB)
 }
 
-// degreeTierPrunes is tier 2 on row r, the column form of the item-level
-// degreeTierPrunes: pad plus ted.DegreeExcessRuns of the out-pair and
-// then of the in-pair, each under whatever the sum so far left of t,
-// with the row's level widths and degree runs read from the arenas.
+// degreeTierPrunes is tier 2 on rank r, the column form of the
+// item-level degreeTierPrunes: pad plus ted.DegreeExcessRuns of the
+// out-pair and then of the in-pair, each under whatever the sum so far
+// left of t, with the row's level widths and degree runs read from the
+// arenas.
 func (b *profileBlock) degreeTierPrunes(q Item, r int32, pad, t int) (bound int, pruned bool) {
+	p := int(b.ord[r])
 	bound = pad
 	if bound <= t {
-		la, da := b.out.Row(int(r))
+		la, da := b.Out.Row(p)
 		bound += ted.DegreeExcessRuns(q.OutP.Levels, q.OutP.InnerDegs(), la, da, t-bound)
 	}
-	if bound <= t && b.in != nil && q.In != nil {
-		la, da := b.in.Row(int(r))
+	if bound <= t && b.In != nil && q.In != nil {
+		la, da := b.In.Row(p)
 		bound += ted.DegreeExcessRuns(q.InP.Levels, q.InP.InnerDegs(), la, da, t-bound)
 	}
 	return bound, bound > t

@@ -1,14 +1,13 @@
 package ned
 
 import (
-	"cmp"
 	"context"
 	"iter"
 	"slices"
-	"unsafe"
 
 	"ned/internal/graph"
 	"ned/internal/ted"
+	"ned/internal/tree"
 )
 
 // This file makes every index backend mutable behind one interface. The
@@ -56,20 +55,37 @@ type DynamicIndex interface {
 	Clone() DynamicIndex
 }
 
-// ItemIndex is a DynamicIndex that is also the store of its items: the
+// ItemIndex is a DynamicIndex that is also the store of its rows: the
 // cascade scan, which a built Corpus keeps as the only copy of its
-// items. Both scan constructors return one.
+// rows. Both scan constructors and NewScan return one.
 type ItemIndex interface {
 	DynamicIndex
-	// Item returns node v's indexed item.
+	// Item builds node v's indexed item — trees and profiles — in memory
+	// of its own.
 	Item(v graph.NodeID) (Item, bool)
-	// Items iterates the indexed items in ascending node order.
+	// Has reports whether node v is indexed.
+	Has(v graph.NodeID) bool
+	// Items iterates the indexed nodes in ascending order, as items
+	// holding only Node and K.
 	Items() iter.Seq[Item]
+	// Rows iterates the indexed rows as the scan stores them, in
+	// ascending node order.
+	Rows() iter.Seq[Row]
 	// Splice returns a successor with dels removed and ups upserted (an
-	// up of an indexed node replaces its item), leaving the receiver
+	// up of an indexed node replaces its row), leaving the receiver
 	// untouched, and the bytes of index state the successor copied:
 	// O(change), plus the rebuild when the change folds the delta.
-	Splice(ups []Item, dels []graph.NodeID) (ItemIndex, int64)
+	Splice(ups *Rows, dels []graph.NodeID) (ItemIndex, int64)
+}
+
+// Row is one indexed row as the scan stores it: its node, the stored
+// form of each of its trees (tree.ProfileArena.Words; In nil when
+// undirected), the node count of both, and the out-tree's height.
+type Row struct {
+	Node    graph.NodeID
+	Out, In []int32
+	Size    int
+	Height  int
 }
 
 // nodeSet builds a membership set for a removal batch.
@@ -98,19 +114,22 @@ func removeItems(items []Item, gone map[graph.NodeID]bool) ([]Item, int) {
 
 // --- cascade scan backend ---
 
-// A scan's items are an immutable base plus a copy-on-write delta, the
-// MV-PBT layout (PAPERS.md). The base holds node-sorted items and their
-// profile block; delta holds, node-sorted, what was inserted since the
-// last fold, with a block of its own; dead lists, ascending, the base
-// slots removed since then — the base's live run is the spans between
-// them — and deadRows the rows of the base block that describe them, the
-// form a sweep skips them in. A mutation never writes any of these: it
-// allocates a new delta and dead lists and compiles the new delta's
-// block, so clones share everything and a write copies O(delta). Once
-// the delta and the dead slots together pass max(foldMin,
-// len(base)>>foldShift), the mutation folds them inline into a new base
-// — one merge and one block compile, amortized over the mutations since
-// the last fold.
+// A scan's rows are an immutable base plus a delta, the MV-PBT layout
+// (PAPERS.md). The base block's physical rows ascend by node; dead
+// lists, ascending, the base rows removed since the last fold — the
+// base's live run is the spans between them — and deadRows their
+// ranks, the form a sweep skips them in. The delta block holds what was
+// inserted since the last fold, its physical rows in arrival order,
+// ranked and listed by node over its live ones. A mutation never writes
+// a published block or list: it allocates new dead lists and a new
+// delta block, whose arenas extend the last delta's in place (only the
+// first successor of a delta can, so a clone's never collide) — a
+// write copies its own rows and the delta's ranks and node lists. A
+// delta whose dead physical rows outnumber its live ones is compacted.
+// Once the live delta and the dead slots together pass
+// max(foldMin, base>>foldShift), the mutation folds them inline into a
+// new base — one merge of runs, amortized over the mutations since the
+// last fold.
 
 // foldMin and foldShift fix when a scan folds (see above).
 const (
@@ -118,43 +137,41 @@ const (
 	foldShift = 5
 )
 
-// itemBytes is what copying one Item costs.
-const itemBytes = int64(unsafe.Sizeof(Item{}))
-
-func (b *scanBackend) Insert(items ...Item) { b.apply(items, nil) }
+func (b *scanBackend) Insert(items ...Item) { b.apply(RowsOf(items), nil) }
 
 func (b *scanBackend) Remove(nodes ...graph.NodeID) int {
 	n, _ := b.apply(nil, nodes)
 	return n
 }
 
-func (b *scanBackend) Splice(ups []Item, dels []graph.NodeID) (ItemIndex, int64) {
+func (b *scanBackend) Splice(ups *Rows, dels []graph.NodeID) (ItemIndex, int64) {
 	c := *b
 	_, copied := c.apply(ups, dels)
 	return &c, copied
 }
 
-// apply removes dels and the nodes of ups, then inserts ups. It replaces
-// b's dead list, delta and delta block with fresh ones (a fold replaces
-// the base too) and writes nothing b shares with its clones. It returns
-// how many indexed items it removed and how many bytes it copied.
-func (b *scanBackend) apply(ups []Item, dels []graph.NodeID) (removed int, copied int64) {
+// apply removes dels and the nodes of ups, then inserts ups (nil: none).
+// It replaces b's dead lists and delta block with fresh ones (a fold
+// replaces the base too) and writes nothing b shares with its clones.
+// It returns how many indexed rows it removed and how many bytes it
+// copied.
+func (b *scanBackend) apply(ups *Rows, dels []graph.NodeID) (removed int, copied int64) {
 	gone := nodeSet(dels)
-	for _, it := range ups {
-		gone[it.Node] = true
+	if ups != nil {
+		for _, v := range ups.Nodes {
+			gone[v] = true
+		}
 	}
 	var slots []int32
 	for v := range gone {
-		for s := b.baseSlot(v); s < len(b.base) && b.base[s].Node == v; s++ {
-			if !b.isDead(int32(s)) {
-				slots = append(slots, int32(s))
-			}
+		if p, ok := b.bblk.find(v); ok && !b.isDead(p) {
+			slots = append(slots, p)
 		}
 	}
 	if len(slots) > 0 {
 		rows := slices.Clone(b.deadRows)
 		for _, s := range slots {
-			rows = append(rows, b.bblk.rowOf(b.base, s))
+			rows = append(rows, b.bblk.rankOf(s))
 		}
 		slices.Sort(rows)
 		b.dead = slices.Concat(b.dead, slots)
@@ -162,83 +179,236 @@ func (b *scanBackend) apply(ups []Item, dels []graph.NodeID) (removed int, copie
 		b.deadRows = rows
 		copied += 8 * int64(len(b.dead))
 	}
-	delta := make([]Item, 0, len(b.delta)+len(ups))
-	for _, it := range b.delta {
-		if !gone[it.Node] {
-			delta = append(delta, it)
+	var keep []int32
+	dropped := 0
+	if b.dblk != nil {
+		for p := range b.dblk.live() {
+			if gone[b.dblk.Nodes[p]] {
+				dropped++
+			} else {
+				keep = append(keep, p)
+			}
 		}
 	}
-	dropped := len(b.delta) - len(delta)
 	removed = len(slots) + dropped
-	if dropped+len(ups) > 0 {
-		last := sweepPart{items: b.delta, blk: b.dblk}
-		b.delta = append(delta, ups...)
-		slices.SortFunc(b.delta, compareNodes)
-		b.dblk = compileBlock(b.delta, last)
-		copied += itemBytes*int64(len(b.delta)) + b.dblk.bytes()
+	if ups.Len()+dropped > 0 {
+		var c int64
+		b.dblk, c = b.nextDelta(keep, ups)
+		copied += c
 	}
-	if len(b.dead)+len(b.delta) > max(foldMin, len(b.base)>>foldShift) {
+	if len(b.dead)+b.deltaLen() > max(foldMin, b.bblk.n>>foldShift) {
 		return removed, copied + b.fold()
 	}
 	return removed, copied
 }
 
-// fold merges the live base and the delta into a new base, its block
-// copied from theirs, and returns the bytes the rebuild copied.
+// deltaLen is the delta's live row count.
+func (b *scanBackend) deltaLen() int {
+	if b.dblk == nil {
+		return 0
+	}
+	return b.dblk.n
+}
+
+// nextDelta is the delta block holding the last delta's physical rows
+// keep (by ascending node) and then ups, and the bytes it copied. It
+// extends the last delta's arenas unless their dead rows outnumber the
+// live ones, when it compacts them.
+func (b *scanBackend) nextDelta(keep []int32, ups *Rows) (*profileBlock, int64) {
+	old := b.dblk
+	if len(keep)+ups.Len() == 0 {
+		return nil, 0
+	}
+	var out, in *tree.ProfileArena
+	var nodes []graph.NodeID
+	var copied int64
+	var byNode []int32
+	if old == nil || old.Out.N > 2*len(keep)+foldMin {
+		var outRuns, inRuns []tree.ArenaRun
+		for _, p := range keep {
+			nodes = append(nodes, old.Nodes[p])
+			outRuns = extendRun(outRuns, old.Out, p)
+			if old.In != nil {
+				inRuns = extendRun(inRuns, old.In, p)
+			}
+		}
+		byNode = make([]int32, len(keep), len(keep)+ups.Len())
+		for i := range byNode {
+			byNode[i] = int32(i)
+		}
+		if ups != nil {
+			outRuns = append(outRuns, tree.ArenaRun{From: ups.Out, Hi: ups.Len()})
+			if ups.In != nil {
+				inRuns = append(inRuns, tree.ArenaRun{From: ups.In, Hi: ups.Len()})
+			}
+		}
+		out = tree.CompileRuns(outRuns)
+		copied = out.Bytes()
+		if len(inRuns) > 0 {
+			in = tree.CompileRuns(inRuns)
+			copied += in.Bytes()
+		}
+	} else {
+		nodes, byNode = slices.Clip(old.Nodes), keep
+		if ups != nil {
+			var c int64
+			out, c = old.Out.Append([]tree.ArenaRun{{From: ups.Out, Hi: ups.Len()}})
+			copied += c
+			if ups.In != nil {
+				in, c = old.In.Append([]tree.ArenaRun{{From: ups.In, Hi: ups.Len()}})
+				copied += c
+			}
+		} else {
+			out, in = old.Out, old.In
+		}
+	}
+	at := int32(len(nodes))
+	if ups != nil {
+		nodes = append(nodes, ups.Nodes...)
+		added := make([]int32, ups.Len())
+		for i := range added {
+			added[i] = at + int32(i)
+		}
+		byNode = mergeByNode(nodes, byNode, added)
+	}
+	k := b.bblk.K
+	if ups.Len() > 0 {
+		k = ups.K
+	}
+	blk := newBlock(Rows{K: k, Nodes: nodes, Out: out, In: in}, byNode)
+	return blk, copied + nodeBytes*int64(len(nodes)) + 4*int64(len(blk.ord)+len(blk.byNode))
+}
+
+// mergeByNode merges two lists of physical rows, each ascending by node,
+// into a new one.
+func mergeByNode(nodes []graph.NodeID, a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if nodes[b[0]] < nodes[a[0]] {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// extendRun appends physical row p of a to runs, extending the last run
+// when it ends just before p in a.
+func extendRun(runs []tree.ArenaRun, a *tree.ProfileArena, p int32) []tree.ArenaRun {
+	if k := len(runs) - 1; k >= 0 && runs[k].From == a && runs[k].Hi == int(p) {
+		runs[k].Hi++
+		return runs
+	}
+	return append(runs, tree.ArenaRun{From: a, Lo: int(p), Hi: int(p) + 1})
+}
+
+// fold merges the live base and the delta into a new base, its arenas
+// copied from theirs in runs, and returns the bytes the rebuild copied.
 func (b *scanBackend) fold() int64 {
-	items := slices.AppendSeq(make([]Item, 0, b.Len()), b.Items())
-	b.bblk = compileBlock(items, sweepPart{items: b.base, blk: b.bblk}, sweepPart{items: b.delta, blk: b.dblk})
-	b.base = items
-	b.dead, b.deadRows, b.delta, b.dblk = nil, nil, nil, nil
-	return itemBytes*int64(len(items)) + b.bblk.bytes()
+	directed := b.bblk.In != nil || (b.dblk != nil && b.dblk.In != nil)
+	var outRuns, inRuns []tree.ArenaRun
+	nodes := make([]graph.NodeID, 0, b.Len())
+	for x := range b.liveRows() {
+		nodes = append(nodes, x.blk.Nodes[x.p])
+		outRuns = extendRun(outRuns, x.blk.Out, x.p)
+		if directed {
+			inRuns = extendRun(inRuns, x.blk.In, x.p)
+		}
+	}
+	k := b.bblk.K
+	if b.dblk != nil {
+		k = b.dblk.K
+	}
+	rows := &Rows{K: k, Nodes: nodes, Out: tree.CompileRuns(outRuns)}
+	if directed {
+		rows.In = tree.CompileRuns(inRuns)
+	}
+	b.bblk = blockOf(rows)
+	b.dead, b.deadRows, b.dblk = nil, nil, nil
+	return b.bblk.bytes()
 }
 
-// nodeVs compares an item's node with v, for binary searches.
-func nodeVs(it Item, v graph.NodeID) int { return cmp.Compare(it.Node, v) }
-
-// baseSlot is the first base slot whose node is not below v.
-func (b *scanBackend) baseSlot(v graph.NodeID) int {
-	s, _ := slices.BinarySearchFunc(b.base, v, nodeVs)
-	return s
-}
-
-// isDead reports whether base slot s was removed since the last fold.
-func (b *scanBackend) isDead(s int32) bool {
-	_, found := slices.BinarySearch(b.dead, s)
+// isDead reports whether base row p was removed since the last fold.
+func (b *scanBackend) isDead(p int32) bool {
+	_, found := slices.BinarySearch(b.dead, p)
 	return found
 }
 
-func (b *scanBackend) Item(v graph.NodeID) (Item, bool) {
-	if i, ok := slices.BinarySearchFunc(b.delta, v, nodeVs); ok {
-		return b.delta[i], true
-	}
-	for s := b.baseSlot(v); s < len(b.base) && b.base[s].Node == v; s++ {
-		if !b.isDead(int32(s)) {
-			return b.base[s], true
-		}
-	}
-	return Item{}, false
+// blockRow is a physical row of one of a scan's blocks.
+type blockRow struct {
+	blk *profileBlock
+	p   int32
 }
 
-// Items merges the live base with the delta, both node-sorted.
-func (b *scanBackend) Items() iter.Seq[Item] {
-	return func(yield func(Item) bool) {
-		delta := b.delta
-		for lo, hi := range liveSpans(int32(len(b.base)), b.dead) {
-			for _, it := range b.base[lo:hi] {
-				for len(delta) > 0 && delta[0].Node < it.Node {
-					if !yield(delta[0]) {
+// locate is node v's live row.
+func (b *scanBackend) locate(v graph.NodeID) (blockRow, bool) {
+	if b.dblk != nil {
+		if p, ok := b.dblk.find(v); ok {
+			return blockRow{b.dblk, p}, true
+		}
+	}
+	if p, ok := b.bblk.find(v); ok && !b.isDead(p) {
+		return blockRow{b.bblk, p}, true
+	}
+	return blockRow{}, false
+}
+
+func (b *scanBackend) Item(v graph.NodeID) (Item, bool) {
+	x, ok := b.locate(v)
+	if !ok {
+		return Item{}, false
+	}
+	return x.blk.Item(int(x.p)), true
+}
+
+func (b *scanBackend) Has(v graph.NodeID) bool {
+	_, ok := b.locate(v)
+	return ok
+}
+
+// liveRows merges the live base rows with the delta's, by node.
+func (b *scanBackend) liveRows() iter.Seq[blockRow] {
+	return func(yield func(blockRow) bool) {
+		var delta []int32
+		if b.dblk != nil {
+			delta = slices.Collect(b.dblk.live())
+		}
+		for lo, hi := range liveSpans(int32(b.bblk.n), b.dead) {
+			for p := lo; p < hi; p++ {
+				for len(delta) > 0 && b.dblk.Nodes[delta[0]] < b.bblk.Nodes[p] {
+					if !yield(blockRow{b.dblk, delta[0]}) {
 						return
 					}
 					delta = delta[1:]
 				}
-				if !yield(it) {
+				if !yield(blockRow{b.bblk, p}) {
 					return
 				}
 			}
 		}
-		for _, it := range delta {
-			if !yield(it) {
+		for _, p := range delta {
+			if !yield(blockRow{b.dblk, p}) {
+				return
+			}
+		}
+	}
+}
+
+func (b *scanBackend) Items() iter.Seq[Item] {
+	return func(yield func(Item) bool) {
+		for x := range b.liveRows() {
+			if !yield(Item{Node: x.blk.Nodes[x.p], K: b.bblk.K}) {
+				return
+			}
+		}
+	}
+}
+
+func (b *scanBackend) Rows() iter.Seq[Row] {
+	return func(yield func(Row) bool) {
+		for x := range b.liveRows() {
+			if !yield(x.blk.Row(int(x.p))) {
 				return
 			}
 		}

@@ -74,16 +74,14 @@ func TestScanDeltaChurn(t *testing.T) {
 				}
 			}
 		}
-		if !reflect.DeepEqual(b.bblk, compileBlock(b.base)) {
-			t.Fatalf("%s: the base block differs from one compiled afresh", name)
-		}
-		if len(b.delta) > 0 && !reflect.DeepEqual(b.dblk, compileBlock(b.delta)) {
-			t.Fatalf("%s: the delta block differs from one compiled afresh", name)
+		sameRanks(t, name+": the base block against one compiled afresh", b.bblk, compileBlock(b.baseItems()))
+		if b.deltaLen() > 0 {
+			sameRanks(t, name+": the delta block against one compiled afresh", b.dblk, compileBlock(b.deltaItems()))
 		}
 		var rows []int32
 		for _, s := range b.dead {
-			for r, slot := range b.bblk.item {
-				if slot == s {
+			for r, p := range b.bblk.ord {
+				if p == s {
 					rows = append(rows, int32(r))
 				}
 			}
@@ -153,26 +151,26 @@ func TestScanDeltaChurn(t *testing.T) {
 		switch {
 		case step == 3:
 			// Remove and re-insert one live base node in one step.
-			s := int32(len(ix.base) / 2)
+			s := int32(ix.bblk.n / 2)
 			for ix.isDead(s) {
 				s++
 			}
-			v := ix.base[s].Node
+			v := ix.bblk.Nodes[s]
 			if ix.Remove(v) != 1 {
 				t.Fatalf("step %d: base node %d was not removed", step, v)
 			}
 			ix.Insert(items[v])
 			scripted++
-		case step == 5 && len(ix.delta) > 0:
+		case step == 5 && ix.deltaLen() > 0:
 			// Remove a node that lives only in the delta.
-			gone = append(gone, ix.delta[0].Node)
+			gone = append(gone, ix.deltaItems()[0].Node)
 			scripted++
-		case step == 7 && len(ix.delta) > 0:
+		case step == 7 && ix.deltaLen() > 0:
 			// One removal batch across base and delta.
-			gone = append(gone, ix.delta[len(ix.delta)-1].Node)
-			for _, it := range ix.base {
-				if live[it.Node] && !slices.Contains(gone, it.Node) {
-					gone = append(gone, it.Node)
+			gone = append(gone, ix.deltaItems()[ix.deltaLen()-1].Node)
+			for _, v := range ix.bblk.Nodes {
+				if live[v] && !slices.Contains(gone, v) {
+					gone = append(gone, v)
 					break
 				}
 			}

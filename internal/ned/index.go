@@ -29,14 +29,17 @@ import (
 // change results: an evaluation only aborts when the exact distance
 // provably exceeds every threshold that could admit the candidate.
 
-// Item is what an index backend stores and queries: a node plus the
-// signature trees its distance needs — the single k-adjacent tree for
-// undirected NED (Equation 1), or the outgoing and incoming trees for
-// the directed variant (Equation 2) — and the precomputed Profiles the
-// filter–verify cascade evaluates candidates through. Profiles are
+// Item is what an index backend is given and queried with: a node plus
+// the signature trees its distance needs — the single k-adjacent tree
+// for undirected NED (Equation 1), or the outgoing and incoming trees
+// for the directed variant (Equation 2) — and the precomputed Profiles
+// the filter–verify cascade evaluates candidates through. Profiles are
 // required, not optional: an item is indexed or swept only once its
 // owner has compiled them (ProfileItem), and a query only with its own
 // (ProfileQueryItem); an unprofiled item reaching a backend panics.
+// The cascade scan keeps none of an item but its rows (RowsOf): the
+// items its Items yields carry Node and K only, and Item builds the
+// trees and profiles back from the rows.
 type Item struct {
 	Node graph.NodeID
 	K    int
@@ -77,6 +80,39 @@ func BuildItems(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, work
 		out[i] = NewItem(g, nodes[i], k, directed)
 	})
 	return out
+}
+
+// buildChunk is how many nodes a BuildRows worker extracts and profiles
+// before compiling them into rows and dropping their trees.
+const buildChunk = 256
+
+// BuildRows extracts and profiles the given nodes of g, which must
+// ascend, against dict and compiles them into rows, in parallel chunks:
+// each worker holds the trees and profiles of one chunk at a time, so
+// a build never holds every node's at once.
+func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) *Rows {
+	chunks := make([]*Rows, (len(nodes)+buildChunk-1)/buildChunk)
+	parallelFor(len(chunks), BatchOptions{Workers: workers}.workers(), func(c int) {
+		chunks[c] = RowsOf(BuildProfiledItems(g, nodes[c*buildChunk:min((c+1)*buildChunk, len(nodes))], k, directed, dict, 1))
+	})
+	rows := &Rows{K: k, Nodes: make([]graph.NodeID, 0, len(nodes))}
+	out := make([]tree.ArenaRun, len(chunks))
+	var in []tree.ArenaRun
+	if directed {
+		in = make([]tree.ArenaRun, len(chunks))
+	}
+	for c, ch := range chunks {
+		rows.Nodes = append(rows.Nodes, ch.Nodes...)
+		out[c] = tree.ArenaRun{From: ch.Out, Hi: ch.Len()}
+		if directed {
+			in[c] = tree.ArenaRun{From: ch.In, Hi: ch.Len()}
+		}
+	}
+	rows.Out = tree.CompileRuns(out)
+	if directed {
+		rows.In = tree.CompileRuns(in)
+	}
+	return rows
 }
 
 // BuildProfiledItems is BuildItems followed by ProfileItems in one
@@ -584,24 +620,22 @@ func (b *bkBackend) Clone() DynamicIndex {
 
 // --- cascade scan backend ---
 
-// scanBackend is the cascade scan (§10) over node-sorted items: both
+// scanBackend is the cascade scan (§10) over node-sorted rows: both
 // scan names construct it, "pruned" at width 1 and "linear" at the
 // width the caller asks for. The width is how many sweepers share one
 // query's candidates; it moves wall time, never decisions.
 //
-// The items are an immutable base plus a copy-on-write delta (see
-// dynamic.go): node n is indexed iff it is in delta, or in a base slot
-// dead does not list. A query sweeps two parts, the base without its
-// dead rows and the delta.
+// The rows are an immutable base plus a copy-on-write delta (see
+// dynamic.go): node n is indexed iff it is in the delta, or in a base
+// row dead does not list. A query sweeps two parts, the base without
+// its dead rows and the delta.
 type scanBackend struct {
-	base []Item
-	// bblk and dblk are the columnar forms of the base's and the delta's
-	// profiles, in size-key order (see block.go). Never edited: clones
-	// share them.
+	// bblk and dblk are the base's and the delta's blocks (block.go);
+	// dblk is nil when the delta is empty. Never edited: clones share
+	// them.
 	bblk     *profileBlock
-	dead     []int32 // base slots removed since the last fold, ascending
-	deadRows []int32 // the rows of bblk describing them, ascending
-	delta    []Item  // items inserted since the last fold, node-sorted
+	dead     []int32 // base rows removed since the last fold, ascending
+	deadRows []int32 // their ranks, ascending
 	dblk     *profileBlock
 
 	workers  int
@@ -615,15 +649,17 @@ type scanBackend struct {
 // widening it while it runs out below the l-th distance, verifies in
 // ascending degree-bound order under the current l-th distance as TED*
 // budget, and stops at the first bound that exceeds it (see scanKNN).
-// The items must be profiled.
-// Items already in node order are adopted as the scan's base, otherwise
-// a sorted copy is; the scan never writes them. Mutations copy only a
-// small delta (see dynamic.go).
+// The items must be profiled; the scan keeps their rows (RowsOf), not
+// them. Mutations copy only a small delta (see dynamic.go).
 func NewLinearBackend(items []Item, workers int) DynamicIndex {
-	items = nodeSorted(items)
+	return NewScan(RowsOf(items), workers)
+}
+
+// NewScan is the cascade scan at the given width over rows, whose nodes
+// must ascend; it adopts them as its base and never writes them.
+func NewScan(rows *Rows, workers int) ItemIndex {
 	return &scanBackend{
-		base:     items,
-		bblk:     compileBlock(items),
+		bblk:     blockOf(rows),
 		workers:  BatchOptions{Workers: workers}.workers(),
 		counters: &counterSet{},
 	}
@@ -633,8 +669,8 @@ func NewLinearBackend(items []Item, workers int) DynamicIndex {
 func compareNodes(a, b Item) int { return cmp.Compare(a.Node, b.Node) }
 
 // nodeSorted returns items when they ascend by node, else a stably
-// sorted copy: a scan finds its items by node, and a block breaks size
-// ties by item slot, which is then node order.
+// sorted copy: a scan finds its rows by node, and a block breaks size
+// ties by node.
 func nodeSorted(items []Item) []Item {
 	if slices.IsSortedFunc(items, compareNodes) {
 		return items
@@ -656,7 +692,7 @@ func (b *scanBackend) Range(ctx context.Context, query Item, r int) ([]Neighbor,
 	return scanRange(ctx, query, b.appendParts(nil), r, b.workers)
 }
 
-func (b *scanBackend) Len() int             { return len(b.base) - len(b.dead) + len(b.delta) }
+func (b *scanBackend) Len() int             { return b.bblk.n - len(b.dead) + b.deltaLen() }
 func (b *scanBackend) DistanceCalls() int64 { return b.counters.distCalls.Load() }
 func (b *scanBackend) Counters() Counters   { return b.counters.snapshot() }
 func (b *scanBackend) ResetStats()          { b.counters.reset() }
@@ -664,17 +700,17 @@ func (b *scanBackend) ResetStats()          { b.counters.reset() }
 // appendParts appends the backend's parts of a sweep: the base without
 // its dead slots, then the delta when it holds anything.
 func (b *scanBackend) appendParts(parts []sweepPart) []sweepPart {
-	parts = append(parts, sweepPart{items: b.base, blk: b.bblk, dead: b.deadRows, cs: b.counters})
-	if len(b.delta) > 0 {
-		parts = append(parts, sweepPart{items: b.delta, blk: b.dblk, cs: b.counters})
+	parts = append(parts, sweepPart{blk: b.bblk, dead: b.deadRows, cs: b.counters})
+	if b.deltaLen() > 0 {
+		parts = append(parts, sweepPart{blk: b.dblk, cs: b.counters})
 	}
 	return parts
 }
 
 // Clone returns a structurally private copy that copies nothing
-// item-sized: base, dead list, delta and both blocks are shared, because
-// no mutation writes them — it replaces them (see dynamic.go). The
-// counter accumulator is shared too.
+// row-sized: both blocks and the dead lists are shared, because no
+// mutation writes them — it replaces them (see dynamic.go). The counter
+// accumulator is shared too.
 func (b *scanBackend) Clone() DynamicIndex {
 	c := *b
 	return &c
@@ -704,15 +740,14 @@ func runSweepers(workers int, sweep func()) {
 	wg.Wait()
 }
 
-// sweepPart is one block of a sweep: node-sorted items (a scan's base
-// or delta), the profile block compiled over them, the ascending rows
-// of that block whose items are not candidates (the base's dead rows),
-// and the counter set the scan's work lands in (nil counts nothing).
+// sweepPart is one block of a sweep (a scan's base or delta), the
+// ascending ranks of that block that are not candidates (the base's
+// dead rows), and the counter set the scan's work lands in (nil counts
+// nothing).
 type sweepPart struct {
-	items []Item
-	blk   *profileBlock
-	dead  []int32
-	cs    *counterSet
+	blk  *profileBlock
+	dead []int32
+	cs   *counterSet
 }
 
 // sweepScratch is one query's working memory, pooled across queries
@@ -793,13 +828,10 @@ func (s *knnSweep) threshold() int {
 	return ted.Unbounded
 }
 
-// item is the candidate at global row g, the part holding it and its
-// row there.
-func (sc *sweepScratch) item(parts []sweepPart, g int32) (*sweepPart, int32, Item) {
+// rank is the part holding global row g and g's rank there.
+func (sc *sweepScratch) rank(parts []sweepPart, g int32) (*sweepPart, int32) {
 	p := sc.partOf(g)
-	pt := &parts[p]
-	r := g - partBase(sc.ends, p)
-	return pt, r, pt.items[pt.blk.item[r]]
+	return &parts[p], g - partBase(sc.ends, p)
 }
 
 // admitted is a candidate the KNN sweep has run tier 2 on and kept:
@@ -940,6 +972,8 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 	run(min(width, live), func() {
 		comp := tedComputers.Get().(*ted.Computer)
 		defer tedComputers.Put(comp)
+		rs := rowScratches.Get().(*rowScratch)
+		defer rowScratches.Put(rs)
 		var st PruneStats
 		// tier2Prune counts a candidate whose degree bound exceeds the
 		// threshold.
@@ -982,12 +1016,13 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 				a := sc.pop()
 				g := order[a.pos]
 				sw.mu.Unlock()
-				pt, _, it := sc.item(parts, g)
+				pt, r := sc.rank(parts, g)
 				if int(a.bound) > t {
 					tier2Prune(pt)
 					continue
 				}
 				pt.cs.blockSurvive(tierDegree)
+				it := pt.blk.candidate(rs, r)
 				d, out := verifyDistanceAtMost(comp, query, it, t, pt.cs)
 				switch out {
 				case ted.OutcomeExact:
@@ -1012,7 +1047,7 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 				tail := order[sw.next:]
 				sw.next, sw.done = len(order), true
 				for _, a := range sc.heap {
-					pt, _, _ := sc.item(parts, order[a.pos])
+					pt, _ := sc.rank(parts, order[a.pos])
 					tier2Prune(pt)
 				}
 				sc.heap = sc.heap[:0]
@@ -1044,7 +1079,7 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 			g := order[i]
 			pad := sc.padB[g]
 			sw.mu.Unlock()
-			pt, r, _ := sc.item(parts, g)
+			pt, r := sc.rank(parts, g)
 			if bound, pruned := pt.blk.degreeTierPrunes(query, r, int(pad), t); pruned {
 				tier2Prune(pt)
 			} else {
@@ -1076,9 +1111,11 @@ func scanRange(ctx context.Context, query Item, parts []sweepPart, r, workers in
 	for _, pt := range parts {
 		rows := sc.rangeBlockSurvivors(query, pt, r)
 		if err := ParallelForCtx(ctx, len(rows), workers, func(i int) {
-			it := pt.items[pt.blk.item[rows[i]]]
 			comp := tedComputers.Get().(*ted.Computer)
+			rs := rowScratches.Get().(*rowScratch)
+			it := pt.blk.candidate(rs, rows[i])
 			d, o := verifyDistanceAtMost(comp, query, it, r, pt.cs)
+			rowScratches.Put(rs)
 			tedComputers.Put(comp)
 			if o == ted.OutcomeExact && d <= r {
 				mu.Lock()

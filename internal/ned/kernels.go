@@ -7,39 +7,37 @@ import (
 )
 
 // This file holds the block kernels of the filter cascade: tight loops
-// that sweep one tier across a range of a candidate block's rows, laid
-// out as a struct-of-arrays profile arena (block.go), writing per-row
-// bound values or a survivor bitmap. Each kernel reads only contiguous
-// int32 arrays — no *Item or *Profile is dereferenced — so the hot
-// loops stay branch-light and bounds-check-hoisted. They are the only
+// that sweep one tier across a range of a candidate block's ranks,
+// gathering their rows from the struct-of-arrays profile arena
+// (block.go), writing per-rank bound values or a survivor bitmap. Each
+// kernel reads only int32 columns — no tree or profile is built — so
+// the hot loops stay branch-light. They are the only
 // form of tiers 0 and 1; kernels_test.go pins every row's bounds to
 // ted.SizeBound and ted.PaddingBound and below the exact distance.
 
-// sizeTierBlock accumulates the size tier into dst: dst[i] +=
-// |qSize − sizes[i]|. Accumulation (not assignment) lets directed
-// corpora run one pass per tree pair over a shared destination.
-func sizeTierBlock(qSize int32, sizes, dst []int32) {
-	if len(dst) < len(sizes) {
+// sizeTierBlock accumulates the size tier of the given physical rows
+// into dst: dst[i] += |qSize − sizes[rows[i]]|. Accumulation (not
+// assignment) lets directed corpora run one pass per tree pair over a
+// shared destination.
+func sizeTierBlock(qSize int32, sizes, rows, dst []int32) {
+	if len(dst) < len(rows) {
 		panic("ned: sizeTierBlock destination too short")
 	}
-	dst = dst[:len(sizes)]
-	for i, s := range sizes {
-		d := qSize - s
-		if d < 0 {
-			d = -d
-		}
-		dst[i] += d
+	dst = dst[:len(rows)]
+	for i, r := range rows {
+		dst[i] += abs32(qSize - sizes[r])
 	}
 }
 
-// paddingTierBlock accumulates the padding tier into dst: for each row
-// i, with level vector row = levels[i*width : (i+1)*width] of the
-// arena's dense, zero-padded matrix, dst[i] += Σ_d | qLevels[d] −
-// row[d] | — exactly ted.PaddingBound, because a level one side lacks reads as zero on
-// that side. The query is padded or cut to the width once; its levels
-// past the width meet only zeros, so they add one per-query constant.
-// The per-row loop has a fixed trip count and no branches.
-func paddingTierBlock(qLevels []int32, width int, levels, dst []int32) {
+// paddingTierBlock accumulates the padding tier of the given physical
+// rows into dst: for each, with level vector row = levels[r*width :
+// (r+1)*width] of the arena's dense, zero-padded matrix, dst[i] += Σ_d
+// | qLevels[d] − row[d] | — exactly ted.PaddingBound, because a level
+// one side lacks reads as zero on that side. The query is padded or cut
+// to the width once; its levels past the width meet only zeros, so they
+// add one per-query constant. The per-row loop has a fixed trip count
+// and no branches.
+func paddingTierBlock(qLevels []int32, width int, levels, rows, dst []int32) {
 	var buf [8]int32
 	q := buf[:0]
 	if width > len(buf) {
@@ -51,8 +49,9 @@ func paddingTierBlock(qLevels []int32, width int, levels, dst []int32) {
 	for _, m := range qLevels[n:] {
 		past += m
 	}
-	for i := range dst {
-		row := levels[i*width:][:len(q)]
+	dst = dst[:len(rows)]
+	for i, r := range rows {
+		row := levels[int(r)*width:][:len(q)]
 		sum := past
 		for d, m := range row {
 			sum += abs32(q[d] - m)

@@ -115,13 +115,13 @@ func TestBlockKernelsMatchOracle(t *testing.T) {
 		}
 	}
 	blk := compileBlock(shallow)
-	if blk.out.Width >= len(deepest.OutP.Levels) {
+	if blk.Out.Width >= len(deepest.OutP.Levels) {
 		t.Fatalf("shallow block %v does not sit under a %d-level query", blk, len(deepest.OutP.Levels))
 	}
 	checkBlockKernels(t, "query deeper than the block", shallow, blk, []Item{deepest})
 
 	ix := NewPrunedLinearBackend(items).(*scanBackend)
-	wide := ix.bblk.out.Width
+	wide := ix.bblk.Out.Width
 	var tall []graph.NodeID
 	for _, it := range items {
 		if height(it) >= height(deepest)-1 {
@@ -132,10 +132,11 @@ func TestBlockKernelsMatchOracle(t *testing.T) {
 		t.Fatalf("removing the %d tallest items removed nothing", len(tall))
 	}
 	ix.fold()
-	if ix.bblk.out.Width >= wide {
-		t.Fatalf("folding out the %d tallest items left the width at %d (was %d)", len(tall), ix.bblk.out.Width, wide)
+	if ix.bblk.Out.Width >= wide {
+		t.Fatalf("folding out the %d tallest items left the width at %d (was %d)", len(tall), ix.bblk.Out.Width, wide)
 	}
-	checkBlockKernels(t, "recompiled by a fold", ix.base, ix.bblk, []Item{deepest, ix.base[0], ix.base[len(ix.base)/2]})
+	base := ix.baseItems()
+	checkBlockKernels(t, "recompiled by a fold", base, ix.bblk, []Item{deepest, base[0], base[len(base)/2]})
 
 	for _, name := range datasets.All {
 		g := datasets.MustGenerate(name, datasets.Options{Seed: 5})
@@ -162,8 +163,8 @@ func TestBlockKernelsMatchOracle(t *testing.T) {
 func checkDegreeColumn(t *testing.T, name string, items []Item, blk *profileBlock, queries []Item) {
 	t.Helper()
 	for r := range blk.n {
-		it := items[blk.item[r]]
-		levels, degs := blk.out.Row(r)
+		it := items[blk.ord[r]]
+		levels, degs := blk.Out.Row(int(blk.ord[r]))
 		if !slices.Equal(levels, it.OutP.Levels) || !slices.Equal(degs, it.OutP.InnerDegs()) {
 			t.Fatalf("%s row %d (node %d): column (%v, %v), profile (%v, %v)",
 				name, r, it.Node, levels, degs, it.OutP.Levels, it.OutP.InnerDegs())
@@ -196,14 +197,14 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 		}
 		return it.OutP.Size
 	}
-	if sorted := slices.Sorted(slices.Values(blk.item)); len(sorted) != len(items) || sorted[0] != 0 || int(sorted[len(sorted)-1]) != len(items)-1 {
+	if sorted := slices.Sorted(slices.Values(blk.ord)); len(sorted) != len(items) || sorted[0] != 0 || int(sorted[len(sorted)-1]) != len(items)-1 {
 		t.Fatalf("%s: the rows' item slots are not a permutation of %d items", name, len(items))
 	}
 	for r := 1; r < blk.n; r++ {
-		a, b := items[blk.item[r-1]], items[blk.item[r]]
-		if c := cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(blk.item[r-1], blk.item[r])); c >= 0 {
+		a, b := items[blk.ord[r-1]], items[blk.ord[r]]
+		if c := cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(blk.ord[r-1], blk.ord[r])); c >= 0 {
 			t.Fatalf("%s: row %d (key %d, slot %d) does not follow row %d (key %d, slot %d)",
-				name, r, key(b), blk.item[r], r-1, key(a), blk.item[r-1])
+				name, r, key(b), blk.ord[r], r-1, key(a), blk.ord[r-1])
 		}
 	}
 	checkDegreeColumn(t, name, items, blk, queries)
@@ -213,7 +214,7 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 	for qi, q := range queries {
 		blk.bounds(q, 0, int32(blk.n), sizeB, padB)
 		for j := range blk.n {
-			it := items[blk.item[j]]
+			it := items[blk.ord[j]]
 			size, pad := ted.SizeBound(q.OutP, it.OutP), ted.PaddingBound(q.OutP, it.OutP)
 			if q.In != nil && it.In != nil {
 				size += ted.SizeBound(q.InP, it.InP)
@@ -313,7 +314,7 @@ func checkWindowOrder(t *testing.T, items []Item, q Item) {
 			var parts []sweepPart
 			lo := 0
 			for _, hi := range cuts {
-				pt := sweepPart{items: items[lo:hi], blk: compileBlock(items[lo:hi])}
+				pt := sweepPart{blk: compileBlock(items[lo:hi])}
 				for r := 1; every > 0 && r < pt.blk.n; r += every {
 					pt.dead = append(pt.dead, int32(r))
 				}
@@ -342,7 +343,7 @@ func checkWindowOrder(t *testing.T, items []Item, q Item) {
 					base := partBase(sc.ends, p)
 					win := sc.wins[p]
 					for r := range int32(pt.blk.n) {
-						it := pt.items[pt.blk.item[r]]
+						it := pt.blk.Item(int(pt.blk.ord[r]))
 						inside := abs(int64(it.OutP.Size)-int64(q.OutP.Size)) <= int64(w)
 						if inside != (win.lo <= r && r < win.hi) {
 							t.Fatalf("%s w=%d part %d row %d: size gap %d, window [%d,%d)",

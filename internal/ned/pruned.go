@@ -66,11 +66,10 @@ func QueryItem(s Signature, dict *tree.Interner) Item {
 	return q
 }
 
-// newSweepPart is a one-part sweep over items: node-sorted, with their
-// block, no dead slots, and no counters.
+// newSweepPart is a one-part sweep over items' rows, with no dead rows
+// and no counters.
 func newSweepPart(items []Item) sweepPart {
-	items = nodeSorted(items)
-	return sweepPart{items: items, blk: compileBlock(items)}
+	return sweepPart{blk: blockOf(RowsOf(items))}
 }
 
 // LowerBound exposes the padding lower bound on NED between two

@@ -342,7 +342,7 @@ func TestSweepWindowEdges(t *testing.T) {
 			return &w
 		}
 		return sweepCase{
-			name: name, live: slices.Collect(b.Items()), rows: len(b.base) + len(b.delta), queries: queries,
+			name: name, live: b.liveItems(), rows: b.bblk.n + b.deltaLen(), queries: queries,
 			knn: func(width int, q Item, l int) ([]Neighbor, Counters) {
 				w := at(width)
 				got, err := w.KNN(ctx, q, l)
@@ -390,9 +390,9 @@ func TestSweepWindowEdges(t *testing.T) {
 			}
 		}
 		b.Insert(back...)
-		if len(b.dead) == 0 || len(b.delta) == 0 || len(b.base) != len(items) {
+		if len(b.dead) == 0 || b.deltaLen() == 0 || b.bblk.n != len(items) {
 			t.Fatalf("%s: churn left %d dead rows and %d delta items over a %d-item base (want both, no fold)",
-				name, len(b.dead), len(b.delta), len(b.base))
+				name, len(b.dead), b.deltaLen(), b.bblk.n)
 		}
 		return b
 	}

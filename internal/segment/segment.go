@@ -101,6 +101,7 @@ package segment
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -584,77 +585,34 @@ func expectSection(r io.Reader, want byte) ([]byte, error) {
 
 // parentsFlag marks a tree header word whose tree is not in BFS order
 // and so carries its parent vector after its labels.
-const parentsFlag = 1 << 31
-
-// encodedTreeSize is the byte length of one serialized tree: its header
-// word, one label per node above the deepest level (as many as the
-// profile has degrees), and the parent vector of a tree not in BFS
-// order, whose parents a reader cannot derive from the shapes.
-func encodedTreeSize(t *tree.Tree, p *tree.Profile) int {
-	s := 4 + 4*len(p.Degs)
-	if !t.BFSOrder() {
-		s += 4 * t.Size()
-	}
-	return s
-}
-
-// --- writing ---
-
-// writeTree streams one tree: the header word, the labels of its levels
-// above the deepest in node order — the profile's level-sorted Labels
-// put back through Perm, in scratch — and, for a tree not in BFS order,
-// its full parent vector, the root's -1 included.
-func writeTree(s *sectionWriter, t *tree.Tree, p *tree.Profile, scratch *[]int32) {
-	m := len(p.Degs)
-	bfs := t.BFSOrder()
-	hdr := uint32(m)
-	if !bfs {
-		hdr |= parentsFlag
-	}
-	s.u32(hdr)
-	nodeLabels := slices.Grow((*scratch)[:0], m)[:m]
-	off := int32(0)
-	for _, w := range p.Levels[:len(p.Levels)-1] {
-		for j := off; j < off+w; j++ {
-			nodeLabels[off+p.Perm[j]] = p.Labels[j]
-		}
-		off += w
-	}
-	*scratch = nodeLabels
-	s.i32s(nodeLabels)
-	if !bfs {
-		for v := range int32(t.Size()) {
-			s.u32(uint32(t.Parent(v)))
-		}
-	}
-}
+const parentsFlag = tree.ParentsFlag
 
 // maxTables caps the item tables Tables splits a corpus into: past a
 // core per table, more tables only add framing.
 const maxTables = 16
 
-// Tables splits node-ascending items into the item tables Write takes:
-// table i holds, still node-ascending, the items ned.ShardOf files under
-// i of min(GOMAXPROCS, 16) tables, so Read decodes them in parallel on
-// the same cores. The count is layout, not content: Read returns the
-// same items whatever it was. items is walked twice, to size the tables
-// once: they share one backing array.
-func Tables(items iter.Seq[ned.Item]) [][]ned.Item {
+// Tables splits node-ascending rows into the item tables WriteRows
+// takes: table i holds, still node-ascending, the rows ned.ShardOf files
+// under i of min(GOMAXPROCS, 16) tables, so Read decodes them in
+// parallel on the same cores. The count is layout, not content: Read
+// returns the same items whatever it was. rows is walked twice, to size
+// the tables once: they share one backing array.
+func Tables(rows iter.Seq[ned.Row]) [][]ned.Row {
 	n := min(runtime.GOMAXPROCS(0), maxTables)
 	sizes := make([]int, n)
 	total := 0
-	for it := range items {
-		sizes[ned.ShardOf(it.Node, n)]++
+	for r := range rows {
+		sizes[ned.ShardOf(r.Node, n)]++
 		total++
 	}
-	all := make([]ned.Item, total)
-	tables := make([][]ned.Item, n)
+	all := make([]ned.Row, total)
+	tables := make([][]ned.Row, n)
 	for ti, size := range sizes {
 		tables[ti], all = all[:0:size], all[size:]
 	}
-	for it := range items {
-		ti := ned.ShardOf(it.Node, n)
-		tables[ti] = append(tables[ti], it)
+	for r := range rows {
+		ti := ned.ShardOf(r.Node, n)
+		tables[ti] = append(tables[ti], r)
 	}
 	return tables
 }
@@ -676,37 +634,62 @@ func Tables(items iter.Seq[ned.Item]) [][]ned.Item {
 // writing a segment never holds a copy of the corpus or its dictionary
 // — only meta and the index dumps are framed in memory.
 func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardItems [][]ned.Item, indexes []VPIndex) error {
-	meta.Shards = len(shardItems)
-	meta.Items = 0
-	for _, items := range shardItems {
-		meta.Items += len(items)
-	}
-	if indexes != nil && len(indexes) != len(shardItems) {
-		return fmt.Errorf("segment: %d index dumps for %d shards", len(indexes), len(shardItems))
-	}
-	shardLens := make([]int, len(shardItems))
+	tables := make([][]ned.Row, len(shardItems))
 	for si, items := range shardItems {
-		if indexes != nil {
-			if ix := &indexes[si]; !ix.empty() && len(ix.Nodes)+len(ix.Tail) != len(items) {
-				return fmt.Errorf("segment: shard %d index references %d items, shard has %d",
-					si, len(ix.Nodes)+len(ix.Tail), len(items))
-			}
-		}
-		shardLens[si] = 8
+		tables[si] = make([]ned.Row, len(items))
 		for i := range items {
 			it := &items[i]
-			if it.Node < 0 {
-				return fmt.Errorf("segment: shard %d: negative node id %d", si, it.Node)
-			}
 			if it.Out == nil || it.OutP == nil || !it.OutP.Resolved() {
 				return fmt.Errorf("segment: node %d has no compiled outgoing profile (segments require a materialized, profiled corpus)", it.Node)
 			}
 			if meta.Directed && (it.In == nil || it.InP == nil || !it.InP.Resolved()) {
 				return fmt.Errorf("segment: node %d has no compiled incoming profile on a directed corpus", it.Node)
 			}
-			shardLens[si] += 12 + encodedTreeSize(it.Out, it.OutP)
+			r := ned.Row{Node: it.Node, Out: tree.AppendStored(nil, it.OutP, it.Out)}
 			if meta.Directed {
-				shardLens[si] += encodedTreeSize(it.In, it.InP)
+				r.In = tree.AppendStored(nil, it.InP, it.In)
+			}
+			tables[si][i] = r
+		}
+	}
+	return write(w, meta, dict, g, tables, indexes)
+}
+
+// WriteRows is Write for rows as a scan stores them (ned.Row), which
+// carry their trees' stored form already, with no index dumps.
+func WriteRows(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [][]ned.Row) error {
+	return write(w, meta, dict, g, tables, nil)
+}
+
+// write is Write over item tables of rows.
+func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [][]ned.Row, indexes []VPIndex) error {
+	meta.Shards = len(tables)
+	meta.Items = 0
+	for _, rows := range tables {
+		meta.Items += len(rows)
+	}
+	if indexes != nil && len(indexes) != len(tables) {
+		return fmt.Errorf("segment: %d index dumps for %d shards", len(indexes), len(tables))
+	}
+	shardLens := make([]int, len(tables))
+	for si, rows := range tables {
+		if indexes != nil {
+			if ix := &indexes[si]; !ix.empty() && len(ix.Nodes)+len(ix.Tail) != len(rows) {
+				return fmt.Errorf("segment: shard %d index references %d items, shard has %d",
+					si, len(ix.Nodes)+len(ix.Tail), len(rows))
+			}
+		}
+		shardLens[si] = 8
+		for _, r := range rows {
+			if r.Node < 0 {
+				return fmt.Errorf("segment: shard %d: negative node id %d", si, r.Node)
+			}
+			if meta.Directed && r.In == nil {
+				return fmt.Errorf("segment: node %d has no incoming tree on a directed corpus", r.Node)
+			}
+			shardLens[si] += 12 + 4*len(r.Out)
+			if meta.Directed {
+				shardLens[si] += 4 * len(r.In)
 			}
 		}
 	}
@@ -725,7 +708,7 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 	}
 
 	// Meta, including the shard table byte lengths (section offsets).
-	mb := make([]byte, 0, 64+8*len(shardItems))
+	mb := make([]byte, 0, 64+8*len(tables))
 	mb = append(mb, byte(len(meta.Backend)), byte(len(meta.Backend)>>8))
 	mb = append(mb, meta.Backend...)
 	mb = appendU32(mb, uint32(meta.K))
@@ -779,19 +762,17 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 	}
 
 	// Shard item tables.
-	var scratch []int32
-	for si, items := range shardItems {
+	for si, rows := range tables {
 		sw.begin(secShard, shardLens[si])
 		sw.u32(uint32(si))
-		sw.u32(uint32(len(items)))
-		for i := range items {
-			it := &items[i]
-			sw.u32(uint32(it.Node))
-			sw.u32(uint32(it.K))
+		sw.u32(uint32(len(rows)))
+		for _, r := range rows {
+			sw.u32(uint32(r.Node))
+			sw.u32(uint32(meta.K))
 			sw.u32(uint32(boolByte(meta.Directed)))
-			writeTree(sw, it.Out, it.OutP, &scratch)
+			sw.i32s(r.Out)
 			if meta.Directed {
-				writeTree(sw, it.In, it.InP, &scratch)
+				sw.i32s(r.In)
 			}
 		}
 		if err := sw.end(); err != nil {
@@ -928,210 +909,156 @@ func (sh *shapeTable) run(l int32) []int32 { return sh.kids[sh.off[l]:sh.off[l+1
 // count holds one zero per shape between trees.
 type treeScratch struct {
 	count    []int32
-	distinct []int32
-	byDeg    []uint64
+	childOff []int32
+	levels   []int32
+	degs     []int32
+	kids     []int32
 }
 
-// decodeTree decodes one tree from the word stream at words[pos:] and
-// derives its profile from the shapes, returning the cursor past it.
-// The stored labels are those of the levels above the deepest in node
-// order, and the resident tree and profile stop at the same level, so
-// they are all a load derives anything for:
+// decodeRow decodes one tree from the word stream at words[pos:] into a
+// row of a, returning the cursor past it. The stored labels are those
+// of the levels above the deepest in node order, which is what a row
+// stores too (tree.ProfileArena.Words), and the rest of the row's
+// columns follow from their shapes:
 //   - each label's shape gives the node's child count, so level d's
 //     labels give level d+1's width, the stored labels end exactly at
 //     the end of level h-1, and level h is that many leaves;
-//   - in BFS order the child counts are the child offsets, which are
-//     all the tree stores (a tree not in BFS order stores its parent
-//     vector, which must agree with them);
-//   - each node's shape run above level h-1 is its sorted child labels
-//     (Kids);
-//   - a counting sort per stored level gives the level-sorted Labels,
-//     Perm and degree run (Degs).
+//   - a level's child counts, sorted, are its degree run.
 //
-// Nothing is derived for the deepest level: no parents, labels or Perm,
-// and no kid runs for level h-1, which are all leaves.
-//
-// Every check that a stored label agrees with the shapes around it
-// fails with ErrInconsistent. All columns are carved from s; the
-// payload is not retained.
-func decodeTree(words []int32, pos int, sh *shapeTable, in *tree.Interner, sc *treeScratch, s *tree.Slab) (*tree.Tree, *tree.Profile, int, error) {
+// In BFS order the child counts are the child offsets; a tree not in BFS
+// order stores its parent vector, which must agree with them. Every
+// check that a stored label agrees with the shapes around it — child
+// counts, and each node's children carrying its shape's kids — fails
+// with ErrInconsistent. a copies what it keeps; the payload is not
+// retained.
+func decodeRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.ProfileArena) (int, error) {
+	start := pos
 	if pos >= len(words) {
-		return nil, nil, 0, fmt.Errorf("segment: truncated payload")
+		return 0, fmt.Errorf("segment: truncated payload")
 	}
 	hdr := uint32(words[pos])
 	pos++
 	m := int(hdr &^ parentsFlag)
 	if m > len(words)-pos {
-		return nil, nil, 0, fmt.Errorf("segment: tree declares %d stored labels with %d words left", m, len(words)-pos)
+		return 0, fmt.Errorf("segment: tree declares %d stored labels with %d words left", m, len(words)-pos)
 	}
 	stored := words[pos : pos+m : pos+m]
 	pos += m
 	shapes := int32(len(sh.off) - 1)
 	if shapes == 0 {
-		return nil, nil, 0, inconsistent("the dictionary has no leaf shape")
+		return 0, inconsistent("the dictionary has no leaf shape")
 	}
 	for v, l := range stored {
 		if l < 0 || l >= shapes {
-			return nil, nil, 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
+			return 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
 		}
 	}
 
 	// Level widths: the root alone, then each stored level's child count.
-	var levelsBuf [16]int32
-	levels := append(levelsBuf[:0], 1)
+	levels := append(sc.levels[:0], 1)
 	n, last := 1, 0 // last: the first node of level h-1
 	for off, w := 0, 1; off < m; {
 		if off+w > m {
-			return nil, nil, 0, inconsistent("child counts of level %d overrun the %d stored labels", len(levels)-1, m)
+			return 0, inconsistent("child counts of level %d overrun the %d stored labels", len(levels)-1, m)
 		}
 		c := 0
 		for _, l := range stored[off : off+w] {
 			c += len(sh.run(l))
 		}
 		if c == 0 {
-			return nil, nil, 0, inconsistent("stored level %d has no children", len(levels)-1)
+			return 0, inconsistent("stored level %d has no children", len(levels)-1)
 		}
 		if n += c; n > maxTreeNodes {
-			return nil, nil, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
+			return 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
 		}
 		last, off, w = off, off+w, c
 		levels = append(levels, int32(c))
 	}
+	sc.levels = levels
 	h := len(levels) - 1
 	for v := last; v < m; v++ {
 		if run := sh.run(stored[v]); len(run) > 0 && run[len(run)-1] != leafShape {
-			return nil, nil, 0, inconsistent("node %d on level %d has a non-leaf kid", v, h-1)
+			return 0, inconsistent("node %d on level %d has a non-leaf kid", v, h-1)
 		}
 	}
-
-	var t *tree.Tree
-	if hdr&parentsFlag == 0 {
-		// In BFS order node v's children follow those of v-1, so the
-		// child counts of the stored nodes are the child offsets, and the
-		// level widths the level offsets.
-		childOff, levelOff := s.Alloc(m+1), s.Alloc(h+2)
-		next := int32(0)
-		for v, l := range stored {
-			next += int32(len(sh.run(l)))
-			childOff[v+1] = next
-		}
-		for d, w := range levels {
-			levelOff[d+1] = levelOff[d] + w
-		}
-		t = tree.NewBFS(childOff, levelOff)
-	} else {
+	childOff := append(sc.childOff[:0], 0)
+	for v, l := range stored {
+		childOff = append(childOff, childOff[v]+int32(len(sh.run(l))))
+	}
+	sc.childOff = childOff
+	var t *tree.Tree // the parent vector's tree, for one not in BFS order
+	if hdr&parentsFlag != 0 {
 		if n > len(words)-pos {
-			return nil, nil, 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
+			return 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
 		}
-		parents := s.Alloc(n)
-		copy(parents, words[pos:pos+n])
-		pos += n
 		var err error
-		if t, err = tree.NewOwned(parents, s); err != nil {
-			return nil, nil, 0, fmt.Errorf("segment: %w", err)
+		if t, err = tree.New(words[pos : pos+n]); err != nil {
+			return 0, fmt.Errorf("segment: %w", err)
 		}
+		pos += n
 		for v := range int32(n) {
-			want := 0
+			want := int32(0)
 			if int(v) < m {
-				want = len(sh.run(stored[v]))
+				want = childOff[v+1] - childOff[v]
 			}
-			if got := t.NumChildren(v); got != want {
-				return nil, nil, 0, inconsistent("parent vector gives node %d %d children, its shape %d", v, got, want)
+			if got := int32(t.NumChildren(v)); got != want {
+				return 0, inconsistent("parent vector gives node %d %d children, its shape %d", v, got, want)
 			}
 		}
 	}
 	// Levels 0..h-2: a node's children carry stored labels, which must be
 	// its shape's kids as a multiset — counted up and down in sc.count,
 	// which every check leaves zeroed. (Level h-1's are leaves, checked
-	// above.) Child counts already match, so equal sizes are given.
+	// above.) Child counts already match, so equal sizes are given. In BFS
+	// order node v's children are the nodes after those of v-1.
 	for v := range int32(last) {
-		kids, run := t.Children(v), sh.run(stored[v])
-		for _, c := range kids {
-			sc.count[stored[c]]++
+		kids := stored[childOff[v]+1 : childOff[v+1]+1]
+		if t != nil {
+			kids = sc.kids[:0]
+			for _, c := range t.Children(v) {
+				kids = append(kids, stored[c])
+			}
+			sc.kids = kids
+		}
+		run := sh.run(stored[v])
+		for _, l := range kids {
+			sc.count[l]++
 		}
 		for _, l := range run {
 			sc.count[l]--
 		}
 		ok := true
-		for _, c := range kids {
-			ok = ok && sc.count[stored[c]] == 0
-			sc.count[stored[c]] = 0
+		for _, l := range kids {
+			ok = ok && sc.count[l] == 0
+			sc.count[l] = 0
 		}
 		for _, l := range run {
 			sc.count[l] = 0
 		}
 		if !ok {
-			return nil, nil, 0, inconsistent("children of node %d do not carry its shape's kids", v)
+			return 0, inconsistent("children of node %d do not carry its shape's kids", v)
 		}
 	}
-
-	// Level-sorted Labels and Perm, and the level's sorted child counts
-	// (Degs), by a counting sort over the level's distinct labels — a
-	// level repeats few shapes many times — that places equal labels in
-	// ascending node order. sc.count holds each distinct label's
-	// occurrences, then its next slot, then zero again.
-	labels, perm, degs := s.Alloc(m), s.Alloc(m), s.Alloc(m)
-	off := 0
-	for _, w32 := range levels[:h] {
-		w := int(w32)
-		run, lab, lperm, ldegs := stored[off:off+w], labels[off:off+w], perm[off:off+w], degs[off:off+w]
-		distinct := sc.distinct[:0]
-		for _, l := range run {
-			if sc.count[l] == 0 {
-				distinct = append(distinct, l)
-			}
-			sc.count[l]++
+	// The degree runs of levels 1..h-1: each level's child counts, sorted.
+	degs := sc.degs[:0]
+	off := int32(1)
+	for _, w := range levels[1:max(h, 1)] {
+		at := len(degs)
+		for v := off; v < off+w; v++ {
+			degs = append(degs, childOff[v+1]-childOff[v])
 		}
-		sc.distinct = distinct
-		if !slices.IsSorted(distinct) {
-			slices.Sort(distinct)
-		}
-		byDeg := sc.byDeg[:0]
-		for _, l := range distinct {
-			byDeg = append(byDeg, uint64(len(sh.run(l)))<<32|uint64(sc.count[l]))
-		}
-		sc.byDeg = byDeg
-		if !slices.IsSorted(byDeg) {
-			slices.Sort(byDeg)
-		}
-		j := 0
-		for _, dc := range byDeg {
-			for range uint32(dc) {
-				ldegs[j] = int32(dc >> 32)
-				j++
-			}
-		}
-		slot := int32(0)
-		for _, l := range distinct {
-			slot, sc.count[l] = slot+sc.count[l], slot
-		}
-		for i, l := range run {
-			j := sc.count[l]
-			lab[j], lperm[j] = l, int32(i)
-			sc.count[l]++
-		}
-		for _, l := range distinct {
-			sc.count[l] = 0
-		}
+		slices.Sort(degs[at:])
 		off += w
 	}
-	// Kids: each node's shape run, on the child offsets, for levels
-	// 0..h-2. Level h-1's runs are leaves, which the profile leaves
-	// implicit.
-	kids := s.Alloc(max(m-1, 0))
-	next := 0
-	for _, l := range stored[:last] {
-		next += copy(kids[next:], sh.run(l))
-	}
-	lv := s.Alloc(h + 1)
-	copy(lv, levels)
-	return t, in.ProfileFromDerived(t, lv, labels, perm, degs, kids, leafShape), pos, nil
+	sc.degs = degs
+	a.AppendRow(levels, degs, words[start:pos])
+	return pos, nil
 }
 
-// decodeShard decodes one item table payload: NEDSEG02 trees against
-// the shapes sh in the worker's scratch sc, NEDSEG01 trees (sh nil) from
-// their stored columns.
-func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable, sc *treeScratch) ([]ned.Item, error) {
+// decodeShard decodes one item table payload into rows: NEDSEG02 trees
+// against the shapes sh in the worker's scratch sc, NEDSEG01 trees (sh
+// nil) from their stored columns, compiled into rows.
+func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable, sc *treeScratch) (*ned.Rows, error) {
 	words, err := shardWords(payload)
 	if err != nil {
 		return nil, err
@@ -1153,14 +1080,19 @@ func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *
 	if count < 0 || count > (len(words)-pos)/minItem {
 		return nil, fmt.Errorf("segment: shard %d declares %d items with %d words left", si, count, len(words)-pos)
 	}
+	rows := &ned.Rows{K: meta.K, Nodes: make([]graph.NodeID, 0, count), Out: &tree.ProfileArena{Dict: in}}
+	if meta.Directed {
+		rows.In = &tree.ProfileArena{Dict: in}
+	}
+	var v1 []ned.Item
 	slab := &tree.Slab{}
-	decode := func(pos int) (*tree.Tree, *tree.Profile, int, error) {
+	decode := func(pos int, a *tree.ProfileArena) (*tree.Tree, *tree.Profile, int, error) {
 		if sh == nil {
 			return decodeTreeV1(words, pos, in, slab)
 		}
-		return decodeTree(words, pos, sh, in, sc, slab)
+		pos, err := decodeRow(words, pos, sh, sc, a)
+		return nil, nil, pos, err
 	}
-	items := make([]ned.Item, 0, count)
 	last := int32(-1)
 	for i := 0; i < count; i++ {
 		if len(words)-pos < 3 {
@@ -1193,20 +1125,26 @@ func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *
 		}
 		it := ned.Item{Node: graph.NodeID(node), K: k}
 		var err error
-		if it.Out, it.OutP, pos, err = decode(pos); err != nil {
+		if it.Out, it.OutP, pos, err = decode(pos, rows.Out); err != nil {
 			return nil, fmt.Errorf("node %d: %w", node, err)
 		}
 		if hasIn {
-			if it.In, it.InP, pos, err = decode(pos); err != nil {
+			if it.In, it.InP, pos, err = decode(pos, rows.In); err != nil {
 				return nil, fmt.Errorf("node %d incoming: %w", node, err)
 			}
 		}
-		items = append(items, it)
+		rows.Nodes = append(rows.Nodes, it.Node)
+		if sh == nil {
+			v1 = append(v1, it)
+		}
 	}
 	if pos != len(words) {
 		return nil, fmt.Errorf("segment: shard %d: %d trailing words in section payload", si, len(words)-pos)
 	}
-	return items, nil
+	if sh == nil {
+		return ned.RowsOf(v1), nil
+	}
+	return rows, nil
 }
 
 // legacyPlacement is the placement directory a segment of an earlier
@@ -1329,8 +1267,8 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 
 // Read parses a binary segment of either layout, reconstructing the
 // shape dictionary, every item with its trees and compiled profiles
-// (derived from the dictionary in NEDSEG02), the embedded graph (nil when
-// the segment carries none), and the persisted per-shard VP-index
+// (built from its row, tree.ProfileArena.Build), the embedded graph (nil
+// when the segment carries none), and the persisted per-shard VP-index
 // dumps (nil when the segment carries none — indexes[si] may also be
 // empty for individual shards, which then rebuild lazily). Items are
 // returned flattened in shard order (node-ascending within each
@@ -1340,8 +1278,75 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 // internal inconsistency is a loud error; a NEDSEG02 item table that
 // disagrees with the dictionary fails with ErrInconsistent.
 func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
+	meta, tables, in, g, indexes, err := read(r)
+	if err != nil {
+		return meta, nil, nil, nil, nil, err
+	}
+	items := make([]ned.Item, 0, meta.Items)
+	for _, rows := range tables {
+		for i := range rows.Len() {
+			items = append(items, rows.Item(i))
+		}
+	}
+	return meta, items, in, g, indexes, nil
+}
+
+// ReadRows is Read for a scan: every item table's rows merged into one
+// node-ascending batch, without building a tree or a profile, and the
+// index dumps dropped.
+func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error) {
+	meta, tables, in, g, _, err := read(r)
+	if err != nil {
+		return meta, nil, nil, nil, err
+	}
+	return meta, mergeTables(meta, tables), in, g, nil
+}
+
+// mergeTables merges node-ascending row tables of distinct nodes into
+// one node-ascending batch, copying rows in runs.
+func mergeTables(meta Meta, tables []*ned.Rows) *ned.Rows {
+	if len(tables) == 1 {
+		return tables[0]
+	}
+	type at struct {
+		v    graph.NodeID
+		t, i int32
+	}
+	var all []at
+	for t, rows := range tables {
+		for i, v := range rows.Nodes {
+			all = append(all, at{v, int32(t), int32(i)})
+		}
+	}
+	slices.SortFunc(all, func(a, b at) int { return cmp.Compare(a.v, b.v) })
+	merged := &ned.Rows{K: meta.K, Nodes: make([]graph.NodeID, len(all))}
+	var out, in []tree.ArenaRun
+	extend := func(runs []tree.ArenaRun, a *tree.ProfileArena, i int) []tree.ArenaRun {
+		if k := len(runs) - 1; k >= 0 && runs[k].From == a && runs[k].Hi == i {
+			runs[k].Hi++
+			return runs
+		}
+		return append(runs, tree.ArenaRun{From: a, Lo: i, Hi: i + 1})
+	}
+	for j, x := range all {
+		merged.Nodes[j] = x.v
+		out = extend(out, tables[x.t].Out, int(x.i))
+		if meta.Directed {
+			in = extend(in, tables[x.t].In, int(x.i))
+		}
+	}
+	merged.Out = tree.CompileRuns(out)
+	if meta.Directed {
+		merged.In = tree.CompileRuns(in)
+	}
+	return merged
+}
+
+// read parses a segment into its meta, per-table rows, dictionary,
+// graph and index dumps.
+func read(r io.Reader) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPIndex, error) {
 	var meta Meta
-	fail := func(err error) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
+	fail := func(err error) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPIndex, error) {
 		return meta, nil, nil, nil, nil, err
 	}
 	var magic [len(Magic)]byte
@@ -1491,7 +1496,7 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 				si, len(payloads[si]), shardLens[si]))
 		}
 	}
-	shardItems := make([][]ned.Item, meta.Shards)
+	tables := make([]*ned.Rows, meta.Shards)
 	errs := make([]error, meta.Shards)
 	workers := min(runtime.GOMAXPROCS(0), meta.Shards)
 	var wg sync.WaitGroup
@@ -1509,7 +1514,7 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 				sc.count = make([]int32, len(sh.off)-1)
 			}
 			for si := range next {
-				shardItems[si], errs[si] = decodeShard(payloads[si], si, meta, place, in, sh, &sc)
+				tables[si], errs[si] = decodeShard(payloads[si], si, meta, place, in, sh, &sc)
 			}
 		}()
 	}
@@ -1548,13 +1553,13 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 	// No cross-shard duplicate scan needed: decodeShard enforced strict
 	// node-ascending order within each shard, and a duplicate node would
 	// route to the same shard.
-	items := make([]ned.Item, 0, meta.Items)
-	for _, sh := range shardItems {
-		items = append(items, sh...)
+	decoded := 0
+	for _, rows := range tables {
+		decoded += rows.Len()
 	}
-	if len(items) != meta.Items || total != meta.Items {
+	if decoded != meta.Items || total != meta.Items {
 		return fail(fmt.Errorf("segment: item counts disagree: meta %d, end %d, decoded %d",
-			meta.Items, total, len(items)))
+			meta.Items, total, decoded))
 	}
 	// A segment is a whole file: trailing bytes mean concatenation or
 	// corruption, the same garble the text loader rejects.
@@ -1562,7 +1567,7 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 	if n, _ := r.Read(one[:]); n != 0 {
 		return fail(fmt.Errorf("segment: trailing data after end section"))
 	}
-	return meta, items, in, g, indexes, nil
+	return meta, tables, in, g, indexes, nil
 }
 
 // Verify walks a segment stream shallowly: magic, then every framed

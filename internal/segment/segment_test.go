@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -644,7 +645,7 @@ func TestSegmentDerivesWrittenColumns(t *testing.T) {
 			items := ned.BuildItems(c.g, nodes, k, c.directed, 2)
 			dict := tree.NewInterner()
 			ned.ProfileItems(items, dict, 2)
-			tables := Tables(slices.Values(items))
+			tables := itemTables(items)
 			blob := encode(t, Meta{Backend: "pruned", K: k, Directed: c.directed}, dict, c.g, tables)
 			_, got, _, _, _, err := Read(bytes.NewReader(blob))
 			if err != nil {
@@ -788,4 +789,16 @@ func TestSegmentV2RejectsInconsistentTables(t *testing.T) {
 	if _, _, _, _, _, err := Read(bytes.NewReader(empty)); !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), "leaf shape") {
 		t.Errorf("a missing leaf shape: got %v, want ErrInconsistent mentioning %q", err, "leaf shape")
 	}
+}
+
+// itemTables splits node-ascending items into the item tables Write
+// takes, as Tables splits rows.
+func itemTables(items []ned.Item) [][]ned.Item {
+	n := min(runtime.GOMAXPROCS(0), maxTables)
+	tables := make([][]ned.Item, n)
+	for _, it := range items {
+		ti := ned.ShardOf(it.Node, n)
+		tables[ti] = append(tables[ti], it)
+	}
+	return tables
 }

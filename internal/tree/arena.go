@@ -1,16 +1,24 @@
 package tree
 
+import "sync"
+
 // This file compiles a batch of Profiles into a ProfileArena: one
 // struct-of-arrays block holding what the precompiled cascade tiers
 // read — sizes, level-size vectors and the degree sequences of the
-// inner levels — in contiguous int32 arrays, indexed by row. The size
-// and padding tiers of the internal/ned cascade sweep these arrays in
-// tight bounds-check-hoisted loops over whole row ranges, and tier 2
-// (the degree-sequence bound) reads a row's level widths and child
-// counts from the same arena — no *Item or *Profile is dereferenced
-// until a candidate reaches the verify stage. The arena is immutable
-// after compilation and safe to share across epoch clones (the owner
-// recompiles it when the underlying item set changes).
+// inner levels — in contiguous int32 arrays, indexed by row, beside each
+// row's stored tree: the interned labels of its levels above the
+// deepest, in node order, from which the dictionary derives the rest
+// (RowScratch.Row). The size and padding tiers of the internal/ned
+// cascade sweep these arrays in tight loops, tier 2 (the
+// degree-sequence bound) reads a row's level widths and child counts
+// from the same arena, and only a candidate that reaches the verify
+// stage has its tree and profile built, into scratch. An arena's rows
+// never change once written, so epoch clones share it; Append extends
+// it in place for the one successor that owns its tail.
+
+// ParentsFlag marks a stored tree's header word (Words) when the tree is
+// not in BFS order and its parent vector follows its labels.
+const ParentsFlag = 1 << 31
 
 // ProfileArena is the columnar layout of a slice of Profiles. All
 // per-row arrays are indexed by the position the profile held in the
@@ -36,12 +44,34 @@ type ProfileArena struct {
 	// run is Degs[DegOff[i] : DegOff[i+1]]. DegOff has N+1 entries.
 	Degs   []int32
 	DegOff []int32
+
+	// Words holds every row's stored tree, rows one after another: row
+	// i's is Words[WordOff[i] : WordOff[i+1]], a header word m — with
+	// ParentsFlag set for a tree not in BFS order — then the m labels of
+	// the tree's levels above the deepest in node order, then, flagged,
+	// its parent vector. This is a segment's tree encoding; WordOff has
+	// N+1 entries.
+	Words   []int32
+	WordOff []int32
+
+	// Dict is the dictionary the stored labels are interned in.
+	Dict *Interner
+
+	// tail is shared by the arenas that extend one set of backing arrays
+	// in place: the row count of the longest, which only the arena of
+	// that length may extend (Append).
+	tail *arenaTail
+}
+
+type arenaTail struct {
+	mu sync.Mutex
+	n  int
 }
 
 // CompileArena builds the columnar arena over ps, which must all be
-// non-nil profiles compiled against one shared Interner (the caller
-// profiles every item it indexes). Row i describes ps[i]. An empty ps
-// gives an empty arena.
+// non-nil profiles of BFS-order trees compiled against one shared
+// Interner (the caller profiles every item it indexes). Row i describes
+// ps[i]. An empty ps gives an empty arena.
 func CompileArena(ps []*Profile) *ProfileArena {
 	runs := make([]ArenaRun, len(ps))
 	for i, p := range ps {
@@ -51,11 +81,13 @@ func CompileArena(ps []*Profile) *ProfileArena {
 }
 
 // ArenaRun is a run of rows for CompileRuns: rows [Lo, Hi) of the arena
-// From, or, when From is nil, the one row of the profile P.
+// From, or, when From is nil, the one row of the profile P of the tree
+// T (nil: a BFS-order tree, which is all a row needs to know of it).
 type ArenaRun struct {
 	From   *ProfileArena
 	Lo, Hi int
 	P      *Profile
+	T      *Tree
 }
 
 // CompileRuns builds an arena whose rows are the runs' rows, in order:
@@ -63,56 +95,194 @@ type ArenaRun struct {
 // arena's rows is copied in bulk. The width is the tallest row's height
 // plus one, as CompileArena over the same profiles would give.
 func CompileRuns(runs []ArenaRun) *ProfileArena {
-	n, width, total := 0, 0, 0
+	n, width, degs, words := 0, 0, 0, 0
 	for _, run := range runs {
 		if run.From == nil {
-			n, width, total = n+1, max(width, len(run.P.Levels)), total+len(run.P.InnerDegs())
+			n, width = n+1, max(width, len(run.P.Levels))
+			degs, words = degs+len(run.P.InnerDegs()), words+StoredSize(run.P, run.T)
 			continue
 		}
 		f := run.From
-		n, total = n+run.Hi-run.Lo, total+int(f.DegOff[run.Hi]-f.DegOff[run.Lo])
+		n += run.Hi - run.Lo
+		degs += int(f.DegOff[run.Hi] - f.DegOff[run.Lo])
+		words += int(f.WordOff[run.Hi] - f.WordOff[run.Lo])
 		for r := run.Lo; r < run.Hi && width < f.Width; r++ {
 			levels, _ := f.Row(r)
 			width = max(width, len(levels))
 		}
 	}
 	a := &ProfileArena{
-		N:      n,
-		Sizes:  make([]int32, n),
-		Width:  width,
-		Levels: make([]int32, n*width),
-		Degs:   make([]int32, 0, total),
-		DegOff: make([]int32, n+1),
+		Sizes:   make([]int32, 0, n),
+		Width:   width,
+		Levels:  make([]int32, 0, n*width),
+		Degs:    make([]int32, 0, degs),
+		DegOff:  make([]int32, 1, n+1),
+		Words:   make([]int32, 0, words),
+		WordOff: make([]int32, 1, n+1),
+		tail:    &arenaTail{},
 	}
-	i := 0
+	a.appendRuns(runs)
+	return a
+}
+
+// Append returns an arena holding a's rows and then the runs' rows, and
+// the bytes it copied. The first arena appended to a's tail extends a's
+// backing arrays in place, so only the new rows are copied; a's own
+// rows stay as they were. Any other, or one whose new rows are taller
+// than a's width, is a fresh compile.
+func (a *ProfileArena) Append(runs []ArenaRun) (*ProfileArena, int64) {
+	fits := a.tail != nil
 	for _, run := range runs {
 		if run.From == nil {
-			a.Sizes[i] = run.P.Size
-			copy(a.Levels[i*width:], run.P.Levels)
-			a.Degs = append(a.Degs, run.P.InnerDegs()...)
-			a.DegOff[i+1] = int32(len(a.Degs))
-			i++
+			fits = fits && len(run.P.Levels) <= a.Width
+		} else {
+			fits = fits && run.From.Width <= a.Width
+		}
+	}
+	if fits {
+		a.tail.mu.Lock()
+		fits = a.tail.n == a.N
+		if fits {
+			b := *a
+			b.appendRuns(runs)
+			a.tail.n = b.N
+			a.tail.mu.Unlock()
+			return &b, moved(a.Sizes, b.Sizes) + moved(a.Levels, b.Levels) + moved(a.Degs, b.Degs) +
+				moved(a.DegOff, b.DegOff) + moved(a.Words, b.Words) + moved(a.WordOff, b.WordOff)
+		}
+		a.tail.mu.Unlock()
+	}
+	b := CompileRuns(append([]ArenaRun{{From: a, Hi: a.N}}, runs...))
+	return b, b.Bytes()
+}
+
+// moved is the bytes appending to a column copied: the new elements, or
+// every element when the append outgrew the backing array.
+func moved(old, grown []int32) int64 {
+	if len(old) > 0 && &old[0] == &grown[0] {
+		return 4 * int64(len(grown)-len(old))
+	}
+	return 4 * int64(len(grown))
+}
+
+// appendRuns appends the runs' rows to a, whose width holds them all.
+func (a *ProfileArena) appendRuns(runs []ArenaRun) {
+	width := a.Width
+	for _, run := range runs {
+		if run.From == nil {
+			p := run.P
+			a.Dict = p.dict
+			a.Sizes = append(a.Sizes, p.Size)
+			a.Levels = append(a.Levels, p.Levels...)
+			for range width - len(p.Levels) {
+				a.Levels = append(a.Levels, 0)
+			}
+			a.Degs = append(a.Degs, p.InnerDegs()...)
+			a.DegOff = append(a.DegOff, int32(len(a.Degs)))
+			a.Words = AppendStored(a.Words, p, run.T)
+			a.WordOff = append(a.WordOff, int32(len(a.Words)))
+			a.N++
 			continue
 		}
 		f, k := run.From, run.Hi-run.Lo
-		copy(a.Sizes[i:i+k], f.Sizes[run.Lo:run.Hi])
+		if k == 0 {
+			continue
+		}
+		a.Dict = f.Dict
+		a.Sizes = append(a.Sizes, f.Sizes[run.Lo:run.Hi]...)
 		if f.Width == width {
-			copy(a.Levels[i*width:(i+k)*width], f.Levels[run.Lo*width:run.Hi*width])
+			a.Levels = append(a.Levels, f.Levels[run.Lo*width:run.Hi*width]...)
 		} else {
 			// Every level past the narrower width is zero in these rows.
-			w := min(f.Width, width)
-			for r := range k {
-				copy(a.Levels[(i+r)*width:][:w], f.Levels[(run.Lo+r)*f.Width:][:w])
+			for r := run.Lo; r < run.Hi; r++ {
+				a.Levels = append(a.Levels, f.Levels[r*f.Width:][:min(f.Width, width)]...)
+				for range width - f.Width {
+					a.Levels = append(a.Levels, 0)
+				}
 			}
 		}
 		shift := int32(len(a.Degs)) - f.DegOff[run.Lo]
 		a.Degs = append(a.Degs, f.Degs[f.DegOff[run.Lo]:f.DegOff[run.Hi]]...)
-		for r := range k {
-			a.DegOff[i+r+1] = f.DegOff[run.Lo+r+1] + shift
+		for _, off := range f.DegOff[run.Lo+1 : run.Hi+1] {
+			a.DegOff = append(a.DegOff, off+shift)
 		}
-		i += k
+		shift = int32(len(a.Words)) - f.WordOff[run.Lo]
+		a.Words = append(a.Words, f.Words[f.WordOff[run.Lo]:f.WordOff[run.Hi]]...)
+		for _, off := range f.WordOff[run.Lo+1 : run.Hi+1] {
+			a.WordOff = append(a.WordOff, off+shift)
+		}
+		a.N += k
 	}
-	return a
+}
+
+// AppendRow appends one row given by its columns, as a segment decoder
+// reads them: the level widths, the child counts of levels 1…h−1 sorted
+// per level, and the stored tree (Words), whose labels are interned in
+// a.Dict. A row taller than the arena's width widens every row. a must
+// be an arena no other shares, such as a new(ProfileArena).
+func (a *ProfileArena) AppendRow(levels, degs, words []int32) {
+	if len(levels) > a.Width {
+		wide := make([]int32, 0, (a.N+1)*len(levels))
+		for r := range a.N {
+			wide = append(wide, a.Levels[r*a.Width:(r+1)*a.Width]...)
+			wide = append(wide, make([]int32, len(levels)-a.Width)...)
+		}
+		a.Levels, a.Width = wide, len(levels)
+	}
+	if a.N == 0 {
+		a.DegOff, a.WordOff = append(a.DegOff[:0], 0), append(a.WordOff[:0], 0)
+	}
+	size := int32(0)
+	for _, w := range levels {
+		size += w
+	}
+	a.Sizes = append(a.Sizes, size)
+	a.Levels = append(a.Levels, levels...)
+	a.Levels = append(a.Levels, make([]int32, a.Width-len(levels))...)
+	a.Degs = append(a.Degs, degs...)
+	a.DegOff = append(a.DegOff, int32(len(a.Degs)))
+	a.Words = append(a.Words, words...)
+	a.WordOff = append(a.WordOff, int32(len(a.Words)))
+	a.N++
+}
+
+// StoredSize is the length of the stored form of p's tree t.
+func StoredSize(p *Profile, t *Tree) int {
+	n := 1 + len(p.Degs)
+	if t != nil && !t.BFSOrder() {
+		n += t.Size()
+	}
+	return n
+}
+
+// AppendStored appends the stored form (Words) of p's tree t (nil: a
+// BFS-order tree) to dst: the header word, the labels of the levels above the
+// deepest in node order — the profile's level-sorted Labels put back
+// through Perm — and the parent vector of a tree not in BFS order.
+func AppendStored(dst []int32, p *Profile, t *Tree) []int32 {
+	m := len(p.Degs)
+	hdr := uint32(m)
+	bfs := t == nil || t.BFSOrder()
+	if !bfs {
+		hdr |= ParentsFlag
+	}
+	dst = append(dst, int32(hdr))
+	at := len(dst)
+	dst = append(dst, make([]int32, m)...)
+	labels := dst[at:]
+	off := int32(0)
+	for _, w := range p.Levels[:len(p.Levels)-1] {
+		for j := off; j < off+w; j++ {
+			labels[off+p.Perm[j]] = p.Labels[j]
+		}
+		off += w
+	}
+	if !bfs {
+		for v := range int32(t.Size()) {
+			dst = append(dst, t.Parent(v))
+		}
+	}
+	return dst
 }
 
 // Row returns row i's tier-2 input: its level widths, cut at its own
@@ -126,7 +296,10 @@ func (a *ProfileArena) Row(i int) (levels, degs []int32) {
 	return levels, a.Degs[a.DegOff[i]:a.DegOff[i+1]]
 }
 
+// Stored returns row i's stored tree (Words).
+func (a *ProfileArena) Stored(i int) []int32 { return a.Words[a.WordOff[i]:a.WordOff[i+1]] }
+
 // Bytes is the size of the arena's columns.
 func (a *ProfileArena) Bytes() int64 {
-	return 4 * int64(len(a.Sizes)+len(a.Levels)+len(a.Degs)+len(a.DegOff))
+	return 4 * int64(len(a.Sizes)+len(a.Levels)+len(a.Degs)+len(a.DegOff)+len(a.Words)+len(a.WordOff))
 }

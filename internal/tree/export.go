@@ -9,15 +9,14 @@ import (
 // This file is the persistence boundary of the shape dictionary and
 // the compiled profiles: binary corpus segments (internal/segment)
 // store the Interner as a CSR table of child-label runs and each tree
-// as the node-order labels of its levels above the deepest, from which
-// a load derives every profile column against the dictionary — WITHOUT
-// re-walking graphs, re-hashing shapes, or deriving a single AHU string
-// per node. Segments of the earlier layout stored the profile columns
-// themselves and still load through ProfileFromParts, which validates
-// them: segment bytes pass a checksum before they reach these
-// constructors, but a checksum only proves the file is what was
-// written, not that what was written is consistent. ProfileFromDerived
-// validates nothing; its caller vouches for the columns.
+// as the node-order labels of its levels above the deepest — an arena
+// row's stored form (ProfileArena.Words), which a load reads back into
+// rows without re-walking graphs, re-hashing shapes, or deriving a
+// single AHU string per node. Segments of the earlier layout stored the
+// profile columns themselves and still load through ProfileFromParts,
+// which validates them: segment bytes pass a checksum before they reach
+// it, but a checksum only proves the file is what was written, not that
+// what was written is consistent.
 
 // Shapes returns the dictionary in label-ID order without copying it:
 // shape id's key, Shapes()[id], is its sorted child labels packed as
@@ -165,31 +164,18 @@ func (in *Interner) ProfileFromParts(t *Tree, labels, perm, kids []int32, s *Sla
 	copy(lab, labels)
 	copy(prm, perm)
 	copy(kds, kids)
-	degs := levelDegrees(levels, t.childOff, s.Alloc(inner))
-	return in.ProfileFromDerived(t, levels, lab, prm, degs, kds, leaf), nil
-}
-
-// ProfileFromDerived is ProfileFromParts for columns the caller derived
-// from this dictionary itself rather than read, so it validates nothing:
-// levels, labels, perm, degs and kids must be exactly what Profile
-// would compute for t (Levels, and Labels, Perm, Degs and Kids above the
-// deepest level on t's own child offsets), and leaf the dictionary's
-// leaf shape, as a segment decoder obtains them from stored labels and
-// their shapes. The profile takes ownership of every column and enters
-// t's profile cache, exactly as a fresh compile would.
-func (in *Interner) ProfileFromDerived(t *Tree, levels, labels, perm, degs, kids []int32, leaf int32) *Profile {
-	inner := len(labels)
 	p := &Profile{
 		Levels:    levels,
-		Labels:    labels,
-		Degs:      degs,
-		Perm:      perm,
-		Kids:      kids,
+		Labels:    lab,
+		Degs:      levelDegrees(levels, t.childOff, s.Alloc(inner)),
+		Perm:      prm,
+		Kids:      kds,
 		KidOff:    t.childOff[: inner+1 : inner+1], // aligned by construction; both sides immutable
 		LeafLabel: leaf,
 		Size:      int32(t.Size()),
+		dict:      in,
 	}
 	p.Canon = uint64(p.rootLabel())
 	t.profCache.Store(&cachedProfile{dict: in.id, dictLen: in.Len(), p: p})
-	return p
+	return p, nil
 }

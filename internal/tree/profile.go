@@ -111,6 +111,10 @@ type Profile struct {
 	// tree.Canonical of the profiled trees — cached on the trees, never
 	// stored here.
 	Canon uint64
+
+	// dict is the dictionary an indexed profile's labels are interned
+	// in; nil for a query profile, which is never indexed.
+	dict *Interner
 }
 
 // Height returns the profiled tree's height.
@@ -457,6 +461,9 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 		KidOff:    kidOff, // aligned by construction; both sides immutable
 		LeafLabel: leaf,
 		Size:      int32(t.Size()),
+	}
+	if !readOnly {
+		p.dict = in
 	}
 	if root := p.rootLabel(); root >= 0 {
 		p.Canon = uint64(root)

@@ -1,0 +1,148 @@
+package tree
+
+import "slices"
+
+// This file builds an arena row back into the tree and profile the
+// verify stage compares: what Interner.Profile compiles for the tree
+// the row stores, derived from its stored labels and the dictionary.
+// Each label's shape is the node's sorted child labels, so it gives
+// the node's child count — in BFS order the child counts are the
+// child offsets, which are all a tree stores — and its kid run (Kids);
+// a sort per level gives the level-sorted Labels and Perm; the level
+// widths and degree runs are the arena's own columns.
+
+// RowScratch is the memory one worker builds rows into: the tree and
+// profile of the last row built, reused by the next, and its view of
+// the dictionary. Not safe for concurrent use.
+type RowScratch struct {
+	t      Tree
+	p      Profile
+	buf    []int32
+	keys   []uint64
+	dict   *Interner
+	shapes []string
+	leaf   int32
+}
+
+// Build returns row i's tree and profile in memory of their own.
+func (a *ProfileArena) Build(i int) (*Tree, *Profile) { return new(RowScratch).Row(a, i) }
+
+// Row builds row i of a into sc and returns its tree and profile, valid
+// until sc builds the next row: equal, column for column, to what
+// a.Dict's Profile compiles for the tree the row stores, and a tree
+// equal to that one.
+func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
+	words := a.Stored(i)
+	hdr := uint32(words[0])
+	m := int(hdr &^ ParentsFlag)
+	stored := words[1 : 1+m]
+	levels, inner := a.Row(i)
+	h := len(levels) - 1
+	sc.see(a.Dict, stored)
+
+	// levelOff (h+2), childOff (m+1), then the profile's Labels, Perm and
+	// Degs (m each) and Kids (m-1).
+	nk := max(m-1, 0)
+	buf := grow32(sc.buf, h+2+m+1+3*m+nk)
+	sc.buf = buf
+	levelOff, buf := buf[:h+2:h+2], buf[h+2:]
+	childOff, buf := buf[:m+1:m+1], buf[m+1:]
+	labels, buf := buf[:m:m], buf[m:]
+	perm, buf := buf[:m:m], buf[m:]
+	degs, kids := buf[:m:m], buf[m:m+nk:m+nk]
+	levelOff[0] = 0
+	for d, w := range levels {
+		levelOff[d+1] = levelOff[d] + w
+	}
+	n := levelOff[h+1]
+	childOff[0] = 0
+	for v, l := range stored {
+		childOff[v+1] = childOff[v] + int32(len(sc.shapes[l])/4)
+	}
+	var t *Tree
+	if hdr&ParentsFlag == 0 {
+		sc.t = Tree{levelOff: levelOff, childOff: childOff, childIDs: bfsIDs(int(n)), bfs: true}
+		t = &sc.t
+	} else {
+		t = MustNew(words[1+m:])
+	}
+
+	// Kids: each node's shape run, for levels 0..h-2; level h-1's are
+	// leaves, which the profile leaves implicit.
+	last := 0
+	if h > 0 {
+		last = int(levelOff[h-1])
+	}
+	at := 0
+	for _, l := range stored[:last] {
+		key := sc.shapes[l]
+		for j := 0; j < len(key); j += 4 {
+			kids[at] = int32(uint32(key[j]) | uint32(key[j+1])<<8 | uint32(key[j+2])<<16 | uint32(key[j+3])<<24)
+			at++
+		}
+	}
+	if m > 0 {
+		degs[0] = childOff[1]
+		copy(degs[1:], inner)
+	}
+	// Level-sorted labels, equal labels in ascending node order, and the
+	// permutation back to the nodes.
+	copy(labels, stored)
+	for d := range h {
+		lo, hi := levelOff[d], levelOff[d+1]
+		run, lperm := labels[lo:hi], perm[lo:hi]
+		if slices.IsSorted(run) {
+			for j := range lperm {
+				lperm[j] = int32(j)
+			}
+			continue
+		}
+		keys := slices.Grow(sc.keys[:0], len(run))[:len(run)]
+		for j, l := range run {
+			keys[j] = uint64(uint32(l))<<32 | uint64(uint32(j))
+		}
+		slices.Sort(keys)
+		for j, k := range keys {
+			run[j], lperm[j] = int32(k>>32), int32(uint32(k))
+		}
+		sc.keys = keys
+	}
+	sc.p = Profile{
+		Levels:    levels,
+		Labels:    labels,
+		Degs:      degs,
+		Size:      n,
+		Perm:      perm,
+		Kids:      kids,
+		KidOff:    childOff,
+		LeafLabel: sc.leaf,
+		dict:      a.Dict,
+	}
+	sc.p.Canon = uint64(sc.p.rootLabel())
+	return t, &sc.p
+}
+
+// see makes sc's view of the dictionary hold every label of stored:
+// labels only ever gain shapes, so the view is refreshed only when a
+// label is past its end.
+func (sc *RowScratch) see(in *Interner, stored []int32) {
+	if sc.dict == in {
+		top := int32(-1)
+		for _, l := range stored {
+			top = max(top, l)
+		}
+		if int(top) < len(sc.shapes) {
+			return
+		}
+	}
+	sc.dict, sc.shapes = in, in.Shapes()
+	sc.leaf, _ = in.resolve(nil, shapeHash(nil), true)
+}
+
+// grow32 returns s resliced to n, reallocated when its capacity is short.
+func grow32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n, n+n/4)
+	}
+	return s[:n]
+}
