@@ -80,9 +80,9 @@ func RowsOf(items []Item) *Rows {
 			in[i] = tree.ArenaRun{P: it.InP, T: it.In}
 		}
 	}
-	rows.Out = tree.CompileRuns(out)
+	rows.Out = tree.CompileRuns(out, 0)
 	if directed {
-		rows.In = tree.CompileRuns(in)
+		rows.In = tree.CompileRuns(in, 0)
 	}
 	return rows
 }
@@ -105,9 +105,9 @@ func (r *Rows) Only(nodes []graph.NodeID) *Rows {
 			in = extendRun(in, r.In, int32(i))
 		}
 	}
-	sub.Out = tree.CompileRuns(out)
+	sub.Out = tree.CompileRuns(out, 0)
 	if r.In != nil {
-		sub.In = tree.CompileRuns(in)
+		sub.In = tree.CompileRuns(in, 0)
 	}
 	return sub
 }
@@ -149,19 +149,25 @@ type profileBlock struct {
 // every row, ascending by node), by size key.
 func newBlock(rows Rows, byNode []int32) *profileBlock {
 	b := &profileBlock{Rows: rows, byNode: byNode}
-	live := byNode
-	if live == nil {
-		live = make([]int32, rows.Out.N)
-		for p := range live {
-			live[p] = int32(p)
+	n := rows.Len()
+	if byNode != nil {
+		n = len(byNode)
+	}
+	at, keys := make([]int32, n), make([]int32, n)
+	for i := range at {
+		p := int32(i)
+		if byNode != nil {
+			p = byNode[i]
+		}
+		at[i], keys[i] = int32(i), b.physKey(p)
+	}
+	b.ord, _ = orderBy(at, keys, nil, nil)
+	if byNode != nil {
+		for r, i := range b.ord {
+			b.ord[r] = byNode[i]
 		}
 	}
-	keys := make([]int32, rows.Out.N)
-	for _, p := range live {
-		keys[p] = b.physKey(p)
-	}
-	b.ord, _ = orderBy(live, keys, nil, nil)
-	b.n = len(b.ord)
+	b.n = n
 	return b
 }
 

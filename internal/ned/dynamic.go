@@ -115,27 +115,29 @@ func removeItems(items []Item, gone map[graph.NodeID]bool) ([]Item, int) {
 // --- cascade scan backend ---
 
 // A scan's rows are an immutable base plus a delta, the MV-PBT layout
-// (PAPERS.md). The base block's physical rows ascend by node; dead
-// lists, ascending, the base rows removed since the last fold — the
-// base's live run is the spans between them — and deadRows their
-// ranks, the form a sweep skips them in. The delta block holds what was
-// inserted since the last fold, its physical rows in arrival order,
-// ranked and listed by node over its live ones. A mutation never writes
-// a published block or list: it allocates new dead lists and a new
-// delta block, whose arenas extend the last delta's in place (only the
-// first successor of a delta can, so a clone's never collide) — a
-// write copies its own rows and the delta's ranks and node lists. A
-// delta whose dead physical rows outnumber its live ones is compacted.
-// Once the live delta and the dead slots together pass
-// max(foldMin, base>>foldShift), the mutation folds them inline into a
-// new base — one merge of runs, amortized over the mutations since the
-// last fold.
+// (PAPERS.md), over one append-only set of rows: the base block ranks
+// the rows live at the last fold, the delta block the rows inserted
+// since. dead lists, ascending, the base rows removed since the last
+// fold, and deadRows their ranks, the form a sweep skips them in. A
+// mutation never writes a published block or list: it appends its
+// rows to the arenas — in place, since only the first successor of a
+// set of rows may extend it, and a clone's successor copies — and
+// allocates new dead lists and delta ranks. So a write copies its own
+// rows and the delta's ranks. Once the live delta and the dead base
+// rows together pass max(foldMin, base>>foldShift), the mutation folds
+// them inline: the base ranks every live row, copying none. A fold
+// that finds the removed rows past half the live ones compacts the
+// rows into fresh arenas, with room for a fold's worth of inserts.
 
 // foldMin and foldShift fix when a scan folds (see above).
 const (
 	foldMin   = 64
 	foldShift = 5
 )
+
+// FoldRoom is the room a scan's base of n rows is compiled with: one
+// fold's worth of inserts.
+func FoldRoom(n int) int { return max(foldMin, n>>foldShift) }
 
 func (b *scanBackend) Insert(items ...Item) { b.apply(RowsOf(items), nil) }
 
@@ -210,73 +212,61 @@ func (b *scanBackend) deltaLen() int {
 	return b.dblk.n
 }
 
-// nextDelta is the delta block holding the last delta's physical rows
-// keep (by ascending node) and then ups, and the bytes it copied. It
-// extends the last delta's arenas unless their dead rows outnumber the
-// live ones, when it compacts them.
+// rows is the scan's latest set of rows, which the delta's view extends
+// past the base's.
+func (b *scanBackend) rows() Rows {
+	if b.dblk != nil {
+		return b.dblk.Rows
+	}
+	return b.bblk.Rows
+}
+
+// nextDelta is the delta block ranking the last delta's rows keep (by
+// ascending node) and then ups, appended to the scan's rows, and the
+// bytes it copied.
 func (b *scanBackend) nextDelta(keep []int32, ups *Rows) (*profileBlock, int64) {
-	old := b.dblk
+	rows, copied := b.rows(), int64(0)
 	if len(keep)+ups.Len() == 0 {
 		return nil, 0
 	}
-	var out, in *tree.ProfileArena
-	var nodes []graph.NodeID
-	var copied int64
-	var byNode []int32
-	if old == nil || old.Out.N > 2*len(keep)+foldMin {
-		var outRuns, inRuns []tree.ArenaRun
-		for _, p := range keep {
-			nodes = append(nodes, old.Nodes[p])
-			outRuns = extendRun(outRuns, old.Out, p)
-			if old.In != nil {
-				inRuns = extendRun(inRuns, old.In, p)
-			}
-		}
-		byNode = make([]int32, len(keep), len(keep)+ups.Len())
-		for i := range byNode {
-			byNode[i] = int32(i)
-		}
-		if ups != nil {
-			outRuns = append(outRuns, tree.ArenaRun{From: ups.Out, Hi: ups.Len()})
-			if ups.In != nil {
-				inRuns = append(inRuns, tree.ArenaRun{From: ups.In, Hi: ups.Len()})
-			}
-		}
-		out = tree.CompileRuns(outRuns)
-		copied = out.Bytes()
-		if len(inRuns) > 0 {
-			in = tree.CompileRuns(inRuns)
-			copied += in.Bytes()
-		}
-	} else {
-		nodes, byNode = slices.Clip(old.Nodes), keep
-		if ups != nil {
-			var c int64
-			out, c = old.Out.Append([]tree.ArenaRun{{From: ups.Out, Hi: ups.Len()}})
-			copied += c
-			if ups.In != nil {
-				in, c = old.In.Append([]tree.ArenaRun{{From: ups.In, Hi: ups.Len()}})
-				copied += c
-			}
-		} else {
-			out, in = old.Out, old.In
-		}
-	}
-	at := int32(len(nodes))
-	if ups != nil {
-		nodes = append(nodes, ups.Nodes...)
+	byNode := keep
+	if ups.Len() > 0 {
+		rows, copied = rows.Append(ups)
 		added := make([]int32, ups.Len())
 		for i := range added {
-			added[i] = at + int32(i)
+			added[i] = int32(rows.Len() - ups.Len() + i)
 		}
-		byNode = mergeByNode(nodes, byNode, added)
+		byNode = mergeByNode(rows.Nodes, keep, added)
 	}
-	k := b.bblk.K
-	if ups.Len() > 0 {
-		k = ups.K
+	blk := newBlock(rows, byNode)
+	return blk, copied + 8*int64(blk.n)
+}
+
+// Append returns rows followed by ups, and the bytes it copied: in place
+// when rows own their arenas' tail, only ups's rows and nodes.
+func (r Rows) Append(ups *Rows) (Rows, int64) {
+	out, copied, inPlace := r.Out.Append([]tree.ArenaRun{{From: ups.Out, Hi: ups.Len()}})
+	next := Rows{K: r.K, Out: out}
+	if r.K == 0 {
+		next.K = ups.K
 	}
-	blk := newBlock(Rows{K: k, Nodes: nodes, Out: out, In: in}, byNode)
-	return blk, copied + nodeBytes*int64(len(nodes)) + 4*int64(len(blk.ord)+len(blk.byNode))
+	if inPlace {
+		next.Nodes = append(r.Nodes, ups.Nodes...)
+		copied += nodeBytes * int64(ups.Len())
+	} else {
+		next.Nodes = append(slices.Clip(r.Nodes), ups.Nodes...)
+		copied += nodeBytes * int64(len(next.Nodes))
+	}
+	if r.In != nil || ups.In != nil {
+		var c int64
+		in := r.In
+		if in == nil {
+			in = tree.CompileRuns(nil, 0)
+		}
+		next.In, c, _ = in.Append([]tree.ArenaRun{{From: ups.In, Hi: ups.Len()}})
+		copied += c
+	}
+	return next, copied
 }
 
 // mergeByNode merges two lists of physical rows, each ascending by node,
@@ -303,28 +293,41 @@ func extendRun(runs []tree.ArenaRun, a *tree.ProfileArena, p int32) []tree.Arena
 	return append(runs, tree.ArenaRun{From: a, Lo: int(p), Hi: int(p) + 1})
 }
 
-// fold merges the live base and the delta into a new base, its arenas
-// copied from theirs in runs, and returns the bytes the rebuild copied.
+// fold makes every live row the base's and returns the bytes it copied:
+// the new ranks, or, when the rows hold more removed rows than live
+// ones, the live rows compacted into fresh arenas.
 func (b *scanBackend) fold() int64 {
-	directed := b.bblk.In != nil || (b.dblk != nil && b.dblk.In != nil)
-	var outRuns, inRuns []tree.ArenaRun
-	nodes := make([]graph.NodeID, 0, b.Len())
+	rows := b.rows()
+	var live []int32
 	for x := range b.liveRows() {
-		nodes = append(nodes, x.blk.Nodes[x.p])
-		outRuns = extendRun(outRuns, x.blk.Out, x.p)
-		if directed {
-			inRuns = extendRun(inRuns, x.blk.In, x.p)
+		live = append(live, x.p)
+	}
+	if 2*rows.Len() > 3*len(live)+foldMin {
+		return b.compact(rows, live)
+	}
+	b.bblk = newBlock(rows, live)
+	b.dead, b.deadRows, b.dblk = nil, nil, nil
+	return 8 * int64(len(live))
+}
+
+// compact makes the rows live, physical rows of rows by ascending
+// node, the base's, copied into fresh arenas, and returns the bytes it
+// copied.
+func (b *scanBackend) compact(rows Rows, live []int32) int64 {
+	fresh := Rows{K: rows.K, Nodes: make([]graph.NodeID, len(live))}
+	var out, in []tree.ArenaRun
+	for i, p := range live {
+		fresh.Nodes[i] = rows.Nodes[p]
+		out = extendRun(out, rows.Out, p)
+		if rows.In != nil {
+			in = extendRun(in, rows.In, p)
 		}
 	}
-	k := b.bblk.K
-	if b.dblk != nil {
-		k = b.dblk.K
+	fresh.Out = tree.CompileRuns(out, FoldRoom(len(live)))
+	if rows.In != nil {
+		fresh.In = tree.CompileRuns(in, FoldRoom(len(live)))
 	}
-	rows := &Rows{K: k, Nodes: nodes, Out: tree.CompileRuns(outRuns)}
-	if directed {
-		rows.In = tree.CompileRuns(inRuns)
-	}
-	b.bblk = blockOf(rows)
+	b.bblk = blockOf(&fresh)
 	b.dead, b.deadRows, b.dblk = nil, nil, nil
 	return b.bblk.bytes()
 }
@@ -367,24 +370,27 @@ func (b *scanBackend) Has(v graph.NodeID) bool {
 	return ok
 }
 
-// liveRows merges the live base rows with the delta's, by node.
+// liveRows merges the live base rows with the delta's, by node; every
+// row it yields is a row of b.rows().
 func (b *scanBackend) liveRows() iter.Seq[blockRow] {
 	return func(yield func(blockRow) bool) {
 		var delta []int32
 		if b.dblk != nil {
 			delta = slices.Collect(b.dblk.live())
 		}
-		for lo, hi := range liveSpans(int32(b.bblk.n), b.dead) {
-			for p := lo; p < hi; p++ {
-				for len(delta) > 0 && b.dblk.Nodes[delta[0]] < b.bblk.Nodes[p] {
-					if !yield(blockRow{b.dblk, delta[0]}) {
-						return
-					}
-					delta = delta[1:]
-				}
-				if !yield(blockRow{b.bblk, p}) {
+		for p := range b.bblk.live() {
+			if len(b.dead) > 0 && b.isDead(p) {
+				continue
+			}
+			v := b.bblk.Nodes[p]
+			for len(delta) > 0 && b.dblk.Nodes[delta[0]] < v {
+				if !yield(blockRow{b.dblk, delta[0]}) {
 					return
 				}
+				delta = delta[1:]
+			}
+			if !yield(blockRow{b.bblk, p}) {
+				return
 			}
 		}
 		for _, p := range delta {

@@ -89,8 +89,9 @@ const buildChunk = 256
 // BuildRows extracts and profiles the given nodes of g, which must
 // ascend, against dict and compiles them into rows, in parallel chunks:
 // each worker holds the trees and profiles of one chunk at a time, so
-// a build never holds every node's at once.
-func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) *Rows {
+// a build never holds every node's at once. The rows have room for
+// about room more, which a scan over them appends in place.
+func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers, room int) *Rows {
 	chunks := make([]*Rows, (len(nodes)+buildChunk-1)/buildChunk)
 	parallelFor(len(chunks), BatchOptions{Workers: workers}.workers(), func(c int) {
 		chunks[c] = RowsOf(BuildProfiledItems(g, nodes[c*buildChunk:min((c+1)*buildChunk, len(nodes))], k, directed, dict, 1))
@@ -108,9 +109,9 @@ func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict 
 			in[c] = tree.ArenaRun{From: ch.In, Hi: ch.Len()}
 		}
 	}
-	rows.Out = tree.CompileRuns(out)
+	rows.Out = tree.CompileRuns(out, room)
 	if directed {
-		rows.In = tree.CompileRuns(in)
+		rows.In = tree.CompileRuns(in, room)
 	}
 	return rows
 }

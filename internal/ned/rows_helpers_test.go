@@ -10,11 +10,11 @@ import (
 func compileBlock(items []Item) *profileBlock { return blockOf(RowsOf(items)) }
 
 // baseItems builds every row of the scan's base, dead ones included,
-// into items of their own, in node order: slot p is base row p.
+// into items of their own, in node order.
 func (b *scanBackend) baseItems() []Item {
-	out := make([]Item, b.bblk.n)
-	for p := range out {
-		out[p] = b.bblk.Item(p)
+	var out []Item
+	for p := range b.bblk.live() {
+		out = append(out, b.bblk.Item(int(p)))
 	}
 	return out
 }

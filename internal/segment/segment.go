@@ -1335,9 +1335,9 @@ func mergeTables(meta Meta, tables []*ned.Rows) *ned.Rows {
 			in = extend(in, tables[x.t].In, int(x.i))
 		}
 	}
-	merged.Out = tree.CompileRuns(out)
+	merged.Out = tree.CompileRuns(out, 0)
 	if meta.Directed {
-		merged.In = tree.CompileRuns(in)
+		merged.In = tree.CompileRuns(in, 0)
 	}
 	return merged
 }

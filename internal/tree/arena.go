@@ -77,7 +77,7 @@ func CompileArena(ps []*Profile) *ProfileArena {
 	for i, p := range ps {
 		runs[i].P = p
 	}
-	return CompileRuns(runs)
+	return CompileRuns(runs, 0)
 }
 
 // ArenaRun is a run of rows for CompileRuns: rows [Lo, Hi) of the arena
@@ -93,8 +93,10 @@ type ArenaRun struct {
 // CompileRuns builds an arena whose rows are the runs' rows, in order:
 // a profile's row is gathered from its columns, a run of an existing
 // arena's rows is copied in bulk. The width is the tallest row's height
-// plus one, as CompileArena over the same profiles would give.
-func CompileRuns(runs []ArenaRun) *ProfileArena {
+// plus one, as CompileArena over the same profiles would give. The
+// columns have room for about room more rows of the same average
+// size, which Append fills in place.
+func CompileRuns(runs []ArenaRun, room int) *ProfileArena {
 	n, width, degs, words := 0, 0, 0, 0
 	for _, run := range runs {
 		if run.From == nil {
@@ -111,26 +113,27 @@ func CompileRuns(runs []ArenaRun) *ProfileArena {
 			width = max(width, len(levels))
 		}
 	}
+	perRow := func(total int) int { return total + room*total/max(n, 1) }
 	a := &ProfileArena{
-		Sizes:   make([]int32, 0, n),
+		Sizes:   make([]int32, 0, n+room),
 		Width:   width,
-		Levels:  make([]int32, 0, n*width),
-		Degs:    make([]int32, 0, degs),
-		DegOff:  make([]int32, 1, n+1),
-		Words:   make([]int32, 0, words),
-		WordOff: make([]int32, 1, n+1),
-		tail:    &arenaTail{},
+		Levels:  make([]int32, 0, (n+room)*width),
+		Degs:    make([]int32, 0, perRow(degs)),
+		DegOff:  make([]int32, 1, n+room+1),
+		Words:   make([]int32, 0, perRow(words)),
+		WordOff: make([]int32, 1, n+room+1),
 	}
 	a.appendRuns(runs)
+	a.tail = &arenaTail{n: a.N}
 	return a
 }
 
-// Append returns an arena holding a's rows and then the runs' rows, and
-// the bytes it copied. The first arena appended to a's tail extends a's
-// backing arrays in place, so only the new rows are copied; a's own
-// rows stay as they were. Any other, or one whose new rows are taller
-// than a's width, is a fresh compile.
-func (a *ProfileArena) Append(runs []ArenaRun) (*ProfileArena, int64) {
+// Append returns an arena holding a's rows and then the runs' rows, the
+// bytes it copied, and whether it extended a in place. The first arena
+// appended to a's tail extends a's backing arrays in place, so only the
+// new rows are copied; a's own rows stay as they were. Any other, or
+// one whose new rows are taller than a's width, is a fresh compile.
+func (a *ProfileArena) Append(runs []ArenaRun) (b *ProfileArena, copied int64, inPlace bool) {
 	fits := a.tail != nil
 	for _, run := range runs {
 		if run.From == nil {
@@ -143,17 +146,18 @@ func (a *ProfileArena) Append(runs []ArenaRun) (*ProfileArena, int64) {
 		a.tail.mu.Lock()
 		fits = a.tail.n == a.N
 		if fits {
-			b := *a
-			b.appendRuns(runs)
-			a.tail.n = b.N
+			c := *a
+			c.appendRuns(runs)
+			a.tail.n = c.N
 			a.tail.mu.Unlock()
-			return &b, moved(a.Sizes, b.Sizes) + moved(a.Levels, b.Levels) + moved(a.Degs, b.Degs) +
-				moved(a.DegOff, b.DegOff) + moved(a.Words, b.Words) + moved(a.WordOff, b.WordOff)
+			b = &c
+			return b, moved(a.Sizes, b.Sizes) + moved(a.Levels, b.Levels) + moved(a.Degs, b.Degs) +
+				moved(a.DegOff, b.DegOff) + moved(a.Words, b.Words) + moved(a.WordOff, b.WordOff), true
 		}
 		a.tail.mu.Unlock()
 	}
-	b := CompileRuns(append([]ArenaRun{{From: a, Hi: a.N}}, runs...))
-	return b, b.Bytes()
+	b = CompileRuns(append([]ArenaRun{{From: a, Hi: a.N}}, runs...), 0)
+	return b, b.Bytes(), false
 }
 
 // moved is the bytes appending to a column copied: the new elements, or
@@ -244,6 +248,10 @@ func (a *ProfileArena) AppendRow(levels, degs, words []int32) {
 	a.Words = append(a.Words, words...)
 	a.WordOff = append(a.WordOff, int32(len(a.Words)))
 	a.N++
+	if a.tail == nil {
+		a.tail = &arenaTail{}
+	}
+	a.tail.n = a.N
 }
 
 // StoredSize is the length of the stored form of p's tree t.

@@ -24,7 +24,7 @@ func TestRowMatchesProfile(t *testing.T) {
 		trees = append(trees, tr)
 		runs = append(runs, ArenaRun{P: dict.Profile(tr), T: tr})
 	}
-	a := CompileRuns(runs)
+	a := CompileRuns(runs, 0)
 	var sc RowScratch
 	for i, tr := range trees {
 		want := dict.Profile(tr)
