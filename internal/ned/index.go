@@ -89,12 +89,31 @@ const buildChunk = 256
 // BuildRows extracts and profiles the given nodes of g, which must
 // ascend, against dict and compiles them into rows, in parallel chunks:
 // each worker holds the trees and profiles of one chunk at a time, so
-// a build never holds every node's at once. The rows have room for
+// a build never holds every node's at once, and profiles them with a
+// Profiler of the build's own. The rows have room for
 // about room more, which a scan over them appends in place.
 func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers, room int) *Rows {
 	chunks := make([]*Rows, (len(nodes)+buildChunk-1)/buildChunk)
-	parallelFor(len(chunks), BatchOptions{Workers: workers}.workers(), func(c int) {
-		chunks[c] = RowsOf(BuildProfiledItems(g, nodes[c*buildChunk:min((c+1)*buildChunk, len(nodes))], k, directed, dict, 1))
+	workers = BatchOptions{Workers: workers}.workers()
+	// The build's Profilers, one per worker at most; a sync.Pool would
+	// keep them past the build.
+	profilers := make(chan *tree.Profiler, workers)
+	parallelFor(len(chunks), workers, func(c int) {
+		var pr *tree.Profiler
+		select {
+		case pr = <-profilers:
+		default:
+			pr = dict.NewProfiler()
+		}
+		items := BuildItems(g, nodes[c*buildChunk:min((c+1)*buildChunk, len(nodes))], k, directed, 1)
+		for i := range items {
+			items[i].OutP = pr.Profile(items[i].Out)
+			if directed {
+				items[i].InP = pr.Profile(items[i].In)
+			}
+		}
+		profilers <- pr
+		chunks[c] = RowsOf(items)
 	})
 	rows := &Rows{K: k, Nodes: make([]graph.NodeID, 0, len(nodes))}
 	out := make([]tree.ArenaRun, len(chunks))

@@ -339,13 +339,20 @@ const (
 	profileKeysKeep = 1 << 18
 )
 
-var profileScratches = sync.Pool{New: func() any {
+var profileScratches = sync.Pool{New: func() any { return newProfileScratch() }}
+
+func newProfileScratch() *profileScratch {
 	return &profileScratch{memo: make(map[uint64]memoShape), locals: make(map[string]int32)}
-}}
+}
 
 // profileScratchFor takes a scratch from the pool, primed for in.
 func profileScratchFor(in *Interner) *profileScratch {
-	sc := profileScratches.Get().(*profileScratch)
+	return profileScratches.Get().(*profileScratch).prime(in)
+}
+
+// prime readies sc for a tree profiled against in: its memo kept if it
+// is in's and within bounds.
+func (sc *profileScratch) prime(in *Interner) *profileScratch {
 	if sc.dict != in.id || len(sc.memo) > profileMemoKeep || len(sc.keys) > profileKeysKeep {
 		sc.dict, sc.keys = in.id, sc.keys[:0]
 		clear(sc.memo)
@@ -353,6 +360,20 @@ func profileScratchFor(in *Interner) *profileScratch {
 	sc.nextLocal = -1
 	return sc
 }
+
+// A Profiler is Profile in working memory of its own, reused from tree
+// to tree and dropped with the Profiler: the memo a build fills does not
+// outlive the build in the pool. Not safe for concurrent use.
+type Profiler struct {
+	in *Interner
+	sc *profileScratch
+}
+
+// NewProfiler returns a Profiler compiling against in.
+func (in *Interner) NewProfiler() *Profiler { return &Profiler{in: in, sc: newProfileScratch()} }
+
+// Profile is Interner.Profile.
+func (p *Profiler) Profile(t *Tree) *Profile { return p.in.profileWith(p.sc.prime(p.in), t, false) }
 
 // release drops the tree's local labels and returns sc to the pool.
 func (sc *profileScratch) release() {
@@ -394,7 +415,10 @@ func (sc *profileScratch) label(in *Interner, key []byte, readOnly bool) int32 {
 func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 	sc := profileScratchFor(in)
 	defer sc.release()
+	return in.profileWith(sc, t, readOnly)
+}
 
+func (in *Interner) profileWith(sc *profileScratch, t *Tree, readOnly bool) *Profile {
 	h := t.Height()
 	inner := int(t.levelOff[h]) // nodes above the deepest level
 	last := 0                   // the first node of level h-1
