@@ -1303,7 +1303,8 @@ func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error
 }
 
 // mergeTables merges node-ascending row tables of distinct nodes into
-// one node-ascending batch, copying rows in runs.
+// one node-ascending batch, copying rows in runs, with room for a scan's
+// first fold of inserts.
 func mergeTables(meta Meta, tables []*ned.Rows) *ned.Rows {
 	if len(tables) == 1 {
 		return tables[0]
@@ -1335,9 +1336,9 @@ func mergeTables(meta Meta, tables []*ned.Rows) *ned.Rows {
 			in = extend(in, tables[x.t].In, int(x.i))
 		}
 	}
-	merged.Out = tree.CompileRuns(out, 0)
+	merged.Out = tree.CompileRuns(out, ned.FoldRoom(len(all)))
 	if meta.Directed {
-		merged.In = tree.CompileRuns(in, 0)
+		merged.In = tree.CompileRuns(in, ned.FoldRoom(len(all)))
 	}
 	return merged
 }
