@@ -464,7 +464,7 @@ func (c *Corpus) materializeAllLocked() {
 	}
 	v := c.view.Load()
 	nodes := slices.Sorted(maps.Keys(v.ep.members))
-	rows := ned.BuildRows(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers, ned.FoldRoom(len(nodes)))
+	rows := ned.BuildRows(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	c.view.Store(&corpusView{g: v.g, ep: &corpusEpoch{ix: ned.NewScan(rows, 1)}})
 	c.materialized.Store(true)
 }

@@ -77,7 +77,7 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 	var rows *ned.Rows
 	if c.materialized.Load() {
 		slices.Sort(fresh)
-		rows = ned.BuildRows(g, fresh, c.k, c.cfg.directed, c.dict, c.cfg.workers, 0)
+		rows = ned.BuildRows(g, fresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	}
 	return c.commitWrite("insert", func(ep *corpusEpoch) epochEdit {
 		var added []NodeID
@@ -261,7 +261,7 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 		}
 	}
 	slices.Sort(refresh)
-	rows := ned.BuildRows(g, refresh, c.k, c.cfg.directed, c.dict, c.cfg.workers, 0)
+	rows := ned.BuildRows(g, refresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	var gone []NodeID
 	for v := range view.ep.nodes() {
 		if int(v) >= g.NumNodes() {

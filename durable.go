@@ -407,7 +407,7 @@ func (c *Corpus) finishReplay(rp *replay) {
 	}
 	if len(rp.extract) > 0 {
 		nodes := slices.Sorted(maps.Keys(rp.extract))
-		ix, _ = ix.Splice(ned.BuildRows(view.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers, 0), nil)
+		ix, _ = ix.Splice(ned.BuildRows(view.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers), nil)
 	}
 	c.view.Store(&corpusView{g: view.g, ep: &corpusEpoch{ix: ix}})
 }

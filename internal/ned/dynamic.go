@@ -135,10 +135,6 @@ const (
 	foldShift = 5
 )
 
-// FoldRoom is the room a scan's base of n rows is compiled with: one
-// fold's worth of inserts.
-func FoldRoom(n int) int { return max(foldMin, n>>foldShift) }
-
 func (b *scanBackend) Insert(items ...Item) { b.apply(RowsOf(items), nil) }
 
 func (b *scanBackend) Remove(nodes ...graph.NodeID) int {
@@ -223,15 +219,22 @@ func (b *scanBackend) rows() Rows {
 
 // nextDelta is the delta block ranking the last delta's rows keep (by
 // ascending node) and then ups, appended to the scan's rows, and the
-// bytes it copied.
+// bytes it copied. When the rows cannot take ups in place, the scan
+// relocates first.
 func (b *scanBackend) nextDelta(keep []int32, ups *Rows) (*profileBlock, int64) {
-	rows, copied := b.rows(), int64(0)
 	if len(keep)+ups.Len() == 0 {
 		return nil, 0
 	}
-	byNode := keep
+	rows, copied, byNode := b.rows(), int64(0), keep
 	if ups.Len() > 0 {
-		rows, copied = rows.Append(ups)
+		var ok bool
+		if rows, copied, ok = rows.Append(ups); !ok {
+			var at []int32
+			rows, at, copied = b.relocate(ups)
+			for i, p := range keep {
+				keep[i] = at[p]
+			}
+		}
 		added := make([]int32, ups.Len())
 		for i := range added {
 			added[i] = int32(rows.Len() - ups.Len() + i)
@@ -242,31 +245,94 @@ func (b *scanBackend) nextDelta(keep []int32, ups *Rows) (*profileBlock, int64) 
 	return blk, copied + 8*int64(blk.n)
 }
 
-// Append returns rows followed by ups, and the bytes it copied: in place
-// when rows own their arenas' tail, only ups's rows and nodes.
-func (r Rows) Append(ups *Rows) (Rows, int64) {
-	out, copied, inPlace := r.Out.Append([]tree.ArenaRun{{From: ups.Out, Hi: ups.Len()}})
-	next := Rows{K: r.K, Out: out}
+// Append extends rows in place with ups's rows when their arenas can
+// (tree.ProfileArena.Fits), returning the extended rows and the bytes it
+// copied, or ok false.
+func (r Rows) Append(ups *Rows) (next Rows, copied int64, ok bool) {
+	out := []tree.ArenaRun{{From: ups.Out, Hi: ups.Len()}}
+	in := []tree.ArenaRun{{From: ups.In, Hi: ups.Len()}}
+	if !r.Out.Fits(out) || (r.In != nil && !r.In.Fits(in)) || cap(r.Nodes)-len(r.Nodes) < ups.Len() {
+		return r, 0, false
+	}
+	next = Rows{K: r.K, Nodes: append(r.Nodes, ups.Nodes...)}
 	if r.K == 0 {
 		next.K = ups.K
 	}
-	if inPlace {
-		next.Nodes = append(r.Nodes, ups.Nodes...)
-		copied += nodeBytes * int64(ups.Len())
-	} else {
-		next.Nodes = append(slices.Clip(r.Nodes), ups.Nodes...)
-		copied += nodeBytes * int64(len(next.Nodes))
-	}
-	if r.In != nil || ups.In != nil {
+	next.Out, copied = r.Out.Append(out)
+	if r.In != nil {
 		var c int64
-		in := r.In
-		if in == nil {
-			in = tree.CompileRuns(nil, 0)
-		}
-		next.In, c, _ = in.Append([]tree.ArenaRun{{From: ups.In, Hi: ups.Len()}})
+		next.In, c = r.In.Append(in)
 		copied += c
 	}
-	return next, copied
+	return next, copied + nodeBytes*int64(ups.Len()), true
+}
+
+// relocate copies the rows the scan ranks — the base's, dead ones
+// included, then the delta's live ones, each by node — and then ups
+// into fresh arenas with room for an eighth as many more, and moves the
+// base's ranks and dead list to them. It returns the new rows, each old
+// physical row's new one (-1: not kept), and the bytes it copied. The
+// ranks themselves do not change, so no query can tell.
+func (b *scanBackend) relocate(ups *Rows) (Rows, []int32, int64) {
+	old := b.rows()
+	at := make([]int32, old.Len())
+	for i := range at {
+		at[i] = -1
+	}
+	var order []int32
+	for p := range b.bblk.live() {
+		order = append(order, p)
+	}
+	if b.dblk != nil {
+		for p := range b.dblk.live() {
+			order = append(order, p)
+		}
+	}
+	room := max(foldMin, (len(order)+ups.Len())/8)
+	fresh := Rows{K: old.K, Nodes: make([]graph.NodeID, len(order), len(order)+ups.Len()+room)}
+	var out, in []tree.ArenaRun
+	for i, p := range order {
+		at[p] = int32(i)
+		fresh.Nodes[i] = old.Nodes[p]
+		out = extendRun(out, old.Out, p)
+		if old.In != nil {
+			in = extendRun(in, old.In, p)
+		}
+	}
+	if ups.Len() > 0 {
+		fresh.Nodes = append(fresh.Nodes, ups.Nodes...)
+		out = append(out, tree.ArenaRun{From: ups.Out, Hi: ups.Len()})
+		if old.In != nil {
+			in = append(in, tree.ArenaRun{From: ups.In, Hi: ups.Len()})
+		}
+		if fresh.K == 0 {
+			fresh.K = ups.K
+		}
+	}
+	fresh.Out = tree.CompileRuns(out, room)
+	if old.In != nil {
+		fresh.In = tree.CompileRuns(in, room)
+	}
+	base := *b.bblk
+	base.Rows, base.byNode = fresh, nil
+	base.ord = make([]int32, len(b.bblk.ord))
+	for r, p := range b.bblk.ord {
+		base.ord[r] = at[p]
+	}
+	b.bblk = &base
+	if len(b.dead) > 0 {
+		dead := make([]int32, len(b.dead))
+		for i, p := range b.dead {
+			dead[i] = at[p]
+		}
+		slices.Sort(dead)
+		b.dead = dead
+	}
+	copied := fresh.Out.Bytes() + nodeBytes*int64(len(fresh.Nodes)) + 4*int64(len(base.ord)+len(b.dead))
+	if fresh.In != nil {
+		copied += fresh.In.Bytes()
+	}
+	return fresh, at, copied
 }
 
 // mergeByNode merges two lists of physical rows, each ascending by node,
@@ -293,43 +359,16 @@ func extendRun(runs []tree.ArenaRun, a *tree.ProfileArena, p int32) []tree.Arena
 	return append(runs, tree.ArenaRun{From: a, Lo: int(p), Hi: int(p) + 1})
 }
 
-// fold makes every live row the base's and returns the bytes it copied:
-// the new ranks, or, when the rows hold more removed rows than live
-// ones, the live rows compacted into fresh arenas.
+// fold makes every live row the base's, copying none, and returns the
+// bytes of the new ranks.
 func (b *scanBackend) fold() int64 {
-	rows := b.rows()
-	var live []int32
+	live := make([]int32, 0, b.Len())
 	for x := range b.liveRows() {
 		live = append(live, x.p)
 	}
-	if 2*rows.Len() > 3*len(live)+foldMin {
-		return b.compact(rows, live)
-	}
-	b.bblk = newBlock(rows, live)
+	b.bblk = newBlock(b.rows(), live)
 	b.dead, b.deadRows, b.dblk = nil, nil, nil
 	return 8 * int64(len(live))
-}
-
-// compact makes the rows live, physical rows of rows by ascending
-// node, the base's, copied into fresh arenas, and returns the bytes it
-// copied.
-func (b *scanBackend) compact(rows Rows, live []int32) int64 {
-	fresh := Rows{K: rows.K, Nodes: make([]graph.NodeID, len(live))}
-	var out, in []tree.ArenaRun
-	for i, p := range live {
-		fresh.Nodes[i] = rows.Nodes[p]
-		out = extendRun(out, rows.Out, p)
-		if rows.In != nil {
-			in = extendRun(in, rows.In, p)
-		}
-	}
-	fresh.Out = tree.CompileRuns(out, FoldRoom(len(live)))
-	if rows.In != nil {
-		fresh.In = tree.CompileRuns(in, FoldRoom(len(live)))
-	}
-	b.bblk = blockOf(&fresh)
-	b.dead, b.deadRows, b.dblk = nil, nil, nil
-	return b.bblk.bytes()
 }
 
 // isDead reports whether base row p was removed since the last fold.

@@ -90,9 +90,8 @@ const buildChunk = 256
 // ascend, against dict and compiles them into rows, in parallel chunks:
 // each worker holds the trees and profiles of one chunk at a time, so
 // a build never holds every node's at once, and profiles them with a
-// Profiler of the build's own. The rows have room for
-// about room more, which a scan over them appends in place.
-func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers, room int) *Rows {
+// Profiler of the build's own.
+func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) *Rows {
 	chunks := make([]*Rows, (len(nodes)+buildChunk-1)/buildChunk)
 	workers = BatchOptions{Workers: workers}.workers()
 	// The build's Profilers, one per worker at most; a sync.Pool would
@@ -128,9 +127,9 @@ func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict 
 			in[c] = tree.ArenaRun{From: ch.In, Hi: ch.Len()}
 		}
 	}
-	rows.Out = tree.CompileRuns(out, room)
+	rows.Out = tree.CompileRuns(out, 0)
 	if directed {
-		rows.In = tree.CompileRuns(in, room)
+		rows.In = tree.CompileRuns(in, 0)
 	}
 	return rows
 }

@@ -131,13 +131,10 @@ func TestBlockKernelsMatchOracle(t *testing.T) {
 	if ix.Remove(tall...) == 0 {
 		t.Fatalf("removing the %d tallest items removed nothing", len(tall))
 	}
-	var live []int32
-	for x := range ix.liveRows() {
-		live = append(live, x.p)
-	}
-	ix.compact(ix.rows(), live)
+	ix.fold()
+	ix.relocate(nil)
 	if ix.bblk.Out.Width >= wide {
-		t.Fatalf("compacting out the %d tallest items left the width at %d (was %d)", len(tall), ix.bblk.Out.Width, wide)
+		t.Fatalf("folding and relocating out the %d tallest items left the width at %d (was %d)", len(tall), ix.bblk.Out.Width, wide)
 	}
 	base := ix.baseItems()
 	checkBlockKernels(t, "recompiled by a fold", base, ix.bblk, []Item{deepest, base[0], base[len(base)/2]})

@@ -1303,8 +1303,7 @@ func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error
 }
 
 // mergeTables merges node-ascending row tables of distinct nodes into
-// one node-ascending batch, copying rows in runs, with room for a scan's
-// first fold of inserts.
+// one node-ascending batch, copying rows in runs.
 func mergeTables(meta Meta, tables []*ned.Rows) *ned.Rows {
 	if len(tables) == 1 {
 		return tables[0]
@@ -1336,9 +1335,9 @@ func mergeTables(meta Meta, tables []*ned.Rows) *ned.Rows {
 			in = extend(in, tables[x.t].In, int(x.i))
 		}
 	}
-	merged.Out = tree.CompileRuns(out, ned.FoldRoom(len(all)))
+	merged.Out = tree.CompileRuns(out, 0)
 	if meta.Directed {
-		merged.In = tree.CompileRuns(in, ned.FoldRoom(len(all)))
+		merged.In = tree.CompileRuns(in, 0)
 	}
 	return merged
 }

@@ -128,45 +128,55 @@ func CompileRuns(runs []ArenaRun, room int) *ProfileArena {
 	return a
 }
 
-// Append returns an arena holding a's rows and then the runs' rows, the
-// bytes it copied, and whether it extended a in place. The first arena
-// appended to a's tail extends a's backing arrays in place, so only the
-// new rows are copied; a's own rows stay as they were. Any other, or
-// one whose new rows are taller than a's width, is a fresh compile.
-func (a *ProfileArena) Append(runs []ArenaRun) (b *ProfileArena, copied int64, inPlace bool) {
-	fits := a.tail != nil
+// Fits reports whether Append can extend a with the runs' rows: a owns
+// its columns' tail — only the first arena appended to a set of columns
+// does, so a's own rows and every other arena's stay as they were — and
+// the columns have room for them at a's width.
+func (a *ProfileArena) Fits(runs []ArenaRun) bool {
+	if a.tail == nil {
+		return false
+	}
+	rows, degs, words := 0, 0, 0
 	for _, run := range runs {
 		if run.From == nil {
-			fits = fits && len(run.P.Levels) <= a.Width
-		} else {
-			fits = fits && run.From.Width <= a.Width
+			if len(run.P.Levels) > a.Width {
+				return false
+			}
+			rows, degs, words = rows+1, degs+len(run.P.InnerDegs()), words+StoredSize(run.P, run.T)
+			continue
 		}
-	}
-	if fits {
-		a.tail.mu.Lock()
-		fits = a.tail.n == a.N
-		if fits {
-			c := *a
-			c.appendRuns(runs)
-			a.tail.n = c.N
-			a.tail.mu.Unlock()
-			b = &c
-			return b, moved(a.Sizes, b.Sizes) + moved(a.Levels, b.Levels) + moved(a.Degs, b.Degs) +
-				moved(a.DegOff, b.DegOff) + moved(a.Words, b.Words) + moved(a.WordOff, b.WordOff), true
+		f := run.From
+		for r := run.Lo; r < run.Hi; r++ {
+			if levels, _ := f.Row(r); len(levels) > a.Width {
+				return false
+			}
 		}
-		a.tail.mu.Unlock()
+		rows += run.Hi - run.Lo
+		degs += int(f.DegOff[run.Hi] - f.DegOff[run.Lo])
+		words += int(f.WordOff[run.Hi] - f.WordOff[run.Lo])
 	}
-	b = CompileRuns(append([]ArenaRun{{From: a, Hi: a.N}}, runs...), 0)
-	return b, b.Bytes(), false
+	room := func(col []int32, n int) bool { return cap(col)-len(col) >= n }
+	if !room(a.Sizes, rows) || !room(a.Levels, rows*a.Width) || !room(a.Degs, degs) ||
+		!room(a.DegOff, rows) || !room(a.Words, words) || !room(a.WordOff, rows) {
+		return false
+	}
+	a.tail.mu.Lock()
+	defer a.tail.mu.Unlock()
+	return a.tail.n == a.N
 }
 
-// moved is the bytes appending to a column copied: the new elements, or
-// every element when the append outgrew the backing array.
-func moved(old, grown []int32) int64 {
-	if len(old) > 0 && &old[0] == &grown[0] {
-		return 4 * int64(len(grown)-len(old))
+// Append extends a in place with the runs' rows, which must fit (Fits),
+// and returns the extended arena and the bytes it copied.
+func (a *ProfileArena) Append(runs []ArenaRun) (*ProfileArena, int64) {
+	a.tail.mu.Lock()
+	defer a.tail.mu.Unlock()
+	if a.tail.n != a.N {
+		panic("tree: appending to an arena whose tail another arena took")
 	}
-	return 4 * int64(len(grown))
+	c := *a
+	c.appendRuns(runs)
+	a.tail.n = c.N
+	return &c, c.Bytes() - a.Bytes()
 }
 
 // appendRuns appends the runs' rows to a, whose width holds them all.
