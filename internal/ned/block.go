@@ -80,11 +80,17 @@ func RowsOf(items []Item) *Rows {
 			in[i] = tree.ArenaRun{P: it.InP, T: it.In}
 		}
 	}
-	rows.Out = tree.CompileRuns(out, 0)
-	if directed {
-		rows.In = tree.CompileRuns(in, 0)
+	return rows.compile(out, in, 0)
+}
+
+// compile sets r's arenas to the out- and in-tree runs compiled with
+// room for room more rows (in nil: undirected rows) and returns r.
+func (r *Rows) compile(out, in []tree.ArenaRun, room int) *Rows {
+	r.Out = tree.CompileRuns(out, room)
+	if in != nil {
+		r.In = tree.CompileRuns(in, room)
 	}
-	return rows
+	return r
 }
 
 // Only is the batch of r's rows whose nodes are in nodes, which ascend:
@@ -95,6 +101,9 @@ func (r *Rows) Only(nodes []graph.NodeID) *Rows {
 	}
 	sub := &Rows{K: r.K, Nodes: nodes}
 	var out, in []tree.ArenaRun
+	if r.In != nil {
+		in = []tree.ArenaRun{}
+	}
 	i := 0
 	for _, v := range nodes {
 		for r.Nodes[i] != v {
@@ -105,11 +114,7 @@ func (r *Rows) Only(nodes []graph.NodeID) *Rows {
 			in = extendRun(in, r.In, int32(i))
 		}
 	}
-	sub.Out = tree.CompileRuns(out, 0)
-	if r.In != nil {
-		sub.In = tree.CompileRuns(in, 0)
-	}
-	return sub
+	return sub.compile(out, in, 0)
 }
 
 // Item builds row i into an item of its own: its node, trees and
@@ -171,8 +176,27 @@ func newBlock(rows Rows, byNode []int32) *profileBlock {
 	return b
 }
 
-// blockOf is the block over rows, every one live.
-func blockOf(rows *Rows) *profileBlock { return newBlock(*rows, nil) }
+// blockOf is the block over rows, every one live, copied into rank
+// order so that the kernels read a window's rows in sequence.
+func blockOf(rows *Rows) *profileBlock {
+	b := newBlock(*rows, nil)
+	ranked := Rows{K: rows.K, Nodes: make([]graph.NodeID, b.n)}
+	var out, in []tree.ArenaRun
+	if rows.In != nil {
+		in = []tree.ArenaRun{}
+	}
+	at := make([]int32, b.n)
+	for r, p := range b.ord {
+		ranked.Nodes[r], at[p] = rows.Nodes[p], int32(r)
+		out = extendRun(out, rows.Out, p)
+		if rows.In != nil {
+			in = extendRun(in, rows.In, p)
+		}
+		b.ord[r] = int32(r)
+	}
+	b.Rows, b.byNode = *ranked.compile(out, in, 0), at
+	return b
+}
 
 // bytes is the size of the block's own columns: its arenas, nodes and
 // ranks.

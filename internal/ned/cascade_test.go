@@ -187,7 +187,7 @@ func TestCascadeBoundsDominance(t *testing.T) {
 		q := profiled[0]
 		blk.bounds(q, 0, int32(blk.n), sizeB, padB)
 		for j := range blk.n {
-			it := profiled[blk.ord[j]]
+			it := profiled[blk.slot(int32(j))]
 			deg, _ := degreeTierPrunes(q, it, paddingBound(q, it), ted.Unbounded)
 			d := ItemDistance(q, it)
 			if sizeB[j] > padB[j] || int(padB[j]) > deg || deg > d {

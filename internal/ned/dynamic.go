@@ -120,14 +120,15 @@ func removeItems(items []Item, gone map[graph.NodeID]bool) ([]Item, int) {
 // since. dead lists, ascending, the base rows removed since the last
 // fold, and deadRows their ranks, the form a sweep skips them in. A
 // mutation never writes a published block or list: it appends its
-// rows to the arenas — in place, since only the first successor of a
-// set of rows may extend it, and a clone's successor copies — and
-// allocates new dead lists and delta ranks. So a write copies its own
-// rows and the delta's ranks. Once the live delta and the dead base
-// rows together pass max(foldMin, base>>foldShift), the mutation folds
-// them inline: the base ranks every live row, copying none. A fold
-// that finds the removed rows past half the live ones compacts the
-// rows into fresh arenas, with room for a fold's worth of inserts.
+// rows to the arenas in place — only the first successor of a set of
+// rows may extend it — and allocates new dead lists and delta ranks, so
+// a write copies its own rows and the delta's ranks. A write the arenas
+// have no room for, or a clone's, relocates the ranked rows into fresh
+// arenas with room for an eighth as many more (relocate), which drops
+// the rows no block ranks any longer; the ranks stay as they were. Once
+// the live delta and the dead base rows together pass max(foldMin,
+// base>>foldShift), the mutation folds them inline: the base ranks
+// every live row, copying none.
 
 // foldMin and foldShift fix when a scan folds (see above).
 const (
@@ -254,7 +255,7 @@ func (r Rows) Append(ups *Rows) (next Rows, copied int64, ok bool) {
 	if !r.Out.Fits(out) || (r.In != nil && !r.In.Fits(in)) || cap(r.Nodes)-len(r.Nodes) < ups.Len() {
 		return r, 0, false
 	}
-	next = Rows{K: r.K, Nodes: append(r.Nodes, ups.Nodes...)}
+	next = Rows{K: r.K}
 	if r.K == 0 {
 		next.K = ups.K
 	}
@@ -264,13 +265,15 @@ func (r Rows) Append(ups *Rows) (next Rows, copied int64, ok bool) {
 		next.In, c = r.In.Append(in)
 		copied += c
 	}
+	// The node column's tail is the arenas': theirs is taken now.
+	next.Nodes = append(r.Nodes, ups.Nodes...)
 	return next, copied + nodeBytes*int64(ups.Len()), true
 }
 
 // relocate copies the rows the scan ranks — the base's, dead ones
-// included, then the delta's live ones, each by node — and then ups
-// into fresh arenas with room for an eighth as many more, and moves the
-// base's ranks and dead list to them. It returns the new rows, each old
+// included, then the delta's live ones, each in rank order — and then
+// ups into fresh arenas with room for an eighth as many more, and moves
+// the base's ranks and lists to them. It returns the new rows, each old
 // physical row's new one (-1: not kept), and the bytes it copied. The
 // ranks themselves do not change, so no query can tell.
 func (b *scanBackend) relocate(ups *Rows) (Rows, []int32, int64) {
@@ -279,18 +282,16 @@ func (b *scanBackend) relocate(ups *Rows) (Rows, []int32, int64) {
 	for i := range at {
 		at[i] = -1
 	}
-	var order []int32
-	for p := range b.bblk.live() {
-		order = append(order, p)
-	}
+	order := slices.Clone(b.bblk.ord)
 	if b.dblk != nil {
-		for p := range b.dblk.live() {
-			order = append(order, p)
-		}
+		order = append(order, b.dblk.ord...)
 	}
 	room := max(foldMin, (len(order)+ups.Len())/8)
 	fresh := Rows{K: old.K, Nodes: make([]graph.NodeID, len(order), len(order)+ups.Len()+room)}
 	var out, in []tree.ArenaRun
+	if old.In != nil {
+		in = []tree.ArenaRun{}
+	}
 	for i, p := range order {
 		at[p] = int32(i)
 		fresh.Nodes[i] = old.Nodes[p]
@@ -309,15 +310,14 @@ func (b *scanBackend) relocate(ups *Rows) (Rows, []int32, int64) {
 			fresh.K = ups.K
 		}
 	}
-	fresh.Out = tree.CompileRuns(out, room)
-	if old.In != nil {
-		fresh.In = tree.CompileRuns(in, room)
-	}
+	fresh.compile(out, in, room)
 	base := *b.bblk
-	base.Rows, base.byNode = fresh, nil
-	base.ord = make([]int32, len(b.bblk.ord))
-	for r, p := range b.bblk.ord {
-		base.ord[r] = at[p]
+	base.Rows, base.ord, base.byNode = fresh, make([]int32, base.n), make([]int32, 0, base.n)
+	for r := range base.ord {
+		base.ord[r] = int32(r)
+	}
+	for p := range b.bblk.live() {
+		base.byNode = append(base.byNode, at[p])
 	}
 	b.bblk = &base
 	if len(b.dead) > 0 {
@@ -328,7 +328,7 @@ func (b *scanBackend) relocate(ups *Rows) (Rows, []int32, int64) {
 		slices.Sort(dead)
 		b.dead = dead
 	}
-	copied := fresh.Out.Bytes() + nodeBytes*int64(len(fresh.Nodes)) + 4*int64(len(base.ord)+len(b.dead))
+	copied := fresh.Out.Bytes() + nodeBytes*int64(len(fresh.Nodes)) + 4*int64(2*base.n+len(b.dead))
 	if fresh.In != nil {
 		copied += fresh.In.Bytes()
 	}

@@ -127,25 +127,7 @@ func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict 
 			in[c] = tree.ArenaRun{From: ch.In, Hi: ch.Len()}
 		}
 	}
-	rows.Out = tree.CompileRuns(out, 0)
-	if directed {
-		rows.In = tree.CompileRuns(in, 0)
-	}
-	return rows
-}
-
-// BuildProfiledItems is BuildItems followed by ProfileItems in one
-// parallel pass: each worker extracts a node's trees and compiles their
-// profiles against dict while the trees are still in its cache, so a
-// build walks the items once and the profile phase scales with the
-// workers as the extraction does. Output order matches the input order.
-func BuildProfiledItems(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) []Item {
-	out := make([]Item, len(nodes))
-	parallelFor(len(nodes), BatchOptions{Workers: workers}.workers(), func(i int) {
-		out[i] = NewItem(g, nodes[i], k, directed)
-		ProfileItem(&out[i], dict)
-	})
-	return out
+	return rows.compile(out, in, 0)
 }
 
 // NewItem extracts the index item of one node: its k-adjacent tree, or

@@ -2,7 +2,6 @@ package ned
 
 import (
 	"cmp"
-	"iter"
 	"slices"
 )
 
@@ -127,23 +126,6 @@ func orderBy(ids, val, dst, counts []int32) ([]int32, []int32) {
 		*c++
 	}
 	return dst, counts
-}
-
-// liveSpans yields the maximal runs [lo, hi) of slots 0..n-1 that dead
-// (ascending) does not list: the live run of a part, as spans.
-func liveSpans(n int32, dead []int32) iter.Seq2[int32, int32] {
-	return func(yield func(lo, hi int32) bool) {
-		lo := int32(0)
-		for _, d := range dead {
-			if lo < d && !yield(lo, d) {
-				return
-			}
-			lo = d + 1
-		}
-		if lo < n {
-			yield(lo, n)
-		}
-	}
 }
 
 // partBase is the first global row of part p.

@@ -164,7 +164,7 @@ func TestBlockKernelsMatchOracle(t *testing.T) {
 func checkDegreeColumn(t *testing.T, name string, items []Item, blk *profileBlock, queries []Item) {
 	t.Helper()
 	for r := range blk.n {
-		it := items[blk.ord[r]]
+		it := items[blk.slot(int32(r))]
 		levels, degs := blk.Out.Row(int(blk.ord[r]))
 		if !slices.Equal(levels, it.OutP.Levels) || !slices.Equal(degs, it.OutP.InnerDegs()) {
 			t.Fatalf("%s row %d (node %d): column (%v, %v), profile (%v, %v)",
@@ -202,10 +202,10 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 		t.Fatalf("%s: the rows' item slots are not a permutation of %d items", name, len(items))
 	}
 	for r := 1; r < blk.n; r++ {
-		a, b := items[blk.ord[r-1]], items[blk.ord[r]]
-		if c := cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(blk.ord[r-1], blk.ord[r])); c >= 0 {
+		a, b := items[blk.slot(int32(r-1))], items[blk.slot(int32(r))]
+		if c := cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(blk.slot(int32(r-1)), blk.slot(int32(r)))); c >= 0 {
 			t.Fatalf("%s: row %d (key %d, slot %d) does not follow row %d (key %d, slot %d)",
-				name, r, key(b), blk.ord[r], r-1, key(a), blk.ord[r-1])
+				name, r, key(b), blk.slot(int32(r)), r-1, key(a), blk.slot(int32(r-1)))
 		}
 	}
 	checkDegreeColumn(t, name, items, blk, queries)
@@ -215,7 +215,7 @@ func checkBlockKernels(t *testing.T, name string, items []Item, blk *profileBloc
 	for qi, q := range queries {
 		blk.bounds(q, 0, int32(blk.n), sizeB, padB)
 		for j := range blk.n {
-			it := items[blk.ord[j]]
+			it := items[blk.slot(int32(j))]
 			size, pad := ted.SizeBound(q.OutP, it.OutP), ted.PaddingBound(q.OutP, it.OutP)
 			if q.In != nil && it.In != nil {
 				size += ted.SizeBound(q.InP, it.InP)

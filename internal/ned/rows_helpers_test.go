@@ -3,6 +3,9 @@ package ned
 import (
 	"reflect"
 	"testing"
+
+	"ned/internal/graph"
+	"ned/internal/tree"
 )
 
 // compileBlock is the block over items' rows: node-sorted, every one
@@ -61,4 +64,25 @@ func (b *scanBackend) liveItems() []Item {
 		out = append(out, full)
 	}
 	return out
+}
+
+// BuildProfiledItems extracts and profiles the items of nodes against
+// dict, in parallel, in input order.
+func BuildProfiledItems(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) []Item {
+	out := BuildItems(g, nodes, k, directed, workers)
+	ProfileItems(out, dict, workers)
+	return out
+}
+
+// slot is the position of rank r's row among the block's live rows by
+// node: for a block compiled over node-sorted items, its item's index.
+func (b *profileBlock) slot(r int32) int32 {
+	p, i := b.ord[r], int32(0)
+	for q := range b.live() {
+		if q == p {
+			return i
+		}
+		i++
+	}
+	panic("ned: a rank whose row is not live")
 }

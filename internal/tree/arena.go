@@ -101,7 +101,7 @@ func CompileRuns(runs []ArenaRun, room int) *ProfileArena {
 	for _, run := range runs {
 		if run.From == nil {
 			n, width = n+1, max(width, len(run.P.Levels))
-			degs, words = degs+len(run.P.InnerDegs()), words+StoredSize(run.P, run.T)
+			degs, words = degs+len(run.P.InnerDegs()), words+storedSize(run.P, run.T)
 			continue
 		}
 		f := run.From
@@ -142,7 +142,7 @@ func (a *ProfileArena) Fits(runs []ArenaRun) bool {
 			if len(run.P.Levels) > a.Width {
 				return false
 			}
-			rows, degs, words = rows+1, degs+len(run.P.InnerDegs()), words+StoredSize(run.P, run.T)
+			rows, degs, words = rows+1, degs+len(run.P.InnerDegs()), words+storedSize(run.P, run.T)
 			continue
 		}
 		f := run.From
@@ -264,8 +264,8 @@ func (a *ProfileArena) AppendRow(levels, degs, words []int32) {
 	a.tail.n = a.N
 }
 
-// StoredSize is the length of the stored form of p's tree t.
-func StoredSize(p *Profile, t *Tree) int {
+// storedSize is the length of the stored form of p's tree t.
+func storedSize(p *Profile, t *Tree) int {
 	n := 1 + len(p.Degs)
 	if t != nil && !t.BFSOrder() {
 		n += t.Size()
