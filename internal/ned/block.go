@@ -15,9 +15,6 @@ import (
 	"ned/internal/tree"
 )
 
-// nodeBytes is the size of one node ID.
-const nodeBytes = int64(unsafe.Sizeof(graph.NodeID(0)))
-
 // This file holds the candidate block the cascade sweep reads at any
 // width: the scan's rows in columns, one arena (internal/tree) for the
 // out-trees and one for the in-trees when the corpus is directed. The
@@ -36,7 +33,11 @@ const nodeBytes = int64(unsafe.Sizeof(graph.NodeID(0)))
 // a row's level widths and degree runs from the arenas too
 // (degreeTierPrunes), so a candidate's tree and profile are built, from
 // its stored labels and the dictionary, only when it reaches the verify
-// stage (candidate).
+// stage (candidate). A build, a load and a relocation lay the base's
+// rows out in rank order, so the kernels read a window in sequence.
+
+// nodeBytes is the size of one node ID.
+const nodeBytes = int64(unsafe.Sizeof(graph.NodeID(0)))
 
 // Rows is a batch of indexed rows in columns, node-ascending: row i is
 // node Nodes[i], its out-tree row i of Out and, when directed, its

@@ -12,12 +12,14 @@ import (
 //
 //	size |n1−n2|  <=  padding Σ|L_d gaps|  <=  degree sequence  <=  TED*
 //
-// — each tier read off flat per-item Profiles (internal/tree) compiled
-// once at extraction, insert, or snapshot-load time, so the per-
+// — each tier read off the columns Profiles (internal/tree) compile to,
+// once, at extraction, insert, or snapshot-load time, so the per-
 // candidate filter costs a few int32 scans instead of tree walks and
 // string compares. A candidate is dismissed at the first tier exceeding
-// the search threshold; survivors reach the verify stage: an interned-
-// key isomorphism fast path (equal AHU keys mean distance 0 without any
+// the search threshold; survivors reach the verify stage, which builds
+// an indexed candidate's tree and profile back from its stored row
+// (profileBlock.candidate), then takes an interned-key isomorphism fast
+// path (equal AHU keys mean distance 0 without any
 // matching work), profile-based canonical pair orientation, and finally
 // the budgeted TED*. Pruning never changes results — every tier
 // lower-bounds the exact distance (proofs in internal/ted/profile.go).

@@ -66,15 +66,15 @@
 // A label is an interned subtree shape, so it fixes its node's child
 // count and its children's labels. A tree therefore stores only what
 // the dictionary cannot derive — the labels of its inner levels, about
-// an eighth of its nodes on the PGP analog at k = 3 — and Read derives
-// what a resident row holds (decodeTree): the level widths from the
-// child counts, the child offsets from the same counts in BFS order
-// (every extracted tree is; only a hand-written text snapshot can hold
-// another, which keeps its parent vector), Kids as each node's shape
-// run above level h−1, the level-sorted Labels, Perm and degree
-// sequences by a counting sort per level, and Levels, Size, LeafLabel
-// and Canon from those. The deepest level, all leaves, is its width
-// alone in memory as on disk. Every stored label is
+// an eighth of its nodes on the PGP analog at k = 3 — which is what a
+// resident row stores too (tree.ProfileArena.Words): ReadRows copies
+// the words into the scan's arenas (decodeRow) and derives only the
+// level widths, from the child counts, and the degree runs, the child
+// counts sorted per level. In BFS order the child counts are the child
+// offsets (every extracted tree is; only a hand-written text snapshot
+// can hold another, which keeps its parent vector). The deepest level,
+// all leaves, is its width alone in memory as on disk. Every stored
+// label is
 // checked against the shapes around it — in the dictionary, child
 // counts that end exactly on a level boundary, no stored level without
 // children, leaf kids only on level h−1, children that carry their
