@@ -39,9 +39,10 @@ import (
 // nodeBytes is the size of one node ID.
 const nodeBytes = int64(unsafe.Sizeof(graph.NodeID(0)))
 
-// Rows is a batch of indexed rows in columns, node-ascending: row i is
-// node Nodes[i], its out-tree row i of Out and, when directed, its
-// in-tree row i of In, all at depth K.
+// Rows is a batch of indexed rows in columns: row i is node Nodes[i],
+// its out-tree row i of Out and, when directed, its in-tree row i of In,
+// all at depth K. A batch is node-ascending, except a loaded one, which
+// is in a scan's rank order (segment.ReadRows).
 type Rows struct {
 	K       int
 	Nodes   []graph.NodeID
@@ -177,10 +178,16 @@ func newBlock(rows Rows, byNode []int32) *profileBlock {
 	return b
 }
 
-// blockOf is the block over rows, every one live, copied into rank
-// order so that the kernels read a window's rows in sequence.
+// blockOf is the block over rows, every one live, in rank order so that
+// the kernels read a window's rows in sequence: rows already in rank
+// order are adopted, node-ascending ones copied.
 func blockOf(rows *Rows) *profileBlock {
 	b := newBlock(*rows, nil)
+	if inOrder(b.ord) {
+		b.byNode = slices.Clone(b.ord)
+		slices.SortFunc(b.byNode, func(p, q int32) int { return cmp.Compare(rows.Nodes[p], rows.Nodes[q]) })
+		return b
+	}
 	ranked := Rows{K: rows.K, Nodes: make([]graph.NodeID, b.n)}
 	var out, in []tree.ArenaRun
 	if rows.In != nil {
@@ -197,6 +204,16 @@ func blockOf(rows *Rows) *profileBlock {
 	}
 	b.Rows, b.byNode = *ranked.compile(out, in, 0), at
 	return b
+}
+
+// inOrder reports whether ord is 0, 1, 2, ….
+func inOrder(ord []int32) bool {
+	for r, p := range ord {
+		if p != int32(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // bytes is the size of the block's own columns: its arenas, nodes and

@@ -656,8 +656,10 @@ func NewLinearBackend(items []Item, workers int) DynamicIndex {
 	return NewScan(RowsOf(items), workers)
 }
 
-// NewScan is the cascade scan at the given width over rows, whose nodes
-// must ascend; it adopts them as its base and never writes them.
+// NewScan is the cascade scan at the given width over rows, which must
+// be node-ascending or already in rank order (size key, then node); it
+// adopts them as its base, copied into rank order if they are not, and
+// never writes them.
 func NewScan(rows *Rows, workers int) ItemIndex {
 	return &scanBackend{
 		bblk:     blockOf(rows),

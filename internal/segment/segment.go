@@ -1292,8 +1292,8 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 }
 
 // ReadRows is Read for a scan: every item table's rows merged into one
-// node-ascending batch, without building a tree or a profile, and the
-// index dumps dropped.
+// batch, node-ascending or in rank order (ned.NewScan), without building
+// a tree or a profile, and the index dumps dropped.
 func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error) {
 	meta, tables, in, g, _, err := read(r)
 	if err != nil {
@@ -1303,22 +1303,28 @@ func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error
 }
 
 // mergeTables merges node-ascending row tables of distinct nodes into
-// one node-ascending batch, copying rows in runs.
+// one batch in a scan's rank order — size key, then node — copying
+// rows in runs, so the scan adopts the rows without copying them again.
 func mergeTables(meta Meta, tables []*ned.Rows) *ned.Rows {
 	if len(tables) == 1 {
 		return tables[0]
 	}
 	type at struct {
+		key  int32
 		v    graph.NodeID
 		t, i int32
 	}
 	var all []at
 	for t, rows := range tables {
 		for i, v := range rows.Nodes {
-			all = append(all, at{v, int32(t), int32(i)})
+			key := rows.Out.Sizes[i]
+			if rows.In != nil {
+				key += rows.In.Sizes[i]
+			}
+			all = append(all, at{key, v, int32(t), int32(i)})
 		}
 	}
-	slices.SortFunc(all, func(a, b at) int { return cmp.Compare(a.v, b.v) })
+	slices.SortFunc(all, func(a, b at) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.v, b.v)) })
 	merged := &ned.Rows{K: meta.K, Nodes: make([]graph.NodeID, len(all))}
 	var out, in []tree.ArenaRun
 	extend := func(runs []tree.ArenaRun, a *tree.ProfileArena, i int) []tree.ArenaRun {
