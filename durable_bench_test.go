@@ -3,11 +3,13 @@
 package ned
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -113,13 +115,19 @@ func BenchmarkDurableLog(b *testing.B) {
 // BenchmarkCorpusRestart reads what a checkpoint and the restart that
 // reads it cost on the PGP analog (seed 42, k = 3) at scale 4 (10 680
 // nodes, the harness's durable corpus) and 16 (42 720). One iteration
-// is one Checkpoint of the built corpus, then one OpenDurable of its
-// directory plus the first KNN. It reports:
+// is one Checkpoint of the built corpus; then, once 64 remove/insert
+// records follow the last checkpoint in the log, one LoadCorpus of that
+// checkpoint's bytes and one OpenDurable of the directory plus the
+// first KNN. It reports:
 //
 //   - ckpt_B/node: the checkpoint file's bytes per corpus node;
 //   - ckpt_ms: one Checkpoint's wall time (FsyncNone);
-//   - open_cpu_ms and open_ms: OpenDurable plus the first KNN, as
-//     process CPU (user + system, from getrusage) and wall time;
+//   - load_cpu_ms: LoadCorpus alone, as process CPU (user + system, from
+//     getrusage), the checkpoint already in memory;
+//   - open_cpu_ms and open_ms: OpenDurable — the load and the replay of
+//     the 64-record tail — plus the first KNN, as process CPU and wall
+//     time;
+//   - open_alloc_MB: the bytes that open allocated, in MiB;
 //   - recovered_B/node: the live heap the reopened corpus holds after
 //     that query, per node.
 func BenchmarkCorpusRestart(b *testing.B) {
@@ -139,8 +147,8 @@ func BenchmarkCorpusRestart(b *testing.B) {
 			if err := c.MakeDurable(dir, FsyncNone); err != nil {
 				b.Fatal(err)
 			}
-			var ckpt, openCPU, open time.Duration
-			var size, recovered float64
+			var ckpt, loadCPU, openCPU, open time.Duration
+			var size, recovered, alloc float64
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
 				if err := c.Checkpoint(); err != nil {
@@ -157,12 +165,42 @@ func BenchmarkCorpusRestart(b *testing.B) {
 				}
 				size += float64(fi.Size())
 			}
+			_, path, _, err := segment.LatestCheckpoint(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := range 32 {
+				v := NodeID(i * 97 % g.NumNodes())
+				if err := c.Remove(v); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Insert(v); err != nil {
+					b.Fatal(err)
+				}
+			}
 			if err := c.CloseDurable(); err != nil {
 				b.Fatal(err)
 			}
 			c = nil
 			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				cpu0 := processCPU(b)
+				l, err := LoadCorpus(bytes.NewReader(blob))
+				if err != nil {
+					b.Fatal(err)
+				}
+				loadCPU += processCPU(b) - cpu0
+				runtime.KeepAlive(l)
+			}
+			for i := 0; i < b.N; i++ {
 				base := liveHeap()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				alloc0 := ms.TotalAlloc
 				cpu0, t0 := processCPU(b), time.Now()
 				r, err := OpenDurable(dir, FsyncNone)
 				if err != nil {
@@ -173,6 +211,8 @@ func BenchmarkCorpusRestart(b *testing.B) {
 				}
 				open += time.Since(t0)
 				openCPU += processCPU(b) - cpu0
+				runtime.ReadMemStats(&ms)
+				alloc += float64(ms.TotalAlloc - alloc0)
 				recovered += liveHeap() - base
 				if err := r.CloseDurable(); err != nil {
 					b.Fatal(err)
@@ -181,8 +221,10 @@ func BenchmarkCorpusRestart(b *testing.B) {
 			n := float64(b.N)
 			b.ReportMetric(size/n/nodes, "ckpt_B/node")
 			b.ReportMetric(float64(ckpt.Microseconds())/1e3/n, "ckpt_ms")
+			b.ReportMetric(float64(loadCPU.Microseconds())/1e3/n, "load_cpu_ms")
 			b.ReportMetric(float64(openCPU.Microseconds())/1e3/n, "open_cpu_ms")
 			b.ReportMetric(float64(open.Microseconds())/1e3/n, "open_ms")
+			b.ReportMetric(alloc/n/(1<<20), "open_alloc_MB")
 			b.ReportMetric(recovered/n/nodes, "recovered_B/node")
 		})
 	}

@@ -184,8 +184,7 @@ func newBlock(rows Rows, byNode []int32) *profileBlock {
 func blockOf(rows *Rows) *profileBlock {
 	b := newBlock(*rows, nil)
 	if inOrder(b.ord) {
-		b.byNode = slices.Clone(b.ord)
-		slices.SortFunc(b.byNode, func(p, q int32) int { return cmp.Compare(rows.Nodes[p], rows.Nodes[q]) })
+		b.byNode = nodeOrder(rows.Nodes)
 		return b
 	}
 	ranked := Rows{K: rows.K, Nodes: make([]graph.NodeID, b.n)}
@@ -204,6 +203,42 @@ func blockOf(rows *Rows) *profileBlock {
 	}
 	b.Rows, b.byNode = *ranked.compile(out, in, 0), at
 	return b
+}
+
+// RankOrder lists rows of distinct nodes in a scan's rank order: by size
+// key (keys, as physKey gives it), then by node.
+func RankOrder(nodes []graph.NodeID, keys []int32) []int32 {
+	ord, _ := orderBy(nodeOrder(nodes), keys, nil, nil)
+	return ord
+}
+
+// nodeOrder lists rows of distinct nodes, which are not negative, by
+// ascending node: through a table indexed by node, or, when the nodes are
+// too sparse for one, by a sort.
+func nodeOrder(nodes []graph.NodeID) []int32 {
+	out := make([]int32, len(nodes))
+	top := graph.NodeID(-1)
+	for _, v := range nodes {
+		top = max(top, v)
+	}
+	if int64(top) > 4*int64(len(nodes))+4096 {
+		for i := range out {
+			out[i] = int32(i)
+		}
+		slices.SortFunc(out, func(p, q int32) int { return cmp.Compare(nodes[p], nodes[q]) })
+		return out
+	}
+	at := make([]int32, top+1) // row + 1 of each node, 0 for none
+	for i, v := range nodes {
+		at[v] = int32(i) + 1
+	}
+	k := 0
+	for _, i := range at {
+		if i > 0 {
+			out[k], k = i-1, k+1
+		}
+	}
+	return out
 }
 
 // inOrder reports whether ord is 0, 1, 2, ….

@@ -136,6 +136,10 @@ const (
 	foldShift = 5
 )
 
+// RowRoom is how many more rows than n a relocation, or a load, gives
+// fresh arenas of n rows room for: an eighth as many, at least foldMin.
+func RowRoom(n int) int { return max(foldMin, n/8) }
+
 func (b *scanBackend) Insert(items ...Item) { b.apply(RowsOf(items), nil) }
 
 func (b *scanBackend) Remove(nodes ...graph.NodeID) int {
@@ -286,7 +290,7 @@ func (b *scanBackend) relocate(ups *Rows) (Rows, []int32, int64) {
 	if b.dblk != nil {
 		order = append(order, b.dblk.ord...)
 	}
-	room := max(foldMin, (len(order)+ups.Len())/8)
+	room := RowRoom(len(order) + ups.Len())
 	fresh := Rows{K: old.K, Nodes: make([]graph.NodeID, len(order), len(order)+ups.Len()+room)}
 	var out, in []tree.ArenaRun
 	if old.In != nil {

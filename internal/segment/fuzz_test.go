@@ -105,7 +105,8 @@ func walFrameBounds(b []byte) []int64 {
 // i.e. it must not crash; errors are expected. It is seeded with both
 // goldens (NEDSEG02 and NEDSEG01), their prefixes, and the NEDSEG02
 // golden with one item-table word rewritten under a recomputed
-// checksum, so mutations start from tables that reach the label checks.
+// checksum, so mutations start from tables that reach the label checks,
+// or that declare more rows or stored labels than they hold.
 func FuzzSegmentRead(f *testing.F) {
 	for _, name := range []string{"golden.nedseg", "golden-v1.nedseg"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -128,6 +129,10 @@ func FuzzSegmentRead(f *testing.F) {
 						f.Add(rewrite(b, off+9, n/4, i, 1<<31|3))
 					}
 				}
+				// More rows, and a first tree of more stored labels, than
+				// the table holds.
+				f.Add(rewrite(b, off+9, n/4, 1, 1<<28))
+				f.Add(rewrite(b, off+9, n/4, 5, 1<<30))
 			}
 			off += 9 + n + 4
 		}

@@ -101,7 +101,6 @@ package segment
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -901,24 +900,104 @@ const maxTreeNodes = 1 << 24
 
 // shapeTable is a segment's dictionary section as decoded: shape id's
 // sorted child labels are kids[off[id]:off[id+1]].
-type shapeTable struct{ off, kids []int32 }
+// leafKids[id] reports whether every kid of shape id is a leaf.
+type shapeTable struct {
+	off, kids []int32
+	leafKids  []bool
+}
+
+func newShapeTable(off, kids []int32) *shapeTable {
+	sh := &shapeTable{off: off, kids: kids, leafKids: make([]bool, len(off)-1)}
+	for id := range sh.leafKids {
+		run := sh.run(int32(id))
+		sh.leafKids[id] = len(run) == 0 || run[len(run)-1] == leafShape
+	}
+	return sh
+}
 
 func (sh *shapeTable) run(l int32) []int32 { return sh.kids[sh.off[l]:sh.off[l+1]] }
 
+// deg is shape l's child count.
+func (sh *shapeTable) deg(l int32) int32 { return sh.off[l+1] - sh.off[l] }
+
 // treeScratch is one decoding worker's memory, reused across trees:
-// count holds one zero per shape between trees.
+// count holds one zero per shape between trees, degCount one zero per
+// child count between levels.
 type treeScratch struct {
 	count    []int32
+	degCount []int32
 	childOff []int32
 	levels   []int32
-	degs     []int32
 	kids     []int32
 }
 
-// decodeRow decodes one tree from the word stream at words[pos:] into a
-// row of a, returning the cursor past it. The stored labels are those
-// of the levels above the deepest in node order, which is what a row
-// stores too (tree.ProfileArena.Words), and the rest of the row's
+// levelsOf derives a tree's level widths from its stored labels, which
+// are all in the dictionary: the root alone, then each stored level's
+// child count. It returns them, in levels's memory, and the node count.
+func levelsOf(stored []int32, sh *shapeTable, levels []int32) ([]int32, int, error) {
+	levels = append(levels[:0], 1)
+	m, n := len(stored), 1
+	for off, w := 0, 1; off < m; {
+		if off+w > m {
+			return nil, 0, inconsistent("child counts of level %d overrun the %d stored labels", len(levels)-1, m)
+		}
+		c := 0
+		for _, l := range stored[off : off+w] {
+			c += int(sh.deg(l))
+		}
+		if c == 0 {
+			return nil, 0, inconsistent("stored level %d has no children", len(levels)-1)
+		}
+		if n += c; n > maxTreeNodes {
+			return nil, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
+		}
+		off, w = off+w, c
+		levels = append(levels, int32(c))
+	}
+	return levels, n, nil
+}
+
+// scanTree reads the tree at words[pos:] as the first pass of a load
+// does: its header, its stored labels, which must be in the dictionary,
+// and the level widths they derive. It returns the tree's node count and
+// height and the cursor past it.
+func scanTree(words []int32, pos int, sh *shapeTable, sc *treeScratch) (n, h, end int, err error) {
+	if pos >= len(words) {
+		return 0, 0, 0, fmt.Errorf("segment: truncated payload")
+	}
+	hdr := uint32(words[pos])
+	pos++
+	m := int(hdr &^ parentsFlag)
+	if m > len(words)-pos {
+		return 0, 0, 0, fmt.Errorf("segment: tree declares %d stored labels with %d words left", m, len(words)-pos)
+	}
+	stored := words[pos : pos+m]
+	pos += m
+	shapes := int32(len(sh.off) - 1)
+	if shapes == 0 {
+		return 0, 0, 0, inconsistent("the dictionary has no leaf shape")
+	}
+	for v, l := range stored {
+		if l < 0 || l >= shapes {
+			return 0, 0, 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
+		}
+	}
+	if sc.levels, n, err = levelsOf(stored, sh, sc.levels); err != nil {
+		return 0, 0, 0, err
+	}
+	if hdr&parentsFlag != 0 {
+		if n > len(words)-pos {
+			return 0, 0, 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
+		}
+		pos += n
+	}
+	return n, len(sc.levels) - 1, pos, nil
+}
+
+// fillRow decodes the tree at words[pos:], which scanTree has read, into
+// row slot of a, whose offsets give the row its room. The stored labels
+// are those of the levels above the deepest in node order, which is what
+// a row stores too (tree.ProfileArena.Words), and the rest of the row's
 // columns follow from their shapes:
 //   - each label's shape gives the node's child count, so level d's
 //     labels give level d+1's width, the stored labels end exactly at
@@ -931,86 +1010,54 @@ type treeScratch struct {
 // counts, and each node's children carrying its shape's kids — fails
 // with ErrInconsistent. a copies what it keeps; the payload is not
 // retained.
-func decodeRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.ProfileArena) (int, error) {
-	start := pos
-	if pos >= len(words) {
-		return 0, fmt.Errorf("segment: truncated payload")
-	}
+func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.ProfileArena, slot int) error {
 	hdr := uint32(words[pos])
-	pos++
 	m := int(hdr &^ parentsFlag)
-	if m > len(words)-pos {
-		return 0, fmt.Errorf("segment: tree declares %d stored labels with %d words left", m, len(words)-pos)
-	}
-	stored := words[pos : pos+m : pos+m]
-	pos += m
-	shapes := int32(len(sh.off) - 1)
-	if shapes == 0 {
-		return 0, inconsistent("the dictionary has no leaf shape")
-	}
-	for v, l := range stored {
-		if l < 0 || l >= shapes {
-			return 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
-		}
-	}
-
-	// Level widths: the root alone, then each stored level's child count.
-	levels := append(sc.levels[:0], 1)
-	n, last := 1, 0 // last: the first node of level h-1
-	for off, w := 0, 1; off < m; {
-		if off+w > m {
-			return 0, inconsistent("child counts of level %d overrun the %d stored labels", len(levels)-1, m)
-		}
-		c := 0
-		for _, l := range stored[off : off+w] {
-			c += len(sh.run(l))
-		}
-		if c == 0 {
-			return 0, inconsistent("stored level %d has no children", len(levels)-1)
-		}
-		if n += c; n > maxTreeNodes {
-			return 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
-		}
-		last, off, w = off, off+w, c
-		levels = append(levels, int32(c))
-	}
-	sc.levels = levels
-	h := len(levels) - 1
-	for v := last; v < m; v++ {
-		if run := sh.run(stored[v]); len(run) > 0 && run[len(run)-1] != leafShape {
-			return 0, inconsistent("node %d on level %d has a non-leaf kid", v, h-1)
-		}
-	}
+	stored := words[pos+1 : pos+1+m]
 	childOff := append(sc.childOff[:0], 0)
 	for v, l := range stored {
-		childOff = append(childOff, childOff[v]+int32(len(sh.run(l))))
+		childOff = append(childOff, childOff[v]+sh.deg(l))
 	}
 	sc.childOff = childOff
+	// The level widths, as scanTree derived them: each stored level's
+	// child count.
+	levels := a.Levels[slot*a.Width : (slot+1)*a.Width]
+	levels[0] = 1
+	h, last := 0, 0 // last: the first node of level h-1
+	for off, w := 0, 1; off < m; h++ {
+		levels[h+1] = childOff[off+w] - childOff[off]
+		last, off, w = off, off+w, int(levels[h+1])
+	}
+	n := int(childOff[m]) + 1
+	for v := last; v < m; v++ {
+		if !sh.leafKids[stored[v]] {
+			return inconsistent("node %d on level %d has a non-leaf kid", v, h-1)
+		}
+	}
 	var t *tree.Tree // the parent vector's tree, for one not in BFS order
 	if hdr&parentsFlag != 0 {
-		if n > len(words)-pos {
-			return 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
-		}
 		var err error
-		if t, err = tree.New(words[pos : pos+n]); err != nil {
-			return 0, fmt.Errorf("segment: %w", err)
+		if t, err = tree.New(words[pos+1+m : pos+1+m+n]); err != nil {
+			return fmt.Errorf("segment: %w", err)
 		}
-		pos += n
 		for v := range int32(n) {
 			want := int32(0)
 			if int(v) < m {
 				want = childOff[v+1] - childOff[v]
 			}
 			if got := int32(t.NumChildren(v)); got != want {
-				return 0, inconsistent("parent vector gives node %d %d children, its shape %d", v, got, want)
+				return inconsistent("parent vector gives node %d %d children, its shape %d", v, got, want)
 			}
 		}
 	}
 	// Levels 0..h-2: a node's children carry stored labels, which must be
-	// its shape's kids as a multiset — counted up and down in sc.count,
-	// which every check leaves zeroed. (Level h-1's are leaves, checked
-	// above.) Child counts already match, so equal sizes are given. In BFS
-	// order node v's children are the nodes after those of v-1.
+	// its shape's kids as a multiset — the kids counted up in sc.count,
+	// then each distinct kid of the sorted shape matched by its
+	// multiplicity and zeroed, so a check that holds leaves sc.count
+	// zeroed. (Level h-1's are leaves, checked above.) Child counts
+	// already match, so equal sizes are given, and the multiplicities
+	// matching means no child carries another label. In BFS order node
+	// v's children are the nodes after those of v-1.
 	for v := range int32(last) {
 		kids := stored[childOff[v]+1 : childOff[v+1]+1]
 		if t != nil {
@@ -1021,44 +1068,85 @@ func decodeRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.
 			sc.kids = kids
 		}
 		run := sh.run(stored[v])
+		if slices.Equal(kids, run) {
+			continue
+		}
 		for _, l := range kids {
 			sc.count[l]++
 		}
-		for _, l := range run {
-			sc.count[l]--
-		}
 		ok := true
-		for _, l := range kids {
-			ok = ok && sc.count[l] == 0
-			sc.count[l] = 0
-		}
-		for _, l := range run {
-			sc.count[l] = 0
+		for i, j := 0, 0; i < len(run); i = j {
+			for j = i + 1; j < len(run) && run[j] == run[i]; j++ {
+			}
+			ok = ok && sc.count[run[i]] == int32(j-i)
+			sc.count[run[i]] = 0
 		}
 		if !ok {
-			return 0, inconsistent("children of node %d do not carry its shape's kids", v)
+			for _, l := range kids {
+				sc.count[l] = 0
+			}
+			return inconsistent("children of node %d do not carry its shape's kids", v)
 		}
 	}
 	// The degree runs of levels 1..h-1: each level's child counts, sorted.
-	degs := sc.degs[:0]
+	degs := a.Degs[a.DegOff[slot]:a.DegOff[slot+1]]
 	off := int32(1)
 	for _, w := range levels[1:max(h, 1)] {
-		at := len(degs)
-		for v := off; v < off+w; v++ {
-			degs = append(degs, childOff[v+1]-childOff[v])
+		run, top := degs[off-1:off-1+w], int32(0)
+		for j := range run {
+			run[j] = childOff[off+int32(j)+1] - childOff[off+int32(j)]
+			top = max(top, run[j])
 		}
-		slices.Sort(degs[at:])
+		sc.sortCounts(run, top)
 		off += w
 	}
-	sc.degs = degs
-	a.AppendRow(levels, degs, words[start:pos])
-	return pos, nil
+	copy(a.Words[a.WordOff[slot]:a.WordOff[slot+1]], words[pos:])
+	a.Sizes[slot] = int32(n)
+	return nil
 }
 
-// decodeShard decodes one item table payload into rows: NEDSEG02 trees
-// against the shapes sh in the worker's scratch sc, NEDSEG01 trees (sh
-// nil) from their stored columns, compiled into rows.
-func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable, sc *treeScratch) (*ned.Rows, error) {
+// sortCounts sorts a level's child counts, the largest top: a counting
+// sort over their range, or, for a short level or one whose range dwarfs
+// it, a comparison sort.
+func (sc *treeScratch) sortCounts(run []int32, top int32) {
+	if len(run) < 16 || int(top) > 8*len(run)+256 {
+		slices.Sort(run)
+		return
+	}
+	count := slices.Grow(sc.degCount[:0], int(top)+1)[:top+1]
+	for _, c := range run {
+		count[c]++
+	}
+	k := 0
+	for c, times := range count {
+		for range times {
+			run[k], k = int32(c), k+1
+		}
+		count[c] = 0
+	}
+	sc.degCount = count
+}
+
+// table is one item table as the first pass of a load reads it: its
+// words, and per item its node, where it starts, its size key and its
+// out-tree's length. A NEDSEG01 table holds its items decoded.
+type table struct {
+	words  []int32
+	nodes  []graph.NodeID
+	heads  []rowHead
+	height [2]int // the tallest out- and in-tree
+	v1     []ned.Item
+}
+
+// rowHead locates one item of a table: the word it starts at, its size
+// key (the out-tree's node count, plus the in-tree's when directed) and
+// its out-tree's word count; its in-tree runs to the next item.
+type rowHead struct{ pos, key, out int32 }
+
+// scanTable is the first pass over one item table's payload: it checks
+// every item's header and reads its trees (scanTree), or, in a NEDSEG01
+// table (sh nil), decodes them whole.
+func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable, sc *treeScratch) (*table, error) {
 	words, err := shardWords(payload)
 	if err != nil {
 		return nil, err
@@ -1080,24 +1168,14 @@ func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *
 	if count < 0 || count > (len(words)-pos)/minItem {
 		return nil, fmt.Errorf("segment: shard %d declares %d items with %d words left", si, count, len(words)-pos)
 	}
-	rows := &ned.Rows{K: meta.K, Nodes: make([]graph.NodeID, 0, count), Out: &tree.ProfileArena{Dict: in}}
-	if meta.Directed {
-		rows.In = &tree.ProfileArena{Dict: in}
-	}
-	var v1 []ned.Item
+	t := &table{words: words}
 	slab := &tree.Slab{}
-	decode := func(pos int, a *tree.ProfileArena) (*tree.Tree, *tree.Profile, int, error) {
-		if sh == nil {
-			return decodeTreeV1(words, pos, in, slab)
-		}
-		pos, err := decodeRow(words, pos, sh, sc, a)
-		return nil, nil, pos, err
-	}
 	last := int32(-1)
 	for i := 0; i < count; i++ {
 		if len(words)-pos < 3 {
 			return nil, fmt.Errorf("segment: shard %d truncated at item %d", si, i)
 		}
+		start := pos
 		node := words[pos]
 		k := int(uint32(words[pos+1]))
 		flags := uint32(words[pos+2])
@@ -1123,28 +1201,197 @@ func decodeShard(payload []byte, si int, meta Meta, place *legacyPlacement, in *
 			return nil, fmt.Errorf("segment: node %d filed under shard %d, placement routes it to %d",
 				node, si, want)
 		}
-		it := ned.Item{Node: graph.NodeID(node), K: k}
-		var err error
-		if it.Out, it.OutP, pos, err = decode(pos, rows.Out); err != nil {
+		if sh == nil {
+			it := ned.Item{Node: graph.NodeID(node), K: k}
+			if it.Out, it.OutP, pos, err = decodeTreeV1(words, pos, in, slab); err != nil {
+				return nil, fmt.Errorf("node %d: %w", node, err)
+			}
+			if hasIn {
+				if it.In, it.InP, pos, err = decodeTreeV1(words, pos, in, slab); err != nil {
+					return nil, fmt.Errorf("node %d incoming: %w", node, err)
+				}
+			}
+			t.v1 = append(t.v1, it)
+			continue
+		}
+		n, h, end, err := scanTree(words, pos, sh, sc)
+		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", node, err)
 		}
+		head := rowHead{pos: int32(start), key: int32(n), out: int32(end - pos)}
+		t.height[0], pos = max(t.height[0], h), end
 		if hasIn {
-			if it.In, it.InP, pos, err = decode(pos, rows.In); err != nil {
+			if n, h, pos, err = scanTree(words, pos, sh, sc); err != nil {
 				return nil, fmt.Errorf("node %d incoming: %w", node, err)
 			}
+			head.key += int32(n)
+			t.height[1] = max(t.height[1], h)
 		}
-		rows.Nodes = append(rows.Nodes, it.Node)
-		if sh == nil {
-			v1 = append(v1, it)
-		}
+		t.nodes = append(t.nodes, graph.NodeID(node))
+		t.heads = append(t.heads, head)
 	}
 	if pos != len(words) {
 		return nil, fmt.Errorf("segment: shard %d: %d trailing words in section payload", si, len(words)-pos)
 	}
-	if sh == nil {
-		return ned.RowsOf(v1), nil
+	return t, nil
+}
+
+// trees returns where item i of t has its out-tree and, when directed,
+// its in-tree, and the in-tree's end.
+func (t *table) trees(i int) (out, in, end int) {
+	out = int(t.heads[i].pos) + 3
+	in, end = out+int(t.heads[i].out), len(t.words)
+	if i+1 < len(t.heads) {
+		end = int(t.heads[i+1].pos)
 	}
-	return rows, nil
+	return out, in, end
+}
+
+// eachTable runs f over tables 0…n-1 on min(GOMAXPROCS, n) workers, each
+// with its own scratch, and returns the first table's error.
+func eachTable(n int, sh *shapeTable, f func(ti int, sc *treeScratch) error) error {
+	errs := make([]error, n)
+	next := make(chan int, n)
+	for ti := range n {
+		next <- ti
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc treeScratch
+			if sh != nil {
+				sc.count = make([]int32, len(sh.off)-1)
+			}
+			for ti := range next {
+				errs[ti] = f(ti, &sc)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeTables decodes the item tables' payloads into one batch of rows
+// and each item's row, in table order. NEDSEG02 rows are decoded once,
+// straight into their rank slots (ned.RankOrder) of arenas sized by the
+// first pass (scanTable) with a relocation's room to spare (ned.RowRoom),
+// so the scan adopts them as they are and a replayed log or the first
+// writes append in place. NEDSEG01 items come back node-ascending.
+func decodeTables(payloads [][]byte, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable) (*ned.Rows, []int32, error) {
+	tables := make([]*table, len(payloads))
+	err := eachTable(len(payloads), sh, func(ti int, sc *treeScratch) (err error) {
+		tables[ti], err = scanTable(payloads[ti], ti, meta, place, in, sh, sc)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if sh == nil {
+		var items []ned.Item
+		for _, t := range tables {
+			items = append(items, t.v1...)
+		}
+		rows := ned.RowsOf(items)
+		rank := make([]int32, len(items))
+		for i, it := range items {
+			r, _ := slices.BinarySearch(rows.Nodes, it.Node)
+			rank[i] = int32(r)
+		}
+		return rows, rank, nil
+	}
+
+	// Rank every item across the tables, then size the arenas and give
+	// each slot its room: the offsets hold each slot's lengths until they
+	// are summed.
+	var nodes []graph.NodeID
+	var keys []int32
+	var height [2]int
+	var degs, words [2]int
+	for _, t := range tables {
+		nodes = append(nodes, t.nodes...)
+		for i, h := range t.heads {
+			keys = append(keys, h.key)
+			out, inAt, end := t.trees(i)
+			d, w := treeLen(t.words, out, inAt)
+			degs[0], words[0] = degs[0]+d, words[0]+w
+			if meta.Directed {
+				d, w = treeLen(t.words, inAt, end)
+				degs[1], words[1] = degs[1]+d, words[1]+w
+			}
+		}
+		height[0], height[1] = max(height[0], t.height[0]), max(height[1], t.height[1])
+	}
+	n := len(nodes)
+	rank := make([]int32, n)
+	for r, g := range ned.RankOrder(nodes, keys) {
+		rank[g] = int32(r)
+	}
+	room := ned.RowRoom(n)
+	rows := &ned.Rows{K: meta.K, Nodes: make([]graph.NodeID, n, n+room)}
+	rows.Out = tree.NewArena(in, height[0]+1, n, degs[0], words[0], room)
+	if meta.Directed {
+		rows.In = tree.NewArena(in, height[1]+1, n, degs[1], words[1], room)
+	}
+	g := 0
+	for _, t := range tables {
+		for i := range t.heads {
+			out, inAt, end := t.trees(i)
+			r := rank[g] + 1
+			d, w := treeLen(t.words, out, inAt)
+			rows.Out.DegOff[r], rows.Out.WordOff[r] = int32(d), int32(w)
+			if meta.Directed {
+				d, w = treeLen(t.words, inAt, end)
+				rows.In.DegOff[r], rows.In.WordOff[r] = int32(d), int32(w)
+			}
+			g++
+		}
+	}
+	for _, a := range []*tree.ProfileArena{rows.Out, rows.In} {
+		for r := 0; a != nil && r < n; r++ {
+			a.DegOff[r+1] += a.DegOff[r]
+			a.WordOff[r+1] += a.WordOff[r]
+		}
+	}
+
+	base := make([]int, len(tables))
+	for ti := 1; ti < len(tables); ti++ {
+		base[ti] = base[ti-1] + len(tables[ti-1].heads)
+	}
+	err = eachTable(len(tables), sh, func(ti int, sc *treeScratch) error {
+		t := tables[ti]
+		for i, node := range t.nodes {
+			slot := int(rank[base[ti]+i])
+			rows.Nodes[slot] = node
+			out, inAt, _ := t.trees(i)
+			if err := fillRow(t.words, out, sh, sc, rows.Out, slot); err != nil {
+				return fmt.Errorf("node %d: %w", node, err)
+			}
+			if meta.Directed {
+				if err := fillRow(t.words, inAt, sh, sc, rows.In, slot); err != nil {
+					return fmt.Errorf("node %d incoming: %w", node, err)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return rows, rank, nil
+}
+
+// treeLen is the degree-run and stored length of the tree that
+// words[pos:end] holds.
+func treeLen(words []int32, pos, end int) (degs, length int) {
+	return max(int(uint32(words[pos])&^parentsFlag)-1, 0), end - pos
 }
 
 // legacyPlacement is the placement directory a segment of an earlier
@@ -1278,82 +1525,35 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 // internal inconsistency is a loud error; a NEDSEG02 item table that
 // disagrees with the dictionary fails with ErrInconsistent.
 func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
-	meta, tables, in, g, indexes, err := read(r)
+	meta, rows, rank, in, g, indexes, err := read(r)
 	if err != nil {
 		return meta, nil, nil, nil, nil, err
 	}
-	items := make([]ned.Item, 0, meta.Items)
-	for _, rows := range tables {
-		for i := range rows.Len() {
-			items = append(items, rows.Item(i))
-		}
+	items := make([]ned.Item, len(rank))
+	for i, r := range rank {
+		items[i] = rows.Item(int(r))
 	}
 	return meta, items, in, g, indexes, nil
 }
 
-// ReadRows is Read for a scan: every item table's rows merged into one
-// batch, node-ascending or in rank order (ned.NewScan), without building
-// a tree or a profile, and the index dumps dropped.
+// ReadRows is Read for a scan: every item table's rows in one batch, in
+// rank order (ned.NewScan adopts it as it is; a NEDSEG01 segment's come
+// back node-ascending), without building a tree or a profile, and the
+// index dumps dropped.
 func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error) {
-	meta, tables, in, g, _, err := read(r)
+	meta, rows, _, in, g, _, err := read(r)
 	if err != nil {
 		return meta, nil, nil, nil, err
 	}
-	return meta, mergeTables(meta, tables), in, g, nil
+	return meta, rows, in, g, nil
 }
 
-// mergeTables merges node-ascending row tables of distinct nodes into
-// one batch in a scan's rank order — size key, then node — copying
-// rows in runs, so the scan adopts the rows without copying them again.
-func mergeTables(meta Meta, tables []*ned.Rows) *ned.Rows {
-	if len(tables) == 1 {
-		return tables[0]
-	}
-	type at struct {
-		key  int32
-		v    graph.NodeID
-		t, i int32
-	}
-	var all []at
-	for t, rows := range tables {
-		for i, v := range rows.Nodes {
-			key := rows.Out.Sizes[i]
-			if rows.In != nil {
-				key += rows.In.Sizes[i]
-			}
-			all = append(all, at{key, v, int32(t), int32(i)})
-		}
-	}
-	slices.SortFunc(all, func(a, b at) int { return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.v, b.v)) })
-	merged := &ned.Rows{K: meta.K, Nodes: make([]graph.NodeID, len(all))}
-	var out, in []tree.ArenaRun
-	extend := func(runs []tree.ArenaRun, a *tree.ProfileArena, i int) []tree.ArenaRun {
-		if k := len(runs) - 1; k >= 0 && runs[k].From == a && runs[k].Hi == i {
-			runs[k].Hi++
-			return runs
-		}
-		return append(runs, tree.ArenaRun{From: a, Lo: i, Hi: i + 1})
-	}
-	for j, x := range all {
-		merged.Nodes[j] = x.v
-		out = extend(out, tables[x.t].Out, int(x.i))
-		if meta.Directed {
-			in = extend(in, tables[x.t].In, int(x.i))
-		}
-	}
-	merged.Out = tree.CompileRuns(out, 0)
-	if meta.Directed {
-		merged.In = tree.CompileRuns(in, 0)
-	}
-	return merged
-}
-
-// read parses a segment into its meta, per-table rows, dictionary,
-// graph and index dumps.
-func read(r io.Reader) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPIndex, error) {
+// read parses a segment into its meta, rows (decodeTables), each item's
+// row in table order, dictionary, graph and index dumps.
+func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, []VPIndex, error) {
 	var meta Meta
-	fail := func(err error) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPIndex, error) {
-		return meta, nil, nil, nil, nil, err
+	fail := func(err error) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, []VPIndex, error) {
+		return meta, nil, nil, nil, nil, nil, err
 	}
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -1430,7 +1630,7 @@ func read(r io.Reader) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPInd
 	}
 	var sh *shapeTable
 	if !v1 {
-		sh = &shapeTable{off: kidOff, kids: kids}
+		sh = newShapeTable(kidOff, kids)
 	}
 
 	// Graph.
@@ -1483,8 +1683,8 @@ func read(r io.Reader) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPInd
 	}
 
 	// Shard item tables: collect payloads sequentially, decode in
-	// parallel — item decoding (tree construction + profile
-	// reconstruction) dominates load time and shards are independent.
+	// parallel — tables are independent until their rows take their rank
+	// slots, and decoding dominates load time.
 	payloads := make([][]byte, meta.Shards)
 	for si := 0; si < meta.Shards; si++ {
 		if si > 0 {
@@ -1502,33 +1702,9 @@ func read(r io.Reader) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPInd
 				si, len(payloads[si]), shardLens[si]))
 		}
 	}
-	tables := make([]*ned.Rows, meta.Shards)
-	errs := make([]error, meta.Shards)
-	workers := min(runtime.GOMAXPROCS(0), meta.Shards)
-	var wg sync.WaitGroup
-	next := make(chan int, meta.Shards)
-	for si := 0; si < meta.Shards; si++ {
-		next <- si
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc treeScratch
-			if sh != nil {
-				sc.count = make([]int32, len(sh.off)-1)
-			}
-			for si := range next {
-				tables[si], errs[si] = decodeShard(payloads[si], si, meta, place, in, sh, &sc)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fail(err)
-		}
+	rows, rank, err := decodeTables(payloads, meta, place, in, sh)
+	if err != nil {
+		return fail(err)
 	}
 
 	// VP-index dumps.
@@ -1559,10 +1735,7 @@ func read(r io.Reader) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPInd
 	// No cross-shard duplicate scan needed: decodeShard enforced strict
 	// node-ascending order within each shard, and a duplicate node would
 	// route to the same shard.
-	decoded := 0
-	for _, rows := range tables {
-		decoded += rows.Len()
-	}
+	decoded := rows.Len()
 	if decoded != meta.Items || total != meta.Items {
 		return fail(fmt.Errorf("segment: item counts disagree: meta %d, end %d, decoded %d",
 			meta.Items, total, decoded))
@@ -1573,7 +1746,7 @@ func read(r io.Reader) (Meta, []*ned.Rows, *tree.Interner, *graph.Graph, []VPInd
 	if n, _ := r.Read(one[:]); n != 0 {
 		return fail(fmt.Errorf("segment: trailing data after end section"))
 	}
-	return meta, tables, in, g, indexes, nil
+	return meta, rows, rank, in, g, indexes, nil
 }
 
 // Verify walks a segment stream shallowly: magic, then every framed

@@ -802,3 +802,49 @@ func itemTables(items []ned.Item) [][]ned.Item {
 	}
 	return tables
 }
+
+// A load sizes its arenas from what its first pass reads, never from
+// what a header declares: an item table whose header declares more rows,
+// or whose first tree declares more stored labels, than its payload
+// holds fails with the error it always did, and decoding that table
+// allocates no more than the payload's length.
+func TestSegmentPresizingTrustsOnlyPayload(t *testing.T) {
+	meta, dict, g, tables := fixture(t, false, 1)
+	blob := encode(t, meta, dict, g, tables)
+	at, words := itemTable(t, blob)
+	var off, kids []int32
+	off = append(off, 0)
+	for _, key := range dict.Shapes() {
+		for j := 0; j < len(key); j += 4 {
+			kids = append(kids, int32(binary.LittleEndian.Uint32([]byte(key[j:j+4]))))
+		}
+		off = append(off, int32(len(kids)))
+	}
+	sh := newShapeTable(off, kids)
+	meta.Shards = 1
+	cases := []struct {
+		what, want string
+		word       int
+		v          uint32
+	}{
+		{"more rows", "declares 268435456 items", 1, 1 << 28},
+		{"more stored labels", "tree declares 1073741824 stored labels", 5, 1 << 30},
+	}
+	for _, c := range cases {
+		mut := rewrite(blob, at, len(words), c.word, c.v)
+		if _, _, _, _, _, err := Read(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Read got %v, want an error mentioning %q", c.what, err, c.want)
+		}
+		payload := bytes.Clone(mut[at : at+4*len(words)]) // word-aligned, as a section's payload is
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := decodeTables([][]byte{payload}, meta, nil, dict, sh)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decoding the table got %v, want an error mentioning %q", c.what, err, c.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(payload)) {
+			t.Errorf("%s: decoding a %d-byte table allocated %d bytes", c.what, len(payload), got)
+		}
+	}
+}

@@ -113,8 +113,34 @@ func CompileRuns(runs []ArenaRun, room int) *ProfileArena {
 			width = max(width, len(levels))
 		}
 	}
+	a := sized(width, n, degs, words, room)
+	a.appendRuns(runs)
+	a.tail = &arenaTail{n: a.N}
+	return a
+}
+
+// NewArena returns an arena of n rows at the given width for a decoder
+// to fill in place, row by row in any order: each row's Sizes entry, its
+// Levels (zero past its height), its DegOff and WordOff entries — both
+// hold n+1 zeros to start — and then its runs of Degs and Words at those
+// offsets, which hold degs and words entries. The columns have room for
+// about room more rows of the same average size, which Append fills in
+// place.
+func NewArena(dict *Interner, width, n, degs, words, room int) *ProfileArena {
+	a := sized(width, n, degs, words, room)
+	a.N, a.Dict, a.tail = n, dict, &arenaTail{n: n}
+	a.Sizes, a.Levels = a.Sizes[:n], a.Levels[:n*width]
+	a.Degs, a.DegOff = a.Degs[:degs], a.DegOff[:n+1]
+	a.Words, a.WordOff = a.Words[:words], a.WordOff[:n+1]
+	return a
+}
+
+// sized is an empty arena at the given width whose columns can take n
+// rows holding degs degree-run and words stored-tree entries, and about
+// room more rows of the same average size.
+func sized(width, n, degs, words, room int) *ProfileArena {
 	perRow := func(total int) int { return total + room*total/max(n, 1) }
-	a := &ProfileArena{
+	return &ProfileArena{
 		Sizes:   make([]int32, 0, n+room),
 		Width:   width,
 		Levels:  make([]int32, 0, (n+room)*width),
@@ -123,9 +149,6 @@ func CompileRuns(runs []ArenaRun, room int) *ProfileArena {
 		Words:   make([]int32, 0, perRow(words)),
 		WordOff: make([]int32, 1, n+room+1),
 	}
-	a.appendRuns(runs)
-	a.tail = &arenaTail{n: a.N}
-	return a
 }
 
 // Fits reports whether Append can extend a with the runs' rows: a owns
@@ -227,41 +250,6 @@ func (a *ProfileArena) appendRuns(runs []ArenaRun) {
 		}
 		a.N += k
 	}
-}
-
-// AppendRow appends one row given by its columns, as a segment decoder
-// reads them: the level widths, the child counts of levels 1…h−1 sorted
-// per level, and the stored tree (Words), whose labels are interned in
-// a.Dict. A row taller than the arena's width widens every row. a must
-// be an arena no other shares, such as a new(ProfileArena).
-func (a *ProfileArena) AppendRow(levels, degs, words []int32) {
-	if len(levels) > a.Width {
-		wide := make([]int32, 0, (a.N+1)*len(levels))
-		for r := range a.N {
-			wide = append(wide, a.Levels[r*a.Width:(r+1)*a.Width]...)
-			wide = append(wide, make([]int32, len(levels)-a.Width)...)
-		}
-		a.Levels, a.Width = wide, len(levels)
-	}
-	if a.N == 0 {
-		a.DegOff, a.WordOff = append(a.DegOff[:0], 0), append(a.WordOff[:0], 0)
-	}
-	size := int32(0)
-	for _, w := range levels {
-		size += w
-	}
-	a.Sizes = append(a.Sizes, size)
-	a.Levels = append(a.Levels, levels...)
-	a.Levels = append(a.Levels, make([]int32, a.Width-len(levels))...)
-	a.Degs = append(a.Degs, degs...)
-	a.DegOff = append(a.DegOff, int32(len(a.Degs)))
-	a.Words = append(a.Words, words...)
-	a.WordOff = append(a.WordOff, int32(len(a.Words)))
-	a.N++
-	if a.tail == nil {
-		a.tail = &arenaTail{}
-	}
-	a.tail.n = a.N
 }
 
 // storedSize is the length of the stored form of p's tree t.

@@ -3,7 +3,9 @@ package tree
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"slices"
+	"unsafe"
 )
 
 // This file is the persistence boundary of the shape dictionary and
@@ -43,9 +45,10 @@ func (in *Interner) Shapes() []string {
 // IDs: shape id gets the sorted child labels kids[kidOff[id]:kidOff[id+1]],
 // each of which must be a smaller id (children intern before parents).
 // No AHU encoding strings are materialized — the dictionary never
-// stores them — so rebuilding costs one map insert per distinct shape
-// and profiles reconstructed against the result are indistinguishable
-// from freshly compiled ones.
+// stores them — and every key is a view of one buffer holding the whole
+// table, so rebuilding costs one hash and one insert, into a map sized
+// for its stripe's share, per distinct shape; profiles reconstructed
+// against the result are indistinguishable from freshly compiled ones.
 func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 	if len(kidOff) == 0 || kidOff[0] != 0 {
 		return nil, fmt.Errorf("tree: shape table offsets must start at 0")
@@ -54,17 +57,13 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 	if int(kidOff[n]) != len(kids) {
 		return nil, fmt.Errorf("tree: shape table declares %d child labels, has %d", kidOff[n], len(kids))
 	}
-	in := NewInterner()
-	in.shapes = make([]string, n)
-	var key []byte
+	buf := make([]byte, 0, 4*len(kids))
 	for id := 0; id < n; id++ {
 		if kidOff[id] > kidOff[id+1] {
 			return nil, fmt.Errorf("tree: shape %d has negative child count", id)
 		}
-		run := kids[kidOff[id]:kidOff[id+1]]
-		key = key[:0]
 		prev := int32(-1)
-		for _, kid := range run {
+		for _, kid := range kids[kidOff[id]:kidOff[id+1]] {
 			if kid < 0 || kid >= int32(id) {
 				return nil, fmt.Errorf("tree: shape %d has child label %d (want [0, %d))", id, kid, id)
 			}
@@ -72,15 +71,29 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 				return nil, fmt.Errorf("tree: shape %d child labels not sorted", id)
 			}
 			prev = kid
-			key = binary.LittleEndian.AppendUint32(key, uint32(kid))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(kid))
 		}
-		s := in.stripe(shapeHash(key))
-		if _, dup := s.m[string(key)]; dup {
+	}
+	// buf is never written again, so the keys may share it.
+	all := unsafe.String(unsafe.SliceData(buf), len(buf))
+	in := &Interner{id: internerIDs.Add(1), shapes: make([]string, n)}
+	stripe := make([]uint8, n)
+	var share [internStripes]int
+	for id := range stripe {
+		key := all[4*kidOff[id] : 4*kidOff[id+1]]
+		s := uint8(maphash.String(internSeed, key) & (internStripes - 1))
+		in.shapes[id], stripe[id] = key, s
+		share[s]++
+	}
+	for i := range in.stripes {
+		in.stripes[i].m = make(map[string]int32, share[i])
+	}
+	for id, key := range in.shapes {
+		m := in.stripes[stripe[id]].m
+		had := len(m)
+		if m[key] = int32(id); len(m) == had {
 			return nil, fmt.Errorf("tree: shape %d duplicates an earlier shape", id)
 		}
-		k := string(key)
-		s.m[k] = int32(id)
-		in.shapes[id] = k
 	}
 	in.next.Store(int32(n))
 	return in, nil

@@ -1,6 +1,9 @@
 package tree
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // This file builds an arena row back into the tree and profile the
 // verify stage compares: what Interner.Profile compiles for the tree
@@ -8,8 +11,9 @@ import "slices"
 // Each label's shape is the node's sorted child labels, so it gives
 // the node's child count — in BFS order the child counts are the
 // child offsets, which are all a tree stores — and its kid run (Kids);
-// a sort per level gives the level-sorted Labels and Perm; the level
-// widths and degree runs are the arena's own columns.
+// a counting sort per level over its distinct labels gives the
+// level-sorted Labels and Perm; the level widths and degree runs are the
+// arena's own columns.
 
 // RowScratch is the memory one worker builds rows into: the tree and
 // profile of the last row built, reused by the next, and its view of
@@ -18,14 +22,32 @@ type RowScratch struct {
 	t      Tree
 	p      Profile
 	buf    []int32
-	keys   []uint64
 	dict   *Interner
 	shapes []string
 	leaf   int32
+
+	// count has an entry per label of the dictionary, zero between
+	// levels; distinct lists a level's labels once each.
+	count, distinct []int32
 }
 
+// builds lends Build a scratch: its view of the dictionary and its
+// counts, which cost a dictionary's worth of memory to make.
+var builds = sync.Pool{New: func() any { return new(RowScratch) }}
+
 // Build returns row i's tree and profile in memory of their own.
-func (a *ProfileArena) Build(i int) (*Tree, *Profile) { return new(RowScratch).Row(a, i) }
+func (a *ProfileArena) Build(i int) (*Tree, *Profile) {
+	sc := builds.Get().(*RowScratch)
+	defer builds.Put(sc)
+	sc.buf = nil // the row's columns are the caller's
+	t, p := sc.Row(a, i)
+	sc.buf = nil
+	if t == &sc.t {
+		t = &Tree{levelOff: t.levelOff, childOff: t.childOff, childIDs: t.childIDs, bfs: true}
+	}
+	own := *p
+	return t, &own
+}
 
 // Row builds row i of a into sc and returns its tree and profile, valid
 // until sc builds the next row: equal, column for column, to what
@@ -87,25 +109,9 @@ func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
 	}
 	// Level-sorted labels, equal labels in ascending node order, and the
 	// permutation back to the nodes.
-	copy(labels, stored)
 	for d := range h {
 		lo, hi := levelOff[d], levelOff[d+1]
-		run, lperm := labels[lo:hi], perm[lo:hi]
-		if slices.IsSorted(run) {
-			for j := range lperm {
-				lperm[j] = int32(j)
-			}
-			continue
-		}
-		keys := slices.Grow(sc.keys[:0], len(run))[:len(run)]
-		for j, l := range run {
-			keys[j] = uint64(uint32(l))<<32 | uint64(uint32(j))
-		}
-		slices.Sort(keys)
-		for j, k := range keys {
-			run[j], lperm[j] = int32(k>>32), int32(uint32(k))
-		}
-		sc.keys = keys
+		sc.sortLevel(stored[lo:hi], labels[lo:hi], perm[lo:hi])
 	}
 	sc.p = Profile{
 		Levels:    levels,
@@ -120,6 +126,40 @@ func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
 	}
 	sc.p.Canon = uint64(sc.p.rootLabel())
 	return t, &sc.p
+}
+
+// sortLevel writes the labels of run in ascending order to labels,
+// equal ones in ascending index order, and their indexes in run to perm:
+// a counting sort over the distinct labels of the run.
+func (sc *RowScratch) sortLevel(run, labels, perm []int32) {
+	if slices.IsSorted(run) {
+		copy(labels, run)
+		for j := range perm {
+			perm[j] = int32(j)
+		}
+		return
+	}
+	distinct := sc.distinct[:0]
+	for _, l := range run {
+		if sc.count[l] == 0 {
+			distinct = append(distinct, l)
+		}
+		sc.count[l]++
+	}
+	slices.Sort(distinct)
+	at := int32(0)
+	for _, l := range distinct {
+		at, sc.count[l] = at+sc.count[l], at
+	}
+	for j, l := range run {
+		k := sc.count[l]
+		sc.count[l]++
+		labels[k], perm[k] = l, int32(j)
+	}
+	for _, l := range distinct {
+		sc.count[l] = 0
+	}
+	sc.distinct = distinct
 }
 
 // see makes sc's view of the dictionary hold every label of stored:
@@ -137,6 +177,9 @@ func (sc *RowScratch) see(in *Interner, stored []int32) {
 	}
 	sc.dict, sc.shapes = in, in.Shapes()
 	sc.leaf, _ = in.resolve(nil, shapeHash(nil), true)
+	if len(sc.count) < len(sc.shapes) {
+		sc.count = make([]int32, len(sc.shapes)+len(sc.shapes)/8)
+	}
 }
 
 // grow32 returns s resliced to n, reallocated when its capacity is short.
