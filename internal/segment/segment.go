@@ -926,7 +926,6 @@ func (sh *shapeTable) deg(l int32) int32 { return sh.off[l+1] - sh.off[l] }
 type treeScratch struct {
 	count    []int32
 	degCount []int32
-	childOff []int32
 	levels   []int32
 	kids     []int32
 }
@@ -1014,21 +1013,33 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 	hdr := uint32(words[pos])
 	m := int(hdr &^ parentsFlag)
 	stored := words[pos+1 : pos+1+m]
-	childOff := append(sc.childOff[:0], 0)
-	for v, l := range stored {
-		childOff = append(childOff, childOff[v]+sh.deg(l))
-	}
-	sc.childOff = childOff
-	// The level widths, as scanTree derived them: each stored level's
-	// child count.
+	// The level widths, as scanTree derived them, and every node's child
+	// count but the root's, in node order, in the row's degree runs.
 	levels := a.Levels[slot*a.Width : (slot+1)*a.Width]
+	degs := a.Degs[a.DegOff[slot]:a.DegOff[slot+1]]
 	levels[0] = 1
 	h, last := 0, 0 // last: the first node of level h-1
 	for off, w := 0, 1; off < m; h++ {
-		levels[h+1] = childOff[off+w] - childOff[off]
-		last, off, w = off, off+w, int(levels[h+1])
+		c := int32(0)
+		for v := off; v < off+w; v++ {
+			d := sh.deg(stored[v])
+			if c += d; v > 0 {
+				degs[v-1] = d
+			}
+		}
+		levels[h+1] = c
+		last, off, w = off, off+w, int(c)
 	}
-	n := int(childOff[m]) + 1
+	deg := func(v int32) int32 {
+		if v == 0 {
+			return levels[1]
+		}
+		return degs[v-1]
+	}
+	n := 1
+	for _, w := range levels[1 : h+1] {
+		n += int(w)
+	}
 	for v := last; v < m; v++ {
 		if !sh.leafKids[stored[v]] {
 			return inconsistent("node %d on level %d has a non-leaf kid", v, h-1)
@@ -1043,7 +1054,7 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 		for v := range int32(n) {
 			want := int32(0)
 			if int(v) < m {
-				want = childOff[v+1] - childOff[v]
+				want = deg(v)
 			}
 			if got := int32(t.NumChildren(v)); got != want {
 				return inconsistent("parent vector gives node %d %d children, its shape %d", v, got, want)
@@ -1058,8 +1069,10 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 	// already match, so equal sizes are given, and the multiplicities
 	// matching means no child carries another label. In BFS order node
 	// v's children are the nodes after those of v-1.
+	next := int32(1)
 	for v := range int32(last) {
-		kids := stored[childOff[v]+1 : childOff[v+1]+1]
+		kids := stored[next : next+deg(v)]
+		next += deg(v)
 		if t != nil {
 			kids = sc.kids[:0]
 			for _, c := range t.Children(v) {
@@ -1089,27 +1102,26 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 		}
 	}
 	// The degree runs of levels 1..h-1: each level's child counts, sorted.
-	degs := a.Degs[a.DegOff[slot]:a.DegOff[slot+1]]
-	off := int32(1)
+	at := 0
 	for _, w := range levels[1:max(h, 1)] {
-		run, top := degs[off-1:off-1+w], int32(0)
-		for j := range run {
-			run[j] = childOff[off+int32(j)+1] - childOff[off+int32(j)]
-			top = max(top, run[j])
-		}
-		sc.sortCounts(run, top)
-		off += w
+		sc.sortCounts(degs[at : at+int(w)])
+		at += int(w)
 	}
 	copy(a.Words[a.WordOff[slot]:a.WordOff[slot+1]], words[pos:])
 	a.Sizes[slot] = int32(n)
 	return nil
 }
 
-// sortCounts sorts a level's child counts, the largest top: a counting
-// sort over their range, or, for a short level or one whose range dwarfs
-// it, a comparison sort.
-func (sc *treeScratch) sortCounts(run []int32, top int32) {
-	if len(run) < 16 || int(top) > 8*len(run)+256 {
+// sortCounts sorts a level's child counts: a counting sort over their
+// range, or, for a short level or one whose range dwarfs it, a
+// comparison sort.
+func (sc *treeScratch) sortCounts(run []int32) {
+	if len(run) < 16 {
+		slices.Sort(run)
+		return
+	}
+	top := slices.Max(run)
+	if int(top) > 8*len(run)+256 {
 		slices.Sort(run)
 		return
 	}
