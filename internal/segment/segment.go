@@ -67,19 +67,21 @@
 // count and its children's labels. A tree therefore stores only what
 // the dictionary cannot derive — the labels of its inner levels, about
 // an eighth of its nodes on the PGP analog at k = 3 — which is what a
-// resident row stores too (tree.ProfileArena.Words): ReadRows copies
-// the words into the scan's arenas (decodeRow) and derives only the
-// level widths, from the child counts, and the degree runs, the child
-// counts sorted per level. In BFS order the child counts are the child
-// offsets (every extracted tree is; only a hand-written text snapshot
-// can hold another, which keeps its parent vector). The deepest level,
-// all leaves, is its width alone in memory as on disk. Every stored
-// label is
-// checked against the shapes around it — in the dictionary, child
-// counts that end exactly on a level boundary, no stored level without
-// children, leaf kids only on level h−1, children that carry their
-// parent's shape's kids — so a table that checksums but could not have
-// been written fails with ErrInconsistent.
+// resident row stores too (tree.ProfileArena.Words). ReadRows reads
+// the item tables twice: a first pass (scanTable) checks every header
+// and derives each tree's size and height, the rows are ranked across
+// the tables as a scan ranks them, and a second pass (fillRow) copies
+// each row's words into its rank slot of arenas sized once and derives
+// only the level widths, from the child counts, and the degree runs,
+// the child counts sorted per level. In BFS order the child counts are
+// the child offsets (every extracted tree is; only a hand-written text
+// snapshot can hold another, which keeps its parent vector). The
+// deepest level, all leaves, is its width alone in memory as on disk.
+// Every stored label is checked against the shapes around it — in the
+// dictionary, child counts that end exactly on a level boundary, no
+// stored level without children, leaf kids only on level h−1, children
+// that carry their parent's shape's kids — so a table that checksums
+// but could not have been written fails with ErrInconsistent.
 //
 // NEDSEG01 item tables stored every tree whole instead: n, parents
 // n×u32, then the compiled profile columns labels n×u32, perm n×u32,
@@ -101,6 +103,7 @@ package segment
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,7 +113,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"ned/internal/graph"
@@ -921,46 +923,21 @@ func (sh *shapeTable) run(l int32) []int32 { return sh.kids[sh.off[l]:sh.off[l+1
 func (sh *shapeTable) deg(l int32) int32 { return sh.off[l+1] - sh.off[l] }
 
 // treeScratch is one decoding worker's memory, reused across trees:
-// count holds one zero per shape between trees, degCount one zero per
-// child count between levels.
+// count holds one zero per shape between trees (fillRow sizes it),
+// degCount one zero per child count between levels.
 type treeScratch struct {
 	count    []int32
 	degCount []int32
-	levels   []int32
 	kids     []int32
-}
-
-// levelsOf derives a tree's level widths from its stored labels, which
-// are all in the dictionary: the root alone, then each stored level's
-// child count. It returns them, in levels's memory, and the node count.
-func levelsOf(stored []int32, sh *shapeTable, levels []int32) ([]int32, int, error) {
-	levels = append(levels[:0], 1)
-	m, n := len(stored), 1
-	for off, w := 0, 1; off < m; {
-		if off+w > m {
-			return nil, 0, inconsistent("child counts of level %d overrun the %d stored labels", len(levels)-1, m)
-		}
-		c := 0
-		for _, l := range stored[off : off+w] {
-			c += int(sh.deg(l))
-		}
-		if c == 0 {
-			return nil, 0, inconsistent("stored level %d has no children", len(levels)-1)
-		}
-		if n += c; n > maxTreeNodes {
-			return nil, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
-		}
-		off, w = off+w, c
-		levels = append(levels, int32(c))
-	}
-	return levels, n, nil
 }
 
 // scanTree reads the tree at words[pos:] as the first pass of a load
 // does: its header, its stored labels, which must be in the dictionary,
-// and the level widths they derive. It returns the tree's node count and
-// height and the cursor past it.
-func scanTree(words []int32, pos int, sh *shapeTable, sc *treeScratch) (n, h, end int, err error) {
+// and the level widths they derive — the root alone, then each stored
+// level's child count, which must end exactly where the stored labels
+// do. It returns the tree's node count and height and the cursor past
+// it.
+func scanTree(words []int32, pos int, sh *shapeTable) (n, h, end int, err error) {
 	if pos >= len(words) {
 		return 0, 0, 0, fmt.Errorf("segment: truncated payload")
 	}
@@ -981,8 +958,22 @@ func scanTree(words []int32, pos int, sh *shapeTable, sc *treeScratch) (n, h, en
 			return 0, 0, 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
 		}
 	}
-	if sc.levels, n, err = levelsOf(stored, sh, sc.levels); err != nil {
-		return 0, 0, 0, err
+	n = 1
+	for off, w := 0, 1; off < m; h++ {
+		if off+w > m {
+			return 0, 0, 0, inconsistent("child counts of level %d overrun the %d stored labels", h, m)
+		}
+		c := 0
+		for _, l := range stored[off : off+w] {
+			c += int(sh.deg(l))
+		}
+		if c == 0 {
+			return 0, 0, 0, inconsistent("stored level %d has no children", h)
+		}
+		if n += c; n > maxTreeNodes {
+			return 0, 0, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
+		}
+		off, w = off+w, c
 	}
 	if hdr&parentsFlag != 0 {
 		if n > len(words)-pos {
@@ -990,35 +981,30 @@ func scanTree(words []int32, pos int, sh *shapeTable, sc *treeScratch) (n, h, en
 		}
 		pos += n
 	}
-	return n, len(sc.levels) - 1, pos, nil
+	return n, h, pos, nil
 }
 
 // fillRow decodes the tree at words[pos:], which scanTree has read, into
-// row slot of a, whose offsets give the row its room. The stored labels
-// are those of the levels above the deepest in node order, which is what
-// a row stores too (tree.ProfileArena.Words), and the rest of the row's
-// columns follow from their shapes:
-//   - each label's shape gives the node's child count, so level d's
-//     labels give level d+1's width, the stored labels end exactly at
-//     the end of level h-1, and level h is that many leaves;
-//   - a level's child counts, sorted, are its degree run.
-//
-// In BFS order the child counts are the child offsets; a tree not in BFS
-// order stores its parent vector, which must agree with them. Every
-// check that a stored label agrees with the shapes around it — child
-// counts, and each node's children carrying its shape's kids — fails
-// with ErrInconsistent. a copies what it keeps; the payload is not
-// retained.
+// row slot of a, whose offsets give the row its room: its words, level
+// widths and degree runs (each level's child counts, sorted), a node's
+// child count being its label's shape's. It checks what scanTree did
+// not — leaf kids only on level h−1, a parent vector that agrees with
+// the child counts, children that carry their parent's shape's kids —
+// failing with ErrInconsistent. a copies what it keeps; the payload is
+// not retained.
 func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.ProfileArena, slot int) error {
 	hdr := uint32(words[pos])
 	m := int(hdr &^ parentsFlag)
 	stored := words[pos+1 : pos+1+m]
+	if sc.count == nil {
+		sc.count = make([]int32, len(sh.off)-1)
+	}
 	// The level widths, as scanTree derived them, and every node's child
 	// count but the root's, in node order, in the row's degree runs.
 	levels := a.Levels[slot*a.Width : (slot+1)*a.Width]
 	degs := a.Degs[a.DegOff[slot]:a.DegOff[slot+1]]
 	levels[0] = 1
-	h, last := 0, 0 // last: the first node of level h-1
+	h, last, n := 0, 0, 1 // last: the first node of level h-1
 	for off, w := 0, 1; off < m; h++ {
 		c := int32(0)
 		for v := off; v < off+w; v++ {
@@ -1027,7 +1013,7 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 				degs[v-1] = d
 			}
 		}
-		levels[h+1] = c
+		levels[h+1], n = c, n+int(c)
 		last, off, w = off, off+w, int(c)
 	}
 	deg := func(v int32) int32 {
@@ -1035,10 +1021,6 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 			return levels[1]
 		}
 		return degs[v-1]
-	}
-	n := 1
-	for _, w := range levels[1 : h+1] {
-		n += int(w)
 	}
 	for v := last; v < m; v++ {
 		if !sh.leafKids[stored[v]] {
@@ -1116,15 +1098,11 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 // range, or, for a short level or one whose range dwarfs it, a
 // comparison sort.
 func (sc *treeScratch) sortCounts(run []int32) {
-	if len(run) < 16 {
+	if len(run) < 16 || int(slices.Max(run)) > 8*len(run)+256 {
 		slices.Sort(run)
 		return
 	}
 	top := slices.Max(run)
-	if int(top) > 8*len(run)+256 {
-		slices.Sort(run)
-		return
-	}
 	count := slices.Grow(sc.degCount[:0], int(top)+1)[:top+1]
 	for _, c := range run {
 		count[c]++
@@ -1140,25 +1118,28 @@ func (sc *treeScratch) sortCounts(run []int32) {
 }
 
 // table is one item table as the first pass of a load reads it: its
-// words, and per item its node, where it starts, its size key and its
-// out-tree's length. A NEDSEG01 table holds its items decoded.
+// words, and per item its node, its size key (the out-tree's node
+// count, plus the in-tree's when directed) and where it lies; per
+// tree side (out, in), the tallest tree and the degree-run and stored
+// words its rows hold. A NEDSEG01 table holds its items decoded.
 type table struct {
-	words  []int32
-	nodes  []graph.NodeID
-	heads  []rowHead
-	height [2]int // the tallest out- and in-tree
-	v1     []ned.Item
+	words        []int32
+	nodes        []graph.NodeID
+	keys         []int32
+	heads        []rowHead
+	height       [2]int
+	degs, stored [2]int
+	v1           []ned.Item
 }
 
-// rowHead locates one item of a table: the word it starts at, its size
-// key (the out-tree's node count, plus the in-tree's when directed) and
-// its out-tree's word count; its in-tree runs to the next item.
-type rowHead struct{ pos, key, out int32 }
+// rowHead locates one item of a table: the word it starts at and its
+// out-tree's word count; its in-tree runs to the next item.
+type rowHead struct{ pos, out int32 }
 
 // scanTable is the first pass over one item table's payload: it checks
 // every item's header and reads its trees (scanTree), or, in a NEDSEG01
 // table (sh nil), decodes them whole.
-func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable, sc *treeScratch) (*table, error) {
+func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable) (*table, error) {
 	words, err := shardWords(payload)
 	if err != nil {
 		return nil, err
@@ -1226,21 +1207,25 @@ func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, in *tr
 			t.v1 = append(t.v1, it)
 			continue
 		}
-		n, h, end, err := scanTree(words, pos, sh, sc)
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", node, err)
-		}
-		head := rowHead{pos: int32(start), key: int32(n), out: int32(end - pos)}
-		t.height[0], pos = max(t.height[0], h), end
+		sides, key, which := 1, 0, ""
 		if hasIn {
-			if n, h, pos, err = scanTree(words, pos, sh, sc); err != nil {
-				return nil, fmt.Errorf("node %d incoming: %w", node, err)
+			sides = 2
+		}
+		for side := range sides {
+			n, h, end, err := scanTree(words, pos, sh)
+			if err != nil {
+				return nil, fmt.Errorf("node %d%s: %w", node, which, err)
 			}
-			head.key += int32(n)
-			t.height[1] = max(t.height[1], h)
+			if side == 0 {
+				t.heads = append(t.heads, rowHead{pos: int32(start), out: int32(end - pos)})
+			}
+			d, w := treeLen(words, pos, end)
+			key, t.height[side] = key+n, max(t.height[side], h)
+			t.degs[side], t.stored[side] = t.degs[side]+d, t.stored[side]+w
+			pos, which = end, " incoming"
 		}
 		t.nodes = append(t.nodes, graph.NodeID(node))
-		t.heads = append(t.heads, head)
+		t.keys = append(t.keys, int32(key))
 	}
 	if pos != len(words) {
 		return nil, fmt.Errorf("segment: shard %d: %d trailing words in section payload", si, len(words)-pos)
@@ -1259,30 +1244,20 @@ func (t *table) trees(i int) (out, in, end int) {
 	return out, in, end
 }
 
-// eachTable runs f over tables 0…n-1 on min(GOMAXPROCS, n) workers, each
-// with its own scratch, and returns the first table's error.
-func eachTable(n int, sh *shapeTable, f func(ti int, sc *treeScratch) error) error {
-	errs := make([]error, n)
-	next := make(chan int, n)
-	for ti := range n {
-		next <- ti
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc treeScratch
-			if sh != nil {
-				sc.count = make([]int32, len(sh.off)-1)
-			}
-			for ti := range next {
-				errs[ti] = f(ti, &sc)
-			}
-		}()
-	}
-	wg.Wait()
+// eachTable runs f over tables 0…n-1 on GOMAXPROCS workers, each with
+// scratch of its own, and returns the first table's error.
+func eachTable(n int, f func(ti int, sc *treeScratch) error) error {
+	errs, free := make([]error, n), make(chan *treeScratch, n)
+	ned.ParallelForCtx(context.Background(), n, 0, func(ti int) {
+		var sc *treeScratch
+		select {
+		case sc = <-free:
+		default:
+			sc = new(treeScratch)
+		}
+		errs[ti] = f(ti, sc)
+		free <- sc
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -1299,8 +1274,8 @@ func eachTable(n int, sh *shapeTable, f func(ti int, sc *treeScratch) error) err
 // writes append in place. NEDSEG01 items come back node-ascending.
 func decodeTables(payloads [][]byte, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable) (*ned.Rows, []int32, error) {
 	tables := make([]*table, len(payloads))
-	err := eachTable(len(payloads), sh, func(ti int, sc *treeScratch) (err error) {
-		tables[ti], err = scanTable(payloads[ti], ti, meta, place, in, sh, sc)
+	err := eachTable(len(payloads), func(ti int, _ *treeScratch) (err error) {
+		tables[ti], err = scanTable(payloads[ti], ti, meta, place, in, sh)
 		return err
 	})
 	if err != nil {
@@ -1325,21 +1300,13 @@ func decodeTables(payloads [][]byte, meta Meta, place *legacyPlacement, in *tree
 	// are summed.
 	var nodes []graph.NodeID
 	var keys []int32
-	var height [2]int
-	var degs, words [2]int
+	var height, degs, stored [2]int
 	for _, t := range tables {
-		nodes = append(nodes, t.nodes...)
-		for i, h := range t.heads {
-			keys = append(keys, h.key)
-			out, inAt, end := t.trees(i)
-			d, w := treeLen(t.words, out, inAt)
-			degs[0], words[0] = degs[0]+d, words[0]+w
-			if meta.Directed {
-				d, w = treeLen(t.words, inAt, end)
-				degs[1], words[1] = degs[1]+d, words[1]+w
-			}
+		nodes, keys = append(nodes, t.nodes...), append(keys, t.keys...)
+		for side := range height {
+			height[side] = max(height[side], t.height[side])
+			degs[side], stored[side] = degs[side]+t.degs[side], stored[side]+t.stored[side]
 		}
-		height[0], height[1] = max(height[0], t.height[0]), max(height[1], t.height[1])
 	}
 	n := len(nodes)
 	rank := make([]int32, n)
@@ -1348,9 +1315,9 @@ func decodeTables(payloads [][]byte, meta Meta, place *legacyPlacement, in *tree
 	}
 	room := ned.RowRoom(n)
 	rows := &ned.Rows{K: meta.K, Nodes: make([]graph.NodeID, n, n+room)}
-	rows.Out = tree.NewArena(in, height[0]+1, n, degs[0], words[0], room)
+	rows.Out = tree.NewArena(in, height[0]+1, n, degs[0], stored[0], room)
 	if meta.Directed {
-		rows.In = tree.NewArena(in, height[1]+1, n, degs[1], words[1], room)
+		rows.In = tree.NewArena(in, height[1]+1, n, degs[1], stored[1], room)
 	}
 	g := 0
 	for _, t := range tables {
@@ -1377,7 +1344,7 @@ func decodeTables(payloads [][]byte, meta Meta, place *legacyPlacement, in *tree
 	for ti := 1; ti < len(tables); ti++ {
 		base[ti] = base[ti-1] + len(tables[ti-1].heads)
 	}
-	err = eachTable(len(tables), sh, func(ti int, sc *treeScratch) error {
+	err = eachTable(len(tables), func(ti int, sc *treeScratch) error {
 		t := tables[ti]
 		for i, node := range t.nodes {
 			slot := int(rank[base[ti]+i])
@@ -1744,7 +1711,7 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	if err := d.done(); err != nil {
 		return fail(err)
 	}
-	// No cross-shard duplicate scan needed: decodeShard enforced strict
+	// No cross-shard duplicate scan needed: scanTable enforced strict
 	// node-ascending order within each shard, and a duplicate node would
 	// route to the same shard.
 	decoded := rows.Len()

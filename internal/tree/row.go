@@ -19,34 +19,45 @@ import (
 // profile of the last row built, reused by the next, and its view of
 // the dictionary. Not safe for concurrent use.
 type RowScratch struct {
-	t      Tree
-	p      Profile
-	buf    []int32
-	dict   *Interner
-	shapes []string
-	leaf   int32
-
-	// count has an entry per label of the dictionary, zero between
-	// levels; distinct lists a level's labels once each.
-	count, distinct []int32
+	t        Tree
+	p        Profile
+	buf      []int32
+	distinct []int32
+	dict     *Interner
+	shapes   []string
+	leaf     int32
 }
 
-// builds lends Build a scratch: its view of the dictionary and its
-// counts, which cost a dictionary's worth of memory to make.
-var builds = sync.Pool{New: func() any { return new(RowScratch) }}
-
 // Build returns row i's tree and profile in memory of their own.
-func (a *ProfileArena) Build(i int) (*Tree, *Profile) {
-	sc := builds.Get().(*RowScratch)
-	defer builds.Put(sc)
-	sc.buf = nil // the row's columns are the caller's
-	t, p := sc.Row(a, i)
-	sc.buf = nil
-	if t == &sc.t {
-		t = &Tree{levelOff: t.levelOff, childOff: t.childOff, childIDs: t.childIDs, bfs: true}
+func (a *ProfileArena) Build(i int) (*Tree, *Profile) { return new(RowScratch).Row(a, i) }
+
+// labelCounts keeps the counts level sorts borrow — an entry per label
+// of a dictionary, zero between uses — across collections, as a
+// sync.Pool would not: one costs a dictionary's worth of memory to make,
+// and a row costs far less to build.
+var labelCounts struct {
+	sync.Mutex
+	free [][]int32
+}
+
+// borrowCounts returns zeroed counts for labels below n.
+func borrowCounts(n int) []int32 {
+	labelCounts.Lock()
+	var c []int32
+	if k := len(labelCounts.free); k > 0 {
+		c, labelCounts.free = labelCounts.free[k-1], labelCounts.free[:k-1]
 	}
-	own := *p
-	return t, &own
+	labelCounts.Unlock()
+	if len(c) < n {
+		c = make([]int32, n+n/8)
+	}
+	return c
+}
+
+func returnCounts(c []int32) {
+	labelCounts.Lock()
+	labelCounts.free = append(labelCounts.free, c)
+	labelCounts.Unlock()
 }
 
 // Row builds row i of a into sc and returns its tree and profile, valid
@@ -109,9 +120,13 @@ func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
 	}
 	// Level-sorted labels, equal labels in ascending node order, and the
 	// permutation back to the nodes.
+	var count []int32
 	for d := range h {
 		lo, hi := levelOff[d], levelOff[d+1]
-		sc.sortLevel(stored[lo:hi], labels[lo:hi], perm[lo:hi])
+		count = sc.sortLevel(stored[lo:hi], labels[lo:hi], perm[lo:hi], count)
+	}
+	if count != nil {
+		returnCounts(count)
 	}
 	sc.p = Profile{
 		Levels:    levels,
@@ -130,36 +145,41 @@ func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
 
 // sortLevel writes the labels of run in ascending order to labels,
 // equal ones in ascending index order, and their indexes in run to perm:
-// a counting sort over the distinct labels of the run.
-func (sc *RowScratch) sortLevel(run, labels, perm []int32) {
+// a counting sort over the distinct labels of the run, in count, which
+// it borrows when it needs it and count is nil, and returns.
+func (sc *RowScratch) sortLevel(run, labels, perm, count []int32) []int32 {
 	if slices.IsSorted(run) {
 		copy(labels, run)
 		for j := range perm {
 			perm[j] = int32(j)
 		}
-		return
+		return count
+	}
+	if count == nil {
+		count = borrowCounts(len(sc.shapes))
 	}
 	distinct := sc.distinct[:0]
 	for _, l := range run {
-		if sc.count[l] == 0 {
+		if count[l] == 0 {
 			distinct = append(distinct, l)
 		}
-		sc.count[l]++
+		count[l]++
 	}
 	slices.Sort(distinct)
 	at := int32(0)
 	for _, l := range distinct {
-		at, sc.count[l] = at+sc.count[l], at
+		at, count[l] = at+count[l], at
 	}
 	for j, l := range run {
-		k := sc.count[l]
-		sc.count[l]++
+		k := count[l]
+		count[l]++
 		labels[k], perm[k] = l, int32(j)
 	}
 	for _, l := range distinct {
-		sc.count[l] = 0
+		count[l] = 0
 	}
 	sc.distinct = distinct
+	return count
 }
 
 // see makes sc's view of the dictionary hold every label of stored:
@@ -177,9 +197,6 @@ func (sc *RowScratch) see(in *Interner, stored []int32) {
 	}
 	sc.dict, sc.shapes = in, in.Shapes()
 	sc.leaf, _ = in.resolve(nil, shapeHash(nil), true)
-	if len(sc.count) < len(sc.shapes) {
-		sc.count = make([]int32, len(sc.shapes)+len(sc.shapes)/8)
-	}
 }
 
 // grow32 returns s resliced to n, reallocated when its capacity is short.
