@@ -9,8 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node within a single graph. IDs are dense: a graph
@@ -89,9 +90,8 @@ func (g *Graph) InDegree(v NodeID) int {
 // orientation is ignored. Runs in O(log deg(u)) thanks to sorted
 // adjacency lists.
 func (g *Graph) HasEdge(u, v NodeID) bool {
-	ns := g.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
+	_, ok := slices.BinarySearch(g.Neighbors(u), v)
+	return ok
 }
 
 // Edges returns all edges. Undirected edges are reported once with U < V;
@@ -174,6 +174,14 @@ func (b *Builder) AddEdge(u, v NodeID) {
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return b.numNodes }
 
+// compareEdges is the canonical edge order: by U, then by V.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
+}
+
 // Build produces the immutable Graph. The Builder can be reused afterward.
 func (b *Builder) Build() *Graph {
 	n := b.numNodes
@@ -185,12 +193,11 @@ func (b *Builder) Build() *Graph {
 		}
 		es = append(es, e)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
+	// A segment's graph section, among others, arrives in this order
+	// already.
+	if !slices.IsSortedFunc(es, compareEdges) {
+		slices.SortFunc(es, compareEdges)
+	}
 	dedup := es[:0]
 	for i, e := range es {
 		if i > 0 && e == es[i-1] {
@@ -215,6 +222,10 @@ func (b *Builder) Build() *Graph {
 	g.adj = make([]NodeID, g.offsets[n])
 	cursor := make([]int32, n)
 	copy(cursor, g.offsets[:n])
+	// Filling in canonical edge order leaves every list sorted: node v's
+	// list gets the u of each edge (u, v) — undirected, u < v — in
+	// ascending u, then the w of each edge (v, w) in ascending w; a
+	// directed in-list is the first half alone.
 	for _, e := range es {
 		g.adj[cursor[e.U]] = e.V
 		cursor[e.U]++
@@ -222,10 +233,6 @@ func (b *Builder) Build() *Graph {
 			g.adj[cursor[e.V]] = e.U
 			cursor[e.V]++
 		}
-	}
-	for v := 0; v < n; v++ {
-		ns := g.adj[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 	}
 
 	if b.directed {
@@ -243,10 +250,6 @@ func (b *Builder) Build() *Graph {
 		for _, e := range es {
 			g.inAdj[icursor[e.V]] = e.U
 			icursor[e.V]++
-		}
-		for v := 0; v < n; v++ {
-			ns := g.inAdj[g.inOffsets[v]:g.inOffsets[v+1]]
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
 		}
 	}
 	return g

@@ -121,11 +121,14 @@ func TestEdgesRoundTrip(t *testing.T) {
 	}
 }
 
+// Build fills adjacency lists in canonical edge order and never sorts
+// them: every list, out and in, directed or not, must come out sorted.
 func TestNeighborsSorted(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
-		b := NewBuilder(n, false)
+		directed := rng.Intn(2) == 0
+		b := NewBuilder(n, directed)
 		for i := 0; i < 3*n; i++ {
 			b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
 		}
@@ -134,6 +137,12 @@ func TestNeighborsSorted(t *testing.T) {
 			ns := g.Neighbors(NodeID(v))
 			if !sort.SliceIsSorted(ns, func(i, j int) bool { return ns[i] < ns[j] }) {
 				return false
+			}
+			if directed {
+				ns = g.InNeighbors(NodeID(v))
+				if !sort.SliceIsSorted(ns, func(i, j int) bool { return ns[i] < ns[j] }) {
+					return false
+				}
 			}
 		}
 		return true

@@ -180,14 +180,17 @@ func newBlock(rows Rows, byNode []int32) *profileBlock {
 
 // blockOf is the block over rows, every one live, in rank order so that
 // the kernels read a window's rows in sequence: rows already in rank
-// order are adopted, node-ascending ones copied.
+// order are adopted, node-ascending ones copied with the room a load
+// gives its rows (RowRoom), so that a built base's first writes append
+// in place too.
 func blockOf(rows *Rows) *profileBlock {
 	b := newBlock(*rows, nil)
 	if inOrder(b.ord) {
 		b.byNode = nodeOrder(rows.Nodes)
 		return b
 	}
-	ranked := Rows{K: rows.K, Nodes: make([]graph.NodeID, b.n)}
+	room := RowRoom(b.n)
+	ranked := Rows{K: rows.K, Nodes: make([]graph.NodeID, b.n, b.n+room)}
 	var out, in []tree.ArenaRun
 	if rows.In != nil {
 		in = []tree.ArenaRun{}
@@ -201,7 +204,7 @@ func blockOf(rows *Rows) *profileBlock {
 		}
 		b.ord[r] = int32(r)
 	}
-	b.Rows, b.byNode = *ranked.compile(out, in, 0), at
+	b.Rows, b.byNode = *ranked.compile(out, in, room), at
 	return b
 }
 

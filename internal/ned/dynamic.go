@@ -136,8 +136,9 @@ const (
 	foldShift = 5
 )
 
-// RowRoom is how many more rows than n a relocation, or a load, gives
-// fresh arenas of n rows room for: an eighth as many, at least foldMin.
+// RowRoom is how many more rows than n a relocation, a load or a build
+// gives fresh arenas of n rows room for: an eighth as many, at least
+// foldMin.
 func RowRoom(n int) int { return max(foldMin, n/8) }
 
 func (b *scanBackend) Insert(items ...Item) { b.apply(RowsOf(items), nil) }

@@ -106,8 +106,13 @@ func walFrameBounds(b []byte) []int64 {
 // goldens (NEDSEG02 and NEDSEG01), their prefixes, and the NEDSEG02
 // golden with one item-table word rewritten under a recomputed
 // checksum, so mutations start from tables that reach the label checks,
-// or that declare more rows or stored labels than they hold.
+// or that declare more rows or stored labels than they hold, and the
+// NEDSEG01 golden with one tree's columns rewritten (v1Cases), so they
+// start from tables the translation into NEDSEG02 rejects.
 func FuzzSegmentRead(f *testing.F) {
+	for _, c := range v1Cases(f) {
+		f.Add(c.blob)
+	}
 	for _, name := range []string{"golden.nedseg", "golden-v1.nedseg"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

@@ -85,13 +85,12 @@
 //
 // NEDSEG01 item tables stored every tree whole instead: n, parents
 // n×u32, then the compiled profile columns labels n×u32, perm n×u32,
-// kids (n-1)×u32. That layout is word-only and word-aligned, so on a
-// little-endian host its decoder (decodeTreeV1) aliases parent vectors
-// and profile columns straight into the checksummed section payload
-// and validates them (a tree not in BFS order keeps its aliased parent
-// vector; the profile columns are copied); only a big-endian host pays
-// a byte-swapping pass. A NEDSEG02 load retains no payload: every
-// column is derived into fresh storage.
+// kids (n-1)×u32. A load translates each such table into the NEDSEG02
+// table of the same trees before its first pass (translateV1), so one
+// decoder reads both layouts and every check above applies to old bytes
+// too; the translation rejects with ErrInconsistent the columns NEDSEG02
+// cannot express. A load retains no payload: every column is derived
+// into fresh storage.
 //
 // The index sections persist what even the item tables cannot buy
 // back: a vantage-point tree costs O(n log n) TED* evaluations to
@@ -268,7 +267,8 @@ func (d *dec) u64() uint64 {
 }
 
 // i32s decodes n little-endian u32 values as int32s, checking the
-// byte budget before allocating.
+// byte budget before allocating. On a little-endian host the column
+// loads with one memmove.
 func (d *dec) i32s(n int) []int32 {
 	if d.err != nil {
 		return nil
@@ -277,32 +277,16 @@ func (d *dec) i32s(n int) []int32 {
 		d.fail("segment: truncated payload (want %d int32s, have %d bytes)", n, len(d.b))
 		return nil
 	}
-	out := make([]int32, n)
-	d.i32sInto(out)
-	return out
-}
-
-// i32sInto fills dst with little-endian u32 values read as int32s —
-// the bulk-decode hot loop, kept tight (binary.LittleEndian.Uint32
-// compiles to a single unaligned load).
-func (d *dec) i32sInto(dst []int32) {
-	if d.err != nil {
-		return
-	}
-	n := len(dst)
-	if len(d.b) < 4*n {
-		d.fail("segment: truncated payload (want %d int32s, have %d bytes)", n, len(d.b))
-		return
-	}
-	src := d.b[:4*n]
+	out, src := make([]int32, n), d.b[:4*n]
 	if hostLittleEndian && n > 0 {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 4*n), src)
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), 4*n), src)
 	} else {
-		for i := range dst {
-			dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
+		for i := range out {
+			out[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 		}
 	}
 	d.b = d.b[4*n:]
+	return out
 }
 
 func (d *dec) done() error {
@@ -820,10 +804,10 @@ func boolByte(b bool) byte {
 
 // shardWords exposes a shard payload as its int32 word stream. On a
 // little-endian host with the (allocator-guaranteed, but verified)
-// 4-byte alignment, the returned slice ALIASES payload — the section's
-// checksummed bytes become the backing storage of every tree and
-// profile decoded from it, which is the whole point of the word-only
-// shard layout. Otherwise one byte-swapping copy is made.
+// 4-byte alignment, the returned slice aliases payload, so the passes of
+// a load read the section's checksummed bytes in place; they copy what
+// they keep, so no row or tree is backed by it. Otherwise one
+// byte-swapping copy is made.
 func shardWords(payload []byte) ([]int32, error) {
 	if len(payload)%4 != 0 {
 		return nil, fmt.Errorf("segment: shard payload length %d not a multiple of 4", len(payload))
@@ -842,41 +826,108 @@ func shardWords(payload []byte) ([]int32, error) {
 	return out, nil
 }
 
-// decodeTreeV1 decodes one NEDSEG01 tree + profile from the word
-// stream at words[pos:], returning the cursor past it. The parent
-// vector and profile columns are subslices of words — aliased payload
-// on little-endian hosts — handed to tree.NewOwned / ProfileFromParts
-// without the defensive copies the public constructors make. A
-// BFS-order tree keeps none of its parent vector (one that is not keeps
-// it, aliased), and ProfileFromParts copies the columns above the
-// deepest level into s with the derived ones — the tree's child and
-// level offsets, the profile's level sizes and degree runs — so the
-// payload is not retained through them.
-func decodeTreeV1(words []int32, pos int, in *tree.Interner, s *tree.Slab) (*tree.Tree, *tree.Profile, int, error) {
-	if pos >= len(words) {
-		return nil, nil, 0, fmt.Errorf("segment: truncated payload")
-	}
-	n := int(uint32(words[pos]))
-	pos++
-	// Budget the whole encoded tree (parents + labels + perm + kids =
-	// 4n-1 words) before slicing anything sized by n.
-	if n < 1 || n > (len(words)-pos+1)/4 {
-		return nil, nil, 0, fmt.Errorf("segment: tree declares %d nodes with %d words left", n, len(words)-pos)
-	}
-	parents := words[pos : pos+n : pos+n]
-	labels := words[pos+n : pos+2*n : pos+2*n]
-	perm := words[pos+2*n : pos+3*n : pos+3*n]
-	kids := words[pos+3*n : pos+4*n-1 : pos+4*n-1]
-	pos += 4*n - 1
-	t, err := tree.NewOwned(parents, s)
+// translateV1 rewrites a NEDSEG01 item table's payload as the NEDSEG02
+// table of the same trees, so one decoder reads both layouts. A NEDSEG01
+// tree is n, parents n×u32, labels n×u32 sorted within each level, perm
+// n×u32 (each sorted label's level-local node) and kids (n-1)×u32 (every
+// node's sorted child labels, in node order); its NEDSEG02 form keeps the
+// labels above the deepest level, put back in node order, and the
+// parents when they are not in BFS order. The parents must form a tree
+// (tree.New). Columns NEDSEG02 cannot express fail with ErrInconsistent:
+// a label outside the dictionary or unsorted within its level, a perm
+// that is not a permutation of its level, a deepest level that is not
+// leaves in node order, a kid run that is not its label's shape.
+func translateV1(payload []byte, si int, sh *shapeTable) ([]byte, error) {
+	words, err := shardWords(payload)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("segment: %w", err)
+		return nil, err
 	}
-	p, err := in.ProfileFromParts(t, labels, perm, kids, s)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("segment: %w", err)
+	if len(words) < 2 {
+		return nil, fmt.Errorf("segment: shard %d payload truncated", si)
 	}
-	return t, p, pos, nil
+	out := make([]byte, 0, len(payload)) // no NEDSEG02 tree is longer than its NEDSEG01 form
+	put := func(ws ...int32) {
+		for _, w := range ws {
+			out = appendU32(out, uint32(w))
+		}
+	}
+	var label []int32 // the node-order labels of the tree in hand
+	translate := func(pos int) (int, error) {
+		if pos >= len(words) {
+			return 0, fmt.Errorf("segment: truncated payload")
+		}
+		n := int(uint32(words[pos]))
+		pos++
+		// Budget parents + labels + perm + kids = 4n-1 words before slicing.
+		if n < 1 || n > (len(words)-pos+1)/4 {
+			return 0, fmt.Errorf("segment: tree declares %d nodes with %d words left", n, len(words)-pos)
+		}
+		parents, labels := words[pos:pos+n], words[pos+n:pos+2*n]
+		perm, kids := words[pos+2*n:pos+3*n], words[pos+3*n:pos+4*n-1]
+		t, err := tree.New(parents)
+		if err != nil {
+			return 0, fmt.Errorf("segment: %w", err)
+		}
+		m, _ := t.LevelRange(t.Height()) // the deepest level's first node
+		label = slices.Grow(label[:0], int(m))[:m]
+		for v := range label {
+			label[v] = -1
+		}
+		for d := range t.Height() {
+			lo, hi := t.LevelRange(d)
+			if run := labels[lo:hi]; run[0] < 0 || run[len(run)-1] >= int32(len(sh.off)-1) {
+				return 0, inconsistent("labels of level %d outside the dictionary [0, %d)", d, len(sh.off)-1)
+			} else if !slices.IsSorted(run) {
+				return 0, inconsistent("labels of level %d not sorted", d)
+			}
+			for j := lo; j < hi; j++ {
+				if p := perm[j]; p < 0 || p >= hi-lo || label[lo+p] >= 0 {
+					return 0, inconsistent("perm of level %d is not a permutation of its %d nodes", d, hi-lo)
+				}
+				label[lo+perm[j]] = labels[j]
+			}
+		}
+		for j := m; j < int32(n); j++ {
+			if labels[j] != leafShape || perm[j] != j-m {
+				return 0, inconsistent("the deepest level is not %d leaves in node order", int32(n)-m)
+			}
+		}
+		// The deepest level's nodes have no children, so no kid runs.
+		for v, l := range label {
+			run := sh.run(l)
+			if t.NumChildren(int32(v)) != len(run) || !slices.Equal(kids[:len(run)], run) {
+				return 0, inconsistent("kid run of node %d is not its label's shape's", v)
+			}
+			kids = kids[len(run):]
+		}
+		if t.BFSOrder() {
+			put(m)
+			put(label...)
+		} else {
+			put(int32(uint32(m) | parentsFlag))
+			put(label...)
+			put(parents...)
+		}
+		return pos + 4*n - 1, nil
+	}
+	put(words[:2]...)
+	pos := 2
+	for i := range int(uint32(words[1])) {
+		if len(words)-pos < 3 {
+			return nil, fmt.Errorf("segment: shard %d truncated at item %d", si, i)
+		}
+		node, sides, which := words[pos], 1+int(words[pos+2]&1), ""
+		put(words[pos : pos+3]...)
+		for pos += 3; sides > 0; sides, which = sides-1, " incoming" {
+			if pos, err = translate(pos); err != nil {
+				return nil, fmt.Errorf("node %d%s: %w", node, which, err)
+			}
+		}
+	}
+	if pos != len(words) {
+		return nil, fmt.Errorf("segment: shard %d: %d trailing words in section payload", si, len(words)-pos)
+	}
+	return out, nil
 }
 
 // ErrInconsistent reports an item table whose checksum holds but whose
@@ -1121,7 +1172,7 @@ func (sc *treeScratch) sortCounts(run []int32) {
 // words, and per item its node, its size key (the out-tree's node
 // count, plus the in-tree's when directed) and where it lies; per
 // tree side (out, in), the tallest tree and the degree-run and stored
-// words its rows hold. A NEDSEG01 table holds its items decoded.
+// words its rows hold.
 type table struct {
 	words        []int32
 	nodes        []graph.NodeID
@@ -1129,7 +1180,6 @@ type table struct {
 	heads        []rowHead
 	height       [2]int
 	degs, stored [2]int
-	v1           []ned.Item
 }
 
 // rowHead locates one item of a table: the word it starts at and its
@@ -1137,9 +1187,8 @@ type table struct {
 type rowHead struct{ pos, out int32 }
 
 // scanTable is the first pass over one item table's payload: it checks
-// every item's header and reads its trees (scanTree), or, in a NEDSEG01
-// table (sh nil), decodes them whole.
-func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable) (*table, error) {
+// every item's header and reads its trees (scanTree).
+func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, sh *shapeTable) (*table, error) {
 	words, err := shardWords(payload)
 	if err != nil {
 		return nil, err
@@ -1152,17 +1201,11 @@ func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, in *tr
 	}
 	count := int(uint32(words[1]))
 	pos := 2
-	// Minimum item: 3 header words + a 1-node tree's 1 word (4 in
-	// NEDSEG01).
-	minItem := 4
-	if sh == nil {
-		minItem = 7
-	}
-	if count < 0 || count > (len(words)-pos)/minItem {
+	// Minimum item: 3 header words + a 1-node tree's 1 word.
+	if count < 0 || count > (len(words)-pos)/4 {
 		return nil, fmt.Errorf("segment: shard %d declares %d items with %d words left", si, count, len(words)-pos)
 	}
 	t := &table{words: words}
-	slab := &tree.Slab{}
 	last := int32(-1)
 	for i := 0; i < count; i++ {
 		if len(words)-pos < 3 {
@@ -1193,19 +1236,6 @@ func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, in *tr
 		if want := place.shardOf(graph.NodeID(node), meta.Shards); want != si {
 			return nil, fmt.Errorf("segment: node %d filed under shard %d, placement routes it to %d",
 				node, si, want)
-		}
-		if sh == nil {
-			it := ned.Item{Node: graph.NodeID(node), K: k}
-			if it.Out, it.OutP, pos, err = decodeTreeV1(words, pos, in, slab); err != nil {
-				return nil, fmt.Errorf("node %d: %w", node, err)
-			}
-			if hasIn {
-				if it.In, it.InP, pos, err = decodeTreeV1(words, pos, in, slab); err != nil {
-					return nil, fmt.Errorf("node %d incoming: %w", node, err)
-				}
-			}
-			t.v1 = append(t.v1, it)
-			continue
 		}
 		sides, key, which := 1, 0, ""
 		if hasIn {
@@ -1271,28 +1301,15 @@ func eachTable(n int, f func(ti int, sc *treeScratch) error) error {
 // straight into their rank slots (ned.RankOrder) of arenas sized by the
 // first pass (scanTable) with a relocation's room to spare (ned.RowRoom),
 // so the scan adopts them as they are and a replayed log or the first
-// writes append in place. NEDSEG01 items come back node-ascending.
+// writes append in place.
 func decodeTables(payloads [][]byte, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable) (*ned.Rows, []int32, error) {
 	tables := make([]*table, len(payloads))
 	err := eachTable(len(payloads), func(ti int, _ *treeScratch) (err error) {
-		tables[ti], err = scanTable(payloads[ti], ti, meta, place, in, sh)
+		tables[ti], err = scanTable(payloads[ti], ti, meta, place, sh)
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	if sh == nil {
-		var items []ned.Item
-		for _, t := range tables {
-			items = append(items, t.v1...)
-		}
-		rows := ned.RowsOf(items)
-		rank := make([]int32, len(items))
-		for i, it := range items {
-			r, _ := slices.BinarySearch(rows.Nodes, it.Node)
-			rank[i] = int32(r)
-		}
-		return rows, rank, nil
 	}
 
 	// Rank every item across the tables, then size the arenas and give
@@ -1501,8 +1518,8 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 // shard, as written); callers re-file them by hash for whatever shard
 // count they run with, and must discard the index dumps if that count
 // differs from meta.Shards. Any truncation, checksum mismatch, or
-// internal inconsistency is a loud error; a NEDSEG02 item table that
-// disagrees with the dictionary fails with ErrInconsistent.
+// internal inconsistency is a loud error; an item table of either
+// layout that disagrees with the dictionary fails with ErrInconsistent.
 func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
 	meta, rows, rank, in, g, indexes, err := read(r)
 	if err != nil {
@@ -1516,9 +1533,9 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 }
 
 // ReadRows is Read for a scan: every item table's rows in one batch, in
-// rank order (ned.NewScan adopts it as it is; a NEDSEG01 segment's come
-// back node-ascending), without building a tree or a profile, and the
-// index dumps dropped.
+// rank order with a relocation's room to spare, whichever layout the
+// segment is (ned.NewScan adopts it as it is), without building a tree
+// or a profile, and the index dumps dropped.
 func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error) {
 	meta, rows, _, in, g, _, err := read(r)
 	if err != nil {
@@ -1607,10 +1624,7 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	if err != nil {
 		return fail(fmt.Errorf("segment: %w", err))
 	}
-	var sh *shapeTable
-	if !v1 {
-		sh = newShapeTable(kidOff, kids)
-	}
+	sh := newShapeTable(kidOff, kids)
 
 	// Graph.
 	var g *graph.Graph
@@ -1661,7 +1675,8 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 		}
 	}
 
-	// Shard item tables: collect payloads sequentially, decode in
+	// Shard item tables: collect payloads sequentially (a NEDSEG01 table
+	// translated into the NEDSEG02 table of the same trees), decode in
 	// parallel — tables are independent until their rows take their rank
 	// slots, and decoding dominates load time.
 	payloads := make([][]byte, meta.Shards)
@@ -1675,11 +1690,16 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 		if typ != secShard {
 			return fail(fmt.Errorf("segment: section type %d where %d expected", typ, secShard))
 		}
-		payloads[si] = payload
-		if uint64(len(payloads[si])) != shardLens[si] {
+		if uint64(len(payload)) != shardLens[si] {
 			return fail(fmt.Errorf("segment: shard %d payload is %d bytes, meta declares %d",
-				si, len(payloads[si]), shardLens[si]))
+				si, len(payload), shardLens[si]))
 		}
+		if v1 {
+			if payload, err = translateV1(payload, si, sh); err != nil {
+				return fail(err)
+			}
+		}
+		payloads[si] = payload
 	}
 	rows, rank, err := decodeTables(payloads, meta, place, in, sh)
 	if err != nil {

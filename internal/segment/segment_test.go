@@ -791,6 +791,95 @@ func TestSegmentV2RejectsInconsistentTables(t *testing.T) {
 	}
 }
 
+// v1Case is the NEDSEG01 golden with one word of a tree's columns
+// rewritten under a recomputed checksum, and what Read's error must
+// mention.
+type v1Case struct {
+	what, want string
+	blob       []byte
+}
+
+// v1Cases rewrites the first tree of the NEDSEG01 golden whose height is
+// 2 or more and whose level 1 holds two distinct labels: each case
+// checksums, but its columns are ones NEDSEG02 cannot express. The last
+// two the loader of the NEDSEG01 columns accepted.
+func v1Cases(t testing.TB) []v1Case {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden-v1.nedseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, dict, _, _, err := Read(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("Read rejects the NEDSEG01 golden: %v", err)
+	}
+	shapes := uint32(dict.Len())
+	for off := len(Magic); off < len(blob); {
+		n := int(binary.LittleEndian.Uint64(blob[off+1:]))
+		if blob[off] != secShard {
+			off += 9 + n + 4
+			continue
+		}
+		at, words := off+9, make([]uint32, n/4)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint32(blob[at+4*i:])
+		}
+		for pos, i := 2, 0; i < int(words[1]); i++ {
+			trees := 1 + int(words[pos+2]&1)
+			pos += 3
+			for range trees {
+				size := int(words[pos])
+				parents := make([]int32, size)
+				for v := range parents {
+					parents[v] = int32(words[pos+1+v])
+				}
+				tr := tree.MustNew(parents)
+				// The word indices of the columns of tree tr.
+				labels, perm, kids := pos+1+size, pos+1+2*size, pos+1+3*size
+				lo, _ := tr.LevelRange(1)
+				l1 := labels + int(lo)
+				if tr.Height() < 2 || tr.LevelSize(1) < 2 || words[l1] == words[l1+1] {
+					pos += 4 * size
+					continue
+				}
+				set := func(blob []byte, i int, v uint32) []byte { return rewrite(blob, at, len(words), i, v) }
+				root := words[labels]
+				lastRootKid := kids + tr.NumChildren(0) - 1
+				return []v1Case{
+					{"a label outside the dictionary", "outside the dictionary", set(blob, labels, shapes)},
+					{"a negative label", "outside the dictionary", set(blob, labels, math.MaxUint32)},
+					{"a perm entry outside its level", "perm of level 1 is not a permutation", set(blob, perm+int(lo), uint32(tr.LevelSize(1)))},
+					{"labels unsorted within a level", "labels of level 1 not sorted",
+						set(set(blob, l1, words[l1+1]), l1+1, words[l1])},
+					{"a non-leaf label on the deepest level", "deepest level", set(blob, labels+size-1, root)},
+					{"a non-leaf kid on level h-1", "kid run", set(blob, kids+size-2, root)},
+					{"a perm that repeats a node", "perm of level 1 is not a permutation", set(blob, perm+int(lo)+1, words[perm+int(lo)])},
+					// Still sorted and in the dictionary: the root's largest kid
+					// becomes the largest shape, which is not the root's kid.
+					{"a kid run that is not its label's shape", "kid run", set(blob, lastRootKid, shapes-1)},
+				}
+			}
+		}
+		break
+	}
+	t.Fatal("the NEDSEG01 golden's first item table holds no tree to rewrite")
+	return nil
+}
+
+// A NEDSEG01 table is translated into NEDSEG02 before its first pass,
+// and the translation rejects the columns NEDSEG02 cannot express with
+// ErrInconsistent — including a perm that repeats a node and a kid run
+// that is not its label's shape, which the loader of the NEDSEG01
+// columns accepted.
+func TestSegmentV1RejectsInconsistentTables(t *testing.T) {
+	for _, c := range v1Cases(t) {
+		_, _, _, _, _, err := Read(bytes.NewReader(c.blob))
+		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want ErrInconsistent mentioning %q", c.what, err, c.want)
+		}
+	}
+}
+
 // itemTables splits node-ascending items into the item tables Write
 // takes, as Tables splits rows.
 func itemTables(items []ned.Item) [][]ned.Item {

@@ -93,105 +93,6 @@ func TestNewInternerFromShapesRejectsBadTables(t *testing.T) {
 	}
 }
 
-// fullColumns is what an earlier layout persisted for p: its columns
-// with the deepest level's leaf labels, its identity Perm and level
-// h-1's leaf kid runs appended.
-func fullColumns(p *Profile) (labels, perm, kids []int32) {
-	labels, perm, kids = slices.Clone(p.Labels), slices.Clone(p.Perm), slices.Clone(p.Kids)
-	for i := range p.Levels[p.Height()] {
-		labels, perm = append(labels, p.LeafLabel), append(perm, i)
-	}
-	for len(kids) < int(p.Size)-1 {
-		kids = append(kids, p.LeafLabel)
-	}
-	return labels, perm, kids
-}
-
-// ProfileFromParts must rebuild a profile bit-identical to a fresh
-// compile of the same tree against the same dictionary.
-func TestProfileFromPartsRoundTrip(t *testing.T) {
-	trees, in := exportTestTrees(t, 60, 11)
-	kidOff, kids := exportShapes(in)
-	in2, err := NewInternerFromShapes(kidOff, kids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range trees {
-		want := in.Profile(tr)
-		clone := tr.Clone()
-		labels, perm, kids := fullColumns(want)
-		got, err := in2.ProfileFromParts(clone, labels, perm, kids, &Slab{})
-		if err != nil {
-			t.Fatalf("tree %d: ProfileFromParts: %v", i, err)
-		}
-		if !slices.Equal(got.Levels, want.Levels) ||
-			!slices.Equal(got.Labels, want.Labels) ||
-			!slices.Equal(got.Perm, want.Perm) ||
-			!slices.Equal(got.Kids, want.Kids) ||
-			!slices.Equal(got.KidOff, want.KidOff) ||
-			!slices.Equal(got.Degs, want.Degs) ||
-			got.Size != want.Size ||
-			got.LeafLabel != want.LeafLabel || got.Canon != want.Canon {
-			t.Fatalf("tree %d: reconstructed profile differs:\n got %+v\nwant %+v", i, got, want)
-		}
-		if !got.Resolved() {
-			t.Fatalf("tree %d: reconstructed profile unresolved", i)
-		}
-		// The reconstruction must have primed the tree's profile cache.
-		if c := clone.profCache.Load(); c == nil || c.p != got {
-			t.Fatalf("tree %d: profile cache not primed", i)
-		}
-	}
-}
-
-func TestProfileFromPartsRejectsBadColumns(t *testing.T) {
-	in := NewInterner()
-	tr := MustNew([]int32{-1, 0, 0, 1})
-	labels, perm, kids := fullColumns(in.Profile(tr))
-	dup := slices.Clone[[]int32]
-	if _, err := in.ProfileFromParts(tr, dup(labels[:2]), dup(perm), dup(kids), nil); err == nil {
-		t.Error("short labels accepted")
-	}
-	if _, err := in.ProfileFromParts(tr, dup(labels), dup(perm), dup(kids[:1]), nil); err == nil {
-		t.Error("short kids accepted")
-	}
-	bad := dup(labels)
-	bad[0] = int32(in.Len()) + 5
-	if _, err := in.ProfileFromParts(tr, bad, dup(perm), dup(kids), nil); err == nil {
-		t.Error("out-of-dictionary label accepted")
-	}
-	bad = dup(labels)
-	bad[0] = -1
-	if _, err := in.ProfileFromParts(tr, bad, dup(perm), dup(kids), nil); err == nil {
-		t.Error("negative label accepted")
-	}
-	badPerm := dup(perm)
-	badPerm[1] = 99
-	if _, err := in.ProfileFromParts(tr, dup(labels), badPerm, dup(kids), nil); err == nil {
-		t.Error("out-of-level perm accepted")
-	}
-	// Unsorted labels within a level: nodes 1 and 2 share level 1.
-	unsorted := dup(labels)
-	if unsorted[1] != unsorted[2] {
-		unsorted[1], unsorted[2] = unsorted[2], unsorted[1]
-		if _, err := in.ProfileFromParts(tr, unsorted, dup(perm), dup(kids), nil); err == nil {
-			t.Error("unsorted level labels accepted")
-		}
-	}
-	// The deepest level (node 3) and level 1's kids must be what the
-	// profile leaves implicit: leaves.
-	bad = dup(labels)
-	bad[3] = labels[0]
-	if _, err := in.ProfileFromParts(tr, bad, dup(perm), dup(kids), nil); err == nil {
-		t.Error("non-leaf label on the deepest level accepted")
-	}
-	badKids := dup(kids)
-	badKids[2] = labels[0]
-	if _, err := in.ProfileFromParts(tr, dup(labels), dup(perm), badKids, nil); err == nil {
-		t.Error("non-leaf kid of level h-1 accepted")
-	}
-}
-
 // Shapes hands out views of a table that interning keeps appending to:
 // every view taken mid-interning must be a prefix of the final table,
 // each shape's children interned before it.

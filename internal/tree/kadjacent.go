@@ -46,7 +46,7 @@ var bfsWorkspaces = sync.Pool{New: func() any { return new(graph.BFSWorkspace) }
 
 // kAdjacent is the one extraction path. The pooled workspace's bounded
 // BFS touches only the nodes within k hops and yields the tree's parent
-// vector directly in visitation (level) order, which build reads in
+// vector directly in visitation (level) order, which New reads in
 // place and drops: the only allocations are the returned tree — its
 // level and child offsets in one block — and, when withOrder, the node
 // mapping.
@@ -54,7 +54,7 @@ func kAdjacent(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection, w
 	w := bfsWorkspaces.Get().(*graph.BFSWorkspace)
 	defer bfsWorkspaces.Put(w)
 	parent, order, _ := w.Tree(g, v, k, dir)
-	t, err := build(parent, nil, false)
+	t, err := New(parent)
 	if err != nil {
 		panic(err) // a BFS parent vector is level-ordered by construction
 	}

@@ -89,56 +89,15 @@ type cachedProfile struct {
 // ≤k-hop neighborhoods: untouched signatures must keep their cache.
 func (t *Tree) HasCanon() bool { return t.canonSet.Load() }
 
-// Slab bulk-allocates int32 backing storage for batches of trees: a
-// segment load reconstructing thousands of small trees pays one large
-// allocation per chunk instead of several small ones per tree. Alloc
-// never reuses memory — every returned slice is freshly zeroed make()
-// storage carved from the current chunk — so slab-built trees are
-// indistinguishable from heap-built ones; the slab is an allocation
-// batcher, not a pool. The zero value is ready. Not safe for
-// concurrent use: give each decoding worker its own.
-type Slab struct{ free []int32 }
-
-// slabChunk is the slab allocation quantum: 64K int32s (256 KiB).
-const slabChunk = 64 << 10
-
-// Alloc returns a zeroed int32 slice of length and capacity n. A nil
-// receiver degrades to plain make, so callers thread an optional slab
-// without branching.
-func (s *Slab) Alloc(n int) []int32 {
-	if s == nil {
-		return make([]int32, n)
-	}
-	if n > len(s.free) {
-		if n >= slabChunk {
-			return make([]int32, n)
-		}
-		s.free = make([]int32, slabChunk)
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
-}
-
 // New constructs a Tree from a parent vector. parent[0] must be -1 and
 // every other entry must point to an earlier node (level order). New
 // returns an error when the vector violates those invariants. The tree
 // keeps no reference to parent.
-func New(parent []int32) (*Tree, error) { return build(parent, nil, false) }
-
-// NewOwned is New for a caller that hands parent over and carves the
-// derived arrays from s (plain allocations when s is nil): levelOff
-// (height+2) and childOff — levelOff[h]+1 entries for a BFS-order tree,
-// which keeps nothing else, or n+1 plus childIDs (n-1) for one that is
-// not, which keeps parent itself (so parent must not be mutated
-// afterwards). This is the bulk-decode path: internal/segment owns every
-// parent vector it just decoded and builds thousands of trees per load.
-func NewOwned(parent []int32, s *Slab) (*Tree, error) { return build(parent, s, true) }
-
-// build validates parent and derives the tree's columns from it. A
-// BFS-order tree keeps none of parent; any other keeps parent itself
-// when owned, else a copy.
-func build(parent []int32, s *Slab, owned bool) (*Tree, error) {
+//
+// New derives levelOff (height+2 entries) and childOff: levelOff[h]+1
+// entries for a BFS-order tree, which keeps nothing else, or n+1 plus
+// childIDs (n-1) and a copy of parent for one that is not.
+func New(parent []int32) (*Tree, error) {
 	if len(parent) == 0 {
 		return nil, fmt.Errorf("tree: empty parent vector")
 	}
@@ -176,7 +135,7 @@ func build(parent []int32, s *Slab, owned bool) (*Tree, error) {
 	if bfsOrder {
 		offs = int(cur)
 	}
-	cols := s.Alloc(len(starts) + 1 + offs + 1)
+	cols := make([]int32, len(starts)+1+offs+1)
 	levelOff := cols[: len(starts)+1 : len(starts)+1]
 	childOff := cols[len(starts)+1:]
 	copy(levelOff, starts)
@@ -193,15 +152,12 @@ func build(parent []int32, s *Slab, owned bool) (*Tree, error) {
 		t.childIDs, t.bfs = bfsIDs(n), true
 		return t, nil
 	}
-	if !owned {
-		parent = append([]int32(nil), parent...)
-	}
-	t.parent = parent
+	t.parent = append([]int32(nil), parent...)
 	// General level order: fill childIDs using childOff[p] itself as the
 	// write cursor; the advancement leaves childOff[v] holding the
 	// original childOff[v+1], which one backward shift undoes — no
 	// scratch cursor array.
-	t.childIDs = s.Alloc(n - 1)
+	t.childIDs = make([]int32, n-1)
 	for v := 1; v < n; v++ {
 		p := parent[v]
 		t.childIDs[childOff[p]] = int32(v)

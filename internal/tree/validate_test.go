@@ -12,7 +12,7 @@ type refTree struct {
 	depth, levelOff, childOff, childIDs []int32
 }
 
-// referenceValidate is the level-order validator NewOwned used while a
+// referenceValidate is the level-order validator New used while a
 // tree stored its depth array, kept as the oracle for the depth-free
 // one: depth[v] = depth[parent[v]]+1 must never decrease along node
 // IDs. ok is false exactly when that validator returned an error.
@@ -138,10 +138,10 @@ func mutateParent(rng *rand.Rand, parent []int32) []int32 {
 	return out
 }
 
-// TestNewOwnedMatchesDepthValidator pins the depth-free validator to
+// TestNewMatchesDepthValidator pins the depth-free validator to
 // the depth-array one on random BFS, non-BFS level-order, and invalid
 // parent vectors.
-func TestNewOwnedMatchesDepthValidator(t *testing.T) {
+func TestNewMatchesDepthValidator(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	fixed := [][]int32{
 		{-1}, {0}, {-1, 1}, {-1, 0, 1, 0}, {-1, 0, 0, 1}, {-1, 0, 0, 2, 1},
