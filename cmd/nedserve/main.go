@@ -2,7 +2,7 @@
 // multi-tenant HTTP/JSON daemon serving KNN / KNNSignature / Range /
 // NearestSet / BatchKNN queries and Insert / Remove / UpdateGraph /
 // Snapshot mutations over named corpora, with per-request deadlines,
-// admission control, request coalescing, Prometheus metrics, and
+// admission control, Prometheus metrics, and
 // graceful drain on SIGINT/SIGTERM.
 //
 // Usage:
@@ -52,8 +52,6 @@ func main() {
 		prebuild = flag.Bool("prebuild", true, "build the boot corpus's index before accepting traffic")
 
 		maxInflight = flag.Int("max-inflight", 256, "admitted query concurrency; beyond it requests get 429")
-		coalesce    = flag.Bool("coalesce", true, "batch KNN requests that arrive while every pass slot of their corpus is busy (a request that finds a slot free always runs at once)")
-		coalesceMax = flag.Int("coalesce-max", 64, "most queued requests one coalesced batch pass takes")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown: how long to wait for in-flight queries")
 
 		dataDir   = flag.String("data", "", "durable data directory: tenants persist in per-name subdirectories and recover on boot")
@@ -69,17 +67,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := serve.Options{
-		MaxInflight:      *maxInflight,
-		CoalesceMaxBatch: *coalesceMax,
-		DataDir:          *dataDir,
-		Fsync:            fsync,
-		CheckpointEvery:  *ckptEvery,
-	}
-	if !*coalesce {
-		opts.CoalesceWindow = -1 // the field's sign is the on/off switch
-	}
-	srv := serve.New(opts)
+	srv := serve.New(serve.Options{
+		MaxInflight:     *maxInflight,
+		DataDir:         *dataDir,
+		Fsync:           fsync,
+		CheckpointEvery: *ckptEvery,
+	})
 
 	if *dataDir != "" {
 		start := time.Now()

@@ -1611,6 +1611,7 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	}
 	kidOff := d.i32s(n + 1)
 	var kids []int32
+	keys := d.b // the kid run's bytes: the dictionary's keys, in place
 	if d.err == nil {
 		kids = d.i32s(int(kidOff[n]))
 	}
@@ -1620,7 +1621,9 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	if err := d.done(); err != nil {
 		return fail(err)
 	}
-	in, err := tree.NewInternerFromShapes(kidOff, kids)
+	// readSection allocated the payload for this read alone and nothing
+	// writes it again, so the keys may stay views of it.
+	in, err := tree.NewInternerFromShapes(kidOff, keys[:4*len(kids)])
 	if err != nil {
 		return fail(fmt.Errorf("segment: %w", err))
 	}

@@ -17,11 +17,9 @@ import (
 // BenchmarkServeKNNClients measures the HTTP tier under 1, 4, 16 and 64
 // closed-loop clients: b.N KNN(5) requests by node through
 // Server.Handler() over httptest against the PGP analog at scale 0.1,
-// reporting the median request latency and the share of requests that
-// found every pass slot busy and ran in a coalesced BatchKNN pass (zero
-// at one client, rising with concurrency). The repository benchmark
-// drives at most two clients, so this is the only measurement of the
-// coalescer under a burst; run it with -benchtime 2000x.
+// reporting the median request latency. The repository benchmark drives
+// at most two clients, so this is the only measurement of the serving
+// tier under a burst; run it with -benchtime 2000x.
 func BenchmarkServeKNNClients(b *testing.B) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
@@ -43,7 +41,6 @@ func BenchmarkServeKNNClients(b *testing.B) {
 	for _, clients := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			durations := make([]time.Duration, b.N)
-			coalescedBefore := s.Stats().CoalescedRequests
 			var next atomic.Int64
 			var wg sync.WaitGroup
 			b.ResetTimer()
@@ -78,7 +75,6 @@ func BenchmarkServeKNNClients(b *testing.B) {
 			b.StopTimer()
 			slices.Sort(durations)
 			b.ReportMetric(float64(durations[len(durations)/2].Nanoseconds())/1e3, "p50-µs")
-			b.ReportMetric(float64(s.Stats().CoalescedRequests-coalescedBefore)/float64(b.N), "coalesced/req")
 		})
 	}
 }

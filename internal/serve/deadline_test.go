@@ -85,11 +85,12 @@ func TestDeadlineHeader(t *testing.T) {
 }
 
 // TestBadTimeoutRejected checks malformed deadlines are a 400, not a
-// silent default.
+// silent default: NaN, Inf and values past the largest Duration would
+// otherwise convert to an already-expired deadline.
 func TestBadTimeoutRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, CreateRequest{Name: "d", K: 2, Graph: ringSpec(20)})
-	for _, bad := range []string{"abc", "-5", "1e999"} {
+	for _, bad := range []string{"abc", "-5", "1e999", "NaN", "Inf", "1e300", "9.3e12"} {
 		status, raw := postJSON(t, ts.URL+"/v1/corpora/d/knn?timeout_ms="+bad, KNNRequest{Node: 0, L: 1}, nil)
 		var er ErrorResponse
 		_ = json.Unmarshal(raw, &er)
@@ -198,7 +199,7 @@ func requireNoLeakedGoroutines(t *testing.T, baseline int) {
 
 // TestNoLeakedWorkers runs normal, expired, and abandoned queries, then
 // checks the process settles back to its baseline goroutine count — no
-// executor workers, coalescer passes, or handler goroutines left behind.
+// executor workers or handler goroutines left behind.
 func TestNoLeakedWorkers(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, CreateRequest{Name: "d", K: 3, Graph: ringSpec(100)})

@@ -2,13 +2,11 @@
 // multi-tenant HTTP/JSON service exposing the full query and mutation
 // API over named corpora, with per-request deadlines mapped onto the
 // engine's context plumbing, admission control (bounded in-flight
-// queries with a fast overload path), load-adaptive request coalescing
-// (a single-node KNN request runs at once while its corpus has a pass
-// slot free, and requests that find every slot busy are batched into
-// one BatchKNN executor pass behind the passes in flight), and a
-// Prometheus /metrics endpoint exporting the engine's cascade and
-// write-contention counters next to the server's own request,
-// latency, in-flight, and coalescing counters.
+// queries with a fast overload path), and a Prometheus /metrics
+// endpoint exporting the engine's cascade and write-contention counters
+// next to the server's own request, latency, in-flight, and overload
+// counters. Every query runs its own engine call on its handler's
+// goroutine.
 //
 // The engine's epoch-published design is what makes a thin serving
 // tier sufficient: reads are lock-free snapshots and writers serialize

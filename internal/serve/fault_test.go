@@ -22,7 +22,7 @@ import (
 // arc over the HTTP API with a scripted ENOSPC on checkpoint writes.
 func TestServeDegradedTenantLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CheckpointEvery: 1, CoalesceWindow: -1}
+	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CheckpointEvery: 1}
 	s, ts := newTestServer(t, opts)
 	mustCreate(t, ts.URL, CreateRequest{Name: "ring", K: 2, Backend: "linear", Graph: ringSpec(40)})
 
@@ -128,7 +128,7 @@ func TestServeDegradedTenantLifecycle(t *testing.T) {
 // must not hammer the dead disk — only the first due attempt runs.
 func TestServeDegradedBackoff(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CheckpointEvery: 1, CoalesceWindow: -1}
+	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CheckpointEvery: 1}
 	s, ts := newTestServer(t, opts)
 	mustCreate(t, ts.URL, CreateRequest{Name: "ring", K: 2, Backend: "linear", Graph: ringSpec(30)})
 
@@ -170,7 +170,7 @@ func TestServeDegradedBackoff(t *testing.T) {
 // TestServePanicRecoveryHandler: a panic inside a typed handler costs
 // one request — 500 with a stable code, counter moves, daemon serves on.
 func TestServePanicRecoveryHandler(t *testing.T) {
-	s, ts := newTestServer(t, Options{CoalesceWindow: -1})
+	s, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, CreateRequest{Name: "ring", K: 2, Graph: ringSpec(20)})
 
 	s.afterAdmit = func(*http.Request) { panic("injected handler panic") }
@@ -197,7 +197,7 @@ func TestServePanicRecoveryHandler(t *testing.T) {
 // TestServePanicRecoveryOutermost: the recoverware barrier catches
 // panics from handlers outside the typed adapter.
 func TestServePanicRecoveryOutermost(t *testing.T) {
-	s := New(Options{CoalesceWindow: -1})
+	s := New(Options{})
 	h := s.recoverware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	}))

@@ -93,7 +93,7 @@ func (m *metrics) requestTotals() (endpoints []string, rows map[string]map[int]i
 }
 
 // WriteMetrics renders the full exposition in Prometheus text format:
-// the server's request/latency/in-flight/overload/coalescing counters,
+// the server's request/latency/in-flight/overload counters,
 // then every registered corpus's engine counters — the filter-cascade
 // tier prunes, node count and write-contention counters — labeled by
 // corpus.
@@ -149,16 +149,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP nedserve_overloads_total Queries refused with 429 by admission control.\n")
 	fmt.Fprintf(w, "# TYPE nedserve_overloads_total counter\n")
 	fmt.Fprintf(w, "nedserve_overloads_total %d\n", ss.Overloads)
-	fmt.Fprintf(w, "# HELP nedserve_coalesce_batches_total Multi-request BatchKNN passes run by the coalescer.\n")
-	fmt.Fprintf(w, "# TYPE nedserve_coalesce_batches_total counter\n")
-	fmt.Fprintf(w, "nedserve_coalesce_batches_total %d\n", ss.CoalesceBatches)
-	fmt.Fprintf(w, "# HELP nedserve_coalesced_requests_total KNN requests served by a shared coalesced pass.\n")
-	fmt.Fprintf(w, "# TYPE nedserve_coalesced_requests_total counter\n")
-	fmt.Fprintf(w, "nedserve_coalesced_requests_total %d\n", ss.CoalescedRequests)
-	fmt.Fprintf(w, "# HELP nedserve_coalesce_queue_wait_seconds Time KNN requests spent queued before their batch pass started; requests that ran at once are not observed.\n")
-	fmt.Fprintf(w, "# TYPE nedserve_coalesce_queue_wait_seconds summary\n")
-	fmt.Fprintf(w, "nedserve_coalesce_queue_wait_seconds_sum %g\n", float64(ss.CoalesceQueueWaitNS)/1e9)
-	fmt.Fprintf(w, "nedserve_coalesce_queue_wait_seconds_count %d\n", ss.CoalesceQueueWaits)
 	fmt.Fprintf(w, "# HELP nedserve_corpora Registered corpora.\n")
 	fmt.Fprintf(w, "# TYPE nedserve_corpora gauge\n")
 	fmt.Fprintf(w, "nedserve_corpora %d\n", s.reg.Len())
@@ -191,9 +181,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	})
 	emit("ned_corpus_clone_bytes_total", "counter", "Approximate bytes of epoch state copied by mutations.", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_clone_bytes_total{corpus=%q} %d\n", tenants[i].Name, stats[i].ShardCloneBytes[0])
-	})
-	emit("ned_corpus_plan_scans_total", "counter", "Scan-over-tree decisions of the retired planner; always 0.", func(i int) {
-		fmt.Fprintf(w, "ned_corpus_plan_scans_total{corpus=%q} %d\n", tenants[i].Name, stats[i].PlanScans)
 	})
 	emit("ned_corpus_queries_total", "counter", "Queries served by the engine.", func(i int) {
 		fmt.Fprintf(w, "ned_corpus_queries_total{corpus=%q} %d\n", tenants[i].Name, stats[i].Queries)

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -22,26 +21,9 @@ type Tenant struct {
 	K        int
 	Directed bool
 	// HasGraph reports whether the corpus has a backing graph, which
-	// gates Insert/UpdateGraph and the coalescer's node->signature
+	// gates Insert/UpdateGraph and batchknn's node->signature
 	// resolution.
 	HasGraph bool
-	// Workers is the corpus's configured worker count — its executor's
-	// width; 0 means GOMAXPROCS, as in the engine.
-	Workers int
-
-	lane lane // the coalescer's pass slots and queue for this corpus
-}
-
-// passSlots is how many KNN passes the coalescer runs side by side on
-// this tenant before it starts queuing: the corpus executor's width.
-// Past it another concurrent pass only splits the same workers, while a
-// batch pass fills the executor once and each of its queries sweeps on
-// the worker that took it.
-func (t *Tenant) passSlots() int {
-	if t.Workers > 0 {
-		return t.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Registry is the multi-tenant corpus table: create/load/drop by name,
@@ -290,5 +272,5 @@ func CreateTenant(cr *CreateRequest) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tenant{Name: cr.Name, Corpus: c, K: cr.K, Directed: cr.Directed, HasGraph: true, Workers: cr.Workers}, nil
+	return &Tenant{Name: cr.Name, Corpus: c, K: cr.K, Directed: cr.Directed, HasGraph: true}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -22,17 +23,13 @@ type Options struct {
 	// NearestSet, BatchKNN) executing concurrently; requests beyond it
 	// fail fast with 429. <= 0 means 256.
 	MaxInflight int
-	// CoalesceWindow is read for its sign only: negative turns KNN
-	// coalescing off, zero or positive leaves it on. The coalescer batches
-	// by load — a request queues only while every pass slot of its corpus
-	// is busy — so there is no duration to tune. The field keeps its name
-	// and type because callers outside this module's reach (the
-	// benchmark's traced replay among them) select on and off by setting
-	// it to 0 and -1.
+	// CoalesceWindow once switched KNN request coalescing on and off.
+	//
+	// Deprecated: accepted and ignored; every KNN request runs its own
+	// Corpus.KNN, as every other query does. The field stays until
+	// callers outside this module (the benchmark's traced replay) stop
+	// setting it.
 	CoalesceWindow time.Duration
-	// CoalesceMaxBatch caps how many queued requests one batch pass takes.
-	// <= 0 means 64.
-	CoalesceMaxBatch int
 	// MaxRequestBytes bounds a request body. <= 0 means 8 MiB.
 	MaxRequestBytes int64
 
@@ -56,9 +53,6 @@ func (o *Options) defaults() {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
 	}
-	if o.CoalesceMaxBatch <= 0 {
-		o.CoalesceMaxBatch = 64
-	}
 	if o.MaxRequestBytes <= 0 {
 		o.MaxRequestBytes = 8 << 20
 	}
@@ -75,7 +69,6 @@ type Server struct {
 	opts Options
 	reg  *Registry
 	adm  *admission
-	coal *coalescer // nil when coalescing is disabled
 	met  *metrics
 	mux  *http.ServeMux
 
@@ -103,12 +96,6 @@ func New(opts Options) *Server {
 		met:        newMetrics(),
 		mux:        http.NewServeMux(),
 		recovering: make(map[string]*recoverState),
-	}
-	if opts.CoalesceWindow >= 0 {
-		s.coal = &coalescer{maxBatch: opts.CoalesceMaxBatch, onPanic: func(p any) {
-			s.met.panics.Add(1)
-			log.Printf("serve: panic in coalesced batch: %v\n%s", p, debug.Stack())
-		}}
 	}
 	s.routes()
 	return s
@@ -139,25 +126,18 @@ func (s *Server) recoverware(next http.Handler) http.Handler {
 
 // ServerStats is a point-in-time snapshot of the serving counters.
 type ServerStats struct {
-	Corpora           int   `json:"corpora"`
-	Inflight          int   `json:"inflight"`
-	InflightLimit     int   `json:"inflight_limit"`
-	Overloads         int64 `json:"overloads"`
-	CoalesceBatches   int64 `json:"coalesce_batches"`
-	CoalescedRequests int64 `json:"coalesced_requests"`
-	// CoalesceQueueWaits counts the KNN requests that queued for a batch
-	// pass (requests that ran at once are not observed) and
-	// CoalesceQueueWaitNS totals the time they spent queued.
-	CoalesceQueueWaits  int64 `json:"coalesce_queue_waits"`
-	CoalesceQueueWaitNS int64 `json:"coalesce_queue_wait_ns"`
-	Panics              int64 `json:"panics"`
-	DegradedCorpora     int   `json:"degraded_corpora"`
+	Corpora         int   `json:"corpora"`
+	Inflight        int   `json:"inflight"`
+	InflightLimit   int   `json:"inflight_limit"`
+	Overloads       int64 `json:"overloads"`
+	Panics          int64 `json:"panics"`
+	DegradedCorpora int   `json:"degraded_corpora"`
 }
 
 // Stats reports the server-side counters (the engine counters live on
 // each corpus's own stats).
 func (s *Server) Stats() ServerStats {
-	ss := ServerStats{
+	return ServerStats{
 		Corpora:         s.reg.Len(),
 		Inflight:        s.adm.inflight(),
 		InflightLimit:   s.adm.limit(),
@@ -165,11 +145,6 @@ func (s *Server) Stats() ServerStats {
 		Panics:          s.met.panics.Load(),
 		DegradedCorpora: len(s.degradedTenants()),
 	}
-	if s.coal != nil {
-		ss.CoalesceBatches, ss.CoalescedRequests = s.coal.batches.Load(), s.coal.coalesced.Load()
-		ss.CoalesceQueueWaits, ss.CoalesceQueueWaitNS = s.coal.waits.Load(), s.coal.waitNS.Load()
-	}
-	return ss
 }
 
 // degradedTenants lists the tenants currently refusing mutations
@@ -321,11 +296,15 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	if raw == "" {
 		return r.Context(), func() {}, nil
 	}
+	// ParseFloat accepts NaN, Inf and 1e300, and each converts to the
+	// minimum Duration: the negated range test rejects them, negatives,
+	// and anything past the largest Duration.
 	ms, err := strconv.ParseFloat(raw, 64)
-	if err != nil || ms < 0 {
-		return nil, nil, fmt.Errorf("%w: timeout_ms %q must be a non-negative number", ErrBadRequest, raw)
+	ns := ms * float64(time.Millisecond)
+	if err != nil || !(ns >= 0 && ns < math.MaxInt64) {
+		return nil, nil, fmt.Errorf("%w: timeout_ms %q must be a non-negative number of milliseconds that fits a time.Duration", ErrBadRequest, raw)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms*float64(time.Millisecond)))
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ns))
 	return ctx, cancel, nil
 }
 
@@ -542,21 +521,11 @@ func (s *Server) handleKNN(ctx context.Context, r *http.Request) (int, any, erro
 	if err := s.decode(r, &req); err != nil {
 		return 0, nil, err
 	}
-	nbs, err := s.corpusKNN(ctx, t, ned.NodeID(req.Node), req.L)
+	nbs, err := t.Corpus.KNN(ctx, ned.NodeID(req.Node), req.L)
 	if err != nil {
 		return 0, nil, err
 	}
 	return http.StatusOK, QueryResponse{Corpus: t.Name, Neighbors: neighborsJSON(nbs)}, nil
-}
-
-// corpusKNN routes a single-node KNN through the coalescer when a
-// queued request could join a BatchKNN pass — undirected corpus, graph
-// attached, valid l — and calls the engine directly otherwise.
-func (s *Server) corpusKNN(ctx context.Context, t *Tenant, v ned.NodeID, l int) ([]ned.Neighbor, error) {
-	if s.coal == nil || t.Directed || !t.HasGraph || l < 1 {
-		return t.Corpus.KNN(ctx, v, l)
-	}
-	return s.coal.knn(ctx, t, v, l)
 }
 
 func (s *Server) handleKNNSig(ctx context.Context, r *http.Request) (int, any, error) {

@@ -271,7 +271,7 @@ func TestServeEndToEnd(t *testing.T) {
 // TestCreateFromSnapshotPath pins that a tenant created from a
 // server-side snapshot has a graph exactly when its corpus does. What
 // the snapshot endpoint serves is a NEDSEG02 segment with the graph in
-// it, so a tenant restored from a download inserts (and coalesces) like
+// it, so a tenant restored from a download inserts like
 // its source; a legacy text snapshot carries none, so insert is refused
 // as no_graph.
 func TestCreateFromSnapshotPath(t *testing.T) {
@@ -422,9 +422,6 @@ func TestMetricsExport(t *testing.T) {
 		`nedserve_request_duration_seconds_count{endpoint="knn"}`,
 		"nedserve_inflight_limit 256",
 		"nedserve_overloads_total 0",
-		// Sequential requests always find a pass slot free: none queued.
-		"nedserve_coalesce_queue_wait_seconds_sum 0",
-		"nedserve_coalesce_queue_wait_seconds_count 0",
 		"nedserve_corpora 2",
 		`ned_corpus_nodes{corpus="m1"} 30`,
 		`ned_corpus_nodes{corpus="m2"} 40`,
@@ -443,8 +440,9 @@ func TestMetricsExport(t *testing.T) {
 		}
 	}
 	// The two series that described a tree index went with the trees,
-	// and the per-shard series with the shard.
-	for _, gone := range []string{"ned_corpus_rebuilds_total", "ned_corpus_stale_ratio", "ned_corpus_shards", "ned_shard_"} {
+	// the per-shard series with the shard, the planner's with the
+	// planner and the coalescer's with the coalescer.
+	for _, gone := range []string{"ned_corpus_rebuilds_total", "ned_corpus_stale_ratio", "ned_corpus_shards", "ned_shard_", "ned_corpus_plan_scans_total", "nedserve_coalesce"} {
 		if strings.Contains(text, gone) {
 			t.Errorf("metrics still export %q", gone)
 		}

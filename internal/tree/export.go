@@ -42,28 +42,33 @@ func (in *Interner) Shapes() []string {
 
 // NewInternerFromShapes rebuilds a dictionary from a CSR shape table
 // (the layout a segment stores Shapes in), reassigning the same label
-// IDs: shape id gets the sorted child labels kids[kidOff[id]:kidOff[id+1]],
-// each of which must be a smaller id (children intern before parents).
-// No AHU encoding strings are materialized — the dictionary never
-// stores them — and every key is a view of one buffer holding the whole
-// table, so rebuilding costs one hash and one insert, into a map sized
-// for its stripe's share, per distinct shape; profiles reconstructed
-// against the result are indistinguishable from freshly compiled ones.
-func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
+// IDs: shape id gets the sorted child labels packed as little-endian
+// u32s in keys[4*kidOff[id]:4*kidOff[id+1]], each of which must be a
+// smaller id (children intern before parents). No AHU encoding strings
+// are materialized — the dictionary never stores them — and every key
+// is a view of keys itself, which the caller must never write again, so
+// rebuilding copies nothing and costs one hash and one insert, into a
+// map sized for its stripe's share, per distinct shape; profiles
+// reconstructed against the result are indistinguishable from freshly
+// compiled ones.
+func NewInternerFromShapes(kidOff []int32, keys []byte) (*Interner, error) {
 	if len(kidOff) == 0 || kidOff[0] != 0 {
 		return nil, fmt.Errorf("tree: shape table offsets must start at 0")
 	}
 	n := len(kidOff) - 1
-	if int(kidOff[n]) != len(kids) {
-		return nil, fmt.Errorf("tree: shape table declares %d child labels, has %d", kidOff[n], len(kids))
+	if 4*int64(kidOff[n]) != int64(len(keys)) {
+		return nil, fmt.Errorf("tree: shape table declares %d child labels, has %d bytes", kidOff[n], len(keys))
 	}
-	buf := make([]byte, 0, 4*len(kids))
 	for id := 0; id < n; id++ {
 		if kidOff[id] > kidOff[id+1] {
 			return nil, fmt.Errorf("tree: shape %d has negative child count", id)
 		}
+		if kidOff[id+1] > kidOff[n] {
+			return nil, fmt.Errorf("tree: shape %d ends past the table's %d child labels", id, kidOff[n])
+		}
 		prev := int32(-1)
-		for _, kid := range kids[kidOff[id]:kidOff[id+1]] {
+		for j := kidOff[id]; j < kidOff[id+1]; j++ {
+			kid := int32(binary.LittleEndian.Uint32(keys[4*j:]))
 			if kid < 0 || kid >= int32(id) {
 				return nil, fmt.Errorf("tree: shape %d has child label %d (want [0, %d))", id, kid, id)
 			}
@@ -71,11 +76,9 @@ func NewInternerFromShapes(kidOff, kids []int32) (*Interner, error) {
 				return nil, fmt.Errorf("tree: shape %d child labels not sorted", id)
 			}
 			prev = kid
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(kid))
 		}
 	}
-	// buf is never written again, so the keys may share it.
-	all := unsafe.String(unsafe.SliceData(buf), len(buf))
+	all := unsafe.String(unsafe.SliceData(keys), len(keys))
 	in := &Interner{id: internerIDs.Add(1), shapes: make([]string, n)}
 	stripe := make([]uint8, n)
 	var share [internStripes]int

@@ -40,12 +40,21 @@ func exportShapes(in *Interner) (kidOff, kids []int32) {
 	return kidOff, kids
 }
 
+// packKids packs child labels as NewInternerFromShapes reads them.
+func packKids(kids []int32) []byte {
+	b := make([]byte, 0, 4*len(kids))
+	for _, kid := range kids {
+		b = binary.LittleEndian.AppendUint32(b, uint32(kid))
+	}
+	return b
+}
+
 // The shape table must round-trip to a dictionary with identical label
 // assignments and identical AHU encodings.
 func TestInternerShapesRoundTrip(t *testing.T) {
 	trees, in := exportTestTrees(t, 60, 7)
 	kidOff, kids := exportShapes(in)
-	in2, err := NewInternerFromShapes(kidOff, kids)
+	in2, err := NewInternerFromShapes(kidOff, packKids(kids))
 	if err != nil {
 		t.Fatalf("NewInternerFromShapes: %v", err)
 	}
@@ -81,13 +90,14 @@ func TestNewInternerFromShapesRejectsBadTables(t *testing.T) {
 		{"offset not zero", []int32{1, 2}, []int32{0}},
 		{"length mismatch", []int32{0, 2}, []int32{0}},
 		{"negative count", []int32{0, 2, 1}, []int32{0, 0}},
+		{"offset past the end", []int32{0, 0, 5, 1}, []int32{0}},
 		{"forward reference", []int32{0, 0, 1}, []int32{1}},
 		{"self reference", []int32{0, 0, 1}, []int32{1}},
 		{"unsorted kids", []int32{0, 0, 0, 0, 2}, []int32{1, 0}},
 		{"duplicate shape", []int32{0, 0, 0}, nil},
 	}
 	for _, tc := range cases {
-		if _, err := NewInternerFromShapes(tc.kidOff, tc.kids); err == nil {
+		if _, err := NewInternerFromShapes(tc.kidOff, packKids(tc.kids)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

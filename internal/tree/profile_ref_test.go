@@ -187,7 +187,7 @@ func TestProfileMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	rebuilt, err := NewInternerFromShapes(kidOff, kids)
+	rebuilt, err := NewInternerFromShapes(kidOff, packKids(kids))
 	if err != nil {
 		t.Fatalf("shape table does not rebuild the dictionary: %v", err)
 	}
