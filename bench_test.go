@@ -1,4 +1,4 @@
-package ned
+package ned_test
 
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (§13) at smoke-test scale. Each benchmark runs the same
@@ -10,6 +10,7 @@ package ned
 import (
 	"testing"
 
+	"ned"
 	"ned/internal/bench"
 	"ned/internal/datasets"
 )
@@ -206,31 +207,31 @@ func BenchmarkExtensionWeightedTEDStar(b *testing.B) {
 // Micro-benchmarks of the core primitives, for profiling regressions.
 
 func BenchmarkCoreTEDStar100(b *testing.B) {
-	g := MustGenerateDataset(DatasetDBLP, DatasetOptions{Scale: 0.25, Seed: 2})
-	t1 := KAdjacentTree(g, 1, 2)
-	t2 := KAdjacentTree(g, 2, 2)
+	g := ned.MustGenerateDataset(ned.DatasetDBLP, ned.DatasetOptions{Scale: 0.25, Seed: 2})
+	t1 := ned.KAdjacentTree(g, 1, 2)
+	t2 := ned.KAdjacentTree(g, 2, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TEDStar(t1, t2)
+		ned.TEDStar(t1, t2)
 	}
 }
 
 func BenchmarkCoreNEDRoadK5(b *testing.B) {
-	g1 := MustGenerateDataset(DatasetCAR, DatasetOptions{Scale: 0.25, Seed: 2})
-	g2 := MustGenerateDataset(DatasetPAR, DatasetOptions{Scale: 0.25, Seed: 3})
+	g1 := ned.MustGenerateDataset(ned.DatasetCAR, ned.DatasetOptions{Scale: 0.25, Seed: 2})
+	g2 := ned.MustGenerateDataset(ned.DatasetPAR, ned.DatasetOptions{Scale: 0.25, Seed: 3})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Distance(g1, NodeID(i%g1.NumNodes()), g2, NodeID(i%g2.NumNodes()), 5)
+		ned.Distance(g1, ned.NodeID(i%g1.NumNodes()), g2, ned.NodeID(i%g2.NumNodes()), 5)
 	}
 }
 
 func BenchmarkCoreSignatureExtraction(b *testing.B) {
-	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.5, Seed: 2})
+	g := ned.MustGenerateDataset(ned.DatasetPGP, ned.DatasetOptions{Scale: 0.5, Seed: 2})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewSignature(g, NodeID(i%g.NumNodes()), 3)
+		ned.NewSignature(g, ned.NodeID(i%g.NumNodes()), 3)
 	}
 }

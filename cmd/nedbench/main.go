@@ -10,9 +10,15 @@
 //	         [-scale 1.0] [-pairs 400] [-queries 100] [-candidates 1000] [-seed 1]
 //	         [-json results.json]
 //
-// The defaults run every experiment at laptop scale in a few minutes;
-// -scale trades fidelity for speed. -json additionally writes every
-// produced table to a machine-readable JSON file (use "-" for stdout).
+// -candidates sizes the candidate pool of Fig. 9b and the index ablation
+// only, which compare a full scan against the indexes; Figs. 8, 10 and
+// 11 rank every node of the graph through the query engine.
+//
+// At the defaults, -exp all takes about half an hour on 2 vCPUs, nearly
+// all of it in fig9, whose full scans run TED* against every candidate;
+// every other experiment takes seconds to a few minutes. -scale trades
+// fidelity for speed. -json additionally writes every produced table to
+// a machine-readable JSON file (use "-" for stdout).
 package main
 
 import (
@@ -45,7 +51,7 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor")
 		pairs      = flag.Int("pairs", 400, "node pairs per timing experiment")
 		queries    = flag.Int("queries", 100, "query nodes per query experiment")
-		candidates = flag.Int("candidates", 1000, "candidate pool size")
+		candidates = flag.Int("candidates", 1000, "candidate pool size of fig9b and the index ablation (figs. 8, 10 and 11 rank the whole graph)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		jsonPath   = flag.String("json", "", "also write results as JSON to this file (\"-\" for stdout)")
 	)

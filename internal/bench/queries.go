@@ -165,10 +165,3 @@ func Figure9b(o Options) Table {
 	}
 	return t
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

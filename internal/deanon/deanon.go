@@ -6,134 +6,91 @@
 package deanon
 
 import (
-	"math/rand"
-	"sort"
+	"cmp"
+	"context"
+	"slices"
 
+	"ned"
 	"ned/internal/baseline"
 	"ned/internal/graph"
-	"ned/internal/ned"
 )
 
-// Scorer ranks candidate training nodes for one anonymized node; smaller
-// is more similar. Implementations exist for NED and the Feature
-// baseline; any inter-graph node distance fits.
-type Scorer interface {
-	// Name labels the method in experiment output.
-	Name() string
-	// Prepare is called once per (train, test) graph pair before any
-	// Distance call, so implementations can precompute signatures.
-	Prepare(train, test *graph.Graph, candidates, queries []graph.NodeID)
-	// Distance returns the dissimilarity between anonymized test node q
-	// and candidate training node c.
-	Distance(q, c graph.NodeID) float64
-}
+// Ranker returns the l training nodes most similar to anonymized test
+// node q, best first, ties broken by node ID.
+type Ranker func(q graph.NodeID, l int) []graph.NodeID
 
-// NEDScorer ranks with NED at a fixed k.
-type NEDScorer struct {
-	K    int
-	sigQ map[graph.NodeID]ned.Signature
-	sigC map[graph.NodeID]ned.Signature
-}
-
-// Name implements Scorer.
-func (s *NEDScorer) Name() string { return "NED" }
-
-// Prepare implements Scorer.
-func (s *NEDScorer) Prepare(train, test *graph.Graph, candidates, queries []graph.NodeID) {
-	s.sigC = make(map[graph.NodeID]ned.Signature, len(candidates))
-	for _, c := range candidates {
-		s.sigC[c] = ned.NewSignature(train, c, s.K)
-	}
-	s.sigQ = make(map[graph.NodeID]ned.Signature, len(queries))
-	for _, q := range queries {
-		s.sigQ[q] = ned.NewSignature(test, q, s.K)
+// NED ranks with c, an undirected Corpus over the training graph at
+// depth k: the top l are c's KNN of q's k-adjacent tree in the
+// anonymized graph test. Any other k, or an l below 1, is a caller bug
+// and panics.
+func NED(c *ned.Corpus, test *graph.Graph, k int) Ranker {
+	return func(q graph.NodeID, l int) []graph.NodeID {
+		top, err := c.KNNSignature(context.Background(), ned.NewSignature(test, q, k), l)
+		if err != nil {
+			panic(err)
+		}
+		nodes := make([]graph.NodeID, len(top))
+		for i, n := range top {
+			nodes[i] = n.Node
+		}
+		return nodes
 	}
 }
 
-// Distance implements Scorer.
-func (s *NEDScorer) Distance(q, c graph.NodeID) float64 {
-	return float64(ned.Between(s.sigQ[q], s.sigC[c]))
+// Feature is the ReFeX-style feature baseline at a recursion depth
+// (paired with NED's k as in §13.5), holding the training graph's
+// vectors so every anonymized copy ranks against one extraction.
+type Feature struct {
+	depth int
+	train []baseline.FeatureVector
 }
 
-// FeatureScorer ranks with the ReFeX-style feature baseline at recursion
-// depth Depth (paired with NED's k as in §13.5).
-type FeatureScorer struct {
-	Depth int
-	featQ []baseline.FeatureVector
-	featC []baseline.FeatureVector
+// NewFeature extracts the feature vectors of every training node.
+func NewFeature(train *graph.Graph, depth int) *Feature {
+	return &Feature{depth: depth, train: baseline.RegionalFeaturesAll(train, depth)}
 }
 
-// Name implements Scorer.
-func (s *FeatureScorer) Name() string { return "Feature" }
-
-// Prepare implements Scorer.
-func (s *FeatureScorer) Prepare(train, test *graph.Graph, candidates, queries []graph.NodeID) {
-	s.featC = baseline.RegionalFeaturesAll(train, s.Depth)
-	s.featQ = baseline.RegionalFeaturesAll(test, s.Depth)
-}
-
-// Distance implements Scorer.
-func (s *FeatureScorer) Distance(q, c graph.NodeID) float64 {
-	return baseline.L1(s.featQ[q], s.featC[c])
-}
-
-// Experiment describes one de-anonymization run.
-type Experiment struct {
-	Train      *graph.Graph   // the graph with identities
-	Test       *graph.Graph   // the anonymized graph
-	Identity   []graph.NodeID // ground truth: Identity[testNode] = trainNode
-	Queries    []graph.NodeID // test nodes to re-identify
-	Candidates []graph.NodeID // training nodes considered as matches
-	TopL       int            // success = truth within the best TopL candidates
-}
-
-// SampleQueries draws n distinct test nodes (and guarantees their true
-// identities are among the candidates).
-func SampleQueries(res []graph.NodeID, n int, rng *rand.Rand) []graph.NodeID {
-	perm := rng.Perm(len(res))
-	if n > len(perm) {
-		n = len(perm)
-	}
-	out := make([]graph.NodeID, n)
-	for i := 0; i < n; i++ {
-		out[i] = graph.NodeID(perm[i])
-	}
-	return out
-}
-
-// Precision runs the attack with the scorer and returns the fraction of
-// queries whose true identity ranked within the top l candidates.
-func Precision(e Experiment, s Scorer) float64 {
-	if len(e.Queries) == 0 {
-		return 0
-	}
-	s.Prepare(e.Train, e.Test, e.Candidates, e.Queries)
-	hits := 0
+// Ranker ranks every training node by L1 distance between its vector
+// and the anonymized node's vector in test.
+func (f *Feature) Ranker(test *graph.Graph) Ranker {
+	feats := baseline.RegionalFeaturesAll(test, f.depth)
 	type scored struct {
 		c graph.NodeID
 		d float64
 	}
-	for _, q := range e.Queries {
-		truth := e.Identity[q]
-		ranked := make([]scored, 0, len(e.Candidates))
-		for _, c := range e.Candidates {
-			ranked = append(ranked, scored{c, s.Distance(q, c)})
+	return func(q graph.NodeID, l int) []graph.NodeID {
+		ranked := make([]scored, len(f.train))
+		for c, fc := range f.train {
+			ranked[c] = scored{graph.NodeID(c), baseline.L1(feats[q], fc)}
 		}
-		sort.Slice(ranked, func(i, j int) bool {
-			if ranked[i].d != ranked[j].d {
-				return ranked[i].d < ranked[j].d
-			}
-			return ranked[i].c < ranked[j].c
+		slices.SortFunc(ranked, func(a, b scored) int {
+			return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.c, b.c))
 		})
-		l := e.TopL
-		if l > len(ranked) {
-			l = len(ranked)
+		nodes := make([]graph.NodeID, min(l, len(ranked)))
+		for i := range nodes {
+			nodes[i] = ranked[i].c
 		}
-		for _, r := range ranked[:l] {
-			if r.c == truth {
-				hits++
-				break
-			}
+		return nodes
+	}
+}
+
+// Experiment describes one de-anonymization run.
+type Experiment struct {
+	Identity []graph.NodeID // ground truth: Identity[testNode] = trainNode
+	Queries  []graph.NodeID // test nodes to re-identify
+	TopL     int            // success = truth within the best TopL matches
+}
+
+// Precision runs the attack and returns the fraction of queries whose
+// true identity is among the top TopL nodes rank returns.
+func Precision(e Experiment, rank Ranker) float64 {
+	if len(e.Queries) == 0 || e.TopL < 1 {
+		return 0
+	}
+	hits := 0
+	for _, q := range e.Queries {
+		if slices.Contains(rank(q, e.TopL), e.Identity[q]) {
+			hits++
 		}
 	}
 	return float64(hits) / float64(len(e.Queries))

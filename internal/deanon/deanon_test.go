@@ -4,12 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"ned"
 	"ned/internal/anonymize"
 	"ned/internal/datasets"
 	"ned/internal/graph"
 )
 
-func buildExperiment(t *testing.T, ratio float64, queries, candidates, topL int) (Experiment, *graph.Graph) {
+// buildExperiment anonymizes a small PGP analog (naively at ratio 0)
+// and samples queries; the pool is the whole training graph.
+func buildExperiment(t *testing.T, ratio float64, queries, topL int) (Experiment, *graph.Graph, *graph.Graph) {
 	t.Helper()
 	train := datasets.MustGenerate(datasets.PGP, datasets.Options{Scale: 0.1, Seed: 3})
 	rng := rand.New(rand.NewSource(4))
@@ -19,98 +22,67 @@ func buildExperiment(t *testing.T, ratio float64, queries, candidates, topL int)
 	} else {
 		anon = anonymize.Perturb(train, ratio, rng)
 	}
-	qs := SampleQueries(make([]graph.NodeID, anon.Graph.NumNodes()), queries, rng)
-	candSet := map[graph.NodeID]bool{}
-	for _, q := range qs {
-		candSet[anon.Identity[q]] = true
+	qs := make([]graph.NodeID, queries)
+	for i, v := range rng.Perm(anon.Graph.NumNodes())[:queries] {
+		qs[i] = graph.NodeID(v)
 	}
-	for len(candSet) < candidates {
-		candSet[graph.NodeID(rng.Intn(train.NumNodes()))] = true
+	return Experiment{Identity: anon.Identity, Queries: qs, TopL: topL}, train, anon.Graph
+}
+
+// nedRanker ranks with a k=3 Corpus over train.
+func nedRanker(t *testing.T, train, test *graph.Graph) Ranker {
+	t.Helper()
+	c, err := ned.NewCorpus(train, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var cands []graph.NodeID
-	for c := range candSet {
-		cands = append(cands, c)
-	}
-	return Experiment{
-		Train:      train,
-		Test:       anon.Graph,
-		Identity:   anon.Identity,
-		Queries:    qs,
-		Candidates: cands,
-		TopL:       topL,
-	}, train
+	return NED(c, test, 3)
 }
 
 func TestPrecisionNaiveAnonymizationIsHigh(t *testing.T) {
 	// With structure fully intact, NED should re-identify most nodes
 	// within a generous top-l.
-	e, _ := buildExperiment(t, 0, 15, 80, 5)
-	p := Precision(e, &NEDScorer{K: 3})
+	e, train, test := buildExperiment(t, 0, 15, 5)
+	p := Precision(e, nedRanker(t, train, test))
 	if p < 0.6 {
 		t.Errorf("naive-anonymization NED precision = %.2f, want >= 0.6", p)
 	}
 }
 
 func TestPrecisionDegradesWithPerturbation(t *testing.T) {
-	eLow, _ := buildExperiment(t, 0.01, 15, 80, 5)
-	eHigh, _ := buildExperiment(t, 0.40, 15, 80, 5)
-	pLow := Precision(eLow, &NEDScorer{K: 3})
-	pHigh := Precision(eHigh, &NEDScorer{K: 3})
+	eLow, train, testLow := buildExperiment(t, 0.01, 15, 5)
+	eHigh, _, testHigh := buildExperiment(t, 0.40, 15, 5)
+	pLow := Precision(eLow, nedRanker(t, train, testLow))
+	pHigh := Precision(eHigh, nedRanker(t, train, testHigh))
 	if pHigh > pLow {
 		t.Errorf("precision should not improve with perturbation: %.2f -> %.2f", pLow, pHigh)
 	}
 }
 
 func TestPrecisionGrowsWithTopL(t *testing.T) {
-	e1, _ := buildExperiment(t, 0.02, 15, 80, 1)
+	e1, train, test := buildExperiment(t, 0.02, 15, 1)
 	e10 := e1
 	e10.TopL = 10
-	p1 := Precision(e1, &NEDScorer{K: 3})
-	p10 := Precision(e10, &NEDScorer{K: 3})
+	rank := nedRanker(t, train, test)
+	p1 := Precision(e1, rank)
+	p10 := Precision(e10, rank)
 	if p10 < p1 {
 		t.Errorf("top-10 precision %.2f below top-1 %.2f", p10, p1)
 	}
 }
 
 func TestFeatureScorerRuns(t *testing.T) {
-	e, _ := buildExperiment(t, 0.01, 10, 60, 5)
-	p := Precision(e, &FeatureScorer{Depth: 2})
+	e, train, test := buildExperiment(t, 0.01, 10, 5)
+	p := Precision(e, NewFeature(train, 2).Ranker(test))
 	if p < 0 || p > 1 {
 		t.Errorf("precision out of range: %v", p)
 	}
 }
 
-func TestScorerNames(t *testing.T) {
-	if (&NEDScorer{}).Name() != "NED" {
-		t.Error("NEDScorer name")
-	}
-	if (&FeatureScorer{}).Name() != "Feature" {
-		t.Error("FeatureScorer name")
-	}
-}
-
 func TestPrecisionEmptyQueries(t *testing.T) {
 	e := Experiment{TopL: 5}
-	if p := Precision(e, &NEDScorer{K: 2}); p != 0 {
+	never := func(graph.NodeID, int) []graph.NodeID { panic("ranked with no queries") }
+	if p := Precision(e, never); p != 0 {
 		t.Errorf("empty experiment precision = %v", p)
-	}
-}
-
-func TestSampleQueriesDistinct(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	qs := SampleQueries(make([]graph.NodeID, 50), 20, rng)
-	if len(qs) != 20 {
-		t.Fatalf("got %d queries", len(qs))
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, q := range qs {
-		if seen[q] {
-			t.Fatal("duplicate query")
-		}
-		seen[q] = true
-	}
-	// Requesting more than available caps at the population size.
-	if got := SampleQueries(make([]graph.NodeID, 5), 10, rng); len(got) != 5 {
-		t.Errorf("oversample returned %d", len(got))
 	}
 }
