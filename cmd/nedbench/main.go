@@ -14,10 +14,10 @@
 // only, which compare a full scan against the indexes; Figs. 8, 10 and
 // 11 rank every node of the graph through the query engine.
 //
-// At the defaults, -exp all takes about half an hour on 2 vCPUs, nearly
-// all of it in fig9, whose full scans run TED* against every candidate;
-// every other experiment takes seconds to a few minutes. -scale trades
-// fidelity for speed. -json additionally writes every produced table to
+// At the defaults, -exp all takes about 7 minutes on 2 vCPUs; fig9b's
+// and the ablation's full scans, TED* against every candidate, are most
+// of it (fig9b times its scan on the first 10 sampled queries). -scale
+// trades fidelity for speed. -json additionally writes every produced table to
 // a machine-readable JSON file (use "-" for stdout).
 package main
 

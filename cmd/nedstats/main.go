@@ -8,6 +8,8 @@
 //	nedstats -dataset PGP [-scale 1.0] [-seed 42]
 //	nedstats -file path/to/graph.edges
 //	nedstats -dataset PGP -probe 20 [-k 3]   # report filter-cascade effectiveness too
+//	nedstats -upgrade old.nedcorpus new.nedseg   # convert a corpus file to NEDSEG02
+//	nedstats -upgrade /var/lib/nedserve/prod     # convert a durable directory in place
 //
 // With -probe N, nedstats builds a corpus over the graph, runs N
 // self-KNN queries through it, and reports the serving work profile —
@@ -18,18 +20,27 @@
 // With -json, nedstats builds a corpus (honoring -k and -probe) and emits the same machine-readable stats document the
 // nedserve stats endpoint returns, through the same encoder, so
 // offline tooling and the serving tier can never drift apart.
+//
+// With -upgrade, nedstats converts a corpus an earlier build wrote (a
+// NEDSEG01 segment or a text corpus, which the engine rejects with
+// ned.ErrLegacyFormat) to NEDSEG02: SRC DST writes SRC's corpus to DST;
+// DIR rewrites a durable directory's legacy checkpoints in place, logs
+// untouched. Both write atomically, and a rerun changes nothing.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"ned"
 	"ned/internal/datasets"
+	"ned/internal/fsx"
 	"ned/internal/graph"
+	"ned/internal/legacy"
 	"ned/internal/serve"
 )
 
@@ -43,8 +54,13 @@ func main() {
 		k       = flag.Int("k", 3, "neighborhood depth for the probe and -json corpora")
 		probe   = flag.Int("probe", 0, "run this many self-KNN queries and report the filter-cascade work profile (0 = off)")
 		asJSON  = flag.Bool("json", false, "emit the corpus stats as the nedserve machine-readable stats document")
+		upgrade = flag.Bool("upgrade", false, "convert an earlier build's corpus to NEDSEG02: -upgrade SRC DST (a file) or -upgrade DIR (a durable directory)")
 	)
 	flag.Parse()
+	if *upgrade {
+		upgradeCorpus(flag.Args())
+		return
+	}
 
 	var g *graph.Graph
 	var label string
@@ -176,6 +192,40 @@ func probeCascade(g *graph.Graph, k, n int) {
 	fmt.Printf("    size tier                %s\n", per(s.SizePrunes))
 	fmt.Printf("    padding tier             %s\n", per(s.PaddingPrunes))
 	fmt.Printf("    tier 2 (degree sequence) %s\n", per(s.LabelPrunes))
+}
+
+// upgradeCorpus converts legacy corpora to NEDSEG02: args are SRC DST
+// (a file) or DIR (a durable directory).
+func upgradeCorpus(args []string) {
+	switch len(args) {
+	case 1:
+		done, err := legacy.UpgradeDir(args[0])
+		for _, path := range done {
+			fmt.Printf("%s: converted to NEDSEG02\n", path)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		if len(done) == 0 {
+			fmt.Printf("%s: every checkpoint is NEDSEG02 already\n", args[0])
+		}
+	case 2:
+		src, err := os.ReadFile(args[0])
+		if err != nil {
+			fatal(err)
+		}
+		var format string
+		if err := fsx.WriteFileAtomic(args[1], func(w io.Writer) (err error) {
+			format, err = legacy.Upgrade(w, src)
+			return err
+		}); err != nil {
+			fatal(fmt.Errorf("%s: %w", args[0], err))
+		}
+		fmt.Printf("%s (%s) -> %s (NEDSEG02)\n", args[0], format, args[1])
+	default:
+		fmt.Fprintln(os.Stderr, "nedstats: -upgrade takes SRC DST or DIR")
+		os.Exit(2)
+	}
 }
 
 func fatal(err error) {

@@ -49,9 +49,14 @@ var (
 	// snapshot without WithGraph.
 	ErrNoGraph = errors.New("ned: corpus has no graph")
 	// ErrBadSnapshot reports a corpus snapshot LoadCorpus could not
-	// parse: corrupt input, an unsupported format version, or metadata
+	// parse: corrupt input, a format other than NEDSEG02, or metadata
 	// disagreeing with the items.
 	ErrBadSnapshot = errors.New("ned: bad corpus snapshot")
+	// ErrLegacyFormat reports a corpus an earlier build wrote — a
+	// NEDSEG01 segment or a text manifest — which no longer loads;
+	// `nedstats -upgrade` converts it to NEDSEG02. LoadCorpus wraps it in
+	// ErrBadSnapshot.
+	ErrLegacyFormat = errors.New("ned: legacy corpus format; convert it with nedstats -upgrade")
 )
 
 // Backend names an index structure. A Corpus serves from the cascade
@@ -893,8 +898,8 @@ func (c *Corpus) ResetStats() {
 
 // HasGraph reports whether a backing graph is attached — the gate for
 // Insert, UpdateGraph, Signature, and node-based queries. Corpora
-// loaded from a snapshot carry their graph; corpora imported from the
-// legacy text formats need WithGraph to re-attach one.
+// loaded from a snapshot carry their graph when it does; one converted
+// from a text corpus (nedstats -upgrade) needs WithGraph to re-attach one.
 func (c *Corpus) HasGraph() bool { return c.view.Load().g != nil }
 
 // Signature of node v of the corpus graph at the corpus's k — a

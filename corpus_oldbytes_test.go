@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"ned/internal/legacy"
 	"ned/internal/ned"
 	"ned/internal/segment"
 )
@@ -20,18 +21,22 @@ import (
 // backend name into every snapshot header and, on a VP-backed corpus,
 // one vantage-point-tree dump per shard into every segment and
 // checkpoint. The engine writes neither any more ("pruned", no dumps)
-// and reads both: names parse and are ignored, dump sections are framed
-// and checksummed like any section and then dropped.
+// and reads both in NEDSEG02: names parse and are ignored, dump sections
+// are framed and checksummed like any section and then dropped.
 //
 // Builds before hash-only placement could also move nodes off their hash
 // shard and recorded where in a v3 text manifest (base= and a redirect
-// line) or a placement section of a segment. Nothing writes either any
-// more. Both are validated on load and dropped, and the items land in
-// the one scan. testdata holds three files such a build wrote (commit ae70028:
-// `Snapshot`, `SnapshotSegment`, `MakeDurable`+`Checkpoint`): a 4-shard
-// corpus over rebalancedGraph at k = 2, shard 0 split into a fifth slot,
-// shard 1 folded into it and left an empty husk — redirect 0,4,2,3 and
-// nodes 9, 20, 28, 33 moved to slot 4.
+// line) or a placement section of a NEDSEG01 segment. Nothing writes
+// either any more, and LoadCorpus and OpenDurable reject text and
+// NEDSEG01 with ErrLegacyFormat: the offline converter (internal/legacy,
+// nedstats -upgrade) validates them, drops the placement and writes
+// NEDSEG02, whose items land in the one scan. The suites below convert
+// first and then assert what they asserted when LoadCorpus still read
+// these formats. testdata holds three files such a build wrote (commit
+// ae70028: `Snapshot`, `SnapshotSegment`, `MakeDurable`+`Checkpoint`): a
+// 4-shard corpus over rebalancedGraph at k = 2, shard 0 split into a
+// fifth slot, shard 1 folded into it and left an empty husk — redirect
+// 0,4,2,3 and nodes 9, 20, 28, 33 moved to slot 4.
 
 const rebalancedK = 2
 
@@ -52,6 +57,45 @@ func sectionsOf(t *testing.T, blob []byte) (types []byte, payloadAt []int) {
 
 // secPlace is the section type of a placement directory.
 const secPlace = 7
+
+// upgradeBytes converts a corpus an earlier build wrote as
+// `nedstats -upgrade SRC DST` does.
+func upgradeBytes(raw []byte) ([]byte, error) {
+	var out bytes.Buffer
+	_, err := legacy.Upgrade(&out, raw)
+	return out.Bytes(), err
+}
+
+// loadUpgraded converts raw (upgradeBytes) and loads the result: a
+// conversion failure comes back as the converter reports it, a load
+// failure as LoadCorpus does.
+func loadUpgraded(raw []byte, opts ...CorpusOption) (*Corpus, error) {
+	seg, err := upgradeBytes(raw)
+	if err != nil {
+		return nil, err
+	}
+	return LoadCorpus(bytes.NewReader(seg), opts...)
+}
+
+// upgradedDir copies the durable directory src and converts its
+// checkpoints as `nedstats -upgrade DIR` does.
+func upgradedDir(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := legacy.UpgradeDir(dir); err != nil {
+		t.Fatalf("converting %s: %v", src, err)
+	}
+	return dir
+}
+
+// withSegmentMagic is a NEDSEG01 segment with the NEDSEG02 magic:
+// segment.Verify walks the framing and checksums, which both share.
+func withSegmentMagic(b []byte) []byte {
+	return append([]byte(segment.Magic), b[len(segment.Magic):]...)
+}
 
 // assertLoaded requires c to hold the oracle's nodes in its one scan
 // and to answer as the oracle.
@@ -89,8 +133,8 @@ var rebalancedLoads = []struct {
 }
 
 // TestTextV3ManifestStillLoads: a v3 manifest with a non-identity
-// redirect and moved nodes imports into the one scan; a redirect line that disagrees with the header is
-// still a bad snapshot.
+// redirect and moved nodes converts and loads into the one scan; a
+// redirect line that disagrees with the header still fails.
 func TestTextV3ManifestStillLoads(t *testing.T) {
 	raw, err := os.ReadFile("testdata/corpus_v3_rebalanced.nedcorpus")
 	if err != nil {
@@ -104,7 +148,7 @@ func TestTextV3ManifestStillLoads(t *testing.T) {
 	g := rebalancedGraph()
 	o := oracleOver(g, rebalancedK, allNodes(g))
 	for _, ld := range rebalancedLoads {
-		c, err := LoadCorpus(strings.NewReader(text), ld.opts...)
+		c, err := loadUpgraded([]byte(text), ld.opts...)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", ld.shards, err)
 		}
@@ -114,15 +158,16 @@ func TestTextV3ManifestStillLoads(t *testing.T) {
 	}
 	for _, bad := range []string{"# redirect 0,4,2\n", "# redirect 0,4,2,3,1\n", "# redirect 0,5,2,3\n", ""} {
 		in := strings.Replace(text, redirect, bad, 1)
-		if _, err := LoadCorpus(strings.NewReader(in)); !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("redirect line %q under base=4 shards=5: got %v, want ErrBadSnapshot", bad, err)
+		if _, err := upgradeBytes([]byte(in)); err == nil {
+			t.Errorf("redirect line %q under base=4 shards=5 converted", bad)
 		}
 	}
 }
 
-// TestSegmentWithPlacementStillLoads: a segment carrying a placement
-// section loads into the one scan and re-snapshots without the section; the section is still framed,
-// checksummed, validated and used for the filing check.
+// TestSegmentWithPlacementStillLoads: a NEDSEG01 segment carrying a
+// placement section converts, loads into the one scan and re-snapshots
+// without the section; the section is still framed, checksummed,
+// validated and used for the filing check.
 func TestSegmentWithPlacementStillLoads(t *testing.T) {
 	old, err := os.ReadFile("testdata/rebalanced.nedseg")
 	if err != nil {
@@ -136,7 +181,7 @@ func TestSegmentWithPlacementStillLoads(t *testing.T) {
 	g := rebalancedGraph()
 	o := oracleOver(g, rebalancedK, allNodes(g))
 	for _, ld := range rebalancedLoads {
-		c, err := LoadCorpus(bytes.NewReader(old), ld.opts...)
+		c, err := loadUpgraded(old, ld.opts...)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", ld.shards, err)
 		}
@@ -152,11 +197,11 @@ func TestSegmentWithPlacementStillLoads(t *testing.T) {
 	// (node, shard) pairs. A flipped bit anywhere fails the checksum.
 	bad := append([]byte(nil), old...)
 	bad[payloadAt[pi]+8] ^= 0x01
-	if err := segment.Verify(bytes.NewReader(bad)); err == nil {
+	if err := segment.Verify(bytes.NewReader(withSegmentMagic(bad))); err == nil {
 		t.Error("Verify accepted a corrupted placement section")
 	}
-	if _, err := LoadCorpus(bytes.NewReader(bad)); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("LoadCorpus of a corrupted placement section: got %v, want ErrBadSnapshot", err)
+	if _, err := upgradeBytes(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("converting a corrupted placement section: got %v, want a checksum mismatch", err)
 	}
 
 	// The same edits re-checksummed are faithful bytes of an inconsistent
@@ -178,18 +223,19 @@ func TestSegmentWithPlacementStillLoads(t *testing.T) {
 		"filed under shard":  reframed(36, 2),
 		"moves node 9 to sh": reframed(36, 5),
 	} {
-		if err := segment.Verify(bytes.NewReader(in)); err != nil {
+		if err := segment.Verify(bytes.NewReader(withSegmentMagic(in))); err != nil {
 			t.Fatalf("%s: re-checksummed edit no longer verifies: %v", what, err)
 		}
-		if _, err := LoadCorpus(bytes.NewReader(in)); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), what) {
-			t.Errorf("LoadCorpus: got %v, want ErrBadSnapshot mentioning %q", err, what)
+		if _, err := upgradeBytes(in); err == nil || !strings.Contains(err.Error(), what) {
+			t.Errorf("converting: got %v, want an error mentioning %q", err, what)
 		}
 	}
 }
 
 // TestDurableOpensCheckpointWithPlacement: a durable directory whose
-// checkpoint carries a placement section opens, replays its WAL tail
-// (Remove 2, 9, 4; Insert 4 — node 9 one of the moved), and cuts its next checkpoint without the section.
+// NEDSEG01 checkpoint carries a placement section converts, opens,
+// replays its WAL tail (Remove 2, 9, 4; Insert 4 — node 9 one of the
+// moved), and cuts its next checkpoint without the section.
 func TestDurableOpensCheckpointWithPlacement(t *testing.T) {
 	const src = "testdata/rebalanced_durable"
 	g := rebalancedGraph()
@@ -212,11 +258,9 @@ func TestDurableOpensCheckpointWithPlacement(t *testing.T) {
 		t.Fatalf("fixture checkpoint carries no placement section (sections %v)", types)
 	}
 	for _, ld := range rebalancedLoads {
-		// OpenDurable appends to the log and retires generations: work on a copy.
-		dir := t.TempDir()
-		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
-			t.Fatal(err)
-		}
+		// OpenDurable appends to the log and retires generations: work on a
+		// converted copy.
+		dir := upgradedDir(t, src)
 		re, err := OpenDurable(dir, FsyncNone, ld.opts...)
 		if err != nil {
 			t.Fatalf("shards=%d: OpenDurable: %v", ld.shards, err)
@@ -379,8 +423,8 @@ func TestDurableOpensCheckpointWithVPDumps(t *testing.T) {
 }
 
 // TestTextHeadersNamingRetiredBackendsLoad: text v1 and v2 snapshots
-// whose header names a tree or the wide scan load and serve from the
-// scan; an unknown name is still a bad snapshot.
+// whose header names a tree or the wide scan convert, load and serve
+// from the scan; an unknown name is still a bad snapshot.
 func TestTextHeadersNamingRetiredBackendsLoad(t *testing.T) {
 	raw, err := os.ReadFile("testdata/corpus_v3_rebalanced.nedcorpus")
 	if err != nil {
@@ -404,7 +448,7 @@ func TestTextHeadersNamingRetiredBackendsLoad(t *testing.T) {
 	for _, text := range []string{v2, v1.String()} {
 		for _, name := range []string{"vp", "bk", "linear"} {
 			in := strings.Replace(text, "backend=pruned", "backend="+name, 1)
-			loaded, err := LoadCorpus(strings.NewReader(in))
+			loaded, err := loadUpgraded([]byte(in))
 			if err != nil {
 				t.Fatalf("%s: %v", in[:strings.IndexByte(in, '\n')], err)
 			}
@@ -414,7 +458,7 @@ func TestTextHeadersNamingRetiredBackendsLoad(t *testing.T) {
 			assertMatchesOracle(t, "backend="+name, loaded, o, gq, rebalancedK, 3, 972)
 		}
 		in := strings.Replace(text, "backend=pruned", "backend=zorp", 1)
-		if _, err := LoadCorpus(strings.NewReader(in)); !errors.Is(err, ErrBadSnapshot) {
+		if _, err := loadUpgraded([]byte(in)); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("backend=zorp header: got %v, want ErrBadSnapshot", err)
 		}
 	}
@@ -428,7 +472,9 @@ func TestTextHeadersNamingRetiredBackendsLoad(t *testing.T) {
 // randomGraph(40, 80, 3901), one directed over
 // randomDirectedGraph(40, 90, 3902). Their logs must replay — trees and
 // all — to answers node-identical to the oracle, and keep replaying once
-// this build appends version-2 frames behind them.
+// this build appends version-2 frames behind them. Their checkpoints are
+// NEDSEG01, so each directory is converted (nedstats -upgrade DIR)
+// first; the logs are not touched.
 func TestDurableOpensV1WALWithTrees(t *testing.T) {
 	const k = 2
 	live := map[NodeID]bool{30: true, 32: true, 35: true}
@@ -470,10 +516,7 @@ func TestDurableOpensV1WALWithTrees(t *testing.T) {
 				t.Fatalf("fixture log holds %d upserted trees and %d deletes, want both", trees, deletes)
 			}
 
-			dir := t.TempDir()
-			if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
-				t.Fatal(err)
-			}
+			dir := upgradedDir(t, src)
 			check := func(label string, live map[NodeID]bool) {
 				t.Helper()
 				c, err := OpenDurable(dir, FsyncNone)
@@ -557,10 +600,10 @@ func reopenFromCheckpoint(t *testing.T, label string, c *Corpus, dir string) *Co
 	return re
 }
 
-// TestOldBytesReopenFromNEDSEG02: every old-bytes fixture still loads,
-// and after one checkpoint — which writes NEDSEG02, each tree as its
-// labels above the deepest level — reopens from it with answers equal
-// to the oracle's.
+// TestOldBytesReopenFromNEDSEG02: every old-bytes fixture converts and
+// loads, and after one checkpoint — which writes NEDSEG02, each tree as
+// its labels above the deepest level — reopens from it with answers
+// equal to the oracle's.
 func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
 	g := rebalancedGraph()
 	o := oracleOver(g, rebalancedK, allNodes(g))
@@ -569,7 +612,7 @@ func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := LoadCorpus(bytes.NewReader(raw))
+		c, err := loadUpgraded(raw)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -578,13 +621,6 @@ func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
 		re.CloseDurable()
 	}
 
-	copyDir := func(src string) string {
-		dir := t.TempDir()
-		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
 	open := func(dir string) *Corpus {
 		c, err := OpenDurable(dir, FsyncNone)
 		if err != nil {
@@ -601,7 +637,7 @@ func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
 			live[v] = true
 		}
 	}
-	dir := copyDir("testdata/rebalanced_durable")
+	dir := upgradedDir(t, "testdata/rebalanced_durable")
 	re := reopenFromCheckpoint(t, "rebalanced_durable", open(dir), dir)
 	assertLoaded(t, "rebalanced_durable reopened", re, oracleOver(g, rebalancedK, sortedNodes(live)), 2860)
 	re.CloseDurable()
@@ -623,7 +659,7 @@ func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
 		{"undirected", randomGraph(40, 80, 3901), nil},
 		{"directed", randomDirectedGraph(40, 90, 3902), []CorpusOption{WithDirected()}},
 	} {
-		dir := copyDir("testdata/v1wal_durable/" + tc.name)
+		dir := upgradedDir(t, "testdata/v1wal_durable/"+tc.name)
 		label := "v1wal_durable/" + tc.name
 		re := reopenFromCheckpoint(t, label, open(dir), dir)
 		if got, want := corpusState(re), freshState(t, tc.g, live, k, tc.opts...); got != want {
@@ -651,4 +687,85 @@ func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
 		}
 		re.CloseDurable()
 	}
+}
+
+// TestLoadCorpusRejectsLegacyFormats: every fixture an earlier build
+// wrote, unconverted, fails LoadCorpus with ErrBadSnapshot and an error
+// naming the converter; a text manifest and a NEDSEG01 segment also
+// match ErrLegacyFormat. A header-less signature file is no corpus
+// format of its own: it is a bad snapshot that names the converter.
+func TestLoadCorpusRejectsLegacyFormats(t *testing.T) {
+	var sigs bytes.Buffer
+	g := randomGraph(30, 60, 917)
+	if err := ned.WriteSignatures(&sigs, Signatures(g, allNodes(g), 2)); err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string][]byte{"signature file": sigs.Bytes()}
+	for _, path := range []string{
+		"testdata/corpus_v3_rebalanced.nedcorpus", "testdata/rebalanced.nedseg",
+		"internal/segment/testdata/golden-v1.nedseg", "internal/ned/testdata/corpus_v1.golden",
+		"internal/ned/testdata/corpus_v1_directed.golden", "internal/ned/testdata/corpus_v2.golden",
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[path] = raw
+	}
+	for label, raw := range inputs {
+		_, err := LoadCorpus(bytes.NewReader(raw))
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "nedstats -upgrade") {
+			t.Errorf("%s: got %v, want ErrBadSnapshot naming nedstats -upgrade", label, err)
+		}
+		if want := label != "signature file"; errors.Is(err, ErrLegacyFormat) != want {
+			t.Errorf("%s: errors.Is(%v, ErrLegacyFormat) = %v, want %v", label, err, !want, want)
+		}
+		if _, err := loadUpgraded(raw); err != nil {
+			t.Errorf("%s: converted: %v", label, err)
+		}
+	}
+}
+
+// TestDurableLeavesLegacyDirectoriesUntouched: OpenDurable over a
+// durable directory whose checkpoint an earlier build wrote fails with
+// ErrLegacyFormat before touching it — no quarantine rename, no swept or
+// appended file — so the converter still finds every byte.
+func TestDurableLeavesLegacyDirectoriesUntouched(t *testing.T) {
+	for _, src := range []string{"testdata/rebalanced_durable", "testdata/v1wal_durable/undirected", "testdata/v1wal_durable/directed"} {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		before := dirFiles(t, dir)
+		if _, err := OpenDurable(dir, FsyncNone); !errors.Is(err, ErrLegacyFormat) {
+			t.Errorf("%s: OpenDurable got %v, want ErrLegacyFormat", src, err)
+		}
+		after := dirFiles(t, dir)
+		for name := range maps.Keys(before) {
+			if after[name] != before[name] {
+				t.Errorf("%s: OpenDurable changed or removed %s", src, name)
+			}
+		}
+		if len(after) != len(before) {
+			t.Errorf("%s: %d files before OpenDurable, %d after", src, len(before), len(after))
+		}
+	}
+}
+
+// dirFiles maps each file in dir to its bytes.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(dir + "/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(raw)
+	}
+	return files
 }

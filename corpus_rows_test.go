@@ -57,8 +57,8 @@ func checkRowColumns(t *testing.T, label string, c *Corpus) {
 // TestRowColumnsStopAboveDeepestLevel pins the resident row layout on
 // every way a row comes to be: a PGP analog corpus (scale 1, k = 3) and
 // a directed corpus as built, after Snapshot → LoadCorpus, after a
-// checkpoint and OpenDurable, and rows read from the NEDSEG01 golden and
-// from a version-3 text snapshot.
+// checkpoint and OpenDurable, and rows converted from the NEDSEG01
+// golden and from a version-3 text snapshot.
 func TestRowColumnsStopAboveDeepestLevel(t *testing.T) {
 	ctx := context.Background()
 	corpora := []struct {
@@ -120,10 +120,10 @@ func TestRowColumnsStopAboveDeepestLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := LoadCorpus(bytes.NewReader(raw))
+		c, err := loadUpgraded(raw)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		checkRowColumns(t, fmt.Sprintf("loaded from %s", path), c)
+		checkRowColumns(t, fmt.Sprintf("converted from %s", path), c)
 	}
 }

@@ -2,6 +2,7 @@ package ned
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"iter"
@@ -52,46 +53,37 @@ func (c *Corpus) materializedView() *corpusView {
 	return c.view.Load()
 }
 
-// LoadCorpus restores a corpus from a Snapshot stream — the binary
-// segment format, recognized by its magic bytes — or imports one of the
-// text formats earlier builds wrote: a v2/v3 sharded manifest, a v1
-// single-index snapshot, or a legacy WriteSignatures file (which
-// predates snapshot metadata and loads undirected, k taken from its
-// signatures). Whatever backend a header names — and whatever VP-tree
-// dumps or placement directory an older segment or v3 manifest carries
-// — the restored corpus serves from the one cascade scan, whatever
-// shard count the file records; an unknown backend name is still a
-// parse failure. Parse failures wrap ErrBadSnapshot.
+// LoadCorpus restores a corpus from a Snapshot stream: a NEDSEG02
+// segment, the one format this build reads and writes. Any other input
+// fails with ErrBadSnapshot; a NEDSEG01 segment or a text manifest of an
+// earlier build also matches ErrLegacyFormat, and `nedstats -upgrade`
+// converts it. Whatever backend the segment names, and whatever VP-tree
+// dumps it carries, the restored corpus serves from the one cascade scan;
+// an unknown backend name is still a parse failure. Parse failures wrap
+// ErrBadSnapshot.
 //
 // The restored corpus answers signature queries — and node queries for
-// indexed nodes — identically to the corpus that was snapshotted.
+// indexed nodes — identically to the corpus that was snapshotted, its
+// trees and profiles derived from the dictionary the segment carries.
 // Options apply on top of the recorded metadata: WithWorkers tunes the
-// restored engine, and WithGraph
-// re-attaches the backing graph (overriding a segment's embedded one),
-// re-enabling Insert, UpdateGraph, Signature, and queries for
-// unindexed nodes. WithNodes and WithDirected are ignored: the
-// snapshot's items define the node set and directedness.
-//
-// The text formats carry neither dictionary nor graph, so importing one
-// compiles the filter cascade against a fresh dictionary and needs
-// WithGraph before it can mutate; segments carry both, and derive every
-// profile from the dictionary they carry.
+// restored engine, and WithGraph re-attaches the backing graph
+// (overriding the segment's embedded one), re-enabling Insert,
+// UpdateGraph, Signature, and queries for unindexed nodes on a segment
+// without one. WithNodes and WithDirected are ignored: the snapshot's
+// items define the node set and directedness.
 func LoadCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	prefix, _ := br.Peek(len(segment.Magic))
-	if segment.IsSegment(prefix) {
-		return loadSegmentCorpus(br, opts...)
+	prefix, _ := br.Peek(len(legacyTextHeader)) // the longest prefix told apart
+	switch {
+	case bytes.HasPrefix(prefix, []byte(legacyMagic)) || bytes.HasPrefix(prefix, []byte(legacyTextHeader)):
+		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, ErrLegacyFormat)
+	case !segment.IsSegment(prefix):
+		return nil, fmt.Errorf("%w: not a NEDSEG02 segment (a corpus an earlier build wrote converts with nedstats -upgrade)", ErrBadSnapshot)
 	}
-	return loadTextCorpus(br, opts...)
-}
-
-// loadSegmentCorpus restores a binary segment stream: the dictionary
-// and compiled profiles are adopted as-is.
-func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	// Index dumps an older segment carries are framed and checksummed by
-	// Read like every section, then dropped: the scan has nothing to
+	// ReadRows like every section, then dropped: the scan has nothing to
 	// restore.
-	meta, rows, dict, g, err := segment.ReadRows(r)
+	meta, rows, dict, g, err := segment.ReadRows(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
@@ -121,53 +113,9 @@ func loadSegmentCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	return c, nil
 }
 
-// loadTextCorpus imports the text formats (v3/v2/v1/legacy signatures).
-func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
-	meta, items, err := ned.ReadCorpusItems(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-	}
-	var cfg corpusConfig
-	k := meta.K
-	if meta.Version >= 1 {
-		if _, err = ParseBackend(meta.Backend); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-		}
-		cfg.directed = meta.Directed
-	} else {
-		// Legacy signature file: derive k from the signatures themselves.
-		if len(items) == 0 {
-			return nil, fmt.Errorf("%w: no signatures in input", ErrBadSnapshot)
-		}
-		k = items[0].K
-		for _, it := range items {
-			if it.K != k {
-				return nil, fmt.Errorf("%w: mixed k values %d and %d (a corpus has one k)", ErrBadSnapshot, k, it.K)
-			}
-		}
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("%w: k=%d", ErrBadSnapshot, k)
-	}
-	g, err := applyLoadOptions(&cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]NodeID, len(items))
-	for i, it := range items {
-		nodes[i] = it.Node
-	}
-	if err := validateLoadedGraph(cfg, g, slices.Values(nodes)); err != nil {
-		return nil, err
-	}
-	c := newCorpus(k, cfg, g, &corpusEpoch{})
-	// The text formats carry no profiles; compile them against the fresh
-	// corpus dictionary so imported corpora serve the same filter cascade
-	// as freshly built ones.
-	ned.ProfileItems(items, c.dict, cfg.workers)
-	installRows(c, ned.RowsOf(items))
-	return c, nil
-}
+// legacyMagic and legacyTextHeader start the corpus formats earlier
+// builds wrote: a NEDSEG01 segment and a text manifest.
+const legacyMagic, legacyTextHeader = "NEDSEG01", "# ned corpus v"
 
 // applyLoadOptions overlays user options onto the snapshot-recorded
 // configuration, returning the WithGraph graph (nil if none).

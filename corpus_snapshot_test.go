@@ -72,14 +72,13 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 	live[1] = true
 	assertMatchesOracle(t, "restored+insert", loaded, oracleOver(g, k, sortedNodes(live)), gq, k, 3, 913)
 
-	// A source without a graph — here an imported text manifest — writes
+	// A source without a graph — here a converted text manifest — writes
 	// a snapshot without one: indexed nodes answer, nothing else does.
-	text, err := os.Open("testdata/corpus_v3_rebalanced.nedcorpus")
+	text, err := os.ReadFile("testdata/corpus_v3_rebalanced.nedcorpus")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer text.Close()
-	imported, err := LoadCorpus(text)
+	imported, err := loadUpgraded(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +265,8 @@ func TestSnapshotBytesIgnoreDelta(t *testing.T) {
 }
 
 // TestLoadCorpusLegacySignatureFile: a plain WriteSignatures file (the
-// pre-snapshot format) loads as a corpus.
+// pre-snapshot format) converts (nedstats -upgrade) and loads as a
+// corpus.
 func TestLoadCorpusLegacySignatureFile(t *testing.T) {
 	g := randomGraph(30, 60, 917)
 	sigs := Signatures(g, allNodes(g), 2)
@@ -274,12 +274,11 @@ func TestLoadCorpusLegacySignatureFile(t *testing.T) {
 	if err := SaveSignatures(path, sigs); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	loaded, err := LoadCorpus(f)
+	loaded, err := loadUpgraded(raw)
 	if err != nil {
 		t.Fatalf("LoadCorpus(legacy signatures): %v", err)
 	}
@@ -289,7 +288,9 @@ func TestLoadCorpusLegacySignatureFile(t *testing.T) {
 	assertMatchesOracle(t, "legacy-loaded", loaded, corpusOracle(sigs), randomGraph(20, 40, 918), 2, 4, 919)
 }
 
-// TestLoadCorpusErrors pins the typed error contract of LoadCorpus.
+// TestLoadCorpusErrors pins the typed error contract of LoadCorpus. Each
+// text input is a bad snapshot as it is, and still fails once converted:
+// at the conversion, or — a name no backend has — at the load.
 func TestLoadCorpusErrors(t *testing.T) {
 	cases := []struct {
 		name, in string
@@ -309,17 +310,22 @@ func TestLoadCorpusErrors(t *testing.T) {
 		if _, err := LoadCorpus(strings.NewReader(tc.in)); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: got %v, want ErrBadSnapshot", tc.name, err)
 		}
+		if seg, err := upgradeBytes([]byte(tc.in)); err == nil {
+			if _, err := LoadCorpus(bytes.NewReader(seg)); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("%s, converted: got %v, want ErrBadSnapshot", tc.name, err)
+			}
+		}
 	}
 	// A graph that does not contain the snapshot's nodes is rejected.
 	small := randomGraph(2, 1, 919)
 	snap := "# ned corpus v1 backend=vp k=2 directed=0 nodes=1\n7 2 0\n"
-	if _, err := LoadCorpus(strings.NewReader(snap), WithGraph(small)); !errors.Is(err, ErrNodeOutOfRange) {
+	if _, err := loadUpgraded([]byte(snap), WithGraph(small)); !errors.Is(err, ErrNodeOutOfRange) {
 		t.Errorf("snapshot node beyond graph: got %v, want ErrNodeOutOfRange", err)
 	}
 	// A directed snapshot restored onto an undirected graph would make
 	// later Inserts extract inconsistent signatures: rejected up front.
 	dsnap := "# ned corpus v1 backend=vp k=2 directed=1 nodes=1\n0 2 0 0,0\n"
-	if _, err := LoadCorpus(strings.NewReader(dsnap), WithGraph(small)); !errors.Is(err, ErrBadSnapshot) {
+	if _, err := loadUpgraded([]byte(dsnap), WithGraph(small)); !errors.Is(err, ErrBadSnapshot) {
 		t.Errorf("directed snapshot on undirected graph: got %v, want ErrBadSnapshot", err)
 	}
 }
@@ -376,16 +382,16 @@ func sameCorpusColumns(t *testing.T, label string, got, want *Corpus) {
 // TestSnapshotRoundTripsColumns: what a segment stores is each tree's
 // labels above its deepest level, and what a load derives from them is
 // the corpus that was written — parents and every profile column — for
-// a text snapshot holding a tree in level order but not BFS order
-// (which the segment stores with its parent vector), and for a directed
-// corpus through a checkpoint and OpenDurable.
+// a converted text snapshot holding a tree in level order but not BFS
+// order (which the segment stores with its parent vector), and for a
+// directed corpus through a checkpoint and OpenDurable.
 func TestSnapshotRoundTripsColumns(t *testing.T) {
 	// Node 0's tree hangs node 3 under node 2 and node 4 under node 1.
 	const text = "# ned corpus v1 backend=pruned k=2 directed=0 nodes=3\n" +
 		"0 2 0,0,2,1\n" +
 		"1 2 0,0,1,1,2\n" +
 		"2 2 0,1,1\n"
-	src, err := LoadCorpus(strings.NewReader(text))
+	src, err := loadUpgraded([]byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}

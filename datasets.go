@@ -70,6 +70,12 @@ func RegionalFeatures(g *Graph, v NodeID, depth int) FeatureVector {
 	return baseline.RegionalFeatures(g, v, depth)
 }
 
+// RegionalFeaturesAll is RegionalFeatures of every node of g, in node
+// order, from one pass over the graph.
+func RegionalFeaturesAll(g *Graph, depth int) []FeatureVector {
+	return baseline.RegionalFeaturesAll(g, depth)
+}
+
 // NetSimileFeatures computes the 7-feature NetSimile node vector.
 func NetSimileFeatures(g *Graph, v NodeID) FeatureVector {
 	return baseline.NetSimileFeatures(g, v)

@@ -169,7 +169,10 @@ func (c *Corpus) MakeDurable(dir string, policy FsyncPolicy) error {
 //
 // A checkpoint that fails to open or decode is quarantined — renamed
 // to <name>.quarantined so it stops shadowing older generations — and
-// recovery falls back to the next-lower checkpoint. The WAL
+// recovery falls back to the next-lower checkpoint. A checkpoint in a
+// format an earlier build wrote is not: OpenDurable fails with
+// ErrLegacyFormat before renaming anything, and `nedstats -upgrade DIR`
+// converts the directory's checkpoints. The WAL
 // generations between the fallback checkpoint and the head still
 // replay, so no committed mutation is lost as long as one good
 // checkpoint survives (checkpoint cleanup only runs after the
@@ -214,6 +217,11 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 		}
 		if os.IsNotExist(lerr) {
 			continue
+		}
+		// A checkpoint an earlier build wrote is not damage: renaming it
+		// aside would hide it from nedstats -upgrade, the one way back.
+		if errors.Is(lerr, ErrLegacyFormat) {
+			return nil, fmt.Errorf("ned: checkpoint %s: %w", path, lerr)
 		}
 		if firstErr == nil {
 			firstErr = fmt.Errorf("ned: checkpoint %s: %w", path, lerr)

@@ -170,8 +170,8 @@ func TestSegmentLoadOptions(t *testing.T) {
 	}
 }
 
-// The written format and the imported text formats load through the one
-// LoadCorpus entry point, sniffed by leading bytes.
+// LoadCorpus sniffs the leading bytes: the written format loads, a text
+// manifest is a legacy format, and loads once converted.
 func TestLoadCorpusSniffsFormat(t *testing.T) {
 	g := rebalancedGraph() // the graph the checked-in v3 manifest was taken from
 	text, err := os.ReadFile("testdata/corpus_v3_rebalanced.nedcorpus")
@@ -191,7 +191,14 @@ func TestLoadCorpusSniffsFormat(t *testing.T) {
 	}
 	gQuery := randomGraph(30, 60, 321)
 	want := oracleFingerprint(oracleOver(g, rebalancedK, allNodes(g)), gQuery, rebalancedK)
-	for name, blob := range map[string][]byte{"text": text, "binary": bin.Bytes()} {
+	if _, err := LoadCorpus(bytes.NewReader(text)); !errors.Is(err, ErrLegacyFormat) {
+		t.Fatalf("LoadCorpus(text): got %v, want ErrLegacyFormat", err)
+	}
+	converted, err := upgradeBytes(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, blob := range map[string][]byte{"text": converted, "binary": bin.Bytes()} {
 		c2, err := LoadCorpus(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatalf("LoadCorpus(%s): %v", name, err)

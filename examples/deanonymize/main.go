@@ -1,7 +1,8 @@
 // Deanonymize: the paper's §13.5 case study as a runnable program. A
 // PGP-like web-of-trust graph is anonymized by edge perturbation; the
-// attack re-identifies nodes by ranking candidates under NED and under
-// the Feature baseline, showing NED's higher precision.
+// attack re-identifies nodes by ranking every training node under NED
+// and under the Feature baseline, and prints both precisions (on this
+// graph, with the whole training graph as the pool, they tie at 0.87).
 package main
 
 import (
@@ -28,29 +29,14 @@ func main() {
 		k       = 3  // neighborhood depth
 		topL    = 5  // report success if the true node ranks in the top 5
 		queries = 30 // nodes to attack
-		pool    = 300
 	)
 
 	rng := rand.New(rand.NewSource(1))
 	queryNodes := rng.Perm(anon.Graph.NumNodes())[:queries]
 
-	// Candidate pool: each query's true identity plus random decoys.
-	candSet := map[ned.NodeID]bool{}
-	for _, q := range queryNodes {
-		candSet[anon.Identity[q]] = true
-	}
-	for len(candSet) < pool {
-		candSet[ned.NodeID(rng.Intn(train.NumNodes()))] = true
-	}
-	var cands []ned.NodeID
-	for c := range candSet {
-		cands = append(cands, c)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-
-	// The NED attack queries a Corpus over the training graph restricted
-	// to the candidate pool; the whole attack is one parallel BatchKNN.
-	corpus, err := ned.NewCorpus(train, k, ned.WithNodes(cands))
+	// The NED attack ranks the whole training graph: one Corpus over it,
+	// queried by one parallel BatchKNN.
+	corpus, err := ned.NewCorpus(train, k)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,10 +49,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	candFeats := make([]ned.FeatureVector, len(cands))
-	for i, c := range cands {
-		candFeats[i] = ned.RegionalFeatures(train, c, 2)
-	}
+	pool := train.NumNodes()
+	trainFeats := ned.RegionalFeaturesAll(train, 2)
+	anonFeats := ned.RegionalFeaturesAll(anon.Graph, 2)
 
 	nedHits, featHits := 0, 0
 	for qi, q := range queryNodes {
@@ -80,17 +65,17 @@ func main() {
 			}
 		}
 
-		// Feature-baseline attack: rank by L1 over recursive features.
-		fq := ned.RegionalFeatures(anon.Graph, ned.NodeID(q), 2)
+		// Feature-baseline attack: every training node by L1 over
+		// recursive features, ties in node order.
 		type scored struct {
 			node ned.NodeID
 			d    float64
 		}
-		ranked := make([]scored, len(cands))
-		for i, c := range cands {
-			ranked[i] = scored{c, ned.FeatureL1(fq, candFeats[i])}
+		ranked := make([]scored, pool)
+		for v := range ranked {
+			ranked[v] = scored{ned.NodeID(v), ned.FeatureL1(anonFeats[q], trainFeats[v])}
 		}
-		sort.Slice(ranked, func(i, j int) bool { return ranked[i].d < ranked[j].d })
+		sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].d < ranked[j].d })
 		for _, r := range ranked[:topL] {
 			if r.node == truth {
 				featHits++
@@ -99,7 +84,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\nde-anonymization precision (top-%d of %d candidates, %d queries):\n", topL, pool, queries)
+	fmt.Printf("\nde-anonymization precision (top-%d of all %d training nodes, %d queries):\n", topL, pool, queries)
 	fmt.Printf("  NED:     %.2f\n", float64(nedHits)/queries)
 	fmt.Printf("  Feature: %.2f\n", float64(featHits)/queries)
 }

@@ -102,16 +102,18 @@ func walFrameBounds(b []byte) []int64 {
 
 // FuzzSegmentRead only asserts the reader never panics or succeeds on
 // garbage that isn't byte-identical to a real segment's semantics —
-// i.e. it must not crash; errors are expected. It is seeded with both
-// goldens (NEDSEG02 and NEDSEG01), their prefixes, and the NEDSEG02
-// golden with one item-table word rewritten under a recomputed
-// checksum, so mutations start from tables that reach the label checks,
-// or that declare more rows or stored labels than they hold, and the
-// NEDSEG01 golden with one tree's columns rewritten (v1Cases), so they
-// start from tables the translation into NEDSEG02 rejects.
+// i.e. it must not crash; errors are expected. It is seeded with the
+// NEDSEG02 golden, its prefix, and the golden with one item-table word
+// rewritten under a recomputed checksum, so mutations start from tables
+// that reach the label checks, or that declare more rows or stored
+// labels than they hold; and with the NEDSEG01 golden, its prefix and
+// its rewritten trees (V1Cases), bytes of an earlier build that Read
+// must reject and whose mutations reach the NEDSEG02 decoder once their
+// magic flips. internal/legacy's fuzz target converts the same NEDSEG01
+// seeds.
 func FuzzSegmentRead(f *testing.F) {
-	for _, c := range v1Cases(f) {
-		f.Add(c.blob)
+	for _, c := range V1Cases(f) {
+		f.Add(c.Blob)
 	}
 	for _, name := range []string{"golden.nedseg", "golden-v1.nedseg"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -127,7 +129,7 @@ func FuzzSegmentRead(f *testing.F) {
 		}
 		for off := len(Magic); off < len(b); {
 			n := int(binary.LittleEndian.Uint64(b[off+1:]))
-			if b[off] == secShard {
+			if b[off] == SecShard {
 				for _, i := range []int{2, 3, 5, 6, n/8 + 1} {
 					if i < n/4 {
 						f.Add(rewrite(b, off+9, n/4, i, 0))

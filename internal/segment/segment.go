@@ -11,14 +11,12 @@
 //
 // A segment is a magic string followed by framed sections:
 //
-//	magic   "NEDSEG02" (8 bytes; "NEDSEG01" files still load)
+//	magic   "NEDSEG02" (8 bytes)
 //	section [type u8][payloadLen u64][payload][crc32c(payload) u32]
 //
 // in fixed order: meta (1), dict (2), an optional graph (3), one shard
 // item table (4) per shard, optionally one VP-index dump (6) per shard,
-// and end (5); a segment of an earlier build may also carry a placement
-// directory (7) between the graph and the first shard table. All
-// integers are little-endian. Every section is
+// and end (5). All integers are little-endian. Every section is
 // independently length-framed and checksummed, and the end section
 // repeats the total item count, so a torn tail — truncation anywhere,
 // even between sections — fails loudly instead of loading a silently
@@ -38,12 +36,6 @@
 //	graph: nodes u32, directed u8, edges u64, then u32 pairs — the
 //	       backing graph, so a recovered corpus keeps Insert and
 //	       UpdateGraph without a sidecar file.
-//	place: base u32, shards u32 (must equal meta's), redirect base×u32
-//	       (each < shards), moves u64, then (node u32, shard u32) pairs
-//	       node-ascending — the placement directory of a build that
-//	       could move nodes off their hash shard. Never written; read
-//	       only to check that the segment's items are filed where its
-//	       own layout says, after which callers re-file by hash.
 //	shard: a pure u32 word stream (the payload length must be a
 //	       multiple of 4): shardIndex, itemCount, then per item
 //	       (strictly node-ascending — readers reject out-of-order or
@@ -74,8 +66,8 @@
 // each row's words into its rank slot of arenas sized once and derives
 // only the level widths, from the child counts, and the degree runs,
 // the child counts sorted per level. In BFS order the child counts are
-// the child offsets (every extracted tree is; only a hand-written text
-// snapshot can hold another, which keeps its parent vector). The
+// the child offsets (every extracted tree is; only a tree converted
+// from a text corpus can be another, which keeps its parent vector). The
 // deepest level, all leaves, is its width alone in memory as on disk.
 // Every stored label is checked against the shapes around it — in the
 // dictionary, child counts that end exactly on a level boundary, no
@@ -83,14 +75,9 @@
 // that carry their parent's shape's kids — so a table that checksums
 // but could not have been written fails with ErrInconsistent.
 //
-// NEDSEG01 item tables stored every tree whole instead: n, parents
-// n×u32, then the compiled profile columns labels n×u32, perm n×u32,
-// kids (n-1)×u32. A load translates each such table into the NEDSEG02
-// table of the same trees before its first pass (translateV1), so one
-// decoder reads both layouts and every check above applies to old bytes
-// too; the translation rejects with ErrInconsistent the columns NEDSEG02
-// cannot express. A load retains no payload: every column is derived
-// into fresh storage.
+// A load retains no item-table payload: every column is derived into
+// fresh storage. Older layouts (NEDSEG01, text corpora) do not load
+// here; internal/legacy converts them to NEDSEG02 offline.
 //
 // The index sections persist what even the item tables cannot buy
 // back: a vantage-point tree costs O(n log n) TED* evaluations to
@@ -129,37 +116,22 @@ var hostLittleEndian = func() bool {
 }()
 
 // Magic identifies (and versions) the binary segment format Write
-// emits; sniff a stream's first len(Magic) bytes with IsSegment to route
-// it here or to the text snapshot parsers.
+// emits and Read and Verify accept.
 const Magic = "NEDSEG02"
 
-// magicV1 is the magic of the first layout, whose item tables store
-// every profile column. Read and Verify still accept it; nothing writes
-// it.
-const magicV1 = "NEDSEG01"
-
 // IsSegment reports whether a stream beginning with prefix is a binary
-// segment of either layout. Text snapshots start with '#' or an item
-// line, so the first byte alone separates the families; the full magic
-// is still verified by Read.
-func IsSegment(prefix []byte) bool {
-	if len(prefix) < len(Magic) {
-		return false
-	}
-	m := string(prefix[:len(Magic)])
-	return m == Magic || m == magicV1
-}
+// segment.
+func IsSegment(prefix []byte) bool { return bytes.HasPrefix(prefix, []byte(Magic)) }
 
 // Section types, in their required order (index sections, when
 // present, sit between the shard tables and the end marker).
 const (
-	secMeta  = 1
-	secDict  = 2
-	secGraph = 3
-	secShard = 4
-	secEnd   = 5
-	secIndex = 6
-	secPlace = 7
+	SecMeta  = 1
+	SecDict  = 2
+	SecGraph = 3
+	SecShard = 4
+	SecEnd   = 5
+	SecIndex = 6
 )
 
 // maxSectionLen bounds a section's declared payload length. Checked
@@ -176,6 +148,79 @@ type Meta struct {
 	Directed bool   // whether items carry incoming trees too
 	Shards   int    // shard count the writer partitioned by
 	Items    int    // total item count across shards
+}
+
+// Header is a segment's meta section: its Meta and the layout of the
+// sections after it.
+type Header struct {
+	Meta
+	Shapes             int      // the dictionary's shape count
+	HasGraph, HasIndex bool     // whether a graph section and index dumps follow
+	TableLens          []uint64 // each item table's payload length, Shards of them
+}
+
+// Append appends h to b as a meta section's payload.
+func (h *Header) Append(b []byte) ([]byte, error) {
+	if len(h.Backend) > 0xFFFF {
+		return nil, fmt.Errorf("segment: backend name too long")
+	}
+	b = append(b, byte(len(h.Backend)), byte(len(h.Backend)>>8))
+	b = append(b, h.Backend...)
+	b = appendU32(b, uint32(h.K))
+	b = append(b, boolByte(h.Directed))
+	b = appendU32(b, uint32(h.Shards))
+	b = appendU64(b, uint64(h.Items))
+	b = appendU32(b, uint32(h.Shapes))
+	b = append(b, boolByte(h.HasGraph), boolByte(h.HasIndex))
+	for _, n := range h.TableLens {
+		b = appendU64(b, n)
+	}
+	return b, nil
+}
+
+// DecodeHeader decodes a meta section's payload.
+func DecodeHeader(payload []byte) (Header, error) {
+	var h Header
+	d := &dec{b: payload}
+	if len(d.b) < 2 {
+		return h, fmt.Errorf("segment: truncated meta")
+	}
+	blen := int(d.b[0]) | int(d.b[1])<<8
+	d.b = d.b[2:]
+	if len(d.b) < blen {
+		return h, fmt.Errorf("segment: truncated meta backend name")
+	}
+	h.Backend = string(d.b[:blen])
+	d.b = d.b[blen:]
+	h.K = int(d.u32())
+	directed := d.u8()
+	h.Shards = int(d.u32())
+	h.Items = int(d.u64())
+	h.Shapes = int(d.u32())
+	hasGraph, hasIndex := d.u8(), d.u8()
+	if d.err == nil && (directed > 1 || hasGraph > 1 || hasIndex > 1 || h.K < 1 || h.Shards < 1 ||
+		h.Items < 0 || h.Shards > 1<<20) {
+		d.fail("segment: implausible meta (k=%d shards=%d items=%d dict=%d)", h.K, h.Shards, h.Items, h.Shapes)
+	}
+	h.Directed, h.HasGraph, h.HasIndex = directed == 1, hasGraph == 1, hasIndex == 1
+	for i := 0; d.err == nil && i < h.Shards; i++ {
+		h.TableLens = append(h.TableLens, d.u64())
+	}
+	return h, d.done()
+}
+
+// DecodeShapes decodes a dict section's payload of n shapes: shape id's
+// sorted child labels are kids[off[id]:off[id+1]].
+func DecodeShapes(payload []byte, n int) (off, kids []int32, err error) {
+	d := &dec{b: payload}
+	if got := int(d.u32()); d.err == nil && got != n {
+		d.fail("segment: dict section has %d shapes, meta declares %d", got, n)
+	}
+	off = d.i32s(n + 1)
+	if d.err == nil {
+		kids = d.i32s(int(off[n]))
+	}
+	return off, kids, d.done()
 }
 
 // VPNode is one persisted vantage-point-tree node, in preorder. The
@@ -500,10 +545,10 @@ func readChecksum(r io.Reader, typ byte, crc uint32) error {
 	return nil
 }
 
-// readSection reads and checksum-verifies one framed section. Any
+// ReadSection reads and checksum-verifies one framed section. Any
 // short read — a torn tail — is a loud error: segments are written
 // atomically, so an incomplete one was corrupted after the fact.
-func readSection(r io.Reader) (typ byte, payload []byte, err error) {
+func ReadSection(r io.Reader) (typ byte, payload []byte, err error) {
 	typ, n, err := readSectionHeader(r)
 	if err != nil {
 		return 0, nil, err
@@ -534,7 +579,14 @@ func readSection(r io.Reader) (typ byte, payload []byte, err error) {
 	return typ, payload, nil
 }
 
-// skipSection is readSection for a reader that needs only the verdict:
+// AppendSection appends one framed section, as ReadSection reads it,
+// to b.
+func AppendSection(b []byte, typ byte, payload []byte) []byte {
+	b = appendU64(append(b, typ), uint64(len(payload)))
+	return appendU32(append(b, payload...), crc32.Checksum(payload, castagnoli))
+}
+
+// skipSection is ReadSection for a reader that needs only the verdict:
 // the payload passes through the checksum in buf-sized reads and is
 // not kept.
 func skipSection(r io.Reader, buf []byte) (typ byte, err error) {
@@ -556,7 +608,7 @@ func skipSection(r io.Reader, buf []byte) (typ byte, err error) {
 
 // expectSection reads one section and requires its type.
 func expectSection(r io.Reader, want byte) ([]byte, error) {
-	typ, payload, err := readSection(r)
+	typ, payload, err := ReadSection(r)
 	if err != nil {
 		return nil, err
 	}
@@ -656,7 +708,7 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 	if indexes != nil && len(indexes) != len(tables) {
 		return fmt.Errorf("segment: %d index dumps for %d shards", len(indexes), len(tables))
 	}
-	shardLens := make([]int, len(tables))
+	shardLens := make([]uint64, len(tables))
 	for si, rows := range tables {
 		if indexes != nil {
 			if ix := &indexes[si]; !ix.empty() && len(ix.Nodes)+len(ix.Tail) != len(rows) {
@@ -672,46 +724,34 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 			if meta.Directed && r.In == nil {
 				return fmt.Errorf("segment: node %d has no incoming tree on a directed corpus", r.Node)
 			}
-			shardLens[si] += 12 + 4*len(r.Out)
+			shardLens[si] += 12 + 4*uint64(len(r.Out))
 			if meta.Directed {
-				shardLens[si] += 4 * len(r.In)
+				shardLens[si] += 4 * uint64(len(r.In))
 			}
 		}
 	}
-	if len(meta.Backend) > 0xFFFF {
-		return fmt.Errorf("segment: backend name too long")
-	}
-
-	sw := newSectionWriter(w)
-	defer sw.release()
-	sw.frame([]byte(Magic))
 
 	shapes := dict.Shapes()
 	kidWords := 0
 	for _, key := range shapes {
 		kidWords += len(key) / 4
 	}
-
-	// Meta, including the shard table byte lengths (section offsets).
-	mb := make([]byte, 0, 64+8*len(tables))
-	mb = append(mb, byte(len(meta.Backend)), byte(len(meta.Backend)>>8))
-	mb = append(mb, meta.Backend...)
-	mb = appendU32(mb, uint32(meta.K))
-	mb = append(mb, boolByte(meta.Directed))
-	mb = appendU32(mb, uint32(meta.Shards))
-	mb = appendU64(mb, uint64(meta.Items))
-	mb = appendU32(mb, uint32(len(shapes)))
-	mb = append(mb, boolByte(g != nil), boolByte(indexes != nil))
-	for _, size := range shardLens {
-		mb = appendU64(mb, uint64(size))
+	h := Header{Meta: meta, Shapes: len(shapes), HasGraph: g != nil, HasIndex: indexes != nil, TableLens: shardLens}
+	mb, err := h.Append(nil)
+	if err != nil {
+		return err
 	}
-	if err := sw.writeSection(secMeta, mb); err != nil {
+
+	sw := newSectionWriter(w)
+	defer sw.release()
+	sw.frame([]byte(Magic))
+	if err := sw.writeSection(SecMeta, mb); err != nil {
 		return err
 	}
 
 	// Dictionary: the CSR offsets, then every shape's key, which is its
 	// child labels as little-endian u32s already.
-	sw.begin(secDict, 4+4*(len(shapes)+1)+4*kidWords)
+	sw.begin(SecDict, 4+4*(len(shapes)+1)+4*kidWords)
 	sw.u32(uint32(len(shapes)))
 	sw.u32(0)
 	off := uint32(0)
@@ -729,7 +769,7 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 	// Graph: the edges in g.Edges order, walked off the adjacency lists
 	// rather than collected.
 	if g != nil {
-		sw.begin(secGraph, 13+8*g.NumEdges())
+		sw.begin(SecGraph, 13+8*g.NumEdges())
 		sw.u32(uint32(g.NumNodes()))
 		sw.u8(boolByte(g.Directed()))
 		sw.u64(uint64(g.NumEdges()))
@@ -748,7 +788,7 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 
 	// Shard item tables.
 	for si, rows := range tables {
-		sw.begin(secShard, shardLens[si])
+		sw.begin(SecShard, int(shardLens[si]))
 		sw.u32(uint32(si))
 		sw.u32(uint32(len(rows)))
 		for _, r := range rows {
@@ -781,12 +821,12 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 		for _, v := range ix.Tail {
 			ib = appendU32(ib, uint32(v))
 		}
-		if err := sw.writeSection(secIndex, ib); err != nil {
+		if err := sw.writeSection(SecIndex, ib); err != nil {
 			return err
 		}
 	}
 
-	if err := sw.writeSection(secEnd, appendU64(nil, uint64(meta.Items))); err != nil {
+	if err := sw.writeSection(SecEnd, appendU64(nil, uint64(meta.Items))); err != nil {
 		return err
 	}
 	return sw.flush()
@@ -822,110 +862,6 @@ func shardWords(payload []byte) ([]int32, error) {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	return out, nil
-}
-
-// translateV1 rewrites a NEDSEG01 item table's payload as the NEDSEG02
-// table of the same trees, so one decoder reads both layouts. A NEDSEG01
-// tree is n, parents n×u32, labels n×u32 sorted within each level, perm
-// n×u32 (each sorted label's level-local node) and kids (n-1)×u32 (every
-// node's sorted child labels, in node order); its NEDSEG02 form keeps the
-// labels above the deepest level, put back in node order, and the
-// parents when they are not in BFS order. The parents must form a tree
-// (tree.New). Columns NEDSEG02 cannot express fail with ErrInconsistent:
-// a label outside the dictionary or unsorted within its level, a perm
-// that is not a permutation of its level, a deepest level that is not
-// leaves in node order, a kid run that is not its label's shape.
-func translateV1(payload []byte, si int, sh *shapeTable) ([]byte, error) {
-	words, err := shardWords(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(words) < 2 {
-		return nil, fmt.Errorf("segment: shard %d payload truncated", si)
-	}
-	out := make([]byte, 0, len(payload)) // no NEDSEG02 tree is longer than its NEDSEG01 form
-	put := func(ws ...int32) {
-		for _, w := range ws {
-			out = appendU32(out, uint32(w))
-		}
-	}
-	var label []int32 // the node-order labels of the tree in hand
-	translate := func(pos int) (int, error) {
-		if pos >= len(words) {
-			return 0, fmt.Errorf("segment: truncated payload")
-		}
-		n := int(uint32(words[pos]))
-		pos++
-		// Budget parents + labels + perm + kids = 4n-1 words before slicing.
-		if n < 1 || n > (len(words)-pos+1)/4 {
-			return 0, fmt.Errorf("segment: tree declares %d nodes with %d words left", n, len(words)-pos)
-		}
-		parents, labels := words[pos:pos+n], words[pos+n:pos+2*n]
-		perm, kids := words[pos+2*n:pos+3*n], words[pos+3*n:pos+4*n-1]
-		t, err := tree.New(parents)
-		if err != nil {
-			return 0, fmt.Errorf("segment: %w", err)
-		}
-		m, _ := t.LevelRange(t.Height()) // the deepest level's first node
-		label = slices.Grow(label[:0], int(m))[:m]
-		for v := range label {
-			label[v] = -1
-		}
-		for d := range t.Height() {
-			lo, hi := t.LevelRange(d)
-			if run := labels[lo:hi]; run[0] < 0 || run[len(run)-1] >= int32(len(sh.off)-1) {
-				return 0, inconsistent("labels of level %d outside the dictionary [0, %d)", d, len(sh.off)-1)
-			} else if !slices.IsSorted(run) {
-				return 0, inconsistent("labels of level %d not sorted", d)
-			}
-			for j := lo; j < hi; j++ {
-				if p := perm[j]; p < 0 || p >= hi-lo || label[lo+p] >= 0 {
-					return 0, inconsistent("perm of level %d is not a permutation of its %d nodes", d, hi-lo)
-				}
-				label[lo+perm[j]] = labels[j]
-			}
-		}
-		for j := m; j < int32(n); j++ {
-			if labels[j] != leafShape || perm[j] != j-m {
-				return 0, inconsistent("the deepest level is not %d leaves in node order", int32(n)-m)
-			}
-		}
-		// The deepest level's nodes have no children, so no kid runs.
-		for v, l := range label {
-			run := sh.run(l)
-			if t.NumChildren(int32(v)) != len(run) || !slices.Equal(kids[:len(run)], run) {
-				return 0, inconsistent("kid run of node %d is not its label's shape's", v)
-			}
-			kids = kids[len(run):]
-		}
-		if t.BFSOrder() {
-			put(m)
-			put(label...)
-		} else {
-			put(int32(uint32(m) | parentsFlag))
-			put(label...)
-			put(parents...)
-		}
-		return pos + 4*n - 1, nil
-	}
-	put(words[:2]...)
-	pos := 2
-	for i := range int(uint32(words[1])) {
-		if len(words)-pos < 3 {
-			return nil, fmt.Errorf("segment: shard %d truncated at item %d", si, i)
-		}
-		node, sides, which := words[pos], 1+int(words[pos+2]&1), ""
-		put(words[pos : pos+3]...)
-		for pos += 3; sides > 0; sides, which = sides-1, " incoming" {
-			if pos, err = translate(pos); err != nil {
-				return nil, fmt.Errorf("node %d%s: %w", node, which, err)
-			}
-		}
-	}
-	if pos != len(words) {
-		return nil, fmt.Errorf("segment: shard %d: %d trailing words in section payload", si, len(words)-pos)
 	}
 	return out, nil
 }
@@ -1188,7 +1124,7 @@ type rowHead struct{ pos, out int32 }
 
 // scanTable is the first pass over one item table's payload: it checks
 // every item's header and reads its trees (scanTree).
-func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, sh *shapeTable) (*table, error) {
+func scanTable(payload []byte, si int, meta Meta, sh *shapeTable) (*table, error) {
 	words, err := shardWords(payload)
 	if err != nil {
 		return nil, err
@@ -1233,9 +1169,8 @@ func scanTable(payload []byte, si int, meta Meta, place *legacyPlacement, sh *sh
 		if hasIn != meta.Directed {
 			return nil, fmt.Errorf("segment: node %d directedness disagrees with segment meta", node)
 		}
-		if want := place.shardOf(graph.NodeID(node), meta.Shards); want != si {
-			return nil, fmt.Errorf("segment: node %d filed under shard %d, placement routes it to %d",
-				node, si, want)
+		if want := ned.ShardOf(graph.NodeID(node), meta.Shards); want != si {
+			return nil, fmt.Errorf("segment: node %d filed under shard %d, its hash routes it to %d", node, si, want)
 		}
 		sides, key, which := 1, 0, ""
 		if hasIn {
@@ -1302,10 +1237,10 @@ func eachTable(n int, f func(ti int, sc *treeScratch) error) error {
 // first pass (scanTable) with a relocation's room to spare (ned.RowRoom),
 // so the scan adopts them as they are and a replayed log or the first
 // writes append in place.
-func decodeTables(payloads [][]byte, meta Meta, place *legacyPlacement, in *tree.Interner, sh *shapeTable) (*ned.Rows, []int32, error) {
+func decodeTables(payloads [][]byte, meta Meta, in *tree.Interner, sh *shapeTable) (*ned.Rows, []int32, error) {
 	tables := make([]*table, len(payloads))
 	err := eachTable(len(payloads), func(ti int, _ *treeScratch) (err error) {
-		tables[ti], err = scanTable(payloads[ti], ti, meta, place, sh)
+		tables[ti], err = scanTable(payloads[ti], ti, meta, sh)
 		return err
 	})
 	if err != nil {
@@ -1390,74 +1325,6 @@ func treeLen(words []int32, pos, end int) (degs, length int) {
 	return max(int(uint32(words[pos])&^parentsFlag)-1, 0), end - pos
 }
 
-// legacyPlacement is the placement directory a segment of an earlier
-// build may carry: base redirect buckets (bucket b of the hash routes to
-// shard redirect[b]) plus node-level overrides. Read needs it for one
-// thing, checking that every item is filed under the shard the
-// segment's own layout routes it to, and does not return it.
-type legacyPlacement struct {
-	redirect []int32
-	moves    map[graph.NodeID]int32
-}
-
-// shardOf is the shard a segment's layout files node v under: through
-// the recorded directory when the segment carries one (p non-nil), the
-// hash over its shard count otherwise.
-func (p *legacyPlacement) shardOf(v graph.NodeID, shards int) int {
-	if p == nil {
-		return ned.ShardOf(v, shards)
-	}
-	if s, ok := p.moves[v]; ok {
-		return int(s)
-	}
-	return int(p.redirect[ned.ShardOf(v, len(p.redirect))])
-}
-
-// decodePlacement decodes and validates a placement directory section:
-// every bucket and every move must route into [0, shards).
-func decodePlacement(payload []byte, shards int) (*legacyPlacement, error) {
-	d := &dec{b: payload}
-	base := int(d.u32())
-	ps := int(d.u32())
-	if d.err == nil && ps != shards {
-		d.fail("segment: placement routes into %d shards, meta declares %d", ps, shards)
-	}
-	if d.err == nil && (base < 1 || base > 1<<20) {
-		d.fail("segment: implausible placement base %d", base)
-	}
-	place := &legacyPlacement{redirect: d.i32s(base)}
-	nMoves := int(d.u64())
-	if d.err == nil && (nMoves < 0 || len(d.b) != 8*nMoves) {
-		d.fail("segment: placement declares %d moves with %d bytes left", nMoves, len(d.b))
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	for b, s := range place.redirect {
-		if s < 0 || int(s) >= shards {
-			return nil, fmt.Errorf("segment: placement bucket %d routes to shard %d of %d", b, s, shards)
-		}
-	}
-	place.moves = make(map[graph.NodeID]int32, nMoves)
-	last := int32(-1)
-	for i := 0; i < nMoves; i++ {
-		node := int32(d.u32())
-		s := int32(d.u32())
-		if node <= last {
-			return nil, fmt.Errorf("segment: placement moves not node-ascending (%d after %d)", node, last)
-		}
-		last = node
-		if s < 0 || int(s) >= shards {
-			return nil, fmt.Errorf("segment: placement moves node %d to shard %d of %d", node, s, shards)
-		}
-		place.moves[graph.NodeID(node)] = s
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return place, nil
-}
-
 // decodeIndex decodes one shard's VP-index dump section.
 func decodeIndex(payload []byte, si int) (VPIndex, error) {
 	var ix VPIndex
@@ -1508,7 +1375,7 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 	return ix, nil
 }
 
-// Read parses a binary segment of either layout, reconstructing the
+// Read parses a binary segment, reconstructing the
 // shape dictionary, every item with its trees and compiled profiles
 // (built from its row, tree.ProfileArena.Build), the embedded graph (nil
 // when the segment carries none), and the persisted per-shard VP-index
@@ -1518,8 +1385,8 @@ func decodeIndex(payload []byte, si int) (VPIndex, error) {
 // shard, as written); callers re-file them by hash for whatever shard
 // count they run with, and must discard the index dumps if that count
 // differs from meta.Shards. Any truncation, checksum mismatch, or
-// internal inconsistency is a loud error; an item table of either
-// layout that disagrees with the dictionary fails with ErrInconsistent.
+// internal inconsistency is a loud error; an item table that disagrees
+// with the dictionary fails with ErrInconsistent.
 func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPIndex, error) {
 	meta, rows, rank, in, g, indexes, err := read(r)
 	if err != nil {
@@ -1533,9 +1400,9 @@ func Read(r io.Reader) (Meta, []ned.Item, *tree.Interner, *graph.Graph, []VPInde
 }
 
 // ReadRows is Read for a scan: every item table's rows in one batch, in
-// rank order with a relocation's room to spare, whichever layout the
-// segment is (ned.NewScan adopts it as it is), without building a tree
-// or a profile, and the index dumps dropped.
+// rank order with a relocation's room to spare (ned.NewScan adopts it
+// as it is), without building a tree or a profile, and the index dumps
+// dropped.
 func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error) {
 	meta, rows, _, in, g, _, err := read(r)
 	if err != nil {
@@ -1547,9 +1414,9 @@ func ReadRows(r io.Reader) (Meta, *ned.Rows, *tree.Interner, *graph.Graph, error
 // read parses a segment into its meta, rows (decodeTables), each item's
 // row in table order, dictionary, graph and index dumps.
 func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, []VPIndex, error) {
-	var meta Meta
+	var h Header
 	fail := func(err error) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, []VPIndex, error) {
-		return meta, nil, nil, nil, nil, nil, err
+		return h.Meta, nil, nil, nil, nil, nil, err
 	}
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -1558,72 +1425,28 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	if !IsSegment(magic[:]) {
 		return fail(fmt.Errorf("segment: bad magic %q", magic[:]))
 	}
-	v1 := string(magic[:]) == magicV1
 
-	// Meta.
-	payload, err := expectSection(r, secMeta)
+	payload, err := expectSection(r, SecMeta)
 	if err != nil {
 		return fail(err)
 	}
-	d := &dec{b: payload}
-	if len(d.b) < 2 {
-		return fail(fmt.Errorf("segment: truncated meta"))
-	}
-	blen := int(d.b[0]) | int(d.b[1])<<8
-	d.b = d.b[2:]
-	if len(d.b) < blen {
-		return fail(fmt.Errorf("segment: truncated meta backend name"))
-	}
-	meta.Backend = string(d.b[:blen])
-	d.b = d.b[blen:]
-	meta.K = int(d.u32())
-	directed := d.u8()
-	meta.Shards = int(d.u32())
-	meta.Items = int(d.u64())
-	dictLen := int(d.u32())
-	hasGraph := d.u8()
-	hasIndex := d.u8()
-	if d.err == nil && (directed > 1 || hasGraph > 1 || hasIndex > 1 || meta.K < 1 || meta.Shards < 1 ||
-		meta.Items < 0 || dictLen < 0 || meta.Shards > 1<<20) {
-		d.fail("segment: implausible meta (k=%d shards=%d items=%d dict=%d)", meta.K, meta.Shards, meta.Items, dictLen)
-	}
-	meta.Directed = directed == 1
-	shardLens := make([]uint64, 0, max(meta.Shards, 0))
-	for i := 0; d.err == nil && i < meta.Shards; i++ {
-		shardLens = append(shardLens, d.u64())
-	}
-	if d.err != nil {
-		return fail(d.err)
-	}
-	if err := d.done(); err != nil {
+	if h, err = DecodeHeader(payload); err != nil {
 		return fail(err)
 	}
+	meta := h.Meta
 
-	// Dictionary.
-	payload, err = expectSection(r, secDict)
+	payload, err = expectSection(r, SecDict)
 	if err != nil {
 		return fail(err)
 	}
-	d = &dec{b: payload}
-	n := int(d.u32())
-	if d.err == nil && n != dictLen {
-		d.fail("segment: dict section has %d shapes, meta declares %d", n, dictLen)
-	}
-	kidOff := d.i32s(n + 1)
-	var kids []int32
-	keys := d.b // the kid run's bytes: the dictionary's keys, in place
-	if d.err == nil {
-		kids = d.i32s(int(kidOff[n]))
-	}
-	if d.err != nil {
-		return fail(d.err)
-	}
-	if err := d.done(); err != nil {
+	kidOff, kids, err := DecodeShapes(payload, h.Shapes)
+	if err != nil {
 		return fail(err)
 	}
-	// readSection allocated the payload for this read alone and nothing
-	// writes it again, so the keys may stay views of it.
-	in, err := tree.NewInternerFromShapes(kidOff, keys[:4*len(kids)])
+	// ReadSection allocated the payload for this read alone and nothing
+	// writes it again, so the keys — the kid run's bytes — may stay views
+	// of it.
+	in, err := tree.NewInternerFromShapes(kidOff, payload[len(payload)-4*len(kids):])
 	if err != nil {
 		return fail(fmt.Errorf("segment: %w", err))
 	}
@@ -1631,12 +1454,12 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 
 	// Graph.
 	var g *graph.Graph
-	if hasGraph == 1 {
-		payload, err = expectSection(r, secGraph)
+	if h.HasGraph {
+		payload, err = expectSection(r, SecGraph)
 		if err != nil {
 			return fail(err)
 		}
-		d = &dec{b: payload}
+		d := &dec{b: payload}
 		nodes := int(d.u32())
 		gdir := d.u8()
 		edges := int(d.u64())
@@ -1660,61 +1483,30 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 		g = b.Build()
 	}
 
-	// The section after the graph is either an earlier build's placement
-	// directory or the first shard table — one section of lookahead
-	// decides.
-	typ, payload, err := readSection(r)
-	if err != nil {
-		return fail(err)
-	}
-	var place *legacyPlacement
-	if typ == secPlace {
-		if place, err = decodePlacement(payload, meta.Shards); err != nil {
-			return fail(err)
-		}
-		typ, payload, err = readSection(r)
-		if err != nil {
-			return fail(err)
-		}
-	}
-
-	// Shard item tables: collect payloads sequentially (a NEDSEG01 table
-	// translated into the NEDSEG02 table of the same trees), decode in
+	// Shard item tables: collect payloads sequentially, decode in
 	// parallel — tables are independent until their rows take their rank
 	// slots, and decoding dominates load time.
 	payloads := make([][]byte, meta.Shards)
-	for si := 0; si < meta.Shards; si++ {
-		if si > 0 {
-			typ, payload, err = readSection(r)
-			if err != nil {
-				return fail(err)
-			}
+	for si := range payloads {
+		if payloads[si], err = expectSection(r, SecShard); err != nil {
+			return fail(err)
 		}
-		if typ != secShard {
-			return fail(fmt.Errorf("segment: section type %d where %d expected", typ, secShard))
-		}
-		if uint64(len(payload)) != shardLens[si] {
+		if uint64(len(payloads[si])) != h.TableLens[si] {
 			return fail(fmt.Errorf("segment: shard %d payload is %d bytes, meta declares %d",
-				si, len(payload), shardLens[si]))
+				si, len(payloads[si]), h.TableLens[si]))
 		}
-		if v1 {
-			if payload, err = translateV1(payload, si, sh); err != nil {
-				return fail(err)
-			}
-		}
-		payloads[si] = payload
 	}
-	rows, rank, err := decodeTables(payloads, meta, place, in, sh)
+	rows, rank, err := decodeTables(payloads, meta, in, sh)
 	if err != nil {
 		return fail(err)
 	}
 
 	// VP-index dumps.
 	var indexes []VPIndex
-	if hasIndex == 1 {
+	if h.HasIndex {
 		indexes = make([]VPIndex, meta.Shards)
 		for si := 0; si < meta.Shards; si++ {
-			payload, err = expectSection(r, secIndex)
+			payload, err = expectSection(r, SecIndex)
 			if err != nil {
 				return fail(err)
 			}
@@ -1725,11 +1517,11 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	}
 
 	// End marker.
-	payload, err = expectSection(r, secEnd)
+	payload, err = expectSection(r, SecEnd)
 	if err != nil {
 		return fail(err)
 	}
-	d = &dec{b: payload}
+	d := &dec{b: payload}
 	total := int(d.u64())
 	if err := d.done(); err != nil {
 		return fail(err)
@@ -1743,7 +1535,7 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 			meta.Items, total, decoded))
 	}
 	// A segment is a whole file: trailing bytes mean concatenation or
-	// corruption, the same garble the text loader rejects.
+	// corruption.
 	var one [1]byte
 	if n, _ := r.Read(one[:]); n != 0 {
 		return fail(fmt.Errorf("segment: trailing data after end section"))
@@ -1758,8 +1550,7 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 // needs to confirm before deleting the generations a torn or bit-
 // flipped write would otherwise have been recovered from. Payloads
 // pass through the checksum in the 64 KiB buffer segment writes share,
-// so verifying a segment never holds a section of it. Both layouts
-// verify.
+// so verifying a segment never holds a section of it.
 func Verify(r io.Reader) error {
 	var magic [len(Magic)]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -1778,7 +1569,7 @@ func Verify(r io.Reader) error {
 			return fmt.Errorf("segment: verify: %w", err)
 		}
 		seen++
-		if typ == secEnd {
+		if typ == SecEnd {
 			break
 		}
 		if seen > 1<<20 {

@@ -259,7 +259,7 @@ func TestIsSegment(t *testing.T) {
 	if !IsSegment([]byte(Magic + "anything")) {
 		t.Fatal("magic not recognized")
 	}
-	for _, p := range [][]byte{nil, []byte("# ned corpus v2"), []byte("NEDSEG0"), []byte("0 2 0,0")} {
+	for _, p := range [][]byte{nil, []byte("# ned corpus v2"), []byte("NEDSEG0"), []byte("NEDSEG01"), []byte("0 2 0,0")} {
 		if IsSegment(p) {
 			t.Fatalf("IsSegment(%q) = true", p)
 		}
@@ -500,7 +500,7 @@ func TestSectionWriterLengthMismatch(t *testing.T) {
 		payload  []byte
 	}{{4, []byte{1, 2}}, {2, []byte{1, 2, 3, 4}}, {0, []byte{1}}} {
 		sw := newSectionWriter(io.Discard)
-		sw.begin(secEnd, c.declared)
+		sw.begin(SecEnd, c.declared)
 		raw(sw, c.payload)
 		if err := sw.end(); err == nil {
 			t.Fatalf("declared %d bytes, wrote %d: no error", c.declared, len(c.payload))
@@ -512,10 +512,10 @@ func TestSectionWriterLengthMismatch(t *testing.T) {
 	for i := range big {
 		big[i] = int32(i)
 	}
-	if err := sw.writeSection(secEnd, nil); err != nil {
+	if err := sw.writeSection(SecEnd, nil); err != nil {
 		t.Fatal(err)
 	}
-	sw.begin(secShard, 4*len(big))
+	sw.begin(SecShard, 4*len(big))
 	sw.i32s(big)
 	if err := sw.end(); err != nil {
 		t.Fatalf("multi-chunk section: %v", err)
@@ -524,11 +524,11 @@ func TestSectionWriterLengthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := bytes.NewReader(buf.Bytes())
-	if typ, payload, err := readSection(r); err != nil || typ != secEnd || len(payload) != 0 {
+	if typ, payload, err := ReadSection(r); err != nil || typ != SecEnd || len(payload) != 0 {
 		t.Fatalf("empty section read back as %d, %d bytes, %v", typ, len(payload), err)
 	}
-	typ, payload, err := readSection(r)
-	if err != nil || typ != secShard || len(payload) != 4*len(big) {
+	typ, payload, err := ReadSection(r)
+	if err != nil || typ != SecShard || len(payload) != 4*len(big) {
 		t.Fatalf("multi-chunk section read back as %d, %d bytes, %v", typ, len(payload), err)
 	}
 	for i := range big {
@@ -566,45 +566,6 @@ func flatten(tables [][]ned.Item) []ned.Item {
 		all = append(all, items...)
 	}
 	return all
-}
-
-// The NEDSEG01 golden, which stores every profile column, stays
-// readable: it decodes to exactly the columns its NEDSEG02 re-encoding
-// derives.
-func TestSegmentV1GoldenMatchesV2(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("testdata", "golden-v1.nedseg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(old[:len(Magic)]) != magicV1 {
-		t.Fatalf("golden-v1.nedseg starts %q", old[:len(Magic)])
-	}
-	if err := Verify(bytes.NewReader(old)); err != nil {
-		t.Fatalf("Verify rejects the NEDSEG01 golden: %v", err)
-	}
-	meta, items, dict, g, _, err := Read(bytes.NewReader(old))
-	if err != nil {
-		t.Fatalf("Read rejects the NEDSEG01 golden: %v", err)
-	}
-	tables := make([][]ned.Item, meta.Shards)
-	for _, it := range items {
-		si := ned.ShardOf(it.Node, meta.Shards)
-		tables[si] = append(tables[si], it)
-	}
-	blob := encode(t, meta, dict, g, tables)
-	if string(blob[:len(Magic)]) != Magic {
-		t.Fatalf("re-encoding starts %q, want %q", blob[:len(Magic)], Magic)
-	}
-	meta2, items2, dict2, g2, _, err := Read(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("Read of the re-encoding: %v", err)
-	}
-	if meta2 != meta || dict2.Len() != dict.Len() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("re-encoding: meta %+v, %d shapes, %d edges; want %+v, %d, %d",
-			meta2, dict2.Len(), g2.NumEdges(), meta, dict.Len(), g.NumEdges())
-	}
-	sameItems(t, "NEDSEG01 golden vs its NEDSEG02 re-encoding", items2, items)
-	t.Logf("NEDSEG01 %d bytes, NEDSEG02 %d bytes", len(old), len(blob))
 }
 
 // What a reader derives is what the writer held: over a 500-node sample
@@ -682,7 +643,7 @@ func itemTable(t *testing.T, blob []byte) (at int, words []uint32) {
 	t.Helper()
 	for off := len(Magic); off < len(blob); {
 		n := int(binary.LittleEndian.Uint64(blob[off+1:]))
-		if blob[off] == secShard {
+		if blob[off] == SecShard {
 			words = make([]uint32, n/4)
 			for i := range words {
 				words[i] = binary.LittleEndian.Uint32(blob[off+9+4*i:])
@@ -791,32 +752,32 @@ func TestSegmentV2RejectsInconsistentTables(t *testing.T) {
 	}
 }
 
-// v1Case is the NEDSEG01 golden with one word of a tree's columns
-// rewritten under a recomputed checksum, and what Read's error must
-// mention.
-type v1Case struct {
-	what, want string
-	blob       []byte
+// V1Case is the NEDSEG01 golden with one word of a tree's columns
+// rewritten under a recomputed checksum, and what the error of its
+// conversion must mention.
+type V1Case struct {
+	What, Want string
+	Blob       []byte
 }
 
-// v1Cases rewrites the first tree of the NEDSEG01 golden whose height is
+// V1Cases rewrites the first tree of the NEDSEG01 golden whose height is
 // 2 or more and whose level 1 holds two distinct labels: each case
 // checksums, but its columns are ones NEDSEG02 cannot express. The last
-// two the loader of the NEDSEG01 columns accepted.
-func v1Cases(t testing.TB) []v1Case {
+// two the loader of the NEDSEG01 columns accepted. Read rejects them
+// all by their magic; internal/legacy's conversion by their columns.
+func V1Cases(t testing.TB) []V1Case {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join("testdata", "golden-v1.nedseg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, dict, _, _, err := Read(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("Read rejects the NEDSEG01 golden: %v", err)
-	}
-	shapes := uint32(dict.Len())
+	var shapes uint32 // the dictionary section's shape count
 	for off := len(Magic); off < len(blob); {
 		n := int(binary.LittleEndian.Uint64(blob[off+1:]))
-		if blob[off] != secShard {
+		if blob[off] == SecDict {
+			shapes = binary.LittleEndian.Uint32(blob[off+9:])
+		}
+		if blob[off] != SecShard {
 			off += 9 + n + 4
 			continue
 		}
@@ -845,7 +806,7 @@ func v1Cases(t testing.TB) []v1Case {
 				set := func(blob []byte, i int, v uint32) []byte { return rewrite(blob, at, len(words), i, v) }
 				root := words[labels]
 				lastRootKid := kids + tr.NumChildren(0) - 1
-				return []v1Case{
+				return []V1Case{
 					{"a label outside the dictionary", "outside the dictionary", set(blob, labels, shapes)},
 					{"a negative label", "outside the dictionary", set(blob, labels, math.MaxUint32)},
 					{"a perm entry outside its level", "perm of level 1 is not a permutation", set(blob, perm+int(lo), uint32(tr.LevelSize(1)))},
@@ -864,20 +825,6 @@ func v1Cases(t testing.TB) []v1Case {
 	}
 	t.Fatal("the NEDSEG01 golden's first item table holds no tree to rewrite")
 	return nil
-}
-
-// A NEDSEG01 table is translated into NEDSEG02 before its first pass,
-// and the translation rejects the columns NEDSEG02 cannot express with
-// ErrInconsistent — including a perm that repeats a node and a kid run
-// that is not its label's shape, which the loader of the NEDSEG01
-// columns accepted.
-func TestSegmentV1RejectsInconsistentTables(t *testing.T) {
-	for _, c := range v1Cases(t) {
-		_, _, _, _, _, err := Read(bytes.NewReader(c.blob))
-		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: got %v, want ErrInconsistent mentioning %q", c.what, err, c.want)
-		}
-	}
 }
 
 // itemTables splits node-ascending items into the item tables Write
@@ -927,7 +874,7 @@ func TestSegmentPresizingTrustsOnlyPayload(t *testing.T) {
 		payload := bytes.Clone(mut[at : at+4*len(words)]) // word-aligned, as a section's payload is
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := decodeTables([][]byte{payload}, meta, nil, dict, sh)
+		_, _, err := decodeTables([][]byte{payload}, meta, dict, sh)
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: decoding the table got %v, want an error mentioning %q", c.what, err, c.want)

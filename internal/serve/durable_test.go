@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ned"
+	"ned/internal/legacy"
 )
 
 // knnAnswers fingerprints a few KNN answers over the API.
@@ -136,6 +139,55 @@ func TestServeDurableRecoveryWithoutDrain(t *testing.T) {
 	if err := s2.CloseTenants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestServeDurableRefusesLegacyTenant: a tenant directory whose
+// checkpoint an earlier build wrote stops BootDurable with
+// ned.ErrLegacyFormat and is left byte for byte as it was, so
+// `nedstats -upgrade DIR` can still convert it; converted, it boots.
+func TestServeDurableRefusesLegacyTenant(t *testing.T) {
+	for _, src := range []string{"../../testdata/rebalanced_durable", "../../testdata/v1wal_durable/undirected", "../../testdata/v1wal_durable/directed"} {
+		dir := t.TempDir()
+		tenant := filepath.Join(dir, "old")
+		if err := os.CopyFS(tenant, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		before := tenantFiles(t, tenant)
+		s, _ := newTestServer(t, Options{DataDir: dir, Fsync: ned.FsyncNone})
+		if _, err := s.BootDurable(); !errors.Is(err, ned.ErrLegacyFormat) {
+			t.Fatalf("%s: BootDurable got %v, want ned.ErrLegacyFormat", src, err)
+		}
+		if after := tenantFiles(t, tenant); !maps.Equal(after, before) {
+			t.Errorf("%s: BootDurable changed the tenant directory (%d files before, %d after)", src, len(before), len(after))
+		}
+		if _, err := legacy.UpgradeDir(tenant); err != nil {
+			t.Fatal(err)
+		}
+		if names, err := s.BootDurable(); err != nil || len(names) != 1 {
+			t.Fatalf("%s: BootDurable after conversion recovered %v, err %v", src, names, err)
+		}
+		if err := s.CloseTenants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// tenantFiles maps each file in dir to its bytes.
+func tenantFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(raw)
+	}
+	return files
 }
 
 // TestServeDurableDropDeletesState checks drop removes the tenant's

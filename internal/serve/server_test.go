@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ned"
+	"ned/internal/legacy"
 	"ned/internal/tree"
 )
 
@@ -271,9 +272,10 @@ func TestServeEndToEnd(t *testing.T) {
 // TestCreateFromSnapshotPath pins that a tenant created from a
 // server-side snapshot has a graph exactly when its corpus does. What
 // the snapshot endpoint serves is a NEDSEG02 segment with the graph in
-// it, so a tenant restored from a download inserts like
-// its source; a legacy text snapshot carries none, so insert is refused
-// as no_graph.
+// it, so a tenant restored from a download inserts like its source; a
+// legacy text snapshot carries none, so once converted (nedstats
+// -upgrade) insert is refused as no_graph. Unconverted, it is a
+// bad_snapshot.
 func TestCreateFromSnapshotPath(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, CreateRequest{Name: "src", K: 2, Graph: ringSpec(40)})
@@ -293,13 +295,29 @@ func TestCreateFromSnapshotPath(t *testing.T) {
 	if err := os.WriteFile(downloaded, snap, 0o600); err != nil {
 		t.Fatal(err)
 	}
+	text, err := os.ReadFile("../ned/testdata/corpus_v2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, raw := postJSON(t, ts.URL+"/v1/corpora", CreateRequest{Name: "text", SnapshotPath: "../ned/testdata/corpus_v2.golden"}, nil)
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "bad_snapshot") || !strings.Contains(string(raw), "nedstats -upgrade") {
+		t.Errorf("create from an unconverted text snapshot answered %d %s, want 400 bad_snapshot naming nedstats -upgrade", status, raw)
+	}
+	var converted bytes.Buffer
+	if _, err := legacy.Upgrade(&converted, text); err != nil {
+		t.Fatal(err)
+	}
+	convertedPath := filepath.Join(t.TempDir(), "text.nedseg")
+	if err := os.WriteFile(convertedPath, converted.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name, path string
 		hasGraph   bool
 		status     int
 	}{
 		{"downloaded", downloaded, true, http.StatusOK},
-		{"text", "../ned/testdata/corpus_v2.golden", false, http.StatusConflict},
+		{"text", convertedPath, false, http.StatusConflict},
 	} {
 		mustCreate(t, ts.URL, CreateRequest{Name: tc.name, SnapshotPath: tc.path})
 		tenant, err := s.Registry().Get(tc.name)

@@ -29,8 +29,8 @@ import (
 // Parent, Children and the parent vector. Its childOff covers only the
 // nodes above the deepest level (levelOff[h]+1 entries): every node at
 // or past levelOff[h] is a leaf, and its width is all the deepest level
-// holds. A tree not in BFS order (only a hand-written text snapshot
-// holds one) keeps its parent vector and full CSR child lists.
+// holds. A tree not in BFS order (only one converted from a text corpus
+// can be) keeps its parent vector and full CSR child lists.
 // The zero value is not a valid tree; use New or the builders below.
 type Tree struct {
 	// parent is the parent vector (parent[0] == -1) of a tree not in BFS
