@@ -308,8 +308,8 @@ func TestCorpusUpdateGraphInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Remember each row's stored tree.
-	stored := func() map[NodeID][]int32 {
-		out := map[NodeID][]int32{}
+	stored := func() map[NodeID][]byte {
+		out := map[NodeID][]byte{}
 		for r := range c.view.Load().ep.ix.Rows() {
 			out[r.Node] = slices.Clone(r.Out)
 		}

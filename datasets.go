@@ -65,9 +65,12 @@ func AnonymizePerturb(g *Graph, ratio float64, seed int64) AnonymizedGraph {
 }
 
 // RegionalFeatures computes the ReFeX-style recursive feature vector of
-// one node (the Feature baseline of §13.4–13.5).
+// one node (the Feature baseline of §13.4–13.5). It reads only the
+// (depth+2)-hop ball around v, which it copies out as a subgraph, so
+// one call costs that ball's edges; to rank many nodes, compute them in
+// one pass with RegionalFeaturesAll.
 func RegionalFeatures(g *Graph, v NodeID, depth int) FeatureVector {
-	return baseline.RegionalFeatures(g, v, depth)
+	return baseline.RegionalFeaturesLocal(g, v, depth)
 }
 
 // RegionalFeaturesAll is RegionalFeatures of every node of g, in node
@@ -76,7 +79,9 @@ func RegionalFeaturesAll(g *Graph, depth int) []FeatureVector {
 	return baseline.RegionalFeaturesAll(g, depth)
 }
 
-// NetSimileFeatures computes the 7-feature NetSimile node vector.
+// NetSimileFeatures computes the 7-feature NetSimile node vector. It
+// reads only v's ego-net: one call costs the clustering coefficients of
+// v and its neighbours, the squares of their degrees.
 func NetSimileFeatures(g *Graph, v NodeID) FeatureVector {
 	return baseline.NetSimileFeatures(g, v)
 }

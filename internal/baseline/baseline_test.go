@@ -152,6 +152,57 @@ func TestRegionalFeaturesLocalMatchesGlobal(t *testing.T) {
 	}
 }
 
+// TestNetSimileFeaturesMatchWholeGraph checks the ego-net computation
+// against the features assembled from every node's clustering
+// coefficient, counted here from the triangles of an adjacency matrix,
+// on every node of a small random graph.
+func TestNetSimileFeaturesMatchWholeGraph(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(5))
+	b := graph.NewBuilder(n, false)
+	for i := 0; i < 120; i++ {
+		b.AddEdge(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)))
+	}
+	g := b.Build()
+	var adj [n][n]bool
+	for _, e := range g.Edges() {
+		adj[e.U][e.V], adj[e.V][e.U] = true, true
+	}
+	cc := make([]float64, n)
+	for v := range n {
+		d, tri := 0, 0
+		for u := range n {
+			if u == v || !adj[v][u] {
+				continue
+			}
+			d++
+			for w := u + 1; w < n; w++ {
+				if w != v && adj[v][w] && adj[u][w] {
+					tri++
+				}
+			}
+		}
+		if d >= 2 {
+			cc[v] = 2 * float64(tri) / float64(d*(d-1))
+		}
+	}
+	for v := range graph.NodeID(n) {
+		ns := g.Neighbors(v)
+		var nd, ncc float64
+		for _, u := range ns {
+			nd, ncc = nd+float64(g.Degree(u)), ncc+cc[u]
+		}
+		if len(ns) > 0 {
+			nd, ncc = nd/float64(len(ns)), ncc/float64(len(ns))
+		}
+		in, out, nbrs := egonet(g, v)
+		want := FeatureVector{float64(g.Degree(v)), cc[v], nd, ncc, float64(in), float64(out), float64(nbrs)}
+		if got := NetSimileFeatures(g, v); L1(got, want) > 1e-12 {
+			t.Fatalf("node %d: NetSimile features %v, whole graph %v", v, got, want)
+		}
+	}
+}
+
 func TestNetSimileFeatures(t *testing.T) {
 	// Triangle: every node has degree 2, clustering 1.
 	b := graph.NewBuilder(3, false)

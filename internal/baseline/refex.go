@@ -68,22 +68,24 @@ func RegionalFeaturesAll(g *graph.Graph, depth int) []FeatureVector {
 // [Berlingerio et al.]: degree, clustering coefficient, average neighbor
 // degree, average neighbor clustering, egonet edges, egonet boundary
 // edges, egonet neighbor count. It looks only at the ego-net, which is
-// exactly the limitation §1 attributes to NetSimile/OddBall.
+// exactly the limitation §1 attributes to NetSimile/OddBall, and so
+// costs only the ego-net: the clustering coefficients of v and its
+// neighbours, O(Σ deg(u)² log Δ) over u in N[v], plus the ego-net's
+// edges — not a pass over the graph.
 func NetSimileFeatures(g *graph.Graph, v graph.NodeID) FeatureVector {
-	cc := clusteringCoefficients(g)
 	deg := float64(g.Degree(v))
 	ns := g.Neighbors(v)
 	var avgNbrDeg, avgNbrCC float64
 	for _, u := range ns {
 		avgNbrDeg += float64(g.Degree(u))
-		avgNbrCC += cc[u]
+		avgNbrCC += clustering(g, u)
 	}
 	if len(ns) > 0 {
 		avgNbrDeg /= float64(len(ns))
 		avgNbrCC /= float64(len(ns))
 	}
 	inE, outE, nbrs := egonet(g, v)
-	return FeatureVector{deg, cc[v], avgNbrDeg, avgNbrCC, float64(inE), float64(outE), float64(nbrs)}
+	return FeatureVector{deg, clustering(g, v), avgNbrDeg, avgNbrCC, float64(inE), float64(outE), float64(nbrs)}
 }
 
 // L1 returns the Manhattan distance between two feature vectors; vectors
@@ -176,26 +178,21 @@ func egonet(g *graph.Graph, v graph.NodeID) (internal, boundary, nbrs int) {
 	return internal, boundary, len(outside)
 }
 
-// clusteringCoefficients returns the local clustering coefficient of
-// every node (triangles over wedge pairs).
-func clusteringCoefficients(g *graph.Graph) []float64 {
-	n := g.NumNodes()
-	cc := make([]float64, n)
-	for v := 0; v < n; v++ {
-		ns := g.Neighbors(graph.NodeID(v))
-		d := len(ns)
-		if d < 2 {
-			continue
-		}
-		links := 0
-		for i := 0; i < d; i++ {
-			for j := i + 1; j < d; j++ {
-				if g.HasEdge(ns[i], ns[j]) {
-					links++
-				}
+// clustering returns v's local clustering coefficient: the linked
+// pairs of its neighbours over all pairs of them (0 below two).
+func clustering(g *graph.Graph, v graph.NodeID) float64 {
+	ns := g.Neighbors(v)
+	d := len(ns)
+	if d < 2 {
+		return 0
+	}
+	links := 0
+	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			if g.HasEdge(ns[i], ns[j]) {
+				links++
 			}
 		}
-		cc[v] = 2 * float64(links) / (float64(d) * float64(d-1))
 	}
-	return cc
+	return 2 * float64(links) / (float64(d) * float64(d-1))
 }

@@ -153,9 +153,10 @@ func TestExtensionShapes(t *testing.T) {
 	if len(tb.Rows) != 4 {
 		t.Fatalf("index ablation rows = %d, want 4", len(tb.Rows))
 	}
-	// The reference row is exhaustive, the pruned scan exact against it.
-	if full := tb.Rows[0]; full[0] != "full scan" || full[2] != "40" {
-		t.Errorf("reference row = %v, want a full scan at 40 evals/query", full)
+	// The full scan is exhaustive and finds the cascade scan's optimum on
+	// every query it times.
+	if full := tb.Rows[0]; full[0] != "full scan" || full[2] != "40" || full[3] != "0" {
+		t.Errorf("reference row = %v, want a full scan at 40 evals/query with 0 misses", full)
 	}
 	if pruned := tb.Rows[1]; pruned[0] != "pruned scan" || pruned[3] != "0" {
 		t.Errorf("second row = %v, want a pruned scan with 0 misses", pruned)

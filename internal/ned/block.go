@@ -132,8 +132,7 @@ func (r *Rows) Item(i int) Item {
 
 // Row describes row i as a scan stores it.
 func (r *Rows) Row(i int) Row {
-	levels, _ := r.Out.Row(i)
-	x := Row{Node: r.Nodes[i], Out: r.Out.Stored(i), Size: int(r.Out.Sizes[i]), Height: len(levels) - 1}
+	x := Row{Node: r.Nodes[i], Out: r.Out.Stored(i), Size: int(r.Out.Sizes[i]), Height: len(r.Out.RowLevels(i)) - 1}
 	if r.In != nil {
 		x.In, x.Size = r.In.Stored(i), x.Size+int(r.In.Sizes[i])
 	}
@@ -393,7 +392,7 @@ func boundArena(p *tree.Profile, a *tree.ProfileArena, rows, sizeB, padB []int32
 }
 
 // degreeTierPrunes is tier 2 on rank r, the column form of the
-// item-level degreeTierPrunes: pad plus ted.DegreeExcessRuns of the
+// item-level degreeTierPrunes: pad plus ted.DegreeExcessRow of the
 // out-pair and then of the in-pair, each under whatever the sum so far
 // left of t, with the row's level widths and degree runs read from the
 // arenas.
@@ -401,12 +400,10 @@ func (b *profileBlock) degreeTierPrunes(q Item, r int32, pad, t int) (bound int,
 	p := int(b.ord[r])
 	bound = pad
 	if bound <= t {
-		la, da := b.Out.Row(p)
-		bound += ted.DegreeExcessRuns(q.OutP.Levels, q.OutP.InnerDegs(), la, da, t-bound)
+		bound += ted.DegreeExcessRow(q.OutP.Levels, q.OutP.InnerDegs(), b.Out, p, t-bound)
 	}
 	if bound <= t && b.In != nil && q.In != nil {
-		la, da := b.In.Row(p)
-		bound += ted.DegreeExcessRuns(q.InP.Levels, q.InP.InnerDegs(), la, da, t-bound)
+		bound += ted.DegreeExcessRow(q.InP.Levels, q.InP.InnerDegs(), b.In, p, t-bound)
 	}
 	return bound, bound > t
 }

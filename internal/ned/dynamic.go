@@ -79,11 +79,11 @@ type ItemIndex interface {
 }
 
 // Row is one indexed row as the scan stores it: its node, the stored
-// form of each of its trees (tree.ProfileArena.Words; In nil when
-// undirected), the node count of both, and the out-tree's height.
+// form of each of its trees as uvarints (tree.ProfileArena.Words; In nil
+// when undirected), the node count of both, and the out-tree's height.
 type Row struct {
 	Node    graph.NodeID
-	Out, In []int32
+	Out, In []byte
 	Size    int
 	Height  int
 }

@@ -206,3 +206,59 @@ func TestScanDeltaChurn(t *testing.T) {
 		t.Fatalf("churn folded %d times and ran %d of 3 scripted cases; want >= 3 folds and all cases", folds, scripted)
 	}
 }
+
+// TestInsertWidensDegreeRuns inserts a row whose inner child count, 300,
+// does not fit the one byte a count of a scan built over small trees:
+// the write relocates the rows at two bytes a count, later small rows
+// append in place at that width, and after each step both blocks rank
+// what a fresh compile ranks and every KNN equals the exhaustive oracle.
+func TestInsertWidensDegreeRuns(t *testing.T) {
+	ctx := context.Background()
+	g := randomTestGraph(60, 150, 41)
+	var nodes []graph.NodeID
+	for v := range graph.NodeID(g.NumNodes()) {
+		nodes = append(nodes, v)
+	}
+	sigs := Signatures(g, nodes, 3)
+	// Node 0 of the hub graph roots 0 → 1 → 300 leaves.
+	hb := graph.NewBuilder(302, false)
+	hb.AddEdge(0, 1)
+	for v := range graph.NodeID(300) {
+		hb.AddEdge(1, v+2)
+	}
+	hub := NewSignature(hb.Build(), 0, 3)
+	hub.Node = graph.NodeID(len(sigs))
+	sigs = append(sigs, hub)
+	items, dict := ProfileSignatures(sigs)
+	qsigs := []Signature{sigs[3], hub}
+
+	ix := NewPrunedLinearBackend(items[:40]).(*scanBackend)
+	live := slices.Clone(sigs[:40])
+	check := func(step string, width int) {
+		t.Helper()
+		if got := ix.rows().Out.Degs.Width; got != width {
+			t.Fatalf("%s: degree runs at %d bytes a count, want %d", step, got, width)
+		}
+		sameRanks(t, step+": base", ix.bblk, compileBlock(ix.baseItems()))
+		if ix.deltaLen() > 0 {
+			sameRanks(t, step+": delta", ix.dblk, compileBlock(ix.deltaItems()))
+		}
+		for qi, qs := range qsigs {
+			want := TopL(qs, live, 5)
+			if got, err := ix.KNN(ctx, QueryItem(qs, dict), 5); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: %v (err %v), oracle %v", step, qi, got, err, want)
+			}
+		}
+	}
+	check("built", 1)
+	ix.Insert(items[len(items)-1])
+	live = append(live, hub)
+	check("hub inserted", 2)
+	rows := ix.rows().Out
+	ix.Insert(items[40:45]...)
+	live = append(live, sigs[40:45]...)
+	if ix.rows().Out.Degs.U16 == nil || &ix.rows().Out.Degs.U16[0] != &rows.Degs.U16[0] {
+		t.Fatal("small rows after the hub did not append in place")
+	}
+	check("small rows appended", 2)
+}

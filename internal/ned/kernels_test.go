@@ -158,21 +158,22 @@ func TestBlockKernelsMatchOracle(t *testing.T) {
 
 // checkDegreeColumn compares every row's degree column in blk with its
 // item's profiles: the row's level widths and degree runs are the
-// profile's Levels and InnerDegs, ted.DegreeExcessRuns over them equals
-// ted.DegreeExcess over the profiles for each query, and the row form
-// of tier 2 equals the item form at every threshold.
+// profile's Levels and InnerDegs, ted.DegreeExcessRow over them at the
+// column's width equals ted.DegreeExcess over the profiles for each
+// query, and the row form of tier 2 equals the item form at every
+// threshold.
 func checkDegreeColumn(t *testing.T, name string, items []Item, blk *profileBlock, queries []Item) {
 	t.Helper()
 	for r := range blk.n {
 		it := items[blk.slot(int32(r))]
 		levels, degs := blk.Out.Row(int(blk.ord[r]))
-		if !slices.Equal(levels, it.OutP.Levels) || !slices.Equal(degs, it.OutP.InnerDegs()) {
+		if !slices.Equal(levels, it.OutP.Levels) || !slices.Equal(degs.AppendTo(nil), it.OutP.InnerDegs()) {
 			t.Fatalf("%s row %d (node %d): column (%v, %v), profile (%v, %v)",
 				name, r, it.Node, levels, degs, it.OutP.Levels, it.OutP.InnerDegs())
 		}
 		for qi, q := range queries {
 			want := ted.DegreeExcess(q.OutP, it.OutP, ted.Unbounded)
-			if got := ted.DegreeExcessRuns(q.OutP.Levels, q.OutP.InnerDegs(), levels, degs, ted.Unbounded); got != want {
+			if got := ted.DegreeExcessRow(q.OutP.Levels, q.OutP.InnerDegs(), blk.Out, int(blk.ord[r]), ted.Unbounded); got != want {
 				t.Fatalf("%s row %d query %d: column degree excess %d, profiles %d", name, r, qi, got, want)
 			}
 			pad := paddingBound(q, it)

@@ -62,10 +62,12 @@
 // resident row stores too (tree.ProfileArena.Words). ReadRows reads
 // the item tables twice: a first pass (scanTable) checks every header
 // and derives each tree's size and height, the rows are ranked across
-// the tables as a scan ranks them, and a second pass (fillRow) copies
-// each row's words into its rank slot of arenas sized once and derives
-// only the level widths, from the child counts, and the degree runs,
-// the child counts sorted per level. In BFS order the child counts are
+// the tables as a scan ranks them, and a second pass (fillRow) writes
+// each row's words, as the uvarints an arena holds, into its rank slot
+// of arenas sized once and derives only the level widths, from the
+// child counts, and the degree runs, the child counts sorted per level
+// and stored at the width the largest needs. A writer decodes the
+// uvarints back: the format's words stay u32. In BFS order the child counts are
 // the child offsets (every extracted tree is; only a tree converted
 // from a text corpus can be another, which keeps its parent vector). The
 // deepest level, all leaves, is its width alone in memory as on disk.
@@ -212,14 +214,23 @@ func DecodeHeader(payload []byte) (Header, error) {
 // DecodeShapes decodes a dict section's payload of n shapes: shape id's
 // sorted child labels are kids[off[id]:off[id+1]].
 func DecodeShapes(payload []byte, n int) (off, kids []int32, err error) {
-	d := &dec{b: payload}
+	at := min(len(payload), 4+4*(n+1))
+	return decodeShapes(payload[:at], payload[at:], n)
+}
+
+// decodeShapes is DecodeShapes over a dict section's payload in two
+// parts: its count and offsets, then its kid run.
+func decodeShapes(head, kidRun []byte, n int) (off, kids []int32, err error) {
+	d := &dec{b: head}
 	if got := int(d.u32()); d.err == nil && got != n {
 		d.fail("segment: dict section has %d shapes, meta declares %d", got, n)
 	}
 	off = d.i32s(n + 1)
-	if d.err == nil {
-		kids = d.i32s(int(off[n]))
+	if d.err != nil {
+		return nil, nil, d.err
 	}
+	d.b = kidRun
+	kids = d.i32s(int(off[n]))
 	return off, kids, d.done()
 }
 
@@ -391,6 +402,7 @@ type sectionWriter struct {
 	crc   uint32
 	left  uint64 // payload bytes the open section still owes
 	err   error
+	words []int32 // the stored tree being written, decoded
 }
 
 func newSectionWriter(w io.Writer) *sectionWriter {
@@ -486,6 +498,25 @@ func (s *sectionWriter) i32s(col []int32) {
 	}
 }
 
+// storedWords is the u32 words a stored tree's uvarints (b,
+// tree.ProfileArena.Words) take in an item table: its header word and
+// the labels the header counts, and the parent vector a flagged header
+// announces, which only counting the uvarints finds.
+func storedWords(b []byte) uint64 {
+	hdr, _ := binary.Uvarint(b)
+	if uint32(hdr)&parentsFlag != 0 {
+		return uint64(tree.CountWords(b))
+	}
+	return 1 + hdr
+}
+
+// stored appends a stored tree's uvarints (tree.ProfileArena.Words) as
+// the u32 words they encode.
+func (s *sectionWriter) stored(b []byte) {
+	s.words = tree.DecodeWords(s.words[:0], b)
+	s.i32s(s.words)
+}
+
 // raw appends payload bytes as they are.
 func raw[B ~string | ~[]byte](s *sectionWriter, b B) {
 	for len(b) > 0 {
@@ -553,30 +584,63 @@ func ReadSection(r io.Reader) (typ byte, payload []byte, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	// Exact-size read under a trust cap: ordinary sections get a single
-	// allocation and one ReadFull. Beyond the cap, collect through a
-	// buffer that grows with the bytes actually present, so a corrupt
-	// length field on a short file cannot force a giant up-front
-	// allocation.
-	const trustedAlloc = 64 << 20
-	if n <= trustedAlloc {
-		payload = make([]byte, n)
-		got, err := io.ReadFull(r, payload)
-		if err != nil {
-			return 0, nil, fmt.Errorf("segment: truncated section payload (%d of %d bytes): %w", got, n, io.ErrUnexpectedEOF)
-		}
-	} else {
-		var buf bytes.Buffer
-		got, err := io.CopyN(&buf, r, int64(n))
-		if err != nil || uint64(got) != n {
-			return 0, nil, fmt.Errorf("segment: truncated section payload (%d of %d bytes): %w", got, n, io.ErrUnexpectedEOF)
-		}
-		payload = buf.Bytes()
+	if payload, err = readPayload(r, 0, n, n); err != nil {
+		return 0, nil, err
 	}
 	if err := readChecksum(r, typ, crc32.Checksum(payload, castagnoli)); err != nil {
 		return 0, nil, err
 	}
 	return typ, payload, nil
+}
+
+// readPayload reads the next n bytes of a section payload of total
+// bytes, done of which are read already. Exact-size read under a trust
+// cap: ordinary sections get a single allocation and one ReadFull.
+// Beyond the cap, collect through a buffer that grows with the bytes
+// actually present, so a corrupt length field on a short file cannot
+// force a giant up-front allocation.
+func readPayload(r io.Reader, done, n, total uint64) ([]byte, error) {
+	const trustedAlloc = 64 << 20
+	if n <= trustedAlloc {
+		payload := make([]byte, n)
+		got, err := io.ReadFull(r, payload)
+		if err != nil {
+			return nil, fmt.Errorf("segment: truncated section payload (%d of %d bytes): %w", done+uint64(got), total, io.ErrUnexpectedEOF)
+		}
+		return payload, nil
+	}
+	var buf bytes.Buffer
+	got, err := io.CopyN(&buf, r, int64(n))
+	if err != nil || uint64(got) != n {
+		return nil, fmt.Errorf("segment: truncated section payload (%d of %d bytes): %w", done+uint64(got), total, io.ErrUnexpectedEOF)
+	}
+	return buf.Bytes(), nil
+}
+
+// readDict is expectSection for the dict section of a segment whose
+// meta declares shapes shapes, read into two allocations under the
+// section's one checksum: its count and offsets, which a load decodes
+// and drops, and its kid run, which the dictionary's keys view for as
+// long as the dictionary lives.
+func readDict(r io.Reader, shapes int) (head, kids []byte, err error) {
+	typ, n, err := readSectionHeader(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	at := min(n, 4+4*(uint64(shapes)+1))
+	if head, err = readPayload(r, 0, at, n); err != nil {
+		return nil, nil, err
+	}
+	if kids, err = readPayload(r, at, n-at, n); err != nil {
+		return nil, nil, err
+	}
+	if err := readChecksum(r, typ, crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, kids)); err != nil {
+		return nil, nil, err
+	}
+	if typ != SecDict {
+		return nil, nil, fmt.Errorf("segment: section type %d where %d expected", typ, SecDict)
+	}
+	return head, kids, nil
 }
 
 // AppendSection appends one framed section, as ReadSection reads it,
@@ -682,9 +746,9 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 			if meta.Directed && (it.In == nil || it.InP == nil || !it.InP.Resolved()) {
 				return fmt.Errorf("segment: node %d has no compiled incoming profile on a directed corpus", it.Node)
 			}
-			r := ned.Row{Node: it.Node, Out: tree.AppendStored(nil, it.OutP, it.Out)}
+			r := ned.Row{Node: it.Node, Out: tree.AppendWords(nil, tree.AppendStored(nil, it.OutP, it.Out))}
 			if meta.Directed {
-				r.In = tree.AppendStored(nil, it.InP, it.In)
+				r.In = tree.AppendWords(nil, tree.AppendStored(nil, it.InP, it.In))
 			}
 			tables[si][i] = r
 		}
@@ -724,9 +788,9 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 			if meta.Directed && r.In == nil {
 				return fmt.Errorf("segment: node %d has no incoming tree on a directed corpus", r.Node)
 			}
-			shardLens[si] += 12 + 4*uint64(len(r.Out))
+			shardLens[si] += 12 + 4*storedWords(r.Out)
 			if meta.Directed {
-				shardLens[si] += 4 * uint64(len(r.In))
+				shardLens[si] += 4 * storedWords(r.In)
 			}
 		}
 	}
@@ -795,9 +859,9 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 			sw.u32(uint32(r.Node))
 			sw.u32(uint32(meta.K))
 			sw.u32(uint32(boolByte(meta.Directed)))
-			sw.i32s(r.Out)
+			sw.stored(r.Out)
 			if meta.Directed {
-				sw.i32s(r.In)
+				sw.stored(r.In)
 			}
 		}
 		if err := sw.end(); err != nil {
@@ -911,70 +975,77 @@ func (sh *shapeTable) deg(l int32) int32 { return sh.off[l+1] - sh.off[l] }
 
 // treeScratch is one decoding worker's memory, reused across trees:
 // count holds one zero per shape between trees (fillRow sizes it),
-// degCount one zero per child count between levels.
+// degCount one zero per child count between levels, degs a tree's
+// degree runs before they are narrowed into its row.
 type treeScratch struct {
 	count    []int32
 	degCount []int32
 	kids     []int32
+	degs     []int32
 }
 
 // scanTree reads the tree at words[pos:] as the first pass of a load
 // does: its header, its stored labels, which must be in the dictionary,
 // and the level widths they derive — the root alone, then each stored
 // level's child count, which must end exactly where the stored labels
-// do. It returns the tree's node count and height and the cursor past
-// it.
-func scanTree(words []int32, pos int, sh *shapeTable) (n, h, end int, err error) {
+// do. It returns the tree's node count and height, its largest child
+// count but the root's (the widest entry of its degree runs) and the
+// cursor past it.
+func scanTree(words []int32, pos int, sh *shapeTable) (n, h int, top int32, end int, err error) {
 	if pos >= len(words) {
-		return 0, 0, 0, fmt.Errorf("segment: truncated payload")
+		return 0, 0, 0, 0, fmt.Errorf("segment: truncated payload")
 	}
 	hdr := uint32(words[pos])
 	pos++
 	m := int(hdr &^ parentsFlag)
 	if m > len(words)-pos {
-		return 0, 0, 0, fmt.Errorf("segment: tree declares %d stored labels with %d words left", m, len(words)-pos)
+		return 0, 0, 0, 0, fmt.Errorf("segment: tree declares %d stored labels with %d words left", m, len(words)-pos)
 	}
 	stored := words[pos : pos+m]
 	pos += m
 	shapes := int32(len(sh.off) - 1)
 	if shapes == 0 {
-		return 0, 0, 0, inconsistent("the dictionary has no leaf shape")
+		return 0, 0, 0, 0, inconsistent("the dictionary has no leaf shape")
 	}
 	for v, l := range stored {
 		if l < 0 || l >= shapes {
-			return 0, 0, 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
+			return 0, 0, 0, 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
 		}
 	}
 	n = 1
 	for off, w := 0, 1; off < m; h++ {
 		if off+w > m {
-			return 0, 0, 0, inconsistent("child counts of level %d overrun the %d stored labels", h, m)
+			return 0, 0, 0, 0, inconsistent("child counts of level %d overrun the %d stored labels", h, m)
 		}
 		c := 0
 		for _, l := range stored[off : off+w] {
-			c += int(sh.deg(l))
+			d := sh.deg(l)
+			if c += int(d); off > 0 {
+				top = max(top, d)
+			}
 		}
 		if c == 0 {
-			return 0, 0, 0, inconsistent("stored level %d has no children", h)
+			return 0, 0, 0, 0, inconsistent("stored level %d has no children", h)
 		}
 		if n += c; n > maxTreeNodes {
-			return 0, 0, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
+			return 0, 0, 0, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
 		}
 		off, w = off+w, c
 	}
 	if hdr&parentsFlag != 0 {
 		if n > len(words)-pos {
-			return 0, 0, 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
+			return 0, 0, 0, 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
 		}
 		pos += n
 	}
-	return n, h, pos, nil
+	return n, h, top, pos, nil
 }
 
 // fillRow decodes the tree at words[pos:], which scanTree has read, into
-// row slot of a, whose offsets give the row its room: its words, level
-// widths and degree runs (each level's child counts, sorted), a node's
-// child count being its label's shape's. It checks what scanTree did
+// row slot of a, whose offsets give the row its room: its words, as
+// uvarints, level widths and degree runs (each level's child counts,
+// sorted, at the arena's width), a node's child count being its label's
+// shape's. It checks what scanTree did
 // not — leaf kids only on level h−1, a parent vector that agrees with
 // the child counts, children that carry their parent's shape's kids —
 // failing with ErrInconsistent. a copies what it keeps; the payload is
@@ -987,9 +1058,12 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 		sc.count = make([]int32, len(sh.off)-1)
 	}
 	// The level widths, as scanTree derived them, and every node's child
-	// count but the root's, in node order, in the row's degree runs.
+	// count but the root's, in node order, in degs, which go into the
+	// row's degree runs once sorted.
 	levels := a.Levels[slot*a.Width : (slot+1)*a.Width]
-	degs := a.Degs[a.DegOff[slot]:a.DegOff[slot+1]]
+	nd := int(a.DegOff[slot+1] - a.DegOff[slot])
+	degs := slices.Grow(sc.degs[:0], nd)[:nd]
+	sc.degs = degs
 	levels[0] = 1
 	h, last, n := 0, 0, 1 // last: the first node of level h-1
 	for off, w := 0, 1; off < m; h++ {
@@ -1076,7 +1150,13 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 		sc.sortCounts(degs[at : at+int(w)])
 		at += int(w)
 	}
-	copy(a.Words[a.WordOff[slot]:a.WordOff[slot+1]], words[pos:])
+	a.Degs.Put(int(a.DegOff[slot]), degs)
+	end := pos + 1 + m
+	if t != nil {
+		end += n
+	}
+	lo, hi := a.WordOff[slot], a.WordOff[slot+1]
+	tree.AppendWords(a.Words[lo:lo:hi], words[pos:end])
 	a.Sizes[slot] = int32(n)
 	return nil
 }
@@ -1107,20 +1187,25 @@ func (sc *treeScratch) sortCounts(run []int32) {
 // table is one item table as the first pass of a load reads it: its
 // words, and per item its node, its size key (the out-tree's node
 // count, plus the in-tree's when directed) and where it lies; per
-// tree side (out, in), the tallest tree and the degree-run and stored
-// words its rows hold.
+// tree side (out, in), the tallest tree, the largest inner child count
+// and the degree-run entries and stored bytes its rows hold.
 type table struct {
 	words        []int32
 	nodes        []graph.NodeID
 	keys         []int32
 	heads        []rowHead
 	height       [2]int
+	top          [2]int32
 	degs, stored [2]int
 }
 
 // rowHead locates one item of a table: the word it starts at and its
-// out-tree's word count; its in-tree runs to the next item.
-type rowHead struct{ pos, out int32 }
+// out-tree's word count — its in-tree runs to the next item — and the
+// bytes each tree takes stored (tree.ProfileArena.Words).
+type rowHead struct {
+	pos, out int32
+	bytes    [2]int32
+}
 
 // scanTable is the first pass over one item table's payload: it checks
 // every item's header and reads its trees (scanTree).
@@ -1176,19 +1261,22 @@ func scanTable(payload []byte, si int, meta Meta, sh *shapeTable) (*table, error
 		if hasIn {
 			sides = 2
 		}
+		head := rowHead{pos: int32(start)}
 		for side := range sides {
-			n, h, end, err := scanTree(words, pos, sh)
+			n, h, top, end, err := scanTree(words, pos, sh)
 			if err != nil {
 				return nil, fmt.Errorf("node %d%s: %w", node, which, err)
 			}
 			if side == 0 {
-				t.heads = append(t.heads, rowHead{pos: int32(start), out: int32(end - pos)})
+				head.out = int32(end - pos)
 			}
-			d, w := treeLen(words, pos, end)
-			key, t.height[side] = key+n, max(t.height[side], h)
-			t.degs[side], t.stored[side] = t.degs[side]+d, t.stored[side]+w
+			head.bytes[side] = int32(tree.WordsLen(words[pos:end]))
+			key, t.height[side], t.top[side] = key+n, max(t.height[side], h), max(t.top[side], top)
+			t.degs[side] += storedDegs(words, pos)
+			t.stored[side] += int(head.bytes[side])
 			pos, which = end, " incoming"
 		}
+		t.heads = append(t.heads, head)
 		t.nodes = append(t.nodes, graph.NodeID(node))
 		t.keys = append(t.keys, int32(key))
 	}
@@ -1253,10 +1341,11 @@ func decodeTables(payloads [][]byte, meta Meta, in *tree.Interner, sh *shapeTabl
 	var nodes []graph.NodeID
 	var keys []int32
 	var height, degs, stored [2]int
+	var top [2]int32
 	for _, t := range tables {
 		nodes, keys = append(nodes, t.nodes...), append(keys, t.keys...)
 		for side := range height {
-			height[side] = max(height[side], t.height[side])
+			height[side], top[side] = max(height[side], t.height[side]), max(top[side], t.top[side])
 			degs[side], stored[side] = degs[side]+t.degs[side], stored[side]+t.stored[side]
 		}
 	}
@@ -1267,20 +1356,18 @@ func decodeTables(payloads [][]byte, meta Meta, in *tree.Interner, sh *shapeTabl
 	}
 	room := ned.RowRoom(n)
 	rows := &ned.Rows{K: meta.K, Nodes: make([]graph.NodeID, n, n+room)}
-	rows.Out = tree.NewArena(in, height[0]+1, n, degs[0], stored[0], room)
+	rows.Out = tree.NewArena(in, height[0]+1, n, degs[0], top[0], stored[0], room)
 	if meta.Directed {
-		rows.In = tree.NewArena(in, height[1]+1, n, degs[1], stored[1], room)
+		rows.In = tree.NewArena(in, height[1]+1, n, degs[1], top[1], stored[1], room)
 	}
 	g := 0
 	for _, t := range tables {
-		for i := range t.heads {
-			out, inAt, end := t.trees(i)
+		for i, head := range t.heads {
+			out, inAt, _ := t.trees(i)
 			r := rank[g] + 1
-			d, w := treeLen(t.words, out, inAt)
-			rows.Out.DegOff[r], rows.Out.WordOff[r] = int32(d), int32(w)
+			rows.Out.DegOff[r], rows.Out.WordOff[r] = int32(storedDegs(t.words, out)), head.bytes[0]
 			if meta.Directed {
-				d, w = treeLen(t.words, inAt, end)
-				rows.In.DegOff[r], rows.In.WordOff[r] = int32(d), int32(w)
+				rows.In.DegOff[r], rows.In.WordOff[r] = int32(storedDegs(t.words, inAt)), head.bytes[1]
 			}
 			g++
 		}
@@ -1319,10 +1406,10 @@ func decodeTables(payloads [][]byte, meta Meta, in *tree.Interner, sh *shapeTabl
 	return rows, rank, nil
 }
 
-// treeLen is the degree-run and stored length of the tree that
-// words[pos:end] holds.
-func treeLen(words []int32, pos, end int) (degs, length int) {
-	return max(int(uint32(words[pos])&^parentsFlag)-1, 0), end - pos
+// storedDegs is the degree-run length of the tree at words[pos:]: its
+// stored labels but the root's.
+func storedDegs(words []int32, pos int) int {
+	return max(int(uint32(words[pos])&^parentsFlag)-1, 0)
 }
 
 // decodeIndex decodes one shard's VP-index dump section.
@@ -1435,18 +1522,18 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	}
 	meta := h.Meta
 
-	payload, err = expectSection(r, SecDict)
+	head, kidRun, err := readDict(r, h.Shapes)
 	if err != nil {
 		return fail(err)
 	}
-	kidOff, kids, err := DecodeShapes(payload, h.Shapes)
+	kidOff, kids, err := decodeShapes(head, kidRun, h.Shapes)
 	if err != nil {
 		return fail(err)
 	}
-	// ReadSection allocated the payload for this read alone and nothing
-	// writes it again, so the keys — the kid run's bytes — may stay views
-	// of it.
-	in, err := tree.NewInternerFromShapes(kidOff, payload[len(payload)-4*len(kids):])
+	// readDict allocated the kid run for this read alone and nothing
+	// writes it again, so the keys may stay views of it; the offsets'
+	// allocation is not kept.
+	in, err := tree.NewInternerFromShapes(kidOff, kidRun)
 	if err != nil {
 		return fail(fmt.Errorf("segment: %w", err))
 	}

@@ -88,3 +88,43 @@ func TestDegreeBoundMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestDegreeExcessRowMatchesInt32 pins the tier-2 kernel on an arena's
+// narrow degree runs to the int32 kernel over the profiles' runs: on
+// random trees beside a hub whose inner child count puts the arena's
+// runs at one, two and four bytes a count, every row against every
+// query agrees at every threshold, the query's run the longer or the
+// shorter one.
+func TestDegreeExcessRowMatchesInt32(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	in := tree.NewInterner()
+	var queries, rows []*tree.Profile
+	for range 30 {
+		queries = append(queries, in.ProfileQuery(tree.Random(rng, 1+rng.Intn(60), 1+rng.Intn(4))))
+	}
+	for range 60 {
+		rows = append(rows, in.Profile(tree.Random(rng, 1+rng.Intn(60), 1+rng.Intn(4))))
+	}
+	for _, c := range []struct{ top, width int }{{200, 1}, {300, 2}, {70000, 4}} {
+		parent := make([]int32, c.top+3)
+		parent[0], parent[1], parent[2] = -1, 0, 0
+		for v := 3; v < len(parent); v++ {
+			parent[v] = 1
+		}
+		a := tree.CompileArena(append(slices.Clone(rows), in.Profile(tree.MustNew(parent))))
+		if a.Degs.Width != c.width {
+			t.Fatalf("hub of %d: degree runs at %d bytes a count, want %d", c.top, a.Degs.Width, c.width)
+		}
+		for i, p := range append(slices.Clone(rows), in.Profile(tree.MustNew(parent))) {
+			for qi, q := range append(slices.Clone(queries), p) {
+				full := DegreeExcessRuns(q.Levels, q.InnerDegs(), p.Levels, p.InnerDegs(), Unbounded)
+				for _, th := range []int{0, 1, full / 2, full - 1, full, Unbounded} {
+					want := DegreeExcessRuns(q.Levels, q.InnerDegs(), p.Levels, p.InnerDegs(), th)
+					if got := DegreeExcessRow(q.Levels, q.InnerDegs(), a, i, th); got != want {
+						t.Fatalf("hub of %d, row %d, query %d, t=%d: narrow row %d, int32 runs %d", c.top, i, qi, th, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -122,8 +122,8 @@ func DegreeExcess(a, b *tree.Profile, t int) int {
 // columns: la and lb are two trees' level widths (height+1 entries
 // each), da and db their child counts of levels 1…h−1, sorted within
 // each level and laid out level after level (tree.Profile.InnerDegs, or
-// a row of a tree.ProfileArena).
-func DegreeExcessRuns(la, da, lb, db []int32, t int) int {
+// a row of a tree.ProfileArena at the arena's degree width).
+func DegreeExcessRuns[D tree.Degree](la, da, lb []int32, db []D, t int) int {
 	// Only levels with children on both sides can add to the padding
 	// bound. Level 0 is two roots, whose child-count gap IS P_1; from
 	// the shallower tree's deepest level down, one side is all leaves
@@ -136,33 +136,55 @@ func DegreeExcessRuns(la, da, lb, db []int32, t int) int {
 		rb := db[offB : offB+lb[d]]
 		offA += la[d]
 		offB += lb[d]
-		if len(ra) < len(rb) {
-			ra, rb = rb, ra
-		}
-		// Zeros pad the narrower run at its low end: the wider run's
-		// surplus smallest counts pair with them.
-		k := len(ra) - len(rb)
-		var delta int32
-		for _, x := range ra[:k] {
-			delta += x
-		}
-		net := delta // Σ ra − Σ rb, whose magnitude is P_{d+1}
-		for i, x := range ra[k:] {
-			diff := x - rb[i]
-			net += diff
-			if diff < 0 {
-				diff = -diff
-			}
-			delta += diff
-		}
-		if net < 0 {
-			net = -net
+		var delta, net int32
+		if len(ra) >= len(rb) {
+			delta, net = levelExcess(ra, rb)
+		} else {
+			delta, net = levelExcess(rb, ra)
 		}
 		if excess += int(delta-net) / 2; excess > t {
 			return excess
 		}
 	}
 	return excess
+}
+
+// levelExcess is one level's Δ_d and P_{d+1} from its two sorted runs
+// of child counts, wide no shorter than narrow.
+func levelExcess[A, B tree.Degree](wide []A, narrow []B) (delta, net int32) {
+	// Zeros pad the narrower run at its low end: the wider run's
+	// surplus smallest counts pair with them.
+	k := len(wide) - len(narrow)
+	for _, x := range wide[:k] {
+		delta += int32(x)
+	}
+	net = delta // Σ wide − Σ narrow, whose magnitude is P_{d+1}
+	for i, x := range wide[k:] {
+		diff := int32(x) - int32(narrow[i])
+		net += diff
+		if diff < 0 {
+			diff = -diff
+		}
+		delta += diff
+	}
+	if net < 0 {
+		net = -net
+	}
+	return delta, net
+}
+
+// DegreeExcessRow is DegreeExcessRuns against row i of a, whose degree
+// runs are at a's width.
+func DegreeExcessRow(la, da []int32, a *tree.ProfileArena, i, t int) int {
+	lb := a.RowLevels(i)
+	lo, hi := a.DegOff[i], a.DegOff[i+1]
+	switch a.Degs.Width {
+	case 1:
+		return DegreeExcessRuns(la, da, lb, a.Degs.U8[lo:hi], t)
+	case 2:
+		return DegreeExcessRuns(la, da, lb, a.Degs.U16[lo:hi], t)
+	}
+	return DegreeExcessRuns(la, da, lb, a.Degs.I32[lo:hi], t)
 }
 
 // LevelLabelTerm is the label-multiset half of LabelBound: max over depths

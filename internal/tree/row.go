@@ -21,6 +21,7 @@ import (
 type RowScratch struct {
 	t        Tree
 	p        Profile
+	words    []int32
 	buf      []int32
 	distinct []int32
 	dict     *Interner
@@ -65,7 +66,8 @@ func returnCounts(c []int32) {
 // a.Dict's Profile compiles for the tree the row stores, and a tree
 // equal to that one.
 func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
-	words := a.Stored(i)
+	words := DecodeWords(sc.words[:0], a.Stored(i))
+	sc.words = words
 	hdr := uint32(words[0])
 	m := int(hdr &^ ParentsFlag)
 	stored := words[1 : 1+m]
@@ -97,7 +99,7 @@ func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
 		sc.t = Tree{levelOff: levelOff, childOff: childOff, childIDs: bfsIDs(int(n)), bfs: true}
 		t = &sc.t
 	} else {
-		t = MustNew(words[1+m:])
+		t = MustNew(slices.Clone(words[1+m:]))
 	}
 
 	// Kids: each node's shape run, for levels 0..h-2; level h-1's are
@@ -116,7 +118,7 @@ func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
 	}
 	if m > 0 {
 		degs[0] = childOff[1]
-		copy(degs[1:], inner)
+		inner.AppendTo(degs[1:1])
 	}
 	// Level-sorted labels, equal labels in ascending node order, and the
 	// permutation back to the nodes.

@@ -12,6 +12,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"ned/internal/ned"
+	"ned/internal/tree"
 )
 
 var updateWork = flag.Bool("update", false, "rewrite testdata/work.golden")
@@ -103,6 +106,7 @@ func sigNodes(sigs []Signature) []NodeID {
 // TestWorkGolden pins the work the engine does, which at one worker is
 // deterministic, against testdata/work.golden: a hash of every answer,
 // TED* calls, rows bound and the prunes of each tier per query mix, the
+// column bytes a built PGP x1 row holds, the
 // bytes each write copies (the first write after the build and after a
 // reopen included), the WAL bytes each mutation logs and the checkpoint
 // bytes per node. Any rise or fall fails; -update rewrites the file,
@@ -118,6 +122,14 @@ func TestWorkGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	workQueries(t, &w, "pgp-x1", c, sigs, nodes)
+	// The bytes a built row's columns hold, as the corpus builds them at
+	// one worker: a column stored wider than its values need shows here.
+	all := make([]NodeID, g.NumNodes())
+	for v := range all {
+		all[v] = NodeID(v)
+	}
+	rows := ned.BuildRows(g, all, interGraphK, false, tree.NewInterner(), 1)
+	w.add("pgp-x1", "column_bytes_per_row", fmt.Sprintf("%.1f", float64(rows.Out.Bytes())/float64(rows.Len())))
 
 	// GNU x1 at k = 3, a sparser, flatter graph.
 	gnu := MustGenerateDataset(DatasetGNU, DatasetOptions{Scale: 1, Seed: 42})
