@@ -49,12 +49,12 @@ var (
 	// snapshot without WithGraph.
 	ErrNoGraph = errors.New("ned: corpus has no graph")
 	// ErrBadSnapshot reports a corpus snapshot LoadCorpus could not
-	// parse: corrupt input, a format other than NEDSEG02, or metadata
+	// parse: corrupt input, a format other than NEDSEG03, or metadata
 	// disagreeing with the items.
 	ErrBadSnapshot = errors.New("ned: bad corpus snapshot")
 	// ErrLegacyFormat reports a corpus an earlier build wrote — a
-	// NEDSEG01 segment or a text manifest — which no longer loads;
-	// `nedstats -upgrade` converts it to NEDSEG02. LoadCorpus wraps it in
+	// NEDSEG01 or NEDSEG02 segment or a text manifest — which no longer
+	// loads; `nedstats -upgrade` converts it to NEDSEG03. LoadCorpus wraps it in
 	// ErrBadSnapshot.
 	ErrLegacyFormat = errors.New("ned: legacy corpus format; convert it with nedstats -upgrade")
 )

@@ -21,22 +21,24 @@ import (
 // backend name into every snapshot header and, on a VP-backed corpus,
 // one vantage-point-tree dump per shard into every segment and
 // checkpoint. The engine writes neither any more ("pruned", no dumps)
-// and reads both in NEDSEG02: names parse and are ignored, dump sections
+// and reads both in NEDSEG03: names parse and are ignored, dump sections
 // are framed and checksummed like any section and then dropped.
 //
 // Builds before hash-only placement could also move nodes off their hash
 // shard and recorded where in a v3 text manifest (base= and a redirect
 // line) or a placement section of a NEDSEG01 segment. Nothing writes
-// either any more, and LoadCorpus and OpenDurable reject text and
-// NEDSEG01 with ErrLegacyFormat: the offline converter (internal/legacy,
-// nedstats -upgrade) validates them, drops the placement and writes
-// NEDSEG02, whose items land in the one scan. The suites below convert
+// either any more, and LoadCorpus and OpenDurable reject text, NEDSEG01
+// and NEDSEG02 with ErrLegacyFormat: the offline converter
+// (internal/legacy, nedstats -upgrade) validates them, drops the
+// placement and writes NEDSEG03, whose items land in the one scan. The suites below convert
 // first and then assert what they asserted when LoadCorpus still read
 // these formats. testdata holds three files such a build wrote (commit
 // ae70028: `Snapshot`, `SnapshotSegment`, `MakeDurable`+`Checkpoint`): a
 // 4-shard corpus over rebalancedGraph at k = 2, shard 0 split into a
 // fifth slot, shard 1 folded into it and left an empty husk — redirect
-// 0,4,2,3 and nodes 9, 20, 28, 33 moved to slot 4.
+// 0,4,2,3 and nodes 9, 20, 28, 33 moved to slot 4. testdata/v2_durable
+// is the durable directory of the NEDSEG02 build (MakeDurable over
+// rebalancedGraph at k = 2, then Remove 2, 9, 4 and Insert 4, logged).
 
 const rebalancedK = 2
 
@@ -91,8 +93,8 @@ func upgradedDir(t *testing.T, src string) string {
 	return dir
 }
 
-// withSegmentMagic is a NEDSEG01 segment with the NEDSEG02 magic:
-// segment.Verify walks the framing and checksums, which both share.
+// withSegmentMagic is a legacy segment with the NEDSEG03 magic:
+// segment.Verify walks the framing and checksums, which all share.
 func withSegmentMagic(b []byte) []byte {
 	return append([]byte(segment.Magic), b[len(segment.Magic):]...)
 }
@@ -569,7 +571,7 @@ func TestDurableOpensV1WALWithTrees(t *testing.T) {
 
 // reopenFromCheckpoint checkpoints c (making it durable in a fresh
 // directory first if it is not), closes it, requires the newest
-// checkpoint to be a NEDSEG02 segment, and reopens the directory.
+// checkpoint to be a NEDSEG03 segment, and reopens the directory.
 func reopenFromCheckpoint(t *testing.T, label string, c *Corpus, dir string) *Corpus {
 	t.Helper()
 	if _, _, durable := c.DurableStats(); durable {
@@ -590,21 +592,20 @@ func reopenFromCheckpoint(t *testing.T, label string, c *Corpus, dir string) *Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, []byte(segment.Magic)) || segment.Magic != "NEDSEG02" {
-		t.Fatalf("%s: checkpoint starts %q, want NEDSEG02", label, raw[:8])
+	if !bytes.HasPrefix(raw, []byte(segment.Magic)) || segment.Magic != "NEDSEG03" {
+		t.Fatalf("%s: checkpoint starts %q, want NEDSEG03", label, raw[:8])
 	}
 	re, err := OpenDurable(dir, FsyncNone)
 	if err != nil {
-		t.Fatalf("%s: OpenDurable from the NEDSEG02 checkpoint: %v", label, err)
+		t.Fatalf("%s: OpenDurable from the NEDSEG03 checkpoint: %v", label, err)
 	}
 	return re
 }
 
-// TestOldBytesReopenFromNEDSEG02: every old-bytes fixture converts and
-// loads, and after one checkpoint — which writes NEDSEG02, each tree as
-// its labels above the deepest level — reopens from it with answers
-// equal to the oracle's.
-func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
+// TestOldBytesReopenFromNEDSEG03: every old-bytes fixture converts and
+// loads, and after one checkpoint — which writes NEDSEG03, each tree as
+// its row's bytes — reopens from it with answers equal to the oracle's.
+func TestOldBytesReopenFromNEDSEG03(t *testing.T) {
 	g := rebalancedGraph()
 	o := oracleOver(g, rebalancedK, allNodes(g))
 	for _, path := range []string{"testdata/corpus_v3_rebalanced.nedcorpus", "testdata/rebalanced.nedseg"} {
@@ -637,10 +638,12 @@ func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
 			live[v] = true
 		}
 	}
-	dir := upgradedDir(t, "testdata/rebalanced_durable")
-	re := reopenFromCheckpoint(t, "rebalanced_durable", open(dir), dir)
-	assertLoaded(t, "rebalanced_durable reopened", re, oracleOver(g, rebalancedK, sortedNodes(live)), 2860)
-	re.CloseDurable()
+	for _, src := range []string{"rebalanced_durable", "v2_durable"} {
+		dir := upgradedDir(t, "testdata/"+src)
+		re := reopenFromCheckpoint(t, src, open(dir), dir)
+		assertLoaded(t, src+" reopened", re, oracleOver(g, rebalancedK, sortedNodes(live)), 2860)
+		re.CloseDurable()
+	}
 
 	// The version-1 logs (see TestDurableOpensV1WALWithTrees).
 	const k = 2
@@ -691,8 +694,8 @@ func TestOldBytesReopenFromNEDSEG02(t *testing.T) {
 
 // TestLoadCorpusRejectsLegacyFormats: every fixture an earlier build
 // wrote, unconverted, fails LoadCorpus with ErrBadSnapshot and an error
-// naming the converter; a text manifest and a NEDSEG01 segment also
-// match ErrLegacyFormat. A header-less signature file is no corpus
+// naming the converter; a text manifest and a NEDSEG01 or NEDSEG02
+// segment also match ErrLegacyFormat. A header-less signature file is no corpus
 // format of its own: it is a bad snapshot that names the converter.
 func TestLoadCorpusRejectsLegacyFormats(t *testing.T) {
 	var sigs bytes.Buffer
@@ -703,7 +706,8 @@ func TestLoadCorpusRejectsLegacyFormats(t *testing.T) {
 	inputs := map[string][]byte{"signature file": sigs.Bytes()}
 	for _, path := range []string{
 		"testdata/corpus_v3_rebalanced.nedcorpus", "testdata/rebalanced.nedseg",
-		"internal/segment/testdata/golden-v1.nedseg", "internal/ned/testdata/corpus_v1.golden",
+		"internal/segment/testdata/golden-v1.nedseg", "internal/segment/testdata/golden-v2.nedseg",
+		"testdata/v2_durable/checkpoint-00000000.nedseg", "internal/ned/testdata/corpus_v1.golden",
 		"internal/ned/testdata/corpus_v1_directed.golden", "internal/ned/testdata/corpus_v2.golden",
 	} {
 		raw, err := os.ReadFile(path)
@@ -731,7 +735,7 @@ func TestLoadCorpusRejectsLegacyFormats(t *testing.T) {
 // ErrLegacyFormat before touching it — no quarantine rename, no swept or
 // appended file — so the converter still finds every byte.
 func TestDurableLeavesLegacyDirectoriesUntouched(t *testing.T) {
-	for _, src := range []string{"testdata/rebalanced_durable", "testdata/v1wal_durable/undirected", "testdata/v1wal_durable/directed"} {
+	for _, src := range []string{"testdata/rebalanced_durable", "testdata/v1wal_durable/undirected", "testdata/v1wal_durable/directed", "testdata/v2_durable"} {
 		dir := t.TempDir()
 		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 			t.Fatal(err)

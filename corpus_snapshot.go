@@ -15,7 +15,7 @@ import (
 // Snapshot writes the corpus — its configuration, the subtree-shape
 // dictionary, every live signature (mutations included) as the interned
 // labels of its tree's levels above the deepest, and the backing graph
-// when one is attached — to w as a NEDSEG02 binary segment
+// when one is attached — to w as a NEDSEG03 binary segment
 // (internal/segment), length- and checksum-framed, the one corpus
 // format this build writes. LoadCorpus derives every tree and compiled
 // cascade profile from those labels and the dictionary, without
@@ -39,7 +39,7 @@ func (c *Corpus) Snapshot(w io.Writer) error {
 // the body of Snapshot and of every checkpoint.
 func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
 	meta := segment.Meta{Backend: BackendPrunedLinear.String(), K: c.k, Directed: c.cfg.directed}
-	return segment.WriteRows(w, meta, c.dict, v.g, segment.Tables(v.ep.ix.Rows()))
+	return segment.WriteRows(w, meta, c.dict, v.g, v.ep.ix.Rows())
 }
 
 // materializedView returns the published view, materializing the
@@ -53,11 +53,11 @@ func (c *Corpus) materializedView() *corpusView {
 	return c.view.Load()
 }
 
-// LoadCorpus restores a corpus from a Snapshot stream: a NEDSEG02
+// LoadCorpus restores a corpus from a Snapshot stream: a NEDSEG03
 // segment, the one format this build reads and writes. Any other input
-// fails with ErrBadSnapshot; a NEDSEG01 segment or a text manifest of an
-// earlier build also matches ErrLegacyFormat, and `nedstats -upgrade`
-// converts it. Whatever backend the segment names, and whatever VP-tree
+// fails with ErrBadSnapshot; a NEDSEG01 or NEDSEG02 segment or a text
+// manifest of an earlier build also matches ErrLegacyFormat, and
+// `nedstats -upgrade` converts it. Whatever backend the segment names, and whatever VP-tree
 // dumps it carries, the restored corpus serves from the one cascade scan;
 // an unknown backend name is still a parse failure. Parse failures wrap
 // ErrBadSnapshot.
@@ -75,10 +75,10 @@ func LoadCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	prefix, _ := br.Peek(len(legacyTextHeader)) // the longest prefix told apart
 	switch {
-	case bytes.HasPrefix(prefix, []byte(legacyMagic)) || bytes.HasPrefix(prefix, []byte(legacyTextHeader)):
+	case slices.ContainsFunc(legacyPrefixes, func(p string) bool { return bytes.HasPrefix(prefix, []byte(p)) }):
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, ErrLegacyFormat)
 	case !segment.IsSegment(prefix):
-		return nil, fmt.Errorf("%w: not a NEDSEG02 segment (a corpus an earlier build wrote converts with nedstats -upgrade)", ErrBadSnapshot)
+		return nil, fmt.Errorf("%w: not a %s segment (a corpus an earlier build wrote converts with nedstats -upgrade)", ErrBadSnapshot, segment.Magic)
 	}
 	// Index dumps an older segment carries are framed and checksummed by
 	// ReadRows like every section, then dropped: the scan has nothing to
@@ -113,9 +113,11 @@ func LoadCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	return c, nil
 }
 
-// legacyMagic and legacyTextHeader start the corpus formats earlier
-// builds wrote: a NEDSEG01 segment and a text manifest.
-const legacyMagic, legacyTextHeader = "NEDSEG01", "# ned corpus v"
+// legacyPrefixes start the corpus formats earlier builds wrote: a
+// NEDSEG01 or NEDSEG02 segment and a text manifest.
+var legacyPrefixes = []string{"NEDSEG01", "NEDSEG02", legacyTextHeader}
+
+const legacyTextHeader = "# ned corpus v"
 
 // applyLoadOptions overlays user options onto the snapshot-recorded
 // configuration, returning the WithGraph graph (nil if none).

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -969,4 +970,132 @@ func TestDurableKillHelper(t *testing.T) {
 		}
 		fmt.Printf("STEP %d\n", i)
 	}
+}
+
+// TestRecoveredRowsAreTheCheckpointBytes: a checkpoint's item tables hold
+// each row's stored bytes as the arena holds them, and OpenDurable copies
+// them back unchanged — node by node, the recovered arena's stored row
+// equals the built one byte for byte, and both equal the bytes of the
+// item table on disk.
+func TestRecoveredRowsAreTheCheckpointBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		opts []CorpusOption
+	}{
+		{"PGP", MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 0.5, Seed: 42}), nil},
+		{"directed", randomDirectedGraph(120, 300, 991), []CorpusOption{WithDirected()}},
+	} {
+		c, err := NewCorpus(tc.g, 3, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := storedRows(c)
+		dir := t.TempDir()
+		if err := c.MakeDurable(dir, FsyncNone); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CloseDurable(); err != nil {
+			t.Fatal(err)
+		}
+		_, path, _, err := segment.LatestCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk := checkpointRows(t, path)
+		re, err := OpenDurable(dir, FsyncNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recovered := storedRows(re)
+		re.CloseDurable()
+		if len(built) != tc.g.NumNodes() || len(recovered) != len(built) || len(disk) != len(built) {
+			t.Fatalf("%s: %d rows built, %d recovered, %d on disk, want %d", tc.name, len(built), len(recovered), len(disk), tc.g.NumNodes())
+		}
+		for v, want := range built {
+			if got := recovered[v]; !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+				t.Fatalf("%s: node %d recovered as %v / %v, built %v / %v", tc.name, v, got[0], got[1], want[0], want[1])
+			}
+			if got := disk[v]; !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+				t.Fatalf("%s: node %d stored as %v / %v on disk, built %v / %v", tc.name, v, got[0], got[1], want[0], want[1])
+			}
+		}
+	}
+}
+
+// storedRows maps each node of c's scan to its stored rows (out, in),
+// views of the arena.
+func storedRows(c *Corpus) map[NodeID][2][]byte {
+	rows := map[NodeID][2][]byte{}
+	for r := range c.materializedView().ep.ix.Rows() {
+		rows[r.Node] = [2][]byte{r.Out, r.In}
+	}
+	return rows
+}
+
+// checkpointRows maps each node of a checkpoint's item tables to the
+// bytes of its rows (out, in). Every tree of an extracted corpus is in
+// BFS order, so a row is its header's uvarint and that many labels.
+func checkpointRows(t *testing.T, path string) map[NodeID][2][]byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(raw[len(segment.Magic):])
+	_, payload, err := segment.ReadSection(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := segment.DecodeHeader(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uv := func(p []byte, at int) (uint64, int) {
+		x, n := binary.Uvarint(p[at:])
+		if n <= 0 {
+			t.Fatalf("%s: malformed uvarint at byte %d of an item table", path, at)
+		}
+		return x, at + n
+	}
+	rows := map[NodeID][2][]byte{}
+	for {
+		typ, p, err := segment.ReadSection(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == segment.SecEnd {
+			return rows
+		}
+		if typ != segment.SecShard {
+			continue
+		}
+		count, at := uv(p, 0)
+		node := int64(-1)
+		for range count {
+			var delta uint64
+			delta, at = uv(p, at)
+			node += int64(delta)
+			var sides [2][]byte
+			for side := range 1 + boolInt(h.Directed) {
+				start := at
+				var m uint64
+				if m, at = uv(p, at); m&(1<<31) != 0 {
+					t.Fatalf("%s: node %d stores a parent vector", path, node)
+				}
+				for range m {
+					_, at = uv(p, at)
+				}
+				sides[side] = p[start:at]
+			}
+			rows[NodeID(node)] = sides
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

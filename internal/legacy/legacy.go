@@ -1,6 +1,6 @@
 // Package legacy converts the corpus formats earlier builds wrote — text
-// corpora v0–v3 and NEDSEG01 segments, placement directories included —
-// to NEDSEG02, the one format the engine loads. Only the offline
+// corpora v0–v3, NEDSEG01 segments, placement directories included, and
+// NEDSEG02 segments — to NEDSEG03, the one format the engine loads. Only the offline
 // converter, nedstats -upgrade, uses it.
 package legacy
 
@@ -17,9 +17,11 @@ import (
 	"ned/internal/tree"
 )
 
-// Upgrade writes the corpus src holds to w as a NEDSEG02 segment, as the
-// engine writes a corpus, and names the format it found: a NEDSEG02
-// segment passes segment.Verify and is written back byte for byte. A
+// Upgrade writes the corpus src holds to w as a NEDSEG03 segment, as the
+// engine writes a corpus, and names the format it found: a NEDSEG03
+// segment passes segment.Verify and is written back byte for byte; a
+// NEDSEG01 segment is transcoded to NEDSEG02 and on, as a NEDSEG02 one
+// is, to NEDSEG03. A
 // text corpus has no dictionary or graph: its trees are profiled against
 // a fresh dictionary, and the segment carries no graph.
 func Upgrade(w io.Writer, src []byte) (string, error) {
@@ -32,14 +34,12 @@ func Upgrade(w io.Writer, src []byte) (string, error) {
 		return segment.Magic, err
 	case bytes.HasPrefix(src, []byte(magicV1)):
 		b, err := transcodeV1(src)
-		if err != nil {
-			return magicV1, err
+		if err == nil {
+			err = upgradeV2(w, b)
 		}
-		meta, items, dict, g, _, err := segment.Read(bytes.NewReader(b))
-		if err != nil {
-			return magicV1, err
-		}
-		return magicV1, write(w, meta, dict, g, items)
+		return magicV1, err
+	case bytes.HasPrefix(src, []byte(magicV2)):
+		return magicV2, upgradeV2(w, src)
 	}
 	meta, items, err := ReadCorpusItems(bytes.NewReader(src))
 	format := fmt.Sprintf("text v%d", meta.Version)
@@ -66,23 +66,45 @@ func Upgrade(w io.Writer, src []byte) (string, error) {
 	return format, write(w, segment.Meta{Backend: meta.Backend, K: meta.K, Directed: meta.Directed}, dict, nil, items)
 }
 
+// upgradeV2 writes the corpus of the NEDSEG02 segment b to w: its
+// transcoding (transcodeV2) goes through segment.Read, so every check of
+// the one decoder runs on old bytes.
+func upgradeV2(w io.Writer, b []byte) error {
+	b, err := transcodeV2(b)
+	if err != nil {
+		return err
+	}
+	meta, items, dict, g, _, err := segment.Read(bytes.NewReader(b))
+	if err != nil {
+		return err
+	}
+	return write(w, meta, dict, g, items)
+}
+
 // write writes profiled items as the engine writes a corpus: its rows,
-// node-ascending, split into segment.Tables.
+// node-ascending (segment.WriteRows).
 func write(w io.Writer, meta segment.Meta, dict *tree.Interner, g *graph.Graph, items []ned.Item) error {
 	rows := ned.RowsOf(items)
-	return segment.WriteRows(w, meta, dict, g, segment.Tables(func(yield func(ned.Row) bool) {
+	return segment.WriteRows(w, meta, dict, g, func(yield func(ned.Row) bool) {
 		for i := range rows.Len() {
 			if !yield(rows.Row(i)) {
 				return
 			}
 		}
-	}))
+	})
+}
+
+// Converted is one checkpoint UpgradeDir rewrote: its path, the format
+// it held and its bytes before and after.
+type Converted struct {
+	Path, Format  string
+	Before, After int64
 }
 
 // UpgradeDir converts each checkpoint of the durable directory dir that
-// is not NEDSEG02, atomically in place, and returns the paths it
-// rewrote; it leaves logs and NEDSEG02 checkpoints as they are.
-func UpgradeDir(dir string) ([]string, error) {
+// is not NEDSEG03, atomically in place, and returns those it rewrote; it
+// leaves logs and NEDSEG03 checkpoints as they are.
+func UpgradeDir(dir string) ([]Converted, error) {
 	seqs, err := segment.Checkpoints(dir)
 	if err != nil {
 		return nil, err
@@ -90,7 +112,7 @@ func UpgradeDir(dir string) ([]string, error) {
 	if len(seqs) == 0 {
 		return nil, fmt.Errorf("legacy: %s holds no checkpoint", dir)
 	}
-	var done []string
+	var done []Converted
 	for _, s := range seqs {
 		path := segment.CheckpointPath(dir, s)
 		src, err := os.ReadFile(path)
@@ -100,13 +122,19 @@ func UpgradeDir(dir string) ([]string, error) {
 		if segment.IsSegment(src) {
 			continue
 		}
-		if err := fsx.WriteFileAtomic(path, func(w io.Writer) error {
-			_, err := Upgrade(w, src)
+		c := Converted{Path: path, Before: int64(len(src))}
+		if err := fsx.WriteFileAtomic(path, func(w io.Writer) (err error) {
+			c.Format, err = Upgrade(w, src)
 			return err
 		}); err != nil {
 			return done, fmt.Errorf("legacy: %s: %w", path, err)
 		}
-		done = append(done, path)
+		fi, err := os.Stat(path)
+		if err != nil {
+			return done, err
+		}
+		c.After = fi.Size()
+		done = append(done, c)
 	}
 	return done, nil
 }

@@ -14,13 +14,13 @@ import (
 )
 
 // NEDSEG01 segments. The first binary layout frames the same sections as
-// NEDSEG02 (internal/segment), but its item tables store every tree
-// whole: n, parents n×u32, then the compiled profile columns labels
-// n×u32 (sorted within each level), perm n×u32 (each sorted label's
-// level-local node) and kids (n-1)×u32 (every node's sorted child
-// labels, in node order). A segment of a build that could move nodes off
-// their hash shard also carries a placement directory between the graph
-// and the first item table:
+// NEDSEG02 (nedseg02.go), but its item tables store every tree whole: n,
+// parents n×u32, then the compiled profile columns labels n×u32 (sorted
+// within each level), perm n×u32 (each sorted label's level-local node)
+// and kids (n-1)×u32 (every node's sorted child labels, in node order).
+// A segment of a build that could move nodes off their hash shard also
+// carries a placement directory between the graph and the first item
+// table:
 //
 //	place: base u32, shards u32 (must equal meta's), redirect base×u32
 //	       (each < shards), moves u64, then (node u32, shard u32) pairs
@@ -38,24 +38,18 @@ type item struct {
 	words []byte
 }
 
-// shapes is a dictionary section as segment.DecodeShapes decodes it.
+// shapes is a dictionary section as decodeShapes decodes it.
 type shapes struct{ off, kids []int32 }
 
 func (sh shapes) run(l int32) []int32 { return sh.kids[sh.off[l]:sh.off[l+1]] }
 
 // transcodeV1 rewrites a NEDSEG01 segment as the NEDSEG02 segment of the
-// same corpus, for segment.Read to decode and check: each item table
+// same corpus, for transcodeV2 to carry on to NEDSEG03: each item table
 // translated (translateV1), the items re-filed by hash, the placement
 // directory checked and dropped, every other section passed on as it is.
 func transcodeV1(b []byte) ([]byte, error) {
 	r := bytes.NewReader(b[len(magicV1):])
-	expect := func(want byte) ([]byte, error) {
-		typ, payload, err := segment.ReadSection(r)
-		if err == nil && typ != want {
-			err = fmt.Errorf("segment: section type %d where %d expected", typ, want)
-		}
-		return payload, err
-	}
+	expect := func(want byte) ([]byte, error) { return expectSection(r, want) }
 	meta, err := expect(segment.SecMeta)
 	if err != nil {
 		return nil, err
@@ -69,7 +63,7 @@ func transcodeV1(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	off, kids, err := segment.DecodeShapes(dict, h.Shapes)
+	sh, err := decodeShapes(dict, h.Shapes)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +87,7 @@ func transcodeV1(b []byte) ([]byte, error) {
 		case uint64(len(payload)) != h.TableLens[si]:
 			err = fmt.Errorf("segment: shard %d payload is %d bytes, meta declares %d", si, len(payload), h.TableLens[si])
 		default:
-			items, err = translateV1(items, payload, si, h.Shards, shapes{off, kids}, place)
+			items, err = translateV1(items, payload, si, h.Shards, sh, place)
 			si++
 		}
 		if err != nil {
@@ -116,7 +110,7 @@ func transcodeV1(b []byte) ([]byte, error) {
 		h.TableLens[si] = uint64(len(t))
 	}
 	mb, _ := h.Append(nil) // the backend name came from a u16-framed field
-	out := append(segment.AppendSection([]byte(segment.Magic), segment.SecMeta, mb), dictAndGraph...)
+	out := append(segment.AppendSection([]byte(magicV2), segment.SecMeta, mb), dictAndGraph...)
 	for _, t := range tables {
 		out = segment.AppendSection(out, segment.SecShard, t)
 	}

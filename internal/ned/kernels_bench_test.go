@@ -1,9 +1,11 @@
 package ned
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
+	"ned/internal/datasets"
 	"ned/internal/graph"
 	"ned/internal/ted"
 	"ned/internal/tree"
@@ -14,7 +16,9 @@ import (
 // evaluation order by counting sort versus a comparison sort, the
 // survivor bitmap, and the per-candidate degree tier through profiles
 // and from the degree column. The scans' wall-clock win (BenchmarkCorpusKNN) mixes filter
-// and verify work; this is the filter side alone, in ns per candidate.
+// and verify work; this is the filter side alone, in ns per candidate,
+// over a small random graph at k = 2 and, for the degree column, over
+// real PGP rows at k = 3.
 // CI runs it at -benchtime=1x as a compile-and-smoke gate; the harness
 // reads the block sweep at serving size as ned.sweep_ns_per_candidate.
 func BenchmarkCascadeKernels(b *testing.B) {
@@ -95,4 +99,34 @@ func BenchmarkCascadeKernels(b *testing.B) {
 		}
 		perCand(b)
 	})
+
+	// The column over real rows: the PGP analog at ×4 and ×16, k = 3,
+	// whose trees have inner levels, so the tier reads real degree runs
+	// (at ×16 two bytes a count). Each block is built once, on first use.
+	for _, scale := range []float64{4, 16} {
+		var blk *profileBlock
+		var q Item
+		var padB []int32
+		b.Run(fmt.Sprintf("degreetier/column/pgp=%g", scale), func(b *testing.B) {
+			if blk == nil {
+				g := datasets.MustGenerate(datasets.PGP, datasets.Options{Scale: scale, Seed: 42})
+				nodes := make([]graph.NodeID, g.NumNodes())
+				for v := range nodes {
+					nodes[v] = graph.NodeID(v)
+				}
+				items := BuildProfiledItems(g, nodes, 3, false, tree.NewInterner(), 0)
+				blk, q = compileBlock(items), items[0]
+				padB = make([]int32, len(items))
+				blk.bounds(q, 0, int32(len(items)), make([]int32, len(items)), padB)
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				for r := range int32(len(padB)) {
+					blk.degreeTierPrunes(q, r, int(padB[r]), ted.Unbounded)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(padB)), "ns/cand")
+			b.ReportMetric(float64(blk.Out.Degs.Width), "B/count")
+		})
+	}
 }

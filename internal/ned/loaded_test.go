@@ -103,14 +103,14 @@ func TestLoadedBlockEqualsBuilt(t *testing.T) {
 			t.Fatalf("%s: no stored label reaches 2^16", c.name)
 		}
 		for _, n := range []int{1, 2, 16} {
-			tables := make([][]ned.Row, n)
+			tables := make([][]ned.Item, n)
 			for i := range built.Len() {
-				r := built.Row(i)
-				tables[ned.ShardOf(r.Node, n)] = append(tables[ned.ShardOf(r.Node, n)], r)
+				it := built.Item(i)
+				tables[ned.ShardOf(it.Node, n)] = append(tables[ned.ShardOf(it.Node, n)], it)
 			}
 			var buf bytes.Buffer
 			meta := segment.Meta{Backend: "pruned", K: 3, Directed: c.directed}
-			if err := segment.WriteRows(&buf, meta, dict, nil, tables); err != nil {
+			if err := segment.Write(&buf, meta, dict, nil, tables, nil); err != nil {
 				t.Fatal(err)
 			}
 			_, rows, _, _, err := segment.ReadRows(&buf)

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -103,46 +102,50 @@ func walFrameBounds(b []byte) []int64 {
 // FuzzSegmentRead only asserts the reader never panics or succeeds on
 // garbage that isn't byte-identical to a real segment's semantics —
 // i.e. it must not crash; errors are expected. It is seeded with the
-// NEDSEG02 golden, its prefix, and the golden with one item-table word
-// rewritten under a recomputed checksum, so mutations start from tables
-// that reach the label checks, or that declare more rows or stored
-// labels than they hold; and with the NEDSEG01 golden, its prefix and
-// its rewritten trees (V1Cases), bytes of an earlier build that Read
-// must reject and whose mutations reach the NEDSEG02 decoder once their
-// magic flips. internal/legacy's fuzz target converts the same NEDSEG01
-// seeds.
+// NEDSEG03 golden, its prefix, the golden with one uvarint of an item
+// table rewritten under recomputed checksums, so mutations start from
+// tables that reach the label checks, or that declare more rows or
+// stored labels than they hold, and the golden with one uvarint made
+// malformed (HostileUvarints); and with the NEDSEG02 and NEDSEG01
+// goldens, their prefixes and the NEDSEG01 golden's rewritten trees
+// (V1Cases), bytes of earlier builds that Read must reject and whose
+// mutations reach the decoder once their magic flips. internal/legacy's
+// fuzz target converts the same legacy seeds.
 func FuzzSegmentRead(f *testing.F) {
 	for _, c := range V1Cases(f) {
 		f.Add(c.Blob)
 	}
-	for _, name := range []string{"golden.nedseg", "golden-v1.nedseg"} {
+	for _, name := range []string{"golden.nedseg", "golden-v2.nedseg", "golden-v1.nedseg"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
-			continue
+			f.Fatal(err)
 		}
 		f.Add(b)
-		if len(b) > 40 {
-			f.Add(b[:40])
+		f.Add(b[:40])
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.nedseg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for ti := 0; ; ti++ {
+		types, _ := sections(golden)
+		if ti == bytes.Count(types, []byte{SecShard}) {
+			break
 		}
-		if name != "golden.nedseg" {
-			continue
-		}
-		for off := len(Magic); off < len(b); {
-			n := int(binary.LittleEndian.Uint64(b[off+1:]))
-			if b[off] == SecShard {
-				for _, i := range []int{2, 3, 5, 6, n/8 + 1} {
-					if i < n/4 {
-						f.Add(rewrite(b, off+9, n/4, i, 0))
-						f.Add(rewrite(b, off+9, n/4, i, 1<<31|3))
-					}
-				}
-				// More rows, and a first tree of more stored labels, than
-				// the table holds.
-				f.Add(rewrite(b, off+9, n/4, 1, 1<<28))
-				f.Add(rewrite(b, off+9, n/4, 5, 1<<30))
+		n := len(tableWords(golden, ti))
+		for _, i := range []int{1, 2, 3, 5, n/2 + 1} {
+			if i < n {
+				f.Add(rewrite(golden, ti, i, 0))
+				f.Add(rewrite(golden, ti, i, 1<<31|3))
 			}
-			off += 9 + n + 4
 		}
+		// More rows, and a first tree of more stored labels, than the
+		// table holds.
+		f.Add(rewrite(golden, ti, 0, 1<<28))
+		f.Add(rewrite(golden, ti, 2, 1<<30))
+	}
+	for _, c := range HostileUvarints(f) {
+		f.Add(c.Blob)
 	}
 	f.Add([]byte(Magic))
 	f.Add([]byte{})

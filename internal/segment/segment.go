@@ -11,16 +11,18 @@
 //
 // A segment is a magic string followed by framed sections:
 //
-//	magic   "NEDSEG02" (8 bytes)
+//	magic   "NEDSEG03" (8 bytes)
 //	section [type u8][payloadLen u64][payload][crc32c(payload) u32]
 //
 // in fixed order: meta (1), dict (2), an optional graph (3), one shard
 // item table (4) per shard, optionally one VP-index dump (6) per shard,
-// and end (5). All integers are little-endian. Every section is
-// independently length-framed and checksummed, and the end section
-// repeats the total item count, so a torn tail — truncation anywhere,
-// even between sections — fails loudly instead of loading a silently
-// smaller corpus. Segments are always written through
+// and end (5). Fixed-width integers are little-endian; the dict and
+// item-table payloads are uvarints (uv below: at most 5 bytes, minimal,
+// a count, node or delta at most 2³¹−1, a stored word at most 2³²−1).
+// Every section is independently length-framed and checksummed, and the
+// end section repeats the total item count, so a torn tail — truncation
+// anywhere, even between sections — fails loudly instead of loading a
+// silently smaller corpus. Segments are always written through
 // fsx.WriteFileAtomic, so a torn segment on disk means external
 // corruption, never a crashed writer.
 //
@@ -29,22 +31,23 @@
 //	       hasIndex u8, then one u64 payload length per shard item
 //	       table — the section offsets that let a reader slice or
 //	       skip shards.
-//	dict:  nShapes u32, kidOff (nShapes+1)×u32, kids kidOff[n]×u32 —
-//	       the interner's shapes (tree.Interner.Shapes) as a CSR table:
-//	       shape id's sorted child labels, each a smaller id. Shape 0
-//	       is therefore the leaf.
+//	dict:  nShapes uv, then per shape id its run length uv and its
+//	       sorted child labels as uv deltas (the first from 0) — the
+//	       interner's shapes (tree.Interner.Shapes). Each label is a
+//	       smaller id than its shape, so shape 0 is the leaf.
 //	graph: nodes u32, directed u8, edges u64, then u32 pairs — the
 //	       backing graph, so a recovered corpus keeps Insert and
 //	       UpdateGraph without a sidecar file.
-//	shard: a pure u32 word stream (the payload length must be a
-//	       multiple of 4): shardIndex, itemCount, then per item
-//	       (strictly node-ascending — readers reject out-of-order or
-//	       duplicate nodes): node, k, flags (bit0 = has incoming
-//	       tree), and per tree a header word m — bit 31 set when the
-//	       tree is not in BFS order — then the interned labels of its
-//	       m nodes above the deepest level (levels 0…h−1) in node
-//	       order, then, when bit 31 is set, its parent vector (n×u32,
-//	       parents[0] the root's -1).
+//	shard: itemCount uv, then per item (strictly node-ascending —
+//	       the node is a uv delta from the previous one, the first's
+//	       from −1, so a zero delta is a duplicate): the out-tree's
+//	       stored row, and, when meta says directed, the in-tree's. A
+//	       stored row is uv words exactly as tree.ProfileArena.Words
+//	       holds them: a header m — bit 31 set when the tree is not in
+//	       BFS order — then the interned labels of its m nodes above
+//	       the deepest level (levels 0…h−1) in node order, then, when
+//	       bit 31 is set, its parent vector (n words, the root's −1).
+//	       Meta fixes every item's k and directedness.
 //	index: shardIndex u32, nNodes u32, nTail u32, then per VP-tree
 //	       node in preorder: node u32, radius f64 (IEEE-754 bits as
 //	       u64), flags u8 (bit0 = has inside child, bit1 = has beyond
@@ -59,27 +62,29 @@
 // count and its children's labels. A tree therefore stores only what
 // the dictionary cannot derive — the labels of its inner levels, about
 // an eighth of its nodes on the PGP analog at k = 3 — which is what a
-// resident row stores too (tree.ProfileArena.Words). ReadRows reads
-// the item tables twice: a first pass (scanTable) checks every header
-// and derives each tree's size and height, the rows are ranked across
-// the tables as a scan ranks them, and a second pass (fillRow) writes
-// each row's words, as the uvarints an arena holds, into its rank slot
-// of arenas sized once and derives only the level widths, from the
-// child counts, and the degree runs, the child counts sorted per level
-// and stored at the width the largest needs. A writer decodes the
-// uvarints back: the format's words stay u32. In BFS order the child counts are
-// the child offsets (every extracted tree is; only a tree converted
-// from a text corpus can be another, which keeps its parent vector). The
-// deepest level, all leaves, is its width alone in memory as on disk.
-// Every stored label is checked against the shapes around it — in the
+// resident row stores too (tree.ProfileArena.Words), byte for byte.
+// ReadRows reads the item tables twice: a first pass (scanTable)
+// checks every uvarint and header and derives each tree's size and
+// height, the rows are ranked across the tables as a scan ranks them,
+// and a second pass (fillRow) copies each row's bytes into its rank
+// slot of arenas sized once and derives only the level widths, from
+// the child counts, and the degree runs, the child counts sorted per
+// level and stored at the width the largest needs. A writer appends a
+// row's bytes as they are. In BFS order the child counts are the child
+// offsets (every extracted tree is; only a tree converted from a text
+// corpus can be another, which keeps its parent vector). The deepest
+// level, all leaves, is its width alone in memory as on disk. Every
+// stored label is checked against the shapes around it — in the
 // dictionary, child counts that end exactly on a level boundary, no
 // stored level without children, leaf kids only on level h−1, children
-// that carry their parent's shape's kids — so a table that checksums
-// but could not have been written fails with ErrInconsistent.
+// that carry their parent's shape's kids — and every uvarint for its
+// form, so a table that checksums but could not have been written
+// fails with ErrInconsistent.
 //
-// A load retains no item-table payload: every column is derived into
-// fresh storage. Older layouts (NEDSEG01, text corpora) do not load
-// here; internal/legacy converts them to NEDSEG02 offline.
+// A load retains no item-table payload: every column is copied or
+// derived into fresh storage. Older layouts (NEDSEG01, NEDSEG02, text
+// corpora) do not load here; internal/legacy converts them to NEDSEG03
+// offline.
 //
 // The index sections persist what even the item tables cannot buy
 // back: a vantage-point tree costs O(n log n) TED* evaluations to
@@ -108,10 +113,9 @@ import (
 	"ned/internal/tree"
 )
 
-// hostLittleEndian gates the bulk int32 decode fast path: on a
-// little-endian host the wire format IS the in-memory layout, so a
-// column of persisted int32s loads with one memmove instead of a
-// per-element shift-and-or loop.
+// hostLittleEndian gates the dictionary's key view: on a little-endian
+// host the decoded kid labels are the little-endian u32 keys the
+// dictionary takes, so the two share one allocation.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -119,7 +123,7 @@ var hostLittleEndian = func() bool {
 
 // Magic identifies (and versions) the binary segment format Write
 // emits and Read and Verify accept.
-const Magic = "NEDSEG02"
+const Magic = "NEDSEG03"
 
 // IsSegment reports whether a stream beginning with prefix is a binary
 // segment.
@@ -211,27 +215,82 @@ func DecodeHeader(payload []byte) (Header, error) {
 	return h, d.done()
 }
 
-// DecodeShapes decodes a dict section's payload of n shapes: shape id's
-// sorted child labels are kids[off[id]:off[id+1]].
-func DecodeShapes(payload []byte, n int) (off, kids []int32, err error) {
-	at := min(len(payload), 4+4*(n+1))
-	return decodeShapes(payload[:at], payload[at:], n)
+// AppendShape appends one shape of a dict section to b: the run length
+// of key, a shape's sorted child labels as little-endian u32s (a key of
+// tree.Interner.Shapes), and the labels as uvarint deltas, the first
+// from 0.
+func AppendShape[K ~string | ~[]byte](b []byte, key K) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)/4))
+	prev := uint32(0)
+	for j := 0; j+4 <= len(key); j += 4 {
+		kid := uint32(key[j]) | uint32(key[j+1])<<8 | uint32(key[j+2])<<16 | uint32(key[j+3])<<24
+		b = binary.AppendUvarint(b, uint64(kid-prev))
+		prev = kid
+	}
+	return b
 }
 
-// decodeShapes is DecodeShapes over a dict section's payload in two
-// parts: its count and offsets, then its kid run.
-func decodeShapes(head, kidRun []byte, n int) (off, kids []int32, err error) {
-	d := &dec{b: head}
-	if got := int(d.u32()); d.err == nil && got != n {
-		d.fail("segment: dict section has %d shapes, meta declares %d", got, n)
+// decodeDict decodes a dict section's payload of n shapes straight into
+// the dictionary's key buffer: shape id's sorted child labels are
+// kids[off[id]:off[id+1]], and keys views kids as the little-endian u32s
+// tree.NewInternerFromShapes takes. Each run length and each label is
+// one uvarint, so the payload's uvarint count sizes kids exactly.
+func decodeDict(p []byte, n int) (off, kids []int32, keys []byte, err error) {
+	got, i, err := uvCount(p, 0)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
 	}
-	off = d.i32s(n + 1)
-	if d.err != nil {
-		return nil, nil, d.err
+	if got != n {
+		return nil, nil, nil, fmt.Errorf("segment: dict section has %d shapes, meta declares %d", got, n)
 	}
-	d.b = kidRun
-	kids = d.i32s(int(off[n]))
-	return off, kids, d.done()
+	total := tree.CountWords(p) - 1 - n
+	if total < 0 {
+		return nil, nil, nil, fmt.Errorf("segment: dict section holds too few uvarints for its %d shapes", n)
+	}
+	off, kids = make([]int32, n+1), make([]int32, total)
+	at := 0
+	for id := range n {
+		var r, d int
+		if r, i, err = uvCount(p, i); err != nil {
+			return nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
+		}
+		if r > total-at {
+			return nil, nil, nil, fmt.Errorf("segment: dict shape %d declares %d child labels, %d left", id, r, total-at)
+		}
+		// The labels ascend, so the last bounds them all. uvCount's
+		// common cases are inline: one byte, and two bytes whose second
+		// is 1…0x7f (minimal).
+		kid, run := 0, kids[at:at+r]
+		for j := range run {
+			if i < len(p) && p[i] < 0x80 {
+				kid, i = kid+int(p[i]), i+1
+			} else if i+1 < len(p) && p[i+1]-1 < 0x7f {
+				kid, i = kid+(int(p[i]&0x7f)|int(p[i+1])<<7), i+2
+			} else if d, i, err = uvCount(p, i); err != nil {
+				return nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
+			} else {
+				kid += d
+			}
+			run[j] = int32(kid)
+		}
+		if r > 0 && kid >= id {
+			return nil, nil, nil, fmt.Errorf("segment: dict shape %d has child label %d (want [0, %d))", id, kid, id)
+		}
+		at += r
+		off[id+1] = int32(at)
+	}
+	if i != len(p) {
+		return nil, nil, nil, fmt.Errorf("segment: %d trailing bytes in dict section", len(p)-i)
+	}
+	if hostLittleEndian {
+		keys = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(kids))), 4*len(kids))
+	} else {
+		keys = make([]byte, 0, 4*len(kids))
+		for _, k := range kids {
+			keys = appendU32(keys, uint32(k))
+		}
+	}
+	return off, kids, keys, nil
 }
 
 // VPNode is one persisted vantage-point-tree node, in preorder. The
@@ -322,29 +381,6 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-// i32s decodes n little-endian u32 values as int32s, checking the
-// byte budget before allocating. On a little-endian host the column
-// loads with one memmove.
-func (d *dec) i32s(n int) []int32 {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.b) < 4*n {
-		d.fail("segment: truncated payload (want %d int32s, have %d bytes)", n, len(d.b))
-		return nil
-	}
-	out, src := make([]int32, n), d.b[:4*n]
-	if hostLittleEndian && n > 0 {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), 4*n), src)
-	} else {
-		for i := range out {
-			out[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
-		}
-	}
-	d.b = d.b[4*n:]
-	return out
-}
-
 func (d *dec) done() error {
 	if d.err != nil {
 		return d.err
@@ -402,7 +438,6 @@ type sectionWriter struct {
 	crc   uint32
 	left  uint64 // payload bytes the open section still owes
 	err   error
-	words []int32 // the stored tree being written, decoded
 }
 
 func newSectionWriter(w io.Writer) *sectionWriter {
@@ -486,35 +521,10 @@ func (s *sectionWriter) u64(v uint64) {
 	s.buf = appendU64(s.buf, v)
 }
 
-// i32s appends a column of int32s as u32 words.
-func (s *sectionWriter) i32s(col []int32) {
-	for len(col) > 0 {
-		s.room()
-		m := min(len(col), (cap(s.buf)-len(s.buf))/4)
-		for _, v := range col[:m] {
-			s.buf = appendU32(s.buf, uint32(v))
-		}
-		col = col[m:]
-	}
-}
-
-// storedWords is the u32 words a stored tree's uvarints (b,
-// tree.ProfileArena.Words) take in an item table: its header word and
-// the labels the header counts, and the parent vector a flagged header
-// announces, which only counting the uvarints finds.
-func storedWords(b []byte) uint64 {
-	hdr, _ := binary.Uvarint(b)
-	if uint32(hdr)&parentsFlag != 0 {
-		return uint64(tree.CountWords(b))
-	}
-	return 1 + hdr
-}
-
-// stored appends a stored tree's uvarints (tree.ProfileArena.Words) as
-// the u32 words they encode.
-func (s *sectionWriter) stored(b []byte) {
-	s.words = tree.DecodeWords(s.words[:0], b)
-	s.i32s(s.words)
+// uv appends x as a uvarint.
+func (s *sectionWriter) uv(x uint32) {
+	s.room()
+	s.buf = binary.AppendUvarint(s.buf, uint64(x))
 }
 
 // raw appends payload bytes as they are.
@@ -617,32 +627,6 @@ func readPayload(r io.Reader, done, n, total uint64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// readDict is expectSection for the dict section of a segment whose
-// meta declares shapes shapes, read into two allocations under the
-// section's one checksum: its count and offsets, which a load decodes
-// and drops, and its kid run, which the dictionary's keys view for as
-// long as the dictionary lives.
-func readDict(r io.Reader, shapes int) (head, kids []byte, err error) {
-	typ, n, err := readSectionHeader(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	at := min(n, 4+4*(uint64(shapes)+1))
-	if head, err = readPayload(r, 0, at, n); err != nil {
-		return nil, nil, err
-	}
-	if kids, err = readPayload(r, at, n-at, n); err != nil {
-		return nil, nil, err
-	}
-	if err := readChecksum(r, typ, crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, kids)); err != nil {
-		return nil, nil, err
-	}
-	if typ != SecDict {
-		return nil, nil, fmt.Errorf("segment: section type %d where %d expected", typ, SecDict)
-	}
-	return head, kids, nil
-}
-
 // AppendSection appends one framed section, as ReadSection reads it,
 // to b.
 func AppendSection(b []byte, typ byte, payload []byte) []byte {
@@ -688,35 +672,9 @@ func expectSection(r io.Reader, want byte) ([]byte, error) {
 // and so carries its parent vector after its labels.
 const parentsFlag = tree.ParentsFlag
 
-// maxTables caps the item tables Tables splits a corpus into: past a
+// maxTables caps the item tables WriteRows splits a corpus into: past a
 // core per table, more tables only add framing.
 const maxTables = 16
-
-// Tables splits node-ascending rows into the item tables WriteRows
-// takes: table i holds, still node-ascending, the rows ned.ShardOf files
-// under i of min(GOMAXPROCS, 16) tables, so Read decodes them in
-// parallel on the same cores. The count is layout, not content: Read
-// returns the same items whatever it was. rows is walked twice, to size
-// the tables once: they share one backing array.
-func Tables(rows iter.Seq[ned.Row]) [][]ned.Row {
-	n := min(runtime.GOMAXPROCS(0), maxTables)
-	sizes := make([]int, n)
-	total := 0
-	for r := range rows {
-		sizes[ned.ShardOf(r.Node, n)]++
-		total++
-	}
-	all := make([]ned.Row, total)
-	tables := make([][]ned.Row, n)
-	for ti, size := range sizes {
-		tables[ti], all = all[:0:size], all[size:]
-	}
-	for r := range rows {
-		ti := ned.ShardOf(r.Node, n)
-		tables[ti] = append(tables[ti], r)
-	}
-	return tables
-}
 
 // Write serializes a materialized corpus as a binary segment: meta,
 // the shape dictionary, the optional backing graph, shardItems[i] as
@@ -735,9 +693,9 @@ func Tables(rows iter.Seq[ned.Row]) [][]ned.Row {
 // writing a segment never holds a copy of the corpus or its dictionary
 // — only meta and the index dumps are framed in memory.
 func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardItems [][]ned.Item, indexes []VPIndex) error {
-	tables := make([][]ned.Row, len(shardItems))
+	tables := make([]iter.Seq[ned.Row], len(shardItems))
 	for si, items := range shardItems {
-		tables[si] = make([]ned.Row, len(items))
+		rows := make([]ned.Row, len(items))
 		for i := range items {
 			it := &items[i]
 			if it.Out == nil || it.OutP == nil || !it.OutP.Resolved() {
@@ -750,55 +708,84 @@ func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardIte
 			if meta.Directed {
 				r.In = tree.AppendWords(nil, tree.AppendStored(nil, it.InP, it.In))
 			}
-			tables[si][i] = r
+			rows[i] = r
 		}
+		tables[si] = slices.Values(rows)
 	}
 	return write(w, meta, dict, g, tables, indexes)
 }
 
 // WriteRows is Write for rows as a scan stores them (ned.Row), which
-// carry their trees' stored form already, with no index dumps.
-func WriteRows(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [][]ned.Row) error {
+// carry their trees' stored form already, with no index dumps. rows
+// must be node-ascending, and the same rows each walk; table i holds, still node-ascending, the rows
+// ned.ShardOf files under i of min(GOMAXPROCS, 16) tables, so Read
+// decodes them in parallel on the same cores. The count is layout, not
+// content: Read returns the same items whatever it was. WriteRows holds
+// no row: it walks rows once to file them and twice per table, to size
+// and to write it.
+func WriteRows(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, rows iter.Seq[ned.Row]) error {
+	n := min(runtime.GOMAXPROCS(0), maxTables)
+	var of []uint8 // each row's table, in the order rows yields them
+	for r := range rows {
+		of = append(of, uint8(ned.ShardOf(r.Node, n)))
+	}
+	tables := make([]iter.Seq[ned.Row], n)
+	for ti := range tables {
+		tables[ti] = func(yield func(ned.Row) bool) {
+			i := 0
+			for r := range rows {
+				if i < len(of) && of[i] == uint8(ti) && !yield(r) {
+					return
+				}
+				i++
+			}
+		}
+	}
 	return write(w, meta, dict, g, tables, nil)
 }
 
-// write is Write over item tables of rows.
-func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [][]ned.Row, indexes []VPIndex) error {
+// write is Write over item tables of rows, each walked twice: to size
+// it, then to write it.
+func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables []iter.Seq[ned.Row], indexes []VPIndex) error {
 	meta.Shards = len(tables)
 	meta.Items = 0
-	for _, rows := range tables {
-		meta.Items += len(rows)
-	}
 	if indexes != nil && len(indexes) != len(tables) {
 		return fmt.Errorf("segment: %d index dumps for %d shards", len(indexes), len(tables))
 	}
-	shardLens := make([]uint64, len(tables))
+	shardLens, counts := make([]uint64, len(tables)), make([]int, len(tables))
 	for si, rows := range tables {
-		if indexes != nil {
-			if ix := &indexes[si]; !ix.empty() && len(ix.Nodes)+len(ix.Tail) != len(rows) {
-				return fmt.Errorf("segment: shard %d index references %d items, shard has %d",
-					si, len(ix.Nodes)+len(ix.Tail), len(rows))
-			}
-		}
-		shardLens[si] = 8
-		for _, r := range rows {
+		last := graph.NodeID(-1)
+		for r := range rows {
 			if r.Node < 0 {
 				return fmt.Errorf("segment: shard %d: negative node id %d", si, r.Node)
 			}
 			if meta.Directed && r.In == nil {
 				return fmt.Errorf("segment: node %d has no incoming tree on a directed corpus", r.Node)
 			}
-			shardLens[si] += 12 + 4*storedWords(r.Out)
+			shardLens[si] += uint64(tree.UvarintLen(uint32(r.Node-last)) + len(r.Out))
 			if meta.Directed {
-				shardLens[si] += 4 * storedWords(r.In)
+				shardLens[si] += uint64(len(r.In))
+			}
+			counts[si], last = counts[si]+1, r.Node
+		}
+		shardLens[si] += uint64(tree.UvarintLen(uint32(counts[si])))
+		meta.Items += counts[si]
+		if indexes != nil {
+			if ix := &indexes[si]; !ix.empty() && len(ix.Nodes)+len(ix.Tail) != counts[si] {
+				return fmt.Errorf("segment: shard %d index references %d items, shard has %d",
+					si, len(ix.Nodes)+len(ix.Tail), counts[si])
 			}
 		}
 	}
 
+	// The dictionary is encoded twice, to size its section and to write
+	// it, through one buffer.
 	shapes := dict.Shapes()
-	kidWords := 0
+	var shape []byte
+	dictLen := tree.UvarintLen(uint32(len(shapes)))
 	for _, key := range shapes {
-		kidWords += len(key) / 4
+		shape = AppendShape(shape[:0], key)
+		dictLen += len(shape)
 	}
 	h := Header{Meta: meta, Shapes: len(shapes), HasGraph: g != nil, HasIndex: indexes != nil, TableLens: shardLens}
 	mb, err := h.Append(nil)
@@ -813,18 +800,11 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 		return err
 	}
 
-	// Dictionary: the CSR offsets, then every shape's key, which is its
-	// child labels as little-endian u32s already.
-	sw.begin(SecDict, 4+4*(len(shapes)+1)+4*kidWords)
-	sw.u32(uint32(len(shapes)))
-	sw.u32(0)
-	off := uint32(0)
+	sw.begin(SecDict, dictLen)
+	sw.uv(uint32(len(shapes)))
 	for _, key := range shapes {
-		off += uint32(len(key) / 4)
-		sw.u32(off)
-	}
-	for _, key := range shapes {
-		raw(sw, key)
+		shape = AppendShape(shape[:0], key)
+		raw(sw, shape)
 	}
 	if err := sw.end(); err != nil {
 		return err
@@ -850,19 +830,18 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 		}
 	}
 
-	// Shard item tables.
+	// Shard item tables: each row's bytes as the arena holds them.
 	for si, rows := range tables {
 		sw.begin(SecShard, int(shardLens[si]))
-		sw.u32(uint32(si))
-		sw.u32(uint32(len(rows)))
-		for _, r := range rows {
-			sw.u32(uint32(r.Node))
-			sw.u32(uint32(meta.K))
-			sw.u32(uint32(boolByte(meta.Directed)))
-			sw.stored(r.Out)
+		sw.uv(uint32(counts[si]))
+		last := graph.NodeID(-1)
+		for r := range rows {
+			sw.uv(uint32(r.Node - last))
+			raw(sw, r.Out)
 			if meta.Directed {
-				sw.stored(r.In)
+				raw(sw, r.In)
 			}
+			last = r.Node
 		}
 		if err := sw.end(); err != nil {
 			return err
@@ -906,38 +885,59 @@ func boolByte(b bool) byte {
 
 // --- reading ---
 
-// shardWords exposes a shard payload as its int32 word stream. On a
-// little-endian host with the (allocator-guaranteed, but verified)
-// 4-byte alignment, the returned slice aliases payload, so the passes of
-// a load read the section's checksummed bytes in place; they copy what
-// they keep, so no row or tree is backed by it. Otherwise one
-// byte-swapping copy is made.
-func shardWords(payload []byte) ([]int32, error) {
-	if len(payload)%4 != 0 {
-		return nil, fmt.Errorf("segment: shard payload length %d not a multiple of 4", len(payload))
-	}
-	n := len(payload) / 4
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&payload[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&payload[0])), n), nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-	return out, nil
-}
-
-// ErrInconsistent reports an item table whose checksum holds but whose
-// stored labels (or parent vector) disagree with the segment's own
-// shape dictionary: faithfully persisted bytes of a corpus that cannot
-// have been written.
+// ErrInconsistent reports an item table or dictionary whose checksum
+// holds but whose bytes could not have been written: a malformed
+// uvarint, or stored labels (or a parent vector) that disagree with the
+// segment's own shape dictionary — faithfully persisted bytes of a
+// corpus that cannot have been written.
 var ErrInconsistent = errors.New("segment: item table disagrees with its dictionary")
 
 func inconsistent(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInconsistent, fmt.Sprintf(format, args...))
+}
+
+// uvarint decodes the uvarint at b[i:] and returns the index past it.
+// It fails with ErrInconsistent, reading nothing past b, on one that
+// runs past b, is longer than 5 bytes, is not minimal or exceeds 32
+// bits: a writer emits none of these (tree.AppendWords), so a stored
+// row's bytes are the form an arena holds.
+func uvarint(b []byte, i int) (uint32, int, error) {
+	if i < len(b) && b[i] < 0x80 {
+		return uint32(b[i]), i + 1, nil
+	}
+	return uvarintLong(b, i)
+}
+
+func uvarintLong(b []byte, i int) (uint32, int, error) {
+	x := uint64(0)
+	for j := i; j < len(b); j++ {
+		if j-i == 5 {
+			return 0, i, inconsistent("uvarint at byte %d is longer than 5 bytes", i)
+		}
+		c := b[j]
+		x |= uint64(c&0x7f) << (7 * (j - i))
+		if c >= 0x80 {
+			continue
+		}
+		switch {
+		case c == 0 && j > i:
+			return 0, i, inconsistent("uvarint at byte %d is not minimal", i)
+		case x > math.MaxUint32:
+			return 0, i, inconsistent("uvarint at byte %d exceeds 32 bits", i)
+		}
+		return uint32(x), j + 1, nil
+	}
+	return 0, i, inconsistent("uvarint at byte %d runs past the end of its section", i)
+}
+
+// uvCount is uvarint for a count, a node id or a delta, which must fit
+// an int32.
+func uvCount(b []byte, i int) (int, int, error) {
+	x, j, err := uvarint(b, i)
+	if err == nil && x > math.MaxInt32 {
+		return 0, i, inconsistent("uvarint at byte %d is %d, past int32", i, x)
+	}
+	return int(x), j, err
 }
 
 // leafShape is the label of the childless shape in every dictionary a
@@ -974,86 +974,97 @@ func (sh *shapeTable) run(l int32) []int32 { return sh.kids[sh.off[l]:sh.off[l+1
 func (sh *shapeTable) deg(l int32) int32 { return sh.off[l+1] - sh.off[l] }
 
 // treeScratch is one decoding worker's memory, reused across trees:
-// count holds one zero per shape between trees (fillRow sizes it),
-// degCount one zero per child count between levels, degs a tree's
-// degree runs before they are narrowed into its row.
+// words holds a row's words, decoded, count one zero per shape between
+// trees (fillRow sizes it), degCount one zero per child count between
+// levels, degs a tree's degree runs before they are narrowed into its
+// row.
 type treeScratch struct {
+	words    []int32
 	count    []int32
 	degCount []int32
 	kids     []int32
 	degs     []int32
 }
 
-// scanTree reads the tree at words[pos:] as the first pass of a load
+// scanTree reads the stored row at b[pos:] as the first pass of a load
 // does: its header, its stored labels, which must be in the dictionary,
 // and the level widths they derive — the root alone, then each stored
 // level's child count, which must end exactly where the stored labels
-// do. It returns the tree's node count and height, its largest child
-// count but the root's (the widest entry of its degree runs) and the
-// cursor past it.
-func scanTree(words []int32, pos int, sh *shapeTable) (n, h int, top int32, end int, err error) {
-	if pos >= len(words) {
-		return 0, 0, 0, 0, fmt.Errorf("segment: truncated payload")
+// do — and, flagged, its parent vector's words. It returns the tree's
+// node count, height and stored label count, its largest child count
+// but the root's (the widest entry of its degree runs) and the byte
+// past it.
+func scanTree(b []byte, pos int, sh *shapeTable) (n, h, m int, top int32, end int, err error) {
+	hdr, pos, err := uvarint(b, pos)
+	if err != nil {
+		return 0, 0, 0, 0, 0, err
 	}
-	hdr := uint32(words[pos])
-	pos++
-	m := int(hdr &^ parentsFlag)
-	if m > len(words)-pos {
-		return 0, 0, 0, 0, fmt.Errorf("segment: tree declares %d stored labels with %d words left", m, len(words)-pos)
+	m = int(hdr &^ parentsFlag)
+	if m > len(b)-pos {
+		return 0, 0, 0, 0, 0, fmt.Errorf("segment: tree declares %d stored labels with %d bytes left", m, len(b)-pos)
 	}
-	stored := words[pos : pos+m]
-	pos += m
-	shapes := int32(len(sh.off) - 1)
+	shapes := uint32(len(sh.off) - 1)
 	if shapes == 0 {
-		return 0, 0, 0, 0, inconsistent("the dictionary has no leaf shape")
+		return 0, 0, 0, 0, 0, inconsistent("the dictionary has no leaf shape")
 	}
-	for v, l := range stored {
-		if l < 0 || l >= shapes {
-			return 0, 0, 0, 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
+	// w is the width of level h, left its labels not read yet, c the
+	// children of those read.
+	n, w, left, c := 1, 1, 1, 0
+	for v := range m {
+		var l uint32
+		if pos < len(b) && b[pos] < 0x80 { // uvarint's common case, inline
+			l, pos = uint32(b[pos]), pos+1
+		} else if l, pos, err = uvarintLong(b, pos); err != nil {
+			return 0, 0, 0, 0, 0, err
 		}
-	}
-	n = 1
-	for off, w := 0, 1; off < m; h++ {
-		if off+w > m {
-			return 0, 0, 0, 0, inconsistent("child counts of level %d overrun the %d stored labels", h, m)
+		if l >= shapes {
+			return 0, 0, 0, 0, 0, inconsistent("label %d of node %d outside the dictionary [0, %d)", l, v, shapes)
 		}
-		c := 0
-		for _, l := range stored[off : off+w] {
-			d := sh.deg(l)
-			if c += int(d); off > 0 {
-				top = max(top, d)
-			}
+		d := sh.deg(int32(l))
+		if c += int(d); v > 0 {
+			top = max(top, d)
+		}
+		if left--; left > 0 {
+			continue
 		}
 		if c == 0 {
-			return 0, 0, 0, 0, inconsistent("stored level %d has no children", h)
+			return 0, 0, 0, 0, 0, inconsistent("stored level %d has no children", h)
 		}
 		if n += c; n > maxTreeNodes {
-			return 0, 0, 0, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
+			return 0, 0, 0, 0, 0, inconsistent("tree derives more than %d nodes", maxTreeNodes)
 		}
-		off, w = off+w, c
+		h, w, left, c = h+1, c, c, 0
+	}
+	if left != w {
+		return 0, 0, 0, 0, 0, inconsistent("child counts of level %d overrun the %d stored labels", h, m)
 	}
 	if hdr&parentsFlag != 0 {
-		if n > len(words)-pos {
-			return 0, 0, 0, 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d words left", n, len(words)-pos)
+		if n > len(b)-pos {
+			return 0, 0, 0, 0, 0, fmt.Errorf("segment: tree's %d-node parent vector overruns the %d bytes left", n, len(b)-pos)
 		}
-		pos += n
+		for range n {
+			if _, pos, err = uvarint(b, pos); err != nil {
+				return 0, 0, 0, 0, 0, err
+			}
+		}
 	}
-	return n, h, top, pos, nil
+	return n, h, m, top, pos, nil
 }
 
-// fillRow decodes the tree at words[pos:], which scanTree has read, into
-// row slot of a, whose offsets give the row its room: its words, as
-// uvarints, level widths and degree runs (each level's child counts,
+// fillRow writes the stored row b, which scanTree has read, into row
+// slot of a, whose offsets give the row its room: its bytes as they are,
+// and its level widths and degree runs (each level's child counts,
 // sorted, at the arena's width), a node's child count being its label's
-// shape's. It checks what scanTree did
-// not — leaf kids only on level h−1, a parent vector that agrees with
-// the child counts, children that carry their parent's shape's kids —
-// failing with ErrInconsistent. a copies what it keeps; the payload is
-// not retained.
-func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.ProfileArena, slot int) error {
-	hdr := uint32(words[pos])
+// shape's. It checks what scanTree did not — leaf kids only on level
+// h−1, a parent vector that agrees with the child counts, children that
+// carry their parent's shape's kids — failing with ErrInconsistent. a
+// copies what it keeps; the payload is not retained.
+func fillRow(b []byte, sh *shapeTable, sc *treeScratch, a *tree.ProfileArena, slot int) error {
+	words := tree.DecodeWords(sc.words[:0], b)
+	sc.words = words
+	hdr := uint32(words[0])
 	m := int(hdr &^ parentsFlag)
-	stored := words[pos+1 : pos+1+m]
+	stored := words[1 : 1+m]
 	if sc.count == nil {
 		sc.count = make([]int32, len(sh.off)-1)
 	}
@@ -1091,7 +1102,7 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 	var t *tree.Tree // the parent vector's tree, for one not in BFS order
 	if hdr&parentsFlag != 0 {
 		var err error
-		if t, err = tree.New(words[pos+1+m : pos+1+m+n]); err != nil {
+		if t, err = tree.New(words[1+m : 1+m+n]); err != nil {
 			return fmt.Errorf("segment: %w", err)
 		}
 		for v := range int32(n) {
@@ -1151,12 +1162,7 @@ func fillRow(words []int32, pos int, sh *shapeTable, sc *treeScratch, a *tree.Pr
 		at += int(w)
 	}
 	a.Degs.Put(int(a.DegOff[slot]), degs)
-	end := pos + 1 + m
-	if t != nil {
-		end += n
-	}
-	lo, hi := a.WordOff[slot], a.WordOff[slot+1]
-	tree.AppendWords(a.Words[lo:lo:hi], words[pos:end])
+	copy(a.Words[a.WordOff[slot]:a.WordOff[slot+1]], b)
 	a.Sizes[slot] = int32(n)
 	return nil
 }
@@ -1185,12 +1191,12 @@ func (sc *treeScratch) sortCounts(run []int32) {
 }
 
 // table is one item table as the first pass of a load reads it: its
-// words, and per item its node, its size key (the out-tree's node
-// count, plus the in-tree's when directed) and where it lies; per
+// payload, and per item its node, its size key (the out-tree's node
+// count, plus the in-tree's when directed) and where its rows lie; per
 // tree side (out, in), the tallest tree, the largest inner child count
 // and the degree-run entries and stored bytes its rows hold.
 type table struct {
-	words        []int32
+	payload      []byte
 	nodes        []graph.NodeID
 	keys         []int32
 	heads        []rowHead
@@ -1199,102 +1205,79 @@ type table struct {
 	degs, stored [2]int
 }
 
-// rowHead locates one item of a table: the word it starts at and its
-// out-tree's word count — its in-tree runs to the next item — and the
-// bytes each tree takes stored (tree.ProfileArena.Words).
+// rowHead locates one item of a table: the byte its out-row starts at
+// — its in-row follows — and each row's stored bytes and degree-run
+// entries (its stored labels but the root's).
 type rowHead struct {
-	pos, out int32
-	bytes    [2]int32
+	pos         int32
+	bytes, degs [2]int32
 }
 
 // scanTable is the first pass over one item table's payload: it checks
-// every item's header and reads its trees (scanTree).
+// every item's node and reads its trees (scanTree).
 func scanTable(payload []byte, si int, meta Meta, sh *shapeTable) (*table, error) {
-	words, err := shardWords(payload)
+	count, pos, err := uvCount(payload, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("segment: shard %d: %w", si, err)
 	}
-	if len(words) < 2 {
-		return nil, fmt.Errorf("segment: shard %d payload truncated", si)
+	sides := 1
+	if meta.Directed {
+		sides = 2
 	}
-	if got := int(uint32(words[0])); got != si {
-		return nil, fmt.Errorf("segment: shard section %d out of order (want %d)", got, si)
+	// Minimum item: a node delta and a one-node tree's header per side.
+	if count > (len(payload)-pos)/(1+sides) {
+		return nil, fmt.Errorf("segment: shard %d declares %d items with %d bytes left", si, count, len(payload)-pos)
 	}
-	count := int(uint32(words[1]))
-	pos := 2
-	// Minimum item: 3 header words + a 1-node tree's 1 word.
-	if count < 0 || count > (len(words)-pos)/4 {
-		return nil, fmt.Errorf("segment: shard %d declares %d items with %d words left", si, count, len(words)-pos)
-	}
-	t := &table{words: words}
-	last := int32(-1)
+	t := &table{payload: payload}
+	last := -1
 	for i := 0; i < count; i++ {
-		if len(words)-pos < 3 {
-			return nil, fmt.Errorf("segment: shard %d truncated at item %d", si, i)
-		}
-		start := pos
-		node := words[pos]
-		k := int(uint32(words[pos+1]))
-		flags := uint32(words[pos+2])
-		pos += 3
-		if node < 0 {
-			return nil, fmt.Errorf("segment: shard %d item %d has negative node id", si, i)
+		delta, next, err := uvarint(payload, pos)
+		if err != nil {
+			return nil, fmt.Errorf("segment: shard %d item %d: %w", si, i, err)
 		}
 		// Writers emit items strictly node-ascending per shard; since the
 		// layout maps a node to exactly one shard, this single ordered
 		// pass doubles as the whole-segment duplicate check.
-		if node <= last {
-			return nil, fmt.Errorf("segment: shard %d items not node-ascending (%d after %d)", si, node, last)
+		if delta == 0 {
+			return nil, fmt.Errorf("segment: shard %d items not node-ascending (%d twice)", si, last)
 		}
-		last = node
-		if k != meta.K {
-			return nil, fmt.Errorf("segment: node %d has k=%d, segment k=%d", node, k, meta.K)
+		node := last + int(delta)
+		if node > math.MaxInt32 {
+			return nil, inconsistent("shard %d item %d has node id %d, past int32", si, i, node)
 		}
-		hasIn := flags&1 != 0
-		if hasIn != meta.Directed {
-			return nil, fmt.Errorf("segment: node %d directedness disagrees with segment meta", node)
-		}
+		last, pos = node, next
 		if want := ned.ShardOf(graph.NodeID(node), meta.Shards); want != si {
 			return nil, fmt.Errorf("segment: node %d filed under shard %d, its hash routes it to %d", node, si, want)
 		}
-		sides, key, which := 1, 0, ""
-		if hasIn {
-			sides = 2
-		}
-		head := rowHead{pos: int32(start)}
+		key, which := 0, ""
+		head := rowHead{pos: int32(pos)}
 		for side := range sides {
-			n, h, top, end, err := scanTree(words, pos, sh)
+			n, h, m, top, end, err := scanTree(payload, pos, sh)
 			if err != nil {
 				return nil, fmt.Errorf("node %d%s: %w", node, which, err)
 			}
-			if side == 0 {
-				head.out = int32(end - pos)
-			}
-			head.bytes[side] = int32(tree.WordsLen(words[pos:end]))
+			head.bytes[side], head.degs[side] = int32(end-pos), int32(max(m-1, 0))
 			key, t.height[side], t.top[side] = key+n, max(t.height[side], h), max(t.top[side], top)
-			t.degs[side] += storedDegs(words, pos)
-			t.stored[side] += int(head.bytes[side])
+			t.degs[side] += int(head.degs[side])
+			t.stored[side] += end - pos
 			pos, which = end, " incoming"
 		}
 		t.heads = append(t.heads, head)
 		t.nodes = append(t.nodes, graph.NodeID(node))
 		t.keys = append(t.keys, int32(key))
 	}
-	if pos != len(words) {
-		return nil, fmt.Errorf("segment: shard %d: %d trailing words in section payload", si, len(words)-pos)
+	if pos != len(payload) {
+		return nil, fmt.Errorf("segment: shard %d: %d trailing bytes in section payload", si, len(payload)-pos)
 	}
 	return t, nil
 }
 
-// trees returns where item i of t has its out-tree and, when directed,
-// its in-tree, and the in-tree's end.
-func (t *table) trees(i int) (out, in, end int) {
-	out = int(t.heads[i].pos) + 3
-	in, end = out+int(t.heads[i].out), len(t.words)
-	if i+1 < len(t.heads) {
-		end = int(t.heads[i+1].pos)
-	}
-	return out, in, end
+// rows returns the stored rows of item i of t: its out-row and, when
+// directed, its in-row.
+func (t *table) rows(i int) (out, in []byte) {
+	h := &t.heads[i]
+	at, mid := int(h.pos), int(h.pos+h.bytes[0])
+	return t.payload[at:mid], t.payload[mid : mid+int(h.bytes[1])]
 }
 
 // eachTable runs f over tables 0…n-1 on GOMAXPROCS workers, each with
@@ -1320,10 +1303,10 @@ func eachTable(n int, f func(ti int, sc *treeScratch) error) error {
 }
 
 // decodeTables decodes the item tables' payloads into one batch of rows
-// and each item's row, in table order. NEDSEG02 rows are decoded once,
-// straight into their rank slots (ned.RankOrder) of arenas sized by the
-// first pass (scanTable) with a relocation's room to spare (ned.RowRoom),
-// so the scan adopts them as they are and a replayed log or the first
+// and each item's row, in table order. Rows are copied once, straight
+// into their rank slots (ned.RankOrder) of arenas sized by the first
+// pass (scanTable) with a relocation's room to spare (ned.RowRoom), so
+// the scan adopts them as they are and a replayed log or the first
 // writes append in place.
 func decodeTables(payloads [][]byte, meta Meta, in *tree.Interner, sh *shapeTable) (*ned.Rows, []int32, error) {
 	tables := make([]*table, len(payloads))
@@ -1362,12 +1345,11 @@ func decodeTables(payloads [][]byte, meta Meta, in *tree.Interner, sh *shapeTabl
 	}
 	g := 0
 	for _, t := range tables {
-		for i, head := range t.heads {
-			out, inAt, _ := t.trees(i)
+		for _, head := range t.heads {
 			r := rank[g] + 1
-			rows.Out.DegOff[r], rows.Out.WordOff[r] = int32(storedDegs(t.words, out)), head.bytes[0]
+			rows.Out.DegOff[r], rows.Out.WordOff[r] = head.degs[0], head.bytes[0]
 			if meta.Directed {
-				rows.In.DegOff[r], rows.In.WordOff[r] = int32(storedDegs(t.words, inAt)), head.bytes[1]
+				rows.In.DegOff[r], rows.In.WordOff[r] = head.degs[1], head.bytes[1]
 			}
 			g++
 		}
@@ -1388,12 +1370,12 @@ func decodeTables(payloads [][]byte, meta Meta, in *tree.Interner, sh *shapeTabl
 		for i, node := range t.nodes {
 			slot := int(rank[base[ti]+i])
 			rows.Nodes[slot] = node
-			out, inAt, _ := t.trees(i)
-			if err := fillRow(t.words, out, sh, sc, rows.Out, slot); err != nil {
+			out, inRow := t.rows(i)
+			if err := fillRow(out, sh, sc, rows.Out, slot); err != nil {
 				return fmt.Errorf("node %d: %w", node, err)
 			}
 			if meta.Directed {
-				if err := fillRow(t.words, inAt, sh, sc, rows.In, slot); err != nil {
+				if err := fillRow(inRow, sh, sc, rows.In, slot); err != nil {
 					return fmt.Errorf("node %d incoming: %w", node, err)
 				}
 			}
@@ -1404,12 +1386,6 @@ func decodeTables(payloads [][]byte, meta Meta, in *tree.Interner, sh *shapeTabl
 		return nil, nil, err
 	}
 	return rows, rank, nil
-}
-
-// storedDegs is the degree-run length of the tree at words[pos:]: its
-// stored labels but the root's.
-func storedDegs(words []int32, pos int) int {
-	return max(int(uint32(words[pos])&^parentsFlag)-1, 0)
 }
 
 // decodeIndex decodes one shard's VP-index dump section.
@@ -1522,18 +1498,17 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	}
 	meta := h.Meta
 
-	head, kidRun, err := readDict(r, h.Shapes)
+	payload, err = expectSection(r, SecDict)
 	if err != nil {
 		return fail(err)
 	}
-	kidOff, kids, err := decodeShapes(head, kidRun, h.Shapes)
+	kidOff, kids, keys, err := decodeDict(payload, h.Shapes)
 	if err != nil {
 		return fail(err)
 	}
-	// readDict allocated the kid run for this read alone and nothing
-	// writes it again, so the keys may stay views of it; the offsets'
-	// allocation is not kept.
-	in, err := tree.NewInternerFromShapes(kidOff, kidRun)
+	// The keys view kids, which decodeDict allocated for this read alone
+	// and nothing writes again; the offsets' allocation is not kept.
+	in, err := tree.NewInternerFromShapes(kidOff, keys)
 	if err != nil {
 		return fail(fmt.Errorf("segment: %w", err))
 	}

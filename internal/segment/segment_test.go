@@ -508,15 +508,15 @@ func TestSectionWriterLengthMismatch(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	sw := newSectionWriter(&buf)
-	big := make([]int32, 3*sectionChunk/4+5)
+	big := make([]byte, 3*sectionChunk+20)
 	for i := range big {
-		big[i] = int32(i)
+		big[i] = byte(i * 7)
 	}
 	if err := sw.writeSection(SecEnd, nil); err != nil {
 		t.Fatal(err)
 	}
-	sw.begin(SecShard, 4*len(big))
-	sw.i32s(big)
+	sw.begin(SecShard, len(big))
+	raw(sw, big)
 	if err := sw.end(); err != nil {
 		t.Fatalf("multi-chunk section: %v", err)
 	}
@@ -528,13 +528,8 @@ func TestSectionWriterLengthMismatch(t *testing.T) {
 		t.Fatalf("empty section read back as %d, %d bytes, %v", typ, len(payload), err)
 	}
 	typ, payload, err := ReadSection(r)
-	if err != nil || typ != SecShard || len(payload) != 4*len(big) {
-		t.Fatalf("multi-chunk section read back as %d, %d bytes, %v", typ, len(payload), err)
-	}
-	for i := range big {
-		if got := int32(binary.LittleEndian.Uint32(payload[4*i:])); got != big[i] {
-			t.Fatalf("word %d = %d, want %d", i, got, big[i])
-		}
+	if err != nil || typ != SecShard || !bytes.Equal(payload, big) {
+		t.Fatalf("multi-chunk section read back as %d, %d bytes (want %d), %v", typ, len(payload), len(big), err)
 	}
 }
 
@@ -637,52 +632,107 @@ func TestSegmentNonBFSTreeRoundTrip(t *testing.T) {
 	sameItems(t, "non-BFS tree", got, items)
 }
 
-// itemTable locates the first item table of a segment: the offset of
-// its payload and the payload's words.
-func itemTable(t *testing.T, blob []byte) (at int, words []uint32) {
-	t.Helper()
-	for off := len(Magic); off < len(blob); {
+// sections splits a segment into its sections' types and payloads.
+func sections(blob []byte) (types []byte, payloads [][]byte) {
+	for off := len(Magic); off+9 <= len(blob); {
 		n := int(binary.LittleEndian.Uint64(blob[off+1:]))
-		if blob[off] == SecShard {
-			words = make([]uint32, n/4)
-			for i := range words {
-				words[i] = binary.LittleEndian.Uint32(blob[off+9+4*i:])
-			}
-			return off + 9, words
-		}
+		types, payloads = append(types, blob[off]), append(payloads, blob[off+9:off+9+n])
 		off += 9 + n + 4
 	}
-	t.Fatal("segment holds no item table")
-	return 0, nil
+	return types, payloads
 }
 
-// rewrite returns blob with the item table's word i set to v and the
-// table's checksum recomputed: faithful bytes of an inconsistent table.
-func rewrite(blob []byte, at, nWords, i int, v uint32) []byte {
-	out := bytes.Clone(blob)
-	binary.LittleEndian.PutUint32(out[at+4*i:], v)
-	end := at + 4*nWords
-	binary.LittleEndian.PutUint32(out[end:], crc32.Checksum(out[at:end], castagnoli))
-	return out
+// assemble frames sections into a segment, each under its own checksum,
+// with meta's table lengths set to the item tables' payloads: faithful
+// bytes of whatever the payloads hold.
+func assemble(types []byte, payloads [][]byte) []byte {
+	h, err := DecodeHeader(payloads[0])
+	if err != nil {
+		panic(err)
+	}
+	si := 0
+	for i, typ := range types {
+		if typ == SecShard && si < len(h.TableLens) {
+			h.TableLens[si], si = uint64(len(payloads[i])), si+1
+		}
+	}
+	if payloads[0], err = h.Append(nil); err != nil {
+		panic(err)
+	}
+	b := []byte(Magic)
+	for i, typ := range types {
+		b = AppendSection(b, typ, payloads[i])
+	}
+	return b
+}
+
+// uvarints decodes a payload of uvarints.
+func uvarints(p []byte) []uint32 {
+	var ws []uint32
+	for len(p) > 0 {
+		x, n := binary.Uvarint(p)
+		if n <= 0 {
+			panic("malformed uvarint")
+		}
+		ws, p = append(ws, uint32(x)), p[n:]
+	}
+	return ws
+}
+
+// withTable returns blob with item table ti's payload replaced by
+// edit's result.
+func withTable(blob []byte, ti int, edit func([]byte) []byte) []byte {
+	types, payloads := sections(blob)
+	for i, typ := range types {
+		if typ == SecShard {
+			if ti == 0 {
+				payloads[i] = edit(bytes.Clone(payloads[i]))
+				return assemble(types, payloads)
+			}
+			ti--
+		}
+	}
+	panic("segment holds too few item tables")
+}
+
+// rewrite returns blob with uvarint i of item table ti set to v, re-framed
+// and re-checksummed: faithful bytes of an inconsistent table.
+func rewrite(blob []byte, ti, i int, v uint32) []byte {
+	return withTable(blob, ti, func(p []byte) []byte {
+		ws := uvarints(p)
+		ws[i] = v
+		out := []byte{}
+		for _, w := range ws {
+			out = binary.AppendUvarint(out, uint64(w))
+		}
+		return out
+	})
+}
+
+// tableWords is item table ti of blob as its uvarints.
+func tableWords(blob []byte, ti int) []uint32 {
+	var ws []uint32
+	withTable(blob, ti, func(p []byte) []byte { ws = uvarints(p); return p })
+	return ws
 }
 
 // The reader checks every stored label against the shapes around it: a
 // table that checksums but disagrees with its dictionary fails with
 // ErrInconsistent, never a panic or a wrong corpus.
-func TestSegmentV2RejectsInconsistentTables(t *testing.T) {
+func TestSegmentV3RejectsInconsistentTables(t *testing.T) {
 	meta, dict, g, _ := fixture(t, false, 1)
 	items := ned.BuildItems(g, []graph.NodeID{0, 1, 2, 3, 4, 5, 6}, 2, false, 1)
 	ned.ProfileItems(items, dict, 1)
 	items = append(items, nonBFSItem(dict))
 	blob := encode(t, meta, dict, g, [][]ned.Item{items})
-	at, words := itemTable(t, blob)
+	words := tableWords(blob, 0)
 	shapes := dict.Shapes()
 
 	// Walk the table: per item, where its tree's header word sits.
 	type treeAt struct{ hdr, m int }
 	var trees []treeAt
-	for pos, i := 2, 0; i < int(words[1]); i++ {
-		pos += 3
+	for pos, i := 1, 0; i < int(words[0]); i++ {
+		pos++ // the node's delta
 		hdr := words[pos]
 		m := int(hdr &^ parentsFlag)
 		trees = append(trees, treeAt{pos, m})
@@ -736,7 +786,7 @@ func TestSegmentV2RejectsInconsistentTables(t *testing.T) {
 		{"children differing from their parent's shape", "do not carry", first1, uint32(star)},
 	}
 	for _, c := range cases {
-		_, _, _, _, _, err := Read(bytes.NewReader(rewrite(blob, at, len(words), c.word, c.v)))
+		_, _, _, _, _, err := Read(bytes.NewReader(rewrite(blob, 0, c.word, c.v)))
 		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want ErrInconsistent mentioning %q", c.what, err, c.want)
 		}
@@ -750,6 +800,122 @@ func TestSegmentV2RejectsInconsistentTables(t *testing.T) {
 	if _, _, _, _, _, err := Read(bytes.NewReader(empty)); !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), "leaf shape") {
 		t.Errorf("a missing leaf shape: got %v, want ErrInconsistent mentioning %q", err, "leaf shape")
 	}
+}
+
+// HostileUvarints are the golden segment with one uvarint of its first
+// item table or of its dictionary made malformed — longer than 5 bytes,
+// not minimal, past int32 or 32 bits, or running past its section —
+// under recomputed checksums, and what Read's error must mention.
+func HostileUvarints(t testing.TB) []V1Case {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden.nedseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first table's item count is its first byte; its first item's
+	// node delta and out-row header follow.
+	if types, payloads := sections(blob); types[3] != SecShard || payloads[3][0] >= 0x80 {
+		t.Fatal("the golden's first item table does not start with a one-byte count")
+	}
+	table := func(edit func([]byte) []byte) []byte { return withTable(blob, 0, edit) }
+	dict := func(edit func([]byte) []byte) []byte {
+		types, payloads := sections(blob)
+		payloads[1] = edit(bytes.Clone(payloads[1]))
+		return assemble(types, payloads)
+	}
+	return []V1Case{
+		{"an item count longer than 5 bytes", "longer than 5 bytes",
+			table(func(p []byte) []byte { return append([]byte{p[0] | 0x80, 0x80, 0x80, 0x80, 0x80, 0}, p[1:]...) })},
+		{"a non-minimal item count", "not minimal",
+			table(func(p []byte) []byte { return append([]byte{p[0] | 0x80, 0}, p[1:]...) })},
+		{"an item count past int32", "past int32",
+			table(func(p []byte) []byte { return append(binary.AppendUvarint(nil, 1<<31), p[1:]...) })},
+		{"a node past int32", "past int32",
+			table(func(p []byte) []byte { return append(binary.AppendUvarint(p[:1:1], math.MaxUint32), p[2:]...) })},
+		{"a header word past 32 bits", "exceeds 32 bits",
+			table(func(p []byte) []byte { return append(append(p[:2:2], 0xff, 0xff, 0xff, 0xff, 0x1f), p[3:]...) })},
+		{"a label running past its section", "runs past the end",
+			table(func(p []byte) []byte { p[len(p)-1] |= 0x80; return p })},
+		{"a dictionary run length past int32", "past int32",
+			dict(func(p []byte) []byte { return append(append(p[:1:1], 0x80, 0x80, 0x80, 0x80, 0x08), p[2:]...) })},
+		{"a non-minimal dictionary run length", "not minimal",
+			dict(func(p []byte) []byte { return append(append(p[:1:1], p[1]|0x80, 0), p[2:]...) })},
+	}
+}
+
+// The reader rejects every malformed uvarint with ErrInconsistent,
+// reading nothing past the payload.
+func TestSegmentRejectsHostileUvarints(t *testing.T) {
+	for _, c := range HostileUvarints(t) {
+		_, _, _, _, _, err := Read(bytes.NewReader(c.Blob))
+		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), c.Want) {
+			t.Errorf("%s: got %v, want ErrInconsistent mentioning %q", c.What, err, c.Want)
+		}
+	}
+}
+
+// V2Cases rewrites one word of the NEDSEG02 golden's first item table,
+// under a recomputed checksum, in the first tree that stores more than
+// its root: each case checksums, and its words convert, but its labels
+// disagree with the dictionary. Read rejects them all by their magic;
+// internal/legacy's conversion by their labels, with ErrInconsistent.
+func V2Cases(t testing.TB) []V1Case {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", "golden-v2.nedseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off, kids []uint32 // the dictionary, as its CSR words
+	for at := len(Magic); at < len(blob); {
+		n := int(binary.LittleEndian.Uint64(blob[at+1:]))
+		words := make([]uint32, n/4)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint32(blob[at+9+4*i:])
+		}
+		if blob[at] == SecDict {
+			off, kids = words[1:words[0]+2], words[words[0]+2:]
+		}
+		if blob[at] != SecShard {
+			at += 9 + n + 4
+			continue
+		}
+		set := func(i int, v uint32) []byte {
+			out := bytes.Clone(blob)
+			binary.LittleEndian.PutUint32(out[at+9+4*i:], v)
+			binary.LittleEndian.PutUint32(out[at+9+n:], crc32.Checksum(out[at+9:at+9+n], castagnoli))
+			return out
+		}
+		shapes := uint32(len(off) - 1)
+		// Shapes to swap in: one with a non-leaf kid, and an all-leaf one.
+		nonLeaf, star := uint32(0), uint32(0)
+		for id := range shapes {
+			if run := kids[off[id]:off[id+1]]; len(run) > 0 && run[len(run)-1] != 0 {
+				nonLeaf = id
+			} else if len(run) > 0 && star == 0 {
+				star = id
+			}
+		}
+		for pos, i := 2, 0; i < int(words[1]); i++ {
+			pos += 3
+			for range 1 + int(words[pos-1]&1) {
+				m := int(words[pos])
+				if m < 2 || words[pos+2] == star {
+					pos += 1 + m
+					continue
+				}
+				root, first1 := pos+1, pos+2
+				return []V1Case{
+					{"a label outside the dictionary", "outside the dictionary", set(root, shapes)},
+					{"a stored level with no children", "has no children", set(root, 0)},
+					{"a level h-1 node with a non-leaf kid", "non-leaf kid", set(first1, nonLeaf)},
+					{"children differing from their parent's shape", "do not carry", set(first1, star)},
+				}
+			}
+		}
+		break
+	}
+	t.Fatal("the NEDSEG02 golden's first item table holds no tree to rewrite")
+	return nil
 }
 
 // V1Case is the NEDSEG01 golden with one word of a tree's columns
@@ -803,7 +969,13 @@ func V1Cases(t testing.TB) []V1Case {
 					pos += 4 * size
 					continue
 				}
-				set := func(blob []byte, i int, v uint32) []byte { return rewrite(blob, at, len(words), i, v) }
+				// Word i set to v under a recomputed checksum.
+				set := func(blob []byte, i int, v uint32) []byte {
+					out := bytes.Clone(blob)
+					binary.LittleEndian.PutUint32(out[at+4*i:], v)
+					binary.LittleEndian.PutUint32(out[at+n:], crc32.Checksum(out[at:at+n], castagnoli))
+					return out
+				}
 				root := words[labels]
 				lastRootKid := kids + tr.NumChildren(0) - 1
 				return []V1Case{
@@ -843,11 +1015,20 @@ func itemTables(items []ned.Item) [][]ned.Item {
 // what a header declares: an item table whose header declares more rows,
 // or whose first tree declares more stored labels, than its payload
 // holds fails with the error it always did, and decoding that table
-// allocates no more than the payload's length.
+// allocates no more than the payload's length. The table holds 400
+// nodes, so the payload (~3 KB) outweighs a failed decode's fixed cost
+// (its error, its worker: ~0.9 KB, ~1.3 KB under the race detector).
 func TestSegmentPresizingTrustsOnlyPayload(t *testing.T) {
-	meta, dict, g, tables := fixture(t, false, 1)
-	blob := encode(t, meta, dict, g, tables)
-	at, words := itemTable(t, blob)
+	g := fixtureGraph(400, 900, false, 42)
+	nodes := make([]graph.NodeID, g.NumNodes())
+	for i := range nodes {
+		nodes[i] = graph.NodeID(i)
+	}
+	items := ned.BuildItems(g, nodes, 2, false, 2)
+	dict := tree.NewInterner()
+	ned.ProfileItems(items, dict, 1)
+	meta := Meta{Backend: "pruned", K: 2}
+	blob := encode(t, meta, dict, g, [][]ned.Item{items})
 	var off, kids []int32
 	off = append(off, 0)
 	for _, key := range dict.Shapes() {
@@ -863,15 +1044,16 @@ func TestSegmentPresizingTrustsOnlyPayload(t *testing.T) {
 		word       int
 		v          uint32
 	}{
-		{"more rows", "declares 268435456 items", 1, 1 << 28},
-		{"more stored labels", "tree declares 1073741824 stored labels", 5, 1 << 30},
+		{"more rows", "declares 268435456 items", 0, 1 << 28},
+		{"more stored labels", "tree declares 1073741824 stored labels", 2, 1 << 30},
 	}
 	for _, c := range cases {
-		mut := rewrite(blob, at, len(words), c.word, c.v)
+		mut := rewrite(blob, 0, c.word, c.v)
 		if _, _, _, _, _, err := Read(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Read got %v, want an error mentioning %q", c.what, err, c.want)
 		}
-		payload := bytes.Clone(mut[at : at+4*len(words)]) // word-aligned, as a section's payload is
+		_, payloads := sections(mut)
+		payload := bytes.Clone(payloads[3])
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, _, err := decodeTables([][]byte{payload}, meta, dict, sh)

@@ -271,10 +271,10 @@ func storedLen(p *Profile, t *Tree) int {
 	if t != nil && !t.BFSOrder() {
 		hdr |= ParentsFlag
 		for v := range int32(t.Size()) {
-			n += uvarintLen(uint32(t.Parent(v)))
+			n += UvarintLen(uint32(t.Parent(v)))
 		}
 	}
-	return n + uvarintLen(hdr)
+	return n + UvarintLen(hdr)
 }
 
 // AppendStored appends the stored form (Words, decoded) of p's tree t

@@ -1,6 +1,9 @@
 package tree
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // This file holds the two narrow columns of a ProfileArena: degree runs
 // at the width the arena's largest child count needs, and stored trees
@@ -182,21 +185,24 @@ func DecodeWords(dst []int32, b []byte) []int32 {
 func WordsLen(words []int32) int {
 	n := 0
 	for _, w := range words {
-		n += uvarintLen(uint32(w))
+		n += UvarintLen(uint32(w))
 	}
 	return n
 }
 
 // CountWords is the count of words b's uvarints encode.
 func CountWords(b []byte) int {
+	// A uvarint's last byte is the one below 0x80: count them eight at a
+	// time.
 	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += bits.OnesCount64(^binary.LittleEndian.Uint64(b) & 0x8080808080808080)
+	}
 	for _, c := range b {
-		if c < 0x80 {
-			n++
-		}
+		n += int(^c >> 7)
 	}
 	return n
 }
 
-// uvarintLen is the bytes x takes as a uvarint.
-func uvarintLen(x uint32) int { return (bits.Len32(x|1) + 6) / 7 }
+// UvarintLen is the bytes x takes as a uvarint (AppendWords).
+func UvarintLen(x uint32) int { return (bits.Len32(x|1) + 6) / 7 }

@@ -25,7 +25,7 @@ func (e *corpusEpoch) items() iter.Seq[ned.Item] {
 }
 
 // itemTables splits node-ascending items into the item tables
-// segment.Write takes, as segment.Tables splits rows.
+// segment.Write takes, as segment.WriteRows splits rows.
 func itemTables(items iter.Seq[ned.Item]) [][]ned.Item {
 	n := min(runtime.GOMAXPROCS(0), 16)
 	tables := make([][]ned.Item, n)
