@@ -459,9 +459,9 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	return newCorpus(k, cfg, g, &corpusEpoch{members: members}), nil
 }
 
-// materializeAllLocked extracts the signatures of every member in
-// parallel and compiles them into the scan, publishing a materialized
-// epoch (a no-op once done, and for snapshot-loaded corpora, whose rows
+// materializeAllLocked extracts every member's row in parallel, in
+// the scan's rank order, and makes the scan of them, publishing a
+// materialized epoch (a no-op once done, and for snapshot-loaded corpora, whose rows
 // arrived with the snapshot). Callers hold gmu for writing.
 func (c *Corpus) materializeAllLocked() {
 	if c.materialized.Load() {
@@ -469,7 +469,7 @@ func (c *Corpus) materializeAllLocked() {
 	}
 	v := c.view.Load()
 	nodes := slices.Sorted(maps.Keys(v.ep.members))
-	rows := ned.BuildRows(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
+	rows := ned.BuildRanked(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	c.view.Store(&corpusView{g: v.g, ep: &corpusEpoch{ix: ned.NewScan(rows, 1)}})
 	c.materialized.Store(true)
 }

@@ -161,33 +161,36 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 }
 
 // BenchmarkCorpusBuild measures what learning a new graph costs before
-// its first answer: NewCorpus over the harness's PGP analog (scale 4,
-// seed 42, k=3) plus the first KNN, which pays the lazy build — one
-// k-adjacent extraction and one profile compile per node, then one
-// block. workers=1 against workers=2 shows whether
-// extraction and profile compilation scale across the workers; MB/op is
-// what one build allocates, in 10^6 bytes.
+// its first answer: NewCorpus over the harness's PGP analog (scales 1
+// and 4, seed 42, k=3) plus the first KNN, which pays the lazy build —
+// one k-adjacent extraction straight into its row per node, then one
+// compile of the rows into rank order. workers=1 against workers=2 shows
+// whether extraction scales across the workers; MB/op is what one build
+// allocates, in 10^6 bytes, and gc/build the collections it set off.
 func BenchmarkCorpusBuild(b *testing.B) {
-	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 4, Seed: 42})
 	ctx := context.Background()
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < b.N; i++ {
-				c, err := NewCorpus(g, 3, WithWorkers(workers))
-				if err != nil {
-					b.Fatal(err)
+	for _, scale := range []float64{1, 4} {
+		g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: scale, Seed: 42})
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("pgp=x%g/workers=%d", scale, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < b.N; i++ {
+					c, err := NewCorpus(g, 3, WithWorkers(workers))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.KNN(ctx, 0, 5); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := c.KNN(ctx, 0, 5); err != nil {
-					b.Fatal(err)
-				}
-			}
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB/op")
-		})
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB/op")
+				b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/build")
+			})
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // EdgeDirection selects which arcs a directed traversal follows.
 type EdgeDirection int
@@ -65,28 +68,47 @@ func BFS(g *Graph, root NodeID, maxDepth int, dir EdgeDirection) *BFSResult {
 }
 
 // BFSWorkspace is the reusable scratch of a bounded breadth-first
-// traversal: a generation-stamped visited array (one word per graph
-// node, cleared only when the generation counter wraps) plus the queue
-// and parent buffers. A traversal touches only the nodes it visits, so
-// one costs O(nodes visited + their adjacency), not O(|V|). The zero
-// value is ready, and one workspace serves graphs of any size, growing
-// to the largest it has seen. Not safe for concurrent use; pool them.
+// traversal: a generation-stamped visited array (one byte per graph
+// node, cleared only when the generation counter wraps, every 255
+// traversals) plus the queue and the tree's offset buffers. A traversal
+// touches only the nodes it visits, so one costs O(nodes visited +
+// their adjacency), not O(|V|). The zero value is ready, and one
+// workspace serves graphs of any size, growing to the largest it has
+// seen. Not safe for concurrent use; pool them.
 type BFSWorkspace struct {
-	seen   []uint32 // seen[v] == gen iff v was visited by the current traversal
-	gen    uint32
-	queue  []NodeID
-	parent []int32
+	seen     []uint8 // seen[v] == gen iff v was visited by the current traversal
+	gen      uint8
+	queue    []NodeID
+	childOff []int32
+	levelOff []int32
 }
 
 // Tree runs the traversal of BFS(g, root, maxDepth, dir) and returns its
-// tree over visitation positions: order[i] is the i-th node visited
-// (order[0] == root), parent[0] == -1, and parent[i] is the position of
-// order[i]'s BFS parent, so parent is non-decreasing and already in
-// level order. height is the depth of the last node visited. Both slices
-// alias the workspace and stay valid until its next use.
-func (w *BFSWorkspace) Tree(g *Graph, root NodeID, maxDepth int, dir EdgeDirection) (parent []int32, order []NodeID, height int) {
+// tree over visitation positions, in level order: order[i] is the i-th
+// node visited (order[0] == root); levelOff[d] is the position of the
+// first node at depth d, and levelOff[height+1] is the node count;
+// childOff holds the prefix sums of the child counts of the nodes above
+// the deepest level (levelOff[height]+1 entries), so position i's
+// children are positions childOff[i]+1 … childOff[i+1] — each node's
+// children follow its predecessor's. The counts come from the enqueueing
+// itself: no parent vector is made. All three slices alias the workspace
+// and stay valid until its next use.
+func (w *BFSWorkspace) Tree(g *Graph, root NodeID, maxDepth int, dir EdgeDirection) (childOff, levelOff []int32, order []NodeID) {
+	return w.walk(g, root, maxDepth, dir, true)
+}
+
+// Shape is Tree without the visitation order, which lets it count the
+// nodes at depth maxDepth instead of queueing them: most of a bounded
+// tree's nodes sit there.
+func (w *BFSWorkspace) Shape(g *Graph, root NodeID, maxDepth int, dir EdgeDirection) (childOff, levelOff []int32) {
+	childOff, levelOff, _ = w.walk(g, root, maxDepth, dir, false)
+	return childOff, levelOff
+}
+
+// walk is Tree, and, unless withOrder, Shape.
+func (w *BFSWorkspace) walk(g *Graph, root NodeID, maxDepth int, dir EdgeDirection, withOrder bool) (childOff, levelOff []int32, order []NodeID) {
 	if n := g.NumNodes(); len(w.seen) < n {
-		w.seen, w.gen = make([]uint32, n), 0
+		w.seen, w.gen = make([]uint8, n), 0
 	}
 	if w.gen++; w.gen == 0 {
 		clear(w.seen)
@@ -95,13 +117,16 @@ func (w *BFSWorkspace) Tree(g *Graph, root NodeID, maxDepth int, dir EdgeDirecti
 	gen, seen := w.gen, w.seen
 	seen[root] = gen
 	queue := append(w.queue[:0], root)
-	parent = append(w.parent[:0], -1)
-	depth, levelEnd := 0, 1
+	childOff = append(w.childOff[:0], 0)
+	levelOff = append(w.levelOff[:0], 0)
+	levelEnd := 1
+	counted := int32(0) // nodes at maxDepth counted, not queued
 	for head := 0; head < len(queue); head++ {
 		if head == levelEnd {
-			depth++
+			levelOff = append(levelOff, int32(head))
 			levelEnd = len(queue)
 		}
+		depth := len(levelOff) - 1
 		if maxDepth >= 0 && depth >= maxDepth {
 			break // every node still queued sits at maxDepth
 		}
@@ -111,16 +136,41 @@ func (w *BFSWorkspace) Tree(g *Graph, root NodeID, maxDepth int, dir EdgeDirecti
 		} else {
 			ns = g.OutNeighbors(queue[head])
 		}
-		for _, v := range ns {
-			if seen[v] != gen {
+		// Whether a neighbour is new is a coin toss the branch predictor
+		// loses, so both loops stamp every neighbour and add the
+		// comparison's outcome instead of branching on it.
+		if withOrder || maxDepth < 0 || depth+1 < maxDepth {
+			queue = slices.Grow(queue, len(ns))
+			n, room := len(queue), queue[:cap(queue)]
+			for _, v := range ns {
+				old := seen[v]
+				seen[v], room[n] = gen, v
+				if old != gen {
+					n++
+				}
+			}
+			queue = queue[:n]
+		} else {
+			for _, v := range ns {
+				old := seen[v]
 				seen[v] = gen
-				queue = append(queue, v)
-				parent = append(parent, int32(head))
+				var fresh int32
+				if old != gen {
+					fresh = 1
+				}
+				counted += fresh
 			}
 		}
+		childOff = append(childOff, int32(len(queue))+counted-1)
 	}
-	w.queue, w.parent = queue, parent
-	return parent, queue, depth
+	if counted > 0 {
+		levelOff = append(levelOff, int32(len(queue)))
+	}
+	levelOff = append(levelOff, int32(len(queue))+counted)
+	w.queue, w.childOff, w.levelOff = queue, childOff, levelOff
+	// A traversal that ran out of nodes walked its deepest level too,
+	// finding no children there: those offsets are not the tree's.
+	return childOff[:levelOff[len(levelOff)-2]+1], levelOff, queue
 }
 
 // NodesWithin returns every node within k hops of any source, in

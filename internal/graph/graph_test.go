@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -194,8 +195,8 @@ func TestBFSDirectedDirections(t *testing.T) {
 }
 
 // TestBFSWorkspaceMatchesBFS pins the sparse traversal to the dense one
-// — same visitation order, parents at the right positions, unbounded and
-// bounded — including across a wrap of the generation counter, where
+// — same visitation order, level starts and child offsets that put every
+// node at its depth under its parent, unbounded and bounded — including across a wrap of the generation counter, where
 // every stale stamp must be cleared rather than read as visited.
 func TestBFSWorkspaceMatchesBFS(t *testing.T) {
 	g := pathGraph(9)
@@ -206,17 +207,37 @@ func TestBFSWorkspaceMatchesBFS(t *testing.T) {
 				if wrap {
 					// Stamps left by generation 1, the counter about to wrap
 					// back to it.
-					w.seen = []uint32{1, 1, 1, 1, 1, 1, 1, 1, 1}
-					w.gen = ^uint32(0)
+					w.seen = []uint8{1, 1, 1, 1, 1, 1, 1, 1, 1}
+					w.gen = ^uint8(0)
 				}
 				want := BFS(g, root, maxDepth, Outgoing)
-				parent, order, height := w.Tree(g, root, maxDepth, Outgoing)
-				if len(order) != len(want.Order) || int32(height) != want.Depth[order[len(order)-1]] {
+				shapeChild, shapeLevel := w.Shape(g, root, maxDepth, Outgoing)
+				shapeChild, shapeLevel = slices.Clone(shapeChild), slices.Clone(shapeLevel)
+				if wrap {
+					w.seen = []uint8{1, 1, 1, 1, 1, 1, 1, 1, 1}
+					w.gen = ^uint8(0)
+				}
+				childOff, levelOff, order := w.Tree(g, root, maxDepth, Outgoing)
+				if !slices.Equal(shapeChild, childOff) || !slices.Equal(shapeLevel, levelOff) {
+					t.Fatalf("wrap %v root %d maxDepth %d: Shape gives %v %v, Tree %v %v",
+						wrap, root, maxDepth, shapeChild, shapeLevel, childOff, levelOff)
+				}
+				height := len(levelOff) - 2
+				if len(order) != len(want.Order) || int32(height) != want.Depth[order[len(order)-1]] ||
+					len(childOff) != int(levelOff[height])+1 {
 					t.Fatalf("wrap %v root %d maxDepth %d: %d nodes to height %d, want %v", wrap, root, maxDepth, len(order), height, want.Order)
 				}
+				d, p := 0, 0 // position i's depth and parent
 				for i, v := range order {
-					if v != want.Order[i] || (i > 0 && order[parent[i]] != want.Parent[v]) {
-						t.Fatalf("wrap %v root %d maxDepth %d: order %v parent %v, want %v", wrap, root, maxDepth, order, parent, want.Order)
+					for int32(i) >= levelOff[d+1] {
+						d++
+					}
+					for i > 0 && int32(i-1) >= childOff[p+1] {
+						p++
+					}
+					if v != want.Order[i] || want.Depth[v] != int32(d) || (i > 0 && order[p] != want.Parent[v]) {
+						t.Fatalf("wrap %v root %d maxDepth %d: order %v child offsets %v level starts %v, want %v",
+							wrap, root, maxDepth, order, childOff, levelOff, want.Order)
 					}
 				}
 			}

@@ -82,52 +82,84 @@ func BuildItems(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, work
 	return out
 }
 
-// buildChunk is how many nodes a BuildRows worker extracts and profiles
-// before compiling them into rows and dropping their trees.
+// buildChunk is how many nodes a build worker takes from the node list
+// at a time.
 const buildChunk = 256
 
-// BuildRows extracts and profiles the given nodes of g, which must
-// ascend, against dict and compiles them into rows, in parallel chunks:
-// each worker holds the trees and profiles of one chunk at a time, so
-// a build never holds every node's at once, and profiles them with a
-// Profiler of the build's own.
+// BuildRows extracts the k-adjacent trees of the given nodes of g,
+// which must ascend, straight into rows labelled against dict, in node
+// order. Workers take the nodes in chunks of 256 and write each chunk's
+// rows into arenas of the chunk's own (tree.RowBuilder); one compile
+// gathers them. On one worker the labels are interned in the order
+// profiling each extracted tree would intern them.
 func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) *Rows {
-	chunks := make([]*Rows, (len(nodes)+buildChunk-1)/buildChunk)
+	return buildRows(g, nodes, k, directed, dict, workers, false)
+}
+
+// BuildRanked is BuildRows in a scan's rank order, with the room a load
+// gives its rows (RowRoom): the base NewScan adopts as it is, so a build
+// copies each row once.
+func BuildRanked(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) *Rows {
+	return buildRows(g, nodes, k, directed, dict, workers, true)
+}
+
+func buildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int, ranked bool) *Rows {
+	// chunks[c] holds chunk c's rows: its out-trees' and in-trees'.
+	type chunk struct{ out, in *tree.ProfileArena }
+	chunks := make([]chunk, (len(nodes)+buildChunk-1)/buildChunk)
 	workers = BatchOptions{Workers: workers}.workers()
-	// The build's Profilers, one per worker at most; a sync.Pool would
-	// keep them past the build.
-	profilers := make(chan *tree.Profiler, workers)
+	// The build's builders, one per worker at most; a sync.Pool would keep
+	// them past the build.
+	builders := make(chan *tree.RowBuilder, workers)
 	parallelFor(len(chunks), workers, func(c int) {
-		var pr *tree.Profiler
+		var b *tree.RowBuilder
 		select {
-		case pr = <-profilers:
+		case b = <-builders:
 		default:
-			pr = dict.NewProfiler()
+			b = dict.NewRowBuilder(k, directed)
 		}
-		items := BuildItems(g, nodes[c*buildChunk:min((c+1)*buildChunk, len(nodes))], k, directed, 1)
-		for i := range items {
-			items[i].OutP = pr.Profile(items[i].Out)
+		b.Add(g, nodes[c*buildChunk:min((c+1)*buildChunk, len(nodes))])
+		chunks[c].out, chunks[c].in = b.Rows()
+		builders <- b
+	})
+	// at is node i's chunk and row in it.
+	at := func(i int) (chunk, int32) { return chunks[i/buildChunk], int32(i % buildChunk) }
+	// order lists the rows as the compile lays them out; a run is a chunk
+	// in node order, mostly a single row in rank order.
+	n := len(nodes)
+	var order []int32
+	room, runs := 0, len(chunks)
+	if ranked {
+		keys := make([]int32, n)
+		for i := range keys {
+			ch, p := at(i)
+			keys[i] = ch.out.Sizes[p]
 			if directed {
-				items[i].InP = pr.Profile(items[i].In)
+				keys[i] += ch.in.Sizes[p]
 			}
 		}
-		profilers <- pr
-		chunks[c] = RowsOf(items)
-	})
-	rows := &Rows{K: k, Nodes: make([]graph.NodeID, 0, len(nodes))}
-	out := make([]tree.ArenaRun, len(chunks))
-	var in []tree.ArenaRun
-	if directed {
-		in = make([]tree.ArenaRun, len(chunks))
-	}
-	for c, ch := range chunks {
-		rows.Nodes = append(rows.Nodes, ch.Nodes...)
-		out[c] = tree.ArenaRun{From: ch.Out, Hi: ch.Len()}
-		if directed {
-			in[c] = tree.ArenaRun{From: ch.In, Hi: ch.Len()}
+		order, room, runs = RankOrder(nodes, keys), RowRoom(n), n
+	} else {
+		order = make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
 		}
 	}
-	return rows.compile(out, in, 0)
+	rows := &Rows{K: k, Nodes: make([]graph.NodeID, n, n+room)}
+	out := make([]tree.ArenaRun, 0, runs)
+	var in []tree.ArenaRun
+	if directed {
+		in = make([]tree.ArenaRun, 0, runs)
+	}
+	for r, i := range order {
+		ch, p := at(int(i))
+		rows.Nodes[r] = nodes[i]
+		out = extendRun(out, ch.out, p)
+		if directed {
+			in = extendRun(in, ch.in, p)
+		}
+	}
+	return rows.compile(out, in, room)
 }
 
 // NewItem extracts the index item of one node: its k-adjacent tree, or

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ned"
 )
 
 // BenchmarkServeKNNClients measures the HTTP tier under 1, 4, 16 and 64
@@ -75,6 +79,43 @@ func BenchmarkServeKNNClients(b *testing.B) {
 			b.StopTimer()
 			slices.Sort(durations)
 			b.ReportMetric(float64(durations[len(durations)/2].Nanoseconds())/1e3, "p50-µs")
+		})
+	}
+}
+
+// BenchmarkGraphSpecDecode measures what decoding an inline graph costs
+// the create path: the create request the repository benchmark sends
+// for the PGP analog at scale 4 (10 680 nodes, 21 356 edges, ~240 KB),
+// decoded into a CreateRequest as Server.decode does (scan), and, for
+// comparison, by encoding/json's Decoder alone (json). ms/op is one
+// decode.
+func BenchmarkGraphSpecDecode(b *testing.B) {
+	g := ned.MustGenerateDataset(ned.DatasetPGP, ned.DatasetOptions{Scale: 4, Seed: 1})
+	gs := &GraphSpec{Nodes: g.NumNodes()}
+	for _, e := range g.Edges() {
+		gs.Edges = append(gs.Edges, [2]int{int(e.U), int(e.V)})
+	}
+	body, err := json.Marshal(CreateRequest{Name: "bench", K: 3, Backend: "pruned", Shards: 2, Workers: 2, Graph: gs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dec := range []struct {
+		name   string
+		decode func(*CreateRequest) error
+	}{
+		{"scan", func(cr *CreateRequest) error { return decodeBody(body, cr) }},
+		{"json", func(cr *CreateRequest) error { return json.NewDecoder(bytes.NewReader(body)).Decode(cr) }},
+	} {
+		b.Run(dec.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for range b.N {
+				var cr CreateRequest
+				if err := dec.decode(&cr); err != nil || len(cr.Graph.Edges) != len(gs.Edges) {
+					b.Fatalf("decoded %d edges of %d: %v", len(cr.Graph.Edges), len(gs.Edges), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -308,13 +309,34 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	return ctx, cancel, nil
 }
 
-// decode parses a JSON request body with a size cap.
+// decode parses a JSON request body with a size cap. A body carrying an
+// inline graph is read whole and scanned by hand when it is in the plain
+// form (graphspec.go); every other goes through encoding/json.
 func (s *Server) decode(r *http.Request, into any) error {
 	body := http.MaxBytesReader(nil, r.Body, s.opts.MaxRequestBytes)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
+	var err error
+	if p, ok := into.(plainDecoder); ok {
+		var b bytes.Buffer
+		b.Grow(int(min(max(r.ContentLength, 0), s.opts.MaxRequestBytes)) + bytes.MinRead)
+		if _, err = b.ReadFrom(body); err == nil {
+			err = decodeBody(b.Bytes(), p)
+		}
+	} else {
+		err = json.NewDecoder(body).Decode(into)
+	}
+	if err != nil {
 		return fmt.Errorf("%w: decoding body: %v", ErrBadRequest, err)
 	}
 	return nil
+}
+
+// decodeBody decodes the first JSON value of b into p, as a Decoder
+// reading b would: by p's own scan when b is in its plain form.
+func decodeBody(b []byte, p plainDecoder) error {
+	if p.decodePlain(b) {
+		return nil
+	}
+	return json.NewDecoder(bytes.NewReader(b)).Decode(p)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) int {

@@ -3,6 +3,7 @@ package tree
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // This file holds the two narrow columns of a ProfileArena: degree runs
@@ -99,6 +100,29 @@ func (d *Degrees) Append(src Degrees) {
 	}
 }
 
+// reserve makes room for n more counts in d (see reserve).
+func (d *Degrees) reserve(n int) {
+	switch d.Width {
+	case 1:
+		d.U8 = reserve(d.U8, n)
+	case 2:
+		d.U16 = reserve(d.U16, n)
+	default:
+		d.I32 = reserve(d.I32, n)
+	}
+}
+
+// reserve returns s with room for n more elements, at least doubling
+// its capacity when it has to grow it: a column appended to row by row
+// then allocates about twice its final size, where append's growth of a
+// large slice by a quarter would allocate several times that.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, max(n, cap(s)))
+}
+
 // Put writes run, which d's width holds, over d's counts from at on.
 func (d Degrees) Put(at int, run []int32) {
 	switch d.Width {
@@ -151,14 +175,18 @@ func maxOf[D Degree](run []D) int32 {
 // the form a ProfileArena stores trees in.
 func AppendWords(dst []byte, words []int32) []byte {
 	for _, w := range words {
-		x := uint32(w)
-		for x >= 0x80 {
-			dst = append(dst, byte(x)|0x80)
-			x >>= 7
-		}
-		dst = append(dst, byte(x))
+		dst = appendUvarint(dst, uint32(w))
 	}
 	return dst
+}
+
+// appendUvarint appends x to dst as a uvarint.
+func appendUvarint(dst []byte, x uint32) []byte {
+	for x >= 0x80 {
+		dst = append(dst, byte(x)|0x80)
+		x >>= 7
+	}
+	return append(dst, byte(x))
 }
 
 // DecodeWords appends the words b's uvarints encode (AppendWords) to

@@ -33,7 +33,7 @@ func KAdjacentOutgoing(g *graph.Graph, v graph.NodeID, k int) (*Tree, []graph.No
 
 // Extract is KAdjacentOutgoing or KAdjacentIncoming (by dir) for callers
 // that never read the tree-to-graph node mapping, which it does not
-// allocate. Signature extraction uses it.
+// allocate: the query tree of a KNN by node and of ned.Between.
 func Extract(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection) *Tree {
 	t, _ := kAdjacent(g, v, k, dir, false)
 	return t
@@ -44,20 +44,27 @@ func Extract(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection) *Tr
 // across extractions instead of allocated per tree.
 var bfsWorkspaces = sync.Pool{New: func() any { return new(graph.BFSWorkspace) }}
 
-// kAdjacent is the one extraction path. The pooled workspace's bounded
-// BFS touches only the nodes within k hops and yields the tree's parent
-// vector directly in visitation (level) order, which New reads in
-// place and drops: the only allocations are the returned tree — its
-// level and child offsets in one block — and, when withOrder, the node
+// kAdjacent is the one extraction path to a Tree. The pooled
+// workspace's bounded BFS touches only the nodes within k hops and
+// yields the tree's level starts and child offsets in visitation
+// (level) order, which the tree copies as they are — a BFS tree needs
+// no validation: the only allocations are the returned tree — its level
+// and child offsets in one block — and, when withOrder, the node
 // mapping.
 func kAdjacent(g *graph.Graph, v graph.NodeID, k int, dir graph.EdgeDirection, withOrder bool) (*Tree, []graph.NodeID) {
 	w := bfsWorkspaces.Get().(*graph.BFSWorkspace)
 	defer bfsWorkspaces.Put(w)
-	parent, order, _ := w.Tree(g, v, k, dir)
-	t, err := New(parent)
-	if err != nil {
-		panic(err) // a BFS parent vector is level-ordered by construction
+	var childOff, levelOff []int32
+	var order []graph.NodeID
+	if withOrder {
+		childOff, levelOff, order = w.Tree(g, v, k, dir)
+	} else {
+		childOff, levelOff = w.Shape(g, v, k, dir)
 	}
+	cols := make([]int32, len(levelOff)+len(childOff))
+	copy(cols, levelOff)
+	copy(cols[len(levelOff):], childOff)
+	t := NewBFS(cols[len(levelOff):], cols[:len(levelOff):len(levelOff)])
 	if !withOrder {
 		return t, nil
 	}

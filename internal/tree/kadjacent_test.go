@@ -111,12 +111,36 @@ func TestKAdjacentMatchesDenseBFS(t *testing.T) {
 	for _, g := range graphs {
 		for v := 0; v < g.NumNodes(); v++ {
 			wantParent, wantOrder := denseKAdjacent(g, graph.NodeID(v), 3, graph.Outgoing)
-			parent, order, height := ws.Tree(g, graph.NodeID(v), 3, graph.Outgoing)
-			if !slices.Equal(parent, wantParent) || !slices.Equal(order, wantOrder) {
+			childOff, levelOff, order := ws.Tree(g, graph.NodeID(v), 3, graph.Outgoing)
+			got := NewBFS(slices.Clone(childOff), slices.Clone(levelOff))
+			if !slices.Equal(got.ParentVector(), wantParent) || !slices.Equal(order, wantOrder) {
 				t.Fatalf("%v node %d: reused workspace diverged from the dense BFS", g, v)
 			}
-			if want := MustNew(wantParent).Height(); height != want {
-				t.Fatalf("%v node %d: height %d, want %d", g, v, height, want)
+			if want := MustNew(wantParent).Height(); got.Height() != want {
+				t.Fatalf("%v node %d: height %d, want %d", g, v, got.Height(), want)
+			}
+		}
+	}
+}
+
+// TestExtractMatchesNewOfBFS pins Extract, which builds its tree from
+// the traversal's level starts and child counts, to New over the parent
+// vector of the same BFS: the same level starts, child offsets and
+// child IDs, in BFS order, on every node of every test graph, k = 0…4,
+// both directions.
+func TestExtractMatchesNewOfBFS(t *testing.T) {
+	for _, g := range kadjTestGraphs() {
+		for v := range g.NumNodes() {
+			for k := 0; k <= 4; k++ {
+				for _, dir := range []graph.EdgeDirection{graph.Outgoing, graph.Incoming} {
+					parent, _ := denseKAdjacent(g, graph.NodeID(v), k, dir)
+					want, got := MustNew(parent), Extract(g, graph.NodeID(v), k, dir)
+					if !got.BFSOrder() || got.parent != nil || !slices.Equal(got.levelOff, want.levelOff) ||
+						!slices.Equal(got.childOff, want.childOff) || !slices.Equal(got.childIDs, want.childIDs) {
+						t.Fatalf("%v node %d k=%d dir=%d: Extract gives levels %v children %v, New %v %v",
+							g, v, k, dir, got.levelOff, got.childOff, want.levelOff, want.childOff)
+					}
+				}
 			}
 		}
 	}

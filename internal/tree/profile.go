@@ -201,8 +201,7 @@ func NewInterner() *Interner {
 // Len reports how many distinct subtree shapes have been interned.
 func (in *Interner) Len() int { return int(in.next.Load()) }
 
-// shapeHash hashes a shape key: it picks the key's stripe and keys the
-// memos of profile's scratch.
+// shapeHash hashes a shape key: it picks the key's stripe.
 func shapeHash(key []byte) uint64 { return maphash.Bytes(internSeed, key) }
 
 // stripe returns the stripe that owns the key hashing to h.
@@ -234,8 +233,8 @@ func (in *Interner) resolve(key []byte, h uint64, readOnly bool) (id int32, ok b
 	k := string(key)
 	s.m[k] = id
 	in.shapesMu.Lock()
-	for len(in.shapes) <= int(id) {
-		in.shapes = append(in.shapes, "")
+	if int(id) >= len(in.shapes) {
+		in.shapes = reserve(in.shapes, int(id)+1-len(in.shapes))[:id+1]
 	}
 	in.shapes[id] = k
 	in.shapesMu.Unlock()
@@ -302,47 +301,30 @@ func (in *Interner) ProfileQuery(t *Tree) *Profile { return in.profile(t, true) 
 
 // profileScratch is profile's working memory, pooled (so, in effect,
 // one per worker) and reused across trees: the shape key being packed,
-// the per-level sort keys, and two memos. memo remembers dictionary
-// labels this scratch has resolved for the Interner dict — valid for as
-// long as that dictionary lives, since it never evicts — so the shapes
-// every tree repeats (a node with one leaf child, with two, ...) are
-// answered without touching a stripe lock. It is keyed by shape hash
-// and keeps the keys in one byte arena, so remembering a shape
-// allocates nothing; a hash collision is caught by comparing the bytes
-// and falls through to the dictionary. locals holds the current tree's
+// the per-level sort keys, the labels of the shapes "c leaves" it has
+// resolved against the Interner dict (leafRun) — valid for as long as
+// that dictionary lives, since it never evicts — and the current tree's
 // query-local labels, keyed exactly: a local label has no dictionary
 // to fall back on.
 type profileScratch struct {
 	key       []byte
 	packed    []uint64
 	dict      uint64
-	memo      map[uint64]memoShape
-	keys      []byte
+	leafRuns  []int32 // leafRuns[c] is 1 + the dictionary label of "c leaves", 0 unknown
+	counts    []int32 // sortKids' count per label, zero between runs
+	distinct  []int32
 	locals    map[string]int32
 	nextLocal int32
 }
 
-// memoShape is one memoized shape: its key is keys[off:end].
-type memoShape struct {
-	off, end int
-	id       int32
-}
-
-// profileMemoKeep and profileKeysKeep bound what a pooled scratch
-// carries from one tree to the next; past them it starts afresh, in the
-// memory it already holds. They also bound that memory, which a pool
-// keeps live across a collection: most memoized shapes are a tree's
-// upper levels, which rarely repeat, so a small memo keeps the shapes
-// that do.
-const (
-	profileMemoKeep = 1 << 11
-	profileKeysKeep = 1 << 18
-)
+// profileLocalsKeep bounds the local labels a pooled scratch's map
+// keeps room for from one tree to the next.
+const profileLocalsKeep = 1 << 11
 
 var profileScratches = sync.Pool{New: func() any { return newProfileScratch() }}
 
 func newProfileScratch() *profileScratch {
-	return &profileScratch{memo: make(map[uint64]memoShape), locals: make(map[string]int32)}
+	return &profileScratch{locals: make(map[string]int32)}
 }
 
 // profileScratchFor takes a scratch from the pool, primed for in.
@@ -350,34 +332,20 @@ func profileScratchFor(in *Interner) *profileScratch {
 	return profileScratches.Get().(*profileScratch).prime(in)
 }
 
-// prime readies sc for a tree profiled against in: its memo kept if it
-// is in's and within bounds.
+// prime readies sc for a tree profiled against in: its leaf runs kept
+// if they are in's.
 func (sc *profileScratch) prime(in *Interner) *profileScratch {
-	if sc.dict != in.id || len(sc.memo) > profileMemoKeep || len(sc.keys) > profileKeysKeep {
-		sc.dict, sc.keys = in.id, sc.keys[:0]
-		clear(sc.memo)
+	if sc.dict != in.id {
+		sc.dict = in.id
+		clear(sc.leafRuns)
 	}
 	sc.nextLocal = -1
 	return sc
 }
 
-// A Profiler is Profile in working memory of its own, reused from tree
-// to tree and dropped with the Profiler: the memo a build fills does not
-// outlive the build in the pool. Not safe for concurrent use.
-type Profiler struct {
-	in *Interner
-	sc *profileScratch
-}
-
-// NewProfiler returns a Profiler compiling against in.
-func (in *Interner) NewProfiler() *Profiler { return &Profiler{in: in, sc: newProfileScratch()} }
-
-// Profile is Interner.Profile.
-func (p *Profiler) Profile(t *Tree) *Profile { return p.in.profileWith(p.sc.prime(p.in), t, false) }
-
 // release drops the tree's local labels and returns sc to the pool.
 func (sc *profileScratch) release() {
-	if len(sc.locals) > profileMemoKeep {
+	if len(sc.locals) > profileLocalsKeep {
 		sc.locals = make(map[string]int32)
 	} else {
 		clear(sc.locals)
@@ -385,29 +353,130 @@ func (sc *profileScratch) release() {
 	profileScratches.Put(sc)
 }
 
-// label resolves one shape key: from the memos, else from the
-// dictionary, else (read-only) as the tree's next local label. A key
-// containing a local (negative) child label can never be in the
+// label resolves one shape key: from the tree's local labels, else
+// from the dictionary, else (read-only) as the tree's next local label.
+// A key containing a local (negative) child label can never be in the
 // dictionary; the lookup just misses. Negative int32s pack to byte
 // patterns no non-negative ID produces, so local keys cannot collide
 // with dictionary keys either.
 func (sc *profileScratch) label(in *Interner, key []byte, readOnly bool) int32 {
-	h := shapeHash(key)
-	m, seen := sc.memo[h]
-	if seen && string(sc.keys[m.off:m.end]) == string(key) {
-		return m.id
-	}
 	if id, ok := sc.locals[string(key)]; ok {
 		return id
 	}
-	id, ok := in.resolve(key, h, readOnly)
-	switch {
-	case !ok:
+	id, ok := in.resolve(key, shapeHash(key), readOnly)
+	if !ok {
 		id, sc.nextLocal = sc.nextLocal, sc.nextLocal-1
 		sc.locals[string(key)] = id
-	case !seen: // on a hash collision the shape already memoized keeps the slot
-		sc.memo[h] = memoShape{off: len(sc.keys), end: len(sc.keys) + len(key), id: id}
-		sc.keys = append(sc.keys, key...)
+	}
+	return id
+}
+
+// labelNodes is the bottom-up labelling every profile and every built
+// row goes through: it writes the interned label of each node above the
+// deepest level of a level-order tree — level starts levelOff, child
+// offsets kidOff (one entry per node above the deepest level, plus one),
+// node v's children childIDs[kidOff[v]:kidOff[v+1]] — to labels, in node
+// order, and each of levels 0…h−2's nodes' sorted children's labels to
+// kids (CSR-aligned with kidOff), and returns the leaf label. Every
+// childless node has the leaf shape (the empty key), resolved once. The
+// deepest level is all leaves, so a node on level h−1 with c children
+// has the shape "c leaves", which the scratch remembers by c (leafRun);
+// above that the pass visits every child before its parent (level order
+// gives children larger IDs) and reads and sorts their labels.
+func (sc *profileScratch) labelNodes(in *Interner, levelOff, kidOff, childIDs, labels, kids []int32, readOnly bool) int32 {
+	h := len(levelOff) - 2
+	inner := len(kidOff) - 1
+	last := 0 // the first node of level h-1
+	if h > 0 {
+		last = int(levelOff[h-1])
+	}
+	leaf := sc.leafRun(in, 0, 0, readOnly)
+	for v := inner - 1; v >= last; v-- {
+		labels[v] = sc.leafRun(in, kidOff[v+1]-kidOff[v], leaf, readOnly)
+	}
+	for v := last - 1; v >= 0; v-- {
+		lo, hi := kidOff[v], kidOff[v+1]
+		if lo == hi {
+			labels[v] = leaf
+			continue
+		}
+		kidLabels := kids[lo:hi]
+		for i, c := range childIDs[lo:hi] {
+			kidLabels[i] = labels[c]
+		}
+		sc.sortKids(kidLabels)
+		key := sc.key[:0]
+		for _, id := range kidLabels {
+			key = binary.LittleEndian.AppendUint32(key, uint32(id))
+		}
+		sc.key = key
+		labels[v] = sc.label(in, key, readOnly)
+	}
+	return leaf
+}
+
+// sortKids sorts one node's children's labels ascending. A long run
+// holds few distinct labels as a rule — most nodes' children have the
+// shapes "c leaves" — so it is counted into a table indexed by label,
+// and only its distinct labels are sorted; a short run, or one with a
+// label outside the table's bound (a query-local one included), is
+// sorted by comparison.
+func (sc *profileScratch) sortKids(run []int32) {
+	if len(run) <= 16 {
+		slices.Sort(run)
+		return
+	}
+	distinct := sc.distinct[:0]
+	for _, l := range run {
+		if uint32(l) >= kidCountsMax {
+			for _, d := range distinct {
+				sc.counts[d] = 0
+			}
+			slices.Sort(run)
+			return
+		}
+		if int(l) >= len(sc.counts) {
+			sc.counts = append(sc.counts, make([]int32, max(int(l)+1, 2*len(sc.counts))-len(sc.counts))...)
+		}
+		if sc.counts[l] == 0 {
+			distinct = append(distinct, l)
+		}
+		sc.counts[l]++
+	}
+	slices.Sort(distinct)
+	at := 0
+	for _, l := range distinct {
+		for range sc.counts[l] {
+			run[at] = l
+			at++
+		}
+		sc.counts[l] = 0
+	}
+	sc.distinct = distinct
+}
+
+// kidCountsMax bounds the labels sortKids counts, and so its table.
+const kidCountsMax = 1 << 16
+
+// leafRun is the label of the shape "c leaves" (leaf: the leaf label;
+// c = 0 is the leaf shape itself), which most nodes above the deepest
+// level have: from the scratch's table indexed by c when it holds it,
+// else resolved and, when it is a dictionary label, remembered there.
+func (sc *profileScratch) leafRun(in *Interner, c, leaf int32, readOnly bool) int32 {
+	if int(c) < len(sc.leafRuns) && sc.leafRuns[c] > 0 {
+		return sc.leafRuns[c] - 1
+	}
+	key := sc.key[:0]
+	for range c {
+		key = binary.LittleEndian.AppendUint32(key, uint32(leaf))
+	}
+	sc.key = key
+	id := sc.label(in, key, readOnly)
+	if id >= 0 {
+		if int(c) >= len(sc.leafRuns) {
+			sc.leafRuns = append(sc.leafRuns, make([]int32, int(c)+1-len(sc.leafRuns))...)
+		}
+		sc.leafRuns[c] = id + 1
 	}
 	return id
 }
@@ -421,11 +490,7 @@ func (in *Interner) profile(t *Tree, readOnly bool) *Profile {
 func (in *Interner) profileWith(sc *profileScratch, t *Tree, readOnly bool) *Profile {
 	h := t.Height()
 	inner := int(t.levelOff[h]) // nodes above the deepest level
-	last := 0                   // the first node of level h-1
-	if h > 0 {
-		last = int(t.levelOff[h-1])
-	}
-	nk := max(inner-1, 0) // children of levels 0..h-2: levels 1..h-1
+	nk := max(inner-1, 0)       // children of levels 0..h-2: levels 1..h-1
 	// One block for the columns the profile owns: labels, Perm and Degs
 	// (inner each), the children-label runs of levels 0..h-2 (nk,
 	// CSR-aligned with the tree's own child storage, whose offsets the
@@ -437,44 +502,7 @@ func (in *Interner) profileWith(sc *profileScratch, t *Tree, readOnly bool) *Pro
 	kidsArr := buf[3*inner : 3*inner+nk : 3*inner+nk]
 	levels := levelSizes(t, buf[3*inner+nk:])
 	kidOff := t.childOff[: inner+1 : inner+1]
-
-	// Every childless node has the leaf shape (the empty key): resolve it
-	// once. The deepest level is all leaves, so a node on level h-1 with
-	// c children has the shape "c leaves"; above that the pass visits
-	// every child before its parent (level order gives children larger
-	// IDs) and reads their labels.
-	leaf := sc.label(in, nil, readOnly)
-	for v := inner - 1; v >= last; v-- {
-		c := kidOff[v+1] - kidOff[v]
-		if c == 0 {
-			labels[v] = leaf
-			continue
-		}
-		key := sc.key[:0]
-		for range c {
-			key = binary.LittleEndian.AppendUint32(key, uint32(leaf))
-		}
-		sc.key = key
-		labels[v] = sc.label(in, key, readOnly)
-	}
-	for v := last - 1; v >= 0; v-- {
-		lo, hi := kidOff[v], kidOff[v+1]
-		if lo == hi {
-			labels[v] = leaf
-			continue
-		}
-		kidLabels := kidsArr[lo:hi]
-		for i, c := range t.childIDs[lo:hi] {
-			kidLabels[i] = labels[c]
-		}
-		slices.Sort(kidLabels)
-		key := sc.key[:0]
-		for _, id := range kidLabels {
-			key = binary.LittleEndian.AppendUint32(key, uint32(id))
-		}
-		sc.key = key
-		labels[v] = sc.label(in, key, readOnly)
-	}
+	leaf := sc.labelNodes(in, t.levelOff, kidOff, t.childIDs, labels, kidsArr, readOnly)
 
 	p := &Profile{
 		Levels:    levels,
