@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"ned/internal/ned"
 	"ned/internal/segment"
 )
 
@@ -163,10 +164,13 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 // BenchmarkCorpusBuild measures what learning a new graph costs before
 // its first answer: NewCorpus over the harness's PGP analog (scales 1
 // and 4, seed 42, k=3) plus the first KNN, which pays the lazy build —
-// one k-adjacent extraction straight into its row per node, then one
-// compile of the rows into rank order. workers=1 against workers=2 shows
-// whether extraction scales across the workers; MB/op is what one build
-// allocates, in 10^6 bytes, and gc/build the collections it set off.
+// one k-adjacent extraction straight into its row per node, labelled
+// against the worker's private dictionary, then the canonical pass that
+// numbers the shapes and rewrites the rows (canon_ms, its wall time),
+// then one compile of the rows into rank order. workers=1 against
+// workers=2 shows whether extraction scales across the workers; MB/op is
+// what one build allocates, in 10^6 bytes, and gc/build the collections
+// it set off.
 func BenchmarkCorpusBuild(b *testing.B) {
 	ctx := context.Background()
 	for _, scale := range []float64{1, 4} {
@@ -176,6 +180,7 @@ func BenchmarkCorpusBuild(b *testing.B) {
 				b.ReportAllocs()
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
+				canon := ned.CanonTime()
 				for i := 0; i < b.N; i++ {
 					c, err := NewCorpus(g, 3, WithWorkers(workers))
 					if err != nil {
@@ -189,6 +194,7 @@ func BenchmarkCorpusBuild(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/build")
 				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB/op")
 				b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/build")
+				b.ReportMetric(float64((ned.CanonTime()-canon).Microseconds())/1e3/float64(b.N), "canon_ms")
 			})
 		}
 	}
@@ -199,8 +205,9 @@ func BenchmarkCorpusBuild(b *testing.B) {
 // a daemon. built-B/node is the live heap NewCorpus + the first KNN
 // adds, per node; recovered-B/node is the live heap OpenDurable + the
 // first KNN adds in a corpus recovered from that corpus's checkpoint
-// (the embedded graph included); ckpt-alloc-B/B is what one Checkpoint
-// allocates per byte of the segment it writes.
+// (the embedded graph included); dict-B/node is the part of
+// built-B/node the shape dictionary holds; ckpt-alloc-B/B is what one
+// Checkpoint allocates per byte of the segment it writes.
 func BenchmarkCorpusResidency(b *testing.B) {
 	for _, scale := range []float64{1, 4, 16} {
 		b.Run(fmt.Sprintf("pgp=x%g", scale), func(b *testing.B) {
@@ -212,7 +219,7 @@ func BenchmarkCorpusResidency(b *testing.B) {
 func benchmarkCorpusResidency(b *testing.B, g *Graph) {
 	ctx := context.Background()
 	nodes := float64(g.NumNodes())
-	var built, recovered, ckpt float64
+	var built, recovered, ckpt, dict float64
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
 		base := liveHeap()
@@ -224,6 +231,7 @@ func benchmarkCorpusResidency(b *testing.B, g *Graph) {
 			b.Fatal(err)
 		}
 		built += liveHeap() - base
+		dict += float64(c.dict.Bytes())
 		if err := c.MakeDurable(dir, FsyncNone); err != nil {
 			b.Fatal(err)
 		}
@@ -260,6 +268,7 @@ func benchmarkCorpusResidency(b *testing.B, g *Graph) {
 	n := float64(b.N)
 	b.ReportMetric(built/n/nodes, "built-B/node")
 	b.ReportMetric(recovered/n/nodes, "recovered-B/node")
+	b.ReportMetric(dict/n/nodes, "dict-B/node")
 	b.ReportMetric(ckpt/n, "ckpt-alloc-B/B")
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -134,11 +135,28 @@ func snapshotIsolation(t *testing.T, durable bool) {
 	}
 	defer stop() // also on a failed call below
 
+	// The writer starts once every reader has finished a read, and makes
+	// each further call only once a read that began after the previous
+	// call committed has finished (fresh: the most calls committed before
+	// a finished read began), so however the scheduler runs them the
+	// reads are at least as many as the calls. live counts the readers
+	// still reading.
+	var ready sync.WaitGroup
+	ready.Add(readers)
+	var fresh, live atomic.Int64
+	live.Store(readers)
 	obs := make([][]isoObs, readers)
 	for ri := 0; ri < readers; ri++ {
 		wg.Add(1)
 		go func(ri int) {
 			defer wg.Done()
+			defer live.Add(-1)
+			first := true
+			defer func() {
+				if first {
+					ready.Done()
+				}
+			}()
 			rng := rand.New(rand.NewSource(int64(900 + ri)))
 			for !done.Load() {
 				o := isoObs{kind: rng.Intn(4), lo: committed.Load()}
@@ -162,9 +180,16 @@ func snapshotIsolation(t *testing.T, durable bool) {
 					return
 				}
 				obs[ri] = append(obs[ri], o)
+				for f := fresh.Load(); o.lo > f && !fresh.CompareAndSwap(f, o.lo); f = fresh.Load() {
+				}
+				if first {
+					first = false
+					ready.Done()
+				}
 			}
 		}(ri)
 	}
+	ready.Wait()
 
 	// The writer. pick draws a multi-node batch of nodes whose live
 	// flag is want.
@@ -181,6 +206,9 @@ func snapshotIsolation(t *testing.T, durable bool) {
 		return pool[:min(len(pool), 12+rng.Intn(28))]
 	}
 	for i := 1; i <= calls; i++ {
+		for fresh.Load() < int64(i-1) && live.Load() > 0 {
+			runtime.Gosched()
+		}
 		started.Store(int64(i))
 		var err error
 		switch p := rng.Intn(100); {

@@ -98,7 +98,7 @@ func transcodeV2(b []byte) ([]byte, error) {
 	shapesAt := 4 * (h.Shapes + 2) // the first kid's byte
 	out := binary.AppendUvarint(nil, uint64(h.Shapes))
 	for id := range int32(h.Shapes) {
-		out = segment.AppendShape(out, dict[shapesAt+4*int(sh.off[id]):shapesAt+4*int(sh.off[id+1])])
+		out = appendShape(out, dict[shapesAt+4*int(sh.off[id]):shapesAt+4*int(sh.off[id+1])])
 	}
 	dict = out
 	graphAt := len(b) - r.Len()
@@ -209,4 +209,19 @@ func translateV2(p []byte, si int, h segment.Header, sh shapes) ([]byte, error) 
 		return nil, fmt.Errorf("segment: shard %d: %d trailing words in section payload", si, len(words)-pos)
 	}
 	return out, nil
+}
+
+// appendShape appends one shape of a NEDSEG03 dict section to b: the
+// run length of key, a shape's sorted child labels as the little-endian
+// u32s a NEDSEG02 dictionary stores, and the labels as uvarint deltas,
+// the first from 0.
+func appendShape(b, key []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)/4))
+	prev := uint32(0)
+	for j := 0; j+4 <= len(key); j += 4 {
+		kid := binary.LittleEndian.Uint32(key[j:])
+		b = binary.AppendUvarint(b, uint64(kid-prev))
+		prev = kid
+	}
+	return b
 }

@@ -1,6 +1,7 @@
 package ned
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -58,6 +59,26 @@ func sameRows(t *testing.T, name string, got, want *Rows) {
 	}
 }
 
+// sameDict fails t unless got and want hold the same shapes under the
+// same IDs.
+func sameDict(t *testing.T, name string, got, want *tree.Interner) {
+	t.Helper()
+	gotN, gotKeys := got.Coded()
+	wantN, wantKeys := want.Coded()
+	if gotN != wantN || !bytes.Equal(gotKeys, wantKeys) {
+		t.Fatalf("%s: the dictionary holds %d shapes, want %d, or in another order", name, gotN, wantN)
+	}
+}
+
+// rowArenas is the arenas of rows: its out-trees' and, when directed,
+// its in-trees'.
+func rowArenas(r *Rows) []*tree.ProfileArena {
+	if r.In == nil {
+		return []*tree.ProfileArena{r.Out}
+	}
+	return []*tree.ProfileArena{r.Out, r.In}
+}
+
 // orient is g with every edge directed one way or the other at random.
 func orient(g *graph.Graph, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -76,11 +97,11 @@ func orient(g *graph.Graph, seed int64) *graph.Graph {
 // at 0.25 (5 000 nodes), undirected and with every edge oriented at
 // random, at k = 1, 2 and 3. On one
 // worker BuildRows gives the oracle's rows byte for byte and interns
-// the same dictionary, shape for shape, and BuildRanked gives the rows
-// of the oracle's scan base, which NewScan adopts without a copy. At
-// two workers, where label IDs depend on the interleaving, a scan over
-// BuildRanked's rows answers KNN queries as the exhaustive ranking does
-// (ned.TopL when undirected).
+// the same dictionary, shape for shape, and BuildRanked, on one worker
+// and on two, gives the rows and dictionary of the oracle's scan base
+// after the canonical pass, which NewScan adopts without a copy. A scan
+// over BuildRanked's rows at two workers answers KNN queries as the
+// exhaustive ranking does (ned.TopL when undirected).
 func TestBuiltRowsMatchProfilePath(t *testing.T) {
 	ctx := context.Background()
 	for _, in := range []struct {
@@ -104,14 +125,23 @@ func TestBuiltRowsMatchProfilePath(t *testing.T) {
 				want := profileRows(g, all, k, directed, wantDict)
 				dict := tree.NewInterner()
 				sameRows(t, label+" BuildRows", BuildRows(g, all, k, directed, dict, 1), want)
-				if !slices.Equal(dict.Shapes(), wantDict.Shapes()) {
-					t.Fatalf("%s: the builder interned %d shapes, the profile path %d, or in another order",
-						label, dict.Len(), wantDict.Len())
-				}
-				ranked := BuildRanked(g, all, k, directed, tree.NewInterner(), 1)
-				sameRows(t, label+" BuildRanked", ranked, &NewScan(want, 1).(*scanBackend).bblk.Rows)
-				if base := NewScan(ranked, 1).(*scanBackend).bblk; base.Out != ranked.Out || !inOrder(base.ord) {
-					t.Fatalf("%s: the scan copied the ranked rows instead of adopting them", label)
+				sameDict(t, label+" BuildRows", dict, wantDict)
+
+				// BuildRanked: the oracle's rows, canonicalized, in rank order,
+				// on one worker and on two.
+				canonDict := tree.NewInterner()
+				canon := profileRows(g, all, k, directed, tree.NewInterner())
+				canonDict.Canonicalize(rowArenas(canon), 1)
+				canonBase := &NewScan(canon, 1).(*scanBackend).bblk.Rows
+				for _, workers := range []int{1, 2} {
+					rankedDict := tree.NewInterner()
+					ranked := BuildRanked(g, all, k, directed, rankedDict, workers)
+					name := fmt.Sprintf("%s BuildRanked workers=%d", label, workers)
+					sameRows(t, name, ranked, canonBase)
+					sameDict(t, name, rankedDict, canonDict)
+					if base := NewScan(ranked, 1).(*scanBackend).bblk; base.Out != ranked.Out || !inOrder(base.ord) {
+						t.Fatalf("%s: the scan copied the ranked rows instead of adopting them", name)
+					}
 				}
 
 				// Answers at two workers, over every eighth node.
@@ -167,9 +197,7 @@ func TestBuiltRowsWidenDegreeRuns(t *testing.T) {
 				t.Fatalf("%s: the oracle's degree runs take %d bytes a count, want %d", label, want.Out.Degs.Width, wide)
 			}
 			sameRows(t, label, BuildRows(g, nodes, k, false, dict, 1), want)
-			if !slices.Equal(dict.Shapes(), wantDict.Shapes()) {
-				t.Fatalf("%s: the builder's dictionary differs from the profile path's", label)
-			}
+			sameDict(t, label, dict, wantDict)
 		}
 	}
 }

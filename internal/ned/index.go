@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ned/internal/graph"
 	"ned/internal/ted"
@@ -90,18 +91,37 @@ const buildChunk = 256
 // which must ascend, straight into rows labelled against dict, in node
 // order. Workers take the nodes in chunks of 256 and write each chunk's
 // rows into arenas of the chunk's own (tree.RowBuilder); one compile
-// gathers them. On one worker the labels are interned in the order
-// profiling each extracted tree would intern them.
+// gathers them. The shapes dict lacks take the next IDs as the workers
+// intern them; on one worker, in the order profiling each extracted
+// tree would intern them.
 func BuildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) *Rows {
 	return buildRows(g, nodes, k, directed, dict, workers, false)
 }
 
 // BuildRanked is BuildRows in a scan's rank order, with the room a load
 // gives its rows (RowRoom): the base NewScan adopts as it is, so a build
-// copies each row once.
+// copies each row once. The workers label the rows against a dictionary
+// of the build's own, and one canonical pass (tree.Interner.Canonicalize)
+// then interns its shapes into dict in the canonical order and rewrites
+// the rows' labels, so the rows and dict are the same on any number of
+// workers.
 func BuildRanked(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int) *Rows {
 	return buildRows(g, nodes, k, directed, dict, workers, true)
 }
+
+// shapesPerNode and keyBytesPerNode size a ranked build's own
+// dictionary, so that it seldom grows while the workers share it: the
+// PGP analog at k = 3 interns about 2.5 shapes a node, coded in about 42
+// bytes a node.
+const shapesPerNode, keyBytesPerNode = 3, 48
+
+// canonNanos is the time the canonical passes of every BuildRanked so
+// far took, in nanoseconds.
+var canonNanos atomic.Int64
+
+// CanonTime is the time the canonical passes of every BuildRanked in
+// this process took.
+func CanonTime() time.Duration { return time.Duration(canonNanos.Load()) }
 
 func buildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict *tree.Interner, workers int, ranked bool) *Rows {
 	// chunks[c] holds chunk c's rows: its out-trees' and in-trees'.
@@ -111,17 +131,34 @@ func buildRows(g *graph.Graph, nodes []graph.NodeID, k int, directed bool, dict 
 	// The build's builders, one per worker at most; a sync.Pool would keep
 	// them past the build.
 	builders := make(chan *tree.RowBuilder, workers)
+	into := dict
+	if ranked {
+		into = tree.NewInterner()
+		into.Reserve(shapesPerNode*len(nodes), keyBytesPerNode*len(nodes))
+	}
 	parallelFor(len(chunks), workers, func(c int) {
 		var b *tree.RowBuilder
 		select {
 		case b = <-builders:
 		default:
-			b = dict.NewRowBuilder(k, directed)
+			b = into.NewRowBuilder(k, directed)
 		}
 		b.Add(g, nodes[c*buildChunk:min((c+1)*buildChunk, len(nodes))])
 		chunks[c].out, chunks[c].in = b.Rows()
 		builders <- b
 	})
+	if ranked {
+		t0 := time.Now()
+		arenas := make([]*tree.ProfileArena, 0, 2*len(chunks))
+		for _, ch := range chunks {
+			arenas = append(arenas, ch.out)
+			if directed {
+				arenas = append(arenas, ch.in)
+			}
+		}
+		dict.Canonicalize(arenas, workers)
+		canonNanos.Add(int64(time.Since(t0)))
+	}
 	// at is node i's chunk and row in it.
 	at := func(i int) (chunk, int32) { return chunks[i/buildChunk], int32(i % buildChunk) }
 	// order lists the rows as the compile lays them out; a run is a chunk

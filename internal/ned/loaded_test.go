@@ -2,7 +2,6 @@ package ned_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -138,12 +137,12 @@ func TestLoadedBlockEqualsBuilt(t *testing.T) {
 func chainInterner(t *testing.T, n int) *tree.Interner {
 	t.Helper()
 	off := make([]int32, n+1)
-	keys := make([]byte, 0, 4*n)
+	kids := make([]int32, 0, n)
 	for id := 1; id < n; id++ {
 		off[id+1] = off[id] + 1
-		keys = binary.LittleEndian.AppendUint32(keys, uint32(id-1))
+		kids = append(kids, int32(id-1))
 	}
-	in, err := tree.NewInternerFromShapes(off, keys)
+	in, err := tree.NewInternerFromKids(off, kids)
 	if err != nil {
 		t.Fatal(err)
 	}

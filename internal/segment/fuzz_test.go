@@ -105,8 +105,10 @@ func walFrameBounds(b []byte) []int64 {
 // NEDSEG03 golden, its prefix, the golden with one uvarint of an item
 // table rewritten under recomputed checksums, so mutations start from
 // tables that reach the label checks, or that declare more rows or
-// stored labels than they hold, and the golden with one uvarint made
-// malformed (HostileUvarints); and with the NEDSEG02 and NEDSEG01
+// stored labels than they hold, the golden with one uvarint made
+// malformed (HostileUvarints), the golden with a dictionary whose child
+// reaches its shape, whose last run is truncated, or that repeats a
+// shape (badDicts); and with the NEDSEG02 and NEDSEG01
 // goldens, their prefixes and the NEDSEG01 golden's rewritten trees
 // (V1Cases), bytes of earlier builds that Read must reject and whose
 // mutations reach the decoder once their magic flips. internal/legacy's
@@ -146,6 +148,9 @@ func FuzzSegmentRead(f *testing.F) {
 	}
 	for _, c := range HostileUvarints(f) {
 		f.Add(c.Blob)
+	}
+	for _, blob := range badDicts(f) {
+		f.Add(blob)
 	}
 	f.Add([]byte(Magic))
 	f.Add([]byte{})

@@ -35,10 +35,10 @@ func withMagic(b []byte) []byte { return append([]byte(segment.Magic), b[len(seg
 
 // corpus is a segment as Read returns it, its items node-ascending.
 type corpus struct {
-	meta   segment.Meta
-	items  []ned.Item
-	shapes []string
-	g      *graph.Graph
+	meta  segment.Meta
+	items []ned.Item
+	dict  *tree.Interner
+	g     *graph.Graph
 }
 
 // readGolden reads testdata/name, converted first unless it is the
@@ -68,17 +68,19 @@ func readGolden(t *testing.T, name, magic string) corpus {
 		t.Fatalf("Read rejects the %s golden, converted: %v", magic, err)
 	}
 	slices.SortFunc(items, func(a, b ned.Item) int { return int(a.Node - b.Node) })
-	return corpus{meta, items, dict.Shapes(), g}
+	return corpus{meta, items, dict, g}
 }
 
 // sameCorpus requires got to hold want's items, dictionary and graph.
 func sameCorpus(t *testing.T, label string, got, want corpus) {
 	t.Helper()
 	got.meta.Shards, want.meta.Shards = 0, 0 // a conversion picks its own table count
-	if got.meta != want.meta || !slices.Equal(got.shapes, want.shapes) ||
+	gotShapes, gotKeys := got.dict.Coded()
+	wantShapes, wantKeys := want.dict.Coded()
+	if got.meta != want.meta || !bytes.Equal(gotKeys, wantKeys) ||
 		got.g.NumNodes() != want.g.NumNodes() || !slices.Equal(got.g.Edges(), want.g.Edges()) {
 		t.Fatalf("%s: meta %+v, %d shapes, %d edges; want %+v, %d, %d",
-			label, got.meta, len(got.shapes), got.g.NumEdges(), want.meta, len(want.shapes), want.g.NumEdges())
+			label, got.meta, gotShapes, got.g.NumEdges(), want.meta, wantShapes, want.g.NumEdges())
 	}
 	segment.SameItems(t, label, got.items, want.items)
 }
@@ -89,10 +91,7 @@ func TestSegmentV1GoldenMatchesV2(t *testing.T) {
 	v1 := readGolden(t, "golden-v1.nedseg", "NEDSEG01")
 	v2 := readGolden(t, "golden-v2.nedseg", "NEDSEG02")
 	sameCorpus(t, "NEDSEG01 golden vs the NEDSEG02 golden", v1, v2)
-	dict, err := tree.NewInternerFromShapes(shapeTable(v1.shapes))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dict := v1.dict
 	tables := make([][]ned.Item, 4)
 	for _, it := range v1.items {
 		si := ned.ShardOf(it.Node, len(tables))
@@ -116,17 +115,6 @@ func TestSegmentV1GoldenMatchesV2(t *testing.T) {
 func TestSegmentV2GoldenMatchesV3(t *testing.T) {
 	sameCorpus(t, "converted NEDSEG02 golden vs the NEDSEG03 golden",
 		readGolden(t, "golden-v2.nedseg", "NEDSEG02"), readGolden(t, "golden.nedseg", segment.Magic))
-}
-
-// shapeTable is a dictionary's shapes as the CSR table
-// tree.NewInternerFromShapes takes.
-func shapeTable(shapes []string) ([]int32, []byte) {
-	off, keys := []int32{0}, []byte{}
-	for _, key := range shapes {
-		keys = append(keys, key...)
-		off = append(off, int32(len(keys)/4))
-	}
-	return off, keys
 }
 
 // The conversion rejects the NEDSEG01 columns NEDSEG03 cannot express

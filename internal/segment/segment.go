@@ -33,8 +33,11 @@
 //	       skip shards.
 //	dict:  nShapes uv, then per shape id its run length uv and its
 //	       sorted child labels as uv deltas (the first from 0) — the
-//	       interner's shapes (tree.Interner.Shapes). Each label is a
-//	       smaller id than its shape, so shape 0 is the leaf.
+//	       resident dictionary's key buffer (tree.Interner.Coded),
+//	       which Write copies verbatim and a load adopts once
+//	       decodeDict has checked it (tree.NewInternerFromCoded).
+//	       Each label is a smaller id than its shape, so shape 0 is
+//	       the leaf; no shape repeats.
 //	graph: nodes u32, directed u8, edges u64, then u32 pairs — the
 //	       backing graph, so a recovered corpus keeps Insert and
 //	       UpdateGraph without a sidecar file.
@@ -106,20 +109,11 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"unsafe"
 
 	"ned/internal/graph"
 	"ned/internal/ned"
 	"ned/internal/tree"
 )
-
-// hostLittleEndian gates the dictionary's key view: on a little-endian
-// host the decoded kid labels are the little-endian u32 keys the
-// dictionary takes, so the two share one allocation.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // Magic identifies (and versions) the binary segment format Write
 // emits and Read and Verify accept.
@@ -215,47 +209,35 @@ func DecodeHeader(payload []byte) (Header, error) {
 	return h, d.done()
 }
 
-// AppendShape appends one shape of a dict section to b: the run length
-// of key, a shape's sorted child labels as little-endian u32s (a key of
-// tree.Interner.Shapes), and the labels as uvarint deltas, the first
-// from 0.
-func AppendShape[K ~string | ~[]byte](b []byte, key K) []byte {
-	b = binary.AppendUvarint(b, uint64(len(key)/4))
-	prev := uint32(0)
-	for j := 0; j+4 <= len(key); j += 4 {
-		kid := uint32(key[j]) | uint32(key[j+1])<<8 | uint32(key[j+2])<<16 | uint32(key[j+3])<<24
-		b = binary.AppendUvarint(b, uint64(kid-prev))
-		prev = kid
-	}
-	return b
-}
-
-// decodeDict decodes a dict section's payload of n shapes straight into
-// the dictionary's key buffer: shape id's sorted child labels are
-// kids[off[id]:off[id+1]], and keys views kids as the little-endian u32s
-// tree.NewInternerFromShapes takes. Each run length and each label is
-// one uvarint, so the payload's uvarint count sizes kids exactly.
-func decodeDict(p []byte, n int) (off, kids []int32, keys []byte, err error) {
+// decodeDict decodes and checks a dict section's payload of n shapes:
+// shape id's sorted child labels are kids[off[id]:off[id+1]], for the
+// load's checks of the item tables, and its coded key — the bytes the
+// dictionary holds (tree.NewInternerFromCoded) — is
+// keys[keyOff[id]:keyOff[id+1]], keys being the payload past the shape
+// count. Each run length and each label is one uvarint, so the
+// payload's uvarint count sizes kids exactly.
+func decodeDict(p []byte, n int) (off, kids []int32, keys []byte, keyOff []uint32, err error) {
 	got, i, err := uvCount(p, 0)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
 	}
 	if got != n {
-		return nil, nil, nil, fmt.Errorf("segment: dict section has %d shapes, meta declares %d", got, n)
+		return nil, nil, nil, nil, fmt.Errorf("segment: dict section has %d shapes, meta declares %d", got, n)
 	}
 	total := tree.CountWords(p) - 1 - n
 	if total < 0 {
-		return nil, nil, nil, fmt.Errorf("segment: dict section holds too few uvarints for its %d shapes", n)
+		return nil, nil, nil, nil, fmt.Errorf("segment: dict section holds too few uvarints for its %d shapes", n)
 	}
-	off, kids = make([]int32, n+1), make([]int32, total)
+	off, kids, keyOff = make([]int32, n+1), make([]int32, total), make([]uint32, n+1)
+	keys = p[i:len(p):len(p)]
 	at := 0
 	for id := range n {
 		var r, d int
 		if r, i, err = uvCount(p, i); err != nil {
-			return nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
+			return nil, nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
 		}
 		if r > total-at {
-			return nil, nil, nil, fmt.Errorf("segment: dict shape %d declares %d child labels, %d left", id, r, total-at)
+			return nil, nil, nil, nil, fmt.Errorf("segment: dict shape %d declares %d child labels, %d left", id, r, total-at)
 		}
 		// The labels ascend, so the last bounds them all. uvCount's
 		// common cases are inline: one byte, and two bytes whose second
@@ -267,30 +249,23 @@ func decodeDict(p []byte, n int) (off, kids []int32, keys []byte, err error) {
 			} else if i+1 < len(p) && p[i+1]-1 < 0x7f {
 				kid, i = kid+(int(p[i]&0x7f)|int(p[i+1])<<7), i+2
 			} else if d, i, err = uvCount(p, i); err != nil {
-				return nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
+				return nil, nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
 			} else {
 				kid += d
 			}
 			run[j] = int32(kid)
 		}
 		if r > 0 && kid >= id {
-			return nil, nil, nil, fmt.Errorf("segment: dict shape %d has child label %d (want [0, %d))", id, kid, id)
+			return nil, nil, nil, nil, fmt.Errorf("segment: dict shape %d has child label %d (want [0, %d))", id, kid, id)
 		}
 		at += r
 		off[id+1] = int32(at)
+		keyOff[id+1] = uint32(i - (len(p) - len(keys)))
 	}
 	if i != len(p) {
-		return nil, nil, nil, fmt.Errorf("segment: %d trailing bytes in dict section", len(p)-i)
+		return nil, nil, nil, nil, fmt.Errorf("segment: %d trailing bytes in dict section", len(p)-i)
 	}
-	if hostLittleEndian {
-		keys = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(kids))), 4*len(kids))
-	} else {
-		keys = make([]byte, 0, 4*len(kids))
-		for _, k := range kids {
-			keys = appendU32(keys, uint32(k))
-		}
-	}
-	return off, kids, keys, nil
+	return off, kids, keys, keyOff, nil
 }
 
 // VPNode is one persisted vantage-point-tree node, in preorder. The
@@ -778,16 +753,9 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 		}
 	}
 
-	// The dictionary is encoded twice, to size its section and to write
-	// it, through one buffer.
-	shapes := dict.Shapes()
-	var shape []byte
-	dictLen := tree.UvarintLen(uint32(len(shapes)))
-	for _, key := range shapes {
-		shape = AppendShape(shape[:0], key)
-		dictLen += len(shape)
-	}
-	h := Header{Meta: meta, Shapes: len(shapes), HasGraph: g != nil, HasIndex: indexes != nil, TableLens: shardLens}
+	// The dictionary's coded keys are the dict section, verbatim.
+	shapes, keys := dict.Coded()
+	h := Header{Meta: meta, Shapes: shapes, HasGraph: g != nil, HasIndex: indexes != nil, TableLens: shardLens}
 	mb, err := h.Append(nil)
 	if err != nil {
 		return err
@@ -800,12 +768,9 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 		return err
 	}
 
-	sw.begin(SecDict, dictLen)
-	sw.uv(uint32(len(shapes)))
-	for _, key := range shapes {
-		shape = AppendShape(shape[:0], key)
-		raw(sw, shape)
-	}
+	sw.begin(SecDict, tree.UvarintLen(uint32(shapes))+len(keys))
+	sw.uv(uint32(shapes))
+	raw(sw, keys)
 	if err := sw.end(); err != nil {
 		return err
 	}
@@ -941,9 +906,9 @@ func uvCount(b []byte, i int) (int, int, error) {
 }
 
 // leafShape is the label of the childless shape in every dictionary a
-// segment holds: NewInternerFromShapes requires each child label to be
-// smaller than its shape's own, so shape 0 can have no children, and
-// the dictionary holds one childless shape at most.
+// segment holds: decodeDict requires each child label to be smaller
+// than its shape's own, so shape 0 can have no children, and the
+// dictionary holds no shape twice, so one childless shape at most.
 const leafShape = 0
 
 // maxTreeNodes bounds the node count a tree may derive. Its deepest
@@ -1502,13 +1467,13 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	if err != nil {
 		return fail(err)
 	}
-	kidOff, kids, keys, err := decodeDict(payload, h.Shapes)
+	kidOff, kids, keys, keyOff, err := decodeDict(payload, h.Shapes)
 	if err != nil {
 		return fail(err)
 	}
-	// The keys view kids, which decodeDict allocated for this read alone
-	// and nothing writes again; the offsets' allocation is not kept.
-	in, err := tree.NewInternerFromShapes(kidOff, keys)
+	// The dictionary adopts the payload's coded keys, which this read
+	// alone holds and nothing writes again.
+	in, err := tree.NewInternerFromCoded(keys, keyOff)
 	if err != nil {
 		return fail(fmt.Errorf("segment: %w", err))
 	}

@@ -716,6 +716,78 @@ func tableWords(blob []byte, ti int) []uint32 {
 	return ws
 }
 
+// badDicts is the golden segment with its dict section rewritten under
+// recomputed checksums into each of three dictionaries decodeDict or the
+// dictionary's adoption must reject: a child delta that reaches its own
+// shape's ID, a run that declares one child more than the section holds,
+// and a shape that repeats an earlier one.
+func badDicts(tb testing.TB) map[string][]byte {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.nedseg"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	types, payloads := sections(golden)
+	di := bytes.IndexByte(types, SecDict)
+	// shapes[id] is shape id's words: its run length, then its deltas.
+	words := uvarints(payloads[di])
+	var shapes [][]uint32
+	for at := 1; at < len(words); at += 1 + int(words[at]) {
+		shapes = append(shapes, words[at:at+1+int(words[at])])
+	}
+	with := func(edit func(shapes [][]uint32)) []byte {
+		cp := make([][]uint32, len(shapes))
+		for id, w := range shapes {
+			cp[id] = slices.Clone(w)
+		}
+		edit(cp)
+		p := binary.AppendUvarint(nil, uint64(len(cp)))
+		for _, w := range cp {
+			for _, x := range w {
+				p = binary.AppendUvarint(p, uint64(x))
+			}
+		}
+		ps := slices.Clone(payloads)
+		ps[di] = p
+		return assemble(types, ps)
+	}
+	// The first shapes of one child: the leaf's runs of one, "1 leaf".
+	var ones []int
+	for id, w := range shapes {
+		if w[0] == 1 {
+			ones = append(ones, id)
+		}
+	}
+	if len(ones) < 2 {
+		tb.Fatal("the golden dictionary has too few one-child shapes")
+	}
+	return map[string][]byte{
+		"a child as high as its shape": with(func(sh [][]uint32) { sh[ones[1]][1] = uint32(ones[1]) }),
+		"a truncated run":              with(func(sh [][]uint32) { sh[len(sh)-1][0]++ }),
+		"a duplicate shape": with(func(sh [][]uint32) {
+			sh[ones[1]] = slices.Clone(sh[ones[0]])
+		}),
+	}
+}
+
+// The reader rejects a dictionary whose child labels do not come before
+// their shape, whose runs outrun the section, or that holds a shape twice.
+func TestSegmentRejectsBadDictionaries(t *testing.T) {
+	for what, blob := range badDicts(t) {
+		if _, _, _, _, _, err := Read(bytes.NewReader(blob)); err == nil {
+			t.Errorf("%s: Read accepts it", what)
+		}
+	}
+}
+
+// kidRuns is each shape's sorted child labels, in ID order.
+func kidRuns(dict *tree.Interner) [][]int32 {
+	runs := make([][]int32, dict.Len())
+	for id := range runs {
+		runs[id] = dict.Kids(int32(id), nil)
+	}
+	return runs
+}
+
 // The reader checks every stored label against the shapes around it: a
 // table that checksums but disagrees with its dictionary fails with
 // ErrInconsistent, never a panic or a wrong corpus.
@@ -726,7 +798,7 @@ func TestSegmentV3RejectsInconsistentTables(t *testing.T) {
 	items = append(items, nonBFSItem(dict))
 	blob := encode(t, meta, dict, g, [][]ned.Item{items})
 	words := tableWords(blob, 0)
-	shapes := dict.Shapes()
+	shapes := kidRuns(dict)
 
 	// Walk the table: per item, where its tree's header word sits.
 	type treeAt struct{ hdr, m int }
@@ -749,7 +821,7 @@ func TestSegmentV3RejectsInconsistentTables(t *testing.T) {
 			break
 		}
 	}
-	if tall.m != 1+len(shapes[words[tall.hdr+1]])/4 {
+	if tall.m != 1+len(shapes[words[tall.hdr+1]]) {
 		t.Fatalf("fixture holds no tree of height 2 (found %+v)", tall)
 	}
 	root := tall.hdr + 1
@@ -757,11 +829,11 @@ func TestSegmentV3RejectsInconsistentTables(t *testing.T) {
 	// Shapes to swap in: one with a non-leaf kid, and an all-leaf one
 	// (a node with leaf children only) other than first1's own.
 	nonLeaf, star := -1, -1
-	for id, key := range shapes {
-		if key == "" {
+	for id, kids := range shapes {
+		if len(kids) == 0 {
 			continue
 		}
-		if binary.LittleEndian.Uint32([]byte(key[len(key)-4:])) != 0 {
+		if kids[len(kids)-1] != 0 {
 			nonLeaf = max(nonLeaf, id)
 		} else if uint32(id) != words[first1] && star < 0 {
 			star = id
@@ -1031,10 +1103,8 @@ func TestSegmentPresizingTrustsOnlyPayload(t *testing.T) {
 	blob := encode(t, meta, dict, g, [][]ned.Item{items})
 	var off, kids []int32
 	off = append(off, 0)
-	for _, key := range dict.Shapes() {
-		for j := 0; j < len(key); j += 4 {
-			kids = append(kids, int32(binary.LittleEndian.Uint32([]byte(key[j:j+4]))))
-		}
+	for id := range int32(dict.Len()) {
+		kids = dict.Kids(id, kids)
 		off = append(off, int32(len(kids)))
 	}
 	sh := newShapeTable(off, kids)

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -44,12 +43,12 @@ func hubTree(top int) *Tree {
 func seededInterner(t *testing.T, n int) *Interner {
 	t.Helper()
 	off := make([]int32, n+1)
-	keys := make([]byte, 0, 4*n)
+	kids := make([]int32, 0, n)
 	for id := 1; id < n; id++ {
 		off[id+1] = off[id] + 1
-		keys = binary.LittleEndian.AppendUint32(keys, uint32(id-1))
+		kids = append(kids, int32(id-1))
 	}
-	in, err := NewInternerFromShapes(off, keys)
+	in, err := NewInternerFromKids(off, kids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package tree
 
 import (
-	"encoding/binary"
+	"bytes"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 )
@@ -26,27 +25,15 @@ func exportTestTrees(t *testing.T, n int, seed int64) ([]*Tree, *Interner) {
 	return trees, in
 }
 
-// exportShapes lays Shapes out as the CSR table a segment stores:
-// shape id's sorted child labels occupy kids[kidOff[id]:kidOff[id+1]].
+// exportShapes lays the dictionary out as a CSR shape table: shape
+// id's sorted child labels occupy kids[kidOff[id]:kidOff[id+1]].
 func exportShapes(in *Interner) (kidOff, kids []int32) {
-	shapes := in.Shapes()
-	kidOff = make([]int32, len(shapes)+1)
-	for id, key := range shapes {
-		kidOff[id+1] = kidOff[id] + int32(len(key)/4)
-		for j := 0; j < len(key); j += 4 {
-			kids = append(kids, int32(binary.LittleEndian.Uint32([]byte(key[j:]))))
-		}
+	kidOff = make([]int32, in.Len()+1)
+	for id := range int32(in.Len()) {
+		kids = in.Kids(id, kids)
+		kidOff[id+1] = int32(len(kids))
 	}
 	return kidOff, kids
-}
-
-// packKids packs child labels as NewInternerFromShapes reads them.
-func packKids(kids []int32) []byte {
-	b := make([]byte, 0, 4*len(kids))
-	for _, kid := range kids {
-		b = binary.LittleEndian.AppendUint32(b, uint32(kid))
-	}
-	return b
 }
 
 // The shape table must round-trip to a dictionary with identical label
@@ -54,9 +41,14 @@ func packKids(kids []int32) []byte {
 func TestInternerShapesRoundTrip(t *testing.T) {
 	trees, in := exportTestTrees(t, 60, 7)
 	kidOff, kids := exportShapes(in)
-	in2, err := NewInternerFromShapes(kidOff, packKids(kids))
+	in2, err := NewInternerFromKids(kidOff, kids)
 	if err != nil {
-		t.Fatalf("NewInternerFromShapes: %v", err)
+		t.Fatalf("NewInternerFromKids: %v", err)
+	}
+	n, keys := in.Coded()
+	n2, keys2 := in2.Coded()
+	if n != n2 || !bytes.Equal(keys, keys2) {
+		t.Fatal("the shape table codes other keys than the dictionary holds")
 	}
 	if in2.Len() != in.Len() {
 		t.Fatalf("rebuilt dictionary has %d shapes, want %d", in2.Len(), in.Len())
@@ -76,10 +68,13 @@ func TestInternerShapesRoundTrip(t *testing.T) {
 	// Determinism: exporting twice yields the same table.
 	off2, kids2 := exportShapes(in)
 	if !reflect.DeepEqual(kidOff, off2) || !reflect.DeepEqual(kids, kids2) {
-		t.Fatal("Shapes is not deterministic")
+		t.Fatal("the shape table is not deterministic")
 	}
 }
 
+// NewInternerFromKids rejects every shape table a dictionary could not
+// have written: bad offsets, children not below their shape or not
+// sorted, and a shape twice.
 func TestNewInternerFromShapesRejectsBadTables(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -97,14 +92,14 @@ func TestNewInternerFromShapesRejectsBadTables(t *testing.T) {
 		{"duplicate shape", []int32{0, 0, 0}, nil},
 	}
 	for _, tc := range cases {
-		if _, err := NewInternerFromShapes(tc.kidOff, packKids(tc.kids)); err == nil {
+		if _, err := NewInternerFromKids(tc.kidOff, tc.kids); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 }
 
-// Shapes hands out views of a table that interning keeps appending to:
-// every view taken mid-interning must be a prefix of the final table,
+// Coded hands out views of a buffer that interning keeps appending to:
+// every view taken mid-interning must be a prefix of the final buffer,
 // each shape's children interned before it.
 func TestShapesWhileInterning(t *testing.T) {
 	trees, _ := exportTestTrees(t, 200, 13)
@@ -119,7 +114,7 @@ func TestShapesWhileInterning(t *testing.T) {
 			}
 		}()
 	}
-	var views [][]string
+	var views [][]byte
 	done := make(chan struct{})
 	go func() {
 		wg.Wait()
@@ -131,20 +126,21 @@ func TestShapesWhileInterning(t *testing.T) {
 			running = false
 		default:
 		}
-		views = append(views, in.Shapes())
+		_, keys := in.Coded()
+		views = append(views, keys)
 	}
-	final := in.Shapes()
-	if len(final) != in.Len() {
-		t.Fatalf("Shapes holds %d shapes, the dictionary %d", len(final), in.Len())
+	n, final := in.Coded()
+	if n != in.Len() {
+		t.Fatalf("Coded holds %d shapes, the dictionary %d", n, in.Len())
 	}
 	for _, view := range views {
-		if !slices.Equal(view, final[:len(view)]) {
-			t.Fatalf("a %d-shape view taken while interning is not a prefix of the final table", len(view))
+		if !bytes.HasPrefix(final, view) {
+			t.Fatalf("a %d-byte view taken while interning is not a prefix of the final buffer", len(view))
 		}
 	}
-	for id, key := range final {
-		for j := 0; j < len(key); j += 4 {
-			if kid := binary.LittleEndian.Uint32([]byte(key[j:])); kid >= uint32(id) {
+	for id := range int32(n) {
+		for _, kid := range in.Kids(id, nil) {
+			if kid >= id {
 				t.Fatalf("shape %d has child label %d: children must intern first", id, kid)
 			}
 		}

@@ -1,11 +1,8 @@
 package tree
 
 import (
-	"encoding/binary"
-	"hash/maphash"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // This file compiles signature trees into Profiles: flat, cache-dense
@@ -137,110 +134,6 @@ func (p *Profile) InnerDegs() []int32 {
 // the sentinel bit exactly when a local label exists anywhere.
 func (p *Profile) Resolved() bool { return p.Canon>>32 == 0 }
 
-// Interner is a corpus-wide dictionary of subtree shapes: it assigns
-// dense int32 label IDs such that two subtrees anywhere in the corpus
-// get equal IDs iff they are isomorphic. All methods are safe for
-// concurrent use; profile builds from parallel extraction workers and
-// from queries share one Interner.
-//
-// The dictionary is striped by key hash — internStripes maps, each
-// behind its own lock — and takes IDs from one atomic counter, so
-// workers profiling different trees rarely meet on a lock. Which shape
-// gets which ID therefore depends on how the workers interleave (one
-// goroutine always assigns them in first-seen order); what every order
-// guarantees is that IDs are dense and that a shape's children carry
-// smaller IDs than the shape itself, because a child's ID is taken
-// before its parent's key can even be formed.
-//
-// The dictionary only grows — shapes are never evicted, so label IDs
-// stay stable for the life of the corpus (epoch clones and rebuilt
-// indexes keep their profiles valid). Only indexed items intern
-// (Profile); query signatures compile read-only (ProfileQuery), so the
-// dictionary's size is bounded by the distinct shapes of the corpus's
-// own signatures, never by what is queried against it.
-type Interner struct {
-	id      uint64       // process-unique; profile caches key on it (no pointer pinning)
-	next    atomic.Int32 // next label ID == number of interned shapes
-	stripes [internStripes]internStripe
-
-	// shapes is the dictionary in ID order: shapes[id] is the key the
-	// stripes map to id, sharing its bytes. An entry is written once,
-	// under its stripe's write lock and shapesMu (which orders the writes
-	// of different stripes), and never changes, so Shapes hands out a
-	// view without copying.
-	shapesMu sync.Mutex
-	shapes   []string
-}
-
-// internStripes is the Interner's fixed stripe count (a power of two).
-const internStripes = 32
-
-// internStripe is one lock-guarded shard of the dictionary, padded to
-// its own cache line so workers on neighbouring stripes do not contend.
-type internStripe struct {
-	mu sync.RWMutex
-	m  map[string]int32 // packed sorted child-label IDs -> label ID
-	_  [64 - 32]byte
-}
-
-// internSeed picks the stripe of a key; stripes never affect IDs.
-var internSeed = maphash.MakeSeed()
-
-// internerIDs hands every dictionary a process-unique identity.
-var internerIDs atomic.Uint64
-
-// NewInterner returns an empty shape dictionary.
-func NewInterner() *Interner {
-	in := &Interner{id: internerIDs.Add(1)}
-	for i := range in.stripes {
-		in.stripes[i].m = make(map[string]int32)
-	}
-	return in
-}
-
-// Len reports how many distinct subtree shapes have been interned.
-func (in *Interner) Len() int { return int(in.next.Load()) }
-
-// shapeHash hashes a shape key: it picks the key's stripe.
-func shapeHash(key []byte) uint64 { return maphash.Bytes(internSeed, key) }
-
-// stripe returns the stripe that owns the key hashing to h.
-func (in *Interner) stripe(h uint64) *internStripe {
-	return &in.stripes[h&(internStripes-1)]
-}
-
-// resolve returns the label of one shape — identified by the packed,
-// ascending child label IDs in key, hashing to h. A shape the
-// dictionary has not seen is registered under the next ID, unless
-// readOnly, in which case ok is false and nothing changes. The ID is
-// taken under the stripe's write lock, so a reader that sees the
-// counter move and then looks the key up finds it: Len is an exact
-// change detector for ProfileQueryCached.
-func (in *Interner) resolve(key []byte, h uint64, readOnly bool) (id int32, ok bool) {
-	s := in.stripe(h)
-	s.mu.RLock()
-	id, ok = s.m[string(key)]
-	s.mu.RUnlock()
-	if ok || readOnly {
-		return id, ok
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id, ok = s.m[string(key)]; ok {
-		return id, true
-	}
-	id = in.next.Add(1) - 1
-	k := string(key)
-	s.m[k] = id
-	in.shapesMu.Lock()
-	if int(id) >= len(in.shapes) {
-		in.shapes = reserve(in.shapes, int(id)+1-len(in.shapes))[:id+1]
-	}
-	in.shapes[id] = k
-	in.shapesMu.Unlock()
-	return id, true
-}
-
 // ProfileCached is Profile behind t's single-slot cache: the compiled
 // profile is remembered on the tree (keyed by this Interner's identity,
 // not a pointer, so a cached profile never pins a dropped dictionary),
@@ -300,7 +193,7 @@ func (in *Interner) Profile(t *Tree) *Profile { return in.profile(t, false) }
 func (in *Interner) ProfileQuery(t *Tree) *Profile { return in.profile(t, true) }
 
 // profileScratch is profile's working memory, pooled (so, in effect,
-// one per worker) and reused across trees: the shape key being packed,
+// one per worker) and reused across trees: the shape key being coded,
 // the per-level sort keys, the labels of the shapes "c leaves" it has
 // resolved against the Interner dict (leafRun) — valid for as long as
 // that dictionary lives, since it never evicts — and the current tree's
@@ -353,12 +246,10 @@ func (sc *profileScratch) release() {
 	profileScratches.Put(sc)
 }
 
-// label resolves one shape key: from the tree's local labels, else
-// from the dictionary, else (read-only) as the tree's next local label.
-// A key containing a local (negative) child label can never be in the
-// dictionary; the lookup just misses. Negative int32s pack to byte
-// patterns no non-negative ID produces, so local keys cannot collide
-// with dictionary keys either.
+// label resolves one coded shape key: from the tree's local labels,
+// else from the dictionary, else (read-only) as the tree's next local
+// label. A key containing a local (negative) child label can never be
+// in the dictionary (appendKey); the lookup just misses.
 func (sc *profileScratch) label(in *Interner, key []byte, readOnly bool) int32 {
 	if id, ok := sc.locals[string(key)]; ok {
 		return id
@@ -405,12 +296,8 @@ func (sc *profileScratch) labelNodes(in *Interner, levelOff, kidOff, childIDs, l
 			kidLabels[i] = labels[c]
 		}
 		sc.sortKids(kidLabels)
-		key := sc.key[:0]
-		for _, id := range kidLabels {
-			key = binary.LittleEndian.AppendUint32(key, uint32(id))
-		}
-		sc.key = key
-		labels[v] = sc.label(in, key, readOnly)
+		sc.key = appendKey(sc.key[:0], kidLabels)
+		labels[v] = sc.label(in, sc.key, readOnly)
 	}
 	return leaf
 }
@@ -466,9 +353,13 @@ func (sc *profileScratch) leafRun(in *Interner, c, leaf int32, readOnly bool) in
 	if int(c) < len(sc.leafRuns) && sc.leafRuns[c] > 0 {
 		return sc.leafRuns[c] - 1
 	}
-	key := sc.key[:0]
-	for range c {
-		key = binary.LittleEndian.AppendUint32(key, uint32(leaf))
+	// The coded key of c leaves: c, the leaf label, then c-1 zero deltas.
+	key := appendUvarint(sc.key[:0], uint32(c))
+	if c > 0 {
+		key = appendUvarint(key, uint32(leaf))
+		for range c - 1 {
+			key = append(key, 0)
+		}
 	}
 	sc.key = key
 	id := sc.label(in, key, readOnly)

@@ -9,7 +9,7 @@ import (
 	"ned/internal/graph"
 )
 
-// referenceProfile is the profile compiler the striped dictionary and
+// referenceProfile is the profile compiler the flat dictionary and
 // pooled scratch replaced, kept as the oracle: one local map per tree,
 // every node's key hashed (leaves included), six separate column
 // allocations, every level's columns built and the deepest level's
@@ -34,10 +34,7 @@ func referenceProfile(in *Interner, t *Tree, readOnly bool) *Profile {
 			kidLabels[i] = labels[c]
 		}
 		slices.Sort(kidLabels)
-		key = key[:0]
-		for _, id := range kidLabels {
-			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
+		key = appendKey(key[:0], kidLabels)
 		if id, ok := local[string(key)]; ok {
 			labels[v] = id
 			continue
@@ -187,7 +184,7 @@ func TestProfileMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	rebuilt, err := NewInternerFromShapes(kidOff, packKids(kids))
+	rebuilt, err := NewInternerFromKids(kidOff, kids)
 	if err != nil {
 		t.Fatalf("shape table does not rebuild the dictionary: %v", err)
 	}

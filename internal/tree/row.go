@@ -25,7 +25,8 @@ type RowScratch struct {
 	buf      []int32
 	distinct []int32
 	dict     *Interner
-	shapes   []string
+	keys     []byte   // the dictionary's coded keys, as far as sc has seen
+	off      []uint32 // shape l's key is keys[off[l]:off[l+1]]
 	leaf     int32
 }
 
@@ -92,7 +93,7 @@ func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
 	n := levelOff[h+1]
 	childOff[0] = 0
 	for v, l := range stored {
-		childOff[v+1] = childOff[v] + int32(len(sc.shapes[l])/4)
+		childOff[v+1] = childOff[v] + keyDegree(sc.keys[sc.off[l]:])
 	}
 	var t *Tree
 	if hdr&ParentsFlag == 0 {
@@ -108,13 +109,9 @@ func (sc *RowScratch) Row(a *ProfileArena, i int) (*Tree, *Profile) {
 	if h > 0 {
 		last = int(levelOff[h-1])
 	}
-	at := 0
+	kids = kids[:0]
 	for _, l := range stored[:last] {
-		key := sc.shapes[l]
-		for j := 0; j < len(key); j += 4 {
-			kids[at] = int32(uint32(key[j]) | uint32(key[j+1])<<8 | uint32(key[j+2])<<16 | uint32(key[j+3])<<24)
-			at++
-		}
+		kids = appendKids(kids, sc.keys[sc.off[l]:sc.off[l+1]])
 	}
 	if m > 0 {
 		degs[0] = childOff[1]
@@ -158,7 +155,7 @@ func (sc *RowScratch) sortLevel(run, labels, perm, count []int32) []int32 {
 		return count
 	}
 	if count == nil {
-		count = borrowCounts(len(sc.shapes))
+		count = borrowCounts(len(sc.off) - 1)
 	}
 	distinct := sc.distinct[:0]
 	for _, l := range run {
@@ -193,12 +190,14 @@ func (sc *RowScratch) see(in *Interner, stored []int32) {
 		for _, l := range stored {
 			top = max(top, l)
 		}
-		if int(top) < len(sc.shapes) {
+		if int(top) < len(sc.off)-1 {
 			return
 		}
 	}
-	sc.dict, sc.shapes = in, in.Shapes()
-	sc.leaf, _ = in.resolve(nil, shapeHash(nil), true)
+	sc.dict = in
+	sc.keys, sc.off = in.view()
+	leaf := appendKey(nil, nil)
+	sc.leaf, _ = in.lookup(leaf, shapeHash(leaf))
 }
 
 // grow32 returns s resliced to n, reallocated when its capacity is short.
