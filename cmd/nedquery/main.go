@@ -5,7 +5,7 @@
 // Usage:
 //
 //	nedquery -from a.edges -to b.edges -node 17 [-k 3] [-l 10]
-//	         [-backend vp|bk|linear|pruned] [-timeout 30s] [-workers 0]
+//	         [-timeout 30s] [-workers 0]
 //	         [-watch]
 //
 // With -watch, nedquery keeps the corpus live after the initial answer
@@ -42,23 +42,15 @@ func main() {
 		node     = flag.Int("node", 0, "query node ID (dense ID in the -from graph)")
 		k        = flag.Int("k", 3, "neighborhood depth (k-adjacent tree levels)")
 		l        = flag.Int("l", 10, "number of neighbors to report")
-		backend  = flag.String("backend", "pruned", "accepted and ignored (vp, bk, linear, or pruned): the corpus serves from the cascade scan")
 		timeout  = flag.Duration("timeout", 0, "abort each query after this long (0 = no limit)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs)")
 		watch    = flag.Bool("watch", false, "keep the corpus live and re-query after mutation commands read from stdin")
 	)
-	// Deprecated: -shards is accepted and ignored until the benchmark
-	// harness is folded into the module (ROADMAP item 1(b)).
-	flag.Int("shards", 0, "deprecated: accepted and ignored; a corpus is one scan")
 	flag.Parse()
 	if *fromPath == "" || *toPath == "" {
 		fmt.Fprintln(os.Stderr, "nedquery: -from and -to are required")
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if _, err := ned.ParseBackend(*backend); err != nil {
-		fatal(err)
 	}
 
 	gFrom, err := ned.LoadEdgeList(*fromPath, false)

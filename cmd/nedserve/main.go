@@ -45,11 +45,9 @@ func main() {
 		dataset  = flag.String("dataset", "", "boot corpus: built-in dataset analog (CAR, PAR, AMZN, DBLP, GNU, PGP)")
 		snapshot = flag.String("snapshot", "", "boot corpus: ned corpus snapshot file, a NEDSEG03 segment (convert an older corpus, NEDSEG01, NEDSEG02 or text, with nedstats -upgrade)")
 		k        = flag.Int("k", 3, "boot corpus neighborhood depth (dataset only; snapshots record their own)")
-		backend  = flag.String("backend", "", "accepted and ignored (vp, bk, linear, pruned or empty): every corpus serves from the cascade scan")
 		workers  = flag.Int("workers", 0, "boot corpus worker count (0 = GOMAXPROCS)")
 		scale    = flag.Float64("scale", 1.0, "boot dataset scale factor")
 		seed     = flag.Int64("seed", 42, "boot dataset generator seed")
-		prebuild = flag.Bool("prebuild", true, "build the boot corpus's index before accepting traffic")
 
 		maxInflight = flag.Int("max-inflight", 256, "admitted query concurrency; beyond it requests get 429")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown: how long to wait for in-flight queries")
@@ -58,9 +56,6 @@ func main() {
 		fsyncMode = flag.String("fsync", "always", "WAL fsync policy for durable tenants (always, none)")
 		ckptEvery = flag.Int64("checkpoint-every", 1024, "checkpoint a durable tenant once its mutation log holds this many records")
 	)
-	// Deprecated: -shards is accepted and ignored until the benchmark
-	// harness is folded into the module (ROADMAP item 1(b)).
-	flag.Int("shards", 0, "deprecated: accepted and ignored; a corpus is one scan")
 	flag.Parse()
 
 	fsync, err := ned.ParseFsyncPolicy(*fsyncMode)
@@ -95,7 +90,6 @@ func main() {
 		cr := &serve.CreateRequest{
 			Name:    *name,
 			K:       *k,
-			Backend: *backend,
 			Workers: *workers,
 		}
 		if *dataset != "" {
@@ -105,6 +99,7 @@ func main() {
 		} else {
 			cr.SnapshotPath = *snapshot
 		}
+		start := time.Now()
 		t, err := serve.CreateTenant(cr)
 		if err != nil {
 			fatal(err)
@@ -112,17 +107,9 @@ func main() {
 		if err := srv.AddTenant(t); err != nil {
 			fatal(err)
 		}
-		if *prebuild {
-			// Pay the lazy materialization + index build now, so the first
-			// client query is served at steady-state latency.
-			start := time.Now()
-			t.Corpus.Rebuild()
-			cs := t.Corpus.Stats()
-			fmt.Printf("nedserve: corpus %q ready: %d nodes, k=%d (built in %s)\n",
-				t.Name, cs.Nodes, cs.K, time.Since(start).Round(time.Millisecond))
-		} else {
-			fmt.Printf("nedserve: corpus %q registered (lazy build on first query)\n", t.Name)
-		}
+		cs := t.Corpus.Stats()
+		fmt.Printf("nedserve: corpus %q ready: %d nodes, k=%d (built in %s)\n",
+			t.Name, cs.Nodes, cs.K, time.Since(start).Round(time.Millisecond))
 	}
 
 	httpSrv := &http.Server{

@@ -129,8 +129,6 @@ func emitJSON(g *graph.Graph, label string, k, probe int) {
 	}
 	if probe > 0 {
 		runProbes(corpus, g, probe)
-	} else {
-		corpus.Rebuild() // materialize so the node count and histograms are real
 	}
 	if err := serve.EncodeStats(os.Stdout, serve.StatsDoc{Corpus: label, Stats: corpus.Stats()}); err != nil {
 		fatal(err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
 	"math/bits"
 	"slices"
 	"strings"
@@ -180,8 +179,8 @@ func WithBackend(b Backend) CorpusOption {
 	return func(c *corpusConfig) { c.backend = b }
 }
 
-// WithWorkers sets the worker pool size used for parallel signature
-// materialization, a query's sweepers, and BatchKNN.
+// WithWorkers sets the worker pool size used for the parallel build of
+// a corpus's rows, a query's sweepers, and BatchKNN.
 // Values <= 0 (the default) mean GOMAXPROCS.
 func WithWorkers(n int) CorpusOption {
 	return func(c *corpusConfig) { c.workers = n }
@@ -239,16 +238,15 @@ func WithGraph(g *Graph) CorpusOption {
 // backing graph and the scan's items — is published as one immutable
 // view through a single atomic pointer. A query loads that pointer once
 // and answers from what it loaded. Every mutation call (Insert, Remove,
-// UpdateGraph) prepares a private successor epoch and publishes it with
+// UpdateGraph) prepares a private successor view and publishes it with
 // one pointer store, so a call is visible whole or not at all, to
-// queries and to Stats alike. Once the lazy build has run, a mutation
-// never blocks queries — in-flight readers keep the view they loaded
-// (the one exception is the first query itself, whose lazy build waits
-// for mutations already in flight).
+// queries and to Stats alike. A mutation never blocks queries —
+// in-flight readers keep the view they loaded.
 //
-// Signatures and the scan are materialized lazily, in parallel, on the
-// first query, so constructing a Corpus is cheap and programs that only
-// query a few of several corpora never pay for the rest.
+// A corpus is built when it is made: NewCorpus extracts every indexed
+// node's row, in parallel, and makes the scan of them before it
+// returns, and LoadCorpus and OpenDurable restore the scan whole, so
+// the first query is served like any other.
 //
 // A Corpus is dynamic: Insert and Remove churn the indexed node set
 // with live index maintenance (the scan takes a new delta, folded into
@@ -261,12 +259,11 @@ type Corpus struct {
 	k   int
 	cfg corpusConfig
 
-	// gmu orders whole-engine transitions against one another:
-	// materialization and index builds and UpdateGraph take the write
-	// side, which excludes every mutator. Insert and Remove hold the read
-	// side for their whole span, so the graph version cannot move
-	// underneath them. Queries never touch gmu; Stats and ResetStats are
-	// entirely atomic.
+	// gmu orders graph versions against the other mutators: UpdateGraph
+	// takes the write side, which excludes every mutator. Insert and
+	// Remove hold the read side for their whole span, so the graph
+	// version cannot move underneath them. Queries never touch gmu;
+	// Stats and ResetStats are entirely atomic.
 	gmu sync.RWMutex
 
 	// wmu is the one write lock: Insert and Remove take it, under gmu's
@@ -301,12 +298,9 @@ type Corpus struct {
 	// arrival (shapes the corpus never indexed get profile-local
 	// labels), so candidate evaluation compares precomputed int32 runs
 	// instead of walking trees. One dictionary per corpus, shared by
-	// every epoch; it grows only with the shapes of indexed signatures,
+	// every version; it grows only with the shapes of indexed signatures,
 	// never with what is queried against it.
 	dict *tree.Interner
-
-	materialized atomic.Bool // signatures extracted into the epoch
-	built        atomic.Bool // scan constructed
 
 	// Durable state, attached by MakeDurable/OpenDurable (see
 	// durable.go); nil/zero on purely in-memory corpora. wal is the
@@ -335,10 +329,14 @@ type Corpus struct {
 }
 
 // corpusView is one published version of the whole corpus: the graph
-// and the epoch of items and scan. Immutable once published.
+// and the scan, the only copy of its rows. Immutable once published:
+// mutations never edit a published scan — they splice a successor,
+// which shares all but its delta, and publish it in a new view. Serving
+// counters inside the scan are atomic and shared by every successor, so
+// Stats stay continuous through publication.
 type corpusView struct {
-	g  *Graph       // nil for snapshot-loaded corpora without WithGraph
-	ep *corpusEpoch // the items and scan in this version
+	g    *Graph    // nil for snapshot-loaded corpora without WithGraph
+	scan *ned.Scan // the rows in this version
 }
 
 // lockWrites is wmu.Lock with the wait time accounted to lockWaitNS;
@@ -352,55 +350,10 @@ func (c *Corpus) lockWrites() {
 	c.lockWaitNS.Add(time.Since(t0).Nanoseconds())
 }
 
-// corpusEpoch is one immutable generation of the corpus's rows,
-// published as part of a corpusView. Readers use the one their view
-// holds for their whole query; mutations never edit a published epoch —
-// they splice a successor and publish it. Serving counters inside ix
-// are atomic and shared across epochs, so Stats stay continuous through
-// publication.
-//
-// Membership lives in exactly one place per life stage: members before
-// the signatures materialize, and from then on the scan itself, the
-// only copy of the rows, which shares all but its delta with its
-// predecessor's.
-type corpusEpoch struct {
-	members map[NodeID]bool // pre-materialization node set
-	ix      ned.ItemIndex   // the scan; nil until materialized
-}
-
-// item builds node v's indexed item in this epoch (none before
-// materialization).
-func (e *corpusEpoch) item(v NodeID) (ned.Item, bool) {
-	if e.ix != nil {
-		return e.ix.Item(v)
-	}
-	return ned.Item{}, false
-}
-
-// has reports whether v is indexed in this epoch.
-func (e *corpusEpoch) has(v NodeID) bool {
-	if e.members != nil {
-		return e.members[v]
-	}
-	return e.ix != nil && e.ix.Has(v)
-}
-
-// size is the epoch's indexed node count.
-func (e *corpusEpoch) size() int {
-	if e.ix != nil {
-		return e.ix.Len()
-	}
-	return len(e.members)
-}
-
-// nodes iterates the epoch's indexed nodes in ascending order (none
-// before materialization).
-func (e *corpusEpoch) nodes() iter.Seq[NodeID] {
+// nodesOf iterates a scan's indexed nodes in ascending order.
+func nodesOf(scan *ned.Scan) iter.Seq[NodeID] {
 	return func(yield func(NodeID) bool) {
-		if e.ix == nil {
-			return
-		}
-		for it := range e.ix.Items() {
+		for it := range scan.Items() {
 			if !yield(it.Node) {
 				return
 			}
@@ -408,25 +361,19 @@ func (e *corpusEpoch) nodes() iter.Seq[NodeID] {
 	}
 }
 
-// clone returns a mutable copy of an unmaterialized epoch: its
-// membership in a fresh map. A materialized epoch's successor comes
-// from splice instead.
-func (e *corpusEpoch) clone() *corpusEpoch {
-	return &corpusEpoch{members: maps.Clone(e.members)}
-}
-
-// newCorpus allocates a corpus and publishes its first view; the caller
-// populates ep in place before the corpus is shared.
-func newCorpus(k int, cfg corpusConfig, g *Graph, ep *corpusEpoch) *Corpus {
-	c := &Corpus{k: k, cfg: cfg, exec: ned.NewExecutor(cfg.workers), dict: tree.NewInterner()}
-	c.view.Store(&corpusView{g: g, ep: ep})
+// newCorpus allocates a corpus over rows, labelled against dict, and
+// publishes its first view.
+func newCorpus(k int, cfg corpusConfig, g *Graph, dict *tree.Interner, rows *ned.Rows) *Corpus {
+	c := &Corpus{k: k, cfg: cfg, exec: ned.NewExecutor(cfg.workers), dict: dict}
+	c.view.Store(&corpusView{g: g, scan: ned.NewScan(rows, 1)})
 	return c
 }
 
 // NewCorpus validates the configuration and returns a query engine over
-// g's nodes with neighborhood depth k. Errors are typed: ErrNilGraph,
-// ErrBadK, ErrNodeOutOfRange (a WithNodes entry out of range), or
-// ErrBadBackend.
+// g's nodes with neighborhood depth k, built: every indexed node's row
+// is extracted, in parallel on the WithWorkers pool, and scanned before
+// it returns. Errors are typed: ErrNilGraph, ErrBadK, ErrNodeOutOfRange
+// (a WithNodes entry out of range), or ErrBadBackend.
 func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	if g == nil {
 		return nil, ErrNilGraph
@@ -442,67 +389,32 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	if err := cfg.backend.check(); err != nil {
 		return nil, err
 	}
-	members := make(map[NodeID]bool)
+	nodes := cfg.nodes
 	if !cfg.nodesSet {
-		for v := 0; v < g.NumNodes(); v++ {
-			members[NodeID(v)] = true
-		}
-	} else {
-		for _, v := range cfg.nodes {
-			if int(v) < 0 || int(v) >= g.NumNodes() {
-				return nil, fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
-			}
-			members[v] = true
+		nodes = make([]NodeID, g.NumNodes())
+		for v := range nodes {
+			nodes[v] = NodeID(v)
 		}
 	}
+	for _, v := range nodes {
+		if int(v) < 0 || int(v) >= g.NumNodes() {
+			return nil, fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
+		}
+	}
+	slices.Sort(nodes) // WithNodes made nodes a copy
+	nodes = slices.Compact(nodes)
 	cfg.nodes = nil
-	return newCorpus(k, cfg, g, &corpusEpoch{members: members}), nil
-}
-
-// materializeAllLocked extracts every member's row in parallel, in
-// the scan's rank order, and makes the scan of them, publishing a
-// materialized epoch (a no-op once done, and for snapshot-loaded corpora, whose rows
-// arrived with the snapshot). Callers hold gmu for writing.
-func (c *Corpus) materializeAllLocked() {
-	if c.materialized.Load() {
-		return
-	}
-	v := c.view.Load()
-	nodes := slices.Sorted(maps.Keys(v.ep.members))
-	rows := ned.BuildRanked(v.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers)
-	c.view.Store(&corpusView{g: v.g, ep: &corpusEpoch{ix: ned.NewScan(rows, 1)}})
-	c.materialized.Store(true)
-}
-
-// buildAllLocked materializes the scan, whose first query this is.
-// Callers hold gmu for writing.
-func (c *Corpus) buildAllLocked() {
-	if c.built.Load() {
-		return
-	}
-	c.materializeAllLocked()
-	c.built.Store(true)
-}
-
-// acquire returns the published view, building lazily on first use.
-// The hot path is one atomic load — no locks.
-func (c *Corpus) acquire() *corpusView {
-	if !c.built.Load() {
-		c.gmu.Lock()
-		c.buildAllLocked()
-		c.gmu.Unlock()
-	}
-	return c.view.Load()
+	dict := tree.NewInterner()
+	rows := ned.BuildRanked(g, nodes, k, cfg.directed, dict, cfg.workers)
+	return newCorpus(k, cfg, g, dict, rows), nil
 }
 
 // queryItem validates and converts an external signature query. The
 // cascade profile is deliberately NOT compiled here: callers profile
-// the item with profileQuery AFTER acquiring the view, because a
+// the item with profileQuery AFTER loading the view, because a
 // read-only query profile is only valid against items whose shapes
-// were interned before it was compiled — which acquire guarantees for
-// every item visible in the view it returns (items intern before
-// their epoch publishes, and the lazy first build interns the whole
-// corpus before this query proceeds).
+// were interned before it was compiled — which holds for every item
+// visible in a loaded view (items intern before their view publishes).
 func (c *Corpus) queryItem(sig Signature) (ned.Item, error) {
 	if c.cfg.directed {
 		return ned.Item{}, ErrDirectedSignature
@@ -517,50 +429,29 @@ func (c *Corpus) queryItem(sig Signature) (ned.Item, error) {
 }
 
 // profileQuery compiles a validated query item's cascade profile
-// against the corpus dictionary — once per query, after acquire,
-// before the sweep.
+// against the corpus dictionary — once per query, after loading the
+// view, before the sweep.
 func (c *Corpus) profileQuery(q *ned.Item) {
 	ned.ProfileQueryItem(q, c.dict)
 }
 
-// checkUnindexedNode is the one validity gate for node queries that
-// miss the index: they need a graph to extract from and an in-range ID.
-func checkUnindexedNode(g *Graph, v NodeID) error {
+// nodeItem resolves the query item for a node against a loaded view:
+// the indexed row's item when the node is indexed, otherwise a fresh
+// extraction from the view's graph, which needs a graph and an
+// in-range ID. Snapshot-loaded corpora without WithGraph can only query
+// indexed nodes.
+func (c *Corpus) nodeItem(view *corpusView, v NodeID) (ned.Item, error) {
+	if it, ok := view.scan.Item(v); ok {
+		return it, nil
+	}
+	g := view.g
 	if g == nil {
-		return fmt.Errorf("%w: node %d is not indexed (restore with WithGraph to query arbitrary nodes)", ErrNoGraph, v)
+		return ned.Item{}, fmt.Errorf("%w: node %d is not indexed (restore with WithGraph to query arbitrary nodes)", ErrNoGraph, v)
 	}
 	if int(v) < 0 || int(v) >= g.NumNodes() {
-		return fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
+		return ned.Item{}, fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
 	}
-	return nil
-}
-
-// checkNode validates a node query target without forcing the lazy
-// build, so an out-of-range node on a never-queried corpus errors
-// immediately instead of paying the full materialization first: indexed
-// nodes are always valid; anything else passes checkUnindexedNode.
-func (c *Corpus) checkNode(v NodeID) error {
-	view := c.view.Load()
-	if int(v) >= 0 && view.ep.has(v) {
-		return nil
-	}
-	return checkUnindexedNode(view.g, v)
-}
-
-// nodeItem resolves the query item for a node against an acquired
-// view: the cached index item when the node is indexed, a fresh
-// extraction from the view's graph otherwise. Snapshot-loaded corpora
-// without WithGraph can only query indexed nodes.
-func (c *Corpus) nodeItem(view *corpusView, v NodeID) (ned.Item, error) {
-	if int(v) >= 0 {
-		if it, ok := view.ep.item(v); ok {
-			return it, nil
-		}
-	}
-	if err := checkUnindexedNode(view.g, v); err != nil {
-		return ned.Item{}, err
-	}
-	it := ned.NewItem(view.g, v, c.k, c.cfg.directed)
+	it := ned.NewItem(g, v, c.k, c.cfg.directed)
 	ned.ProfileQueryItem(&it, c.dict)
 	return it, nil
 }
@@ -572,15 +463,12 @@ func (c *Corpus) KNN(ctx context.Context, v NodeID, l int) ([]Neighbor, error) {
 	if l < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadL, l)
 	}
-	// Check before acquire so a dead context or a bad node never pays
-	// for the lazy index build.
+	// Check before extracting, so a dead context never pays for an
+	// unindexed node's tree.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := c.checkNode(v); err != nil {
-		return nil, err
-	}
-	view := c.acquire()
+	view := c.view.Load()
 	q, err := c.nodeItem(view, v)
 	if err != nil {
 		return nil, err
@@ -592,7 +480,7 @@ func (c *Corpus) KNN(ctx context.Context, v NodeID, l int) ([]Neighbor, error) {
 // knn is one best-first sweep over the view's scan, on up to the
 // executor's width of sweepers.
 func (c *Corpus) knn(ctx context.Context, view *corpusView, q ned.Item, l int) ([]Neighbor, error) {
-	return ned.FanKNN(ctx, c.exec, []ned.Index{view.ep.ix}, q, l)
+	return ned.FanKNN(ctx, c.exec, []ned.Index{view.scan}, q, l)
 }
 
 // KNNSignature is KNN for an external query signature — typically a
@@ -609,7 +497,7 @@ func (c *Corpus) KNNSignature(ctx context.Context, sig Signature, l int) ([]Neig
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	view := c.acquire()
+	view := c.view.Load()
 	c.profileQuery(&q)
 	c.queries.Add(1)
 	return c.knn(ctx, view, q, l)
@@ -628,10 +516,10 @@ func (c *Corpus) Range(ctx context.Context, sig Signature, r int) ([]Neighbor, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ix := c.acquire().ep.ix
+	scan := c.view.Load().scan
 	c.profileQuery(&q)
 	c.queries.Add(1)
-	return ix.Range(ctx, q, r)
+	return scan.Range(ctx, q, r)
 }
 
 // NearestSet returns every indexed node at the minimum NED distance
@@ -646,7 +534,7 @@ func (c *Corpus) NearestSet(ctx context.Context, sig Signature) ([]Neighbor, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	view := c.acquire()
+	view := c.view.Load()
 	c.profileQuery(&q)
 	c.queries.Add(1)
 	best, err := c.knn(ctx, view, q, 1)
@@ -655,7 +543,7 @@ func (c *Corpus) NearestSet(ctx context.Context, sig Signature) ([]Neighbor, err
 	}
 	// The scan is exact, so the range at the minimum distance is the
 	// minimum stratum: nothing sits below it and every tie is inside it.
-	return view.ep.ix.Range(ctx, q, best[0].Dist)
+	return view.scan.Range(ctx, q, best[0].Dist)
 }
 
 // BatchKNN answers one KNN query per signature, fanning the queries out
@@ -678,7 +566,7 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	view := c.acquire()
+	view := c.view.Load()
 	for i := range qs {
 		c.profileQuery(&qs[i])
 	}
@@ -730,7 +618,9 @@ type CorpusStats struct {
 	// until the benchmark harness is folded into the module (ROADMAP
 	// item 1(b)).
 	Shards int `json:"shards"`
-	// Built reports whether the indexes have been materialized yet.
+	// Built is always true: a corpus is built when NewCorpus,
+	// LoadCorpus or OpenDurable returns it. The field keeps its JSON
+	// name, which the stats schema pins.
 	Built bool `json:"built"`
 
 	// ShardNodes is one element, Nodes.
@@ -817,7 +707,7 @@ type CorpusStats struct {
 	VerifyLevels   int64 `json:"verify_levels"`
 
 	// SizeHist and DepthHist profile the indexed signatures, computed
-	// on demand from the live items (null until materialized):
+	// on demand from the live rows (null for an empty corpus):
 	// SizeHist[i] counts items whose total signature size (tree nodes,
 	// both trees when directed) has bit length i — i.e. lands in
 	// [2^(i-1), 2^i) — and DepthHist[d] counts items whose out-tree
@@ -831,8 +721,8 @@ type CorpusStats struct {
 // view (so Nodes counts one committed state) and atomic counters without
 // locking.
 func (c *Corpus) Stats() CorpusStats {
-	ep := c.view.Load().ep
-	n := ep.size()
+	scan := c.view.Load().scan
+	n := scan.Len()
 	s := CorpusStats{
 		Backend:         BackendPrunedLinear,
 		K:               c.k,
@@ -844,18 +734,13 @@ func (c *Corpus) Stats() CorpusStats {
 		ShardLockWaitNS: []int64{c.lockWaitNS.Load()},
 		ShardMutations:  []int64{c.mutations.Load()},
 		ShardCloneBytes: []int64{c.cloneBytes.Load()},
-		Built:           c.built.Load(),
+		Built:           true,
 		Queries:         c.queries.Load(),
 	}
-	var counters ned.Counters
-	if ep.ix != nil {
-		counters = ep.ix.Counters()
-	}
-	if ep.ix != nil {
-		for r := range ep.ix.Rows() {
-			s.SizeHist = bumpHist(s.SizeHist, bits.Len(uint(r.Size)))
-			s.DepthHist = bumpHist(s.DepthHist, r.Height)
-		}
+	counters := scan.Counters()
+	for r := range scan.Rows() {
+		s.SizeHist = bumpHist(s.SizeHist, bits.Len(uint(r.Size)))
+		s.DepthHist = bumpHist(s.DepthHist, r.Height)
 	}
 	s.DistanceCalls = counters.DistanceCalls
 	s.EarlyExits = counters.EarlyExits
@@ -884,16 +769,14 @@ func bumpHist(h []int64, i int) []int64 {
 }
 
 // ResetStats zeroes the query and distance counters. The scan's
-// accumulator is shared by every epoch, so the reset covers retired
-// generations and epochs still serving in-flight queries; like Stats,
+// accumulator is shared by every successor, so the reset covers retired
+// versions and versions still serving in-flight queries; like Stats,
 // it takes no locks. The contention counters (lock wait, mutations,
 // clone bytes) are deliberately NOT reset: they are monotone totals a
 // scraper differences.
 func (c *Corpus) ResetStats() {
 	c.queries.Store(0)
-	if ix := c.view.Load().ep.ix; ix != nil {
-		ix.ResetStats()
-	}
+	c.view.Load().scan.ResetStats()
 }
 
 // HasGraph reports whether a backing graph is attached — the gate for

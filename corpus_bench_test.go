@@ -138,7 +138,7 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
+	if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // warm up
 		b.Fatal(err)
 	}
 	corpus.ResetStats()
@@ -163,7 +163,7 @@ func BenchmarkCorpusInterGraphKNN(b *testing.B) {
 
 // BenchmarkCorpusBuild measures what learning a new graph costs before
 // its first answer: NewCorpus over the harness's PGP analog (scales 1
-// and 4, seed 42, k=3) plus the first KNN, which pays the lazy build —
+// and 4, seed 42, k=3) plus the first KNN. NewCorpus does the build —
 // one k-adjacent extraction straight into its row per node, labelled
 // against the worker's private dictionary, then the canonical pass that
 // numbers the shapes and rewrites the rows (canon_ms, its wall time),
@@ -294,7 +294,6 @@ func BenchmarkCorpusMutation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c.Rebuild()
 			if durable {
 				if err := c.MakeDurable(b.TempDir(), FsyncAlways); err != nil {
 					b.Fatal(err)
@@ -341,7 +340,7 @@ func BenchmarkCorpusParallelChurn(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
-			if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
+			if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // warm up
 				b.Fatal(err)
 			}
 			var ops atomic.Int64

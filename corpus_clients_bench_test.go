@@ -27,7 +27,7 @@ func BenchmarkCorpusInterGraphClients(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // materialize
+	if _, err := corpus.KNNSignature(ctx, queries[0], 1); err != nil { // warm up
 		b.Fatal(err)
 	}
 	corpus.ResetStats()

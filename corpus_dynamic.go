@@ -17,11 +17,11 @@ import (
 // full re-index.
 //
 // Every mutation call follows one protocol: prepare a private successor
-// epoch (on a built corpus, a scan that shares its predecessor's base
-// and carries a new delta — O(change) copied, plus an inline fold once
-// the delta passes a fixed fraction of the corpus), append one WAL
-// record for the call on a durable corpus, and publish the successor
-// with one store of the corpus view. The call is visible whole or not
+// scan (one that shares its predecessor's base and carries a new delta —
+// O(change) copied, plus an inline fold once the delta passes a fixed
+// fraction of the corpus), append one WAL record for the call on a
+// durable corpus, and publish the successor with one store of the
+// corpus view. The call is visible whole or not
 // at all; queries never wait: in-flight readers keep the view they
 // loaded.
 //
@@ -35,10 +35,8 @@ import (
 // corpora loaded without WithGraph fail with ErrNoGraph (there is no
 // graph to extract signatures from).
 //
-// Before the first query nothing is materialized yet, so Insert just
-// grows the node set and the lazy build pays once. Afterward the new
-// signatures are extracted in parallel — outside the write lock, so
-// queries and other mutations proceed during the BFS work — and
+// The new signatures are extracted in parallel — outside the write
+// lock, so queries and other mutations proceed during the BFS work — and
 // spliced into the scan. Insert holds the engine's read gate for its
 // span, so it excludes UpdateGraph (the graph version cannot move
 // under the extraction) but runs concurrently with queries, Removes,
@@ -62,7 +60,7 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 		if int(v) < 0 || int(v) >= g.NumNodes() {
 			return fmt.Errorf("%w: node %d not in [0, %d)", ErrNodeOutOfRange, v, g.NumNodes())
 		}
-		if batch[v] || view.ep.has(v) {
+		if batch[v] || view.scan.Has(v) {
 			continue
 		}
 		batch[v] = true
@@ -72,92 +70,69 @@ func (c *Corpus) Insert(nodes ...NodeID) error {
 		return nil
 	}
 	// Extract signatures outside the write lock (the expensive part).
-	// materialized cannot flip mid-Insert: the transition runs under
-	// gmu's write side.
-	var rows *ned.Rows
-	if c.materialized.Load() {
-		slices.Sort(fresh)
-		rows = ned.BuildRows(g, fresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
-	}
-	return c.commitWrite("insert", func(ep *corpusEpoch) epochEdit {
+	slices.Sort(fresh)
+	rows := ned.BuildRows(g, fresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
+	return c.commitWrite("insert", func(scan *ned.Scan) scanEdit {
 		var added []NodeID
 		for _, v := range fresh {
-			if !ep.has(v) { // else another Insert won the race for this node
+			if !scan.Has(v) { // else another Insert won the race for this node
 				added = append(added, v)
 			}
 		}
 		if len(added) == 0 {
-			return epochEdit{}
+			return scanEdit{}
 		}
 		// The record names the nodes: replay re-extracts their items from
 		// the log's graph, which is this call's graph.
-		rec := segment.Record{Extract: added}
-		if ep.members != nil {
-			ne := ep.clone()
-			for _, v := range added {
-				ne.members[v] = true
-			}
-			return epochEdit{next: ne, rec: rec}
-		}
-		e := splice(ep, rows.Only(added), nil)
-		e.rec = rec
-		return e
+		next, copied := scan.Splice(rows.Only(added), nil)
+		return scanEdit{next: next, rec: segment.Record{Extract: added}, copied: copied}
 	})
 }
 
 // Remove deletes nodes from the indexed set. Nodes that are not
 // indexed are ignored, so Remove is idempotent and never errors on a
 // healthy corpus — a churn workload can replay removals without
-// bookkeeping. The scan gets a successor epoch with the nodes
-// tombstoned; queries never wait. Remove runs concurrently with
-// queries, Inserts, and other Removes.
+// bookkeeping. The scan gets a successor with the nodes tombstoned;
+// queries never wait. Remove runs concurrently with queries, Inserts,
+// and other Removes.
 func (c *Corpus) Remove(nodes ...NodeID) error {
 	if err := c.degradedErr(); err != nil {
 		return err
 	}
 	c.gmu.RLock()
 	defer c.gmu.RUnlock()
-	return c.commitWrite("remove", func(ep *corpusEpoch) epochEdit {
+	return c.commitWrite("remove", func(scan *ned.Scan) scanEdit {
 		var gone []NodeID
 		for _, v := range nodes {
-			if ep.has(v) {
+			if scan.Has(v) {
 				gone = append(gone, v)
 			}
 		}
 		if len(gone) == 0 {
-			return epochEdit{}
+			return scanEdit{}
 		}
-		rec := segment.Record{Deletes: gone}
-		if ep.members != nil {
-			ne := ep.clone()
-			for _, v := range gone {
-				delete(ne.members, v)
-			}
-			return epochEdit{next: ne, rec: rec}
-		}
-		e := splice(ep, nil, gone)
-		e.rec = rec
-		return e
+		next, copied := scan.Splice(nil, gone)
+		return scanEdit{next: next, rec: segment.Record{Deletes: gone}, copied: copied}
 	})
 }
 
-// epochEdit is one mutation call's prepared change: the successor epoch
+// scanEdit is one mutation call's prepared change: the successor scan
 // (nil for no change), the call's WAL record, and the bytes preparing
 // it copied.
-type epochEdit struct {
-	next   *corpusEpoch
+type scanEdit struct {
+	next   *ned.Scan
 	rec    segment.Record
 	copied int64
 }
 
 // commitWrite is the Insert/Remove commit: under the write lock, let
-// prepare build the edit of the current epoch, then commit it. A failed
+// prepare build the edit of the current scan, then commit it. A failed
 // commit publishes nothing. Callers hold gmu's read side.
-func (c *Corpus) commitWrite(op string, prepare func(ep *corpusEpoch) epochEdit) error {
+func (c *Corpus) commitWrite(op string, prepare func(scan *ned.Scan) scanEdit) error {
 	c.lockWrites()
 	defer c.wmu.Unlock()
 	view := c.view.Load() // cannot move while wmu is held
-	e := prepare(view.ep)
+	e := prepare(view.scan)
 	if e.next == nil {
 		return nil
 	}
@@ -165,35 +140,20 @@ func (c *Corpus) commitWrite(op string, prepare func(ep *corpusEpoch) epochEdit)
 }
 
 // commitEdit commits one mutation call — one WAL record, one view store
-// of e.next over graph g — and records the mutation of a materialized
-// epoch in the contention counters.
-func (c *Corpus) commitEdit(op string, g *Graph, e epochEdit) error {
-	if err := c.commit(e.rec, &corpusView{g: g, ep: e.next}); err != nil {
+// of e.next over graph g — and records it in the contention counters.
+func (c *Corpus) commitEdit(op string, g *Graph, e scanEdit) error {
+	if err := c.commit(e.rec, &corpusView{g: g, scan: e.next}); err != nil {
 		return fmt.Errorf("ned: %s: %w", op, err)
 	}
-	if e.next.members == nil {
-		c.mutations.Add(int64(len(e.rec.Extract) + len(e.rec.Deletes)))
-		c.cloneBytes.Add(e.copied)
-	}
+	c.mutations.Add(int64(len(e.rec.Extract) + len(e.rec.Deletes)))
+	c.cloneBytes.Add(e.copied)
 	return nil
 }
 
-// splice prepares the successor of a materialized epoch with dels
-// removed and ups upserted (an upsert of an indexed node replaces its
-// row): the scan splices itself, sharing its base. The caller sets the
-// record.
-func splice(ep *corpusEpoch, ups *ned.Rows, dels []NodeID) epochEdit {
-	var e epochEdit
-	var ix ned.ItemIndex
-	ix, e.copied = ep.ix.Splice(ups, dels)
-	e.next = &corpusEpoch{ix: ix}
-	return e
-}
-
-// Rebuild forces the materialization and index build a first query
-// would have paid for. On a built corpus it does nothing: a scan folds
-// its delta inline, so nothing is left to rebuild.
-func (c *Corpus) Rebuild() { c.acquire() }
+// Rebuild does nothing. A corpus is built when it is made, and its scan
+// folds its delta inline, so nothing is ever left to rebuild; the method
+// stays for callers written when the first query built the corpus.
+func (c *Corpus) Rebuild() {}
 
 // UpdateGraph moves the corpus to a new version of its graph (graphs
 // are immutable, so an evolving network is a sequence of builds). It
@@ -211,7 +171,7 @@ func (c *Corpus) Rebuild() { c.acquire() }
 // ErrNoGraph.
 //
 // The expensive work — the edge diff, the reachability sweeps, the
-// parallel re-extraction — happens on a private successor epoch, so
+// parallel re-extraction — happens on a private successor scan, so
 // queries keep serving the old version through it; the new graph and
 // the refreshed items then become visible together, in one store. On a
 // durable corpus one WAL record precedes that store: the edge diff, the
@@ -219,8 +179,8 @@ func (c *Corpus) Rebuild() { c.acquire() }
 // the change, not the corpus — from which recovery rebuilds the graph
 // and re-extracts the refreshed signatures. A failed append leaves the
 // corpus on the old version. UpdateGraph holds the engine's write gate,
-// serializing against other UpdateGraphs, Inserts, Removes, and the
-// lazy build (never against queries).
+// serializing against other UpdateGraphs, Inserts and Removes (never
+// against queries).
 func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if g == nil {
 		return 0, ErrNilGraph
@@ -238,41 +198,25 @@ func (c *Corpus) UpdateGraph(g *Graph) (refreshed int, err error) {
 	if g.Directed() != old.Directed() {
 		return 0, fmt.Errorf("ned: graph update changes directedness (corpus graph directed=%v)", old.Directed())
 	}
-	if !c.materialized.Load() {
-		// Nothing extracted yet: the lazy build reads whatever graph is
-		// current, so the update is just a swap plus a membership shrink.
-		e := epochEdit{next: view.ep}
-		for v := range view.ep.members {
-			if int(v) >= g.NumNodes() {
-				if e.next == view.ep {
-					e.next = view.ep.clone()
-				}
-				delete(e.next.members, v)
-			}
-		}
-		return 0, c.commitEdit("graph update", g, e)
-	}
-
 	removed, added := graph.EdgeDiff(old, g)
 	var refresh []NodeID
 	for v := range affectedByUpdate(old, g, removed, added, c.k, c.cfg.directed) {
-		if int(v) >= 0 && int(v) < g.NumNodes() && view.ep.has(v) {
+		if int(v) >= 0 && int(v) < g.NumNodes() && view.scan.Has(v) {
 			refresh = append(refresh, v)
 		}
 	}
 	slices.Sort(refresh)
 	rows := ned.BuildRows(g, refresh, c.k, c.cfg.directed, c.dict, c.cfg.workers)
 	var gone []NodeID
-	for v := range view.ep.nodes() {
+	for v := range nodesOf(view.scan) {
 		if int(v) >= g.NumNodes() {
 			gone = append(gone, v)
 		}
 	}
-	e := epochEdit{next: view.ep}
+	e := scanEdit{next: view.scan, rec: segment.Record{Extract: refresh, Deletes: gone, Graph: graphEdit(old, g, removed, added)}}
 	if len(gone)+rows.Len() > 0 {
-		e = splice(view.ep, rows, gone)
+		e.next, e.copied = view.scan.Splice(rows, gone)
 	}
-	e.rec = segment.Record{Extract: refresh, Deletes: gone, Graph: graphEdit(old, g, removed, added)}
 	if err := c.commitEdit("graph update", g, e); err != nil {
 		return 0, err
 	}

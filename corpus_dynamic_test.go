@@ -1,6 +1,7 @@
 package ned
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -18,7 +19,7 @@ import (
 // assertions on signature reuse across graph updates.
 func liveItems(c *Corpus) map[NodeID]ned.Item {
 	out := make(map[NodeID]ned.Item)
-	for it := range c.view.Load().ep.items() {
+	for it := range c.view.Load().items() {
 		out[it.Node] = it
 	}
 	return out
@@ -84,52 +85,118 @@ func TestCorpusChurnEquivalence(t *testing.T) {
 	}
 }
 
-// TestCorpusMutationBeforeBuild checks the cheap path: churn on a
-// corpus that has never been queried just edits the node set, and the
-// eventual lazy build reflects it.
-func TestCorpusMutationBeforeBuild(t *testing.T) {
+// TestCorpusIsBuiltWhenMade pins the one life stage of a corpus:
+// NewCorpus, LoadCorpus and OpenDurable return it built; Insert, Remove
+// and UpdateGraph right after NewCorpus answer node-identically to a
+// corpus built afresh over the same live nodes; and out-of-range nodes
+// still fail with ErrNodeOutOfRange.
+func TestCorpusIsBuiltWhenMade(t *testing.T) {
+	ctx := context.Background()
+	const k = 2
 	g := randomGraph(30, 60, 903)
-	c, err := NewCorpus(g, 2, WithNodes([]NodeID{1, 2, 3}))
+	sameKNN := func(label string, got, want *Corpus, n int) {
+		t.Helper()
+		for v := 0; v < n; v++ {
+			a, err := got.KNN(ctx, NodeID(v), 10)
+			if err != nil {
+				t.Fatalf("%s: KNN(%d): %v", label, v, err)
+			}
+			b, err := want.KNN(ctx, NodeID(v), 10)
+			if err != nil {
+				t.Fatalf("%s: fresh KNN(%d): %v", label, v, err)
+			}
+			if fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("%s: KNN(%d) = %v, a fresh corpus answers %v", label, v, a, b)
+			}
+		}
+	}
+	built := func(label string, c *Corpus, nodes int) {
+		t.Helper()
+		if s := c.Stats(); !s.Built || s.Nodes != nodes {
+			t.Fatalf("%s: stats %+v, want built with %d nodes", label, s, nodes)
+		}
+	}
+
+	c, err := NewCorpus(g, k, WithNodes([]NodeID{1, 2, 3, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	built("NewCorpus", c, 3)
 	if err := c.Insert(10, 11); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Remove(2, 25); err != nil { // 25 was never indexed: no-op
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Built || s.Nodes != 4 {
-		t.Fatalf("pre-build stats: %+v, want unbuilt with 4 nodes", s)
-	}
-	res, err := c.KNN(context.Background(), 1, 10)
+	built("after Insert and Remove", c, 4)
+	live := []NodeID{1, 3, 10, 11}
+	fresh, err := NewCorpus(g, k, WithNodes(live))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[NodeID]bool{}
-	for _, n := range res {
-		got[n.Node] = true
-	}
-	want := map[NodeID]bool{1: true, 3: true, 10: true, 11: true}
-	if fmt.Sprint(sortedNodes(got)) != fmt.Sprint(sortedNodes(want)) {
-		t.Errorf("post-churn lazy build indexed %v, want %v", sortedNodes(got), sortedNodes(want))
-	}
-}
+	sameKNN("Insert and Remove", c, fresh, g.NumNodes())
+	assertMatchesOracle(t, "Insert and Remove", c, oracleOver(g, k, live), g, k, 8, 903)
 
-// TestCorpusBadNodeDoesNotBuild: an out-of-range node query must error
-// immediately instead of paying the lazy materialization first.
-func TestCorpusBadNodeDoesNotBuild(t *testing.T) {
-	g := randomGraph(30, 60, 920)
-	c, err := NewCorpus(g, 2)
+	u, err := NewCorpus(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.KNN(context.Background(), 999, 3); !errors.Is(err, ErrNodeOutOfRange) {
-		t.Fatalf("KNN(999): got %v, want ErrNodeOutOfRange", err)
+	g2 := randomGraph(25, 50, 904)
+	if _, err := u.UpdateGraph(g2); err != nil {
+		t.Fatal(err)
 	}
-	if c.Stats().Built {
-		t.Error("out-of-range KNN triggered the lazy build")
+	built("after UpdateGraph", u, g2.NumNodes())
+	fresh2, err := NewCorpus(g2, k)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameKNN("UpdateGraph", u, fresh2, g2.NumNodes())
+
+	for _, v := range []NodeID{999, -1} {
+		if _, err := c.KNN(ctx, v, 3); !errors.Is(err, ErrNodeOutOfRange) {
+			t.Errorf("KNN(%d): got %v, want ErrNodeOutOfRange", v, err)
+		}
+	}
+	if _, err := c.Signature(999); !errors.Is(err, ErrNodeOutOfRange) {
+		t.Errorf("Signature(999): got %v, want ErrNodeOutOfRange", err)
+	}
+	c.ResetStats()
+	sig, err := c.Signature(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.KNNSignature(ctx, sig, 3); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); !s.Built || s.Queries != 1 {
+		t.Errorf("after one query: %+v", s)
+	}
+
+	var snap bytes.Buffer
+	if err := c.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCorpus(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built("LoadCorpus", loaded, 4)
+	sameKNN("LoadCorpus", loaded, fresh, g.NumNodes())
+
+	dir := t.TempDir()
+	if err := c.MakeDurable(dir, FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenDurable(dir, FsyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.CloseDurable()
+	built("OpenDurable", opened, 4)
+	sameKNN("OpenDurable", opened, fresh, g.NumNodes())
 }
 
 // TestCorpusInsertErrors pins the mutation error contract.
@@ -289,7 +356,6 @@ func TestCorpusConcurrentChurnAndQueries(t *testing.T) {
 // re-extracted; every untouched node keeps its cached tree object —
 // and with it its lazily derived AHU canonical encoding.
 func TestCorpusUpdateGraphInvalidation(t *testing.T) {
-	ctx := context.Background()
 	const k = 2
 	// A long path graph keeps neighborhoods local: an edge change at one
 	// end cannot reach signatures at the other.
@@ -304,13 +370,10 @@ func TestCorpusUpdateGraphInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.KNN(ctx, 0, 5); err != nil { // materialize
-		t.Fatal(err)
-	}
 	// Remember each row's stored tree.
 	stored := func() map[NodeID][]byte {
 		out := map[NodeID][]byte{}
-		for r := range c.view.Load().ep.ix.Rows() {
+		for r := range c.view.Load().scan.Rows() {
 			out[r.Node] = slices.Clone(r.Out)
 		}
 		return out

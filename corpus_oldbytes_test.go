@@ -306,7 +306,7 @@ func legacyVPDumps(shardItems [][]ned.Item) []segment.VPIndex {
 func legacySegment(t *testing.T, c *Corpus, v *corpusView) []byte {
 	t.Helper()
 	meta := segment.Meta{Backend: "vp", K: c.k, Directed: c.cfg.directed}
-	items := itemTables(v.ep.items())
+	items := itemTables(v.items())
 	var buf bytes.Buffer
 	if err := segment.Write(&buf, meta, c.dict, v.g, items, legacyVPDumps(items)); err != nil {
 		t.Fatalf("segment.Write with VP dumps: %v", err)
@@ -326,7 +326,7 @@ func TestSegmentWithVPDumpsStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := legacySegment(t, c, c.materializedView())
+	old := legacySegment(t, c, c.view.Load())
 	if _, _, _, _, dumps, err := segment.Read(bytes.NewReader(old)); err != nil || len(dumps) == 0 || len(dumps[0].Nodes) == 0 {
 		t.Fatalf("fixture carries no dumps: %d sections, err %v", len(dumps), err)
 	}
@@ -335,8 +335,8 @@ func TestSegmentWithVPDumpsStillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadCorpus of a segment with VP dumps: %v", err)
 	}
-	if s := loaded.Stats(); s.Backend.String() != "pruned" || s.Shards != 1 || s.Nodes != g.NumNodes() || s.Built {
-		t.Fatalf("restored stats %+v, want an unbuilt pruned corpus of %d nodes", s, g.NumNodes())
+	if s := loaded.Stats(); s.Backend.String() != "pruned" || s.Shards != 1 || s.Nodes != g.NumNodes() || !s.Built {
+		t.Fatalf("restored stats %+v, want a built pruned corpus of %d nodes", s, g.NumNodes())
 	}
 	assertMatchesOracle(t, "loaded", loaded, oracleOver(g, k, allNodes(g)), gq, k, 8, 932)
 

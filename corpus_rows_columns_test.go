@@ -19,7 +19,7 @@ import (
 func checkRowsAreColumns(t *testing.T, label string, c *Corpus) {
 	t.Helper()
 	view := c.view.Load()
-	ix := view.ep.ix
+	ix := view.scan
 	if ix == nil {
 		t.Fatalf("%s: no scan", label)
 	}

@@ -19,7 +19,7 @@ import (
 func checkRowColumns(t *testing.T, label string, c *Corpus) {
 	t.Helper()
 	rows, in := 0, 0
-	for it := range c.materializedView().ep.items() {
+	for it := range c.view.Load().items() {
 		rows++
 		for _, side := range []struct {
 			t *tree.Tree

@@ -42,7 +42,6 @@ func BenchmarkCorpusScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		corpus.Rebuild()
 		mixes := []struct {
 			name  string
 			query func(i int) error

@@ -121,8 +121,8 @@ func TestCorpusShardedCascadeEquivalence(t *testing.T) {
 	}
 
 	// Regression (first-query profiling order): the very first query of
-	// a lazily built corpus must be profiled AFTER the build interns the
-	// corpus shapes — profiled before, its label multisets would count
+	// a fresh corpus must be profiled AFTER the build interns the corpus
+	// shapes — profiled before, its label multisets would count
 	// every shared shape as a mismatch and the label tier would prune
 	// true neighbors. Fresh corpus per query, l=1 keeps the threshold
 	// tight enough to expose any invalid bound.
@@ -326,14 +326,10 @@ func TestCorpusStatsRaceWithMutation(t *testing.T) {
 // TestCorpusShardedUpdateGraph drives UpdateGraph on a built corpus
 // and checks the result against the exhaustive scan of the new version.
 func TestCorpusShardedUpdateGraph(t *testing.T) {
-	ctx := context.Background()
 	const k = 2
 	g1 := randomGraph(50, 100, 943)
 	c, err := NewCorpus(g1, k)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.KNN(ctx, 0, 5); err != nil { // materialize
 		t.Fatal(err)
 	}
 	// New version: drop one edge, add two.

@@ -8,7 +8,6 @@ import (
 	"iter"
 	"slices"
 
-	"ned/internal/ned"
 	"ned/internal/segment"
 )
 
@@ -21,36 +20,26 @@ import (
 // cascade profile from those labels and the dictionary, without
 // re-extracting or re-interning anything, and restores the graph, so
 // the restored corpus can Insert and UpdateGraph exactly when this one
-// can. Snapshotting a corpus that has never been queried
-// materializes its signatures first (but not the index structures,
-// which LoadCorpus rebuilds lazily anyway).
+// can.
 //
 // The cut is one published view — the same single snapshot a query
 // reads — serialized outside any lock: w may be a slow disk or network
 // writer, and queries and mutations keep running for the whole
-// transfer. Snapshotting one corpus twice is byte-identical; two equal
-// corpora may differ on disk, because the dictionary records shapes in
-// interning order and parallel profiling interns in scheduling order.
+// transfer. Snapshotting one corpus twice is byte-identical, and so is
+// snapshotting two corpora NewCorpus built over the same graph and
+// options, on any worker count: a build numbers its shapes canonically.
+// Shapes that later Insert and UpdateGraph calls intern take their IDs
+// in the order their parallel extraction meets them, so two corpora
+// with the same mutation history may still differ on disk.
 func (c *Corpus) Snapshot(w io.Writer) error {
-	return c.writeSegment(w, c.materializedView())
+	return c.writeSegment(w, c.view.Load())
 }
 
-// writeSegment serializes one (materialized) view as a binary segment —
-// the body of Snapshot and of every checkpoint.
+// writeSegment serializes one view as a binary segment — the body of
+// Snapshot and of every checkpoint.
 func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
 	meta := segment.Meta{Backend: BackendPrunedLinear.String(), K: c.k, Directed: c.cfg.directed}
-	return segment.WriteRows(w, meta, c.dict, v.g, v.ep.ix.Rows())
-}
-
-// materializedView returns the published view, materializing the
-// signatures first on a corpus that has never been queried.
-func (c *Corpus) materializedView() *corpusView {
-	if !c.materialized.Load() {
-		c.gmu.Lock()
-		c.materializeAllLocked()
-		c.gmu.Unlock()
-	}
-	return c.view.Load()
+	return segment.WriteRows(w, meta, c.dict, v.g, v.scan.Rows())
 }
 
 // LoadCorpus restores a corpus from a Snapshot stream: a NEDSEG03
@@ -104,13 +93,9 @@ func LoadCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err := validateLoadedGraph(cfg, g, slices.Values(rows.Nodes)); err != nil {
 		return nil, err
 	}
-	c := newCorpus(meta.K, cfg, g, &corpusEpoch{})
 	// Adopt the segment's dictionary: every loaded row is expressed
-	// against its label IDs. The fresh interner newCorpus made has seen
-	// nothing and is safely replaced.
-	c.dict = dict
-	installRows(c, rows)
-	return c, nil
+	// against its label IDs.
+	return newCorpus(meta.K, cfg, g, dict, rows), nil
 }
 
 // legacyPrefixes start the corpus formats earlier builds wrote: a
@@ -155,10 +140,4 @@ func validateLoadedGraph(cfg corpusConfig, g *Graph, nodes iter.Seq[NodeID]) err
 		}
 	}
 	return nil
-}
-
-// installRows makes the restored rows the corpus's scan.
-func installRows(c *Corpus, rows *ned.Rows) {
-	c.view.Load().ep.ix = ned.NewScan(rows, 1)
-	c.materialized.Store(true)
 }

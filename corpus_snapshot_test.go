@@ -30,9 +30,6 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.KNN(ctx, 0, 3); err != nil { // materialize
-		t.Fatal(err)
-	}
 	// Mutate so the snapshot captures a churned index, not the
 	// construction-time node set.
 	if err := c.Remove(1, 3, 5, 7); err != nil {
@@ -231,7 +228,6 @@ func TestSnapshotBytesIgnoreDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Rebuild()
 	var before bytes.Buffer
 	if err := c.Snapshot(&before); err != nil {
 		t.Fatal(err)
@@ -369,8 +365,8 @@ func sameItemColumns(t *testing.T, label string, got, want ned.Item) {
 // the same columns.
 func sameCorpusColumns(t *testing.T, label string, got, want *Corpus) {
 	t.Helper()
-	g := slices.Collect(got.materializedView().ep.items())
-	w := slices.Collect(want.materializedView().ep.items())
+	g := slices.Collect(got.view.Load().items())
+	w := slices.Collect(want.view.Load().items())
 	if len(g) != len(w) {
 		t.Fatalf("%s: %d items, want %d", label, len(g), len(w))
 	}
@@ -404,11 +400,11 @@ func TestSnapshotRoundTripsColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCorpusColumns(t, "text snapshot with a non-BFS tree", loaded, src)
-	if got := slices.Collect(loaded.materializedView().ep.items())[0].Out.ParentVector(); !slices.Equal(got, []int32{-1, 0, 0, 2, 1}) {
+	if got := slices.Collect(loaded.view.Load().items())[0].Out.ParentVector(); !slices.Equal(got, []int32{-1, 0, 0, 2, 1}) {
 		t.Fatalf("non-BFS tree reloaded as %v", got)
 	}
 	var oracle corpusOracle
-	for it := range src.materializedView().ep.items() {
+	for it := range src.view.Load().items() {
 		oracle = append(oracle, Signature{Node: it.Node, K: it.K, Tree: it.Out})
 	}
 	assertMatchesOracle(t, "text snapshot with a non-BFS tree", loaded, oracle, randomGraph(20, 40, 980), 2, 3, 981)

@@ -378,7 +378,7 @@ func TestCorpusCancelInFlightBatch(t *testing.T) {
 }
 
 // TestCorpusConcurrentQueries hammers one corpus from many goroutines;
-// under -race this verifies the atomic stats counters and lazy build.
+// under -race this verifies the atomic stats counters.
 func TestCorpusConcurrentQueries(t *testing.T) {
 	g := randomGraph(60, 120, 4)
 	c, err := NewCorpus(g, 2)
@@ -482,28 +482,4 @@ func TestCorpusDirected(t *testing.T) {
 		t.Errorf("directed signature query: got %v, want ErrDirectedSignature", err)
 	}
 
-}
-
-func TestCorpusLazyBuildAndSignature(t *testing.T) {
-	g := randomGraph(30, 60, 7)
-	c, err := NewCorpus(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); s.Built {
-		t.Error("corpus reported built before any query")
-	}
-	sig, err := c.Signature(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Signature(999); !errors.Is(err, ErrNodeOutOfRange) {
-		t.Errorf("Signature(999): got %v, want ErrNodeOutOfRange", err)
-	}
-	if _, err := c.KNNSignature(context.Background(), sig, 3); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); !s.Built || s.Queries != 1 {
-		t.Errorf("after one query: %+v", s)
-	}
 }

@@ -109,18 +109,14 @@ func (c *Corpus) degradedErr() error {
 // Degraded returns the degraded-mode state, nil while healthy.
 func (c *Corpus) Degraded() *DegradedInfo { return c.degraded.Load() }
 
-// MakeDurable attaches a durable directory to the corpus: it
-// materializes the signatures, writes the generation-0 checkpoint
-// segment, and opens the generation-0 mutation log that every
-// subsequent mutation commits through. The directory is created if
-// missing and must not already hold durable state (that is
+// MakeDurable attaches a durable directory to the corpus: it writes the
+// generation-0 checkpoint segment and opens the generation-0 mutation
+// log that every subsequent mutation commits through. The directory is
+// created if missing and must not already hold durable state (that is
 // OpenDurable's job). Call it before the corpus is shared with
 // concurrent mutators; mutations racing the attach itself may escape
 // the log.
 func (c *Corpus) MakeDurable(dir string, policy FsyncPolicy) error {
-	c.gmu.Lock()
-	c.materializeAllLocked()
-	c.gmu.Unlock()
 	c.durMu.Lock()
 	defer c.durMu.Unlock()
 	if c.wal.Load() != nil {
@@ -269,10 +265,10 @@ func OpenDurable(dir string, policy FsyncPolicy, opts ...CorpusOption) (*Corpus,
 	logGraph := c.view.Load().g
 	if user.graph != nil {
 		view := c.view.Load()
-		if err := validateLoadedGraph(c.cfg, user.graph, view.ep.nodes()); err != nil {
+		if err := validateLoadedGraph(c.cfg, user.graph, nodesOf(view.scan)); err != nil {
 			return nil, err
 		}
-		c.view.Store(&corpusView{g: user.graph, ep: view.ep})
+		c.view.Store(&corpusView{g: user.graph, scan: view.scan})
 	}
 
 	var w *segment.WAL
@@ -349,7 +345,7 @@ func (c *Corpus) applyRecovered(rec segment.Record, rp *replay) error {
 			return fmt.Errorf("wal graph edit in a log whose checkpoint has no graph")
 		}
 		if e.NumNodes < view.g.NumNodes() {
-			for v := range view.ep.nodes() {
+			for v := range nodesOf(view.scan) {
 				if int(v) >= e.NumNodes {
 					rp.gone[v] = true
 				}
@@ -367,7 +363,7 @@ func (c *Corpus) applyRecovered(rec segment.Record, rp *replay) error {
 				}
 			}
 		}
-		view = &corpusView{g: graph.Patch(view.g, e.NumNodes, e.Removed, e.Added), ep: view.ep}
+		view = &corpusView{g: graph.Patch(view.g, e.NumNodes, e.Removed, e.Added), scan: view.scan}
 		c.view.Store(view)
 	}
 	for _, v := range rec.Extract {
@@ -405,19 +401,19 @@ func (c *Corpus) applyRecovered(rec segment.Record, rp *replay) error {
 // graph replay ended on.
 func (c *Corpus) finishReplay(rp *replay) {
 	view := c.view.Load()
-	ix := view.ep.ix
+	scan := view.scan
 	if len(rp.gone)+len(rp.ups) > 0 {
 		var ups *ned.Rows
 		if len(rp.ups) > 0 {
 			ups = ned.RowsOf(slices.Collect(maps.Values(rp.ups)))
 		}
-		ix, _ = ix.Splice(ups, slices.Collect(maps.Keys(rp.gone)))
+		scan, _ = scan.Splice(ups, slices.Collect(maps.Keys(rp.gone)))
 	}
 	if len(rp.extract) > 0 {
 		nodes := slices.Sorted(maps.Keys(rp.extract))
-		ix, _ = ix.Splice(ned.BuildRows(view.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers), nil)
+		scan, _ = scan.Splice(ned.BuildRows(view.g, nodes, c.k, c.cfg.directed, c.dict, c.cfg.workers), nil)
 	}
-	c.view.Store(&corpusView{g: view.g, ep: &corpusEpoch{ix: ix}})
+	c.view.Store(&corpusView{g: view.g, scan: scan})
 }
 
 // sameGraph reports whether a and b (either may be nil) are the same

@@ -166,7 +166,7 @@ func corpusState(c *Corpus) string {
 	var sb strings.Builder
 	fmt.Fprintln(&sb, view.g.NumNodes(), view.g.Edges())
 	for v := 0; v < view.g.NumNodes(); v++ {
-		if it, ok := view.ep.item(NodeID(v)); ok {
+		if it, ok := view.scan.Item(NodeID(v)); ok {
 			fmt.Fprintln(&sb, v, it.Out.ParentVector())
 			if it.In != nil {
 				fmt.Fprintln(&sb, v, it.In.ParentVector())

@@ -595,7 +595,6 @@ func freshState(t *testing.T, g *Graph, live map[NodeID]bool, k int, opts ...Cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Rebuild()
 	return corpusState(c)
 }
 
@@ -799,7 +798,7 @@ func TestRecoveryAttachesWithGraphAfterReplay(t *testing.T) {
 	}
 	items := func(r *Corpus) string {
 		var sb strings.Builder
-		for it := range r.view.Load().ep.items() {
+		for it := range r.view.Load().items() {
 			fmt.Fprintln(&sb, it.Node, it.Out.ParentVector())
 		}
 		return sb.String()
@@ -830,7 +829,7 @@ func TestRecoveryAttachesWithGraphAfterReplay(t *testing.T) {
 	if got := fmt.Sprint(again.view.Load().g.Edges()); got != fmt.Sprint(other.Edges()) {
 		t.Fatal("reopened off the attached graph")
 	}
-	it, ok := again.view.Load().ep.item(43)
+	it, ok := again.view.Load().scan.Item(43)
 	if want := NewSignature(other, 43, k).Tree.ParentVector(); !ok || fmt.Sprint(it.Out.ParentVector()) != fmt.Sprint(want) {
 		t.Fatal("an Insert after the attach did not replay against the attached graph")
 	}
@@ -1027,7 +1026,7 @@ func TestRecoveredRowsAreTheCheckpointBytes(t *testing.T) {
 // views of the arena.
 func storedRows(c *Corpus) map[NodeID][2][]byte {
 	rows := map[NodeID][2][]byte{}
-	for r := range c.materializedView().ep.ix.Rows() {
+	for r := range c.view.Load().scan.Rows() {
 		rows[r.Node] = [2][]byte{r.Out, r.In}
 	}
 	return rows

@@ -16,7 +16,7 @@ import (
 const deanonK = 3
 
 // wholeGraph returns the query engine over every node of g at depth k:
-// the pool Figs. 8, 10 and 11 rank, built on its first query.
+// the pool Figs. 8, 10 and 11 rank.
 func wholeGraph(g *graph.Graph, k int) *ned.Corpus {
 	return must(ned.NewCorpus(g, k))
 }

@@ -132,14 +132,14 @@ func TestBuiltRowsMatchProfilePath(t *testing.T) {
 				canonDict := tree.NewInterner()
 				canon := profileRows(g, all, k, directed, tree.NewInterner())
 				canonDict.Canonicalize(rowArenas(canon), 1)
-				canonBase := &NewScan(canon, 1).(*scanBackend).bblk.Rows
+				canonBase := &NewScan(canon, 1).bblk.Rows
 				for _, workers := range []int{1, 2} {
 					rankedDict := tree.NewInterner()
 					ranked := BuildRanked(g, all, k, directed, rankedDict, workers)
 					name := fmt.Sprintf("%s BuildRanked workers=%d", label, workers)
 					sameRows(t, name, ranked, canonBase)
 					sameDict(t, name, rankedDict, canonDict)
-					if base := NewScan(ranked, 1).(*scanBackend).bblk; base.Out != ranked.Out || !inOrder(base.ord) {
+					if base := NewScan(ranked, 1).bblk; base.Out != ranked.Out || !inOrder(base.ord) {
 						t.Fatalf("%s: the scan copied the ranked rows instead of adopting them", name)
 					}
 				}

@@ -30,11 +30,12 @@ import (
 // constructing them.
 //
 // Mutations are NOT safe concurrently with queries or each other. The
-// Corpus engine never mutates a published index at all: it Clones the
-// current epoch under its write lock, mutates the private clone, and publishes it as the next epoch, so lock-free
-// readers keep serving from the old structure. Results after any
-// mutation sequence are identical to a freshly built index over the
-// same live items (the churn-equivalence suite enforces this).
+// Corpus engine never mutates a published scan at all: under its write
+// lock it Splices a successor, which shares all but its delta, and
+// publishes it as the next version, so lock-free readers keep serving
+// from the old one. Results after any mutation sequence are identical
+// to a freshly built index over the same live items (the
+// churn-equivalence suite enforces this).
 
 // DynamicIndex is an Index that supports incremental mutation.
 type DynamicIndex interface {
@@ -53,29 +54,6 @@ type DynamicIndex interface {
 	// evaluations; the trees copy their nodes, the scan copies nothing
 	// item-sized.
 	Clone() DynamicIndex
-}
-
-// ItemIndex is a DynamicIndex that is also the store of its rows: the
-// cascade scan, which a built Corpus keeps as the only copy of its
-// rows. Both scan constructors and NewScan return one.
-type ItemIndex interface {
-	DynamicIndex
-	// Item builds node v's indexed item — trees and profiles — in memory
-	// of its own.
-	Item(v graph.NodeID) (Item, bool)
-	// Has reports whether node v is indexed.
-	Has(v graph.NodeID) bool
-	// Items iterates the indexed nodes in ascending order, as items
-	// holding only Node and K.
-	Items() iter.Seq[Item]
-	// Rows iterates the indexed rows as the scan stores them, in
-	// ascending node order.
-	Rows() iter.Seq[Row]
-	// Splice returns a successor with dels removed and ups upserted (an
-	// up of an indexed node replaces its row), leaving the receiver
-	// untouched, and the bytes of index state the successor copied:
-	// O(change), plus the rebuild when the change folds the delta.
-	Splice(ups *Rows, dels []graph.NodeID) (ItemIndex, int64)
 }
 
 // Row is one indexed row as the scan stores it: its node, the stored
@@ -141,14 +119,18 @@ const (
 // foldMin.
 func RowRoom(n int) int { return max(foldMin, n/8) }
 
-func (b *scanBackend) Insert(items ...Item) { b.apply(RowsOf(items), nil) }
+func (b *Scan) Insert(items ...Item) { b.apply(RowsOf(items), nil) }
 
-func (b *scanBackend) Remove(nodes ...graph.NodeID) int {
+func (b *Scan) Remove(nodes ...graph.NodeID) int {
 	n, _ := b.apply(nil, nodes)
 	return n
 }
 
-func (b *scanBackend) Splice(ups *Rows, dels []graph.NodeID) (ItemIndex, int64) {
+// Splice returns a successor with dels removed and ups upserted (an up
+// of an indexed node replaces its row), leaving the receiver untouched,
+// and the bytes of index state the successor copied: O(change), plus
+// the rebuild when the change folds the delta.
+func (b *Scan) Splice(ups *Rows, dels []graph.NodeID) (*Scan, int64) {
 	c := *b
 	_, copied := c.apply(ups, dels)
 	return &c, copied
@@ -159,7 +141,7 @@ func (b *scanBackend) Splice(ups *Rows, dels []graph.NodeID) (ItemIndex, int64) 
 // replaces the base too) and writes nothing b shares with its clones.
 // It returns how many indexed rows it removed and how many bytes it
 // copied.
-func (b *scanBackend) apply(ups *Rows, dels []graph.NodeID) (removed int, copied int64) {
+func (b *Scan) apply(ups *Rows, dels []graph.NodeID) (removed int, copied int64) {
 	gone := nodeSet(dels)
 	if ups != nil {
 		for _, v := range ups.Nodes {
@@ -207,7 +189,7 @@ func (b *scanBackend) apply(ups *Rows, dels []graph.NodeID) (removed int, copied
 }
 
 // deltaLen is the delta's live row count.
-func (b *scanBackend) deltaLen() int {
+func (b *Scan) deltaLen() int {
 	if b.dblk == nil {
 		return 0
 	}
@@ -216,7 +198,7 @@ func (b *scanBackend) deltaLen() int {
 
 // rows is the scan's latest set of rows, which the delta's view extends
 // past the base's.
-func (b *scanBackend) rows() Rows {
+func (b *Scan) rows() Rows {
 	if b.dblk != nil {
 		return b.dblk.Rows
 	}
@@ -227,7 +209,7 @@ func (b *scanBackend) rows() Rows {
 // ascending node) and then ups, appended to the scan's rows, and the
 // bytes it copied. When the rows cannot take ups in place, the scan
 // relocates first.
-func (b *scanBackend) nextDelta(keep []int32, ups *Rows) (*profileBlock, int64) {
+func (b *Scan) nextDelta(keep []int32, ups *Rows) (*profileBlock, int64) {
 	if len(keep)+ups.Len() == 0 {
 		return nil, 0
 	}
@@ -281,7 +263,7 @@ func (r Rows) Append(ups *Rows) (next Rows, copied int64, ok bool) {
 // the base's ranks and lists to them. It returns the new rows, each old
 // physical row's new one (-1: not kept), and the bytes it copied. The
 // ranks themselves do not change, so no query can tell.
-func (b *scanBackend) relocate(ups *Rows) (Rows, []int32, int64) {
+func (b *Scan) relocate(ups *Rows) (Rows, []int32, int64) {
 	old := b.rows()
 	at := make([]int32, old.Len())
 	for i := range at {
@@ -366,7 +348,7 @@ func extendRun(runs []tree.ArenaRun, a *tree.ProfileArena, p int32) []tree.Arena
 
 // fold makes every live row the base's, copying none, and returns the
 // bytes of the new ranks.
-func (b *scanBackend) fold() int64 {
+func (b *Scan) fold() int64 {
 	live := make([]int32, 0, b.Len())
 	for x := range b.liveRows() {
 		live = append(live, x.p)
@@ -377,7 +359,7 @@ func (b *scanBackend) fold() int64 {
 }
 
 // isDead reports whether base row p was removed since the last fold.
-func (b *scanBackend) isDead(p int32) bool {
+func (b *Scan) isDead(p int32) bool {
 	_, found := slices.BinarySearch(b.dead, p)
 	return found
 }
@@ -389,7 +371,7 @@ type blockRow struct {
 }
 
 // locate is node v's live row.
-func (b *scanBackend) locate(v graph.NodeID) (blockRow, bool) {
+func (b *Scan) locate(v graph.NodeID) (blockRow, bool) {
 	if b.dblk != nil {
 		if p, ok := b.dblk.find(v); ok {
 			return blockRow{b.dblk, p}, true
@@ -401,7 +383,9 @@ func (b *scanBackend) locate(v graph.NodeID) (blockRow, bool) {
 	return blockRow{}, false
 }
 
-func (b *scanBackend) Item(v graph.NodeID) (Item, bool) {
+// Item builds node v's indexed item — trees and profiles — in memory of
+// its own.
+func (b *Scan) Item(v graph.NodeID) (Item, bool) {
 	x, ok := b.locate(v)
 	if !ok {
 		return Item{}, false
@@ -409,14 +393,15 @@ func (b *scanBackend) Item(v graph.NodeID) (Item, bool) {
 	return x.blk.Item(int(x.p)), true
 }
 
-func (b *scanBackend) Has(v graph.NodeID) bool {
+// Has reports whether node v is indexed.
+func (b *Scan) Has(v graph.NodeID) bool {
 	_, ok := b.locate(v)
 	return ok
 }
 
 // liveRows merges the live base rows with the delta's, by node; every
 // row it yields is a row of b.rows().
-func (b *scanBackend) liveRows() iter.Seq[blockRow] {
+func (b *Scan) liveRows() iter.Seq[blockRow] {
 	return func(yield func(blockRow) bool) {
 		var delta []int32
 		if b.dblk != nil {
@@ -445,7 +430,9 @@ func (b *scanBackend) liveRows() iter.Seq[blockRow] {
 	}
 }
 
-func (b *scanBackend) Items() iter.Seq[Item] {
+// Items iterates the indexed nodes in ascending order, as items holding
+// only Node and K.
+func (b *Scan) Items() iter.Seq[Item] {
 	return func(yield func(Item) bool) {
 		for x := range b.liveRows() {
 			if !yield(Item{Node: x.blk.Nodes[x.p], K: b.bblk.K}) {
@@ -455,7 +442,9 @@ func (b *scanBackend) Items() iter.Seq[Item] {
 	}
 }
 
-func (b *scanBackend) Rows() iter.Seq[Row] {
+// Rows iterates the indexed rows as the scan stores them, in ascending
+// node order.
+func (b *Scan) Rows() iter.Seq[Row] {
 	return func(yield func(Row) bool) {
 		for x := range b.liveRows() {
 			if !yield(x.blk.Row(int(x.p))) {

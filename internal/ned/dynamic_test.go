@@ -63,7 +63,7 @@ func TestScanDeltaChurn(t *testing.T) {
 		return out
 	}
 
-	check := func(name string, b *scanBackend, want []Signature) {
+	check := func(name string, b *Scan, want []Signature) {
 		t.Helper()
 		if got := slices.Collect(b.Items()); len(got) != len(want) || b.Len() != len(want) {
 			t.Fatalf("%s: Items lists %d, Len %d, live %d", name, len(got), b.Len(), len(want))
@@ -137,14 +137,14 @@ func TestScanDeltaChurn(t *testing.T) {
 		}
 	}
 
-	ix := NewPrunedLinearBackend(start).(*scanBackend)
-	frozen, frozenLive := ix.Clone().(*scanBackend), liveSigs()
+	ix := NewPrunedLinearBackend(start).(*Scan)
+	frozen, frozenLive := ix.Clone().(*Scan), liveSigs()
 	folds, scripted := 0, 0
 	for step := 0; step < 70; step++ {
 		if step%10 == 0 {
-			frozen, frozenLive = ix.Clone().(*scanBackend), liveSigs()
+			frozen, frozenLive = ix.Clone().(*Scan), liveSigs()
 		}
-		ix = ix.Clone().(*scanBackend)
+		ix = ix.Clone().(*Scan)
 		base := ix.bblk
 		var gone []graph.NodeID
 		var batch []Item
@@ -232,7 +232,7 @@ func TestInsertWidensDegreeRuns(t *testing.T) {
 	items, dict := ProfileSignatures(sigs)
 	qsigs := []Signature{sigs[3], hub}
 
-	ix := NewPrunedLinearBackend(items[:40]).(*scanBackend)
+	ix := NewPrunedLinearBackend(items[:40]).(*Scan)
 	live := slices.Clone(sigs[:40])
 	check := func(step string, width int) {
 		t.Helper()

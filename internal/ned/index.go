@@ -21,7 +21,7 @@ import (
 // the cascade scan implement, so query-serving code is written once
 // against the interface and backends stay interchangeable. The scan has
 // two names, "pruned" and "linear"; they are one implementation
-// (scanBackend) at width 1 and at a caller-chosen width.
+// (Scan) at width 1 and at a caller-chosen width.
 //
 // Every backend threads a distance budget into the TED* computation —
 // the current l-th best for the scan, tau for the VP-tree, the ring
@@ -690,16 +690,16 @@ func (b *bkBackend) Clone() DynamicIndex {
 
 // --- cascade scan backend ---
 
-// scanBackend is the cascade scan (§10) over node-sorted rows: both
-// scan names construct it, "pruned" at width 1 and "linear" at the
-// width the caller asks for. The width is how many sweepers share one
+// Scan is the cascade scan (§10) over node-sorted rows, and a Corpus's
+// only copy of them: both scan names construct it, "pruned" at width 1
+// and "linear" at the width the caller asks for. The width is how many sweepers share one
 // query's candidates; it moves wall time, never decisions.
 //
 // The rows are an immutable base plus a copy-on-write delta (see
 // dynamic.go): node n is indexed iff it is in the delta, or in a base
 // row dead does not list. A query sweeps two parts, the base without
 // its dead rows and the delta.
-type scanBackend struct {
+type Scan struct {
 	// bblk and dblk are the base's and the delta's blocks (block.go);
 	// dblk is nil when the delta is empty. Never edited: clones share
 	// them.
@@ -729,8 +729,8 @@ func NewLinearBackend(items []Item, workers int) DynamicIndex {
 // be node-ascending or already in rank order (size key, then node); it
 // adopts them as its base, copied into rank order if they are not, and
 // never writes them.
-func NewScan(rows *Rows, workers int) ItemIndex {
-	return &scanBackend{
+func NewScan(rows *Rows, workers int) *Scan {
+	return &Scan{
 		bblk:     blockOf(rows),
 		workers:  BatchOptions{Workers: workers}.workers(),
 		counters: &counterSet{},
@@ -755,23 +755,23 @@ func nodeSorted(items []Item) []Item {
 // PrunedTopL pioneered.
 func NewPrunedLinearBackend(items []Item) DynamicIndex { return NewLinearBackend(items, 1) }
 
-func (b *scanBackend) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
+func (b *Scan) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
 	res, _, err := scanKNN(ctx, query, b.appendParts(nil), l, b.workers, runSweepers)
 	return res, err
 }
 
-func (b *scanBackend) Range(ctx context.Context, query Item, r int) ([]Neighbor, error) {
+func (b *Scan) Range(ctx context.Context, query Item, r int) ([]Neighbor, error) {
 	return scanRange(ctx, query, b.appendParts(nil), r, b.workers)
 }
 
-func (b *scanBackend) Len() int             { return b.bblk.n - len(b.dead) + b.deltaLen() }
-func (b *scanBackend) DistanceCalls() int64 { return b.counters.distCalls.Load() }
-func (b *scanBackend) Counters() Counters   { return b.counters.snapshot() }
-func (b *scanBackend) ResetStats()          { b.counters.reset() }
+func (b *Scan) Len() int             { return b.bblk.n - len(b.dead) + b.deltaLen() }
+func (b *Scan) DistanceCalls() int64 { return b.counters.distCalls.Load() }
+func (b *Scan) Counters() Counters   { return b.counters.snapshot() }
+func (b *Scan) ResetStats()          { b.counters.reset() }
 
 // appendParts appends the backend's parts of a sweep: the base without
 // its dead slots, then the delta when it holds anything.
-func (b *scanBackend) appendParts(parts []sweepPart) []sweepPart {
+func (b *Scan) appendParts(parts []sweepPart) []sweepPart {
 	parts = append(parts, sweepPart{blk: b.bblk, dead: b.deadRows, cs: b.counters})
 	if b.deltaLen() > 0 {
 		parts = append(parts, sweepPart{blk: b.dblk, cs: b.counters})
@@ -783,7 +783,7 @@ func (b *scanBackend) appendParts(parts []sweepPart) []sweepPart {
 // row-sized: both blocks and the dead lists are shared, because no
 // mutation writes them — it replaces them (see dynamic.go). The counter
 // accumulator is shared too.
-func (b *scanBackend) Clone() DynamicIndex {
+func (b *Scan) Clone() DynamicIndex {
 	c := *b
 	return &c
 }

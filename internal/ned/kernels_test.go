@@ -120,7 +120,7 @@ func TestBlockKernelsMatchOracle(t *testing.T) {
 	}
 	checkBlockKernels(t, "query deeper than the block", shallow, blk, []Item{deepest})
 
-	ix := NewPrunedLinearBackend(items).(*scanBackend)
+	ix := NewPrunedLinearBackend(items).(*Scan)
 	wide := ix.bblk.Out.Width
 	var tall []graph.NodeID
 	for _, it := range items {

@@ -15,7 +15,7 @@ func compileBlock(items []Item) *profileBlock { return blockOf(RowsOf(items)) }
 
 // baseItems builds every row of the scan's base, dead ones included,
 // into items of their own, in node order.
-func (b *scanBackend) baseItems() []Item {
+func (b *Scan) baseItems() []Item {
 	var out []Item
 	for p := range b.bblk.live() {
 		out = append(out, b.bblk.Item(int(p)))
@@ -25,7 +25,7 @@ func (b *scanBackend) baseItems() []Item {
 
 // deltaItems builds the delta's live rows into items of their own, in
 // node order.
-func (b *scanBackend) deltaItems() []Item {
+func (b *Scan) deltaItems() []Item {
 	var out []Item
 	if b.dblk != nil {
 		for p := range b.dblk.live() {
@@ -58,7 +58,7 @@ func sameRanks(t *testing.T, name string, got, want *profileBlock) {
 
 // liveItems builds every live row into an item of its own, in node
 // order.
-func (b *scanBackend) liveItems() []Item {
+func (b *Scan) liveItems() []Item {
 	var out []Item
 	for it := range b.Items() {
 		full, _ := b.Item(it.Node)

@@ -61,7 +61,7 @@ func MergeTopL(per [][]Neighbor, l int) []Neighbor {
 func FanKNN(ctx context.Context, exec *Executor, shards []Index, query Item, l int) ([]Neighbor, error) {
 	parts := make([]sweepPart, 0, 2*len(shards))
 	for _, ix := range shards {
-		sb, ok := ix.(*scanBackend)
+		sb, ok := ix.(*Scan)
 		if !ok {
 			return fanKNNMerge(ctx, exec, shards, query, l)
 		}

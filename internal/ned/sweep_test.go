@@ -334,8 +334,8 @@ func TestSweepWindowEdges(t *testing.T) {
 		knn     func(width int, q Item, l int) ([]Neighbor, Counters)
 		rng     func(width int, q Item, r int) ([]Neighbor, Counters) // nil: no Range
 	}
-	scanCase := func(name string, b *scanBackend, queries []Item) sweepCase {
-		at := func(width int) *scanBackend {
+	scanCase := func(name string, b *Scan, queries []Item) sweepCase {
+		at := func(width int) *Scan {
 			w := *b
 			w.workers = width
 			w.ResetStats()
@@ -370,8 +370,8 @@ func TestSweepWindowEdges(t *testing.T) {
 	// churn removes the live items whose size key is qk + d for each d in
 	// gaps, and the smallest and largest rows, then re-inserts every third
 	// of them into the delta; the scan must not fold.
-	churn := func(name string, items []Item, qk int32, gaps []int32) *scanBackend {
-		b := NewPrunedLinearBackend(items).(*scanBackend)
+	churn := func(name string, items []Item, qk int32, gaps []int32) *Scan {
+		b := NewPrunedLinearBackend(items).(*Scan)
 		byKey := slices.SortedFunc(slices.Values(items), func(a, b Item) int { return cmp.Compare(key(a), key(b)) })
 		var gone []graph.NodeID
 		for _, it := range items {
@@ -415,7 +415,7 @@ func TestSweepWindowEdges(t *testing.T) {
 		star.AddEdge(0, graph.NodeID(v))
 	}
 	tiny, huge := queryOf(graph.NewBuilder(1, false).Build(), 0, 3, false, dict), queryOf(star.Build(), 0, 3, false, dict)
-	cases = append(cases, scanCase("query outside every row's size", NewPrunedLinearBackend(items).(*scanBackend), []Item{tiny, huge, items[len(items)/2]}))
+	cases = append(cases, scanCase("query outside every row's size", NewPrunedLinearBackend(items).(*Scan), []Item{tiny, huge, items[len(items)/2]}))
 
 	count := map[int32]int{}
 	for _, it := range items {
@@ -440,9 +440,9 @@ func TestSweepWindowEdges(t *testing.T) {
 	if len(same) < 5 {
 		t.Fatalf("the modal size %d has only %d items", modal, len(same))
 	}
-	cases = append(cases, scanCase(fmt.Sprintf("every row of size %d", modal), NewPrunedLinearBackend(same).(*scanBackend), append([]Item{same[0]}, off...)))
+	cases = append(cases, scanCase(fmt.Sprintf("every row of size %d", modal), NewPrunedLinearBackend(same).(*Scan), append([]Item{same[0]}, off...)))
 
-	cases = append(cases, scanCase("a one-row block", NewPrunedLinearBackend(items[:1]).(*scanBackend), []Item{items[0], items[1], tiny, huge}))
+	cases = append(cases, scanCase("a one-row block", NewPrunedLinearBackend(items[:1]).(*Scan), []Item{items[0], items[1], tiny, huge}))
 	var shards []Index
 	for _, it := range items[:12] {
 		shards = append(shards, NewPrunedLinearBackend([]Item{it}))
@@ -506,7 +506,7 @@ func TestSweepWindowEdges(t *testing.T) {
 		t.Fatalf("tie corpus: distances %d, %d and sizes %d, %d against the query's %d; want 16, 16 and gaps 16, 0",
 			d0, d1, tie[0].OutP.Size, tie[1].OutP.Size, tq.OutP.Size)
 	}
-	cases = append(cases, scanCase("a tie one past the first window", NewPrunedLinearBackend(tie).(*scanBackend), []Item{tq}))
+	cases = append(cases, scanCase("a tie one past the first window", NewPrunedLinearBackend(tie).(*Scan), []Item{tq}))
 
 	for _, c := range cases {
 		n := len(c.live)

@@ -35,7 +35,6 @@ func BenchmarkServeKNNClients(b *testing.B) {
 	if err := s.Registry().Put(tenant); err != nil {
 		b.Fatal(err)
 	}
-	tenant.Corpus.Rebuild() // materialize outside the measured windows
 	nodes := tenant.Corpus.Stats().Nodes
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}

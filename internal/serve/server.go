@@ -487,6 +487,15 @@ func (s *Server) handleCreate(ctx context.Context, r *http.Request) (int, any, e
 	if err := s.decode(r, &cr); err != nil {
 		return 0, nil, err
 	}
+	// A create builds its whole corpus, so a name that cannot register is
+	// refused first. AddTenant checks again: another create may take the
+	// name meanwhile.
+	if err := validateName(cr.Name); err != nil {
+		return 0, nil, err
+	}
+	if _, err := s.reg.Get(cr.Name); err == nil {
+		return 0, nil, fmt.Errorf("%w: %q", ErrCorpusExists, cr.Name)
+	}
 	t, err := CreateTenant(&cr)
 	if err != nil {
 		return 0, nil, err

@@ -364,6 +364,9 @@ func TestErrorMapping(t *testing.T) {
 		{"duplicate create", func() (int, []byte) {
 			return postJSON(t, ts.URL+"/v1/corpora", CreateRequest{Name: "g", K: 2, Graph: ringSpec(4)}, nil)
 		}, http.StatusConflict, "corpus_exists"},
+		{"duplicate create with a bad edge", func() (int, []byte) {
+			return postJSON(t, ts.URL+"/v1/corpora", CreateRequest{Name: "g", K: 2, Graph: &GraphSpec{Nodes: 3, Edges: [][2]int{{0, 5}}}}, nil)
+		}, http.StatusConflict, "corpus_exists"},
 		{"bad l", func() (int, []byte) {
 			return postJSON(t, ts.URL+"/v1/corpora/g/knn", KNNRequest{Node: 0, L: 0}, nil)
 		}, http.StatusBadRequest, "bad_l"},

@@ -34,7 +34,7 @@
 //	g1 := ned.MustGenerateDataset(ned.DatasetPGP, ned.DatasetOptions{})
 //	g2 := ned.MustGenerateDataset(ned.DatasetGNU, ned.DatasetOptions{})
 //
-//	// Index g2's nodes once (lazily, in parallel, on first query).
+//	// Index g2's nodes once, in parallel.
 //	corpus, err := ned.NewCorpus(g2, 3)
 //	if err != nil { ... }
 //

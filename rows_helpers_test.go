@@ -7,16 +7,12 @@ import (
 	"ned/internal/ned"
 )
 
-// items builds every indexed row of the epoch into an item of its own —
-// trees and profiles — in ascending node order (none before
-// materialization).
-func (e *corpusEpoch) items() iter.Seq[ned.Item] {
+// items builds every indexed row of the view into an item of its own —
+// trees and profiles — in ascending node order.
+func (v *corpusView) items() iter.Seq[ned.Item] {
 	return func(yield func(ned.Item) bool) {
-		if e.ix == nil {
-			return
-		}
-		for it := range e.ix.Items() {
-			full, _ := e.ix.Item(it.Node)
+		for it := range v.scan.Items() {
+			full, _ := v.scan.Item(it.Node)
 			if !yield(full) {
 				return
 			}
