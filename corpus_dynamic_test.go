@@ -85,92 +85,46 @@ func TestCorpusChurnEquivalence(t *testing.T) {
 	}
 }
 
-// TestCorpusIsBuiltWhenMade pins the one life stage of a corpus:
-// NewCorpus, LoadCorpus and OpenDurable return it built; Insert, Remove
-// and UpdateGraph right after NewCorpus answer node-identically to a
-// corpus built afresh over the same live nodes; and out-of-range nodes
-// still fail with ErrNodeOutOfRange.
-func TestCorpusIsBuiltWhenMade(t *testing.T) {
+// sameKNN checks that got answers KNN for every node of [0, n) exactly
+// as want does.
+func sameKNN(t *testing.T, label string, got, want *Corpus, n int) {
+	t.Helper()
 	ctx := context.Background()
+	for v := 0; v < n; v++ {
+		a, err := got.KNN(ctx, NodeID(v), 10)
+		if err != nil {
+			t.Fatalf("%s: KNN(%d): %v", label, v, err)
+		}
+		b, err := want.KNN(ctx, NodeID(v), 10)
+		if err != nil {
+			t.Fatalf("%s: fresh KNN(%d): %v", label, v, err)
+		}
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("%s: KNN(%d) = %v, a fresh corpus answers %v", label, v, a, b)
+		}
+	}
+}
+
+// assertBuilt fails unless c reports itself built over nodes nodes.
+func assertBuilt(t *testing.T, label string, c *Corpus, nodes int) {
+	t.Helper()
+	if s := c.Stats(); !s.Built || s.Nodes != nodes {
+		t.Fatalf("%s: stats %+v, want built with %d nodes", label, s, nodes)
+	}
+}
+
+// TestCorpusIsBuiltWhenMade pins the one life stage of a corpus:
+// NewCorpus, LoadCorpus and OpenDurable each return it built, answering
+// node-identically to the corpus it was saved from.
+func TestCorpusIsBuiltWhenMade(t *testing.T) {
 	const k = 2
 	g := randomGraph(30, 60, 903)
-	sameKNN := func(label string, got, want *Corpus, n int) {
-		t.Helper()
-		for v := 0; v < n; v++ {
-			a, err := got.KNN(ctx, NodeID(v), 10)
-			if err != nil {
-				t.Fatalf("%s: KNN(%d): %v", label, v, err)
-			}
-			b, err := want.KNN(ctx, NodeID(v), 10)
-			if err != nil {
-				t.Fatalf("%s: fresh KNN(%d): %v", label, v, err)
-			}
-			if fmt.Sprint(a) != fmt.Sprint(b) {
-				t.Fatalf("%s: KNN(%d) = %v, a fresh corpus answers %v", label, v, a, b)
-			}
-		}
-	}
-	built := func(label string, c *Corpus, nodes int) {
-		t.Helper()
-		if s := c.Stats(); !s.Built || s.Nodes != nodes {
-			t.Fatalf("%s: stats %+v, want built with %d nodes", label, s, nodes)
-		}
-	}
-
-	c, err := NewCorpus(g, k, WithNodes([]NodeID{1, 2, 3, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	built("NewCorpus", c, 3)
-	if err := c.Insert(10, 11); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Remove(2, 25); err != nil { // 25 was never indexed: no-op
-		t.Fatal(err)
-	}
-	built("after Insert and Remove", c, 4)
 	live := []NodeID{1, 3, 10, 11}
-	fresh, err := NewCorpus(g, k, WithNodes(live))
+	c, err := NewCorpus(g, k, WithNodes([]NodeID{1, 3, 10, 11, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameKNN("Insert and Remove", c, fresh, g.NumNodes())
-	assertMatchesOracle(t, "Insert and Remove", c, oracleOver(g, k, live), g, k, 8, 903)
-
-	u, err := NewCorpus(g, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := randomGraph(25, 50, 904)
-	if _, err := u.UpdateGraph(g2); err != nil {
-		t.Fatal(err)
-	}
-	built("after UpdateGraph", u, g2.NumNodes())
-	fresh2, err := NewCorpus(g2, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameKNN("UpdateGraph", u, fresh2, g2.NumNodes())
-
-	for _, v := range []NodeID{999, -1} {
-		if _, err := c.KNN(ctx, v, 3); !errors.Is(err, ErrNodeOutOfRange) {
-			t.Errorf("KNN(%d): got %v, want ErrNodeOutOfRange", v, err)
-		}
-	}
-	if _, err := c.Signature(999); !errors.Is(err, ErrNodeOutOfRange) {
-		t.Errorf("Signature(999): got %v, want ErrNodeOutOfRange", err)
-	}
-	c.ResetStats()
-	sig, err := c.Signature(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.KNNSignature(ctx, sig, 3); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); !s.Built || s.Queries != 1 {
-		t.Errorf("after one query: %+v", s)
-	}
+	assertBuilt(t, "NewCorpus", c, len(live))
 
 	var snap bytes.Buffer
 	if err := c.Snapshot(&snap); err != nil {
@@ -180,8 +134,8 @@ func TestCorpusIsBuiltWhenMade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built("LoadCorpus", loaded, 4)
-	sameKNN("LoadCorpus", loaded, fresh, g.NumNodes())
+	assertBuilt(t, "LoadCorpus", loaded, len(live))
+	sameKNN(t, "LoadCorpus", loaded, c, g.NumNodes())
 
 	dir := t.TempDir()
 	if err := c.MakeDurable(dir, FsyncNone); err != nil {
@@ -195,8 +149,72 @@ func TestCorpusIsBuiltWhenMade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer opened.CloseDurable()
-	built("OpenDurable", opened, 4)
-	sameKNN("OpenDurable", opened, fresh, g.NumNodes())
+	assertBuilt(t, "OpenDurable", opened, len(live))
+	sameKNN(t, "OpenDurable", opened, c, g.NumNodes())
+}
+
+// TestCorpusMutationBeforeBuild checks churn on a corpus that has never
+// been queried: Insert, Remove and UpdateGraph right after NewCorpus
+// leave it built and answering node-identically to a corpus built
+// afresh over the same live nodes. (A corpus has no unbuilt stage any
+// more; the name is kept from when the first query built it.)
+func TestCorpusMutationBeforeBuild(t *testing.T) {
+	const k = 2
+	g := randomGraph(30, 60, 903)
+	c, err := NewCorpus(g, k, WithNodes([]NodeID{1, 2, 3, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBuilt(t, "NewCorpus", c, 3)
+	if err := c.Insert(10, 11); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(2, 25); err != nil { // 25 was never indexed: no-op
+		t.Fatal(err)
+	}
+	assertBuilt(t, "after Insert and Remove", c, 4)
+	live := []NodeID{1, 3, 10, 11}
+	fresh, err := NewCorpus(g, k, WithNodes(live))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameKNN(t, "Insert and Remove", c, fresh, g.NumNodes())
+	assertMatchesOracle(t, "Insert and Remove", c, oracleOver(g, k, live), g, k, 8, 903)
+
+	u, err := NewCorpus(g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := randomGraph(25, 50, 904)
+	if _, err := u.UpdateGraph(g2); err != nil {
+		t.Fatal(err)
+	}
+	assertBuilt(t, "after UpdateGraph", u, g2.NumNodes())
+	fresh2, err := NewCorpus(g2, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameKNN(t, "UpdateGraph", u, fresh2, g2.NumNodes())
+}
+
+// TestCorpusBadNodeDoesNotBuild: an out-of-range node query errors at
+// once with ErrNodeOutOfRange, serves no query and starts no TED*
+// evaluation, so the corpus's stats read as before it.
+func TestCorpusBadNodeDoesNotBuild(t *testing.T) {
+	g := randomGraph(30, 60, 920)
+	c, err := NewCorpus(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	for _, v := range []NodeID{999, -1} {
+		if _, err := c.KNN(context.Background(), v, 3); !errors.Is(err, ErrNodeOutOfRange) {
+			t.Errorf("KNN(%d): got %v, want ErrNodeOutOfRange", v, err)
+		}
+	}
+	if after := c.Stats(); after.Queries != before.Queries || after.DistanceCalls != before.DistanceCalls || !after.Built {
+		t.Errorf("out-of-range KNN changed the stats: before %+v, after %+v", before, after)
+	}
 }
 
 // TestCorpusInsertErrors pins the mutation error contract.

@@ -483,3 +483,31 @@ func TestCorpusDirected(t *testing.T) {
 	}
 
 }
+
+// TestCorpusLazyBuildAndSignature checks Signature and KNNSignature on
+// a corpus that has served no query: it reads built before the first
+// query (there is no lazy build any more), Signature rejects an
+// out-of-range node, and one signature query counts as one.
+func TestCorpusLazyBuildAndSignature(t *testing.T) {
+	g := randomGraph(30, 60, 7)
+	c, err := NewCorpus(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); !s.Built || s.Queries != 0 {
+		t.Errorf("before any query: %+v, want built with no queries", s)
+	}
+	sig, err := c.Signature(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Signature(999); !errors.Is(err, ErrNodeOutOfRange) {
+		t.Errorf("Signature(999): got %v, want ErrNodeOutOfRange", err)
+	}
+	if _, err := c.KNNSignature(context.Background(), sig, 3); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); !s.Built || s.Queries != 1 {
+		t.Errorf("after one query: %+v", s)
+	}
+}
