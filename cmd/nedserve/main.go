@@ -9,7 +9,7 @@
 //
 //	nedserve -addr :8080                                   # empty registry; create corpora over the API
 //	nedserve -addr :8080 -name demo -dataset PGP -k 3      # boot serving a built-in dataset analog
-//	nedserve -addr :8080 -name prod -snapshot c.nedseg     # boot from a NEDSEG03 corpus snapshot (older formats: nedstats -upgrade)
+//	nedserve -addr :8080 -name prod -snapshot c.nedseg     # boot from a NEDSEG04 corpus snapshot (older formats: nedstats -upgrade)
 //	nedserve -addr :8080 -data /var/lib/nedserve           # durable tenants: recover on boot, WAL every mutation
 //
 // Corpora are created and dropped at runtime over the API:
@@ -43,7 +43,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		name     = flag.String("name", "default", "name of the corpus served at boot (with -dataset or -snapshot)")
 		dataset  = flag.String("dataset", "", "boot corpus: built-in dataset analog (CAR, PAR, AMZN, DBLP, GNU, PGP)")
-		snapshot = flag.String("snapshot", "", "boot corpus: ned corpus snapshot file, a NEDSEG03 segment (convert an older corpus, NEDSEG01, NEDSEG02 or text, with nedstats -upgrade)")
+		snapshot = flag.String("snapshot", "", "boot corpus: ned corpus snapshot file, a NEDSEG04 segment (convert an older corpus, NEDSEG01, NEDSEG02, NEDSEG03 or text, with nedstats -upgrade)")
 		k        = flag.Int("k", 3, "boot corpus neighborhood depth (dataset only; snapshots record their own)")
 		workers  = flag.Int("workers", 0, "boot corpus worker count (0 = GOMAXPROCS)")
 		scale    = flag.Float64("scale", 1.0, "boot dataset scale factor")

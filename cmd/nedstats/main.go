@@ -8,7 +8,7 @@
 //	nedstats -dataset PGP [-scale 1.0] [-seed 42]
 //	nedstats -file path/to/graph.edges
 //	nedstats -dataset PGP -probe 20 [-k 3]   # report filter-cascade effectiveness too
-//	nedstats -upgrade old.nedcorpus new.nedseg   # convert a corpus file to NEDSEG03
+//	nedstats -upgrade old.nedcorpus new.nedseg   # convert a corpus file to NEDSEG04
 //	nedstats -upgrade /var/lib/nedserve/prod     # convert a durable directory in place
 //
 // With -probe N, nedstats builds a corpus over the graph, runs N
@@ -22,8 +22,8 @@
 // offline tooling and the serving tier can never drift apart.
 //
 // With -upgrade, nedstats converts a corpus an earlier build wrote (a
-// NEDSEG01 or NEDSEG02 segment or a text corpus, which the engine
-// rejects with ned.ErrLegacyFormat) to NEDSEG03: SRC DST writes SRC's
+// NEDSEG01, NEDSEG02 or NEDSEG03 segment or a text corpus, which the
+// engine rejects with ned.ErrLegacyFormat) to NEDSEG04: SRC DST writes SRC's
 // corpus to DST; DIR rewrites a durable directory's legacy checkpoints
 // in place, logs untouched. Both write atomically, print each file's
 // bytes before and after, and a rerun changes nothing.
@@ -55,7 +55,7 @@ func main() {
 		k       = flag.Int("k", 3, "neighborhood depth for the probe and -json corpora")
 		probe   = flag.Int("probe", 0, "run this many self-KNN queries and report the filter-cascade work profile (0 = off)")
 		asJSON  = flag.Bool("json", false, "emit the corpus stats as the nedserve machine-readable stats document")
-		upgrade = flag.Bool("upgrade", false, "convert an earlier build's corpus (NEDSEG01, NEDSEG02, text) to NEDSEG03: -upgrade SRC DST (a file) or -upgrade DIR (a durable directory)")
+		upgrade = flag.Bool("upgrade", false, "convert an earlier build's corpus (NEDSEG01, NEDSEG02, NEDSEG03, text) to NEDSEG04: -upgrade SRC DST (a file) or -upgrade DIR (a durable directory)")
 	)
 	flag.Parse()
 	if *upgrade {
@@ -193,7 +193,7 @@ func probeCascade(g *graph.Graph, k, n int) {
 	fmt.Printf("    tier 2 (degree sequence) %s\n", per(s.LabelPrunes))
 }
 
-// upgradeCorpus converts legacy corpora to NEDSEG03: args are SRC DST
+// upgradeCorpus converts legacy corpora to NEDSEG04: args are SRC DST
 // (a file) or DIR (a durable directory).
 func upgradeCorpus(args []string) {
 	switch len(args) {
@@ -206,7 +206,7 @@ func upgradeCorpus(args []string) {
 			fatal(err)
 		}
 		if len(done) == 0 {
-			fmt.Printf("%s: every checkpoint is NEDSEG03 already\n", args[0])
+			fmt.Printf("%s: every checkpoint is NEDSEG04 already\n", args[0])
 		}
 	case 2:
 		src, err := os.ReadFile(args[0])
@@ -224,7 +224,7 @@ func upgradeCorpus(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%s (%s) -> %s (NEDSEG03), %s\n", args[0], format, args[1], sizes(int64(len(src)), fi.Size()))
+		fmt.Printf("%s (%s) -> %s (NEDSEG04), %s\n", args[0], format, args[1], sizes(int64(len(src)), fi.Size()))
 	default:
 		fmt.Fprintln(os.Stderr, "nedstats: -upgrade takes SRC DST or DIR")
 		os.Exit(2)

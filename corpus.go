@@ -48,13 +48,13 @@ var (
 	// snapshot without WithGraph.
 	ErrNoGraph = errors.New("ned: corpus has no graph")
 	// ErrBadSnapshot reports a corpus snapshot LoadCorpus could not
-	// parse: corrupt input, a format other than NEDSEG03, or metadata
+	// parse: corrupt input, a format other than NEDSEG04, or metadata
 	// disagreeing with the items.
 	ErrBadSnapshot = errors.New("ned: bad corpus snapshot")
 	// ErrLegacyFormat reports a corpus an earlier build wrote — a
-	// NEDSEG01 or NEDSEG02 segment or a text manifest — which no longer
-	// loads; `nedstats -upgrade` converts it to NEDSEG03. LoadCorpus wraps it in
-	// ErrBadSnapshot.
+	// NEDSEG01, NEDSEG02 or NEDSEG03 segment or a text manifest — which
+	// no longer loads; `nedstats -upgrade` converts it to NEDSEG04.
+	// LoadCorpus wraps it in ErrBadSnapshot.
 	ErrLegacyFormat = errors.New("ned: legacy corpus format; convert it with nedstats -upgrade")
 )
 

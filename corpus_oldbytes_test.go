@@ -21,16 +21,16 @@ import (
 // backend name into every snapshot header and, on a VP-backed corpus,
 // one vantage-point-tree dump per shard into every segment and
 // checkpoint. The engine writes neither any more ("pruned", no dumps)
-// and reads both in NEDSEG03: names parse and are ignored, dump sections
+// and reads both in NEDSEG04: names parse and are ignored, dump sections
 // are framed and checksummed like any section and then dropped.
 //
 // Builds before hash-only placement could also move nodes off their hash
 // shard and recorded where in a v3 text manifest (base= and a redirect
 // line) or a placement section of a NEDSEG01 segment. Nothing writes
-// either any more, and LoadCorpus and OpenDurable reject text, NEDSEG01
-// and NEDSEG02 with ErrLegacyFormat: the offline converter
+// either any more, and LoadCorpus and OpenDurable reject text, NEDSEG01,
+// NEDSEG02 and NEDSEG03 with ErrLegacyFormat: the offline converter
 // (internal/legacy, nedstats -upgrade) validates them, drops the
-// placement and writes NEDSEG03, whose items land in the one scan. The suites below convert
+// placement and writes NEDSEG04, whose items land in the one scan. The suites below convert
 // first and then assert what they asserted when LoadCorpus still read
 // these formats. testdata holds three files such a build wrote (commit
 // ae70028: `Snapshot`, `SnapshotSegment`, `MakeDurable`+`Checkpoint`): a
@@ -38,7 +38,9 @@ import (
 // fifth slot, shard 1 folded into it and left an empty husk — redirect
 // 0,4,2,3 and nodes 9, 20, 28, 33 moved to slot 4. testdata/v2_durable
 // is the durable directory of the NEDSEG02 build (MakeDurable over
-// rebalancedGraph at k = 2, then Remove 2, 9, 4 and Insert 4, logged).
+// rebalancedGraph at k = 2, then Remove 2, 9, 4 and Insert 4, logged),
+// and testdata/v3_durable the same history the NEDSEG03 build (commit
+// 0cd1c76) wrote.
 
 const rebalancedK = 2
 
@@ -93,7 +95,7 @@ func upgradedDir(t *testing.T, src string) string {
 	return dir
 }
 
-// withSegmentMagic is a legacy segment with the NEDSEG03 magic:
+// withSegmentMagic is a legacy segment with the NEDSEG04 magic:
 // segment.Verify walks the framing and checksums, which all share.
 func withSegmentMagic(b []byte) []byte {
 	return append([]byte(segment.Magic), b[len(segment.Magic):]...)
@@ -571,7 +573,7 @@ func TestDurableOpensV1WALWithTrees(t *testing.T) {
 
 // reopenFromCheckpoint checkpoints c (making it durable in a fresh
 // directory first if it is not), closes it, requires the newest
-// checkpoint to be a NEDSEG03 segment, and reopens the directory.
+// checkpoint to be a NEDSEG04 segment, and reopens the directory.
 func reopenFromCheckpoint(t *testing.T, label string, c *Corpus, dir string) *Corpus {
 	t.Helper()
 	if _, _, durable := c.DurableStats(); durable {
@@ -592,20 +594,20 @@ func reopenFromCheckpoint(t *testing.T, label string, c *Corpus, dir string) *Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(raw, []byte(segment.Magic)) || segment.Magic != "NEDSEG03" {
-		t.Fatalf("%s: checkpoint starts %q, want NEDSEG03", label, raw[:8])
+	if !bytes.HasPrefix(raw, []byte(segment.Magic)) || segment.Magic != "NEDSEG04" {
+		t.Fatalf("%s: checkpoint starts %q, want NEDSEG04", label, raw[:8])
 	}
 	re, err := OpenDurable(dir, FsyncNone)
 	if err != nil {
-		t.Fatalf("%s: OpenDurable from the NEDSEG03 checkpoint: %v", label, err)
+		t.Fatalf("%s: OpenDurable from the NEDSEG04 checkpoint: %v", label, err)
 	}
 	return re
 }
 
-// TestOldBytesReopenFromNEDSEG03: every old-bytes fixture converts and
-// loads, and after one checkpoint — which writes NEDSEG03, each tree as
+// TestOldBytesReopenFromNEDSEG04: every old-bytes fixture converts and
+// loads, and after one checkpoint — which writes NEDSEG04, each tree as
 // its row's bytes — reopens from it with answers equal to the oracle's.
-func TestOldBytesReopenFromNEDSEG03(t *testing.T) {
+func TestOldBytesReopenFromNEDSEG04(t *testing.T) {
 	g := rebalancedGraph()
 	o := oracleOver(g, rebalancedK, allNodes(g))
 	for _, path := range []string{"testdata/corpus_v3_rebalanced.nedcorpus", "testdata/rebalanced.nedseg"} {
@@ -638,7 +640,7 @@ func TestOldBytesReopenFromNEDSEG03(t *testing.T) {
 			live[v] = true
 		}
 	}
-	for _, src := range []string{"rebalanced_durable", "v2_durable"} {
+	for _, src := range []string{"rebalanced_durable", "v2_durable", "v3_durable"} {
 		dir := upgradedDir(t, "testdata/"+src)
 		re := reopenFromCheckpoint(t, src, open(dir), dir)
 		assertLoaded(t, src+" reopened", re, oracleOver(g, rebalancedK, sortedNodes(live)), 2860)
@@ -694,7 +696,7 @@ func TestOldBytesReopenFromNEDSEG03(t *testing.T) {
 
 // TestLoadCorpusRejectsLegacyFormats: every fixture an earlier build
 // wrote, unconverted, fails LoadCorpus with ErrBadSnapshot and an error
-// naming the converter; a text manifest and a NEDSEG01 or NEDSEG02
+// naming the converter; a text manifest and a NEDSEG01, NEDSEG02 or NEDSEG03
 // segment also match ErrLegacyFormat. A header-less signature file is no corpus
 // format of its own: it is a bad snapshot that names the converter.
 func TestLoadCorpusRejectsLegacyFormats(t *testing.T) {
@@ -707,6 +709,7 @@ func TestLoadCorpusRejectsLegacyFormats(t *testing.T) {
 	for _, path := range []string{
 		"testdata/corpus_v3_rebalanced.nedcorpus", "testdata/rebalanced.nedseg",
 		"internal/segment/testdata/golden-v1.nedseg", "internal/segment/testdata/golden-v2.nedseg",
+		"internal/segment/testdata/golden-v3.nedseg", "testdata/v3_durable/checkpoint-00000000.nedseg",
 		"testdata/v2_durable/checkpoint-00000000.nedseg", "internal/ned/testdata/corpus_v1.golden",
 		"internal/ned/testdata/corpus_v1_directed.golden", "internal/ned/testdata/corpus_v2.golden",
 	} {
@@ -735,7 +738,7 @@ func TestLoadCorpusRejectsLegacyFormats(t *testing.T) {
 // ErrLegacyFormat before touching it — no quarantine rename, no swept or
 // appended file — so the converter still finds every byte.
 func TestDurableLeavesLegacyDirectoriesUntouched(t *testing.T) {
-	for _, src := range []string{"testdata/rebalanced_durable", "testdata/v1wal_durable/undirected", "testdata/v1wal_durable/directed", "testdata/v2_durable"} {
+	for _, src := range []string{"testdata/rebalanced_durable", "testdata/v1wal_durable/undirected", "testdata/v1wal_durable/directed", "testdata/v2_durable", "testdata/v3_durable"} {
 		dir := t.TempDir()
 		if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
 			t.Fatal(err)

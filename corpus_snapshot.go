@@ -14,7 +14,7 @@ import (
 // Snapshot writes the corpus — its configuration, the subtree-shape
 // dictionary, every live signature (mutations included) as the interned
 // labels of its tree's levels above the deepest, and the backing graph
-// when one is attached — to w as a NEDSEG03 binary segment
+// when one is attached — to w as a NEDSEG04 binary segment
 // (internal/segment), length- and checksum-framed, the one corpus
 // format this build writes. LoadCorpus derives every tree and compiled
 // cascade profile from those labels and the dictionary, without
@@ -42,9 +42,9 @@ func (c *Corpus) writeSegment(w io.Writer, v *corpusView) error {
 	return segment.WriteRows(w, meta, c.dict, v.g, v.scan.Rows())
 }
 
-// LoadCorpus restores a corpus from a Snapshot stream: a NEDSEG03
+// LoadCorpus restores a corpus from a Snapshot stream: a NEDSEG04
 // segment, the one format this build reads and writes. Any other input
-// fails with ErrBadSnapshot; a NEDSEG01 or NEDSEG02 segment or a text
+// fails with ErrBadSnapshot; a NEDSEG01, NEDSEG02 or NEDSEG03 segment or a text
 // manifest of an earlier build also matches ErrLegacyFormat, and
 // `nedstats -upgrade` converts it. Whatever backend the segment names, and whatever VP-tree
 // dumps it carries, the restored corpus serves from the one cascade scan;
@@ -99,8 +99,8 @@ func LoadCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 }
 
 // legacyPrefixes start the corpus formats earlier builds wrote: a
-// NEDSEG01 or NEDSEG02 segment and a text manifest.
-var legacyPrefixes = []string{"NEDSEG01", "NEDSEG02", legacyTextHeader}
+// NEDSEG01, NEDSEG02 or NEDSEG03 segment and a text manifest.
+var legacyPrefixes = []string{"NEDSEG01", "NEDSEG02", "NEDSEG03", legacyTextHeader}
 
 const legacyTextHeader = "# ned corpus v"
 

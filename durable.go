@@ -17,7 +17,7 @@ import (
 )
 
 // Durable corpora. A durable directory holds numbered generations of
-// two files: a binary segment checkpoint (the full corpus as NEDSEG03:
+// two files: a binary segment checkpoint (the full corpus as NEDSEG04:
 // the shape dictionary, the backing graph, and each signature tree as
 // the interned labels of its levels above the deepest, from which a
 // load derives every tree and compiled profile column without

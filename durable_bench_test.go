@@ -120,7 +120,9 @@ func BenchmarkDurableLog(b *testing.B) {
 // checkpoint's bytes and one OpenDurable of the directory plus the
 // first KNN. It reports:
 //
-//   - ckpt_B/node: the checkpoint file's bytes per corpus node;
+//   - ckpt_B/node: the checkpoint file's bytes per corpus node, and of
+//     them dict_B/node, graph_B/node and rows_B/node: the payloads of its
+//     dict section, its graph section and its item tables;
 //   - ckpt_ms: one Checkpoint's wall time (FsyncNone);
 //   - load_cpu_ms: LoadCorpus alone, as process CPU (user + system, from
 //     getrusage), the checkpoint already in memory;
@@ -173,6 +175,14 @@ func BenchmarkCorpusRestart(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			var sections [segment.SecIndex + 1]float64 // payload bytes per section type
+			for r := bytes.NewReader(blob[len(segment.Magic):]); r.Len() > 0; {
+				typ, payload, err := segment.ReadSection(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sections[typ] += float64(len(payload))
+			}
 			for i := range 32 {
 				v := NodeID(i * 97 % g.NumNodes())
 				if err := c.Remove(v); err != nil {
@@ -220,6 +230,9 @@ func BenchmarkCorpusRestart(b *testing.B) {
 			}
 			n := float64(b.N)
 			b.ReportMetric(size/n/nodes, "ckpt_B/node")
+			b.ReportMetric(sections[segment.SecDict]/nodes, "dict_B/node")
+			b.ReportMetric(sections[segment.SecGraph]/nodes, "graph_B/node")
+			b.ReportMetric(sections[segment.SecShard]/nodes, "rows_B/node")
 			b.ReportMetric(float64(ckpt.Microseconds())/1e3/n, "ckpt_ms")
 			b.ReportMetric(float64(loadCPU.Microseconds())/1e3/n, "load_cpu_ms")
 			b.ReportMetric(float64(openCPU.Microseconds())/1e3/n, "open_cpu_ms")

@@ -48,6 +48,28 @@ func TestEngineRankingMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// rankings returns the exhaustive ranking of each query over pool: every
+// candidate by (distance, node), ned.TopL at the pool's size, computed
+// once a query and in parallel. ned.TopL at any l is a prefix of it, and,
+// the pool ascending by node, ned.NearestSet is its leading run of equal
+// distances (leading).
+func rankings(queries, pool []ned.Signature) [][]ned.Neighbor {
+	out := make([][]ned.Neighbor, len(queries))
+	ned.ParallelForCtx(context.Background(), len(queries), 0, func(i int) {
+		out[i] = ned.TopL(queries[i], pool, len(pool))
+	})
+	return out
+}
+
+// leading is the run of a ranking's candidates at its least distance.
+func leading(ranked []ned.Neighbor) []ned.Neighbor {
+	n := 0
+	for n < len(ranked) && ranked[n].Dist == ranked[0].Dist {
+		n++
+	}
+	return ranked[:n]
+}
+
 func checkFigure8(t *testing.T, o Options) {
 	const topL = 10
 	tb := Figure8(o, topL)
@@ -56,13 +78,20 @@ func checkFigure8(t *testing.T, o Options) {
 	for k := 1; k <= 6; k++ {
 		c := wholeGraph(gb, k)
 		pool := ned.Signatures(gb, allNodes(gb), k)
+		qs := ned.Signatures(ga, queries, k)
+		ranked := rankings(qs, pool)
+		// The ranking's derivations, checked against the functions they
+		// stand for on one query.
+		if want, got := ned.NearestSet(qs[0], pool), leading(ranked[0]); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: the ranking's leading run %v, NearestSet %v", k, got, want)
+		}
 		var sumNN, sumTies float64
-		for _, q := range ned.Signatures(ga, queries, k) {
-			wantNN := ned.NearestSet(q, pool)
+		for i, q := range qs {
+			wantNN := leading(ranked[i])
 			if got := must(c.NearestSet(ctx, q)); !slices.Equal(got, wantNN) {
 				t.Errorf("k=%d query %d: NearestSet %v, exhaustive %v", k, q.Node, got, wantNN)
 			}
-			want := ned.TopL(q, pool, topL)
+			want := ranked[i][:min(topL, len(ranked[i]))]
 			if got := must(c.KNNSignature(ctx, q, topL)); !slices.Equal(got, want) {
 				t.Errorf("k=%d query %d: top-%d %v, exhaustive %v", k, q.Node, topL, got, want)
 			}
@@ -80,11 +109,27 @@ func checkFigure8(t *testing.T, o Options) {
 func checkDeanon(t *testing.T, tb Table, train *graph.Graph, cases []deanonCase) {
 	c := wholeGraph(train, deanonK)
 	pool := ned.Signatures(train, allNodes(train), deanonK)
+	// Each (testing graph, query) ranking once: Fig. 11b's cases share
+	// one graph and one query sample.
+	type key struct {
+		g *graph.Graph
+		q graph.NodeID
+	}
+	memo := map[key][]ned.Neighbor{}
 	for i, dc := range cases {
+		var todo []graph.NodeID
+		for _, q := range dc.e.Queries {
+			if _, ok := memo[key{dc.test, q}]; !ok {
+				todo = append(todo, q)
+			}
+		}
+		for j, r := range rankings(ned.Signatures(dc.test, todo, deanonK), pool) {
+			memo[key{dc.test, todo[j]}] = r
+		}
 		var want [][]graph.NodeID
 		exhaustive := func(q graph.NodeID, l int) []graph.NodeID {
 			var nodes []graph.NodeID
-			for _, n := range ned.TopL(ned.NewSignature(dc.test, q, deanonK), pool, l) {
+			for _, n := range memo[key{dc.test, q}][:min(l, len(pool))] {
 				nodes = append(nodes, n.Node)
 			}
 			want = append(want, nodes)

@@ -255,6 +255,59 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// FromLists builds the graph whose node u stores lists[off[u]:off[u+1]]:
+// undirected, its neighbours above u; directed, its out-neighbours. The
+// caller guarantees every list is strictly ascending, below the node
+// count len(off)-1, and, directed, free of u itself; nothing is sorted
+// or deduplicated. A directed graph adopts off and lists as its
+// out-adjacency.
+func FromLists(directed bool, off []int32, lists []NodeID) *Graph {
+	n := len(off) - 1
+	g := &Graph{directed: directed, numEdges: len(lists)}
+	if directed {
+		g.offsets, g.adj = off, lists
+		ideg := make([]int32, n+1)
+		for _, v := range lists {
+			ideg[v+1]++
+		}
+		for i := 1; i <= n; i++ {
+			ideg[i] += ideg[i-1]
+		}
+		g.inOffsets, g.inAdj = ideg, make([]NodeID, len(lists))
+		cursor := slices.Clone(ideg[:n])
+		for u := range NodeID(n) {
+			for _, v := range lists[off[u]:off[u+1]] {
+				g.inAdj[cursor[v]] = u
+				cursor[v]++
+			}
+		}
+		return g
+	}
+	g.offsets = make([]int32, n+1)
+	for u := range n {
+		g.offsets[u+1] += off[u+1] - off[u]
+		for _, v := range lists[off[u]:off[u+1]] {
+			g.offsets[v+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		g.offsets[i] += g.offsets[i-1]
+	}
+	g.adj = make([]NodeID, 2*len(lists))
+	// As Build fills in canonical edge order: node u's neighbours below
+	// it arrive, ascending, before its own list is walked.
+	cursor := slices.Clone(g.offsets[:n])
+	for u := range NodeID(n) {
+		for _, v := range lists[off[u]:off[u+1]] {
+			g.adj[cursor[u]] = v
+			cursor[u]++
+			g.adj[cursor[v]] = u
+			cursor[v]++
+		}
+	}
+	return g
+}
+
 // FromEdges builds an undirected graph with n nodes from an edge list.
 func FromEdges(n int, edges []Edge) *Graph {
 	b := NewBuilder(n, false)

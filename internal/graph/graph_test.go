@@ -386,3 +386,37 @@ func TestPatchReplaysEdgeDiff(t *testing.T) {
 		}
 	}
 }
+
+// FromLists builds, from each node's stored list, the graph Build makes
+// of the same edges: every adjacency, both directions of a directed one.
+func TestFromListsMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := range 40 {
+		directed := trial%2 == 1
+		n := 1 + rng.Intn(30)
+		b := NewBuilder(n, directed)
+		for range rng.Intn(4 * n) {
+			b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		want := b.Build()
+		off, lists := []int32{0}, []NodeID(nil)
+		for u := range NodeID(n) {
+			for _, v := range want.Neighbors(u) {
+				if directed || v > u {
+					lists = append(lists, v)
+				}
+			}
+			off = append(off, int32(len(lists)))
+		}
+		got := FromLists(directed, off, lists)
+		if got.NumNodes() != n || got.NumEdges() != want.NumEdges() || got.Directed() != directed {
+			t.Fatalf("trial %d: %v, want %v", trial, got, want)
+		}
+		for v := range NodeID(n) {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) || !slices.Equal(got.InNeighbors(v), want.InNeighbors(v)) {
+				t.Fatalf("trial %d node %d: lists %v/%v, want %v/%v", trial, v,
+					got.Neighbors(v), got.InNeighbors(v), want.Neighbors(v), want.InNeighbors(v))
+			}
+		}
+	}
+}

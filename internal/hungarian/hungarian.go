@@ -4,7 +4,10 @@
 // with dual potentials (Jonker–Volgenant style).
 //
 // TED* (§5.5 of the NED paper) solves one such matching per tree level;
-// this package is its hot path.
+// this package is its hot path. Solver.SolveAtMost defers the textbook
+// loop's per-step dual updates to one per row, so each step of a row's
+// search is a single pass over one cost row, and returns exactly the
+// textbook loop's matching, totals and abort partials.
 package hungarian
 
 import "math"
@@ -19,12 +22,19 @@ const Inf = math.MaxInt64 / 4
 // TED* hot path depends on (one matching per tree level per candidate
 // pair). A Solver is not safe for concurrent use; pool one per worker.
 type Solver struct {
-	u, v   []int64
+	u, v   []int64 // the row and column duals
 	p, way []int
-	minv   []int64
-	used   []bool
+	minv   []int64 // per row: a free column's slack plus the deltas so far; Inf once used
+	vk     []int64 // per row: a free column's dual; usedV once used
+	at     []int64 // the deltas so far when each column was used
+	cols   []int   // the columns used by a row's search, in order
 	assign []int
 }
+
+// usedV is a used column's entry in Solver.vk: it lifts the column's
+// reduced cost above Inf, its minv, so the scan neither updates nor
+// picks it.
+const usedV = -2 * Inf
 
 // grow sizes every buffer for an n×n problem.
 func (s *Solver) grow(n int) {
@@ -34,7 +44,9 @@ func (s *Solver) grow(n int) {
 		s.p = make([]int, n+1)
 		s.way = make([]int, n+1)
 		s.minv = make([]int64, n+1)
-		s.used = make([]bool, n+1)
+		s.vk = make([]int64, n+1)
+		s.at = make([]int64, n+1)
+		s.cols = make([]int, 0, n)
 		s.assign = make([]int, n)
 	}
 	s.u = s.u[:n+1]
@@ -42,13 +54,12 @@ func (s *Solver) grow(n int) {
 	s.p = s.p[:n+1]
 	s.way = s.way[:n+1]
 	s.minv = s.minv[:n+1]
-	s.used = s.used[:n+1]
+	s.vk = s.vk[:n+1]
+	s.at = s.at[:n+1]
 	s.assign = s.assign[:n]
-	for i := range s.u {
-		s.u[i] = 0
-		s.v[i] = 0
-		s.p[i] = 0
-	}
+	clear(s.u)
+	clear(s.v)
+	clear(s.p)
 }
 
 // Solve computes the minimum-cost perfect matching of the row-major n×n
@@ -67,53 +78,65 @@ func (s *Solver) Solve(cost []int64, n int) (total int64, rowToCol []int) {
 // the solver stops. It returns (partial, nil, false) in that case, where
 // partial > budget lower-bounds the true optimum; otherwise it returns
 // the exact (total, assignment, true), bit-identical to Solve.
+//
+// Each row's search is the textbook shortest-augmenting-path loop,
+// which after every step moves the duals of the columns the path uses
+// and the slack of every other by that step's delta. Here the moves are
+// deferred: a free column's minv is its slack plus the deltas so far,
+// so a step adds nothing to it, and a used column records the deltas so
+// far when it was used, so the row's duals move once, after its search.
+// A used column's vk and minv are sentinels that keep it out of the
+// scan's comparisons, so a step is one pass over the cost row. The scan
+// ascends and takes a column only on a strictly smaller minv, as the
+// textbook loop does, so the path, the matching, the totals and the
+// abort partials are exactly its.
 func (s *Solver) SolveAtMost(cost []int64, n int, budget int64) (total int64, rowToCol []int, complete bool) {
 	if n == 0 {
 		return 0, nil, true
 	}
 	s.grow(n)
-	u, v, p, way, minv, used := s.u, s.v, s.p, s.way, s.minv, s.used
+	u, v, p, way, minv, vk, at := s.u, s.v, s.p, s.way, s.minv, s.vk, s.at
+	// Column j+1's minv and vk, for the scan.
+	mv, kv := minv[1:n+1], vk[1:n+1]
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
-		j0 := 0
-		for j := 0; j <= n; j++ {
+		copy(vk, v)
+		for j := range minv {
 			minv[j] = Inf
-			used[j] = false
 		}
+		cols := s.cols[:0]
+		j0, sum := 0, int64(0) // sum: the deltas so far
+		at[0] = 0
 		for {
-			used[j0] = true
 			i0 := p[j0]
-			base := (i0 - 1) * n
-			var delta int64 = Inf
-			j1 := -1
-			for j := 1; j <= n; j++ {
-				if used[j] {
-					continue
+			// Row i0's dual as of this step, less the deltas so far.
+			ui := u[i0] - at[j0]
+			row := cost[(i0-1)*n : i0*n]
+			best, j1 := int64(Inf), -1
+			for j, c := range row {
+				if cur := c - ui - kv[j]; cur < mv[j] {
+					mv[j] = cur
+					way[j+1] = j0
 				}
-				cur := cost[base+j-1] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
-				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
+				if mv[j] < best {
+					best, j1 = mv[j], j
 				}
 			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
-					u[p[j]] += delta
-					v[j] -= delta
-				} else {
-					minv[j] -= delta
-				}
-			}
-			j0 = j1
+			sum, j0 = best, j1+1
 			if p[j0] == 0 {
 				break
 			}
+			at[j0], vk[j0], minv[j0] = sum, usedV, Inf
+			cols = append(cols, j0)
 		}
+		u[i] += sum
+		for _, j := range cols {
+			d := sum - at[j]
+			u[p[j]] += d
+			v[j] -= d
+		}
+		s.cols = cols
 		for j0 != 0 {
 			j1 := way[j0]
 			p[j0] = p[j1]

@@ -1,7 +1,7 @@
 // Package legacy converts the corpus formats earlier builds wrote — text
 // corpora v0–v3, NEDSEG01 segments, placement directories included, and
-// NEDSEG02 segments — to NEDSEG03, the one format the engine loads. Only the offline
-// converter, nedstats -upgrade, uses it.
+// NEDSEG02 and NEDSEG03 segments — to NEDSEG04, the one format the engine
+// loads. Only the offline converter, nedstats -upgrade, uses it.
 package legacy
 
 import (
@@ -17,13 +17,15 @@ import (
 	"ned/internal/tree"
 )
 
-// Upgrade writes the corpus src holds to w as a NEDSEG03 segment, as the
-// engine writes a corpus, and names the format it found: a NEDSEG03
+// Upgrade writes the corpus src holds to w as a NEDSEG04 segment, as the
+// engine writes a corpus, and names the format it found: a NEDSEG04
 // segment passes segment.Verify and is written back byte for byte; a
+// NEDSEG03 segment has its dictionary and graph re-coded (transcodeV3)
+// and, once segment.Read has checked the result, is written as that; a
 // NEDSEG01 segment is transcoded to NEDSEG02 and on, as a NEDSEG02 one
-// is, to NEDSEG03. A
-// text corpus has no dictionary or graph: its trees are profiled against
-// a fresh dictionary, and the segment carries no graph.
+// is, to NEDSEG03 and NEDSEG04. A text corpus has no dictionary or
+// graph: its trees are profiled against a fresh dictionary, and the
+// segment carries no graph.
 func Upgrade(w io.Writer, src []byte) (string, error) {
 	switch {
 	case segment.IsSegment(src):
@@ -40,6 +42,15 @@ func Upgrade(w io.Writer, src []byte) (string, error) {
 		return magicV1, err
 	case bytes.HasPrefix(src, []byte(magicV2)):
 		return magicV2, upgradeV2(w, src)
+	case bytes.HasPrefix(src, []byte(magicV3)):
+		b, err := transcodeV3(src)
+		if err == nil {
+			_, _, _, _, _, err = segment.Read(bytes.NewReader(b))
+		}
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		return magicV3, err
 	}
 	meta, items, err := ReadCorpusItems(bytes.NewReader(src))
 	format := fmt.Sprintf("text v%d", meta.Version)
@@ -67,10 +78,13 @@ func Upgrade(w io.Writer, src []byte) (string, error) {
 }
 
 // upgradeV2 writes the corpus of the NEDSEG02 segment b to w: its
-// transcoding (transcodeV2) goes through segment.Read, so every check of
-// the one decoder runs on old bytes.
+// transcoding (transcodeV2, then transcodeV3) goes through segment.Read,
+// so every check of the one decoder runs on old bytes.
 func upgradeV2(w io.Writer, b []byte) error {
 	b, err := transcodeV2(b)
+	if err == nil {
+		b, err = transcodeV3(b)
+	}
 	if err != nil {
 		return err
 	}
@@ -102,8 +116,8 @@ type Converted struct {
 }
 
 // UpgradeDir converts each checkpoint of the durable directory dir that
-// is not NEDSEG03, atomically in place, and returns those it rewrote; it
-// leaves logs and NEDSEG03 checkpoints as they are.
+// is not NEDSEG04, atomically in place, and returns those it rewrote; it
+// leaves logs and NEDSEG04 checkpoints as they are.
 func UpgradeDir(dir string) ([]Converted, error) {
 	seqs, err := segment.Checkpoints(dir)
 	if err != nil {

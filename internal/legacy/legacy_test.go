@@ -19,14 +19,14 @@ import (
 )
 
 // The fixtures an earlier build wrote, one per legacy format, and the
-// durable directories whose checkpoints are NEDSEG01 or NEDSEG02.
+// durable directories whose checkpoints are NEDSEG01, NEDSEG02 or NEDSEG03.
 var (
 	textFixtures = []string{
 		"../ned/testdata/corpus_v1.golden", "../ned/testdata/corpus_v1_directed.golden", "../ned/testdata/corpus_v2.golden",
 		"../../testdata/corpus_v3_rebalanced.nedcorpus",
 	}
-	segmentFixtures = []string{"../segment/testdata/golden-v1.nedseg", "../../testdata/rebalanced.nedseg", "../segment/testdata/golden-v2.nedseg"}
-	durableFixtures = []string{"../../testdata/rebalanced_durable", "../../testdata/v1wal_durable/undirected", "../../testdata/v1wal_durable/directed", "../../testdata/v2_durable"}
+	segmentFixtures = []string{"../segment/testdata/golden-v1.nedseg", "../../testdata/rebalanced.nedseg", "../segment/testdata/golden-v2.nedseg", "../segment/testdata/golden-v3.nedseg"}
+	durableFixtures = []string{"../../testdata/rebalanced_durable", "../../testdata/v1wal_durable/undirected", "../../testdata/v1wal_durable/directed", "../../testdata/v2_durable", "../../testdata/v3_durable"}
 )
 
 func readFile(t testing.TB, path string) []byte {
@@ -68,7 +68,7 @@ func signatureFile(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// Every legacy fixture converts to a NEDSEG03 segment the engine reads,
+// Every legacy fixture converts to a NEDSEG04 segment the engine reads,
 // holding the fixture's nodes, and converting the result again changes
 // no byte.
 func TestUpgradeConvertsEveryFixture(t *testing.T) {
@@ -91,8 +91,8 @@ func TestUpgradeConvertsEveryFixture(t *testing.T) {
 	}
 }
 
-// UpgradeDir rewrites each NEDSEG01 or NEDSEG02 checkpoint of a durable
-// directory as NEDSEG03, reporting both sizes, leaves every log
+// UpgradeDir rewrites each NEDSEG01, NEDSEG02 or NEDSEG03 checkpoint of a
+// durable directory as NEDSEG04, reporting both sizes, leaves every log
 // byte-identical, and a rerun changes no byte.
 func TestUpgradeDirConvertsCheckpointsOnly(t *testing.T) {
 	for _, src := range durableFixtures {
@@ -107,7 +107,7 @@ func TestUpgradeDirConvertsCheckpointsOnly(t *testing.T) {
 		}
 		after := dirBytes(t, dir)
 		if c := done[0]; c.Before != int64(len(before[c.Path])) || c.After != int64(len(after[c.Path])) ||
-			(c.Format != magicV1 && c.Format != magicV2) {
+			(c.Format != magicV1 && c.Format != magicV2 && c.Format != magicV3) {
 			t.Errorf("%s: UpgradeDir reports %+v, want %d -> %d bytes from a legacy segment",
 				src, c, len(before[c.Path]), len(after[c.Path]))
 		}
@@ -157,7 +157,9 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 // the engine reads. Seeds: every checked-in text snapshot, v3 included,
 // then the NEDSEG01 golden, its prefix, and its trees rewritten into
 // columns NEDSEG02 cannot express (v1Cases), then the NEDSEG02 golden,
-// its prefix, and the NEDSEG02 checkpoint of testdata/v2_durable.
+// its prefix, and the NEDSEG02 checkpoint of testdata/v2_durable, then
+// the NEDSEG03 golden, its prefix, and the NEDSEG03 checkpoint of
+// testdata/v3_durable.
 func FuzzUpgrade(f *testing.F) {
 	for _, path := range textFixtures {
 		f.Add(readFile(f, path))
@@ -172,6 +174,10 @@ func FuzzUpgrade(f *testing.F) {
 	f.Add(golden)
 	f.Add(golden[:40])
 	f.Add(readFile(f, durableFixtures[3]+"/checkpoint-00000000.nedseg"))
+	golden = readFile(f, segmentFixtures[3])
+	f.Add(golden)
+	f.Add(golden[:40])
+	f.Add(readFile(f, durableFixtures[4]+"/checkpoint-00000000.nedseg"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if meta, items, err := ReadCorpusItems(bytes.NewReader(data)); err != nil {
 			if items != nil {

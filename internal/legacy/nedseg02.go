@@ -10,7 +10,7 @@ import (
 )
 
 // NEDSEG02 segments. The second binary layout frames the same sections
-// as NEDSEG03 (internal/segment), its meta, graph, index and end
+// as NEDSEG03 (nedseg03.go), its meta, graph, index and end
 // sections byte for byte, but stores its dictionary and item tables as
 // u32 words:
 //
@@ -74,7 +74,7 @@ func decodeShapes(p []byte, n int) (shapes, error) {
 }
 
 // transcodeV2 rewrites a NEDSEG02 segment as the NEDSEG03 segment of the
-// same corpus, for segment.Read to decode and check: the dictionary and
+// same corpus, for transcodeV3 to carry on to NEDSEG04: the dictionary and
 // each item table translated (translateV2), every other section passed
 // on as it is.
 func transcodeV2(b []byte) ([]byte, error) {
@@ -123,7 +123,7 @@ func transcodeV2(b []byte) ([]byte, error) {
 		h.TableLens[si] = uint64(len(tables[si]))
 	}
 	mb, _ := h.Append(nil) // the backend name came from a u16-framed field
-	out = segment.AppendSection([]byte(segment.Magic), segment.SecMeta, mb)
+	out = segment.AppendSection([]byte(magicV3), segment.SecMeta, mb)
 	out = append(segment.AppendSection(out, segment.SecDict, dict), graph...)
 	for _, t := range tables {
 		out = segment.AppendSection(out, segment.SecShard, t)

@@ -102,22 +102,24 @@ func walFrameBounds(b []byte) []int64 {
 // FuzzSegmentRead only asserts the reader never panics or succeeds on
 // garbage that isn't byte-identical to a real segment's semantics —
 // i.e. it must not crash; errors are expected. It is seeded with the
-// NEDSEG03 golden, its prefix, the golden with one uvarint of an item
+// NEDSEG04 golden, its prefix, the golden with one uvarint of an item
 // table rewritten under recomputed checksums, so mutations start from
 // tables that reach the label checks, or that declare more rows or
 // stored labels than they hold, the golden with one uvarint made
-// malformed (HostileUvarints), the golden with a dictionary whose child
-// reaches its shape, whose last run is truncated, or that repeats a
-// shape (badDicts); and with the NEDSEG02 and NEDSEG01
-// goldens, their prefixes and the NEDSEG01 golden's rewritten trees
-// (V1Cases), bytes of earlier builds that Read must reject and whose
-// mutations reach the decoder once their magic flips. internal/legacy's
-// fuzz target converts the same legacy seeds.
+// malformed (HostileUvarints), the golden with a dictionary that shares
+// more labels than the shape before holds, whose child reaches its
+// shape, that repeats a shape or whose count runs past it, or a graph
+// whose gap runs past its nodes or whose count runs past it (badDicts);
+// and with the NEDSEG03, NEDSEG02 and NEDSEG01 goldens, their prefixes
+// and the NEDSEG01 golden's rewritten trees (V1Cases), bytes of earlier
+// builds that Read must reject and whose mutations reach the decoder
+// once their magic flips. internal/legacy's fuzz target converts the
+// same legacy seeds.
 func FuzzSegmentRead(f *testing.F) {
 	for _, c := range V1Cases(f) {
 		f.Add(c.Blob)
 	}
-	for _, name := range []string{"golden.nedseg", "golden-v2.nedseg", "golden-v1.nedseg"} {
+	for _, name := range []string{"golden.nedseg", "golden-v3.nedseg", "golden-v2.nedseg", "golden-v1.nedseg"} {
 		b, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -149,8 +151,8 @@ func FuzzSegmentRead(f *testing.F) {
 	for _, c := range HostileUvarints(f) {
 		f.Add(c.Blob)
 	}
-	for _, blob := range badDicts(f) {
-		f.Add(blob)
+	for _, c := range badDicts(f) {
+		f.Add(c.Blob)
 	}
 	f.Add([]byte(Magic))
 	f.Add([]byte{})

@@ -17,10 +17,11 @@ import (
 )
 
 // NEDSEG01 stores every profile column and NEDSEG02 every stored row as
-// u32 words. Read takes neither: internal/legacy converts them to
-// NEDSEG03 offline (nedstats -upgrade). These suites convert the old
+// u32 words; NEDSEG03 stores its dictionary uncompressed and its graph
+// as u32 pairs. Read takes none of them: internal/legacy converts them to
+// NEDSEG04 offline (nedstats -upgrade). These suites convert the old
 // goldens first and then assert what they asserted when Read took them.
-// All three goldens hold one corpus (the fixture of TestSegmentGolden).
+// All four goldens hold one corpus (the fixture of TestSegmentGolden).
 
 // upgrade converts a corpus as nedstats -upgrade does.
 func upgrade(src []byte) ([]byte, error) {
@@ -29,7 +30,7 @@ func upgrade(src []byte) ([]byte, error) {
 	return out.Bytes(), err
 }
 
-// withMagic is b with the NEDSEG03 magic: Verify walks the framing and
+// withMagic is b with the NEDSEG04 magic: Verify walks the framing and
 // checksums, which every layout shares.
 func withMagic(b []byte) []byte { return append([]byte(segment.Magic), b[len(segment.Magic):]...) }
 
@@ -42,7 +43,7 @@ type corpus struct {
 }
 
 // readGolden reads testdata/name, converted first unless it is the
-// NEDSEG03 golden, which it must not need.
+// NEDSEG04 golden, which it must not need.
 func readGolden(t *testing.T, name, magic string) corpus {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", name))
@@ -75,8 +76,9 @@ func readGolden(t *testing.T, name, magic string) corpus {
 func sameCorpus(t *testing.T, label string, got, want corpus) {
 	t.Helper()
 	got.meta.Shards, want.meta.Shards = 0, 0 // a conversion picks its own table count
-	gotShapes, gotKeys := got.dict.Coded()
-	wantShapes, wantKeys := want.dict.Coded()
+	gotKeys, gotOff := got.dict.Coded()
+	wantKeys, wantOff := want.dict.Coded()
+	gotShapes, wantShapes := len(gotOff)-1, len(wantOff)-1
 	if got.meta != want.meta || !bytes.Equal(gotKeys, wantKeys) ||
 		got.g.NumNodes() != want.g.NumNodes() || !slices.Equal(got.g.Edges(), want.g.Edges()) {
 		t.Fatalf("%s: meta %+v, %d shapes, %d edges; want %+v, %d, %d",
@@ -106,15 +108,41 @@ func TestSegmentV1GoldenMatchesV2(t *testing.T) {
 		t.Fatalf("Read of the re-encoding: %v", err)
 	}
 	slices.SortFunc(items, func(a, b ned.Item) int { return int(a.Node - b.Node) })
-	segment.SameItems(t, "NEDSEG01 golden vs its NEDSEG03 re-encoding", items, v1.items)
-	t.Logf("meta %+v: NEDSEG03 %d bytes", meta, blob.Len())
+	segment.SameItems(t, "NEDSEG01 golden vs its NEDSEG04 re-encoding", items, v1.items)
+	t.Logf("meta %+v: NEDSEG04 %d bytes", meta, blob.Len())
 }
 
 // The NEDSEG02 golden converts through internal/legacy into the corpus
 // of the NEDSEG03 golden: its items, dictionary and graph.
 func TestSegmentV2GoldenMatchesV3(t *testing.T) {
-	sameCorpus(t, "converted NEDSEG02 golden vs the NEDSEG03 golden",
-		readGolden(t, "golden-v2.nedseg", "NEDSEG02"), readGolden(t, "golden.nedseg", segment.Magic))
+	sameCorpus(t, "converted NEDSEG02 golden vs the converted NEDSEG03 golden",
+		readGolden(t, "golden-v2.nedseg", "NEDSEG02"), readGolden(t, "golden-v3.nedseg", "NEDSEG03"))
+}
+
+// The NEDSEG03 golden converts into the NEDSEG04 golden byte for byte:
+// the conversion re-codes the dictionary and the graph under the same
+// shape IDs and passes the item tables on as they are.
+func TestSegmentV3GoldenMatchesV4(t *testing.T) {
+	v4, err := os.ReadFile(filepath.Join("testdata", "golden.nedseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCorpus(t, "converted NEDSEG03 golden vs the NEDSEG04 golden",
+		readGolden(t, "golden-v3.nedseg", "NEDSEG03"), readGolden(t, "golden.nedseg", segment.Magic))
+	v3, err := os.ReadFile(filepath.Join("testdata", "golden-v3.nedseg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := upgrade(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, v4) {
+		t.Fatalf("the NEDSEG03 golden converts to %d bytes that are not the %d-byte NEDSEG04 golden", len(got), len(v4))
+	}
+	if len(v4) >= len(v3) {
+		t.Errorf("NEDSEG04 golden %d bytes, NEDSEG03 %d: the re-coding saves nothing", len(v4), len(v3))
+	}
 }
 
 // The conversion rejects the NEDSEG01 columns NEDSEG03 cannot express
@@ -131,7 +159,7 @@ func TestSegmentV1RejectsInconsistentTables(t *testing.T) {
 }
 
 // A NEDSEG02 table that checksums but disagrees with its dictionary
-// converts to one NEDSEG03's decoder rejects with ErrInconsistent: the
+// converts to one NEDSEG04's decoder rejects with ErrInconsistent: the
 // checks NEDSEG02's reader ran still run on its bytes.
 func TestSegmentV2RejectsInconsistentTables(t *testing.T) {
 	for _, c := range segment.V2Cases(t) {

@@ -11,14 +11,15 @@
 //
 // A segment is a magic string followed by framed sections:
 //
-//	magic   "NEDSEG03" (8 bytes)
+//	magic   "NEDSEG04" (8 bytes)
 //	section [type u8][payloadLen u64][payload][crc32c(payload) u32]
 //
 // in fixed order: meta (1), dict (2), an optional graph (3), one shard
 // item table (4) per shard, optionally one VP-index dump (6) per shard,
 // and end (5). Fixed-width integers are little-endian; the dict and
-// item-table payloads are uvarints (uv below: at most 5 bytes, minimal,
-// a count, node or delta at most 2³¹−1, a stored word at most 2³²−1).
+// item-table payloads and the graph's lists are uvarints (uv below: at
+// most 5 bytes, minimal, a count, node or delta at most 2³¹−1, a stored
+// word at most 2³²−1).
 // Every section is independently length-framed and checksummed, and the
 // end section repeats the total item count, so a torn tail — truncation
 // anywhere, even between sections — fails loudly instead of loading a
@@ -31,16 +32,25 @@
 //	       hasIndex u8, then one u64 payload length per shard item
 //	       table — the section offsets that let a reader slice or
 //	       skip shards.
-//	dict:  nShapes uv, then per shape id its run length uv and its
-//	       sorted child labels as uv deltas (the first from 0) — the
-//	       resident dictionary's key buffer (tree.Interner.Coded),
-//	       which Write copies verbatim and a load adopts once
-//	       decodeDict has checked it (tree.NewInternerFromCoded).
-//	       Each label is a smaller id than its shape, so shape 0 is
-//	       the leaf; no shape repeats.
-//	graph: nodes u32, directed u8, edges u64, then u32 pairs — the
-//	       backing graph, so a recovered corpus keeps Insert and
-//	       UpdateGraph without a sidecar file.
+//	dict:  nShapes uv, then per shape id, front-coded against shape
+//	       id−1 (shape 0 against the empty shape): shared uv, the
+//	       count of its leading child labels equal to id−1's, rest uv,
+//	       the count of labels after them, then those rest labels as
+//	       uv deltas, the first from the last shared label (from 0 when
+//	       none is). A shape's labels ascend and are smaller ids than
+//	       its own, so shape 0 is the leaf; no shape repeats. A load
+//	       expands the section into the resident dictionary's key
+//	       buffer (tree.Interner.Coded: per shape its label count, then
+//	       its labels as deltas from 0), whose tail bytes are the
+//	       section's verbatim; through every shape the keys take at
+//	       most 64 times the section's bytes so far (maxExpansion).
+//	graph: nodes u32, directed u8, edges u64, then per node u in
+//	       order its stored neighbours: count uv, then the neighbours,
+//	       ascending, as uv gaps, each at least 1. Undirected, u stores
+//	       each edge to a higher node, the first gap from u; directed,
+//	       its out-neighbours, the first gap from −1. The counts sum to
+//	       edges. The backing graph, so a recovered corpus keeps Insert
+//	       and UpdateGraph without a sidecar file.
 //	shard: itemCount uv, then per item (strictly node-ascending —
 //	       the node is a uv delta from the previous one, the first's
 //	       from −1, so a zero delta is a duplicate): the out-tree's
@@ -85,9 +95,9 @@
 // fails with ErrInconsistent.
 //
 // A load retains no item-table payload: every column is copied or
-// derived into fresh storage. Older layouts (NEDSEG01, NEDSEG02, text
-// corpora) do not load here; internal/legacy converts them to NEDSEG03
-// offline.
+// derived into fresh storage. Older layouts (NEDSEG01, NEDSEG02,
+// NEDSEG03, text corpora) do not load here; internal/legacy converts
+// them to NEDSEG04 offline.
 //
 // The index sections persist what even the item tables cannot buy
 // back: a vantage-point tree costs O(n log n) TED* evaluations to
@@ -107,6 +117,7 @@ import (
 	"io"
 	"iter"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 
@@ -117,7 +128,7 @@ import (
 
 // Magic identifies (and versions) the binary segment format Write
 // emits and Read and Verify accept.
-const Magic = "NEDSEG03"
+const Magic = "NEDSEG04"
 
 // IsSegment reports whether a stream beginning with prefix is a binary
 // segment.
@@ -209,61 +220,310 @@ func DecodeHeader(payload []byte) (Header, error) {
 	return h, d.done()
 }
 
-// decodeDict decodes and checks a dict section's payload of n shapes:
-// shape id's sorted child labels are kids[off[id]:off[id+1]], for the
-// load's checks of the item tables, and its coded key — the bytes the
-// dictionary holds (tree.NewInternerFromCoded) — is
-// keys[keyOff[id]:keyOff[id+1]], keys being the payload past the shape
-// count. Each run length and each label is one uvarint, so the
-// payload's uvarint count sizes kids exactly.
+// maxExpansion bounds what a dict section expands to: through every
+// shape, the coded keys (the resident key buffer) take at most
+// maxExpansion times the section's bytes so far. Front coding alone has
+// no such bound — a run of shapes each one label longer than the last
+// codes in three bytes a shape and expands quadratically — so the
+// writer shares fewer labels where the rule would break, which no
+// dictionary of a real corpus comes near (its keys take 2–3 times the
+// section), and the reader's allocations stay a multiple of the payload.
+const maxExpansion = 64
+
+// sharedPrefix counts the whole uvarints the uvarint runs a and b begin
+// with, and their length in bytes. A uvarint's last byte is its one byte
+// below 0x80, so they are the terminators among the bytes a and b share,
+// which it compares and counts eight at a time.
+func sharedPrefix(a, b []byte) (count, length int) {
+	const high = 0x8080808080808080
+	// end is the length of the whole uvarints of a's first c bytes.
+	end := func(c int) int {
+		for c > 0 && a[c-1] >= 0x80 {
+			c--
+		}
+		return c
+	}
+	n, c := min(len(a), len(b)), 0
+	for ; c+8 <= n; c += 8 {
+		x := binary.LittleEndian.Uint64(a[c:])
+		if d := x ^ binary.LittleEndian.Uint64(b[c:]); d != 0 {
+			k := bits.TrailingZeros64(d) / 8 // the word's shared bytes
+			count += k - bits.OnesCount64(x&high&(1<<(8*k)-1))
+			return count, end(c + k)
+		}
+		count += 8 - bits.OnesCount64(x&high)
+	}
+	for ; c < n && a[c] == b[c]; c++ {
+		if a[c] < 0x80 {
+			count++
+		}
+	}
+	return count, end(c)
+}
+
+// uvarintAt decodes the well-formed uvarint at b[i:] and returns the
+// index past it.
+func uvarintAt(b []byte, i int) (uint32, int) {
+	if b[i] < 0x80 {
+		return uint32(b[i]), i + 1
+	}
+	x, n := binary.Uvarint(b[i:])
+	return uint32(x), i + n
+}
+
+// AppendDict appends the dict section's payload of dict to b: its coded
+// keys (tree.Interner.Coded) front-coded in ID order, each shape sharing
+// the longest run of its leading labels equal to the previous shape's
+// that keeps maxExpansion's rule, followed by its tail, the bytes of its
+// rest deltas, which are its key's own last bytes.
+func AppendDict(b []byte, dict *tree.Interner) []byte {
+	keys, off := dict.Coded()
+	return appendDict(b, keys, off)
+}
+
+// appendDict is AppendDict over a dictionary's coded keys.
+func appendDict(b, keys []byte, off []uint32) []byte {
+	start := len(b)
+	b = binary.AppendUvarint(b, uint64(len(off)-1))
+	var prev []byte // the previous shape's deltas
+	expanded := 0
+	for id := range len(off) - 1 {
+		key := keys[off[id]:off[id+1]]
+		n, j := uvarintAt(key, 0)
+		deltas := key[j:]
+		shared, at := sharedPrefix(deltas, prev)
+		expanded += len(key)
+		for {
+			size := len(b) - start + tree.UvarintLen(uint32(shared)) + tree.UvarintLen(n-uint32(shared)) + len(deltas) - at
+			if expanded <= maxExpansion*size {
+				break
+			}
+			// Share one label less: at goes back to the start of the last
+			// shared uvarint.
+			shared, at = shared-1, at-1
+			for at > 0 && deltas[at-1] >= 0x80 {
+				at--
+			}
+		}
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(shared)), uint64(n)-uint64(shared))
+		b = append(b, deltas[at:]...)
+		prev = deltas
+	}
+	return b
+}
+
+// AppendGraph appends the graph section's payload of g to b: per node a
+// count and its stored neighbours as gaps — undirected, those above it,
+// the first gap from it; directed, its out-neighbours, the first gap
+// from −1.
+func AppendGraph(b []byte, g *graph.Graph) []byte {
+	b = appendU32(b, uint32(g.NumNodes()))
+	b = append(b, boolByte(g.Directed()))
+	b = appendU64(b, uint64(g.NumEdges()))
+	for u := range graph.NodeID(g.NumNodes()) {
+		list, last := g.Neighbors(u), graph.NodeID(-1)
+		if !g.Directed() {
+			i, _ := slices.BinarySearch(list, u)
+			list, last = list[i:], u
+		}
+		b = binary.AppendUvarint(b, uint64(len(list)))
+		for _, v := range list {
+			b, last = binary.AppendUvarint(b, uint64(v-last)), v
+		}
+	}
+	return b
+}
+
+// decodeGraph decodes and checks a graph section's payload and builds
+// the graph's adjacency straight from its lists (graph.FromLists): a
+// first pass checks every list, allocating nothing, and a second fills
+// them in. A list that cannot have been written fails with
+// ErrInconsistent, reading nothing past p.
+func decodeGraph(p []byte) (*graph.Graph, error) {
+	d := &dec{b: p}
+	nodes, gdir, edges := d.u32(), d.u8(), d.u64()
+	if d.err != nil {
+		return nil, d.err
+	}
+	if gdir > 1 {
+		return nil, fmt.Errorf("segment: graph section has directed flag %d", gdir)
+	}
+	directed, b := gdir == 1, d.b
+	// Each node's count and each gap take a byte at least.
+	if uint64(nodes)+edges > uint64(len(b)) || nodes > math.MaxInt32 {
+		return nil, inconsistent("graph declares %d nodes and %d edges with %d bytes", nodes, edges, len(b))
+	}
+	n, e := int(nodes), int(edges)
+	if err := decodeLists(b, n, e, directed, nil, nil); err != nil {
+		return nil, err
+	}
+	off, adj := make([]int32, n+1), make([]graph.NodeID, e)
+	decodeLists(b, n, e, directed, off, adj)
+	return graph.FromLists(directed, off, adj), nil
+}
+
+// decodeLists checks the stored neighbour lists b of a graph section of n
+// nodes and edges edges and, when off is not nil, fills off and adj
+// with them (as graph.FromLists takes them).
+func decodeLists(b []byte, n, edges int, directed bool, off []int32, adj []graph.NodeID) error {
+	i, e := 0, 0
+	for u := range n {
+		var c int
+		var err error
+		if i < len(b) && b[i] < 0x80 { // uvCount's common case, inline
+			c, i = int(b[i]), i+1
+		} else if c, i, err = uvCount(b, i); err != nil {
+			return fmt.Errorf("segment: graph: %w", err)
+		}
+		if c > len(b)-i || c > edges-e {
+			return inconsistent("graph node %d declares %d neighbours with %d bytes and %d edges left", u, c, len(b)-i, edges-e)
+		}
+		last := -1
+		if !directed {
+			last = u
+		}
+		for range c {
+			gap := 0
+			if i < len(b) && b[i] < 0x80 { // uvCount's common case, inline
+				gap, i = int(b[i]), i+1
+			} else if gap, i, err = uvCount(b, i); err != nil {
+				return fmt.Errorf("segment: graph: %w", err)
+			}
+			switch v := last + gap; {
+			case gap == 0:
+				return inconsistent("graph node %d lists neighbour %d twice", u, last)
+			case v >= n:
+				return inconsistent("graph node %d lists neighbour %d, past its %d nodes", u, v, n)
+			case v == u:
+				return inconsistent("graph node %d lists itself", u)
+			case off != nil:
+				adj[e] = graph.NodeID(v)
+			}
+			e, last = e+1, last+gap
+		}
+		if off != nil {
+			off[u+1] = int32(e)
+		}
+	}
+	if e != edges {
+		return inconsistent("graph lists %d edges, declares %d", e, edges)
+	}
+	if i != len(b) {
+		return fmt.Errorf("segment: %d trailing bytes in graph section", len(b)-i)
+	}
+	return nil
+}
+
+// decodeDict decodes, checks and expands a dict section's payload of n
+// shapes: shape id's sorted child labels are kids[off[id]:off[id+1]],
+// for the load's checks of the item tables, and its coded key — the
+// bytes the dictionary holds (tree.NewInternerFromCoded) — is
+// keys[keyOff[id]:keyOff[id+1]]. A first pass checks every count and
+// uvarint and sizes the four, allocating nothing the payload's bytes
+// do not hold; a second fills them, each key its label count, the
+// previous key's shared deltas and its own tail. Every inconsistency
+// fails with ErrInconsistent, reading nothing past p.
 func decodeDict(p []byte, n int) (off, kids []int32, keys []byte, keyOff []uint32, err error) {
+	fail := func(err error) ([]int32, []int32, []byte, []uint32, error) {
+		return nil, nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
+	}
 	got, i, err := uvCount(p, 0)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
+		return fail(err)
 	}
 	if got != n {
 		return nil, nil, nil, nil, fmt.Errorf("segment: dict section has %d shapes, meta declares %d", got, n)
 	}
-	total := tree.CountWords(p) - 1 - n
-	if total < 0 {
-		return nil, nil, nil, nil, fmt.Errorf("segment: dict section holds too few uvarints for its %d shapes", n)
+	// Each shape takes two bytes at least.
+	if n > (len(p)-i)/2 {
+		return fail(inconsistent("%d shapes in %d bytes", n, len(p)-i))
 	}
-	off, kids, keyOff = make([]int32, n+1), make([]int32, total), make([]uint32, n+1)
-	keys = p[i:len(p):len(p)]
-	at := 0
+	start := i
+	// ends[j] is the byte length of the current shape's first j deltas.
+	ends := []int32{0}
+	labels, size, deg := 0, 0, 0 // deg: the previous shape's label count
 	for id := range n {
-		var r, d int
-		if r, i, err = uvCount(p, i); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
+		// The counts' common case, one byte each, inline.
+		var shared, rest int
+		if i+1 < len(p) && p[i]|p[i+1] < 0x80 {
+			shared, rest, i = int(p[i]), int(p[i+1]), i+2
+		} else if shared, i, err = uvCount(p, i); err != nil {
+			return fail(err)
+		} else if rest, i, err = uvCount(p, i); err != nil {
+			return fail(err)
 		}
-		if r > total-at {
-			return nil, nil, nil, nil, fmt.Errorf("segment: dict shape %d declares %d child labels, %d left", id, r, total-at)
+		if shared > deg {
+			return fail(inconsistent("shape %d shares %d child labels with a shape of %d", id, shared, deg))
 		}
-		// The labels ascend, so the last bounds them all. uvCount's
-		// common cases are inline: one byte, and two bytes whose second
-		// is 1…0x7f (minimal).
-		kid, run := 0, kids[at:at+r]
-		for j := range run {
+		if rest > len(p)-i {
+			return fail(inconsistent("shape %d declares %d more child labels with %d bytes left", id, rest, len(p)-i))
+		}
+		ends = slices.Grow(ends[:shared+1], rest)
+		for range rest {
+			// uvarint's common cases, inline: one byte, and two whose
+			// second is 1…0x7f (minimal).
+			j := i
 			if i < len(p) && p[i] < 0x80 {
-				kid, i = kid+int(p[i]), i+1
+				i++
 			} else if i+1 < len(p) && p[i+1]-1 < 0x7f {
-				kid, i = kid+(int(p[i]&0x7f)|int(p[i+1])<<7), i+2
-			} else if d, i, err = uvCount(p, i); err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("segment: dict: %w", err)
-			} else {
-				kid += d
+				i += 2
+			} else if _, i, err = uvarintLong(p, i); err != nil {
+				return fail(err)
 			}
-			run[j] = int32(kid)
+			ends = append(ends, ends[len(ends)-1]+int32(i-j))
 		}
-		if r > 0 && kid >= id {
-			return nil, nil, nil, nil, fmt.Errorf("segment: dict shape %d has child label %d (want [0, %d))", id, kid, id)
+		deg = shared + rest
+		labels += deg
+		if size += tree.UvarintLen(uint32(deg)) + int(ends[deg]); size > maxExpansion*i {
+			return fail(inconsistent("shapes through %d expand to %d bytes, past %d times the %d they take", id, size, maxExpansion, i))
 		}
-		at += r
-		off[id+1] = int32(at)
-		keyOff[id+1] = uint32(i - (len(p) - len(keys)))
+		if labels > math.MaxInt32 || size > math.MaxUint32 {
+			return fail(inconsistent("shapes through %d expand past 2³¹ labels or 2³² bytes", id))
+		}
 	}
 	if i != len(p) {
-		return nil, nil, nil, nil, fmt.Errorf("segment: %d trailing bytes in dict section", len(p)-i)
+		return fail(fmt.Errorf("%d trailing bytes", len(p)-i))
+	}
+
+	off, keyOff = make([]int32, n+1), make([]uint32, n+1)
+	kids, keys = make([]int32, labels), make([]byte, size)
+	i, ends = start, ends[:1]
+	at, k := int32(0), 0
+	var prev []byte // the previous key's deltas
+	for id := range n {
+		shared, j := uvarintAt(p, i)
+		rest, j := uvarintAt(p, j)
+		kid := int64(0)
+		if shared > 0 {
+			copy(kids[at:], kids[off[id-1]:off[id-1]+int32(shared)])
+			kid = int64(kids[at+int32(shared)-1])
+		}
+		k += binary.PutUvarint(keys[k:], uint64(shared+rest))
+		from := k
+		ends = ends[:shared+1]
+		k += copy(keys[k:], prev[:ends[shared]])
+		tail := j
+		for r := at + int32(shared); r < at+int32(shared+rest); r++ {
+			// uvarint's common cases, one byte and two, inline.
+			b, d := j, uint32(0)
+			if c := p[j]; c < 0x80 {
+				d, j = uint32(c), j+1
+			} else if c2 := p[j+1]; c2 < 0x80 {
+				d, j = uint32(c&0x7f)|uint32(c2)<<7, j+2
+			} else {
+				d, j = uvarintAt(p, j)
+			}
+			kid += int64(d)
+			kids[r] = int32(kid)
+			ends = append(ends, ends[len(ends)-1]+int32(j-b))
+		}
+		k += copy(keys[k:], p[tail:j])
+		if shared+rest > 0 && kid >= int64(id) {
+			return fail(inconsistent("shape %d has child label %d (want [0, %d))", id, kid, id))
+		}
+		at += int32(shared + rest)
+		off[id+1], keyOff[id+1] = at, uint32(k)
+		prev, i = keys[from:k], j
 	}
 	return off, kids, keys, keyOff, nil
 }
@@ -379,6 +639,10 @@ const sectionChunk = 64 << 10
 // sync.Pool it survives garbage collections. A caller that finds it
 // taken allocates.
 var spareChunk = make(chan *[sectionChunk]byte, 1)
+
+// spareSection holds the buffer a segment write frames its dict and
+// graph sections in between writes, as spareChunk holds a chunk.
+var spareSection = make(chan []byte, 1)
 
 func getChunk() *[sectionChunk]byte {
 	select {
@@ -662,11 +926,13 @@ const maxTables = 16
 // index sections) or one VPIndex per shard, each either empty or
 // referencing exactly that shard's items.
 //
-// Write streams: the dictionary (straight from dict.Shapes), graph and
-// item tables go out through one shared 64 KiB buffer and a running
-// checksum, behind headers carrying lengths computed up front, so
-// writing a segment never holds a copy of the corpus or its dictionary
-// — only meta and the index dumps are framed in memory.
+// Write streams: the item tables go out through one shared 64 KiB
+// buffer and a running checksum, behind headers carrying lengths
+// computed up front, so writing a segment never holds a copy of the
+// corpus. Meta, the index dumps and the dict and graph sections —
+// front-coded straight from dict.Coded and gap-coded from g, a few
+// bytes a node — are framed in memory, the last two in a buffer kept
+// between writes.
 func Write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, shardItems [][]ned.Item, indexes []VPIndex) error {
 	tables := make([]iter.Seq[ned.Row], len(shardItems))
 	for si, items := range shardItems {
@@ -753,9 +1019,23 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 		}
 	}
 
-	// The dictionary's coded keys are the dict section, verbatim.
-	shapes, keys := dict.Coded()
-	h := Header{Meta: meta, Shapes: shapes, HasGraph: g != nil, HasIndex: indexes != nil, TableLens: shardLens}
+	// The dict and graph sections, a few bytes a node, are framed whole
+	// in a buffer kept between writes; the dictionary's count is the one
+	// its section holds, however many shapes are interned meanwhile.
+	var buf []byte
+	select {
+	case buf = <-spareSection:
+	default:
+	}
+	defer func() {
+		select {
+		case spareSection <- buf[:0]:
+		default:
+		}
+	}()
+	keys, off := dict.Coded()
+	buf = appendDict(buf[:0], keys, off)
+	h := Header{Meta: meta, Shapes: len(off) - 1, HasGraph: g != nil, HasIndex: indexes != nil, TableLens: shardLens}
 	mb, err := h.Append(nil)
 	if err != nil {
 		return err
@@ -768,29 +1048,12 @@ func write(w io.Writer, meta Meta, dict *tree.Interner, g *graph.Graph, tables [
 		return err
 	}
 
-	sw.begin(SecDict, tree.UvarintLen(uint32(shapes))+len(keys))
-	sw.uv(uint32(shapes))
-	raw(sw, keys)
-	if err := sw.end(); err != nil {
+	if err := sw.writeSection(SecDict, buf); err != nil {
 		return err
 	}
-
-	// Graph: the edges in g.Edges order, walked off the adjacency lists
-	// rather than collected.
 	if g != nil {
-		sw.begin(SecGraph, 13+8*g.NumEdges())
-		sw.u32(uint32(g.NumNodes()))
-		sw.u8(boolByte(g.Directed()))
-		sw.u64(uint64(g.NumEdges()))
-		for u := range graph.NodeID(g.NumNodes()) {
-			for _, v := range g.Neighbors(u) {
-				if g.Directed() || u < v {
-					sw.u32(uint32(u))
-					sw.u32(uint32(v))
-				}
-			}
-		}
-		if err := sw.end(); err != nil {
+		buf = AppendGraph(buf[:0], g)
+		if err := sw.writeSection(SecGraph, buf); err != nil {
 			return err
 		}
 	}
@@ -1471,43 +1734,20 @@ func read(r io.Reader) (Meta, *ned.Rows, []int32, *tree.Interner, *graph.Graph, 
 	if err != nil {
 		return fail(err)
 	}
-	// The dictionary adopts the payload's coded keys, which this read
-	// alone holds and nothing writes again.
 	in, err := tree.NewInternerFromCoded(keys, keyOff)
 	if err != nil {
-		return fail(fmt.Errorf("segment: %w", err))
+		return fail(inconsistent("dict: %v", err))
 	}
 	sh := newShapeTable(kidOff, kids)
 
-	// Graph.
 	var g *graph.Graph
 	if h.HasGraph {
-		payload, err = expectSection(r, SecGraph)
-		if err != nil {
+		if payload, err = expectSection(r, SecGraph); err != nil {
 			return fail(err)
 		}
-		d := &dec{b: payload}
-		nodes := int(d.u32())
-		gdir := d.u8()
-		edges := int(d.u64())
-		if d.err == nil && (gdir > 1 || edges < 0 || len(d.b) != 8*edges) {
-			d.fail("segment: graph section declares %d edges with %d bytes", edges, len(d.b))
-		}
-		if d.err != nil {
-			return fail(d.err)
-		}
-		b := graph.NewBuilder(nodes, gdir == 1)
-		for i := 0; i < edges; i++ {
-			u, v := int32(d.u32()), int32(d.u32())
-			if u < 0 || int(u) >= nodes || v < 0 || int(v) >= nodes {
-				return fail(fmt.Errorf("segment: graph edge (%d,%d) outside [0,%d)", u, v, nodes))
-			}
-			b.AddEdge(graph.NodeID(u), graph.NodeID(v))
-		}
-		if err := d.done(); err != nil {
+		if g, err = decodeGraph(payload); err != nil {
 			return fail(err)
 		}
-		g = b.Build()
 	}
 
 	// Shard item tables: collect payloads sequentially, decode in

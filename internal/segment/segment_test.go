@@ -716,65 +716,172 @@ func tableWords(blob []byte, ti int) []uint32 {
 	return ws
 }
 
-// badDicts is the golden segment with its dict section rewritten under
-// recomputed checksums into each of three dictionaries decodeDict or the
-// dictionary's adoption must reject: a child delta that reaches its own
-// shape's ID, a run that declares one child more than the section holds,
-// and a shape that repeats an earlier one.
-func badDicts(tb testing.TB) map[string][]byte {
+// withSection returns blob with the payload of its section of type typ
+// replaced by edit's result, re-framed and re-checksummed.
+func withSection(blob []byte, typ byte, edit func([]byte) []byte) []byte {
+	types, payloads := sections(blob)
+	i := bytes.IndexByte(types, typ)
+	payloads[i] = edit(bytes.Clone(payloads[i]))
+	return assemble(types, payloads)
+}
+
+// appendUvarints appends ws to b as uvarints.
+func appendUvarints(b []byte, ws []uint32) []byte {
+	for _, w := range ws {
+		b = binary.AppendUvarint(b, uint64(w))
+	}
+	return b
+}
+
+// badDicts is the golden segment with its dict or graph section
+// rewritten under recomputed checksums into one the reader must reject
+// with ErrInconsistent, and what the error must mention: a shared count
+// longer than the previous shape, a child label that reaches its own
+// shape's ID, a shape that repeats the one before it, a count that runs
+// past the payload, a gap that runs past the graph's nodes and a
+// neighbour count that runs past the payload.
+func badDicts(tb testing.TB) []V1Case {
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden.nedseg"))
 	if err != nil {
 		tb.Fatal(err)
 	}
+	// shapes[id] is shape id's words: shared, rest, then rest deltas.
 	types, payloads := sections(golden)
-	di := bytes.IndexByte(types, SecDict)
-	// shapes[id] is shape id's words: its run length, then its deltas.
-	words := uvarints(payloads[di])
+	words := uvarints(payloads[bytes.IndexByte(types, SecDict)])
 	var shapes [][]uint32
-	for at := 1; at < len(words); at += 1 + int(words[at]) {
-		shapes = append(shapes, words[at:at+1+int(words[at])])
+	for at := 1; at < len(words); at += 2 + int(words[at+1]) {
+		shapes = append(shapes, words[at:at+2+int(words[at+1])])
 	}
-	with := func(edit func(shapes [][]uint32)) []byte {
+	deg := func(sh [][]uint32, id int) uint32 { // shape id's label count
+		if id < 0 {
+			return 0
+		}
+		return sh[id][0] + sh[id][1]
+	}
+	dict := func(edit func(sh [][]uint32)) []byte {
 		cp := make([][]uint32, len(shapes))
 		for id, w := range shapes {
 			cp[id] = slices.Clone(w)
 		}
 		edit(cp)
-		p := binary.AppendUvarint(nil, uint64(len(cp)))
-		for _, w := range cp {
-			for _, x := range w {
-				p = binary.AppendUvarint(p, uint64(x))
+		return withSection(golden, SecDict, func([]byte) []byte {
+			p := binary.AppendUvarint(nil, uint64(len(cp)))
+			for _, w := range cp {
+				p = appendUvarints(p, w)
 			}
-		}
-		ps := slices.Clone(payloads)
-		ps[di] = p
-		return assemble(types, ps)
+			return p
+		})
 	}
-	// The first shapes of one child: the leaf's runs of one, "1 leaf".
-	var ones []int
-	for id, w := range shapes {
-		if w[0] == 1 {
-			ones = append(ones, id)
-		}
+	// The first shape past the leaf's run of one that codes its one label
+	// afresh: "0 1 d".
+	lone := slices.IndexFunc(shapes[2:], func(w []uint32) bool { return w[0] == 0 && w[1] == 1 }) + 2
+	last := len(shapes) - 1
+	if lone < 2 {
+		tb.Fatal("the golden dictionary lacks the shapes to rewrite")
 	}
-	if len(ones) < 2 {
-		tb.Fatal("the golden dictionary has too few one-child shapes")
+	// The graph's words past its header: per node a count, then gaps.
+	gp := payloads[bytes.IndexByte(types, SecGraph)]
+	nodes, gw := binary.LittleEndian.Uint32(gp), uvarints(gp[13:])
+	graphWith := func(edit func(ws []uint32)) []byte {
+		ws := slices.Clone(gw)
+		edit(ws)
+		return withSection(golden, SecGraph, func(p []byte) []byte { return appendUvarints(p[:13:13], ws) })
 	}
-	return map[string][]byte{
-		"a child as high as its shape": with(func(sh [][]uint32) { sh[ones[1]][1] = uint32(ones[1]) }),
-		"a truncated run":              with(func(sh [][]uint32) { sh[len(sh)-1][0]++ }),
-		"a duplicate shape": with(func(sh [][]uint32) {
-			sh[ones[1]] = slices.Clone(sh[ones[0]])
-		}),
+	firstGap := slices.IndexFunc(gw, func(c uint32) bool { return c > 0 }) + 1
+	if firstGap < 1 {
+		tb.Fatal("the golden graph has no edge")
+	}
+	return []V1Case{
+		{"a shared count longer than the previous shape", "shares",
+			dict(func(sh [][]uint32) { sh[last][0] = deg(sh, last-1) + 1 })},
+		{"a child as high as its shape", "child label", dict(func(sh [][]uint32) { sh[lone][2] = uint32(lone) })},
+		{"a repeated shape", "duplicates", dict(func(sh [][]uint32) { sh[last] = []uint32{deg(sh, last-1), 0} })},
+		{"a count that runs past the payload", "more child labels", dict(func(sh [][]uint32) { sh[last][1] = 1 << 20 })},
+		{"a gap that runs past the nodes", "past its", graphWith(func(ws []uint32) { ws[firstGap] = nodes + 1 })},
+		{"a neighbour count that runs past the payload", "neighbours with",
+			graphWith(func(ws []uint32) { ws[0] = 1 << 20 })},
 	}
 }
 
-// The reader rejects a dictionary whose child labels do not come before
-// their shape, whose runs outrun the section, or that holds a shape twice.
+// The reader rejects a dictionary or graph that checksums but could not
+// have been written with ErrInconsistent: one whose shapes share more
+// labels than the previous one has, whose child labels do not come
+// before their shape, that repeats a shape or whose counts outrun the
+// section, or a graph whose gaps outrun its nodes or whose counts
+// outrun the section.
 func TestSegmentRejectsBadDictionaries(t *testing.T) {
-	for what, blob := range badDicts(t) {
-		if _, _, _, _, _, err := Read(bytes.NewReader(blob)); err == nil {
-			t.Errorf("%s: Read accepts it", what)
+	for _, c := range badDicts(t) {
+		_, _, _, _, _, err := Read(bytes.NewReader(c.Blob))
+		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), c.Want) {
+			t.Errorf("%s: got %v, want ErrInconsistent mentioning %q", c.What, err, c.Want)
+		}
+	}
+}
+
+// A dictionary whose front coding would expand past maxExpansion times
+// its bytes — stars of every degree, each one leaf more than the last —
+// is written sharing fewer labels and reads back whole; the same
+// dictionary front-coded in full fails with ErrInconsistent before the
+// reader allocates its expansion.
+func TestSegmentDictionaryExpansionIsBounded(t *testing.T) {
+	const stars = 600
+	off, kids := []int32{0, 0}, []int32(nil)
+	for d := 1; d <= stars; d++ {
+		kids = append(kids, make([]int32, d)...)
+		off = append(off, int32(len(kids)))
+	}
+	dict, err := tree.NewInternerFromKids(off, kids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := encode(t, Meta{Backend: "pruned", K: 2}, dict, nil, [][]ned.Item{nil})
+	_, _, got, _, _, err := Read(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	want, _ := dict.Coded()
+	if keys, _ := got.Coded(); !bytes.Equal(keys, want) {
+		t.Fatal("the dictionary does not read back whole")
+	}
+	types, payloads := sections(blob)
+	if p := payloads[bytes.IndexByte(types, SecDict)]; len(want) > maxExpansion*len(p) || len(want) < maxExpansion*len(p)/2 {
+		t.Errorf("%d key bytes in a %d-byte section: the writer should share labels up to %d times the section", len(want), len(p), maxExpansion)
+	}
+	full := withSection(blob, SecDict, func([]byte) []byte {
+		p := binary.AppendUvarint(nil, stars+1)
+		p = append(p, 0, 0, 0, 1, 0) // the leaf; one leaf, coded afresh
+		for d := 2; d <= stars; d++ {
+			p = binary.AppendUvarint(binary.AppendUvarint(p, uint64(d-1)), 1)
+			p = append(p, 0)
+		}
+		return p
+	})
+	if _, _, _, _, _, err := Read(bytes.NewReader(full)); !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), "expand to") {
+		t.Errorf("the dictionary front-coded in full: got %v, want ErrInconsistent mentioning %q", err, "expand to")
+	}
+}
+
+// sharedPrefix counts what a byte-by-byte walk counts: the whole
+// uvarints two runs begin with, and their bytes.
+func TestSharedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for range 20000 {
+		a := make([]byte, rng.Intn(40))
+		for i := range a {
+			a[i] = byte(rng.Intn(4)) | byte(rng.Intn(2))<<7
+		}
+		b := append(slices.Clone(a[:rng.Intn(len(a)+1)]), make([]byte, rng.Intn(20))...)
+		for i := len(b) - rng.Intn(len(b)+1); i < len(b); i++ {
+			b[i] = byte(rng.Intn(4)) | byte(rng.Intn(2))<<7
+		}
+		wantCount, wantLen := 0, 0
+		for c := 0; c < len(a) && c < len(b) && a[c] == b[c]; c++ {
+			if a[c] < 0x80 {
+				wantCount, wantLen = wantCount+1, c+1
+			}
+		}
+		if count, length := sharedPrefix(a, b); count != wantCount || length != wantLen {
+			t.Fatalf("sharedPrefix(%x, %x) = %d, %d; want %d, %d", a, b, count, length, wantCount, wantLen)
 		}
 	}
 }
@@ -875,7 +982,7 @@ func TestSegmentV3RejectsInconsistentTables(t *testing.T) {
 }
 
 // HostileUvarints are the golden segment with one uvarint of its first
-// item table or of its dictionary made malformed — longer than 5 bytes,
+// item table, its dictionary or its graph made malformed — longer than 5 bytes,
 // not minimal, past int32 or 32 bits, or running past its section —
 // under recomputed checksums, and what Read's error must mention.
 func HostileUvarints(t testing.TB) []V1Case {
@@ -890,10 +997,12 @@ func HostileUvarints(t testing.TB) []V1Case {
 		t.Fatal("the golden's first item table does not start with a one-byte count")
 	}
 	table := func(edit func([]byte) []byte) []byte { return withTable(blob, 0, edit) }
-	dict := func(edit func([]byte) []byte) []byte {
-		types, payloads := sections(blob)
-		payloads[1] = edit(bytes.Clone(payloads[1]))
-		return assemble(types, payloads)
+	dict := func(edit func([]byte) []byte) []byte { return withSection(blob, SecDict, edit) }
+	// The golden's first node has neighbours: its count is the graph's
+	// first byte past the header, its first gap the second.
+	adj := func(edit func([]byte) []byte) []byte { return withSection(blob, SecGraph, edit) }
+	if _, payloads := sections(blob); payloads[2][13] == 0 || payloads[2][13] >= 0x80 || payloads[2][14] >= 0x80 {
+		t.Fatal("the golden's graph does not start with a one-byte count and gap")
 	}
 	return []V1Case{
 		{"an item count longer than 5 bytes", "longer than 5 bytes",
@@ -908,10 +1017,21 @@ func HostileUvarints(t testing.TB) []V1Case {
 			table(func(p []byte) []byte { return append(append(p[:2:2], 0xff, 0xff, 0xff, 0xff, 0x1f), p[3:]...) })},
 		{"a label running past its section", "runs past the end",
 			table(func(p []byte) []byte { p[len(p)-1] |= 0x80; return p })},
-		{"a dictionary run length past int32", "past int32",
+		{"a dictionary shared count past int32", "past int32",
 			dict(func(p []byte) []byte { return append(append(p[:1:1], 0x80, 0x80, 0x80, 0x80, 0x08), p[2:]...) })},
-		{"a non-minimal dictionary run length", "not minimal",
+		{"a non-minimal dictionary shared count", "not minimal",
 			dict(func(p []byte) []byte { return append(append(p[:1:1], p[1]|0x80, 0), p[2:]...) })},
+		{"a graph gap past int32", "past int32",
+			adj(func(p []byte) []byte { return append(append(p[:14:14], 0x80, 0x80, 0x80, 0x80, 0x08), p[15:]...) })},
+		{"a non-minimal graph count", "not minimal",
+			adj(func(p []byte) []byte { return append(append(p[:13:13], p[13]|0x80, 0), p[14:]...) })},
+		// 200 nodes, the last listing two neighbours in the two bytes
+		// left, the first of them a two-byte gap.
+		{"a graph gap running past its section", "runs past the end",
+			adj(func([]byte) []byte {
+				p := binary.LittleEndian.AppendUint64(append(binary.LittleEndian.AppendUint32(nil, 200), 1), 2)
+				return append(append(p, make([]byte, 199)...), 2, 0x81, 0x01)
+			})},
 	}
 }
 
@@ -1087,9 +1207,11 @@ func itemTables(items []ned.Item) [][]ned.Item {
 // what a header declares: an item table whose header declares more rows,
 // or whose first tree declares more stored labels, than its payload
 // holds fails with the error it always did, and decoding that table
-// allocates no more than the payload's length. The table holds 400
-// nodes, so the payload (~3 KB) outweighs a failed decode's fixed cost
-// (its error, its worker: ~0.9 KB, ~1.3 KB under the race detector).
+// allocates no more than the payload's length; so does decoding a dict
+// or graph section that declares more labels, neighbours or nodes than
+// it holds. The table holds 400 nodes, so the payload (~3 KB) outweighs
+// a failed decode's fixed cost (its error, its worker: ~0.9 KB, ~1.3 KB
+// under the race detector).
 func TestSegmentPresizingTrustsOnlyPayload(t *testing.T) {
 	g := fixtureGraph(400, 900, false, 42)
 	nodes := make([]graph.NodeID, g.NumNodes())
@@ -1133,6 +1255,43 @@ func TestSegmentPresizingTrustsOnlyPayload(t *testing.T) {
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(payload)) {
 			t.Errorf("%s: decoding a %d-byte table allocated %d bytes", c.what, len(payload), got)
+		}
+	}
+
+	// The dictionary and the graph size what they allocate by a first
+	// pass too: a count that runs past the payload fails it.
+	types, payloads := sections(blob)
+	dictP, graphP := payloads[bytes.IndexByte(types, SecDict)], payloads[bytes.IndexByte(types, SecGraph)]
+	shapes, _, _ := uvCount(dictP, 0)
+	dictWords := uvarints(dictP)
+	for at := 1; at < len(dictWords); at += 2 + int(dictWords[at+1]) {
+		if at+2+int(dictWords[at+1]) >= len(dictWords) {
+			dictWords[at+1] = 1 << 28 // the last shape's rest count
+		}
+	}
+	graphWords := uvarints(graphP[13:])
+	graphWords[0] = 1 << 28 // the first node's neighbour count
+	decodeD := func(p []byte) error { _, _, _, _, err := decodeDict(p, shapes); return err }
+	decodeG := func(p []byte) error { _, err := decodeGraph(p); return err }
+	for _, c := range []struct {
+		what, want string
+		decode     func([]byte) error
+		payload    []byte
+	}{
+		{"more child labels", "declares 268435456 more child labels", decodeD, appendUvarints(nil, dictWords)},
+		{"more neighbours", "declares 268435456 neighbours", decodeG, appendUvarints(bytes.Clone(graphP[:13]), graphWords)},
+		{"more nodes", "graph declares 1073741824 nodes", decodeG,
+			append(binary.LittleEndian.AppendUint32(nil, 1<<30), graphP[4:]...)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode(c.payload)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrInconsistent) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want ErrInconsistent mentioning %q", c.what, err, c.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(c.payload)) {
+			t.Errorf("%s: decoding a %d-byte section allocated %d bytes", c.what, len(c.payload), got)
 		}
 	}
 }

@@ -522,7 +522,7 @@ func (s *Server) handleStats(ctx context.Context, r *http.Request) (int, any, er
 	return http.StatusOK, StatsDoc{Corpus: t.Name, Stats: t.Corpus.Stats()}, nil
 }
 
-// handleSnapshotHTTP streams the corpus snapshot — the NEDSEG03 binary
+// handleSnapshotHTTP streams the corpus snapshot — the NEDSEG04 binary
 // segment Snapshot/LoadCorpus speak, each row's bytes as the engine
 // holds them and the backing graph included — outside the JSON
 // envelope.

@@ -14,10 +14,15 @@ import (
 // row's stored labels to in's IDs, on up to workers goroutines:
 //
 //   - children before parents;
-//   - among the shapes whose children have IDs, the one the rows'
-//     stored words use most goes first (so most labels take a byte);
-//   - then the lower one, then the one whose coded key — its sorted
-//     children's new IDs — compares first as bytes.
+//   - the shapes the rows' stored words use most take the IDs that code
+//     in fewest bytes: a shape's ID takes as many uvarint bytes as its
+//     place in the order of (uses, descending; height) would, so the
+//     rows are as short as that order makes them;
+//   - among the IDs of one width, the lower shape first, then the one
+//     whose sorted children's new IDs — its coded key's deltas —
+//     compare first as bytes, so shapes that share leading children
+//     sit side by side, where a checkpoint's front-coded dictionary
+//     stores them in a few bytes.
 //
 // No step depends on the IDs the arenas' dictionary gave, so the result
 // is the same whichever workers interned which shapes first.
@@ -128,11 +133,12 @@ func split(n, workers int, f func(w, lo, hi int)) {
 //
 // A shape's children are lower than it, and every one but the leaf is
 // used at least as often: a node whose child has children is stored
-// above the deepest level, as is the child. So after the leaf, which
-// has no children and always comes first, the canonical order is the
-// order of (uses, descending; height), and the shapes of each run of
-// equal uses and height, whose children are numbered by then, are
-// numbered in the order of their coded keys under new IDs.
+// above the deepest level, as is the child. So in the order of (uses,
+// descending; height) a shape's children come before it, and so do
+// they in the order of (the ID width that order gives, height), which
+// the leaf, with no children, heads. The shapes of each run of equal
+// width and height, whose children are numbered by then, are numbered
+// in the order of their coded keys' deltas under new IDs.
 func canonicalOrder(u *Interner, uses []int64, workers int) (canon []int32, keys []byte, off []uint32) {
 	n := u.Len()
 	t := u.tab.Load()
@@ -169,6 +175,26 @@ func canonicalOrder(u *Interner, uses []int64, workers int) (canon []int32, keys
 	}
 	var rs radix
 	order := rs.sort(rank, make([]int32, n))
+	// Rank again by the width of the ID that place gives, then height. A
+	// run of equal rank takes its last place's width, so no shape's width
+	// depends on its place among equals, and no shape takes an ID wider
+	// than its width.
+	byWidth := make([]uint64, n)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && rank[order[hi]] == rank[order[lo]] {
+			hi++
+		}
+		w := uint64(UvarintLen(uint32(hi - 1)))
+		for _, s := range order[lo:hi] {
+			if h := height[s]; h > 0 {
+				byWidth[s] = w<<hb | uint64(h)
+			}
+		}
+		lo = hi
+	}
+	rank = byWidth
+	order = rs.sort(rank, make([]int32, n))
 
 	// Each run of equal rank is a group: its shapes' keys are coded (g),
 	// sorted, and appended to keys.
@@ -222,6 +248,13 @@ func (g *keyGroup) key(i int32) []byte {
 	return g.bufs[at[0]][at[1]:at[2]]
 }
 
+// deltas is the coded key of the group's shape i past its run length.
+func (g *keyGroup) deltas(i int32) []byte {
+	key := g.key(i)
+	_, at := uvarintAt(key, 0)
+	return key[at:]
+}
+
 // code codes the keys of group[lo:hi] under new IDs, as worker w.
 func (g *keyGroup) code(w, lo, hi int) {
 	runs := g.runs[w]
@@ -244,8 +277,9 @@ func (g *keyGroup) code(w, lo, hi int) {
 }
 
 // sort returns the indexes of the group's shapes in the order of their
-// keys as bytes: by their first eight bytes, then the runs that tie on
-// them by their whole keys.
+// keys' deltas as bytes: by their first eight bytes, then the runs that
+// tie on them by their whole deltas. Distinct shapes have distinct
+// deltas, which code their children to the last.
 func (g *keyGroup) sort() []int32 {
 	n := len(g.group)
 	g.order = slices.Grow(g.order[:0], n)[:n]
@@ -256,7 +290,7 @@ func (g *keyGroup) sort() []int32 {
 	g.prefix = slices.Grow(g.prefix[:0], n)[:n]
 	for i := range int32(n) {
 		var b [8]byte
-		copy(b[:], g.key(i))
+		copy(b[:], g.deltas(i))
 		g.prefix[i] = binary.BigEndian.Uint64(b[:])
 	}
 	g.order = g.rs.sort(g.prefix, g.order)
@@ -266,7 +300,7 @@ func (g *keyGroup) sort() []int32 {
 			hi++
 		}
 		if hi-lo > 1 {
-			slices.SortFunc(g.order[lo:hi], func(a, b int32) int { return bytes.Compare(g.key(a), g.key(b)) })
+			slices.SortFunc(g.order[lo:hi], func(a, b int32) int { return bytes.Compare(g.deltas(a), g.deltas(b)) })
 		}
 		lo = hi
 	}

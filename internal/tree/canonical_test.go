@@ -29,8 +29,9 @@ func canonicalRows(t *testing.T, trees []*Tree, order []int, workers int) (*Prof
 // Canonicalize numbers shapes by the rules of its doc and by nothing
 // the source dictionary chose: rows of the same trees interned in two
 // orders come out byte-identical, every row still stores its tree, and
-// the IDs run children first, then by uses (descending), height and
-// coded key.
+// the IDs run children first, then by the ID width the order of (uses,
+// descending; height) gives a shape's run of equals, then by height,
+// then by the coded key's deltas.
 func TestCanonicalizeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	trees := []*Tree{MustNew([]int32{-1}), Path(5), Star(6)}
@@ -45,9 +46,10 @@ func TestCanonicalizeOrder(t *testing.T) {
 	slices.Reverse(backward)
 	a, dict := canonicalRows(t, trees, forward, 1)
 	b, dict2 := canonicalRows(t, trees, backward, 2)
-	n, keys := dict.Coded()
-	n2, keys2 := dict2.Coded()
-	if n != n2 || !bytes.Equal(keys, keys2) || !bytes.Equal(a.Words, b.Words) || !slices.Equal(a.WordOff, b.WordOff) {
+	keys, off := dict.Coded()
+	keys2, off2 := dict2.Coded()
+	n := len(off) - 1
+	if !slices.Equal(off, off2) || !bytes.Equal(keys, keys2) || !bytes.Equal(a.Words, b.Words) || !slices.Equal(a.WordOff, b.WordOff) {
 		t.Fatal("the canonical dictionary or rows depend on the order the source dictionary interned in")
 	}
 
@@ -66,26 +68,54 @@ func TestCanonicalizeOrder(t *testing.T) {
 		}
 	}
 	height := make([]int32, n)
-	var prev []byte
 	for id := range int32(n) {
-		kids := dict.Kids(id, nil)
-		for _, kid := range kids {
+		for _, kid := range dict.Kids(id, nil) {
 			if kid >= id {
 				t.Fatalf("shape %d has child %d", id, kid)
 			}
 			height[id] = max(height[id], height[kid]+1)
 		}
-		key := appendKey(nil, kids)
-		if id >= 2 {
-			u, pu := uses[id], uses[id-1]
-			h, ph := height[id], height[id-1]
-			if u > pu || u == pu && h < ph || u == pu && h == ph && bytes.Compare(key, prev) <= 0 {
-				t.Fatalf("shape %d (uses %d, height %d) follows shape %d (uses %d, height %d) out of order", id, u, h, id-1, pu, ph)
-			}
-		}
-		prev = key
 	}
 	if height[0] != 0 {
 		t.Fatal("shape 0 is not the leaf")
+	}
+	// Each shape's width: that of the last place its run of equal
+	// (uses, height) takes in the order of (uses, descending; height),
+	// the leaf first.
+	byUse := make([]int32, n)
+	for id := range byUse {
+		byUse[id] = int32(id)
+	}
+	slices.SortFunc(byUse[1:], func(a, b int32) int {
+		if uses[a] != uses[b] {
+			return int(uses[b] - uses[a])
+		}
+		return int(height[a] - height[b])
+	})
+	width := make([]int, n)
+	for at := n - 1; at >= 0; at-- {
+		id := byUse[at]
+		if next := at + 1; at > 0 && next < n && uses[id] == uses[byUse[next]] && height[id] == height[byUse[next]] {
+			width[id] = width[byUse[next]]
+		} else {
+			width[id] = UvarintLen(uint32(at))
+		}
+	}
+	if width[n-1] < 2 {
+		t.Fatalf("%d shapes: the check never crosses an ID width", n)
+	}
+	var prev []byte
+	for id := range int32(n) {
+		key := appendKey(nil, dict.Kids(id, nil))
+		_, at := uvarintAt(key, 0)
+		deltas := key[at:]
+		if id >= 2 {
+			w, pw := width[id], width[id-1]
+			h, ph := height[id], height[id-1]
+			if w < pw || w == pw && h < ph || w == pw && h == ph && bytes.Compare(deltas, prev) <= 0 {
+				t.Fatalf("shape %d (width %d, height %d) follows shape %d (width %d, height %d) out of order", id, w, h, id-1, pw, ph)
+			}
+		}
+		prev = deltas
 	}
 }

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"slices"
 )
@@ -214,20 +213,6 @@ func WordsLen(words []int32) int {
 	n := 0
 	for _, w := range words {
 		n += UvarintLen(uint32(w))
-	}
-	return n
-}
-
-// CountWords is the count of words b's uvarints encode.
-func CountWords(b []byte) int {
-	// A uvarint's last byte is the one below 0x80: count them eight at a
-	// time.
-	n := 0
-	for ; len(b) >= 8; b = b[8:] {
-		n += bits.OnesCount64(^binary.LittleEndian.Uint64(b) & 0x8080808080808080)
-	}
-	for _, c := range b {
-		n += int(^c >> 7)
 	}
 	return n
 }

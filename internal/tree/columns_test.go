@@ -18,9 +18,6 @@ func TestWordsRoundTrip(t *testing.T) {
 	if len(b) != WordsLen(words) {
 		t.Fatalf("%d bytes, WordsLen says %d", len(b), WordsLen(words))
 	}
-	if got := CountWords(b); got != len(words) {
-		t.Fatalf("CountWords %d, want %d", got, len(words))
-	}
 	if got := DecodeWords(nil, b); !slices.Equal(got, words) {
 		t.Fatalf("decoded %v, want %v", got, words)
 	}

@@ -16,9 +16,9 @@ import (
 // A shape is the sorted labels of its children, and the dictionary
 // holds each as its coded key: the run length as a uvarint, then the
 // labels as uvarint deltas, the first from 0 — the form a segment's
-// dict section stores, so a checkpoint writes the key buffer verbatim
-// and a load adopts it (Coded, NewInternerFromCoded). The keys sit back
-// to back in one byte buffer with uint32 offsets, and an
+// dict section front-codes, so a checkpoint codes straight from the key
+// buffer and a load expands into one (Coded, NewInternerFromCoded). The
+// keys sit back to back in one byte buffer with uint32 offsets, and an
 // open-addressing table of IDs, keyed by one hash of the coded key,
 // finds them. A lookup takes no lock; interning a new shape takes the
 // one mutex, appends the key and places its ID.
@@ -27,11 +27,11 @@ import (
 // because a child's ID is taken before its parent's key can be formed;
 // so ID 0 is the leaf. A full build (Canonicalize) numbers every shape
 // of the corpus in one canonical order, a function of the rows alone:
-// children first, and among the shapes whose children are numbered, the
-// one the rows' stored words use most, then the lower one, then the one
-// whose coded key under the new IDs compares first. Shapes interned
-// later, by mutations, log replay or Profile, take the next IDs in the
-// order they are interned.
+// children first, the shapes the rows' stored words use most in the
+// IDs that code in fewest bytes, and among IDs of one width the lower
+// shape first, then the one whose children's new IDs compare first.
+// Shapes interned later, by mutations, log replay or Profile, take the
+// next IDs in the order they are interned.
 //
 // The dictionary only grows — shapes are never evicted, so label IDs
 // stay stable for the life of the corpus (epoch clones and rebuilt
@@ -191,14 +191,11 @@ func (in *Interner) Bytes() int64 {
 	return int64(len(t.keys) + 4*len(t.off) + 4*len(t.slots))
 }
 
-// Coded returns the dictionary's shape count and its coded keys in ID
-// order, back to back — a segment's dict section after its shape count —
-// without copying them. The result views the dictionary's own buffer
-// and must not be written; interning goes on beside it.
-func (in *Interner) Coded() (n int, keys []byte) {
-	keys, off := in.view()
-	return len(off) - 1, keys
-}
+// Coded returns the dictionary's coded keys in ID order, back to back,
+// shape id's at keys[off[id]:off[id+1]] — what a segment's dict section
+// front-codes — without copying them. The result views the dictionary's
+// own buffer and must not be written; interning goes on beside it.
+func (in *Interner) Coded() (keys []byte, off []uint32) { return in.view() }
 
 // view is the dictionary's first Len shapes: their keys and offsets,
 // capacity-clipped views that are never written again.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -45,9 +46,9 @@ func TestInternerShapesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewInternerFromKids: %v", err)
 	}
-	n, keys := in.Coded()
-	n2, keys2 := in2.Coded()
-	if n != n2 || !bytes.Equal(keys, keys2) {
+	keys, off := in.Coded()
+	keys2, off2 := in2.Coded()
+	if !slices.Equal(off, off2) || !bytes.Equal(keys, keys2) {
 		t.Fatal("the shape table codes other keys than the dictionary holds")
 	}
 	if in2.Len() != in.Len() {
@@ -66,8 +67,8 @@ func TestInternerShapesRoundTrip(t *testing.T) {
 		t.Fatalf("re-profiling grew the rebuilt dictionary to %d shapes, want %d", in2.Len(), in.Len())
 	}
 	// Determinism: exporting twice yields the same table.
-	off2, kids2 := exportShapes(in)
-	if !reflect.DeepEqual(kidOff, off2) || !reflect.DeepEqual(kids, kids2) {
+	kidOff2, kids2 := exportShapes(in)
+	if !reflect.DeepEqual(kidOff, kidOff2) || !reflect.DeepEqual(kids, kids2) {
 		t.Fatal("the shape table is not deterministic")
 	}
 }
@@ -126,10 +127,11 @@ func TestShapesWhileInterning(t *testing.T) {
 			running = false
 		default:
 		}
-		_, keys := in.Coded()
+		keys, _ := in.Coded()
 		views = append(views, keys)
 	}
-	n, final := in.Coded()
+	final, off := in.Coded()
+	n := len(off) - 1
 	if n != in.Len() {
 		t.Fatalf("Coded holds %d shapes, the dictionary %d", n, in.Len())
 	}
