@@ -571,6 +571,68 @@ func TestDurableOpensV1WALWithTrees(t *testing.T) {
 	}
 }
 
+// A log an older build wrote keeps its frames and takes this build's
+// behind them: testdata/v2_durable's wal-00000000.log holds a version-1
+// frame (Remove 2, 9, 4) and a version-2 one (Insert 4). Reopened
+// (checkpoint converted, log untouched), the corpus removes nodes given
+// unsorted, inserts, and moves to a graph with four more nodes; those
+// version-3 frames land behind the old ones in the same file, and the
+// reopened directory answers as the oracle over the last graph does.
+func TestDurableMixedVersionLog(t *testing.T) {
+	g := rebalancedGraph()
+	dir := upgradedDir(t, "testdata/v2_durable")
+	path := segment.WALPath(dir, 0)
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenDurable(dir, FsyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Remove(17, 5, 17); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(2, 9); err != nil {
+		t.Fatal(err)
+	}
+	g2 := editedGraph(g, 44, 4401)
+	if _, err := c.UpdateGraph(g2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(42); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, old) {
+		t.Fatal("the older build's frames did not survive the appends")
+	}
+	if got := walFrameVersions(t, path); string(got) != "\x01\x02\x03\x03\x03\x03" {
+		t.Fatalf("frame versions %v, want [1 2 3 3 3 3]", got)
+	}
+	live := map[NodeID]bool{42: true}
+	for _, v := range allNodes(g) {
+		if v != 5 && v != 17 {
+			live[v] = true
+		}
+	}
+	re, err := OpenDurable(dir, FsyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseDurable()
+	if got, want := corpusState(re), freshState(t, g2, live, rebalancedK); got != want {
+		t.Fatalf("reopened state differs from a fresh build:\n got %s\nwant %s", got, want)
+	}
+	assertLoaded(t, "mixed-version log", re, oracleOver(g2, rebalancedK, sortedNodes(live)), 2870)
+}
+
 // reopenFromCheckpoint checkpoints c (making it durable in a fresh
 // directory first if it is not), closes it, requires the newest
 // checkpoint to be a NEDSEG04 segment, and reopens the directory.

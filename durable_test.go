@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -698,7 +699,104 @@ func TestRecoveryReplaysGraphEdit(t *testing.T) {
 			if tc.opts == nil {
 				assertMatchesOracle(t, "recovered after edits", c3, oracleOver(g1, k, sortedNodes(live)), randomGraph(40, 80, 998), k, 6, 996)
 			}
+			assertV3Logs(t, dir)
 		})
+	}
+}
+
+// walFrameVersions lists the payload version of every frame of the log
+// at path, in log order.
+func walFrameVersions(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var versions []byte
+	for off := 0; off < len(raw); off += 8 + int(binary.LittleEndian.Uint32(raw[off:])) {
+		versions = append(versions, raw[off+8])
+	}
+	return versions
+}
+
+// assertV3Logs requires every frame of every log in dir to be version 3,
+// and returns how many there are.
+func assertV3Logs(t *testing.T, dir string) int {
+	t.Helper()
+	logs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for _, path := range logs {
+		for i, v := range walFrameVersions(t, path) {
+			if v != 3 {
+				t.Fatalf("%s: frame %d is version %d, want 3", filepath.Base(path), i, v)
+			}
+			frames++
+		}
+	}
+	return frames
+}
+
+// Every frame the engine writes is version 3: a durable corpus that
+// inserts, removes (nodes unsorted and repeated), moves its graph to a
+// larger version and back, checkpoints and keeps mutating leaves
+// version-3 frames only, in every log generation, and they replay to
+// the state it published.
+func TestDurableWritesOnlyV3Frames(t *testing.T) {
+	const k = 2
+	dir := t.TempDir()
+	g1 := randomGraph(60, 130, 590)
+	g2 := editedGraph(g1, 64, 591) // grows by four nodes
+	live := map[NodeID]bool{}
+	for v := 0; v < 50; v++ {
+		live[NodeID(v)] = true
+	}
+	c, err := NewCorpus(g1, k, WithNodes(sortedNodes(live)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MakeDurable(dir, FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(c.Insert(55, 50, 51))
+	must(c.Remove(7, 3, 7))
+	if _, err := c.UpdateGraph(g2); err != nil {
+		t.Fatal(err)
+	}
+	must(c.Insert(62))
+	if n := assertV3Logs(t, dir); n != 4 {
+		t.Fatalf("%d frames before the checkpoint, want 4", n)
+	}
+	must(c.Checkpoint())
+	if _, err := c.UpdateGraph(g1); err != nil { // drops node 62 again
+		t.Fatal(err)
+	}
+	must(c.Remove(0))
+	must(c.CloseDurable())
+	if n := assertV3Logs(t, dir); n < 2 {
+		t.Fatalf("%d frames after the checkpoint, want 2 at least", n)
+	}
+	for _, v := range []NodeID{50, 51, 55} {
+		live[v] = true
+	}
+	for _, v := range []NodeID{0, 3, 7} {
+		delete(live, v)
+	}
+	r, err := OpenDurable(dir, FsyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.CloseDurable()
+	if got, want := corpusState(r), freshState(t, g1, live, k); got != want {
+		t.Fatalf("recovered state differs from a fresh build:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -174,8 +174,8 @@ func (b *Builder) AddEdge(u, v NodeID) {
 // NumNodes returns the current node count.
 func (b *Builder) NumNodes() int { return b.numNodes }
 
-// compareEdges is the canonical edge order: by U, then by V.
-func compareEdges(a, b Edge) int {
+// CompareEdges is the canonical edge order: by U, then by V.
+func CompareEdges(a, b Edge) int {
 	if c := cmp.Compare(a.U, b.U); c != 0 {
 		return c
 	}
@@ -195,8 +195,8 @@ func (b *Builder) Build() *Graph {
 	}
 	// A segment's graph section, among others, arrives in this order
 	// already.
-	if !slices.IsSortedFunc(es, compareEdges) {
-		slices.SortFunc(es, compareEdges)
+	if !slices.IsSortedFunc(es, CompareEdges) {
+		slices.SortFunc(es, CompareEdges)
 	}
 	dedup := es[:0]
 	for i, e := range es {

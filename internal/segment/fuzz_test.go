@@ -8,23 +8,31 @@ import (
 )
 
 // FuzzWALReplay throws arbitrary bytes at the WAL replay path, seeded
-// with both golden logs (version-1 and version-2 frames): it must
-// never panic, a non-error replay's valid prefix must re-replay to the
-// same records (the truncate-then-resume invariant OpenWALAt relies
-// on), and valid must never exceed the input.
+// with the three golden logs (version-1, -2 and -3 frames), all three
+// in one log as an older build's file resumed by this one's, and each
+// version-2 and -3 frame torn by one byte: it must never panic, a
+// non-error replay's valid prefix must re-replay to the same records
+// (the truncate-then-resume invariant OpenWALAt relies on), and valid
+// must never exceed the input.
 func FuzzWALReplay(f *testing.F) {
 	var golden []byte
 	if b, err := os.ReadFile(filepath.Join("testdata", "golden-wal.log")); err == nil {
 		golden = b
 	}
 	f.Add(golden)
-	if v2, err := os.ReadFile(filepath.Join("testdata", "golden-wal-v2.log")); err == nil {
-		f.Add(v2)
-		f.Add(append(append([]byte(nil), golden...), v2...))
-		for _, end := range walFrameBounds(v2) {
-			f.Add(v2[:end-1]) // each version-2 frame torn by one byte
+	mixed := append([]byte(nil), golden...)
+	for _, name := range []string{"golden-wal-v2.log", "golden-wal-v3.log"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
 		}
+		f.Add(b)
+		for _, end := range walFrameBounds(b) {
+			f.Add(b[:end-1]) // each frame torn by one byte
+		}
+		mixed = append(mixed, b...)
 	}
+	f.Add(mixed)
 	for _, cut := range []int{0, 1, 7, 8, 9, 20} {
 		if cut <= len(golden) {
 			f.Add(golden[:cut])

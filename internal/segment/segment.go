@@ -1113,12 +1113,13 @@ func boolByte(b bool) byte {
 
 // --- reading ---
 
-// ErrInconsistent reports an item table or dictionary whose checksum
+// ErrInconsistent reports a section or a WAL record whose checksum
 // holds but whose bytes could not have been written: a malformed
-// uvarint, or stored labels (or a parent vector) that disagree with the
-// segment's own shape dictionary — faithfully persisted bytes of a
-// corpus that cannot have been written.
-var ErrInconsistent = errors.New("segment: item table disagrees with its dictionary")
+// uvarint, stored labels (or a parent vector) that disagree with the
+// segment's own shape dictionary, a dictionary, graph or log record no
+// writer emits — faithfully persisted bytes of a corpus that cannot
+// have been written.
+var ErrInconsistent = errors.New("segment: bytes no writer emits")
 
 func inconsistent(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInconsistent, fmt.Sprintf(format, args...))

@@ -1,10 +1,14 @@
 package segment
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"ned/internal/faultfs"
@@ -32,29 +36,39 @@ import (
 //
 //	[payloadLen u32][crc32c(payload) u32][payload]
 //
-// with payload version 1
+// whose payload this build writes as version 3, every count, node ID
+// and gap a uvarint (at most 5 bytes, minimal, within int32):
 //
-//	version u8 (=1)
-//	upserts u32, then per upsert: node u32, k u32, flags u8
-//	  (bit0 = has incoming tree), then per tree n u32 + parents (n-1)×u32
-//	deletes u32, then node u32 each
+//	version u8 (=3)
+//	flags u8 (bit0 = graph edit follows, bit1 = upserts follow;
+//	  other bits must be zero)
+//	[edit: nodes, then the removed and the added edges, each list a
+//	  count plus its edges in ascending (u, v) order: u as a gap from
+//	  the previous edge's u, v as a gap from the previous v when u
+//	  repeats and absolute otherwise; every endpoint in [0, nodes)]
+//	extract, then deletes: each a count plus strictly ascending node
+//	  IDs, the first absolute and each later one a gap from the last
+//	[upserts: a count, then per upsert node, k, in u8 (1 = an incoming
+//	  tree follows), then per tree its size n and its n-1 parents]
 //
-// or version 2, which prefixes the version-1 body with a graph edit and
-// the nodes replay extracts:
+// The writer sorts and de-duplicates the node and edge lists — replay
+// treats each as a set — and sets a flag only when its part is not
+// empty, so a one-node Insert or Remove below node 16 384 is a 14-byte
+// frame. Upserts carry trees only, not profiles: replay re-profiles
+// against the recovering corpus's dictionary (growing it as needed) —
+// the segment checkpoint is where profile bytes belong.
 //
-//	version u8 (=2)
-//	flags u8 (bit0 = graph edit follows; other bits must be zero)
-//	[edit: nodes u32, removed u32 + (u u32, v u32) each,
-//	       added u32 + (u u32, v u32) each]
-//	extract u32, then node u32 each
-//	upserts and deletes as in version 1
+// Versions 1 and 2 are read and never written, so a log an older build
+// wrote replays, and keeps replaying once this build appends version-3
+// frames behind it. Their counts, node IDs and edge endpoints are u32:
 //
-// A record is written as version 2 only when it names nodes to extract
-// or carries a graph edit; full-item upserts and delete-only records
-// keep the version-1 bytes. Upserts carry trees only, not profiles:
-// replay re-profiles against the recovering corpus's dictionary
-// (growing it as needed) — the segment checkpoint is where profile
-// bytes belong.
+//	version 1: version u8 (=1); upserts u32, then per upsert node u32,
+//	  k u32, flags u8 (bit0 = has incoming tree), then per tree n u32 +
+//	  parents (n-1)×u32; deletes u32, then node u32 each
+//	version 2: version u8 (=2); flags u8 (bit0 = graph edit follows);
+//	  [edit: nodes u32, removed u32 + (u u32, v u32) each, added u32 +
+//	  (u u32, v u32) each]; extract u32, then node u32 each; then the
+//	  version-1 body after its version byte
 //
 // Torn-tail semantics (the crash contract): a final frame cut short —
 // header or payload extending past EOF, or a checksum mismatch on a
@@ -361,43 +375,38 @@ func (w *WAL) Path() string {
 	return w.path
 }
 
-// appendRecord encodes rec as one framed record appended to b: version
-// 2 when it names nodes to extract or carries a graph edit, version 1
-// otherwise.
+// The version-3 flag bits.
+const (
+	walEdit    = 1 << 0
+	walUpserts = 1 << 1
+)
+
+// appendRecord encodes rec as one framed version-3 record appended to b.
 func appendRecord(b []byte, rec Record) []byte {
 	start := len(b)
 	// Reserve the frame header; patch once the payload is known.
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-	if len(rec.Extract) == 0 && rec.Graph == nil {
-		b = append(b, 1) // payload version
-	} else {
-		b = append(b, 2)
-		if e := rec.Graph; e != nil {
-			b = append(b, 1)
-			b = appendU32(b, uint32(e.NumNodes))
-			b = appendWALEdges(b, e.Removed)
-			b = appendWALEdges(b, e.Added)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendWALNodes(b, rec.Extract)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0)
+	if e := rec.Graph; e != nil {
+		b[start+9] |= walEdit
+		b = appendUv(b, e.NumNodes)
+		b = appendWALEdges(b, e.Removed)
+		b = appendWALEdges(b, e.Added)
 	}
-	b = appendU32(b, uint32(len(rec.Upserts)))
-	for i := range rec.Upserts {
-		it := &rec.Upserts[i]
-		b = appendU32(b, uint32(it.Node))
-		b = appendU32(b, uint32(it.K))
-		if it.In != nil {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = appendWALTree(b, it.Out)
-		if it.In != nil {
-			b = appendWALTree(b, it.In)
-		}
-	}
+	b = appendWALNodes(b, rec.Extract)
 	b = appendWALNodes(b, rec.Deletes)
+	if len(rec.Upserts) > 0 {
+		b[start+9] |= walUpserts
+		b = appendUv(b, len(rec.Upserts))
+		for i := range rec.Upserts {
+			it := &rec.Upserts[i]
+			b = appendUv(appendUv(b, int(it.Node)), it.K)
+			b = append(b, boolByte(it.In != nil))
+			b = appendWALTree(b, it.Out)
+			if it.In != nil {
+				b = appendWALTree(b, it.In)
+			}
+		}
+	}
 	payload := b[start+8:]
 	n := uint32(len(payload))
 	crc := crc32.Checksum(payload, castagnoli)
@@ -407,33 +416,71 @@ func appendRecord(b []byte, rec Record) []byte {
 	return b
 }
 
+// appendUv appends x as a uvarint of its low 32 bits: a negative x
+// writes a value past int32, which the reader rejects.
+func appendUv(b []byte, x int) []byte {
+	return binary.AppendUvarint(b, uint64(uint32(x)))
+}
+
+// appendWALNodes appends nodes as a set: its count, then its IDs in
+// ascending order, each after the first a gap from the last.
 func appendWALNodes(b []byte, nodes []graph.NodeID) []byte {
-	b = appendU32(b, uint32(len(nodes)))
+	if !isSet(nodes, cmp.Compare[graph.NodeID]) {
+		nodes = slices.Compact(slices.Sorted(slices.Values(nodes)))
+	}
+	b = appendUv(b, len(nodes))
+	last := graph.NodeID(0)
 	for _, v := range nodes {
-		b = appendU32(b, uint32(v))
+		b, last = appendUv(b, int(v-last)), v
 	}
 	return b
 }
 
+// appendWALEdges appends edges as a set: its count, then its edges in
+// ascending (u, v) order, u a gap from the last edge's, v a gap from
+// the last edge's when u repeats and absolute otherwise.
 func appendWALEdges(b []byte, edges []graph.Edge) []byte {
-	b = appendU32(b, uint32(len(edges)))
-	for _, e := range edges {
-		b = appendU32(b, uint32(e.U))
-		b = appendU32(b, uint32(e.V))
+	if !isSet(edges, graph.CompareEdges) {
+		edges = slices.Compact(slices.SortedFunc(slices.Values(edges), graph.CompareEdges))
+	}
+	b = appendUv(b, len(edges))
+	last := graph.Edge{}
+	for i, e := range edges {
+		b = appendUv(b, int(e.U-last.U))
+		if i > 0 && e.U == last.U {
+			b = appendUv(b, int(e.V-last.V))
+		} else {
+			b = appendUv(b, int(e.V))
+		}
+		last = e
 	}
 	return b
+}
+
+// isSet reports whether s is strictly ascending under compare.
+func isSet[T any](s []T, compare func(T, T) int) bool {
+	for i := 1; i < len(s); i++ {
+		if compare(s[i-1], s[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func appendWALTree(b []byte, t *tree.Tree) []byte {
-	b = appendU32(b, uint32(t.Size()))
+	b = appendUv(b, t.Size())
 	for _, p := range t.ParentVector()[1:] {
-		b = appendU32(b, uint32(p))
+		b = appendUv(b, int(p))
 	}
 	return b
 }
 
-// decodeRecord decodes one checksum-verified frame payload.
+// decodeRecord decodes one checksum-verified frame payload of any
+// version.
 func decodeRecord(payload []byte) (Record, error) {
+	if len(payload) > 0 && payload[0] == 3 {
+		return decodeRecordV3(payload)
+	}
 	var rec Record
 	d := &dec{b: payload}
 	switch v := d.u8(); {
@@ -449,11 +496,11 @@ func decodeRecord(payload []byte) (Record, error) {
 			if d.err == nil && e.NumNodes < 0 {
 				return rec, fmt.Errorf("segment: wal graph edit declares %d nodes", e.NumNodes)
 			}
-			e.Removed = decodeWALEdges(d, e.NumNodes, "removed")
-			e.Added = decodeWALEdges(d, e.NumNodes, "added")
+			e.Removed = decodeV2Edges(d, e.NumNodes, "removed")
+			e.Added = decodeV2Edges(d, e.NumNodes, "added")
 			rec.Graph = e
 		}
-		rec.Extract = decodeWALNodes(d, "extract")
+		rec.Extract = decodeV1Nodes(d, "extract")
 	case v != 1:
 		return rec, fmt.Errorf("segment: wal record version %d unsupported", v)
 	}
@@ -477,26 +524,26 @@ func decodeRecord(payload []byte) (Record, error) {
 		}
 		it := ned.Item{Node: graph.NodeID(node), K: k}
 		var err error
-		if it.Out, err = decodeWALTree(d); err != nil {
+		if it.Out, err = decodeV1Tree(d); err != nil {
 			return rec, err
 		}
 		if flags&1 != 0 {
-			if it.In, err = decodeWALTree(d); err != nil {
+			if it.In, err = decodeV1Tree(d); err != nil {
 				return rec, err
 			}
 		}
 		rec.Upserts = append(rec.Upserts, it)
 	}
-	rec.Deletes = decodeWALNodes(d, "delete")
+	rec.Deletes = decodeV1Nodes(d, "delete")
 	if err := d.done(); err != nil {
 		return rec, err
 	}
 	return rec, nil
 }
 
-// decodeWALNodes decodes a counted node list; every ID must be
-// non-negative.
-func decodeWALNodes(d *dec, what string) []graph.NodeID {
+// decodeV1Nodes decodes a version-1 or -2 counted node list; every ID
+// must be non-negative.
+func decodeV1Nodes(d *dec, what string) []graph.NodeID {
 	n := int(d.u32())
 	if d.err == nil && (n < 0 || len(d.b) < 4*n) {
 		d.fail("segment: wal record declares %d %s nodes with %d bytes", n, what, len(d.b))
@@ -516,9 +563,9 @@ func decodeWALNodes(d *dec, what string) []graph.NodeID {
 	return nodes
 }
 
-// decodeWALEdges decodes a counted edge list of a graph edit; every
-// endpoint must lie in [0, numNodes).
-func decodeWALEdges(d *dec, numNodes int, what string) []graph.Edge {
+// decodeV2Edges decodes a counted edge list of a version-2 graph edit;
+// every endpoint must lie in [0, numNodes).
+func decodeV2Edges(d *dec, numNodes int, what string) []graph.Edge {
 	n := int(d.u32())
 	if d.err == nil && (n < 0 || len(d.b) < 8*n) {
 		d.fail("segment: wal graph edit declares %d %s edges with %d bytes", n, what, len(d.b))
@@ -538,7 +585,7 @@ func decodeWALEdges(d *dec, numNodes int, what string) []graph.Edge {
 	return edges
 }
 
-func decodeWALTree(d *dec) (*tree.Tree, error) {
+func decodeV1Tree(d *dec) (*tree.Tree, error) {
 	n := int(d.u32())
 	if d.err == nil && (n < 1 || len(d.b) < 4*(n-1)) {
 		d.fail("segment: wal tree declares %d nodes with %d bytes", n, len(d.b))
@@ -556,6 +603,188 @@ func decodeWALTree(d *dec) (*tree.Tree, error) {
 		return nil, fmt.Errorf("segment: wal tree: %w", err)
 	}
 	return t, nil
+}
+
+// decodeRecordV3 decodes a version-3 payload. Bytes the writer cannot
+// have written — an unknown flag, an upsert flag over no upserts, a
+// malformed uvarint, a repeated node or edge, an endpoint outside the
+// edit's nodes, a count past the payload, trailing bytes — fail with
+// ErrInconsistent.
+func decodeRecordV3(p []byte) (Record, error) {
+	var rec Record
+	r := &walReader{b: p, i: 2}
+	flags := byte(0)
+	if len(p) < 2 {
+		r.fail(inconsistent("no flags byte"))
+	} else if flags = p[1]; flags&^(walEdit|walUpserts) != 0 {
+		r.fail(inconsistent("flags %#x unsupported", flags))
+	}
+	if r.err != nil {
+		return rec, r.err
+	}
+	if flags&walEdit != 0 {
+		e := &GraphEdit{NumNodes: r.uv()}
+		e.Removed = r.edges(e.NumNodes, "removed")
+		e.Added = r.edges(e.NumNodes, "added")
+		rec.Graph = e
+	}
+	rec.Extract = r.nodes("extract")
+	rec.Deletes = r.nodes("delete")
+	if flags&walUpserts != 0 {
+		rec.Upserts = r.upserts()
+	}
+	if r.err == nil && r.i != len(p) {
+		r.fail(inconsistent("%d trailing bytes", len(p)-r.i))
+	}
+	return rec, r.err
+}
+
+// walReader is a version-3 payload's cursor: every uvarint is segment's
+// strict uvCount, and the first failure sticks.
+type walReader struct {
+	b   []byte
+	i   int
+	err error
+}
+
+func (r *walReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+func (r *walReader) uv() int {
+	if r.err != nil {
+		return 0
+	}
+	x, i, err := uvCount(r.b, r.i)
+	if err != nil {
+		r.fail(err)
+		return 0
+	}
+	r.i = i
+	return x
+}
+
+// count reads a list's length, which must fit the payload's rest at
+// size bytes an element at least.
+func (r *walReader) count(size int, what string) int {
+	n := r.uv()
+	if r.err == nil && n > (len(r.b)-r.i)/size {
+		r.fail(inconsistent("%d %s with %d bytes left", n, what, len(r.b)-r.i))
+		return 0
+	}
+	return n
+}
+
+func (r *walReader) nodes(what string) []graph.NodeID {
+	n := r.count(1, what+" nodes")
+	if n == 0 {
+		return nil
+	}
+	nodes := make([]graph.NodeID, n)
+	v := 0
+	for i := range nodes {
+		gap := r.uv()
+		switch v += gap; {
+		case r.err != nil:
+			return nil
+		case i > 0 && gap == 0:
+			r.fail(inconsistent("%s node %d repeats", what, v))
+			return nil
+		case v > math.MaxInt32:
+			r.fail(inconsistent("%s node %d past int32", what, v))
+			return nil
+		}
+		nodes[i] = graph.NodeID(v)
+	}
+	return nodes
+}
+
+func (r *walReader) edges(numNodes int, what string) []graph.Edge {
+	n := r.count(2, what+" edges")
+	if n == 0 {
+		return nil
+	}
+	edges := make([]graph.Edge, n)
+	u, v := 0, 0
+	for i := range edges {
+		du, dv := r.uv(), r.uv()
+		if r.err != nil {
+			return nil
+		}
+		u += du
+		if i > 0 && du == 0 {
+			if dv == 0 {
+				r.fail(inconsistent("%s edge (%d, %d) repeats", what, u, v))
+				return nil
+			}
+			v += dv
+		} else {
+			v = dv
+		}
+		if u >= numNodes || v >= numNodes {
+			r.fail(inconsistent("%s edge %d (%d, %d) outside the edit's [0, %d)", what, i, u, v, numNodes))
+			return nil
+		}
+		edges[i] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v)}
+	}
+	return edges
+}
+
+func (r *walReader) upserts() []ned.Item {
+	// An upsert takes four bytes at least: node, k, in and a size.
+	n := r.count(4, "upserts")
+	if r.err == nil && n == 0 {
+		r.fail(inconsistent("upserts flagged but none follow"))
+	}
+	if r.err != nil {
+		return nil
+	}
+	ups := make([]ned.Item, n)
+	for i := range ups {
+		it := &ups[i]
+		it.Node, it.K = graph.NodeID(r.uv()), r.uv()
+		in := byte(0)
+		if r.err == nil && r.i < len(r.b) {
+			in, r.i = r.b[r.i], r.i+1
+		}
+		if r.err == nil && (it.K < 1 || in > 1) {
+			r.fail(inconsistent("upsert %d malformed (node=%d k=%d in=%d)", i, it.Node, it.K, in))
+		}
+		it.Out = r.tree()
+		if in == 1 {
+			it.In = r.tree()
+		}
+		if r.err != nil {
+			return nil
+		}
+	}
+	return ups
+}
+
+func (r *walReader) tree() *tree.Tree {
+	n := r.uv()
+	if r.err == nil && (n < 1 || n-1 > len(r.b)-r.i) {
+		r.fail(inconsistent("tree of %d nodes with %d bytes left", n, len(r.b)-r.i))
+	}
+	if r.err != nil {
+		return nil
+	}
+	parents := make([]int32, n)
+	parents[0] = -1
+	for i := 1; i < n; i++ {
+		parents[i] = int32(r.uv())
+	}
+	if r.err != nil {
+		return nil
+	}
+	t, err := tree.New(parents)
+	if err != nil {
+		r.fail(fmt.Errorf("%w: %w", ErrInconsistent, err))
+		return nil
+	}
+	return t
 }
 
 // DecodeWAL replays a log image, returning the committed records and

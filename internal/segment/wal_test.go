@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -52,9 +54,34 @@ func walV2FixtureRecords() []Record {
 	}
 }
 
-// walLogRecords is every fixture record, version 1 then version 2.
+// walLogRecords is every fixture record: the version-1 fixtures, the
+// version-2 ones, and records whose IDs take wider uvarints, whose edit
+// repeats an edge's u, and whose node and edge lists arrive unsorted
+// and repeated, as the version-3 writer must take them.
 func walLogRecords(t testing.TB) []Record {
-	return append(walFixtureRecords(t), walV2FixtureRecords()...)
+	recs := append(walFixtureRecords(t), walV2FixtureRecords()...)
+	return append(recs,
+		Record{Extract: []graph.NodeID{300, 16383, 16384, math.MaxInt32}},
+		Record{Extract: []graph.NodeID{9, 8, 9}, Deletes: []graph.NodeID{1 << 20, 3, 1},
+			Graph: &GraphEdit{NumNodes: 1 << 21,
+				Removed: []graph.Edge{{U: 5, V: 700}, {U: 5, V: 1}, {U: 6, V: 2}, {U: 5, V: 9}},
+				Added:   []graph.Edge{{U: 1000, V: 4}, {U: 1000, V: 3}, {U: 1000, V: 4}, {U: 1 << 20, V: 0}}}},
+	)
+}
+
+// canonical is rec as a version-3 frame decodes it: its node and edge
+// lists sorted and without repeats.
+func canonical(rec Record) Record {
+	set := func(nodes []graph.NodeID) []graph.NodeID {
+		return slices.Compact(slices.Sorted(slices.Values(nodes)))
+	}
+	rec.Extract, rec.Deletes = set(rec.Extract), set(rec.Deletes)
+	if e := rec.Graph; e != nil {
+		rec.Graph = &GraphEdit{NumNodes: e.NumNodes,
+			Removed: slices.Compact(slices.SortedFunc(slices.Values(e.Removed), graph.CompareEdges)),
+			Added:   slices.Compact(slices.SortedFunc(slices.Values(e.Added), graph.CompareEdges))}
+	}
+	return rec
 }
 
 func sameRecord(a, b Record) bool {
@@ -118,7 +145,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(recs), len(want))
 	}
 	for i := range want {
-		if !sameRecord(recs[i], want[i]) {
+		if !sameRecord(recs[i], canonical(want[i])) {
 			t.Fatalf("record %d did not round-trip", i)
 		}
 	}
@@ -179,34 +206,63 @@ func TestWALMidFileCorruptionFailsLoudly(t *testing.T) {
 }
 
 // A checksum-valid frame whose payload is malformed is faithful
-// persistence of garbage — loud, even at the tail.
+// persistence of garbage — loud, even at the tail, and never a panic.
+// Each case names a fragment of the error the check that must catch it
+// reports, so a payload that fails some other way does not pass; every
+// version-3 case fails with ErrInconsistent.
 func TestWALMalformedPayloadFailsLoudly(t *testing.T) {
-	edit := func(nodes int, removed, added []graph.Edge) *GraphEdit {
-		return &GraphEdit{NumNodes: nodes, Removed: removed, Added: added}
-	}
-	for _, tc := range []struct {
-		name  string
-		rec   Record
-		patch func(payload []byte)
-	}{
-		// Rewrite the version byte: framing is intact, the payload is not.
-		{"unknown version", Record{}, func(p []byte) { p[0] = 77 }},
-		{"v2 unknown flag bits", Record{Extract: []graph.NodeID{1}}, func(p []byte) { p[1] = 0x02 }},
-		{"v2 negative extract node", Record{Extract: []graph.NodeID{-3}}, nil},
-		{"v2 negative node count", Record{Graph: edit(-1, nil, nil)}, nil},
-		{"v2 added edge endpoint at node count", Record{Graph: edit(8, nil, []graph.Edge{{U: 2, V: 8}})}, nil},
-		{"v2 removed edge endpoint beyond node count", Record{Graph: edit(8, []graph.Edge{{U: 9, V: 1}}, nil)}, nil},
-		{"v2 negative edge endpoint", Record{Graph: edit(8, nil, []graph.Edge{{U: -1, V: 1}})}, nil},
-		{"v2 negative delete", Record{Extract: []graph.NodeID{1}, Deletes: []graph.NodeID{-2}}, nil},
-	} {
-		b := appendRecord(nil, tc.rec)
-		if tc.patch != nil {
-			tc.patch(b[8:])
-			crc := crc32.Checksum(b[8:], castagnoli)
-			b[4], b[5], b[6], b[7] = byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24)
+	u32s := func(xs ...uint32) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = appendU32(b, x)
 		}
-		if _, _, err := DecodeWAL(b); err == nil {
+		return b
+	}
+	v2 := func(flags byte, body ...uint32) []byte { return append([]byte{2, flags}, u32s(body...)...) }
+	for _, tc := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"unknown version", "version 77", []byte{77, 0, 0, 0, 0}},
+		// Version 2: flags, [edit], extract, upserts, deletes.
+		{"v2 unknown flag bits", "flags 0x2", v2(2, 1, 1, 0, 0)},
+		{"v2 negative extract node", "negative id", v2(0, 1, 1<<32-3, 0, 0)},
+		{"v2 negative node count", "declares -1 nodes", v2(1, 1<<32-1, 0, 0, 0, 0, 0)},
+		{"v2 added edge endpoint at node count", "outside the edit", v2(1, 8, 0, 1, 2, 8, 0, 0, 0)},
+		{"v2 removed edge endpoint beyond node count", "outside the edit", v2(1, 8, 1, 9, 1, 0, 0, 0, 0)},
+		{"v2 negative edge endpoint", "outside the edit", v2(1, 8, 0, 1, 1<<32-1, 1, 0, 0, 0)},
+		{"v2 negative delete", "negative id", v2(0, 1, 1, 0, 1, 1<<32-2)},
+		// Version 3: flags, [edit], extract, deletes, [upserts].
+		{"v3 no flags byte", "no flags", []byte{3}},
+		{"v3 unknown flag bits", "flags 0x4", []byte{3, 4, 0, 0}},
+		{"v3 duplicate node", "repeats", []byte{3, 0, 2, 5, 0, 0}},
+		{"v3 descending node (a gap of -1)", "past int32", []byte{3, 0, 0, 2, 5, 0xff, 0xff, 0xff, 0xff, 0x0f}},
+		{"v3 non-minimal uvarint", "not minimal", []byte{3, 0, 1, 0x85, 0x00, 0}},
+		{"v3 6-byte uvarint", "longer than 5 bytes", []byte{3, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0}},
+		{"v3 uvarint past the payload", "runs past the end", []byte{3, 0, 1, 0x85}},
+		{"v3 count past the payload", "5 extract nodes with 2 bytes left", []byte{3, 0, 5, 1, 0}},
+		{"v3 node past int32", "past int32", []byte{3, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x08, 0}},
+		{"v3 gaps past int32", "past int32", []byte{3, 0, 2, 0xff, 0xff, 0xff, 0xff, 0x07, 1, 0}},
+		{"v3 node count past int32", "past int32", []byte{3, 1, 0x80, 0x80, 0x80, 0x80, 0x08, 0, 0, 0, 0}},
+		{"v3 added edge endpoint at node count", "outside the edit", []byte{3, 1, 8, 0, 1, 2, 8, 0, 0}},
+		{"v3 removed edge endpoint past node count", "outside the edit", []byte{3, 1, 8, 1, 9, 1, 0, 0, 0}},
+		{"v3 duplicate edge", "repeats", []byte{3, 1, 8, 0, 2, 2, 3, 0, 0, 0, 0}},
+		{"v3 edge count past the payload", "3 added edges", []byte{3, 1, 8, 0, 3, 2, 3, 0, 0}},
+		{"v3 trailing bytes", "1 trailing bytes", []byte{3, 0, 0, 0, 7}},
+		{"v3 upserts flagged, none follow", "none follow", []byte{3, 2, 0, 0, 0}},
+		{"v3 upsert of k 0", "malformed", []byte{3, 2, 0, 0, 1, 5, 0, 0, 1}},
+		{"v3 upsert tree past the payload", "tree of 9 nodes", []byte{3, 2, 0, 0, 1, 5, 2, 0, 9, 0}},
+		{"v3 upsert tree not a tree", "invalid parent", []byte{3, 2, 0, 0, 1, 5, 2, 0, 2, 1}},
+	} {
+		b := appendU32(appendU32(nil, uint32(len(tc.payload))), crc32.Checksum(tc.payload, castagnoli))
+		_, _, err := DecodeWAL(append(b, tc.payload...))
+		switch {
+		case err == nil:
 			t.Errorf("%s: malformed checksummed payload replayed without error", tc.name)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		case tc.payload[0] == 3 && !errors.Is(err, ErrInconsistent):
+			t.Errorf("%s: error %q is not ErrInconsistent", tc.name, err)
 		}
 	}
 }
@@ -347,41 +403,56 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
-// The golden logs lock the WAL frame format both directions, exactly
-// like the segment golden: golden-wal.log the version-1 frames (full
-// items and deletes, which this build still writes byte for byte),
-// golden-wal-v2.log the version-2 frames (named nodes and graph edits).
-// Regenerate with -update.
+// The golden logs lock the WAL frame format: golden-wal-v3.log pins the
+// writer (every fixture record as a version-3 frame; regenerate with
+// -update), and golden-wal.log (version-1 frames: full items and
+// deletes) and golden-wal-v2.log (version-2 frames: named nodes and
+// graph edits), which no build writes any more, must still decode to
+// their records.
 func TestWALGolden(t *testing.T) {
+	var v3 []byte
+	for _, rec := range walLogRecords(t) {
+		v3 = appendRecord(v3, rec)
+	}
+	path := filepath.Join("testdata", "golden-wal-v3.log")
+	if *update {
+		if err := os.WriteFile(path, v3, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(v3, want) {
+		t.Fatal("wal encoder diverged from golden-wal-v3.log")
+	}
+	var v3recs []Record
+	for _, rec := range walLogRecords(t) {
+		v3recs = append(v3recs, canonical(rec))
+	}
 	for _, tc := range []struct {
-		file string
-		recs []Record
+		file    string
+		version byte
+		recs    []Record
 	}{
-		{"golden-wal.log", walFixtureRecords(t)},
-		{"golden-wal-v2.log", walV2FixtureRecords()},
+		{"golden-wal.log", 1, walFixtureRecords(t)},
+		{"golden-wal-v2.log", 2, walV2FixtureRecords()},
+		{"golden-wal-v3.log", 3, v3recs},
 	} {
-		var blob []byte
-		for _, rec := range tc.recs {
-			blob = appendRecord(blob, rec)
-		}
-		path := filepath.Join("testdata", tc.file)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, blob, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(path)
+		blob, err := os.ReadFile(filepath.Join("testdata", tc.file))
 		if err != nil {
-			t.Fatalf("reading golden (regenerate with -update): %v", err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(blob, want) {
-			t.Fatalf("wal encoder diverged from %s", tc.file)
+		start := int64(0)
+		for _, end := range walFrameBounds(blob) {
+			if blob[start+8] != tc.version && (tc.version != 2 || blob[start+8] != 1) {
+				t.Fatalf("%s: frame at %d is version %d", tc.file, start, blob[start+8])
+			}
+			start = end
 		}
-		recs, valid, err := DecodeWAL(want)
-		if err != nil || len(recs) != len(tc.recs) || valid != int64(len(want)) {
+		recs, valid, err := DecodeWAL(blob)
+		if err != nil || len(recs) != len(tc.recs) || valid != int64(len(blob)) {
 			t.Fatalf("%s replay: %d records, %d valid, %v", tc.file, len(recs), valid, err)
 		}
 		for i := range recs {
@@ -392,15 +463,24 @@ func TestWALGolden(t *testing.T) {
 	}
 }
 
-// The version-2 frames are what makes a mutation cheap to log: an
-// Insert of one node is 26 bytes, a Remove stays at version 1's 21.
+// A one-node Insert or Remove below node 16 384 is a 14-byte frame: the
+// 8-byte header, the version and flags bytes, the two list counts and
+// the node's 2-byte uvarint (version 2 wrote 26 bytes for the insert,
+// version 1 21 for the remove).
 func TestWALNamedNodeFrameSizes(t *testing.T) {
-	if n := len(appendRecord(nil, Record{Extract: []graph.NodeID{7}})); n != 26 {
-		t.Errorf("one-node insert frame is %d bytes, want 26", n)
+	for _, tc := range []struct {
+		name string
+		rec  Record
+	}{
+		{"insert", Record{Extract: []graph.NodeID{16383}}},
+		{"remove", Record{Deletes: []graph.NodeID{16383}}},
+	} {
+		if b := appendRecord(nil, tc.rec); len(b) != 14 || b[8] != 3 {
+			t.Errorf("one-node %s frame is %d bytes at version %d, want 14 at 3", tc.name, len(b), b[8])
+		}
 	}
-	del := appendRecord(nil, Record{Deletes: []graph.NodeID{7}})
-	if len(del) != 21 || del[8] != 1 {
-		t.Errorf("one-node remove frame is %d bytes at version %d, want 21 at 1", len(del), del[8])
+	if n := len(appendRecord(nil, Record{Deletes: []graph.NodeID{127}})); n != 13 {
+		t.Errorf("one-node remove below node 128 is %d bytes, want 13", n)
 	}
 }
 

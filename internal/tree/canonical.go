@@ -42,10 +42,12 @@ func (in *Interner) Canonicalize(arenas []*ProfileArena, workers int) {
 	workers = max(1, min(workers, len(arenas)))
 
 	// The uses of each shape in the stored words, counted per worker over
-	// its share of the arenas.
-	uses := make([][]int64, workers)
+	// its share of the arenas. They fit a uint32: a row's words take a
+	// byte a label at least, and each of the (out- and in-tree) arenas a
+	// build compiles indexes its words with int32 offsets.
+	uses := make([][]uint32, workers)
 	split(len(arenas), workers, func(w, lo, hi int) {
-		count := make([]int64, from.Len())
+		count := make([]uint32, from.Len())
 		for _, a := range arenas[lo:hi] {
 			for r := range a.N {
 				row := a.Stored(r)
@@ -66,19 +68,13 @@ func (in *Interner) Canonicalize(arenas []*ProfileArena, workers int) {
 	}
 
 	canon, keys, off := canonicalOrder(from, uses[0], workers)
-	// The shapes into in, in canonical order, beside the rows' rewrite to
-	// in's IDs.
+	// in adopts the shapes, in canonical order, beside the rows' rewrite
+	// to in's IDs.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		in.reserve(len(off)-1, len(keys))
-		for i := range len(off) - 1 {
-			key := keys[off[i]:off[i+1]]
-			in.add(key, shapeHash(key))
-		}
+		in.adopt(keys, off)
 	}()
 	split(len(arenas), workers, func(_, lo, hi int) {
 		var words []byte
@@ -139,7 +135,7 @@ func split(n, workers int, f func(w, lo, hi int)) {
 // the leaf, with no children, heads. The shapes of each run of equal
 // width and height, whose children are numbered by then, are numbered
 // in the order of their coded keys' deltas under new IDs.
-func canonicalOrder(u *Interner, uses []int64, workers int) (canon []int32, keys []byte, off []uint32) {
+func canonicalOrder(u *Interner, uses []uint32, workers int) (canon []int32, keys []byte, off []uint32) {
 	n := u.Len()
 	t := u.tab.Load()
 	// rank is a shape's place by (uses, height): how far its uses fall
@@ -147,7 +143,7 @@ func canonicalOrder(u *Interner, uses []int64, workers int) (canon []int32, keys
 	// low; the leaf's is 0.
 	height := make([]int32, n)
 	var top int32
-	var most int64
+	var most uint32
 	for s := range int32(n) {
 		key := t.key(s)
 		if n, i := uvarintAt(key, 0); n > 0 {
@@ -175,11 +171,11 @@ func canonicalOrder(u *Interner, uses []int64, workers int) (canon []int32, keys
 	}
 	var rs radix
 	order := rs.sort(rank, make([]int32, n))
-	// Rank again by the width of the ID that place gives, then height. A
-	// run of equal rank takes its last place's width, so no shape's width
-	// depends on its place among equals, and no shape takes an ID wider
-	// than its width.
-	byWidth := make([]uint64, n)
+	// Rank again, in place, by the width of the ID that place gives, then
+	// height. A run of equal rank takes its last place's width, so no
+	// shape's width depends on its place among equals, and no shape takes
+	// an ID wider than its width. A run's ranks are rewritten once it is
+	// found, and later runs' are read before theirs are.
 	for lo := 0; lo < n; {
 		hi := lo + 1
 		for hi < n && rank[order[hi]] == rank[order[lo]] {
@@ -188,12 +184,11 @@ func canonicalOrder(u *Interner, uses []int64, workers int) (canon []int32, keys
 		w := uint64(UvarintLen(uint32(hi - 1)))
 		for _, s := range order[lo:hi] {
 			if h := height[s]; h > 0 {
-				byWidth[s] = w<<hb | uint64(h)
+				rank[s] = w<<hb | uint64(h)
 			}
 		}
 		lo = hi
 	}
-	rank = byWidth
 	order = rs.sort(rank, make([]int32, n))
 
 	// Each run of equal rank is a group: its shapes' keys are coded (g),
@@ -202,7 +197,10 @@ func canonicalOrder(u *Interner, uses []int64, workers int) (canon []int32, keys
 	for s := range canon {
 		canon[s] = -1
 	}
-	keys = make([]byte, 0, len(t.keys))
+	// The keys under new IDs take about as many bytes as under old ones;
+	// what they leave of the buffer is the dictionary's room for more.
+	used := t.off[n]
+	keys = make([]byte, 0, used+used/16)
 	off = append(make([]uint32, 0, n+1), 0)
 	g := &keyGroup{t: t, canon: canon, bufs: make([][]byte, workers), runs: make([][]uint64, workers)}
 	for lo := 0; lo < n; {
@@ -255,10 +253,15 @@ func (g *keyGroup) deltas(i int32) []byte {
 	return key[at:]
 }
 
-// code codes the keys of group[lo:hi] under new IDs, as worker w.
+// code codes the keys of group[lo:hi] under new IDs, as worker w, into
+// a buffer sized for them as they are coded under old IDs, about as long.
 func (g *keyGroup) code(w, lo, hi int) {
 	runs := g.runs[w]
-	buf := g.bufs[w][:0]
+	size := 0
+	for _, s := range g.group[lo:hi] {
+		size += len(g.t.key(s))
+	}
+	buf := slices.Grow(g.bufs[w][:0], size+size/16)
 	for i := lo; i < hi; i++ {
 		runs = appendRuns(runs[:0], g.t.key(g.group[i]))
 		for j, r := range runs {

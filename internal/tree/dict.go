@@ -212,6 +212,22 @@ func (in *Interner) Kids(id int32, dst []int32) []int32 {
 	return appendKids(dst, in.tab.Load().key(id))
 }
 
+// adopt makes in, which holds no shapes, hold the distinct coded keys
+// keys[off[id]:off[id+1]], off[0] = 0, adopting both slices: keys'
+// capacity past them is room for more.
+func (in *Interner) adopt(keys []byte, off []uint32) {
+	n := len(off) - 1
+	t := &shapeTable{keys: keys[:cap(keys)], off: off, slots: make([]int32, slotsFor(n))}
+	for id := range int32(n) {
+		t.place(id, shapeHash(t.key(id)))
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.used = int(off[n])
+	in.tab.Store(t)
+	in.n.Store(int32(n))
+}
+
 // NewInternerFromCoded adopts a dictionary's coded keys — shape id's at
 // keys[off[id]:off[id+1]], off[0] = 0 — as it stands: a segment's dict
 // section, which the caller has checked key by key (every uvarint
