@@ -179,9 +179,11 @@ func WithBackend(b Backend) CorpusOption {
 	return func(c *corpusConfig) { c.backend = b }
 }
 
-// WithWorkers sets the worker pool size used for the parallel build of
-// a corpus's rows, a query's sweepers, and BatchKNN.
-// Values <= 0 (the default) mean GOMAXPROCS.
+// WithWorkers sets how many goroutines build a corpus's rows (NewCorpus,
+// Insert, UpdateGraph and a restart's replay) and how many of
+// BatchKNN's queries run at once. A query itself is one sweep on its
+// caller's goroutine at any width, so its answer and its work do not
+// depend on n. Values <= 0 (the default) mean GOMAXPROCS.
 func WithWorkers(n int) CorpusOption {
 	return func(c *corpusConfig) { c.workers = n }
 }
@@ -286,8 +288,6 @@ type Corpus struct {
 	mutations  atomic.Int64
 	cloneBytes atomic.Int64
 
-	exec *ned.Executor // pooled workers for query sweepers and BatchKNN
-
 	// dict is the corpus-wide subtree-shape dictionary behind the
 	// filter–verify cascade: every signature is compiled against it —
 	// at extraction, Insert, UpdateGraph, and snapshot load — into a
@@ -364,7 +364,7 @@ func nodesOf(scan *ned.Scan) iter.Seq[NodeID] {
 // newCorpus allocates a corpus over rows, labelled against dict, and
 // publishes its first view.
 func newCorpus(k int, cfg corpusConfig, g *Graph, dict *tree.Interner, rows *ned.Rows) *Corpus {
-	c := &Corpus{k: k, cfg: cfg, exec: ned.NewExecutor(cfg.workers), dict: dict}
+	c := &Corpus{k: k, cfg: cfg, dict: dict}
 	c.view.Store(&corpusView{g: g, scan: ned.NewScan(rows, 1)})
 	return c
 }
@@ -477,10 +477,10 @@ func (c *Corpus) KNN(ctx context.Context, v NodeID, l int) ([]Neighbor, error) {
 	return c.knn(ctx, view, q, l)
 }
 
-// knn is one best-first sweep over the view's scan, on up to the
-// executor's width of sweepers.
+// knn is one best-first sweep over the view's scan, on the caller's
+// goroutine.
 func (c *Corpus) knn(ctx context.Context, view *corpusView, q ned.Item, l int) ([]Neighbor, error) {
-	return ned.FanKNN(ctx, c.exec, []ned.Index{view.scan}, q, l)
+	return view.scan.KNN(ctx, q, l)
 }
 
 // KNNSignature is KNN for an external query signature — typically a
@@ -546,8 +546,8 @@ func (c *Corpus) NearestSet(ctx context.Context, sig Signature) ([]Neighbor, err
 	return view.scan.Range(ctx, q, best[0].Dist)
 }
 
-// BatchKNN answers one KNN query per signature, fanning the queries out
-// across the corpus executor's pooled workers. results[i] corresponds to
+// BatchKNN answers one KNN query per signature, running up to the
+// corpus's WithWorkers queries at once. results[i] corresponds to
 // sigs[i]. Cancelling ctx aborts the whole batch: queries not yet
 // started are never issued, in-flight ones abort at their next
 // distance-loop check, and the context error is returned.
@@ -573,7 +573,7 @@ func (c *Corpus) BatchKNN(ctx context.Context, sigs []Signature, l int) ([][]Nei
 	c.queries.Add(int64(len(sigs)))
 	results := make([][]Neighbor, len(sigs))
 	errs := make([]error, len(sigs))
-	if err := c.exec.Do(ctx, len(sigs), 0, func(i int) {
+	if err := ned.ParallelForCtx(ctx, len(sigs), c.cfg.workers, func(i int) {
 		results[i], errs[i] = c.knn(ctx, view, qs[i], l)
 	}); err != nil {
 		return nil, err

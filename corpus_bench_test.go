@@ -128,7 +128,7 @@ func stratifiedSignatures(g *Graph, n int) []Signature {
 // BenchmarkCorpusInterGraphKNN is an in-process replica of the harness's
 // serve-read query mix (interGraphMix), for profiling the engine
 // without the daemon (-cpuprofile; EXPERIMENTS.md "One sweep" carries
-// the pprof -top): the pruned scan at executor width 2 and
+// the pprof -top): a corpus built at WithWorkers(2) and
 // KNNSignature(…, 5) from one client. One iteration is one query, so
 // -benchtime 1600x is one pass over the mix.
 func BenchmarkCorpusInterGraphKNN(b *testing.B) {

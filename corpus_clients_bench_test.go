@@ -12,8 +12,8 @@ import (
 )
 
 // BenchmarkCorpusInterGraphClients is BenchmarkCorpusInterGraphKNN's
-// serve-read mix from two client goroutines against one corpus at
-// executor width 2, the engine half of the harness's
+// serve-read mix from two client goroutines against one corpus built at
+// WithWorkers(2), the engine half of the harness's
 // serve-read workload without the daemon. It reports the process CPU
 // (user + system, from getrusage) per query, which is what the harness's
 // server_cpu_ms_per_op tracks, the queries per second of wall time and

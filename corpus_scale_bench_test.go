@@ -11,7 +11,7 @@ import (
 
 // BenchmarkCorpusScale is the read half of the scale ladder: KNN (l = 5,
 // k = 3) over the PGP analog at scale 1, 4 and 16 (2 670, 10 680 and
-// 42 720 rows), at executor width 1, for two query mixes per size:
+// 42 720 rows), built at WithWorkers(1), for two query mixes per size:
 //   - intergraph: the serve-read mix (interGraphMixAt), signatures of a
 //     5 %-perturbed copy of the corpus graph, by KNNSignature;
 //   - node: corpus nodes drawn the same way, one per size stratum, by

@@ -177,6 +177,51 @@ func TestCorpusBackendNamesAreTheScan(t *testing.T) {
 	}
 }
 
+// TestCorpusWorkIsWidthFree: WithWorkers sets how many goroutines build
+// a corpus and how many of BatchKNN's queries run at once, never how a
+// query sweeps. PGP x1 built at 1, 2 and 4 workers answers the serve-read
+// mix (interGraphMixAt) with identical answers and identical work: TED*
+// calls, rows bound, the prunes of each tier, early exits and Hungarian
+// cells.
+func TestCorpusWorkIsWidthFree(t *testing.T) {
+	ctx := context.Background()
+	g, sigs := interGraphMixAt(1, interGraphQueries)
+	type work struct {
+		DistanceCalls, RowsBound, EarlyExits   int64
+		SizePrunes, PaddingPrunes, LabelPrunes int64
+		LowerBoundPrunes, HungarianCells       int64
+	}
+	var refAnswers [][]Neighbor
+	var refWork work
+	for _, workers := range []int{1, 2, 4} {
+		c, err := NewCorpus(g, interGraphK, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers := make([][]Neighbor, len(sigs))
+		for i, s := range sigs {
+			if answers[i], err = c.KNNSignature(ctx, s, interGraphL); err != nil {
+				t.Fatalf("workers=%d query %d: %v", workers, i, err)
+			}
+		}
+		s := c.Stats()
+		w := work{s.DistanceCalls, s.RowsBound, s.EarlyExits, s.SizePrunes, s.PaddingPrunes, s.LabelPrunes,
+			s.LowerBoundPrunes, s.HungarianCells}
+		if workers == 1 {
+			refAnswers, refWork = answers, w
+			continue
+		}
+		for i := range answers {
+			if fmt.Sprint(answers[i]) != fmt.Sprint(refAnswers[i]) {
+				t.Errorf("workers=%d query %d: %v, at one worker %v", workers, i, answers[i], refAnswers[i])
+			}
+		}
+		if w != refWork {
+			t.Errorf("workers=%d did different work than one worker over %d queries:\n%+v\n%+v", workers, len(sigs), w, refWork)
+		}
+	}
+}
+
 // TestCorpusBackendEquivalence is the backend-equivalence property with
 // one backend left: on seeded random graphs every query path answers
 // exactly as the exhaustive scan over raw signatures does.

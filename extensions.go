@@ -115,7 +115,9 @@ func DistanceMatrix(as, bs []Signature, opts BatchOptions) [][]int {
 	return ned.DistanceMatrix(as, bs, opts)
 }
 
-// TopLParallel is TopL with candidate distances evaluated concurrently.
+// TopLParallel is TopL answered by the cascade scan, with the
+// candidates' profiles built on opts.Workers goroutines; the sweep over
+// them is one loop on the caller's goroutine.
 func TopLParallel(query Signature, candidates []Signature, l int, opts BatchOptions) []Neighbor {
 	return ned.TopLParallel(query, candidates, l, opts)
 }

@@ -53,9 +53,9 @@ func DistanceMatrix(as, bs []Signature, opts BatchOptions) [][]int {
 	return m
 }
 
-// TopLParallel is TopL answered by the cascade scan with opts.Workers
-// sweepers sharing the query's candidates: PrunedTopL at a wider
-// width. Results are identical to TopL.
+// TopLParallel is TopL answered by the cascade scan: PrunedTopL with
+// the candidates profiled on opts.Workers goroutines. The sweep itself
+// is one loop on the caller's goroutine. Results are identical to TopL.
 func TopLParallel(query Signature, candidates []Signature, l int, opts BatchOptions) []Neighbor {
 	res, _ := signatureTopL(query, candidates, l, opts.workers())
 	return res

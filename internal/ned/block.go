@@ -350,7 +350,7 @@ func (b *profileBlock) find(v graph.NodeID) (int32, bool) {
 	return b.byNode[i], true
 }
 
-// rowScratch is one sweeper's memory for the candidates it verifies.
+// rowScratch is one sweep's memory for the candidates it verifies.
 type rowScratch struct{ out, in tree.RowScratch }
 
 var rowScratches = sync.Pool{New: func() any { return new(rowScratch) }}

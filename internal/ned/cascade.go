@@ -48,8 +48,7 @@ import (
 // every bound outside the window. When the window's order runs out
 // below the l-th distance the sweep widens it (open, widen): to the l-th
 // distance once it is finite, doubling before, bounding only the new
-// rows and merging them into the order. So with one sweeper it verifies
-// only candidates whose degree bound is at most the final l-th
+// rows and merging them into the order. So it verifies only candidates whose degree bound is at most the final l-th
 // distance, as a sweep that bounds every row does. The VP and BK trees
 // visit candidates one at a time in an order their geometry dictates,
 // so they gate each budgeted evaluation with tier 2 alone

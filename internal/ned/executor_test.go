@@ -10,7 +10,7 @@ import (
 )
 
 // TestExecutorDoRunsAll: every index in [0, n) runs exactly once, under
-// concurrent Do calls sharing one pool.
+// concurrent Do calls on one executor.
 func TestExecutorDoRunsAll(t *testing.T) {
 	e := NewExecutor(4)
 	var wg sync.WaitGroup
@@ -54,44 +54,6 @@ func TestExecutorDoCancel(t *testing.T) {
 	}
 	if n := ran.Load(); n >= 10_000 {
 		t.Errorf("cancellation did not stop the batch (%d ran)", n)
-	}
-}
-
-// TestExecutorNestedDo: fan-outs issued from inside pool workers (the
-// BatchKNN -> sweepers shape) must complete without deadlock — a
-// saturated pool degrades to inline execution.
-func TestExecutorNestedDo(t *testing.T) {
-	e := NewExecutor(3)
-	var total atomic.Int32
-	err := e.Do(context.Background(), 20, 0, func(i int) {
-		if err := e.Do(context.Background(), 8, 0, func(j int) {
-			total.Add(1)
-		}); err != nil {
-			t.Errorf("nested Do: %v", err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := total.Load(); got != 20*8 {
-		t.Fatalf("nested Do ran %d tasks, want %d", got, 20*8)
-	}
-}
-
-// TestExecutorWorkerReuse: sequential batches reuse pooled workers
-// while they are warm instead of spawning a fresh pool per call. The
-// executor's whole point is that goroutine count stays bounded by its
-// width; this asserts the observable half — the slot pool never exceeds
-// the cap — by hammering it from many submitters.
-func TestExecutorWorkerReuse(t *testing.T) {
-	e := NewExecutor(2)
-	for round := 0; round < 50; round++ {
-		if err := e.Do(context.Background(), 10, 0, func(i int) {}); err != nil {
-			t.Fatal(err)
-		}
-		if live := len(e.slots); live > 2 {
-			t.Fatalf("round %d: %d live workers, cap 2", round, live)
-		}
 	}
 }
 

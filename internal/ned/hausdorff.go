@@ -48,7 +48,7 @@ func directedHausdorff(from, to []Item) int {
 	part := newSweepPart(to)
 	worst := 0
 	for _, a := range from {
-		if nn, _, _ := scanKNN(context.Background(), a, []sweepPart{part}, 1, 1, runSweepers); len(nn) > 0 {
+		if nn, _, _ := scanKNN(context.Background(), a, []sweepPart{part}, 1); len(nn) > 0 {
 			worst = max(worst, nn[0].Dist)
 		}
 	}

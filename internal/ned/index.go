@@ -692,8 +692,9 @@ func (b *bkBackend) Clone() DynamicIndex {
 
 // Scan is the cascade scan (§10) over node-sorted rows, and a Corpus's
 // only copy of them: both scan names construct it, "pruned" at width 1
-// and "linear" at the width the caller asks for. The width is how many sweepers share one
-// query's candidates; it moves wall time, never decisions.
+// and "linear" at the width the caller asks for. A KNN is one sweep on
+// the caller's goroutine; the width is how many goroutines verify a
+// Range's survivors, and it moves wall time, never decisions.
 //
 // The rows are an immutable base plus a copy-on-write delta (see
 // dynamic.go): node n is indexed iff it is in the delta, or in a base
@@ -712,23 +713,24 @@ type Scan struct {
 	counters *counterSet
 }
 
-// NewLinearBackend is the cascade scan at the given width (<= 0 means
-// GOMAXPROCS): that many sweepers share one query's candidates and its
-// running l-th distance. KNN bounds the rows of a size window around
-// the query with the block kernels over the columnar profile arenas,
-// widening it while it runs out below the l-th distance, verifies in
-// ascending degree-bound order under the current l-th distance as TED*
-// budget, and stops at the first bound that exceeds it (see scanKNN).
+// NewLinearBackend is the cascade scan at the given Range width (<= 0
+// means GOMAXPROCS): that many goroutines verify a range query's
+// survivors. KNN runs on the caller's goroutine at any width: it bounds
+// the rows of a size window around the query with the block kernels
+// over the columnar profile arenas, widening it while it runs out below
+// the l-th distance, verifies in ascending degree-bound order under the
+// current l-th distance as TED* budget, and stops at the first bound
+// that exceeds it (see scanKNN).
 // The items must be profiled; the scan keeps their rows (RowsOf), not
 // them. Mutations copy only a small delta (see dynamic.go).
 func NewLinearBackend(items []Item, workers int) DynamicIndex {
 	return NewScan(RowsOf(items), workers)
 }
 
-// NewScan is the cascade scan at the given width over rows, which must
-// be node-ascending or already in rank order (size key, then node); it
-// adopts them as its base, copied into rank order if they are not, and
-// never writes them.
+// NewScan is the cascade scan at the given Range width over rows,
+// which must be node-ascending or already in rank order (size key, then
+// node); it adopts them as its base, copied into rank order if they are
+// not, and never writes them.
 func NewScan(rows *Rows, workers int) *Scan {
 	return &Scan{
 		bblk:     blockOf(rows),
@@ -750,13 +752,13 @@ func nodeSorted(items []Item) []Item {
 	return slices.SortedStableFunc(slices.Values(items), compareNodes)
 }
 
-// NewPrunedLinearBackend is the cascade scan at width 1: the whole
-// query runs on the caller's goroutine, the §10 lower-bound-pruned scan
+// NewPrunedLinearBackend is the cascade scan at width 1: KNN and Range
+// both run on the caller's goroutine, the §10 lower-bound-pruned scan
 // PrunedTopL pioneered.
 func NewPrunedLinearBackend(items []Item) DynamicIndex { return NewLinearBackend(items, 1) }
 
 func (b *Scan) KNN(ctx context.Context, query Item, l int) ([]Neighbor, error) {
-	res, _, err := scanKNN(ctx, query, b.appendParts(nil), l, b.workers, runSweepers)
+	res, _, err := scanKNN(ctx, query, b.appendParts(nil), l)
 	return res, err
 }
 
@@ -788,29 +790,10 @@ func (b *Scan) Clone() DynamicIndex {
 	return &c
 }
 
-// cancelCheckStride is how many steps a sweeper takes between context
-// checks: candidates processed, or for the KNN sweep candidates
-// admitted, verified or dismissed.
+// cancelCheckStride is how many steps a loop takes between context
+// checks: indices processed, or for the KNN sweep candidates admitted,
+// verified or dismissed.
 const cancelCheckStride = 16
-
-// runSweepers runs sweep once per sweeper and returns when all have
-// finished: on the caller's own goroutine at width <= 1, on workers
-// goroutines otherwise.
-func runSweepers(workers int, sweep func()) {
-	if workers <= 1 {
-		sweep()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			sweep()
-		}()
-	}
-	wg.Wait()
-}
 
 // sweepPart is one block of a sweep (a scan's base or delta), the
 // ascending ranks of that block that are not candidates (the base's
@@ -861,20 +844,16 @@ func (sc *sweepScratch) partOf(g int32) int {
 	return lo
 }
 
-// knnSweep is what one query's sweepers share, all under mu: the cursor
-// into the padding order (each position has exactly one claimant), the
-// windows' size gap w, whether they hold every row, whether the sweep
-// was cut, the canonical top-l so far and the query's stats. The
-// windows, the order and the heap of admitted candidates live in the
-// query's sweepScratch, under mu as well.
+// knnSweep is one query's sweep state: the cursor into the padding
+// order, the windows' size gap w, whether they hold every row, the
+// canonical top-l so far. The windows, the order and the heap of
+// admitted candidates live in the query's sweepScratch.
 type knnSweep struct {
-	mu         sync.Mutex
-	next       int
-	w          int
-	full, done bool
-	l          int
-	results    []Neighbor
-	stats      PruneStats
+	next    int
+	w       int
+	full    bool
+	l       int
+	results []Neighbor
 }
 
 // firstWindow is the size gap a KNN sweep's windows open at; until the
@@ -961,8 +940,6 @@ func (sc *sweepScratch) pop() admitted {
 // prunes without a walk. Each part's tally lands in its counter set as
 // one bulk add. Returns how many candidates were dismissed.
 func (sc *sweepScratch) cut(parts []sweepPart, tail []int32, t int) int {
-	// The cursor hands the unclaimed tail to exactly one sweeper, so the
-	// scratch's tally is this one's alone.
 	sc.tally = grow(sc.tally, 2*len(parts)) // [2p]: rows of part p dismissed; [2p+1]: of them by size
 	tally := sc.tally
 	clear(tally)
@@ -986,12 +963,10 @@ func (sc *sweepScratch) cut(parts []sweepPart, tail []int32, t int) int {
 }
 
 // scanKNN is the cascade top-l sweep: one pass over every part's
-// candidates under one top-l result set, behind both scan backends (one
-// part), FanKNN and the Corpus (a base and a delta part per scan), and the
-// signature-level PrunedTopL / TopLParallel and Hausdorff (one part).
-// run chooses who sweeps: it runs the sweep on up to the given number
-// of sweepers — runSweepers' own goroutines, or an Executor's pool —
-// and returns once all have finished.
+// candidates under one top-l result set, on the caller's goroutine,
+// behind both scan backends (one part), FanKNN and the Corpus (a base
+// and a delta part per scan), and the signature-level PrunedTopL /
+// TopLParallel and Hausdorff (one part).
 //
 // It is the optimal multi-step k-NN (Seidl & Kriegel, SIGMOD 1998) over
 // the cascade's bounds: candidates are verified in ascending order of
@@ -1003,7 +978,7 @@ func (sc *sweepScratch) cut(parts []sweepPart, tail []int32, t int) int {
 // of the sweep is min(next unclaimed padding bound, w+1). Tier 2, the
 // degree bound, is computed lazily, in that order, from the block's
 // degree column, and ranks the candidates it admits in a min-heap. Each
-// step of a sweeper does the first of these that applies:
+// step does the first of these that applies:
 //   - verify: the heap's least degree bound is at most the next bound,
 //     so no candidate can have a smaller bound; pop it and verify it
 //     under the current l-th distance, or dismiss it if its bound is
@@ -1019,16 +994,15 @@ func (sc *sweepScratch) cut(parts []sweepPart, tail []int32, t int) int {
 //     before, bound the new rows and merge them, by padding bound, into
 //     the unclaimed order (sweepScratch.widen).
 //
-// At width 1 this verifies exactly the candidates whose degree bound is
-// at most the final l-th distance, the fewest any sweep over these
-// bounds can. The ranking is exact with respect to the full TED*
-// distance: every dismissal needs a lower bound strictly above the
-// current l-th distance, so every reported neighbor carries its true
-// distance and the set is the canonical (distance, node) top-l,
-// identical to a full scan's, at any width and however the candidates
-// are split into parts. Each candidate's work is counted in its own
-// part's counter set.
-func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, run func(workers int, sweep func())) ([]Neighbor, PruneStats, error) {
+// It verifies exactly the candidates whose degree bound is at most the
+// final l-th distance, the fewest any sweep over these bounds can. The
+// ranking is exact with respect to the full TED* distance: every
+// dismissal needs a lower bound strictly above the current l-th
+// distance, so every reported neighbor carries its true distance and
+// the set is the canonical (distance, node) top-l, identical to a full
+// scan's however the candidates are split into parts. Each candidate's
+// work is counted in its own part's counter set.
+func scanKNN(ctx context.Context, query Item, parts []sweepPart, l int) ([]Neighbor, PruneStats, error) {
 	if err := ctx.Err(); err != nil || l <= 0 {
 		return nil, PruneStats{}, err
 	}
@@ -1041,131 +1015,92 @@ func scanKNN(ctx context.Context, query Item, parts []sweepPart, l, width int, r
 	sc.heap = sc.heap[:0]
 	sw := &knnSweep{l: l, w: firstWindow, results: make([]Neighbor, 0, min(l, live)+1)}
 	sw.full = sc.widen(query, parts, sw.w, 0)
-	run(min(width, live), func() {
-		comp := tedComputers.Get().(*ted.Computer)
-		defer tedComputers.Put(comp)
-		rs := rowScratches.Get().(*rowScratch)
-		defer rowScratches.Put(rs)
-		var st PruneStats
-		// tier2Prune counts a candidate whose degree bound exceeds the
-		// threshold.
-		tier2Prune := func(pt *sweepPart) {
-			pt.cs.blockSurvive(tierPadding)
-			pt.cs.cascadePrune(tierDegree)
-			st.PrunedByBound++
-		}
-		// What this sweeper's last step leaves to settle under the lock: a
-		// candidate to push, a neighbor to offer.
-		var keep, found bool
-		var adm admitted
-		var nb Neighbor
-		for k := 0; ; k++ {
-			stop := k%cancelCheckStride == 0 && ctx.Err() != nil
-			sw.mu.Lock()
-			if keep {
-				sc.push(adm)
-			}
-			if found && nb.Dist <= sw.threshold() {
-				sw.results = insertNeighborCanonical(sw.results, nb, sw.l)
-			}
-			keep, found = false, false
-			if stop {
-				sw.mu.Unlock()
-				break
-			}
-			t := sw.threshold()
-			order := sc.order
-			nextPad := int32(math.MaxInt32) // the next unclaimed padding bound
-			if sw.next < len(order) {
-				nextPad = sc.padB[order[sw.next]]
-			}
-			bound := int32(math.MaxInt32) // the least bound of any unclaimed candidate
-			if !sw.done {
-				bound = min(nextPad, sw.barrier())
-			}
-			if len(sc.heap) > 0 && sc.heap[0].bound <= bound {
-				// Verify: no unverified candidate has a smaller bound.
-				a := sc.pop()
-				g := order[a.pos]
-				sw.mu.Unlock()
-				pt, r := sc.rank(parts, g)
-				if int(a.bound) > t {
-					tier2Prune(pt)
-					continue
-				}
-				pt.cs.blockSurvive(tierDegree)
-				it := pt.blk.candidate(rs, r)
-				d, out := verifyDistanceAtMost(comp, query, it, t, pt.cs)
-				switch out {
-				case ted.OutcomeExact:
-					st.FullEvaluations++
-					found, nb = true, Neighbor{Node: it.Node, Dist: d}
-				case ted.OutcomeAborted:
-					st.EarlyExits++
-				default:
-					st.PrunedByBound++
-				}
-				continue
-			}
-			if sw.done {
-				// Cut already: candidates other sweepers hold are theirs to
-				// settle.
-				sw.mu.Unlock()
-				break
-			}
-			if t != ted.Unbounded && int(bound) > t {
-				// Cut: every heap key exceeds the next bound, so the heap goes
-				// with the tail and the rows outside the windows.
-				tail := order[sw.next:]
-				sw.next, sw.done = len(order), true
-				for _, a := range sc.heap {
-					pt, _ := sc.rank(parts, order[a.pos])
-					tier2Prune(pt)
-				}
-				sc.heap = sc.heap[:0]
-				sw.mu.Unlock()
-				st.PrunedByBound += sc.cut(parts, tail, t)
-				break
-			}
-			if nextPad > bound {
-				// Widen: the windows' order ran out below w+1 <= t.
-				if t != ted.Unbounded {
-					sw.w = t
-				} else {
-					sw.w = 2*sw.w + 1
-				}
-				sw.w = min(sw.w, math.MaxInt32-1)
-				sw.full = sc.widen(query, parts, sw.w, sw.next)
-				sw.mu.Unlock()
-				continue
-			}
-			if sw.next == len(order) {
-				// Every row is in the order and claimed, with fewer than l
-				// verified so far.
-				sw.mu.Unlock()
-				break
-			}
-			// Admit the next candidate in padding order.
-			i := sw.next
-			sw.next++
-			g := order[i]
-			pad := sc.padB[g]
-			sw.mu.Unlock()
-			pt, r := sc.rank(parts, g)
-			if bound, pruned := pt.blk.degreeTierPrunes(query, r, int(pad), t); pruned {
-				tier2Prune(pt)
-			} else {
-				keep, adm = true, admitted{bound: int32(bound), pos: int32(i)}
-			}
-		}
-		sw.mu.Lock()
-		sw.stats.add(st)
-		sw.mu.Unlock()
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, sw.stats, err
+	comp := tedComputers.Get().(*ted.Computer)
+	defer tedComputers.Put(comp)
+	rs := rowScratches.Get().(*rowScratch)
+	defer rowScratches.Put(rs)
+	var st PruneStats
+	// tier2Prune counts a candidate whose degree bound exceeds the
+	// threshold.
+	tier2Prune := func(pt *sweepPart) {
+		pt.cs.blockSurvive(tierPadding)
+		pt.cs.cascadePrune(tierDegree)
+		st.PrunedByBound++
 	}
-	return sw.results, sw.stats, nil
+	for k := 0; ; k++ {
+		if k%cancelCheckStride == 0 && ctx.Err() != nil {
+			break
+		}
+		t := sw.threshold()
+		order := sc.order
+		nextPad := int32(math.MaxInt32) // the next unclaimed padding bound
+		if sw.next < len(order) {
+			nextPad = sc.padB[order[sw.next]]
+		}
+		bound := min(nextPad, sw.barrier()) // the least bound of any unclaimed candidate
+		if len(sc.heap) > 0 && sc.heap[0].bound <= bound {
+			// Verify: no unverified candidate has a smaller bound.
+			a := sc.pop()
+			pt, r := sc.rank(parts, order[a.pos])
+			if int(a.bound) > t {
+				tier2Prune(pt)
+				continue
+			}
+			pt.cs.blockSurvive(tierDegree)
+			it := pt.blk.candidate(rs, r)
+			d, out := verifyDistanceAtMost(comp, query, it, t, pt.cs)
+			switch out {
+			case ted.OutcomeExact:
+				st.FullEvaluations++
+				sw.results = insertNeighborCanonical(sw.results, Neighbor{Node: it.Node, Dist: d}, sw.l)
+			case ted.OutcomeAborted:
+				st.EarlyExits++
+			default:
+				st.PrunedByBound++
+			}
+			continue
+		}
+		if t != ted.Unbounded && int(bound) > t {
+			// Cut: every heap key exceeds the next bound, so the heap goes
+			// with the tail and the rows outside the windows.
+			for _, a := range sc.heap {
+				pt, _ := sc.rank(parts, order[a.pos])
+				tier2Prune(pt)
+			}
+			sc.heap = sc.heap[:0]
+			st.PrunedByBound += sc.cut(parts, order[sw.next:], t)
+			break
+		}
+		if nextPad > bound {
+			// Widen: the windows' order ran out below w+1 <= t.
+			if t != ted.Unbounded {
+				sw.w = t
+			} else {
+				sw.w = 2*sw.w + 1
+			}
+			sw.w = min(sw.w, math.MaxInt32-1)
+			sw.full = sc.widen(query, parts, sw.w, sw.next)
+			continue
+		}
+		if sw.next == len(order) {
+			// Every row is in the order and claimed, with fewer than l
+			// verified so far.
+			break
+		}
+		// Admit the next candidate in padding order.
+		i := sw.next
+		sw.next++
+		pt, r := sc.rank(parts, order[i])
+		if bound, pruned := pt.blk.degreeTierPrunes(query, r, int(nextPad), t); pruned {
+			tier2Prune(pt)
+		} else {
+			sc.push(admitted{bound: int32(bound), pos: int32(i)})
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, st, err
+	}
+	return sw.results, st, nil
 }
 
 // scanRange is the cascade range scan behind both scan backends, over
@@ -1212,7 +1147,7 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		return err
 	}
 	var next atomic.Int64
-	runSweepers(min(BatchOptions{Workers: workers}.workers(), n), func() {
+	loop := func() {
 		for k := 0; ; k++ {
 			if k%cancelCheckStride == 0 && ctx.Err() != nil {
 				return
@@ -1223,6 +1158,20 @@ func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 			}
 			fn(i)
 		}
-	})
+	}
+	workers = min(BatchOptions{Workers: workers}.workers(), n)
+	if workers <= 1 {
+		loop()
+		return ctx.Err()
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			loop()
+		}()
+	}
+	wg.Wait()
 	return ctx.Err()
 }

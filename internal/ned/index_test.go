@@ -228,17 +228,18 @@ func (c tripCtx) Err() error {
 	return nil
 }
 
-// TestScanWidths pins that the cascade scan's width moves wall time and
-// nothing else. At width 1, 2 and 4, directed and undirected: KNN and
-// Range are node-identical to the exhaustive oracle; every candidate of
-// every query is swept by the block kernels and lands in exactly one
-// counter bucket — evaluated, or dismissed by exactly one tier, tier 2
-// among them — also when the bound-sorted tail is cut while other
-// sweepers still hold candidates; at width 1 the counters are a
-// function of the query stream; and a context cancelled mid-scan yields
-// context.Canceled and no partial answer. Width 0, which no backend
-// passes (they normalise it) but the scan functions accept, answers the
-// same: KNN on the caller, Range on GOMAXPROCS sweepers.
+// TestScanWidths pins that the cascade scan's width — how many
+// goroutines verify a Range's survivors; a KNN is one sweep at any
+// width — moves wall time and nothing else. At width 1, 2 and 4,
+// directed and undirected: KNN and Range are node-identical to the
+// exhaustive oracle; every candidate of every query is swept by the
+// block kernels and lands in exactly one counter bucket — evaluated, or
+// dismissed by exactly one tier, tier 2 among them — also when the
+// bound-sorted tail is cut; the counters are a function of the query
+// stream, the same from run to run and at every width; and a context
+// cancelled mid-scan yields context.Canceled and no partial answer.
+// Width 0, which no backend passes (they normalise it) but scanRange
+// accepts, answers the same on GOMAXPROCS goroutines.
 func TestScanWidths(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		items, dict := profiledItems(randomDirTestGraph(150, 340, 21, directed), 2, directed)
@@ -251,14 +252,11 @@ func TestScanWidths(t *testing.T) {
 		all := exhaustiveKNN(queries[1], items, n)
 		within := sort.Search(n, func(i int) bool { return all[i].Dist > 3 })
 		part := []sweepPart{newSweepPart(items)}
-		knn0, _, err := scanKNN(context.Background(), queries[1], part, 9, 0, runSweepers)
-		if err != nil || fmt.Sprint(knn0) != fmt.Sprint(all[:9]) {
-			t.Errorf("directed=%v width=0 KNN: got %v (err %v), exhaustive %v", directed, knn0, err, all[:9])
-		}
 		rng0, err := scanRange(context.Background(), queries[1], part, 3, 0)
 		if err != nil || fmt.Sprint(rng0) != fmt.Sprint(all[:within]) {
 			t.Errorf("directed=%v width=0 Range: got %v (err %v), exhaustive %v", directed, rng0, err, all[:within])
 		}
+		var width1 Counters
 		for _, width := range []int{1, 2, 4} {
 			name := fmt.Sprintf("directed=%v width=%d", directed, width)
 			// stream runs the whole query stream on a fresh scan and
@@ -310,10 +308,13 @@ func TestScanWidths(t *testing.T) {
 			if first.LabelPrunes == 0 {
 				t.Errorf("%s: tier 2 never pruned, so the bucket invariant did not cover it", name)
 			}
+			if second := stream(); second != first {
+				t.Errorf("%s: counters differ between two runs of one stream:\n%+v\n%+v", name, first, second)
+			}
 			if width == 1 {
-				if second := stream(); second != first {
-					t.Errorf("%s: counters differ between two runs of one stream:\n%+v\n%+v", name, first, second)
-				}
+				width1 = first
+			} else if first != width1 {
+				t.Errorf("%s: counters differ from width 1's:\n%+v\n%+v", name, first, width1)
 			}
 
 			// l = n+1 and r = 1000 leave nothing to prune, so a complete

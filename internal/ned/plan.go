@@ -7,8 +7,8 @@ import "sort"
 // BuildPlan and time it as ned.plan_build_ns): nothing in the engine
 // plans any more. A sharded query is one sweep over every shard's block
 // under one top-l collector (scanKNN via FanKNN), so there is no fan-out
-// mode left to choose, and Plan has nothing to execute. ROADMAP item 4
-// deletes this file once the harness stops naming it (item 1a).
+// mode left to choose, and Plan has nothing to execute. ROADMAP item
+// 9(vi) deletes this file once the harness stops naming it (item 1(c)).
 
 // PlanMode names the fan-out strategies the retired planner chose
 // between; BuildPlan still reports one.

@@ -10,23 +10,24 @@ import (
 // PrunedTopL answers the same query as TopL but skips full TED*
 // evaluations for candidates that provably cannot enter the result: the
 // cascade's lower bounds prune any candidate whose bound already
-// exceeds the current l-th distance. It is the cascade scan (scanKNN) at
-// width 1 over the candidates profiled against a fresh dictionary
+// exceeds the current l-th distance. It is the cascade scan (scanKNN)
+// over the candidates profiled against a fresh dictionary
 // (ProfileSignatures) — the code every scan backend serves from, which
-// TopLParallel runs at a wider width.
+// TopLParallel runs after profiling at a chosen width.
 //
 // The returned ranking is exact with respect to the full TED* distance:
 // every reported neighbor carries its true distance, and the set equals
 // TopL's. Stats reports how much work was saved.
 func PrunedTopL(query Signature, candidates []Signature, l int) ([]Neighbor, PruneStats) {
-	return signatureTopL(query, candidates, l, 1)
+	return signatureTopL(query, candidates, l, 0)
 }
 
-// signatureTopL is the top-l sweep over signatures at the given width,
-// behind PrunedTopL and TopLParallel.
-func signatureTopL(query Signature, candidates []Signature, l, width int) ([]Neighbor, PruneStats) {
-	items, dict := ProfileSignatures(candidates)
-	res, stats, _ := scanKNN(context.Background(), QueryItem(query, dict), []sweepPart{newSweepPart(items)}, l, width, runSweepers)
+// signatureTopL is the top-l sweep over signatures profiled on the
+// given number of workers (<= 0 means GOMAXPROCS), behind PrunedTopL
+// and TopLParallel.
+func signatureTopL(query Signature, candidates []Signature, l, workers int) ([]Neighbor, PruneStats) {
+	items, dict := profileSignatures(candidates, workers)
+	res, stats, _ := scanKNN(context.Background(), QueryItem(query, dict), []sweepPart{newSweepPart(items)}, l)
 	return res, stats
 }
 
@@ -37,24 +38,23 @@ type PruneStats struct {
 	EarlyExits      int // candidates abandoned mid-TED* once the budget was crossed
 }
 
-// add folds one sweeper's share of a query into the query's stats.
-func (s *PruneStats) add(o PruneStats) {
-	s.FullEvaluations += o.FullEvaluations
-	s.PrunedByBound += o.PrunedByBound
-	s.EarlyExits += o.EarlyExits
-}
-
 // ProfileSignatures is how a signature-level entry point (the VP and
 // BK indexes, PrunedTopL, TopLParallel, Hausdorff) gets items: one per
 // signature, profiled against a fresh dictionary, which it returns for
 // the queries (QueryItem).
 func ProfileSignatures(sigs []Signature) ([]Item, *tree.Interner) {
+	return profileSignatures(sigs, 0)
+}
+
+// profileSignatures is ProfileSignatures on the given number of
+// workers (<= 0 means GOMAXPROCS).
+func profileSignatures(sigs []Signature, workers int) ([]Item, *tree.Interner) {
 	items := make([]Item, len(sigs))
 	for i, s := range sigs {
 		items[i] = s.Item()
 	}
 	dict := tree.NewInterner()
-	ProfileItems(items, dict, 0)
+	ProfileItems(items, dict, workers)
 	return items, dict
 }
 

@@ -10,8 +10,9 @@ import (
 // deterministic node -> shard hash that files a segment's item tables
 // (and a shard of the benchmark harness's replay), and FanKNN, which
 // sweeps every scan's blocks in one best-first pass under one top-l
-// collector (scanKNN), so its threshold tightens once for the whole
-// item set. The Corpus hands FanKNN its one scan.
+// collector (scanKNN) on the caller's goroutine, so its threshold
+// tightens once for the whole item set. The Corpus sweeps its one scan
+// directly (Scan.KNN); the harness still calls FanKNN.
 //
 // Exactness: each index holds a disjoint item subset, so one collector
 // over their union answers what one index over all items would.
@@ -53,11 +54,11 @@ func MergeTopL(per [][]Neighbor, l int) []Neighbor {
 
 // FanKNN answers a KNN query over a sharded index: one sweep over every
 // shard's candidates — each scan's base and delta — under one top-l
-// collector (scanKNN), on up to the executor's width of sweepers drawn
-// from its pool — a pool other queries already fill runs the sweep on
-// the caller. Each shard's counters receive its own candidates' work.
-// Shards that are not the cascade scan (the low-level VP and BK indexes,
-// which no Corpus builds) keep the per-shard KNN and canonical merge.
+// collector (scanKNN), on the caller's goroutine whatever the
+// executor's width. Each shard's counters receive its own candidates'
+// work. Shards that are not the cascade scan (the low-level VP and BK
+// indexes, which no Corpus builds) keep the per-shard KNN, run on the
+// executor, and the canonical merge.
 func FanKNN(ctx context.Context, exec *Executor, shards []Index, query Item, l int) ([]Neighbor, error) {
 	parts := make([]sweepPart, 0, 2*len(shards))
 	for _, ix := range shards {
@@ -67,49 +68,20 @@ func FanKNN(ctx context.Context, exec *Executor, shards []Index, query Item, l i
 		}
 		parts = sb.appendParts(parts)
 	}
-	res, _, err := scanKNN(ctx, query, parts, l, exec.Workers(), exec.sweepers(ctx))
+	res, _, err := scanKNN(ctx, query, parts, l)
 	return res, err
 }
 
 // fanKNNMerge is FanKNN over shards that are not all scans: one KNN(l)
 // per non-empty shard, in parallel on the executor, merged canonically.
+// The first shard's error wins.
 func fanKNNMerge(ctx context.Context, exec *Executor, shards []Index, query Item, l int) ([]Neighbor, error) {
-	per, err := fanOut(ctx, exec, shards, func(ctx context.Context, ix Index) ([]Neighbor, error) {
-		return ix.KNN(ctx, query, l)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return MergeTopL(per, l), nil
-}
-
-// fanOut runs one query per non-empty shard across the executor and
-// collects the per-shard answers (empty shards are skipped entirely —
-// their slot stays nil). The first per-shard error wins.
-func fanOut(ctx context.Context, exec *Executor, shards []Index,
-	query func(ctx context.Context, ix Index) ([]Neighbor, error)) ([][]Neighbor, error) {
-	live := make([]int, 0, len(shards))
-	for i, ix := range shards {
-		if ix.Len() > 0 {
-			live = append(live, i)
-		}
-	}
 	per := make([][]Neighbor, len(shards))
-	if len(live) == 0 {
-		return per, ctx.Err()
-	}
-	if len(live) == 1 {
-		res, err := query(ctx, shards[live[0]])
-		if err != nil {
-			return nil, err
-		}
-		per[live[0]] = res
-		return per, nil
-	}
 	errs := make([]error, len(shards))
-	if err := exec.Do(ctx, len(live), 0, func(i int) {
-		si := live[i]
-		per[si], errs[si] = query(ctx, shards[si])
+	if err := exec.Do(ctx, len(shards), 0, func(i int) {
+		if shards[i].Len() > 0 {
+			per[i], errs[i] = shards[i].KNN(ctx, query, l)
+		}
 	}); err != nil {
 		return nil, err
 	}
@@ -118,5 +90,5 @@ func fanOut(ctx context.Context, exec *Executor, shards []Index,
 			return nil, err
 		}
 	}
-	return per, nil
+	return MergeTopL(per, l), nil
 }

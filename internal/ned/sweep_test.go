@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"ned/internal/anonymize"
@@ -25,13 +24,13 @@ import (
 //   - every answer equals the exhaustive TopL oracle over the live items;
 //   - per query, DistanceCalls + LowerBoundPrunes summed over the shards
 //     equals the live candidates — each is counted once, in its shard;
-//   - at width 1 the counts repeat exactly from run to run and stay
-//     within 1 % of the one-shard count (one threshold for all shards;
-//     only the tie order among equal bounds differs);
+//   - at every width the counts repeat exactly from run to run, equal
+//     width 1's for the same split, and stay within 1 % of the one-shard
+//     count (one threshold for all shards; only the tie order among
+//     equal bounds differs);
 //   - a context cancelled mid-sweep returns its error and no answer;
-//   - 64-query batches from 4 goroutines on one width-2 executor, each
-//     query sweeping from inside a pool worker as Corpus.BatchKNN does,
-//     equal the oracle.
+//   - four 64-query batches at once, each query sweeping from inside a
+//     ParallelForCtx worker as Corpus.BatchKNN does, equal the oracle.
 func TestSweepPartitionInvariance(t *testing.T) {
 	ctx := context.Background()
 	g := randomTestGraph(150, 450, 11)
@@ -143,14 +142,16 @@ func TestSweepPartitionInvariance(t *testing.T) {
 				return calls
 			}
 			calls := stream("static")
+			if again := stream("static"); again != calls {
+				t.Errorf("%s: TED* calls differ between two runs of one stream: %d, %d", name, calls, again)
+			}
 			if width == 1 {
-				if again := stream("static"); again != calls {
-					t.Errorf("%s: TED* calls differ between two runs of one stream: %d, %d", name, calls, again)
-				}
 				width1[ways] = calls
-				if one := width1[1]; 100*abs(calls-one) > one {
-					t.Errorf("%s: %d TED* calls, more than 1%% from the one-shard %d", name, calls, one)
-				}
+			} else if calls != width1[ways] {
+				t.Errorf("%s: %d TED* calls, width 1 made %d", name, calls, width1[ways])
+			}
+			if one := width1[1]; 100*abs(calls-one) > one {
+				t.Errorf("%s: %d TED* calls, more than 1%% from the one-shard %d", name, calls, one)
 			}
 
 			// Cancelled mid-sweep: nothing is prunable at l = n+1, so a
@@ -179,34 +180,30 @@ func TestSweepPartitionInvariance(t *testing.T) {
 		}
 	}
 
-	// BatchKNN's shape: 64 queries per batch on the pool, each sweeping
-	// from inside a pool worker, four batches at once on one executor.
+	// BatchKNN's shape: 64 queries per batch, two at a time, each
+	// sweeping from inside a ParallelForCtx worker, four batches at once.
 	exec := NewExecutor(2)
 	four, _ := split(4)
 	shards := indexes(four)
 	all := oracle["static"]
-	var wg sync.WaitGroup
-	for b := 0; b < 4; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res := make([][]Neighbor, 64)
-			errs := make([]error, 64)
-			if err := exec.Do(ctx, 64, 0, func(i int) {
-				res[i], errs[i] = FanKNN(ctx, exec, shards, queries[(b*64+i)%len(queries)], 5)
-			}); err != nil {
-				t.Errorf("batch %d: %v", b, err)
-				return
+	if err := ParallelForCtx(ctx, 4, 4, func(b int) {
+		res := make([][]Neighbor, 64)
+		errs := make([]error, 64)
+		if err := ParallelForCtx(ctx, 64, 2, func(i int) {
+			res[i], errs[i] = FanKNN(ctx, exec, shards, queries[(b*64+i)%len(queries)], 5)
+		}); err != nil {
+			t.Errorf("batch %d: %v", b, err)
+			return
+		}
+		for i := range res {
+			qi := (b*64 + i) % len(queries)
+			if want := all[qi][:5]; errs[i] != nil || fmt.Sprint(res[i]) != fmt.Sprint(want) {
+				t.Errorf("batch %d query %d: %v (err %v), oracle %v", b, qi, res[i], errs[i], want)
 			}
-			for i := range res {
-				qi := (b*64 + i) % len(queries)
-				if want := all[qi][:5]; errs[i] != nil || fmt.Sprint(res[i]) != fmt.Sprint(want) {
-					t.Errorf("batch %d query %d: %v (err %v), oracle %v", b, qi, res[i], errs[i], want)
-				}
-			}
-		}()
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 }
 
 // TestSweepVerifiesOnlyBelowFinalBound pins the KNN sweep's multi-step
@@ -214,11 +211,9 @@ func TestSweepPartitionInvariance(t *testing.T) {
 // directed, and over the PGP analog queried with nodes of a
 // 5 %-perturbed copy (the serve-read mix), at l ∈ {1, 5, 20}:
 //   - at every width the answer equals the exhaustive oracle;
-//   - at width 1 DistanceCalls equals the number of candidates whose
+//   - at every width DistanceCalls equals the number of candidates whose
 //     degree bound is at most the final l-th distance — exactly those
 //     are verified, the fewest any sweep over these bounds can;
-//   - at widths 2 and 4 the calls are at least that many, since no
-//     candidate with a bound that low can ever be dismissed;
 //   - every candidate that passes tier 2 reaches TED*
 //     (BlockLabelSurvivors == DistanceCalls), and every dismissal has
 //     one tier (LowerBoundPrunes == size + padding + tier 2).
@@ -274,12 +269,8 @@ func TestSweepVerifiesOnlyBelowFinalBound(t *testing.T) {
 					}
 					cs := ix.Counters()
 					ix.ResetStats()
-					if width == 1 && cs.DistanceCalls != below {
+					if cs.DistanceCalls != below {
 						t.Errorf("%s: %d TED* calls, want exactly the %d candidates with degree bound <= %d",
-							name, cs.DistanceCalls, below, final)
-					}
-					if cs.DistanceCalls < below {
-						t.Errorf("%s: %d TED* calls, fewer than the %d candidates with degree bound <= %d",
 							name, cs.DistanceCalls, below, final)
 					}
 					if cs.BlockLabelSurvivors != cs.DistanceCalls {
@@ -321,9 +312,9 @@ func abs(x int64) int64 {
 // r ∈ {0, 3, 40}, equals the exhaustive oracle over the live items; each
 // query counts every live candidate once (BlockCandidates, and
 // DistanceCalls + LowerBoundPrunes) and bounds at most every row; at
-// width 1 DistanceCalls is exactly the candidates whose degree bound is
-// at most the final l-th distance, as with a sweep that bounds every
-// row.
+// every width DistanceCalls is exactly the candidates whose degree
+// bound is at most the final l-th distance, as with a sweep that bounds
+// every row.
 func TestSweepWindowEdges(t *testing.T) {
 	ctx := context.Background()
 	type sweepCase struct {
@@ -528,7 +519,7 @@ func TestSweepWindowEdges(t *testing.T) {
 						t.Errorf("%s: got %v, exhaustive %v", name, got, want)
 					}
 					checkSweepCounts(t, name, cs, n, c.rows)
-					if width == 1 && cs.DistanceCalls != below {
+					if cs.DistanceCalls != below {
 						t.Errorf("%s: %d TED* calls, want exactly the %d candidates with degree bound <= %d",
 							name, cs.DistanceCalls, below, final)
 					}

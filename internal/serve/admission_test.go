@@ -13,8 +13,9 @@ import (
 // every backend name, a burst of single-node KNN requests held at the
 // admission seam and released together must return answers
 // node-identical to the same queries served one at a time. Concurrent
-// requests share the corpus's executor and nothing else, so a burst may
-// reorder work but never change an answer.
+// requests share the corpus's published view and nothing else, each
+// sweeping on its own goroutine, so a burst may reorder work but never
+// change an answer.
 func TestCoalescedKNNNodeIdentical(t *testing.T) {
 	const (
 		nodes   = 80

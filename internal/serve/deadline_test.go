@@ -168,8 +168,8 @@ func newUnstartedServer(t *testing.T, s *Server) string {
 }
 
 // settledGoroutines lets lazily-started long-lived goroutines (http
-// transport idle pools, executor workers idling down after ~100ms)
-// settle, then reports the goroutine count to use as a leak baseline.
+// transport idle pools) settle, then reports the goroutine count to use
+// as a leak baseline.
 func settledGoroutines() int {
 	time.Sleep(250 * time.Millisecond)
 	return runtime.NumGoroutine()
@@ -199,7 +199,7 @@ func requireNoLeakedGoroutines(t *testing.T, baseline int) {
 
 // TestNoLeakedWorkers runs normal, expired, and abandoned queries, then
 // checks the process settles back to its baseline goroutine count — no
-// executor workers or handler goroutines left behind.
+// query or handler goroutines left behind.
 func TestNoLeakedWorkers(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, CreateRequest{Name: "d", K: 3, Graph: ringSpec(100)})

@@ -93,8 +93,8 @@ func (m *metrics) requestTotals() (endpoints []string, rows map[string]map[int]i
 }
 
 // WriteMetrics renders the full exposition in Prometheus text format:
-// the server's request/latency/in-flight/overload counters,
-// then every registered corpus's engine counters — the filter-cascade
+// the server's request/latency/in-flight/overload counters and the
+// process's CPU time (process_cpu_seconds_total, on unix), then every registered corpus's engine counters — the filter-cascade
 // tier prunes, node count and write-contention counters — labeled by
 // corpus.
 func (s *Server) WriteMetrics(w io.Writer) {
@@ -155,6 +155,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP ned_server_panics_total Panics recovered by the serving tier (handlers and background flushes).\n")
 	fmt.Fprintf(w, "# TYPE ned_server_panics_total counter\n")
 	fmt.Fprintf(w, "ned_server_panics_total %d\n", ss.Panics)
+	writeProcessCPU(w)
 
 	// --- per-corpus engine counters ---
 	// One Stats snapshot per tenant, then metric by metric: the text

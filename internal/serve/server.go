@@ -288,7 +288,7 @@ func infoOf(t *Tenant) CorpusInfo {
 // for probing the fast-fail path), and the base context is the HTTP
 // request's own, which the net/http server cancels the moment the
 // client disconnects — so an abandoned query aborts at its next
-// distance-loop check instead of burning executor time.
+// distance-loop check instead of burning CPU.
 func requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
 	raw := r.URL.Query().Get("timeout_ms")
 	if raw == "" {
